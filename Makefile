@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz-persist bench bench-smoke bench-json bench-shard bench-flood bench-dist bench-overlay bench-snap metrics-smoke restart-smoke serve docs
+.PHONY: check build vet test race bench-check fuzz bench bench-smoke metrics-smoke restart-smoke serve docs
 
-check: build vet test race
+check: build vet test race bench-check
 
 build:
 	$(GO) build ./...
@@ -16,11 +16,19 @@ test:
 race:
 	$(GO) test -race ./internal/graph/ ./internal/cache/ ./internal/metrics/ ./internal/rspq/ ./internal/persist/ ./cmd/rspqd/
 
-# fuzz-persist: a short deterministic pass over the persistence-format
-# fuzzers (snapshot decode + WAL replay) — corpus + 10s of new inputs
-# each, the CI fuzz smoke test. `go test -fuzz` accepts one target per
-# run, hence the two invocations.
-fuzz-persist:
+# bench-check: the repo benchmark (bench/, its own module) still vets,
+# builds against this tree and passes its unit tests. Running it is
+# `bash bench/run.sh`.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+# fuzz: a short deterministic pass over the fuzzers (regex parser,
+# snapshot decode, WAL replay) — corpus + 10s of new inputs each, the
+# CI fuzz smoke test. `go test -fuzz` accepts one target per run, hence
+# the separate invocations.
+fuzz:
+	$(GO) test ./internal/automaton/ -run '^$$' -fuzz FuzzParseRegex -fuzztime 10s
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s
 
@@ -29,41 +37,6 @@ bench:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=100x -short .
-
-bench-json:
-	$(GO) run ./cmd/rspqbench -benchjson auto
-
-# bench-shard: just the sharded frontier-exchange workloads (1M-edge
-# graph, K=1/4/16 vs unsharded) — the CI shard smoke test.
-bench-shard:
-	$(GO) run ./cmd/rspqbench -benchjson /tmp/bench-shard.json -workloads shard
-
-# bench-flood: the flooding existence workloads that exercise the
-# direction-optimizing, bit-parallel coReach kernels (K=1/8, each vs a
-# pinned top-down generic reference) — the CI flood smoke test.
-bench-flood:
-	$(GO) run ./cmd/rspqbench -benchjson /tmp/bench-flood.json -workloads flood
-
-# bench-dist: the shortest-walk flood workloads that exercise the
-# bit-parallel distance kernels with witness-log replay (K=1/8, each vs
-# a pinned top-down generic reference) — the CI distance smoke test.
-# The kernels' bar: flood-dist beats flood-dist-generic by ≥2x at K=1.
-bench-dist:
-	$(GO) run ./cmd/rspqbench -benchjson /tmp/bench-dist.json -workloads dist
-
-# bench-overlay: the no-freeze read path (graph.View) vs stop-the-world
-# refreeze+query across pending-delta sizes on a 1M-edge graph — the CI
-# overlay smoke test. The refactor's bar: overlay-read beats
-# refreeze-read by ≥3x at the 1% delta point.
-bench-overlay:
-	$(GO) run ./cmd/rspqbench -benchjson /tmp/bench-overlay.json -workloads overlay
-
-# bench-snap: the durability boot-path workloads (warm boot off a
-# mapped snapshot, with and without a 10k-op WAL tail, vs a cold
-# rebuild) on a 1M-edge graph — the CI persistence smoke test. The
-# layer's bar: snap-load beats cold-rebuild to the first query by ≥5x.
-bench-snap:
-	$(GO) run ./cmd/rspqbench -benchjson /tmp/bench-snap.json -workloads snap
 
 # metrics-smoke: boot rspqd, answer a query, and assert the /metrics
 # exposition reports it and agrees with /stats — the CI observability

@@ -512,26 +512,10 @@ func BenchmarkShardedBFS(b *testing.B) {
 
 // BenchmarkFreeze measures the streaming-mutation refreeze: a ~1% edge
 // delta applied to a frozen 100k-edge graph, refrozen either through
-// the incremental delta merge (graph/delta.go), the same merge done IN
-// PLACE under the single-holder promise (graph.SetSingleHolder —
-// watch B/op drop to ~zero), or the from-scratch rebuild. The
-// incremental path must stay ≥5× faster (tracked in BENCH_<rev>.json
-// as the freeze-* workloads).
+// the incremental delta merge (graph/delta.go) or the from-scratch
+// rebuild. The incremental path must stay ≥5× faster.
 func BenchmarkFreeze(b *testing.B) {
 	const edges = 100_000
-	b.Run("inplace/m=100k-1%", func(b *testing.B) {
-		b.ReportAllocs()
-		g, muts := graph.StreamingWorkload(edges, 0.01, 42)
-		g.SetSingleHolder(true)
-		g.Freeze()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			graph.FlipEdges(g, muts)
-			b.StartTimer()
-			g.Freeze()
-		}
-	})
 	b.Run("incremental/m=100k-1%", func(b *testing.B) {
 		b.ReportAllocs()
 		g, muts := graph.StreamingWorkload(edges, 0.01, 42)

@@ -4,10 +4,11 @@
 //
 // Usage:
 //
-//	rspqbench                  # run every experiment
-//	rspqbench -exp e5          # run one experiment
-//	rspqbench -benchjson auto  # write BENCH_<rev>.json (ns/op, allocs/op
-//	                           # per workload) for the perf trajectory
+//	rspqbench          # run every experiment
+//	rspqbench -exp e5  # run one experiment
+//
+// Performance is measured by the repo benchmark (bash bench/run.sh),
+// not here.
 package main
 
 import (
@@ -30,17 +31,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: e1..e12 or all")
-	benchjson := flag.String("benchjson", "", `write machine-readable benchmark JSON to this path ("auto" = BENCH_<rev>.json)`)
-	workloads := flag.String("workloads", "", `with -benchjson: run only the workload groups whose name contains this string (e.g. "shard"); empty = all`)
 	flag.Parse()
-
-	if *benchjson != "" {
-		if err := runBenchJSON(*benchjson, *workloads); err != nil {
-			fmt.Fprintf(os.Stderr, "rspqbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	experiments := []struct {
 		id   string

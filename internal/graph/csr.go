@@ -54,19 +54,10 @@ func (g *Graph) Freeze() *CSR {
 		start := time.Now()
 		delta := uint64(len(g.addBuf) + len(g.delBuf))
 		merged := g.canMergeDelta()
-		switch {
-		case merged && g.singleHolder:
-			if c := g.mergeCSRInPlace(); c != nil {
-				g.csr = c
-				g.incBuilds.Add(1)
-				g.inPlaceBuilds.Add(1)
-				break
-			}
-			fallthrough // capacity shortfall or new vertices: copying merge
-		case merged:
+		if merged {
 			g.csr = g.mergeCSR()
 			g.incBuilds.Add(1)
-		default:
+		} else {
 			g.csr = buildCSR(g)
 			g.fullBuilds.Add(1)
 		}
@@ -137,9 +128,8 @@ func buildCSR(g *Graph) *CSR {
 		c.outBucket[i] += c.outBucket[i-1]
 		c.inBucket[i] += c.inBucket[i-1]
 	}
-	pad := g.payloadPad()
-	c.outTo = make([]int32, g.edges, g.edges+pad)
-	c.inFrom = make([]int32, g.edges, g.edges+pad)
+	c.outTo = make([]int32, g.edges)
+	c.inFrom = make([]int32, g.edges)
 	outNext := append([]int32(nil), c.outBucket[:len(c.outBucket)-1]...)
 	inNext := append([]int32(nil), c.inBucket[:len(c.inBucket)-1]...)
 	for v := range g.out {

@@ -19,8 +19,7 @@ import (
 // plus one bulk memcpy of the untouched payload and an O(V·L) offset
 // fix-up — against the full rebuild's two O(E) scatter passes and an
 // O(E log) per-bucket sort. On a 100k-edge graph with a 1% delta the
-// merge is an order of magnitude faster (see BenchmarkFreezeIncremental
-// and the freeze-* workloads of rspqbench -benchjson).
+// merge is an order of magnitude faster (see BenchmarkFreeze).
 //
 // The merge path requires the alphabet to be unchanged since the base
 // was built: a new (or vanished) label changes the bucket stride of
@@ -62,13 +61,6 @@ func (g *Graph) FreezeStats() (full, incremental uint64) {
 	return g.fullBuilds.Load(), g.incBuilds.Load()
 }
 
-// InPlaceMerges reports how many of the incremental freezes counted by
-// FreezeStats were performed in place — mutating the previous
-// snapshot's arrays under the SetSingleHolder promise instead of
-// copying the payload into fresh ones. Safe to call concurrently with
-// queries.
-func (g *Graph) InPlaceMerges() uint64 { return g.inPlaceBuilds.Load() }
-
 // FreezeTimings reports the cumulative wall time spent building CSR
 // snapshots (full rebuilds and incremental merges alike) and the wall
 // time of the most recent build, both in nanoseconds. Safe to call
@@ -84,33 +76,6 @@ func (g *Graph) FreezeTimings() (totalNanos, lastNanos uint64) {
 // Safe to call concurrently with queries.
 func (g *Graph) FreezeDeltaEdges() (total, last uint64) {
 	return g.freezeDelta.Load(), g.lastFreezeDelta.Load()
-}
-
-// SetSingleHolder records the caller's promise that the graph itself is
-// the only holder of its CSR snapshots: no *CSR (or *ShardedCSR)
-// obtained before a mutation will ever be read after the next Freeze.
-// Under that promise an incremental freeze may merge the delta into the
-// previous snapshot's arrays IN PLACE — no payload allocation at all,
-// and data movement bounded by the span between the first and last
-// touched bucket — rather than copying all E edges into fresh arrays.
-//
-// The promise is incompatible with anything that retains snapshots
-// across mutations: rspq.Engine (which serves in-flight queries against
-// the previous snapshot) must never be pointed at a single-holder
-// graph. It is intended for single-threaded streaming embeddings that
-// interleave mutation batches with queries on one goroutine. Off by
-// default.
-func (g *Graph) SetSingleHolder(on bool) { g.singleHolder = on }
-
-// payloadPad is the spare capacity appended to freshly allocated CSR
-// payload arrays when the single-holder promise is active, so that
-// subsequent in-place merges can absorb net edge growth without
-// falling back to the copying path.
-func (g *Graph) payloadPad() int {
-	if !g.singleHolder {
-		return 0
-	}
-	return g.edges/8 + 64
 }
 
 // PendingDelta reports the size of the mutation delta accumulated since
@@ -215,10 +180,10 @@ func (g *Graph) mergeCSR() *CSR {
 	L := len(c.labels)
 	c.outBucket, c.outTo = mergeSide(
 		base.outBucket, base.outTo, n*L,
-		deltaSide(g.addBuf, base, true), deltaSide(g.delBuf, base, true), g.edges, g.payloadPad())
+		deltaSide(g.addBuf, base, true), deltaSide(g.delBuf, base, true), g.edges)
 	c.inBucket, c.inFrom = mergeSide(
 		base.inBucket, base.inFrom, n*L,
-		deltaSide(g.addBuf, base, false), deltaSide(g.delBuf, base, false), g.edges, g.payloadPad())
+		deltaSide(g.addBuf, base, false), deltaSide(g.delBuf, base, false), g.edges)
 	return c
 }
 
@@ -226,11 +191,10 @@ func (g *Graph) mergeCSR() *CSR {
 // offsets for the untouched bucket ranges, and three-way-merges (base
 // minus dels, plus adds, all sorted) each touched bucket. nL is the new
 // bucket count (rows may have grown past the base), m the new edge
-// count, pad extra payload capacity to reserve (for later in-place
-// merges; see SetSingleHolder).
-func mergeSide(baseBucket, basePayload []int32, nL int, adds, dels []deltaEntry, m, pad int) ([]int32, []int32) {
+// count.
+func mergeSide(baseBucket, basePayload []int32, nL int, adds, dels []deltaEntry, m int) ([]int32, []int32) {
 	newBucket := make([]int32, nL+1)
-	newPayload := make([]int32, m, m+pad)
+	newPayload := make([]int32, m)
 	baseNL := len(baseBucket) - 1
 	dstEnd := int32(0) // payload filled so far
 	cur := 0           // next bucket to process
@@ -282,128 +246,6 @@ func mergeSide(baseBucket, basePayload []int32, nL int, adds, dels []deltaEntry,
 	}
 	copyPlain(nL)
 	return newBucket, newPayload
-}
-
-// mergeCSRInPlace is the single-holder variant of mergeCSR: instead of
-// copying the whole payload into fresh arrays, it mutates the previous
-// snapshot's arrays directly — a forward compaction pass removes the
-// tombstoned edges, a backward insertion pass splices in the added ones
-// — and returns the (updated) base CSR. It allocates nothing beyond the
-// sorted delta projections. It returns nil, deferring to the copying
-// merge, when vertices were added since the base (the bucket arrays
-// would need to grow) or when the base payload lacks capacity for the
-// net edge growth (payloadPad reserves headroom against this).
-//
-// Caller contract: canMergeDelta has held and SetSingleHolder(true) is
-// in effect, so no other holder of the base snapshot can observe the
-// mutation.
-func (g *Graph) mergeCSRInPlace() *CSR {
-	base := g.csrBase
-	if base == nil || g.NumVertices() != base.n {
-		return nil
-	}
-	if cap(base.outTo) < g.edges || cap(base.inFrom) < g.edges {
-		return nil
-	}
-	base.outTo = mergeSideInPlace(base.outBucket, base.outTo,
-		deltaSide(g.addBuf, base, true), deltaSide(g.delBuf, base, true))
-	base.inFrom = mergeSideInPlace(base.inBucket, base.inFrom,
-		deltaSide(g.addBuf, base, false), deltaSide(g.delBuf, base, false))
-	base.m = g.edges
-	return base
-}
-
-// mergeSideInPlace applies one side's sorted delta to the bucket/payload
-// arrays in place and returns the resized payload.
-func mergeSideInPlace(bucket, payload []int32, adds, dels []deltaEntry) []int32 {
-	nL := len(bucket) - 1
-
-	// Pass 1 — tombstones, forward: locate each deleted value inside its
-	// (sorted) bucket and compact the payload over it. Left-shifting with
-	// a forward walk never clobbers unread data, and nothing before the
-	// first tombstone moves at all.
-	if len(dels) > 0 {
-		write, prev := int32(-1), int32(0)
-		for _, d := range dels {
-			b := int(d.bucket)
-			span := payload[bucket[b]:bucket[b+1]]
-			lo, hi := 0, len(span)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if span[mid] < d.val {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			pos := bucket[b] + int32(lo) // d.val is present: delBuf ⊆ base
-			if write < 0 {
-				write = pos
-			} else {
-				copy(payload[write:], payload[prev:pos])
-				write += pos - prev
-			}
-			prev = pos + 1
-		}
-		copy(payload[write:], payload[prev:])
-		payload = payload[:len(payload)-len(dels)]
-		di := 0
-		for b := 0; b < nL; b++ {
-			bucket[b] -= int32(di)
-			for di < len(dels) && int(dels[di].bucket) == b {
-				di++
-			}
-		}
-		bucket[nL] -= int32(len(dels))
-	}
-
-	// Pass 2 — additions, backward: walk the touched buckets from the
-	// last to the first, shifting the untouched region after each one
-	// right by the adds still unplaced, then merging the bucket's adds
-	// in from its top. Right-shifting with a backward walk never
-	// clobbers unread data, and nothing after the last touched bucket's
-	// final position moves more than once.
-	if len(adds) > 0 {
-		end := int32(len(payload))
-		payload = payload[:len(payload)+len(adds)]
-		shift := int32(len(adds))
-		for ai := len(adds) - 1; ai >= 0; {
-			b := int(adds[ai].bucket)
-			a0 := ai
-			for a0 >= 0 && int(adds[a0].bucket) == b {
-				a0--
-			}
-			ba := adds[a0+1 : ai+1] // bucket b's adds, values ascending
-			copy(payload[bucket[b+1]+shift:end+shift], payload[bucket[b+1]:end])
-			w := bucket[b+1] + shift - 1
-			s := bucket[b+1] - 1
-			for j := len(ba) - 1; j >= 0 || s >= bucket[b]; {
-				if j < 0 || (s >= bucket[b] && payload[s] > ba[j].val) {
-					payload[w] = payload[s]
-					s--
-				} else {
-					payload[w] = ba[j].val
-					j--
-				}
-				w--
-				if j < 0 && w == s {
-					break // the rest of the bucket is already in place
-				}
-			}
-			shift -= int32(len(ba))
-			end = bucket[b]
-			ai = a0
-		}
-		ai := 0
-		for b := 0; b < nL; b++ {
-			bucket[b] += int32(ai)
-			for ai < len(adds) && int(adds[ai].bucket) == b {
-				ai++
-			}
-		}
-		bucket[nL] += int32(len(adds))
-	}
-	return payload
 }
 
 // mergeBucket writes (span \ dels) ∪ adds — all sorted ascending —

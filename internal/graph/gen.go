@@ -250,8 +250,8 @@ func Lollipop(pathLen, cliqueSize int) (g *Graph, source, target int) {
 	return g, source, target
 }
 
-// StreamingWorkload synthesizes the mutate-heavy benchmark shape shared
-// by BenchmarkFreeze and the freeze-* workloads of rspqbench: a random
+// StreamingWorkload synthesizes the mutate-heavy benchmark shape of
+// BenchmarkFreeze and BenchmarkEngineMutate: a random
 // graph with m edges over m/3 vertices and labels {a,b,c}, plus a
 // mutation set of ⌈ratio·m⌉ random edges to be applied with FlipEdges.
 // Deterministic in seed.

@@ -56,18 +56,14 @@ type Graph struct {
 	// Incremental-freeze state (delta.go): the CSR the pending delta is
 	// relative to, the add/remove buffers recording every edge mutation
 	// since csrBase was built, and the freeze counters. csrBase == nil
-	// means the next Freeze rebuilds from scratch. singleHolder is the
-	// caller's promise that old snapshots are never read after the next
-	// Freeze, enabling the in-place merge (SetSingleHolder).
+	// means the next Freeze rebuilds from scratch.
 	csrBase       *CSR
 	addBuf        map[Edge]struct{}
 	delBuf        map[Edge]struct{}
 	deltaNewLabel bool // some buffered add carries a label absent from csrBase
 	incDisabled   bool
-	singleHolder  bool
 	fullBuilds    atomic.Uint64
 	incBuilds     atomic.Uint64
-	inPlaceBuilds atomic.Uint64
 
 	// Freeze telemetry (delta.go accessors): cumulative and
 	// most-recent build wall time, and the delta sizes (adds +

@@ -216,9 +216,7 @@ func splitCSR(c *CSR, k int) *ShardedCSR {
 	L := len(c.labels)
 	if k == 1 {
 		// A single-shard partition IS the monolithic snapshot: alias its
-		// arrays instead of copying all E edges. (Both are immutable —
-		// except under the single-holder promise, where the next Freeze
-		// re-derives this alias from the merged arrays anyway.)
+		// arrays instead of copying all E edges (both are immutable).
 		sc.shards[0] = CSRShard{lo: 0, hi: n, nl: L,
 			outBucket: c.outBucket, outTo: c.outTo,
 			inBucket: c.inBucket, inFrom: c.inFrom}
@@ -275,11 +273,11 @@ func (g *Graph) mergeSharded(base *ShardedCSR) *ShardedCSR {
 			oa := rebaseDelta(cutDelta(outAdds, b0, b1), b0)
 			od := rebaseDelta(cutDelta(outDels, b0, b1), b0)
 			sh.outBucket, sh.outTo = mergeSide(bs.outBucket, bs.outTo, nl, oa, od,
-				len(bs.outTo)+len(oa)-len(od), 0)
+				len(bs.outTo)+len(oa)-len(od))
 			ia := rebaseDelta(cutDelta(inAdds, b0, b1), b0)
 			id := rebaseDelta(cutDelta(inDels, b0, b1), b0)
 			sh.inBucket, sh.inFrom = mergeSide(bs.inBucket, bs.inFrom, nl, ia, id,
-				len(bs.inFrom)+len(ia)-len(id), 0)
+				len(bs.inFrom)+len(ia)-len(id))
 		}(s)
 	}
 	wg.Wait()

@@ -131,8 +131,7 @@ func CSRFromParts(p CSRParts) (*CSR, error) {
 // checks, no re-sort. The CSR is adopted as-is and must not be shared
 // with another graph; its arrays may alias a read-only file mapping
 // (the incremental freeze always allocates fresh arrays, so the mapping
-// is never written — but SetSingleHolder(true), whose in-place merge
-// would write to it, must not be combined with a mapped snapshot).
+// is never written).
 func FromCSR(c *CSR, epoch uint64) *Graph {
 	n := c.n
 	g := New(n)

@@ -36,8 +36,7 @@ import (
 // and a pinned view stays immutable — safe for concurrent readers, and
 // still a valid snapshot of its epoch after further mutations or a
 // compaction (overlay slices are fresh copies; base arrays are
-// immutable outside the single-holder promise, under which views follow
-// the same caller contract as CSR snapshots).
+// immutable).
 //
 // Epoch keys stay sound across compaction: Freeze does not advance the
 // epoch, so the graph content at a given epoch is identical whether a
@@ -147,11 +146,9 @@ func passView(c *CSR, sc *ShardedCSR, epoch uint64) *View {
 // base (a new label changes the bucket stride — genuine restructure),
 // and the delta must be within the same size thresholds as the
 // incremental merge (past them a synchronous rebuild is no slower than
-// dragging a huge overlay through every query). The single-holder
-// promise also disables overlays: its in-place merges would mutate the
-// base arrays a pinned view aliases.
+// dragging a huge overlay through every query).
 func (g *Graph) canOverlay() bool {
-	if g.csrBase == nil || g.incDisabled || g.singleHolder {
+	if g.csrBase == nil || g.incDisabled {
 		return false
 	}
 	if d := len(g.addBuf) + len(g.delBuf); d > deltaMergeFloor && d > int(float64(g.csrBase.m)*deltaMergeLimit) {

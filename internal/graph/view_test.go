@@ -273,21 +273,6 @@ func TestViewShardedOverlay(t *testing.T) {
 	checkViewAgainstCSR(t, vw2, rebuildOracle(g))
 }
 
-// TestViewSingleHolderFallsBack pins the aliasing hazard: under the
-// single-holder promise Freeze may merge in place, mutating the arrays
-// a pinned overlay would alias — so overlays are disabled there.
-func TestViewSingleHolderFallsBack(t *testing.T) {
-	g := Random(20, []byte{'a', 'b'}, 0.15, 29)
-	g.SetSingleHolder(true)
-	g.Freeze()
-	g.AddEdge(1, 'a', 2)
-	vw := g.PinView()
-	if vw.Overlay() {
-		t.Fatal("single-holder graphs must not serve overlay views")
-	}
-	checkViewAgainstCSR(t, vw, rebuildOracle(g))
-}
-
 // TestRemoveEdgeAbsentLeavesNoTombstone is the regression test for the
 // absent-removal path: removing an edge that was never present must be
 // a complete no-op — no tombstone accumulates in the delta, the epoch

@@ -9,9 +9,8 @@ import (
 )
 
 // benchGraph builds the deterministic 200k-edge fixture the load
-// benchmarks boot from (the 1M-edge version lives in rspqbench's
-// `snap` benchjson workloads, which also record the warm-vs-cold
-// ratio across revisions).
+// benchmarks boot from (the repo benchmark's serve-churn workload
+// times the same boot paths on its own, larger graph).
 func benchGraph() *graph.Graph {
 	const n, m = 40_000, 200_000
 	rng := rand.New(rand.NewSource(5))

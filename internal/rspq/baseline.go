@@ -98,23 +98,16 @@ func Baseline(g *graph.Graph, d *automaton.DFA, x, y int, stats *BaselineStats) 
 	}
 	a := getArena()
 	defer a.release()
-	p := makeProduct(g, d, a)
+	p := makeProduct(g.PinView(), d, a)
 	p.coReach(y, a)
-	return baselineFrom(&p, a, d, x, y, stats)
+	return baselineWith(&p, a, d, nil, x, y, stats)
 }
 
-// baselineFrom runs one pruned backtracking search against the
-// co-reachability table already sitting in a.co (computed by coReach
-// for target y). The table depends only on y, so batched queries
-// sharing a target call this once per source over one table.
-func baselineFrom(p *product, a *arena, d *automaton.DFA, x, y int, stats *BaselineStats) Result {
-	return baselineWith(p, a, d, nil, x, y, stats)
-}
-
-// baselineWith is baselineFrom with an optional frozen co-reachability
-// table: when cot is non-nil the search prunes against it instead of
-// the arena table, which is how Engine replays a cached (language, y)
-// table across queries and graph-epoch-stable batches.
+// baselineWith runs one pruned backtracking search from x against the
+// co-reachability table of target y: the frozen table cot when non-nil
+// (how Engine replays a cached (language, y) table across queries),
+// else the one coReach left in a.co. The table depends only on y, so
+// queries sharing a target call this once per source over one table.
 func baselineWith(p *product, a *arena, d *automaton.DFA, cot *coTable, x, y int, stats *BaselineStats) Result {
 	b := bsearch{p: *p, a: a, d: d, y: y, limit: -1, stats: stats, cot: cot}
 	if cot != nil {
@@ -145,7 +138,7 @@ func BaselineShortest(g *graph.Graph, d *automaton.DFA, x, y int, stats *Baselin
 	}
 	a := getArena()
 	defer a.release()
-	b := bsearch{p: makeProduct(g, d, a), a: a, d: d, y: y, stats: stats}
+	b := bsearch{p: makeProduct(g.PinView(), d, a), a: a, d: d, y: y, stats: stats}
 	b.p.distToGoal(y, a)
 	start := b.p.id(x, d.Start)
 	if a.distAt(start) < 0 {

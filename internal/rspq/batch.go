@@ -1,53 +1,22 @@
 package rspq
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/graph"
 	"repro/internal/metrics"
 )
-
-// This file implements the batched query engine. The observation behind
-// it: every product-based tier prunes (or outright answers) with a table
-// that depends only on the TARGET of the query — coReach for the
-// exponential baseline, the backward product BFS (distToGoal) for the
-// walk-reduction tiers, the position-NFA co-reachability table for the
-// Ψtr summary solver. A workload of many (x, y) pairs over one language
-// therefore groups naturally by y: the y-side table is computed once per
-// group and every source in the group is answered against it.
-//
-// Groups are independent, so they fan out over a worker pool sized to
-// GOMAXPROCS. Each worker owns one pooled arena for its whole shift and
-// the summary tier reuses one pooled seqSearcher per (sequence, target),
-// so steady-state batches stay near the per-query engine's
-// zero-allocation contract: the remaining allocations are the witness
-// paths and the per-batch grouping index.
-//
-// On a sharded graph (graph.SetShards) the two parallelism axes
-// compose: groups still fan out over this pool, and each group's
-// backward BFS additionally runs as a frontier exchange over the
-// shards (shardbfs.go) with up to min(K, GOMAXPROCS) workers of its
-// own. Batches with many distinct targets are already saturated by
-// group fan-out; sharding is what parallelizes the opposite shape —
-// few hot targets whose individual table builds dominate.
-
-// Pair is one (source, target) query of a batch.
-type Pair struct {
-	X, Y int
-}
 
 // BatchSolver answers many RSPQ(L) queries on one frozen graph with
 // shared per-target tables. Build it once per (solver, graph) pair and
 // call Solve with arbitrarily many batches; it is safe for concurrent
 // use by multiple goroutines (construction warms the graph-side
 // indexes).
+//
+// It is the table-sharing evaluator (evaluator.go) with no caches
+// attached: each group's y-side table lives in its worker's arena and
+// nothing outlives the call. Engine is the same evaluator with caches.
 type BatchSolver struct {
-	s       *Solver
-	g       *graph.Graph
-	workers atomic.Int32  // pool size; atomic so SetWorkers may race with Solve
-	counts  *exchCounters // optional kernel telemetry sink (SetMetrics); nil by default
+	evaluator
+	g *graph.Graph
 }
 
 // NewBatchSolver readies a batch engine for s's language on g. It
@@ -56,8 +25,8 @@ type BatchSolver struct {
 // goroutines.
 func NewBatchSolver(s *Solver, g *graph.Graph) *BatchSolver {
 	s.Warm(g)
-	bs := &BatchSolver{s: s, g: g}
-	bs.workers.Store(int32(runtime.GOMAXPROCS(0)))
+	bs := &BatchSolver{evaluator: evaluator{s: s}, g: g}
+	bs.setWorkers(0)
 	return bs
 }
 
@@ -65,10 +34,7 @@ func NewBatchSolver(s *Solver, g *graph.Graph) *BatchSolver {
 // (GOMAXPROCS). It returns the receiver for chaining and may be called
 // concurrently with Solve (in-flight batches keep the size they read).
 func (bs *BatchSolver) SetWorkers(n int) *BatchSolver {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	bs.workers.Store(int32(n))
+	bs.setWorkers(n)
 	return bs
 }
 
@@ -95,12 +61,10 @@ func (s *Solver) BatchSolve(g *graph.Graph, pairs []Pair) []Result {
 	return NewBatchSolver(s, g).Solve(pairs)
 }
 
-// batchGroup collects the sources querying one shared target, with
-// their positions in the caller's pairs slice.
-type batchGroup struct {
-	y   int
-	xs  []int
-	idx []int
+// pin pins the graph's current view and dispatch verdict for one batch.
+func (bs *BatchSolver) pin() *pinned {
+	vw := bs.g.PinView()
+	return &pinned{vw: vw, epoch: vw.Epoch(), algo: bs.s.ChooseAlgorithm(bs.g)}
 }
 
 // Solve answers every pair, in order: out[i] is the answer to pairs[i].
@@ -109,7 +73,7 @@ type batchGroup struct {
 // group shares its y-side table, and groups run on the worker pool.
 func (bs *BatchSolver) Solve(pairs []Pair) []Result {
 	out := make([]Result, len(pairs))
-	bs.run(pairs, out, nil)
+	bs.solvePairs(bs.pin(), pairs, answers{out: out})
 	return out
 }
 
@@ -122,226 +86,6 @@ func (bs *BatchSolver) Solve(pairs []Pair) []Result {
 // markedly cheaper than Solve there.
 func (bs *BatchSolver) SolveExists(pairs []Pair) []bool {
 	found := make([]bool, len(pairs))
-	bs.run(pairs, nil, found)
+	bs.solvePairs(bs.pin(), pairs, answers{found: found})
 	return found
-}
-
-// run groups pairs by target and fans the groups out over the worker
-// pool. Exactly one of out and found is non-nil: out receives full
-// results, found only existence bits.
-func (bs *BatchSolver) run(pairs []Pair, out []Result, found []bool) {
-	n := bs.g.NumVertices()
-	var groups []batchGroup
-	pos := make(map[int]int)
-	for i, pq := range pairs {
-		if !validPair(n, pq.X, pq.Y) {
-			continue // out[i] stays Found=false
-		}
-		gi, ok := pos[pq.Y]
-		if !ok {
-			gi = len(groups)
-			pos[pq.Y] = gi
-			groups = append(groups, batchGroup{y: pq.Y})
-		}
-		groups[gi].xs = append(groups[gi].xs, pq.X)
-		groups[gi].idx = append(groups[gi].idx, i)
-	}
-	if len(groups) == 0 {
-		return
-	}
-
-	algo := bs.s.ChooseAlgorithm(bs.g)
-	// Pin the snapshot view once, on this goroutine, before fanning out:
-	// the workers' makeProduct/acquireSeqSearcher calls then all hit the
-	// cached view, so the first batch after an (externally synchronized)
-	// mutation never races on the lazy pin.
-	vw := bs.g.PinView()
-	workers := int(bs.workers.Load())
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers <= 1 {
-		a := getArena()
-		for gi := range groups {
-			bs.solveGroup(vw, algo, &groups[gi], out, found, a)
-		}
-		a.release()
-		return
-	}
-
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a := getArena() // one arena per worker, for its whole shift
-			defer a.release()
-			for gi := range work {
-				bs.solveGroup(vw, algo, &groups[gi], out, found, a)
-			}
-		}()
-	}
-	for gi := range groups {
-		work <- gi
-	}
-	close(work)
-	wg.Wait()
-}
-
-// solveGroup answers one target group on the tier algo, writing into
-// the disjoint out (or found) slots named by grp.idx. Every tier of the
-// dispatcher has a batch entry point below; the finite tier has no
-// y-side table to share and simply loops its per-query search.
-func (bs *BatchSolver) solveGroup(vw *graph.View, algo Algorithm, grp *batchGroup, out []Result, found []bool, a *arena) {
-	switch algo {
-	case AlgoFinite:
-		bs.batchFinite(vw, grp, out, found)
-	case AlgoSubword:
-		bs.batchSubword(vw, grp, out, found, a)
-	case AlgoDAG:
-		bs.batchDAG(vw, grp, out, found, a)
-	case AlgoSummary:
-		if bs.s.Expr == nil {
-			bs.batchBaseline(vw, grp, out, found, a)
-			return
-		}
-		bs.batchSummary(vw, grp, out, found)
-	default:
-		bs.batchBaseline(vw, grp, out, found, a)
-	}
-}
-
-// batchFinite loops the AC⁰-tier word search: it is already
-// target-light (each word probe is a bounded DFS from x), so there is
-// no table worth sharing across the group.
-func (bs *BatchSolver) batchFinite(vw *graph.View, grp *batchGroup, out []Result, found []bool) {
-	for j, x := range grp.xs {
-		var res Result
-		if bs.s.words != nil {
-			res = finiteWithWords(vw, bs.s.words, x, grp.y)
-		} else {
-			res = Finite(bs.g, bs.s.Min, x, grp.y)
-		}
-		if found != nil {
-			found[grp.idx[j]] = res.Found
-		} else {
-			out[grp.idx[j]] = res
-		}
-	}
-}
-
-// batchSubword shares one backward product BFS from the target across
-// the whole group: the walk-reduction answer for every source is read
-// off the successor links in O(walk length), then made simple by loop
-// removal exactly like the per-query Subword path. In existence-only
-// mode each source is a single O(1) reachability lookup — no walk is
-// materialized at all (sound because the dispatcher verified the
-// language subword-closed, so a walk always yields a simple witness) —
-// against the mark-only coReach sweep. Both sweeps run bit-parallel on
-// ≤64-state DFAs: coReach via bitbfs.go, the distance-and-successor
-// form via the witness-log kernels in distbits.go, so a shared walk
-// group pays packed rounds plus one replay pass instead of scalar
-// per-state expansion.
-func (bs *BatchSolver) batchSubword(vw *graph.View, grp *batchGroup, out []Result, found []bool, a *arena) {
-	p := makeProductView(vw, bs.s.Min, a)
-	p.counts = bs.counts
-	if found != nil {
-		p.coReach(grp.y, a)
-		for j, x := range grp.xs {
-			found[grp.idx[j]] = a.co.has(p.id(x, p.d.Start))
-		}
-		return
-	}
-	p.distToGoal(grp.y, a)
-	for j, x := range grp.xs {
-		walk := p.sharedWalkFrom(a, x)
-		if walk == nil {
-			continue
-		}
-		simple := walk.RemoveLoops()
-		if !bs.s.Min.Member(simple.Word()) {
-			// Cannot happen for genuinely subword-closed languages;
-			// guard against misuse like Subword does.
-			continue
-		}
-		out[grp.idx[j]] = Result{Found: true, Path: simple}
-	}
-}
-
-// batchDAG shares the same backward product BFS on acyclic inputs,
-// where every walk is already simple (Theorem 8's collapse to RPQ);
-// existence-only mode is again one O(1) lookup per source, against the
-// mark-only coReach sweep. Like batchSubword, both modes dispatch to
-// the packed ≤64-state kernels when the DFA fits.
-func (bs *BatchSolver) batchDAG(vw *graph.View, grp *batchGroup, out []Result, found []bool, a *arena) {
-	p := makeProductView(vw, bs.s.Min, a)
-	p.counts = bs.counts
-	if found != nil {
-		p.coReach(grp.y, a)
-		for j, x := range grp.xs {
-			found[grp.idx[j]] = a.co.has(p.id(x, p.d.Start))
-		}
-		return
-	}
-	p.distToGoal(grp.y, a)
-	for j, x := range grp.xs {
-		if walk := p.sharedWalkFrom(a, x); walk != nil {
-			out[grp.idx[j]] = Result{Found: true, Path: walk}
-		}
-	}
-}
-
-// batchSummary shares each Ψtr sequence's position-NFA co-reachability
-// table (which depends only on g and y) across the group: one pooled
-// seqSearcher is acquired per (sequence, target) and run once per
-// source that is still unanswered. Existence-only mode runs the same
-// search but never materializes witness paths.
-func (bs *BatchSolver) batchSummary(vw *graph.View, grp *batchGroup, out []Result, found []bool) {
-	remaining := len(grp.xs)
-	for _, seq := range bs.s.Expr.Seqs {
-		if remaining == 0 {
-			return // skip later sequences' co-reachability builds
-		}
-		ss := acquireSeqSearcherView(vw, seq, grp.y, false, nil, bs.counts, nil)
-		ss.existsOnly = found != nil
-		for j, x := range grp.xs {
-			if found != nil {
-				if found[grp.idx[j]] {
-					continue
-				}
-				if ss.run(x).Found {
-					found[grp.idx[j]] = true
-					remaining--
-				}
-				continue
-			}
-			if out[grp.idx[j]].Found {
-				continue
-			}
-			if res := ss.run(x); res.Found {
-				out[grp.idx[j]] = res
-				remaining--
-			}
-		}
-		ss.release()
-	}
-}
-
-// batchBaseline computes the exponential tier's co-reachability pruning
-// table once per target and backtracks per source against it. The
-// existence bit needs the same search (co-reachability alone ignores
-// simplicity), so existence-only mode merely drops the witness.
-func (bs *BatchSolver) batchBaseline(vw *graph.View, grp *batchGroup, out []Result, found []bool, a *arena) {
-	p := makeProductView(vw, bs.s.Min, a)
-	p.counts = bs.counts
-	p.coReach(grp.y, a)
-	for j, x := range grp.xs {
-		res := baselineFrom(&p, a, bs.s.Min, x, grp.y, nil)
-		if found != nil {
-			found[grp.idx[j]] = res.Found
-		} else {
-			out[grp.idx[j]] = res
-		}
-	}
 }

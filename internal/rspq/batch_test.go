@@ -30,6 +30,9 @@ func tierCases() []struct {
 		{"summary", "a*(bb+|())c*", func(seed int64) *graph.Graph {
 			return graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, seed)
 		}},
+		{"summary-adjacent-gaps", "a+c?b+", func(seed int64) *graph.Graph {
+			return graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, seed)
+		}},
 		{"dag", "(a|b)*a(a|b)*", func(seed int64) *graph.Graph {
 			return graph.LayeredDAG(5, 6, 3, []byte{'a', 'b'}, seed)
 		}},

@@ -61,7 +61,7 @@ func ColorCoding(g *graph.Graph, d *automaton.DFA, x, y, k int, opts ColorCoding
 	rng := rand.New(rand.NewSource(opts.Seed))
 	a := getArena()
 	defer a.release()
-	p := makeProduct(g, d, a)
+	p := makeProduct(g.PinView(), d, a)
 	color := make([]int, g.NumVertices())
 	// reach and parent are reused across trials: one allocation per
 	// query instead of one per coloring.

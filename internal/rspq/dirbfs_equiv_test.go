@@ -163,7 +163,7 @@ func TestKernelSetAndDistEquality(t *testing.T) {
 				SetDirectionMode(DirTopDown)
 				SetBitParallel(false)
 				ra := getArena()
-				rp := makeProduct(g, s.Min, ra)
+				rp := makeProduct(g.PinView(), s.Min, ra)
 				rp.coReach(y, ra)
 				nm := rp.n * rp.m
 				co := make([]bool, nm)
@@ -183,7 +183,7 @@ func TestKernelSetAndDistEquality(t *testing.T) {
 				for _, m := range kernelModes() {
 					setKernelMode(t, m)
 					a := getArena()
-					p := makeProduct(g, s.Min, a)
+					p := makeProduct(g.PinView(), s.Min, a)
 					p.coReach(y, a)
 					for i := 0; i < nm; i++ {
 						if a.co.has(i) != co[i] {

@@ -36,7 +36,7 @@ func TestDistBitsAllocGuard(t *testing.T) {
 
 	sweep := func() {
 		a := getArena()
-		p := makeProduct(g, s.Min, a)
+		p := makeProduct(g.PinView(), s.Min, a)
 		for _, y := range targets {
 			p.distToGoal(y, a)
 		}

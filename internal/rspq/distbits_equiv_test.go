@@ -31,7 +31,7 @@ func genericDistReference(t *testing.T, s *Solver, g *graph.Graph, y int) []int3
 	g.SetShards(0)
 	a := getArena()
 	defer a.release()
-	p := makeProduct(g, s.Min, a)
+	p := makeProduct(g.PinView(), s.Min, a)
 	p.distToGoal(y, a)
 	dist := make([]int32, p.n*p.m)
 	for i := range dist {
@@ -85,7 +85,7 @@ func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, m kernelMode, k, y
 	g.SetShards(k)
 	a := getArena()
 	defer a.release()
-	p := makeProduct(g, s.Min, a)
+	p := makeProduct(g.PinView(), s.Min, a)
 	if m.bits && p.packed() == nil {
 		t.Fatalf("pattern must pack into a word for the bit kernels")
 	}
@@ -180,7 +180,7 @@ func TestDistanceKernelShortestMatchesSolve(t *testing.T) {
 	for _, k := range []int{0, 4} {
 		g.SetShards(k)
 		a := getArena()
-		p := makeProduct(g, s.Min, a)
+		p := makeProduct(g.PinView(), s.Min, a)
 		y := 3
 		p.distToGoal(y, a)
 		for x := 0; x < g.NumVertices(); x++ {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/psitr"
 )
 
 // This file implements the long-lived serving engine. A Solver answers
@@ -29,6 +28,12 @@ import (
 // observes the bumped epoch, re-freezes the snapshot, and every lookup
 // under the new epoch misses. Stale entries age out of the LRU on
 // their own — no explicit purge calls anywhere.
+//
+// The evaluation itself — which table a tier needs, how a group of
+// sources sharing a target is answered against it — is evaluator.go,
+// shared with BatchSolver; this file is the lifecycle around it
+// (snapshot pinning, compaction, stats, stage accounting of a single
+// query).
 //
 // Engines are safe for concurrent use. Graph mutations must still be
 // externally synchronized with in-flight queries (the graph's own
@@ -185,144 +190,6 @@ type EngineStats struct {
 	Results               cache.Stats `json:"results"`
 }
 
-// table kinds, part of tableKey so the three tiers share one cache.
-const (
-	tableCo   uint8 = iota // baseline product co-reachability bitset
-	tableGoal              // subword/DAG backward-BFS dist + successors
-	tableSeq               // summary per-sequence position-NFA bitset
-)
-
-// tableKey names one per-target pruning table: the graph generation it
-// was built under, the language, the target, the snapshot partition it
-// was built from (reconfiguring the shard count must not alias an old
-// table, and a shared cache may serve engines with different
-// partitions), and — for the summary tier — the Ψtr sequence index.
-type tableKey struct {
-	epoch  uint64
-	lang   uint64
-	y      int32
-	seq    int32 // sequence index (summary tier), -1 otherwise
-	shards uint16
-	kind   uint8
-}
-
-// resultKey names one cached answer. Existence-only answers are cached
-// under their own keys so a witness-less result can never be returned
-// to a caller that asked for a path.
-type resultKey struct {
-	epoch  uint64
-	lang   uint64
-	x, y   int32
-	exists bool
-}
-
-// coTable is an immutable product co-reachability table (a bitset over
-// dense product ids), the frozen form of what coReach / computeCoReach
-// leave in per-query scratch. Safe for concurrent readers.
-type coTable struct {
-	bits []uint64
-}
-
-func newCoTable(n int) *coTable { return &coTable{bits: make([]uint64, (n+63)>>6)} }
-
-func (t *coTable) set(i int)      { t.bits[i>>6] |= 1 << (uint(i) & 63) }
-func (t *coTable) has(i int) bool { return t.bits[i>>6]>>(uint(i)&63)&1 == 1 }
-func (t *coTable) cost() int64    { return coTableCost(len(t.bits) << 6) }
-
-// coTableCost is the byte footprint of a coTable over n dense ids,
-// computable before the table is built (see cache.Retainable).
-func coTableCost(n int) int64 { return int64((n+63)>>6)*8 + 48 }
-
-// goalTableCost is the byte footprint of a goalTable over n dense ids.
-func goalTableCost(n int) int64 { return int64(n)*9 + 72 }
-
-// goalTable is the frozen result of one backward product BFS toward an
-// accepting (y, ·) goal: distances (-1 = unreachable), successor links
-// one step closer to the goal, and the labels of those steps. It
-// answers existence in O(1) and yields a shortest walk from any source
-// in O(walk length). Safe for concurrent readers.
-type goalTable struct {
-	dist   []int32
-	parent []int32
-	plabel []byte
-}
-
-func (t *goalTable) cost() int64 { return goalTableCost(len(t.dist)) }
-
-// exportGoalTable freezes the arena's distToGoal output.
-func exportGoalTable(p *product, a *arena) *goalTable {
-	nm := p.n * p.m
-	t := &goalTable{
-		dist:   make([]int32, nm),
-		parent: make([]int32, nm),
-		plabel: make([]byte, nm),
-	}
-	for i := 0; i < nm; i++ {
-		if a.dst.has(i) {
-			t.dist[i] = a.dist[i]
-			t.parent[i] = a.parent[i]
-			t.plabel[i] = a.plabel[i]
-		} else {
-			t.dist[i] = -1
-		}
-	}
-	return t
-}
-
-// exportCoTable freezes the arena's coReach output.
-func exportCoTable(p *product, a *arena) *coTable {
-	nm := p.n * p.m
-	t := newCoTable(nm)
-	for i := 0; i < nm; i++ {
-		if a.co.has(i) {
-			t.set(i)
-		}
-	}
-	return t
-}
-
-// walkFrom reads a shortest L-labeled walk from x off the frozen
-// successor links — the cached-table analogue of sharedWalkFrom — or
-// nil when no walk exists. m is the DFA state count, start its start
-// state.
-func (t *goalTable) walkFrom(x, start, m int) *graph.Path {
-	cur := x*m + start
-	if t.dist[cur] < 0 {
-		return nil
-	}
-	vs := make([]int, 0, t.dist[cur]+1)
-	ls := make([]byte, 0, t.dist[cur])
-	vs = append(vs, x)
-	for t.dist[cur] > 0 {
-		ls = append(ls, t.plabel[cur])
-		cur = int(t.parent[cur])
-		vs = append(vs, cur/m)
-	}
-	return &graph.Path{Vertices: vs, Labels: ls}
-}
-
-// engineSnap is one consistent pinned view of the graph: the snapshot
-// view (base CSR plus any pending-delta overlay, carrying its partition
-// when sharding is configured), the epoch it was pinned under, and the
-// dispatch verdict. Snapshots are immutable; a mutation makes the next
-// query pin a fresh one — WITHOUT freezing, when the delta is small
-// enough for an overlay (graph.View), so mutations never stall reads on
-// a refreeze and never invalidate in-flight queries (which keep their
-// own snap).
-type engineSnap struct {
-	vw    *graph.View
-	epoch uint64
-	algo  Algorithm
-}
-
-// shards returns the partition size for cache keys (0 = unsharded).
-func (s *engineSnap) shards() uint16 {
-	if sc := s.vw.Sharded(); sc != nil {
-		return uint16(sc.NumShards())
-	}
-	return 0
-}
-
 // Engine is a long-lived serving engine for one (language, graph)
 // pair: it answers Solve / Exists / BatchSolve / BatchSolveExists
 // against a frozen snapshot of the graph, keeping the per-target
@@ -330,27 +197,20 @@ func (s *engineSnap) shards() uint16 {
 // epoch-keyed LRU caches so they survive across queries and batches.
 // Build one with NewEngine and share it between goroutines.
 type Engine struct {
-	s *Solver
+	// evaluator is the table-sharing evaluator (evaluator.go) with both
+	// cache tiers attached: tables and results are nil when their tier
+	// is disabled. Its met holds every engine counter/histogram as
+	// pre-registered series on one metrics.Registry (enginemetrics.go);
+	// EngineStats and the Prometheus exposition both read it, so /stats
+	// and /metrics can never disagree. Its tuner learns α/β
+	// direction-switch thresholds from observed round costs (tuner.go);
+	// every product search the engine runs reports into it and reads its
+	// thresholds back at search start.
+	evaluator
 	g *graph.Graph
 
 	mu   sync.Mutex // serializes snapshot rebuilds
-	snap atomic.Pointer[engineSnap]
-
-	tables  *cache.Cache[tableKey, any] // nil when the tier is disabled
-	results *cache.Cache[resultKey, Result]
-
-	workers atomic.Int32
-
-	// met holds every engine counter/histogram as pre-registered
-	// series on one metrics.Registry (enginemetrics.go); EngineStats
-	// and the Prometheus exposition both read it, so /stats and
-	// /metrics can never disagree.
-	met *engineMetrics
-
-	// tuner learns α/β direction-switch thresholds from observed round
-	// costs (tuner.go); every product search the engine runs reports
-	// into it and reads its thresholds back at search start.
-	tuner *dirTuner
+	snap atomic.Pointer[pinned]
 
 	// compactDelta is the NeedsCompaction watermark resolved from
 	// EngineConfig.CompactDelta (-1 = disabled).
@@ -370,7 +230,7 @@ type Engine struct {
 // EngineConfig selects the default cache budgets and a GOMAXPROCS
 // worker pool.
 func NewEngine(s *Solver, g *graph.Graph, cfg EngineConfig) *Engine {
-	e := &Engine{s: s, g: g}
+	e := &Engine{evaluator: evaluator{s: s}, g: g}
 	if cfg.Shards > 0 {
 		g.SetShards(cfg.Shards)
 	} else if cfg.Shards == 0 && g.ShardCount() == 0 {
@@ -393,11 +253,7 @@ func NewEngine(s *Solver, g *graph.Graph, cfg EngineConfig) *Engine {
 		}
 		e.results = cache.New[resultKey, Result](cache.Config{MaxBytes: rb})
 	}
-	w := cfg.Workers
-	if w < 1 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	e.workers.Store(int32(w))
+	e.setWorkers(cfg.Workers)
 	switch {
 	case cfg.CompactDelta > 0:
 		e.compactDelta = cfg.CompactDelta
@@ -413,6 +269,7 @@ func NewEngine(s *Solver, g *graph.Graph, cfg EngineConfig) *Engine {
 	}
 	e.met = newEngineMetrics(reg)
 	e.met.registerSourced(e)
+	e.counts = &e.met.kernel
 	e.tuner = newDirTuner(reg)
 	e.snapshot()
 	return e
@@ -425,10 +282,7 @@ func (e *Engine) Metrics() *metrics.Registry { return e.met.reg }
 // SetWorkers overrides the batch worker-pool size; n < 1 restores the
 // default (GOMAXPROCS). It returns the receiver for chaining.
 func (e *Engine) SetWorkers(n int) *Engine {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	e.workers.Store(int32(n))
+	e.setWorkers(n)
 	return e
 }
 
@@ -456,7 +310,7 @@ func (e *Engine) ShardsAdaptive() bool { return e.adaptive }
 // concern, see NeedsCompaction) or to a natural freeze when the delta
 // outgrows the overlay regime. EngineStats.OverlayReads versus
 // .PassThroughReads shows which regime queries are actually in.
-func (e *Engine) snapshot() *engineSnap {
+func (e *Engine) snapshot() *pinned {
 	if s := e.snap.Load(); s != nil && s.epoch == e.g.Epoch() {
 		return s
 	}
@@ -466,7 +320,7 @@ func (e *Engine) snapshot() *engineSnap {
 		return s
 	}
 	vw, acyclic, epoch := e.g.SnapshotView()
-	s := &engineSnap{vw: vw, epoch: epoch, algo: e.s.algorithmFor(acyclic)}
+	s := &pinned{vw: vw, epoch: epoch, algo: e.s.algorithmFor(acyclic)}
 	e.snap.Store(s)
 	e.met.rebuilds.Inc()
 	return s
@@ -494,7 +348,7 @@ func (e *Engine) Compact() bool {
 	t0 := time.Now()
 	e.g.Freeze() // merge the delta into the base (incremental when it qualifies)
 	vw, acyclic, epoch := e.g.SnapshotView()
-	e.snap.Store(&engineSnap{vw: vw, epoch: epoch, algo: e.s.algorithmFor(acyclic)})
+	e.snap.Store(&pinned{vw: vw, epoch: epoch, algo: e.s.algorithmFor(acyclic)})
 	el := time.Since(t0)
 	e.met.compactions.Inc()
 	e.met.compactSeconds.ObserveDuration(el)
@@ -533,31 +387,6 @@ func (e *Engine) NeedsCompaction() bool {
 	}
 	adds, removes := e.g.PendingDelta()
 	return adds+removes > e.compactDelta
-}
-
-// solveTiming is the engine-side sink a traced query threads through
-// solveOne and its table helpers: the kernel trace the product kernels
-// fill, plus the table/kernel stage split and the table-cache verdict.
-// It is nil on every untraced path (the stage histograms are observed
-// directly against e.met there).
-type solveTiming struct {
-	kt       *kernelTrace
-	tableNs  int64
-	kernelNs int64
-	tableHit bool
-}
-
-// product builds the product view of a snapshot, carrying the partition
-// and the engine's kernel telemetry (and, when tracing, the per-query
-// trace sink) into the kernels.
-func (e *Engine) product(snap *engineSnap, a *arena, st *solveTiming) product {
-	p := makeProductView(snap.vw, e.s.Min, a)
-	p.counts = &e.met.kernel
-	p.tun = e.tuner
-	if st != nil {
-		p.tr = st.kt
-	}
-	return p
 }
 
 // Stats snapshots the engine's counters, including hit/miss/eviction
@@ -712,299 +541,22 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 	if ok {
 		return finish(res, cacheDur.Nanoseconds(), true)
 	}
+	// A single query is a target group of one, built on the stack.
+	var (
+		xs    = [1]int{x}
+		idx   [1]int
+		out   [1]Result
+		found [1]bool
+	)
+	grp := targetGroup{y: y, xs: xs[:], idx: idx[:]}
+	w := answers{out: out[:]}
+	if existsOnly {
+		w = answers{found: found[:]}
+	}
 	a := getArena()
-	res = e.solveOne(snap, a, x, y, existsOnly, st)
+	e.solveGroup(snap, a, &grp, w, st)
 	a.release()
-	e.storeResult(snap.epoch, x, y, existsOnly, res)
-	return finish(res, cacheDur.Nanoseconds(), false)
-}
-
-// observeKernel / observeTable credit one stage interval to the stage
-// histogram and, when tracing, the per-query sink.
-func (e *Engine) observeKernel(d time.Duration, st *solveTiming) {
-	e.met.stageKernel.ObserveDuration(d)
-	if st != nil {
-		st.kernelNs += d.Nanoseconds()
-	}
-}
-
-func (e *Engine) observeTable(d time.Duration, st *solveTiming) {
-	e.met.stageTable.ObserveDuration(d)
-	if st != nil {
-		st.tableNs += d.Nanoseconds()
-	}
-}
-
-// cachedResult consults the result cache. A full result satisfies an
-// existence-only ask; the reverse never happens because existence-only
-// answers live under their own keys.
-func (e *Engine) cachedResult(epoch uint64, x, y int, existsOnly bool) (Result, bool) {
-	if e.results == nil {
-		return Result{}, false
-	}
-	k := resultKey{epoch: epoch, lang: e.s.id, x: int32(x), y: int32(y)}
-	if res, ok := e.results.Get(k); ok {
-		return res, true
-	}
-	if existsOnly {
-		k.exists = true
-		if res, ok := e.results.Get(k); ok {
-			return res, true
-		}
-	}
-	return Result{}, false
-}
-
-func (e *Engine) storeResult(epoch uint64, x, y int, existsOnly bool, res Result) {
-	if e.results == nil {
-		return
-	}
-	k := resultKey{epoch: epoch, lang: e.s.id, x: int32(x), y: int32(y), exists: existsOnly}
-	e.results.Put(k, res, resultCost(res))
-}
-
-// resultCost estimates the footprint of one cached Result: key, entry
-// bookkeeping, and the witness path when present.
-func resultCost(res Result) int64 {
-	c := int64(96)
-	if res.Path != nil {
-		c += int64(len(res.Path.Vertices))*8 + int64(len(res.Path.Labels)) + 48
-	}
-	return c
-}
-
-// solveOne answers one in-range query against the snapshot, going
-// through the table cache for the y-side pruning table of the active
-// tier. st is the trace sink, nil when untraced (the stage histograms
-// are observed either way).
-func (e *Engine) solveOne(snap *engineSnap, a *arena, x, y int, existsOnly bool, st *solveTiming) Result {
-	switch snap.algo {
-	case AlgoFinite:
-		// No y-side table to share: each word probe is a bounded DFS,
-		// timed wholesale as the kernel stage.
-		words := e.s.words
-		if words == nil {
-			words = finiteWords(e.s.Min)
-		}
-		k0 := time.Now()
-		res := finiteWithWords(snap.vw, words, x, y)
-		e.observeKernel(time.Since(k0), st)
-		return res
-	case AlgoSubword, AlgoDAG:
-		if existsOnly {
-			return e.existsGoal(snap, a, x, y, st)
-		}
-		v := e.goalViewFor(snap, a, y, st)
-		return e.answerGoal(v, snap.algo, x, existsOnly)
-	case AlgoSummary:
-		return e.summarySolve(snap, x, y, existsOnly, st)
-	default:
-		p := e.product(snap, a, st)
-		t := e.coTableFor(snap, &p, a, y, st)
-		k0 := time.Now()
-		res := baselineWith(&p, a, e.s.Min, t, x, y, nil)
-		e.observeKernel(time.Since(k0), st)
-		return res
-	}
-}
-
-// summarySolve walks the Ψtr sequences in order, reusing each
-// sequence's cached position-NFA co-reachability table when present.
-// The skeleton search itself (ss.run) counts as kernel time.
-func (e *Engine) summarySolve(snap *engineSnap, x, y int, existsOnly bool, st *solveTiming) Result {
-	for si, seq := range e.s.Expr.Seqs {
-		ss := e.acquireSummary(snap, seq, si, y, st)
-		ss.existsOnly = existsOnly
-		k0 := time.Now()
-		res := ss.run(x)
-		e.observeKernel(time.Since(k0), st)
-		ss.release()
-		if res.Found {
-			return res
-		}
-	}
-	return Result{}
-}
-
-// acquireSummary readies a summary searcher for (sequence si, target
-// y), feeding its co-reachability table from — and back to — the table
-// cache. Both the single-query and the batch path go through here. On
-// a table miss the co-reachability sweep runs inside the acquire and
-// is timed as kernel; the cache traffic around it is timed as table.
-func (e *Engine) acquireSummary(snap *engineSnap, seq *psitr.Sequence, si, y int, st *solveTiming) *seqSearcher {
-	key := tableKey{epoch: snap.epoch, lang: e.s.id, y: int32(y), seq: int32(si), shards: snap.shards(), kind: tableSeq}
-	t0 := time.Now()
-	var ext *coTable
-	if e.tables != nil {
-		if v, ok := e.tables.Get(key); ok {
-			ext = v.(*coTable)
-		}
-	}
-	e.observeTable(time.Since(t0), st)
-	if ext != nil && st != nil {
-		st.tableHit = true
-	}
-	var kt *kernelTrace
-	if st != nil {
-		kt = st.kt
-	}
-	k0 := time.Now()
-	ss := acquireSeqSearcherView(snap.vw, seq, y, false, ext, &e.met.kernel, kt)
-	if ext == nil {
-		e.observeKernel(time.Since(k0), st)
-		if e.tables != nil && e.tables.Retainable(coTableCost(ss.n*ss.plan.posCount)) {
-			t1 := time.Now()
-			t := ss.exportCoReach()
-			e.tables.Put(key, t, t.cost())
-			e.observeTable(time.Since(t1), st)
-		}
-	}
-	return ss
-}
-
-// goalView is the y-side backward-BFS table in whichever form is
-// cheapest: a cached immutable goalTable, or — when the table cache is
-// disabled or the table would be rejected on arrival — the arena's raw
-// distToGoal output, read exactly like the BatchSolver path with no
-// export copy.
-type goalView struct {
-	t *goalTable
-	p product // valid when t == nil; arena holds the BFS output
-	a *arena
-}
-
-// goalViewFor returns the backward-BFS view for target y, serving the
-// cached table on hit and caching a freshly exported one on miss when
-// it is retainable. The BFS is timed as kernel, the cache traffic as
-// table.
-func (e *Engine) goalViewFor(snap *engineSnap, a *arena, y int, st *solveTiming) goalView {
-	key := tableKey{epoch: snap.epoch, lang: e.s.id, y: int32(y), seq: -1, shards: snap.shards(), kind: tableGoal}
-	t0 := time.Now()
-	if e.tables != nil {
-		if v, ok := e.tables.Get(key); ok {
-			e.observeTable(time.Since(t0), st)
-			if st != nil {
-				st.tableHit = true
-			}
-			return goalView{t: v.(*goalTable)}
-		}
-	}
-	p := e.product(snap, a, st)
-	k0 := time.Now()
-	p.distToGoal(y, a)
-	e.observeKernel(time.Since(k0), st)
-	t1 := time.Now()
-	if e.tables != nil && e.tables.Retainable(goalTableCost(p.n*p.m)) {
-		t := exportGoalTable(&p, a)
-		e.tables.Put(key, t, t.cost())
-		e.observeTable(time.Since(t1), st)
-		return goalView{t: t}
-	}
-	e.observeTable(time.Since(t1), st)
-	return goalView{p: p, a: a}
-}
-
-// answerGoal answers one source against the y-side view, applying the
-// subword loop-removal guard when the tier requires it. Shared by the
-// single-query and batch paths.
-func (e *Engine) answerGoal(v goalView, algo Algorithm, x int, existsOnly bool) Result {
-	m, start := e.s.Min.NumStates, e.s.Min.Start
-	if existsOnly {
-		// Sound without the walk: on DAGs every walk is simple, and the
-		// dispatcher verified subword closure, under which loop removal
-		// always lands back in the language.
-		if v.t != nil {
-			return Result{Found: v.t.dist[x*m+start] >= 0}
-		}
-		return Result{Found: v.a.dst.has(v.p.id(x, start))}
-	}
-	var walk *graph.Path
-	if v.t != nil {
-		walk = v.t.walkFrom(x, start, m)
-	} else {
-		walk = v.p.sharedWalkFrom(v.a, x)
-	}
-	if walk == nil {
-		return Result{}
-	}
-	if algo == AlgoSubword {
-		simple := walk.RemoveLoops()
-		if !e.s.Min.Member(simple.Word()) {
-			// Cannot happen for genuinely subword-closed languages.
-			return Result{}
-		}
-		return Result{Found: true, Path: simple}
-	}
-	return Result{Found: true, Path: walk}
-}
-
-// cachedGoalTable returns target y's cached backward-BFS table, nil on
-// miss (without computing one).
-func (e *Engine) cachedGoalTable(snap *engineSnap, y int) *goalTable {
-	if e.tables == nil {
-		return nil
-	}
-	key := tableKey{epoch: snap.epoch, lang: e.s.id, y: int32(y), seq: -1, shards: snap.shards(), kind: tableGoal}
-	if v, ok := e.tables.Get(key); ok {
-		return v.(*goalTable)
-	}
-	return nil
-}
-
-// existsGoal answers one existence-only query on the walk-reduction
-// tiers. Existence needs no successor links — (x, start) reaches the
-// goal iff it is co-reachable — so on a goal-table miss the answer
-// comes from the mark-only coReach sweep (bit-parallel when the DFA
-// packs into a word, bitbfs.go) instead of the heavier link-recording
-// distToGoal, and feeds the baseline tier's co table cache. A cached
-// goal table (left by earlier witness queries on the same target) still
-// answers in O(1).
-func (e *Engine) existsGoal(snap *engineSnap, a *arena, x, y int, st *solveTiming) Result {
-	m, start := e.s.Min.NumStates, e.s.Min.Start
-	t0 := time.Now()
-	t := e.cachedGoalTable(snap, y)
-	e.observeTable(time.Since(t0), st)
-	if t != nil {
-		if st != nil {
-			st.tableHit = true
-		}
-		return Result{Found: t.dist[x*m+start] >= 0}
-	}
-	p := e.product(snap, a, st)
-	if t := e.coTableFor(snap, &p, a, y, st); t != nil {
-		return Result{Found: t.has(x*m + start)}
-	}
-	return Result{Found: a.co.has(p.id(x, start))}
-}
-
-// coTableFor returns the baseline co-reachability table for target y —
-// cached on hit, freshly cached on miss when retainable, or nil with
-// the table left in the arena (a.co) for baselineWith's fallback. The
-// sweep is timed as kernel, the cache traffic as table.
-func (e *Engine) coTableFor(snap *engineSnap, p *product, a *arena, y int, st *solveTiming) *coTable {
-	key := tableKey{epoch: snap.epoch, lang: e.s.id, y: int32(y), seq: -1, shards: snap.shards(), kind: tableCo}
-	t0 := time.Now()
-	if e.tables != nil {
-		if v, ok := e.tables.Get(key); ok {
-			e.observeTable(time.Since(t0), st)
-			if st != nil {
-				st.tableHit = true
-			}
-			return v.(*coTable)
-		}
-	}
-	k0 := time.Now()
-	p.coReach(y, a)
-	e.observeKernel(time.Since(k0), st)
-	t1 := time.Now()
-	if e.tables != nil && e.tables.Retainable(coTableCost(p.n*p.m)) {
-		t := exportCoTable(p, a)
-		e.tables.Put(key, t, t.cost())
-		e.observeTable(time.Since(t1), st)
-		return t
-	}
-	e.observeTable(time.Since(t1), st)
-	return nil
+	return finish(w.get(0), cacheDur.Nanoseconds(), false)
 }
 
 // BatchSolve answers many (x, y) pairs: out[i] answers pairs[i],
@@ -1015,7 +567,7 @@ func (e *Engine) coTableFor(snap *engineSnap, p *product, a *arena, y int, st *s
 // shared — treat their Paths as immutable.
 func (e *Engine) BatchSolve(pairs []Pair) []Result {
 	out := make([]Result, len(pairs))
-	e.batch(pairs, out, nil)
+	e.batch(pairs, answers{out: out})
 	return out
 }
 
@@ -1024,11 +576,11 @@ func (e *Engine) BatchSolve(pairs []Pair) []Result {
 // the walk-reduction tiers once the group's table is available).
 func (e *Engine) BatchSolveExists(pairs []Pair) []bool {
 	found := make([]bool, len(pairs))
-	e.batch(pairs, nil, found)
+	e.batch(pairs, answers{found: found})
 	return found
 }
 
-func (e *Engine) batch(pairs []Pair, out []Result, found []bool) {
+func (e *Engine) batch(pairs []Pair, w answers) {
 	e.met.batches.Inc()
 	e.met.batchPairs.Add(int64(len(pairs)))
 	t0 := time.Now()
@@ -1039,159 +591,5 @@ func (e *Engine) batch(pairs []Pair, out []Result, found []bool) {
 	} else {
 		e.met.passThroughReads.Inc()
 	}
-	n := snap.vw.NumVertices()
-	existsOnly := found != nil
-
-	var groups []batchGroup
-	pos := make(map[int]int)
-	for i, pq := range pairs {
-		if !validPair(n, pq.X, pq.Y) {
-			continue // slot stays Found=false
-		}
-		if res, ok := e.cachedResult(snap.epoch, pq.X, pq.Y, existsOnly); ok {
-			if existsOnly {
-				found[i] = res.Found
-			} else {
-				out[i] = res
-			}
-			continue
-		}
-		gi, ok := pos[pq.Y]
-		if !ok {
-			gi = len(groups)
-			pos[pq.Y] = gi
-			groups = append(groups, batchGroup{y: pq.Y})
-		}
-		groups[gi].xs = append(groups[gi].xs, pq.X)
-		groups[gi].idx = append(groups[gi].idx, i)
-	}
-	if len(groups) == 0 {
-		return
-	}
-
-	workers := int(e.workers.Load())
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers <= 1 {
-		a := getArena()
-		for gi := range groups {
-			e.solveGroup(snap, a, &groups[gi], out, found)
-		}
-		a.release()
-		return
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a := getArena()
-			defer a.release()
-			for gi := range work {
-				e.solveGroup(snap, a, &groups[gi], out, found)
-			}
-		}()
-	}
-	for gi := range groups {
-		work <- gi
-	}
-	close(work)
-	wg.Wait()
-}
-
-// solveGroup answers one target group against the cached (or freshly
-// cached) y-side table, writing into the disjoint slots named by
-// grp.idx and feeding each answer to the result cache.
-func (e *Engine) solveGroup(snap *engineSnap, a *arena, grp *batchGroup, out []Result, found []bool) {
-	existsOnly := found != nil
-	record := func(j int, res Result) {
-		if existsOnly {
-			found[grp.idx[j]] = res.Found
-		} else {
-			out[grp.idx[j]] = res
-		}
-		e.storeResult(snap.epoch, grp.xs[j], grp.y, existsOnly, res)
-	}
-	switch snap.algo {
-	case AlgoFinite:
-		words := e.s.words
-		if words == nil {
-			words = finiteWords(e.s.Min)
-		}
-		for j, x := range grp.xs {
-			record(j, finiteWithWords(snap.vw, words, x, grp.y))
-		}
-	case AlgoSubword, AlgoDAG:
-		if existsOnly {
-			// One mark-only sweep (bit-parallel when applicable) serves
-			// every source of the group; see existsGoal.
-			m, start := e.s.Min.NumStates, e.s.Min.Start
-			if t := e.cachedGoalTable(snap, grp.y); t != nil {
-				for j, x := range grp.xs {
-					record(j, Result{Found: t.dist[x*m+start] >= 0})
-				}
-				return
-			}
-			p := e.product(snap, a, nil)
-			t := e.coTableFor(snap, &p, a, grp.y, nil)
-			for j, x := range grp.xs {
-				if t != nil {
-					record(j, Result{Found: t.has(x*m + start)})
-				} else {
-					record(j, Result{Found: a.co.has(p.id(x, start))})
-				}
-			}
-			return
-		}
-		v := e.goalViewFor(snap, a, grp.y, nil)
-		for j, x := range grp.xs {
-			record(j, e.answerGoal(v, snap.algo, x, existsOnly))
-		}
-	case AlgoSummary:
-		e.batchSummary(snap, grp, out, found)
-	default:
-		p := e.product(snap, a, nil)
-		t := e.coTableFor(snap, &p, a, grp.y, nil)
-		for j, x := range grp.xs {
-			record(j, baselineWith(&p, a, e.s.Min, t, x, grp.y, nil))
-		}
-	}
-}
-
-// batchSummary mirrors BatchSolver.batchSummary with the per-sequence
-// tables drawn from (and fed to) the cross-query cache.
-func (e *Engine) batchSummary(snap *engineSnap, grp *batchGroup, out []Result, found []bool) {
-	existsOnly := found != nil
-	answered := make([]bool, len(grp.xs))
-	results := make([]Result, len(grp.xs))
-	remaining := len(grp.xs)
-	for si, seq := range e.s.Expr.Seqs {
-		if remaining == 0 {
-			break
-		}
-		ss := e.acquireSummary(snap, seq, si, grp.y, nil)
-		ss.existsOnly = existsOnly
-		for j, x := range grp.xs {
-			if answered[j] {
-				continue
-			}
-			if res := ss.run(x); res.Found {
-				answered[j] = true
-				results[j] = res
-				remaining--
-			}
-		}
-		ss.release()
-	}
-	for j := range grp.xs {
-		res := results[j]
-		if existsOnly {
-			found[grp.idx[j]] = res.Found
-		} else {
-			out[grp.idx[j]] = res
-		}
-		e.storeResult(snap.epoch, grp.xs[j], grp.y, existsOnly, res)
-	}
+	e.solvePairs(snap, pairs, w)
 }

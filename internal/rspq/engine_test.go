@@ -23,6 +23,7 @@ func engineTierCases() []struct {
 		{"finite", "ab|ba|aab", graph.Random(30, []byte{'a', 'b'}, 0.08, 3)},
 		{"subword", "a*c*", graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 12)},
 		{"summary", "a*(bb+|())c*", graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 7)},
+		{"summary-adjacent-gaps", "a+c?b+", graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 7)},
 		{"dag", "(a|b)*a(a|b)*", graph.LayeredDAG(6, 5, 3, []byte{'a', 'b'}, 5)},
 		{"baseline", "a*bba*", graph.Random(40, []byte{'a', 'b'}, 0.05, 21)},
 	}
@@ -208,20 +209,139 @@ func TestEngineTableLRUEviction(t *testing.T) {
 	}
 }
 
-// TestEngineDisabledCaches runs the engine with both tiers disabled:
-// pure pass-through, still correct.
-func TestEngineDisabledCaches(t *testing.T) {
-	c := engineTierCases()[2] // summary
-	s, err := NewSolver(c.pattern)
-	if err != nil {
-		t.Fatal(err)
+// TestEvaluatorEquivalence pins the one table-sharing evaluator behind
+// BatchSolver and Engine: on every tier, for witness and existence-only
+// asks, single and batched, with both cache tiers on, disabled and
+// squeezed to one byte, every surface must give the ground-truth Found
+// bits (the exponential baseline's) and verifiable witnesses. The
+// surfaces run on one engine in two orders, so each is exercised both
+// cold and behind whatever tables and results the others left.
+func TestEvaluatorEquivalence(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  EngineConfig
+	}{
+		{"caches-on", EngineConfig{}},
+		{"caches-off", EngineConfig{TableBytes: -1, ResultBytes: -1}},
+		{"1-byte", EngineConfig{TableBytes: 1, ResultBytes: 1}},
 	}
-	e := NewEngine(s, c.g, EngineConfig{TableBytes: -1, ResultBytes: -1})
-	pairs := probePairs(c.g.NumVertices(), 30, 13)
-	checkEngineAgainstSolver(t, e, s, c.g, pairs, "nocache")
-	st := e.Stats()
-	if st.Tables.Puts != 0 || st.Results.Puts != 0 {
-		t.Fatalf("disabled tiers must never store: %+v", st)
+	for _, c := range engineTierCases() {
+		s, err := NewSolver(c.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := c.g.NumVertices()
+		pairs := probePairs(n, 40, 17)
+		pairs = append(pairs, pairs[0], Pair{X: -1, Y: 0}, Pair{X: 0, Y: n})
+		want := make([]bool, len(pairs))
+		for i, pq := range pairs {
+			want[i] = Baseline(c.g, s.Min, pq.X, pq.Y, nil).Found
+		}
+		check := func(t *testing.T, surface string, got []Result, witness bool) {
+			t.Helper()
+			for i, pq := range pairs {
+				if got[i].Found != want[i] {
+					t.Fatalf("%s (%d,%d): Found = %v; baseline %v", surface, pq.X, pq.Y, got[i].Found, want[i])
+				}
+				if witness && !VerifyWitness(got[i], c.g, s.Min, pq.X, pq.Y) {
+					t.Fatalf("%s (%d,%d): invalid witness %v", surface, pq.X, pq.Y, got[i].Path)
+				}
+			}
+		}
+		bits := func(found []bool) []Result {
+			out := make([]Result, len(found))
+			for i, f := range found {
+				out[i].Found = f
+			}
+			return out
+		}
+		t.Run(c.name+"/BatchSolver", func(t *testing.T) {
+			bs := NewBatchSolver(s, c.g)
+			check(t, "Solve", bs.Solve(pairs), true)
+			check(t, "SolveExists", bits(bs.SolveExists(pairs)), false)
+		})
+		for _, cf := range configs {
+			t.Run(c.name+"/Engine/"+cf.name, func(t *testing.T) {
+				single := func(e *Engine, exists bool) []Result {
+					out := make([]Result, len(pairs))
+					for i, pq := range pairs {
+						if exists {
+							out[i].Found = e.Exists(pq.X, pq.Y)
+						} else {
+							out[i] = e.Solve(pq.X, pq.Y)
+						}
+					}
+					return out
+				}
+				surfaces := []struct {
+					name    string
+					witness bool
+					run     func(e *Engine) []Result
+				}{
+					{"Exists", false, func(e *Engine) []Result { return single(e, true) }},
+					{"Solve", true, func(e *Engine) []Result { return single(e, false) }},
+					{"BatchSolveExists", false, func(e *Engine) []Result { return bits(e.BatchSolveExists(pairs)) }},
+					{"BatchSolve", true, func(e *Engine) []Result { return e.BatchSolve(pairs) }},
+				}
+				for _, reverse := range []bool{false, true} {
+					e := NewEngine(s, c.g, cf.cfg)
+					for i := range surfaces {
+						sf := surfaces[i]
+						if reverse {
+							sf = surfaces[len(surfaces)-1-i]
+						}
+						check(t, sf.name, sf.run(e), sf.witness)
+					}
+					st := e.Stats()
+					if cf.name != "caches-on" && (st.Tables.Entries != 0 || st.Results.Entries != 0) {
+						t.Fatalf("%s must retain nothing: %+v / %+v", cf.name, st.Tables, st.Results)
+					}
+					if cf.name == "caches-off" && (st.Tables.Puts != 0 || st.Results.Puts != 0) {
+						t.Fatalf("disabled tiers must never store: %+v", st)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestEngineMissAllocGuard pins the single-query miss path: a query is
+// a target group of one built on the caller's stack, so answering an
+// unseen target allocates no group slices or maps. With both cache
+// tiers off nothing is retained either, which leaves exactly the
+// allocations the kernels already had before the evaluators were
+// unified — the heap-escaping product struct on the product-based
+// tiers (see TestDistBitsAllocGuard), nothing on the others.
+func TestEngineMissAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
+	}
+	bound := map[string]float64{"finite": 0, "subword": 1, "summary": 0, "baseline": 1}
+	for _, c := range engineTierCases() {
+		limit, ok := bound[c.name]
+		if !ok {
+			continue // the dag tier shares the subword tier's path
+		}
+		s, err := NewSolver(c.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := graph.RandomRegular(600, []byte{'a', 'b', 'c'}, 3, 400)
+		e := NewEngine(s, g, EngineConfig{TableBytes: -1, ResultBytes: -1})
+		for i := 0; i < 64; i++ { // warm the arena and searcher pools
+			e.Exists(i, 599-i%8)
+		}
+		var avg float64
+		for attempt := 0; attempt < 3 && (attempt == 0 || avg > limit); attempt++ {
+			y := 0
+			avg = testing.AllocsPerRun(400, func() {
+				e.Exists((y*7)%600, y%590)
+				y++
+			})
+		}
+		if avg > limit {
+			t.Fatalf("%s: Engine.Exists on an unseen target allocates %.2f allocs/op; the bound is %.0f", c.name, avg, limit)
+		}
 	}
 }
 

@@ -84,14 +84,10 @@ type product struct {
 	tun    *dirTuner         // α/β auto-tuner, may be nil (Engine wires it)
 }
 
-func makeProduct(g *graph.Graph, d *automaton.DFA, a *arena) product {
-	return makeProductView(g.PinView(), d, a)
-}
-
-// makeProductView builds the product directly over a pinned view, so a
-// long-lived engine can keep answering against the snapshot it
-// validated rather than re-pinning the live graph.
-func makeProductView(vw *graph.View, d *automaton.DFA, a *arena) product {
+// makeProduct builds the product over a pinned view, so a long-lived
+// engine keeps answering against the snapshot it validated rather than
+// re-pinning the live graph.
+func makeProduct(vw *graph.View, d *automaton.DFA, a *arena) product {
 	L := vw.NumLabels()
 	if cap(a.lmap) < L {
 		a.lmap = make([]int16, L)
@@ -246,7 +242,7 @@ func ShortestWalk(g *graph.Graph, d *automaton.DFA, x, y int) *graph.Path {
 // walkSearch runs the forward product BFS, leaving parent links in the
 // arena. It returns the accepting goal id, or -1.
 func walkSearch(g *graph.Graph, d *automaton.DFA, x, y int, a *arena) int {
-	p := makeProduct(g, d, a)
+	p := makeProduct(g.PinView(), d, a)
 	nm := p.n * p.m
 	a.seen.reset(nm)
 	a.growProduct(nm)

@@ -183,33 +183,49 @@ func (s *Solver) Solve(g *graph.Graph, x, y int) Result {
 // SolveWith forces a specific algorithm; AlgoAuto dispatches.
 // Out-of-range vertex ids yield Result{Found: false}, never a panic.
 func (s *Solver) SolveWith(g *graph.Graph, x, y int, algo Algorithm) Result {
+	return s.solveWith(g, x, y, algo, false)
+}
+
+// Shortest returns a shortest simple L-labeled path from x to y, using
+// the best exact strategy available.
+func (s *Solver) Shortest(g *graph.Graph, x, y int) Result {
+	return s.solveWith(g, x, y, AlgoAuto, true)
+}
+
+// solveWith is the per-query forward evaluator: one search from x on
+// the tier algo names (AlgoAuto: the tier the trichotomy assigns). The
+// finite, subword and DAG tiers always return a shortest path; shortest
+// makes the summary and baseline tiers do so too.
+func (s *Solver) solveWith(g *graph.Graph, x, y int, algo Algorithm, shortest bool) Result {
 	if !validPair(g.NumVertices(), x, y) {
 		return Result{}
 	}
 	if algo == AlgoAuto {
 		algo = s.ChooseAlgorithm(g)
 	}
+	baseline := Baseline
+	if shortest {
+		baseline = BaselineShortest
+	}
 	switch algo {
 	case AlgoFinite:
 		if s.words != nil {
-			return finiteWithWords(g.PinView(), s.words, x, y)
+			return finiteWithWords(g.PinView(), s.words, x, y) // tries words in increasing length
 		}
 		return Finite(g, s.Min, x, y)
 	case AlgoSubword:
 		return Subword(g, s.Min, x, y)
 	case AlgoSummary:
 		if s.Expr == nil {
-			return Baseline(g, s.Min, x, y, nil)
+			return baseline(g, s.Min, x, y, nil)
 		}
-		return SolvePsitr(g, s.Expr, x, y, false)
+		return SolvePsitr(g, s.Expr, x, y, shortest)
 	case AlgoDAG:
 		res, ok := DAG(g, s.Min, x, y)
 		if !ok {
-			return Baseline(g, s.Min, x, y, nil)
+			return baseline(g, s.Min, x, y, nil)
 		}
 		return res
-	case AlgoBaseline:
-		return Baseline(g, s.Min, x, y, nil)
 	case AlgoWalk:
 		if p := ShortestWalk(g, s.Min, x, y); p != nil {
 			return Result{Found: true, Path: p}
@@ -218,31 +234,7 @@ func (s *Solver) SolveWith(g *graph.Graph, x, y int, algo Algorithm) Result {
 	case AlgoNaive:
 		return Naive(g, s.Min, x, y)
 	default:
-		return Baseline(g, s.Min, x, y, nil)
-	}
-}
-
-// Shortest returns a shortest simple L-labeled path from x to y, using
-// the best exact strategy available.
-func (s *Solver) Shortest(g *graph.Graph, x, y int) Result {
-	if !validPair(g.NumVertices(), x, y) {
-		return Result{}
-	}
-	switch {
-	case s.Classification.Finite:
-		if s.words != nil {
-			return finiteWithWords(g.PinView(), s.words, x, y) // tries words in increasing length
-		}
-		return Finite(g, s.Min, x, y)
-	case g.IsAcyclic():
-		res, _ := DAG(g, s.Min, x, y)
-		return res
-	case s.SubwordClosed:
-		return Subword(g, s.Min, x, y)
-	case s.Classification.Tractable && s.Expr != nil:
-		return SolvePsitr(g, s.Expr, x, y, true)
-	default:
-		return BaselineShortest(g, s.Min, x, y, nil)
+		return baseline(g, s.Min, x, y, nil)
 	}
 }
 

@@ -48,9 +48,10 @@ func SolvePsitr(g *graph.Graph, e *psitr.Expr, x, y int, shortest bool) Result {
 	if !validPair(g.NumVertices(), x, y) {
 		return Result{}
 	}
+	vw := g.PinView()
 	best := Result{}
 	for _, seq := range e.Seqs {
-		ss := acquireSeqSearcher(g, seq, y, shortest)
+		ss := acquireSeqSearcher(vw, seq, y, shortest, nil, nil, nil)
 		res := ss.run(x)
 		ss.release()
 		if !res.Found {
@@ -297,22 +298,14 @@ type seqSearcher struct {
 var seqSearcherPool = sync.Pool{New: func() any { return new(seqSearcher) }}
 
 // acquireSeqSearcher readies a pooled searcher for queries on one
-// (g, seq, y) combination: plan from the memo cache, snapshot view
-// pinned from the graph, scratch grown in place, co-reachability table
-// recomputed (it depends only on g and y — NOT on the source x, which
-// is supplied per run call, so batched queries sharing a target reuse
-// the table).
-func acquireSeqSearcher(g *graph.Graph, seq *psitr.Sequence, y int, shortest bool) *seqSearcher {
-	return acquireSeqSearcherView(g.PinView(), seq, y, shortest, nil, nil, nil)
-}
-
-// acquireSeqSearcherView is acquireSeqSearcher against an explicitly
-// pinned snapshot view (carrying its partition, when any), optionally
-// reusing a cached co-reachability table (ext) instead of recomputing
-// it — the summary tier's cross-query cache hit path. counts, when
-// non-nil, receives per-direction round counts and round timings; tr,
-// when non-nil, records the per-round trace (trace.go).
-func acquireSeqSearcherView(vw *graph.View, seq *psitr.Sequence, y int, shortest bool, ext *coTable, counts *exchCounters, tr *kernelTrace) *seqSearcher {
+// (view, seq, y) combination: plan from the memo cache, scratch grown
+// in place, co-reachability table recomputed (it depends only on the
+// view and y — NOT on the source x, which is supplied per run call, so
+// queries sharing a target reuse the table) unless a cached one (ext)
+// is supplied — the summary tier's cross-query cache hit path. counts,
+// when non-nil, receives per-direction round counts and round timings;
+// tr, when non-nil, records the per-round trace (trace.go).
+func acquireSeqSearcher(vw *graph.View, seq *psitr.Sequence, y int, shortest bool, ext *coTable, counts *exchCounters, tr *kernelTrace) *seqSearcher {
 	sc := vw.Sharded()
 	ss := seqSearcherPool.Get().(*seqSearcher)
 	ss.vw = vw
@@ -361,19 +354,6 @@ func (ss *seqSearcher) release() {
 	ss.tr = nil
 	ss.existsOnly = false
 	seqSearcherPool.Put(ss)
-}
-
-// exportCoReach freezes the searcher's freshly computed co-reachability
-// table into an immutable coTable suitable for a cross-query cache.
-func (ss *seqSearcher) exportCoReach() *coTable {
-	n := ss.n * ss.plan.posCount
-	t := newCoTable(n)
-	for i := 0; i < n; i++ {
-		if ss.coreach.has(i) {
-			t.set(i)
-		}
-	}
-	return t
 }
 
 // computeCoReach marks the (vertex, position) pairs from which the
@@ -722,10 +702,17 @@ func (ss *seqSearcher) complete() {
 	ss.gvs = ss.gvs[:0]
 	ss.gls = ss.gls[:0]
 	ss.gapSpans = ss.gapSpans[:0]
+	prevExit := -1
 	for _, gp := range ss.gaps {
-		if ss.accAll.has(gp.entry) || ss.accAll.has(gp.exit) {
+		// A gap entered at the preceding gap's exit (adjacent k=0 terms,
+		// [A]*[B]*) shares that vertex with the preceding acc ball by
+		// construction; Definition 4 exempts a gap's own endpoints.
+		// Skeleton vertices are distinct, so equality means adjacency.
+		shared := gp.entry == prevExit
+		if (!shared && ss.accAll.has(gp.entry)) || (ss.accAll.has(gp.exit) && !(shared && gp.exit == gp.entry)) {
 			return
 		}
+		prevExit = gp.exit
 		// Restricted BFS from entry over gp.a-edges avoiding skeleton
 		// vertices (except entry, exit) and earlier acc balls.
 		ss.dstamp.reset(ss.n)

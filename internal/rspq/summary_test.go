@@ -2,6 +2,7 @@ package rspq
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -256,6 +257,107 @@ func TestVlgPolynomialExample(t *testing.T) {
 	res := VlgSolve(vg, s.Min, s.Expr, 0, 4)
 	if !res.Found || res.Path.Word() != "abab" {
 		t.Fatalf("vlg (ab)* query failed: %v", res.Path)
+	}
+}
+
+// adjacentGapPatterns normalize to Ψtr sequences with adjacent k=0 gap
+// terms ([A]*[B]*), with and without an optional word that may be
+// skipped between them — the shape whose second gap is entered at the
+// first gap's exit.
+var adjacentGapPatterns = []string{"a+b+", "a+c?b+", "(a|b)+c+", "a+(b|c)+a", "a+b*c+"}
+
+// checkAgainstBaselineShortest asserts that every query surface — the
+// per-query Solver (Solve and Shortest), the BatchSolver and the
+// Engine, single and batched, witness and existence-only — agrees with
+// the exponential ground truth on all pairs of g, and that every
+// witness verifies. It returns the number of pairs checked.
+func checkAgainstBaselineShortest(t *testing.T, s *Solver, g *graph.Graph, tag string) int {
+	t.Helper()
+	n := g.NumVertices()
+	var pairs []Pair
+	var want []Result
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			pairs = append(pairs, Pair{X: x, Y: y})
+			want = append(want, BaselineShortest(g, s.Min, x, y, nil))
+		}
+	}
+	check := func(surface string, i int, got Result, witness bool) {
+		t.Helper()
+		pq := pairs[i]
+		if got.Found != want[i].Found {
+			t.Fatalf("%s %s (%d,%d): found=%v, baseline=%v\ngraph:\n%s", tag, surface, pq.X, pq.Y, got.Found, want[i].Found, g)
+		}
+		if witness && !VerifyWitness(got, g, s.Min, pq.X, pq.Y) {
+			t.Fatalf("%s %s (%d,%d): invalid witness %v\ngraph:\n%s", tag, surface, pq.X, pq.Y, got.Path, g)
+		}
+	}
+	bs := NewBatchSolver(s, g)
+	e := NewEngine(s, g, EngineConfig{})
+	batch, batchExists := bs.Solve(pairs), bs.SolveExists(pairs)
+	// The engine's batch runs on a second engine so the first one's
+	// single queries are not answered from the result cache it filled.
+	engBatch := NewEngine(s, g, EngineConfig{}).BatchSolve(pairs)
+	for i, pq := range pairs {
+		check("Solver.Solve", i, s.Solve(g, pq.X, pq.Y), true)
+		short := s.Shortest(g, pq.X, pq.Y)
+		check("Solver.Shortest", i, short, true)
+		if short.Found && short.Path.Len() != want[i].Path.Len() {
+			t.Fatalf("%s Solver.Shortest (%d,%d): length %d, baseline %d\ngraph:\n%s",
+				tag, pq.X, pq.Y, short.Path.Len(), want[i].Path.Len(), g)
+		}
+		check("BatchSolver.Solve", i, batch[i], true)
+		check("BatchSolver.SolveExists", i, Result{Found: batchExists[i]}, false)
+		check("Engine.Exists", i, Result{Found: e.Exists(pq.X, pq.Y)}, false)
+		check("Engine.Solve", i, e.Solve(pq.X, pq.Y), true)
+		check("Engine.BatchSolve", i, engBatch[i], true)
+	}
+	return len(pairs)
+}
+
+// TestSummaryAdjacentGaps is the regression test for the summary-tier
+// wrong answer on adjacent [A]*[B]* terms: the second gap's entry is the
+// first gap's exit, which the acc-ball test of Definition 4 must not
+// reject. The hand-built case is a path 0-a-1-a-2-b-3-b-4 next to a
+// disjoint a-cycle (so the graph is cyclic and the summary tier runs);
+// the differential runs every surface against BaselineShortest on
+// seeded random cyclic graphs.
+func TestSummaryAdjacentGaps(t *testing.T) {
+	g := graph.New(7)
+	for i, l := range []byte("aabb") {
+		g.AddEdge(i, l, i+1)
+	}
+	g.AddEdge(5, 'a', 6)
+	g.AddEdge(6, 'a', 5)
+	s := mustSolver(t, "a+b+")
+	if algo := s.ChooseAlgorithm(g); algo != AlgoSummary {
+		t.Fatalf("a+b+ on a cyclic graph dispatches to %v, want summary", algo)
+	}
+	if res := s.Solve(g, 0, 4); !res.Found || res.Path.Word() != "aabb" {
+		t.Fatalf("a+b+ misses the path aabb: %+v", res)
+	}
+	checkAgainstBaselineShortest(t, s, g, "path+cycle")
+
+	for _, pattern := range adjacentGapPatterns {
+		s := mustSolver(t, pattern)
+		if s.Expr == nil || !s.Classification.Tractable || s.SubwordClosed {
+			t.Fatalf("%q must be a summary-tier language", pattern)
+		}
+		checked := 0
+		for _, seed := range []int64{1, 2} {
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 40; i++ {
+				n := 6 + rng.Intn(6)
+				g := graph.Random(n, []byte{'a', 'b', 'c'}, 0.12+0.2*rng.Float64(), rng.Int63())
+				if g.IsAcyclic() {
+					continue // the DAG tier would answer, not the summary solver
+				}
+				checked += checkAgainstBaselineShortest(t, s, g, fmt.Sprintf("%q seed=%d graph=%d", pattern, seed, i))
+			}
+		}
+		if checked < 2000 {
+			t.Fatalf("%q: only %d pairs checked on cyclic graphs", pattern, checked)
+		}
 	}
 }
 
