@@ -1,8 +1,14 @@
 GO ?= go
 
-.PHONY: check build vet test race bench-check fuzz bench bench-smoke metrics-smoke restart-smoke serve docs
+.PHONY: check no-binaries build vet test race bench-check fuzz bench bench-smoke metrics-smoke restart-smoke serve docs
 
-check: build vet test race bench-check
+check: no-binaries build vet test race bench-check
+
+# no-binaries: fail when the index holds an executable that is not a
+# shell script — i.e. a built binary committed by accident.
+no-binaries:
+	@bad="$$(git ls-files -s | awk '$$1 == "100755" && $$4 !~ /\.sh$$/ {print $$4}')"; \
+	test -z "$$bad" || { echo "committed executables that are not *.sh:"; echo "$$bad"; exit 1; }
 
 build:
 	$(GO) build ./...

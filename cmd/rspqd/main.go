@@ -32,11 +32,12 @@
 // 429 + Retry-After); -debug-addr serves net/http/pprof on a separate
 // listener so profiling is opt-in and never exposed on the query port.
 //
-// With -shards K the graph snapshot is partitioned into K row-range
-// CSR shards and every backward product search runs as a
-// bulk-synchronous frontier exchange over them (parallel up to
-// min(K, GOMAXPROCS) workers); /stats then reports per-shard edge
-// counts and the cumulative exchange rounds.
+// With -shards K (at most graph.MaxShards) every backward product
+// search runs as a bulk-synchronous frontier exchange over K contiguous
+// row ranges of the one CSR snapshot (parallel up to min(K, GOMAXPROCS)
+// workers) — the exchange partitions search state, not storage; /stats
+// then reports per-range edge counts and the cumulative exchange
+// rounds.
 //
 // The graph file uses the line format of internal/graph ("n <count>" /
 // "e <from> <label> <to>"). The mutation endpoints demonstrate the
@@ -529,6 +530,18 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
+// checkFlags rejects command lines the server cannot start on; main
+// turns the error into a usage message and exit status 2.
+func checkFlags(pattern, graphPath string, gen, shards int) error {
+	if pattern == "" || (graphPath == "" && gen <= 0) {
+		return errors.New("-pattern and one of -graph / -gen are required")
+	}
+	if shards > graph.MaxShards {
+		return fmt.Errorf("-shards %d exceeds the maximum of %d", shards, graph.MaxShards)
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	graphPath := flag.String("graph", "", "path to a graph file (n/e line format)")
@@ -539,7 +552,7 @@ func main() {
 	tableBytes := flag.Int64("table-bytes", 0, "pruning-table cache budget (0 = default 64 MiB, negative disables)")
 	resultBytes := flag.Int64("result-bytes", 0, "result cache budget (0 = default 16 MiB, negative disables)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "partition the snapshot into this many row-range CSR shards (0 = adaptive from edge count and GOMAXPROCS, negative = unsharded); backward searches become a parallel frontier exchange")
+	shards := flag.Int("shards", 0, fmt.Sprintf("run backward searches as a parallel frontier exchange over this many row ranges of the snapshot, at most %d (0 = adaptive from edge count and GOMAXPROCS, negative = unsharded)", graph.MaxShards))
 	compactDelta := flag.Int("compact-delta", 0, "pending-delta watermark triggering a background compaction (0 = engine default, negative disables the compactor)")
 	compactEvery := flag.Duration("compact-every", 250*time.Millisecond, "background compaction poll interval")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
@@ -547,11 +560,11 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 0, "log requests taking at least this long (0 disables)")
 	maxInflight := flag.Int64("max-inflight", 0, "reject /batch with 429 when admitted in-flight pairs would exceed this (0 = unbounded)")
 	dataDir := flag.String("data-dir", "", "durable data directory (snapshot + write-ahead log); warm-boots from it when a snapshot exists, empty disables persistence")
-	fsyncPolicy := flag.String("fsync", "batch", `WAL fsync policy: "batch" (fsync every acknowledged batch), "off", or a group-commit window duration like "5ms"`)
+	fsyncPolicy := flag.String("fsync", "batch", `fsync policy for WAL appends: "batch" (fsync every acknowledged batch), "off", or a group-commit window duration like "5ms"; a checkpoint always syncs, because it truncates the WAL it supersedes`)
 	flag.Parse()
 
-	if *pattern == "" || (*graphPath == "" && *gen <= 0) {
-		fmt.Fprintln(os.Stderr, "rspqd: -pattern and one of -graph / -gen are required")
+	if err := checkFlags(*pattern, *graphPath, *gen, *shards); err != nil {
+		fmt.Fprintln(os.Stderr, "rspqd:", err)
 		flag.Usage()
 		os.Exit(2)
 	}

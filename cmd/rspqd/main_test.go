@@ -344,6 +344,30 @@ func TestShardedServer(t *testing.T) {
 	}
 }
 
+// TestCheckFlags pins the start-up usage errors: a missing pattern or
+// graph source, and a -shards value past graph.MaxShards (the exchange
+// allocates a K×K outbox matrix per search, so an unbounded K would
+// take the process down on its first query).
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		pattern, graphPath string
+		gen, shards        int
+		ok                 bool
+	}{
+		{"a*", "g.txt", 0, 0, true},
+		{"a*", "", 400, -1, true},
+		{"a*", "", 400, graph.MaxShards, true},
+		{"a*", "", 400, graph.MaxShards + 1, false},
+		{"a*", "", 400, 70000, false},
+		{"", "g.txt", 0, 0, false},
+		{"a*", "", 0, 0, false},
+	} {
+		if err := checkFlags(tc.pattern, tc.graphPath, tc.gen, tc.shards); (err == nil) != tc.ok {
+			t.Errorf("checkFlags(%q, %q, %d, %d) = %v, want ok=%v", tc.pattern, tc.graphPath, tc.gen, tc.shards, err, tc.ok)
+		}
+	}
+}
+
 // TestAdaptiveServer boots a server with Shards == 0 on a graph big
 // enough to trip the adaptive default, and checks that /healthz and
 // /stats both report the engine-chosen partition.

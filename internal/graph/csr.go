@@ -41,8 +41,7 @@ type CSR struct {
 // (delta.go) in time proportional to the delta and the buckets it
 // touches, rather than rebuilding and re-sorting all E edges — the
 // full rebuild only runs for the first freeze, after an alphabet
-// change, when the delta exceeds deltaMergeLimit of the base, or when
-// SetIncrementalFreeze(false) disabled merging.
+// change, or when the delta exceeds deltaMergeLimit of the base.
 //
 // Call Freeze after construction and before sharing the graph across
 // goroutines; the returned CSR itself is immutable and safe for
@@ -53,20 +52,14 @@ func (g *Graph) Freeze() *CSR {
 	if g.csr == nil {
 		start := time.Now()
 		delta := uint64(len(g.addBuf) + len(g.delBuf))
-		merged := g.canMergeDelta()
-		if merged {
+		if g.canMergeDelta() {
 			g.csr = g.mergeCSR()
 			g.incBuilds.Add(1)
 		} else {
 			g.csr = buildCSR(g)
 			g.fullBuilds.Add(1)
 		}
-		// The sharded snapshot consumes the same delta buffers, so it is
-		// refreshed before they are cleared (no-op unless SetShards).
-		g.freezeSharded(merged)
-		if !g.incDisabled {
-			g.csrBase = g.csr
-		}
+		g.csrBase = g.csr
 		g.addBuf, g.delBuf = nil, nil
 		g.deltaNewLabel = false
 		g.view = nil // an overlay view over the old base is superseded
@@ -75,13 +68,6 @@ func (g *Graph) Freeze() *CSR {
 		g.lastFreezeNanos.Store(ns)
 		g.freezeDelta.Add(delta)
 		g.lastFreezeDelta.Store(delta)
-	} else if g.shardCount > 0 && g.sharded == nil {
-		// Sharding was configured (or reconfigured) after the CSR was
-		// already frozen: partition the existing snapshot now, so that
-		// once a warmed graph is shared across goroutines every
-		// Freeze/FreezeSharded call is read-only.
-		g.freezeSharded(false)
-		g.view = nil // a cached view would miss the new partition
 	}
 	return g.csr
 }

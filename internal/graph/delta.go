@@ -41,19 +41,6 @@ const (
 	deltaMergeFloor = 64
 )
 
-// SetIncrementalFreeze toggles the incremental freeze path (on by
-// default). Disabling it makes every Freeze after a mutation rebuild
-// the CSR from scratch and drops the pending delta — useful for A/B
-// benchmarking and for the equivalence tests that pin merge ≡ rebuild.
-func (g *Graph) SetIncrementalFreeze(on bool) {
-	g.incDisabled = !on
-	if !on {
-		g.csrBase = nil
-		g.addBuf, g.delBuf = nil, nil
-		g.deltaNewLabel = false
-	}
-}
-
 // FreezeStats reports how many CSR snapshots were built from scratch
 // and how many were produced by the incremental delta merge. Like
 // Epoch, it is safe to call concurrently with queries.
@@ -86,11 +73,11 @@ func (g *Graph) PendingDelta() (adds, removes int) {
 }
 
 // canMergeDelta reports whether the pending delta can be merged into
-// csrBase: the base must exist, merging must be enabled, the alphabet
-// must be unchanged (same labels ⇒ same bucket stride), and the delta
-// must be small enough relative to the base for the merge to win.
+// csrBase: the base must exist, the alphabet must be unchanged (same
+// labels ⇒ same bucket stride), and the delta must be small enough
+// relative to the base for the merge to win.
 func (g *Graph) canMergeDelta() bool {
-	if g.csrBase == nil || g.incDisabled {
+	if g.csrBase == nil {
 		return false
 	}
 	if d := len(g.addBuf) + len(g.delBuf); d > deltaMergeFloor && d > int(float64(g.csrBase.m)*deltaMergeLimit) {

@@ -162,33 +162,6 @@ func TestDeltaFreezeLargeDeltaFallsBack(t *testing.T) {
 	}
 }
 
-// TestSetIncrementalFreeze pins the A/B switch: with merging disabled
-// every freeze is a full rebuild, and re-enabling resumes merging from
-// the next snapshot on.
-func TestSetIncrementalFreeze(t *testing.T) {
-	g := New(8)
-	for v := 0; v < 7; v++ {
-		g.AddEdge(v, 'a', v+1)
-	}
-	g.SetIncrementalFreeze(false)
-	g.Freeze()
-	g.AddEdge(7, 'a', 0)
-	g.Freeze()
-	if full, inc := g.FreezeStats(); inc != 0 || full != 2 {
-		t.Fatalf("disabled: (full=%d, inc=%d), want (2, 0)", full, inc)
-	}
-
-	g.SetIncrementalFreeze(true)
-	g.Freeze() // cached; establishes nothing new
-	g.AddEdge(0, 'b', 4)
-	checkAgainstRebuild(t, g, 0) // first freeze after re-enable: full (no base yet)
-	g.AddEdge(1, 'b', 5)
-	checkAgainstRebuild(t, g, 1) // second: incremental
-	if _, inc := g.FreezeStats(); inc != 1 {
-		t.Fatalf("re-enabled: want exactly 1 incremental freeze, got %d", inc)
-	}
-}
-
 // TestRemoveEdgeBasics pins RemoveEdge's contract on a never-frozen
 // graph: presence check, degree bookkeeping, epoch advance, and no-op
 // semantics for missing or out-of-range edges.

@@ -61,7 +61,6 @@ type Graph struct {
 	addBuf        map[Edge]struct{}
 	delBuf        map[Edge]struct{}
 	deltaNewLabel bool // some buffered add carries a label absent from csrBase
-	incDisabled   bool
 	fullBuilds    atomic.Uint64
 	incBuilds     atomic.Uint64
 
@@ -74,16 +73,13 @@ type Graph struct {
 	freezeDelta     atomic.Uint64
 	lastFreezeDelta atomic.Uint64
 
-	// Partitioned-snapshot state (shard.go): the configured shard count
-	// (0 = unsharded), the cached sharded snapshot and its merge base.
-	shardCount  int
-	sharded     *ShardedCSR
-	shardedBase *ShardedCSR
+	// shardCount is the configured shard count (shard.go; 0 = unsharded),
+	// stamped on every pinned view.
+	shardCount int
 
 	// view is the pinned read snapshot of the current epoch (view.go),
 	// built lazily by PinView and dropped whenever it could go stale: on
-	// mutation, on a Freeze that rebuilt or re-partitioned, and on
-	// SetShards.
+	// mutation, on a Freeze that rebuilt, and on SetShards.
 	view *View
 
 	// epoch counts mutations (see Epoch). It is atomic so long-lived
@@ -104,7 +100,6 @@ func (g *Graph) invalidate() {
 	g.alpha = nil
 	g.alphaValid = false
 	g.csr = nil
-	g.sharded = nil
 	g.view = nil
 	g.epoch.Add(1)
 }

@@ -1,163 +1,83 @@
 package graph
 
 import (
-	"math/rand"
-	"slices"
+	"runtime"
 	"testing"
 )
 
-// checkShardedEqualsCSR asserts the sharded snapshot is exactly the
-// monolithic CSR cut at the partition boundaries: same counts and
-// alphabet, every (row, label) bucket identical on both sides, rows
-// covered exactly once.
-func checkShardedEqualsCSR(t *testing.T, g *Graph, wantK int) {
-	t.Helper()
-	c := g.Freeze()
-	sc := g.FreezeSharded()
-	if sc == nil {
-		t.Fatalf("FreezeSharded returned nil with %d shards configured", wantK)
-	}
-	if sc.NumShards() != wantK {
-		t.Fatalf("NumShards = %d, want %d", sc.NumShards(), wantK)
-	}
-	if sc.NumVertices() != c.NumVertices() || sc.NumEdges() != c.NumEdges() {
-		t.Fatalf("sharded (n=%d, m=%d) vs CSR (n=%d, m=%d)",
-			sc.NumVertices(), sc.NumEdges(), c.NumVertices(), c.NumEdges())
-	}
-	if !slices.Equal(sc.Labels(), c.Labels()) {
-		t.Fatalf("sharded labels %q vs CSR %q", sc.Labels(), c.Labels())
-	}
-	covered := 0
-	edges := 0
-	for s := 0; s < sc.NumShards(); s++ {
-		sh := sc.Shard(s)
-		covered += sh.Hi() - sh.Lo()
-		edges += sc.ShardEdges(s)
-		for v := sh.Lo(); v < sh.Hi(); v++ {
-			if got := sc.ShardOf(v); got != s {
-				t.Fatalf("ShardOf(%d) = %d, want %d", v, got, s)
-			}
-			for lid := 0; lid < c.NumLabels(); lid++ {
-				if got, want := sh.OutWithID(v, lid), c.OutWithID(v, lid); !slices.Equal(got, want) {
-					t.Fatalf("shard %d OutWithID(%d, %d) = %v, want %v", s, v, lid, got, want)
-				}
-				if got, want := sh.InWithID(v, lid), c.InWithID(v, lid); !slices.Equal(got, want) {
-					t.Fatalf("shard %d InWithID(%d, %d) = %v, want %v", s, v, lid, got, want)
-				}
-			}
-		}
-	}
-	if covered != c.NumVertices() {
-		t.Fatalf("shards cover %d rows, want %d", covered, c.NumVertices())
-	}
-	if edges != c.NumEdges() {
-		t.Fatalf("ShardEdges sums to %d, want %d", edges, c.NumEdges())
-	}
-}
-
-// TestShardedSplitEquivalence pins the from-scratch split across shard
-// counts, graph sizes (including empty, single-vertex and K > n), and
-// alphabet shapes.
-func TestShardedSplitEquivalence(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 40} {
-		for _, k := range []int{1, 2, 3, 8, 64} {
-			g := Random(n, []byte{'a', 'b', 'c'}, 0.15, int64(n*100+k))
-			if n > 2 {
-				g.AddEdge(0, 'a', n-1) // guarantee at least one edge
-			}
-			g.SetShards(k)
-			checkShardedEqualsCSR(t, g, k)
-		}
-	}
-}
-
-// TestShardedDeltaMergeEquivalence drives the randomized mutate /
-// refreeze loop with sharding configured and asserts, after every
-// freeze, that the per-shard delta merge produced exactly the split of
-// the monolithic snapshot (which delta_test.go separately pins against
-// a from-scratch rebuild). Vertex growth and alphabet changes exercise
-// the fallback to a fresh split.
-func TestShardedDeltaMergeEquivalence(t *testing.T) {
-	labels := []byte{'a', 'b', 'c'}
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		k := []int{1, 2, 3, 8}[seed%4]
-		g := New(6 + rng.Intn(20))
-		g.SetShards(k)
-		for i := 0; i < 60; i++ {
-			g.AddEdge(rng.Intn(g.NumVertices()), labels[rng.Intn(len(labels))], rng.Intn(g.NumVertices()))
-		}
-		checkShardedEqualsCSR(t, g, k)
-		live := g.Edges()
-		for step := 0; step < 80; step++ {
-			switch op := rng.Intn(10); {
-			case op < 5:
-				e := Edge{From: rng.Intn(g.NumVertices()), Label: labels[rng.Intn(len(labels))], To: rng.Intn(g.NumVertices())}
-				if !g.HasEdge(e.From, e.Label, e.To) {
-					live = append(live, e)
-				}
-				g.AddEdge(e.From, e.Label, e.To)
-			case op < 8:
-				if len(live) > 0 {
-					i := rng.Intn(len(live))
-					g.RemoveEdge(live[i].From, live[i].Label, live[i].To)
-					live = append(live[:i], live[i+1:]...)
-				}
-			case op < 9:
-				g.AddVertex() // partition boundaries move: fresh split
-			default:
-				checkShardedEqualsCSR(t, g, k)
-			}
-		}
-		checkShardedEqualsCSR(t, g, k)
-		g.AddEdge(0, 'z', g.NumVertices()-1) // alphabet change: full rebuild
-		checkShardedEqualsCSR(t, g, k)
-	}
-}
-
 // TestSetShards pins the configuration semantics: unsharded by default,
-// reconfiguration drops the cached partition, and disabling returns
-// nil.
+// the shard count is a number stamped on every view pinned afterwards,
+// reconfiguring drops the cached view (a view already handed out keeps
+// the K it was pinned under), and the count is clamped to
+// [0, MaxShards].
 func TestSetShards(t *testing.T) {
 	g := New(10)
 	for v := 0; v < 9; v++ {
 		g.AddEdge(v, 'a', v+1)
 	}
-	if g.FreezeSharded() != nil {
-		t.Fatal("unconfigured graph must have no sharded snapshot")
+	if g.ShardCount() != 0 || g.PinView().Shards() != 0 {
+		t.Fatal("unconfigured graph must be unsharded")
 	}
 	g.SetShards(4)
-	if g.ShardCount() != 4 {
-		t.Fatalf("ShardCount = %d, want 4", g.ShardCount())
+	vw4 := g.PinView()
+	if g.ShardCount() != 4 || vw4.Shards() != 4 {
+		t.Fatalf("ShardCount = %d, view K = %d, want 4", g.ShardCount(), vw4.Shards())
 	}
-	checkShardedEqualsCSR(t, g, 4)
-	g.SetShards(2) // reconfigure: next freeze re-partitions
-	checkShardedEqualsCSR(t, g, 2)
-	g.SetShards(0)
-	if g.FreezeSharded() != nil {
-		t.Fatal("SetShards(0) must disable the sharded snapshot")
+	g.SetShards(4)
+	if g.PinView() != vw4 {
+		t.Fatal("re-setting the same count must keep the cached view")
+	}
+	c := g.Freeze()
+	g.SetShards(2) // on a frozen graph: no refreeze, just a new view
+	if vw2 := g.PinView(); vw2 == vw4 || vw2.Shards() != 2 || vw2.Base() != c {
+		t.Fatalf("reconfigured view: K = %d, same view %v, same base %v", vw2.Shards(), vw2 == vw4, vw2.Base() == c)
+	}
+	if vw4.Shards() != 4 {
+		t.Fatal("a pinned view must keep its K")
+	}
+	for _, tc := range []struct{ k, want int }{{0, 0}, {-3, 0}, {MaxShards, MaxShards}, {1 << 20, MaxShards}} {
+		g.SetShards(tc.k)
+		if g.ShardCount() != tc.want || g.PinView().Shards() != tc.want {
+			t.Fatalf("SetShards(%d): ShardCount = %d, view K = %d, want %d", tc.k, g.ShardCount(), g.PinView().Shards(), tc.want)
+		}
+	}
+	if full, inc := g.FreezeStats(); full != 1 || inc != 0 {
+		t.Fatalf("SetShards must never rebuild the snapshot: (full=%d, inc=%d)", full, inc)
 	}
 }
 
-// TestShardedSnapshotImmutable pins that a sharded snapshot handed out
-// before a mutation is untouched by the refreeze (the merge allocates
-// fresh shards).
-func TestShardedSnapshotImmutable(t *testing.T) {
-	g := New(8)
-	for v := 0; v < 7; v++ {
-		g.AddEdge(v, 'a', v+1)
+// freezeBytes returns the bytes allocated by one g.Freeze().
+func freezeBytes(g *Graph) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.Freeze()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFreezeShardsAllocGuard pins that sharding costs no storage: a
+// full Freeze of a 50k-edge graph, and a delta Freeze after a 1 %
+// mutation batch, allocate the same bytes (±1 %) with SetShards(8) as
+// unsharded. A partitioned copy of the adjacency would roughly double
+// both.
+func TestFreezeShardsAllocGuard(t *testing.T) {
+	var full, delta [2]uint64
+	for i, k := range []int{0, 8} {
+		g, muts := StreamingWorkload(50_000, 0.01, 5)
+		g.SetShards(k)
+		full[i] = freezeBytes(g)
+		FlipEdges(g, muts)
+		delta[i] = freezeBytes(g)
+		if f, inc := g.FreezeStats(); f != 1 || inc != 1 {
+			t.Fatalf("K=%d: want one full and one incremental freeze, got (%d, %d)", k, f, inc)
+		}
 	}
-	g.SetShards(3)
-	old := g.FreezeSharded()
-	oldOut := slices.Clone(old.Shard(0).OutWithID(0, 0))
-	g.AddEdge(0, 'a', 5)
-	g.RemoveEdge(0, 'a', 1)
-	sc := g.FreezeSharded()
-	if sc == old {
-		t.Fatal("refreeze must produce a fresh sharded snapshot")
+	for _, m := range []struct {
+		name string
+		b    [2]uint64
+	}{{"full", full}, {"delta", delta}} {
+		if lo, hi := m.b[0]-m.b[0]/100, m.b[0]+m.b[0]/100; m.b[1] < lo || m.b[1] > hi {
+			t.Errorf("%s Freeze: %d bytes with 8 shards vs %d unsharded (want ±1%%)", m.name, m.b[1], m.b[0])
+		}
 	}
-	if !slices.Equal(old.Shard(0).OutWithID(0, 0), oldOut) {
-		t.Fatal("pre-mutation sharded snapshot was mutated by the merge")
-	}
-	checkShardedEqualsCSR(t, g, 3)
 }

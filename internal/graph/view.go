@@ -50,9 +50,9 @@ import (
 // Obtain one with Graph.PinView.
 type View struct {
 	base *CSR
-	sc   *ShardedCSR // partitioned base when valid for this view, else nil
 
 	n, m   int   // current vertex/edge counts (delta included)
+	shards int   // the graph's shard count at pin time (0 = unsharded)
 	stride int64 // labels per row of the base (bucket stride)
 	epoch  uint64
 
@@ -108,14 +108,13 @@ func (g *Graph) PinView() *View {
 		if len(g.addBuf)+len(g.delBuf) == 0 && g.NumVertices() == g.csrBase.n {
 			// Mutations canceled out exactly (e.g. an add/remove pair):
 			// the base still describes the current content verbatim.
-			g.view = passView(g.csrBase, g.shardedBase, g.Epoch())
+			g.view = g.passView(g.csrBase)
 		} else {
 			g.view = g.buildOverlayView()
 		}
 		return g.view
 	}
-	c := g.Freeze()
-	g.view = passView(c, g.sharded, g.Epoch())
+	g.view = g.passView(g.Freeze())
 	return g.view
 }
 
@@ -135,20 +134,20 @@ func (g *Graph) SnapshotView() (vw *View, acyclic bool, epoch uint64) {
 	}
 }
 
-func passView(c *CSR, sc *ShardedCSR, epoch uint64) *View {
-	return &View{base: c, sc: sc, n: c.n, m: c.m,
-		stride: int64(len(c.labels)), epoch: epoch}
+func (g *Graph) passView(c *CSR) *View {
+	return &View{base: c, n: c.n, m: c.m, shards: g.shardCount,
+		stride: int64(len(c.labels)), epoch: g.Epoch()}
 }
 
 // canOverlay reports whether the pending delta can be served as a read
-// overlay on csrBase without freezing: a base must exist with overlay
-// reads enabled, every added label must already have a dense id in the
-// base (a new label changes the bucket stride — genuine restructure),
-// and the delta must be within the same size thresholds as the
-// incremental merge (past them a synchronous rebuild is no slower than
-// dragging a huge overlay through every query).
+// overlay on csrBase without freezing: a base must exist, every added
+// label must already have a dense id in it (a new label changes the
+// bucket stride — genuine restructure), and the delta must be within
+// the same size thresholds as the incremental merge (past them a
+// synchronous rebuild is no slower than dragging a huge overlay through
+// every query).
 func (g *Graph) canOverlay() bool {
-	if g.csrBase == nil || g.incDisabled {
+	if g.csrBase == nil {
 		return false
 	}
 	if d := len(g.addBuf) + len(g.delBuf); d > deltaMergeFloor && d > int(float64(g.csrBase.m)*deltaMergeLimit) {
@@ -170,7 +169,7 @@ func (g *Graph) canOverlay() bool {
 func (g *Graph) buildOverlayView() *View {
 	base := g.csrBase
 	n := g.NumVertices()
-	vw := &View{base: base, n: n, m: g.edges,
+	vw := &View{base: base, n: n, m: g.edges, shards: g.shardCount,
 		stride: int64(len(base.labels)), epoch: g.Epoch(),
 		adds: len(g.addBuf), removes: len(g.delBuf)}
 	L := int(vw.stride)
@@ -178,14 +177,6 @@ func (g *Graph) buildOverlayView() *View {
 		deltaSide(g.addBuf, base, true), deltaSide(g.delBuf, base, true))
 	vw.in = overlaySide(base.inBucket, base.inFrom, n, L,
 		deltaSide(g.addBuf, base, false), deltaSide(g.delBuf, base, false))
-	// The partitioned base stays usable under the overlay (shard bucket
-	// contents equal the monolithic base's, and the view checks the
-	// overlay map before the shard) as long as the row ranges still
-	// cover every vertex. New vertices would fall outside the last
-	// shard, so those views drop to the sequential kernels instead.
-	if sb := g.shardedBase; sb != nil && sb.n == n {
-		vw.sc = sb
-	}
 	return vw
 }
 
@@ -289,10 +280,10 @@ func (vw *View) Epoch() uint64 { return vw.epoch }
 // Base returns the frozen CSR the view reads through.
 func (vw *View) Base() *CSR { return vw.base }
 
-// Sharded returns the partitioned base snapshot usable under this view,
-// or nil when none is (unsharded graph, or the overlay grew the vertex
-// set past the partition).
-func (vw *View) Sharded() *ShardedCSR { return vw.sc }
+// Shards returns the shard count K the view was pinned under (0 =
+// unsharded): the frontier-exchange kernels split the view's rows
+// [0, NumVertices()) into K contiguous ranges (shard.go).
+func (vw *View) Shards() int { return vw.shards }
 
 // Overlay reports whether the view carries a pending-mutation overlay;
 // false means zero-overhead pass-through to the base CSR.
@@ -409,29 +400,4 @@ func (vw *View) InDegree(v int) int {
 func (vw *View) HasEdge(from int, label byte, to int) bool {
 	_, found := slices.BinarySearch(vw.OutWith(from, label), int32(to))
 	return found
-}
-
-// ShardOutWithID returns the targets of v's out-edges with dense label
-// id lid through shard sh (which must own v's row), overlay included:
-// shard base buckets hold the same global vertex ids as the monolithic
-// base buckets, so a touched bucket's merged slice substitutes
-// verbatim.
-func (vw *View) ShardOutWithID(sh *CSRShard, v, lid int) []int32 {
-	if o := vw.out; o != nil && o.dirtyRow(v) {
-		if s, ok := o.get(int64(v)*vw.stride + int64(lid)); ok {
-			return s
-		}
-	}
-	return sh.OutWithID(v, lid)
-}
-
-// ShardInWithID returns the sources of v's in-edges with dense label id
-// lid through shard sh (which must own v's row), overlay included.
-func (vw *View) ShardInWithID(sh *CSRShard, v, lid int) []int32 {
-	if o := vw.in; o != nil && o.dirtyRow(v) {
-		if s, ok := o.get(int64(v)*vw.stride + int64(lid)); ok {
-			return s
-		}
-	}
-	return sh.InWithID(v, lid)
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/automaton"
-	"repro/internal/graph"
 )
 
 // This file implements the bit-parallel backward product sweep for DFAs
@@ -207,17 +206,15 @@ func (p *product) scatterBits(a *arena, vis []uint64) {
 // vertices (not product ids): the word IS the per-vertex state set.
 func (p *product) coReachBitsSharded(y int, a *arena, pk *automaton.Packed) {
 	p.addBitHit()
-	sc := p.sc
-	K := sc.NumShards()
+	K := p.parts.K
 	a.co.reset(p.n * p.m)
 	accept := automaton.AcceptMask(p.d)
 	coMask := pk.CoReachMask(accept)
 	vis, cur, nxt := a.growWords(p.n)
 	sat := a.growSat(p.n)
 	ex := getExch(K)
-	home := sc.ShardOf(y)
-	hsh := sc.Shard(home)
-	frontEdges, unvisEdges := int64(0), int64(sc.NumEdges())
+	home := p.parts.owner(y)
+	frontEdges, unvisEdges := int64(0), int64(p.vw.NumEdges())
 	seed := accept & coMask
 	if seed != 0 {
 		vis[y] = seed
@@ -226,8 +223,8 @@ func (p *product) coReachBitsSharded(y int, a *arena, pk *automaton.Packed) {
 			sat[y>>6] |= 1 << uint(y&63)
 		}
 		ex.fr[home] = append(ex.fr[home], int32(y))
-		frontEdges += int64(hsh.InDegree(y))
-		unvisEdges -= int64(hsh.OutDegree(y))
+		frontEdges += int64(p.vw.InDegree(y))
+		unvisEdges -= int64(p.vw.OutDegree(y))
 	}
 	W := exchangeWorkers(K)
 	total := len(ex.fr[home])
@@ -258,7 +255,7 @@ func (p *product) coReachBitsSharded(y int, a *arena, pk *automaton.Packed) {
 	}
 	p.runDone(&dc, td, bu, sw)
 	ex.release()
-	parShards(exchangeWorkers(K), K, func(s int) { p.scatterBitsShard(a, sc.Shard(s), vis) })
+	parShards(exchangeWorkers(K), K, func(s int) { p.scatterBitsShard(a, s, vis) })
 }
 
 // tdExpandBits is the top-down expand phase of one bit-parallel round
@@ -268,10 +265,8 @@ func (p *product) coReachBitsSharded(y int, a *arena, pk *automaton.Packed) {
 // the bitmap's words straddle shard boundaries, so a boundary word may
 // be written by two owners in the same phase.
 func (p *product) tdExpandBits(ex *exch, K, s int, pk *automaton.Packed, coMask uint64, vis, cur, nxt, sat []uint64) {
-	sc := p.sc
-	sh := sc.Shard(s)
-	lo, hi := int32(sh.Lo()), int32(sh.Hi())
-	L := sc.NumLabels()
+	lo, hi := p.parts.bounds(s)
+	L := p.vw.NumLabels()
 	for _, v32 := range ex.fr[s] {
 		v := int(v32)
 		cw := cur[v]
@@ -284,19 +279,19 @@ func (p *product) tdExpandBits(ex *exch, K, s int, pk *automaton.Packed, coMask 
 			if pw == 0 {
 				continue
 			}
-			for _, u32 := range p.vw.ShardInWithID(sh, v, lid) {
-				if u32 >= lo && u32 < hi {
-					u := int(u32)
+			for _, u32 := range p.vw.InWithID(v, lid) {
+				u := int(u32)
+				if u >= lo && u < hi {
 					add := pw &^ vis[u]
 					if add == 0 {
 						continue
 					}
 					if vis[u] == 0 {
-						ex.ue[s] += int64(sh.OutDegree(u))
+						ex.ue[s] += int64(p.vw.OutDegree(u))
 					}
 					if nxt[u] == 0 {
 						ex.nx[s] = append(ex.nx[s], u32)
-						ex.fe[s] += int64(sh.InDegree(u))
+						ex.fe[s] += int64(p.vw.InDegree(u))
 					}
 					vis[u] |= add
 					if vis[u] == coMask {
@@ -305,7 +300,7 @@ func (p *product) tdExpandBits(ex *exch, K, s int, pk *automaton.Packed, coMask 
 					nxt[u] |= add
 					continue
 				}
-				t := sc.ShardOf(int(u32))
+				t := p.parts.owner(u)
 				ex.wbox[s*K+t] = append(ex.wbox[s*K+t], exWord{v: u32, bits: pw})
 			}
 		}
@@ -320,10 +315,8 @@ func (p *product) tdExpandBits(ex *exch, K, s int, pk *automaton.Packed, coMask 
 // range and read atomically, because their remaining bits belong to
 // neighboring shards that may be writing them in the same phase.
 func (p *product) buExpandBits(ex *exch, s int, pk *automaton.Packed, coMask uint64, vis, cur, nxt, sat []uint64) {
-	sc := p.sc
-	sh := sc.Shard(s)
-	L := sc.NumLabels()
-	lo, hi := sh.Lo(), sh.Hi()
+	L := p.vw.NumLabels()
+	lo, hi := p.parts.bounds(s)
 	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
 		uw := ^atomic.LoadUint64(&sat[wi])
 		base := wi << 6
@@ -348,7 +341,7 @@ func (p *product) buExpandBits(ex *exch, s int, pk *automaton.Packed, coMask uin
 				if di < 0 {
 					continue
 				}
-				for _, u := range p.vw.ShardOutWithID(sh, v, lid) {
+				for _, u := range p.vw.OutWithID(v, lid) {
 					cw := cur[u]
 					if cw == 0 {
 						continue
@@ -363,7 +356,7 @@ func (p *product) buExpandBits(ex *exch, s int, pk *automaton.Packed, coMask uin
 				continue
 			}
 			if vis[v] == 0 {
-				ex.ue[s] += int64(sh.OutDegree(v))
+				ex.ue[s] += int64(p.vw.OutDegree(v))
 			}
 			vis[v] |= add
 			if vis[v] == coMask {
@@ -371,7 +364,7 @@ func (p *product) buExpandBits(ex *exch, s int, pk *automaton.Packed, coMask uin
 			}
 			nxt[v] = add
 			ex.nx[s] = append(ex.nx[s], int32(v))
-			ex.fe[s] += int64(sh.InDegree(v))
+			ex.fe[s] += int64(p.vw.InDegree(v))
 		}
 	}
 }
@@ -385,7 +378,6 @@ func (p *product) buExpandBits(ex *exch, s int, pk *automaton.Packed, coMask uin
 // install point is exactly where a vertex's newly discovered bits for
 // this round are complete.
 func (p *product) deliverBits(ex *exch, K, s int, bottomUp bool, coMask uint64, vis, cur, nxt, sat []uint64, logged bool) {
-	sh := p.sc.Shard(s)
 	if !bottomUp {
 		for t := 0; t < K; t++ {
 			for _, w := range ex.wbox[t*K+s] {
@@ -395,11 +387,11 @@ func (p *product) deliverBits(ex *exch, K, s int, bottomUp bool, coMask uint64, 
 					continue
 				}
 				if vis[u] == 0 {
-					ex.ue[s] += int64(sh.OutDegree(u))
+					ex.ue[s] += int64(p.vw.OutDegree(u))
 				}
 				if nxt[u] == 0 {
 					ex.nx[s] = append(ex.nx[s], w.v)
-					ex.fe[s] += int64(sh.InDegree(u))
+					ex.fe[s] += int64(p.vw.InDegree(u))
 				}
 				vis[u] |= add
 				if vis[u] == coMask {
@@ -430,8 +422,9 @@ func (p *product) deliverBits(ex *exch, K, s int, bottomUp bool, coMask uint64, 
 // scatterBitsShard scatters one shard's rows of the packed visited
 // words into a.co; the adds are owner-partitioned, so the scatter runs
 // as one more parallel phase.
-func (p *product) scatterBitsShard(a *arena, sh *graph.CSRShard, vis []uint64) {
-	for v := sh.Lo(); v < sh.Hi(); v++ {
+func (p *product) scatterBitsShard(a *arena, s int, vis []uint64) {
+	lo, hi := p.parts.bounds(s)
+	for v := lo; v < hi; v++ {
 		w := vis[v]
 		base := v * p.m
 		for w != 0 {

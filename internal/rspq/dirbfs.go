@@ -21,8 +21,8 @@ import "sync/atomic"
 // when the frontier's edge count exceeds 1/α of the unvisited edge
 // count, return to top-down when the frontier shrinks below 1/β of the
 // id space. Both estimates are maintained incrementally from O(1)
-// degree prefix-sum lookups (graph.CSR / graph.CSRShard OutDegree and
-// InDegree) as states are discovered.
+// degree prefix-sum lookups (graph.View OutDegree and InDegree) as
+// states are discovered.
 //
 // Correctness of the bottom-up rounds rests on the synchronous level
 // structure: before round r, exactly the states at distance < r are

@@ -119,10 +119,8 @@ func TestDirectionBitEquivalence(t *testing.T) {
 				check()
 
 				// One mutation epoch (alphabet-stable edge flips), then
-				// require equivalence again on the merged snapshots.
+				// require equivalence again through the overlay.
 				labels := g.Freeze().Labels()
-				g.SetShards(2)
-				g.FreezeSharded()
 				for i := 0; i < 6; i++ {
 					u, v := rng.Intn(g.NumVertices()), rng.Intn(g.NumVertices())
 					l := labels[rng.Intn(len(labels))]
@@ -281,8 +279,8 @@ func TestAdaptiveShards(t *testing.T) {
 	if k := adaptiveShards(adaptiveMinEdges, 4); k < 4 {
 		t.Fatalf("at threshold: k = %d, want >= procs", k)
 	}
-	if k := adaptiveShards(1<<30, 4); k != adaptiveMaxShards {
-		t.Fatalf("huge graph: k = %d, want cap %d", k, adaptiveMaxShards)
+	if k := adaptiveShards(1<<30, 4); k != graph.MaxShards {
+		t.Fatalf("huge graph: k = %d, want cap %d", k, graph.MaxShards)
 	}
 
 	s, err := NewSolver("a*c*")

@@ -285,17 +285,15 @@ func (p *product) stampWitnessLog(a *arena) {
 // level's words are installed by their owners.
 func (p *product) distToGoalBitsSharded(y int, a *arena, pk *automaton.Packed) {
 	p.addBitHit()
-	sc := p.sc
-	K := sc.NumShards()
+	K := p.parts.K
 	accept := automaton.AcceptMask(p.d)
 	coMask := pk.CoReachMask(accept)
 	vis, cur, nxt := a.growWords(p.n)
 	sat := a.growSat(p.n)
 	ex := getExch(K)
 	ex.resetLogs()
-	home := sc.ShardOf(y)
-	hsh := sc.Shard(home)
-	frontEdges, unvisEdges := int64(0), int64(sc.NumEdges())
+	home := p.parts.owner(y)
+	frontEdges, unvisEdges := int64(0), int64(p.vw.NumEdges())
 	seed := accept & coMask
 	if seed != 0 {
 		vis[y] = seed
@@ -306,8 +304,8 @@ func (p *product) distToGoalBitsSharded(y int, a *arena, pk *automaton.Packed) {
 		ex.fr[home] = append(ex.fr[home], int32(y))
 		ex.lgV[home] = append(ex.lgV[home], int32(y))
 		ex.lgW[home] = append(ex.lgW[home], seed)
-		frontEdges += int64(hsh.InDegree(y))
-		unvisEdges -= int64(hsh.OutDegree(y))
+		frontEdges += int64(p.vw.InDegree(y))
+		unvisEdges -= int64(p.vw.OutDegree(y))
 	}
 	for s := 0; s < K; s++ { // seal level 0 on every shard
 		ex.lgOff[s] = append(ex.lgOff[s], int32(len(ex.lgV[s])))
@@ -370,8 +368,7 @@ func (p *product) replayShardLevel(ex *exch, s int, a *arena, pk *automaton.Pack
 		lo = ex.lgOff[s][d-1]
 	}
 	hi := ex.lgOff[s][d]
-	sh := p.sc.Shard(s)
-	L := p.sc.NumLabels()
+	L := p.vw.NumLabels()
 	for i := lo; i < hi; i++ {
 		v, w := int(ex.lgV[s][i]), ex.lgW[s][i]
 		base := v * p.m
@@ -394,7 +391,7 @@ func (p *product) replayShardLevel(ex *exch, s int, a *arena, pk *automaton.Pack
 				continue
 			}
 			label := p.vw.Label(lid)
-			for _, u32 := range p.vw.ShardOutWithID(sh, v, lid) {
+			for _, u32 := range p.vw.OutWithID(v, lid) {
 				pw := lvl[u32]
 				if pw == 0 {
 					continue

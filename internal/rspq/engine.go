@@ -63,8 +63,9 @@ type EngineConfig struct {
 	// Workers sizes the BatchSolve worker pool; <= 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// Shards configures the graph's snapshot partition: when > 0 the
-	// engine calls g.SetShards(Shards) and every backward product
+	// Shards configures the graph's shard count (at most
+	// graph.MaxShards; larger values are capped): when > 0 the engine
+	// calls g.SetShards(Shards) and every backward product
 	// search runs as a bulk-synchronous frontier exchange over the
 	// row-range shards (shardbfs.go), with workers capped at
 	// min(Shards, GOMAXPROCS). 0 — the zero value — picks a shard count
@@ -73,7 +74,7 @@ type EngineConfig struct {
 	// g.SetShards; small graphs stay unsharded. A negative value opts
 	// out of the adaptive default and leaves the graph's configuration
 	// untouched. EngineStats.ShardsAdaptive reports whether the running
-	// partition was chosen adaptively.
+	// shard count was chosen adaptively.
 	Shards int
 	// CompactDelta is the pending-delta watermark (edges added plus
 	// edges tombstoned since the last freeze) above which
@@ -100,12 +101,11 @@ type EngineConfig struct {
 // adaptiveMinEdges stay unsharded (the exchange's barriers would cost
 // more than the sweep), larger ones get one shard per
 // adaptiveEdgesPerShard edges — at least one per processor so the
-// exchange can use every core, capped at adaptiveMaxShards to bound
-// the K×K outbox matrix.
+// exchange can use every core, capped at graph.MaxShards like any
+// other shard count.
 const (
 	adaptiveMinEdges      = 1 << 17
 	adaptiveEdgesPerShard = 1 << 16
-	adaptiveMaxShards     = 64
 )
 
 // adaptiveShards picks the default shard count for a graph with the
@@ -114,14 +114,7 @@ func adaptiveShards(edges, procs int) int {
 	if edges < adaptiveMinEdges {
 		return 0
 	}
-	k := edges / adaptiveEdgesPerShard
-	if k < procs {
-		k = procs
-	}
-	if k > adaptiveMaxShards {
-		k = adaptiveMaxShards
-	}
-	return k
+	return min(max(edges/adaptiveEdgesPerShard, procs), graph.MaxShards)
 }
 
 // EngineStats is a point-in-time snapshot of an Engine's counters; the
@@ -138,15 +131,16 @@ type EngineStats struct {
 	SnapshotRebuilds   int64  `json:"snapshot_rebuilds"`
 	FullFreezes        uint64 `json:"full_freezes"`
 	IncrementalFreezes uint64 `json:"incremental_freezes"`
-	// Shards is the snapshot partition size (0 = unsharded),
-	// ShardsAdaptive whether the engine picked it (EngineConfig.Shards
-	// == 0) rather than the caller, and ShardEdges the per-shard edge
-	// counts of the current snapshot. ExchangeRounds is the cumulative
-	// bulk-synchronous round count of the frontier-exchange kernels —
-	// always TopDownRounds + BottomUpRounds, which split it by the
-	// direction each round ran in (dirbfs.go). BitParallelHits counts
-	// backward sweeps served by the packed ≤64-state kernels
-	// (bitbfs.go), sequential and sharded alike.
+	// Shards is the shard count (0 = unsharded), ShardsAdaptive
+	// whether the engine picked it (EngineConfig.Shards == 0) rather
+	// than the caller, and ShardEdges the per-shard edge counts of the
+	// current frozen base (edges by owning source row). ExchangeRounds
+	// is the cumulative bulk-synchronous round count of the
+	// frontier-exchange kernels — always TopDownRounds +
+	// BottomUpRounds, which split it by the direction each round ran
+	// in (dirbfs.go). BitParallelHits counts backward sweeps served by
+	// the packed ≤64-state kernels (bitbfs.go), sequential and sharded
+	// alike.
 	Shards          int   `json:"shards,omitempty"`
 	ShardsAdaptive  bool  `json:"shards_adaptive,omitempty"`
 	ShardEdges      []int `json:"shard_edges,omitempty"`
@@ -429,13 +423,10 @@ func (e *Engine) Stats() EngineStats {
 	if snap != nil {
 		st.Epoch = snap.epoch
 		st.Algorithm = snap.algo.String()
-		if sc := snap.vw.Sharded(); sc != nil {
-			st.Shards = sc.NumShards()
+		if parts := partition(snap.vw); parts.K > 0 {
+			st.Shards = parts.K
 			st.ShardsAdaptive = e.adaptive
-			st.ShardEdges = make([]int, sc.NumShards())
-			for s := range st.ShardEdges {
-				st.ShardEdges[s] = sc.ShardEdges(s)
-			}
+			st.ShardEdges = parts.baseEdges(snap.vw.Base())
 		}
 	}
 	if e.tables != nil {

@@ -44,8 +44,8 @@ type Pair struct {
 }
 
 // pinned is one consistent pinned view of the graph: the snapshot view
-// (base CSR plus any pending-delta overlay, carrying its partition when
-// sharding is configured), the epoch it was pinned under, and the
+// (base CSR plus any pending-delta overlay, carrying the shard count
+// when sharding is configured), the epoch it was pinned under, and the
 // dispatch verdict. It is immutable; a mutation makes the next query
 // pin a fresh one — WITHOUT freezing, when the delta is small enough
 // for an overlay (graph.View), so mutations never stall reads on a
@@ -55,14 +55,6 @@ type pinned struct {
 	vw    *graph.View
 	epoch uint64
 	algo  Algorithm
-}
-
-// shards returns the partition size for cache keys (0 = unsharded).
-func (pv *pinned) shards() uint16 {
-	if sc := pv.vw.Sharded(); sc != nil {
-		return uint16(sc.NumShards())
-	}
-	return 0
 }
 
 // targetGroup collects the sources querying one shared target, with
@@ -362,7 +354,7 @@ type tableKey struct {
 }
 
 func (ev *evaluator) tableKey(pv *pinned, y, seq int, kind uint8) tableKey {
-	return tableKey{epoch: pv.epoch, lang: ev.s.id, y: int32(y), seq: int32(seq), shards: pv.shards(), kind: kind}
+	return tableKey{epoch: pv.epoch, lang: ev.s.id, y: int32(y), seq: int32(seq), shards: uint16(pv.vw.Shards()), kind: kind}
 }
 
 // resultKey names one cached answer. Existence-only answers are cached

@@ -113,7 +113,7 @@ func TestOverlayEquivalence(t *testing.T) {
 						isolated := g.AddVertex()
 						pairs := shardPairSet(g, isolated, rng)
 						g.SetShards(k)
-						s.Warm(g) // freeze the base (and its partition) pre-delta
+						s.Warm(g) // freeze the base pre-delta
 
 						mutateKeepingShape(g, rng, flips, tc.name == "dag")
 						label := fmt.Sprintf("K=%d flips=%d seed=%d", k, flips, seed)
@@ -122,8 +122,8 @@ func TestOverlayEquivalence(t *testing.T) {
 							if !vw.Overlay() {
 								t.Fatalf("%s: small same-alphabet delta must pin an overlay view", label)
 							}
-							if k > 0 && vw.Sharded() == nil {
-								t.Fatalf("%s: overlay must keep the partition", label)
+							if vw.Shards() != k {
+								t.Fatalf("%s: overlay view reports K=%d", label, vw.Shards())
 							}
 						}
 						checkOverlayAgainstOracle(t, s, g, pairs, label)

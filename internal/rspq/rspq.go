@@ -64,10 +64,10 @@ func VerifyWitness(res Result, g *graph.Graph, d *automaton.DFA, x, y int) bool 
 // and backward steps enumerate exact predecessor states instead of
 // scanning all of them.
 //
-// When the view carries a partitioned snapshot (graph.SetShards), sc
-// is set and the backward kernels (coReach, distToGoal) run as a
-// bulk-synchronous frontier exchange over the shards instead of a
-// single queue-driven sweep — see shardbfs.go. counts, when non-nil,
+// When the view carries a shard count K > 1 (graph.SetShards), the
+// backward kernels (coReach, distToGoal) run as a bulk-synchronous
+// frontier exchange over the K row ranges of parts instead of a single
+// queue-driven sweep — see shardbfs.go. counts, when non-nil,
 // accumulates the per-direction round and bit-parallel hit counts
 // (Engine wires its stats counters here).
 type product struct {
@@ -78,10 +78,10 @@ type product struct {
 	m    int     // states
 	lmap []int16 // CSR label id -> DFA alphabet index, -1 when absent
 
-	sc     *graph.ShardedCSR // nil → sequential kernels
-	counts *exchCounters     // direction/bit-hit metrics sink, may be nil
-	tr     *kernelTrace      // opt-in per-query trace recording, may be nil
-	tun    *dirTuner         // α/β auto-tuner, may be nil (Engine wires it)
+	parts  rowParts      // K <= 1 → sequential kernels
+	counts *exchCounters // direction/bit-hit metrics sink, may be nil
+	tr     *kernelTrace  // opt-in per-query trace recording, may be nil
+	tun    *dirTuner     // α/β auto-tuner, may be nil (Engine wires it)
 }
 
 // makeProduct builds the product over a pinned view, so a long-lived
@@ -96,7 +96,7 @@ func makeProduct(vw *graph.View, d *automaton.DFA, a *arena) product {
 	for lid := 0; lid < L; lid++ {
 		a.lmap[lid] = int16(d.Alphabet.Index(vw.Label(lid)))
 	}
-	return product{vw: vw, d: d, rev: d.Rev(), n: vw.NumVertices(), m: d.NumStates, lmap: a.lmap, sc: vw.Sharded()}
+	return product{vw: vw, d: d, rev: d.Rev(), n: vw.NumVertices(), m: d.NumStates, lmap: a.lmap, parts: partition(vw)}
 }
 
 func (p *product) id(v, q int) int { return v*p.m + q }
@@ -124,7 +124,7 @@ func (p *product) packed() *automaton.Packed {
 // (dirbfs.go) otherwise. All four produce the identical set.
 func (p *product) coReach(y int, a *arena) {
 	pk := p.packed()
-	if p.sc != nil && p.sc.NumShards() > 1 {
+	if p.parts.K > 1 {
 		if pk != nil {
 			p.coReachBitsSharded(y, a, pk)
 		} else {
@@ -157,7 +157,7 @@ func (p *product) coReach(y int, a *arena) {
 // fill the same arena outputs, so every consumer is kernel-blind.
 func (p *product) distToGoal(y int, a *arena) {
 	pk := p.packed()
-	if p.sc != nil && p.sc.NumShards() > 1 {
+	if p.parts.K > 1 {
 		if pk != nil {
 			p.distToGoalBitsSharded(y, a, pk)
 		} else {

@@ -3,6 +3,7 @@ package rspq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -59,8 +60,8 @@ func unshardedAnswers(s *Solver, g *graph.Graph, pairs []Pair) ([]Result, []bool
 func checkShardedAgainst(t *testing.T, s *Solver, g *graph.Graph, k int, pairs []Pair, want []Result, wantEx []bool) {
 	t.Helper()
 	g.SetShards(k)
-	if g.FreezeSharded() == nil {
-		t.Fatalf("K=%d: sharded snapshot missing", k)
+	if got := g.PinView().Shards(); got != k {
+		t.Fatalf("K=%d: pinned view reports K=%d", k, got)
 	}
 	for i, pq := range pairs {
 		got := s.Solve(g, pq.X, pq.Y)
@@ -118,7 +119,7 @@ func shardPairSet(g *graph.Graph, isolated int, rng *rand.Rand) []Pair {
 
 // TestShardedEquivalence is the randomized sharded ≡ unsharded suite:
 // for every tier and K ∈ {1, 2, 3, 8}, before and after a mutation
-// epoch (exercising the per-shard delta merge on the refreeze).
+// epoch (served through the overlay of the pre-mutation base).
 func TestShardedEquivalence(t *testing.T) {
 	shardCounts := []int{1, 2, 3, 8}
 	for _, tc := range shardTierCases() {
@@ -135,11 +136,9 @@ func TestShardedEquivalence(t *testing.T) {
 				}
 
 				// One mutation epoch: flip a few random edges (keeping the
-				// alphabet stable so the refreeze merges per shard), then
-				// require equivalence again on the merged snapshots.
+				// alphabet stable so the delta is served as an overlay), then
+				// require equivalence again.
 				labels := g.Freeze().Labels()
-				g.SetShards(3)
-				g.FreezeSharded() // establish a sharded merge base
 				for i := 0; i < 8; i++ {
 					u, v := rng.Intn(g.NumVertices()), rng.Intn(g.NumVertices())
 					l := labels[rng.Intn(len(labels))]
@@ -188,11 +187,11 @@ func TestShardedExchangeParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentLazyPartition pins the regression found in
-// review: configuring shards AFTER a graph was already frozen must not
-// leave the partition to be built lazily by racing batch workers.
-// Warm (via NewBatchSolver) must build it up front, so concurrent
-// batches and queries on the warmed graph are read-only — this test
+// TestShardedConcurrentLazyPartition pins that nothing about sharding is
+// built lazily on the read path: configuring shards AFTER a graph was
+// frozen and warmed only re-pins the view (NewBatchSolver's Warm does
+// it), so concurrent batches and queries on the warmed graph are
+// read-only and answer exactly like the unsharded graph did — this test
 // runs under -race in CI.
 func TestShardedConcurrentLazyPartition(t *testing.T) {
 	s, err := NewSolver("a*c*")
@@ -200,18 +199,18 @@ func TestShardedConcurrentLazyPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Random(60, []byte{'a', 'b', 'c'}, 0.1, 13)
-	s.Warm(g)      // graph frozen unsharded
-	g.SetShards(4) // partition configured after the fact
-	bs := NewBatchSolver(s, g).SetWorkers(4)
-	if g.FreezeSharded() == nil {
-		t.Fatal("NewBatchSolver's Warm must have built the partition")
-	}
 	pairs := make([]Pair, 64)
 	rng := rand.New(rand.NewSource(2))
 	for i := range pairs {
 		pairs[i] = Pair{X: rng.Intn(60), Y: rng.Intn(8)}
 	}
-	want := bs.SolveExists(pairs)
+	want := NewBatchSolver(s, g).SolveExists(pairs) // graph frozen, warmed, unsharded
+	g.SetShards(4)                                  // shard count configured after the fact
+	bs := NewBatchSolver(s, g).SetWorkers(4)
+	if full, inc := g.FreezeStats(); g.PinView().Shards() != 4 || full != 1 || inc != 0 {
+		t.Fatalf("SetShards on a frozen graph: view K=%d, freezes (full=%d, inc=%d); want K=4 and no refreeze",
+			g.PinView().Shards(), full, inc)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -221,7 +220,7 @@ func TestShardedConcurrentLazyPartition(t *testing.T) {
 				got := bs.SolveExists(pairs)
 				for i := range got {
 					if got[i] != want[i] {
-						t.Errorf("concurrent batch diverged at pair %d", i)
+						t.Errorf("concurrent sharded batch diverged from unsharded at pair %d", i)
 						return
 					}
 				}
@@ -232,6 +231,112 @@ func TestShardedConcurrentLazyPartition(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// growPastBase mutates a frozen graph so the next pin is an overlay over
+// a LARGER vertex set than its base: it flips a few old edges, then
+// appends grow vertices, wires each into the old graph in both
+// directions (old → new → old, labels from the frozen alphabet) and
+// chains them. On DAG inputs (graph.LayeredDAG with the given width) new
+// vertices hang between the first and the last layer and the chain runs
+// forward, so the graph stays acyclic.
+func growPastBase(g *graph.Graph, rng *rand.Rand, grow, dagWidth int) []int {
+	labels := g.Freeze().Labels()
+	n0 := g.NumVertices()
+	label := func() byte { return labels[rng.Intn(len(labels))] }
+	mutateKeepingShape(g, rng, 4, dagWidth > 0)
+	var added []int
+	for i := 0; i < grow; i++ {
+		w := g.AddVertex()
+		if dagWidth > 0 {
+			g.AddEdge(rng.Intn(dagWidth), label(), w)
+			g.AddEdge(w, label(), n0-1-rng.Intn(dagWidth))
+		} else {
+			g.AddEdge(rng.Intn(n0), label(), w)
+			g.AddEdge(w, label(), rng.Intn(n0))
+			g.AddEdge(rng.Intn(n0), label(), w)
+		}
+		if len(added) > 0 {
+			g.AddEdge(added[len(added)-1], label(), w)
+		}
+		added = append(added, w)
+	}
+	g.AddVertex() // one new vertex stays isolated: an empty row past the base
+	return added
+}
+
+// TestShardedGrownOverlayEquivalence covers the case the row-range
+// partition newly reaches: an overlay is pending and it added VERTICES
+// as well as edges after the base freeze, so the view's rows — and the
+// shard ranges cut from them — extend past the base CSR. For every tier
+// and K ∈ {2, 3, 8}, with the exchange forced onto four workers, Solve,
+// Shortest lengths, BatchSolver and Engine must agree with the unsharded
+// graph and with BaselineShortest on a cold rebuild. A kernel that read
+// a row >= base.n through the base instead of the view would panic or
+// miss the new vertices' paths here.
+func TestShardedGrownOverlayEquivalence(t *testing.T) {
+	exchangeWorkersOverride.Store(4)
+	defer exchangeWorkersOverride.Store(0)
+	for _, tc := range shardTierCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(0); seed < 3; seed++ {
+				s := tc.solver(t)
+				rng := rand.New(rand.NewSource(seed*53 + 5))
+				g := tc.gen(seed)
+				s.Warm(g) // the base every later view overlays
+				dagWidth := 0
+				if tc.name == "dag" {
+					dagWidth = 4
+				}
+				added := growPastBase(g, rng, 5, dagWidth)
+				pairs := shardPairSet(g, g.NumVertices()-1, rng)
+				for _, w := range added {
+					pairs = append(pairs, Pair{X: rng.Intn(g.NumVertices()), Y: w}, Pair{X: w, Y: rng.Intn(g.NumVertices())})
+				}
+				pairs = append(pairs, Pair{X: added[0], Y: added[len(added)-1]})
+
+				oracle := rebuiltOracle(g)
+				wantLen := make([]int, len(pairs)) // -1: no simple L-path
+				reached := 0
+				for i, pq := range pairs {
+					wantLen[i] = -1
+					if res := BaselineShortest(oracle, s.Min, pq.X, pq.Y, nil); res.Found {
+						wantLen[i] = res.Path.Len()
+						if slices.Contains(added, pq.X) || slices.Contains(added, pq.Y) {
+							reached++
+						}
+					}
+				}
+				if reached == 0 {
+					t.Fatalf("seed %d: no positive pair touches a new vertex; the case is not exercised", seed)
+				}
+				want, wantEx := unshardedAnswers(s, g, pairs)
+				for i := range pairs {
+					if want[i].Found != (wantLen[i] >= 0) {
+						t.Fatalf("seed %d unsharded Solve(%d,%d)=%v disagrees with BaselineShortest", seed, pairs[i].X, pairs[i].Y, want[i].Found)
+					}
+				}
+				for _, k := range []int{2, 3, 8} {
+					g.SetShards(k)
+					if vw := g.PinView(); !vw.Overlay() || vw.NumVertices() <= vw.Base().NumVertices() {
+						t.Fatalf("K=%d: want an overlay over a grown vertex set (overlay=%v, n=%d, base n=%d)",
+							k, vw.Overlay(), vw.NumVertices(), vw.Base().NumVertices())
+					}
+					checkShardedAgainst(t, s, g, k, pairs, want, wantEx)
+					for i, pq := range pairs {
+						gotLen := -1
+						if got := s.Shortest(g, pq.X, pq.Y); got.Found {
+							gotLen = got.Path.Len()
+						}
+						if gotLen != wantLen[i] {
+							t.Fatalf("seed %d K=%d Shortest(%d,%d): length %d, BaselineShortest says %d",
+								seed, k, pq.X, pq.Y, gotLen, wantLen[i])
+						}
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestShardedDistancesIdentical pins the synchronous-BFS property the
@@ -338,6 +443,27 @@ func TestShardedManyShards(t *testing.T) {
 				i++
 			}
 		}
+	}
+}
+
+// TestShardCountBounded pins the K bound: the exchange allocates 3·K²
+// outbox headers per search, so an absurd shard count — through
+// SetShards or EngineConfig.Shards — is capped at graph.MaxShards and
+// still answers.
+func TestShardCountBounded(t *testing.T) {
+	s, err := NewSolver("a*c*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Random(30, []byte{'a', 'c'}, 0.1, 3)
+	want := s.Solve(g, 0, 7).Found
+	g.SetShards(1 << 20)
+	if got := s.Solve(g, 0, 7).Found; got != want || g.ShardCount() > graph.MaxShards {
+		t.Fatalf("SetShards(1<<20): found=%v (want %v), ShardCount=%d", got, want, g.ShardCount())
+	}
+	eng := NewEngine(s, g, EngineConfig{Shards: 70000})
+	if got := eng.Solve(0, 7).Found; got != want || eng.Stats().Shards != graph.MaxShards {
+		t.Fatalf("EngineConfig.Shards=70000: found=%v (want %v), Stats().Shards=%d", got, want, eng.Stats().Shards)
 	}
 }
 

@@ -14,11 +14,13 @@ import (
 // tiers' distance/successor BFS (distToGoal), and the summary tier's
 // position-NFA co-reachability sweep (seqSearcher.computeCoReach).
 //
-// The graph's row space is partitioned into K contiguous shards
-// (graph.ShardedCSR). Search state over product ids (vertex, state) is
-// partitioned the same way: shard s owns exactly the ids of its vertex
-// range, so visited stamps, distances and successor links are written
-// only by s — no synchronization on the arrays themselves. Each round
+// The pinned view's row space is cut into K contiguous ranges (rowParts,
+// K from graph.SetShards). The exchange partitions SEARCH STATE, not
+// storage: every shard reads the one CSR through the same View
+// accessors the sequential kernels use, and shard s owns exactly the
+// product ids (vertex, state) of its vertex range, so visited stamps,
+// distances and successor links are written only by s — no
+// synchronization on the arrays themselves. Each round
 // runs two parallel phases separated by barriers. A TOP-DOWN round:
 //
 //	expand   every worker pops its shard's frontier and walks the
@@ -55,6 +57,41 @@ import (
 // shard's cache-sized working set). This partition/outbox protocol is
 // also the on-ramp to the ROADMAP's multi-machine exchange: a remote
 // shard changes where an outbox is flushed, not the algorithm.
+
+// rowParts is the row-range partition of one pinned view: shard s of K
+// owns the vertices [s·rows, (s+1)·rows) ∩ [0, n) with rows = ⌈n/K⌉.
+// The ranges come from the view's own vertex count, so an overlay view
+// whose vertex set grew past its base partitions like any other. K <= 1
+// means the sequential kernels run.
+type rowParts struct{ K, rows, n int }
+
+func partition(vw *graph.View) rowParts {
+	n, K := vw.NumVertices(), vw.Shards()
+	return rowParts{K: K, rows: max(1, (n+K-1)/max(K, 1)), n: n}
+}
+
+// owner returns the shard owning vertex v's rows.
+func (rp rowParts) owner(v int) int { return v / rp.rows }
+
+// bounds returns shard s's vertex range [lo, hi); empty when K > n
+// leaves s no rows.
+func (rp rowParts) bounds(s int) (lo, hi int) {
+	return min(s*rp.rows, rp.n), min((s+1)*rp.rows, rp.n)
+}
+
+// baseEdges returns, per shard, the number of edges of frozen snapshot c
+// whose source row the shard owns, read off c's bucket prefix sums in
+// O(K). Rows past c (vertices an overlay added) count no base edges, so
+// the counts always sum to c.NumEdges().
+func (rp rowParts) baseEdges(c *graph.CSR) []int {
+	off, L, n := c.Parts().OutBucket, c.NumLabels(), c.NumVertices()
+	edges := make([]int, rp.K)
+	for s := range edges {
+		lo, hi := rp.bounds(s)
+		edges[s] = int(off[min(hi, n)*L] - off[min(lo, n)*L])
+	}
+	return edges
+}
 
 // exMsg is one cross-shard discovery of the distToGoal exchange: the
 // product id to settle, the successor it was reached from, and the
@@ -255,15 +292,15 @@ func (p *product) addBitHit() {
 // the id-only outboxes addressed to shard s into its membership set,
 // collect the newly settled ids as s's next frontier, account their
 // degrees (div maps an id to its vertex), and swap the frontier in.
-func deliverMarks(ex *exch, K, s, div int, sh *graph.CSRShard, marks *stamped) {
+func deliverMarks(ex *exch, K, s, div int, vw *graph.View, marks *stamped) {
 	for t := 0; t < K; t++ {
 		for _, pid := range ex.box[t*K+s] {
 			if !marks.has(int(pid)) {
 				marks.add(int(pid))
 				ex.nx[s] = append(ex.nx[s], pid)
 				v := int(pid) / div
-				ex.fe[s] += int64(sh.InDegree(v))
-				ex.ue[s] += int64(sh.OutDegree(v))
+				ex.fe[s] += int64(vw.InDegree(v))
+				ex.ue[s] += int64(vw.OutDegree(v))
 			}
 		}
 		ex.box[t*K+s] = ex.box[t*K+s][:0]
@@ -289,16 +326,14 @@ func frontierTotal(ex *exch, K int) int {
 // heuristic; bottom-up rounds record the successor link that settled
 // each id, so the walk reconstruction is direction-blind.
 func (p *product) distToGoalSharded(y int, a *arena) {
-	sc := p.sc
-	K := sc.NumShards()
+	K := p.parts.K
 	nm := p.n * p.m
 	a.dst.reset(nm)
 	a.growProduct(nm)
 	ex := getExch(K)
 	ex.fb.reset(nm)
-	home := sc.ShardOf(y)
-	hsh := sc.Shard(home)
-	frontEdges, unvisEdges := int64(0), int64(p.m)*int64(sc.NumEdges())
+	home := p.parts.owner(y)
+	frontEdges, unvisEdges := int64(0), int64(p.m)*int64(p.vw.NumEdges())
 	for q := 0; q < p.m; q++ {
 		if p.d.Accept[q] {
 			id := p.id(y, q)
@@ -306,8 +341,8 @@ func (p *product) distToGoalSharded(y int, a *arena) {
 			a.dist[id] = 0
 			ex.fr[home] = append(ex.fr[home], int32(id))
 			ex.fb.add(id)
-			frontEdges += int64(hsh.InDegree(y))
-			unvisEdges -= int64(hsh.OutDegree(y))
+			frontEdges += int64(p.vw.InDegree(y))
+			unvisEdges -= int64(p.vw.OutDegree(y))
 		}
 	}
 	W := exchangeWorkers(K)
@@ -346,10 +381,8 @@ func (p *product) distToGoalSharded(y int, a *arena) {
 // shard s: walk the frontier's reverse adjacency, settle own rows,
 // address the rest.
 func (p *product) tdExpandGoal(ex *exch, K, s int, a *arena) {
-	sc := p.sc
-	sh := sc.Shard(s)
-	lo, hi := int32(sh.Lo()), int32(sh.Hi())
-	L := sc.NumLabels()
+	lo, hi := p.parts.bounds(s)
+	L := p.vw.NumLabels()
 	for _, id := range ex.fr[s] {
 		v, q := int(id)/p.m, int(id)%p.m
 		d := a.dist[id] + 1
@@ -362,9 +395,10 @@ func (p *product) tdExpandGoal(ex *exch, K, s int, a *arena) {
 			if len(preds) == 0 {
 				continue
 			}
-			label := sc.Label(lid)
-			for _, u := range p.vw.ShardInWithID(sh, v, lid) {
-				base := int(u) * p.m
+			label := p.vw.Label(lid)
+			for _, u32 := range p.vw.InWithID(v, lid) {
+				u := int(u32)
+				base := u * p.m
 				if u >= lo && u < hi { // own rows: settle immediately
 					for _, qp := range preds {
 						pid := base + int(qp)
@@ -374,13 +408,13 @@ func (p *product) tdExpandGoal(ex *exch, K, s int, a *arena) {
 							a.parent[pid] = id
 							a.plabel[pid] = label
 							ex.nx[s] = append(ex.nx[s], int32(pid))
-							ex.fe[s] += int64(sh.InDegree(int(u)))
-							ex.ue[s] += int64(sh.OutDegree(int(u)))
+							ex.fe[s] += int64(p.vw.InDegree(u))
+							ex.ue[s] += int64(p.vw.OutDegree(u))
 						}
 					}
 					continue
 				}
-				t := sc.ShardOf(int(u))
+				t := p.parts.owner(u)
 				for _, qp := range preds {
 					ex.mbox[s*K+t] = append(ex.mbox[s*K+t], exMsg{id: int32(base + int(qp)), parent: id, label: label})
 				}
@@ -393,7 +427,6 @@ func (p *product) tdExpandGoal(ex *exch, K, s int, a *arena) {
 // shard s: drain the full-message outboxes and install the next
 // frontier.
 func (p *product) deliverGoal(ex *exch, K, s int, a *arena) {
-	sh := p.sc.Shard(s)
 	for t := 0; t < K; t++ {
 		for _, mg := range ex.mbox[t*K+s] {
 			id := int(mg.id)
@@ -404,8 +437,8 @@ func (p *product) deliverGoal(ex *exch, K, s int, a *arena) {
 				a.plabel[id] = mg.label
 				ex.nx[s] = append(ex.nx[s], mg.id)
 				v := id / p.m
-				ex.fe[s] += int64(sh.InDegree(v))
-				ex.ue[s] += int64(sh.OutDegree(v))
+				ex.fe[s] += int64(p.vw.InDegree(v))
+				ex.ue[s] += int64(p.vw.OutDegree(v))
 			}
 		}
 		ex.mbox[t*K+s] = ex.mbox[t*K+s][:0]
@@ -421,20 +454,19 @@ func (p *product) deliverGoal(ex *exch, K, s int, a *arena) {
 // exactly d-1 (dirbfs.go), making dist = d exact without reading any
 // other shard's distance array mid-phase.
 func (p *product) buExpandGoal(ex *exch, s int, a *arena, d int32) {
-	sc := p.sc
-	sh := sc.Shard(s)
-	L := sc.NumLabels()
-	for v := sh.Lo(); v < sh.Hi(); v++ {
+	lo, hi := p.parts.bounds(s)
+	L := p.vw.NumLabels()
+	for v := lo; v < hi; v++ {
 		base := v * p.m
 		for q := 0; q < p.m; q++ {
 			id := base + q
 			if a.dst.has(id) {
 				continue
 			}
-			if p.buProbeGoalExch(ex, sh, a, v, q, L, d, id) {
+			if p.buProbeGoalExch(ex, a, v, q, L, d, id) {
 				ex.nx[s] = append(ex.nx[s], int32(id))
-				ex.fe[s] += int64(sh.InDegree(v))
-				ex.ue[s] += int64(sh.OutDegree(v))
+				ex.fe[s] += int64(p.vw.InDegree(v))
+				ex.ue[s] += int64(p.vw.OutDegree(v))
 			}
 		}
 	}
@@ -443,20 +475,20 @@ func (p *product) buExpandGoal(ex *exch, s int, a *arena, d int32) {
 // buProbeGoalExch settles unvisited (v, q) = id at distance d when some
 // product successor is stamped in the at-barrier set, recording that
 // successor link.
-func (p *product) buProbeGoalExch(ex *exch, sh *graph.CSRShard, a *arena, v, q, L int, d int32, id int) bool {
+func (p *product) buProbeGoalExch(ex *exch, a *arena, v, q, L int, d int32, id int) bool {
 	for lid := 0; lid < L; lid++ {
 		di := p.lmap[lid]
 		if di < 0 {
 			continue
 		}
 		t := p.d.StepIndex(q, int(di))
-		for _, u := range p.vw.ShardOutWithID(sh, v, lid) {
+		for _, u := range p.vw.OutWithID(v, lid) {
 			sid := int(u)*p.m + t
 			if ex.fb.has(sid) {
 				a.dst.add(id)
 				a.dist[id] = d
 				a.parent[id] = int32(sid)
-				a.plabel[id] = p.sc.Label(lid)
+				a.plabel[id] = p.vw.Label(lid)
 				return true
 			}
 		}
@@ -471,23 +503,21 @@ func (p *product) buProbeGoalExch(ex *exch, sh *graph.CSRShard, a *arena, v, q, 
 // shard's in-flight marks would be a data race, not just a faster
 // convergence.
 func (p *product) coReachSharded(y int, a *arena) {
-	sc := p.sc
-	K := sc.NumShards()
+	K := p.parts.K
 	nm := p.n * p.m
 	a.co.reset(nm)
 	ex := getExch(K)
 	ex.fb.reset(nm)
-	home := sc.ShardOf(y)
-	hsh := sc.Shard(home)
-	frontEdges, unvisEdges := int64(0), int64(p.m)*int64(sc.NumEdges())
+	home := p.parts.owner(y)
+	frontEdges, unvisEdges := int64(0), int64(p.m)*int64(p.vw.NumEdges())
 	for q := 0; q < p.m; q++ {
 		if p.d.Accept[q] {
 			id := p.id(y, q)
 			a.co.add(id)
 			ex.fr[home] = append(ex.fr[home], int32(id))
 			ex.fb.add(id)
-			frontEdges += int64(hsh.InDegree(y))
-			unvisEdges -= int64(hsh.OutDegree(y))
+			frontEdges += int64(p.vw.InDegree(y))
+			unvisEdges -= int64(p.vw.OutDegree(y))
 		}
 	}
 	W := exchangeWorkers(K)
@@ -510,7 +540,7 @@ func (p *product) coReachSharded(y int, a *arena) {
 		} else {
 			td++
 			parShards(W, K, func(s int) { p.tdExpandCo(ex, K, s, a) })
-			parShards(W, K, func(s int) { deliverMarks(ex, K, s, p.m, p.sc.Shard(s), &a.co) })
+			parShards(W, K, func(s int) { deliverMarks(ex, K, s, p.m, p.vw, &a.co) })
 		}
 		fe, ue := ex.sumAccum()
 		frontEdges = fe
@@ -525,10 +555,8 @@ func (p *product) coReachSharded(y int, a *arena) {
 // tdExpandCo is the top-down expand phase of one coReach round for
 // shard s.
 func (p *product) tdExpandCo(ex *exch, K, s int, a *arena) {
-	sc := p.sc
-	sh := sc.Shard(s)
-	lo, hi := int32(sh.Lo()), int32(sh.Hi())
-	L := sc.NumLabels()
+	lo, hi := p.parts.bounds(s)
+	L := p.vw.NumLabels()
 	for _, id := range ex.fr[s] {
 		v, q := int(id)/p.m, int(id)%p.m
 		for lid := 0; lid < L; lid++ {
@@ -540,21 +568,22 @@ func (p *product) tdExpandCo(ex *exch, K, s int, a *arena) {
 			if len(preds) == 0 {
 				continue
 			}
-			for _, u := range p.vw.ShardInWithID(sh, v, lid) {
-				base := int(u) * p.m
+			for _, u32 := range p.vw.InWithID(v, lid) {
+				u := int(u32)
+				base := u * p.m
 				if u >= lo && u < hi {
 					for _, qp := range preds {
 						pid := base + int(qp)
 						if !a.co.has(pid) {
 							a.co.add(pid)
 							ex.nx[s] = append(ex.nx[s], int32(pid))
-							ex.fe[s] += int64(sh.InDegree(int(u)))
-							ex.ue[s] += int64(sh.OutDegree(int(u)))
+							ex.fe[s] += int64(p.vw.InDegree(u))
+							ex.ue[s] += int64(p.vw.OutDegree(u))
 						}
 					}
 					continue
 				}
-				t := sc.ShardOf(int(u))
+				t := p.parts.owner(u)
 				for _, qp := range preds {
 					ex.box[s*K+t] = append(ex.box[s*K+t], int32(base+int(qp)))
 				}
@@ -567,21 +596,20 @@ func (p *product) tdExpandCo(ex *exch, K, s int, a *arena) {
 // shard s: mark every unvisited own-row id whose forward adjacency
 // reaches the at-barrier frontier stamp.
 func (p *product) buExpandCo(ex *exch, s int, a *arena) {
-	sc := p.sc
-	sh := sc.Shard(s)
-	L := sc.NumLabels()
-	for v := sh.Lo(); v < sh.Hi(); v++ {
+	lo, hi := p.parts.bounds(s)
+	L := p.vw.NumLabels()
+	for v := lo; v < hi; v++ {
 		base := v * p.m
 		for q := 0; q < p.m; q++ {
 			id := base + q
 			if a.co.has(id) {
 				continue
 			}
-			if p.buProbeCoExch(ex, sh, v, q, L) {
+			if p.buProbeCoExch(ex, v, q, L) {
 				a.co.add(id)
 				ex.nx[s] = append(ex.nx[s], int32(id))
-				ex.fe[s] += int64(sh.InDegree(v))
-				ex.ue[s] += int64(sh.OutDegree(v))
+				ex.fe[s] += int64(p.vw.InDegree(v))
+				ex.ue[s] += int64(p.vw.OutDegree(v))
 			}
 		}
 	}
@@ -589,14 +617,14 @@ func (p *product) buExpandCo(ex *exch, s int, a *arena) {
 
 // buProbeCoExch reports whether (v, q) has a product successor stamped
 // in the at-barrier visited set.
-func (p *product) buProbeCoExch(ex *exch, sh *graph.CSRShard, v, q, L int) bool {
+func (p *product) buProbeCoExch(ex *exch, v, q, L int) bool {
 	for lid := 0; lid < L; lid++ {
 		di := p.lmap[lid]
 		if di < 0 {
 			continue
 		}
 		t := p.d.StepIndex(q, int(di))
-		for _, u := range p.vw.ShardOutWithID(sh, v, lid) {
+		for _, u := range p.vw.OutWithID(v, lid) {
 			if ex.fb.has(int(u)*p.m + t) {
 				return true
 			}
@@ -612,23 +640,21 @@ func (p *product) buProbeCoExch(ex *exch, sh *graph.CSRShard, v, q, L int) bool 
 // bottom-up) instead of the DFA transition tables; the partition,
 // protocol and direction heuristic are identical.
 func (ss *seqSearcher) computeCoReachSharded() {
-	sc := ss.sc
-	K := sc.NumShards()
+	K := ss.parts.K
 	pc := ss.plan.posCount
 	ss.coreach.reset(ss.n * pc)
 	ex := getExch(K)
 	ex.fb.reset(ss.n * pc)
-	home := sc.ShardOf(ss.y)
-	hsh := sc.Shard(home)
-	frontEdges, unvisEdges := int64(0), int64(pc)*int64(sc.NumEdges())
+	home := ss.parts.owner(ss.y)
+	frontEdges, unvisEdges := int64(0), int64(pc)*int64(ss.vw.NumEdges())
 	for _, s := range ss.plan.accepts {
 		id := ss.y*pc + int(s)
 		if !ss.coreach.has(id) {
 			ss.coreach.add(id)
 			ex.fr[home] = append(ex.fr[home], int32(id))
 			ex.fb.add(id)
-			frontEdges += int64(hsh.InDegree(ss.y))
-			unvisEdges -= int64(hsh.OutDegree(ss.y))
+			frontEdges += int64(ss.vw.InDegree(ss.y))
+			unvisEdges -= int64(ss.vw.OutDegree(ss.y))
 		}
 	}
 	W := exchangeWorkers(K)
@@ -654,7 +680,7 @@ func (ss *seqSearcher) computeCoReachSharded() {
 		} else {
 			td++
 			parShards(W, K, func(s int) { ss.tdExpandSeq(ex, K, s) })
-			parShards(W, K, func(s int) { deliverMarks(ex, K, s, pc, sc.Shard(s), &ss.coreach) })
+			parShards(W, K, func(s int) { deliverMarks(ex, K, s, pc, ss.vw, &ss.coreach) })
 		}
 		fe, ue := ex.sumAccum()
 		frontEdges = fe
@@ -669,28 +695,27 @@ func (ss *seqSearcher) computeCoReachSharded() {
 // tdExpandSeq is the top-down expand phase of one summary-sweep round
 // for shard s, walking the plan's reverse NFA arcs.
 func (ss *seqSearcher) tdExpandSeq(ex *exch, K, s int) {
-	sc := ss.sc
-	sh := sc.Shard(s)
-	lo, hi := int32(sh.Lo()), int32(sh.Hi())
+	lo, hi := ss.parts.bounds(s)
 	pc := ss.plan.posCount
 	for _, id := range ex.fr[s] {
 		v, pos := int(id)/pc, int(id)%pc
 		for _, arc := range ss.plan.rnfa[pos] {
-			lid := sc.LabelID(arc.label)
+			lid := ss.vw.LabelID(arc.label)
 			if lid < 0 {
 				continue
 			}
-			for _, u := range ss.vw.ShardInWithID(sh, v, lid) {
-				pid := int(u)*pc + int(arc.from)
+			for _, u32 := range ss.vw.InWithID(v, lid) {
+				u := int(u32)
+				pid := u*pc + int(arc.from)
 				if u >= lo && u < hi {
 					if !ss.coreach.has(pid) {
 						ss.coreach.add(pid)
 						ex.nx[s] = append(ex.nx[s], int32(pid))
-						ex.fe[s] += int64(sh.InDegree(int(u)))
-						ex.ue[s] += int64(sh.OutDegree(int(u)))
+						ex.fe[s] += int64(ss.vw.InDegree(u))
+						ex.ue[s] += int64(ss.vw.OutDegree(u))
 					}
 				} else {
-					t := sc.ShardOf(int(u))
+					t := ss.parts.owner(u)
 					ex.box[s*K+t] = append(ex.box[s*K+t], int32(pid))
 				}
 			}
@@ -702,21 +727,20 @@ func (ss *seqSearcher) tdExpandSeq(ex *exch, K, s int) {
 // for shard s, walking the plan's forward NFA arcs against the shard's
 // forward adjacency.
 func (ss *seqSearcher) buExpandSeq(ex *exch, s int) {
-	sc := ss.sc
-	sh := sc.Shard(s)
+	lo, hi := ss.parts.bounds(s)
 	pc := ss.plan.posCount
-	for v := sh.Lo(); v < sh.Hi(); v++ {
+	for v := lo; v < hi; v++ {
 		base := v * pc
 		for pos := 0; pos < pc; pos++ {
 			id := base + pos
 			if ss.coreach.has(id) {
 				continue
 			}
-			if ss.buProbeSeq(ex, sh, sc, v, pos, pc) {
+			if ss.buProbeSeq(ex, v, pos, pc) {
 				ss.coreach.add(id)
 				ex.nx[s] = append(ex.nx[s], int32(id))
-				ex.fe[s] += int64(sh.InDegree(v))
-				ex.ue[s] += int64(sh.OutDegree(v))
+				ex.fe[s] += int64(ss.vw.InDegree(v))
+				ex.ue[s] += int64(ss.vw.OutDegree(v))
 			}
 		}
 	}
@@ -724,13 +748,13 @@ func (ss *seqSearcher) buExpandSeq(ex *exch, s int) {
 
 // buProbeSeq reports whether (v, pos) has a position-NFA successor
 // stamped in the at-barrier visited set.
-func (ss *seqSearcher) buProbeSeq(ex *exch, sh *graph.CSRShard, sc *graph.ShardedCSR, v, pos, pc int) bool {
+func (ss *seqSearcher) buProbeSeq(ex *exch, v, pos, pc int) bool {
 	for _, arc := range ss.plan.fnfa[pos] {
-		lid := sc.LabelID(arc.label)
+		lid := ss.vw.LabelID(arc.label)
 		if lid < 0 {
 			continue
 		}
-		for _, u := range ss.vw.ShardOutWithID(sh, v, lid) {
+		for _, u := range ss.vw.OutWithID(v, lid) {
 			if ex.fb.has(int(u)*pc + int(arc.to)) {
 				return true
 			}

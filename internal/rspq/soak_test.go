@@ -10,25 +10,22 @@ import (
 
 // TestEngineOverlaySoak is the randomized interleaved mutate/query soak
 // of the view refactor, designed to run under -race: a mutator applies
-// edge deltas to the engine's graph AND to a mirror graph that has
-// incremental freezing disabled (every mirror snapshot is a full
-// rebuild — the oracle), a compactor occasionally merges the engine's
-// delta away mid-stream, and query workers require every engine answer
-// to match the oracle's at the same pinned generation. The RWMutex
+// edge deltas to the engine's graph and then rebuilds a mirror of it
+// from scratch (a fresh graph fed the live edges, frozen cold — the
+// oracle never sees the delta machinery), a compactor occasionally
+// merges the engine's delta away mid-stream, and query workers require
+// every engine answer to match the oracle's at the same generation. The RWMutex
 // discipline is cmd/rspqd's: mutations and compactions under the write
 // lock, queries under read locks.
 func TestEngineOverlaySoak(t *testing.T) {
 	const n = 80
 	labels := []byte{'a', 'b', 'c'}
 	g := graph.New(n)
-	mirror := graph.New(n)
-	mirror.SetIncrementalFreeze(false) // oracle: full rebuild per generation
 	rng := rand.New(rand.NewSource(61))
 	for i := 0; i < 4*n; i++ {
-		from, label, to := rng.Intn(n), labels[rng.Intn(len(labels))], rng.Intn(n)
-		g.AddEdge(from, label, to)
-		mirror.AddEdge(from, label, to)
+		g.AddEdge(rng.Intn(n), labels[rng.Intn(len(labels))], rng.Intn(n))
 	}
+	mirror := rebuiltOracle(g)          // replaced per generation, under mu
 	s, err := NewSolver("a*(bb+|())c*") // summary tier: the deepest kernel stack
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +38,7 @@ func TestEngineOverlaySoak(t *testing.T) {
 	var background sync.WaitGroup
 
 	background.Add(1)
-	go func() { // mutator: keep engine graph and oracle mirror identical
+	go func() { // mutator: flip edges, then rebuild the oracle mirror
 		defer background.Done()
 		mrng := rand.New(rand.NewSource(67))
 		for {
@@ -53,15 +50,13 @@ func TestEngineOverlaySoak(t *testing.T) {
 			mu.Lock()
 			for k := 0; k < 3; k++ {
 				from, label, to := mrng.Intn(n), labels[mrng.Intn(len(labels))], mrng.Intn(n)
-				if g.RemoveEdge(from, label, to) {
-					mirror.RemoveEdge(from, label, to)
-				} else {
+				if !g.RemoveEdge(from, label, to) {
 					g.AddEdge(from, label, to)
-					mirror.AddEdge(from, label, to)
 				}
 			}
-			// Warm the oracle inside the lock so concurrent readers never
-			// race its lazy rebuild.
+			// Rebuild and warm the oracle inside the lock so concurrent
+			// readers never race its lazy freeze.
+			mirror = rebuiltOracle(g)
 			s.Warm(mirror)
 			mu.Unlock()
 		}
@@ -118,7 +113,7 @@ func TestEngineOverlaySoak(t *testing.T) {
 	// soak must have exercised both the overlay and the compactor at
 	// least plausibly (the mutator runs the whole time, so the first
 	// post-mutation query pins an overlay).
-	if full, inc := mirror.FreezeStats(); inc != 0 || full < 2 {
+	if full, inc := mirror.FreezeStats(); inc != 0 || full != 1 {
 		t.Fatalf("oracle freezes (full=%d, inc=%d): the mirror must rebuild from scratch", full, inc)
 	}
 	st := e.Stats()

@@ -255,10 +255,10 @@ type seqSearcher struct {
 	// ext, when non-nil, is a frozen co-reachability table (from a
 	// cross-query cache) used instead of computing coreach.
 	ext *coTable
-	// sc, when non-nil, makes the co-reachability sweep run as a
-	// frontier exchange over the graph's shards (shardbfs.go); counts
+	// parts, when K > 1, makes the co-reachability sweep run as a
+	// frontier exchange over the view's row ranges (shardbfs.go); counts
 	// receives the per-direction exchange round counts when set.
-	sc     *graph.ShardedCSR
+	parts  rowParts
 	counts *exchCounters
 	tr     *kernelTrace
 	plan   *seqPlan
@@ -306,7 +306,6 @@ var seqSearcherPool = sync.Pool{New: func() any { return new(seqSearcher) }}
 // when non-nil, receives per-direction round counts and round timings;
 // tr, when non-nil, records the per-round trace (trace.go).
 func acquireSeqSearcher(vw *graph.View, seq *psitr.Sequence, y int, shortest bool, ext *coTable, counts *exchCounters, tr *kernelTrace) *seqSearcher {
-	sc := vw.Sharded()
 	ss := seqSearcherPool.Get().(*seqSearcher)
 	ss.vw = vw
 	ss.n = ss.vw.NumVertices()
@@ -330,11 +329,11 @@ func acquireSeqSearcher(vw *graph.View, seq *psitr.Sequence, y int, shortest boo
 	ss.parent = ss.parent[:ss.n]
 	ss.gplabel = ss.gplabel[:ss.n]
 	ss.ext = ext
-	ss.sc = sc
+	ss.parts = partition(vw)
 	ss.counts = counts
 	ss.tr = tr
 	if ext == nil {
-		if sc != nil && sc.NumShards() > 1 {
+		if ss.parts.K > 1 {
 			ss.computeCoReachSharded()
 		} else {
 			ss.computeCoReach()
@@ -349,7 +348,6 @@ func (ss *seqSearcher) release() {
 	ss.units = nil
 	ss.best = nil
 	ss.ext = nil
-	ss.sc = nil
 	ss.counts = nil
 	ss.tr = nil
 	ss.existsOnly = false
