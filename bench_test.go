@@ -1,8 +1,10 @@
 package trichotomy
 
-// One testing.B benchmark per experiment of DESIGN.md §4 / EXPERIMENTS.md.
-// `go test -bench=. -benchmem` regenerates every performance row; the
-// rspqbench command prints the full human-readable tables.
+// One testing.B benchmark per experiment E1–E12 (the index, with the
+// claim of the paper each one exercises, is the experiments table in
+// cmd/rspqbench/main.go). `go test -bench=. -benchmem` times them; the
+// rspqbench command prints the full human-readable tables; end-to-end
+// performance is the repo benchmark's job (bench/, BENCHMARK.json).
 
 import (
 	"fmt"

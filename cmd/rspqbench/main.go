@@ -1,6 +1,8 @@
-// Command rspqbench regenerates the experiment tables recorded in
-// EXPERIMENTS.md. Each experiment exercises one of the paper's claims
-// (see DESIGN.md §4 for the index). Output is GitHub-flavored markdown.
+// Command rspqbench prints the experiment tables E1–E12. Each experiment
+// exercises one of the paper's claims; the index — experiment id, the
+// theorem, lemma or example it checks — is the experiments table in
+// main below, mirrored by BenchmarkE1..E12 in bench_test.go. Output is
+// GitHub-flavored markdown.
 //
 // Usage:
 //

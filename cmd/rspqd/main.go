@@ -212,11 +212,19 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.inflightPairs.Add(-1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if req.Trace {
+	if req.Trace || (s.slowQuery > 0 && !req.ExistsOnly) {
 		// A traced query always runs the full solve; exists_only merely
-		// drops the witness from the response.
+		// drops the witness from the response. With -slow-query on, full
+		// solves are traced as well (the trace is returned only when
+		// asked for) so a slow request's log line can say why.
 		res, tr := s.eng.SolveTraced(req.X, req.Y)
-		resp := queryResponse{Found: res.Found, Trace: tr}
+		if rec, ok := w.(*statusRecorder); ok {
+			rec.trace = tr
+		}
+		resp := queryResponse{Found: res.Found}
+		if req.Trace {
+			resp.Trace = tr
+		}
 		if !req.ExistsOnly {
 			resp.Path = toPathJSON(res.Path)
 		}
@@ -557,7 +565,7 @@ func main() {
 	compactEvery := flag.Duration("compact-every", 250*time.Millisecond, "background compaction poll interval")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty disables)")
-	slowQuery := flag.Duration("slow-query", 0, "log requests taking at least this long (0 disables)")
+	slowQuery := flag.Duration("slow-query", 0, "log requests taking at least this long (0 disables); while on, full /query solves are traced so their slow lines carry tier, cache verdicts and table size")
 	maxInflight := flag.Int64("max-inflight", 0, "reject /batch with 429 when admitted in-flight pairs would exceed this (0 = unbounded)")
 	dataDir := flag.String("data-dir", "", "durable data directory (snapshot + write-ahead log); warm-boots from it when a snapshot exists, empty disables persistence")
 	fsyncPolicy := flag.String("fsync", "batch", `fsync policy for WAL appends: "batch" (fsync every acknowledged batch), "off", or a group-commit window duration like "5ms"; a checkpoint always syncs, because it truncates the WAL it supersedes`)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/rspq"
 )
 
 // endpoints names every route the server instruments; per-endpoint
@@ -59,6 +60,9 @@ func newHTTPMetrics(reg *metrics.Registry, inflight func() float64) httpMetrics 
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
+	// trace is set by /query when it traced the solve (on request, or
+	// because -slow-query is on) so a slow line can name the cause.
+	trace *rspq.QueryTrace
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -87,10 +91,23 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		}
 		if s.slowQuery > 0 && el >= s.slowQuery {
 			s.hm.slow.Inc()
-			log.Printf("rspqd: slow request method=%s endpoint=/%s status=%d elapsed=%s threshold=%s",
-				r.Method, endpoint, rec.code, el, s.slowQuery)
+			log.Printf("rspqd: slow request method=%s endpoint=/%s status=%d elapsed=%s threshold=%s%s",
+				r.Method, endpoint, rec.code, el, s.slowQuery, slowDetail(rec.trace))
 		}
 	}
+}
+
+// slowDetail renders what a traced query adds to its slow line: which
+// tier ran, the cache verdicts, and — when a goal table was built or hit
+// — how many product states its sweep reached and what the table costs
+// to retain, which tells a 300-state miss from one that flooded the
+// graph.
+func slowDetail(tr *rspq.QueryTrace) string {
+	if tr == nil {
+		return ""
+	}
+	return fmt.Sprintf(" tier=%s result_cache_hit=%t table_cache_hit=%t table_states=%d table_bytes=%d",
+		tr.Tier, tr.ResultCacheHit, tr.TableCacheHit, tr.TableStates, tr.TableBytes)
 }
 
 // admitPairs applies the -max-inflight admission gate: it reserves n

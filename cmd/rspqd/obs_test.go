@@ -2,12 +2,17 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/rspq"
@@ -211,6 +216,19 @@ func TestQueryTrace(t *testing.T) {
 			t.Fatalf("round dir = %q", rd.Dir)
 		}
 	}
+	// The DAG tier answers from a goal table it just built: the trace
+	// says how many product states the sweep reached (at least the goal
+	// and the source) and what the table cache retains for it.
+	if tr.TableCacheHit || tr.TableStates < 2 || tr.TableBytes <= 0 {
+		t.Fatalf("built goal table: table_cache_hit=%v table_states=%d table_bytes=%d",
+			tr.TableCacheHit, tr.TableStates, tr.TableBytes)
+	}
+	var other queryResponse
+	postJSON(t, ts.URL+"/query?trace=1", `{"x":1,"y":3}`, &other)
+	if o := other.Trace; o == nil || !o.TableCacheHit || o.TableStates != tr.TableStates || o.TableBytes != tr.TableBytes {
+		t.Fatalf("second source on the same target: trace %+v; want a hit on the table of %d states / %d bytes",
+			other.Trace, tr.TableStates, tr.TableBytes)
+	}
 
 	// The body flag is equivalent to the query parameter, and the
 	// repeat is served from the result cache: no kernel rounds.
@@ -230,6 +248,57 @@ func TestQueryTrace(t *testing.T) {
 		t.Fatal("untraced query returned a trace")
 	}
 }
+
+// TestSlowQueryLine pins what -slow-query logs for /query: with the
+// threshold on, a full solve is traced without being asked to (and the
+// trace stays out of the response), so the slow line carries the tier,
+// the cache verdicts and the goal table's reached-state count and
+// retained bytes; an exists_only request keeps its cheaper path and logs
+// the bare line.
+func TestSlowQueryLine(t *testing.T) {
+	g := graph.New(4)
+	g.AddEdge(0, 'a', 1)
+	g.AddEdge(1, 'b', 2)
+	g.AddEdge(2, 'b', 3)
+	s, err := rspq.NewSolver("a*(bb+|())c*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(s, g, "a*(bb+|())c*", rspq.EngineConfig{})
+	srv.slowQuery = time.Nanosecond // every request is slow
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	ts := httptest.NewServer(srv.routes())
+
+	var resp queryResponse
+	postJSON(t, ts.URL+"/query", `{"x":0,"y":3}`, &resp)
+	if !resp.Found || resp.Trace != nil {
+		t.Fatalf("untraced query under -slow-query = %+v; want found, no trace in the response", resp)
+	}
+	postJSON(t, ts.URL+"/query", `{"x":1,"y":3,"exists_only":true}`, &resp)
+	ts.Close() // the slow line is logged after the response: wait for the handlers to return
+
+	var detailed, bare int
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if !strings.Contains(line, "slow request") || !strings.Contains(line, "endpoint=/query") {
+			t.Fatalf("unexpected log line %q", line)
+		}
+		if !strings.Contains(line, "tier=") {
+			bare++
+			continue
+		}
+		detailed++
+		if !slowDetailRE.MatchString(line) {
+			t.Fatalf("slow line %q does not match %v", line, slowDetailRE)
+		}
+	}
+	if detailed != 1 || bare != 1 {
+		t.Fatalf("log = %q; want one detailed line (the full solve) and one bare line (exists_only)", buf.String())
+	}
+}
+
+var slowDetailRE = regexp.MustCompile(` tier=dag result_cache_hit=false table_cache_hit=false table_states=[1-9][0-9]* table_bytes=[1-9][0-9]*$`)
 
 // TestBatchAdmission pins the -max-inflight gate: an oversized batch
 // is rejected with 429 + Retry-After and counted, an in-budget batch

@@ -72,25 +72,6 @@ func (g *Graph) Freeze() *CSR {
 	return g.csr
 }
 
-// Snapshot warms every lazily built query index — the CSR, the
-// acyclicity verdict and the alphabet — and returns them together with
-// the mutation epoch they were built under. The triple is consistent:
-// if a mutation interleaves with the warming (bumping the epoch
-// mid-build), Snapshot rebuilds from scratch rather than returning a
-// CSR paired with the wrong epoch, so callers can safely use the epoch
-// as a cache key for data derived from the returned CSR.
-func (g *Graph) Snapshot() (c *CSR, acyclic bool, epoch uint64) {
-	for {
-		epoch = g.Epoch()
-		c = g.Freeze()
-		acyclic = g.IsAcyclic()
-		g.Alphabet()
-		if g.Epoch() == epoch {
-			return c, acyclic, epoch
-		}
-	}
-}
-
 func buildCSR(g *Graph) *CSR {
 	n := g.NumVertices()
 	c := &CSR{n: n, m: g.edges, labels: g.Alphabet()}

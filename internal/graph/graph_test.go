@@ -306,27 +306,37 @@ func TestEpochAdvancesOnMutation(t *testing.T) {
 	}
 }
 
+// TestSnapshotConsistent pins SnapshotView's contract: the view and the
+// epoch it returns belong to one generation, an unchanged graph reuses
+// both, a mutation re-pins both — and none of it computes the
+// acyclicity verdict.
 func TestSnapshotConsistent(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 'a', 1)
-	csr, acyclic, epoch := g.Snapshot()
-	if !acyclic || csr.NumEdges() != 1 || epoch != g.Epoch() {
-		t.Fatalf("snapshot = (%d edges, acyclic=%v, epoch=%d); graph epoch %d",
-			csr.NumEdges(), acyclic, epoch, g.Epoch())
+	g.AddEdge(1, 'a', 0) // cyclic
+	vw, epoch := g.SnapshotView()
+	if vw.NumEdges() != 2 || epoch != g.Epoch() || vw.Epoch() != epoch {
+		t.Fatalf("snapshot = (%d edges, view epoch %d, epoch %d); graph epoch %d",
+			vw.NumEdges(), vw.Epoch(), epoch, g.Epoch())
 	}
-	if c2, _, e2 := g.Snapshot(); c2 != csr || e2 != epoch {
-		t.Fatal("snapshot without mutation must reuse the cached CSR and epoch")
+	if v2, e2 := g.SnapshotView(); v2 != vw || e2 != epoch {
+		t.Fatal("snapshot without mutation must reuse the cached view and epoch")
 	}
 	g.AddEdge(1, 'b', 2)
-	g.AddEdge(2, 'b', 1) // cycle
-	c3, acyclic3, e3 := g.Snapshot()
-	if c3 == csr || e3 == epoch {
-		t.Fatal("snapshot after mutation must rebuild")
+	g.RemoveEdge(1, 'a', 0) // breaks the cycle
+	v3, e3 := g.SnapshotView()
+	if v3 == vw || e3 == epoch || v3.Epoch() != e3 {
+		t.Fatal("snapshot after mutation must re-pin under the new epoch")
 	}
-	if acyclic3 {
-		t.Fatal("new snapshot must see the cycle")
+	if v3.NumEdges() != 2 || !v3.HasEdge(1, 'b', 2) || v3.HasEdge(1, 'a', 0) {
+		t.Fatalf("new snapshot has %d edges; want {0-a->1, 1-b->2}", v3.NumEdges())
 	}
-	if c3.NumEdges() != 3 {
-		t.Fatalf("new snapshot has %d edges; want 3", c3.NumEdges())
+	// Pinning never pays for the acyclicity recheck: only a tier that
+	// dispatches on the verdict asks for it.
+	if _, known := g.AcyclicVerdict(); known {
+		t.Fatal("SnapshotView must not compute the acyclicity verdict")
+	}
+	if !g.IsAcyclic() {
+		t.Fatal("graph is acyclic after the removal")
 	}
 }

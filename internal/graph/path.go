@@ -28,10 +28,23 @@ func (p *Path) Target() int { return p.Vertices[len(p.Vertices)-1] }
 // Word returns the concatenation of the edge labels.
 func (p *Path) Word() string { return string(p.Labels) }
 
-// IsSimple reports whether all vertices are distinct.
+// IsSimple reports whether all vertices are distinct. Short walks — the
+// common case — are checked by a quadratic scan that allocates nothing;
+// longer ones through a set.
 func (p *Path) IsSimple() bool {
-	seen := make(map[int]bool, len(p.Vertices))
-	for _, v := range p.Vertices {
+	vs := p.Vertices
+	if len(vs) <= 32 {
+		for i := 1; i < len(vs); i++ {
+			for _, u := range vs[:i] {
+				if u == vs[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	seen := make(map[int]bool, len(vs))
+	for _, v := range vs {
 		if seen[v] {
 			return false
 		}
@@ -84,8 +97,13 @@ func (p *Path) Concat(q *Path) (*Path, error) {
 // elimination). The result is simple; its word is a word obtained from
 // p's by deleting factors — exactly the operation that is closed for
 // subword-closed languages (Mendelzon–Wood) and unsound in general
-// (paper, Example 4).
+// (paper, Example 4). A walk that is already simple is returned as is
+// (the receiver itself, no copy), so callers can tell by identity that
+// nothing was removed.
 func (p *Path) RemoveLoops() *Path {
+	if p.IsSimple() {
+		return p
+	}
 	vs := append([]int{}, p.Vertices...)
 	ls := append([]byte{}, p.Labels...)
 	for {

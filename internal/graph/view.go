@@ -118,18 +118,21 @@ func (g *Graph) PinView() *View {
 	return g.view
 }
 
-// SnapshotView is the view-pinning analogue of Snapshot: it warms the
-// lazily built query indexes (the view, the acyclicity verdict and the
-// alphabet) and returns them with the epoch they were built under,
-// retrying if a mutation interleaves so the triple is consistent.
-func (g *Graph) SnapshotView() (vw *View, acyclic bool, epoch uint64) {
+// SnapshotView warms the lazily built query indexes every tier reads —
+// the view and the alphabet — and returns the view with the epoch it was
+// pinned under, retrying if a mutation interleaves (bumping the epoch
+// mid-build) so the pair is consistent: callers can use the epoch as a
+// cache key for data derived from the view. The acyclicity verdict is
+// deliberately NOT warmed here: only some tiers dispatch on it
+// (rspq.Solver.ChooseAlgorithm), and after a cycle-breaking removal it
+// costs an O(V+E) recheck the others should never pay.
+func (g *Graph) SnapshotView() (vw *View, epoch uint64) {
 	for {
 		epoch = g.Epoch()
 		vw = g.PinView()
-		acyclic = g.IsAcyclic()
 		g.Alphabet()
 		if g.Epoch() == epoch {
-			return vw, acyclic, epoch
+			return vw, epoch
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package rspq
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // This file implements the reusable search scratch shared by the
 // product-based solvers. Every query needs a handful of dense arrays
@@ -53,11 +56,72 @@ type arena struct {
 	queue  []int32  // BFS worklist / current frontier
 	queue2 []int32  // next frontier of the level-synchronous kernels
 	w64    []uint64 // packed per-vertex state words (bit-parallel kernels)
+	w64Hot int      // leading words of w64 a sweep may have left non-zero
 	sat    []uint64 // per-vertex saturation bitmap (bit-parallel kernels)
 	wlog   witLog   // per-level witness log (bit-parallel distance kernels)
 	vs     []int    // path vertex scratch
 	ls     []byte   // path label scratch
 	lmap   []int16  // CSR label id -> DFA alphabet index (-1 absent)
+
+	// reach lists the ids the last distToGoal stamped in dst, each once,
+	// in no particular order — what lets the consumers of a short sweep
+	// (exportGoalTable, the packed kernels' word cleaning) pay for what
+	// the sweep touched instead of for the id space. It is valid only
+	// while reachOK: a sweep that outgrows reachMax abandons it.
+	reach    []int32
+	reachOK  bool
+	reachMax int
+}
+
+// sparseFill is the fill up to which a sweep counts as short: it reached
+// at most 1/sparseFill of the product ids. The one criterion serves both
+// per-miss savings — the goal table is frozen in its sparse form, and
+// the packed words are cleaned from the witness log — and it is placed
+// between the break-even points of the two goal-table forms
+// (goalTableCost, sparseGoalTableCost). In retained bytes, 13 B per
+// reached id against 9 B per product id, the sparse form wins up to a
+// fill of 9/13. In export time, a sort and three linear passes (~85 ns
+// per reached id) against allocating, zeroing and scanning the id space
+// (2–4 ns per product id with the allocator warm, 9 ns measured in a
+// serving process that has to fault the 9·nm bytes in and collect them
+// later), it wins up to a fill between 1/40 and 1/9. At 1/8 the sparse
+// table is 5.5× smaller — what a byte-budgeted cache with 4 MiB shards
+// cares about — and its export is level with the dense one where it
+// counts, in the server, and ~3× the dense one's best case.
+const sparseFill = 8
+
+// resetReach starts the reach list of a sweep over nm product ids.
+func (a *arena) resetReach(nm int) {
+	a.reach, a.reachOK, a.reachMax = a.reach[:0], true, nm/sparseFill
+}
+
+// noteReached appends newly stamped ids to the reach list, abandoning it
+// for the rest of the sweep once it outgrows the sparse threshold — a
+// flooding sweep then pays one length test per round, nothing per id.
+func (a *arena) noteReached(ids []int32) {
+	if !a.reachOK {
+		return
+	}
+	if len(a.reach)+len(ids) > a.reachMax {
+		a.reachOK = false
+		return
+	}
+	a.reach = append(a.reach, ids...)
+}
+
+// noteReachedWord is noteReached for the packed kernels: the newly
+// stamped ids are base+q for every set bit q of w.
+func (a *arena) noteReachedWord(base int, w uint64) {
+	if !a.reachOK {
+		return
+	}
+	if len(a.reach)+bits.OnesCount64(w) > a.reachMax {
+		a.reachOK = false
+		return
+	}
+	for ; w != 0; w &= w - 1 {
+		a.reach = append(a.reach, int32(base+bits.TrailingZeros64(w)))
+	}
 }
 
 // growProduct sizes dist/parent/plabel for ids in [0, n).
@@ -75,16 +139,26 @@ func (a *arena) growProduct(n int) {
 // growWords returns the three per-vertex word arrays of a bit-parallel
 // search (visited / current frontier / next frontier), each n words,
 // zeroed. Unlike the stamped sets the words cannot be epoch-cleared —
-// membership lives in individual bits — so reuse pays one memclear;
-// the backing slice itself is pooled with the arena (0 allocs warm).
+// membership lives in individual bits — so the arena keeps them zero
+// BETWEEN sweeps instead: every word of w64 past the first w64Hot is
+// zero. Handing the arrays out marks them hot; a sweep that can name the
+// words it dirtied zeroes those and calls wordsClean, any other leaves
+// the mark and the next growWords pays the memclear. The backing slice
+// itself is pooled with the arena (0 allocs warm).
 func (a *arena) growWords(n int) (vis, cur, nxt []uint64) {
 	if cap(a.w64) < 3*n {
 		a.w64 = make([]uint64, 3*n)
+	} else {
+		clear(a.w64[:a.w64Hot])
 	}
+	a.w64Hot = 3 * n
 	w := a.w64[:3*n]
-	clear(w)
 	return w[:n:n], w[n : 2*n : 2*n], w[2*n:]
 }
+
+// wordsClean records that the running sweep zeroed every word it
+// dirtied, restoring the all-zero invariant without a memclear.
+func (a *arena) wordsClean() { a.w64Hot = 0 }
 
 // growSat returns the saturation bitmap of a bit-parallel search: one
 // bit per vertex, set once the vertex's visited word equals the

@@ -61,19 +61,13 @@ func (s *Solver) BatchSolve(g *graph.Graph, pairs []Pair) []Result {
 	return NewBatchSolver(s, g).Solve(pairs)
 }
 
-// pin pins the graph's current view and dispatch verdict for one batch.
-func (bs *BatchSolver) pin() *pinned {
-	vw := bs.g.PinView()
-	return &pinned{vw: vw, epoch: vw.Epoch(), algo: bs.s.ChooseAlgorithm(bs.g)}
-}
-
 // Solve answers every pair, in order: out[i] is the answer to pairs[i].
 // Pairs with out-of-range vertex ids get Result{Found: false}, exactly
 // like the per-query surface. Queries are grouped by target so each
 // group shares its y-side table, and groups run on the worker pool.
 func (bs *BatchSolver) Solve(pairs []Pair) []Result {
 	out := make([]Result, len(pairs))
-	bs.solvePairs(bs.pin(), pairs, answers{out: out})
+	bs.solvePairs(bs.s.pin(bs.g), pairs, answers{out: out})
 	return out
 }
 
@@ -86,6 +80,6 @@ func (bs *BatchSolver) Solve(pairs []Pair) []Result {
 // markedly cheaper than Solve there.
 func (bs *BatchSolver) SolveExists(pairs []Pair) []bool {
 	found := make([]bool, len(pairs))
-	bs.solvePairs(bs.pin(), pairs, answers{found: found})
+	bs.solvePairs(bs.s.pin(bs.g), pairs, answers{found: found})
 	return found
 }

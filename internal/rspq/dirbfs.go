@@ -316,6 +316,7 @@ func (p *product) buProbeCo(a *arena, v, q, L int) bool {
 func (p *product) distToGoalSeq(y int, a *arena) {
 	nm := p.n * p.m
 	a.dst.reset(nm)
+	a.resetReach(nm)
 	a.growProduct(nm)
 	cur, nxt := a.queue[:0], a.queue2[:0]
 	frontEdges := int64(0)
@@ -335,6 +336,7 @@ func (p *product) distToGoalSeq(y int, a *arena) {
 	dc := p.dirConfig()
 	bottomUp := false
 	for d := int32(1); len(cur) > 0; d++ {
+		a.noteReached(cur) // every stamped id enters exactly one frontier
 		prev := bottomUp
 		bottomUp = dc.choose(bottomUp, frontEdges, unvisEdges, int64(len(cur)), int64(nm))
 		if bottomUp != prev {

@@ -1,6 +1,7 @@
 package rspq
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -200,6 +201,7 @@ func TestKernelSetAndDistEquality(t *testing.T) {
 								k, m.name, y, i, got, dist[i])
 						}
 					}
+					checkSweepContracts(t, &p, a, fmt.Sprintf("K=%d mode=%s y=%d", k, m.name, y))
 					a.release()
 				}
 				SetDirectionMode(DirAuto)

@@ -210,7 +210,7 @@ func (p *product) distToGoalBits(y int, a *arena, pk *automaton.Packed) {
 	}
 	p.runDone(&dc, td, bu, sw)
 	a.queue, a.queue2 = curQ[:0], nxtQ[:0]
-	p.stampWitnessLog(a)
+	p.stampWitnessLog(a, vis)
 }
 
 // buPullBitsLinked is buPullBits with discovery attribution: the pull
@@ -257,23 +257,38 @@ func (p *product) buPullBitsLinked(a *arena, pk *automaton.Packed, cur []uint64,
 // stampWitnessLog converts the per-level witness log into the
 // distance half of the distToGoal contract: level d's logged bits are
 // exactly the states at distance d, so one pass over the log stamps
-// a.dst and a.dist. Parents were already written at discovery time,
-// so no linking pass runs here.
-func (p *product) stampWitnessLog(a *arena) {
-	a.dst.reset(p.n * p.m)
+// a.dst and a.dist and fills the reach list. Parents were already
+// written at discovery time, so no linking pass runs here.
+//
+// The same pass restores the arena's zero-words invariant (growWords):
+// at sweep exit cur and nxt are zero by construction and vis is non-zero
+// exactly on the logged vertices, so a short sweep — one whose reach
+// list survived — zeroes those entries and hands the words back clean.
+func (p *product) stampWitnessLog(a *arena, vis []uint64) {
+	nm := p.n * p.m
+	a.dst.reset(nm)
+	a.resetReach(nm)
 	lg := &a.wlog
 	for d := 0; d < lg.levels(); d++ {
 		lo, hi := lg.level(d)
 		for i := lo; i < hi; i++ {
-			base := int(lg.v[i]) * p.m
-			for b := lg.w[i]; b != 0; {
+			v, w := int(lg.v[i]), lg.w[i]
+			base := v * p.m
+			for b := w; b != 0; {
 				q := bits.TrailingZeros64(b)
 				b &= b - 1
 				id := base + q
 				a.dst.add(id)
 				a.dist[id] = int32(d)
 			}
+			a.noteReachedWord(base, w)
+			if a.reachOK {
+				vis[v] = 0
+			}
 		}
+	}
+	if a.reachOK {
+		a.wordsClean()
 	}
 }
 
@@ -339,6 +354,26 @@ func (p *product) distToGoalBitsSharded(y int, a *arena, pk *automaton.Packed) {
 	}
 	p.runDone(&dc, td, bu, sw)
 	p.replayWitnessLogSharded(ex, K, a, pk, cur)
+	// After the replay's last barrier the driver runs alone again: fill
+	// the reach list from the per-shard logs and, for a short sweep, zero
+	// the visited words of the logged vertices (growWords invariant). cur
+	// and nxt are zero already: every round clears what it installed, and
+	// the replay, which borrowed cur as its previous-level scratch, ends
+	// on the empty level the last round sealed, clearing the one before.
+	a.resetReach(p.n * p.m)
+scan:
+	for s := 0; s < K; s++ {
+		for i, v := range ex.lgV[s] {
+			a.noteReachedWord(int(v)*p.m, ex.lgW[s][i])
+			if !a.reachOK {
+				break scan
+			}
+			vis[v] = 0
+		}
+	}
+	if a.reachOK {
+		a.wordsClean()
+	}
 	ex.release()
 }
 

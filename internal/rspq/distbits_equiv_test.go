@@ -1,6 +1,7 @@
 package rspq
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -98,6 +99,7 @@ func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, m kernelMode, k, y
 			t.Fatalf("mode=%s K=%d y=%d: dist[%d] = %d, reference %d", m.name, k, y, i, got, want[i])
 		}
 	}
+	checkSweepContracts(t, &p, a, fmt.Sprintf("mode=%s K=%d y=%d", m.name, k, y))
 	for x := 0; x < p.n; x++ {
 		d := want[p.id(x, s.Min.Start)]
 		walk := p.sharedWalkFrom(a, x)

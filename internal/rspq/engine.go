@@ -294,9 +294,10 @@ func (e *Engine) ShardsAdaptive() bool { return e.adaptive }
 // simply stop matching.
 //
 // This is the no-freeze read path of streaming workloads: the rebuild
-// goes through graph.SnapshotView, which pins a small pending delta as
-// a sorted read overlay on the last frozen base (graph.View) instead of
-// refreezing. Mutations therefore cost O(1) at mutation time and
+// goes through Solver.pin and graph.SnapshotView, which pins a small
+// pending delta as a sorted read overlay on the last frozen base
+// (graph.View) instead of refreezing — and asks for the graph's
+// acyclicity verdict only when the language dispatches on it. Mutations therefore cost O(1) at mutation time and
 // roughly O(delta) at the next snapshot — never a stop-the-world
 // re-sort — and in-flight queries are untouched: they hold their own
 // snap, which stays valid because views are immutable. Merging the
@@ -313,8 +314,7 @@ func (e *Engine) snapshot() *pinned {
 	if s := e.snap.Load(); s != nil && s.epoch == e.g.Epoch() {
 		return s
 	}
-	vw, acyclic, epoch := e.g.SnapshotView()
-	s := &pinned{vw: vw, epoch: epoch, algo: e.s.algorithmFor(acyclic)}
+	s := e.s.pin(e.g)
 	e.snap.Store(s)
 	e.met.rebuilds.Inc()
 	return s
@@ -341,8 +341,7 @@ func (e *Engine) Compact() bool {
 	}
 	t0 := time.Now()
 	e.g.Freeze() // merge the delta into the base (incremental when it qualifies)
-	vw, acyclic, epoch := e.g.SnapshotView()
-	e.snap.Store(&pinned{vw: vw, epoch: epoch, algo: e.s.algorithmFor(acyclic)})
+	e.snap.Store(e.s.pin(e.g))
 	el := time.Since(t0)
 	e.met.compactions.Inc()
 	e.met.compactSeconds.ObserveDuration(el)
@@ -512,6 +511,8 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 			},
 		}
 		tr.TableCacheHit = st.tableHit
+		tr.TableStates = st.tableStates
+		tr.TableBytes = st.tableBytes
 		tr.BitParallel = st.kt.bitParallel
 		tr.TopDownRounds = st.kt.td
 		tr.BottomUpRounds = st.kt.bu

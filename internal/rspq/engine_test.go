@@ -2,6 +2,8 @@ package rspq
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -342,6 +344,151 @@ func TestEngineMissAllocGuard(t *testing.T) {
 		if avg > limit {
 			t.Fatalf("%s: Engine.Exists on an unseen target allocates %.2f allocs/op; the bound is %.0f", c.name, avg, limit)
 		}
+	}
+}
+
+// sparseGraph100k builds a 100 000-vertex graph with two random
+// out-edges a vertex in O(edges) (graph.RandomRegular draws a
+// permutation per vertex). Each label's in-degree averages 2/3, so a
+// backward a*c* sweep is a subcritical branching process: a handful to a
+// few hundred product states, never a flood.
+func sparseGraph100k() *graph.Graph {
+	const n = 100000
+	rng := rand.New(rand.NewSource(100))
+	labels := []byte{'a', 'b', 'c'}
+	g := graph.New(n)
+	for u := 0; u < n; u++ {
+		for k := 0; k < 2; k++ {
+			g.AddEdge(u, labels[rng.Intn(len(labels))], rng.Intn(n))
+		}
+	}
+	return g
+}
+
+// TestEngineMissWorkGuard pins what a table miss on the cached
+// walk-reduction tier may cost when its sweep is short, in exact work
+// rather than time: on a 100k-vertex graph whose backward sweeps reach
+// under 1k product states, a miss allocates under 64 KiB (the dense
+// export allocated 9 B per product id — 2.7 MB here — whatever the sweep
+// touched) and 256 retained tables stay under 4 MiB. The engine runs the
+// configuration a server would: default caches, adaptive sharding.
+func TestEngineMissWorkGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
+	}
+	s, err := NewSolver("a*c*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sparseGraph100k()
+	n := g.NumVertices()
+	e := NewEngine(s, g, EngineConfig{})
+	if e.Stats().Shards <= 1 {
+		t.Fatalf("test premise broken: the engine must run the sharded kernels, Shards = %d", e.Stats().Shards)
+	}
+	for y := 0; y < 32; y++ { // warm the arena and exchange pools
+		e.Solve((y*31)%n, n-1-y)
+	}
+	const misses = 256
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for y := 0; y < misses; y++ {
+		e.Solve((y*7919)%n, y*389) // 256 distinct targets, none seen before
+	}
+	runtime.ReadMemStats(&m1)
+	if perMiss := (m1.TotalAlloc - m0.TotalAlloc) / misses; perMiss >= 64<<10 {
+		t.Fatalf("a short-sweep table miss allocates %d B on average; the bound is 64 KiB", perMiss)
+	}
+	st := e.Stats().Tables
+	if st.Misses < misses || st.Entries < misses {
+		t.Fatalf("every query must have missed and retained its table: %+v", st)
+	}
+	if st.Bytes >= 4<<20 {
+		t.Fatalf("%d short-sweep tables occupy %d B of the table cache; the bound is 4 MiB", st.Entries, st.Bytes)
+	}
+	// The premise, checked on a sample through the trace: the sweeps are
+	// short and their tables are the sparse form.
+	for y := 0; y < misses; y += 16 {
+		_, tr := e.SolveTraced(1, y*389)
+		if !tr.TableCacheHit || tr.TableStates >= 1000 || tr.TableBytes != sparseGoalTableCost(tr.TableStates) {
+			t.Fatalf("target %d: trace %+v; want a cached sparse table of < 1000 states", y*389, tr)
+		}
+	}
+}
+
+// TestGoalTableSparseEqualsDense builds both goal-table forms from the
+// same arena — calling the two builders directly, whatever
+// exportGoalTable would have picked — and requires them to answer alike
+// for EVERY product id: reached bits, and the walk read off the links
+// from (x, q) for every vertex x and every state q standing in as the
+// start state, which covers unreachable ids, goal ids (the empty walk)
+// and every id in between. Walks from the real start state are checked
+// against the graph and the DFA as well.
+func TestGoalTableSparseEqualsDense(t *testing.T) {
+	for _, tc := range []struct {
+		pattern string
+		g       *graph.Graph
+	}{
+		{"a*c*", graph.RandomRegular(120, []byte{'a', 'b', 'c'}, 3, 5)},
+		{"a*(bb+|())c*", graph.Random(60, []byte{'a', 'b', 'c'}, 0.03, 8)},
+		{"(a|b)*a(a|b)*", graph.LayeredDAG(7, 6, 2, []byte{'a', 'b'}, 3)},
+	} {
+		s, err := NewSolver(tc.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := tc.g
+		isolated := g.AddVertex()
+		for _, k := range []int{0, 3} {
+			g.SetShards(k)
+			a := new(arena)
+			p := makeProduct(g.PinView(), s.Min, a)
+			for _, y := range []int{0, 7, g.NumVertices() / 2, isolated} {
+				p.distToGoal(y, a)
+				nm := p.n * p.m
+				if !a.reachOK { // a flooding sweep: list the stamped ids by hand
+					a.reach = a.reach[:0]
+					for id := 0; id < nm; id++ {
+						if a.dst.has(id) {
+							a.reach = append(a.reach, int32(id))
+						}
+					}
+					rand.New(rand.NewSource(int64(y))).Shuffle(len(a.reach), func(i, j int) {
+						a.reach[i], a.reach[j] = a.reach[j], a.reach[i]
+					})
+				}
+				// Sparse first: its build borrows a.dist and must hand it back intact.
+				sparse, dense := newSparseGoalTable(a), newDenseGoalTable(&p, a)
+				if dense.ids != nil || sparse.ids == nil || dense.states != sparse.states || sparse.states != len(a.reach) {
+					t.Fatalf("%s y=%d: forms (dense ids=%v states=%d, sparse ids=%v states=%d), %d reached",
+						tc.pattern, y, dense.ids != nil, dense.states, sparse.ids != nil, sparse.states, len(a.reach))
+				}
+				for id := 0; id < nm; id++ {
+					if d, sp := dense.reached(id), sparse.reached(id); d != sp || d != a.dst.has(id) {
+						t.Fatalf("%s y=%d id=%d: reached dense=%v sparse=%v arena=%v", tc.pattern, y, id, d, sp, a.dst.has(id))
+					}
+				}
+				for x := 0; x < p.n; x++ {
+					for q := 0; q < p.m; q++ {
+						dw, sw := dense.walkFrom(x, q, p.m), sparse.walkFrom(x, q, p.m)
+						if (dw == nil) != (sw == nil) || (dw == nil) == a.dst.has(p.id(x, q)) {
+							t.Fatalf("%s y=%d (%d,q%d): walk dense=%v sparse=%v, stamped=%v", tc.pattern, y, x, q, dw, sw, a.dst.has(p.id(x, q)))
+						}
+						if dw == nil {
+							continue
+						}
+						if !slices.Equal(dw.Vertices, sw.Vertices) || !slices.Equal(dw.Labels, sw.Labels) {
+							t.Fatalf("%s y=%d (%d,q%d): dense walk %v, sparse walk %v", tc.pattern, y, x, q, dw, sw)
+						}
+						if q == s.Min.Start {
+							checkWalkBitValid(t, s, g, sw, x, y, a.dist[p.id(x, q)])
+						}
+					}
+				}
+			}
+		}
+		g.SetShards(0)
 	}
 }
 

@@ -2,6 +2,7 @@ package rspq
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,6 +100,20 @@ type solveTiming struct {
 	tableNs  int64
 	kernelNs int64
 	tableHit bool
+
+	// The goal table the query built or hit, if any: how many product
+	// states its sweep reached and what the table cache retains for it.
+	tableStates int
+	tableBytes  int64
+}
+
+// noteGoalTable records the goal table a traced query was served from.
+func (st *solveTiming) noteGoalTable(t *goalTable, hit bool) {
+	if st == nil {
+		return
+	}
+	st.tableHit = st.tableHit || hit
+	st.tableStates, st.tableBytes = t.states, t.cost()
 }
 
 // evaluator answers target groups for one language. The zero value of
@@ -225,11 +240,9 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		gt := ev.cachedGoalTable(pv, grp.y)
 		ev.observeTable(t0, st)
 		if gt != nil {
-			if st != nil {
-				st.tableHit = true
-			}
+			st.noteGoalTable(gt, true)
 			for j, x := range grp.xs {
-				w.set(grp.idx[j], Result{Found: gt.dist[x*d.NumStates+d.Start] >= 0})
+				w.set(grp.idx[j], Result{Found: gt.reached(x*d.NumStates + d.Start)})
 			}
 			break
 		}
@@ -431,23 +444,63 @@ func exportCoTable(s *stamped, n int) *coTable {
 }
 
 // goalTable is the frozen result of one backward product BFS toward an
-// accepting (y, ·) goal: distances (-1 = unreachable), successor links
-// one step closer to the goal, and the labels of those steps. It
-// answers existence in O(1) and yields a shortest walk from any source
-// in O(walk length). Safe for concurrent readers.
+// accepting (y, ·) goal: for every reached product state its distance,
+// the successor one step closer to the goal and the label of that step.
+// It answers existence by one lookup and yields a shortest walk from any
+// source in O(walk length). Safe for concurrent readers.
+//
+// It is kept in one of two forms, chosen by exportGoalTable from how
+// much of the product the sweep reached (sparseFill); consumers see only
+// reached and walkFrom.
+//
+//	dense   ids == nil. The three arrays are indexed by product id,
+//	        dist is -1 where unreached, parent is a product id.
+//	        9 B per PRODUCT id, whatever the sweep touched.
+//	sparse  ids holds the reached product ids in ascending order, the
+//	        three arrays run parallel to it, and parent is an INDEX into
+//	        ids — so a walk costs one binary search, then O(length).
+//	        13 B per REACHED id.
 type goalTable struct {
+	ids    []int32
 	dist   []int32
 	parent []int32
 	plabel []byte
+	states int // product states the sweep reached
 }
 
-func (t *goalTable) cost() int64 { return goalTableCost(len(t.dist)) }
+// goalTableCost and sparseGoalTableCost are the byte footprints of the
+// two forms, over nm product ids and r reached ids; both are computable
+// before the table is built (see cache.Retainable).
+func goalTableCost(nm int) int64      { return int64(nm)*9 + 72 }
+func sparseGoalTableCost(r int) int64 { return int64(r)*13 + 96 }
 
-// goalTableCost is the byte footprint of a goalTable over n dense ids.
-func goalTableCost(n int) int64 { return int64(n)*9 + 72 }
+func (t *goalTable) cost() int64 {
+	if t.ids != nil {
+		return sparseGoalTableCost(len(t.ids))
+	}
+	return goalTableCost(len(t.dist))
+}
 
-// exportGoalTable freezes the arena's distToGoal output.
+// exportCost is the cost of the table exportGoalTable would freeze from
+// the arena's current distToGoal output.
+func exportCost(p *product, a *arena) int64 {
+	if a.reachOK {
+		return sparseGoalTableCost(len(a.reach))
+	}
+	return goalTableCost(p.n * p.m)
+}
+
+// exportGoalTable freezes the arena's distToGoal output: sparse when the
+// sweep was short enough to keep its reach list, so a miss costs
+// O(reached) instead of O(V·|Q|); dense otherwise.
 func exportGoalTable(p *product, a *arena) *goalTable {
+	if a.reachOK {
+		return newSparseGoalTable(a)
+	}
+	return newDenseGoalTable(p, a)
+}
+
+func newDenseGoalTable(p *product, a *arena) *goalTable {
 	nm := p.n * p.m
 	t := &goalTable{
 		dist:   make([]int32, nm),
@@ -459,6 +512,7 @@ func exportGoalTable(p *product, a *arena) *goalTable {
 			t.dist[i] = a.dist[i]
 			t.parent[i] = a.parent[i]
 			t.plabel[i] = a.plabel[i]
+			t.states++
 		} else {
 			t.dist[i] = -1
 		}
@@ -466,22 +520,78 @@ func exportGoalTable(p *product, a *arena) *goalTable {
 	return t
 }
 
+// newSparseGoalTable freezes the reached ids only, from the arena's
+// (valid) reach list. Successor links are re-expressed as rows of the
+// sorted id array; to translate them without a search per link, each
+// reached id's row is parked in a.dist — whose value the table has
+// just copied — for the duration of the build and the distances are put
+// back before returning. Goal states (dist 0) have no successor.
+func newSparseGoalTable(a *arena) *goalTable {
+	r := len(a.reach)
+	words := make([]int32, 3*r)
+	t := &goalTable{
+		ids:    words[:r:r],
+		dist:   words[r : 2*r : 2*r],
+		parent: words[2*r:],
+		plabel: make([]byte, r),
+		states: r,
+	}
+	copy(t.ids, a.reach)
+	slices.Sort(t.ids)
+	for i, id := range t.ids {
+		t.dist[i], a.dist[id] = a.dist[id], int32(i)
+	}
+	for i, id := range t.ids {
+		if t.dist[i] > 0 {
+			t.parent[i] = a.dist[a.parent[id]]
+			t.plabel[i] = a.plabel[id]
+		}
+	}
+	for i, id := range t.ids {
+		a.dist[id] = t.dist[i]
+	}
+	return t
+}
+
+// slot returns the row of product id in the table's arrays, -1 when the
+// sweep never reached it.
+func (t *goalTable) slot(id int) int {
+	if t.ids != nil {
+		if i, ok := slices.BinarySearch(t.ids, int32(id)); ok {
+			return i
+		}
+		return -1
+	}
+	if t.dist[id] < 0 {
+		return -1
+	}
+	return id
+}
+
+// reached reports whether some L-suffix walk leads from product id to
+// the goal.
+func (t *goalTable) reached(id int) bool { return t.slot(id) >= 0 }
+
 // walkFrom reads a shortest L-labeled walk from x off the frozen
 // successor links — the cached-table analogue of sharedWalkFrom — or
 // nil when no walk exists. m is the DFA state count, start its start
 // state.
 func (t *goalTable) walkFrom(x, start, m int) *graph.Path {
-	cur := x*m + start
-	if t.dist[cur] < 0 {
+	i := t.slot(x*m + start)
+	if i < 0 {
 		return nil
 	}
-	vs := make([]int, 0, t.dist[cur]+1)
-	ls := make([]byte, 0, t.dist[cur])
+	vs := make([]int, 0, t.dist[i]+1)
+	ls := make([]byte, 0, t.dist[i])
 	vs = append(vs, x)
-	for t.dist[cur] > 0 {
-		ls = append(ls, t.plabel[cur])
-		cur = int(t.parent[cur])
-		vs = append(vs, cur/m)
+	for t.dist[i] > 0 {
+		ls = append(ls, t.plabel[i])
+		i = int(t.parent[i])
+		id := i
+		if t.ids != nil {
+			id = int(t.ids[i])
+		}
+		vs = append(vs, id/m)
 	}
 	return &graph.Path{Vertices: vs, Labels: ls}
 }
@@ -538,22 +648,21 @@ func (ev *evaluator) goalViewFor(pv *pinned, a *arena, y int, st *solveTiming) g
 	t0 := ev.clock()
 	if t := ev.cachedGoalTable(pv, y); t != nil {
 		ev.observeTable(t0, st)
-		if st != nil {
-			st.tableHit = true
-		}
+		st.noteGoalTable(t, true)
 		return goalView{t: t}
 	}
 	p := ev.product(pv, a, st)
 	k0 := ev.clock()
 	p.distToGoal(y, a)
 	ev.observeKernel(k0, st)
-	if ev.tables == nil || !ev.tables.Retainable(goalTableCost(p.n*p.m)) {
+	if ev.tables == nil || !ev.tables.Retainable(exportCost(&p, a)) {
 		return goalView{p: p, a: a}
 	}
 	t1 := ev.clock()
 	t := exportGoalTable(&p, a)
 	ev.tables.Put(ev.tableKey(pv, y, -1, tableGoal), t, t.cost())
 	ev.observeTable(t1, st)
+	st.noteGoalTable(t, false)
 	return goalView{t: t}
 }
 
@@ -571,11 +680,13 @@ func (ev *evaluator) answerGoal(v goalView, algo Algorithm, x int) Result {
 		return Result{}
 	}
 	if algo == AlgoSubword {
-		walk = walk.RemoveLoops()
-		if !d.Member(walk.Word()) {
-			// Cannot happen for genuinely subword-closed languages.
+		simple := walk.RemoveLoops()
+		if simple != walk && !d.Member(simple.Word()) {
+			// Cannot happen for genuinely subword-closed languages (and a
+			// walk that lost nothing already ended in an accepting state).
 			return Result{}
 		}
+		walk = simple
 	}
 	return Result{Found: true, Path: walk}
 }

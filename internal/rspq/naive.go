@@ -60,9 +60,10 @@ func Subword(g *graph.Graph, d *automaton.DFA, x, y int) Result {
 		return Result{}
 	}
 	simple := walk.RemoveLoops()
-	if !d.Member(simple.Word()) {
+	if simple != walk && !d.Member(simple.Word()) {
 		// Cannot happen for genuinely subword-closed languages; guard
-		// against misuse.
+		// against misuse. A walk that lost nothing needs no re-check: the
+		// product BFS already ended it in an accepting state.
 		return Result{}
 	}
 	return Result{Found: true, Path: simple}

@@ -279,6 +279,11 @@ func TestDispatcherChoices(t *testing.T) {
 		{"a*(bb+|())c*", true, AlgoSummary},
 		{"(aa)*", true, AlgoBaseline},
 		{"a*(bb+|())c*", false, AlgoDAG},
+		{"(aa)*", false, AlgoDAG},
+		// Language first: a finite or subword-closed language never asks
+		// whether the graph is acyclic.
+		{"ab|ba", false, AlgoFinite},
+		{"a*c*", false, AlgoSubword},
 	}
 	cyc := graph.LabeledCycle("ab")
 	dag := graph.LayeredDAG(3, 2, 1, []byte{'a'}, 1)
@@ -290,6 +295,60 @@ func TestDispatcherChoices(t *testing.T) {
 		}
 		if got := s.ChooseAlgorithm(g); got != c.want {
 			t.Errorf("ChooseAlgorithm(%q, cyclic=%v) = %v, want %v", c.pattern, c.cyclic, got, c.want)
+		}
+	}
+}
+
+// TestAcyclicVerdictOnlyWhereRead drives an Engine over a cyclic graph
+// through epochs that remove edges — each one drops a "cyclic" verdict,
+// so recomputing it costs an O(V+E) pass — and pins who pays: a language
+// whose tier the verdict cannot change (subword-closed, finite) leaves
+// the verdict unknown forever, through queries, batches and compactions;
+// a language that dispatches on it (Ψtr summary, NP baseline) knows it
+// again after the first query of every epoch.
+func TestAcyclicVerdictOnlyWhereRead(t *testing.T) {
+	cases := []struct {
+		pattern string
+		reads   bool
+	}{
+		{"a*c*", false},
+		{"ab|ba|aab", false},
+		{"a*(bb+|())c*", true},
+		{"(aa)*", true},
+	}
+	for _, c := range cases {
+		s := mustSolver(t, c.pattern)
+		g := graph.RandomRegular(30, []byte{'a', 'b', 'c'}, 3, 9) // cyclic
+		e := NewEngine(s, g, EngineConfig{CompactDelta: -1})
+		bs := NewBatchSolver(s, g)
+		if _, known := g.AcyclicVerdict(); known != c.reads {
+			t.Fatalf("%q: verdict known=%v after NewEngine, want %v", c.pattern, known, c.reads)
+		}
+		for epoch := 0; epoch < 6; epoch++ {
+			victim := g.OutEdges(epoch)[0]
+			if !g.RemoveEdge(victim.From, victim.Label, victim.To) {
+				t.Fatalf("%q: edge %v vanished", c.pattern, victim)
+			}
+			if _, known := g.AcyclicVerdict(); known {
+				t.Fatalf("%q epoch %d: removing an edge must drop the verdict", c.pattern, epoch)
+			}
+			want := s.Solve(rebuiltOracle(g), 3, 17).Found
+			if got := e.Solve(3, 17).Found; got != want {
+				t.Fatalf("%q epoch %d: Engine.Solve = %v, rebuilt graph says %v", c.pattern, epoch, got, want)
+			}
+			if _, known := g.AcyclicVerdict(); known != c.reads {
+				t.Fatalf("%q epoch %d: verdict known=%v after the first query, want %v", c.pattern, epoch, known, c.reads)
+			}
+			e.Exists(5, 17)
+			e.BatchSolve([]Pair{{X: 1, Y: 2}, {X: 4, Y: 2}})
+			bs.SolveExists([]Pair{{X: 1, Y: 2}})
+			s.Warm(g)
+			if epoch%2 == 1 {
+				e.Compact()
+			}
+			if _, known := g.AcyclicVerdict(); known != c.reads {
+				t.Fatalf("%q epoch %d: verdict known=%v at the end of the epoch, want %v", c.pattern, epoch, known, c.reads)
+			}
 		}
 	}
 }

@@ -339,6 +339,135 @@ func TestShardedGrownOverlayEquivalence(t *testing.T) {
 	}
 }
 
+// checkSweepContracts asserts, right after a distToGoal sweep on a, the
+// two contracts that let its consumers pay O(reached): a reach list that
+// is still valid names exactly the stamped ids, each once; and the
+// arena's packed words are zero wherever they are not marked hot. It
+// reports whether the list was valid.
+func checkSweepContracts(t *testing.T, p *product, a *arena, ctx string) bool {
+	t.Helper()
+	for i, w := range a.w64[a.w64Hot:cap(a.w64)] {
+		if w != 0 {
+			t.Fatalf("%s: packed word %d is %#x after the sweep but only the first %d are marked hot",
+				ctx, a.w64Hot+i, w, a.w64Hot)
+		}
+	}
+	if !a.reachOK {
+		return false
+	}
+	nm := p.n * p.m
+	if len(a.reach) > nm/sparseFill {
+		t.Fatalf("%s: a valid reach list of %d ids outgrew the sparse threshold %d", ctx, len(a.reach), nm/sparseFill)
+	}
+	listed := make(map[int32]bool, len(a.reach))
+	for _, id := range a.reach {
+		if listed[id] {
+			t.Fatalf("%s: reach list names id %d twice", ctx, id)
+		}
+		listed[id] = true
+	}
+	for id := 0; id < nm; id++ {
+		if a.dst.has(id) != listed[int32(id)] {
+			t.Fatalf("%s: id %d stamped=%v but listed=%v", ctx, id, a.dst.has(id), listed[int32(id)])
+		}
+	}
+	return true
+}
+
+// TestSweepReachListAndCleanWords runs all four distToGoal forms
+// (generic and packed, K=1 sequential and K ∈ {3, 5} exchanged on four
+// workers) on a pass-through and on an overlay view of a graph sparse
+// enough that many sweeps stay under the sparse threshold, through ONE
+// arena that alternates mark-only and distance sweeps. Every sweep must
+// answer like a fresh arena running the generic sequential kernels — a
+// word left dirty by one sweep, or zeroed wrongly, shows up as a wrong
+// closure or distance in the next — and must leave the reach list and
+// the words as checkSweepContracts requires. Each form has to see both a
+// kept and an abandoned list, or the case is vacuous.
+func TestSweepReachListAndCleanWords(t *testing.T) {
+	exchangeWorkersOverride.Store(4)
+	defer exchangeWorkersOverride.Store(0)
+	defer SetBitParallel(true)
+	s, err := NewSolver("a*c*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.RandomRegular(300, []byte{'a', 'b', 'c'}, 3, 17)
+	g.AddVertex() // isolated: a sweep that reaches only its own goal states
+	g.Freeze()
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(17))
+	shared := new(arena)
+	kept, dropped := map[string]int{}, map[string]int{}
+
+	check := func(view string, wantOverlay bool) {
+		for rep := 0; rep < 24; rep++ {
+			y := rng.Intn(n)
+			if rep == 0 {
+				y = n - 1
+			}
+			SetBitParallel(false)
+			g.SetShards(0)
+			fresh := new(arena)
+			rp := makeProduct(g.PinView(), s.Min, fresh)
+			if rp.vw.Overlay() != wantOverlay {
+				t.Fatalf("%s: view overlay = %v", view, rp.vw.Overlay())
+			}
+			nm := rp.n * rp.m
+			rp.coReach(y, fresh)
+			wantCo := make([]bool, nm)
+			for i := range wantCo {
+				wantCo[i] = fresh.co.has(i)
+			}
+			rp.distToGoal(y, fresh)
+			for _, bitsOn := range []bool{true, false} {
+				for _, k := range []int{1, 3, 5} {
+					SetBitParallel(bitsOn)
+					g.SetShards(k)
+					form := fmt.Sprintf("bits=%v/sharded=%v", bitsOn, k > 1)
+					ctx := fmt.Sprintf("%s %s K=%d y=%d", view, form, k, y)
+					p := makeProduct(g.PinView(), s.Min, shared)
+					p.coReach(y, shared) // mark-only: leaves the packed words hot
+					for i := range wantCo {
+						if shared.co.has(i) != wantCo[i] {
+							t.Fatalf("%s: coReach differs from a fresh arena at id %d", ctx, i)
+						}
+					}
+					p.distToGoal(y, shared)
+					for i := 0; i < nm; i++ {
+						if got, want := shared.distAt(i), fresh.distAt(i); got != want {
+							t.Fatalf("%s: dist[%d] = %d, fresh arena says %d", ctx, i, got, want)
+						}
+					}
+					if checkSweepContracts(t, &p, shared, ctx) {
+						kept[form]++
+					} else {
+						dropped[form]++
+					}
+					p.distToGoal(y, shared) // back to back: starts from the cleaned words
+					for i := 0; i < nm; i++ {
+						if got, want := shared.distAt(i), fresh.distAt(i); got != want {
+							t.Fatalf("%s: repeat sweep dist[%d] = %d, fresh arena says %d", ctx, i, got, want)
+						}
+					}
+					checkSweepContracts(t, &p, shared, ctx+" (repeat)")
+				}
+			}
+		}
+	}
+	check("pass-through", false)
+	g.SetShards(0)
+	mutateKeepingShape(g, rng, 12, false)
+	check("overlay", true)
+	g.SetShards(0)
+
+	for _, form := range []string{"bits=true/sharded=false", "bits=true/sharded=true", "bits=false/sharded=false", "bits=false/sharded=true"} {
+		if kept[form] == 0 || dropped[form] == 0 {
+			t.Fatalf("%s: %d sweeps kept their reach list, %d abandoned it; the test needs both", form, kept[form], dropped[form])
+		}
+	}
+}
+
 // TestShardedDistancesIdentical pins the synchronous-BFS property the
 // witness comparison relies on: sharded and unsharded shortest-walk
 // distances agree exactly (DAG tier, where the walk IS the answer).
@@ -497,5 +626,4 @@ func BenchmarkExchangeOverheadK1(b *testing.B) {
 			}
 		})
 	}
-	_ = fmt.Sprintf
 }

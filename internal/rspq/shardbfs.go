@@ -329,6 +329,7 @@ func (p *product) distToGoalSharded(y int, a *arena) {
 	K := p.parts.K
 	nm := p.n * p.m
 	a.dst.reset(nm)
+	a.resetReach(nm)
 	a.growProduct(nm)
 	ex := getExch(K)
 	ex.fb.reset(nm)
@@ -351,6 +352,12 @@ func (p *product) distToGoalSharded(y int, a *arena) {
 	dc := p.dirConfig()
 	bottomUp := false
 	for d := int32(1); total > 0; d++ {
+		// Between rounds the driver runs alone: every stamped id sits in
+		// exactly one shard frontier, so the reach list is filled here,
+		// outside the parallel phases.
+		for s := 0; s < K; s++ {
+			a.noteReached(ex.fr[s])
+		}
 		prev := bottomUp
 		bottomUp = dc.choose(bottomUp, frontEdges, unvisEdges, int64(total), int64(nm))
 		if bottomUp != prev {

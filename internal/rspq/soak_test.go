@@ -121,3 +121,97 @@ func TestEngineOverlaySoak(t *testing.T) {
 		t.Fatal("soak never served a query through an overlay view")
 	}
 }
+
+// TestEngineSparseTableChurn is the add/remove churn of the soak above
+// pointed at the walk-reduction tiers, whose Engine answers are read off
+// cached goal tables: on graphs sparse enough that many backward sweeps
+// stay short, every epoch flips edges — read through an overlay view,
+// every fourth epoch through the base a Compact just merged — and then
+// asks, per target, once cold — the table is built, sparse whenever the
+// sweep was short — and once more from another source, which must hit
+// that table. Both answers must pass
+// VerifyWitness and agree, in existence and in length (both tiers return
+// shortest paths), with a freshly compiled Solver on a graph rebuilt
+// from scratch. K=0 runs the sequential kernels, K=5 the exchange.
+func TestEngineSparseTableChurn(t *testing.T) {
+	cases := []struct {
+		name, pattern string
+		tier          Algorithm
+		gen           func() *graph.Graph
+	}{
+		{"subword", "a*c*", AlgoSubword, func() *graph.Graph { return graph.RandomRegular(400, []byte{'a', 'b', 'c'}, 3, 29) }},
+		{"dag", "(a|b)*a(a|b)*", AlgoDAG, func() *graph.Graph { return graph.LayeredDAG(40, 10, 2, []byte{'a', 'b'}, 29) }},
+	}
+	for _, c := range cases {
+		for _, k := range []int{0, 5} {
+			s, err := NewSolver(c.pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := c.gen()
+			n := g.NumVertices()
+			shards := k
+			if k == 0 {
+				shards = -1
+			}
+			e := NewEngine(s, g, EngineConfig{Shards: shards, CompactDelta: -1})
+			rng := rand.New(rand.NewSource(int64(31 + k)))
+			var sparse, dense, hits int
+			for epoch := 0; epoch < 10; epoch++ {
+				mutateKeepingShape(g, rng, 6, c.tier == AlgoDAG)
+				if epoch%4 == 3 {
+					e.Compact()
+				}
+				oracle := rebuiltOracle(g)
+				ref, err := NewSolver(c.pattern)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if algo := ref.ChooseAlgorithm(oracle); algo != c.tier {
+					t.Fatalf("%s: tier %v, want %v", c.name, algo, c.tier)
+				}
+				seen := map[int]bool{}
+				for i := 0; i < 12; i++ {
+					y := rng.Intn(n)
+					if i%2 == 0 {
+						y = rng.Intn(60) // few ancestors on the layered DAG
+					}
+					if seen[y] {
+						continue
+					}
+					seen[y] = true
+					x := rng.Intn(n)
+					for pass, x := range []int{x, (x + 1) % n} {
+						got, tr := e.SolveTraced(x, y)
+						want := ref.Solve(oracle, x, y)
+						if got.Found != want.Found || (got.Found && got.Path.Len() != want.Path.Len()) {
+							t.Fatalf("%s K=%d epoch %d (%d,%d): engine %v, fresh solver on the rebuilt graph %v",
+								c.name, k, epoch, x, y, got.Path, want.Path)
+						}
+						if !VerifyWitness(got, g, s.Min, x, y) {
+							t.Fatalf("%s K=%d epoch %d (%d,%d): invalid witness %v", c.name, k, epoch, x, y, got.Path)
+						}
+						if tr.Tier != c.tier.String() || tr.ResultCacheHit || tr.TableCacheHit != (pass == 1) {
+							t.Fatalf("%s K=%d epoch %d (%d,%d) pass %d: trace %+v", c.name, k, epoch, x, y, pass, tr)
+						}
+						switch {
+						case pass == 1:
+							hits++
+						case tr.TableBytes == sparseGoalTableCost(tr.TableStates):
+							sparse++
+						default:
+							dense++
+						}
+					}
+				}
+			}
+			if sparse == 0 || dense == 0 || hits == 0 {
+				t.Fatalf("%s K=%d: %d sparse and %d dense tables built, %d table hits; the churn must see all three",
+					c.name, k, sparse, dense, hits)
+			}
+			if st := e.Stats(); st.OverlayReads == 0 || st.Compactions == 0 {
+				t.Fatalf("%s K=%d: overlay reads %d, compactions %d; the churn must see both", c.name, k, st.OverlayReads, st.Compactions)
+			}
+		}
+	}
+}

@@ -127,41 +127,52 @@ func NewSolverFromRegex(r *automaton.Regex) (*Solver, error) {
 // g safe and allocation-free at steady state; it is optional for
 // single-goroutine use, where the first query warms the caches.
 //
-// Warm goes through Graph.SnapshotView, which retries until the view,
-// the dispatch caches and the mutation epoch all belong to one
-// generation: a mutation interleaving with the warming can therefore
-// never leave a stale snapshot paired with a newer epoch (or vice
-// versa), which matters to anything — Engine above all — that keys
-// cached tables by epoch. Warming a mutated graph does NOT force a
+// Warm pins exactly like a query does (pin below): the view, the
+// alphabet and — for languages that dispatch on it — the acyclicity
+// verdict all belong to one generation, so a mutation interleaving with
+// the warming can never leave a stale snapshot paired with a newer epoch
+// (or vice versa), which matters to anything — Engine above all — that
+// keys cached tables by epoch. Warming a mutated graph does NOT force a
 // refreeze: small pending deltas are pinned as a read overlay on the
 // last base (graph.View), so queries keep flowing while compaction is
 // deferred.
 func (s *Solver) Warm(g *graph.Graph) {
-	g.SnapshotView()
+	s.pin(g)
 }
 
-// ChooseAlgorithm reports how Solve would answer a query on g. Finite
-// languages dispatch without consulting acyclicity: the verdict cannot
-// change the tier, and computing it on a freshly mutated graph costs an
-// O(V+E) recheck that streaming point queries should not pay.
-func (s *Solver) ChooseAlgorithm(g *graph.Graph) Algorithm {
-	if s.Classification.Finite {
-		return AlgoFinite
+// pin pins g's current view together with the epoch it was pinned under
+// and the tier the language dispatches to on it, retrying if a mutation
+// interleaves so the three belong to one generation. It is the one place
+// BatchSolver, Engine and Warm obtain a dispatch verdict, each under the
+// synchronization it already holds for the lazy pin.
+func (s *Solver) pin(g *graph.Graph) *pinned {
+	for {
+		vw, epoch := g.SnapshotView()
+		algo := s.ChooseAlgorithm(g)
+		if g.Epoch() == epoch {
+			return &pinned{vw: vw, epoch: epoch, algo: algo}
+		}
 	}
-	return s.algorithmFor(g.IsAcyclic())
 }
 
-// algorithmFor is the dispatch rule given the graph's acyclicity
-// verdict; Engine uses it against a frozen snapshot instead of the
-// live graph.
-func (s *Solver) algorithmFor(acyclic bool) Algorithm {
+// ChooseAlgorithm reports how Solve would answer a query on g. The rule
+// is language-first: a finite or subword-closed language dispatches
+// without consulting the graph at all — the verdict cannot change how
+// the query is answered (the DAG and subword tiers are one backward
+// product sweep, and loop removal is the identity on a DAG walk), and
+// computing it on a graph that just lost an edge costs an O(V+E) recheck
+// that streaming point queries should not pay. Only the remaining
+// languages read the graph's acyclicity verdict, where an acyclic input
+// collapses RSPQ to RPQ and spares them the summary or exponential
+// search.
+func (s *Solver) ChooseAlgorithm(g *graph.Graph) Algorithm {
 	switch {
 	case s.Classification.Finite:
 		return AlgoFinite
-	case acyclic:
-		return AlgoDAG
 	case s.SubwordClosed:
 		return AlgoSubword
+	case g.IsAcyclic():
+		return AlgoDAG
 	case s.Classification.Tractable && s.Expr != nil:
 		return AlgoSummary
 	default:
@@ -170,12 +181,13 @@ func (s *Solver) algorithmFor(acyclic bool) Algorithm {
 }
 
 // Solve answers RSPQ(L): is there a simple L-labeled path from x to y
-// in g? The dispatcher follows the trichotomy: finite languages use the
-// AC⁰-tier search, subword-closed languages the Mendelzon–Wood walk
-// reduction, tractable (trC) languages with a Ψtr form the polynomial
-// summary solver, DAG inputs the RPQ collapse, everything else the
-// exact exponential baseline (the problem is NP-complete there, so
-// exponential worst-case time is expected).
+// in g? The dispatcher follows the trichotomy (ChooseAlgorithm): finite
+// languages use the AC⁰-tier search, subword-closed languages the
+// Mendelzon–Wood walk reduction, every other language the RPQ collapse
+// on DAG inputs, tractable (trC) languages with a Ψtr form the
+// polynomial summary solver, everything else the exact exponential
+// baseline (the problem is NP-complete there, so exponential worst-case
+// time is expected).
 func (s *Solver) Solve(g *graph.Graph, x, y int) Result {
 	return s.SolveWith(g, x, y, AlgoAuto)
 }

@@ -47,17 +47,24 @@ type RoundTrace struct {
 // when the query never ran a kernel (result-cache hit, invalid pair,
 // or a tier that answers without a product sweep).
 type QueryTrace struct {
-	X                 int    `json:"x"`
-	Y                 int    `json:"y"`
-	Tier              string `json:"tier"`
-	Epoch             uint64 `json:"epoch"`
-	Overlay           bool   `json:"overlay"`
-	ResultCacheHit    bool   `json:"result_cache_hit"`
-	TableCacheHit     bool   `json:"table_cache_hit"`
-	BitParallel       bool   `json:"bit_parallel"`
-	TopDownRounds     int64  `json:"top_down_rounds"`
-	BottomUpRounds    int64  `json:"bottom_up_rounds"`
-	DirectionSwitches int64  `json:"direction_switches"`
+	X              int    `json:"x"`
+	Y              int    `json:"y"`
+	Tier           string `json:"tier"`
+	Epoch          uint64 `json:"epoch"`
+	Overlay        bool   `json:"overlay"`
+	ResultCacheHit bool   `json:"result_cache_hit"`
+	TableCacheHit  bool   `json:"table_cache_hit"`
+	// TableStates/TableBytes describe the goal table (walk-reduction
+	// tiers) the query built or hit: the product states its backward
+	// sweep reached and the bytes the table cache retains for it. They
+	// tell a miss that swept 300 states from one that flooded the graph;
+	// both are 0 when no goal table was involved.
+	TableStates       int   `json:"table_states,omitempty"`
+	TableBytes        int64 `json:"table_bytes,omitempty"`
+	BitParallel       bool  `json:"bit_parallel"`
+	TopDownRounds     int64 `json:"top_down_rounds"`
+	BottomUpRounds    int64 `json:"bottom_up_rounds"`
+	DirectionSwitches int64 `json:"direction_switches"`
 	// DirAlpha/DirBeta are the α/β switch thresholds the query's kernel
 	// resolved (0 when no direction-optimizing kernel ran); Tuned
 	// reports whether they came from the auto-tuner rather than the

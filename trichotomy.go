@@ -42,8 +42,8 @@
 //   - Graphs follow a build-then-freeze lifecycle: construct with
 //     AddVertex/AddEdge, then query. The first query freezes the graph
 //     into a label-indexed CSR snapshot (contiguous per-label adjacency
-//     in both directions) and caches the alphabet and acyclicity
-//     verdicts. Every mutation (AddEdge, RemoveEdge, AddVertex)
+//     in both directions) and caches the alphabet (and, for languages
+//     whose dispatch reads it, the acyclicity verdict). Every mutation (AddEdge, RemoveEdge, AddVertex)
 //     advances the graph's mutation epoch (Graph.Epoch) and accumulates
 //     in a delta overlay; the next query re-freezes INCREMENTALLY,
 //     merging the delta into the previous snapshot in time proportional
@@ -201,9 +201,9 @@ func (l *Language) Member(word string) bool { return l.solver.Min.Member(word) }
 // lazily. Call it after graph construction when g will be queried from
 // multiple goroutines; single-goroutine use may skip it. Warming after
 // a mutation is cheap: the snapshot is refreshed by merging the
-// pending delta into the previous CSR, and the (CSR, acyclicity,
-// epoch) triple is guaranteed consistent even if a mutation interleaves
-// (see Graph.Snapshot).
+// pending delta into the previous CSR, and the view, the epoch and the
+// dispatch verdict are guaranteed to belong to one generation even if a
+// mutation interleaves (see Graph.SnapshotView).
 func (l *Language) Warm(g *Graph) { l.solver.Warm(g) }
 
 // Solve answers RSPQ(L): is there a simple L-labeled path from x to y?
