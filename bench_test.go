@@ -550,6 +550,41 @@ func BenchmarkFreeze(b *testing.B) {
 	})
 }
 
+// BenchmarkPinViewChurn measures what a write costs the next read: one
+// 320-flip batch plus the PinView that follows it, with 1k, 4k and 16k
+// edges already pending on a 100k-vertex / 300k-edge base. Half of the
+// flips remove a base edge, half add a fresh one, and every other
+// iteration flips the same batch back, so the pending delta stays
+// within 320 of its row's size. ns/op and B/op grow with the pending
+// size only as far as the row blocks a batch touches are already full.
+func BenchmarkPinViewChurn(b *testing.B) {
+	const batch = 320
+	for _, pending := range []int{1_000, 4_000, 16_000} {
+		b.Run(fmt.Sprintf("pending=%dk/batch=%d", pending/1000, batch), func(b *testing.B) {
+			b.ReportAllocs()
+			g, muts := graph.StreamingWorkload(300_000, float64(pending+batch)/300_000, 11)
+			rng := rand.New(rand.NewSource(12))
+			for i := 0; i < len(muts); i += 2 { // every other flip removes a base edge
+				for {
+					if es := g.OutEdges(rng.Intn(g.NumVertices())); len(es) > 0 {
+						muts[i] = es[rng.Intn(len(es))]
+						break
+					}
+				}
+			}
+			g.Freeze()
+			g.PinView()
+			graph.FlipEdges(g, muts[batch:])
+			g.PinView()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				graph.FlipEdges(g, muts[:batch])
+				g.PinView()
+			}
+		})
+	}
+}
+
 // BenchmarkEngineMutate measures the serving engine under a
 // mutate-heavy workload: every iteration applies a one-edge delta and
 // immediately queries, so each query pins a fresh overlay view (and the

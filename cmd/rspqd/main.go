@@ -560,7 +560,7 @@ func main() {
 	tableBytes := flag.Int64("table-bytes", 0, "pruning-table cache budget (0 = default 64 MiB, negative disables)")
 	resultBytes := flag.Int64("result-bytes", 0, "result cache budget (0 = default 16 MiB, negative disables)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, fmt.Sprintf("run backward searches as a parallel frontier exchange over this many row ranges of the snapshot, at most %d (0 = adaptive from edge count and GOMAXPROCS, negative = unsharded)", graph.MaxShards))
+	shards := flag.Int("shards", 0, fmt.Sprintf("run backward searches as a parallel frontier exchange over this many row ranges of the snapshot, at most %d (0 = adaptive from edge count and GOMAXPROCS — unsharded below 128k edges or on one processor, negative = unsharded)", graph.MaxShards))
 	compactDelta := flag.Int("compact-delta", 0, "pending-delta watermark triggering a background compaction (0 = engine default, negative disables the compactor)")
 	compactEvery := flag.Duration("compact-every", 250*time.Millisecond, "background compaction poll interval")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")

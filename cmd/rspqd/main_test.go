@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -372,6 +373,9 @@ func TestCheckFlags(t *testing.T) {
 // enough to trip the adaptive default, and checks that /healthz and
 // /stats both report the engine-chosen partition.
 func TestAdaptiveServer(t *testing.T) {
+	// The adaptive default shards only where a second processor can
+	// run the exchange: pin two, whatever the test machine has.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := graph.New(46000)
 	for i := 0; i < 46000; i++ {
 		g.AddEdge(i, 'a', (i+1)%46000)

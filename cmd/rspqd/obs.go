@@ -98,7 +98,9 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 }
 
 // slowDetail renders what a traced query adds to its slow line: which
-// tier ran, the cache verdicts, and — when a goal table was built or hit
+// tier ran, what pinning its view cost and how large a delta that view
+// overlays (a slow first read of an epoch was slow in the pin or in the
+// sweep), the cache verdicts, and — when a goal table was built or hit
 // — how many product states its sweep reached and what the table costs
 // to retain, which tells a 300-state miss from one that flooded the
 // graph.
@@ -106,8 +108,14 @@ func slowDetail(tr *rspq.QueryTrace) string {
 	if tr == nil {
 		return ""
 	}
-	return fmt.Sprintf(" tier=%s result_cache_hit=%t table_cache_hit=%t table_states=%d table_bytes=%d",
-		tr.Tier, tr.ResultCacheHit, tr.TableCacheHit, tr.TableStates, tr.TableBytes)
+	var pinNanos int64
+	for _, st := range tr.Stages {
+		if st.Stage == "pin" {
+			pinNanos = st.Nanos
+		}
+	}
+	return fmt.Sprintf(" tier=%s pin_us=%d pending=%d result_cache_hit=%t table_cache_hit=%t table_states=%d table_bytes=%d",
+		tr.Tier, pinNanos/1e3, tr.PendingAdds+tr.PendingRemoves, tr.ResultCacheHit, tr.TableCacheHit, tr.TableStates, tr.TableBytes)
 }
 
 // admitPairs applies the -max-inflight admission gate: it reserves n

@@ -198,6 +198,10 @@ func TestQueryTrace(t *testing.T) {
 	if tr.Tier != "dag" || tr.X != 0 || tr.Y != 3 {
 		t.Fatalf("trace header = %+v; want dag tier, x=0, y=3", tr)
 	}
+	if tr.Overlay || tr.PendingAdds != 0 || tr.PendingRemoves != 0 {
+		t.Fatalf("frozen graph: overlay=%v pending=(%d,%d); want a pass-through view with no delta",
+			tr.Overlay, tr.PendingAdds, tr.PendingRemoves)
+	}
 	if tr.TotalNanos <= 0 {
 		t.Fatalf("trace total = %d; want > 0", tr.TotalNanos)
 	}
@@ -247,14 +251,27 @@ func TestQueryTrace(t *testing.T) {
 	if plain.Trace != nil {
 		t.Fatal("untraced query returned a trace")
 	}
+
+	// After a write inside the frozen alphabet the read pins an overlay,
+	// and the trace says how large a delta it overlays.
+	var er edgesResponse
+	postJSON(t, ts.URL+"/edges", `{"add":[{"from":0,"label":"b","to":2},{"from":0,"label":"a","to":3}],"remove":[{"from":1,"label":"b","to":2}]}`, &er)
+	if er.Added != 2 || er.Removed != 1 {
+		t.Fatalf("edges response = %+v; want 2 added, 1 removed", er)
+	}
+	var churned queryResponse
+	postJSON(t, ts.URL+"/query?trace=1", `{"x":0,"y":3}`, &churned)
+	if c := churned.Trace; c == nil || !c.Overlay || c.PendingAdds != 2 || c.PendingRemoves != 1 {
+		t.Fatalf("trace after a write = %+v; want an overlay view with pending_adds=2 pending_removes=1", churned.Trace)
+	}
 }
 
 // TestSlowQueryLine pins what -slow-query logs for /query: with the
 // threshold on, a full solve is traced without being asked to (and the
 // trace stays out of the response), so the slow line carries the tier,
-// the cache verdicts and the goal table's reached-state count and
-// retained bytes; an exists_only request keeps its cheaper path and logs
-// the bare line.
+// the pin time and pending delta of the view it read, the cache verdicts
+// and the goal table's reached-state count and retained bytes; an
+// exists_only request keeps its cheaper path and logs the bare line.
 func TestSlowQueryLine(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 'a', 1)
@@ -298,7 +315,7 @@ func TestSlowQueryLine(t *testing.T) {
 	}
 }
 
-var slowDetailRE = regexp.MustCompile(` tier=dag result_cache_hit=false table_cache_hit=false table_states=[1-9][0-9]* table_bytes=[1-9][0-9]*$`)
+var slowDetailRE = regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=[1-9][0-9]* table_bytes=[1-9][0-9]*$`)
 
 // TestBatchAdmission pins the -max-inflight gate: an oversized batch
 // is rejected with 429 + Retry-After and counted, an in-budget batch

@@ -37,11 +37,12 @@ type CSR struct {
 // Freeze returns the CSR snapshot of the graph, building it on first
 // use and caching it until the next mutation (AddEdge / RemoveEdge /
 // AddVertex). After a mutation, Freeze prefers the incremental path:
-// the mutations accumulated since the last snapshot are merged into it
-// (delta.go) in time proportional to the delta and the buckets it
-// touches, rather than rebuilding and re-sorting all E edges — the
+// the overlay of the mutations accumulated since the last snapshot is
+// flattened into it (delta.go) with one bulk copy of the untouched
+// payload, rather than rebuilding and re-sorting all E edges — the
 // full rebuild only runs for the first freeze, after an alphabet
-// change, or when the delta exceeds deltaMergeLimit of the base.
+// change, or when the delta exceeds deltaMergeLimit of the base. A
+// delta that canceled out exactly reinstates the base as it is.
 //
 // Call Freeze after construction and before sharing the graph across
 // goroutines; the returned CSR itself is immutable and safe for
@@ -49,26 +50,32 @@ type CSR struct {
 // a snapshot of the pre-mutation graph (incremental merges allocate
 // fresh arrays, never touching snapshots already handed out).
 func (g *Graph) Freeze() *CSR {
-	if g.csr == nil {
-		start := time.Now()
-		delta := uint64(len(g.addBuf) + len(g.delBuf))
-		if g.canMergeDelta() {
-			g.csr = g.mergeCSR()
-			g.incBuilds.Add(1)
-		} else {
-			g.csr = buildCSR(g)
-			g.fullBuilds.Add(1)
-		}
-		g.csrBase = g.csr
-		g.addBuf, g.delBuf = nil, nil
-		g.deltaNewLabel = false
-		g.view = nil // an overlay view over the old base is superseded
-		ns := uint64(time.Since(start).Nanoseconds())
-		g.freezeNanos.Add(ns)
-		g.lastFreezeNanos.Store(ns)
-		g.freezeDelta.Add(delta)
-		g.lastFreezeDelta.Store(delta)
+	if g.csr != nil {
+		return g.csr
 	}
+	if g.deltaCanceled() {
+		g.csr = g.csrBase // the base is the snapshot: nothing is built
+		g.deltaNewLabel = false
+		return g.csr
+	}
+	start := time.Now()
+	delta := uint64(len(g.addBuf) + len(g.delBuf))
+	if g.canMergeDelta() {
+		g.csr = g.mergeCSR()
+		g.incBuilds.Add(1)
+	} else {
+		g.csr = buildCSR(g)
+		g.fullBuilds.Add(1)
+	}
+	g.csrBase = g.csr
+	g.addBuf, g.delBuf = nil, nil
+	g.deltaNewLabel = false
+	g.view, g.viewLog = nil, nil // overlays of the old base are superseded
+	ns := uint64(time.Since(start).Nanoseconds())
+	g.freezeNanos.Add(ns)
+	g.lastFreezeNanos.Store(ns)
+	g.freezeDelta.Add(delta)
+	g.lastFreezeDelta.Store(delta)
 	return g.csr
 }
 

@@ -7,19 +7,27 @@ import (
 )
 
 // This file implements the incremental freeze path. Mutating a frozen
-// graph no longer discards the CSR snapshot wholesale: the last built
-// CSR is kept as a merge base and every AddEdge / RemoveEdge since is
-// recorded in a delta overlay (addBuf: edges absent from the base;
-// delBuf: tombstones for base edges). The next Freeze then produces the
-// new snapshot by MERGING the sorted delta into the base — bulk-copying
-// the untouched bucket ranges and three-way-merging only the touched
-// buckets — instead of re-scattering and re-sorting all E edges.
+// graph does not discard the CSR snapshot: the last built CSR is kept
+// as the base, and every AddEdge / RemoveEdge since is recorded as a
+// net set against it (addBuf: edges absent from the base; delBuf:
+// tombstones for base edges — the bookkeeping behind PendingDelta,
+// canOverlay and cancellation).
 //
-// Cost: O(Δ log Δ) to sort the delta, O(touched buckets) merge work,
-// plus one bulk memcpy of the untouched payload and an O(V·L) offset
-// fix-up — against the full rebuild's two O(E) scatter passes and an
-// O(E log) per-bucket sort. On a 100k-edge graph with a 1% delta the
-// merge is an order of magnitude faster (see BenchmarkFreeze).
+// The SORTED form of that delta exists once: the overlay of the pinned
+// view (view.go). The mutators log the edges they touch (Graph.viewLog),
+// a pin sorts that batch alone and re-merges only the buckets it touches
+// (sortedDelta here, overlaySet.extend in view.go), and Freeze flattens
+// the resulting overlay into the next CSR (mergeSide): touched buckets
+// are copied from the overlay, the untouched ranges between them
+// bulk-copied from the base with their offsets shifted. addBuf/delBuf
+// are walked and sorted only when no view has been pinned on the base
+// yet (or its log was forgotten): the whole net delta is then the batch
+// that extends the empty overlay.
+//
+// Cost of a freeze: one extension by what was mutated since the last
+// pin, one bulk memcpy of the payload and an O(V·L) offset fix-up —
+// against the full rebuild's two O(E) scatter passes and an O(E log)
+// per-bucket sort.
 //
 // The merge path requires the alphabet to be unchanged since the base
 // was built: a new (or vanished) label changes the bucket stride of
@@ -72,6 +80,13 @@ func (g *Graph) PendingDelta() (adds, removes int) {
 	return len(g.addBuf), len(g.delBuf)
 }
 
+// deltaCanceled reports whether the mutations since csrBase was built
+// canceled out exactly (e.g. an add/remove pair): same rows, same edges
+// — hence the same alphabet — so the base still describes the graph.
+func (g *Graph) deltaCanceled() bool {
+	return g.csrBase != nil && len(g.addBuf)+len(g.delBuf) == 0 && g.NumVertices() == g.csrBase.n
+}
+
 // canMergeDelta reports whether the pending delta can be merged into
 // csrBase: the base must exist, the alphabet must be unchanged (same
 // labels ⇒ same bucket stride), and the delta must be small enough
@@ -86,100 +101,81 @@ func (g *Graph) canMergeDelta() bool {
 	return slices.Equal(g.csrBase.labels, g.Alphabet())
 }
 
-// deltaEntry is one delta edge projected onto one CSR side: the bucket
-// it lands in ((row, label-id) flattened — int64, since row·L can
-// exceed int32 on huge many-label graphs even though edge counts
-// cannot) and the payload value (the target for the out side, the
-// source for the in side).
+// deltaEntry is one logged edge projected onto one CSR side: the row
+// and the bucket it lands in ((row, label-id) flattened — int64, since
+// row·L can exceed int32 on huge many-label graphs even though edge
+// counts cannot) and the payload value (the target for the out side,
+// the source for the in side).
 type deltaEntry struct {
-	bucket int64
-	val    int32
+	bucket   int64
+	val, row int32
 }
 
-// deltaSide projects the edge set onto one CSR side, sorted by
-// (bucket, val) so the merge can walk touched buckets in order.
+// sortedDelta projects a batch of logged edges onto one CSR side of a
+// graph with n rows, sorted by (bucket, val) so an extension can walk
+// the touched buckets in order. An edge logged k times appears k times
+// (overlaySet.extend reads the parity). Edges whose label the base
+// lacks are dropped: the builders run only when no live edge carries
+// such a label (canOverlay, canMergeDelta), so one in the log was added
+// and removed again since the view it extends was pinned.
 //
 // Whenever every bucket index fits in 32 bits — any graph short of
-// row·label counts in the billions — (bucket, val) is packed into one
-// uint64 and sorted as a plain ordered slice: the same pdqsort without
-// a function call per comparison, which halves the cost of pinning an
-// overlay view on streaming workloads. The packing preserves the
-// (bucket, val) order because both halves are non-negative.
-func deltaSide(edges map[Edge]struct{}, c *CSR, out bool) []deltaEntry {
-	if len(edges) == 0 {
-		return nil
-	}
+// row·label counts in the billions — (bucket, val) is sorted packed
+// into one uint64 (both halves are non-negative, so the order is the
+// same): pdqsort without a function call per comparison, a third of
+// the time.
+func sortedDelta(log []Edge, c *CSR, n int, out bool) []deltaEntry {
 	L := int64(len(c.labels))
-	packed := make([]uint64, 0, len(edges))
-	for e := range edges {
+	es := make([]deltaEntry, 0, len(log))
+	for _, e := range log {
 		lid := int64(c.labelID[e.Label])
-		var b int64
-		var v int32
-		if out {
-			b, v = int64(e.From)*L+lid, int32(e.To)
-		} else {
-			b, v = int64(e.To)*L+lid, int32(e.From)
+		switch {
+		case lid < 0:
+		case out:
+			es = append(es, deltaEntry{int64(e.From)*L + lid, int32(e.To), int32(e.From)})
+		default:
+			es = append(es, deltaEntry{int64(e.To)*L + lid, int32(e.From), int32(e.To)})
 		}
-		if b > math.MaxUint32 {
-			return deltaSideWide(edges, c, out)
-		}
-		packed = append(packed, uint64(b)<<32|uint64(uint32(v)))
+	}
+	if int64(n)*L > math.MaxUint32 {
+		slices.SortFunc(es, func(a, b deltaEntry) int {
+			return cmp.Or(cmp.Compare(a.bucket, b.bucket), cmp.Compare(a.val, b.val))
+		})
+		return es
+	}
+	packed := make([]uint64, len(es))
+	for i, e := range es {
+		packed[i] = uint64(e.bucket)<<32 | uint64(uint32(e.val))
 	}
 	slices.Sort(packed)
-	es := make([]deltaEntry, len(packed))
 	for i, p := range packed {
-		es[i] = deltaEntry{bucket: int64(p >> 32), val: int32(uint32(p))}
+		es[i] = deltaEntry{int64(p >> 32), int32(uint32(p)), int32(uint32(p>>32) / uint32(L))}
 	}
 	return es
 }
 
-// deltaSideWide is the unpacked fallback for bucket indexes past 32
-// bits.
-func deltaSideWide(edges map[Edge]struct{}, c *CSR, out bool) []deltaEntry {
-	L := int64(len(c.labels))
-	es := make([]deltaEntry, 0, len(edges))
-	for e := range edges {
-		lid := int64(c.labelID[e.Label])
-		if out {
-			es = append(es, deltaEntry{bucket: int64(e.From)*L + lid, val: int32(e.To)})
-		} else {
-			es = append(es, deltaEntry{bucket: int64(e.To)*L + lid, val: int32(e.From)})
-		}
-	}
-	slices.SortFunc(es, func(a, b deltaEntry) int {
-		if a.bucket != b.bucket {
-			return cmp.Compare(a.bucket, b.bucket)
-		}
-		return cmp.Compare(a.val, b.val)
-	})
-	return es
-}
-
-// mergeCSR builds the next snapshot by merging the pending delta into
-// csrBase. Preconditions (canMergeDelta): same alphabet as the base,
-// n >= base.n, addBuf ∩ base = ∅ and delBuf ⊆ base (the mutators keep
-// these invariants: re-adding a tombstoned edge cancels the tombstone,
-// removing a not-yet-frozen edge cancels the add).
+// mergeCSR builds the next snapshot by flattening the overlay of the
+// graph's current state into csrBase. Preconditions (canMergeDelta):
+// same alphabet as the base, n >= base.n.
 func (g *Graph) mergeCSR() *CSR {
+	vw := g.view
+	if vw == nil || vw.epoch != g.Epoch() {
+		vw = g.buildOverlayView()
+	}
 	base := g.csrBase
-	n := g.NumVertices()
-	c := &CSR{n: n, m: g.edges, labels: base.labels, labelID: base.labelID}
-	L := len(c.labels)
-	c.outBucket, c.outTo = mergeSide(
-		base.outBucket, base.outTo, n*L,
-		deltaSide(g.addBuf, base, true), deltaSide(g.delBuf, base, true), g.edges)
-	c.inBucket, c.inFrom = mergeSide(
-		base.inBucket, base.inFrom, n*L,
-		deltaSide(g.addBuf, base, false), deltaSide(g.delBuf, base, false), g.edges)
+	c := &CSR{n: vw.n, m: vw.m, labels: base.labels, labelID: base.labelID}
+	nL := vw.n * len(c.labels)
+	c.outBucket, c.outTo = mergeSide(base.outBucket, base.outTo, nL, vw.out, vw.m)
+	c.inBucket, c.inFrom = mergeSide(base.inBucket, base.inFrom, nL, vw.in, vw.m)
 	return c
 }
 
-// mergeSide merges one adjacency side: bulk-copies payload and shifts
-// offsets for the untouched bucket ranges, and three-way-merges (base
-// minus dels, plus adds, all sorted) each touched bucket. nL is the new
-// bucket count (rows may have grown past the base), m the new edge
-// count.
-func mergeSide(baseBucket, basePayload []int32, nL int, adds, dels []deltaEntry, m int) ([]int32, []int32) {
+// mergeSide flattens one adjacency side: the overlay's buckets are
+// copied from their merged contents, and the untouched bucket ranges
+// between them are bulk-copied from the base with their offsets
+// shifted. nL is the new bucket count (rows may have grown past the
+// base), m the new edge count.
+func mergeSide(baseBucket, basePayload []int32, nL int, o *overlaySet, m int) ([]int32, []int32) {
 	newBucket := make([]int32, nL+1)
 	newPayload := make([]int32, m)
 	baseNL := len(baseBucket) - 1
@@ -205,58 +201,17 @@ func mergeSide(baseBucket, basePayload []int32, nL int, adds, dels []deltaEntry,
 		}
 	}
 
-	ai, di := 0, 0
-	for ai < len(adds) || di < len(dels) {
-		tb := nL // next touched bucket
-		if ai < len(adds) {
-			tb = int(adds[ai].bucket)
+	for _, blk := range o.blocks {
+		if blk == nil {
+			continue
 		}
-		if di < len(dels) && int(dels[di].bucket) < tb {
-			tb = int(dels[di].bucket)
+		for _, e := range blk.ents {
+			copyPlain(int(e.bucket))
+			dstEnd += int32(copy(newPayload[dstEnd:], e.vals))
+			cur = int(e.bucket) + 1
+			newBucket[cur] = dstEnd
 		}
-		copyPlain(tb)
-		a0 := ai
-		for ai < len(adds) && int(adds[ai].bucket) == tb {
-			ai++
-		}
-		d0 := di
-		for di < len(dels) && int(dels[di].bucket) == tb {
-			di++
-		}
-		var span []int32
-		if tb < baseNL {
-			span = basePayload[baseBucket[tb]:baseBucket[tb+1]]
-		}
-		dstEnd = mergeBucket(newPayload, dstEnd, span, adds[a0:ai], dels[d0:di])
-		cur = tb + 1
-		newBucket[cur] = dstEnd
 	}
 	copyPlain(nL)
 	return newBucket, newPayload
-}
-
-// mergeBucket writes (span \ dels) ∪ adds — all sorted ascending —
-// into dst starting at pos and returns the new end. adds are disjoint
-// from span and dels is a subset of span, so this is a plain ordered
-// merge with tombstone skipping.
-func mergeBucket(dst []int32, pos int32, span []int32, adds, dels []deltaEntry) int32 {
-	ai, di := 0, 0
-	for _, v := range span {
-		if di < len(dels) && dels[di].val == v {
-			di++
-			continue
-		}
-		for ai < len(adds) && adds[ai].val < v {
-			dst[pos] = adds[ai].val
-			pos++
-			ai++
-		}
-		dst[pos] = v
-		pos++
-	}
-	for ; ai < len(adds); ai++ {
-		dst[pos] = adds[ai].val
-		pos++
-	}
-	return pos
 }

@@ -48,10 +48,14 @@ func checkAgainstRebuild(t *testing.T, g *Graph, step int) {
 // TestDeltaFreezeEquivalence drives randomized add/remove/add-vertex
 // interleavings with periodic freezes and asserts after every freeze
 // that the incrementally merged CSR is byte-identical to a from-scratch
-// rebuild of the same graph.
+// rebuild of the same graph. Every other step pins a view, so the
+// overlay a freeze flattens was reached through several successive
+// extensions (the shape serving produces), not one build.
 func TestDeltaFreezeEquivalence(t *testing.T) {
 	labels := []byte{'a', 'b', 'c'}
+	maxExtensions := 0 // the longest run of extensions some freeze flattened
 	for seed := int64(0); seed < 12; seed++ {
+		extensions := 0
 		rng := rand.New(rand.NewSource(seed))
 		g := New(4 + rng.Intn(12))
 		var live []Edge // multiset view of current edges, for removals
@@ -62,6 +66,12 @@ func TestDeltaFreezeEquivalence(t *testing.T) {
 		g.Freeze() // establish the merge base
 
 		for step := 0; step < 120; step++ {
+			if step%2 == 0 {
+				if willExtend(g) {
+					extensions++
+				}
+				g.PinView()
+			}
 			switch op := rng.Intn(10); {
 			case op < 5: // add (sometimes a duplicate or a self-loop)
 				e := Edge{From: rng.Intn(g.NumVertices()), Label: labels[rng.Intn(len(labels))], To: rng.Intn(g.NumVertices())}
@@ -84,12 +94,16 @@ func TestDeltaFreezeEquivalence(t *testing.T) {
 				g.AddVertex()
 			default: // freeze mid-stream so later deltas stack on a merged base
 				checkAgainstRebuild(t, g, step)
+				maxExtensions, extensions = max(maxExtensions, extensions), 0
 			}
 		}
 		checkAgainstRebuild(t, g, -1)
 		if full, inc := g.FreezeStats(); inc == 0 {
 			t.Fatalf("seed %d: no incremental freeze ever ran (full=%d)", seed, full)
 		}
+	}
+	if maxExtensions < 3 {
+		t.Fatalf("no freeze flattened an overlay reached through 3 extensions (longest run %d)", maxExtensions)
 	}
 }
 

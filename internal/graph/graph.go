@@ -77,10 +77,14 @@ type Graph struct {
 	// stamped on every pinned view.
 	shardCount int
 
-	// view is the pinned read snapshot of the current epoch (view.go),
-	// built lazily by PinView and dropped whenever it could go stale: on
-	// mutation, on a Freeze that rebuilt, and on SetShards.
-	view *View
+	// view is the most recently pinned read snapshot (view.go) — current
+	// while its epoch is the graph's — and viewLog every edge an
+	// effective AddEdge/RemoveEdge touched since, so the next PinView
+	// extends view's overlay by that batch instead of rebuilding it from
+	// addBuf/delBuf. Both are dropped when the base or the shard count
+	// changes and when the log outgrows the net delta (logDelta).
+	view    *View
+	viewLog []Edge
 
 	// epoch counts mutations (see Epoch). It is atomic so long-lived
 	// engines may poll it for staleness without synchronizing with the
@@ -95,13 +99,27 @@ type Graph struct {
 // AddEdge / RemoveEdge / AddVertex), so acyclicity is revalidated
 // incrementally only when a delta could actually create or break a
 // cycle. The last frozen CSR survives as the merge base for the next
-// incremental Freeze.
+// incremental Freeze, and the last pinned view — stale from here on, by
+// its epoch — as what the next pin extends.
 func (g *Graph) invalidate() {
 	g.alpha = nil
 	g.alphaValid = false
 	g.csr = nil
-	g.view = nil
 	g.epoch.Add(1)
+}
+
+// logDelta records that an effective mutation touched e since g.view
+// was pinned. Once the log is longer than the net delta (edges toggled
+// back and forth, or many writes and no read) replaying it costs more
+// than sorting the delta: it is forgotten with the view it extends.
+func (g *Graph) logDelta(e Edge) {
+	if g.view == nil {
+		return
+	}
+	g.viewLog = append(g.viewLog, e)
+	if len(g.viewLog) > len(g.addBuf)+len(g.delBuf)+deltaMergeFloor {
+		g.view, g.viewLog = nil, nil
+	}
 }
 
 // Epoch returns the graph's monotonic mutation counter: it advances on
@@ -199,6 +217,7 @@ func (g *Graph) AddEdge(from int, label byte, to int) {
 				g.deltaNewLabel = true
 			}
 		}
+		g.logDelta(e)
 	}
 }
 
@@ -254,6 +273,7 @@ func (g *Graph) RemoveEdge(from int, label byte, to int) bool {
 			}
 			g.delBuf[e] = struct{}{}
 		}
+		g.logDelta(e)
 	}
 	return true
 }

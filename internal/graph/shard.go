@@ -20,7 +20,7 @@ func (g *Graph) SetShards(k int) {
 	k = min(max(k, 0), MaxShards)
 	if k != g.shardCount {
 		g.shardCount = k
-		g.view = nil
+		g.view, g.viewLog = nil, nil
 	}
 }
 

@@ -1,7 +1,8 @@
 package graph
 
 import (
-	"math"
+	"cmp"
+	"maps"
 	"slices"
 
 	"repro/internal/automaton"
@@ -23,20 +24,31 @@ import (
 //     accessor is a single nil-check away from the raw CSR slice — the
 //     kernels keep their 0-alloc/contiguous-scan behavior bit for bit.
 //
-//   - Overlay: mutations are pending and small (canOverlay). At pin
-//     time the touched buckets — O(delta) of them — are materialized
-//     once into a sorted bucket→slice set via the same three-way
-//     mergeBucket the incremental freeze uses, plus a per-vertex dirty
-//     bitset so untouched rows pay one bit-test before falling through
-//     to the base. Rows of vertices added after the base freeze exist
-//     only in the overlay set.
+//   - Overlay: mutations are pending and small (canOverlay). The view
+//     carries, per adjacency side and per block of 64 rows, the touched
+//     buckets in ascending order with their merged contents, plus a
+//     mask of the rows that own one so untouched rows pay one bit-test
+//     before falling through to the base. Rows of vertices added after
+//     the base freeze exist only in the overlay set.
 //
-// Views are cached per epoch on the Graph (g.view, dropped by
-// invalidate/Freeze/SetShards), so pinning is allocation-free once warm
-// and a pinned view stays immutable — safe for concurrent readers, and
-// still a valid snapshot of its epoch after further mutations or a
-// compaction (overlay slices are fresh copies; base arrays are
-// immutable).
+// The graph keeps the last pinned view and a log of the edges mutated
+// since (Graph.view / viewLog). Pinning a new epoch EXTENDS that view's
+// overlay by the log (overlaySet.extend): sort the batch alone, re-merge
+// only the buckets it touches, share every other bucket's slice — and
+// every row block the batch misses — with the previous view, drop a
+// bucket that reads as the base's again. Cost: O(batch·log batch +
+// touched bucket contents + the key index of the touched blocks + one
+// pointer per 64 rows); the pending delta enters only through how full a
+// touched block already is. Building from scratch (no view pinned on
+// this base yet, or its log forgotten) is the same function extending
+// the empty overlay by the whole net delta.
+//
+// A pinned view stays immutable — safe for concurrent readers, and
+// still a valid snapshot of its epoch after further mutations,
+// extensions or a compaction — because an extension writes only into
+// arrays it allocated itself (its block directory, the blocks it
+// rebuilt, the buckets it re-merged) and publishes them with the view;
+// what it shares with earlier views, and the base, is never written.
 //
 // Epoch keys stay sound across compaction: Freeze does not advance the
 // epoch, so the graph content at a given epoch is identical whether a
@@ -62,28 +74,48 @@ type View struct {
 	out, in *overlaySet
 }
 
-// overlaySet is one adjacency side of an overlay: the touched global
-// bucket indexes (int64(v)*stride+lid) in ascending order paired with
-// their fully merged contents, plus a bitset marking vertices owning at
-// least one touched bucket so clean rows pay a single bit-test. Sorted
-// arrays beat a map here on both ends: the builder emits buckets in
-// ascending order anyway (appends are free, no hashing), and the
-// O(log Δ) lookup is only ever paid on dirty rows.
+// overlaySet is one adjacency side of an overlay, partitioned by row:
+// blocks[i] holds the touched buckets of rows 64·i … 64·i+63, nil when
+// all of them read as the base's. The partition lets an extension share
+// what it does not touch at the cost of one pointer per 64 rows (the
+// size of a per-vertex bitset), and keeps a dirty row's lookup inside
+// one short sorted array.
 type overlaySet struct {
-	keys  []int64
-	vals  [][]int32
-	dirty []uint64
+	blocks []*overlayBlock
 }
 
-func (o *overlaySet) get(b int64) ([]int32, bool) {
-	if i, ok := slices.BinarySearch(o.keys, b); ok {
-		return o.vals[i], true
-	}
-	return nil, false
+// overlayBlock is the overlay of 64 consecutive rows: their touched
+// global bucket indexes (int64(v)*stride+lid) in ascending order, each
+// with its fully merged contents, and a mask of the rows owning at
+// least one so a clean row pays a single bit-test.
+type overlayBlock struct {
+	dirty uint64
+	ents  []overlayEntry
+}
+
+type overlayEntry struct {
+	bucket int64
+	vals   []int32
 }
 
 func (o *overlaySet) dirtyRow(v int) bool {
-	return o.dirty[v>>6]>>(uint(v)&63)&1 != 0
+	blk := o.blocks[v>>6]
+	return blk != nil && blk.dirty>>(uint(v)&63)&1 != 0
+}
+
+// get returns the merged contents of bucket b of row v when the overlay
+// touches it.
+func (o *overlaySet) get(v int, b int64) ([]int32, bool) {
+	if !o.dirtyRow(v) {
+		return nil, false
+	}
+	ents := o.blocks[v>>6].ents
+	if i, ok := slices.BinarySearchFunc(ents, b, func(e overlayEntry, b int64) int {
+		return cmp.Compare(e.bucket, b)
+	}); ok {
+		return ents[i].vals, true
+	}
+	return nil, false
 }
 
 // PinView returns a read snapshot of the graph at its current epoch,
@@ -91,31 +123,27 @@ func (o *overlaySet) dirtyRow(v int) bool {
 // When the graph is frozen (or the pending mutations canceled out) the
 // view is a zero-overhead pass-through over the CSR. When a small delta
 // is pending (same alphabet-superset, within the merge thresholds) the
-// view overlays it on the last base WITHOUT freezing — this is the
-// no-freeze hot path. Only when no base exists or the delta has grown
-// past the overlay thresholds does PinView fall back to a synchronous
-// Freeze.
+// view overlays it on the last base WITHOUT freezing — the no-freeze hot
+// path, at the cost of the mutations since the previous pin. Only when
+// no base exists or the delta has grown past the overlay thresholds does
+// PinView fall back to a synchronous Freeze.
 //
 // Like Freeze, PinView on a warm graph is read-only and safe under
 // concurrent queries; the first call after a mutation must be
 // externally synchronized with other queries (rspq.Engine does this
 // internally).
 func (g *Graph) PinView() *View {
-	if g.view != nil {
+	if g.view != nil && g.view.epoch == g.Epoch() {
 		return g.view
 	}
-	if g.csr == nil && g.canOverlay() {
-		if len(g.addBuf)+len(g.delBuf) == 0 && g.NumVertices() == g.csrBase.n {
-			// Mutations canceled out exactly (e.g. an add/remove pair):
-			// the base still describes the current content verbatim.
-			g.view = g.passView(g.csrBase)
-		} else {
-			g.view = g.buildOverlayView()
-		}
-		return g.view
+	var vw *View
+	if g.csr == nil && g.canOverlay() && !g.deltaCanceled() {
+		vw = g.buildOverlayView()
+	} else {
+		vw = g.passView(g.Freeze()) // a canceled delta freezes to the base itself
 	}
-	g.view = g.passView(g.Freeze())
-	return g.view
+	g.view, g.viewLog = vw, g.viewLog[:0]
+	return vw
 }
 
 // SnapshotView warms the lazily built query indexes every tier reads —
@@ -164,94 +192,148 @@ func (g *Graph) canOverlay() bool {
 	return !g.deltaNewLabel
 }
 
-// buildOverlayView materializes the overlay: both delta sides are
-// projected and sorted exactly as the incremental freeze would
-// (deltaSide), then each touched bucket is merged once (mergeBucket)
-// into a fresh slice keyed by its global bucket index. Cost is
-// O(Δ log Δ + touched bucket contents) — independent of E.
+// buildOverlayView returns the overlay view of the graph's current
+// state: the last pinned view's overlay extended by the edges logged
+// since, or — when there is no such view — the empty overlay extended by
+// the whole net delta.
 func (g *Graph) buildOverlayView() *View {
 	base := g.csrBase
 	n := g.NumVertices()
-	vw := &View{base: base, n: n, m: g.edges, shards: g.shardCount,
-		stride: int64(len(base.labels)), epoch: g.Epoch(),
-		adds: len(g.addBuf), removes: len(g.delBuf)}
-	L := int(vw.stride)
-	vw.out = overlaySide(base.outBucket, base.outTo, n, L,
-		deltaSide(g.addBuf, base, true), deltaSide(g.delBuf, base, true))
-	vw.in = overlaySide(base.inBucket, base.inFrom, n, L,
-		deltaSide(g.addBuf, base, false), deltaSide(g.delBuf, base, false))
-	return vw
+	out, in, log := &overlaySet{}, &overlaySet{}, g.viewLog
+	if g.view == nil {
+		log = slices.AppendSeq(make([]Edge, 0, len(g.addBuf)+len(g.delBuf)), maps.Keys(g.addBuf))
+		log = slices.AppendSeq(log, maps.Keys(g.delBuf))
+	} else if g.view.out != nil {
+		out, in = g.view.out, g.view.in
+	}
+	L := len(base.labels)
+	return &View{base: base, n: n, m: g.edges, shards: g.shardCount,
+		stride: int64(L), epoch: g.Epoch(),
+		adds: len(g.addBuf), removes: len(g.delBuf),
+		out: out.extend(base.outBucket, base.outTo, n, L, sortedDelta(log, base, n, true)),
+		in:  in.extend(base.inBucket, base.inFrom, n, L, sortedDelta(log, base, n, false))}
 }
 
-// overlaySide materializes one adjacency side of the overlay: each
-// touched global bucket index mapped to its merged contents
-// ((base \ dels) ∪ adds, sorted), and the dirty bitset over vertices.
-// One pass in ascending bucket order appends every merged bucket into a
-// growing backing array (recording cut offsets, since growth may move
-// it), so the key array comes out sorted for free and no sizing
-// pre-pass is needed.
-func overlaySide(baseBucket, basePayload []int32, n, L int, adds, dels []deltaEntry) *overlaySet {
-	o := &overlaySet{dirty: make([]uint64, (n+63)>>6)}
+// extend returns the overlay that reads as o with every edge of batch
+// toggled an odd number of times flipped — present if it was absent,
+// absent if it was present. Effective mutations of one edge alternate
+// between adding and removing it, so that is the edge's final presence
+// whether batch is a mutation log since o was pinned or the net delta
+// over the base (o empty). batch is sorted by (bucket, val); o is not
+// modified, and the result shares every block batch does not touch and,
+// within a touched block, the contents of every bucket it does not.
+func (o *overlaySet) extend(baseBucket, basePayload []int32, n, L int, batch []deltaEntry) *overlaySet {
+	next := &overlaySet{blocks: make([]*overlayBlock, (n+63)>>6)}
+	copy(next.blocks, o.blocks)
 	baseNL := int64(len(baseBucket) - 1)
-	backing := make([]int32, 0, 2*(len(adds)+len(dels)))
-	var cuts []int32 // bucket i occupies backing[cuts[i]:cuts[i+1]]
-
-	ai, di := 0, 0
-	for ai < len(adds) || di < len(dels) {
-		b := int64(math.MaxInt64)
-		if ai < len(adds) {
-			b = adds[ai].bucket
+	// The rebuilt blocks, their entries and the buckets re-merged into
+	// them are carved from three arrays (640 small allocations a pin
+	// otherwise), sized here from what the batch touches; reading that
+	// up front also spares the merge a chain of dependent cache misses.
+	// blocks and ents never grow; a bucket that would not fit payload
+	// starts a new array instead of growing — and so moving — this one.
+	numEnts, numVals := len(batch), 2*len(batch)
+	for i, e := range batch {
+		bi := int(e.row >> 6)
+		if (i == 0 || int(batch[i-1].row>>6) != bi) && bi < len(o.blocks) && o.blocks[bi] != nil {
+			numEnts += len(o.blocks[bi].ents)
 		}
-		if di < len(dels) && dels[di].bucket < b {
-			b = dels[di].bucket
+		if e.bucket < baseNL && (i == 0 || batch[i-1].bucket != e.bucket) {
+			numVals += int(baseBucket[e.bucket+1] - baseBucket[e.bucket])
 		}
-		a0 := ai
-		for ai < len(adds) && adds[ai].bucket == b {
-			ai++
-		}
-		d0 := di
-		for di < len(dels) && dels[di].bucket == b {
-			di++
-		}
-		var span []int32
-		if b < baseNL {
-			span = basePayload[baseBucket[b]:baseBucket[b+1]]
-		}
-		backing = appendMerged(backing, span, adds[a0:ai], dels[d0:di])
-		o.keys = append(o.keys, b)
-		cuts = append(cuts, int32(len(backing)))
-		v := int(b) / L
-		o.dirty[v>>6] |= 1 << (uint(v) & 63)
 	}
-	o.vals = make([][]int32, len(cuts))
-	start := int32(0)
-	for i, end := range cuts {
-		o.vals[i] = backing[start:end:end]
-		start = end
+	blocks := make([]overlayBlock, 0, min(len(batch), len(next.blocks)))
+	ents := make([]overlayEntry, numEnts)
+	payload := make([]int32, 0, numVals)
+	for len(batch) > 0 {
+		bi := int(batch[0].row >> 6)
+		k := 1
+		for k < len(batch) && int(batch[k].row>>6) == bi {
+			k++
+		}
+		part := batch[:k]
+		batch = batch[k:]
+		var old overlayBlock
+		if bi < len(o.blocks) && o.blocks[bi] != nil {
+			old = *o.blocks[bi]
+		}
+		k = len(old.ents) + len(part)
+		blocks = append(blocks, overlayBlock{dirty: old.dirty, ents: ents[:0:k]})
+		blk := &blocks[len(blocks)-1]
+		ents = ents[k:]
+		dropped := false
+		for len(part) > 0 {
+			b := part[0].bucket
+			k = 1
+			for k < len(part) && part[k].bucket == b {
+				k++
+			}
+			for len(old.ents) > 0 && old.ents[0].bucket < b {
+				blk.ents = append(blk.ents, old.ents[0])
+				old.ents = old.ents[1:]
+			}
+			var span []int32
+			if b < baseNL {
+				span = basePayload[baseBucket[b]:baseBucket[b+1]]
+			}
+			prev := span
+			if len(old.ents) > 0 && old.ents[0].bucket == b {
+				prev = old.ents[0].vals
+				old.ents = old.ents[1:]
+			}
+			if need := len(prev) + k; cap(payload)-len(payload) < need {
+				payload = make([]int32, 0, max(need, 2*cap(payload)))
+			}
+			start := len(payload)
+			payload = appendToggled(payload, prev, part[:k])
+			if slices.Equal(payload[start:], span) {
+				payload = payload[:start] // reads as the base's again: leaves the overlay
+				dropped = true
+			} else {
+				blk.ents = append(blk.ents, overlayEntry{b, payload[start:len(payload):len(payload)]})
+				blk.dirty |= 1 << (uint(part[0].row) & 63)
+			}
+			part = part[k:]
+		}
+		blk.ents = append(blk.ents, old.ents...)
+		if dropped { // a row may have lost its last bucket
+			blk.dirty = 0
+			for _, e := range blk.ents {
+				blk.dirty |= 1 << (uint(e.bucket/int64(L)) & 63)
+			}
+		}
+		if next.blocks[bi] = blk; len(blk.ents) == 0 {
+			next.blocks[bi] = nil
+		}
 	}
-	return o
+	return next
 }
 
-// appendMerged appends (span \ dels) ∪ adds, sorted ascending, to dst —
-// the append-flavored twin of mergeBucket for destinations whose final
-// size is not known up front.
-func appendMerged(dst []int32, span []int32, adds, dels []deltaEntry) []int32 {
-	ai, di := 0, 0
-	for _, v := range span {
-		if di < len(dels) && dels[di].val == v {
-			di++
-			continue
+// appendToggled appends prev with every value that occurs an odd
+// number of times in toggles flipped (inserted if absent, dropped if
+// present) to dst; both inputs are sorted ascending and so is the
+// result.
+func appendToggled(dst []int32, prev []int32, toggles []deltaEntry) []int32 {
+	pi := 0
+	for ti := 0; ti < len(toggles); {
+		v := toggles[ti].val
+		t0 := ti
+		for ti < len(toggles) && toggles[ti].val == v {
+			ti++
 		}
-		for ai < len(adds) && adds[ai].val < v {
-			dst = append(dst, adds[ai].val)
-			ai++
+		for pi < len(prev) && prev[pi] < v {
+			dst = append(dst, prev[pi])
+			pi++
 		}
-		dst = append(dst, v)
+		had := pi < len(prev) && prev[pi] == v
+		if had {
+			pi++
+		}
+		if had == ((ti-t0)%2 == 0) {
+			dst = append(dst, v)
+		}
 	}
-	for ; ai < len(adds); ai++ {
-		dst = append(dst, adds[ai].val)
-	}
-	return dst
+	return append(dst, prev[pi:]...)
 }
 
 // NumVertices returns the number of vertices of the pinned snapshot.
@@ -307,10 +389,8 @@ func (vw *View) OutWithID(v, lid int) []int32 {
 }
 
 func (vw *View) outOverlay(v, lid int) []int32 {
-	if vw.out.dirtyRow(v) {
-		if s, ok := vw.out.get(int64(v)*vw.stride + int64(lid)); ok {
-			return s
-		}
+	if s, ok := vw.out.get(v, int64(v)*vw.stride+int64(lid)); ok {
+		return s
 	}
 	if v >= vw.base.n {
 		return nil
@@ -329,10 +409,8 @@ func (vw *View) InWithID(v, lid int) []int32 {
 }
 
 func (vw *View) inOverlay(v, lid int) []int32 {
-	if vw.in.dirtyRow(v) {
-		if s, ok := vw.in.get(int64(v)*vw.stride + int64(lid)); ok {
-			return s
-		}
+	if s, ok := vw.in.get(v, int64(v)*vw.stride+int64(lid)); ok {
+		return s
 	}
 	if v >= vw.base.n {
 		return nil

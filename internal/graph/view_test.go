@@ -167,7 +167,8 @@ func TestViewNewVertices(t *testing.T) {
 
 // TestViewCanceledDelta pins the canceled-out case: a flip applied twice
 // restores the base content exactly, so the pin may (and does) serve the
-// base pass-through instead of building an overlay.
+// base pass-through instead of building an overlay — and the next Freeze
+// reinstates that base instead of merging an empty delta into a copy.
 func TestViewCanceledDelta(t *testing.T) {
 	g := Random(20, []byte{'a', 'b'}, 0.15, 11)
 	c := g.Freeze()
@@ -182,6 +183,20 @@ func TestViewCanceledDelta(t *testing.T) {
 		t.Fatal("canceled delta must serve the original base")
 	}
 	checkViewAgainstCSR(t, vw, rebuildOracle(g))
+	full, inc := g.FreezeStats()
+	if g.Freeze() != c {
+		t.Fatal("Freeze over a canceled delta must reinstate the base, not copy it")
+	}
+	if f, i := g.FreezeStats(); f != full || i != inc {
+		t.Fatalf("reinstating the base counted a build: full %d->%d, incremental %d->%d", full, f, inc, i)
+	}
+	if g.PinView() != vw {
+		t.Fatal("reinstating the base must keep the pinned view")
+	}
+	g.AddVertex() // a grown vertex set is a delta the base does not describe
+	if g.Freeze() == c {
+		t.Fatal("Freeze after vertex growth must build a new snapshot")
+	}
 }
 
 // TestViewNewLabelFallsBack pins the restructure case: an added label
@@ -202,13 +217,21 @@ func TestViewNewLabelFallsBack(t *testing.T) {
 }
 
 // TestViewImmutableAcrossCompaction pins MVCC semantics: a pinned
-// overlay view keeps answering its epoch's content even after the graph
-// freezes the delta away and mutates further.
+// overlay view — reached through three successive extensions — keeps
+// answering its epoch's content even after the graph freezes the delta
+// away and mutates further.
 func TestViewImmutableAcrossCompaction(t *testing.T) {
 	g := Random(25, []byte{'a', 'b'}, 0.12, 17)
 	g.Freeze()
 	g.AddEdge(1, 'a', 2)
-	g.RemoveEdge(g.Edges()[0].From, g.Edges()[0].Label, g.Edges()[0].To)
+	g.PinView()
+	for _, e := range g.Edges()[:3] {
+		g.RemoveEdge(e.From, e.Label, e.To)
+		if !willExtend(g) {
+			t.Fatal("the pin after a mutation must extend the previous overlay")
+		}
+		g.PinView()
+	}
 	vw := g.PinView()
 	oracle := rebuildOracle(g)
 	epoch := g.Epoch()

@@ -3,6 +3,7 @@ package rspq
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestDirectionBitEquivalence(t *testing.T) {
 // direction/bit configuration, not just the query answers built on
 // them: distances must be exact in bottom-up rounds (BaselineShortest
 // uses them as admissible lower bounds), and the closure must be
-// identical id for id.
+// identical id for id — on the frozen base and on an overlay view.
 func TestKernelSetAndDistEquality(t *testing.T) {
 	s, err := NewSolver("a*(bb+|())c*")
 	if err != nil {
@@ -154,58 +155,70 @@ func TestKernelSetAndDistEquality(t *testing.T) {
 	}
 	for seed := int64(0); seed < 3; seed++ {
 		g := graph.Random(26, []byte{'a', 'b', 'c'}, 0.14, seed+50)
+		rng := rand.New(rand.NewSource(seed + 60))
 		for _, k := range []int{0, 2, 8} {
 			g.SetShards(k)
-			s.Warm(g)
-			for y := 0; y < g.NumVertices(); y += 5 {
-				// Reference: top-down, generic.
-				SetDirectionMode(DirTopDown)
-				SetBitParallel(false)
-				ra := getArena()
-				rp := makeProduct(g.PinView(), s.Min, ra)
-				rp.coReach(y, ra)
-				nm := rp.n * rp.m
-				co := make([]bool, nm)
-				for i := 0; i < nm; i++ {
-					co[i] = ra.co.has(i)
+			g.Freeze()
+			// Pass-through first, then an overlay reached through three
+			// mutate→pin steps under this K.
+			for _, overlay := range []bool{false, true} {
+				if overlay {
+					mutateInSteps(g, rng, 3, 2, false)
 				}
-				rp.distToGoal(y, ra)
-				dist := make([]int32, nm)
-				for i := 0; i < nm; i++ {
-					dist[i] = -1
-					if ra.dst.has(i) {
-						dist[i] = ra.dist[i]
+				s.Warm(g)
+				if g.PinView().Overlay() != overlay {
+					t.Fatalf("K=%d: view overlay = %v, want %v", k, !overlay, overlay)
+				}
+				for y := 0; y < g.NumVertices(); y += 5 {
+					// Reference: top-down, generic.
+					SetDirectionMode(DirTopDown)
+					SetBitParallel(false)
+					ra := getArena()
+					rp := makeProduct(g.PinView(), s.Min, ra)
+					rp.coReach(y, ra)
+					nm := rp.n * rp.m
+					co := make([]bool, nm)
+					for i := 0; i < nm; i++ {
+						co[i] = ra.co.has(i)
 					}
-				}
-				ra.release()
+					rp.distToGoal(y, ra)
+					dist := make([]int32, nm)
+					for i := 0; i < nm; i++ {
+						dist[i] = -1
+						if ra.dst.has(i) {
+							dist[i] = ra.dist[i]
+						}
+					}
+					ra.release()
 
-				for _, m := range kernelModes() {
-					setKernelMode(t, m)
-					a := getArena()
-					p := makeProduct(g.PinView(), s.Min, a)
-					p.coReach(y, a)
-					for i := 0; i < nm; i++ {
-						if a.co.has(i) != co[i] {
-							t.Fatalf("K=%d mode=%s y=%d: coReach differs at id %d (got %v)",
-								k, m.name, y, i, a.co.has(i))
+					for _, m := range kernelModes() {
+						setKernelMode(t, m)
+						a := getArena()
+						p := makeProduct(g.PinView(), s.Min, a)
+						p.coReach(y, a)
+						for i := 0; i < nm; i++ {
+							if a.co.has(i) != co[i] {
+								t.Fatalf("K=%d overlay=%v mode=%s y=%d: coReach differs at id %d (got %v)",
+									k, overlay, m.name, y, i, a.co.has(i))
+							}
 						}
+						p.distToGoal(y, a)
+						for i := 0; i < nm; i++ {
+							got := int32(-1)
+							if a.dst.has(i) {
+								got = a.dist[i]
+							}
+							if got != dist[i] {
+								t.Fatalf("K=%d overlay=%v mode=%s y=%d: dist[%d] = %d, want %d",
+									k, overlay, m.name, y, i, got, dist[i])
+							}
+						}
+						checkSweepContracts(t, &p, a, fmt.Sprintf("K=%d overlay=%v mode=%s y=%d", k, overlay, m.name, y))
+						a.release()
 					}
-					p.distToGoal(y, a)
-					for i := 0; i < nm; i++ {
-						got := int32(-1)
-						if a.dst.has(i) {
-							got = a.dist[i]
-						}
-						if got != dist[i] {
-							t.Fatalf("K=%d mode=%s y=%d: dist[%d] = %d, want %d",
-								k, m.name, y, i, got, dist[i])
-						}
-					}
-					checkSweepContracts(t, &p, a, fmt.Sprintf("K=%d mode=%s y=%d", k, m.name, y))
-					a.release()
+					SetDirectionMode(DirAuto)
+					SetBitParallel(true)
 				}
-				SetDirectionMode(DirAuto)
-				SetBitParallel(true)
 			}
 		}
 		g.SetShards(0)
@@ -273,10 +286,14 @@ func TestDirectionSwitchRaceClean(t *testing.T) {
 
 // TestAdaptiveShards pins the EngineConfig.Shards == 0 default: small
 // graphs stay unsharded, large ones get a partition sized from the
-// edge count, negative opts out, and Stats reports the choice.
+// edge count unless there is only one processor to run it, negative
+// opts out, and Stats reports the choice.
 func TestAdaptiveShards(t *testing.T) {
 	if k := adaptiveShards(adaptiveMinEdges-1, 8); k != 0 {
 		t.Fatalf("below threshold: k = %d, want 0", k)
+	}
+	if k := adaptiveShards(1<<30, 1); k != 0 {
+		t.Fatalf("one processor: k = %d, want 0 (the sequential sweep)", k)
 	}
 	if k := adaptiveShards(adaptiveMinEdges, 4); k < 4 {
 		t.Fatalf("at threshold: k = %d, want >= procs", k)
@@ -284,6 +301,10 @@ func TestAdaptiveShards(t *testing.T) {
 	if k := adaptiveShards(1<<30, 4); k != graph.MaxShards {
 		t.Fatalf("huge graph: k = %d, want cap %d", k, graph.MaxShards)
 	}
+
+	// The Engine half reads GOMAXPROCS: pin it, so the test asserts the
+	// same thing on a one-processor machine as on any other.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 
 	s, err := NewSolver("a*c*")
 	if err != nil {
@@ -332,6 +353,16 @@ func TestAdaptiveShards(t *testing.T) {
 	engOff := NewEngine(s, bigRing(), EngineConfig{Shards: -1})
 	if st := engOff.Stats(); st.Shards != 0 || st.ShardsAdaptive {
 		t.Fatalf("Shards=-1 must leave the graph unsharded: %+v", st)
+	}
+
+	// One processor: the adaptive default stays sequential, an explicit
+	// count still shards.
+	runtime.GOMAXPROCS(1)
+	if st := NewEngine(s, bigRing(), EngineConfig{}).Stats(); st.Shards != 0 || st.ShardsAdaptive {
+		t.Fatalf("one processor must leave the graph unsharded: %+v", st)
+	}
+	if st := NewEngine(s, bigRing(), EngineConfig{Shards: 3}).Stats(); st.Shards != 3 {
+		t.Fatalf("explicit Shards on one processor = %d, want 3", st.Shards)
 	}
 }
 

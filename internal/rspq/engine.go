@@ -71,7 +71,9 @@ type EngineConfig struct {
 	// min(Shards, GOMAXPROCS). 0 — the zero value — picks a shard count
 	// adaptively from the graph's edge count and GOMAXPROCS
 	// (adaptiveShards), unless the caller already configured one via
-	// g.SetShards; small graphs stay unsharded. A negative value opts
+	// g.SetShards; small graphs stay unsharded, and so does any graph
+	// when GOMAXPROCS is 1 (an explicit Shards > 0 still shards there).
+	// A negative value opts
 	// out of the adaptive default and leaves the graph's configuration
 	// untouched. EngineStats.ShardsAdaptive reports whether the running
 	// shard count was chosen adaptively.
@@ -102,7 +104,10 @@ type EngineConfig struct {
 // more than the sweep), larger ones get one shard per
 // adaptiveEdgesPerShard edges — at least one per processor so the
 // exchange can use every core, capped at graph.MaxShards like any
-// other shard count.
+// other shard count. One processor has no second core to use: there the
+// exchange is the sequential sweep plus outbox traffic (measured on
+// serve-churn: read_p50_us 201–219 with K=5, 151–158 without), so the
+// graph stays unsharded whatever its size.
 const (
 	adaptiveMinEdges      = 1 << 17
 	adaptiveEdgesPerShard = 1 << 16
@@ -111,7 +116,7 @@ const (
 // adaptiveShards picks the default shard count for a graph with the
 // given edge count on procs processors; 0 means stay unsharded.
 func adaptiveShards(edges, procs int) int {
-	if edges < adaptiveMinEdges {
+	if edges < adaptiveMinEdges || procs < 2 {
 		return 0
 	}
 	return min(max(edges/adaptiveEdgesPerShard, procs), graph.MaxShards)
@@ -510,6 +515,7 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 				{Stage: "kernel", Nanos: st.kernelNs},
 			},
 		}
+		tr.PendingAdds, tr.PendingRemoves = snap.vw.PendingDelta()
 		tr.TableCacheHit = st.tableHit
 		tr.TableStates = st.tableStates
 		tr.TableBytes = st.tableBytes

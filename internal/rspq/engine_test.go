@@ -371,48 +371,53 @@ func sparseGraph100k() *graph.Graph {
 // under 1k product states, a miss allocates under 64 KiB (the dense
 // export allocated 9 B per product id — 2.7 MB here — whatever the sweep
 // touched) and 256 retained tables stay under 4 MiB. The engine runs the
-// configuration a server would: default caches, adaptive sharding.
+// configurations a server would — default caches, adaptive sharding —
+// on one processor (the sequential sweep) and on two (the exchange).
 func TestEngineMissWorkGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
 	}
-	s, err := NewSolver("a*c*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := sparseGraph100k()
-	n := g.NumVertices()
-	e := NewEngine(s, g, EngineConfig{})
-	if e.Stats().Shards <= 1 {
-		t.Fatalf("test premise broken: the engine must run the sharded kernels, Shards = %d", e.Stats().Shards)
-	}
-	for y := 0; y < 32; y++ { // warm the arena and exchange pools
-		e.Solve((y*31)%n, n-1-y)
-	}
-	const misses = 256
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for y := 0; y < misses; y++ {
-		e.Solve((y*7919)%n, y*389) // 256 distinct targets, none seen before
-	}
-	runtime.ReadMemStats(&m1)
-	if perMiss := (m1.TotalAlloc - m0.TotalAlloc) / misses; perMiss >= 64<<10 {
-		t.Fatalf("a short-sweep table miss allocates %d B on average; the bound is 64 KiB", perMiss)
-	}
-	st := e.Stats().Tables
-	if st.Misses < misses || st.Entries < misses {
-		t.Fatalf("every query must have missed and retained its table: %+v", st)
-	}
-	if st.Bytes >= 4<<20 {
-		t.Fatalf("%d short-sweep tables occupy %d B of the table cache; the bound is 4 MiB", st.Entries, st.Bytes)
-	}
-	// The premise, checked on a sample through the trace: the sweeps are
-	// short and their tables are the sparse form.
-	for y := 0; y < misses; y += 16 {
-		_, tr := e.SolveTraced(1, y*389)
-		if !tr.TableCacheHit || tr.TableStates >= 1000 || tr.TableBytes != sparseGoalTableCost(tr.TableStates) {
-			t.Fatalf("target %d: trace %+v; want a cached sparse table of < 1000 states", y*389, tr)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		s, err := NewSolver("a*c*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := sparseGraph100k()
+		n := g.NumVertices()
+		e := NewEngine(s, g, EngineConfig{})
+		if sharded := e.Stats().Shards > 1; sharded != (procs > 1) {
+			t.Fatalf("test premise broken: on %d processors the engine runs Shards = %d", procs, e.Stats().Shards)
+		}
+		for y := 0; y < 32; y++ { // warm the arena and exchange pools
+			e.Solve((y*31)%n, n-1-y)
+		}
+		const misses = 256
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for y := 0; y < misses; y++ {
+			e.Solve((y*7919)%n, y*389) // 256 distinct targets, none seen before
+		}
+		runtime.ReadMemStats(&m1)
+		if perMiss := (m1.TotalAlloc - m0.TotalAlloc) / misses; perMiss >= 64<<10 {
+			t.Fatalf("procs=%d: a short-sweep table miss allocates %d B on average; the bound is 64 KiB", procs, perMiss)
+		}
+		st := e.Stats().Tables
+		if st.Misses < misses || st.Entries < misses {
+			t.Fatalf("procs=%d: every query must have missed and retained its table: %+v", procs, st)
+		}
+		if st.Bytes >= 4<<20 {
+			t.Fatalf("procs=%d: %d short-sweep tables occupy %d B of the table cache; the bound is 4 MiB", procs, st.Entries, st.Bytes)
+		}
+		// The premise, checked on a sample through the trace: the sweeps
+		// are short and their tables are the sparse form.
+		for y := 0; y < misses; y += 16 {
+			_, tr := e.SolveTraced(1, y*389)
+			if !tr.TableCacheHit || tr.TableStates >= 1000 || tr.TableBytes != sparseGoalTableCost(tr.TableStates) {
+				t.Fatalf("procs=%d target %d: trace %+v; want a cached sparse table of < 1000 states", procs, y*389, tr)
+			}
 		}
 	}
 }

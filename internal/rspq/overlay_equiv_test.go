@@ -32,7 +32,10 @@ func rebuiltOracle(g *graph.Graph) *graph.Graph {
 // alphabet; on DAG inputs edges are kept forward so the graph stays
 // acyclic and the tier under test does not shift mid-case.
 func mutateKeepingShape(g *graph.Graph, rng *rand.Rand, count int, dag bool) {
-	labels := g.Freeze().Labels()
+	flipKeepingShape(g, rng, g.Freeze().Labels(), count, dag)
+}
+
+func flipKeepingShape(g *graph.Graph, rng *rand.Rand, labels []byte, count int, dag bool) {
 	n := g.NumVertices()
 	for i := 0; i < count; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
@@ -49,6 +52,48 @@ func mutateKeepingShape(g *graph.Graph, rng *rand.Rand, count int, dag bool) {
 			g.AddEdge(u, l, v)
 		}
 	}
+}
+
+// mutateInSteps is mutateKeepingShape the way serving produces a delta:
+// steps batches of count flips, a view pinned after each and no freeze
+// in between, so the overlay read next was reached by extending its
+// predecessors (and shares their untouched blocks) rather than built in
+// one go.
+func mutateInSteps(g *graph.Graph, rng *rand.Rand, steps, count int, dag bool) {
+	labels := g.PinView().Labels()
+	for ; steps > 0; steps-- {
+		flipKeepingShape(g, rng, labels, count, dag)
+		g.PinView()
+	}
+}
+
+// repinByExtension re-reaches g's current edge set through three
+// mutate→pin steps — one edge is removed and pinned away, then a second,
+// then both come back — and returns the view pinned last. A SetShards
+// resets the next pin to a from-scratch build; after this the view under
+// test again extends its predecessors' overlays.
+func repinByExtension(t *testing.T, g *graph.Graph) *graph.View {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(g.NumEdges())))
+	var es []graph.Edge
+	for tries := 0; len(es) < 2 && tries < 1000; tries++ {
+		if out := g.OutEdges(rng.Intn(g.NumVertices())); len(out) > 0 {
+			if e := out[rng.Intn(len(out))]; len(es) == 0 || es[0] != e {
+				es = append(es, e)
+			}
+		}
+	}
+	if len(es) < 2 {
+		t.Fatal("repinByExtension: the graph has no two edges to take out and put back")
+	}
+	for _, e := range es {
+		g.RemoveEdge(e.From, e.Label, e.To)
+		g.PinView()
+	}
+	for _, e := range es {
+		g.AddEdge(e.From, e.Label, e.To)
+	}
+	return g.PinView()
 }
 
 // checkOverlayAgainstOracle answers every pair on the mutated graph —

@@ -318,7 +318,7 @@ func TestShardedGrownOverlayEquivalence(t *testing.T) {
 				}
 				for _, k := range []int{2, 3, 8} {
 					g.SetShards(k)
-					if vw := g.PinView(); !vw.Overlay() || vw.NumVertices() <= vw.Base().NumVertices() {
+					if vw := repinByExtension(t, g); !vw.Overlay() || vw.NumVertices() <= vw.Base().NumVertices() {
 						t.Fatalf("K=%d: want an overlay over a grown vertex set (overlay=%v, n=%d, base n=%d)",
 							k, vw.Overlay(), vw.NumVertices(), vw.Base().NumVertices())
 					}
@@ -376,8 +376,9 @@ func checkSweepContracts(t *testing.T, p *product, a *arena, ctx string) bool {
 
 // TestSweepReachListAndCleanWords runs all four distToGoal forms
 // (generic and packed, K=1 sequential and K ∈ {3, 5} exchanged on four
-// workers) on a pass-through and on an overlay view of a graph sparse
-// enough that many sweeps stay under the sparse threshold, through ONE
+// workers) on a pass-through and on an overlay view — reached, under
+// every K, through successive extensions — of a graph sparse enough
+// that many sweeps stay under the sparse threshold, through ONE
 // arena that alternates mark-only and distance sweeps. Every sweep must
 // answer like a fresh arena running the generic sequential kernels — a
 // word left dirty by one sweep, or zeroed wrongly, shows up as a wrong
@@ -408,6 +409,9 @@ func TestSweepReachListAndCleanWords(t *testing.T) {
 			}
 			SetBitParallel(false)
 			g.SetShards(0)
+			if wantOverlay {
+				repinByExtension(t, g)
+			}
 			fresh := new(arena)
 			rp := makeProduct(g.PinView(), s.Min, fresh)
 			if rp.vw.Overlay() != wantOverlay {
@@ -424,6 +428,9 @@ func TestSweepReachListAndCleanWords(t *testing.T) {
 				for _, k := range []int{1, 3, 5} {
 					SetBitParallel(bitsOn)
 					g.SetShards(k)
+					if wantOverlay {
+						repinByExtension(t, g)
+					}
 					form := fmt.Sprintf("bits=%v/sharded=%v", bitsOn, k > 1)
 					ctx := fmt.Sprintf("%s %s K=%d y=%d", view, form, k, y)
 					p := makeProduct(g.PinView(), s.Min, shared)
@@ -457,7 +464,7 @@ func TestSweepReachListAndCleanWords(t *testing.T) {
 	}
 	check("pass-through", false)
 	g.SetShards(0)
-	mutateKeepingShape(g, rng, 12, false)
+	mutateInSteps(g, rng, 3, 4, false)
 	check("overlay", true)
 	g.SetShards(0)
 

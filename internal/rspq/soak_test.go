@@ -125,8 +125,9 @@ func TestEngineOverlaySoak(t *testing.T) {
 // TestEngineSparseTableChurn is the add/remove churn of the soak above
 // pointed at the walk-reduction tiers, whose Engine answers are read off
 // cached goal tables: on graphs sparse enough that many backward sweeps
-// stay short, every epoch flips edges — read through an overlay view,
-// every fourth epoch through the base a Compact just merged — and then
+// stay short, every epoch flips edges in three pinned steps — read
+// through an overlay view that extends the previous epochs', every
+// fourth epoch through the base a Compact just merged — and then
 // asks, per target, once cold — the table is built, sparse whenever the
 // sweep was short — and once more from another source, which must hit
 // that table. Both answers must pass
@@ -158,7 +159,7 @@ func TestEngineSparseTableChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(31 + k)))
 			var sparse, dense, hits int
 			for epoch := 0; epoch < 10; epoch++ {
-				mutateKeepingShape(g, rng, 6, c.tier == AlgoDAG)
+				mutateInSteps(g, rng, 3, 2, c.tier == AlgoDAG)
 				if epoch%4 == 3 {
 					e.Compact()
 				}

@@ -47,13 +47,20 @@ type RoundTrace struct {
 // when the query never ran a kernel (result-cache hit, invalid pair,
 // or a tier that answers without a product sweep).
 type QueryTrace struct {
-	X              int    `json:"x"`
-	Y              int    `json:"y"`
-	Tier           string `json:"tier"`
-	Epoch          uint64 `json:"epoch"`
-	Overlay        bool   `json:"overlay"`
-	ResultCacheHit bool   `json:"result_cache_hit"`
-	TableCacheHit  bool   `json:"table_cache_hit"`
+	X       int    `json:"x"`
+	Y       int    `json:"y"`
+	Tier    string `json:"tier"`
+	Epoch   uint64 `json:"epoch"`
+	Overlay bool   `json:"overlay"`
+	// PendingAdds/PendingRemoves are the delta the pinned view overlays
+	// on its base (graph.View.PendingDelta; both 0 on a pass-through
+	// view). Next to the "pin" stage they tell whether the first read of
+	// an epoch was slow in the pin — which costs the write's batch and
+	// how full the overlay already is — or in the sweep.
+	PendingAdds    int  `json:"pending_adds,omitempty"`
+	PendingRemoves int  `json:"pending_removes,omitempty"`
+	ResultCacheHit bool `json:"result_cache_hit"`
+	TableCacheHit  bool `json:"table_cache_hit"`
 	// TableStates/TableBytes describe the goal table (walk-reduction
 	// tiers) the query built or hit: the product states its backward
 	// sweep reached and the bytes the table cache retains for it. They
