@@ -455,8 +455,8 @@ func BenchmarkBatchExists(b *testing.B) {
 // so all speedup must come from the partition: locality on one core
 // (per-shard state and outbox streams replace whole-graph random
 // access), plus min(K, GOMAXPROCS)-way parallel expansion on multicore
-// hardware. K=1 short-circuits to the sequential kernel, so its bar is
-// parity with "unsharded".
+// hardware. "unsharded" is the one-shard exchange, swept inline on the
+// caller's goroutine.
 func BenchmarkShardedBFS(b *testing.B) {
 	edges := 1_000_000
 	if testing.Short() {
@@ -478,13 +478,13 @@ func BenchmarkShardedBFS(b *testing.B) {
 	}
 	// The direction dimension pits the optimized kernels (automatic
 	// top-down/bottom-up switching plus the packed ≤64-state fast path)
-	// against the pinned top-down generic kernels of the earlier
-	// revisions, per partition size.
+	// against the id-list sweep pinned top-down — what the earliest
+	// revisions ran — per partition size.
 	dirs := []struct {
 		name    string
 		topDown bool
 	}{{"dir=opt", false}, {"dir=topdown", true}}
-	for _, k := range []int{0, 1, 4, 8, 16} {
+	for _, k := range []int{0, 4, 8, 16} {
 		kname := fmt.Sprintf("K=%d", k)
 		if k == 0 {
 			kname = "unsharded"

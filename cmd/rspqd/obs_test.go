@@ -215,6 +215,9 @@ func TestQueryTrace(t *testing.T) {
 	if tr.TopDownRounds+tr.BottomUpRounds == 0 || len(tr.Rounds) == 0 {
 		t.Fatalf("fresh traced query must record kernel rounds: %+v", tr)
 	}
+	if tr.Shards != 1 {
+		t.Fatalf("unsharded server: the sweep ran over %d shards, want the single inline shard", tr.Shards)
+	}
 	for _, rd := range tr.Rounds {
 		if rd.Dir != "top_down" && rd.Dir != "bottom_up" {
 			t.Fatalf("round dir = %q", rd.Dir)
@@ -241,8 +244,8 @@ func TestQueryTrace(t *testing.T) {
 	if again.Trace == nil || !again.Trace.ResultCacheHit {
 		t.Fatalf("repeat trace = %+v; want result_cache_hit", again.Trace)
 	}
-	if len(again.Trace.Rounds) != 0 {
-		t.Fatalf("cache-served trace must have no kernel rounds: %+v", again.Trace)
+	if len(again.Trace.Rounds) != 0 || again.Trace.Shards != 0 {
+		t.Fatalf("cache-served trace must have no kernel rounds and no shard count: %+v", again.Trace)
 	}
 
 	// Untraced queries must not pay for or return a trace.
@@ -263,6 +266,50 @@ func TestQueryTrace(t *testing.T) {
 	postJSON(t, ts.URL+"/query?trace=1", `{"x":0,"y":3}`, &churned)
 	if c := churned.Trace; c == nil || !c.Overlay || c.PendingAdds != 2 || c.PendingRemoves != 1 {
 		t.Fatalf("trace after a write = %+v; want an overlay view with pending_adds=2 pending_removes=1", churned.Trace)
+	}
+}
+
+// TestQueryTraceSummaryTier pins that a summary-tier query is traced
+// like any other: its co-reachability sweep runs on the same round
+// driver as the product sweeps, so the trace carries the α/β thresholds
+// the sweep resolved, one timed entry per round, and the number of
+// shards the sweep ran over — 1 for the unsharded server (the single
+// shard swept inline), the configured count otherwise.
+func TestQueryTraceSummaryTier(t *testing.T) {
+	for _, shards := range []int{0, 3} {
+		g := graph.New(5)
+		g.AddEdge(0, 'a', 1)
+		g.AddEdge(1, 'b', 2)
+		g.AddEdge(2, 'b', 3)
+		g.AddEdge(3, 'c', 4)
+		g.AddEdge(4, 'a', 0) // a cycle keeps dispatch off the DAG tier
+		s, err := rspq.NewSolver("a*(bb+|())c*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := newServer(s, g, "a*(bb+|())c*", rspq.EngineConfig{Shards: shards})
+		ts := httptest.NewServer(srv.routes())
+		var resp queryResponse
+		postJSON(t, ts.URL+"/query?trace=1", `{"x":0,"y":4}`, &resp)
+		ts.Close()
+		tr := resp.Trace
+		if !resp.Found || tr == nil || tr.Tier != "summary" {
+			t.Fatalf("shards=%d: traced query = %+v; want found on the summary tier", shards, resp)
+		}
+		if tr.DirAlpha == 0 || tr.DirBeta == 0 || tr.Tuned {
+			t.Fatalf("shards=%d: thresholds α=%d β=%d tuned=%v; want the untrained defaults", shards, tr.DirAlpha, tr.DirBeta, tr.Tuned)
+		}
+		if len(tr.Rounds) == 0 || int64(len(tr.Rounds)) != tr.TopDownRounds+tr.BottomUpRounds {
+			t.Fatalf("shards=%d: %d round entries for %d+%d rounds", shards, len(tr.Rounds), tr.TopDownRounds, tr.BottomUpRounds)
+		}
+		for _, rd := range tr.Rounds {
+			if rd.Frontier <= 0 || rd.Nanos <= 0 {
+				t.Fatalf("shards=%d: round %+v; want a frontier and a wall time", shards, rd)
+			}
+		}
+		if want := max(shards, 1); tr.Shards != want {
+			t.Fatalf("shards=%d: trace says the sweep ran over %d shards, want %d", shards, tr.Shards, want)
+		}
 	}
 }
 

@@ -53,19 +53,26 @@ type arena struct {
 	dist   []int32  // BFS distances, valid where dst holds
 	parent []int32  // BFS/DFS parent links, valid where seen/dst holds
 	plabel []byte   // labels of the parent links
-	queue  []int32  // BFS worklist / current frontier
-	queue2 []int32  // next frontier of the level-synchronous kernels
-	w64    []uint64 // packed per-vertex state words (bit-parallel kernels)
+	queue  []int32  // BFS worklist (forward walk search)
+	w64    []uint64 // packed per-vertex state words (packed sweep)
 	w64Hot int      // leading words of w64 a sweep may have left non-zero
-	sat    []uint64 // per-vertex saturation bitmap (bit-parallel kernels)
-	wlog   witLog   // per-level witness log (bit-parallel distance kernels)
+	sat    []uint64 // per-vertex saturation bitmap (packed sweep)
 	vs     []int    // path vertex scratch
 	ls     []byte   // path label scratch
 	lmap   []int16  // CSR label id -> DFA alphabet index (-1 absent)
 
+	// The backward sweeps' scratch: the frontier-exchange lists and
+	// boxes, the DFA's arc table when the id-list sweep runs over a
+	// product, and the state of whichever driver is running (so its
+	// phases can be fanned out without allocating).
+	ex   exch
+	arcs arcTable
+	ids  arcSweep
+	bits packedSweep
+
 	// reach lists the ids the last distToGoal stamped in dst, each once,
 	// in no particular order — what lets the consumers of a short sweep
-	// (exportGoalTable, the packed kernels' word cleaning) pay for what
+	// (exportGoalTable, the packed sweep's word cleaning) pay for what
 	// the sweep touched instead of for the id space. It is valid only
 	// while reachOK: a sweep that outgrows reachMax abandons it.
 	reach    []int32
@@ -76,7 +83,7 @@ type arena struct {
 // sparseFill is the fill up to which a sweep counts as short: it reached
 // at most 1/sparseFill of the product ids. The one criterion serves both
 // per-miss savings — the goal table is frozen in its sparse form, and
-// the packed words are cleaned from the witness log — and it is placed
+// the packed words are cleaned from the reach list — and it is placed
 // between the break-even points of the two goal-table forms
 // (goalTableCost, sparseGoalTableCost). In retained bytes, 13 B per
 // reached id against 9 B per product id, the sparse form wins up to a
@@ -90,9 +97,19 @@ type arena struct {
 // counts, in the server, and ~3× the dense one's best case.
 const sparseFill = 8
 
-// resetReach starts the reach list of a sweep over nm product ids.
-func (a *arena) resetReach(nm int) {
-	a.reach, a.reachOK, a.reachMax = a.reach[:0], true, nm/sparseFill
+// beginSweep readies the outputs of a backward sweep over nm product
+// ids and returns its visited set: a.co for a mark-only sweep; with
+// links a.dst, with the dist/parent/plabel arrays sized and the reach
+// list started.
+func (a *arena) beginSweep(nm int, links bool) *stamped {
+	marks := &a.co
+	if links {
+		marks = &a.dst
+		a.growProduct(nm)
+		a.reach, a.reachOK, a.reachMax = a.reach[:0], true, nm/sparseFill
+	}
+	marks.reset(nm)
+	return marks
 }
 
 // noteReached appends newly stamped ids to the reach list, abandoning it
@@ -109,7 +126,7 @@ func (a *arena) noteReached(ids []int32) {
 	a.reach = append(a.reach, ids...)
 }
 
-// noteReachedWord is noteReached for the packed kernels: the newly
+// noteReachedWord is noteReached for the packed sweep: the newly
 // stamped ids are base+q for every set bit q of w.
 func (a *arena) noteReachedWord(base int, w uint64) {
 	if !a.reachOK {
@@ -186,7 +203,6 @@ func (a *arena) release() {
 	// Keep the grown buffers; drop only the queue length so the next
 	// user starts from an empty worklist.
 	a.queue = a.queue[:0]
-	a.queue2 = a.queue2[:0]
 	a.vs = a.vs[:0]
 	a.ls = a.ls[:0]
 	arenaPool.Put(a)

@@ -7,173 +7,258 @@ import (
 	"repro/internal/automaton"
 )
 
-// This file implements the bit-parallel backward product sweep for DFAs
-// with at most 64 states: the per-vertex sets of visited / frontier
-// automaton states are packed into single uint64 words, so one
+// This file implements the packed round driver: the backward product
+// sweep for DFAs with at most 64 states. The per-vertex sets of visited /
+// frontier automaton states are packed into single uint64 words, so one
 // AND/OR/masked predecessor lookup (automaton.Packed.PredOf) advances
 // every state of a vertex at once, and the per-(vertex, state) inner
-// loops of the generic kernels collapse into word operations. The
-// kernels here are mark-only — no distances, no parent links — which is
-// exactly what the existence surfaces (SolveExists, BatchSolveExists,
-// Engine.Exists) and the baseline tier's pruning table need; the
-// distance/witness form of the same sweep lives in distbits.go.
+// loops of the id-list sweep collapse into word operations. It is the
+// same frontier exchange as shardbfs.go — K row ranges, an expand and a
+// deliver phase a round, inline with one worker — with vertices instead
+// of product ids in the frontier lists: the word IS the per-vertex state
+// set.
 //
-// Both forms are direction-optimizing (dirbfs.go): a top-down round
-// expands frontier words through in-edges, a bottom-up round scans
-// vertices whose words have not saturated and pulls missing bits from
-// their out-neighbors' frontier words. Vertex words are bounded by the
-// DFA's co-reachable state mask (Packed.CoReachMask): bits outside it
-// can never be set, so a word equal to the mask is saturated. A second
-// bitmap — one bit per vertex, set on saturation (arena.growSat) —
-// word-batches the bottom-up scan: one complemented load tests 64
-// vertices at once and TrailingZeros64 walks only the unsaturated
-// ones, so flooding rounds skip the settled bulk of the graph at 64
-// vertices per load. In the sharded kernels the bitmap's words straddle
-// shard boundaries, so saturation bits are set with atomic Or and read
-// with atomic loads; the sequential kernels use plain operations.
+// Both directions work on words: a top-down round expands frontier words
+// through in-edges, a bottom-up round scans vertices whose words have
+// not saturated and pulls missing bits from their out-neighbors'
+// frontier words (cur — installed at the last barrier and read-only
+// during expand phases, so cross-shard reads are safe). Vertex words are
+// bounded by the DFA's co-reachable state mask (Packed.CoReachMask):
+// bits outside it can never be set, so a word equal to the mask is
+// saturated. A second bitmap — one bit per vertex, set on saturation
+// (arena.growSat) — word-batches the bottom-up scan: one complemented
+// load tests 64 vertices at once and TrailingZeros64 walks only the
+// unsaturated ones, so flooding rounds skip the settled bulk of the
+// graph at 64 vertices per load. The bitmap's words straddle shard
+// boundaries, so saturation bits are set with atomic Or and read with
+// atomic loads.
 //
-// The result is scattered into the same a.co stamped set the generic
-// coReach fills, so every consumer — the baseline backtracking search,
-// exportCoTable, the existence lookups — is kernel-blind.
+// The sweep is strictly level-synchronous in both directions, so the
+// round at which a bit first turns on IS its exact BFS distance. Product
+// ids are stamped when a round's words are installed, into the same
+// arena outputs the id-list sweep fills — a.co mark-only; a.dst and
+// a.dist with links — so every consumer is driver-blind. Packed words
+// cannot carry per-id successor links, so with links each is claimed
+// the instant `add = pred &^ visited` turns its bit on, while the
+// discovering edge (and via Packed.StepIndex, the successor state) is in
+// hand: top-down for own rows, bottom-up always (pulls are own-row), and
+// from the message — which carries its edge — when the owner merges a
+// cross-shard word. Each bit turns on once, so each link is written
+// once, by its owner: O(nm) scalar writes over the whole search, no
+// post-pass. Distances equal the id-list sweep's bit for bit; links may
+// name a different, equally short, successor.
 
-// coReachBits is the sequential bit-parallel form of coReach.
-func (p *product) coReachBits(y int, a *arena, pk *automaton.Packed) {
-	p.addBitHit()
-	accept := automaton.AcceptMask(p.d)
-	coMask := pk.CoReachMask(accept)
-	vis, cur, nxt := a.growWords(p.n)
-	sat := a.growSat(p.n)
-	frontEdges := int64(0)
-	unvisEdges := int64(p.vw.NumEdges())
-	seed := accept & coMask
-	curQ, nxtQ := a.queue[:0], a.queue2[:0]
-	if seed != 0 {
-		vis[y] = seed
-		cur[y] = seed
-		if seed == coMask {
-			sat[y>>6] |= 1 << uint(y&63)
-		}
-		curQ = append(curQ, int32(y))
-		frontEdges += int64(p.vw.InDegree(y))
-		unvisEdges -= int64(p.vw.OutDegree(y))
-	}
-	L := p.vw.NumLabels()
-	var td, bu, sw int64
-	dc := p.dirConfig()
-	bottomUp := false
-	for len(curQ) > 0 {
-		prev := bottomUp
-		bottomUp = dc.choose(bottomUp, frontEdges, unvisEdges, int64(len(curQ)), int64(p.n))
-		if bottomUp != prev {
-			sw++
-		}
-		if bottomUp {
-			bu++
-		} else {
-			td++
-		}
-		t0 := p.roundStart()
-		front := len(curQ)
-		frontEdges = 0
-		nxtQ = nxtQ[:0]
-		if bottomUp {
-			// Word-batched unvisited scan: one complemented load tests 64
-			// vertices, TrailingZeros64 walks only the unsaturated ones.
-			for wi, sw64 := range sat {
-				uw := ^sw64
-				for uw != 0 {
-					b := bits.TrailingZeros64(uw)
-					uw &= uw - 1
-					v := wi<<6 + b
-					missing := coMask &^ vis[v]
-					if missing == 0 {
-						continue
-					}
-					add := p.buPullBits(pk, cur, v, missing, L)
-					if add == 0 {
-						continue
-					}
-					if vis[v] == 0 {
-						unvisEdges -= int64(p.vw.OutDegree(v))
-					}
-					vis[v] |= add
-					if vis[v] == coMask {
-						sat[wi] |= 1 << uint(b)
-					}
-					nxt[v] = add
-					nxtQ = append(nxtQ, int32(v))
-					frontEdges += int64(p.vw.InDegree(v))
-				}
-			}
-		} else {
-			for _, v32 := range curQ {
-				v := int(v32)
-				cw := cur[v]
-				for lid := 0; lid < L; lid++ {
-					di := p.lmap[lid]
-					if di < 0 {
-						continue
-					}
-					pw := pk.PredOf(cw, int(di))
-					if pw == 0 {
-						continue
-					}
-					for _, u32 := range p.vw.InWithID(v, lid) {
-						u := int(u32)
-						add := pw &^ vis[u]
-						if add == 0 {
-							continue
-						}
-						if vis[u] == 0 {
-							unvisEdges -= int64(p.vw.OutDegree(u))
-						}
-						if nxt[u] == 0 {
-							nxtQ = append(nxtQ, u32)
-							frontEdges += int64(p.vw.InDegree(u))
-						}
-						vis[u] |= add
-						if vis[u] == coMask {
-							sat[u>>6] |= 1 << uint(u&63)
-						}
-						nxt[u] |= add
-					}
-				}
-			}
-		}
-		// Install the next frontier words: clear the old ones first (the
-		// lists never share a vertex — nxt bits are new by construction).
-		for _, v := range curQ {
-			cur[v] = 0
-		}
-		for _, v := range nxtQ {
-			cur[v] = nxt[v]
-			nxt[v] = 0
-		}
-		curQ, nxtQ = nxtQ, curQ
-		p.roundEnd(&dc, t0, bottomUp, front)
-	}
-	p.runDone(&dc, td, bu, sw)
-	a.queue, a.queue2 = curQ[:0], nxtQ[:0]
-	p.scatterBits(a, vis)
+// packedSweep is the state of one running packed sweep, kept in the
+// arena so the phases can be handed to fanOut without allocating.
+type packedSweep struct {
+	p      product
+	pk     *automaton.Packed
+	a      *arena   // a.ex, and with links dist/parent/plabel
+	marks  *stamped // the visited set: a.dst with links, a.co without
+	links  bool
+	d      int32  // the level the current round discovers
+	coMask uint64 // the DFA states that can reach acceptance at all
+
+	// Per-vertex words. vis accumulates every state seen; cur is nonzero
+	// exactly on the frontier vertices at every barrier; nxt collects a
+	// round's discoveries and is zero at every barrier.
+	vis, cur, nxt, sat []uint64
 }
 
-// buPullBits collects the missing states of v reachable in one step
-// into any out-neighbor's frontier word, stopping as soon as the
-// missing set is covered.
-func (p *product) buPullBits(pk *automaton.Packed, cur []uint64, v int, missing uint64, L int) uint64 {
+// sweepPacked is the packed round driver, with sweepArcs's contract:
+// mark-only the closure in a.co; with links a.dst/a.dist/a.parent/
+// a.plabel and the reach list.
+func (p *product) sweepPacked(y int, a *arena, pk *automaton.Packed, links bool) {
+	p.addBitHit()
+	K := p.parts.K
+	ex := &a.ex
+	ex.reset(K)
+	accept := automaton.AcceptMask(p.d)
+	r := &a.bits
+	*r = packedSweep{p: *p, pk: pk, a: a, marks: a.beginSweep(p.n*p.m, links), links: links, coMask: pk.CoReachMask(accept)}
+	r.vis, r.cur, r.nxt = a.growWords(p.n)
+	r.sat = a.growSat(p.n)
+	home := p.parts.owner(y)
+	if seed := accept & r.coMask; seed != 0 {
+		r.admit(home, int32(y), seed)
+		r.deliver(home) // level 0: the goal states
+	}
+	frontEdges, ue := ex.drainAccum()
+	unvisEdges := int64(p.vw.NumEdges()) - ue
+	W := exchangeWorkers(K)
+	dc := p.dirConfig()
+	bottomUp := false
+	for total := len(ex.fr[home]); total > 0; total = ex.frontierTotal() {
+		if links && a.reachOK {
+			// Between rounds the driver runs alone, and cur holds exactly
+			// the bits the last round turned on.
+			for _, fr := range ex.fr {
+				for _, v := range fr {
+					a.noteReachedWord(int(v)*p.m, r.cur[v])
+				}
+			}
+		}
+		r.d++
+		bottomUp = dc.choose(bottomUp, frontEdges, unvisEdges, int64(total), int64(p.n))
+		t0 := p.roundStart()
+		if bottomUp {
+			fanOut(W, K, r, phBottomUp)
+		} else {
+			fanOut(W, K, r, phTopDown)
+		}
+		fanOut(W, K, r, phDeliver)
+		frontEdges, ue = ex.drainAccum()
+		unvisEdges -= ue
+		p.roundEnd(&dc, t0, bottomUp, total)
+	}
+	p.runDone(&dc)
+	// The arena keeps its words zero between sweeps (growWords). cur and
+	// nxt are zero again by construction and vis is non-zero exactly on
+	// the reached vertices, so a short sweep — one whose reach list
+	// survived — zeroes those and hands the words back clean.
+	if links && a.reachOK {
+		for _, id := range a.reach {
+			r.vis[int(id)/p.m] = 0
+		}
+		a.wordsClean()
+	}
+	*r = packedSweep{} // drop the view and the DFA: the arena outlives them
+}
+
+func (r *packedSweep) phase(ph, s int) {
+	switch ph {
+	case phTopDown:
+		r.topDown(s)
+	case phBottomUp:
+		r.bottomUp(s)
+	case phDeliver:
+		r.deliver(s)
+	}
+}
+
+// admit merges the newly discovered states add (none of them visited)
+// into own-row vertex u: queue u for shard s's next frontier on its
+// first discovery of the round, account its degrees, flag saturation.
+func (r *packedSweep) admit(s int, u int32, add uint64) {
+	ex, vw := &r.a.ex, r.p.vw
+	if r.vis[u] == 0 {
+		ex.ue[s] += int64(vw.OutDegree(int(u)))
+	}
+	if r.nxt[u] == 0 {
+		ex.nx[s] = append(ex.nx[s], u)
+		ex.fe[s] += int64(vw.InDegree(int(u)))
+	}
+	r.vis[u] |= add
+	r.nxt[u] |= add
+	if r.vis[u] == r.coMask {
+		atomic.OrUint64(&r.sat[u>>6], 1<<uint(u&63))
+	}
+}
+
+// claim records the successor link of every state in add of vertex u,
+// all discovered over the edge u → from with label id lid: the link
+// names the state the DFA steps to, which sits in from's frontier word.
+func (r *packedSweep) claim(u int32, add uint64, from int32, lid int) {
+	p := &r.p
+	di, label := int(p.lmap[lid]), p.vw.Label(lid)
+	base, succ := int(u)*p.m, int(from)*p.m
+	for ; add != 0; add &= add - 1 {
+		q := bits.TrailingZeros64(add)
+		r.a.parent[base+q] = int32(succ + r.pk.StepIndex(q, di))
+		r.a.plabel[base+q] = label
+	}
+}
+
+// topDown is the expand phase of a top-down round for shard s: push each
+// frontier vertex's predecessor words through its in-edges; own rows
+// settle immediately, cross-shard words are boxed with their edge.
+func (r *packedSweep) topDown(s int) {
+	p, ex, K := &r.p, &r.a.ex, r.p.parts.K
+	lo, hi := p.parts.bounds(s)
+	L := p.vw.NumLabels()
+	for _, v := range ex.fr[s] {
+		cw := r.cur[v]
+		for lid := 0; lid < L; lid++ {
+			di := p.lmap[lid]
+			if di < 0 {
+				continue
+			}
+			pw := r.pk.PredOf(cw, int(di))
+			if pw == 0 {
+				continue
+			}
+			for _, u := range p.vw.InWithID(int(v), lid) {
+				if int(u) >= lo && int(u) < hi {
+					if add := pw &^ r.vis[u]; add != 0 {
+						r.admit(s, u, add)
+						if r.links {
+							r.claim(u, add, v, lid)
+						}
+					}
+					continue
+				}
+				t := s*K + p.parts.owner(int(u))
+				ex.wbox[t] = append(ex.wbox[t], exWord{v: u, from: v, bits: pw, lid: int32(lid)})
+			}
+		}
+	}
+}
+
+// bottomUp is the expand phase of a bottom-up round for shard s: pull
+// missing bits for every unsaturated own row from the out-neighbors'
+// frontier words. The scan is word-batched over the saturation bitmap —
+// boundary words are masked to the shard's vertex range and read
+// atomically, because their remaining bits belong to neighboring shards
+// that may be writing them in the same phase.
+func (r *packedSweep) bottomUp(s int) {
+	lo, hi := r.p.parts.bounds(s)
+	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+		uw := ^atomic.LoadUint64(&r.sat[wi])
+		base := wi << 6
+		if base < lo {
+			uw &^= (1 << uint(lo-base)) - 1
+		}
+		if rem := hi - base; rem < 64 {
+			uw &= (1 << uint(rem)) - 1
+		}
+		for ; uw != 0; uw &= uw - 1 {
+			v := base + bits.TrailingZeros64(uw)
+			if missing := r.coMask &^ r.vis[v]; missing != 0 {
+				if add := r.pull(v, missing); add != 0 {
+					r.admit(s, int32(v), add)
+				}
+			}
+		}
+	}
+}
+
+// pull collects the missing states of v that step into any
+// out-neighbor's frontier word, stopping as soon as the missing set is
+// covered. With links it claims each bit's successor the moment the bit
+// is collected; bits an earlier edge collected are masked out of later
+// matches, so each link is written once.
+func (r *packedSweep) pull(v int, missing uint64) uint64 {
+	p := &r.p
 	add := uint64(0)
-	for lid := 0; lid < L; lid++ {
+	for lid, L := 0, p.vw.NumLabels(); lid < L; lid++ {
 		di := p.lmap[lid]
 		if di < 0 {
 			continue
 		}
 		for _, u := range p.vw.OutWithID(v, lid) {
-			cw := cur[u]
+			cw := r.cur[u]
 			if cw == 0 {
 				continue
 			}
-			add |= pk.PredOf(cw, int(di)) & missing
-			if add == missing {
+			got := r.pk.PredOf(cw, int(di)) & missing
+			if got == 0 {
+				continue
+			}
+			if r.links {
+				r.claim(int32(v), got, u, lid)
+			}
+			add |= got
+			if missing &^= got; missing == 0 {
 				return add
 			}
 		}
@@ -181,256 +266,37 @@ func (p *product) buPullBits(pk *automaton.Packed, cur []uint64, v int, missing 
 	return add
 }
 
-// scatterBits translates the packed visited words into the a.co
-// stamped set over product ids — the contract every coReach consumer
-// reads.
-func (p *product) scatterBits(a *arena, vis []uint64) {
-	a.co.reset(p.n * p.m)
-	for v := 0; v < p.n; v++ {
-		w := vis[v]
-		base := v * p.m
-		for w != 0 {
-			q := bits.TrailingZeros64(w)
-			w &= w - 1
-			a.co.add(base + q)
-		}
-	}
-}
-
-// coReachBitsSharded is the frontier-exchange form of coReachBits. The
-// per-vertex word arrays are row-partitioned like every other search
-// array: shard s writes vis/nxt only for its own rows, cross-shard
-// discoveries travel as packed exWord messages, and bottom-up rounds
-// read only cur — the frontier words installed at the last barrier —
-// so the phases stay race-free without locks. Frontier lists hold
-// vertices (not product ids): the word IS the per-vertex state set.
-func (p *product) coReachBitsSharded(y int, a *arena, pk *automaton.Packed) {
-	p.addBitHit()
-	K := p.parts.K
-	a.co.reset(p.n * p.m)
-	accept := automaton.AcceptMask(p.d)
-	coMask := pk.CoReachMask(accept)
-	vis, cur, nxt := a.growWords(p.n)
-	sat := a.growSat(p.n)
-	ex := getExch(K)
-	home := p.parts.owner(y)
-	frontEdges, unvisEdges := int64(0), int64(p.vw.NumEdges())
-	seed := accept & coMask
-	if seed != 0 {
-		vis[y] = seed
-		cur[y] = seed
-		if seed == coMask {
-			sat[y>>6] |= 1 << uint(y&63)
-		}
-		ex.fr[home] = append(ex.fr[home], int32(y))
-		frontEdges += int64(p.vw.InDegree(y))
-		unvisEdges -= int64(p.vw.OutDegree(y))
-	}
-	W := exchangeWorkers(K)
-	total := len(ex.fr[home])
-	var td, bu, sw int64
-	dc := p.dirConfig()
-	bottomUp := false
-	for total > 0 {
-		prev := bottomUp
-		bottomUp = dc.choose(bottomUp, frontEdges, unvisEdges, int64(total), int64(p.n))
-		if bottomUp != prev {
-			sw++
-		}
-		t0 := p.roundStart()
-		ex.clearAccum()
-		if bottomUp {
-			bu++
-			parShards(W, K, func(s int) { p.buExpandBits(ex, s, pk, coMask, vis, cur, nxt, sat) })
-		} else {
-			td++
-			parShards(W, K, func(s int) { p.tdExpandBits(ex, K, s, pk, coMask, vis, cur, nxt, sat) })
-		}
-		parShards(W, K, func(s int) { p.deliverBits(ex, K, s, bottomUp, coMask, vis, cur, nxt, sat, false) })
-		fe, ue := ex.sumAccum()
-		frontEdges = fe
-		unvisEdges -= ue
-		p.roundEnd(&dc, t0, bottomUp, total)
-		total = frontierTotal(ex, K)
-	}
-	p.runDone(&dc, td, bu, sw)
-	ex.release()
-	parShards(exchangeWorkers(K), K, func(s int) { p.scatterBitsShard(a, s, vis) })
-}
-
-// tdExpandBits is the top-down expand phase of one bit-parallel round
-// for shard s: push each frontier vertex's predecessor words through
-// the shard's reverse adjacency; own rows settle immediately,
-// cross-shard words are boxed. Saturation bits are set with atomic Or:
-// the bitmap's words straddle shard boundaries, so a boundary word may
-// be written by two owners in the same phase.
-func (p *product) tdExpandBits(ex *exch, K, s int, pk *automaton.Packed, coMask uint64, vis, cur, nxt, sat []uint64) {
-	lo, hi := p.parts.bounds(s)
-	L := p.vw.NumLabels()
-	for _, v32 := range ex.fr[s] {
-		v := int(v32)
-		cw := cur[v]
-		for lid := 0; lid < L; lid++ {
-			di := p.lmap[lid]
-			if di < 0 {
-				continue
-			}
-			pw := pk.PredOf(cw, int(di))
-			if pw == 0 {
-				continue
-			}
-			for _, u32 := range p.vw.InWithID(v, lid) {
-				u := int(u32)
-				if u >= lo && u < hi {
-					add := pw &^ vis[u]
-					if add == 0 {
-						continue
-					}
-					if vis[u] == 0 {
-						ex.ue[s] += int64(p.vw.OutDegree(u))
-					}
-					if nxt[u] == 0 {
-						ex.nx[s] = append(ex.nx[s], u32)
-						ex.fe[s] += int64(p.vw.InDegree(u))
-					}
-					vis[u] |= add
-					if vis[u] == coMask {
-						atomic.OrUint64(&sat[u>>6], 1<<uint(u&63))
-					}
-					nxt[u] |= add
-					continue
-				}
-				t := p.parts.owner(u)
-				ex.wbox[s*K+t] = append(ex.wbox[s*K+t], exWord{v: u32, bits: pw})
-			}
-		}
-	}
-}
-
-// buExpandBits is the bottom-up expand phase of one bit-parallel round
-// for shard s: pull missing bits for every unsaturated own row from the
-// out-neighbors' frontier words (cur is read-only during the phase, so
-// cross-shard reads are safe). The scan is word-batched over the
-// saturation bitmap — boundary words are masked to the shard's vertex
-// range and read atomically, because their remaining bits belong to
-// neighboring shards that may be writing them in the same phase.
-func (p *product) buExpandBits(ex *exch, s int, pk *automaton.Packed, coMask uint64, vis, cur, nxt, sat []uint64) {
-	L := p.vw.NumLabels()
-	lo, hi := p.parts.bounds(s)
-	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-		uw := ^atomic.LoadUint64(&sat[wi])
-		base := wi << 6
-		if base < lo {
-			uw &^= (1 << uint(lo-base)) - 1
-		}
-		if r := hi - base; r < 64 {
-			uw &= (1 << uint(r)) - 1
-		}
-		for uw != 0 {
-			b := bits.TrailingZeros64(uw)
-			uw &= uw - 1
-			v := base + b
-			missing := coMask &^ vis[v]
-			if missing == 0 {
-				continue
-			}
-			add := uint64(0)
-		pull:
-			for lid := 0; lid < L; lid++ {
-				di := p.lmap[lid]
-				if di < 0 {
-					continue
-				}
-				for _, u := range p.vw.OutWithID(v, lid) {
-					cw := cur[u]
-					if cw == 0 {
-						continue
-					}
-					add |= pk.PredOf(cw, int(di)) & missing
-					if add == missing {
-						break pull
-					}
+// deliver is the second phase of every round for shard s: merge the
+// word outboxes addressed to s (empty after a bottom-up expand, and
+// always with one shard), then install the next frontier words —
+// clearing the old ones — and stamp the product ids they turn on, which
+// is where a vertex's discoveries for the round are complete.
+func (r *packedSweep) deliver(s int) {
+	ex, K, m := &r.a.ex, r.p.parts.K, r.p.m
+	for t := 0; t < K; t++ {
+		for _, w := range ex.wbox[t*K+s] {
+			if add := w.bits &^ r.vis[w.v]; add != 0 {
+				r.admit(s, w.v, add)
+				if r.links {
+					r.claim(w.v, add, w.from, int(w.lid))
 				}
 			}
-			if add == 0 {
-				continue
-			}
-			if vis[v] == 0 {
-				ex.ue[s] += int64(p.vw.OutDegree(v))
-			}
-			vis[v] |= add
-			if vis[v] == coMask {
-				atomic.OrUint64(&sat[wi], 1<<uint(b))
-			}
-			nxt[v] = add
-			ex.nx[s] = append(ex.nx[s], int32(v))
-			ex.fe[s] += int64(p.vw.InDegree(v))
 		}
-	}
-}
-
-// deliverBits is the deliver phase of one bit-parallel round for shard
-// s: drain the word outboxes (top-down rounds only — bottom-up sends
-// nothing), then install the next frontier words, clearing the old
-// ones so cur is nonzero exactly on frontier vertices at every barrier.
-// When logged is set (the distance kernels), the installed words are
-// also appended to the shard's witness log and the level sealed — the
-// install point is exactly where a vertex's newly discovered bits for
-// this round are complete.
-func (p *product) deliverBits(ex *exch, K, s int, bottomUp bool, coMask uint64, vis, cur, nxt, sat []uint64, logged bool) {
-	if !bottomUp {
-		for t := 0; t < K; t++ {
-			for _, w := range ex.wbox[t*K+s] {
-				u := int(w.v)
-				add := w.bits &^ vis[u]
-				if add == 0 {
-					continue
-				}
-				if vis[u] == 0 {
-					ex.ue[s] += int64(p.vw.OutDegree(u))
-				}
-				if nxt[u] == 0 {
-					ex.nx[s] = append(ex.nx[s], w.v)
-					ex.fe[s] += int64(p.vw.InDegree(u))
-				}
-				vis[u] |= add
-				if vis[u] == coMask {
-					atomic.OrUint64(&sat[u>>6], 1<<uint(u&63))
-				}
-				nxt[u] |= add
-			}
-			ex.wbox[t*K+s] = ex.wbox[t*K+s][:0]
-		}
+		ex.wbox[t*K+s] = ex.wbox[t*K+s][:0]
 	}
 	for _, v := range ex.fr[s] {
-		cur[v] = 0
+		r.cur[v] = 0
 	}
 	for _, v := range ex.nx[s] {
-		cur[v] = nxt[v]
-		if logged {
-			ex.lgV[s] = append(ex.lgV[s], v)
-			ex.lgW[s] = append(ex.lgW[s], nxt[v])
+		w := r.nxt[v]
+		r.cur[v], r.nxt[v] = w, 0
+		for base := int(v) * m; w != 0; w &= w - 1 {
+			id := base + bits.TrailingZeros64(w)
+			r.marks.add(id)
+			if r.links {
+				r.a.dist[id] = r.d
+			}
 		}
-		nxt[v] = 0
-	}
-	if logged {
-		ex.lgOff[s] = append(ex.lgOff[s], int32(len(ex.lgV[s])))
 	}
 	ex.fr[s], ex.nx[s] = ex.nx[s], ex.fr[s][:0]
-}
-
-// scatterBitsShard scatters one shard's rows of the packed visited
-// words into a.co; the adds are owner-partitioned, so the scatter runs
-// as one more parallel phase.
-func (p *product) scatterBitsShard(a *arena, s int, vis []uint64) {
-	lo, hi := p.parts.bounds(s)
-	for v := lo; v < hi; v++ {
-		w := vis[v]
-		base := v * p.m
-		for w != 0 {
-			q := bits.TrailingZeros64(w)
-			w &= w - 1
-			a.co.add(base + q)
-		}
-	}
 }

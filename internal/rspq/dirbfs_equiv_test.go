@@ -10,12 +10,11 @@ import (
 	"repro/internal/graph"
 )
 
-// This file pins the direction-optimizing and bit-parallel kernels
-// (dirbfs.go, bitbfs.go) against the reference behavior: pure top-down
-// expansion with the generic per-state kernels — exactly what the seed
-// implementation computed. Found bits, existence bits and BFS distances
+// This file pins the two round drivers (shardbfs.go, bitbfs.go) under
+// every direction mode (dirbfs.go) against the textbook oracle of
+// sweep_oracle_test.go. Found bits, existence bits and BFS distances
 // must be bit-identical across every direction mode, bit-parallel
-// on/off, every tier, K ∈ {1, 2, 8} and pre/post-mutation epochs;
+// on/off, every tier, K ∈ {0, 1, 2, 8} and pre/post-mutation epochs;
 // witnesses are verified rather than compared (equal-length parent
 // links may differ). Forced direction switches come from the tiny
 // threshold override hook (dirAlphaOverride/dirBetaOverride).
@@ -62,22 +61,9 @@ func setKernelMode(t *testing.T, m kernelMode) {
 	})
 }
 
-// referenceAnswers computes the seed-equivalent reference: strictly
-// top-down, generic kernels, unsharded.
-func referenceAnswers(t *testing.T, s *Solver, g *graph.Graph, pairs []Pair) ([]Result, []bool) {
-	t.Helper()
-	SetDirectionMode(DirTopDown)
-	SetBitParallel(false)
-	defer func() {
-		SetDirectionMode(DirAuto)
-		SetBitParallel(true)
-	}()
-	return unshardedAnswers(s, g, pairs)
-}
-
 // TestDirectionBitEquivalence is the randomized kernel-equivalence
 // suite: every tier × kernel mode × K ∈ {0, 1, 2, 8}, before and after
-// a mutation epoch, against the top-down generic reference.
+// a mutation epoch, against the oracle's answers.
 func TestDirectionBitEquivalence(t *testing.T) {
 	shardCounts := []int{0, 1, 2, 8}
 	for _, tc := range shardTierCases() {
@@ -89,7 +75,7 @@ func TestDirectionBitEquivalence(t *testing.T) {
 				pairs := shardPairSet(g, isolated, rng)
 
 				check := func() {
-					want, wantEx := referenceAnswers(t, tc.solver(t), g, pairs)
+					want := oracleAnswers(tc.solver(t), g, pairs)
 					for _, m := range kernelModes() {
 						setKernelMode(t, m)
 						for _, k := range shardCounts {
@@ -98,9 +84,9 @@ func TestDirectionBitEquivalence(t *testing.T) {
 								g.SetShards(0)
 								for i, pq := range pairs {
 									got := s.Solve(g, pq.X, pq.Y)
-									if got.Found != want[i].Found {
-										t.Fatalf("mode=%s K=0 Solve(%d,%d): found=%v, reference says %v",
-											m.name, pq.X, pq.Y, got.Found, want[i].Found)
+									if got.Found != want[i] {
+										t.Fatalf("mode=%s K=0 Solve(%d,%d): found=%v, oracle says %v",
+											m.name, pq.X, pq.Y, got.Found, want[i])
 									}
 									if !VerifyWitness(got, g, s.Min, pq.X, pq.Y) {
 										t.Fatalf("mode=%s K=0 Solve(%d,%d): invalid witness", m.name, pq.X, pq.Y)
@@ -108,13 +94,13 @@ func TestDirectionBitEquivalence(t *testing.T) {
 								}
 								ex := NewBatchSolver(s, g).SolveExists(pairs)
 								for i := range ex {
-									if ex[i] != wantEx[i] {
-										t.Fatalf("mode=%s K=0 exists pair %d: %v, want %v", m.name, i, ex[i], wantEx[i])
+									if ex[i] != want[i] {
+										t.Fatalf("mode=%s K=0 exists pair %d: %v, want %v", m.name, i, ex[i], want[i])
 									}
 								}
 								continue
 							}
-							checkShardedAgainst(t, tc.solver(t), g, k, pairs, want, wantEx)
+							checkShardedAgainst(t, tc.solver(t), g, k, pairs, want)
 						}
 					}
 				}
@@ -142,17 +128,19 @@ func TestDirectionBitEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelSetAndDistEquality compares the kernels' raw outputs — the
-// co-reachability set and the BFS distance array — across every
-// direction/bit configuration, not just the query answers built on
-// them: distances must be exact in bottom-up rounds (BaselineShortest
-// uses them as admissible lower bounds), and the closure must be
-// identical id for id — on the frozen base and on an overlay view.
+// TestKernelSetAndDistEquality compares the drivers' raw outputs — the
+// co-reachability set, the BFS distance array and the successor links —
+// with the oracle's across every direction/bit configuration, not just
+// the query answers built on them: distances must be exact in bottom-up
+// rounds (BaselineShortest uses them as admissible lower bounds), and
+// the closure must be identical id for id — on the frozen base and on an
+// overlay view.
 func TestKernelSetAndDistEquality(t *testing.T) {
 	s, err := NewSolver("a*(bb+|())c*")
 	if err != nil {
 		t.Fatal(err)
 	}
+	arcs, accept := dfaOracle(s.Min)
 	for seed := int64(0); seed < 3; seed++ {
 		g := graph.Random(26, []byte{'a', 'b', 'c'}, 0.14, seed+50)
 		rng := rand.New(rand.NewSource(seed + 60))
@@ -170,54 +158,19 @@ func TestKernelSetAndDistEquality(t *testing.T) {
 					t.Fatalf("K=%d: view overlay = %v, want %v", k, !overlay, overlay)
 				}
 				for y := 0; y < g.NumVertices(); y += 5 {
-					// Reference: top-down, generic.
-					SetDirectionMode(DirTopDown)
-					SetBitParallel(false)
-					ra := getArena()
-					rp := makeProduct(g.PinView(), s.Min, ra)
-					rp.coReach(y, ra)
-					nm := rp.n * rp.m
-					co := make([]bool, nm)
-					for i := 0; i < nm; i++ {
-						co[i] = ra.co.has(i)
-					}
-					rp.distToGoal(y, ra)
-					dist := make([]int32, nm)
-					for i := 0; i < nm; i++ {
-						dist[i] = -1
-						if ra.dst.has(i) {
-							dist[i] = ra.dist[i]
-						}
-					}
-					ra.release()
-
+					want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
 					for _, m := range kernelModes() {
 						setKernelMode(t, m)
+						ctx := fmt.Sprintf("K=%d overlay=%v mode=%s y=%d", k, overlay, m.name, y)
 						a := getArena()
 						p := makeProduct(g.PinView(), s.Min, a)
 						p.coReach(y, a)
-						for i := 0; i < nm; i++ {
-							if a.co.has(i) != co[i] {
-								t.Fatalf("K=%d overlay=%v mode=%s y=%d: coReach differs at id %d (got %v)",
-									k, overlay, m.name, y, i, a.co.has(i))
-							}
-						}
+						checkSweepAgainstOracle(t, g, p.m, arcs, a, false, want, ctx)
 						p.distToGoal(y, a)
-						for i := 0; i < nm; i++ {
-							got := int32(-1)
-							if a.dst.has(i) {
-								got = a.dist[i]
-							}
-							if got != dist[i] {
-								t.Fatalf("K=%d overlay=%v mode=%s y=%d: dist[%d] = %d, want %d",
-									k, overlay, m.name, y, i, got, dist[i])
-							}
-						}
-						checkSweepContracts(t, &p, a, fmt.Sprintf("K=%d overlay=%v mode=%s y=%d", k, overlay, m.name, y))
+						checkSweepAgainstOracle(t, g, p.m, arcs, a, true, want, ctx)
+						checkSweepContracts(t, &p, a, ctx)
 						a.release()
 					}
-					SetDirectionMode(DirAuto)
-					SetBitParallel(true)
 				}
 			}
 		}
@@ -226,7 +179,7 @@ func TestKernelSetAndDistEquality(t *testing.T) {
 }
 
 // TestBitParallelWideDFAFallback pins the ≤64-state gate: a DFA too
-// wide to pack must take the generic kernels (Packed() returns nil)
+// wide to pack must take the id-list sweep (Packed() returns nil)
 // and still answer correctly.
 func TestBitParallelWideDFAFallback(t *testing.T) {
 	// a{70}b* minimizes to >64 states — wide enough to defeat packing.
@@ -248,7 +201,7 @@ func TestBitParallelWideDFAFallback(t *testing.T) {
 		g.AddEdge(i, 'a', i+1)
 	}
 	if res := s.Solve(g, 0, 70); !res.Found {
-		t.Fatal("a^70 path must be found on the generic kernels")
+		t.Fatal("a^70 path must be found on the id-list sweep")
 	}
 	if res := s.Solve(g, 0, 69); res.Found {
 		t.Fatal("a^69 is not in the language")
@@ -273,14 +226,7 @@ func TestDirectionSwitchRaceClean(t *testing.T) {
 		isolated := g.AddVertex()
 		rng := rand.New(rand.NewSource(11))
 		pairs := shardPairSet(g, isolated, rng)
-		want, wantEx := referenceAnswers(t, tc.solver(t), g, pairs)
-		// Re-apply the forced-switch mode (referenceAnswers restored the
-		// defaults around its own run).
-		SetDirectionMode(DirAuto)
-		SetBitParallel(true)
-		dirAlphaOverride.Store(1)
-		dirBetaOverride.Store(1000000)
-		checkShardedAgainst(t, tc.solver(t), g, 8, pairs, want, wantEx)
+		checkShardedAgainst(t, tc.solver(t), g, 8, pairs, oracleAnswers(tc.solver(t), g, pairs))
 	}
 }
 

@@ -8,38 +8,15 @@ import (
 	"repro/internal/graph"
 )
 
-// This file pins the bit-parallel distance kernels (distbits.go)
-// against the generic distToGoal reference: the packed sweep plus
-// witness-log replay must produce bit-identical distance arrays, and
-// the walks read off its successor links must be genuine shortest
-// L-labeled walks — validated label by label against the graph and the
-// DFA, not compared to the reference's parents (equally short links
-// may differ; see distbits.go). The sweep covers every tier's pattern,
-// K ∈ {0, 1, 4, 8}, forced direction switches, and pre/post-mutation
-// overlay views.
-
-// genericDistReference computes the reference distance array with the
-// generic top-down unsharded kernel — the seed implementation's
-// behavior — as id → distance, -1 where unreached.
-func genericDistReference(t *testing.T, s *Solver, g *graph.Graph, y int) []int32 {
-	t.Helper()
-	SetDirectionMode(DirTopDown)
-	SetBitParallel(false)
-	defer func() {
-		SetDirectionMode(DirAuto)
-		SetBitParallel(true)
-	}()
-	g.SetShards(0)
-	a := getArena()
-	defer a.release()
-	p := makeProduct(g.PinView(), s.Min, a)
-	p.distToGoal(y, a)
-	dist := make([]int32, p.n*p.m)
-	for i := range dist {
-		dist[i] = a.distAt(i)
-	}
-	return dist
-}
+// This file pins the packed sweep with links (bitbfs.go) against the
+// textbook oracle of sweep_oracle_test.go: it must produce bit-identical
+// distance arrays, every successor link must be a valid step one level
+// closer to the goal, and the walks read off the links must be genuine
+// shortest L-labeled walks — validated label by label against the graph
+// and the DFA (equally short links may differ between drivers and shard
+// counts, so links are validated, never compared). The sweep covers
+// every tier's pattern, K ∈ {0, 1, 4, 8}, forced direction switches, and
+// pre/post-mutation overlay views.
 
 // checkWalkBitValid validates one reconstructed walk label by label:
 // every step must be a live edge of g carrying the recorded label, the
@@ -77,10 +54,10 @@ func checkWalkBitValid(t *testing.T, s *Solver, g *graph.Graph, walk *graph.Path
 	}
 }
 
-// checkDistKernel runs the bit-parallel distance kernel in mode m at
-// shard count k and compares against the reference array, then
-// validates the walks of every reachable source.
-func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, m kernelMode, k, y int, want []int32, wantOverlay bool) {
+// checkDistKernel runs the distance sweep in mode m at shard count k and
+// compares against the oracle's array, then validates the walks of every
+// reachable source.
+func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, arcs []oracleArc, m kernelMode, k, y int, want []int32, wantOverlay bool) {
 	t.Helper()
 	setKernelMode(t, m)
 	g.SetShards(k)
@@ -94,12 +71,9 @@ func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, m kernelMode, k, y
 		t.Fatalf("post-mutation phase must run on an overlay view")
 	}
 	p.distToGoal(y, a)
-	for i := range want {
-		if got := a.distAt(i); got != want[i] {
-			t.Fatalf("mode=%s K=%d y=%d: dist[%d] = %d, reference %d", m.name, k, y, i, got, want[i])
-		}
-	}
-	checkSweepContracts(t, &p, a, fmt.Sprintf("mode=%s K=%d y=%d", m.name, k, y))
+	ctx := fmt.Sprintf("mode=%s K=%d y=%d", m.name, k, y)
+	checkSweepAgainstOracle(t, g, p.m, arcs, a, true, want, ctx)
+	checkSweepContracts(t, &p, a, ctx)
 	for x := 0; x < p.n; x++ {
 		d := want[p.id(x, s.Min.Start)]
 		walk := p.sharedWalkFrom(a, x)
@@ -131,13 +105,11 @@ func TestDistanceWitnessEquivalence(t *testing.T) {
 
 				check := func(wantOverlay bool) {
 					for _, y := range targets {
-						want := genericDistReference(t, s, g, y)
+						arcs, accept := dfaOracle(s.Min)
+						want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
 						for _, m := range kernelModes() {
-							if !m.bits {
-								continue // reference already covers the generic forms
-							}
 							for _, k := range shardCounts {
-								checkDistKernel(t, s, g, m, k, y, want, wantOverlay && k == 0)
+								checkDistKernel(t, s, g, arcs, m, k, y, want, wantOverlay && k == 0)
 							}
 						}
 					}

@@ -140,12 +140,11 @@ type EngineStats struct {
 	// whether the engine picked it (EngineConfig.Shards == 0) rather
 	// than the caller, and ShardEdges the per-shard edge counts of the
 	// current frozen base (edges by owning source row). ExchangeRounds
-	// is the cumulative bulk-synchronous round count of the
-	// frontier-exchange kernels — always TopDownRounds +
+	// is the cumulative round count of the backward sweeps (every one
+	// a frontier exchange, at any K) — always TopDownRounds +
 	// BottomUpRounds, which split it by the direction each round ran
 	// in (dirbfs.go). BitParallelHits counts backward sweeps served by
-	// the packed ≤64-state kernels (bitbfs.go), sequential and sharded
-	// alike.
+	// the packed ≤64-state driver (bitbfs.go).
 	Shards          int   `json:"shards,omitempty"`
 	ShardsAdaptive  bool  `json:"shards_adaptive,omitempty"`
 	ShardEdges      []int `json:"shard_edges,omitempty"`
@@ -427,10 +426,10 @@ func (e *Engine) Stats() EngineStats {
 	if snap != nil {
 		st.Epoch = snap.epoch
 		st.Algorithm = snap.algo.String()
-		if parts := partition(snap.vw); parts.K > 0 {
-			st.Shards = parts.K
+		if k := snap.vw.Shards(); k > 0 {
+			st.Shards = k
 			st.ShardsAdaptive = e.adaptive
-			st.ShardEdges = parts.baseEdges(snap.vw.Base())
+			st.ShardEdges = partition(snap.vw).baseEdges(snap.vw.Base())
 		}
 	}
 	if e.tables != nil {
@@ -526,6 +525,7 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 		tr.DirAlpha = st.kt.alpha
 		tr.DirBeta = st.kt.beta
 		tr.Tuned = st.kt.tuned
+		tr.Shards = st.kt.shards
 		tr.Rounds = st.kt.rounds
 		return res, tr
 	}

@@ -92,7 +92,7 @@ func (w answers) set(i int, res Result) {
 }
 
 // solveTiming is the sink a traced query threads through solveGroup and
-// its table helpers: the kernel trace the product kernels fill, plus
+// its table helpers: the kernel trace the sweeps fill, plus
 // the table/kernel stage split and the table-cache verdict. It is nil
 // on every untraced path.
 type solveTiming struct {
@@ -265,7 +265,7 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 			if remaining == 0 {
 				break // skip later sequences' co-reachability builds
 			}
-			ss := ev.acquireSummary(pv, seq, si, grp.y, st)
+			ss := ev.acquireSummary(pv, a, seq, si, grp.y, st)
 			ss.existsOnly = w.existsOnly()
 			k0 := ev.clock()
 			for j, x := range grp.xs {
@@ -332,16 +332,21 @@ func (ev *evaluator) observeTable(t0 time.Time, st *solveTiming) {
 	}
 }
 
-// product builds the product over a pinned view, carrying the
-// partition, the kernel telemetry and tuner (and, when tracing, the
-// per-query trace sink) into the kernels.
+// sinks are what every sweep of this evaluator reports to: the kernel
+// telemetry, the tuner and, when tracing, the per-query trace sink.
+func (ev *evaluator) sinks(st *solveTiming) sinks {
+	sk := sinks{counts: ev.counts, tun: ev.tuner}
+	if st != nil {
+		sk.tr = st.kt
+	}
+	return sk
+}
+
+// product builds the product over a pinned view, wired to the
+// evaluator's sinks.
 func (ev *evaluator) product(pv *pinned, a *arena, st *solveTiming) product {
 	p := makeProduct(pv.vw, ev.s.Min, a)
-	p.counts = ev.counts
-	p.tun = ev.tuner
-	if st != nil {
-		p.tr = st.kt
-	}
+	p.sinks = ev.sinks(st)
 	return p
 }
 
@@ -367,7 +372,7 @@ type tableKey struct {
 }
 
 func (ev *evaluator) tableKey(pv *pinned, y, seq int, kind uint8) tableKey {
-	return tableKey{epoch: pv.epoch, lang: ev.s.id, y: int32(y), seq: int32(seq), shards: uint16(pv.vw.Shards()), kind: kind}
+	return tableKey{epoch: pv.epoch, lang: ev.s.id, y: int32(y), seq: int32(seq), shards: uint16(partition(pv.vw).K), kind: kind}
 }
 
 // resultKey names one cached answer. Existence-only answers are cached
@@ -416,8 +421,9 @@ func resultCost(res Result) int64 {
 }
 
 // coTable is an immutable product co-reachability table (a bitset over
-// dense product ids), the frozen form of what coReach / computeCoReach
-// leave in per-query scratch. Safe for concurrent readers.
+// dense product ids), the frozen form of what a mark-only sweep
+// (coReach, the summary tier's position-NFA sweep) leaves in a.co. Safe
+// for concurrent readers.
 type coTable struct {
 	bits []uint64
 }
@@ -599,9 +605,9 @@ func (t *goalTable) walkFrom(x, start, m int) *graph.Path {
 // acquireSummary readies a summary searcher for (sequence si, target
 // y), feeding its co-reachability table from — and back to — the table
 // cache. On a table miss the co-reachability sweep runs inside the
-// acquire and is timed as kernel; the cache traffic around it is timed
-// as table.
-func (ev *evaluator) acquireSummary(pv *pinned, seq *psitr.Sequence, si, y int, st *solveTiming) *seqSearcher {
+// acquire, into a.co, and is timed as kernel; the cache traffic around
+// it is timed as table.
+func (ev *evaluator) acquireSummary(pv *pinned, a *arena, seq *psitr.Sequence, si, y int, st *solveTiming) *seqSearcher {
 	key := ev.tableKey(pv, y, si, tableSeq)
 	t0 := ev.clock()
 	var ext *coTable
@@ -611,18 +617,16 @@ func (ev *evaluator) acquireSummary(pv *pinned, seq *psitr.Sequence, si, y int, 
 		}
 	}
 	ev.observeTable(t0, st)
-	var kt *kernelTrace
 	if st != nil {
 		st.tableHit = st.tableHit || ext != nil
-		kt = st.kt
 	}
 	k0 := ev.clock()
-	ss := acquireSeqSearcher(pv.vw, seq, y, false, ext, ev.counts, kt)
+	ss := acquireSeqSearcher(pv.vw, a, seq, y, false, ext, ev.sinks(st))
 	if ext == nil {
 		ev.observeKernel(k0, st)
-		if n := ss.n * ss.plan.posCount; ev.tables != nil && ev.tables.Retainable(coTableCost(n)) {
+		if n := ss.n * ss.m; ev.tables != nil && ev.tables.Retainable(coTableCost(n)) {
 			t1 := ev.clock()
-			t := exportCoTable(&ss.coreach, n)
+			t := exportCoTable(&a.co, n)
 			ev.tables.Put(key, t, t.cost())
 			ev.observeTable(t1, st)
 		}

@@ -58,30 +58,16 @@ func VerifyWitness(res Result, g *graph.Graph, d *automaton.DFA, x, y int) bool 
 
 // product indexes (vertex, state) pairs of the G×A_L product graph. It
 // works on a pinned view of the graph — the frozen CSR snapshot plus
-// any small pending-mutation overlay (graph.View) — and the DFA's
-// reverse-transition index, so forward steps touch contiguous
-// label-bucketed edge slices (overlay buckets substitute transparently)
-// and backward steps enumerate exact predecessor states instead of
-// scanning all of them.
-//
-// When the view carries a shard count K > 1 (graph.SetShards), the
-// backward kernels (coReach, distToGoal) run as a bulk-synchronous
-// frontier exchange over the K row ranges of parts instead of a single
-// queue-driven sweep — see shardbfs.go. counts, when non-nil,
-// accumulates the per-direction round and bit-parallel hit counts
-// (Engine wires its stats counters here).
+// any small pending-mutation overlay (graph.View) — so forward steps
+// touch contiguous label-bucketed edge slices (overlay buckets
+// substitute transparently). The embedded sweepEnv is what its backward
+// sweeps (coReach, distToGoal) run over: the view, the state count m,
+// the row partition the view's shard count induces, and the telemetry
+// and tuner sinks an Engine wires in.
 type product struct {
-	vw   *graph.View
+	sweepEnv
 	d    *automaton.DFA
-	rev  *automaton.RevIndex
-	n    int     // vertices
-	m    int     // states
 	lmap []int16 // CSR label id -> DFA alphabet index, -1 when absent
-
-	parts  rowParts      // K <= 1 → sequential kernels
-	counts *exchCounters // direction/bit-hit metrics sink, may be nil
-	tr     *kernelTrace  // opt-in per-query trace recording, may be nil
-	tun    *dirTuner     // α/β auto-tuner, may be nil (Engine wires it)
 }
 
 // makeProduct builds the product over a pinned view, so a long-lived
@@ -96,13 +82,13 @@ func makeProduct(vw *graph.View, d *automaton.DFA, a *arena) product {
 	for lid := 0; lid < L; lid++ {
 		a.lmap[lid] = int16(d.Alphabet.Index(vw.Label(lid)))
 	}
-	return product{vw: vw, d: d, rev: d.Rev(), n: vw.NumVertices(), m: d.NumStates, lmap: a.lmap, parts: partition(vw)}
+	return product{sweepEnv: makeSweepEnv(vw, d.NumStates, sinks{}), d: d, lmap: a.lmap}
 }
 
 func (p *product) id(v, q int) int { return v*p.m + q }
 
 // packed returns the DFA's bit-parallel transition table when the
-// packed kernels apply — at most 64 states and not disabled via
+// packed sweep applies — at most 64 states and not disabled via
 // SetBitParallel — else nil. Solver/Engine construction pre-builds the
 // table (DFA.Packed is lazily cached), so this is a field read on the
 // query path.
@@ -116,28 +102,8 @@ func (p *product) packed() *automaton.Packed {
 // coReach computes, for every (v, q), whether some walk from v labeled
 // w with ∆(q, w) accepting reaches y. This ignores simplicity and is
 // the standard pruning oracle for the simple-path searches. The result
-// is left in a.co. Dispatch picks the fastest applicable kernel: the
-// bit-parallel forms (bitbfs.go) when the DFA packs into one word, the
-// frontier exchange (shardbfs.go) on a sharded product — a single-shard
-// partition degenerates to the sequential sweep, so the exchange runs
-// only for K > 1 — and the direction-optimizing sequential sweep
-// (dirbfs.go) otherwise. All four produce the identical set.
-func (p *product) coReach(y int, a *arena) {
-	pk := p.packed()
-	if p.parts.K > 1 {
-		if pk != nil {
-			p.coReachBitsSharded(y, a, pk)
-		} else {
-			p.coReachSharded(y, a)
-		}
-		return
-	}
-	if pk != nil {
-		p.coReachBits(y, a, pk)
-		return
-	}
-	p.coReachSeq(y, a)
-}
+// is left in a.co.
+func (p *product) coReach(y int, a *arena) { p.sweep(y, a, false) }
 
 // distToGoal computes product BFS distances to the accepting goal
 // (y, accepting), left in a.dist; entries are valid where a.dst holds.
@@ -145,31 +111,23 @@ func (p *product) coReach(y int, a *arena) {
 // step closer to the goal (a.parent) and the label of that step
 // (a.plabel), so a shortest walk from ANY source can be read off
 // forward without another search — the basis of the batched walk tiers
-// (see sharedWalkFrom). Dispatch mirrors coReach: on a ≤64-state DFA
-// the bit-parallel distance kernels (distbits.go) run the packed sweep
-// level-synchronously and reconstruct the successor links afterward by
-// replaying a per-level witness log — packed words cannot carry per-id
-// links during the sweep, but the level structure determines them
-// after it. On a sharded product the kernels run as a frontier
-// exchange (shardbfs.go / distbits.go): distances are identical (the
-// exchange is synchronous BFS), parent links may name a different —
-// equally short — successor. All forms are direction-optimizing and
-// fill the same arena outputs, so every consumer is kernel-blind.
-func (p *product) distToGoal(y int, a *arena) {
-	pk := p.packed()
-	if p.parts.K > 1 {
-		if pk != nil {
-			p.distToGoalBitsSharded(y, a, pk)
-		} else {
-			p.distToGoalSharded(y, a)
-		}
-		return
+// (see sharedWalkFrom). Distances are the same whichever driver and
+// shard count ran; parent links may name a different — equally short —
+// successor.
+func (p *product) distToGoal(y int, a *arena) { p.sweep(y, a, true) }
+
+// sweep runs the backward sweep toward (y, accepting) on one of the two
+// round drivers: the packed one (bitbfs.go) when the DFA fits a word,
+// the id-list one (shardbfs.go) over the DFA's arcs otherwise. Both are
+// direction-optimizing frontier exchanges over the view's row
+// partition and fill the same arena outputs, so every consumer is
+// driver-blind.
+func (p *product) sweep(y int, a *arena, links bool) {
+	if pk := p.packed(); pk != nil {
+		p.sweepPacked(y, a, pk, links)
+	} else {
+		p.sweepArcs(a, p.dfaArcs(a), y, links)
 	}
-	if pk != nil {
-		p.distToGoalBits(y, a, pk)
-		return
-	}
-	p.distToGoalSeq(y, a)
 }
 
 // distAt returns the product distance computed by distToGoal, -1 when

@@ -10,10 +10,10 @@ import (
 	"repro/internal/graph"
 )
 
-// This file pins the frontier-exchange refactor: a sharded graph must
-// answer every query exactly like the unsharded path, for every shard
-// count, on every algorithm tier, before and after mutation epochs.
-// Found bits and distances are bit-identical (the exchange is
+// This file pins the frontier exchange: a graph must answer every query
+// exactly as the textbook oracle of sweep_oracle_test.go does, for
+// every shard count, on every algorithm tier, before and after mutation
+// epochs. Found bits and distances are bit-identical (the exchange is
 // synchronous BFS); witnesses are verified rather than compared, since
 // equal-length parent links may legitimately differ.
 
@@ -43,21 +43,10 @@ func shardTierCases() []shardTierCase {
 	}
 }
 
-// unshardedAnswers computes the reference answer set on the unsharded
-// path: per-pair results, batch results and existence bits.
-func unshardedAnswers(s *Solver, g *graph.Graph, pairs []Pair) ([]Result, []bool) {
-	g.SetShards(0)
-	out := make([]Result, len(pairs))
-	for i, pq := range pairs {
-		out[i] = s.Solve(g, pq.X, pq.Y)
-	}
-	return out, NewBatchSolver(s, g).SolveExists(pairs)
-}
-
 // checkShardedAgainst re-answers every pair on a K-sharded graph — per
 // query, batched, existence-only, and through an Engine — and compares
-// to the reference.
-func checkShardedAgainst(t *testing.T, s *Solver, g *graph.Graph, k int, pairs []Pair, want []Result, wantEx []bool) {
+// to the oracle's Found bits.
+func checkShardedAgainst(t *testing.T, s *Solver, g *graph.Graph, k int, pairs []Pair, want []bool) {
 	t.Helper()
 	g.SetShards(k)
 	if got := g.PinView().Shards(); got != k {
@@ -65,8 +54,8 @@ func checkShardedAgainst(t *testing.T, s *Solver, g *graph.Graph, k int, pairs [
 	}
 	for i, pq := range pairs {
 		got := s.Solve(g, pq.X, pq.Y)
-		if got.Found != want[i].Found {
-			t.Fatalf("K=%d Solve(%d,%d): found=%v, unsharded says %v", k, pq.X, pq.Y, got.Found, want[i].Found)
+		if got.Found != want[i] {
+			t.Fatalf("K=%d Solve(%d,%d): found=%v, oracle says %v", k, pq.X, pq.Y, got.Found, want[i])
 		}
 		if !VerifyWitness(got, g, s.Min, pq.X, pq.Y) {
 			t.Fatalf("K=%d Solve(%d,%d): invalid witness %v", k, pq.X, pq.Y, got.Path)
@@ -74,8 +63,8 @@ func checkShardedAgainst(t *testing.T, s *Solver, g *graph.Graph, k int, pairs [
 	}
 	batch := NewBatchSolver(s, g).Solve(pairs)
 	for i, got := range batch {
-		if got.Found != want[i].Found {
-			t.Fatalf("K=%d batch pair %d (%d,%d): found=%v, want %v", k, i, pairs[i].X, pairs[i].Y, got.Found, want[i].Found)
+		if got.Found != want[i] {
+			t.Fatalf("K=%d batch pair %d (%d,%d): found=%v, want %v", k, i, pairs[i].X, pairs[i].Y, got.Found, want[i])
 		}
 		if !VerifyWitness(got, g, s.Min, pairs[i].X, pairs[i].Y) {
 			t.Fatalf("K=%d batch pair %d: invalid witness", k, i)
@@ -83,14 +72,14 @@ func checkShardedAgainst(t *testing.T, s *Solver, g *graph.Graph, k int, pairs [
 	}
 	ex := NewBatchSolver(s, g).SolveExists(pairs)
 	for i, got := range ex {
-		if got != wantEx[i] {
-			t.Fatalf("K=%d exists pair %d (%d,%d): %v, want %v", k, i, pairs[i].X, pairs[i].Y, got, wantEx[i])
+		if got != want[i] {
+			t.Fatalf("K=%d exists pair %d (%d,%d): %v, want %v", k, i, pairs[i].X, pairs[i].Y, got, want[i])
 		}
 	}
 	eng := NewEngine(s, g, EngineConfig{})
 	for i, pq := range pairs {
-		if got := eng.Solve(pq.X, pq.Y); got.Found != want[i].Found {
-			t.Fatalf("K=%d engine Solve(%d,%d): found=%v, want %v", k, pq.X, pq.Y, got.Found, want[i].Found)
+		if got := eng.Solve(pq.X, pq.Y); got.Found != want[i] {
+			t.Fatalf("K=%d engine Solve(%d,%d): found=%v, want %v", k, pq.X, pq.Y, got.Found, want[i])
 		}
 	}
 }
@@ -117,9 +106,9 @@ func shardPairSet(g *graph.Graph, isolated int, rng *rand.Rand) []Pair {
 	return pairs
 }
 
-// TestShardedEquivalence is the randomized sharded ≡ unsharded suite:
-// for every tier and K ∈ {1, 2, 3, 8}, before and after a mutation
-// epoch (served through the overlay of the pre-mutation base).
+// TestShardedEquivalence is the randomized sharded ≡ oracle suite: for
+// every tier and K ∈ {1, 2, 3, 8}, before and after a mutation epoch
+// (served through the overlay of the pre-mutation base).
 func TestShardedEquivalence(t *testing.T) {
 	shardCounts := []int{1, 2, 3, 8}
 	for _, tc := range shardTierCases() {
@@ -130,9 +119,9 @@ func TestShardedEquivalence(t *testing.T) {
 				isolated := g.AddVertex() // stays isolated: empty buckets in some shard
 				pairs := shardPairSet(g, isolated, rng)
 
-				want, wantEx := unshardedAnswers(tc.solver(t), g, pairs)
+				want := oracleAnswers(tc.solver(t), g, pairs)
 				for _, k := range shardCounts {
-					checkShardedAgainst(t, tc.solver(t), g, k, pairs, want, wantEx)
+					checkShardedAgainst(t, tc.solver(t), g, k, pairs, want)
 				}
 
 				// One mutation epoch: flip a few random edges (keeping the
@@ -152,9 +141,9 @@ func TestShardedEquivalence(t *testing.T) {
 						g.AddEdge(u, l, v)
 					}
 				}
-				want, wantEx = unshardedAnswers(tc.solver(t), g, pairs)
+				want = oracleAnswers(tc.solver(t), g, pairs)
 				for _, k := range shardCounts {
-					checkShardedAgainst(t, tc.solver(t), g, k, pairs, want, wantEx)
+					checkShardedAgainst(t, tc.solver(t), g, k, pairs, want)
 				}
 			}
 		})
@@ -182,8 +171,7 @@ func TestShardedExchangeParallelWorkers(t *testing.T) {
 		isolated := g.AddVertex()
 		rng := rand.New(rand.NewSource(7))
 		pairs := shardPairSet(g, isolated, rng)
-		want, wantEx := unshardedAnswers(tc.solver(t), g, pairs)
-		checkShardedAgainst(t, tc.solver(t), g, 8, pairs, want, wantEx)
+		checkShardedAgainst(t, tc.solver(t), g, 8, pairs, oracleAnswers(tc.solver(t), g, pairs))
 	}
 }
 
@@ -270,8 +258,8 @@ func growPastBase(g *graph.Graph, rng *rand.Rand, grow, dagWidth int) []int {
 // as well as edges after the base freeze, so the view's rows — and the
 // shard ranges cut from them — extend past the base CSR. For every tier
 // and K ∈ {2, 3, 8}, with the exchange forced onto four workers, Solve,
-// Shortest lengths, BatchSolver and Engine must agree with the unsharded
-// graph and with BaselineShortest on a cold rebuild. A kernel that read
+// Shortest lengths, BatchSolver and Engine must agree with the textbook
+// oracle and with BaselineShortest on a cold rebuild. A kernel that read
 // a row >= base.n through the base instead of the view would panic or
 // miss the new vertices' paths here.
 func TestShardedGrownOverlayEquivalence(t *testing.T) {
@@ -310,10 +298,10 @@ func TestShardedGrownOverlayEquivalence(t *testing.T) {
 				if reached == 0 {
 					t.Fatalf("seed %d: no positive pair touches a new vertex; the case is not exercised", seed)
 				}
-				want, wantEx := unshardedAnswers(s, g, pairs)
+				want := oracleAnswers(s, g, pairs)
 				for i := range pairs {
-					if want[i].Found != (wantLen[i] >= 0) {
-						t.Fatalf("seed %d unsharded Solve(%d,%d)=%v disagrees with BaselineShortest", seed, pairs[i].X, pairs[i].Y, want[i].Found)
+					if want[i] != (wantLen[i] >= 0) {
+						t.Fatalf("seed %d: oracle answer (%d,%d)=%v disagrees with BaselineShortest", seed, pairs[i].X, pairs[i].Y, want[i])
 					}
 				}
 				for _, k := range []int{2, 3, 8} {
@@ -322,7 +310,7 @@ func TestShardedGrownOverlayEquivalence(t *testing.T) {
 						t.Fatalf("K=%d: want an overlay over a grown vertex set (overlay=%v, n=%d, base n=%d)",
 							k, vw.Overlay(), vw.NumVertices(), vw.Base().NumVertices())
 					}
-					checkShardedAgainst(t, s, g, k, pairs, want, wantEx)
+					checkShardedAgainst(t, s, g, k, pairs, want)
 					for i, pq := range pairs {
 						gotLen := -1
 						if got := s.Shortest(g, pq.X, pq.Y); got.Found {
@@ -374,17 +362,17 @@ func checkSweepContracts(t *testing.T, p *product, a *arena, ctx string) bool {
 	return true
 }
 
-// TestSweepReachListAndCleanWords runs all four distToGoal forms
-// (generic and packed, K=1 sequential and K ∈ {3, 5} exchanged on four
-// workers) on a pass-through and on an overlay view — reached, under
-// every K, through successive extensions — of a graph sparse enough
-// that many sweeps stay under the sparse threshold, through ONE
+// TestSweepReachListAndCleanWords runs both round drivers (id-list and
+// packed), on the inline single shard and exchanged over K ∈ {3, 5} on
+// four workers, on a pass-through and on an overlay view — reached,
+// under every K, through successive extensions — of a graph sparse
+// enough that many sweeps stay under the sparse threshold, through ONE
 // arena that alternates mark-only and distance sweeps. Every sweep must
-// answer like a fresh arena running the generic sequential kernels — a
-// word left dirty by one sweep, or zeroed wrongly, shows up as a wrong
-// closure or distance in the next — and must leave the reach list and
-// the words as checkSweepContracts requires. Each form has to see both a
-// kept and an abandoned list, or the case is vacuous.
+// answer like the textbook oracle — a word left dirty by one sweep, or
+// zeroed wrongly, shows up as a wrong closure or distance in the next —
+// and must leave the reach list and the words as checkSweepContracts
+// requires. Each form has to see both a kept and an abandoned list, or
+// the case is vacuous.
 func TestSweepReachListAndCleanWords(t *testing.T) {
 	exchangeWorkersOverride.Store(4)
 	defer exchangeWorkersOverride.Store(0)
@@ -393,6 +381,7 @@ func TestSweepReachListAndCleanWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	arcs, accept := dfaOracle(s.Min)
 	g := graph.RandomRegular(300, []byte{'a', 'b', 'c'}, 3, 17)
 	g.AddVertex() // isolated: a sweep that reaches only its own goal states
 	g.Freeze()
@@ -407,23 +396,7 @@ func TestSweepReachListAndCleanWords(t *testing.T) {
 			if rep == 0 {
 				y = n - 1
 			}
-			SetBitParallel(false)
-			g.SetShards(0)
-			if wantOverlay {
-				repinByExtension(t, g)
-			}
-			fresh := new(arena)
-			rp := makeProduct(g.PinView(), s.Min, fresh)
-			if rp.vw.Overlay() != wantOverlay {
-				t.Fatalf("%s: view overlay = %v", view, rp.vw.Overlay())
-			}
-			nm := rp.n * rp.m
-			rp.coReach(y, fresh)
-			wantCo := make([]bool, nm)
-			for i := range wantCo {
-				wantCo[i] = fresh.co.has(i)
-			}
-			rp.distToGoal(y, fresh)
+			want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
 			for _, bitsOn := range []bool{true, false} {
 				for _, k := range []int{1, 3, 5} {
 					SetBitParallel(bitsOn)
@@ -434,29 +407,20 @@ func TestSweepReachListAndCleanWords(t *testing.T) {
 					form := fmt.Sprintf("bits=%v/sharded=%v", bitsOn, k > 1)
 					ctx := fmt.Sprintf("%s %s K=%d y=%d", view, form, k, y)
 					p := makeProduct(g.PinView(), s.Min, shared)
+					if p.vw.Overlay() != wantOverlay {
+						t.Fatalf("%s: view overlay = %v", ctx, p.vw.Overlay())
+					}
 					p.coReach(y, shared) // mark-only: leaves the packed words hot
-					for i := range wantCo {
-						if shared.co.has(i) != wantCo[i] {
-							t.Fatalf("%s: coReach differs from a fresh arena at id %d", ctx, i)
-						}
-					}
+					checkSweepAgainstOracle(t, g, p.m, arcs, shared, false, want, ctx)
 					p.distToGoal(y, shared)
-					for i := 0; i < nm; i++ {
-						if got, want := shared.distAt(i), fresh.distAt(i); got != want {
-							t.Fatalf("%s: dist[%d] = %d, fresh arena says %d", ctx, i, got, want)
-						}
-					}
+					checkSweepAgainstOracle(t, g, p.m, arcs, shared, true, want, ctx)
 					if checkSweepContracts(t, &p, shared, ctx) {
 						kept[form]++
 					} else {
 						dropped[form]++
 					}
 					p.distToGoal(y, shared) // back to back: starts from the cleaned words
-					for i := 0; i < nm; i++ {
-						if got, want := shared.distAt(i), fresh.distAt(i); got != want {
-							t.Fatalf("%s: repeat sweep dist[%d] = %d, fresh arena says %d", ctx, i, got, want)
-						}
-					}
+					checkSweepAgainstOracle(t, g, p.m, arcs, shared, true, want, ctx+" (repeat)")
 					checkSweepContracts(t, &p, shared, ctx+" (repeat)")
 				}
 			}
@@ -476,8 +440,9 @@ func TestSweepReachListAndCleanWords(t *testing.T) {
 }
 
 // TestShardedDistancesIdentical pins the synchronous-BFS property the
-// witness comparison relies on: sharded and unsharded shortest-walk
-// distances agree exactly (DAG tier, where the walk IS the answer).
+// witness comparison relies on: for every K the shortest-walk lengths
+// are exactly the oracle's distances (DAG tier, where the walk IS the
+// answer).
 func TestShardedDistancesIdentical(t *testing.T) {
 	s, err := NewSolver("(a|b)*a(a|b)*")
 	if err != nil {
@@ -485,27 +450,19 @@ func TestShardedDistancesIdentical(t *testing.T) {
 	}
 	g := graph.LayeredDAG(6, 5, 2, []byte{'a', 'b'}, 11)
 	n := g.NumVertices()
-	type key struct{ x, y int }
-	lens := map[key]int{}
-	g.SetShards(0)
-	for x := 0; x < n; x++ {
-		for y := 0; y < n; y++ {
-			if res := s.Solve(g, x, y); res.Found {
-				lens[key{x, y}] = res.Path.Len()
-			}
-		}
-	}
-	for _, k := range []int{1, 4, 8} {
+	m := s.Min.NumStates
+	arcs, accept := dfaOracle(s.Min)
+	for _, k := range []int{0, 1, 4, 8} {
 		g.SetShards(k)
-		for x := 0; x < n; x++ {
-			for y := 0; y < n; y++ {
-				res := s.Solve(g, x, y)
-				want, ok := lens[key{x, y}]
-				if res.Found != ok {
-					t.Fatalf("K=%d (%d,%d): found=%v, want %v", k, x, y, res.Found, ok)
+		for y := 0; y < n; y++ {
+			dist := textbookSweep(g, m, arcs, accept, y)
+			for x := 0; x < n; x++ {
+				res, want := s.Solve(g, x, y), int(dist[x*m+s.Min.Start])
+				if res.Found != (want >= 0) {
+					t.Fatalf("K=%d (%d,%d): found=%v, oracle distance %d", k, x, y, res.Found, want)
 				}
 				if res.Found && res.Path.Len() != want {
-					t.Fatalf("K=%d (%d,%d): walk length %d, unsharded %d", k, x, y, res.Path.Len(), want)
+					t.Fatalf("K=%d (%d,%d): walk length %d, oracle distance %d", k, x, y, res.Path.Len(), want)
 				}
 			}
 		}
@@ -553,6 +510,33 @@ func TestEngineShardedStats(t *testing.T) {
 	}
 }
 
+// TestUnshardedIsOneShard pins that K=0 and K=1 are one configuration:
+// the same one-shard partition, and the same table key — so a table
+// swept under -shards 0 is a hit under -shards 1 — while K=2 stays a
+// different key.
+func TestUnshardedIsOneShard(t *testing.T) {
+	s, err := NewSolver("a*c*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Random(30, []byte{'a', 'c'}, 0.1, 3)
+	ev := &evaluator{s: s}
+	var keys [3]tableKey
+	var parts [3]rowParts
+	for k := range keys {
+		g.SetShards(k)
+		pv := s.pin(g)
+		keys[k], parts[k] = ev.tableKey(pv, 7, -1, tableGoal), partition(pv.vw)
+	}
+	g.SetShards(0)
+	if parts[0] != parts[1] || parts[0].K != 1 || keys[0] != keys[1] {
+		t.Fatalf("K=0 and K=1 differ: partitions %+v / %+v, keys %+v / %+v", parts[0], parts[1], keys[0], keys[1])
+	}
+	if keys[1] == keys[2] {
+		t.Fatalf("K=1 and K=2 must not share a table key: %+v", keys[1])
+	}
+}
+
 // TestShardedManyShards sweeps K past the vertex count so some shards
 // are empty, catching boundary arithmetic.
 func TestShardedManyShards(t *testing.T) {
@@ -561,13 +545,13 @@ func TestShardedManyShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Random(9, []byte{'a', 'c'}, 0.25, 3)
-	var want []bool
-	g.SetShards(0)
+	var pairs []Pair
 	for x := 0; x < 9; x++ {
 		for y := 0; y < 9; y++ {
-			want = append(want, s.Solve(g, x, y).Found)
+			pairs = append(pairs, Pair{X: x, Y: y})
 		}
 	}
+	want := oracleAnswers(s, g, pairs)
 	for _, k := range []int{5, 9, 16, 40} {
 		g.SetShards(k)
 		i := 0
@@ -600,37 +584,5 @@ func TestShardCountBounded(t *testing.T) {
 	eng := NewEngine(s, g, EngineConfig{Shards: 70000})
 	if got := eng.Solve(0, 7).Found; got != want || eng.Stats().Shards != graph.MaxShards {
 		t.Fatalf("EngineConfig.Shards=70000: found=%v (want %v), Stats().Shards=%d", got, want, eng.Stats().Shards)
-	}
-}
-
-// BenchmarkExchangeOverheadK1 guards the K=1 bar of the tentpole: the
-// single-shard exchange must stay within a few percent of the
-// sequential kernel (it is the same work with one frontier swap per
-// level). Run with -bench to compare against the unsharded numbers.
-func BenchmarkExchangeOverheadK1(b *testing.B) {
-	s, err := NewSolver("a*c*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := graph.Random(400, []byte{'a', 'b', 'c'}, 0.01, 2)
-	for _, k := range []int{0, 1} {
-		g.SetShards(k)
-		s.Warm(g)
-		name := "unsharded"
-		if k == 1 {
-			name = "K=1"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			rng := rand.New(rand.NewSource(4))
-			bs := NewBatchSolver(s, g)
-			pairs := make([]Pair, 64)
-			for i := range pairs {
-				pairs[i] = Pair{X: rng.Intn(400), Y: rng.Intn(8)}
-			}
-			for i := 0; i < b.N; i++ {
-				bs.SolveExists(pairs)
-			}
-		})
 	}
 }

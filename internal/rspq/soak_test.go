@@ -133,7 +133,7 @@ func TestEngineOverlaySoak(t *testing.T) {
 // that table. Both answers must pass
 // VerifyWitness and agree, in existence and in length (both tiers return
 // shortest paths), with a freshly compiled Solver on a graph rebuilt
-// from scratch. K=0 runs the sequential kernels, K=5 the exchange.
+// from scratch. K=0 runs the single inline shard, K=5 the multi-shard exchange.
 func TestEngineSparseTableChurn(t *testing.T) {
 	cases := []struct {
 		name, pattern string

@@ -34,7 +34,7 @@ import (
 // against the exponential baseline on randomized instances.
 //
 // Performance architecture: the per-sequence plan (units + position NFA
-// + its reverse arcs) depends only on the Ψtr sequence, so it is built
+// as an arc table) depends only on the Ψtr sequence, so it is built
 // once and memoized; graph walks go through the label-bucketed CSR
 // snapshot (graph.Freeze), and all per-query scratch lives in a pooled,
 // epoch-stamped seqSearcher — a warm solver only allocates when it
@@ -49,9 +49,11 @@ func SolvePsitr(g *graph.Graph, e *psitr.Expr, x, y int, shortest bool) Result {
 		return Result{}
 	}
 	vw := g.PinView()
+	a := getArena()
+	defer a.release()
 	best := Result{}
 	for _, seq := range e.Seqs {
-		ss := acquireSeqSearcher(vw, seq, y, shortest, nil, nil, nil)
+		ss := acquireSeqSearcher(vw, a, seq, y, shortest, nil, sinks{})
 		res := ss.run(x)
 		ss.release()
 		if !res.Found {
@@ -91,34 +93,17 @@ type unit struct {
 	loop  int
 }
 
-// revArc is one reverse transition of the eps-free position NFA.
-type revArc struct {
-	from  int32
-	label byte
-}
-
-// fwdArc is one forward transition of the eps-free position NFA, used
-// by the bottom-up rounds of the co-reachability sweep (a bottom-up
-// probe asks "does (v, pos) step INTO the frontier", which walks the
-// NFA forward).
-type fwdArc struct {
-	to    int32
-	label byte
-}
-
 // seqPlan is the compiled, immutable evaluation plan of one Ψtr
-// sequence: the unit list plus the eps-free position NFA in the
-// orientations the searcher needs (forward states inside units, reverse
-// arcs for the top-down co-reachability sweep, forward arcs for its
-// bottom-up rounds). Plans depend only on the sequence, so they are
+// sequence: the unit list plus the eps-free position NFA as an arc
+// table (shardbfs.go) — reverse arcs for the top-down rounds of the
+// co-reachability sweep, forward arcs for its bottom-up rounds, the
+// accepting positions. Plans depend only on the sequence, so they are
 // memoized in planCache and shared by every query and every goroutine.
 type seqPlan struct {
 	units    []unit
 	startPos int
 	posCount int
-	rnfa     [][]revArc
-	fnfa     [][]fwdArc
-	accepts  []int32
+	arcs     arcTable
 }
 
 var planCache sync.Map // *psitr.Sequence -> *seqPlan
@@ -197,17 +182,13 @@ func buildPlan(seq *psitr.Sequence) *seqPlan {
 	ef := n.EpsFree()
 	pl.posCount = ef.NumStates
 	pl.startPos = ef.Start
-	pl.rnfa = make([][]revArc, ef.NumStates)
-	pl.fnfa = make([][]fwdArc, ef.NumStates)
+	pl.arcs.reset(ef.NumStates)
 	for q := 0; q < ef.NumStates; q++ {
 		for _, e := range ef.Edges[q] {
-			pl.rnfa[e.To] = append(pl.rnfa[e.To], revArc{from: int32(q), label: e.Label})
-			pl.fnfa[q] = append(pl.fnfa[q], fwdArc{to: int32(e.To), label: e.Label})
+			pl.arcs.add(q, e.Label, e.To)
 		}
-	}
-	for s := 0; s < ef.NumStates; s++ {
-		if ef.Accept[s] {
-			pl.accepts = append(pl.accepts, int32(s))
+		if ef.Accept[q] {
+			pl.arcs.accepts = append(pl.arcs.accepts, int32(q))
 		}
 	}
 	return pl
@@ -245,28 +226,23 @@ type gapSpan struct {
 }
 
 type seqSearcher struct {
-	vw       *graph.View
-	n        int
+	// sweepEnv carries the view, its vertex count n and — as the state
+	// count m — the plan's position count, so (vertex, position) pairs
+	// are the product ids v*m + pos the co-reachability sweep marks.
+	sweepEnv
 	x, y     int
 	shortest bool
 	// existsOnly suppresses witness materialization: the first valid
 	// completion sets found and stops, allocating nothing.
 	existsOnly bool
 	// ext, when non-nil, is a frozen co-reachability table (from a
-	// cross-query cache) used instead of computing coreach.
-	ext *coTable
-	// parts, when K > 1, makes the co-reachability sweep run as a
-	// frontier exchange over the view's row ranges (shardbfs.go); counts
-	// receives the per-direction exchange round counts when set.
-	parts  rowParts
-	counts *exchCounters
-	tr     *kernelTrace
-	plan   *seqPlan
-	units  []unit // aliases plan.units
-
-	coreach stamped // (v*posCount + s)
-	queue   []int32
-	queue2  []int32
+	// cross-query cache) used instead of sweeping; otherwise the table
+	// is a.co of the caller's arena, which the searcher borrows until it
+	// is released.
+	ext   *coTable
+	a     *arena
+	plan  *seqPlan
+	units []unit // aliases plan.units
 
 	used []bool
 	skel []skelElem
@@ -299,19 +275,21 @@ var seqSearcherPool = sync.Pool{New: func() any { return new(seqSearcher) }}
 
 // acquireSeqSearcher readies a pooled searcher for queries on one
 // (view, seq, y) combination: plan from the memo cache, scratch grown
-// in place, co-reachability table recomputed (it depends only on the
-// view and y — NOT on the source x, which is supplied per run call, so
-// queries sharing a target reuse the table) unless a cached one (ext)
-// is supplied — the summary tier's cross-query cache hit path. counts,
-// when non-nil, receives per-direction round counts and round timings;
-// tr, when non-nil, records the per-round trace (trace.go).
-func acquireSeqSearcher(vw *graph.View, seq *psitr.Sequence, y int, shortest bool, ext *coTable, counts *exchCounters, tr *kernelTrace) *seqSearcher {
+// in place, co-reachability table swept into a.co (it depends only on
+// the view and y — NOT on the source x, which is supplied per run call,
+// so queries sharing a target reuse the table) unless a cached one
+// (ext) is supplied — the summary tier's cross-query cache hit path. The
+// table marks the (vertex, position) pairs from which the remaining
+// sequence can still be matched by some walk to y (ignoring simplicity)
+// — the pruning oracle — and the sweep is the id-list driver of
+// shardbfs.go over the plan's arcs, reporting to sk like any product
+// sweep.
+func acquireSeqSearcher(vw *graph.View, a *arena, seq *psitr.Sequence, y int, shortest bool, ext *coTable, sk sinks) *seqSearcher {
 	ss := seqSearcherPool.Get().(*seqSearcher)
-	ss.vw = vw
-	ss.n = ss.vw.NumVertices()
+	ss.plan = planFor(seq)
+	ss.sweepEnv = makeSweepEnv(vw, ss.plan.posCount, sk)
 	ss.y = y
 	ss.shortest = shortest
-	ss.plan = planFor(seq)
 	ss.units = ss.plan.units
 	if cap(ss.used) < ss.n {
 		ss.used = make([]bool, ss.n)
@@ -329,138 +307,29 @@ func acquireSeqSearcher(vw *graph.View, seq *psitr.Sequence, y int, shortest boo
 	ss.parent = ss.parent[:ss.n]
 	ss.gplabel = ss.gplabel[:ss.n]
 	ss.ext = ext
-	ss.parts = partition(vw)
-	ss.counts = counts
-	ss.tr = tr
+	ss.a = a
 	if ext == nil {
-		if ss.parts.K > 1 {
-			ss.computeCoReachSharded()
-		} else {
-			ss.computeCoReach()
-		}
+		ss.sweepArcs(a, &ss.plan.arcs, y, false)
 	}
 	return ss
 }
 
 func (ss *seqSearcher) release() {
-	ss.vw = nil
+	ss.sweepEnv = sweepEnv{}
+	ss.a = nil
 	ss.plan = nil
 	ss.units = nil
 	ss.best = nil
 	ss.ext = nil
-	ss.counts = nil
-	ss.tr = nil
 	ss.existsOnly = false
 	seqSearcherPool.Put(ss)
 }
 
-// computeCoReach marks the (vertex, position) pairs from which the
-// remaining sequence can still be matched by some walk to y (ignoring
-// simplicity) — the pruning oracle. The sweep is level-synchronous and
-// direction-optimizing (dirbfs.go): top-down rounds walk the plan's
-// reverse NFA arcs against the CSR's label-bucketed in-edges, bottom-up
-// rounds walk the forward arcs against the out-edges; as a mark-only
-// closure it may observe same-round marks bottom-up (only faster).
-func (ss *seqSearcher) computeCoReach() {
-	pc := ss.plan.posCount
-	ss.coreach.reset(ss.n * pc)
-	cur, nxt := ss.queue[:0], ss.queue2[:0]
-	frontEdges := int64(0)
-	unvisEdges := int64(pc) * int64(ss.vw.NumEdges())
-	for _, s := range ss.plan.accepts {
-		id := ss.y*pc + int(s)
-		if !ss.coreach.has(id) {
-			ss.coreach.add(id)
-			cur = append(cur, int32(id))
-			frontEdges += int64(ss.vw.InDegree(ss.y))
-			unvisEdges -= int64(ss.vw.OutDegree(ss.y))
-		}
-	}
-	var td, bu, sw int64
-	dc := resolveDirConfig(ss.vw.NumEdges(), ss.n)
-	if ss.tr != nil {
-		ss.tr.alpha, ss.tr.beta, ss.tr.tuned = dc.alpha, dc.beta, dc.tuned
-	}
-	bottomUp := false
-	for len(cur) > 0 {
-		prev := bottomUp
-		bottomUp = dc.choose(bottomUp, frontEdges, unvisEdges, int64(len(cur)), int64(ss.n*pc))
-		if bottomUp != prev {
-			sw++
-		}
-		if bottomUp {
-			bu++
-		} else {
-			td++
-		}
-		t0 := roundStartTimed(ss.counts, ss.tr)
-		front := len(cur)
-		frontEdges = 0
-		nxt = nxt[:0]
-		if bottomUp {
-			for v := 0; v < ss.n; v++ {
-				base := v * pc
-				for pos := 0; pos < pc; pos++ {
-					id := base + pos
-					if ss.coreach.has(id) || !ss.buProbeSeqLocal(v, pos, pc) {
-						continue
-					}
-					ss.coreach.add(id)
-					nxt = append(nxt, int32(id))
-					frontEdges += int64(ss.vw.InDegree(v))
-					unvisEdges -= int64(ss.vw.OutDegree(v))
-				}
-			}
-		} else {
-			for _, id := range cur {
-				v, s := int(id)/pc, int(id)%pc
-				for _, arc := range ss.plan.rnfa[s] {
-					lid := ss.vw.LabelID(arc.label)
-					if lid < 0 {
-						continue
-					}
-					for _, u := range ss.vw.InWithID(v, lid) {
-						pid := int(u)*pc + int(arc.from)
-						if !ss.coreach.has(pid) {
-							ss.coreach.add(pid)
-							nxt = append(nxt, int32(pid))
-							frontEdges += int64(ss.vw.InDegree(int(u)))
-							unvisEdges -= int64(ss.vw.OutDegree(int(u)))
-						}
-					}
-				}
-			}
-		}
-		cur, nxt = nxt, cur
-		roundEndTimed(ss.counts, ss.tr, t0, bottomUp, front)
-	}
-	runDoneTimed(ss.counts, ss.tr, td, bu, sw)
-	ss.queue, ss.queue2 = cur[:0], nxt[:0]
-}
-
-// buProbeSeqLocal reports whether unmarked (v, pos) steps into the
-// already-marked set through some forward NFA arc and graph out-edge —
-// the sequential bottom-up probe of the summary sweep.
-func (ss *seqSearcher) buProbeSeqLocal(v, pos, pc int) bool {
-	for _, arc := range ss.plan.fnfa[pos] {
-		lid := ss.vw.LabelID(arc.label)
-		if lid < 0 {
-			continue
-		}
-		for _, u := range ss.vw.OutWithID(v, lid) {
-			if ss.coreach.has(int(u)*pc + int(arc.to)) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 func (ss *seqSearcher) ok(v, pos int) bool {
 	if ss.ext != nil {
-		return ss.ext.has(v*ss.plan.posCount + pos)
+		return ss.ext.has(v*ss.m + pos)
 	}
-	return ss.coreach.has(v*ss.plan.posCount + pos)
+	return ss.a.co.has(v*ss.m + pos)
 }
 
 // run answers one query from source x against the searcher's shared

@@ -12,7 +12,7 @@ import (
 //   - exchCounters: pre-registered metrics handles (counters for
 //     rounds / direction switches / bit-parallel dispatches,
 //     histograms for per-round wall time) that an Engine wires into
-//     every product search and summary sweep it runs. Updates are
+//     every backward sweep it runs (sinks, shardbfs.go). Updates are
 //     atomic adds — no locks, no allocation — so the instrumented
 //     kernels keep their allocation contracts.
 //   - kernelTrace: an opt-in per-query recording (round-by-round
@@ -76,9 +76,13 @@ type QueryTrace struct {
 	// resolved (0 when no direction-optimizing kernel ran); Tuned
 	// reports whether they came from the auto-tuner rather than the
 	// defaults or a test override (tuner.go).
-	DirAlpha   int64         `json:"dir_alpha,omitempty"`
-	DirBeta    int64         `json:"dir_beta,omitempty"`
-	Tuned      bool          `json:"tuned,omitempty"`
+	DirAlpha int64 `json:"dir_alpha,omitempty"`
+	DirBeta  int64 `json:"dir_beta,omitempty"`
+	Tuned    bool  `json:"tuned,omitempty"`
+	// Shards is the number of row ranges the query's sweep ran over —
+	// 1 is the single shard swept inline on the caller's goroutine; 0
+	// (omitted) when no sweep ran.
+	Shards     int           `json:"shards,omitempty"`
 	Stages     []StageTiming `json:"stages"`
 	Rounds     []RoundTrace  `json:"rounds"`
 	TotalNanos int64         `json:"total_nanos"`
@@ -90,6 +94,7 @@ type kernelTrace struct {
 	td, bu, sw  int64
 	alpha, beta int64
 	tuned       bool
+	shards      int
 	bitParallel bool
 }
 
@@ -108,74 +113,23 @@ type exchCounters struct {
 	roundBU  *metrics.Histogram
 }
 
-// roundStartTimed begins timing one kernel round; it returns the zero
-// time (without reading the clock) when neither sink wants it.
-func roundStartTimed(counts *exchCounters, tr *kernelTrace) time.Time {
-	if counts == nil && tr == nil {
+// roundStart begins timing one sweep round; it returns the zero time
+// (without reading the clock) when nothing listens. The α/β auto-tuner
+// learns from per-direction wall time, so the clock also runs when only
+// a tuner is wired.
+func (e *sweepEnv) roundStart() time.Time {
+	if e.counts == nil && e.tr == nil && e.tun == nil {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-// roundEndTimed finishes one kernel round: the wall time goes into the
-// per-direction histogram and, when tracing, a RoundTrace with the
-// frontier size the round started from.
-func roundEndTimed(counts *exchCounters, tr *kernelTrace, t0 time.Time, bottomUp bool, frontier int) {
-	if counts == nil && tr == nil {
-		return
-	}
-	el := time.Since(t0)
-	if counts != nil {
-		if bottomUp {
-			counts.roundBU.ObserveDuration(el)
-		} else {
-			counts.roundTD.ObserveDuration(el)
-		}
-	}
-	if tr != nil {
-		dir := "top_down"
-		if bottomUp {
-			dir = "bottom_up"
-		}
-		tr.rounds = append(tr.rounds, RoundTrace{Dir: dir, Frontier: frontier, Nanos: el.Nanoseconds()})
-	}
-}
-
-// runDoneTimed credits one finished search's round totals and
-// direction-switch count to both sinks.
-func runDoneTimed(counts *exchCounters, tr *kernelTrace, td, bu, sw int64) {
-	if counts != nil {
-		if td > 0 {
-			counts.topDown.Add(td)
-		}
-		if bu > 0 {
-			counts.bottomUp.Add(bu)
-		}
-		if sw > 0 {
-			counts.switches.Add(sw)
-		}
-	}
-	if tr != nil {
-		tr.td += td
-		tr.bu += bu
-		tr.sw += sw
-	}
-}
-
-// product-side wrappers (the summary sweep calls the package forms
-// with its own sinks). Unlike the package forms they carry the
-// search's dirConfig: the α/β auto-tuner learns from per-direction
-// wall time, so the clock also runs when only a tuner is listening.
-
-func (p *product) roundStart() time.Time {
-	if p.counts == nil && p.tr == nil && p.tun == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (p *product) roundEnd(dc *dirConfig, t0 time.Time, bottomUp bool, frontier int) {
-	if p.counts == nil && p.tr == nil && p.tun == nil {
+// roundEnd finishes one sweep round: with a sink listening the wall
+// time goes into dc's per-direction total, the per-direction histogram
+// and, when tracing, a RoundTrace with the frontier size the round
+// started from.
+func (e *sweepEnv) roundEnd(dc *dirConfig, t0 time.Time, bottomUp bool, frontier int) {
+	if e.counts == nil && e.tr == nil && e.tun == nil {
 		return
 	}
 	el := time.Since(t0)
@@ -184,25 +138,54 @@ func (p *product) roundEnd(dc *dirConfig, t0 time.Time, bottomUp bool, frontier 
 	} else {
 		dc.tdNanos += el.Nanoseconds()
 	}
-	if p.counts != nil {
+	if e.counts != nil {
 		if bottomUp {
-			p.counts.roundBU.ObserveDuration(el)
+			e.counts.roundBU.ObserveDuration(el)
 		} else {
-			p.counts.roundTD.ObserveDuration(el)
+			e.counts.roundTD.ObserveDuration(el)
 		}
 	}
-	if p.tr != nil {
+	if e.tr != nil {
 		dir := "top_down"
 		if bottomUp {
 			dir = "bottom_up"
 		}
-		p.tr.rounds = append(p.tr.rounds, RoundTrace{Dir: dir, Frontier: frontier, Nanos: el.Nanoseconds()})
+		e.tr.rounds = append(e.tr.rounds, RoundTrace{Dir: dir, Frontier: frontier, Nanos: el.Nanoseconds()})
 	}
 }
 
-func (p *product) runDone(dc *dirConfig, td, bu, sw int64) {
-	runDoneTimed(p.counts, p.tr, td, bu, sw)
-	if p.tun != nil && dc.mode == DirAuto {
-		p.tun.observe(p.vw.Epoch(), p.m, dc)
+// runDone credits one finished sweep's round totals and direction-switch
+// count to the telemetry sinks and, under DirAuto, its per-direction
+// (work, time) totals to the tuner.
+func (e *sweepEnv) runDone(dc *dirConfig) {
+	if c := e.counts; c != nil {
+		if dc.td > 0 {
+			c.topDown.Add(dc.td)
+		}
+		if dc.bu > 0 {
+			c.bottomUp.Add(dc.bu)
+		}
+		if dc.sw > 0 {
+			c.switches.Add(dc.sw)
+		}
+	}
+	if e.tr != nil {
+		e.tr.td += dc.td
+		e.tr.bu += dc.bu
+		e.tr.sw += dc.sw
+	}
+	if e.tun != nil && dc.mode == DirAuto {
+		e.tun.observe(e.vw.Epoch(), e.m, dc)
+	}
+}
+
+// addBitHit records one dispatch to the packed sweep in both telemetry
+// sinks.
+func (e *sweepEnv) addBitHit() {
+	if e.counts != nil {
+		e.counts.bitHits.Inc()
+	}
+	if e.tr != nil {
+		e.tr.bitParallel = true
 	}
 }

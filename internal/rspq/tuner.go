@@ -36,7 +36,7 @@ import (
 // survives mutations without replaying the warm-up. Pinned directions
 // and override-forced runs never observe: their round mix does not
 // reflect the heuristic the tuner steers. Thresholds are consumed by
-// product.dirConfig at search start and surface in QueryTrace,
+// sweepEnv.dirConfig at search start and surface in QueryTrace,
 // EngineStats and the rspq_dir_alpha / rspq_dir_beta gauges plus the
 // rspq_tuner_adjustments_total counter.
 

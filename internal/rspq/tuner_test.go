@@ -150,37 +150,46 @@ func TestTunerSizeClasses(t *testing.T) {
 
 // TestEngineTunerWired is the end-to-end check: an Engine serving
 // enough DirAuto queries trains its tuner, Stats mirrors the gauge
-// values, and traced queries carry the thresholds that steered them.
+// values, and traced queries carry the thresholds that steered them —
+// on the subword tier (the packed product sweep) and on the summary tier
+// (the id-list sweep over a Ψtr plan's arcs) alike, since both resolve
+// their thresholds in one place.
 func TestEngineTunerWired(t *testing.T) {
-	s, err := NewSolver("a*c*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.Random(30, []byte{'a', 'b', 'c'}, 0.12, 21)
-	eng := NewEngine(s, g, EngineConfig{})
-	st := eng.Stats()
-	if st.DirAlpha != dirAlphaDefault || st.DirBeta != dirBetaDefault {
-		t.Fatalf("untrained engine must report the defaults: α=%v β=%v", st.DirAlpha, st.DirBeta)
-	}
-	_, tr := eng.SolveTraced(0, 5)
-	if tr == nil {
-		t.Fatal("traced query must return a trace")
-	}
-	if tr.DirAlpha == 0 || tr.DirBeta == 0 {
-		t.Fatalf("trace must carry the thresholds in effect: α=%d β=%d", tr.DirAlpha, tr.DirBeta)
-	}
-	if tr.Tuned {
-		t.Fatal("untrained engine cannot claim tuned thresholds")
-	}
+	for _, pattern := range []string{"a*c*", "a*(bb+|())c*"} {
+		s, err := NewSolver(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := graph.Random(30, []byte{'a', 'b', 'c'}, 0.12, 21)
+		eng := NewEngine(s, g, EngineConfig{})
+		states := s.Min.NumStates // what the tuner buckets a sweep by
+		if eng.snapshot().algo == AlgoSummary {
+			states = planFor(s.Expr.Seqs[0]).posCount
+		}
+		st := eng.Stats()
+		if st.DirAlpha != dirAlphaDefault || st.DirBeta != dirBetaDefault {
+			t.Fatalf("%s: untrained engine must report the defaults: α=%v β=%v", pattern, st.DirAlpha, st.DirBeta)
+		}
+		_, tr := eng.SolveTraced(0, 5)
+		if tr == nil {
+			t.Fatal("traced query must return a trace")
+		}
+		if tr.DirAlpha == 0 || tr.DirBeta == 0 {
+			t.Fatalf("%s (%s tier): trace must carry the thresholds in effect: α=%d β=%d", pattern, tr.Tier, tr.DirAlpha, tr.DirBeta)
+		}
+		if tr.Tuned {
+			t.Fatal("untrained engine cannot claim tuned thresholds")
+		}
 
-	// Train the tuner by hand (real workloads need sustained traffic),
-	// then confirm Stats and traces pick the thresholds up.
-	observeRuns(eng.tuner, g.Epoch(), s.Min.NumStates, tunerMinSamples, 1000, 40000, 1000, 1000)
-	if st := eng.Stats(); st.DirAlpha != 40 || st.TunerAdjustments != 1 {
-		t.Fatalf("trained engine stats: α=%v adjustments=%d, want 40 and 1", st.DirAlpha, st.TunerAdjustments)
-	}
-	_, tr = eng.SolveTraced(1, 6)
-	if tr == nil || !tr.Tuned || tr.DirAlpha != 40 {
-		t.Fatalf("trace after training = %+v, want tuned α=40", tr)
+		// Train the tuner by hand (real workloads need sustained traffic),
+		// then confirm Stats and traces pick the thresholds up.
+		observeRuns(eng.tuner, g.Epoch(), states, tunerMinSamples, 1000, 40000, 1000, 1000)
+		if st := eng.Stats(); st.DirAlpha != 40 || st.TunerAdjustments != 1 {
+			t.Fatalf("%s: trained engine stats: α=%v adjustments=%d, want 40 and 1", pattern, st.DirAlpha, st.TunerAdjustments)
+		}
+		_, tr = eng.SolveTraced(1, 6)
+		if tr == nil || !tr.Tuned || tr.DirAlpha != 40 {
+			t.Fatalf("%s: trace after training = %+v, want tuned α=40", pattern, tr)
+		}
 	}
 }
