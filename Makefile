@@ -21,10 +21,12 @@ test:
 
 # race: the second command runs the sweep suites under both phase shapes
 # of the round drivers — GOMAXPROCS 1 takes the inline phases, 2 the
-# goroutine fan-out.
+# goroutine fan-out. The third covers the lazy hardness witness's
+# sync.Once, reached only through the root package and internal/core.
 race:
 	$(GO) test -race ./internal/graph/ ./internal/cache/ ./internal/metrics/ ./internal/rspq/ ./internal/persist/ ./cmd/rspqd/
 	$(GO) test -race -cpu 1,2 -run 'Equivalence|Equality|Sharded|Distance|Direction|Sweep' ./internal/rspq/
+	$(GO) test -race -run 'HardnessWitness|Compile|Concurrent' . ./internal/core/
 
 # bench-check: the repo benchmark (bench/, its own module) still vets,
 # builds against this tree and passes its unit tests. Running it is

@@ -2,6 +2,7 @@ package trichotomy
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/automaton"
@@ -46,4 +47,34 @@ func TestExistsWalkAllocGuard(t *testing.T) {
 		}
 	}
 	t.Fatalf("ExistsWalk allocates %.2f allocs/op warm; the contract is 0", avg)
+}
+
+// TestCompileAllocGuard pins that compiling classifies without proving:
+// the Property-(1) witness search — 20k–330k allocations and 3–40 MB
+// for these NP-complete languages — runs on the first
+// Solver.HardnessWitness call, never inside rspq.NewSolver. A compile
+// without it costs under 1,000 allocations and 45 KiB; the guard fails
+// if the search moves back.
+func TestCompileAllocGuard(t *testing.T) {
+	const maxAllocs, maxBytes, runs = 2000, 64 << 10, 20
+	for _, pattern := range []string{"a*bc*", "a*bba*", "a*b(cc)*d"} {
+		compile := func() {
+			if _, err := rspq.NewSolver(pattern); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(runs, compile)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			compile()
+		}
+		runtime.ReadMemStats(&m1)
+		bytes := (m1.TotalAlloc - m0.TotalAlloc) / runs
+		t.Logf("NewSolver(%q): %.0f allocs, %d B", pattern, allocs, bytes)
+		if allocs > maxAllocs || bytes > maxBytes {
+			t.Errorf("NewSolver(%q): %.0f allocs, %d B per compile; the bound is %d allocs, %d B",
+				pattern, allocs, bytes, maxAllocs, maxBytes)
+		}
+	}
 }

@@ -78,9 +78,6 @@ type Classification struct {
 	Tractable bool
 	// M is the size of the minimal complete DFA (the paper's M = |Q_L|).
 	M int
-	// Witness carries a verified Property-(1) witness when the language
-	// is intractable; it drives the Lemma 5 reduction.
-	Witness *HardnessWitness
 	// FailPair records the automaton states (q1, q2) at which the
 	// Lemma 6 inclusion Loop(q2)^M·L_{q2} ⊆ L_{q1} failed, and a word of
 	// the difference, when Tractable is false.
@@ -101,6 +98,11 @@ type InclusionFailure struct {
 // of d under the given model. d need not be minimal; it is minimized
 // first. For VertexEdgeLabeled, letters are grouped by sameVertex; pass
 // nil for the other models.
+//
+// Classify decides the tier and stops: the Lemma 6 inclusion test is
+// polynomial in M, while the Property-(1) witness that proves an NP
+// verdict (ExtractHardnessWitness) is a search that only the Lemma 5
+// reduction reads, so callers that want it run it themselves.
 func Classify(d *automaton.DFA, model Model, sameVertex func(a, b byte) bool) Classification {
 	min := d.Minimize()
 	out := Classification{Model: model, M: min.NumStates}
@@ -129,9 +131,6 @@ func Classify(d *automaton.DFA, model Model, sameVertex func(a, b byte) bool) Cl
 		out.Class = NLComplete
 	default:
 		out.Class = NPComplete
-		if w, err := ExtractHardnessWitness(min, classOf); err == nil {
-			out.Witness = w
-		}
 	}
 	return out
 }

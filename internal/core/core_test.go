@@ -177,13 +177,22 @@ func TestClassifyTrichotomy(t *testing.T) {
 		{"a*ba*", VertexLabeled, NPComplete},
 	}
 	for _, c := range cases {
-		got := Classify(mustMinDFA(t, c.pattern), c.model, nil)
+		d := mustMinDFA(t, c.pattern)
+		got := Classify(d, c.model, nil)
 		if got.Class != c.want {
 			t.Errorf("Classify(%q, %v) = %v, want %v", c.pattern, c.model, got.Class, c.want)
 		}
 		if got.Class == NPComplete {
-			if got.Witness == nil {
-				t.Errorf("Classify(%q, %v): missing hardness witness", c.pattern, c.model)
+			// Classify does not search; the model's witness must exist
+			// for every NP verdict.
+			var classOf func(a, b byte) bool
+			if c.model == VertexLabeled {
+				classOf = func(a, b byte) bool { return a == b }
+			}
+			if w, err := ExtractHardnessWitness(d, classOf); err != nil {
+				t.Errorf("Classify(%q, %v): no hardness witness: %v", c.pattern, c.model, err)
+			} else if err := w.Verify(d); err != nil {
+				t.Errorf("Classify(%q, %v): witness does not verify: %v", c.pattern, c.model, err)
 			}
 			if got.FailPair == nil {
 				t.Errorf("Classify(%q, %v): missing inclusion failure", c.pattern, c.model)

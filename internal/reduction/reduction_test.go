@@ -140,25 +140,24 @@ func TestReachabilityReduction(t *testing.T) {
 }
 
 // TestReductionUsesClassifierWitness wires the reduction to the
-// classifier output, the way the experiment driver does.
+// compiled solver's on-demand witness, the way the library does.
 func TestReductionUsesClassifierWitness(t *testing.T) {
-	d, err := automaton.MinDFAFromPattern("(ab)*")
+	s, err := rspq.NewSolver("(ab)*")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls := core.Classify(d, core.EdgeLabeled, nil)
-	if cls.Class != core.NPComplete || cls.Witness == nil {
-		t.Fatalf("(ab)* should be NP-complete with a witness, got %+v", cls)
+	w := s.HardnessWitness()
+	if s.Classification.Class != core.NPComplete || w == nil {
+		t.Fatalf("(ab)* should be NP-complete with a witness, got %+v", s.Classification)
 	}
 	g := graph.New(4)
 	g.AddEdge(0, 'z', 1)
 	g.AddEdge(2, 'z', 3)
-	inst, err := FromVDP(VDPInstance{G: g, X1: 0, Y1: 1, X2: 2, Y2: 3}, cls.Witness)
+	inst, err := FromVDP(VDPInstance{G: g, X1: 0, Y1: 1, X2: 2, Y2: 3}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	min := d.Minimize()
-	if !rspq.Baseline(inst.G, min, inst.X, inst.Y, nil).Found {
+	if !rspq.Baseline(inst.G, s.Min, inst.X, inst.Y, nil).Found {
 		t.Error("positive VDP must reduce to positive RSPQ")
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/graph"
-	"repro/internal/psitr"
 )
 
 // This file is the per-target backward evaluator, the one place where
@@ -261,11 +260,11 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		// only on the view and y: one pooled searcher per (sequence,
 		// target) runs once per source that is still unanswered.
 		remaining := len(grp.xs)
-		for si, seq := range ev.s.Expr.Seqs {
+		for si, plan := range ev.s.seqPlans() {
 			if remaining == 0 {
 				break // skip later sequences' co-reachability builds
 			}
-			ss := ev.acquireSummary(pv, a, seq, si, grp.y, st)
+			ss := ev.acquireSummary(pv, a, plan, si, grp.y, st)
 			ss.existsOnly = w.existsOnly()
 			k0 := ev.clock()
 			for j, x := range grp.xs {
@@ -607,7 +606,7 @@ func (t *goalTable) walkFrom(x, start, m int) *graph.Path {
 // cache. On a table miss the co-reachability sweep runs inside the
 // acquire, into a.co, and is timed as kernel; the cache traffic around
 // it is timed as table.
-func (ev *evaluator) acquireSummary(pv *pinned, a *arena, seq *psitr.Sequence, si, y int, st *solveTiming) *seqSearcher {
+func (ev *evaluator) acquireSummary(pv *pinned, a *arena, plan *seqPlan, si, y int, st *solveTiming) *seqSearcher {
 	key := ev.tableKey(pv, y, si, tableSeq)
 	t0 := ev.clock()
 	var ext *coTable
@@ -621,7 +620,7 @@ func (ev *evaluator) acquireSummary(pv *pinned, a *arena, seq *psitr.Sequence, s
 		st.tableHit = st.tableHit || ext != nil
 	}
 	k0 := ev.clock()
-	ss := acquireSeqSearcher(pv.vw, a, seq, y, false, ext, ev.sinks(st))
+	ss := acquireSeqSearcher(pv.vw, a, plan, y, false, ext, ev.sinks(st))
 	if ext == nil {
 		ev.observeKernel(k0, st)
 		if n := ss.n * ss.m; ev.tables != nil && ev.tables.Retainable(coTableCost(n)) {

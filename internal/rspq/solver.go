@@ -2,6 +2,7 @@ package rspq
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/automaton"
@@ -81,6 +82,18 @@ type Solver struct {
 	// tables from different languages can never collide even if a
 	// cache is shared between engines.
 	id uint64
+
+	// plans holds one evaluation plan per Ψtr sequence of Expr, built
+	// on the first summary-tier query and owned by the Solver, so they
+	// are collected with it.
+	plansOnce sync.Once
+	plans     []*seqPlan
+
+	// witness is the Property-(1) hardness witness, searched on the
+	// first HardnessWitness call: no query reads it, so Compile does
+	// not pay for it.
+	witnessOnce sync.Once
+	witness     *core.HardnessWitness
 }
 
 // solverIDs hands out process-unique language ids.
@@ -119,6 +132,28 @@ func NewSolverFromRegex(r *automaton.Regex) (*Solver, error) {
 		s.words = finiteWords(s.Min)
 	}
 	return s, nil
+}
+
+// HardnessWitness returns the verified Property-(1) witness (Lemma 4)
+// that drives the Lemma 5 NP-hardness reduction, or nil when the
+// language is not NP-complete. The first call runs the search — tens of
+// milliseconds for Figure 1's a*b(cc)*d — and later calls return the
+// same witness; it is safe for concurrent use.
+func (s *Solver) HardnessWitness() *core.HardnessWitness {
+	if s.Classification.Class != core.NPComplete {
+		return nil
+	}
+	s.witnessOnce.Do(func() {
+		s.witness, _ = core.ExtractHardnessWitness(s.Min, nil)
+	})
+	return s.witness
+}
+
+// seqPlans returns the evaluation plans of Expr's sequences, in
+// sequence order, building them on first use.
+func (s *Solver) seqPlans() []*seqPlan {
+	s.plansOnce.Do(func() { s.plans = buildPlans(s.Expr) })
+	return s.plans
 }
 
 // Warm precomputes every graph-side index a query on g would build
@@ -231,7 +266,7 @@ func (s *Solver) solveWith(g *graph.Graph, x, y int, algo Algorithm, shortest bo
 		if s.Expr == nil {
 			return baseline(g, s.Min, x, y, nil)
 		}
-		return SolvePsitr(g, s.Expr, x, y, shortest)
+		return solvePsitr(g, s.seqPlans(), x, y, shortest)
 	case AlgoDAG:
 		res, ok := DAG(g, s.Min, x, y)
 		if !ok {

@@ -34,26 +34,32 @@ import (
 // against the exponential baseline on randomized instances.
 //
 // Performance architecture: the per-sequence plan (units + position NFA
-// as an arc table) depends only on the Ψtr sequence, so it is built
-// once and memoized; graph walks go through the label-bucketed CSR
-// snapshot (graph.Freeze), and all per-query scratch lives in a pooled,
-// epoch-stamped seqSearcher — a warm solver only allocates when it
-// materializes a witness path.
+// as an arc table) depends only on the Ψtr sequence, so a Solver builds
+// it once and keeps it (Solver.seqPlans); graph walks go through the
+// label-bucketed CSR snapshot (graph.Freeze), and all per-query scratch
+// lives in a pooled, epoch-stamped seqSearcher — a warm solver only
+// allocates when it materializes a witness path.
 
 // SolvePsitr answers RSPQ(L(e)) on g. With shortest=false it stops at
 // the first witness; with shortest=true it exhausts all candidate
 // summaries and returns a shortest simple L-labeled path (the minimum
-// over nice paths, which Lemma 14 makes globally minimal).
+// over nice paths, which Lemma 14 makes globally minimal). It builds
+// e's plans for this call only; a Solver keeps its own.
 func SolvePsitr(g *graph.Graph, e *psitr.Expr, x, y int, shortest bool) Result {
 	if !validPair(g.NumVertices(), x, y) {
 		return Result{}
 	}
+	return solvePsitr(g, buildPlans(e), x, y, shortest)
+}
+
+// solvePsitr is SolvePsitr over prebuilt plans, for a valid (x, y).
+func solvePsitr(g *graph.Graph, plans []*seqPlan, x, y int, shortest bool) Result {
 	vw := g.PinView()
 	a := getArena()
 	defer a.release()
 	best := Result{}
-	for _, seq := range e.Seqs {
-		ss := acquireSeqSearcher(vw, a, seq, y, shortest, nil, sinks{})
+	for _, plan := range plans {
+		ss := acquireSeqSearcher(vw, a, plan, y, shortest, nil, sinks{})
 		res := ss.run(x)
 		ss.release()
 		if !res.Found {
@@ -97,8 +103,9 @@ type unit struct {
 // sequence: the unit list plus the eps-free position NFA as an arc
 // table (shardbfs.go) — reverse arcs for the top-down rounds of the
 // co-reachability sweep, forward arcs for its bottom-up rounds, the
-// accepting positions. Plans depend only on the sequence, so they are
-// memoized in planCache and shared by every query and every goroutine.
+// accepting positions. Plans depend only on the sequence, so the Solver
+// that owns the expression builds them once and shares them with every
+// query and every goroutine for as long as it lives.
 type seqPlan struct {
 	units    []unit
 	startPos int
@@ -106,14 +113,13 @@ type seqPlan struct {
 	arcs     arcTable
 }
 
-var planCache sync.Map // *psitr.Sequence -> *seqPlan
-
-func planFor(seq *psitr.Sequence) *seqPlan {
-	if p, ok := planCache.Load(seq); ok {
-		return p.(*seqPlan)
+// buildPlans builds the plans of e's sequences, in sequence order.
+func buildPlans(e *psitr.Expr) []*seqPlan {
+	plans := make([]*seqPlan, len(e.Seqs))
+	for i, seq := range e.Seqs {
+		plans[i] = buildPlan(seq)
 	}
-	p, _ := planCache.LoadOrStore(seq, buildPlan(seq))
-	return p.(*seqPlan)
+	return plans
 }
 
 // buildPlan flattens the sequence into units and builds the position
@@ -274,19 +280,18 @@ type seqSearcher struct {
 var seqSearcherPool = sync.Pool{New: func() any { return new(seqSearcher) }}
 
 // acquireSeqSearcher readies a pooled searcher for queries on one
-// (view, seq, y) combination: plan from the memo cache, scratch grown
-// in place, co-reachability table swept into a.co (it depends only on
-// the view and y — NOT on the source x, which is supplied per run call,
-// so queries sharing a target reuse the table) unless a cached one
-// (ext) is supplied — the summary tier's cross-query cache hit path. The
+// (view, plan, y) combination: scratch grown in place, co-reachability
+// table swept into a.co (it depends only on the view and y — NOT on the
+// source x, which is supplied per run call, so queries sharing a target
+// reuse the table) unless a cached one (ext) is supplied — the summary tier's cross-query cache hit path. The
 // table marks the (vertex, position) pairs from which the remaining
 // sequence can still be matched by some walk to y (ignoring simplicity)
 // — the pruning oracle — and the sweep is the id-list driver of
 // shardbfs.go over the plan's arcs, reporting to sk like any product
 // sweep.
-func acquireSeqSearcher(vw *graph.View, a *arena, seq *psitr.Sequence, y int, shortest bool, ext *coTable, sk sinks) *seqSearcher {
+func acquireSeqSearcher(vw *graph.View, a *arena, plan *seqPlan, y int, shortest bool, ext *coTable, sk sinks) *seqSearcher {
 	ss := seqSearcherPool.Get().(*seqSearcher)
-	ss.plan = planFor(seq)
+	ss.plan = plan
 	ss.sweepEnv = makeSweepEnv(vw, ss.plan.posCount, sk)
 	ss.y = y
 	ss.shortest = shortest

@@ -164,7 +164,7 @@ func TestEngineTunerWired(t *testing.T) {
 		eng := NewEngine(s, g, EngineConfig{})
 		states := s.Min.NumStates // what the tuner buckets a sweep by
 		if eng.snapshot().algo == AlgoSummary {
-			states = planFor(s.Expr.Seqs[0]).posCount
+			states = s.seqPlans()[0].posCount
 		}
 		st := eng.Stats()
 		if st.DirAlpha != dirAlphaDefault || st.DirBeta != dirBetaDefault {

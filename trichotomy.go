@@ -20,8 +20,9 @@
 //     tables and hot results survive across queries and batches in
 //     epoch-keyed LRU caches (see internal/cache), invalidated
 //     automatically by graph mutation;
-//   - Language.Classification: the AC⁰ / NL / NP verdict with a
-//     verified hardness witness on the NP side;
+//   - Language.Class / InTrC / IsFinite: the AC⁰ / NL / NP verdict,
+//     decided by Compile; Language.HardnessWitness: the verified
+//     Property-(1) witness on the NP side, searched on first request;
 //   - graph construction, generators and serialization re-exported from
 //     the internal packages.
 //
@@ -52,9 +53,12 @@
 //     Language.Warm(g) after construction to freeze eagerly — required
 //     before querying one graph from many goroutines, optional
 //     otherwise.
-//   - Compile precomputes everything language-side: the minimal DFA,
-//     its reverse-transition index, the sorted word list of finite
-//     languages, and the memoized Ψtr evaluation plans.
+//   - Compile precomputes what every query reads language-side: the
+//     minimal DFA and its tier, its reverse-transition index and the
+//     sorted word list of finite languages. The Ψtr evaluation plans
+//     are built on the first summary-tier query and kept; the
+//     Property-(1) hardness witness, which no query reads, is searched
+//     only when HardnessWitness or Describe first asks for it.
 //   - All search scratch (visited sets, BFS queues, distance and parent
 //     arrays) is epoch-stamped and pooled, so steady-state queries on a
 //     warm Language are allocation-free apart from the witness path.
@@ -138,8 +142,10 @@ type Language struct {
 
 // Compile parses the regex pattern (union '|', postfix '*' '+' '?',
 // classes '[abc]', bounds '{n,m}', ε as "()"), builds its minimal DFA,
-// classifies it per the trichotomy, and prepares the evaluation
-// strategy.
+// classifies it per the trichotomy (the Lemma 6 inclusion test,
+// polynomial in the DFA size), and prepares the evaluation strategy. It
+// does not search for the hardness witness of an NP-complete language;
+// see HardnessWitness.
 func Compile(pattern string) (*Language, error) {
 	s, err := rspq.NewSolver(pattern)
 	if err != nil {
@@ -184,9 +190,12 @@ func (l *Language) PsitrForm() string {
 }
 
 // HardnessWitness renders the verified Property-(1) witness words that
-// drive the NP-hardness reduction, or "" for tractable languages.
+// drive the NP-hardness reduction, or "" for tractable languages. The
+// first call on an NP-complete language runs the witness search, which
+// can take tens of milliseconds (Figure 1's a*b(cc)*d: ~24 ms); later
+// calls return the kept witness for free. Safe for concurrent use.
 func (l *Language) HardnessWitness() string {
-	w := l.solver.Classification.Witness
+	w := l.solver.HardnessWitness()
 	if w == nil {
 		return ""
 	}
@@ -293,7 +302,9 @@ func (l *Language) AlgorithmFor(g *Graph) string {
 }
 
 // Describe returns a one-paragraph human-readable summary of the
-// classification.
+// classification, the hardness witness included; on an NP-complete
+// language its first call therefore pays the witness search (see
+// HardnessWitness).
 func (l *Language) Describe() string {
 	c := l.solver.Classification
 	s := fmt.Sprintf("RSPQ(%s) is %v on edge-labeled graphs (minimal DFA: %d states)", l.pattern, c.Class, c.M)
@@ -308,7 +319,8 @@ func (l *Language) Describe() string {
 
 // ClassifyVlg returns the tier on vertex-labeled graphs (Theorem 5),
 // which can be lower than Class(): e.g. (ab)* drops from NP-complete
-// to NL-complete.
+// to NL-complete. Like Compile, it decides the tier without searching
+// for a witness.
 func (l *Language) ClassifyVlg() Class {
 	return core.Classify(l.solver.Min, core.VertexLabeled, nil).Class
 }

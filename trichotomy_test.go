@@ -2,7 +2,11 @@ package trichotomy
 
 import (
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/core"
 )
 
 func TestCompileAndClassify(t *testing.T) {
@@ -118,6 +122,64 @@ func TestDescribeAndWitness(t *testing.T) {
 	}
 	if easy.MinimalDFASize() == 0 || easy.Pattern() == "" {
 		t.Error("metadata missing")
+	}
+}
+
+// TestHardnessWitnessOnDemand pins the lazy witness: Compile no longer
+// searches, yet every NP-complete catalog language yields the witness
+// the Compile-time search used to produce, verified against the minimal
+// DFA; tractable and finite languages yield none; concurrent first
+// callers share one search; Describe still carries it.
+func TestHardnessWitnessOnDemand(t *testing.T) {
+	want := map[string]string{
+		"(aa)*":         `q=0 wl="" w1="aa" wm="a" w2="aaaa" wr="aaaaaaaaa"`,
+		"a*ba*":         `q=0 wl="" w1="a" wm="b" w2="aaa" wr="aaaaaaaaa"`,
+		"a*bc*":         `q=0 wl="" w1="a" wm="b" w2="ccc" wr="ccccccccc"`,
+		"(ab)*":         `q=0 wl="" w1="ab" wm="a" w2="bababa" wr="bababababababababab"`,
+		"a*b(cc)*d":     `q=0 wl="" w1="a" wm="b" w2="cccccccccc" wr="ccccccccccccccccccccccccccccccccccccccccccccccccccd"`,
+		"(a|b)*b(a|b)*": `q=0 wl="" w1="a" wm="b" w2="aa" wr="aaaa"`,
+		"a*bba*":        `q=0 wl="" w1="a" wm="bb" w2="aaaa" wr="aaaaaaaaaaaaaaaa"`,
+	}
+	hard := 0
+	for _, e := range catalog.All() {
+		l := MustCompile(e.Pattern)
+		got := l.HardnessWitness()
+		if e.Class != NPComplete {
+			if got != "" {
+				t.Errorf("%s (%v): witness %q, want none", e.Pattern, e.Class, got)
+			}
+			continue
+		}
+		hard++
+		if got != want[e.Pattern] {
+			t.Errorf("%s: witness %q, want %q", e.Pattern, got, want[e.Pattern])
+		}
+		if err := l.solver.HardnessWitness().Verify(l.solver.Min); err != nil {
+			t.Errorf("%s: witness does not verify: %v", e.Pattern, err)
+		}
+		if d := l.Describe(); !strings.Contains(d, "hardness witness: "+got) {
+			t.Errorf("%s: Describe lacks the witness: %s", e.Pattern, d)
+		}
+	}
+	if hard != len(want) {
+		t.Errorf("%d NP-complete catalog languages, %d pinned witnesses", hard, len(want))
+	}
+
+	l := MustCompile("a*bc*")
+	ptrs := make([]*core.HardnessWitness, 8)
+	var wg sync.WaitGroup
+	for i := range ptrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ptrs[i] = l.solver.HardnessWitness()
+		}()
+	}
+	wg.Wait()
+	for i, p := range ptrs {
+		if p == nil || p != ptrs[0] {
+			t.Fatalf("goroutine %d got witness %p, goroutine 0 got %p", i, p, ptrs[0])
+		}
 	}
 }
 
