@@ -21,7 +21,8 @@ test:
 
 # race: the second command runs the sweep suites under both phase shapes
 # of the round drivers — GOMAXPROCS 1 takes the inline phases, 2 the
-# goroutine fan-out. The third covers the lazy hardness witness's
+# goroutine fan-out; TestStoppedSweepEquivalence among them covers the
+# probe the drivers run at the barrier to stop a sweep. The third covers the lazy hardness witness's
 # sync.Once, reached only through the root package and internal/core.
 race:
 	$(GO) test -race ./internal/graph/ ./internal/cache/ ./internal/metrics/ ./internal/rspq/ ./internal/persist/ ./cmd/rspqd/

@@ -100,10 +100,11 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 // slowDetail renders what a traced query adds to its slow line: which
 // tier ran, what pinning its view cost and how large a delta that view
 // overlays (a slow first read of an epoch was slow in the pin or in the
-// sweep), the cache verdicts, and — when a goal table was built or hit
-// — how many product states its sweep reached and what the table costs
-// to retain, which tells a 300-state miss from one that flooded the
-// graph.
+// sweep), the cache verdicts, when a goal table was built or hit how
+// many product states its sweep reached and what the table costs to
+// retain, which tells a 300-state miss from one that flooded the graph,
+// and the level at which a sweep that stopped once its source was
+// answered stopped (0: it ran to the end).
 func slowDetail(tr *rspq.QueryTrace) string {
 	if tr == nil {
 		return ""
@@ -114,8 +115,8 @@ func slowDetail(tr *rspq.QueryTrace) string {
 			pinNanos = st.Nanos
 		}
 	}
-	return fmt.Sprintf(" tier=%s pin_us=%d pending=%d result_cache_hit=%t table_cache_hit=%t table_states=%d table_bytes=%d",
-		tr.Tier, pinNanos/1e3, tr.PendingAdds+tr.PendingRemoves, tr.ResultCacheHit, tr.TableCacheHit, tr.TableStates, tr.TableBytes)
+	return fmt.Sprintf(" tier=%s pin_us=%d pending=%d result_cache_hit=%t table_cache_hit=%t table_states=%d table_bytes=%d stopped_at=%d",
+		tr.Tier, pinNanos/1e3, tr.PendingAdds+tr.PendingRemoves, tr.ResultCacheHit, tr.TableCacheHit, tr.TableStates, tr.TableBytes, tr.StoppedAt)
 }
 
 // admitPairs applies the -max-inflight admission gate: it reserves n

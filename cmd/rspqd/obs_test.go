@@ -158,6 +158,7 @@ func TestStatsMetricsAgree(t *testing.T) {
 	eq("dir_beta", e.DirBeta, m["rspq_dir_beta"])
 	eq("tuner_adjustments", float64(e.TunerAdjustments), m["rspq_tuner_adjustments_total"])
 	eq("bit_parallel_hits", float64(e.BitParallelHits), m["rspq_bit_parallel_hits_total"])
+	eq("stopped_sweeps", float64(e.StoppedSweeps), m["rspq_sweeps_stopped_total"])
 	eq("compactions", float64(e.Compactions), m["rspq_compactions_total"])
 	eq("compaction_merged_edges", float64(e.CompactionMergedEdges), m["rspq_compaction_merged_edges_total"])
 	eq("last_compaction_seconds", e.LastCompactionSeconds, m["rspq_last_compaction_seconds"])
@@ -173,8 +174,8 @@ func TestStatsMetricsAgree(t *testing.T) {
 	eq("results.bytes", float64(e.Results.Bytes), m[`rspq_cache_bytes{cache="results"}`])
 	eq("results.entries", float64(e.Results.Entries), m[`rspq_cache_entries{cache="results"}`])
 
-	if e.Queries == 0 || e.Compactions == 0 || e.OverlayReads == 0 {
-		t.Fatalf("sequence must exercise queries, compaction and overlay reads: %+v", e)
+	if e.Queries == 0 || e.Compactions == 0 || e.OverlayReads == 0 || e.StoppedSweeps == 0 {
+		t.Fatalf("sequence must exercise queries, compaction, overlay reads and stopped sweeps: %+v", e)
 	}
 	if e.CompactionMergedEdges == 0 {
 		t.Fatalf("compaction must report merged delta edges: %+v", e)
@@ -186,7 +187,9 @@ func TestStatsMetricsAgree(t *testing.T) {
 
 // TestQueryTrace exercises SolveTraced over HTTP: both the ?trace=1
 // query parameter and the body flag return stage timings and kernel
-// rounds, and a repeated query shows up as a result-cache hit.
+// rounds, a found pair's sweep stops at its source's level while a
+// source with no path builds the goal table the next source hits, and
+// a repeated query shows up as a result-cache hit.
 func TestQueryTrace(t *testing.T) {
 	_, ts := testServer(t)
 	var resp queryResponse
@@ -223,18 +226,26 @@ func TestQueryTrace(t *testing.T) {
 			t.Fatalf("round dir = %q", rd.Dir)
 		}
 	}
-	// The DAG tier answers from a goal table it just built: the trace
-	// says how many product states the sweep reached (at least the goal
-	// and the source) and what the table cache retains for it.
-	if tr.TableCacheHit || tr.TableStates < 2 || tr.TableBytes <= 0 {
-		t.Fatalf("built goal table: table_cache_hit=%v table_states=%d table_bytes=%d",
-			tr.TableCacheHit, tr.TableStates, tr.TableBytes)
+	// The DAG tier's sweep stopped once the source was answered: 0 sits
+	// three levels from the goal, so it ran two rounds and left no table.
+	if tr.StoppedAt != 3 || len(tr.Rounds) != 2 || tr.TableCacheHit || tr.TableStates != 0 || tr.TableBytes != 0 {
+		t.Fatalf("stopped sweep: stopped_at=%d after %d rounds, table_cache_hit=%v table_states=%d table_bytes=%d",
+			tr.StoppedAt, len(tr.Rounds), tr.TableCacheHit, tr.TableStates, tr.TableBytes)
+	}
+	// A source with no path runs the sweep to the end, and that sweep is
+	// the goal table: the trace says how many product states it reached
+	// and what the table cache retains for it.
+	var none queryResponse
+	postJSON(t, ts.URL+"/query?trace=1", `{"x":2,"y":3}`, &none)
+	nt := none.Trace
+	if none.Found || nt == nil || nt.StoppedAt != 0 || nt.TableCacheHit || nt.TableStates < 2 || nt.TableBytes <= 0 {
+		t.Fatalf("unreachable source: found=%v trace %+v; want a built goal table and no stop", none.Found, nt)
 	}
 	var other queryResponse
 	postJSON(t, ts.URL+"/query?trace=1", `{"x":1,"y":3}`, &other)
-	if o := other.Trace; o == nil || !o.TableCacheHit || o.TableStates != tr.TableStates || o.TableBytes != tr.TableBytes {
-		t.Fatalf("second source on the same target: trace %+v; want a hit on the table of %d states / %d bytes",
-			other.Trace, tr.TableStates, tr.TableBytes)
+	if o := other.Trace; !other.Found || o == nil || !o.TableCacheHit || o.TableStates != nt.TableStates || o.TableBytes != nt.TableBytes || o.StoppedAt != 0 {
+		t.Fatalf("third source on the same target: trace %+v; want a hit on the table of %d states / %d bytes",
+			other.Trace, nt.TableStates, nt.TableBytes)
 	}
 
 	// The body flag is equivalent to the query parameter, and the
@@ -316,8 +327,10 @@ func TestQueryTraceSummaryTier(t *testing.T) {
 // TestSlowQueryLine pins what -slow-query logs for /query: with the
 // threshold on, a full solve is traced without being asked to (and the
 // trace stays out of the response), so the slow line carries the tier,
-// the pin time and pending delta of the view it read, the cache verdicts
-// and the goal table's reached-state count and retained bytes; an
+// the pin time and pending delta of the view it read, the cache
+// verdicts, the goal table's reached-state count and retained bytes, and
+// the level a stopped sweep stopped at — a found pair stops and builds
+// no table, a pair with no path runs to the end and builds one; an
 // exists_only request keeps its cheaper path and logs the bare line.
 func TestSlowQueryLine(t *testing.T) {
 	g := graph.New(4)
@@ -340,10 +353,12 @@ func TestSlowQueryLine(t *testing.T) {
 	if !resp.Found || resp.Trace != nil {
 		t.Fatalf("untraced query under -slow-query = %+v; want found, no trace in the response", resp)
 	}
+	postJSON(t, ts.URL+"/query", `{"x":2,"y":3}`, &resp)
 	postJSON(t, ts.URL+"/query", `{"x":1,"y":3,"exists_only":true}`, &resp)
 	ts.Close() // the slow line is logged after the response: wait for the handlers to return
 
-	var detailed, bare int
+	var detailed []string
+	bare := 0
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		if !strings.Contains(line, "slow request") || !strings.Contains(line, "endpoint=/query") {
 			t.Fatalf("unexpected log line %q", line)
@@ -352,17 +367,25 @@ func TestSlowQueryLine(t *testing.T) {
 			bare++
 			continue
 		}
-		detailed++
-		if !slowDetailRE.MatchString(line) {
-			t.Fatalf("slow line %q does not match %v", line, slowDetailRE)
-		}
+		detailed = append(detailed, line)
 	}
-	if detailed != 1 || bare != 1 {
-		t.Fatalf("log = %q; want one detailed line (the full solve) and one bare line (exists_only)", buf.String())
+	if len(detailed) != 2 || bare != 1 {
+		t.Fatalf("log = %q; want two detailed lines (the full solves) and one bare line (exists_only)", buf.String())
+	}
+	for i, re := range slowDetailRE {
+		if !re.MatchString(detailed[i]) {
+			t.Fatalf("slow line %q does not match %v", detailed[i], re)
+		}
 	}
 }
 
-var slowDetailRE = regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=[1-9][0-9]* table_bytes=[1-9][0-9]*$`)
+// slowDetailRE matches the detailed slow lines of TestSlowQueryLine: the
+// sweep that stopped at its source's level, then the one that ran to the
+// end and built the goal table.
+var slowDetailRE = []*regexp.Regexp{
+	regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=0 table_bytes=0 stopped_at=3$`),
+	regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=[1-9][0-9]* table_bytes=[1-9][0-9]* stopped_at=0$`),
+}
 
 // TestBatchAdmission pins the -max-inflight gate: an oversized batch
 // is rejected with 429 + Retry-After and counted, an in-budget batch

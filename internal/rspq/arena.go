@@ -69,12 +69,13 @@ type arena struct {
 	arcs arcTable
 	ids  arcSweep
 	bits packedSweep
+	srcs []int32 // the sources a product sweep probes (goalProbe)
 
-	// reach lists the ids the last distToGoal stamped in dst, each once,
-	// in no particular order — what lets the consumers of a short sweep
-	// (exportGoalTable, the packed sweep's word cleaning) pay for what
-	// the sweep touched instead of for the id space. It is valid only
-	// while reachOK: a sweep that outgrows reachMax abandons it.
+	// reach lists the ids the last sweep with links stamped in dst, each
+	// once, in no particular order — what lets the consumers of a short
+	// sweep (exportGoalTable, the packed sweep's word cleaning) pay for
+	// what the sweep touched instead of for the id space. It is valid
+	// only while reachOK: a sweep that outgrows reachMax abandons it.
 	reach    []int32
 	reachOK  bool
 	reachMax int

@@ -67,8 +67,9 @@ type packedSweep struct {
 
 // sweepPacked is the packed round driver, with sweepArcs's contract:
 // mark-only the closure in a.co; with links a.dst/a.dist/a.parent/
-// a.plabel and the reach list.
-func (p *product) sweepPacked(y int, a *arena, pk *automaton.Packed, links bool) {
+// a.plabel and the reach list; given sources, the stop once all are
+// answered.
+func (p *product) sweepPacked(y int, a *arena, pk *automaton.Packed, links bool, pr goalProbe) (stopped bool) {
 	p.addBitHit()
 	K := p.parts.K
 	ex := &a.ex
@@ -98,6 +99,17 @@ func (p *product) sweepPacked(y int, a *arena, pk *automaton.Packed, links bool)
 				}
 			}
 		}
+		if pr.answered(a, r.marks, r.d+1, links) {
+			stopped = true
+			p.sweepStopped(r.d + 1)
+			for _, fr := range ex.fr { // cur is zero again, as at the end of a full sweep
+				for _, v := range fr {
+					r.cur[v] = 0
+				}
+			}
+			ex.dropFrontier()
+			break
+		}
 		r.d++
 		bottomUp = dc.choose(bottomUp, frontEdges, unvisEdges, int64(total), int64(p.n))
 		t0 := p.roundStart()
@@ -113,9 +125,10 @@ func (p *product) sweepPacked(y int, a *arena, pk *automaton.Packed, links bool)
 	}
 	p.runDone(&dc)
 	// The arena keeps its words zero between sweeps (growWords). cur and
-	// nxt are zero again by construction and vis is non-zero exactly on
-	// the reached vertices, so a short sweep — one whose reach list
-	// survived — zeroes those and hands the words back clean.
+	// nxt are zero again — by construction, or zeroed at the stop — and
+	// vis is non-zero exactly on the reached vertices, so a short sweep —
+	// one whose reach list survived — zeroes those and hands the words
+	// back clean.
 	if links && a.reachOK {
 		for _, id := range a.reach {
 			r.vis[int(id)/p.m] = 0
@@ -123,6 +136,7 @@ func (p *product) sweepPacked(y int, a *arena, pk *automaton.Packed, links bool)
 		a.wordsClean()
 	}
 	*r = packedSweep{} // drop the view and the DFA: the arena outlives them
+	return stopped
 }
 
 func (r *packedSweep) phase(ph, s int) {

@@ -15,7 +15,9 @@ import (
 // direct calls (no goroutine, closure or wait group). The sweep copies
 // what it needs of the product into that state, so not even the product
 // escapes. The rows are the inline single shard (K=0 and K=1 are one
-// configuration) and K=4 on one worker, the inline multi-shard phases.
+// configuration) and K=4 on one worker, the inline multi-shard phases,
+// each for sweeps run to the end and for sweeps that stop once a deep
+// source of the target is answered (the probe list lives in the arena).
 // Same shape as the repo-level TestExistsWalkAllocGuard; a few attempts
 // tolerate one-off pool refills after a GC.
 func TestDistBitsAllocGuard(t *testing.T) {
@@ -35,26 +37,51 @@ func TestDistBitsAllocGuard(t *testing.T) {
 	defer g.SetShards(0)
 	targets := []int{3, 57, 200, 399}
 
+	// sources[i] is the deepest source of targets[i]: its sweep stops
+	// before the last level.
+	sources := make([][]int, len(targets))
+	a := new(arena)
+	p := makeProduct(g.PinView(), s.Min, a)
+	for i, y := range targets {
+		p.distToGoal(y, a)
+		deep, far := -1, int32(1)
+		for x := 0; x < p.n; x++ {
+			if d := a.distAt(p.id(x, s.Min.Start)); d > far {
+				deep, far = x, d
+			}
+		}
+		if deep < 0 || !p.sweep(y, a, true, []int{deep}) {
+			t.Fatalf("target %d: no source whose sweep stops past level 1", y)
+		}
+		sources[i] = []int{deep}
+	}
+
 	for _, k := range []int{0, 1, 4} {
 		g.SetShards(k)
 		s.Warm(g)
-		sweep := func() {
-			a := getArena()
-			p := makeProduct(g.PinView(), s.Min, a)
-			for _, y := range targets {
-				p.distToGoal(y, a)
+		for _, stop := range []bool{false, true} {
+			sweep := func() {
+				a := getArena()
+				p := makeProduct(g.PinView(), s.Min, a)
+				for i, y := range targets {
+					if stop {
+						p.sweep(y, a, true, sources[i])
+					} else {
+						p.distToGoal(y, a)
+					}
+				}
+				a.release()
 			}
-			a.release()
-		}
-		for i := 0; i < 64; i++ { // warm the pool, the packed table, the lists
-			sweep()
-		}
-		avg := testing.AllocsPerRun(200, sweep)
-		for attempt := 0; attempt < 2 && avg > 0; attempt++ {
-			avg = testing.AllocsPerRun(200, sweep)
-		}
-		if avg > 0 {
-			t.Fatalf("K=%d: warm packed distToGoal allocates %.2f allocs/op; the bound is 0", k, avg)
+			for i := 0; i < 64; i++ { // warm the pool, the packed table, the lists
+				sweep()
+			}
+			avg := testing.AllocsPerRun(200, sweep)
+			for attempt := 0; attempt < 2 && avg > 0; attempt++ {
+				avg = testing.AllocsPerRun(200, sweep)
+			}
+			if avg > 0 {
+				t.Fatalf("K=%d stopped=%v: warm packed distToGoal allocates %.2f allocs/op; the bound is 0", k, stop, avg)
+			}
 		}
 	}
 }

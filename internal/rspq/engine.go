@@ -144,7 +144,9 @@ type EngineStats struct {
 	// a frontier exchange, at any K) — always TopDownRounds +
 	// BottomUpRounds, which split it by the direction each round ran
 	// in (dirbfs.go). BitParallelHits counts backward sweeps served by
-	// the packed ≤64-state driver (bitbfs.go).
+	// the packed ≤64-state driver (bitbfs.go), StoppedSweeps those that
+	// stopped once every source of their group was answered — each a
+	// miss that left no table behind (goalProbe, rspq.go).
 	Shards          int   `json:"shards,omitempty"`
 	ShardsAdaptive  bool  `json:"shards_adaptive,omitempty"`
 	ShardEdges      []int `json:"shard_edges,omitempty"`
@@ -152,6 +154,7 @@ type EngineStats struct {
 	TopDownRounds   int64 `json:"top_down_rounds,omitempty"`
 	BottomUpRounds  int64 `json:"bottom_up_rounds,omitempty"`
 	BitParallelHits int64 `json:"bit_parallel_hits,omitempty"`
+	StoppedSweeps   int64 `json:"stopped_sweeps,omitempty"`
 	// DirectionSwitches counts the rounds where the α/β heuristic
 	// flipped expansion direction mid-search (dirbfs.go). DirAlpha and
 	// DirBeta are the thresholds currently in effect — the defaults
@@ -419,6 +422,7 @@ func (e *Engine) Stats() EngineStats {
 	st.BottomUpRounds = m.kernel.bottomUp.Value()
 	st.DirectionSwitches = m.kernel.switches.Value()
 	st.BitParallelHits = m.kernel.bitHits.Value()
+	st.StoppedSweeps = m.kernel.stopped.Value()
 	st.ExchangeRounds = st.TopDownRounds + st.BottomUpRounds
 	st.DirAlpha = e.tuner.alphaGauge.Value()
 	st.DirBeta = e.tuner.betaGauge.Value()
@@ -526,6 +530,7 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 		tr.DirBeta = st.kt.beta
 		tr.Tuned = st.kt.tuned
 		tr.Shards = st.kt.shards
+		tr.StoppedAt = st.kt.stoppedAt
 		tr.Rounds = st.kt.rounds
 		return res, tr
 	}

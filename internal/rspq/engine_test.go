@@ -185,20 +185,25 @@ func TestEngineEvictionUnderPressure(t *testing.T) {
 // shard holds about one backward-BFS table, then queries more distinct
 // targets than shards: by pigeonhole at least one shard sees two
 // tables and must evict the older, while every answer stays correct.
+// Every target is asked as one batch group that includes an isolated
+// source, so its sweep runs to the end and leaves a table; a miss whose
+// sweep stops with its sources answered must put nothing.
 func TestEngineTableLRUEviction(t *testing.T) {
 	g := graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 12)
+	isolated := g.AddVertex()
 	s, err := NewSolver("a*c*") // subword tier: one goalTable per target
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm := 40 * s.Min.NumStates
+	nm := g.NumVertices() * s.Min.NumStates
 	// 16 shards (the cache default): per-shard budget = one table + slack.
 	budget := (goalTableCost(nm) + 64) * 16
 	e := NewEngine(s, g, EngineConfig{TableBytes: budget})
 	for y := 0; y < 40; y++ {
-		for _, x := range []int{0, 7, 23} {
-			if got, want := e.Solve(x, y).Found, s.Solve(g, x, y).Found; got != want {
-				t.Fatalf("(%d,%d): engine %v, cold %v", x, y, got, want)
+		pairs := []Pair{{X: 0, Y: y}, {X: 7, Y: y}, {X: 23, Y: y}, {X: isolated, Y: y}}
+		for i, got := range e.BatchSolve(pairs) {
+			if want := s.Solve(g, pairs[i].X, y).Found; got.Found != want {
+				t.Fatalf("(%d,%d): engine %v, cold %v", pairs[i].X, y, got.Found, want)
 			}
 		}
 	}
@@ -206,8 +211,23 @@ func TestEngineTableLRUEviction(t *testing.T) {
 	if st.Tables.Evictions == 0 {
 		t.Fatalf("40 targets over 16 one-table shards must evict: %+v", st.Tables)
 	}
-	if st.Tables.Puts != 40 {
-		t.Fatalf("each target must compute its table exactly once per residence; puts = %d", st.Tables.Puts)
+	if st.Tables.Puts != 40 || st.StoppedSweeps != 0 {
+		t.Fatalf("each target must compute its table exactly once per residence; puts = %d, stopped sweeps = %d", st.Tables.Puts, st.StoppedSweeps)
+	}
+
+	// A stopped miss: the first source other than the target with a path.
+	fresh := NewEngine(s, g, EngineConfig{TableBytes: budget})
+	y, x := 3, 0
+	for x == y || !s.Solve(g, x, y).Found {
+		if x++; x == isolated {
+			t.Fatalf("no source reaches %d", y)
+		}
+	}
+	if !fresh.Solve(x, y).Found {
+		t.Fatalf("(%d,%d): engine finds no path", x, y)
+	}
+	if st := fresh.Stats(); st.StoppedSweeps != 1 || st.Tables.Puts != 0 || st.Results.Puts != 1 {
+		t.Fatalf("a stopped miss must put its answer and no table: stopped sweeps %d, %+v / %+v", st.StoppedSweeps, st.Tables, st.Results)
 	}
 }
 
@@ -312,7 +332,10 @@ func TestEvaluatorEquivalence(t *testing.T) {
 // unseen target allocates no group slices or maps. With both cache
 // tiers off nothing is retained either, and the sweep behind the miss —
 // the inline single shard of the round drivers — keeps its state in the
-// arena (see TestDistBitsAllocGuard), so no tier allocates at all.
+// arena (see TestDistBitsAllocGuard), so no tier allocates at all. The
+// stopped-sweep rows ask only pairs that have a path, so every subword
+// sweep stops once its source is answered: the probe list lives in the
+// arena too, at K=0 and at K=4 on one worker.
 func TestEngineMissAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
@@ -344,6 +367,39 @@ func TestEngineMissAllocGuard(t *testing.T) {
 			t.Fatalf("%s: Engine.Exists on an unseen target allocates %.2f allocs/op; the bound is %.0f", c.name, avg, limit)
 		}
 	}
+
+	exchangeWorkersOverride.Store(1)
+	defer exchangeWorkersOverride.Store(0)
+	s, err := NewSolver("a*c*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.RandomRegular(600, []byte{'a', 'b', 'c'}, 3, 400)
+	var found []Pair
+	for i := 0; len(found) < 64 && i < 600*600; i++ {
+		if x, y := i%600, (i*7)%599; x != y && ExistsWalk(g, s.Min, x, y) {
+			found = append(found, Pair{X: x, Y: y})
+		}
+	}
+	for _, k := range []int{-1, 4} { // -1: the graph stays unsharded
+		e := NewEngine(s, g, EngineConfig{TableBytes: -1, ResultBytes: -1, Shards: k})
+		for _, pq := range found { // warm the arena pool
+			e.Exists(pq.X, pq.Y)
+		}
+		before := e.Stats().StoppedSweeps
+		i := 0
+		avg := testing.AllocsPerRun(400, func() {
+			e.Exists(found[i%len(found)].X, found[i%len(found)].Y)
+			i++
+		})
+		if stopped := e.Stats().StoppedSweeps - before; stopped != int64(i) {
+			t.Fatalf("Shards=%d: %d of %d sweeps stopped; every pair has a path", k, stopped, i)
+		}
+		if avg > 0 {
+			t.Fatalf("Shards=%d: Engine.Exists whose sweep stops allocates %.2f allocs/op; the bound is 0", k, avg)
+		}
+	}
+	g.SetShards(0)
 }
 
 // sparseGraph100k builds a 100 000-vertex graph with two random
@@ -369,9 +425,12 @@ func sparseGraph100k() *graph.Graph {
 // rather than time: on a 100k-vertex graph whose backward sweeps reach
 // under 1k product states, a miss allocates under 64 KiB (the dense
 // export allocated 9 B per product id — 2.7 MB here — whatever the sweep
-// touched) and 256 retained tables stay under 4 MiB. The engine runs the
-// configurations a server would — default caches, adaptive sharding —
-// on one processor (the sequential sweep) and on two (the exchange).
+// touched) and 256 retained tables stay under 4 MiB. Each miss asks from
+// an isolated source, so its sweep runs to the end and leaves a table
+// (a sweep that stops with its source answered leaves none). The engine
+// runs the configurations a server would — default caches, adaptive
+// sharding — on one processor (the sequential sweep) and on two (the
+// exchange).
 func TestEngineMissWorkGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
@@ -384,6 +443,7 @@ func TestEngineMissWorkGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := sparseGraph100k()
+		isolated := g.AddVertex()
 		n := g.NumVertices()
 		e := NewEngine(s, g, EngineConfig{})
 		if sharded := e.Stats().Shards > 1; sharded != (procs > 1) {
@@ -397,11 +457,14 @@ func TestEngineMissWorkGuard(t *testing.T) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		for y := 0; y < misses; y++ {
-			e.Solve((y*7919)%n, y*389) // 256 distinct targets, none seen before
+			e.Solve(isolated, y*389) // 256 distinct targets, none seen before
 		}
 		runtime.ReadMemStats(&m1)
 		if perMiss := (m1.TotalAlloc - m0.TotalAlloc) / misses; perMiss >= 64<<10 {
 			t.Fatalf("procs=%d: a short-sweep table miss allocates %d B on average; the bound is 64 KiB", procs, perMiss)
+		}
+		if stopped := e.Stats().StoppedSweeps; stopped != 0 {
+			t.Fatalf("procs=%d: %d sweeps stopped, but an isolated source leaves every sweep to run to the end", procs, stopped)
 		}
 		st := e.Stats().Tables
 		if st.Misses < misses || st.Entries < misses {

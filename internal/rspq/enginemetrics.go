@@ -26,6 +26,7 @@ import (
 //	rspq_dir_alpha / rspq_dir_beta           direction thresholds in effect (tuner.go)
 //	rspq_tuner_adjustments_total             α/β adjustments adopted by the tuner
 //	rspq_bit_parallel_hits_total             packed ≤64-state kernel dispatches
+//	rspq_sweeps_stopped_total                sweeps stopped with every source answered
 //	rspq_compactions_total                   background delta merges
 //	rspq_compaction_seconds                  compaction wall time (histogram)
 //	rspq_last_compaction_seconds             most recent compaction (gauge)
@@ -126,6 +127,8 @@ func newKernelCounters(reg *metrics.Registry) exchCounters {
 			"Rounds where the α/β heuristic flipped expansion direction."),
 		bitHits: reg.Counter("rspq_bit_parallel_hits_total",
 			"Backward sweeps served by the packed ≤64-state bit-parallel kernels."),
+		stopped: reg.Counter("rspq_sweeps_stopped_total",
+			"Backward sweeps that stopped once every source of their target group was answered, leaving no table."),
 		roundTD: reg.Histogram("rspq_kernel_round_seconds",
 			"Per-round kernel wall time in seconds, by expansion direction.", nil, "dir", "top_down"),
 		roundBU: reg.Histogram("rspq_kernel_round_seconds",

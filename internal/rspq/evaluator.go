@@ -221,7 +221,7 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		if !w.existsOnly() {
 			// One backward product BFS serves the group: every source
 			// reads its shortest walk off the successor links.
-			v := ev.goalViewFor(pv, a, grp.y, st)
+			v := ev.goalViewFor(pv, a, grp.y, grp.xs, st)
 			for j, x := range grp.xs {
 				w.set(grp.idx[j], ev.answerGoal(v, pv.algo, x))
 			}
@@ -234,7 +234,8 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		// earlier witness queries on this target) the group is answered
 		// by the mark-only coReach sweep (bit-parallel when the DFA packs
 		// into a word) instead of the heavier link-recording distToGoal,
-		// sharing the baseline tier's co tables.
+		// sharing the baseline tier's co tables. Either sweep stops once
+		// the group's sources are answered (goalProbe).
 		t0 := ev.clock()
 		gt := ev.cachedGoalTable(pv, grp.y)
 		ev.observeTable(t0, st)
@@ -246,7 +247,7 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 			break
 		}
 		p := ev.product(pv, a, st)
-		ct := ev.coTableFor(pv, &p, a, grp.y, st)
+		ct := ev.coTableFor(pv, &p, a, grp.y, grp.xs, st)
 		for j, x := range grp.xs {
 			id := p.id(x, d.Start)
 			if ct != nil {
@@ -281,10 +282,11 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		}
 	default:
 		// The exponential tier backtracks per source against one
-		// co-reachability pruning table. The existence bit needs the same
-		// search (co-reachability alone ignores simplicity).
+		// co-reachability pruning table, which must be complete: its
+		// sweep gets no sources. The existence bit needs the same search
+		// (co-reachability alone ignores simplicity).
 		p := ev.product(pv, a, st)
-		ct := ev.coTableFor(pv, &p, a, grp.y, st)
+		ct := ev.coTableFor(pv, &p, a, grp.y, nil, st)
 		k0 := ev.clock()
 		for j, x := range grp.xs {
 			w.set(grp.idx[j], baselineWith(&p, a, d, ct, x, grp.y, nil))
@@ -644,10 +646,11 @@ type goalView struct {
 }
 
 // goalViewFor returns the backward-BFS view for target y, serving the
-// cached table on hit and caching a freshly exported one on miss when
-// it is retainable. The BFS is timed as kernel, the cache traffic as
-// table.
-func (ev *evaluator) goalViewFor(pv *pinned, a *arena, y int, st *solveTiming) goalView {
+// cached table on hit. On a miss the sweep stops once sources xs are
+// answered and serves them from the arena; a sweep that ran to the end —
+// some source unreachable — is exported and cached when retainable. The
+// BFS is timed as kernel, the cache traffic as table.
+func (ev *evaluator) goalViewFor(pv *pinned, a *arena, y int, xs []int, st *solveTiming) goalView {
 	t0 := ev.clock()
 	if t := ev.cachedGoalTable(pv, y); t != nil {
 		ev.observeTable(t0, st)
@@ -656,9 +659,9 @@ func (ev *evaluator) goalViewFor(pv *pinned, a *arena, y int, st *solveTiming) g
 	}
 	p := ev.product(pv, a, st)
 	k0 := ev.clock()
-	p.distToGoal(y, a)
+	stopped := p.sweep(y, a, true, xs)
 	ev.observeKernel(k0, st)
-	if ev.tables == nil || !ev.tables.Retainable(exportCost(&p, a)) {
+	if stopped || ev.tables == nil || !ev.tables.Retainable(exportCost(&p, a)) {
 		return goalView{p: p, a: a}
 	}
 	t1 := ev.clock()
@@ -708,9 +711,11 @@ func (ev *evaluator) cachedGoalTable(pv *pinned, y int) *goalTable {
 
 // coTableFor returns the product co-reachability table for target y —
 // cached on hit, freshly cached on miss when retainable, or nil with
-// the table left in the arena (a.co). The sweep is timed as kernel, the
-// cache traffic as table.
-func (ev *evaluator) coTableFor(pv *pinned, p *product, a *arena, y int, st *solveTiming) *coTable {
+// the table left in the arena (a.co). Given sources xs the sweep stops
+// once they are answered, and a stopped sweep is no table: its answers
+// stay in a.co. The sweep is timed as kernel, the cache traffic as
+// table.
+func (ev *evaluator) coTableFor(pv *pinned, p *product, a *arena, y int, xs []int, st *solveTiming) *coTable {
 	key := ev.tableKey(pv, y, -1, tableCo)
 	t0 := ev.clock()
 	if ev.tables != nil {
@@ -723,10 +728,10 @@ func (ev *evaluator) coTableFor(pv *pinned, p *product, a *arena, y int, st *sol
 		}
 	}
 	k0 := ev.clock()
-	p.coReach(y, a)
+	stopped := p.sweep(y, a, false, xs)
 	ev.observeKernel(k0, st)
 	nm := p.n * p.m
-	if ev.tables == nil || !ev.tables.Retainable(coTableCost(nm)) {
+	if stopped || ev.tables == nil || !ev.tables.Retainable(coTableCost(nm)) {
 		return nil
 	}
 	t1 := ev.clock()

@@ -103,7 +103,7 @@ func (p *product) packed() *automaton.Packed {
 // w with ∆(q, w) accepting reaches y. This ignores simplicity and is
 // the standard pruning oracle for the simple-path searches. The result
 // is left in a.co.
-func (p *product) coReach(y int, a *arena) { p.sweep(y, a, false) }
+func (p *product) coReach(y int, a *arena) { p.sweep(y, a, false, nil) }
 
 // distToGoal computes product BFS distances to the accepting goal
 // (y, accepting), left in a.dist; entries are valid where a.dst holds.
@@ -114,7 +114,7 @@ func (p *product) coReach(y int, a *arena) { p.sweep(y, a, false) }
 // (see sharedWalkFrom). Distances are the same whichever driver and
 // shard count ran; parent links may name a different — equally short —
 // successor.
-func (p *product) distToGoal(y int, a *arena) { p.sweep(y, a, true) }
+func (p *product) distToGoal(y int, a *arena) { p.sweep(y, a, true, nil) }
 
 // sweep runs the backward sweep toward (y, accepting) on one of the two
 // round drivers: the packed one (bitbfs.go) when the DFA fits a word,
@@ -122,12 +122,119 @@ func (p *product) distToGoal(y int, a *arena) { p.sweep(y, a, true) }
 // direction-optimizing frontier exchanges over the view's row
 // partition and fill the same arena outputs, so every consumer is
 // driver-blind.
-func (p *product) sweep(y int, a *arena, links bool) {
+//
+// Given sources xs, the sweep stops as soon as every one of them is
+// answered (goalProbe) and reports that it stopped. Its outputs then
+// answer exactly those sources — each (x, start) stamped, with links at
+// its exact distance and linked one level closer — but are not the
+// closure, so nothing may be exported from them. Without sources, or
+// when a source is unreachable, the sweep runs to the end.
+func (p *product) sweep(y int, a *arena, links bool, xs []int) (stopped bool) {
+	pr := p.probeFor(a, xs)
 	if pk := p.packed(); pk != nil {
-		p.sweepPacked(y, a, pk, links)
-	} else {
-		p.sweepArcs(a, p.dfaArcs(a), y, links)
+		return p.sweepPacked(y, a, pk, links, pr)
 	}
+	return p.sweepArcs(a, p.dfaArcs(a), y, links, pr)
+}
+
+// goalProbe is the stop rule of a product sweep that answers a target
+// group: the group's sources not yet answered, and the DFA and label
+// map that step a source's start state across its out-edges. The zero
+// value probes nothing, so the sweep runs to the end — what the summary
+// and baseline tiers need, whose sweeps are pruning sets.
+//
+// Both drivers call answered before every round, with the driver
+// running alone and the visited set holding exactly the ids at the
+// levels below the one the round discovers (each driver stamps a
+// round's ids by its barrier). A source x is answered when (x, start) is
+// already marked — only a goal state, at level 0, can be — or one of its
+// out-edges x -l-> u reaches a marked (u, δ(start, l)). The probes
+// before earlier rounds failed for x, so x sits at exactly the level the
+// next round would discover, and the id it steps into one level closer.
+type goalProbe struct {
+	vw   *graph.View
+	d    *automaton.DFA
+	lmap []int16
+	xs   []int32 // the unanswered sources, in the arena's scratch
+}
+
+// probeFor readies the probe of a sweep answering sources xs, copying
+// them into the arena (no allocation once warm).
+func (p *product) probeFor(a *arena, xs []int) goalProbe {
+	if len(xs) == 0 {
+		return goalProbe{}
+	}
+	a.srcs = a.srcs[:0]
+	for _, x := range xs {
+		a.srcs = append(a.srcs, int32(x))
+	}
+	return goalProbe{vw: p.vw, d: p.d, lmap: p.lmap, xs: a.srcs}
+}
+
+// answered probes the sources left before the round that discovers
+// level d. If some are not answered yet it drops the answered ones — the
+// round about to run discovers them like any other id — and reports
+// false, as the zero probe always does. Otherwise the sweep stops here,
+// and answered stamps every source: (x, start) joins the visited set
+// and, with links, gets distance d and the successor the probe found
+// (looked up before any source is marked, so never a source stamped at
+// level d itself) and goes on the reach list.
+func (pr *goalProbe) answered(a *arena, marks *stamped, d int32, links bool) bool {
+	if len(pr.xs) == 0 {
+		return false
+	}
+	left := pr.xs[:0]
+	for _, x := range pr.xs {
+		if _, _, ok := pr.step(x, marks); !ok {
+			left = append(left, x)
+		}
+	}
+	if len(left) > 0 {
+		pr.xs = left
+		return false
+	}
+	m, q0 := pr.d.NumStates, pr.d.Start
+	if links {
+		for _, x := range pr.xs {
+			if id := int(x)*m + q0; !marks.has(id) {
+				a.parent[id], a.plabel[id], _ = pr.step(x, marks)
+				a.dist[id] = d
+			}
+		}
+	}
+	fresh := pr.xs[:0] // rewritten in place to the product ids stamped
+	for _, x := range pr.xs {
+		if id := int(x)*m + q0; !marks.has(id) { // a source may be listed twice
+			marks.add(id)
+			fresh = append(fresh, int32(id))
+		}
+	}
+	if links {
+		a.noteReached(fresh)
+	}
+	return true
+}
+
+// step returns the marked product id that answers source x and the
+// label of the edge into it: (x, start) itself when marked (label 0),
+// else the first marked (u, δ(start, l)) across an out-edge x -l-> u.
+func (pr *goalProbe) step(x int32, marks *stamped) (succ int32, label byte, ok bool) {
+	m, q0 := pr.d.NumStates, pr.d.Start
+	if id := int(x)*m + q0; marks.has(id) {
+		return int32(id), 0, true
+	}
+	for lid, di := range pr.lmap {
+		if di < 0 {
+			continue
+		}
+		t := pr.d.StepIndex(q0, int(di))
+		for _, u := range pr.vw.OutWithID(int(x), lid) {
+			if sid := int(u)*m + t; marks.has(sid) {
+				return int32(sid), pr.vw.Label(lid), true
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 // distAt returns the product distance computed by distToGoal, -1 when

@@ -327,13 +327,26 @@ func TestShardedGrownOverlayEquivalence(t *testing.T) {
 	}
 }
 
-// checkSweepContracts asserts, right after a distToGoal sweep on a, the
-// two contracts that let its consumers pay O(reached): a reach list that
-// is still valid names exactly the stamped ids, each once; and the
-// arena's packed words are zero wherever they are not marked hot. It
-// reports whether the list was valid.
+// checkSweepContracts asserts, right after a sweep with links on a —
+// run to the end or stopped with its sources answered — the contracts
+// that let its consumers pay O(reached) and the next sweep start clean:
+// the exchange lists are empty; a reach list that is still valid names
+// exactly the stamped ids, each once; and the arena's packed words are
+// zero wherever they are not marked hot. It reports whether the list was
+// valid.
 func checkSweepContracts(t *testing.T, p *product, a *arena, ctx string) bool {
 	t.Helper()
+	ex := &a.ex
+	for s := range ex.fr {
+		if len(ex.fr[s]) != 0 || len(ex.nx[s]) != 0 {
+			t.Fatalf("%s: shard %d ends the sweep with %d frontier and %d next-frontier entries", ctx, s, len(ex.fr[s]), len(ex.nx[s]))
+		}
+	}
+	for i := range ex.box {
+		if len(ex.box[i]) != 0 || len(ex.wbox[i]) != 0 {
+			t.Fatalf("%s: outbox %d ends the sweep holding %d id and %d word messages", ctx, i, len(ex.box[i]), len(ex.wbox[i]))
+		}
+	}
 	for i, w := range a.w64[a.w64Hot:cap(a.w64)] {
 		if w != 0 {
 			t.Fatalf("%s: packed word %d is %#x after the sweep but only the first %d are marked hot",

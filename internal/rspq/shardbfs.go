@@ -48,12 +48,14 @@ import (
 // at distance < d, making the probe both race-free and level-exact.
 //
 // Rounds repeat until every frontier is empty: the synchronous BFS level
-// structure, whatever K is. Distances, closures and therefore answers
-// are identical for every K; only the choice among equal-length
-// successor links can differ, which every caller treats as "any
-// shortest witness". Links are claimed where the discovering edge is in
-// hand — in the expand phase for own rows, from the message in the
-// deliver phase for the rest.
+// structure, whatever K is. (A product sweep answering a target group
+// also stops once the probe the driver runs between rounds finds every
+// source answered — goalProbe, rspq.go.) Distances, closures and
+// therefore answers are identical for every K; only the choice among
+// equal-length successor links can differ, which every caller treats as
+// "any shortest witness". Links are claimed where the discovering edge
+// is in hand — in the expand phase for own rows, from the message in
+// the deliver phase for the rest.
 //
 // Phases fan out over min(K, GOMAXPROCS) workers. With one worker —
 // always the case at K = 1, the unsharded default — they are direct
@@ -253,6 +255,14 @@ func (e *exch) drainAccum() (fe, ue int64) {
 	return fe, ue
 }
 
+// dropFrontier empties the frontier lists of a sweep that stops before
+// they run dry, restoring the between-sweeps invariant.
+func (e *exch) dropFrontier() {
+	for s := range e.fr {
+		e.fr[s] = e.fr[s][:0]
+	}
+}
+
 // frontierTotal sums the per-shard frontier sizes after a deliver
 // phase — the exchange terminates when it reaches zero.
 func (e *exch) frontierTotal() int {
@@ -331,8 +341,11 @@ type arcSweep struct {
 // closure in a.co; with links it leaves validity stamps in a.dst, exact
 // BFS distances in a.dist, for every reached non-goal id the successor
 // one step closer to the goal and the label of that step in
-// a.parent/a.plabel, and the reach list (arena.noteReached).
-func (e *sweepEnv) sweepArcs(a *arena, ar *arcTable, y int, links bool) {
+// a.parent/a.plabel, and the reach list (arena.noteReached). A product
+// sweep given sources probes them before every round and stops once all
+// are answered (goalProbe), reporting that it stopped; pr is the zero
+// probe otherwise.
+func (e *sweepEnv) sweepArcs(a *arena, ar *arcTable, y int, links bool, pr goalProbe) (stopped bool) {
 	K, nm := e.parts.K, e.n*e.m
 	ex := &a.ex
 	ex.reset(K)
@@ -361,6 +374,12 @@ func (e *sweepEnv) sweepArcs(a *arena, ar *arcTable, y int, links bool) {
 				a.noteReached(fr)
 			}
 		}
+		if pr.answered(a, r.marks, r.d+1, links) {
+			stopped = true
+			e.sweepStopped(r.d + 1)
+			ex.dropFrontier()
+			break
+		}
 		r.d++
 		bottomUp = dc.choose(bottomUp, frontEdges, unvisEdges, int64(total), int64(nm))
 		t0 := e.roundStart()
@@ -376,6 +395,7 @@ func (e *sweepEnv) sweepArcs(a *arena, ar *arcTable, y int, links bool) {
 	}
 	e.runDone(&dc)
 	*r = arcSweep{} // drop the view and the arcs: the arena outlives them
+	return stopped
 }
 
 func (r *arcSweep) phase(ph, s int) {

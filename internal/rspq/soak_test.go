@@ -128,12 +128,14 @@ func TestEngineOverlaySoak(t *testing.T) {
 // stay short, every epoch flips edges in three pinned steps — read
 // through an overlay view that extends the previous epochs', every
 // fourth epoch through the base a Compact just merged — and then
-// asks, per target, once cold — the table is built, sparse whenever the
-// sweep was short — and once more from another source, which must hit
-// that table. Both answers must pass
+// asks, per target, once cold from a source the rebuilt graph proves
+// unreachable — the sweep runs to the end and the table is built, sparse
+// whenever the sweep was short — and once more from a random other
+// source, which must hit that table. Both answers must pass
 // VerifyWitness and agree, in existence and in length (both tiers return
 // shortest paths), with a freshly compiled Solver on a graph rebuilt
-// from scratch. K=0 runs the single inline shard, K=5 the multi-shard exchange.
+// from scratch. K=0 runs the single inline shard, K=5 the multi-shard
+// exchange.
 func TestEngineSparseTableChurn(t *testing.T) {
 	cases := []struct {
 		name, pattern string
@@ -181,8 +183,14 @@ func TestEngineSparseTableChurn(t *testing.T) {
 						continue
 					}
 					seen[y] = true
-					x := rng.Intn(n)
-					for pass, x := range []int{x, (x + 1) % n} {
+					u := rng.Intn(n)
+					for tries := 0; tries < n && ExistsWalk(oracle, s.Min, u, y); tries++ {
+						u = (u + 1) % n
+					}
+					if ExistsWalk(oracle, s.Min, u, y) {
+						continue // every vertex reaches y: no sweep from it runs to the end
+					}
+					for pass, x := range []int{u, (u + 1 + rng.Intn(n-1)) % n} {
 						got, tr := e.SolveTraced(x, y)
 						want := ref.Solve(oracle, x, y)
 						if got.Found != want.Found || (got.Found && got.Path.Len() != want.Path.Len()) {
@@ -192,7 +200,7 @@ func TestEngineSparseTableChurn(t *testing.T) {
 						if !VerifyWitness(got, g, s.Min, x, y) {
 							t.Fatalf("%s K=%d epoch %d (%d,%d): invalid witness %v", c.name, k, epoch, x, y, got.Path)
 						}
-						if tr.Tier != c.tier.String() || tr.ResultCacheHit || tr.TableCacheHit != (pass == 1) {
+						if tr.Tier != c.tier.String() || tr.ResultCacheHit || tr.TableCacheHit != (pass == 1) || tr.StoppedAt != 0 {
 							t.Fatalf("%s K=%d epoch %d (%d,%d) pass %d: trace %+v", c.name, k, epoch, x, y, pass, tr)
 						}
 						switch {

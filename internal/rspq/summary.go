@@ -314,7 +314,7 @@ func acquireSeqSearcher(vw *graph.View, a *arena, plan *seqPlan, y int, shortest
 	ss.ext = ext
 	ss.a = a
 	if ext == nil {
-		ss.sweepArcs(a, &ss.plan.arcs, y, false)
+		ss.sweepArcs(a, &ss.plan.arcs, y, false, goalProbe{})
 	}
 	return ss
 }

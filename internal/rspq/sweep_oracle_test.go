@@ -248,7 +248,7 @@ func TestPositionNFASweepEquivalence(t *testing.T) {
 						env := makeSweepEnv(vw, m, sinks{})
 						a := getArena()
 						for _, links := range []bool{false, true} {
-							env.sweepArcs(a, &plan.arcs, y, links)
+							env.sweepArcs(a, &plan.arcs, y, links, goalProbe{})
 							ctx := fmt.Sprintf("seq %s overlay=%v mode=%s K=%d y=%d links=%v", seq, overlay, mode.name, k, y, links)
 							checkSweepAgainstOracle(t, g, m, arcs, a, links, want, ctx)
 						}

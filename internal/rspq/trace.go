@@ -82,7 +82,14 @@ type QueryTrace struct {
 	// Shards is the number of row ranges the query's sweep ran over —
 	// 1 is the single shard swept inline on the caller's goroutine; 0
 	// (omitted) when no sweep ran.
-	Shards     int           `json:"shards,omitempty"`
+	Shards int `json:"shards,omitempty"`
+	// StoppedAt is the level at which the query's sweep answered its last
+	// source and stopped: the level the skipped round would have
+	// discovered, which is the source's exact distance (a source that is
+	// the target, at distance 0, is answered at level 1 with no round
+	// run). 0 (omitted) when the sweep ran to the end; only such a sweep
+	// leaves a goal table for TableStates/TableBytes to describe.
+	StoppedAt  int           `json:"stopped_at,omitempty"`
 	Stages     []StageTiming `json:"stages"`
 	Rounds     []RoundTrace  `json:"rounds"`
 	TotalNanos int64         `json:"total_nanos"`
@@ -95,20 +102,22 @@ type kernelTrace struct {
 	alpha, beta int64
 	tuned       bool
 	shards      int
+	stoppedAt   int
 	bitParallel bool
 }
 
 // exchCounters bundles the pre-registered kernel metrics an Engine
 // wires into every search: per-direction round counters and round-time
-// histograms, the direction-switch counter and the bit-parallel
-// dispatch counter. A nil *exchCounters (the package-level query
-// paths) disables all of it. When non-nil, every field is set — the
-// Engine registers them together.
+// histograms, the direction-switch counter, the bit-parallel dispatch
+// counter and the stopped-sweep counter. A nil *exchCounters (the
+// package-level query paths) disables all of it. When non-nil, every
+// field is set — the Engine registers them together.
 type exchCounters struct {
 	topDown  *metrics.Counter
 	bottomUp *metrics.Counter
 	switches *metrics.Counter
 	bitHits  *metrics.Counter
+	stopped  *metrics.Counter
 	roundTD  *metrics.Histogram
 	roundBU  *metrics.Histogram
 }
@@ -187,5 +196,17 @@ func (e *sweepEnv) addBitHit() {
 	}
 	if e.tr != nil {
 		e.tr.bitParallel = true
+	}
+}
+
+// sweepStopped records one sweep that stopped before the round
+// discovering level d, every source of its group answered, in both
+// telemetry sinks.
+func (e *sweepEnv) sweepStopped(d int32) {
+	if e.counts != nil {
+		e.counts.stopped.Inc()
+	}
+	if e.tr != nil {
+		e.tr.stoppedAt = int(d)
 	}
 }
