@@ -26,7 +26,7 @@ test:
 # sync.Once, reached only through the root package and internal/core.
 race:
 	$(GO) test -race ./internal/graph/ ./internal/cache/ ./internal/metrics/ ./internal/rspq/ ./internal/persist/ ./cmd/rspqd/
-	$(GO) test -race -cpu 1,2 -run 'Equivalence|Equality|Sharded|Distance|Direction|Sweep' ./internal/rspq/
+	$(GO) test -race -cpu 1,2 -run 'Equivalence|Equality|Sharded|Distance|Exchange|Sweep' ./internal/rspq/
 	$(GO) test -race -run 'HardnessWitness|Compile|Concurrent' . ./internal/core/
 
 # bench-check: the repo benchmark (bench/, its own module) still vets,

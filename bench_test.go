@@ -476,29 +476,21 @@ func BenchmarkShardedBFS(b *testing.B) {
 			pairs = append(pairs, rspq.Pair{X: rng.Intn(n), Y: y})
 		}
 	}
-	// The direction dimension pits the optimized kernels (automatic
-	// top-down/bottom-up switching plus the packed ≤64-state fast path)
-	// against the id-list sweep pinned top-down — what the earliest
-	// revisions ran — per partition size.
-	dirs := []struct {
-		name    string
-		topDown bool
-	}{{"dir=opt", false}, {"dir=topdown", true}}
+	// The driver dimension pits the packed ≤64-state sweep against the
+	// id-list sweep per partition size.
+	drivers := []struct {
+		name string
+		bits bool
+	}{{"driver=packed", true}, {"driver=idlist", false}}
 	for _, k := range []int{0, 4, 8, 16} {
 		kname := fmt.Sprintf("K=%d", k)
 		if k == 0 {
 			kname = "unsharded"
 		}
-		for _, d := range dirs {
+		for _, d := range drivers {
 			b.Run(kname+"/"+d.name, func(b *testing.B) {
-				if d.topDown {
-					rspq.SetDirectionMode(rspq.DirTopDown)
-					rspq.SetBitParallel(false)
-					defer func() {
-						rspq.SetDirectionMode(rspq.DirAuto)
-						rspq.SetBitParallel(true)
-					}()
-				}
+				rspq.SetBitParallel(d.bits)
+				defer rspq.SetBitParallel(true)
 				b.ReportAllocs()
 				g.SetShards(k)
 				s.Warm(g)

@@ -305,10 +305,6 @@ func TestShardedServer(t *testing.T) {
 	if st.Engine.ExchangeRounds == 0 {
 		t.Fatal("sharded queries must accumulate frontier-exchange rounds")
 	}
-	if st.Engine.TopDownRounds+st.Engine.BottomUpRounds != st.Engine.ExchangeRounds {
-		t.Fatalf("rounds must split exactly: top-down %d + bottom-up %d != total %d",
-			st.Engine.TopDownRounds, st.Engine.BottomUpRounds, st.Engine.ExchangeRounds)
-	}
 
 	// An existence-only query on a fresh target runs the mark-only
 	// coReach sweep; a*c* packs into one word, so it must take the

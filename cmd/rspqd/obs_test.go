@@ -150,13 +150,7 @@ func TestStatsMetricsAgree(t *testing.T) {
 	eq("incremental_freezes", float64(e.IncrementalFreezes), m[`rspq_freezes_total{kind="incremental"}`])
 	eq("overlay_reads", float64(e.OverlayReads), m[`rspq_reads_total{view="overlay"}`])
 	eq("pass_through_reads", float64(e.PassThroughReads), m[`rspq_reads_total{view="pass_through"}`])
-	eq("exchange_rounds", float64(e.ExchangeRounds), sumPrefix(m, "rspq_kernel_rounds_total{"))
-	eq("top_down_rounds", float64(e.TopDownRounds), m[`rspq_kernel_rounds_total{dir="top_down"}`])
-	eq("bottom_up_rounds", float64(e.BottomUpRounds), m[`rspq_kernel_rounds_total{dir="bottom_up"}`])
-	eq("direction_switches", float64(e.DirectionSwitches), m["rspq_kernel_direction_switches_total"])
-	eq("dir_alpha", e.DirAlpha, m["rspq_dir_alpha"])
-	eq("dir_beta", e.DirBeta, m["rspq_dir_beta"])
-	eq("tuner_adjustments", float64(e.TunerAdjustments), m["rspq_tuner_adjustments_total"])
+	eq("exchange_rounds", float64(e.ExchangeRounds), m["rspq_kernel_rounds_total"])
 	eq("bit_parallel_hits", float64(e.BitParallelHits), m["rspq_bit_parallel_hits_total"])
 	eq("stopped_sweeps", float64(e.StoppedSweeps), m["rspq_sweeps_stopped_total"])
 	eq("compactions", float64(e.Compactions), m["rspq_compactions_total"])
@@ -174,8 +168,8 @@ func TestStatsMetricsAgree(t *testing.T) {
 	eq("results.bytes", float64(e.Results.Bytes), m[`rspq_cache_bytes{cache="results"}`])
 	eq("results.entries", float64(e.Results.Entries), m[`rspq_cache_entries{cache="results"}`])
 
-	if e.Queries == 0 || e.Compactions == 0 || e.OverlayReads == 0 || e.StoppedSweeps == 0 {
-		t.Fatalf("sequence must exercise queries, compaction, overlay reads and stopped sweeps: %+v", e)
+	if e.Queries == 0 || e.Compactions == 0 || e.OverlayReads == 0 || e.StoppedSweeps == 0 || e.ExchangeRounds == 0 {
+		t.Fatalf("sequence must exercise queries, compaction, overlay reads, stopped sweeps and kernel rounds: %+v", e)
 	}
 	if e.CompactionMergedEdges == 0 {
 		t.Fatalf("compaction must report merged delta edges: %+v", e)
@@ -215,16 +209,11 @@ func TestQueryTrace(t *testing.T) {
 	if !stages["pin"] || !stages["kernel"] {
 		t.Fatalf("trace stages = %+v; want at least pin and kernel", tr.Stages)
 	}
-	if tr.TopDownRounds+tr.BottomUpRounds == 0 || len(tr.Rounds) == 0 {
+	if len(tr.Rounds) == 0 {
 		t.Fatalf("fresh traced query must record kernel rounds: %+v", tr)
 	}
 	if tr.Shards != 1 {
 		t.Fatalf("unsharded server: the sweep ran over %d shards, want the single inline shard", tr.Shards)
-	}
-	for _, rd := range tr.Rounds {
-		if rd.Dir != "top_down" && rd.Dir != "bottom_up" {
-			t.Fatalf("round dir = %q", rd.Dir)
-		}
 	}
 	// The DAG tier's sweep stopped once the source was answered: 0 sits
 	// three levels from the goal, so it ran two rounds and left no table.
@@ -282,8 +271,8 @@ func TestQueryTrace(t *testing.T) {
 
 // TestQueryTraceSummaryTier pins that a summary-tier query is traced
 // like any other: its co-reachability sweep runs on the same round
-// driver as the product sweeps, so the trace carries the α/β thresholds
-// the sweep resolved, one timed entry per round, and the number of
+// driver as the product sweeps, so the trace carries one timed entry per
+// round, as many as the engine's round counter moved, and the number of
 // shards the sweep ran over — 1 for the unsharded server (the single
 // shard swept inline), the configured count otherwise.
 func TestQueryTraceSummaryTier(t *testing.T) {
@@ -307,11 +296,8 @@ func TestQueryTraceSummaryTier(t *testing.T) {
 		if !resp.Found || tr == nil || tr.Tier != "summary" {
 			t.Fatalf("shards=%d: traced query = %+v; want found on the summary tier", shards, resp)
 		}
-		if tr.DirAlpha == 0 || tr.DirBeta == 0 || tr.Tuned {
-			t.Fatalf("shards=%d: thresholds α=%d β=%d tuned=%v; want the untrained defaults", shards, tr.DirAlpha, tr.DirBeta, tr.Tuned)
-		}
-		if len(tr.Rounds) == 0 || int64(len(tr.Rounds)) != tr.TopDownRounds+tr.BottomUpRounds {
-			t.Fatalf("shards=%d: %d round entries for %d+%d rounds", shards, len(tr.Rounds), tr.TopDownRounds, tr.BottomUpRounds)
+		if rounds := srv.eng.Stats().ExchangeRounds; len(tr.Rounds) == 0 || int64(len(tr.Rounds)) != rounds {
+			t.Fatalf("shards=%d: %d round entries for %d exchange rounds", shards, len(tr.Rounds), rounds)
 		}
 		for _, rd := range tr.Rounds {
 			if rd.Frontier <= 0 || rd.Nanos <= 0 {

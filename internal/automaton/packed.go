@@ -11,8 +11,8 @@ import "math/bits"
 //
 // Like RevIndex, Packed depends only on Delta and Alphabet — never on
 // Accept — so shallow DFA copies (WithStart, Complement) may share it
-// and SetDelta drops it. Accept-dependent masks are derived per use via
-// AcceptMask/CoReachMask, which keeps Complement's accept flip safe.
+// and SetDelta drops it. The accept mask is derived per use via
+// AcceptMask, which keeps Complement's accept flip safe.
 //
 // The table is immutable once built and safe for concurrent readers.
 type Packed struct {
@@ -74,24 +74,6 @@ func (p *Packed) PredOf(w uint64, i int) uint64 {
 		out |= p.pred[base+q]
 	}
 	return out
-}
-
-// CoReachMask returns the bitmask of states from which some state of
-// accept is reachable — the packed form of DFA.CoReachable, computed
-// as a predecessor-closure fixpoint without allocating. Product search
-// bits outside this mask can never be set, so the bit-parallel kernels
-// use it as the saturation mask of a vertex word.
-func (p *Packed) CoReachMask(accept uint64) uint64 {
-	co := accept
-	for {
-		prev := co
-		for i := 0; i < p.l; i++ {
-			co |= p.PredOf(co, i)
-		}
-		if co == prev {
-			return co
-		}
-	}
 }
 
 // AcceptMask returns d's accepting states as a bitmask; it must be

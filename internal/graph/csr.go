@@ -180,18 +180,6 @@ func (c *CSR) InWith(v int, label byte) []int32 {
 	return c.InWithID(v, int(lid))
 }
 
-// OutDegree returns the number of edges leaving v.
-func (c *CSR) OutDegree(v int) int {
-	L := len(c.labels)
-	return int(c.outBucket[(v+1)*L] - c.outBucket[v*L])
-}
-
-// InDegree returns the number of edges entering v.
-func (c *CSR) InDegree(v int) int {
-	L := len(c.labels)
-	return int(c.inBucket[(v+1)*L] - c.inBucket[v*L])
-}
-
 // HasEdge reports whether the exact edge (from, label, to) exists, by
 // binary search within the (from, label) bucket.
 func (c *CSR) HasEdge(from int, label byte, to int) bool {

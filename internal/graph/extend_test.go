@@ -76,10 +76,6 @@ func checkViewsEqual(t *testing.T, got, want *View) {
 		t.Fatal("extended overlay differs structurally from the scratch build")
 	}
 	for v := 0; v < want.NumVertices(); v++ {
-		if got.OutDegree(v) != want.OutDegree(v) || got.InDegree(v) != want.InDegree(v) {
-			t.Fatalf("v=%d: degrees (%d,%d) != scratch (%d,%d)", v,
-				got.OutDegree(v), got.InDegree(v), want.OutDegree(v), want.InDegree(v))
-		}
 		for lid := 0; lid < want.NumLabels(); lid++ {
 			if !slices.Equal(got.OutWithID(v, lid), want.OutWithID(v, lid)) ||
 				!slices.Equal(got.InWithID(v, lid), want.InWithID(v, lid)) {

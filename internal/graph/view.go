@@ -438,44 +438,6 @@ func (vw *View) InWith(v int, label byte) []int32 {
 	return vw.InWithID(v, int(lid))
 }
 
-// OutDegree returns the number of edges leaving v — O(1) on clean rows,
-// O(L) on rows the overlay touched.
-func (vw *View) OutDegree(v int) int {
-	if vw.out == nil {
-		return vw.base.OutDegree(v)
-	}
-	if !vw.out.dirtyRow(v) {
-		if v >= vw.base.n {
-			return 0
-		}
-		return vw.base.OutDegree(v)
-	}
-	d := 0
-	for lid := 0; lid < int(vw.stride); lid++ {
-		d += len(vw.outOverlay(v, lid))
-	}
-	return d
-}
-
-// InDegree returns the number of edges entering v — O(1) on clean rows,
-// O(L) on rows the overlay touched.
-func (vw *View) InDegree(v int) int {
-	if vw.in == nil {
-		return vw.base.InDegree(v)
-	}
-	if !vw.in.dirtyRow(v) {
-		if v >= vw.base.n {
-			return 0
-		}
-		return vw.base.InDegree(v)
-	}
-	d := 0
-	for lid := 0; lid < int(vw.stride); lid++ {
-		d += len(vw.inOverlay(v, lid))
-	}
-	return d
-}
-
 // HasEdge reports whether the exact edge (from, label, to) exists in
 // the pinned snapshot, by binary search within the merged bucket.
 func (vw *View) HasEdge(from int, label byte, to int) bool {

@@ -17,8 +17,8 @@ func rebuildOracle(g *Graph) *CSR {
 	return o.Freeze()
 }
 
-// checkViewAgainstCSR compares every bucket, degree and count of vw
-// against the oracle CSR.
+// checkViewAgainstCSR compares every bucket and count of vw against the
+// oracle CSR.
 func checkViewAgainstCSR(t *testing.T, vw *View, want *CSR) {
 	t.Helper()
 	if vw.NumVertices() != want.NumVertices() || vw.NumEdges() != want.NumEdges() {
@@ -26,10 +26,6 @@ func checkViewAgainstCSR(t *testing.T, vw *View, want *CSR) {
 			vw.NumVertices(), vw.NumEdges(), want.NumVertices(), want.NumEdges())
 	}
 	for v := 0; v < want.NumVertices(); v++ {
-		if vw.OutDegree(v) != want.OutDegree(v) || vw.InDegree(v) != want.InDegree(v) {
-			t.Fatalf("v=%d: view degrees (%d,%d) != oracle (%d,%d)",
-				v, vw.OutDegree(v), vw.InDegree(v), want.OutDegree(v), want.InDegree(v))
-		}
 		for wlid := 0; wlid < want.NumLabels(); wlid++ {
 			label := want.Label(wlid)
 			// The view's base may carry extra (now-empty) labels and
@@ -157,7 +153,7 @@ func TestViewNewVertices(t *testing.T) {
 		t.Fatal("new-vertex delta must pin an overlay view")
 	}
 	checkViewAgainstCSR(t, vw, rebuildOracle(g))
-	if vw.OutDegree(w) != 0 || vw.InDegree(w) != 0 {
+	if !rowEmpty(vw, w) {
 		t.Fatal("isolated new vertex must read empty")
 	}
 	if len(vw.OutWith(w, 'a')) != 0 || len(vw.InWith(w, 'b')) != 0 {

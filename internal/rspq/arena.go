@@ -56,7 +56,6 @@ type arena struct {
 	queue  []int32  // BFS worklist (forward walk search)
 	w64    []uint64 // packed per-vertex state words (packed sweep)
 	w64Hot int      // leading words of w64 a sweep may have left non-zero
-	sat    []uint64 // per-vertex saturation bitmap (packed sweep)
 	vs     []int    // path vertex scratch
 	ls     []byte   // path label scratch
 	lmap   []int16  // CSR label id -> DFA alphabet index (-1 absent)
@@ -177,24 +176,6 @@ func (a *arena) growWords(n int) (vis, cur, nxt []uint64) {
 // wordsClean records that the running sweep zeroed every word it
 // dirtied, restoring the all-zero invariant without a memclear.
 func (a *arena) wordsClean() { a.w64Hot = 0 }
-
-// growSat returns the saturation bitmap of a bit-parallel search: one
-// bit per vertex, set once the vertex's visited word equals the
-// co-reach mask, so bottom-up rounds scan 64 vertices per load and
-// skip saturated ones wholesale. Tail bits beyond n are pre-set so the
-// word-batched scan never yields a nonexistent vertex.
-func (a *arena) growSat(n int) []uint64 {
-	nw := (n + 63) >> 6
-	if cap(a.sat) < nw {
-		a.sat = make([]uint64, nw)
-	}
-	s := a.sat[:nw]
-	clear(s)
-	if r := uint(n & 63); r != 0 {
-		s[nw-1] = ^uint64(0) << r
-	}
-	return s
-}
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 

@@ -15,8 +15,8 @@ import (
 // shortest L-labeled walks — validated label by label against the graph
 // and the DFA (equally short links may differ between drivers and shard
 // counts, so links are validated, never compared). The sweep covers
-// every tier's pattern, K ∈ {0, 1, 4, 8}, forced direction switches, and
-// pre/post-mutation overlay views.
+// every tier's pattern, K ∈ {0, 1, 4, 8} and pre/post-mutation overlay
+// views.
 
 // checkWalkBitValid validates one reconstructed walk label by label:
 // every step must be a live edge of g carrying the recorded label, the

@@ -10,60 +10,34 @@ import (
 	"repro/internal/graph"
 )
 
-// This file pins the two round drivers (shardbfs.go, bitbfs.go) under
-// every direction mode (dirbfs.go) against the textbook oracle of
-// sweep_oracle_test.go. Found bits, existence bits and BFS distances
-// must be bit-identical across every direction mode, bit-parallel
-// on/off, every tier, K ∈ {0, 1, 2, 8} and pre/post-mutation epochs;
-// witnesses are verified rather than compared (equal-length parent
-// links may differ). Forced direction switches come from the tiny
-// threshold override hook (dirAlphaOverride/dirBetaOverride).
+// This file pins the two round drivers (shardbfs.go, bitbfs.go) against
+// the textbook oracle of sweep_oracle_test.go. Found bits, existence bits
+// and BFS distances must be bit-identical across both drivers, every
+// tier, K ∈ {0, 1, 2, 8} and pre/post-mutation epochs; witnesses are
+// verified rather than compared (equal-length parent links may differ).
 
-// kernelMode is one point of the kernel configuration sweep.
+// kernelMode is one point of the driver axis: the packed sweep, or the
+// id-list sweep forced for every DFA.
 type kernelMode struct {
-	name  string
-	dir   DirMode
-	bits  bool
-	alpha int64 // 0 = default threshold
-	beta  int64
+	name string
+	bits bool
 }
 
 func kernelModes() []kernelMode {
-	return []kernelMode{
-		{name: "auto", dir: DirAuto, bits: true},
-		{name: "auto-nobits", dir: DirAuto, bits: false},
-		{name: "topdown-bits", dir: DirTopDown, bits: true},
-		{name: "bottomup", dir: DirBottomUp, bits: true},
-		{name: "bottomup-nobits", dir: DirBottomUp, bits: false},
-		// α=1 makes any frontier with at least one edge flip to
-		// bottom-up; β=1000000 makes it never flip back. The opposite
-		// pair forces a switch back after one bottom-up round. Both
-		// exercise mid-run direction changes on tiny test graphs, which
-		// the default thresholds would never trigger.
-		{name: "force-switch-in", dir: DirAuto, bits: true, alpha: 1, beta: 1000000},
-		{name: "force-switch-out", dir: DirAuto, bits: false, alpha: 1, beta: 1},
-	}
+	return []kernelMode{{name: "packed", bits: true}, {name: "idlist", bits: false}}
 }
 
-// setKernelMode applies one sweep point, restoring the defaults via
+// setKernelMode applies one driver, restoring the packed default via
 // t.Cleanup so no mode leaks into other tests.
 func setKernelMode(t *testing.T, m kernelMode) {
 	t.Helper()
-	SetDirectionMode(m.dir)
 	SetBitParallel(m.bits)
-	dirAlphaOverride.Store(m.alpha)
-	dirBetaOverride.Store(m.beta)
-	t.Cleanup(func() {
-		SetDirectionMode(DirAuto)
-		SetBitParallel(true)
-		dirAlphaOverride.Store(0)
-		dirBetaOverride.Store(0)
-	})
+	t.Cleanup(func() { SetBitParallel(true) })
 }
 
 // TestDirectionBitEquivalence is the randomized kernel-equivalence
-// suite: every tier × kernel mode × K ∈ {0, 1, 2, 8}, before and after
-// a mutation epoch, against the oracle's answers.
+// suite: every tier × driver × K ∈ {0, 1, 2, 8}, before and after a
+// mutation epoch, against the oracle's answers.
 func TestDirectionBitEquivalence(t *testing.T) {
 	shardCounts := []int{0, 1, 2, 8}
 	for _, tc := range shardTierCases() {
@@ -130,11 +104,10 @@ func TestDirectionBitEquivalence(t *testing.T) {
 
 // TestKernelSetAndDistEquality compares the drivers' raw outputs — the
 // co-reachability set, the BFS distance array and the successor links —
-// with the oracle's across every direction/bit configuration, not just
-// the query answers built on them: distances must be exact in bottom-up
-// rounds (BaselineShortest uses them as admissible lower bounds), and
-// the closure must be identical id for id — on the frozen base and on an
-// overlay view.
+// with the oracle's on both drivers, not just the query answers built on
+// them: distances must be exact (BaselineShortest uses them as
+// admissible lower bounds), and the closure must be identical id for id
+// — on the frozen base and on an overlay view.
 func TestKernelSetAndDistEquality(t *testing.T) {
 	s, err := NewSolver("a*(bb+|())c*")
 	if err != nil {
@@ -212,21 +185,22 @@ func TestBitParallelWideDFAFallback(t *testing.T) {
 	}
 }
 
-// TestDirectionSwitchRaceClean drives the sharded exchange with forced
-// mid-run direction switches, the bit-parallel kernels, and a pinned
-// multi-worker pool, so the bottom-up phases' cross-shard reads run
-// under the race detector (CI runs this package with -race).
-func TestDirectionSwitchRaceClean(t *testing.T) {
+// TestExchangeRaceClean drives the K = 8 exchange on both drivers with a
+// pinned four-worker pool, so the expand phases' outbox appends and the
+// deliver phases' owner-partitioned writes run under the race detector
+// (CI runs this package with -race).
+func TestExchangeRaceClean(t *testing.T) {
 	exchangeWorkersOverride.Store(4)
 	defer exchangeWorkersOverride.Store(0)
-	setKernelMode(t, kernelMode{name: "race", dir: DirAuto, bits: true, alpha: 1, beta: 1000000})
-
-	for _, tc := range shardTierCases() {
-		g := tc.gen(11)
-		isolated := g.AddVertex()
-		rng := rand.New(rand.NewSource(11))
-		pairs := shardPairSet(g, isolated, rng)
-		checkShardedAgainst(t, tc.solver(t), g, 8, pairs, oracleAnswers(tc.solver(t), g, pairs))
+	for _, m := range kernelModes() {
+		setKernelMode(t, m)
+		for _, tc := range shardTierCases() {
+			g := tc.gen(11)
+			isolated := g.AddVertex()
+			rng := rand.New(rand.NewSource(11))
+			pairs := shardPairSet(g, isolated, rng)
+			checkShardedAgainst(t, tc.solver(t), g, 8, pairs, oracleAnswers(tc.solver(t), g, pairs))
+		}
 	}
 }
 
@@ -312,45 +286,28 @@ func TestAdaptiveShards(t *testing.T) {
 	}
 }
 
-// TestRoundAccountingSplit pins the ExchangeRounds split: every
-// exchange round is counted exactly once, as either top-down or
-// bottom-up, and ExchangeRounds is their sum.
+// TestRoundAccountingSplit pins the round accounting: ExchangeRounds
+// counts exactly the rounds the sweeps ran, as their traces record them,
+// and the a*c* sweeps take the packed driver.
 func TestRoundAccountingSplit(t *testing.T) {
 	s, err := NewSolver("a*c*")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := graph.Random(40, []byte{'a', 'b', 'c'}, 0.1, 5)
-
-	run := func(m kernelMode) EngineStats {
-		setKernelMode(t, m)
-		g.SetShards(4)
-		eng := NewEngine(s, g, EngineConfig{Shards: 4})
-		for x := 0; x < 40; x += 5 {
-			eng.Solve(x, (x+7)%40)
-			eng.Exists(x, (x+13)%40)
+	eng := NewEngine(s, g, EngineConfig{Shards: 4})
+	traced := 0
+	for x := 0; x < 40; x += 5 {
+		for _, y := range []int{(x + 7) % 40, (x + 13) % 40} {
+			_, tr := eng.SolveTraced(x, y)
+			traced += len(tr.Rounds)
 		}
-		return eng.Stats()
 	}
-
-	td := run(kernelMode{name: "td", dir: DirTopDown, bits: false})
-	if td.TopDownRounds == 0 || td.BottomUpRounds != 0 {
-		t.Fatalf("forced top-down: %+v", td)
+	st := eng.Stats()
+	if traced == 0 || st.ExchangeRounds != int64(traced) {
+		t.Fatalf("ExchangeRounds = %d, traced rounds = %d", st.ExchangeRounds, traced)
 	}
-	if td.ExchangeRounds != td.TopDownRounds+td.BottomUpRounds {
-		t.Fatalf("ExchangeRounds must be the sum: %+v", td)
-	}
-
-	bu := run(kernelMode{name: "bu", dir: DirBottomUp, bits: false})
-	if bu.BottomUpRounds == 0 {
-		t.Fatalf("forced bottom-up: %+v", bu)
-	}
-	if bu.ExchangeRounds != bu.TopDownRounds+bu.BottomUpRounds {
-		t.Fatalf("ExchangeRounds must be the sum: %+v", bu)
-	}
-
-	bits := run(kernelMode{name: "bits", dir: DirAuto, bits: true})
-	if bits.BitParallelHits == 0 {
-		t.Fatalf("a*c* packs into a word; exists queries must hit the bit kernel: %+v", bits)
+	if st.BitParallelHits == 0 {
+		t.Fatalf("a*c* packs into a word; the sweeps must take the packed driver: %+v", st)
 	}
 }

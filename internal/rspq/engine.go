@@ -141,29 +141,21 @@ type EngineStats struct {
 	// than the caller, and ShardEdges the per-shard edge counts of the
 	// current frozen base (edges by owning source row). ExchangeRounds
 	// is the cumulative round count of the backward sweeps (every one
-	// a frontier exchange, at any K) — always TopDownRounds +
-	// BottomUpRounds, which split it by the direction each round ran
-	// in (dirbfs.go). BitParallelHits counts backward sweeps served by
-	// the packed ≤64-state driver (bitbfs.go), StoppedSweeps those that
-	// stopped once every source of their group was answered — each a
-	// miss that left no table behind (goalProbe, rspq.go).
+	// a frontier exchange, at any K). BitParallelHits counts backward
+	// sweeps served by the packed ≤64-state driver (bitbfs.go),
+	// StoppedSweeps those that stopped once every source of their group
+	// was answered — each a miss that left no table behind (goalProbe,
+	// rspq.go).
 	Shards          int   `json:"shards,omitempty"`
 	ShardsAdaptive  bool  `json:"shards_adaptive,omitempty"`
 	ShardEdges      []int `json:"shard_edges,omitempty"`
 	ExchangeRounds  int64 `json:"exchange_rounds,omitempty"`
-	TopDownRounds   int64 `json:"top_down_rounds,omitempty"`
-	BottomUpRounds  int64 `json:"bottom_up_rounds,omitempty"`
 	BitParallelHits int64 `json:"bit_parallel_hits,omitempty"`
 	StoppedSweeps   int64 `json:"stopped_sweeps,omitempty"`
-	// DirectionSwitches counts the rounds where the α/β heuristic
-	// flipped expansion direction mid-search (dirbfs.go). DirAlpha and
-	// DirBeta are the thresholds currently in effect — the defaults
-	// until the auto-tuner's first adjustment — and TunerAdjustments
-	// counts how many times the tuner has adopted new ones (tuner.go).
-	DirectionSwitches int64   `json:"direction_switches,omitempty"`
-	DirAlpha          float64 `json:"dir_alpha,omitempty"`
-	DirBeta           float64 `json:"dir_beta,omitempty"`
-	TunerAdjustments  int64   `json:"tuner_adjustments,omitempty"`
+	// Deprecated: always 0; every round is top-down.
+	BottomUpRounds int64 `json:"bottom_up_rounds,omitempty"`
+	// Deprecated: always 0; there are no direction thresholds to tune.
+	TunerAdjustments int64 `json:"tuner_adjustments,omitempty"`
 	// MVCC-lite visibility: the graph's pending mutation delta (edges
 	// added / tombstoned since the last freeze), how many queries were
 	// served through an overlay view versus a pass-through snapshot,
@@ -203,10 +195,7 @@ type Engine struct {
 	// is disabled. Its met holds every engine counter/histogram as
 	// pre-registered series on one metrics.Registry (enginemetrics.go);
 	// EngineStats and the Prometheus exposition both read it, so /stats
-	// and /metrics can never disagree. Its tuner learns α/β
-	// direction-switch thresholds from observed round costs (tuner.go);
-	// every product search the engine runs reports into it and reads its
-	// thresholds back at search start.
+	// and /metrics can never disagree.
 	evaluator
 	g *graph.Graph
 
@@ -271,7 +260,6 @@ func NewEngine(s *Solver, g *graph.Graph, cfg EngineConfig) *Engine {
 	e.met = newEngineMetrics(reg)
 	e.met.registerSourced(e)
 	e.counts = &e.met.kernel
-	e.tuner = newDirTuner(reg)
 	e.snapshot()
 	return e
 }
@@ -418,15 +406,9 @@ func (e *Engine) Stats() EngineStats {
 	freezeTotal, freezeLast := e.g.FreezeTimings()
 	st.FreezeBuildSeconds = float64(freezeTotal) / 1e9
 	st.LastFreezeSeconds = float64(freezeLast) / 1e9
-	st.TopDownRounds = m.kernel.topDown.Value()
-	st.BottomUpRounds = m.kernel.bottomUp.Value()
-	st.DirectionSwitches = m.kernel.switches.Value()
+	st.ExchangeRounds = m.kernel.rounds.Value()
 	st.BitParallelHits = m.kernel.bitHits.Value()
 	st.StoppedSweeps = m.kernel.stopped.Value()
-	st.ExchangeRounds = st.TopDownRounds + st.BottomUpRounds
-	st.DirAlpha = e.tuner.alphaGauge.Value()
-	st.DirBeta = e.tuner.betaGauge.Value()
-	st.TunerAdjustments = e.tuner.adjustments.Value()
 	if snap != nil {
 		st.Epoch = snap.epoch
 		st.Algorithm = snap.algo.String()
@@ -462,10 +444,10 @@ func (e *Engine) Exists(x, y int) bool {
 // SolveTraced answers like Solve and additionally returns the query's
 // per-stage, per-round breakdown — which tier ran, whether the
 // snapshot was an overlay, the result/table cache verdicts, the four
-// stage timings, and every kernel round with its direction, frontier
-// size and wall time. Tracing allocates (the recording itself), so it
-// is for slow-query debugging, not the steady-state hot path; the
-// returned trace is never nil.
+// stage timings, and every kernel round with its frontier size and wall
+// time. Tracing allocates (the recording itself), so it is for
+// slow-query debugging, not the steady-state hot path; the returned
+// trace is never nil.
 func (e *Engine) SolveTraced(x, y int) (Result, *QueryTrace) {
 	return e.run(x, y, false, true)
 }
@@ -523,12 +505,6 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 		tr.TableStates = st.tableStates
 		tr.TableBytes = st.tableBytes
 		tr.BitParallel = st.kt.bitParallel
-		tr.TopDownRounds = st.kt.td
-		tr.BottomUpRounds = st.kt.bu
-		tr.DirectionSwitches = st.kt.sw
-		tr.DirAlpha = st.kt.alpha
-		tr.DirBeta = st.kt.beta
-		tr.Tuned = st.kt.tuned
 		tr.Shards = st.kt.shards
 		tr.StoppedAt = st.kt.stoppedAt
 		tr.Rounds = st.kt.rounds

@@ -20,11 +20,8 @@ import (
 //	rspq_batches_total / rspq_batch_pairs_total
 //	rspq_snapshot_rebuilds_total             engine snapshot re-pins
 //	rspq_reads_total{view}                   overlay vs pass_through serves
-//	rspq_kernel_rounds_total{dir}            BFS rounds, top_down|bottom_up
-//	rspq_kernel_round_seconds{dir}           per-round wall time
-//	rspq_kernel_direction_switches_total     α/β heuristic flips
-//	rspq_dir_alpha / rspq_dir_beta           direction thresholds in effect (tuner.go)
-//	rspq_tuner_adjustments_total             α/β adjustments adopted by the tuner
+//	rspq_kernel_rounds_total                 backward-sweep BFS rounds
+//	rspq_kernel_round_seconds                per-round wall time
 //	rspq_bit_parallel_hits_total             packed ≤64-state kernel dispatches
 //	rspq_sweeps_stopped_total                sweeps stopped with every source answered
 //	rspq_compactions_total                   background delta merges
@@ -119,20 +116,13 @@ func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
 // series.
 func newKernelCounters(reg *metrics.Registry) exchCounters {
 	return exchCounters{
-		topDown: reg.Counter("rspq_kernel_rounds_total",
-			"Kernel BFS rounds, by expansion direction.", "dir", "top_down"),
-		bottomUp: reg.Counter("rspq_kernel_rounds_total",
-			"Kernel BFS rounds, by expansion direction.", "dir", "bottom_up"),
-		switches: reg.Counter("rspq_kernel_direction_switches_total",
-			"Rounds where the α/β heuristic flipped expansion direction."),
+		rounds: reg.Counter("rspq_kernel_rounds_total", "Kernel BFS rounds of the backward sweeps."),
 		bitHits: reg.Counter("rspq_bit_parallel_hits_total",
 			"Backward sweeps served by the packed ≤64-state bit-parallel kernels."),
 		stopped: reg.Counter("rspq_sweeps_stopped_total",
 			"Backward sweeps that stopped once every source of their target group was answered, leaving no table."),
-		roundTD: reg.Histogram("rspq_kernel_round_seconds",
-			"Per-round kernel wall time in seconds, by expansion direction.", nil, "dir", "top_down"),
-		roundBU: reg.Histogram("rspq_kernel_round_seconds",
-			"Per-round kernel wall time in seconds, by expansion direction.", nil, "dir", "bottom_up"),
+		roundSecs: reg.Histogram("rspq_kernel_round_seconds",
+			"Per-round kernel wall time in seconds.", nil),
 	}
 }
 

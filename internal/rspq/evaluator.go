@@ -127,10 +127,9 @@ type evaluator struct {
 
 	// met receives the table/kernel stage intervals (nil off the Engine:
 	// the clock is then never read); counts is the kernel telemetry sink
-	// and tuner the α/β auto-tuner wired into every search, both optional.
+	// wired into every search, optional too.
 	met    *engineMetrics
 	counts *exchCounters
-	tuner  *dirTuner
 }
 
 func (ev *evaluator) setWorkers(n int) {
@@ -334,9 +333,9 @@ func (ev *evaluator) observeTable(t0 time.Time, st *solveTiming) {
 }
 
 // sinks are what every sweep of this evaluator reports to: the kernel
-// telemetry, the tuner and, when tracing, the per-query trace sink.
+// telemetry and, when tracing, the per-query trace sink.
 func (ev *evaluator) sinks(st *solveTiming) sinks {
-	sk := sinks{counts: ev.counts, tun: ev.tuner}
+	sk := sinks{counts: ev.counts}
 	if st != nil {
 		sk.tr = st.kt
 	}

@@ -13,9 +13,9 @@ import (
 // bit-identically to a from-scratch rebuild of the mutated graph.
 // Found and existence bits are compared exactly; witnesses are verified
 // rather than compared. The sweep crosses the algorithm tiers with
-// shard counts, kernel direction/bit modes and delta mixes, so the
-// overlay-aware bucket reads are exercised in the sequential, sharded,
-// direction-optimizing and bit-parallel kernels alike.
+// shard counts, both round drivers and delta mixes, so the overlay-aware
+// bucket reads are exercised in the single-shard, sharded, id-list and
+// packed sweeps alike.
 
 // rebuiltOracle reconstructs g's current content in a fresh graph that
 // never saw the delta machinery, so its answers come from a cold full
@@ -179,9 +179,8 @@ func TestOverlayEquivalence(t *testing.T) {
 	}
 }
 
-// TestOverlayKernelModes crosses the overlay with every direction/bit
-// kernel mode on the walk-reduction tier (the one that runs the product
-// BFS both sequentially and as a sharded exchange), unsharded and K=4.
+// TestOverlayKernelModes crosses the overlay with both round drivers on
+// the walk-reduction tier, unsharded and K=4.
 func TestOverlayKernelModes(t *testing.T) {
 	for _, m := range kernelModes() {
 		t.Run(m.name, func(t *testing.T) {
@@ -208,8 +207,7 @@ func TestOverlayKernelModes(t *testing.T) {
 
 // TestOverlayRemovalHeavy pins the tombstone-only direction: a delta of
 // pure removals (no adds) must hide every removed edge from all
-// kernels, including the bottom-up unvisited probes that scan base
-// buckets.
+// kernels.
 func TestOverlayRemovalHeavy(t *testing.T) {
 	s, err := NewSolver("a*c*")
 	if err != nil {

@@ -22,6 +22,7 @@ package rspq
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/automaton"
 	"repro/internal/graph"
@@ -63,7 +64,7 @@ func VerifyWitness(res Result, g *graph.Graph, d *automaton.DFA, x, y int) bool 
 // substitute transparently). The embedded sweepEnv is what its backward
 // sweeps (coReach, distToGoal) run over: the view, the state count m,
 // the row partition the view's shard count induces, and the telemetry
-// and tuner sinks an Engine wires in.
+// sinks an Engine wires in.
 type product struct {
 	sweepEnv
 	d    *automaton.DFA
@@ -87,13 +88,22 @@ func makeProduct(vw *graph.View, d *automaton.DFA, a *arena) product {
 
 func (p *product) id(v, q int) int { return v*p.m + q }
 
+// bitParallelOff is the SetBitParallel test hook.
+var bitParallelOff atomic.Bool
+
+// SetBitParallel enables (default) or disables the packed sweep, forcing
+// the id-list sweep for every DFA when off. Exposed for benchmark
+// reference runs and the equivalence suites; global, effective on the
+// next search.
+func SetBitParallel(on bool) { bitParallelOff.Store(!on) }
+
 // packed returns the DFA's bit-parallel transition table when the
 // packed sweep applies — at most 64 states and not disabled via
 // SetBitParallel — else nil. Solver/Engine construction pre-builds the
 // table (DFA.Packed is lazily cached), so this is a field read on the
 // query path.
 func (p *product) packed() *automaton.Packed {
-	if !bitParallelEnabled() {
+	if bitParallelOff.Load() {
 		return nil
 	}
 	return p.d.Packed()
@@ -119,9 +129,8 @@ func (p *product) distToGoal(y int, a *arena) { p.sweep(y, a, true, nil) }
 // sweep runs the backward sweep toward (y, accepting) on one of the two
 // round drivers: the packed one (bitbfs.go) when the DFA fits a word,
 // the id-list one (shardbfs.go) over the DFA's arcs otherwise. Both are
-// direction-optimizing frontier exchanges over the view's row
-// partition and fill the same arena outputs, so every consumer is
-// driver-blind.
+// level-synchronous frontier exchanges over the view's row partition
+// and fill the same arena outputs, so every consumer is driver-blind.
 //
 // Given sources xs, the sweep stops as soon as every one of them is
 // answered (goalProbe) and reports that it stopped. Its outputs then

@@ -16,8 +16,7 @@ import (
 // BFS call it with the arcs of the minimal DFA when the DFA is too wide
 // to pack into a word; the summary tier's position-NFA sweep calls the
 // same function with the arcs of its Ψtr plan. The second driver, over
-// packed per-vertex words, is bitbfs.go; the direction heuristic both
-// consult each round is dirbfs.go.
+// packed per-vertex words, is bitbfs.go.
 //
 // The pinned view's row space is cut into K contiguous ranges (rowParts,
 // K from graph.SetShards, at least 1). The exchange partitions SEARCH
@@ -25,8 +24,7 @@ import (
 // View accessors, and shard s owns exactly the product ids (vertex,
 // state) of its vertex range, so visited stamps, distances and successor
 // links are written only by s — no synchronization on the arrays
-// themselves. Each round runs two phases separated by barriers. A
-// TOP-DOWN round:
+// themselves. Each round runs two phases separated by barriers:
 //
 //	expand   every shard pops its frontier and walks the reverse
 //	         adjacency; predecessors that land in the same shard are
@@ -35,17 +33,6 @@ import (
 //	         that discovered them;
 //	deliver  every shard drains the outboxes addressed to it, settling
 //	         the ids not yet known, and swaps in its next frontier.
-//
-// A BOTTOM-UP round (chosen by the direction heuristic when the frontier
-// floods) inverts the expand phase: every shard scans its still-unvisited
-// ids and walks their FORWARD adjacency, settling an id as soon as one
-// successor is found in the previous level. Bottom-up discoveries are
-// always own-row, so the round sends nothing; its deliver phase only
-// installs the next frontier. Because a parallel expand may not read
-// visited state another shard is writing, bottom-up probes test
-// membership in exch.fb — the visited set as of the last barrier,
-// appended to only inside deliver phases — which holds exactly the ids
-// at distance < d, making the probe both race-free and level-exact.
 //
 // Rounds repeat until every frontier is empty: the synchronous BFS level
 // structure, whatever K is. (A product sweep answering a target group
@@ -102,12 +89,11 @@ func (rp rowParts) baseEdges(c *graph.CSR) []int {
 }
 
 // sinks are the optional listeners of a sweep: the kernel telemetry
-// counters (Engine and BatchSolver.SetMetrics wire them), the per-query
-// trace recording and the α/β auto-tuner. Any of them may be nil.
+// counters (Engine and BatchSolver.SetMetrics wire them) and the
+// per-query trace recording. Either may be nil.
 type sinks struct {
 	counts *exchCounters
 	tr     *kernelTrace
-	tun    *dirTuner
 }
 
 // sweepEnv is what a backward sweep runs over: the pinned view, the
@@ -132,38 +118,30 @@ type arc struct {
 }
 
 // arcTable is a labeled transition relation over the dense states
-// 0..len(rev)-1 in the two orientations a backward sweep walks: rev[q]
-// lists the arcs INTO q by their source state (top-down rounds step the
-// frontier backward along them), fwd[q] the arcs OUT of q by their
-// target (a bottom-up probe asks whether (v, q) steps into the
-// frontier). accepts lists the accepting states. The minimal DFA
-// (product.dfaArcs) and the position NFA of a Ψtr sequence (buildPlan)
-// both reach the id-list sweep in this form.
+// 0..len(rev)-1 in the orientation a backward sweep walks: rev[q] lists
+// the arcs INTO q by their source state, and each round steps the
+// frontier backward along them. accepts lists the accepting states. The
+// minimal DFA (product.dfaArcs) and the position NFA of a Ψtr sequence
+// (buildPlan) both reach the id-list sweep in this form.
 type arcTable struct {
-	rev, fwd [][]arc
-	accepts  []int32
+	rev     [][]arc
+	accepts []int32
 }
 
 // reset empties the table for m states, keeping the rows' capacity.
 func (t *arcTable) reset(m int) {
-	t.rev, t.fwd, t.accepts = emptyRows(t.rev, m), emptyRows(t.fwd, m), t.accepts[:0]
+	t.rev, t.accepts = t.rev[:cap(t.rev)], t.accepts[:0]
+	for len(t.rev) < m {
+		t.rev = append(t.rev, nil)
+	}
+	t.rev = t.rev[:m]
+	for q := range t.rev {
+		t.rev[q] = t.rev[q][:0]
+	}
 }
 
-func emptyRows(rows [][]arc, m int) [][]arc {
-	rows = rows[:cap(rows)]
-	for len(rows) < m {
-		rows = append(rows, nil)
-	}
-	rows = rows[:m]
-	for q := range rows {
-		rows[q] = rows[q][:0]
-	}
-	return rows
-}
-
-// add records the transition from -label-> to in both orientations.
+// add records the transition from -label-> to.
 func (t *arcTable) add(from int, label byte, to int) {
-	t.fwd[from] = append(t.fwd[from], arc{int32(to), label})
 	t.rev[to] = append(t.rev[to], arc{int32(from), label})
 }
 
@@ -204,30 +182,14 @@ type exWord struct {
 
 // exch is the scratch of one frontier exchange, kept in the arena:
 // per-shard frontier and next-frontier lists (product ids in the
-// id-list sweep, vertices in the packed one), the K×K outbox matrix in
-// the two message shapes, the at-barrier visited stamp read by the
-// id-list sweep's bottom-up rounds, and the per-shard accumulators
-// feeding the direction heuristic. Outbox s→t lives at index s*K+t.
-// Between sweeps every list is empty: a sweep ends on empty frontiers
-// and each deliver phase drains the boxes of its round.
+// id-list sweep, vertices in the packed one) and the K×K outbox matrix
+// in the two message shapes. Outbox s→t lives at index s*K+t. Between
+// sweeps every list is empty: a sweep ends on empty frontiers and each
+// deliver phase drains the boxes of its round.
 type exch struct {
 	fr, nx [][]int32
 	box    [][]exMsg
 	wbox   [][]exWord
-
-	// fb stamps every id visited as of the last barrier. It is appended
-	// to only inside deliver phases — owner-partitioned, each shard
-	// stamping its own rows — so expand phases may read it for any row
-	// without racing the owners' visited arrays. A sweep whose direction
-	// snapshot rules bottom-up rounds out (a sparse graph, a top-down
-	// pin) never reads it and does not maintain it.
-	fb stamped
-
-	// fe/ue accumulate, per shard, the in-degree of newly discovered
-	// frontier entries and the out-degree they remove from the unvisited
-	// side; the driver drains them between rounds to steer the direction
-	// heuristic.
-	fe, ue []int64
 }
 
 // reset sizes the scratch for K shards.
@@ -235,24 +197,11 @@ func (e *exch) reset(K int) {
 	if cap(e.fr) < K {
 		e.fr = make([][]int32, K)
 		e.nx = make([][]int32, K)
-		e.fe = make([]int64, K)
-		e.ue = make([]int64, K)
 		e.box = make([][]exMsg, K*K)
 		e.wbox = make([][]exWord, K*K)
 	}
-	e.fr, e.nx, e.fe, e.ue = e.fr[:K], e.nx[:K], e.fe[:K], e.ue[:K]
+	e.fr, e.nx = e.fr[:K], e.nx[:K]
 	e.box, e.wbox = e.box[:K*K], e.wbox[:K*K]
-}
-
-// drainAccum returns and clears the round's accumulators: the frontier
-// in-degree sum and the out-degree newly removed from the unvisited side.
-func (e *exch) drainAccum() (fe, ue int64) {
-	for s := range e.fe {
-		fe += e.fe[s]
-		ue += e.ue[s]
-		e.fe[s], e.ue[s] = 0, 0
-	}
-	return fe, ue
 }
 
 // dropFrontier empties the frontier lists of a sweep that stops before
@@ -289,10 +238,9 @@ func exchangeWorkers(K int) int {
 	return max(1, min(w, K))
 }
 
-// The phases of a round. A driver runs one expand phase, then deliver.
+// The phases of a round: expand, then deliver.
 const (
-	phTopDown = iota
-	phBottomUp
+	phExpand = iota
 	phDeliver
 )
 
@@ -332,7 +280,6 @@ type arcSweep struct {
 	a     *arena   // a.ex, and with links dist/parent/plabel
 	marks *stamped // the visited set: a.dst with links, a.co without
 	links bool
-	stamp bool  // maintain a.ex.fb: some round of this sweep may go bottom-up
 	d     int32 // the level the current round discovers
 }
 
@@ -349,12 +296,8 @@ func (e *sweepEnv) sweepArcs(a *arena, ar *arcTable, y int, links bool, pr goalP
 	K, nm := e.parts.K, e.n*e.m
 	ex := &a.ex
 	ex.reset(K)
-	dc := e.dirConfig()
 	r := &a.ids
-	*r = arcSweep{sweepEnv: *e, ar: ar, a: a, marks: a.beginSweep(nm, links), links: links, stamp: dc.mayGoBottomUp()}
-	if r.stamp {
-		ex.fb.reset(nm)
-	}
+	*r = arcSweep{sweepEnv: *e, ar: ar, a: a, marks: a.beginSweep(nm, links), links: links}
 	home := e.parts.owner(y)
 	for _, q := range ar.accepts {
 		if id := int32(y*e.m) + q; !r.marks.has(int(id)) {
@@ -362,10 +305,7 @@ func (e *sweepEnv) sweepArcs(a *arena, ar *arcTable, y int, links bool, pr goalP
 		}
 	}
 	r.deliver(home) // level 0: the goal states
-	frontEdges, ue := ex.drainAccum()
-	unvisEdges := int64(e.m)*int64(e.vw.NumEdges()) - ue
 	W := exchangeWorkers(K)
-	bottomUp := false
 	for total := len(ex.fr[home]); total > 0; total = ex.frontierTotal() {
 		if links {
 			// Between rounds the driver runs alone, and every stamped id
@@ -381,52 +321,39 @@ func (e *sweepEnv) sweepArcs(a *arena, ar *arcTable, y int, links bool, pr goalP
 			break
 		}
 		r.d++
-		bottomUp = dc.choose(bottomUp, frontEdges, unvisEdges, int64(total), int64(nm))
 		t0 := e.roundStart()
-		if bottomUp {
-			fanOut(W, K, r, phBottomUp)
-		} else {
-			fanOut(W, K, r, phTopDown)
-		}
+		fanOut(W, K, r, phExpand)
 		fanOut(W, K, r, phDeliver)
-		frontEdges, ue = ex.drainAccum()
-		unvisEdges -= ue
-		e.roundEnd(&dc, t0, bottomUp, total)
+		e.roundEnd(t0, total)
 	}
-	e.runDone(&dc)
+	e.runDone(r.d)
 	*r = arcSweep{} // drop the view and the arcs: the arena outlives them
 	return stopped
 }
 
 func (r *arcSweep) phase(ph, s int) {
-	switch ph {
-	case phTopDown:
-		r.topDown(s)
-	case phBottomUp:
-		r.bottomUp(s)
-	case phDeliver:
+	if ph == phExpand {
+		r.expand(s)
+	} else {
 		r.deliver(s)
 	}
 }
 
 // settle marks own-row id (not yet marked) as discovered this round from
-// successor parent over an edge labeled label, queues it for shard s's
-// next frontier and accounts its degrees.
+// successor parent over an edge labeled label and queues it for shard
+// s's next frontier.
 func (r *arcSweep) settle(s int, id, parent int32, label byte) {
 	r.marks.add(int(id))
 	if r.links {
 		r.a.dist[id], r.a.parent[id], r.a.plabel[id] = r.d, parent, label
 	}
-	ex, v := &r.a.ex, int(id)/r.m
-	ex.nx[s] = append(ex.nx[s], id)
-	ex.fe[s] += int64(r.vw.InDegree(v))
-	ex.ue[s] += int64(r.vw.OutDegree(v))
+	r.a.ex.nx[s] = append(r.a.ex.nx[s], id)
 }
 
-// topDown is the expand phase of a top-down round for shard s: walk the
+// expand is the first phase of every round for shard s: walk the
 // frontier's reverse arcs against the in-edges, settle own rows, address
 // the rest to their owners.
-func (r *arcSweep) topDown(s int) {
+func (r *arcSweep) expand(s int) {
 	ex, m, K := &r.a.ex, int32(r.m), r.parts.K
 	lo, hi := r.parts.bounds(s)
 	for _, id := range ex.fr[s] {
@@ -447,38 +374,9 @@ func (r *arcSweep) topDown(s int) {
 	}
 }
 
-// bottomUp is the expand phase of a bottom-up round for shard s: settle
-// every unvisited own-row id with a successor in the at-barrier set,
-// whose members not yet seen from this id provably sit at the previous
-// level — so the distance is exact without reading any other shard's
-// arrays mid-phase. All discoveries are own-row: the phase sends nothing.
-func (r *arcSweep) bottomUp(s int) {
-	fb, m := &r.a.ex.fb, int32(r.m)
-	lo, hi := r.parts.bounds(s)
-	for v := lo; v < hi; v++ {
-	ids:
-		for q := int32(0); q < m; q++ {
-			id := int32(v)*m + q
-			if r.marks.has(int(id)) {
-				continue
-			}
-			for _, arc := range r.ar.fwd[q] {
-				for _, u := range r.vw.OutWith(v, arc.label) {
-					if sid := u*m + arc.st; fb.has(int(sid)) {
-						r.settle(s, id, sid, arc.label)
-						continue ids
-					}
-				}
-			}
-		}
-	}
-}
-
 // deliver is the second phase of every round for shard s: drain the
-// outboxes addressed to s (empty after a bottom-up expand, and always
-// with one shard), swap in the next frontier and — in a sweep that may
-// go bottom-up — stamp it into the at-barrier set. The fb writes are
-// owner-partitioned and become visible to every shard at the barrier.
+// outboxes addressed to s (always empty with one shard) and swap in the
+// next frontier.
 func (r *arcSweep) deliver(s int) {
 	ex, K := &r.a.ex, r.parts.K
 	for t := 0; t < K; t++ {
@@ -490,9 +388,4 @@ func (r *arcSweep) deliver(s int) {
 		ex.box[t*K+s] = ex.box[t*K+s][:0]
 	}
 	ex.fr[s], ex.nx[s] = ex.nx[s], ex.fr[s][:0]
-	if r.stamp {
-		for _, id := range ex.fr[s] {
-			ex.fb.add(int(id))
-		}
-	}
 }

@@ -101,9 +101,8 @@ type unit struct {
 
 // seqPlan is the compiled, immutable evaluation plan of one Ψtr
 // sequence: the unit list plus the eps-free position NFA as an arc
-// table (shardbfs.go) — reverse arcs for the top-down rounds of the
-// co-reachability sweep, forward arcs for its bottom-up rounds, the
-// accepting positions. Plans depend only on the sequence, so the Solver
+// table (shardbfs.go) — the reverse arcs the co-reachability sweep
+// steps back along, and the accepting positions. Plans depend only on the sequence, so the Solver
 // that owns the expression builds them once and shares them with every
 // query and every goroutine for as long as it lives.
 type seqPlan struct {

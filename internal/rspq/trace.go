@@ -10,14 +10,14 @@ import (
 // kernel hooks:
 //
 //   - exchCounters: pre-registered metrics handles (counters for
-//     rounds / direction switches / bit-parallel dispatches,
-//     histograms for per-round wall time) that an Engine wires into
-//     every backward sweep it runs (sinks, shardbfs.go). Updates are
+//     rounds / bit-parallel dispatches / stopped sweeps, a histogram
+//     for per-round wall time) that an Engine wires into every
+//     backward sweep it runs (sinks, shardbfs.go). Updates are
 //     atomic adds — no locks, no allocation — so the instrumented
 //     kernels keep their allocation contracts.
 //   - kernelTrace: an opt-in per-query recording (round-by-round
-//     direction, frontier size and wall time) that Engine.SolveTraced
-//     assembles into the public QueryTrace. It allocates, so it is
+//     frontier size and wall time) that Engine.SolveTraced assembles
+//     into the public QueryTrace. It allocates, so it is
 //     nil on every path except an explicit trace request.
 //
 // Both sinks may be nil; package-level entry points (SolveExists,
@@ -33,13 +33,11 @@ type StageTiming struct {
 	Nanos int64  `json:"nanos"`
 }
 
-// RoundTrace is one kernel round of a traced query: the direction the
-// α/β heuristic picked, the frontier size entering the round, and the
-// round's wall time.
+// RoundTrace is one kernel round of a traced query: the frontier size
+// entering the round and the round's wall time.
 type RoundTrace struct {
-	Dir      string `json:"dir"` // "top_down" | "bottom_up"
-	Frontier int    `json:"frontier"`
-	Nanos    int64  `json:"nanos"`
+	Frontier int   `json:"frontier"`
+	Nanos    int64 `json:"nanos"`
 }
 
 // QueryTrace is the per-stage, per-round breakdown of one traced query
@@ -66,19 +64,9 @@ type QueryTrace struct {
 	// sweep reached and the bytes the table cache retains for it. They
 	// tell a miss that swept 300 states from one that flooded the graph;
 	// both are 0 when no goal table was involved.
-	TableStates       int   `json:"table_states,omitempty"`
-	TableBytes        int64 `json:"table_bytes,omitempty"`
-	BitParallel       bool  `json:"bit_parallel"`
-	TopDownRounds     int64 `json:"top_down_rounds"`
-	BottomUpRounds    int64 `json:"bottom_up_rounds"`
-	DirectionSwitches int64 `json:"direction_switches"`
-	// DirAlpha/DirBeta are the α/β switch thresholds the query's kernel
-	// resolved (0 when no direction-optimizing kernel ran); Tuned
-	// reports whether they came from the auto-tuner rather than the
-	// defaults or a test override (tuner.go).
-	DirAlpha int64 `json:"dir_alpha,omitempty"`
-	DirBeta  int64 `json:"dir_beta,omitempty"`
-	Tuned    bool  `json:"tuned,omitempty"`
+	TableStates int   `json:"table_states,omitempty"`
+	TableBytes  int64 `json:"table_bytes,omitempty"`
+	BitParallel bool  `json:"bit_parallel"`
 	// Shards is the number of row ranges the query's sweep ran over —
 	// 1 is the single shard swept inline on the caller's goroutine; 0
 	// (omitted) when no sweep ran.
@@ -98,93 +86,57 @@ type QueryTrace struct {
 // kernelTrace is the kernel-side accumulator behind a QueryTrace.
 type kernelTrace struct {
 	rounds      []RoundTrace
-	td, bu, sw  int64
-	alpha, beta int64
-	tuned       bool
 	shards      int
 	stoppedAt   int
 	bitParallel bool
 }
 
 // exchCounters bundles the pre-registered kernel metrics an Engine
-// wires into every search: per-direction round counters and round-time
-// histograms, the direction-switch counter, the bit-parallel dispatch
-// counter and the stopped-sweep counter. A nil *exchCounters (the
-// package-level query paths) disables all of it. When non-nil, every
-// field is set — the Engine registers them together.
+// wires into every search: the round counter and round-time histogram,
+// the bit-parallel dispatch counter and the stopped-sweep counter. A nil
+// *exchCounters (the package-level query paths) disables all of it.
+// When non-nil, every field is set — the Engine registers them
+// together.
 type exchCounters struct {
-	topDown  *metrics.Counter
-	bottomUp *metrics.Counter
-	switches *metrics.Counter
-	bitHits  *metrics.Counter
-	stopped  *metrics.Counter
-	roundTD  *metrics.Histogram
-	roundBU  *metrics.Histogram
+	rounds    *metrics.Counter
+	bitHits   *metrics.Counter
+	stopped   *metrics.Counter
+	roundSecs *metrics.Histogram
 }
 
 // roundStart begins timing one sweep round; it returns the zero time
-// (without reading the clock) when nothing listens. The α/β auto-tuner
-// learns from per-direction wall time, so the clock also runs when only
-// a tuner is wired.
+// (without reading the clock) when nothing listens.
 func (e *sweepEnv) roundStart() time.Time {
-	if e.counts == nil && e.tr == nil && e.tun == nil {
+	if e.counts == nil && e.tr == nil {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
 // roundEnd finishes one sweep round: with a sink listening the wall
-// time goes into dc's per-direction total, the per-direction histogram
-// and, when tracing, a RoundTrace with the frontier size the round
-// started from.
-func (e *sweepEnv) roundEnd(dc *dirConfig, t0 time.Time, bottomUp bool, frontier int) {
-	if e.counts == nil && e.tr == nil && e.tun == nil {
+// time goes into the round histogram and, when tracing, a RoundTrace
+// with the frontier size the round started from.
+func (e *sweepEnv) roundEnd(t0 time.Time, frontier int) {
+	if e.counts == nil && e.tr == nil {
 		return
 	}
 	el := time.Since(t0)
-	if bottomUp {
-		dc.buNanos += el.Nanoseconds()
-	} else {
-		dc.tdNanos += el.Nanoseconds()
-	}
 	if e.counts != nil {
-		if bottomUp {
-			e.counts.roundBU.ObserveDuration(el)
-		} else {
-			e.counts.roundTD.ObserveDuration(el)
-		}
+		e.counts.roundSecs.ObserveDuration(el)
 	}
 	if e.tr != nil {
-		dir := "top_down"
-		if bottomUp {
-			dir = "bottom_up"
-		}
-		e.tr.rounds = append(e.tr.rounds, RoundTrace{Dir: dir, Frontier: frontier, Nanos: el.Nanoseconds()})
+		e.tr.rounds = append(e.tr.rounds, RoundTrace{Frontier: frontier, Nanos: el.Nanoseconds()})
 	}
 }
 
-// runDone credits one finished sweep's round totals and direction-switch
-// count to the telemetry sinks and, under DirAuto, its per-direction
-// (work, time) totals to the tuner.
-func (e *sweepEnv) runDone(dc *dirConfig) {
-	if c := e.counts; c != nil {
-		if dc.td > 0 {
-			c.topDown.Add(dc.td)
-		}
-		if dc.bu > 0 {
-			c.bottomUp.Add(dc.bu)
-		}
-		if dc.sw > 0 {
-			c.switches.Add(dc.sw)
-		}
+// runDone credits one finished sweep's round count to the counters and
+// stamps the trace with the number of shards the sweep ran over.
+func (e *sweepEnv) runDone(rounds int32) {
+	if e.counts != nil && rounds > 0 {
+		e.counts.rounds.Add(int64(rounds))
 	}
 	if e.tr != nil {
-		e.tr.td += dc.td
-		e.tr.bu += dc.bu
-		e.tr.sw += dc.sw
-	}
-	if e.tun != nil && dc.mode == DirAuto {
-		e.tun.observe(e.vw.Epoch(), e.m, dc)
+		e.tr.shards = e.parts.K
 	}
 }
 
