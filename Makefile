@@ -72,4 +72,4 @@ serve:
 docs:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo 'gofmt: files need formatting'; exit 1; }
 	$(GO) vet ./...
-	$(GO) run ./cmd/docscheck README.md docs/ARCHITECTURE.md cmd/rspqbench/main.go bench_test.go
+	$(GO) run ./cmd/docscheck README.md docs/ARCHITECTURE.md experiments_test.go bench_test.go

@@ -1,22 +1,12 @@
 package trichotomy
 
-// One testing.B benchmark per experiment E1–E12 (the index, with the
-// claim of the paper each one exercises, is the experiments table in
-// cmd/rspqbench/main.go). `go test -bench=. -benchmem` times them; the
-// rspqbench command prints the full human-readable tables; end-to-end
-// performance is the repo benchmark's job (bench/, BENCHMARK.json).
-
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/automaton"
-	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/psitr"
-	"repro/internal/reduction"
 	"repro/internal/rspq"
 )
 
@@ -63,243 +53,6 @@ func BenchmarkExistsWalk(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkE1Classify classifies the full paper corpus (Theorem 2 + 5).
-func BenchmarkE1Classify(b *testing.B) {
-	b.ReportAllocs()
-	entries := catalog.All()
-	dfas := make([]*automaton.DFA, len(entries))
-	for i, e := range entries {
-		d, err := automaton.MinDFAFromPattern(e.Pattern)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dfas[i] = d
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, d := range dfas {
-			core.Classify(d, core.EdgeLabeled, nil)
-			core.Classify(d, core.VertexLabeled, nil)
-		}
-	}
-}
-
-// BenchmarkE2TractableScaling runs the summary solver on growing random
-// graphs for the Example 1 language.
-func BenchmarkE2TractableScaling(b *testing.B) {
-	b.ReportAllocs()
-	s, err := rspq.NewSolver("a*(bb+|())c*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{100, 400, 1600} {
-		g := graph.RandomRegular(n, []byte{'a', 'b', 'c'}, 3, int64(n))
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			rng := rand.New(rand.NewSource(1))
-			for i := 0; i < b.N; i++ {
-				rspq.SolvePsitr(g, s.Expr, rng.Intn(n), rng.Intn(n), false)
-			}
-		})
-	}
-}
-
-// BenchmarkE3Reduction measures baseline search work on Lemma 5
-// instances (the NP side).
-func BenchmarkE3Reduction(b *testing.B) {
-	b.ReportAllocs()
-	d, err := automaton.MinDFAFromPattern("a*b(cc)*d")
-	if err != nil {
-		b.Fatal(err)
-	}
-	min := d.Minimize()
-	w, err := core.ExtractHardnessWitness(min, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{6, 9, 12} {
-		g := graph.Random(n, []byte{'z'}, 0.3, int64(n))
-		inst, err := reduction.FromVDP(reduction.VDPInstance{G: g, X1: 0, Y1: 1, X2: 2, Y2: 3}, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("vdp=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rspq.Baseline(inst.G, min, inst.X, inst.Y, nil)
-			}
-		})
-	}
-}
-
-// BenchmarkE4SummaryWalkthrough solves the Example 2 instance.
-func BenchmarkE4SummaryWalkthrough(b *testing.B) {
-	b.ReportAllocs()
-	s, err := rspq.NewSolver("a(c{2,}|())(a|b)*(ac)?a*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, x, y := graph.LabeledPath("accccababacaa")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := rspq.SolvePsitr(g, s.Expr, x, y, false); !res.Found {
-			b.Fatal("walkthrough must succeed")
-		}
-	}
-}
-
-// BenchmarkE5Naive runs the three algorithms on the Figure 4 family.
-func BenchmarkE5Naive(b *testing.B) {
-	b.ReportAllocs()
-	d, _ := automaton.MinDFAFromPattern("a*(bb+|())c*")
-	s, _ := rspq.NewSolver("a*(bb+|())c*")
-	f := graph.NewFigure4(8)
-	b.Run("naive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rspq.Naive(f.G, d, f.X0, f.Y2k)
-		}
-	})
-	b.Run("summary", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rspq.SolvePsitr(f.G, s.Expr, f.X0, f.Y2k, false)
-		}
-	})
-	b.Run("baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rspq.Baseline(f.G, d, f.X0, f.Y2k, nil)
-		}
-	})
-}
-
-// BenchmarkE6Vlg compares (ab)* on vertex-labeled graphs (polynomial)
-// with the edge-labeled baseline.
-func BenchmarkE6Vlg(b *testing.B) {
-	b.ReportAllocs()
-	s, _ := rspq.NewSolver("(ab)*")
-	vg := graph.RandomVGraph(300, []byte{'a', 'b'}, 0.02, 5)
-	b.Run("vlg-walk", func(b *testing.B) {
-		b.ReportAllocs()
-		rng := rand.New(rand.NewSource(2))
-		for i := 0; i < b.N; i++ {
-			rspq.VlgSolve(vg, s.Min, s.Expr, rng.Intn(300), rng.Intn(300))
-		}
-	})
-	ge := graph.Random(40, []byte{'a', 'b'}, 0.12, 6)
-	b.Run("edge-baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rspq.Baseline(ge, s.Min, 0, 39, nil)
-		}
-	})
-}
-
-// BenchmarkE7Recognition measures trC testing for DFA vs NFA input.
-func BenchmarkE7Recognition(b *testing.B) {
-	b.ReportAllocs()
-	d, _ := automaton.MinDFAFromPattern("a{1,16}b*")
-	b.Run("dfa", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.TrCFromDFA(d)
-		}
-	})
-	r := automaton.MustParseRegex("(a|b)*a(a|b){4}")
-	b.Run("nfa-blowup", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.TrCFromRegex(r)
-		}
-	})
-}
-
-// BenchmarkE8ColorCoding measures the 2^{O(k)} growth of Theorem 7.
-func BenchmarkE8ColorCoding(b *testing.B) {
-	b.ReportAllocs()
-	d, _ := automaton.MinDFAFromPattern("a*ba*")
-	g := graph.RandomRegular(60, []byte{'a', 'b'}, 3, 17)
-	for _, k := range []int{3, 6, 9} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rspq.ColorCoding(g, d, 0, 59, k, rspq.ColorCodingOptions{Seed: 9, Trials: 50})
-			}
-		})
-	}
-}
-
-// BenchmarkE9DAG measures polynomial combined complexity on DAGs.
-func BenchmarkE9DAG(b *testing.B) {
-	b.ReportAllocs()
-	d, _ := automaton.MinDFAFromPattern("(a|b)*a(a|b)a(a|b)*")
-	for _, shape := range [][2]int{{10, 10}, {20, 20}} {
-		dag := graph.LayeredDAG(shape[0], shape[1], 3, []byte{'a', 'b'}, 5)
-		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rspq.DAG(dag, d, 0, dag.NumVertices()-1)
-			}
-		})
-	}
-}
-
-// BenchmarkE10Reachability runs the Lemma 17 reduction pipeline.
-func BenchmarkE10Reachability(b *testing.B) {
-	b.ReportAllocs()
-	d, _ := automaton.MinDFAFromPattern("a*(bb+|())c*")
-	min := d.Minimize()
-	g := graph.Random(30, []byte{'z'}, 0.08, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst, err := reduction.FromReachability(g, 0, 29, min)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rspq.Baseline(inst.G, min, inst.X, inst.Y, nil)
-	}
-}
-
-// BenchmarkE11Psitr measures normalization + verification round trips.
-func BenchmarkE11Psitr(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(8))
-	exprs := make([]*psitr.Expr, 32)
-	for i := range exprs {
-		exprs[i] = psitr.RandomExpr(rng, []byte{'a', 'b'}, 2, 3)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := exprs[i%len(exprs)]
-		if _, err := psitr.FromRegex(e.ToRegex()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE12Subword compares the trC(0) fast path with the general
-// summary solver on a*c*.
-func BenchmarkE12Subword(b *testing.B) {
-	b.ReportAllocs()
-	s, _ := rspq.NewSolver("a*c*")
-	g := graph.RandomRegular(400, []byte{'a', 'b', 'c'}, 3, 12)
-	b.Run("subword-walk", func(b *testing.B) {
-		b.ReportAllocs()
-		rng := rand.New(rand.NewSource(4))
-		for i := 0; i < b.N; i++ {
-			rspq.Subword(g, s.Min, rng.Intn(400), rng.Intn(400))
-		}
-	})
-	b.Run("summary", func(b *testing.B) {
-		b.ReportAllocs()
-		rng := rand.New(rand.NewSource(4))
-		for i := 0; i < b.N; i++ {
-			rspq.SolvePsitr(g, s.Expr, rng.Intn(400), rng.Intn(400), false)
-		}
-	})
 }
 
 // batchWorkload builds the grouped-by-target pair set the batch engine

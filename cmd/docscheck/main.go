@@ -3,7 +3,7 @@
 // actually exist, so README/ARCHITECTURE rot is caught by `make docs`
 // and the CI docs job instead of by a reader.
 //
-//	docscheck README.md docs/ARCHITECTURE.md cmd/rspqbench/main.go
+//	docscheck README.md docs/ARCHITECTURE.md experiments_test.go
 //
 // In a markdown file two kinds of references are checked, resolved
 // against the current working directory (the repo root in CI):
@@ -11,7 +11,7 @@
 //   - relative markdown link targets: [text](docs/ARCHITECTURE.md)
 //     (absolute URLs and in-page #anchors are ignored);
 //   - inline-code path tokens naming checked-in files or directories:
-//     `internal/rspq/batch.go`, `cmd/rspqd`, `examples/streaming` —
+//     `internal/rspq/batch.go`, `cmd/rspqd`, `example_test.go` —
 //     any backticked token rooted at cmd/, internal/, docs/ or
 //     examples/, or a root-level *.go / *.md / Makefile reference.
 //     Tokens containing placeholders (<rev>, *, …) are skipped.

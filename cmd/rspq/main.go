@@ -9,22 +9,12 @@
 //
 //	rspq -graph g.txt -pattern 'a*(bb+|())c*' -from 0 -to 7
 //	rspq -graph g.txt -pattern '(aa)*' -from 0 -to 7 -algo baseline -shortest
-//	rspq -graph g.txt -pattern 'a*c*' -pairs queries.txt
-//
-// With -pairs, the file lists one "x y" query per line ('#' comments
-// and blank lines ignored); the whole batch is answered through the
-// batched engine, which groups queries by target and shares each
-// target's pruning table. Out-of-range ids report "no simple path"
-// like any other unanswerable query.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/rspq"
@@ -38,7 +28,6 @@ func main() {
 	algo := flag.String("algo", "auto", "algorithm: auto, finite, subword, summary, dag, baseline, walk, naive")
 	shortest := flag.Bool("shortest", false, "return a shortest simple path")
 	dot := flag.Bool("dot", false, "emit the graph with the found path highlighted as Graphviz DOT")
-	pairsPath := flag.String("pairs", "", `batch mode: file of "x y" query lines, answered with shared per-target tables`)
 	flag.Parse()
 	if *graphPath == "" || *pattern == "" {
 		fmt.Fprintln(os.Stderr, "rspq: -graph and -pattern are required")
@@ -62,26 +51,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rspq: %v\n", err)
 		os.Exit(1)
-	}
-
-	if *pairsPath != "" {
-		// Batch mode always auto-dispatches and answers existence +
-		// witness; reject flags it would otherwise silently ignore.
-		fromToSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "from" || f.Name == "to" {
-				fromToSet = true
-			}
-		})
-		if *algo != "auto" || *shortest || *dot || fromToSet {
-			fmt.Fprintln(os.Stderr, "rspq: -pairs cannot be combined with -from, -to, -algo, -shortest or -dot")
-			os.Exit(2)
-		}
-		if err := runBatch(g, s, *pairsPath); err != nil {
-			fmt.Fprintf(os.Stderr, "rspq: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	// The library answers out-of-range ids with a clean no-path result;
@@ -128,64 +97,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// runBatch answers every query of the pairs file through the batched
-// engine and prints one result line per query, in input order.
-func runBatch(g *graph.Graph, s *rspq.Solver, path string) error {
-	pairs, err := readPairs(path)
-	if err != nil {
-		return err
-	}
-	bs := rspq.NewBatchSolver(s, g)
-	results := bs.Solve(pairs)
-	fmt.Printf("language class : %v\n", s.Classification.Class)
-	fmt.Printf("algorithm      : %v\n", s.ChooseAlgorithm(g))
-	fmt.Printf("queries        : %d\n", len(pairs))
-	for i, res := range results {
-		if !res.Found {
-			fmt.Printf("%d %d : no simple path\n", pairs[i].X, pairs[i].Y)
-			continue
-		}
-		fmt.Printf("%d %d : found (length %d) word %s\n",
-			pairs[i].X, pairs[i].Y, res.Path.Len(), res.Path.Word())
-	}
-	return nil
-}
-
-// readPairs parses a file of "x y" lines; '#' starts a comment and
-// blank lines are skipped.
-func readPairs(path string) ([]rspq.Pair, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var pairs []rspq.Pair
-	sc := bufio.NewScanner(f)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("%s:%d: want \"x y\", got %q", path, lineNo, line)
-		}
-		x, errX := strconv.Atoi(fields[0])
-		y, errY := strconv.Atoi(fields[1])
-		if errX != nil || errY != nil {
-			return nil, fmt.Errorf("%s:%d: want \"x y\", got %q", path, lineNo, line)
-		}
-		pairs = append(pairs, rspq.Pair{X: x, Y: y})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return pairs, nil
 }
