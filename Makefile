@@ -37,13 +37,17 @@ bench-check:
 	$(GO) -C bench test ./...
 
 # fuzz: a short deterministic pass over the fuzzers (regex parser,
-# snapshot decode, WAL replay) — corpus + 10s of new inputs each, the
-# CI fuzz smoke test. `go test -fuzz` accepts one target per run, hence
-# the separate invocations.
+# snapshot decode, WAL replay, rspqd's request decoders against
+# encoding/json) — corpus + 10s of new inputs each, the CI fuzz smoke
+# test. `go test -fuzz` accepts one target per run, hence the separate
+# invocations.
 fuzz:
 	$(GO) test ./internal/automaton/ -run '^$$' -fuzz FuzzParseRegex -fuzztime 10s
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s
+	$(GO) test ./cmd/rspqd/ -run '^$$' -fuzz FuzzDecodeQuery -fuzztime 10s
+	$(GO) test ./cmd/rspqd/ -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 10s
+	$(GO) test ./cmd/rspqd/ -run '^$$' -fuzz FuzzDecodeEdges -fuzztime 10s
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

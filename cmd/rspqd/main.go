@@ -22,11 +22,11 @@
 // Observability: /metrics serves the Prometheus exposition of one
 // shared registry covering the transport (rspqd_http_*), the engine
 // (per-tier query counts and latency, per-stage timings, cache and
-// compaction state) and the kernels (BFS rounds, direction switches,
+// compaction state) and the kernels (BFS rounds, stopped sweeps,
 // bit-parallel dispatches); /stats reads the very same registry, so the
 // two never disagree. POST /query with "trace":true (or ?trace=1)
 // additionally returns the per-query trace: stage timings plus every
-// kernel round with direction, frontier size and wall time. -slow-query
+// kernel round with its frontier size and wall time. -slow-query
 // logs any request at or above the threshold; -max-inflight bounds the
 // query pairs concurrently admitted through /batch (excess batches get
 // 429 + Retry-After); -debug-addr serves net/http/pprof on a separate
@@ -110,6 +110,8 @@ type server struct {
 	maxInflight   int64         // /batch admission bound on in-flight pairs; 0 = unbounded
 	inflightPairs atomic.Int64
 	hm            httpMetrics
+
+	bufs sync.Pool // *[]byte: request bodies, then the answers appended over them (wire.go)
 }
 
 func newServer(s *rspq.Solver, g *graph.Graph, pattern string, cfg rspq.EngineConfig) *server {
@@ -126,6 +128,7 @@ func newServer(s *rspq.Solver, g *graph.Graph, pattern string, cfg rspq.EngineCo
 		reg:     reg,
 	}
 	srv.hm = newHTTPMetrics(reg, func() float64 { return float64(srv.inflightPairs.Load()) })
+	srv.bufs.New = func() any { b := make([]byte, 0, 4096); return &b }
 	return srv
 }
 
@@ -202,11 +205,15 @@ type queryResponse struct {
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !decodeJSON(w, r, &req) {
+	buf := s.readRequest(w, r, func(b []byte) error { return decodeQuery(b, &req) })
+	if buf == nil {
 		return
 	}
-	if v := r.URL.Query().Get("trace"); v == "1" || v == "true" {
-		req.Trace = true
+	defer s.putBuf(buf)
+	if r.URL.RawQuery != "" {
+		if v := r.URL.Query().Get("trace"); v == "1" || v == "true" {
+			req.Trace = true
+		}
 	}
 	s.inflightPairs.Add(1)
 	defer s.inflightPairs.Add(-1)
@@ -232,28 +239,26 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.ExistsOnly {
-		writeJSON(w, queryResponse{Found: s.eng.Exists(req.X, req.Y)})
+		writeAnswer(w, buf, appendQuery((*buf)[:0], s.eng.Exists(req.X, req.Y), nil))
 		return
 	}
 	res := s.eng.Solve(req.X, req.Y)
-	writeJSON(w, queryResponse{Found: res.Found, Path: toPathJSON(res.Path)})
+	writeAnswer(w, buf, appendQuery((*buf)[:0], res.Found, res.Path))
 }
 
+// batchRequest is the /batch body; the answer is appendBatch's.
 type batchRequest struct {
 	Pairs      []queryRequest `json:"pairs"`
 	ExistsOnly bool           `json:"exists_only"`
 }
 
-type batchResponse struct {
-	Results []queryResponse `json:"results,omitempty"`
-	Found   []bool          `json:"found,omitempty"`
-}
-
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !decodeJSON(w, r, &req) {
+	buf := s.readRequest(w, r, func(b []byte) error { return decodeBatch(b, &req) })
+	if buf == nil {
 		return
 	}
+	defer s.putBuf(buf)
 	release, ok := s.admitPairs(w, len(req.Pairs))
 	if !ok {
 		return
@@ -266,15 +271,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if req.ExistsOnly {
-		writeJSON(w, batchResponse{Found: s.eng.BatchSolveExists(pairs)})
+		writeAnswer(w, buf, appendBatch((*buf)[:0], nil, s.eng.BatchSolveExists(pairs)))
 		return
 	}
-	results := s.eng.BatchSolve(pairs)
-	resp := batchResponse{Results: make([]queryResponse, len(results))}
-	for i, res := range results {
-		resp.Results[i] = queryResponse{Found: res.Found, Path: toPathJSON(res.Path)}
-	}
-	writeJSON(w, resp)
+	writeAnswer(w, buf, appendBatch((*buf)[:0], s.eng.BatchSolve(pairs), nil))
 }
 
 type edgeRequest struct {
@@ -285,9 +285,11 @@ type edgeRequest struct {
 
 func (s *server) handleEdge(w http.ResponseWriter, r *http.Request) {
 	var req edgeRequest
-	if !decodeJSON(w, r, &req) {
+	buf := s.readRequest(w, r, func(b []byte) error { return decodeEdge(b, &req) })
+	if buf == nil {
 		return
 	}
+	s.putBuf(buf)
 	if len(req.Label) != 1 {
 		httpError(w, http.StatusBadRequest, "label must be a single byte")
 		return
@@ -351,9 +353,11 @@ type edgesResponse struct {
 // no-ops (tombstone semantics), matching graph.RemoveEdge.
 func (s *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	var req edgesRequest
-	if !decodeJSON(w, r, &req) {
+	buf := s.readRequest(w, r, func(b []byte) error { return decodeEdges(b, &req) })
+	if buf == nil {
 		return
 	}
+	s.putBuf(buf)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.g.NumVertices()
@@ -509,20 +513,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.WALSeq = s.db.LastSeq()
 	}
 	writeJSON(w, resp)
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return false
-	}
-	return true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -73,12 +75,37 @@ func TestQueryEndpoint(t *testing.T) {
 }
 
 func TestQueryBadRequests(t *testing.T) {
-	_, ts := testServer(t)
+	srv, ts := testServer(t)
 	if resp := postJSON(t, ts.URL+"/query", `{"x":0,"y":`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated body: status %d; want 400", resp.StatusCode)
 	}
 	if resp := postJSON(t, ts.URL+"/query", `{"x":0,"y":1,"bogus":true}`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d; want 400", resp.StatusCode)
+	}
+	// Anything but whitespace after the object is refused, whether the
+	// scanner or encoding/json (here for the case-folded "X") decoded it.
+	for _, c := range []struct{ path, body string }{
+		{"/query", `{"x":0,"y":3}{"x":9}`},
+		{"/query", `{"x":0,"y":3} garbage`},
+		{"/query", `{"X":0,"y":3} garbage`},
+		{"/batch", `{"pairs":[{"x":0,"y":3}]}]`},
+		{"/edge", `{"from":3,"label":"c","to":0}{}`},
+		{"/edges", `{"add":[{"from":3,"label":"c","to":0}]} x`},
+	} {
+		var e map[string]string
+		if resp := postJSON(t, ts.URL+c.path, c.body, &e); resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], "after top-level value") {
+			t.Fatalf("%s %s: status %d %q; want 400 for the trailing data", c.path, c.body, resp.StatusCode, e["error"])
+		}
+	}
+	if srv.g.NumEdges() != 3 {
+		t.Fatal("a refused mutation must not be applied")
+	}
+	// A body of undeclared length stops at maxBody.
+	long := io.MultiReader(strings.NewReader(`{"x":0,"y":3}`), io.LimitReader(spaces{}, maxBody))
+	rec := httptest.NewRecorder()
+	srv.routes().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", io.NopCloser(long)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "request body too large") {
+		t.Fatalf("over-long body: status %d %s; want 400, too large", rec.Code, rec.Body)
 	}
 	resp, err := http.Get(ts.URL + "/query")
 	if err != nil {
@@ -88,6 +115,15 @@ func TestQueryBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /query: status %d; want 405", resp.StatusCode)
 	}
+}
+
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 func TestBatchEndpoint(t *testing.T) {
