@@ -19,15 +19,14 @@ vet:
 test:
 	$(GO) test ./...
 
-# race: the second command runs the sweep suites under both phase shapes
-# of the round drivers — GOMAXPROCS 1 takes the inline phases, 2 the
-# goroutine fan-out; TestStoppedSweepEquivalence among them covers the
-# probe the drivers run at the barrier to stop a sweep. The third covers the lazy hardness witness's
-# sync.Once, reached only through the root package and internal/core.
+# race: the first command covers the packages with shared state — the
+# graph's views, the caches, the engine's batch worker pool, persistence
+# and the server. The second runs the root package and internal/core
+# whole, among them the lazy hardness witness's sync.Once; the
+# allocation guards skip themselves under -race.
 race:
 	$(GO) test -race ./internal/graph/ ./internal/cache/ ./internal/metrics/ ./internal/rspq/ ./internal/persist/ ./cmd/rspqd/
-	$(GO) test -race -cpu 1,2 -run 'Equivalence|Equality|Sharded|Distance|Exchange|Sweep' ./internal/rspq/
-	$(GO) test -race -run 'HardnessWitness|Compile|Concurrent' . ./internal/core/
+	$(GO) test -race . ./internal/core/
 
 # bench-check: the repo benchmark (bench/, its own module) still vets,
 # builds against this tree and passes its unit tests. Running it is

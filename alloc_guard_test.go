@@ -18,13 +18,15 @@ import (
 // shifting a benchmark number. A few attempts tolerate one-off pool
 // refills after a GC.
 func TestExistsWalkAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
+	}
 	d, err := automaton.MinDFAFromPattern("a*b(a|b|c)*")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := graph.RandomRegular(400, []byte{'a', 'b', 'c'}, 3, 400)
 	g.Freeze()
-	d.Rev()
 	rng := rand.New(rand.NewSource(11))
 	type pq struct{ x, y int }
 	pairs := make([]pq, 32)
@@ -53,10 +55,11 @@ func TestExistsWalkAllocGuard(t *testing.T) {
 // the Property-(1) witness search — 20k–330k allocations and 3–40 MB
 // for these NP-complete languages — runs on the first
 // Solver.HardnessWitness call, never inside rspq.NewSolver. A compile
-// without it costs under 1,000 allocations and 45 KiB; the guard fails
-// if the search moves back.
+// without it costs at most 962 allocations and 43.6 KB on these three;
+// the bounds sit 25 % above that, so the guard fails if the search moves
+// back or compile grows a new index.
 func TestCompileAllocGuard(t *testing.T) {
-	const maxAllocs, maxBytes, runs = 2000, 64 << 10, 20
+	const maxAllocs, maxBytes, runs = 1200, 54_500, 20
 	for _, pattern := range []string{"a*bc*", "a*bba*", "a*b(cc)*d"} {
 		compile := func() {
 			if _, err := rspq.NewSolver(pattern); err != nil {

@@ -22,7 +22,6 @@ func BenchmarkShortestWalk(b *testing.B) {
 	for _, n := range []int{100, 400, 1600} {
 		g := graph.RandomRegular(n, []byte{'a', 'b', 'c'}, 3, int64(n))
 		g.Freeze()
-		d.Rev()
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			rng := rand.New(rand.NewSource(11))
@@ -44,7 +43,6 @@ func BenchmarkExistsWalk(b *testing.B) {
 	for _, n := range []int{100, 400, 1600} {
 		g := graph.RandomRegular(n, []byte{'a', 'b', 'c'}, 3, int64(n))
 		g.Freeze()
-		d.Rev()
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			rng := rand.New(rand.NewSource(11))
@@ -199,18 +197,13 @@ func BenchmarkBatchExists(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedBFS measures the tentpole: the frontier-exchange
-// product BFS across snapshot partition sizes, on a 1M-edge generated
-// graph (120k under -short so the CI bench smoke stays quick). The
-// workload is a grouped existence batch over two hot targets of the
-// flooding language (a|b|c)* — the shape where each group's backward
-// BFS dominates and per-target batching alone yields no parallelism,
-// so all speedup must come from the partition: locality on one core
-// (per-shard state and outbox streams replace whole-graph random
-// access), plus min(K, GOMAXPROCS)-way parallel expansion on multicore
-// hardware. "unsharded" is the one-shard exchange, swept inline on the
-// caller's goroutine.
-func BenchmarkShardedBFS(b *testing.B) {
+// BenchmarkFloodSweep measures the backward product sweep on both round
+// drivers — the packed ≤64-state sweep and the id-list sweep — on a
+// 1M-edge generated graph (120k under -short so the CI bench smoke stays
+// quick). The workload is a grouped existence batch over two hot targets
+// of the flooding language (a|b|c)*: the shape where each group's sweep
+// dominates and the batch's two groups are its only parallelism.
+func BenchmarkFloodSweep(b *testing.B) {
 	edges := 1_000_000
 	if testing.Short() {
 		edges = 120_000
@@ -229,31 +222,20 @@ func BenchmarkShardedBFS(b *testing.B) {
 			pairs = append(pairs, rspq.Pair{X: rng.Intn(n), Y: y})
 		}
 	}
-	// The driver dimension pits the packed ≤64-state sweep against the
-	// id-list sweep per partition size.
-	drivers := []struct {
+	s.Warm(g)
+	bs := rspq.NewBatchSolver(s, g)
+	for _, d := range []struct {
 		name string
 		bits bool
-	}{{"driver=packed", true}, {"driver=idlist", false}}
-	for _, k := range []int{0, 4, 8, 16} {
-		kname := fmt.Sprintf("K=%d", k)
-		if k == 0 {
-			kname = "unsharded"
-		}
-		for _, d := range drivers {
-			b.Run(kname+"/"+d.name, func(b *testing.B) {
-				rspq.SetBitParallel(d.bits)
-				defer rspq.SetBitParallel(true)
-				b.ReportAllocs()
-				g.SetShards(k)
-				s.Warm(g)
-				bs := rspq.NewBatchSolver(s, g)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					bs.SolveExists(pairs)
-				}
-			})
-		}
+	}{{"driver=packed", true}, {"driver=idlist", false}} {
+		b.Run(d.name, func(b *testing.B) {
+			rspq.SetBitParallel(d.bits)
+			defer rspq.SetBitParallel(true)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bs.SolveExists(pairs)
+			}
+		})
 	}
 }
 

@@ -15,9 +15,9 @@
 //	POST /batch  {"pairs":[{"x":0,"y":3},...]}      many queries
 //	POST /edge   {"from":3,"label":"c","to":0}      add one edge
 //	POST /edges  {"add":[...],"remove":[...]}       bulk edge delta
-//	GET  /stats                                     engine + cache + shard stats
+//	GET  /stats                                     engine + cache stats
 //	GET  /metrics                                   Prometheus text exposition
-//	GET  /healthz                                   liveness: build info, epoch, shards
+//	GET  /healthz                                   liveness: build info, epoch, sizes
 //
 // Observability: /metrics serves the Prometheus exposition of one
 // shared registry covering the transport (rspqd_http_*), the engine
@@ -32,12 +32,10 @@
 // 429 + Retry-After); -debug-addr serves net/http/pprof on a separate
 // listener so profiling is opt-in and never exposed on the query port.
 //
-// With -shards K (at most graph.MaxShards) every backward product
-// search runs as a bulk-synchronous frontier exchange over K contiguous
-// row ranges of the one CSR snapshot (parallel up to min(K, GOMAXPROCS)
-// workers) — the exchange partitions search state, not storage; /stats
-// then reports per-range edge counts and the cumulative exchange
-// rounds.
+// Every backward product search is one level-synchronous sweep on the
+// goroutine answering its target group; a /batch spreads its target
+// groups over -workers goroutines, and /stats reports the cumulative
+// sweep rounds.
 //
 // The graph file uses the line format of internal/graph ("n <count>" /
 // "e <from> <label> <to>"). The mutation endpoints demonstrate the
@@ -461,8 +459,6 @@ type healthzResponse struct {
 	Epoch          uint64  `json:"epoch"`
 	PendingAdds    int     `json:"pending_adds"`
 	PendingRemoves int     `json:"pending_removes"`
-	Shards         int     `json:"shards"`
-	ShardsAdaptive bool    `json:"shards_adaptive"`
 	UptimeSeconds  float64 `json:"uptime_seconds"`
 	// Durability state: whether -data-dir is on, whether this boot
 	// recovered from a snapshot, and the last acknowledged WAL
@@ -503,8 +499,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Epoch:          s.g.Epoch(),
 		PendingAdds:    adds,
 		PendingRemoves: removes,
-		Shards:         s.g.ShardCount(),
-		ShardsAdaptive: s.eng.ShardsAdaptive(),
 		UptimeSeconds:  time.Since(s.started).Seconds(),
 	}
 	if s.db != nil {
@@ -530,12 +524,9 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 
 // checkFlags rejects command lines the server cannot start on; main
 // turns the error into a usage message and exit status 2.
-func checkFlags(pattern, graphPath string, gen, shards int) error {
+func checkFlags(pattern, graphPath string, gen int) error {
 	if pattern == "" || (graphPath == "" && gen <= 0) {
 		return errors.New("-pattern and one of -graph / -gen are required")
-	}
-	if shards > graph.MaxShards {
-		return fmt.Errorf("-shards %d exceeds the maximum of %d", shards, graph.MaxShards)
 	}
 	return nil
 }
@@ -550,7 +541,6 @@ func main() {
 	tableBytes := flag.Int64("table-bytes", 0, "pruning-table cache budget (0 = default 64 MiB, negative disables)")
 	resultBytes := flag.Int64("result-bytes", 0, "result cache budget (0 = default 16 MiB, negative disables)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, fmt.Sprintf("run backward searches as a parallel frontier exchange over this many row ranges of the snapshot, at most %d (0 = adaptive from edge count and GOMAXPROCS — unsharded below 128k edges or on one processor, negative = unsharded)", graph.MaxShards))
 	compactDelta := flag.Int("compact-delta", 0, "pending-delta watermark triggering a background compaction (0 = engine default, negative disables the compactor)")
 	compactEvery := flag.Duration("compact-every", 250*time.Millisecond, "background compaction poll interval")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
@@ -561,7 +551,7 @@ func main() {
 	fsyncPolicy := flag.String("fsync", "batch", `fsync policy for WAL appends: "batch" (fsync every acknowledged batch), "off", or a group-commit window duration like "5ms"; a checkpoint always syncs, because it truncates the WAL it supersedes`)
 	flag.Parse()
 
-	if err := checkFlags(*pattern, *graphPath, *gen, *shards); err != nil {
+	if err := checkFlags(*pattern, *graphPath, *gen); err != nil {
 		fmt.Fprintln(os.Stderr, "rspqd:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -587,7 +577,6 @@ func main() {
 		TableBytes:   *tableBytes,
 		ResultBytes:  *resultBytes,
 		Workers:      *workers,
-		Shards:       *shards,
 		CompactDelta: *compactDelta,
 	}
 	var g *graph.Graph
@@ -651,12 +640,8 @@ func main() {
 			}
 		}()
 	}
-	shardNote := ""
-	if srv.eng.ShardsAdaptive() {
-		shardNote = " adaptive"
-	}
-	log.Printf("rspqd: serving %q over %d vertices / %d edges (%s tier, %d%s shards) on %s",
-		*pattern, g.NumVertices(), g.NumEdges(), s.ChooseAlgorithm(g), g.ShardCount(), shardNote, *addr)
+	log.Printf("rspqd: serving %q over %d vertices / %d edges (%s tier) on %s",
+		*pattern, g.NumVertices(), g.NumEdges(), s.ChooseAlgorithm(g), *addr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

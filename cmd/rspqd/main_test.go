@@ -256,7 +256,7 @@ func TestEdgesBulkDelta(t *testing.T) {
 }
 
 // TestHealthzEndpoint pins the liveness probe: GET-only, build info,
-// epoch and shard count, advancing with mutations.
+// sizes and epoch, advancing with mutations.
 func TestHealthzEndpoint(t *testing.T) {
 	srv, ts := testServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -271,8 +271,8 @@ func TestHealthzEndpoint(t *testing.T) {
 	if hz.Status != "ok" || hz.GoVersion == "" || hz.Pattern == "" {
 		t.Fatalf("healthz = %+v", hz)
 	}
-	if hz.Vertices != 4 || hz.Edges != 3 || hz.Shards != 0 {
-		t.Fatalf("healthz = %+v; want 4 vertices, 3 edges, unsharded", hz)
+	if hz.Vertices != 4 || hz.Edges != 3 {
+		t.Fatalf("healthz = %+v; want 4 vertices, 3 edges", hz)
 	}
 	epochBefore := hz.Epoch
 	postJSON(t, ts.URL+"/edge", `{"from":3,"label":"c","to":0}`, nil)
@@ -293,10 +293,10 @@ func TestHealthzEndpoint(t *testing.T) {
 	_ = srv
 }
 
-// TestShardedServer drives a sharded engine end to end over HTTP:
-// queries agree with an unsharded reference, and /stats + /healthz
-// surface the partition (per-shard edge counts, exchange rounds).
-func TestShardedServer(t *testing.T) {
+// TestServerSweepStats drives the engine end to end over HTTP: queries
+// agree with a solver on a separately built copy of the graph, and
+// /stats surfaces the sweeps (rounds, packed-driver dispatches).
+func TestServerSweepStats(t *testing.T) {
 	g := graph.Random(30, []byte{'a', 'b', 'c'}, 0.12, 9)
 	ref := graph.New(30)
 	for _, e := range g.Edges() {
@@ -306,7 +306,7 @@ func TestShardedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(s, g, "a*c*", rspq.EngineConfig{Shards: 4})
+	srv := newServer(s, g, "a*c*", rspq.EngineConfig{})
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
 
@@ -315,7 +315,7 @@ func TestShardedServer(t *testing.T) {
 			var q queryResponse
 			postJSON(t, ts.URL+"/query", fmt.Sprintf(`{"x":%d,"y":%d}`, x, y), &q)
 			if want := s.Solve(ref, x, y).Found; q.Found != want {
-				t.Fatalf("sharded /query(%d,%d) = %v; unsharded reference says %v", x, y, q.Found, want)
+				t.Fatalf("/query(%d,%d) = %v; reference says %v", x, y, q.Found, want)
 			}
 		}
 	}
@@ -328,18 +328,8 @@ func TestShardedServer(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Engine.Shards != 4 || len(st.Engine.ShardEdges) != 4 {
-		t.Fatalf("stats must report the partition: %+v", st.Engine)
-	}
-	sum := 0
-	for _, m := range st.Engine.ShardEdges {
-		sum += m
-	}
-	if sum != st.Edges {
-		t.Fatalf("shard edges sum to %d; want %d", sum, st.Edges)
-	}
 	if st.Engine.ExchangeRounds == 0 {
-		t.Fatal("sharded queries must accumulate frontier-exchange rounds")
+		t.Fatal("queries must accumulate sweep rounds")
 	}
 
 	// An existence-only query on a fresh target runs the mark-only
@@ -359,54 +349,32 @@ func TestShardedServer(t *testing.T) {
 	if st2.Engine.BitParallelHits == 0 {
 		t.Fatalf("exists-only query on a ≤64-state DFA must hit the bit kernel: %+v", st2.Engine)
 	}
-
-	hzResp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hzResp.Body.Close()
-	var hz healthzResponse
-	if err := json.NewDecoder(hzResp.Body).Decode(&hz); err != nil {
-		t.Fatal(err)
-	}
-	if hz.Shards != 4 {
-		t.Fatalf("healthz shards = %d; want 4", hz.Shards)
-	}
-	if hz.ShardsAdaptive {
-		t.Fatal("an explicitly configured partition must not be reported adaptive")
-	}
 }
 
 // TestCheckFlags pins the start-up usage errors: a missing pattern or
-// graph source, and a -shards value past graph.MaxShards (the exchange
-// allocates a K×K outbox matrix per search, so an unbounded K would
-// take the process down on its first query).
+// graph source.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		pattern, graphPath string
-		gen, shards        int
+		gen                int
 		ok                 bool
 	}{
-		{"a*", "g.txt", 0, 0, true},
-		{"a*", "", 400, -1, true},
-		{"a*", "", 400, graph.MaxShards, true},
-		{"a*", "", 400, graph.MaxShards + 1, false},
-		{"a*", "", 400, 70000, false},
-		{"", "g.txt", 0, 0, false},
-		{"a*", "", 0, 0, false},
+		{"a*", "g.txt", 0, true},
+		{"a*", "", 400, true},
+		{"", "g.txt", 0, false},
+		{"a*", "", 0, false},
 	} {
-		if err := checkFlags(tc.pattern, tc.graphPath, tc.gen, tc.shards); (err == nil) != tc.ok {
-			t.Errorf("checkFlags(%q, %q, %d, %d) = %v, want ok=%v", tc.pattern, tc.graphPath, tc.gen, tc.shards, err, tc.ok)
+		if err := checkFlags(tc.pattern, tc.graphPath, tc.gen); (err == nil) != tc.ok {
+			t.Errorf("checkFlags(%q, %q, %d) = %v, want ok=%v", tc.pattern, tc.graphPath, tc.gen, err, tc.ok)
 		}
 	}
 }
 
-// TestAdaptiveServer boots a server with Shards == 0 on a graph big
-// enough to trip the adaptive default, and checks that /healthz and
-// /stats both report the engine-chosen partition.
+// TestAdaptiveServer boots a server with the default configuration on
+// a 138k-edge graph at two processors, the size and shape that get no
+// special treatment: each sweep still runs on one goroutine, and
+// /healthz and /stats agree on what is served.
 func TestAdaptiveServer(t *testing.T) {
-	// The adaptive default shards only where a second processor can
-	// run the exchange: pin two, whatever the test machine has.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := graph.New(46000)
 	for i := 0; i < 46000; i++ {
@@ -436,8 +404,8 @@ func TestAdaptiveServer(t *testing.T) {
 	if err := json.NewDecoder(hzResp.Body).Decode(&hz); err != nil {
 		t.Fatal(err)
 	}
-	if hz.Shards <= 1 || !hz.ShardsAdaptive {
-		t.Fatalf("healthz = %+v; want an adaptive multi-shard partition", hz)
+	if hz.Vertices != 46000 || hz.Edges != 138000 {
+		t.Fatalf("healthz = %+v; want 46000 vertices, 138000 edges", hz)
 	}
 	stResp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -448,8 +416,8 @@ func TestAdaptiveServer(t *testing.T) {
 	if err := json.NewDecoder(stResp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Engine.Shards != hz.Shards || !st.Engine.ShardsAdaptive {
-		t.Fatalf("stats partition %+v disagrees with healthz %+v", st.Engine, hz)
+	if st.Edges != hz.Edges || st.Engine.Epoch != hz.Epoch || st.Engine.BitParallelHits != 1 {
+		t.Fatalf("stats %+v disagrees with healthz %+v, or ran other than one sweep", st, hz)
 	}
 	_ = srv
 }

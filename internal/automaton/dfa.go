@@ -15,13 +15,9 @@ type DFA struct {
 	Accept    []bool
 	Delta     []int
 
-	// rev caches the reverse-transition index (see Rev); it depends only
-	// on Delta and Alphabet, so shallow copies (WithStart, Complement)
-	// may share it, and SetDelta drops it.
-	rev *RevIndex
-
-	// packed caches the bit-parallel transition table (see Packed) under
-	// the same sharing/invalidation contract as rev; packedBuilt
+	// packed caches the bit-parallel transition table (see Packed); it
+	// depends only on Delta and Alphabet, so shallow copies (WithStart,
+	// Complement) may share it, and SetDelta drops it. packedBuilt
 	// distinguishes "not built yet" from "built, but >64 states".
 	packed      *Packed
 	packedBuilt bool
@@ -67,7 +63,6 @@ func (d *DFA) SetDelta(q int, label byte, to int) {
 	if i < 0 {
 		panic(fmt.Sprintf("automaton: label %q outside alphabet %s", label, d.Alphabet))
 	}
-	d.rev = nil
 	d.packed, d.packedBuilt = nil, false
 	d.Delta[q*len(d.Alphabet)+i] = to
 }

@@ -9,10 +9,10 @@ import "math/bits"
 // with a handful of AND/OR/shift operations instead of one predecessor
 // scan per state (see internal/rspq's bit-parallel kernels).
 //
-// Like RevIndex, Packed depends only on Delta and Alphabet — never on
-// Accept — so shallow DFA copies (WithStart, Complement) may share it
-// and SetDelta drops it. The accept mask is derived per use via
-// AcceptMask, which keeps Complement's accept flip safe.
+// Packed depends only on Delta and Alphabet — never on Accept — so
+// shallow DFA copies (WithStart, Complement) may share it and SetDelta
+// drops it. The accept mask is derived per use via AcceptMask, which
+// keeps Complement's accept flip safe.
 //
 // The table is immutable once built and safe for concurrent readers.
 type Packed struct {
@@ -27,8 +27,8 @@ type Packed struct {
 }
 
 // NewPacked builds the packed transition table of d, or nil when d has
-// more than 64 states (the bit-parallel kernels then fall back to the
-// generic RevIndex form).
+// more than 64 states (the query engine then falls back to its id-list
+// sweep over the DFA's arcs).
 func NewPacked(d *DFA) *Packed {
 	if d.NumStates > 64 {
 		return nil
@@ -64,7 +64,7 @@ func (p *Packed) StepIndex(q, i int) int { return int(p.step[i*p.m+q]) }
 
 // PredOf returns the predecessor word of w under the i-th alphabet
 // letter: the bitmask of states q' with ∆(q', Alphabet[i]) ∈ w. One
-// call replaces |w| RevIndex.Pred enumerations.
+// call replaces |w| per-state predecessor enumerations.
 func (p *Packed) PredOf(w uint64, i int) uint64 {
 	out := uint64(0)
 	base := i * p.m
@@ -91,7 +91,7 @@ func AcceptMask(d *DFA) uint64 {
 
 // Packed returns the DFA's packed transition table, building it on
 // first use, or nil when the DFA has more than 64 states. The table is
-// cached on the DFA and dropped by SetDelta; like Rev, call Packed once
+// cached on the DFA and dropped by SetDelta; call Packed once
 // during setup before querying from multiple goroutines (Solver
 // construction does this).
 func (d *DFA) Packed() *Packed {

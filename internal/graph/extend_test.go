@@ -26,7 +26,7 @@ func cloneForScratch(g *Graph) *Graph {
 		edges: g.edges, names: slices.Clone(g.names), labelCount: g.labelCount,
 		csr: g.csr, csrBase: g.csrBase, acyclic: g.acyclic,
 		addBuf: maps.Clone(g.addBuf), delBuf: maps.Clone(g.delBuf),
-		deltaNewLabel: g.deltaNewLabel, shardCount: g.shardCount,
+		deltaNewLabel: g.deltaNewLabel,
 	}
 	for v := range g.out {
 		c.out[v], c.in[v] = slices.Clone(g.out[v]), slices.Clone(g.in[v])
@@ -59,10 +59,10 @@ func overlaysEqual(a, b *overlaySet) bool {
 func checkViewsEqual(t *testing.T, got, want *View) {
 	t.Helper()
 	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() ||
-		got.Epoch() != want.Epoch() || got.Shards() != want.Shards() || got.Overlay() != want.Overlay() {
-		t.Fatalf("view (n=%d m=%d epoch=%d K=%d overlay=%v) != scratch (n=%d m=%d epoch=%d K=%d overlay=%v)",
-			got.NumVertices(), got.NumEdges(), got.Epoch(), got.Shards(), got.Overlay(),
-			want.NumVertices(), want.NumEdges(), want.Epoch(), want.Shards(), want.Overlay())
+		got.Epoch() != want.Epoch() || got.Overlay() != want.Overlay() {
+		t.Fatalf("view (n=%d m=%d epoch=%d overlay=%v) != scratch (n=%d m=%d epoch=%d overlay=%v)",
+			got.NumVertices(), got.NumEdges(), got.Epoch(), got.Overlay(),
+			want.NumVertices(), want.NumEdges(), want.Epoch(), want.Overlay())
 	}
 	ga, gr := got.PendingDelta()
 	wa, wr := want.PendingDelta()
@@ -110,7 +110,7 @@ func willExtend(g *Graph) bool {
 // TestViewExtensionSoak drives mixed batches — adds, removes, re-adds
 // of tombstoned edges, removals of pending adds, in-batch cancel pairs,
 // vertex growth, an add/remove pair of an out-of-alphabet label, an
-// occasional Freeze or SetShards — and pins after every batch.
+// occasional Freeze — and pins after every batch.
 func TestViewExtensionSoak(t *testing.T) {
 	labels := []byte{'a', 'b', 'c'}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -131,7 +131,7 @@ func TestViewExtensionSoak(t *testing.T) {
 		var extended, shared, passes, freezes int
 		for step := 0; step < 240; step++ {
 			for ops := 1 + rng.Intn(10); ops > 0; ops-- {
-				switch op := rng.Intn(40); {
+				switch op := rng.Intn(39); {
 				case op < 12:
 					e := randEdge()
 					g.AddEdge(e.From, e.Label, e.To)
@@ -170,11 +170,9 @@ func TestViewExtensionSoak(t *testing.T) {
 					e := randEdge()
 					g.AddEdge(e.From, 'z', e.To)
 					g.RemoveEdge(e.From, 'z', e.To)
-				case op < 39:
+				default:
 					g.Freeze()
 					freezes++
-				default:
-					g.SetShards(rng.Intn(4))
 				}
 			}
 			ext, prev := willExtend(g), g.view

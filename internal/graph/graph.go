@@ -73,16 +73,12 @@ type Graph struct {
 	freezeDelta     atomic.Uint64
 	lastFreezeDelta atomic.Uint64
 
-	// shardCount is the configured shard count (shard.go; 0 = unsharded),
-	// stamped on every pinned view.
-	shardCount int
-
 	// view is the most recently pinned read snapshot (view.go) — current
 	// while its epoch is the graph's — and viewLog every edge an
 	// effective AddEdge/RemoveEdge touched since, so the next PinView
 	// extends view's overlay by that batch instead of rebuilding it from
-	// addBuf/delBuf. Both are dropped when the base or the shard count
-	// changes and when the log outgrows the net delta (logDelta).
+	// addBuf/delBuf. Both are dropped when the base changes and when the
+	// log outgrows the net delta (logDelta).
 	view    *View
 	viewLog []Edge
 

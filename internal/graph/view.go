@@ -64,7 +64,6 @@ type View struct {
 	base *CSR
 
 	n, m   int   // current vertex/edge counts (delta included)
-	shards int   // the graph's shard count at pin time (0 = unsharded)
 	stride int64 // labels per row of the base (bucket stride)
 	epoch  uint64
 
@@ -166,8 +165,7 @@ func (g *Graph) SnapshotView() (vw *View, epoch uint64) {
 }
 
 func (g *Graph) passView(c *CSR) *View {
-	return &View{base: c, n: c.n, m: c.m, shards: g.shardCount,
-		stride: int64(len(c.labels)), epoch: g.Epoch()}
+	return &View{base: c, n: c.n, m: c.m, stride: int64(len(c.labels)), epoch: g.Epoch()}
 }
 
 // canOverlay reports whether the pending delta can be served as a read
@@ -207,8 +205,7 @@ func (g *Graph) buildOverlayView() *View {
 		out, in = g.view.out, g.view.in
 	}
 	L := len(base.labels)
-	return &View{base: base, n: n, m: g.edges, shards: g.shardCount,
-		stride: int64(L), epoch: g.Epoch(),
+	return &View{base: base, n: n, m: g.edges, stride: int64(L), epoch: g.Epoch(),
 		adds: len(g.addBuf), removes: len(g.delBuf),
 		out: out.extend(base.outBucket, base.outTo, n, L, sortedDelta(log, base, n, true)),
 		in:  in.extend(base.inBucket, base.inFrom, n, L, sortedDelta(log, base, n, false))}
@@ -364,11 +361,6 @@ func (vw *View) Epoch() uint64 { return vw.epoch }
 
 // Base returns the frozen CSR the view reads through.
 func (vw *View) Base() *CSR { return vw.base }
-
-// Shards returns the shard count K the view was pinned under (0 =
-// unsharded): the frontier-exchange kernels split the view's rows
-// [0, NumVertices()) into K contiguous ranges (shard.go).
-func (vw *View) Shards() int { return vw.shards }
 
 // Overlay reports whether the view carries a pending-mutation overlay;
 // false means zero-overhead pass-through to the base CSR.

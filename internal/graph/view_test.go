@@ -243,14 +243,10 @@ func TestViewImmutableAcrossCompaction(t *testing.T) {
 	}
 }
 
-// TestViewShardedOverlay pins that the shard count rides on the view,
-// not on storage: an overlay view reports the configured K, and so does
-// a view whose vertex set grew past the base — its row ranges come from
-// its own vertex count — while both keep answering like the rebuild
-// oracle.
-func TestViewShardedOverlay(t *testing.T) {
+// TestViewGrownOverlay pins that an overlay view, and one whose vertex
+// set grew past the base, both answer like the rebuild oracle.
+func TestViewGrownOverlay(t *testing.T) {
 	g := Random(48, []byte{'a', 'b', 'c'}, 0.1, 19)
-	g.SetShards(4)
 	g.Freeze()
 	rng := rand.New(rand.NewSource(23))
 	labels := []byte{'a', 'b', 'c'}
@@ -261,17 +257,16 @@ func TestViewShardedOverlay(t *testing.T) {
 		}
 	}
 	vw := g.PinView()
-	if !vw.Overlay() || vw.Shards() != 4 {
-		t.Fatalf("want an overlay view with K=4, got overlay=%v K=%d", vw.Overlay(), vw.Shards())
+	if !vw.Overlay() {
+		t.Fatal("want an overlay view")
 	}
 	checkViewAgainstCSR(t, vw, rebuildOracle(g))
 
 	u := g.AddVertex()
 	g.AddEdge(u, 'a', 0)
 	vw2 := g.PinView()
-	if !vw2.Overlay() || vw2.Shards() != 4 || vw2.NumVertices() != vw2.Base().NumVertices()+1 {
-		t.Fatalf("want an overlay view with K=4 over a grown vertex set, got overlay=%v K=%d n=%d",
-			vw2.Overlay(), vw2.Shards(), vw2.NumVertices())
+	if !vw2.Overlay() || vw2.NumVertices() != vw2.Base().NumVertices()+1 {
+		t.Fatalf("want an overlay view over a grown vertex set, got overlay=%v n=%d", vw2.Overlay(), vw2.NumVertices())
 	}
 	checkViewAgainstCSR(t, vw2, rebuildOracle(g))
 }

@@ -60,15 +60,12 @@ type arena struct {
 	ls     []byte   // path label scratch
 	lmap   []int16  // CSR label id -> DFA alphabet index (-1 absent)
 
-	// The backward sweeps' scratch: the frontier-exchange lists and
-	// boxes, the DFA's arc table when the id-list sweep runs over a
-	// product, and the state of whichever driver is running (so its
-	// phases can be fanned out without allocating).
-	ex   exch
+	// The backward sweeps' scratch: the frontier lists, the DFA's arc
+	// table when the id-list sweep runs over a product, and the sources
+	// a product sweep probes (goalProbe).
+	lv   frontier
 	arcs arcTable
-	ids  arcSweep
-	bits packedSweep
-	srcs []int32 // the sources a product sweep probes (goalProbe)
+	srcs []int32
 
 	// reach lists the ids the last sweep with links stamped in dst, each
 	// once, in no particular order — what lets the consumers of a short

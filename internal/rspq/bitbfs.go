@@ -12,12 +12,11 @@ import (
 // AND/OR/masked predecessor lookup (automaton.Packed.PredOf) advances
 // every state of a vertex at once, and the per-(vertex, state) inner
 // loops of the id-list sweep collapse into word operations. It is the
-// same frontier exchange as shardbfs.go — K row ranges, an expand and a
-// deliver phase a round, inline with one worker — with vertices instead
-// of product ids in the frontier lists: the word IS the per-vertex state
-// set. The expand phase pushes each frontier word through the vertex's
-// in-edges; cur, the frontier words, is installed at the barrier and only
-// read during expand phases.
+// same level-synchronous loop as arcsweep.go, with vertices instead of
+// product ids in the frontier lists: the word IS the per-vertex state
+// set. A round pushes each frontier word through the vertex's in-edges
+// (expand); cur, the frontier words, is installed between rounds
+// (deliver) and only read while expanding.
 //
 // The sweep is strictly level-synchronous, so the round at which a bit
 // first turns on IS its exact BFS distance. Product ids are stamped when
@@ -26,26 +25,23 @@ import (
 // consumer is driver-blind. Packed words cannot carry per-id successor
 // links, so with links each is claimed the instant `add = pred &^
 // visited` turns its bit on, while the discovering edge (and via
-// Packed.StepIndex, the successor state) is in hand: in the expand phase
-// for own rows, and from the message — which carries its edge — when the
-// owner merges a cross-shard word. Each bit turns on once, so each link
-// is written once, by its owner: O(nm) scalar writes over the whole
+// Packed.StepIndex, the successor state) is in hand. Each bit turns on
+// once, so each link is written once: O(nm) scalar writes over the whole
 // search, no post-pass. Distances equal the id-list sweep's bit for bit;
 // links may name a different, equally short, successor.
 
-// packedSweep is the state of one running packed sweep, kept in the
-// arena so the phases can be handed to fanOut without allocating.
+// packedSweep is the state of one running packed sweep.
 type packedSweep struct {
 	p     product
 	pk    *automaton.Packed
-	a     *arena   // a.ex, and with links dist/parent/plabel
+	a     *arena   // a.lv, and with links dist/parent/plabel
 	marks *stamped // the visited set: a.dst with links, a.co without
 	links bool
 	d     int32 // the level the current round discovers
 
 	// Per-vertex words. vis accumulates every state seen; cur is nonzero
-	// exactly on the frontier vertices at every barrier; nxt collects a
-	// round's discoveries and is zero at every barrier.
+	// exactly on the frontier vertices between rounds; nxt collects a
+	// round's discoveries and is zero between rounds.
 	vis, cur, nxt []uint64
 }
 
@@ -55,43 +51,33 @@ type packedSweep struct {
 // answered.
 func (p *product) sweepPacked(y int, a *arena, pk *automaton.Packed, links bool, pr goalProbe) (stopped bool) {
 	p.addBitHit()
-	K := p.parts.K
-	ex := &a.ex
-	ex.reset(K)
-	r := &a.bits
-	*r = packedSweep{p: *p, pk: pk, a: a, marks: a.beginSweep(p.n*p.m, links), links: links}
+	lv := &a.lv
+	r := packedSweep{p: *p, pk: pk, a: a, marks: a.beginSweep(p.n*p.m, links), links: links}
 	r.vis, r.cur, r.nxt = a.growWords(p.n)
-	home := p.parts.owner(y)
 	if seed := automaton.AcceptMask(p.d); seed != 0 {
-		r.admit(home, int32(y), seed)
-		r.deliver(home) // level 0: the goal states
+		r.admit(int32(y), seed)
+		r.deliver() // level 0: the goal states
 	}
-	W := exchangeWorkers(K)
-	for total := len(ex.fr[home]); total > 0; total = ex.frontierTotal() {
+	for len(lv.fr) > 0 {
 		if links && a.reachOK {
-			// Between rounds the driver runs alone, and cur holds exactly
-			// the bits the last round turned on.
-			for _, fr := range ex.fr {
-				for _, v := range fr {
-					a.noteReachedWord(int(v)*p.m, r.cur[v])
-				}
+			// cur holds exactly the bits the last round turned on.
+			for _, v := range lv.fr {
+				a.noteReachedWord(int(v)*p.m, r.cur[v])
 			}
 		}
 		if pr.answered(a, r.marks, r.d+1, links) {
 			stopped = true
 			p.sweepStopped(r.d + 1)
-			for _, fr := range ex.fr { // cur is zero again, as at the end of a full sweep
-				for _, v := range fr {
-					r.cur[v] = 0
-				}
+			for _, v := range lv.fr { // cur is zero again, as at the end of a full sweep
+				r.cur[v] = 0
 			}
-			ex.dropFrontier()
+			lv.fr = lv.fr[:0]
 			break
 		}
 		r.d++
-		t0 := p.roundStart()
-		fanOut(W, K, r, phExpand)
-		fanOut(W, K, r, phDeliver)
+		t0, total := p.roundStart(), len(lv.fr)
+		r.expand()
+		r.deliver()
 		p.roundEnd(t0, total)
 	}
 	p.runDone(r.d)
@@ -106,24 +92,15 @@ func (p *product) sweepPacked(y int, a *arena, pk *automaton.Packed, links bool,
 		}
 		a.wordsClean()
 	}
-	*r = packedSweep{} // drop the view and the DFA: the arena outlives them
 	return stopped
 }
 
-func (r *packedSweep) phase(ph, s int) {
-	if ph == phExpand {
-		r.expand(s)
-	} else {
-		r.deliver(s)
-	}
-}
-
 // admit merges the newly discovered states add (none of them visited)
-// into own-row vertex u, queueing u for shard s's next frontier on its
-// first discovery of the round.
-func (r *packedSweep) admit(s int, u int32, add uint64) {
+// into vertex u, queueing u for the next frontier on its first discovery
+// of the round.
+func (r *packedSweep) admit(u int32, add uint64) {
 	if r.nxt[u] == 0 {
-		r.a.ex.nx[s] = append(r.a.ex.nx[s], u)
+		r.a.lv.nx = append(r.a.lv.nx, u)
 	}
 	r.vis[u] |= add
 	r.nxt[u] |= add
@@ -143,14 +120,12 @@ func (r *packedSweep) claim(u int32, add uint64, from int32, lid int) {
 	}
 }
 
-// expand is the first phase of every round for shard s: push each
-// frontier vertex's predecessor words through its in-edges; own rows
-// settle immediately, cross-shard words are boxed with their edge.
-func (r *packedSweep) expand(s int) {
-	p, ex, K := &r.p, &r.a.ex, r.p.parts.K
-	lo, hi := p.parts.bounds(s)
+// expand runs one round: push each frontier vertex's predecessor words
+// through its in-edges and admit the states not yet visited.
+func (r *packedSweep) expand() {
+	p := &r.p
 	L := p.vw.NumLabels()
-	for _, v := range ex.fr[s] {
+	for _, v := range r.a.lv.fr {
 		cw := r.cur[v]
 		for lid := 0; lid < L; lid++ {
 			di := p.lmap[lid]
@@ -162,43 +137,27 @@ func (r *packedSweep) expand(s int) {
 				continue
 			}
 			for _, u := range p.vw.InWithID(int(v), lid) {
-				if int(u) >= lo && int(u) < hi {
-					if add := pw &^ r.vis[u]; add != 0 {
-						r.admit(s, u, add)
-						if r.links {
-							r.claim(u, add, v, lid)
-						}
+				if add := pw &^ r.vis[u]; add != 0 {
+					r.admit(u, add)
+					if r.links {
+						r.claim(u, add, v, lid)
 					}
-					continue
 				}
-				t := s*K + p.parts.owner(int(u))
-				ex.wbox[t] = append(ex.wbox[t], exWord{v: u, from: v, bits: pw, lid: int32(lid)})
 			}
 		}
 	}
 }
 
-// deliver is the second phase of every round for shard s: merge the
-// word outboxes addressed to s (always empty with one shard), then install the next frontier words —
-// clearing the old ones — and stamp the product ids they turn on, which
-// is where a vertex's discoveries for the round are complete.
-func (r *packedSweep) deliver(s int) {
-	ex, K, m := &r.a.ex, r.p.parts.K, r.p.m
-	for t := 0; t < K; t++ {
-		for _, w := range ex.wbox[t*K+s] {
-			if add := w.bits &^ r.vis[w.v]; add != 0 {
-				r.admit(s, w.v, add)
-				if r.links {
-					r.claim(w.v, add, w.from, int(w.lid))
-				}
-			}
-		}
-		ex.wbox[t*K+s] = ex.wbox[t*K+s][:0]
-	}
-	for _, v := range ex.fr[s] {
+// deliver ends a round: install the next frontier words — clearing the
+// old ones — and stamp the product ids they turn on, which is where a
+// vertex's discoveries for the round are complete; then swap the
+// frontier lists.
+func (r *packedSweep) deliver() {
+	lv, m := &r.a.lv, r.p.m
+	for _, v := range lv.fr {
 		r.cur[v] = 0
 	}
-	for _, v := range ex.nx[s] {
+	for _, v := range lv.nx {
 		w := r.nxt[v]
 		r.cur[v], r.nxt[v] = w, 0
 		for base := int(v) * m; w != 0; w &= w - 1 {
@@ -209,5 +168,5 @@ func (r *packedSweep) deliver(s int) {
 			}
 		}
 	}
-	ex.fr[s], ex.nx[s] = ex.nx[s], ex.fr[s][:0]
+	lv.swap()
 }

@@ -13,10 +13,9 @@ import (
 // distance arrays, every successor link must be a valid step one level
 // closer to the goal, and the walks read off the links must be genuine
 // shortest L-labeled walks — validated label by label against the graph
-// and the DFA (equally short links may differ between drivers and shard
-// counts, so links are validated, never compared). The sweep covers
-// every tier's pattern, K ∈ {0, 1, 4, 8} and pre/post-mutation overlay
-// views.
+// and the DFA (equally short links may differ between drivers, so links
+// are validated, never compared). The sweep covers every tier's pattern
+// and pre/post-mutation overlay views.
 
 // checkWalkBitValid validates one reconstructed walk label by label:
 // every step must be a live edge of g carrying the recorded label, the
@@ -54,13 +53,12 @@ func checkWalkBitValid(t *testing.T, s *Solver, g *graph.Graph, walk *graph.Path
 	}
 }
 
-// checkDistKernel runs the distance sweep in mode m at shard count k and
-// compares against the oracle's array, then validates the walks of every
-// reachable source.
-func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, arcs []oracleArc, m kernelMode, k, y int, want []int32, wantOverlay bool) {
+// checkDistKernel runs the distance sweep in mode m and compares against
+// the oracle's array, then validates the walks of every reachable
+// source.
+func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, arcs []oracleArc, m kernelMode, y int, want []int32, wantOverlay bool) {
 	t.Helper()
 	setKernelMode(t, m)
-	g.SetShards(k)
 	a := getArena()
 	defer a.release()
 	p := makeProduct(g.PinView(), s.Min, a)
@@ -71,7 +69,7 @@ func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, arcs []oracleArc, 
 		t.Fatalf("post-mutation phase must run on an overlay view")
 	}
 	p.distToGoal(y, a)
-	ctx := fmt.Sprintf("mode=%s K=%d y=%d", m.name, k, y)
+	ctx := fmt.Sprintf("mode=%s y=%d", m.name, y)
 	checkSweepAgainstOracle(t, g, p.m, arcs, a, true, want, ctx)
 	checkSweepContracts(t, &p, a, ctx)
 	for x := 0; x < p.n; x++ {
@@ -79,7 +77,7 @@ func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, arcs []oracleArc, 
 		walk := p.sharedWalkFrom(a, x)
 		if d < 0 {
 			if walk != nil {
-				t.Fatalf("mode=%s K=%d walk(%d,%d): got a walk for an unreachable source", m.name, k, x, y)
+				t.Fatalf("%s walk(%d,%d): got a walk for an unreachable source", ctx, x, y)
 			}
 			continue
 		}
@@ -88,12 +86,11 @@ func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, arcs []oracleArc, 
 }
 
 // TestDistanceWitnessEquivalence is the randomized distance/witness
-// equivalence suite: every tier's pattern × kernel mode × K ∈ {0, 1,
-// 4, 8}, on the frozen snapshot and again on a post-mutation overlay
-// view (edges flipped without an intervening freeze).
+// equivalence suite: every tier's pattern × kernel mode, on the frozen
+// snapshot and again on a post-mutation overlay view (edges flipped
+// without an intervening freeze).
 func TestDistanceWitnessEquivalence(t *testing.T) {
-	shardCounts := []int{0, 1, 4, 8}
-	for _, tc := range shardTierCases() {
+	for _, tc := range equivCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(0); seed < 2; seed++ {
 				rng := rand.New(rand.NewSource(seed*23 + 5))
@@ -108,9 +105,7 @@ func TestDistanceWitnessEquivalence(t *testing.T) {
 						arcs, accept := dfaOracle(s.Min)
 						want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
 						for _, m := range kernelModes() {
-							for _, k := range shardCounts {
-								checkDistKernel(t, s, g, arcs, m, k, y, want, wantOverlay && k == 0)
-							}
+							checkDistKernel(t, s, g, arcs, m, y, want, wantOverlay)
 						}
 					}
 				}
@@ -121,7 +116,6 @@ func TestDistanceWitnessEquivalence(t *testing.T) {
 				// carry the pending delta as an overlay, so the kernels run
 				// against overlay buckets.
 				labels := g.Freeze().Labels()
-				g.SetShards(0)
 				for i := 0; i < 6; i++ {
 					u, v := rng.Intn(n), rng.Intn(n)
 					l := labels[rng.Intn(len(labels))]
@@ -151,24 +145,19 @@ func TestDistanceKernelShortestMatchesSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Random(30, []byte{'a', 'b', 'c'}, 0.12, 9)
-	for _, k := range []int{0, 4} {
-		g.SetShards(k)
-		a := getArena()
-		p := makeProduct(g.PinView(), s.Min, a)
-		y := 3
-		p.distToGoal(y, a)
-		for x := 0; x < g.NumVertices(); x++ {
-			d := a.distAt(p.id(x, s.Min.Start))
-			res := s.Solve(g, x, y)
-			if res.Found != (d >= 0) {
-				t.Fatalf("K=%d (%d,%d): Solve found=%v, kernel distance %d", k, x, y, res.Found, d)
-			}
-			if res.Found && int32(res.Path.Len()) > d {
-				t.Fatalf("K=%d (%d,%d): simple witness length %d exceeds shortest walk %d",
-					k, x, y, res.Path.Len(), d)
-			}
+	a := getArena()
+	defer a.release()
+	p := makeProduct(g.PinView(), s.Min, a)
+	y := 3
+	p.distToGoal(y, a)
+	for x := 0; x < g.NumVertices(); x++ {
+		d := a.distAt(p.id(x, s.Min.Start))
+		res := s.Solve(g, x, y)
+		if res.Found != (d >= 0) {
+			t.Fatalf("(%d,%d): Solve found=%v, kernel distance %d", x, y, res.Found, d)
 		}
-		a.release()
+		if res.Found && int32(res.Path.Len()) > d {
+			t.Fatalf("(%d,%d): simple witness length %d exceeds shortest walk %d", x, y, res.Path.Len(), d)
+		}
 	}
-	g.SetShards(0)
 }

@@ -3,18 +3,17 @@ package rspq
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
 )
 
-// This file pins the two round drivers (shardbfs.go, bitbfs.go) against
+// This file pins the two round drivers (arcsweep.go, bitbfs.go) against
 // the textbook oracle of sweep_oracle_test.go. Found bits, existence bits
 // and BFS distances must be bit-identical across both drivers, every
-// tier, K ∈ {0, 1, 2, 8} and pre/post-mutation epochs; witnesses are
-// verified rather than compared (equal-length parent links may differ).
+// tier and pre/post-mutation epochs; witnesses are verified rather than
+// compared (equal-length parent links may differ).
 
 // kernelMode is one point of the driver axis: the packed sweep, or the
 // id-list sweep forced for every DFA.
@@ -35,47 +34,118 @@ func setKernelMode(t *testing.T, m kernelMode) {
 	t.Cleanup(func() { SetBitParallel(true) })
 }
 
+// equivCase is one algorithm tier of the equivalence suites: a pattern
+// that dispatches to it and a generator of graphs it runs on.
+type equivCase struct {
+	name    string
+	pattern string
+	gen     func(seed int64) *graph.Graph
+}
+
+func equivCases() []equivCase {
+	return []equivCase{
+		{"subword", "a*c*", func(seed int64) *graph.Graph {
+			return graph.Random(22, []byte{'a', 'b', 'c'}, 0.12, seed)
+		}},
+		{"summary", "a*(bb+|())c*", func(seed int64) *graph.Graph {
+			return graph.Random(20, []byte{'a', 'b', 'c'}, 0.12, seed+100)
+		}},
+		{"baseline", "a*bba*", func(seed int64) *graph.Graph {
+			return graph.Random(20, []byte{'a', 'b'}, 0.10, seed+200)
+		}},
+		{"dag", "(a|b)*a(a|b)*", func(seed int64) *graph.Graph {
+			return graph.LayeredDAG(5, 4, 2, []byte{'a', 'b'}, seed+300)
+		}},
+		{"finite", "ab|ba|aab", func(seed int64) *graph.Graph {
+			return graph.Random(18, []byte{'a', 'b'}, 0.10, seed+400)
+		}},
+	}
+}
+
+// solver compiles the tier's pattern.
+func (tc *equivCase) solver(t *testing.T) *Solver {
+	t.Helper()
+	s, err := NewSolver(tc.pattern)
+	if err != nil {
+		t.Fatalf("compile %q: %v", tc.pattern, err)
+	}
+	return s
+}
+
+// pairSet builds the query set: a dense sweep over a vertex sample plus
+// the edge cases — x==y everywhere, the isolated vertex in both roles,
+// and out-of-range ids.
+func pairSet(g *graph.Graph, isolated int, rng *rand.Rand) []Pair {
+	n := g.NumVertices()
+	var pairs []Pair
+	for x := 0; x < n; x += 1 + n/12 {
+		for y := 0; y < n; y += 1 + n/12 {
+			pairs = append(pairs, Pair{X: x, Y: y})
+		}
+	}
+	for v := 0; v < n; v += 1 + n/6 {
+		pairs = append(pairs, Pair{X: v, Y: v}) // x == y
+	}
+	pairs = append(pairs,
+		Pair{X: isolated, Y: rng.Intn(n)}, Pair{X: rng.Intn(n), Y: isolated},
+		Pair{X: isolated, Y: isolated},
+		Pair{X: -1, Y: 0}, Pair{X: 0, Y: n + 3}, // out of range
+	)
+	return pairs
+}
+
+// checkAnswers answers every pair — per query, batched, existence-only,
+// and through an Engine — and compares to the oracle's Found bits,
+// verifying every witness.
+func checkAnswers(t *testing.T, s *Solver, g *graph.Graph, pairs []Pair, want []bool, ctx string) {
+	t.Helper()
+	for i, pq := range pairs {
+		got := s.Solve(g, pq.X, pq.Y)
+		if got.Found != want[i] {
+			t.Fatalf("%s Solve(%d,%d): found=%v, oracle says %v", ctx, pq.X, pq.Y, got.Found, want[i])
+		}
+		if !VerifyWitness(got, g, s.Min, pq.X, pq.Y) {
+			t.Fatalf("%s Solve(%d,%d): invalid witness %v", ctx, pq.X, pq.Y, got.Path)
+		}
+	}
+	for i, got := range NewBatchSolver(s, g).Solve(pairs) {
+		if got.Found != want[i] {
+			t.Fatalf("%s batch pair %d (%d,%d): found=%v, want %v", ctx, i, pairs[i].X, pairs[i].Y, got.Found, want[i])
+		}
+		if !VerifyWitness(got, g, s.Min, pairs[i].X, pairs[i].Y) {
+			t.Fatalf("%s batch pair %d: invalid witness", ctx, i)
+		}
+	}
+	for i, got := range NewBatchSolver(s, g).SolveExists(pairs) {
+		if got != want[i] {
+			t.Fatalf("%s exists pair %d (%d,%d): %v, want %v", ctx, i, pairs[i].X, pairs[i].Y, got, want[i])
+		}
+	}
+	eng := NewEngine(s, g, EngineConfig{})
+	for i, pq := range pairs {
+		if got := eng.Solve(pq.X, pq.Y); got.Found != want[i] {
+			t.Fatalf("%s engine Solve(%d,%d): found=%v, want %v", ctx, pq.X, pq.Y, got.Found, want[i])
+		}
+	}
+}
+
 // TestDirectionBitEquivalence is the randomized kernel-equivalence
-// suite: every tier × driver × K ∈ {0, 1, 2, 8}, before and after a
-// mutation epoch, against the oracle's answers.
+// suite: every tier × driver, before and after a mutation epoch, against
+// the oracle's answers.
 func TestDirectionBitEquivalence(t *testing.T) {
-	shardCounts := []int{0, 1, 2, 8}
-	for _, tc := range shardTierCases() {
+	for _, tc := range equivCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(0); seed < 2; seed++ {
 				rng := rand.New(rand.NewSource(seed*17 + 3))
 				g := tc.gen(seed)
 				isolated := g.AddVertex()
-				pairs := shardPairSet(g, isolated, rng)
+				pairs := pairSet(g, isolated, rng)
 
 				check := func() {
 					want := oracleAnswers(tc.solver(t), g, pairs)
 					for _, m := range kernelModes() {
 						setKernelMode(t, m)
-						for _, k := range shardCounts {
-							if k == 0 {
-								s := tc.solver(t)
-								g.SetShards(0)
-								for i, pq := range pairs {
-									got := s.Solve(g, pq.X, pq.Y)
-									if got.Found != want[i] {
-										t.Fatalf("mode=%s K=0 Solve(%d,%d): found=%v, oracle says %v",
-											m.name, pq.X, pq.Y, got.Found, want[i])
-									}
-									if !VerifyWitness(got, g, s.Min, pq.X, pq.Y) {
-										t.Fatalf("mode=%s K=0 Solve(%d,%d): invalid witness", m.name, pq.X, pq.Y)
-									}
-								}
-								ex := NewBatchSolver(s, g).SolveExists(pairs)
-								for i := range ex {
-									if ex[i] != want[i] {
-										t.Fatalf("mode=%s K=0 exists pair %d: %v, want %v", m.name, i, ex[i], want[i])
-									}
-								}
-								continue
-							}
-							checkShardedAgainst(t, tc.solver(t), g, k, pairs, want)
-						}
+						checkAnswers(t, tc.solver(t), g, pairs, want, "mode="+m.name)
 					}
 				}
 				check()
@@ -117,37 +187,33 @@ func TestKernelSetAndDistEquality(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		g := graph.Random(26, []byte{'a', 'b', 'c'}, 0.14, seed+50)
 		rng := rand.New(rand.NewSource(seed + 60))
-		for _, k := range []int{0, 2, 8} {
-			g.SetShards(k)
-			g.Freeze()
-			// Pass-through first, then an overlay reached through three
-			// mutate→pin steps under this K.
-			for _, overlay := range []bool{false, true} {
-				if overlay {
-					mutateInSteps(g, rng, 3, 2, false)
-				}
-				s.Warm(g)
-				if g.PinView().Overlay() != overlay {
-					t.Fatalf("K=%d: view overlay = %v, want %v", k, !overlay, overlay)
-				}
-				for y := 0; y < g.NumVertices(); y += 5 {
-					want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
-					for _, m := range kernelModes() {
-						setKernelMode(t, m)
-						ctx := fmt.Sprintf("K=%d overlay=%v mode=%s y=%d", k, overlay, m.name, y)
-						a := getArena()
-						p := makeProduct(g.PinView(), s.Min, a)
-						p.coReach(y, a)
-						checkSweepAgainstOracle(t, g, p.m, arcs, a, false, want, ctx)
-						p.distToGoal(y, a)
-						checkSweepAgainstOracle(t, g, p.m, arcs, a, true, want, ctx)
-						checkSweepContracts(t, &p, a, ctx)
-						a.release()
-					}
+		g.Freeze()
+		// Pass-through first, then an overlay reached through three
+		// mutate→pin steps.
+		for _, overlay := range []bool{false, true} {
+			if overlay {
+				mutateInSteps(g, rng, 3, 2, false)
+			}
+			s.Warm(g)
+			if g.PinView().Overlay() != overlay {
+				t.Fatalf("view overlay = %v, want %v", !overlay, overlay)
+			}
+			for y := 0; y < g.NumVertices(); y += 5 {
+				want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
+				for _, m := range kernelModes() {
+					setKernelMode(t, m)
+					ctx := fmt.Sprintf("overlay=%v mode=%s y=%d", overlay, m.name, y)
+					a := getArena()
+					p := makeProduct(g.PinView(), s.Min, a)
+					p.coReach(y, a)
+					checkSweepAgainstOracle(t, g, p.m, arcs, a, false, want, ctx)
+					p.distToGoal(y, a)
+					checkSweepAgainstOracle(t, g, p.m, arcs, a, true, want, ctx)
+					checkSweepContracts(t, &p, a, ctx)
+					a.release()
 				}
 			}
 		}
-		g.SetShards(0)
 	}
 }
 
@@ -185,107 +251,6 @@ func TestBitParallelWideDFAFallback(t *testing.T) {
 	}
 }
 
-// TestExchangeRaceClean drives the K = 8 exchange on both drivers with a
-// pinned four-worker pool, so the expand phases' outbox appends and the
-// deliver phases' owner-partitioned writes run under the race detector
-// (CI runs this package with -race).
-func TestExchangeRaceClean(t *testing.T) {
-	exchangeWorkersOverride.Store(4)
-	defer exchangeWorkersOverride.Store(0)
-	for _, m := range kernelModes() {
-		setKernelMode(t, m)
-		for _, tc := range shardTierCases() {
-			g := tc.gen(11)
-			isolated := g.AddVertex()
-			rng := rand.New(rand.NewSource(11))
-			pairs := shardPairSet(g, isolated, rng)
-			checkShardedAgainst(t, tc.solver(t), g, 8, pairs, oracleAnswers(tc.solver(t), g, pairs))
-		}
-	}
-}
-
-// TestAdaptiveShards pins the EngineConfig.Shards == 0 default: small
-// graphs stay unsharded, large ones get a partition sized from the
-// edge count unless there is only one processor to run it, negative
-// opts out, and Stats reports the choice.
-func TestAdaptiveShards(t *testing.T) {
-	if k := adaptiveShards(adaptiveMinEdges-1, 8); k != 0 {
-		t.Fatalf("below threshold: k = %d, want 0", k)
-	}
-	if k := adaptiveShards(1<<30, 1); k != 0 {
-		t.Fatalf("one processor: k = %d, want 0 (the sequential sweep)", k)
-	}
-	if k := adaptiveShards(adaptiveMinEdges, 4); k < 4 {
-		t.Fatalf("at threshold: k = %d, want >= procs", k)
-	}
-	if k := adaptiveShards(1<<30, 4); k != graph.MaxShards {
-		t.Fatalf("huge graph: k = %d, want cap %d", k, graph.MaxShards)
-	}
-
-	// The Engine half reads GOMAXPROCS: pin it, so the test asserts the
-	// same thing on a one-processor machine as on any other.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-
-	s, err := NewSolver("a*c*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := graph.Random(30, []byte{'a', 'b', 'c'}, 0.1, 1)
-	eng := NewEngine(s, small, EngineConfig{})
-	if st := eng.Stats(); st.Shards != 0 || st.ShardsAdaptive {
-		t.Fatalf("small graph must stay unsharded: %+v", st)
-	}
-
-	// 46000 vertices × 3 out-edges = 138000 edges > adaptiveMinEdges.
-	// Built as strided rings rather than graph.RandomRegular: the
-	// structure is irrelevant here and ring construction is O(edges).
-	bigRing := func() *graph.Graph {
-		g := graph.New(46000)
-		for i := 0; i < 46000; i++ {
-			g.AddEdge(i, 'a', (i+1)%46000)
-			g.AddEdge(i, 'b', (i+37)%46000)
-			g.AddEdge(i, 'c', (i+911)%46000)
-		}
-		return g
-	}
-	big := bigRing()
-	engBig := NewEngine(s, big, EngineConfig{})
-	if !engBig.ShardsAdaptive() {
-		t.Fatal("large graph must get an adaptive partition")
-	}
-	st := engBig.Stats()
-	if st.Shards <= 1 || !st.ShardsAdaptive {
-		t.Fatalf("adaptive partition missing from stats: %+v", st)
-	}
-	if res, ref := engBig.Solve(0, 1), s.Solve(big, 0, 1); res.Found != ref.Found {
-		t.Fatalf("adaptive engine answer %v diverges from solver %v", res.Found, ref.Found)
-	}
-
-	// An explicit configuration wins over the adaptive default...
-	engFixed := NewEngine(s, bigRing(), EngineConfig{Shards: 2})
-	if engFixed.ShardsAdaptive() {
-		t.Fatal("explicit Shards must not be reported adaptive")
-	}
-	if st := engFixed.Stats(); st.Shards != 2 {
-		t.Fatalf("explicit Shards = %d, want 2", st.Shards)
-	}
-	// ...and a negative value opts out entirely.
-	engOff := NewEngine(s, bigRing(), EngineConfig{Shards: -1})
-	if st := engOff.Stats(); st.Shards != 0 || st.ShardsAdaptive {
-		t.Fatalf("Shards=-1 must leave the graph unsharded: %+v", st)
-	}
-
-	// One processor: the adaptive default stays sequential, an explicit
-	// count still shards.
-	runtime.GOMAXPROCS(1)
-	if st := NewEngine(s, bigRing(), EngineConfig{}).Stats(); st.Shards != 0 || st.ShardsAdaptive {
-		t.Fatalf("one processor must leave the graph unsharded: %+v", st)
-	}
-	if st := NewEngine(s, bigRing(), EngineConfig{Shards: 3}).Stats(); st.Shards != 3 {
-		t.Fatalf("explicit Shards on one processor = %d, want 3", st.Shards)
-	}
-}
-
 // TestRoundAccountingSplit pins the round accounting: ExchangeRounds
 // counts exactly the rounds the sweeps ran, as their traces record them,
 // and the a*c* sweeps take the packed driver.
@@ -295,7 +260,7 @@ func TestRoundAccountingSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Random(40, []byte{'a', 'b', 'c'}, 0.1, 5)
-	eng := NewEngine(s, g, EngineConfig{Shards: 4})
+	eng := NewEngine(s, g, EngineConfig{})
 	traced := 0
 	for x := 0; x < 40; x += 5 {
 		for _, y := range []int{(x + 7) % 40, (x + 13) % 40} {

@@ -1,7 +1,6 @@
 package rspq
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,21 +62,6 @@ type EngineConfig struct {
 	// Workers sizes the BatchSolve worker pool; <= 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// Shards configures the graph's shard count (at most
-	// graph.MaxShards; larger values are capped): when > 0 the engine
-	// calls g.SetShards(Shards) and every backward product
-	// search runs as a bulk-synchronous frontier exchange over the
-	// row-range shards (shardbfs.go), with workers capped at
-	// min(Shards, GOMAXPROCS). 0 — the zero value — picks a shard count
-	// adaptively from the graph's edge count and GOMAXPROCS
-	// (adaptiveShards), unless the caller already configured one via
-	// g.SetShards; small graphs stay unsharded, and so does any graph
-	// when GOMAXPROCS is 1 (an explicit Shards > 0 still shards there).
-	// A negative value opts
-	// out of the adaptive default and leaves the graph's configuration
-	// untouched. EngineStats.ShardsAdaptive reports whether the running
-	// shard count was chosen adaptively.
-	Shards int
 	// CompactDelta is the pending-delta watermark (edges added plus
 	// edges tombstoned since the last freeze) above which
 	// NeedsCompaction reports true, asking the serving layer to schedule
@@ -99,29 +83,6 @@ type EngineConfig struct {
 	Checkpoint func()
 }
 
-// Adaptive shard sizing (EngineConfig.Shards == 0): graphs below
-// adaptiveMinEdges stay unsharded (the exchange's barriers would cost
-// more than the sweep), larger ones get one shard per
-// adaptiveEdgesPerShard edges — at least one per processor so the
-// exchange can use every core, capped at graph.MaxShards like any
-// other shard count. One processor has no second core to use: there the
-// exchange is the sequential sweep plus outbox traffic (measured on
-// serve-churn: read_p50_us 201–219 with K=5, 151–158 without), so the
-// graph stays unsharded whatever its size.
-const (
-	adaptiveMinEdges      = 1 << 17
-	adaptiveEdgesPerShard = 1 << 16
-)
-
-// adaptiveShards picks the default shard count for a graph with the
-// given edge count on procs processors; 0 means stay unsharded.
-func adaptiveShards(edges, procs int) int {
-	if edges < adaptiveMinEdges || procs < 2 {
-		return 0
-	}
-	return min(max(edges/adaptiveEdgesPerShard, procs), graph.MaxShards)
-}
-
 // EngineStats is a point-in-time snapshot of an Engine's counters; the
 // cache stats make hits, misses and evictions of both tiers observable,
 // and the freeze counters split the graph's CSR builds into full
@@ -136,19 +97,11 @@ type EngineStats struct {
 	SnapshotRebuilds   int64  `json:"snapshot_rebuilds"`
 	FullFreezes        uint64 `json:"full_freezes"`
 	IncrementalFreezes uint64 `json:"incremental_freezes"`
-	// Shards is the shard count (0 = unsharded), ShardsAdaptive
-	// whether the engine picked it (EngineConfig.Shards == 0) rather
-	// than the caller, and ShardEdges the per-shard edge counts of the
-	// current frozen base (edges by owning source row). ExchangeRounds
-	// is the cumulative round count of the backward sweeps (every one
-	// a frontier exchange, at any K). BitParallelHits counts backward
-	// sweeps served by the packed ≤64-state driver (bitbfs.go),
-	// StoppedSweeps those that stopped once every source of their group
-	// was answered — each a miss that left no table behind (goalProbe,
-	// rspq.go).
-	Shards          int   `json:"shards,omitempty"`
-	ShardsAdaptive  bool  `json:"shards_adaptive,omitempty"`
-	ShardEdges      []int `json:"shard_edges,omitempty"`
+	// ExchangeRounds is the cumulative round count of the backward
+	// sweeps. BitParallelHits counts backward sweeps served by the
+	// packed ≤64-state driver (bitbfs.go), StoppedSweeps those that
+	// stopped once every source of their group was answered — each a
+	// miss that left no table behind (goalProbe, rspq.go).
 	ExchangeRounds  int64 `json:"exchange_rounds,omitempty"`
 	BitParallelHits int64 `json:"bit_parallel_hits,omitempty"`
 	StoppedSweeps   int64 `json:"stopped_sweeps,omitempty"`
@@ -206,11 +159,6 @@ type Engine struct {
 	// EngineConfig.CompactDelta (-1 = disabled).
 	compactDelta int
 
-	// adaptive records that NewEngine chose the shard count itself
-	// (EngineConfig.Shards == 0 on an unconfigured graph); set once at
-	// construction, read by Stats.
-	adaptive bool
-
 	// checkpoint is EngineConfig.Checkpoint (nil = no durability).
 	checkpoint func()
 }
@@ -221,14 +169,6 @@ type Engine struct {
 // worker pool.
 func NewEngine(s *Solver, g *graph.Graph, cfg EngineConfig) *Engine {
 	e := &Engine{evaluator: evaluator{s: s}, g: g}
-	if cfg.Shards > 0 {
-		g.SetShards(cfg.Shards)
-	} else if cfg.Shards == 0 && g.ShardCount() == 0 {
-		if k := adaptiveShards(g.NumEdges(), runtime.GOMAXPROCS(0)); k > 1 {
-			g.SetShards(k)
-			e.adaptive = true
-		}
-	}
 	if cfg.TableBytes >= 0 {
 		tb := cfg.TableBytes
 		if tb == 0 {
@@ -277,11 +217,6 @@ func (e *Engine) SetWorkers(n int) *Engine {
 
 // Solver returns the compiled language the engine serves.
 func (e *Engine) Solver() *Solver { return e.s }
-
-// ShardsAdaptive reports whether the engine picked the snapshot
-// partition size itself (EngineConfig.Shards == 0 on an unconfigured
-// graph) rather than serving a caller-chosen one.
-func (e *Engine) ShardsAdaptive() bool { return e.adaptive }
 
 // snapshot returns the current consistent pinned view, rebuilding it
 // when the graph's epoch has moved past the snapshot's. Cached tables
@@ -412,11 +347,6 @@ func (e *Engine) Stats() EngineStats {
 	if snap != nil {
 		st.Epoch = snap.epoch
 		st.Algorithm = snap.algo.String()
-		if k := snap.vw.Shards(); k > 0 {
-			st.Shards = k
-			st.ShardsAdaptive = e.adaptive
-			st.ShardEdges = partition(snap.vw).baseEdges(snap.vw.Base())
-		}
 	}
 	if e.tables != nil {
 		st.Tables = e.tables.Stats()
@@ -505,7 +435,6 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 		tr.TableStates = st.tableStates
 		tr.TableBytes = st.tableBytes
 		tr.BitParallel = st.kt.bitParallel
-		tr.Shards = st.kt.shards
 		tr.StoppedAt = st.kt.stoppedAt
 		tr.Rounds = st.kt.rounds
 		return res, tr

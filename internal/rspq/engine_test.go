@@ -330,12 +330,12 @@ func TestEvaluatorEquivalence(t *testing.T) {
 // TestEngineMissAllocGuard pins the single-query miss path: a query is
 // a target group of one built on the caller's stack, so answering an
 // unseen target allocates no group slices or maps. With both cache
-// tiers off nothing is retained either, and the sweep behind the miss —
-// the inline single shard of the round drivers — keeps its state in the
-// arena (see TestDistBitsAllocGuard), so no tier allocates at all. The
-// stopped-sweep rows ask only pairs that have a path, so every subword
+// tiers off nothing is retained either, and the sweep behind the miss
+// keeps its state in the arena or on the stack (see
+// TestDistBitsAllocGuard), so no tier allocates at all. The
+// stopped-sweep row asks only pairs that have a path, so every subword
 // sweep stops once its source is answered: the probe list lives in the
-// arena too, at K=0 and at K=4 on one worker.
+// arena too.
 func TestEngineMissAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
@@ -368,8 +368,6 @@ func TestEngineMissAllocGuard(t *testing.T) {
 		}
 	}
 
-	exchangeWorkersOverride.Store(1)
-	defer exchangeWorkersOverride.Store(0)
 	s, err := NewSolver("a*c*")
 	if err != nil {
 		t.Fatal(err)
@@ -381,25 +379,22 @@ func TestEngineMissAllocGuard(t *testing.T) {
 			found = append(found, Pair{X: x, Y: y})
 		}
 	}
-	for _, k := range []int{-1, 4} { // -1: the graph stays unsharded
-		e := NewEngine(s, g, EngineConfig{TableBytes: -1, ResultBytes: -1, Shards: k})
-		for _, pq := range found { // warm the arena pool
-			e.Exists(pq.X, pq.Y)
-		}
-		before := e.Stats().StoppedSweeps
-		i := 0
-		avg := testing.AllocsPerRun(400, func() {
-			e.Exists(found[i%len(found)].X, found[i%len(found)].Y)
-			i++
-		})
-		if stopped := e.Stats().StoppedSweeps - before; stopped != int64(i) {
-			t.Fatalf("Shards=%d: %d of %d sweeps stopped; every pair has a path", k, stopped, i)
-		}
-		if avg > 0 {
-			t.Fatalf("Shards=%d: Engine.Exists whose sweep stops allocates %.2f allocs/op; the bound is 0", k, avg)
-		}
+	e := NewEngine(s, g, EngineConfig{TableBytes: -1, ResultBytes: -1})
+	for _, pq := range found { // warm the arena pool
+		e.Exists(pq.X, pq.Y)
 	}
-	g.SetShards(0)
+	before := e.Stats().StoppedSweeps
+	i := 0
+	avg := testing.AllocsPerRun(400, func() {
+		e.Exists(found[i%len(found)].X, found[i%len(found)].Y)
+		i++
+	})
+	if stopped := e.Stats().StoppedSweeps - before; stopped != int64(i) {
+		t.Fatalf("%d of %d sweeps stopped; every pair has a path", stopped, i)
+	}
+	if avg > 0 {
+		t.Fatalf("Engine.Exists whose sweep stops allocates %.2f allocs/op; the bound is 0", avg)
+	}
 }
 
 // sparseGraph100k builds a 100 000-vertex graph with two random
@@ -428,58 +423,49 @@ func sparseGraph100k() *graph.Graph {
 // touched) and 256 retained tables stay under 4 MiB. Each miss asks from
 // an isolated source, so its sweep runs to the end and leaves a table
 // (a sweep that stops with its source answered leaves none). The engine
-// runs the configurations a server would — default caches, adaptive
-// sharding — on one processor (the sequential sweep) and on two (the
-// exchange).
+// runs with default caches, as a server would.
 func TestEngineMissWorkGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2} {
-		runtime.GOMAXPROCS(procs)
-		s, err := NewSolver("a*c*")
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := sparseGraph100k()
-		isolated := g.AddVertex()
-		n := g.NumVertices()
-		e := NewEngine(s, g, EngineConfig{})
-		if sharded := e.Stats().Shards > 1; sharded != (procs > 1) {
-			t.Fatalf("test premise broken: on %d processors the engine runs Shards = %d", procs, e.Stats().Shards)
-		}
-		for y := 0; y < 32; y++ { // warm the arena and exchange pools
-			e.Solve((y*31)%n, n-1-y)
-		}
-		const misses = 256
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for y := 0; y < misses; y++ {
-			e.Solve(isolated, y*389) // 256 distinct targets, none seen before
-		}
-		runtime.ReadMemStats(&m1)
-		if perMiss := (m1.TotalAlloc - m0.TotalAlloc) / misses; perMiss >= 64<<10 {
-			t.Fatalf("procs=%d: a short-sweep table miss allocates %d B on average; the bound is 64 KiB", procs, perMiss)
-		}
-		if stopped := e.Stats().StoppedSweeps; stopped != 0 {
-			t.Fatalf("procs=%d: %d sweeps stopped, but an isolated source leaves every sweep to run to the end", procs, stopped)
-		}
-		st := e.Stats().Tables
-		if st.Misses < misses || st.Entries < misses {
-			t.Fatalf("procs=%d: every query must have missed and retained its table: %+v", procs, st)
-		}
-		if st.Bytes >= 4<<20 {
-			t.Fatalf("procs=%d: %d short-sweep tables occupy %d B of the table cache; the bound is 4 MiB", procs, st.Entries, st.Bytes)
-		}
-		// The premise, checked on a sample through the trace: the sweeps
-		// are short and their tables are the sparse form.
-		for y := 0; y < misses; y += 16 {
-			_, tr := e.SolveTraced(1, y*389)
-			if !tr.TableCacheHit || tr.TableStates >= 1000 || tr.TableBytes != sparseGoalTableCost(tr.TableStates) {
-				t.Fatalf("procs=%d target %d: trace %+v; want a cached sparse table of < 1000 states", procs, y*389, tr)
-			}
+	s, err := NewSolver("a*c*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sparseGraph100k()
+	isolated := g.AddVertex()
+	n := g.NumVertices()
+	e := NewEngine(s, g, EngineConfig{})
+	for y := 0; y < 32; y++ { // warm the arena pool
+		e.Solve((y*31)%n, n-1-y)
+	}
+	const misses = 256
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for y := 0; y < misses; y++ {
+		e.Solve(isolated, y*389) // 256 distinct targets, none seen before
+	}
+	runtime.ReadMemStats(&m1)
+	if perMiss := (m1.TotalAlloc - m0.TotalAlloc) / misses; perMiss >= 64<<10 {
+		t.Fatalf("a short-sweep table miss allocates %d B on average; the bound is 64 KiB", perMiss)
+	}
+	if stopped := e.Stats().StoppedSweeps; stopped != 0 {
+		t.Fatalf("%d sweeps stopped, but an isolated source leaves every sweep to run to the end", stopped)
+	}
+	st := e.Stats().Tables
+	if st.Misses < misses || st.Entries < misses {
+		t.Fatalf("every query must have missed and retained its table: %+v", st)
+	}
+	if st.Bytes >= 4<<20 {
+		t.Fatalf("%d short-sweep tables occupy %d B of the table cache; the bound is 4 MiB", st.Entries, st.Bytes)
+	}
+	// The premise, checked on a sample through the trace: the sweeps are
+	// short and their tables are the sparse form.
+	for y := 0; y < misses; y += 16 {
+		_, tr := e.SolveTraced(1, y*389)
+		if !tr.TableCacheHit || tr.TableStates >= 1000 || tr.TableBytes != sparseGoalTableCost(tr.TableStates) {
+			t.Fatalf("target %d: trace %+v; want a cached sparse table of < 1000 states", y*389, tr)
 		}
 	}
 }
@@ -507,55 +493,51 @@ func TestGoalTableSparseEqualsDense(t *testing.T) {
 		}
 		g := tc.g
 		isolated := g.AddVertex()
-		for _, k := range []int{0, 3} {
-			g.SetShards(k)
-			a := new(arena)
-			p := makeProduct(g.PinView(), s.Min, a)
-			for _, y := range []int{0, 7, g.NumVertices() / 2, isolated} {
-				p.distToGoal(y, a)
-				nm := p.n * p.m
-				if !a.reachOK { // a flooding sweep: list the stamped ids by hand
-					a.reach = a.reach[:0]
-					for id := 0; id < nm; id++ {
-						if a.dst.has(id) {
-							a.reach = append(a.reach, int32(id))
-						}
-					}
-					rand.New(rand.NewSource(int64(y))).Shuffle(len(a.reach), func(i, j int) {
-						a.reach[i], a.reach[j] = a.reach[j], a.reach[i]
-					})
-				}
-				// Sparse first: its build borrows a.dist and must hand it back intact.
-				sparse, dense := newSparseGoalTable(a), newDenseGoalTable(&p, a)
-				if dense.ids != nil || sparse.ids == nil || dense.states != sparse.states || sparse.states != len(a.reach) {
-					t.Fatalf("%s y=%d: forms (dense ids=%v states=%d, sparse ids=%v states=%d), %d reached",
-						tc.pattern, y, dense.ids != nil, dense.states, sparse.ids != nil, sparse.states, len(a.reach))
-				}
+		a := new(arena)
+		p := makeProduct(g.PinView(), s.Min, a)
+		for _, y := range []int{0, 7, g.NumVertices() / 2, isolated} {
+			p.distToGoal(y, a)
+			nm := p.n * p.m
+			if !a.reachOK { // a flooding sweep: list the stamped ids by hand
+				a.reach = a.reach[:0]
 				for id := 0; id < nm; id++ {
-					if d, sp := dense.reached(id), sparse.reached(id); d != sp || d != a.dst.has(id) {
-						t.Fatalf("%s y=%d id=%d: reached dense=%v sparse=%v arena=%v", tc.pattern, y, id, d, sp, a.dst.has(id))
+					if a.dst.has(id) {
+						a.reach = append(a.reach, int32(id))
 					}
 				}
-				for x := 0; x < p.n; x++ {
-					for q := 0; q < p.m; q++ {
-						dw, sw := dense.walkFrom(x, q, p.m), sparse.walkFrom(x, q, p.m)
-						if (dw == nil) != (sw == nil) || (dw == nil) == a.dst.has(p.id(x, q)) {
-							t.Fatalf("%s y=%d (%d,q%d): walk dense=%v sparse=%v, stamped=%v", tc.pattern, y, x, q, dw, sw, a.dst.has(p.id(x, q)))
-						}
-						if dw == nil {
-							continue
-						}
-						if !slices.Equal(dw.Vertices, sw.Vertices) || !slices.Equal(dw.Labels, sw.Labels) {
-							t.Fatalf("%s y=%d (%d,q%d): dense walk %v, sparse walk %v", tc.pattern, y, x, q, dw, sw)
-						}
-						if q == s.Min.Start {
-							checkWalkBitValid(t, s, g, sw, x, y, a.dist[p.id(x, q)])
-						}
+				rand.New(rand.NewSource(int64(y))).Shuffle(len(a.reach), func(i, j int) {
+					a.reach[i], a.reach[j] = a.reach[j], a.reach[i]
+				})
+			}
+			// Sparse first: its build borrows a.dist and must hand it back intact.
+			sparse, dense := newSparseGoalTable(a), newDenseGoalTable(&p, a)
+			if dense.ids != nil || sparse.ids == nil || dense.states != sparse.states || sparse.states != len(a.reach) {
+				t.Fatalf("%s y=%d: forms (dense ids=%v states=%d, sparse ids=%v states=%d), %d reached",
+					tc.pattern, y, dense.ids != nil, dense.states, sparse.ids != nil, sparse.states, len(a.reach))
+			}
+			for id := 0; id < nm; id++ {
+				if d, sp := dense.reached(id), sparse.reached(id); d != sp || d != a.dst.has(id) {
+					t.Fatalf("%s y=%d id=%d: reached dense=%v sparse=%v arena=%v", tc.pattern, y, id, d, sp, a.dst.has(id))
+				}
+			}
+			for x := 0; x < p.n; x++ {
+				for q := 0; q < p.m; q++ {
+					dw, sw := dense.walkFrom(x, q, p.m), sparse.walkFrom(x, q, p.m)
+					if (dw == nil) != (sw == nil) || (dw == nil) == a.dst.has(p.id(x, q)) {
+						t.Fatalf("%s y=%d (%d,q%d): walk dense=%v sparse=%v, stamped=%v", tc.pattern, y, x, q, dw, sw, a.dst.has(p.id(x, q)))
+					}
+					if dw == nil {
+						continue
+					}
+					if !slices.Equal(dw.Vertices, sw.Vertices) || !slices.Equal(dw.Labels, sw.Labels) {
+						t.Fatalf("%s y=%d (%d,q%d): dense walk %v, sparse walk %v", tc.pattern, y, x, q, dw, sw)
+					}
+					if q == s.Min.Start {
+						checkWalkBitValid(t, s, g, sw, x, y, a.dist[p.id(x, q)])
 					}
 				}
 			}
 		}
-		g.SetShards(0)
 	}
 }
 

@@ -33,10 +33,9 @@ import (
 // tier reuses one pooled seqSearcher per (sequence, target), so
 // steady-state batches stay near the per-query zero-allocation
 // contract: the remaining allocations are the witness paths, the
-// per-batch grouping index and whatever the caches retain. On a sharded
-// graph the two parallelism axes compose: groups fan out over this
-// pool, and each group's backward BFS additionally runs as a frontier
-// exchange over the shards (shardbfs.go).
+// per-batch grouping index and whatever the caches retain. This pool is
+// the engine's only parallelism: each group's backward sweep is one
+// level-synchronous loop on its worker's goroutine (arcsweep.go).
 
 // Pair is one (source, target) query of a batch.
 type Pair struct {
@@ -44,12 +43,11 @@ type Pair struct {
 }
 
 // pinned is one consistent pinned view of the graph: the snapshot view
-// (base CSR plus any pending-delta overlay, carrying the shard count
-// when sharding is configured), the epoch it was pinned under, and the
-// dispatch verdict. It is immutable; a mutation makes the next query
-// pin a fresh one — WITHOUT freezing, when the delta is small enough
-// for an overlay (graph.View), so mutations never stall reads on a
-// refreeze and never invalidate in-flight queries (which keep their
+// (base CSR plus any pending-delta overlay), the epoch it was pinned
+// under, and the dispatch verdict. It is immutable; a mutation makes the
+// next query pin a fresh one — WITHOUT freezing, when the delta is small
+// enough for an overlay (graph.View), so mutations never stall reads on
+// a refreeze and never invalidate in-flight queries (which keep their
 // own).
 type pinned struct {
 	vw    *graph.View
@@ -358,21 +356,18 @@ const (
 )
 
 // tableKey names one per-target pruning table: the graph generation it
-// was built under, the language, the target, the snapshot partition it
-// was built from (reconfiguring the shard count must not alias an old
-// table, and a shared cache may serve engines with different
-// partitions), and — for the summary tier — the Ψtr sequence index.
+// was built under, the language, the target and — for the summary tier —
+// the Ψtr sequence index.
 type tableKey struct {
-	epoch  uint64
-	lang   uint64
-	y      int32
-	seq    int32 // sequence index (summary tier), -1 otherwise
-	shards uint16
-	kind   uint8
+	epoch uint64
+	lang  uint64
+	y     int32
+	seq   int32 // sequence index (summary tier), -1 otherwise
+	kind  uint8
 }
 
 func (ev *evaluator) tableKey(pv *pinned, y, seq int, kind uint8) tableKey {
-	return tableKey{epoch: pv.epoch, lang: ev.s.id, y: int32(y), seq: int32(seq), shards: uint16(partition(pv.vw).K), kind: kind}
+	return tableKey{epoch: pv.epoch, lang: ev.s.id, y: int32(y), seq: int32(seq), kind: kind}
 }
 
 // resultKey names one cached answer. Existence-only answers are cached

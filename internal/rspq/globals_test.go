@@ -11,11 +11,11 @@ import (
 )
 
 // TestPackageStateAllowList pins the package-level variables of the
-// non-test sources to the pools, the solver id counter and the two test
-// hooks. Anything else is process-wide mutable state steering every
+// non-test sources to the pools, the solver id counter and the test
+// hook. Anything else is process-wide mutable state steering every
 // query, which belongs on a Solver, an Engine or the arena instead.
 func TestPackageStateAllowList(t *testing.T) {
-	allowed := []string{"arenaPool", "seqSearcherPool", "solverIDs", "bitParallelOff", "exchangeWorkersOverride"}
+	allowed := []string{"arenaPool", "seqSearcherPool", "solverIDs", "bitParallelOff"}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)

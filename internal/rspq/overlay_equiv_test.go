@@ -3,6 +3,7 @@ package rspq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -12,10 +13,9 @@ import (
 // answer queries over a pinned overlay view (base CSR + pending delta)
 // bit-identically to a from-scratch rebuild of the mutated graph.
 // Found and existence bits are compared exactly; witnesses are verified
-// rather than compared. The sweep crosses the algorithm tiers with
-// shard counts, both round drivers and delta mixes, so the overlay-aware
-// bucket reads are exercised in the single-shard, sharded, id-list and
-// packed sweeps alike.
+// rather than compared. The sweep crosses the algorithm tiers with both
+// round drivers and delta mixes, so the overlay-aware bucket reads are
+// exercised in the id-list and packed sweeps alike.
 
 // rebuiltOracle reconstructs g's current content in a fresh graph that
 // never saw the delta machinery, so its answers come from a cold full
@@ -69,9 +69,8 @@ func mutateInSteps(g *graph.Graph, rng *rand.Rand, steps, count int, dag bool) {
 
 // repinByExtension re-reaches g's current edge set through three
 // mutate→pin steps — one edge is removed and pinned away, then a second,
-// then both come back — and returns the view pinned last. A SetShards
-// resets the next pin to a from-scratch build; after this the view under
-// test again extends its predecessors' overlays.
+// then both come back — and returns the view pinned last, which extends
+// its predecessors' overlays whatever built the one before.
 func repinByExtension(t *testing.T, g *graph.Graph) *graph.View {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(g.NumEdges())))
@@ -102,7 +101,6 @@ func repinByExtension(t *testing.T, g *graph.Graph) *graph.View {
 func checkOverlayAgainstOracle(t *testing.T, s *Solver, g *graph.Graph, pairs []Pair, label string) {
 	t.Helper()
 	oracle := rebuiltOracle(g)
-	oracle.SetShards(g.ShardCount())
 	want := make([]Result, len(pairs))
 	for i, pq := range pairs {
 		want[i] = s.Solve(oracle, pq.X, pq.Y)
@@ -144,35 +142,26 @@ func checkOverlayAgainstOracle(t *testing.T, s *Solver, g *graph.Graph, pairs []
 }
 
 // TestOverlayEquivalence is the randomized overlay ≡ rebuild suite:
-// every tier × K ∈ {0, 1, 4, 8} × delta sizes, with the overlay regime
-// asserted (not assumed) on each case.
+// every tier × delta sizes, with the overlay regime asserted (not
+// assumed) on each case.
 func TestOverlayEquivalence(t *testing.T) {
-	for _, tc := range shardTierCases() {
+	for _, tc := range equivCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, flips := range []int{3, 24} {
-				for _, k := range []int{0, 1, 4, 8} {
-					for seed := int64(0); seed < 2; seed++ {
-						s := tc.solver(t)
-						rng := rand.New(rand.NewSource(seed*97 + int64(flips)))
-						g := tc.gen(seed)
-						isolated := g.AddVertex()
-						pairs := shardPairSet(g, isolated, rng)
-						g.SetShards(k)
-						s.Warm(g) // freeze the base pre-delta
+				for seed := int64(0); seed < 2; seed++ {
+					s := tc.solver(t)
+					rng := rand.New(rand.NewSource(seed*97 + int64(flips)))
+					g := tc.gen(seed)
+					isolated := g.AddVertex()
+					pairs := pairSet(g, isolated, rng)
+					s.Warm(g) // freeze the base pre-delta
 
-						mutateKeepingShape(g, rng, flips, tc.name == "dag")
-						label := fmt.Sprintf("K=%d flips=%d seed=%d", k, flips, seed)
-						if adds, removes := g.PendingDelta(); adds+removes > 0 {
-							vw := g.PinView()
-							if !vw.Overlay() {
-								t.Fatalf("%s: small same-alphabet delta must pin an overlay view", label)
-							}
-							if vw.Shards() != k {
-								t.Fatalf("%s: overlay view reports K=%d", label, vw.Shards())
-							}
-						}
-						checkOverlayAgainstOracle(t, s, g, pairs, label)
+					mutateKeepingShape(g, rng, flips, tc.name == "dag")
+					label := fmt.Sprintf("flips=%d seed=%d", flips, seed)
+					if adds, removes := g.PendingDelta(); adds+removes > 0 && !g.PinView().Overlay() {
+						t.Fatalf("%s: small same-alphabet delta must pin an overlay view", label)
 					}
+					checkOverlayAgainstOracle(t, s, g, pairs, label)
 				}
 			}
 		})
@@ -180,27 +169,24 @@ func TestOverlayEquivalence(t *testing.T) {
 }
 
 // TestOverlayKernelModes crosses the overlay with both round drivers on
-// the walk-reduction tier, unsharded and K=4.
+// the walk-reduction tier.
 func TestOverlayKernelModes(t *testing.T) {
 	for _, m := range kernelModes() {
 		t.Run(m.name, func(t *testing.T) {
 			setKernelMode(t, m)
-			for _, k := range []int{0, 4} {
-				s, err := NewSolver("a*c*")
-				if err != nil {
-					t.Fatal(err)
-				}
-				g := graph.Random(40, []byte{'a', 'b', 'c'}, 0.1, 41)
-				rng := rand.New(rand.NewSource(43))
-				pairs := shardPairSet(g, g.NumVertices()-1, rng)
-				g.SetShards(k)
-				s.Warm(g)
-				mutateKeepingShape(g, rng, 16, false)
-				if !g.PinView().Overlay() {
-					t.Fatal("expected an overlay view")
-				}
-				checkOverlayAgainstOracle(t, s, g, pairs, fmt.Sprintf("%s K=%d", m.name, k))
+			s, err := NewSolver("a*c*")
+			if err != nil {
+				t.Fatal(err)
 			}
+			g := graph.Random(40, []byte{'a', 'b', 'c'}, 0.1, 41)
+			rng := rand.New(rand.NewSource(43))
+			pairs := pairSet(g, g.NumVertices()-1, rng)
+			s.Warm(g)
+			mutateKeepingShape(g, rng, 16, false)
+			if !g.PinView().Overlay() {
+				t.Fatal("expected an overlay view")
+			}
+			checkOverlayAgainstOracle(t, s, g, pairs, m.name)
 		})
 	}
 }
@@ -215,7 +201,7 @@ func TestOverlayRemovalHeavy(t *testing.T) {
 	}
 	g := graph.Random(36, []byte{'a', 'b', 'c'}, 0.12, 47)
 	rng := rand.New(rand.NewSource(53))
-	pairs := shardPairSet(g, g.NumVertices()-1, rng)
+	pairs := pairSet(g, g.NumVertices()-1, rng)
 	s.Warm(g)
 	removed := 0
 	for _, e := range g.Edges() {
@@ -238,4 +224,102 @@ func TestOverlayRemovalHeavy(t *testing.T) {
 		t.Fatalf("view delta (%d,%d), want (0,%d)", adds, removes, removed)
 	}
 	checkOverlayAgainstOracle(t, s, g, pairs, "removal-heavy")
+}
+
+// growPastBase mutates a frozen graph so the next pin is an overlay over
+// a LARGER vertex set than its base: it flips a few old edges, then
+// appends grow vertices, wires each into the old graph in both
+// directions (old → new → old, labels from the frozen alphabet) and
+// chains them. On DAG inputs (graph.LayeredDAG with the given width) new
+// vertices hang between the first and the last layer and the chain runs
+// forward, so the graph stays acyclic.
+func growPastBase(g *graph.Graph, rng *rand.Rand, grow, dagWidth int) []int {
+	labels := g.Freeze().Labels()
+	n0 := g.NumVertices()
+	label := func() byte { return labels[rng.Intn(len(labels))] }
+	mutateKeepingShape(g, rng, 4, dagWidth > 0)
+	var added []int
+	for i := 0; i < grow; i++ {
+		w := g.AddVertex()
+		if dagWidth > 0 {
+			g.AddEdge(rng.Intn(dagWidth), label(), w)
+			g.AddEdge(w, label(), n0-1-rng.Intn(dagWidth))
+		} else {
+			g.AddEdge(rng.Intn(n0), label(), w)
+			g.AddEdge(w, label(), rng.Intn(n0))
+			g.AddEdge(rng.Intn(n0), label(), w)
+		}
+		if len(added) > 0 {
+			g.AddEdge(added[len(added)-1], label(), w)
+		}
+		added = append(added, w)
+	}
+	g.AddVertex() // one new vertex stays isolated: an empty row past the base
+	return added
+}
+
+// TestGrownOverlayEquivalence covers an overlay that added VERTICES as
+// well as edges after the base freeze, so the view's rows extend past
+// the base CSR. For every tier, Solve, Shortest lengths, BatchSolver and
+// Engine must agree with the textbook oracle and with BaselineShortest
+// on a cold rebuild. A kernel that read a row >= base.n through the base
+// instead of the view would panic or miss the new vertices' paths here.
+func TestGrownOverlayEquivalence(t *testing.T) {
+	for _, tc := range equivCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(0); seed < 3; seed++ {
+				s := tc.solver(t)
+				rng := rand.New(rand.NewSource(seed*53 + 5))
+				g := tc.gen(seed)
+				s.Warm(g) // the base every later view overlays
+				dagWidth := 0
+				if tc.name == "dag" {
+					dagWidth = 4
+				}
+				added := growPastBase(g, rng, 5, dagWidth)
+				pairs := pairSet(g, g.NumVertices()-1, rng)
+				for _, w := range added {
+					pairs = append(pairs, Pair{X: rng.Intn(g.NumVertices()), Y: w}, Pair{X: w, Y: rng.Intn(g.NumVertices())})
+				}
+				pairs = append(pairs, Pair{X: added[0], Y: added[len(added)-1]})
+
+				oracle := rebuiltOracle(g)
+				wantLen := make([]int, len(pairs)) // -1: no simple L-path
+				reached := 0
+				for i, pq := range pairs {
+					wantLen[i] = -1
+					if res := BaselineShortest(oracle, s.Min, pq.X, pq.Y, nil); res.Found {
+						wantLen[i] = res.Path.Len()
+						if slices.Contains(added, pq.X) || slices.Contains(added, pq.Y) {
+							reached++
+						}
+					}
+				}
+				if reached == 0 {
+					t.Fatalf("seed %d: no positive pair touches a new vertex; the case is not exercised", seed)
+				}
+				want := oracleAnswers(s, g, pairs)
+				for i := range pairs {
+					if want[i] != (wantLen[i] >= 0) {
+						t.Fatalf("seed %d: oracle answer (%d,%d)=%v disagrees with BaselineShortest", seed, pairs[i].X, pairs[i].Y, want[i])
+					}
+				}
+				if vw := repinByExtension(t, g); !vw.Overlay() || vw.NumVertices() <= vw.Base().NumVertices() {
+					t.Fatalf("want an overlay over a grown vertex set (overlay=%v, n=%d, base n=%d)",
+						vw.Overlay(), vw.NumVertices(), vw.Base().NumVertices())
+				}
+				checkAnswers(t, s, g, pairs, want, fmt.Sprintf("seed %d", seed))
+				for i, pq := range pairs {
+					gotLen := -1
+					if got := s.Shortest(g, pq.X, pq.Y); got.Found {
+						gotLen = got.Path.Len()
+					}
+					if gotLen != wantLen[i] {
+						t.Fatalf("seed %d Shortest(%d,%d): length %d, BaselineShortest says %d",
+							seed, pq.X, pq.Y, gotLen, wantLen[i])
+					}
+				}
+			}
+		})
+	}
 }

@@ -62,9 +62,8 @@ func VerifyWitness(res Result, g *graph.Graph, d *automaton.DFA, x, y int) bool 
 // any small pending-mutation overlay (graph.View) — so forward steps
 // touch contiguous label-bucketed edge slices (overlay buckets
 // substitute transparently). The embedded sweepEnv is what its backward
-// sweeps (coReach, distToGoal) run over: the view, the state count m,
-// the row partition the view's shard count induces, and the telemetry
-// sinks an Engine wires in.
+// sweeps (coReach, distToGoal) run over: the view, the state count m
+// and the telemetry sinks an Engine wires in.
 type product struct {
 	sweepEnv
 	d    *automaton.DFA
@@ -121,16 +120,15 @@ func (p *product) coReach(y int, a *arena) { p.sweep(y, a, false, nil) }
 // step closer to the goal (a.parent) and the label of that step
 // (a.plabel), so a shortest walk from ANY source can be read off
 // forward without another search — the basis of the batched walk tiers
-// (see sharedWalkFrom). Distances are the same whichever driver and
-// shard count ran; parent links may name a different — equally short —
-// successor.
+// (see sharedWalkFrom). Distances are the same whichever driver ran;
+// parent links may name a different — equally short — successor.
 func (p *product) distToGoal(y int, a *arena) { p.sweep(y, a, true, nil) }
 
 // sweep runs the backward sweep toward (y, accepting) on one of the two
 // round drivers: the packed one (bitbfs.go) when the DFA fits a word,
-// the id-list one (shardbfs.go) over the DFA's arcs otherwise. Both are
-// level-synchronous frontier exchanges over the view's row partition
-// and fill the same arena outputs, so every consumer is driver-blind.
+// the id-list one (arcsweep.go) over the DFA's arcs otherwise. Both are
+// level-synchronous loops on the caller's goroutine and fill the same
+// arena outputs, so every consumer is driver-blind.
 //
 // Given sources xs, the sweep stops as soon as every one of them is
 // answered (goalProbe) and reports that it stopped. Its outputs then
@@ -152,10 +150,10 @@ func (p *product) sweep(y int, a *arena, links bool, xs []int) (stopped bool) {
 // value probes nothing, so the sweep runs to the end — what the summary
 // and baseline tiers need, whose sweeps are pruning sets.
 //
-// Both drivers call answered before every round, with the driver
-// running alone and the visited set holding exactly the ids at the
-// levels below the one the round discovers (each driver stamps a
-// round's ids by its barrier). A source x is answered when (x, start) is
+// Both drivers call answered before every round, with the visited set
+// holding exactly the ids at the levels below the one the round
+// discovers (each driver stamps a round's ids by the round's end). A
+// source x is answered when (x, start) is
 // already marked — only a goal state, at level 0, can be — or one of its
 // out-edges x -l-> u reaches a marked (u, δ(start, l)). The probes
 // before earlier rounds failed for x, so x sits at exactly the level the

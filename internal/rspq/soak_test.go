@@ -134,8 +134,7 @@ func TestEngineOverlaySoak(t *testing.T) {
 // source, which must hit that table. Both answers must pass
 // VerifyWitness and agree, in existence and in length (both tiers return
 // shortest paths), with a freshly compiled Solver on a graph rebuilt
-// from scratch. K=0 runs the single inline shard, K=5 the multi-shard
-// exchange.
+// from scratch.
 func TestEngineSparseTableChurn(t *testing.T) {
 	cases := []struct {
 		name, pattern string
@@ -146,81 +145,75 @@ func TestEngineSparseTableChurn(t *testing.T) {
 		{"dag", "(a|b)*a(a|b)*", AlgoDAG, func() *graph.Graph { return graph.LayeredDAG(40, 10, 2, []byte{'a', 'b'}, 29) }},
 	}
 	for _, c := range cases {
-		for _, k := range []int{0, 5} {
-			s, err := NewSolver(c.pattern)
+		s, err := NewSolver(c.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := c.gen()
+		n := g.NumVertices()
+		e := NewEngine(s, g, EngineConfig{CompactDelta: -1})
+		rng := rand.New(rand.NewSource(31))
+		var sparse, dense, hits int
+		for epoch := 0; epoch < 10; epoch++ {
+			mutateInSteps(g, rng, 3, 2, c.tier == AlgoDAG)
+			if epoch%4 == 3 {
+				e.Compact()
+			}
+			oracle := rebuiltOracle(g)
+			ref, err := NewSolver(c.pattern)
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := c.gen()
-			n := g.NumVertices()
-			shards := k
-			if k == 0 {
-				shards = -1
+			if algo := ref.ChooseAlgorithm(oracle); algo != c.tier {
+				t.Fatalf("%s: tier %v, want %v", c.name, algo, c.tier)
 			}
-			e := NewEngine(s, g, EngineConfig{Shards: shards, CompactDelta: -1})
-			rng := rand.New(rand.NewSource(int64(31 + k)))
-			var sparse, dense, hits int
-			for epoch := 0; epoch < 10; epoch++ {
-				mutateInSteps(g, rng, 3, 2, c.tier == AlgoDAG)
-				if epoch%4 == 3 {
-					e.Compact()
+			seen := map[int]bool{}
+			for i := 0; i < 12; i++ {
+				y := rng.Intn(n)
+				if i%2 == 0 {
+					y = rng.Intn(60) // few ancestors on the layered DAG
 				}
-				oracle := rebuiltOracle(g)
-				ref, err := NewSolver(c.pattern)
-				if err != nil {
-					t.Fatal(err)
+				if seen[y] {
+					continue
 				}
-				if algo := ref.ChooseAlgorithm(oracle); algo != c.tier {
-					t.Fatalf("%s: tier %v, want %v", c.name, algo, c.tier)
+				seen[y] = true
+				u := rng.Intn(n)
+				for tries := 0; tries < n && ExistsWalk(oracle, s.Min, u, y); tries++ {
+					u = (u + 1) % n
 				}
-				seen := map[int]bool{}
-				for i := 0; i < 12; i++ {
-					y := rng.Intn(n)
-					if i%2 == 0 {
-						y = rng.Intn(60) // few ancestors on the layered DAG
+				if ExistsWalk(oracle, s.Min, u, y) {
+					continue // every vertex reaches y: no sweep from it runs to the end
+				}
+				for pass, x := range []int{u, (u + 1 + rng.Intn(n-1)) % n} {
+					got, tr := e.SolveTraced(x, y)
+					want := ref.Solve(oracle, x, y)
+					if got.Found != want.Found || (got.Found && got.Path.Len() != want.Path.Len()) {
+						t.Fatalf("%s epoch %d (%d,%d): engine %v, fresh solver on the rebuilt graph %v",
+							c.name, epoch, x, y, got.Path, want.Path)
 					}
-					if seen[y] {
-						continue
+					if !VerifyWitness(got, g, s.Min, x, y) {
+						t.Fatalf("%s epoch %d (%d,%d): invalid witness %v", c.name, epoch, x, y, got.Path)
 					}
-					seen[y] = true
-					u := rng.Intn(n)
-					for tries := 0; tries < n && ExistsWalk(oracle, s.Min, u, y); tries++ {
-						u = (u + 1) % n
+					if tr.Tier != c.tier.String() || tr.ResultCacheHit || tr.TableCacheHit != (pass == 1) || tr.StoppedAt != 0 {
+						t.Fatalf("%s epoch %d (%d,%d) pass %d: trace %+v", c.name, epoch, x, y, pass, tr)
 					}
-					if ExistsWalk(oracle, s.Min, u, y) {
-						continue // every vertex reaches y: no sweep from it runs to the end
-					}
-					for pass, x := range []int{u, (u + 1 + rng.Intn(n-1)) % n} {
-						got, tr := e.SolveTraced(x, y)
-						want := ref.Solve(oracle, x, y)
-						if got.Found != want.Found || (got.Found && got.Path.Len() != want.Path.Len()) {
-							t.Fatalf("%s K=%d epoch %d (%d,%d): engine %v, fresh solver on the rebuilt graph %v",
-								c.name, k, epoch, x, y, got.Path, want.Path)
-						}
-						if !VerifyWitness(got, g, s.Min, x, y) {
-							t.Fatalf("%s K=%d epoch %d (%d,%d): invalid witness %v", c.name, k, epoch, x, y, got.Path)
-						}
-						if tr.Tier != c.tier.String() || tr.ResultCacheHit || tr.TableCacheHit != (pass == 1) || tr.StoppedAt != 0 {
-							t.Fatalf("%s K=%d epoch %d (%d,%d) pass %d: trace %+v", c.name, k, epoch, x, y, pass, tr)
-						}
-						switch {
-						case pass == 1:
-							hits++
-						case tr.TableBytes == sparseGoalTableCost(tr.TableStates):
-							sparse++
-						default:
-							dense++
-						}
+					switch {
+					case pass == 1:
+						hits++
+					case tr.TableBytes == sparseGoalTableCost(tr.TableStates):
+						sparse++
+					default:
+						dense++
 					}
 				}
 			}
-			if sparse == 0 || dense == 0 || hits == 0 {
-				t.Fatalf("%s K=%d: %d sparse and %d dense tables built, %d table hits; the churn must see all three",
-					c.name, k, sparse, dense, hits)
-			}
-			if st := e.Stats(); st.OverlayReads == 0 || st.Compactions == 0 {
-				t.Fatalf("%s K=%d: overlay reads %d, compactions %d; the churn must see both", c.name, k, st.OverlayReads, st.Compactions)
-			}
+		}
+		if sparse == 0 || dense == 0 || hits == 0 {
+			t.Fatalf("%s: %d sparse and %d dense tables built, %d table hits; the churn must see all three",
+				c.name, sparse, dense, hits)
+		}
+		if st := e.Stats(); st.OverlayReads == 0 || st.Compactions == 0 {
+			t.Fatalf("%s: overlay reads %d, compactions %d; the churn must see both", c.name, st.OverlayReads, st.Compactions)
 		}
 	}
 }

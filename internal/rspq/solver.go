@@ -60,8 +60,8 @@ func (a Algorithm) String() string {
 // the best algorithm.
 //
 // A Solver is built once and queried many times; everything that
-// depends only on the language — the minimal DFA, its
-// reverse-transition index, the sorted word list of a finite language,
+// depends only on the language — the minimal DFA, its packed
+// predecessor table, the sorted word list of a finite language,
 // the Ψtr evaluation plans — is precomputed or memoized, so
 // steady-state queries run against frozen indexes and pooled scratch
 // without per-call allocation (beyond the witness path itself).
@@ -126,7 +126,6 @@ func NewSolverFromRegex(r *automaton.Regex) (*Solver, error) {
 	}
 	// Prebuild the language-side indexes so first queries — and
 	// concurrent ones — never race on lazy construction.
-	s.Min.Rev()
 	s.Min.Packed()
 	if s.Classification.Finite {
 		s.words = finiteWords(s.Min)

@@ -72,8 +72,7 @@ func stopLevel(xs []int, m, start int, want []int32) int32 {
 
 // TestStoppedSweepEquivalence compares stopped sweeps against sweeps run
 // to the end, on both round drivers (the packed one, and the id-list one
-// with SetBitParallel off), K ∈ {0, 1, 3, 8} on four workers, a
-// pass-through and an extended-overlay view, single and multi-source
+// with SetBitParallel off), a pass-through and an extended-overlay view, single and multi-source
 // groups — the target itself, an unreachable source and a duplicated
 // source among them — mark-only and with links, all through ONE arena.
 // A group whose sources are all reachable must stop before the round
@@ -83,12 +82,10 @@ func stopLevel(xs []int, m, start int, want []int32) int32 {
 // link, and the sources — so each source reads the exhausted distance's
 // walk off the links, and the tier's answer passes VerifyWitness. A group
 // with an unreachable source runs to the end. After every sweep the
-// exchange lists are empty and the words clean, and the next sweep run
+// frontier lists are empty and the words clean, and the next sweep run
 // to the end on the same arena must equal the oracle (a reused arena ≡ a
 // fresh one).
 func TestStoppedSweepEquivalence(t *testing.T) {
-	exchangeWorkersOverride.Store(4)
-	defer exchangeWorkersOverride.Store(0)
 	defer SetBitParallel(true)
 	cases := []struct {
 		pattern string
@@ -123,70 +120,64 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 				want := textbookSweep(g, m, arcs, accept, y)
 				groups := stopGroups(n, m, start, y, want, rng)
 				for _, bitsOn := range []bool{true, false} {
-					for _, k := range []int{0, 1, 3, 8} {
-						SetBitParallel(bitsOn)
-						g.SetShards(k)
-						if wantOverlay {
-							repinByExtension(t, g)
-						}
-						p := makeProduct(g.PinView(), s.Min, shared)
-						if p.vw.Overlay() != wantOverlay {
-							t.Fatalf("%s K=%d: view overlay = %v", view, k, p.vw.Overlay())
-						}
-						for gi, xs := range groups {
-							level := stopLevel(xs, m, start, want)
-							for _, links := range []bool{false, true} {
-								ctx := fmt.Sprintf("%s %s bits=%v K=%d y=%d group %d %v links=%v", tc.pattern, view, bitsOn, k, y, gi, xs, links)
-								kt := &kernelTrace{}
-								p.sinks = sinks{tr: kt}
-								stopped := p.sweep(y, shared, links, xs)
-								p.sinks = sinks{}
-								if stopped != (level > 0) || kt.stoppedAt != int(level) {
-									t.Fatalf("%s: stopped=%v at level %d; want stopped=%v at %d", ctx, stopped, kt.stoppedAt, level > 0, level)
+					SetBitParallel(bitsOn)
+					p := makeProduct(g.PinView(), s.Min, shared)
+					if p.vw.Overlay() != wantOverlay {
+						t.Fatalf("%s: view overlay = %v", view, p.vw.Overlay())
+					}
+					for gi, xs := range groups {
+						level := stopLevel(xs, m, start, want)
+						for _, links := range []bool{false, true} {
+							ctx := fmt.Sprintf("%s %s bits=%v y=%d group %d %v links=%v", tc.pattern, view, bitsOn, y, gi, xs, links)
+							kt := &kernelTrace{}
+							p.sinks = sinks{tr: kt}
+							stopped := p.sweep(y, shared, links, xs)
+							p.sinks = sinks{}
+							if stopped != (level > 0) || kt.stoppedAt != int(level) {
+								t.Fatalf("%s: stopped=%v at level %d; want stopped=%v at %d", ctx, stopped, kt.stoppedAt, level > 0, level)
+							}
+							if ran := len(kt.rounds); stopped && ran != int(level)-1 {
+								t.Fatalf("%s: the sweep ran %d rounds before stopping at level %d", ctx, ran, level)
+							}
+							truncated := want
+							if stopped {
+								truncated = make([]int32, len(want))
+								for id, d := range want {
+									truncated[id] = -1
+									if d >= 0 && d < level {
+										truncated[id] = d
+									}
 								}
-								if ran := len(kt.rounds); stopped && ran != int(level)-1 {
-									t.Fatalf("%s: the sweep ran %d rounds before stopping at level %d", ctx, ran, level)
+								for _, x := range xs {
+									truncated[x*m+start] = want[x*m+start]
 								}
-								truncated := want
-								if stopped {
-									truncated = make([]int32, len(want))
-									for id, d := range want {
-										truncated[id] = -1
-										if d >= 0 && d < level {
-											truncated[id] = d
+							}
+							checkSweepAgainstOracle(t, g, m, arcs, shared, links, truncated, ctx)
+							if links {
+								if checkSweepContracts(t, &p, shared, ctx) && stopped && level > 2 {
+									stops[fmt.Sprintf("bits=%v", bitsOn)]++
+								}
+								for _, x := range xs {
+									d := want[x*m+start]
+									walk := p.sharedWalkFrom(shared, x)
+									if d < 0 {
+										if walk != nil {
+											t.Fatalf("%s: a walk from unreachable source %d", ctx, x)
 										}
+										continue
 									}
-									for _, x := range xs {
-										truncated[x*m+start] = want[x*m+start]
-									}
-								}
-								checkSweepAgainstOracle(t, g, m, arcs, shared, links, truncated, ctx)
-								if links {
-									if checkSweepContracts(t, &p, shared, ctx) && stopped && level > 2 {
-										stops[fmt.Sprintf("bits=%v", bitsOn)]++
-									}
-									for _, x := range xs {
-										d := want[x*m+start]
-										walk := p.sharedWalkFrom(shared, x)
-										if d < 0 {
-											if walk != nil {
-												t.Fatalf("%s: a walk from unreachable source %d", ctx, x)
-											}
-											continue
-										}
-										checkWalkBitValid(t, s, g, walk, x, y, d)
-										res := ev.answerGoal(goalView{p: p, a: shared}, tc.algo, x)
-										if !res.Found || !VerifyWitness(res, g, s.Min, x, y) {
-											t.Fatalf("%s: source %d answers %v (found=%v)", ctx, x, res.Path, res.Found)
-										}
+									checkWalkBitValid(t, s, g, walk, x, y, d)
+									res := ev.answerGoal(goalView{p: p, a: shared}, tc.algo, x)
+									if !res.Found || !VerifyWitness(res, g, s.Min, x, y) {
+										t.Fatalf("%s: source %d answers %v (found=%v)", ctx, x, res.Path, res.Found)
 									}
 								}
-								// The same arena, reused for a sweep run to the end.
-								p.sweep(y, shared, links, nil)
-								checkSweepAgainstOracle(t, g, m, arcs, shared, links, want, ctx+" (reused)")
-								if links {
-									checkSweepContracts(t, &p, shared, ctx+" (reused)")
-								}
+							}
+							// The same arena, reused for a sweep run to the end.
+							p.sweep(y, shared, links, nil)
+							checkSweepAgainstOracle(t, g, m, arcs, shared, links, want, ctx+" (reused)")
+							if links {
+								checkSweepContracts(t, &p, shared, ctx+" (reused)")
 							}
 						}
 					}
@@ -194,10 +185,8 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 			}
 		}
 		check("pass-through", false)
-		g.SetShards(0)
 		mutateInSteps(g, rng, 3, 4, tc.algo == AlgoDAG)
 		check("overlay", true)
-		g.SetShards(0)
 
 		for _, driver := range []string{"bits=true", "bits=false"} {
 			if stops[driver] == 0 {

@@ -101,7 +101,7 @@ type unit struct {
 
 // seqPlan is the compiled, immutable evaluation plan of one Ψtr
 // sequence: the unit list plus the eps-free position NFA as an arc
-// table (shardbfs.go) — the reverse arcs the co-reachability sweep
+// table (arcsweep.go) — the reverse arcs the co-reachability sweep
 // steps back along, and the accepting positions. Plans depend only on the sequence, so the Solver
 // that owns the expression builds them once and shares them with every
 // query and every goroutine for as long as it lives.
@@ -286,7 +286,7 @@ var seqSearcherPool = sync.Pool{New: func() any { return new(seqSearcher) }}
 // table marks the (vertex, position) pairs from which the remaining
 // sequence can still be matched by some walk to y (ignoring simplicity)
 // — the pruning oracle — and the sweep is the id-list driver of
-// shardbfs.go over the plan's arcs, reporting to sk like any product
+// arcsweep.go over the plan's arcs, reporting to sk like any product
 // sweep.
 func acquireSeqSearcher(vw *graph.View, a *arena, plan *seqPlan, y int, shortest bool, ext *coTable, sk sinks) *seqSearcher {
 	ss := seqSearcherPool.Get().(*seqSearcher)

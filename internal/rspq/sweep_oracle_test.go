@@ -11,11 +11,10 @@ import (
 )
 
 // This file holds the reference the sweep suites (driver_equiv_test.go,
-// shard_equiv_test.go, distbits_equiv_test.go) compare the two round
+// distbits_equiv_test.go, stop_equiv_test.go) compare the two round
 // drivers against. It shares no code with them: a plain queue BFS with
-// no partition and no packed words, reading the
-// graph's own adjacency lists rather than a pinned view, over an
-// automaton given as a bare list of transitions.
+// no packed words, reading the graph's own adjacency lists rather than a
+// pinned view, over an automaton given as a bare list of transitions.
 
 // oracleArc is one labeled transition from -label-> to of the automaton
 // the oracle sweeps over.
@@ -173,15 +172,13 @@ func randomSequence(rng *rand.Rand) *psitr.Sequence {
 
 // TestPositionNFASweepEquivalence checks the id-list driver on the
 // second relation it serves: the position-NFA arcs of random Ψtr
-// sequences. For every kernel mode × K × view kind the closure, and with
+// sequences. For every kernel mode × view kind the closure, and with
 // links the distances and successor links, must equal the textbook
 // sweep over the same arcs; and — so the arcs themselves are checked
 // against something buildPlan did not produce — the vertices that reach
 // y from the start position must be exactly those that reach it from the
 // start state of the sequence's minimal DFA.
 func TestPositionNFASweepEquivalence(t *testing.T) {
-	exchangeWorkersOverride.Store(4)
-	defer exchangeWorkersOverride.Store(0)
 	deep := 0 // sweeps that ran at least three levels
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed + 900))
@@ -224,27 +221,128 @@ func TestPositionNFASweepEquivalence(t *testing.T) {
 				}
 				for _, mode := range kernelModes() {
 					setKernelMode(t, mode)
-					for _, k := range []int{0, 1, 3, 8} {
-						g.SetShards(k)
-						vw := g.PinView()
-						if vw.Overlay() != overlay {
-							t.Fatalf("K=%d: view overlay = %v, want %v", k, vw.Overlay(), overlay)
-						}
-						env := makeSweepEnv(vw, m, sinks{})
-						a := getArena()
-						for _, links := range []bool{false, true} {
-							env.sweepArcs(a, &plan.arcs, y, links, goalProbe{})
-							ctx := fmt.Sprintf("seq %s overlay=%v mode=%s K=%d y=%d links=%v", seq, overlay, mode.name, k, y, links)
-							checkSweepAgainstOracle(t, g, m, arcs, a, links, want, ctx)
-						}
-						a.release()
+					vw := g.PinView()
+					if vw.Overlay() != overlay {
+						t.Fatalf("view overlay = %v, want %v", vw.Overlay(), overlay)
 					}
+					env := makeSweepEnv(vw, m, sinks{})
+					a := getArena()
+					for _, links := range []bool{false, true} {
+						env.sweepArcs(a, &plan.arcs, y, links, goalProbe{})
+						ctx := fmt.Sprintf("seq %s overlay=%v mode=%s y=%d links=%v", seq, overlay, mode.name, y, links)
+						checkSweepAgainstOracle(t, g, m, arcs, a, links, want, ctx)
+					}
+					a.release()
 				}
 			}
 		}
-		g.SetShards(0)
 	}
 	if deep < 12 {
 		t.Fatalf("only %d of the sweeps ran three levels or more; the case is close to vacuous", deep)
+	}
+}
+
+// checkSweepContracts asserts, right after a sweep with links on a —
+// run to the end or stopped with its sources answered — the contracts
+// that let its consumers pay O(reached) and the next sweep start clean:
+// the frontier lists are empty; a reach list that is still valid names
+// exactly the stamped ids, each once; and the arena's packed words are
+// zero wherever they are not marked hot. It reports whether the list was
+// valid.
+func checkSweepContracts(t *testing.T, p *product, a *arena, ctx string) bool {
+	t.Helper()
+	if len(a.lv.fr) != 0 || len(a.lv.nx) != 0 {
+		t.Fatalf("%s: the sweep ends with %d frontier and %d next-frontier entries", ctx, len(a.lv.fr), len(a.lv.nx))
+	}
+	for i, w := range a.w64[a.w64Hot:cap(a.w64)] {
+		if w != 0 {
+			t.Fatalf("%s: packed word %d is %#x after the sweep but only the first %d are marked hot",
+				ctx, a.w64Hot+i, w, a.w64Hot)
+		}
+	}
+	if !a.reachOK {
+		return false
+	}
+	nm := p.n * p.m
+	if len(a.reach) > nm/sparseFill {
+		t.Fatalf("%s: a valid reach list of %d ids outgrew the sparse threshold %d", ctx, len(a.reach), nm/sparseFill)
+	}
+	listed := make(map[int32]bool, len(a.reach))
+	for _, id := range a.reach {
+		if listed[id] {
+			t.Fatalf("%s: reach list names id %d twice", ctx, id)
+		}
+		listed[id] = true
+	}
+	for id := 0; id < nm; id++ {
+		if a.dst.has(id) != listed[int32(id)] {
+			t.Fatalf("%s: id %d stamped=%v but listed=%v", ctx, id, a.dst.has(id), listed[int32(id)])
+		}
+	}
+	return true
+}
+
+// TestSweepReachListAndCleanWords runs both round drivers (id-list and
+// packed), on a pass-through and on an overlay view reached through
+// successive extensions, of a graph sparse enough that many sweeps stay
+// under the sparse threshold, through ONE arena that alternates
+// mark-only and distance sweeps. Every sweep must answer like the
+// textbook oracle — a word left dirty by one sweep, or zeroed wrongly,
+// shows up as a wrong closure or distance in the next — and must leave
+// the reach list and the words as checkSweepContracts requires. Each
+// driver has to see both a kept and an abandoned list, or the case is
+// vacuous.
+func TestSweepReachListAndCleanWords(t *testing.T) {
+	defer SetBitParallel(true)
+	s, err := NewSolver("a*c*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arcs, accept := dfaOracle(s.Min)
+	g := graph.RandomRegular(300, []byte{'a', 'b', 'c'}, 3, 17)
+	g.AddVertex() // isolated: a sweep that reaches only its own goal states
+	g.Freeze()
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(17))
+	shared := new(arena)
+	kept, dropped := map[bool]int{}, map[bool]int{}
+
+	check := func(view string, wantOverlay bool) {
+		for rep := 0; rep < 24; rep++ {
+			y := rng.Intn(n)
+			if rep == 0 {
+				y = n - 1
+			}
+			want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
+			for _, bitsOn := range []bool{true, false} {
+				SetBitParallel(bitsOn)
+				ctx := fmt.Sprintf("%s bits=%v y=%d", view, bitsOn, y)
+				p := makeProduct(g.PinView(), s.Min, shared)
+				if p.vw.Overlay() != wantOverlay {
+					t.Fatalf("%s: view overlay = %v", ctx, p.vw.Overlay())
+				}
+				p.coReach(y, shared) // mark-only: leaves the packed words hot
+				checkSweepAgainstOracle(t, g, p.m, arcs, shared, false, want, ctx)
+				p.distToGoal(y, shared)
+				checkSweepAgainstOracle(t, g, p.m, arcs, shared, true, want, ctx)
+				if checkSweepContracts(t, &p, shared, ctx) {
+					kept[bitsOn]++
+				} else {
+					dropped[bitsOn]++
+				}
+				p.distToGoal(y, shared) // back to back: starts from the cleaned words
+				checkSweepAgainstOracle(t, g, p.m, arcs, shared, true, want, ctx+" (repeat)")
+				checkSweepContracts(t, &p, shared, ctx+" (repeat)")
+			}
+		}
+	}
+	check("pass-through", false)
+	mutateInSteps(g, rng, 3, 4, false)
+	check("overlay", true)
+
+	for _, bitsOn := range []bool{true, false} {
+		if kept[bitsOn] == 0 || dropped[bitsOn] == 0 {
+			t.Fatalf("bits=%v: %d sweeps kept their reach list, %d abandoned it; the test needs both", bitsOn, kept[bitsOn], dropped[bitsOn])
+		}
 	}
 }

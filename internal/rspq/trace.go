@@ -12,7 +12,7 @@ import (
 //   - exchCounters: pre-registered metrics handles (counters for
 //     rounds / bit-parallel dispatches / stopped sweeps, a histogram
 //     for per-round wall time) that an Engine wires into every
-//     backward sweep it runs (sinks, shardbfs.go). Updates are
+//     backward sweep it runs (sinks, arcsweep.go). Updates are
 //     atomic adds — no locks, no allocation — so the instrumented
 //     kernels keep their allocation contracts.
 //   - kernelTrace: an opt-in per-query recording (round-by-round
@@ -67,10 +67,6 @@ type QueryTrace struct {
 	TableStates int   `json:"table_states,omitempty"`
 	TableBytes  int64 `json:"table_bytes,omitempty"`
 	BitParallel bool  `json:"bit_parallel"`
-	// Shards is the number of row ranges the query's sweep ran over —
-	// 1 is the single shard swept inline on the caller's goroutine; 0
-	// (omitted) when no sweep ran.
-	Shards int `json:"shards,omitempty"`
 	// StoppedAt is the level at which the query's sweep answered its last
 	// source and stopped: the level the skipped round would have
 	// discovered, which is the source's exact distance (a source that is
@@ -86,7 +82,6 @@ type QueryTrace struct {
 // kernelTrace is the kernel-side accumulator behind a QueryTrace.
 type kernelTrace struct {
 	rounds      []RoundTrace
-	shards      int
 	stoppedAt   int
 	bitParallel bool
 }
@@ -129,14 +124,10 @@ func (e *sweepEnv) roundEnd(t0 time.Time, frontier int) {
 	}
 }
 
-// runDone credits one finished sweep's round count to the counters and
-// stamps the trace with the number of shards the sweep ran over.
+// runDone credits one finished sweep's round count to the counters.
 func (e *sweepEnv) runDone(rounds int32) {
 	if e.counts != nil && rounds > 0 {
 		e.counts.rounds.Add(int64(rounds))
-	}
-	if e.tr != nil {
-		e.tr.shards = e.parts.K
 	}
 }
 

@@ -54,7 +54,7 @@
 //     before querying one graph from many goroutines, optional
 //     otherwise.
 //   - Compile precomputes what every query reads language-side: the
-//     minimal DFA and its tier, its reverse-transition index and the
+//     minimal DFA and its tier, its packed predecessor table and the
 //     sorted word list of finite languages. The Ψtr evaluation plans
 //     are built on the first summary-tier query and kept; the
 //     Property-(1) hardness witness, which no query reads, is searched
