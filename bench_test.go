@@ -197,22 +197,18 @@ func BenchmarkBatchExists(b *testing.B) {
 	}
 }
 
-// BenchmarkFloodSweep measures the backward product sweep on both round
-// drivers — the packed ≤64-state sweep and the id-list sweep — on a
-// 1M-edge generated graph (120k under -short so the CI bench smoke stays
-// quick). The workload is a grouped existence batch over two hot targets
-// of the flooding language (a|b|c)*: the shape where each group's sweep
-// dominates and the batch's two groups are its only parallelism.
+// BenchmarkFloodSweep measures the backward product sweep at three lane
+// widths — m=1 (a|b|c)*, m=67 (a*b*){33} and m=131 (a*b*){65}, one, two
+// and three words per vertex — on one 1M-edge generated graph (120k under
+// -short so the CI bench smoke stays quick). The workload is a grouped
+// existence batch over two hot targets: the shape where each group's
+// sweep dominates and the batch's two groups are its only parallelism.
 func BenchmarkFloodSweep(b *testing.B) {
 	edges := 1_000_000
 	if testing.Short() {
 		edges = 120_000
 	}
 	g, _ := graph.StreamingWorkload(edges, 0, 91)
-	s, err := rspq.NewSolver("(a|b|c)*")
-	if err != nil {
-		b.Fatal(err)
-	}
 	n := g.NumVertices()
 	rng := rand.New(rand.NewSource(17))
 	pairs := make([]rspq.Pair, 0, 64)
@@ -222,15 +218,14 @@ func BenchmarkFloodSweep(b *testing.B) {
 			pairs = append(pairs, rspq.Pair{X: rng.Intn(n), Y: y})
 		}
 	}
-	s.Warm(g)
-	bs := rspq.NewBatchSolver(s, g)
-	for _, d := range []struct {
-		name string
-		bits bool
-	}{{"driver=packed", true}, {"driver=idlist", false}} {
-		b.Run(d.name, func(b *testing.B) {
-			rspq.SetBitParallel(d.bits)
-			defer rspq.SetBitParallel(true)
+	for _, pattern := range []string{"(a|b|c)*", "(a*b*){33}", "(a*b*){65}"} {
+		s, err := rspq.NewSolver(pattern)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Warm(g)
+		bs := rspq.NewBatchSolver(s, g)
+		b.Run(fmt.Sprintf("m=%d", s.Min.NumStates), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bs.SolveExists(pairs)

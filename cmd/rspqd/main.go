@@ -22,8 +22,8 @@
 // Observability: /metrics serves the Prometheus exposition of one
 // shared registry covering the transport (rspqd_http_*), the engine
 // (per-tier query counts and latency, per-stage timings, cache and
-// compaction state) and the kernels (BFS rounds, stopped sweeps,
-// bit-parallel dispatches); /stats reads the very same registry, so the
+// compaction state) and the kernels (BFS rounds, sweeps, stopped
+// sweeps); /stats reads the very same registry, so the
 // two never disagree. POST /query with "trace":true (or ?trace=1)
 // additionally returns the per-query trace: stage timings plus every
 // kernel round with its frontier size and wall time. -slow-query

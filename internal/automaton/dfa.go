@@ -15,12 +15,10 @@ type DFA struct {
 	Accept    []bool
 	Delta     []int
 
-	// packed caches the bit-parallel transition table (see Packed); it
+	// packed caches the packed transition table (see Packed); it
 	// depends only on Delta and Alphabet, so shallow copies (WithStart,
-	// Complement) may share it, and SetDelta drops it. packedBuilt
-	// distinguishes "not built yet" from "built, but >64 states".
-	packed      *Packed
-	packedBuilt bool
+	// Complement) may share it, and SetDelta drops it.
+	packed *Packed
 }
 
 // NewDFA returns a complete DFA skeleton with n states whose transitions
@@ -63,7 +61,7 @@ func (d *DFA) SetDelta(q int, label byte, to int) {
 	if i < 0 {
 		panic(fmt.Sprintf("automaton: label %q outside alphabet %s", label, d.Alphabet))
 	}
-	d.packed, d.packedBuilt = nil, false
+	d.packed = nil
 	d.Delta[q*len(d.Alphabet)+i] = to
 }
 

@@ -54,33 +54,39 @@ type arena struct {
 	parent []int32  // BFS/DFS parent links, valid where seen/dst holds
 	plabel []byte   // labels of the parent links
 	queue  []int32  // BFS worklist (forward walk search)
-	w64    []uint64 // packed per-vertex state words (packed sweep)
+	w64    []uint64 // packed lane-vertex state words (the sweep)
 	w64Hot int      // leading words of w64 a sweep may have left non-zero
 	vs     []int    // path vertex scratch
 	ls     []byte   // path label scratch
 	lmap   []int16  // CSR label id -> DFA alphabet index (-1 absent)
 
-	// The backward sweeps' scratch: the frontier lists, the DFA's arc
-	// table when the id-list sweep runs over a product, and the sources
-	// a product sweep probes (goalProbe).
+	// The backward sweep's scratch: the frontier lists and the sources a
+	// product sweep probes (goalProbe).
 	lv   frontier
-	arcs arcTable
 	srcs []int32
 
 	// reach lists the ids the last sweep with links stamped in dst, each
 	// once, in no particular order — what lets the consumers of a short
-	// sweep (exportGoalTable, the packed sweep's word cleaning) pay for
-	// what the sweep touched instead of for the id space. It is valid
-	// only while reachOK: a sweep that outgrows reachMax abandons it.
+	// sweep (exportGoalTable) pay for what the sweep touched instead of
+	// for the id space. It is valid only while reachOK: a sweep that
+	// outgrows reachMax abandons it.
 	reach    []int32
 	reachOK  bool
 	reachMax int
+
+	// dirty lists the lane-vertex words the running sweep turned
+	// non-zero, each once, so that a short sweep zeroes them itself
+	// (cleanWords). It is valid only while dirtyOK: a sweep that outgrows
+	// dirtyMax abandons it.
+	dirty    []int32
+	dirtyOK  bool
+	dirtyMax int
 }
 
 // sparseFill is the fill up to which a sweep counts as short: it reached
 // at most 1/sparseFill of the product ids. The one criterion serves both
 // per-miss savings — the goal table is frozen in its sparse form, and
-// the packed words are cleaned from the reach list — and it is placed
+// the packed words are cleaned from the dirty list — and it is placed
 // between the break-even points of the two goal-table forms
 // (goalTableCost, sparseGoalTableCost). In retained bytes, 13 B per
 // reached id against 9 B per product id, the sparse form wins up to a
@@ -123,8 +129,8 @@ func (a *arena) noteReached(ids []int32) {
 	a.reach = append(a.reach, ids...)
 }
 
-// noteReachedWord is noteReached for the packed sweep: the newly
-// stamped ids are base+q for every set bit q of w.
+// noteReachedWord is noteReached for one lane word: the newly stamped
+// ids are base+b for every set bit b of w.
 func (a *arena) noteReachedWord(base int, w uint64) {
 	if !a.reachOK {
 		return
@@ -150,15 +156,15 @@ func (a *arena) growProduct(n int) {
 	a.plabel = a.plabel[:n]
 }
 
-// growWords returns the three per-vertex word arrays of a bit-parallel
-// search (visited / current frontier / next frontier), each n words,
-// zeroed. Unlike the stamped sets the words cannot be epoch-cleared —
-// membership lives in individual bits — so the arena keeps them zero
-// BETWEEN sweeps instead: every word of w64 past the first w64Hot is
-// zero. Handing the arrays out marks them hot; a sweep that can name the
-// words it dirtied zeroes those and calls wordsClean, any other leaves
-// the mark and the next growWords pays the memclear. The backing slice
-// itself is pooled with the arena (0 allocs warm).
+// growWords returns the three lane-vertex word arrays of a sweep
+// (visited / current frontier / next frontier), each n words, zeroed,
+// and starts the dirty list. Unlike the stamped sets the words cannot be
+// epoch-cleared — membership lives in individual bits — so the arena
+// keeps them zero BETWEEN sweeps instead: every word of w64 past the
+// first w64Hot is zero. Handing the arrays out marks them hot; a sweep
+// whose dirty list survived zeroes the words it names (cleanWords), any
+// other leaves the mark and the next growWords pays the memclear. The
+// backing slice itself is pooled with the arena (0 allocs warm).
 func (a *arena) growWords(n int) (vis, cur, nxt []uint64) {
 	if cap(a.w64) < 3*n {
 		a.w64 = make([]uint64, 3*n)
@@ -166,13 +172,37 @@ func (a *arena) growWords(n int) (vis, cur, nxt []uint64) {
 		clear(a.w64[:a.w64Hot])
 	}
 	a.w64Hot = 3 * n
+	a.dirty, a.dirtyOK, a.dirtyMax = a.dirty[:0], true, n/sparseFill
 	w := a.w64[:3*n]
 	return w[:n:n], w[n : 2*n : 2*n], w[2*n:]
 }
 
-// wordsClean records that the running sweep zeroed every word it
-// dirtied, restoring the all-zero invariant without a memclear.
-func (a *arena) wordsClean() { a.w64Hot = 0 }
+// noteDirty records that the running sweep turned word kv of vis
+// non-zero, abandoning the dirty list once it outgrows the sparse
+// threshold.
+func (a *arena) noteDirty(kv int32) {
+	if !a.dirtyOK {
+		return
+	}
+	if len(a.dirty) >= a.dirtyMax {
+		a.dirtyOK = false
+		return
+	}
+	a.dirty = append(a.dirty, kv)
+}
+
+// cleanWords ends a sweep whose cur and nxt words are zero again: if the
+// dirty list survived, it zeroes the vis words it names, restoring the
+// all-zero invariant without a memclear.
+func (a *arena) cleanWords(vis []uint64) {
+	if !a.dirtyOK {
+		return
+	}
+	for _, kv := range a.dirty {
+		vis[kv] = 0
+	}
+	a.w64Hot = 0
+}
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 

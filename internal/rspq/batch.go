@@ -38,8 +38,8 @@ func (bs *BatchSolver) SetWorkers(n int) *BatchSolver {
 	return bs
 }
 
-// SetMetrics points the solver's kernel telemetry (BFS rounds,
-// bit-parallel dispatches, stopped sweeps, per-round wall time) at
+// SetMetrics points the solver's kernel telemetry (BFS rounds, sweeps,
+// stopped sweeps, per-round wall time) at
 // reg; nil disconnects it again. Recording is atomic adds on series
 // resolved here, so batch hot paths stay allocation-free. Series names
 // match the Engine's (rspq_kernel_*); sharing a registry with an Engine

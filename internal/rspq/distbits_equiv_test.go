@@ -8,13 +8,13 @@ import (
 	"repro/internal/graph"
 )
 
-// This file pins the packed sweep with links (bitbfs.go) against the
-// textbook oracle of sweep_oracle_test.go: it must produce bit-identical
-// distance arrays, every successor link must be a valid step one level
-// closer to the goal, and the walks read off the links must be genuine
-// shortest L-labeled walks — validated label by label against the graph
-// and the DFA (equally short links may differ between drivers, so links
-// are validated, never compared). The sweep covers every tier's pattern
+// This file pins the sweep with links (sweep.go) against the textbook
+// oracle of sweep_oracle_test.go: it must produce bit-identical distance
+// arrays, every successor link must be a valid step one level closer to
+// the goal, and the walks read off the links must be genuine shortest
+// L-labeled walks — validated label by label against the graph and the
+// DFA (equally short links may differ from the oracle's, so links are
+// validated, never compared). The sweep covers every tier's pattern
 // and pre/post-mutation overlay views.
 
 // checkWalkBitValid validates one reconstructed walk label by label:
@@ -53,23 +53,18 @@ func checkWalkBitValid(t *testing.T, s *Solver, g *graph.Graph, walk *graph.Path
 	}
 }
 
-// checkDistKernel runs the distance sweep in mode m and compares against
-// the oracle's array, then validates the walks of every reachable
-// source.
-func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, arcs []oracleArc, m kernelMode, y int, want []int32, wantOverlay bool) {
+// checkDistKernel runs the distance sweep and compares against the
+// oracle's array, then validates the walks of every reachable source.
+func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, arcs []oracleArc, y int, want []int32, wantOverlay bool) {
 	t.Helper()
-	setKernelMode(t, m)
 	a := getArena()
 	defer a.release()
 	p := makeProduct(g.PinView(), s.Min, a)
-	if m.bits && p.packed() == nil {
-		t.Fatalf("pattern must pack into a word for the bit kernels")
-	}
 	if wantOverlay && !p.vw.Overlay() {
 		t.Fatalf("post-mutation phase must run on an overlay view")
 	}
 	p.distToGoal(y, a)
-	ctx := fmt.Sprintf("mode=%s y=%d", m.name, y)
+	ctx := fmt.Sprintf("y=%d", y)
 	checkSweepAgainstOracle(t, g, p.m, arcs, a, true, want, ctx)
 	checkSweepContracts(t, &p, a, ctx)
 	for x := 0; x < p.n; x++ {
@@ -86,7 +81,7 @@ func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, arcs []oracleArc, 
 }
 
 // TestDistanceWitnessEquivalence is the randomized distance/witness
-// equivalence suite: every tier's pattern × kernel mode, on the frozen
+// equivalence suite: every tier's pattern, on the frozen
 // snapshot and again on a post-mutation overlay view (edges flipped
 // without an intervening freeze).
 func TestDistanceWitnessEquivalence(t *testing.T) {
@@ -104,9 +99,7 @@ func TestDistanceWitnessEquivalence(t *testing.T) {
 					for _, y := range targets {
 						arcs, accept := dfaOracle(s.Min)
 						want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
-						for _, m := range kernelModes() {
-							checkDistKernel(t, s, g, arcs, m, y, want, wantOverlay)
-						}
+						checkDistKernel(t, s, g, arcs, y, want, wantOverlay)
 					}
 				}
 				g.Freeze()

@@ -3,36 +3,16 @@ package rspq
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/graph"
 )
 
-// This file pins the two round drivers (arcsweep.go, bitbfs.go) against
-// the textbook oracle of sweep_oracle_test.go. Found bits, existence bits
-// and BFS distances must be bit-identical across both drivers, every
-// tier and pre/post-mutation epochs; witnesses are verified rather than
-// compared (equal-length parent links may differ).
-
-// kernelMode is one point of the driver axis: the packed sweep, or the
-// id-list sweep forced for every DFA.
-type kernelMode struct {
-	name string
-	bits bool
-}
-
-func kernelModes() []kernelMode {
-	return []kernelMode{{name: "packed", bits: true}, {name: "idlist", bits: false}}
-}
-
-// setKernelMode applies one driver, restoring the packed default via
-// t.Cleanup so no mode leaks into other tests.
-func setKernelMode(t *testing.T, m kernelMode) {
-	t.Helper()
-	SetBitParallel(m.bits)
-	t.Cleanup(func() { SetBitParallel(true) })
-}
+// This file pins the sweep (sweep.go) against the textbook oracle of
+// sweep_oracle_test.go. Found bits, existence bits and BFS distances must
+// be bit-identical to the oracle's across every tier, lane width and
+// pre/post-mutation epoch; witnesses are verified rather than compared
+// (equal-length parent links may differ).
 
 // equivCase is one algorithm tier of the equivalence suites: a pattern
 // that dispatches to it and a generator of graphs it runs on.
@@ -130,8 +110,8 @@ func checkAnswers(t *testing.T, s *Solver, g *graph.Graph, pairs []Pair, want []
 }
 
 // TestDirectionBitEquivalence is the randomized kernel-equivalence
-// suite: every tier × driver, before and after a mutation epoch, against
-// the oracle's answers.
+// suite: every tier, before and after a mutation epoch, against the
+// oracle's answers.
 func TestDirectionBitEquivalence(t *testing.T) {
 	for _, tc := range equivCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,10 +123,7 @@ func TestDirectionBitEquivalence(t *testing.T) {
 
 				check := func() {
 					want := oracleAnswers(tc.solver(t), g, pairs)
-					for _, m := range kernelModes() {
-						setKernelMode(t, m)
-						checkAnswers(t, tc.solver(t), g, pairs, want, "mode="+m.name)
-					}
+					checkAnswers(t, tc.solver(t), g, pairs, want, tc.name)
 				}
 				check()
 
@@ -172,37 +149,50 @@ func TestDirectionBitEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelSetAndDistEquality compares the drivers' raw outputs — the
+// TestKernelSetAndDistEquality compares the sweep's raw outputs — the
 // co-reachability set, the BFS distance array and the successor links —
-// with the oracle's on both drivers, not just the query answers built on
-// them: distances must be exact (BaselineShortest uses them as
-// admissible lower bounds), and the closure must be identical id for id
-// — on the frozen base and on an overlay view.
+// with the oracle's, not just the query answers built on them: distances
+// must be exact (BaselineShortest uses them as admissible lower bounds),
+// and the closure must be identical id for id — on the frozen base and on
+// an overlay view. The rows cover one lane and the wide DFAs: 67 states
+// (two lanes), 131 (three), and (a{65})*, whose cycle crosses from lane 1
+// back to lane 0.
 func TestKernelSetAndDistEquality(t *testing.T) {
-	s, err := NewSolver("a*(bb+|())c*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	arcs, accept := dfaOracle(s.Min)
-	for seed := int64(0); seed < 3; seed++ {
-		g := graph.Random(26, []byte{'a', 'b', 'c'}, 0.14, seed+50)
-		rng := rand.New(rand.NewSource(seed + 60))
-		g.Freeze()
-		// Pass-through first, then an overlay reached through three
-		// mutate→pin steps.
-		for _, overlay := range []bool{false, true} {
-			if overlay {
-				mutateInSteps(g, rng, 3, 2, false)
-			}
-			s.Warm(g)
-			if g.PinView().Overlay() != overlay {
-				t.Fatalf("view overlay = %v, want %v", !overlay, overlay)
-			}
-			for y := 0; y < g.NumVertices(); y += 5 {
-				want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
-				for _, m := range kernelModes() {
-					setKernelMode(t, m)
-					ctx := fmt.Sprintf("overlay=%v mode=%s y=%d", overlay, m.name, y)
+	for _, row := range []struct {
+		pattern string
+		states  int
+		seeds   int64
+	}{
+		{"a*(bb+|())c*", 0, 3},
+		{"(a*b*){33}", 67, 2},
+		{"(a*b*){65}", 131, 1},
+		{"(a{65})*", 65, 2},
+	} {
+		s, err := NewSolver(row.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.states > 0 && s.Min.NumStates != row.states {
+			t.Fatalf("%s: %d states, want %d", row.pattern, s.Min.NumStates, row.states)
+		}
+		arcs, accept := dfaOracle(s.Min)
+		for seed := int64(0); seed < row.seeds; seed++ {
+			g := graph.Random(26, []byte{'a', 'b', 'c'}, 0.14, seed+50)
+			rng := rand.New(rand.NewSource(seed + 60))
+			g.Freeze()
+			// Pass-through first, then an overlay reached through three
+			// mutate→pin steps.
+			for _, overlay := range []bool{false, true} {
+				if overlay {
+					mutateInSteps(g, rng, 3, 2, false)
+				}
+				s.Warm(g)
+				if g.PinView().Overlay() != overlay {
+					t.Fatalf("view overlay = %v, want %v", !overlay, overlay)
+				}
+				for y := 0; y < g.NumVertices(); y += 5 {
+					want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
+					ctx := fmt.Sprintf("%s overlay=%v y=%d", row.pattern, overlay, y)
 					a := getArena()
 					p := makeProduct(g.PinView(), s.Min, a)
 					p.coReach(y, a)
@@ -217,43 +207,9 @@ func TestKernelSetAndDistEquality(t *testing.T) {
 	}
 }
 
-// TestBitParallelWideDFAFallback pins the ≤64-state gate: a DFA too
-// wide to pack must take the id-list sweep (Packed() returns nil)
-// and still answer correctly.
-func TestBitParallelWideDFAFallback(t *testing.T) {
-	// a{70}b* minimizes to >64 states — wide enough to defeat packing.
-	pattern := strings.Repeat("a", 70) + "b*"
-	s, err := NewSolver(pattern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Min.NumStates <= 64 {
-		t.Fatalf("test premise broken: %d states packs into a word", s.Min.NumStates)
-	}
-	if s.Min.Packed() != nil {
-		t.Fatal("Packed() must refuse DFAs wider than 64 states")
-	}
-	// An a-labeled path DAG: the DAG tier runs the product kernels, which
-	// must fall back to the generic (unpacked) forms.
-	g := graph.New(72)
-	for i := 0; i < 71; i++ {
-		g.AddEdge(i, 'a', i+1)
-	}
-	if res := s.Solve(g, 0, 70); !res.Found {
-		t.Fatal("a^70 path must be found on the id-list sweep")
-	}
-	if res := s.Solve(g, 0, 69); res.Found {
-		t.Fatal("a^69 is not in the language")
-	}
-	ex := NewBatchSolver(s, g).SolveExists([]Pair{{X: 0, Y: 70}, {X: 0, Y: 69}})
-	if !ex[0] || ex[1] {
-		t.Fatalf("existence bits on the unpacked coReach fallback: %v", ex)
-	}
-}
-
 // TestRoundAccountingSplit pins the round accounting: ExchangeRounds
 // counts exactly the rounds the sweeps ran, as their traces record them,
-// and the a*c* sweeps take the packed driver.
+// and BitParallelHits counts the sweeps.
 func TestRoundAccountingSplit(t *testing.T) {
 	s, err := NewSolver("a*c*")
 	if err != nil {
@@ -273,6 +229,6 @@ func TestRoundAccountingSplit(t *testing.T) {
 		t.Fatalf("ExchangeRounds = %d, traced rounds = %d", st.ExchangeRounds, traced)
 	}
 	if st.BitParallelHits == 0 {
-		t.Fatalf("a*c* packs into a word; the sweeps must take the packed driver: %+v", st)
+		t.Fatalf("the misses ran sweeps, but none was counted: %+v", st)
 	}
 }

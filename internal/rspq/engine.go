@@ -98,8 +98,8 @@ type EngineStats struct {
 	FullFreezes        uint64 `json:"full_freezes"`
 	IncrementalFreezes uint64 `json:"incremental_freezes"`
 	// ExchangeRounds is the cumulative round count of the backward
-	// sweeps. BitParallelHits counts backward sweeps served by the
-	// packed ≤64-state driver (bitbfs.go), StoppedSweeps those that
+	// sweeps. BitParallelHits counts every backward sweep (sweep.go; the
+	// name predates the one sweep driver), StoppedSweeps those that
 	// stopped once every source of their group was answered — each a
 	// miss that left no table behind (goalProbe, rspq.go).
 	ExchangeRounds  int64 `json:"exchange_rounds,omitempty"`
@@ -342,7 +342,7 @@ func (e *Engine) Stats() EngineStats {
 	st.FreezeBuildSeconds = float64(freezeTotal) / 1e9
 	st.LastFreezeSeconds = float64(freezeLast) / 1e9
 	st.ExchangeRounds = m.kernel.rounds.Value()
-	st.BitParallelHits = m.kernel.bitHits.Value()
+	st.BitParallelHits = m.kernel.sweeps.Value()
 	st.StoppedSweeps = m.kernel.stopped.Value()
 	if snap != nil {
 		st.Epoch = snap.epoch
@@ -434,7 +434,6 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 		tr.TableCacheHit = st.tableHit
 		tr.TableStates = st.tableStates
 		tr.TableBytes = st.tableBytes
-		tr.BitParallel = st.kt.bitParallel
 		tr.StoppedAt = st.kt.stoppedAt
 		tr.Rounds = st.kt.rounds
 		return res, tr

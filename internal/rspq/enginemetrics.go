@@ -22,7 +22,7 @@ import (
 //	rspq_reads_total{view}                   overlay vs pass_through serves
 //	rspq_kernel_rounds_total                 backward-sweep BFS rounds
 //	rspq_kernel_round_seconds                per-round wall time
-//	rspq_bit_parallel_hits_total             packed ≤64-state kernel dispatches
+//	rspq_bit_parallel_hits_total             backward sweeps, every tier
 //	rspq_sweeps_stopped_total                sweeps stopped with every source answered
 //	rspq_compactions_total                   background delta merges
 //	rspq_compaction_seconds                  compaction wall time (histogram)
@@ -117,8 +117,8 @@ func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
 func newKernelCounters(reg *metrics.Registry) exchCounters {
 	return exchCounters{
 		rounds: reg.Counter("rspq_kernel_rounds_total", "Kernel BFS rounds of the backward sweeps."),
-		bitHits: reg.Counter("rspq_bit_parallel_hits_total",
-			"Backward sweeps served by the packed ≤64-state bit-parallel kernels."),
+		sweeps: reg.Counter("rspq_bit_parallel_hits_total",
+			"Backward sweeps run, each over packed words (the name predates the one sweep driver)."),
 		stopped: reg.Counter("rspq_sweeps_stopped_total",
 			"Backward sweeps that stopped once every source of their target group was answered, leaving no table."),
 		roundSecs: reg.Histogram("rspq_kernel_round_seconds",

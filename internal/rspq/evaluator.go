@@ -35,7 +35,7 @@ import (
 // contract: the remaining allocations are the witness paths, the
 // per-batch grouping index and whatever the caches retain. This pool is
 // the engine's only parallelism: each group's backward sweep is one
-// level-synchronous loop on its worker's goroutine (arcsweep.go).
+// level-synchronous loop on its worker's goroutine (sweep.go).
 
 // Pair is one (source, target) query of a batch.
 type Pair struct {
@@ -229,9 +229,9 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		// walk is simple, and under subword closure loop removal lands
 		// back in the language. So absent a cached goal table (left by
 		// earlier witness queries on this target) the group is answered
-		// by the mark-only coReach sweep (bit-parallel when the DFA packs
-		// into a word) instead of the heavier link-recording distToGoal,
-		// sharing the baseline tier's co tables. Either sweep stops once
+		// by the mark-only coReach sweep instead of the heavier
+		// link-recording distToGoal, sharing the baseline tier's co
+		// tables. Either sweep stops once
 		// the group's sources are answered (goalProbe).
 		t0 := ev.clock()
 		gt := ev.cachedGoalTable(pv, grp.y)

@@ -11,11 +11,10 @@ import (
 )
 
 // TestPackageStateAllowList pins the package-level variables of the
-// non-test sources to the pools, the solver id counter and the test
-// hook. Anything else is process-wide mutable state steering every
+// non-test sources to the pools and the solver id counter. Anything else is process-wide mutable state steering every
 // query, which belongs on a Solver, an Engine or the arena instead.
 func TestPackageStateAllowList(t *testing.T) {
-	allowed := []string{"arenaPool", "seqSearcherPool", "solverIDs", "bitParallelOff"}
+	allowed := []string{"arenaPool", "seqSearcherPool", "solverIDs"}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,9 @@ import (
 // answer queries over a pinned overlay view (base CSR + pending delta)
 // bit-identically to a from-scratch rebuild of the mutated graph.
 // Found and existence bits are compared exactly; witnesses are verified
-// rather than compared. The sweep crosses the algorithm tiers with both
-// round drivers and delta mixes, so the overlay-aware bucket reads are
-// exercised in the id-list and packed sweeps alike.
+// rather than compared. The sweep crosses the algorithm tiers with delta
+// mixes and lane widths, so the overlay-aware bucket reads are exercised
+// at one and at two words per vertex.
 
 // rebuiltOracle reconstructs g's current content in a fresh graph that
 // never saw the delta machinery, so its answers come from a cold full
@@ -168,13 +168,13 @@ func TestOverlayEquivalence(t *testing.T) {
 	}
 }
 
-// TestOverlayKernelModes crosses the overlay with both round drivers on
-// the walk-reduction tier.
+// TestOverlayKernelModes crosses the overlay with the sweep's lane
+// widths on the walk-reduction tier: a*c* packs into one word per
+// vertex, the subword-closed (a*b*){33} into two.
 func TestOverlayKernelModes(t *testing.T) {
-	for _, m := range kernelModes() {
+	for _, m := range []struct{ name, pattern string }{{"packed", "a*c*"}, {"packed-wide", "(a*b*){33}"}} {
 		t.Run(m.name, func(t *testing.T) {
-			setKernelMode(t, m)
-			s, err := NewSolver("a*c*")
+			s, err := NewSolver(m.pattern)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,7 +22,6 @@ package rspq
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/automaton"
 	"repro/internal/graph"
@@ -62,51 +61,22 @@ func VerifyWitness(res Result, g *graph.Graph, d *automaton.DFA, x, y int) bool 
 // any small pending-mutation overlay (graph.View) — so forward steps
 // touch contiguous label-bucketed edge slices (overlay buckets
 // substitute transparently). The embedded sweepEnv is what its backward
-// sweeps (coReach, distToGoal) run over: the view, the state count m
-// and the telemetry sinks an Engine wires in.
+// sweeps (coReach, distToGoal) run over: the view, the state count m,
+// the label map and the telemetry sinks an Engine wires in.
 type product struct {
 	sweepEnv
-	d    *automaton.DFA
-	lmap []int16 // CSR label id -> DFA alphabet index, -1 when absent
+	d *automaton.DFA
 }
 
 // makeProduct builds the product over a pinned view, so a long-lived
 // engine keeps answering against the snapshot it validated rather than
 // re-pinning the live graph.
 func makeProduct(vw *graph.View, d *automaton.DFA, a *arena) product {
-	L := vw.NumLabels()
-	if cap(a.lmap) < L {
-		a.lmap = make([]int16, L)
-	}
-	a.lmap = a.lmap[:L]
-	for lid := 0; lid < L; lid++ {
-		a.lmap[lid] = int16(d.Alphabet.Index(vw.Label(lid)))
-	}
-	return product{sweepEnv: makeSweepEnv(vw, d.NumStates, sinks{}), d: d, lmap: a.lmap}
+	a.lmap = labelMap(a.lmap, vw, d.Alphabet)
+	return product{sweepEnv: makeSweepEnv(vw, d.NumStates, a.lmap, sinks{}), d: d}
 }
 
 func (p *product) id(v, q int) int { return v*p.m + q }
-
-// bitParallelOff is the SetBitParallel test hook.
-var bitParallelOff atomic.Bool
-
-// SetBitParallel enables (default) or disables the packed sweep, forcing
-// the id-list sweep for every DFA when off. Exposed for benchmark
-// reference runs and the equivalence suites; global, effective on the
-// next search.
-func SetBitParallel(on bool) { bitParallelOff.Store(!on) }
-
-// packed returns the DFA's bit-parallel transition table when the
-// packed sweep applies — at most 64 states and not disabled via
-// SetBitParallel — else nil. Solver/Engine construction pre-builds the
-// table (DFA.Packed is lazily cached), so this is a field read on the
-// query path.
-func (p *product) packed() *automaton.Packed {
-	if bitParallelOff.Load() {
-		return nil
-	}
-	return p.d.Packed()
-}
 
 // coReach computes, for every (v, q), whether some walk from v labeled
 // w with ∆(q, w) accepting reaches y. This ignores simplicity and is
@@ -120,15 +90,13 @@ func (p *product) coReach(y int, a *arena) { p.sweep(y, a, false, nil) }
 // step closer to the goal (a.parent) and the label of that step
 // (a.plabel), so a shortest walk from ANY source can be read off
 // forward without another search — the basis of the batched walk tiers
-// (see sharedWalkFrom). Distances are the same whichever driver ran;
-// parent links may name a different — equally short — successor.
+// (see sharedWalkFrom).
 func (p *product) distToGoal(y int, a *arena) { p.sweep(y, a, true, nil) }
 
-// sweep runs the backward sweep toward (y, accepting) on one of the two
-// round drivers: the packed one (bitbfs.go) when the DFA fits a word,
-// the id-list one (arcsweep.go) over the DFA's arcs otherwise. Both are
-// level-synchronous loops on the caller's goroutine and fill the same
-// arena outputs, so every consumer is driver-blind.
+// sweep runs the backward sweep (sweep.go) toward (y, accepting) over
+// the DFA's packed table, which Solver/Engine construction pre-builds
+// (DFA.Packed is lazily cached), so fetching it is a field read on the
+// query path.
 //
 // Given sources xs, the sweep stops as soon as every one of them is
 // answered (goalProbe) and reports that it stopped. Its outputs then
@@ -137,11 +105,7 @@ func (p *product) distToGoal(y int, a *arena) { p.sweep(y, a, true, nil) }
 // closure, so nothing may be exported from them. Without sources, or
 // when a source is unreachable, the sweep runs to the end.
 func (p *product) sweep(y int, a *arena, links bool, xs []int) (stopped bool) {
-	pr := p.probeFor(a, xs)
-	if pk := p.packed(); pk != nil {
-		return p.sweepPacked(y, a, pk, links, pr)
-	}
-	return p.sweepArcs(a, p.dfaArcs(a), y, links, pr)
+	return p.sweepPacked(a, p.d.Packed(), p.d.Accept, y, links, p.probeFor(a, xs))
 }
 
 // goalProbe is the stop rule of a product sweep that answers a target
@@ -150,14 +114,14 @@ func (p *product) sweep(y int, a *arena, links bool, xs []int) (stopped bool) {
 // value probes nothing, so the sweep runs to the end — what the summary
 // and baseline tiers need, whose sweeps are pruning sets.
 //
-// Both drivers call answered before every round, with the visited set
+// The sweep calls answered before every round, with the visited set
 // holding exactly the ids at the levels below the one the round
-// discovers (each driver stamps a round's ids by the round's end). A
-// source x is answered when (x, start) is
-// already marked — only a goal state, at level 0, can be — or one of its
-// out-edges x -l-> u reaches a marked (u, δ(start, l)). The probes
-// before earlier rounds failed for x, so x sits at exactly the level the
-// next round would discover, and the id it steps into one level closer.
+// discovers (it stamps a round's ids by the round's end). A source x is
+// answered when (x, start) is already marked — only a goal state, at
+// level 0, can be — or one of its out-edges x -l-> u reaches a marked
+// (u, δ(start, l)). The probes before earlier rounds failed for x, so x
+// sits at exactly the level the next round would discover, and the id it
+// steps into one level closer.
 type goalProbe struct {
 	vw   *graph.View
 	d    *automaton.DFA

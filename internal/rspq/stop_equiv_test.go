@@ -71,10 +71,10 @@ func stopLevel(xs []int, m, start int, want []int32) int32 {
 }
 
 // TestStoppedSweepEquivalence compares stopped sweeps against sweeps run
-// to the end, on both round drivers (the packed one, and the id-list one
-// with SetBitParallel off), a pass-through and an extended-overlay view, single and multi-source
-// groups — the target itself, an unreachable source and a duplicated
-// source among them — mark-only and with links, all through ONE arena.
+// to the end, on one lane and on two ((a*b*){33}), a pass-through and an
+// extended-overlay view, single and multi-source groups — the target
+// itself, an unreachable source and a duplicated source among them —
+// mark-only and with links, all through ONE arena.
 // A group whose sources are all reachable must stop before the round
 // that would discover its farthest source, having run exactly the rounds
 // before it; what the sweep leaves must be the oracle's sweep truncated
@@ -86,7 +86,6 @@ func stopLevel(xs []int, m, start int, want []int32) int32 {
 // to the end on the same arena must equal the oracle (a reused arena ≡ a
 // fresh one).
 func TestStoppedSweepEquivalence(t *testing.T) {
-	defer SetBitParallel(true)
 	cases := []struct {
 		pattern string
 		algo    Algorithm
@@ -94,6 +93,7 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 	}{
 		{"a*c*", AlgoSubword, func() *graph.Graph { return graph.RandomRegular(240, []byte{'a', 'b', 'c'}, 3, 41) }},
 		{"(a|b)*a(a|b)*", AlgoDAG, func() *graph.Graph { return graph.LayeredDAG(12, 6, 2, []byte{'a', 'b'}, 41) }},
+		{"(a*b*){33}", AlgoSubword, func() *graph.Graph { return graph.Random(240, []byte{'a', 'b', 'c'}, 0.006, 43) }},
 	}
 	for _, tc := range cases {
 		s, err := NewSolver(tc.pattern)
@@ -109,7 +109,7 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 		n := g.NumVertices()
 		rng := rand.New(rand.NewSource(41))
 		shared := new(arena)
-		stops := map[string]int{} // per driver: stopped sweeps that ran two rounds or more and kept their reach list
+		stops := 0 // stopped sweeps that ran two rounds or more and kept their reach list
 
 		check := func(view string, wantOverlay bool) {
 			for rep := 0; rep < 8; rep++ {
@@ -119,66 +119,63 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 				}
 				want := textbookSweep(g, m, arcs, accept, y)
 				groups := stopGroups(n, m, start, y, want, rng)
-				for _, bitsOn := range []bool{true, false} {
-					SetBitParallel(bitsOn)
-					p := makeProduct(g.PinView(), s.Min, shared)
-					if p.vw.Overlay() != wantOverlay {
-						t.Fatalf("%s: view overlay = %v", view, p.vw.Overlay())
-					}
-					for gi, xs := range groups {
-						level := stopLevel(xs, m, start, want)
-						for _, links := range []bool{false, true} {
-							ctx := fmt.Sprintf("%s %s bits=%v y=%d group %d %v links=%v", tc.pattern, view, bitsOn, y, gi, xs, links)
-							kt := &kernelTrace{}
-							p.sinks = sinks{tr: kt}
-							stopped := p.sweep(y, shared, links, xs)
-							p.sinks = sinks{}
-							if stopped != (level > 0) || kt.stoppedAt != int(level) {
-								t.Fatalf("%s: stopped=%v at level %d; want stopped=%v at %d", ctx, stopped, kt.stoppedAt, level > 0, level)
+				p := makeProduct(g.PinView(), s.Min, shared)
+				if p.vw.Overlay() != wantOverlay {
+					t.Fatalf("%s: view overlay = %v", view, p.vw.Overlay())
+				}
+				for gi, xs := range groups {
+					level := stopLevel(xs, m, start, want)
+					for _, links := range []bool{false, true} {
+						ctx := fmt.Sprintf("%s %s y=%d group %d %v links=%v", tc.pattern, view, y, gi, xs, links)
+						kt := &kernelTrace{}
+						p.sinks = sinks{tr: kt}
+						stopped := p.sweep(y, shared, links, xs)
+						p.sinks = sinks{}
+						if stopped != (level > 0) || kt.stoppedAt != int(level) {
+							t.Fatalf("%s: stopped=%v at level %d; want stopped=%v at %d", ctx, stopped, kt.stoppedAt, level > 0, level)
+						}
+						if ran := len(kt.rounds); stopped && ran != int(level)-1 {
+							t.Fatalf("%s: the sweep ran %d rounds before stopping at level %d", ctx, ran, level)
+						}
+						truncated := want
+						if stopped {
+							truncated = make([]int32, len(want))
+							for id, d := range want {
+								truncated[id] = -1
+								if d >= 0 && d < level {
+									truncated[id] = d
+								}
 							}
-							if ran := len(kt.rounds); stopped && ran != int(level)-1 {
-								t.Fatalf("%s: the sweep ran %d rounds before stopping at level %d", ctx, ran, level)
+							for _, x := range xs {
+								truncated[x*m+start] = want[x*m+start]
 							}
-							truncated := want
-							if stopped {
-								truncated = make([]int32, len(want))
-								for id, d := range want {
-									truncated[id] = -1
-									if d >= 0 && d < level {
-										truncated[id] = d
+						}
+						checkSweepAgainstOracle(t, g, m, arcs, shared, links, truncated, ctx)
+						if links {
+							if checkSweepContracts(t, &p, shared, ctx) && stopped && level > 2 {
+								stops++
+							}
+							for _, x := range xs {
+								d := want[x*m+start]
+								walk := p.sharedWalkFrom(shared, x)
+								if d < 0 {
+									if walk != nil {
+										t.Fatalf("%s: a walk from unreachable source %d", ctx, x)
 									}
+									continue
 								}
-								for _, x := range xs {
-									truncated[x*m+start] = want[x*m+start]
-								}
-							}
-							checkSweepAgainstOracle(t, g, m, arcs, shared, links, truncated, ctx)
-							if links {
-								if checkSweepContracts(t, &p, shared, ctx) && stopped && level > 2 {
-									stops[fmt.Sprintf("bits=%v", bitsOn)]++
-								}
-								for _, x := range xs {
-									d := want[x*m+start]
-									walk := p.sharedWalkFrom(shared, x)
-									if d < 0 {
-										if walk != nil {
-											t.Fatalf("%s: a walk from unreachable source %d", ctx, x)
-										}
-										continue
-									}
-									checkWalkBitValid(t, s, g, walk, x, y, d)
-									res := ev.answerGoal(goalView{p: p, a: shared}, tc.algo, x)
-									if !res.Found || !VerifyWitness(res, g, s.Min, x, y) {
-										t.Fatalf("%s: source %d answers %v (found=%v)", ctx, x, res.Path, res.Found)
-									}
+								checkWalkBitValid(t, s, g, walk, x, y, d)
+								res := ev.answerGoal(goalView{p: p, a: shared}, tc.algo, x)
+								if !res.Found || !VerifyWitness(res, g, s.Min, x, y) {
+									t.Fatalf("%s: source %d answers %v (found=%v)", ctx, x, res.Path, res.Found)
 								}
 							}
-							// The same arena, reused for a sweep run to the end.
-							p.sweep(y, shared, links, nil)
-							checkSweepAgainstOracle(t, g, m, arcs, shared, links, want, ctx+" (reused)")
-							if links {
-								checkSweepContracts(t, &p, shared, ctx+" (reused)")
-							}
+						}
+						// The same arena, reused for a sweep run to the end.
+						p.sweep(y, shared, links, nil)
+						checkSweepAgainstOracle(t, g, m, arcs, shared, links, want, ctx+" (reused)")
+						if links {
+							checkSweepContracts(t, &p, shared, ctx+" (reused)")
 						}
 					}
 				}
@@ -188,10 +185,8 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 		mutateInSteps(g, rng, 3, 4, tc.algo == AlgoDAG)
 		check("overlay", true)
 
-		for _, driver := range []string{"bits=true", "bits=false"} {
-			if stops[driver] == 0 {
-				t.Fatalf("%s %s: no sweep stopped past level 2 with its reach list kept; the case is vacuous", tc.pattern, driver)
-			}
+		if stops == 0 {
+			t.Fatalf("%s: no sweep stopped past level 2 with its reach list kept; the case is vacuous", tc.pattern)
 		}
 	}
 }

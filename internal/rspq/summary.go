@@ -33,8 +33,8 @@ import (
 // with shortest gap completions — which the test-suite cross-validates
 // against the exponential baseline on randomized instances.
 //
-// Performance architecture: the per-sequence plan (units + position NFA
-// as an arc table) depends only on the Ψtr sequence, so a Solver builds
+// Performance architecture: the per-sequence plan (units + packed
+// position NFA) depends only on the Ψtr sequence, so a Solver builds
 // it once and keeps it (Solver.seqPlans); graph walks go through the
 // label-bucketed CSR snapshot (graph.Freeze), and all per-query scratch
 // lives in a pooled, epoch-stamped seqSearcher — a warm solver only
@@ -100,16 +100,15 @@ type unit struct {
 }
 
 // seqPlan is the compiled, immutable evaluation plan of one Ψtr
-// sequence: the unit list plus the eps-free position NFA as an arc
-// table (arcsweep.go) — the reverse arcs the co-reachability sweep
-// steps back along, and the accepting positions. Plans depend only on the sequence, so the Solver
-// that owns the expression builds them once and shares them with every
-// query and every goroutine for as long as it lives.
+// sequence: the unit list, the ε-free position NFA and its packed
+// predecessor table, which the co-reachability sweep (sweep.go) steps
+// back along. Plans depend only on the sequence, so the Solver that owns
+// the expression builds them once and shares them with every query and
+// every goroutine for as long as it lives.
 type seqPlan struct {
-	units    []unit
-	startPos int
-	posCount int
-	arcs     arcTable
+	units  []unit
+	pos    *automaton.NFA
+	packed *automaton.Packed
 }
 
 // buildPlans builds the plans of e's sequences, in sequence order.
@@ -184,18 +183,8 @@ func buildPlan(seq *psitr.Sequence) *seqPlan {
 	}
 	n.Accept[cur] = true
 
-	ef := n.EpsFree()
-	pl.posCount = ef.NumStates
-	pl.startPos = ef.Start
-	pl.arcs.reset(ef.NumStates)
-	for q := 0; q < ef.NumStates; q++ {
-		for _, e := range ef.Edges[q] {
-			pl.arcs.add(q, e.Label, e.To)
-		}
-		if ef.Accept[q] {
-			pl.arcs.accepts = append(pl.arcs.accepts, int32(q))
-		}
-	}
+	pl.pos = n.EpsFree()
+	pl.packed = automaton.NewPackedNFA(pl.pos)
 	return pl
 }
 
@@ -231,10 +220,13 @@ type gapSpan struct {
 }
 
 type seqSearcher struct {
-	// sweepEnv carries the view, its vertex count n and — as the state
-	// count m — the plan's position count, so (vertex, position) pairs
-	// are the product ids v*m + pos the co-reachability sweep marks.
+	// sweepEnv carries the view, its vertex count n, as the state count
+	// m the plan's position count — so (vertex, position) pairs are the
+	// product ids v*m + pos the co-reachability sweep marks — and as the
+	// label map labels, the scratch that keeps its capacity across pool
+	// round trips.
 	sweepEnv
+	labels   []int16
 	x, y     int
 	shortest bool
 	// existsOnly suppresses witness materialization: the first valid
@@ -285,13 +277,13 @@ var seqSearcherPool = sync.Pool{New: func() any { return new(seqSearcher) }}
 // reuse the table) unless a cached one (ext) is supplied — the summary tier's cross-query cache hit path. The
 // table marks the (vertex, position) pairs from which the remaining
 // sequence can still be matched by some walk to y (ignoring simplicity)
-// — the pruning oracle — and the sweep is the id-list driver of
-// arcsweep.go over the plan's arcs, reporting to sk like any product
-// sweep.
+// — the pruning oracle — and the sweep is the one of sweep.go over the
+// plan's packed position NFA, reporting to sk like any product sweep.
 func acquireSeqSearcher(vw *graph.View, a *arena, plan *seqPlan, y int, shortest bool, ext *coTable, sk sinks) *seqSearcher {
 	ss := seqSearcherPool.Get().(*seqSearcher)
 	ss.plan = plan
-	ss.sweepEnv = makeSweepEnv(vw, ss.plan.posCount, sk)
+	ss.labels = labelMap(ss.labels, vw, plan.pos.Alphabet)
+	ss.sweepEnv = makeSweepEnv(vw, plan.pos.NumStates, ss.labels, sk)
 	ss.y = y
 	ss.shortest = shortest
 	ss.units = ss.plan.units
@@ -313,7 +305,7 @@ func acquireSeqSearcher(vw *graph.View, a *arena, plan *seqPlan, y int, shortest
 	ss.ext = ext
 	ss.a = a
 	if ext == nil {
-		ss.sweepArcs(a, &ss.plan.arcs, y, false, goalProbe{})
+		ss.sweepPacked(a, plan.packed, plan.pos.Accept, y, false, goalProbe{})
 	}
 	return ss
 }
@@ -346,7 +338,7 @@ func (ss *seqSearcher) run(x int) Result {
 	ss.skel = ss.skel[:0]
 	ss.gaps = ss.gaps[:0]
 	ss.orderBuf = ss.orderBuf[:0]
-	if !ss.ok(x, ss.plan.startPos) {
+	if !ss.ok(x, ss.plan.pos.Start) {
 		return Result{}
 	}
 	ss.used[x] = true

@@ -3,6 +3,7 @@ package rspq
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/automaton"
@@ -11,8 +12,8 @@ import (
 )
 
 // This file holds the reference the sweep suites (driver_equiv_test.go,
-// distbits_equiv_test.go, stop_equiv_test.go) compare the two round
-// drivers against. It shares no code with them: a plain queue BFS with
+// distbits_equiv_test.go, stop_equiv_test.go) compare the sweep against.
+// It shares no code with it: a plain queue BFS with
 // no packed words, reading the graph's own adjacency lists rather than a
 // pinned view, over an automaton given as a bare list of transitions.
 
@@ -170,33 +171,40 @@ func randomSequence(rng *rand.Rand) *psitr.Sequence {
 	return seq
 }
 
-// TestPositionNFASweepEquivalence checks the id-list driver on the
-// second relation it serves: the position-NFA arcs of random Ψtr
-// sequences. For every kernel mode × view kind the closure, and with
-// links the distances and successor links, must equal the textbook
-// sweep over the same arcs; and — so the arcs themselves are checked
-// against something buildPlan did not produce — the vertices that reach
-// y from the start position must be exactly those that reach it from the
-// start state of the sequence's minimal DFA.
+// TestPositionNFASweepEquivalence checks the sweep over the second kind
+// of automaton it runs: the position NFA of random Ψtr sequences, plus
+// a{70}b*, whose 73 positions take two lanes. On both view kinds the
+// summary tier's co-reachability sweep (acquireSeqSearcher) must leave
+// the closure of the textbook sweep over the same transitions; and — so
+// the transitions themselves are checked against something buildPlan did
+// not produce — the vertices that reach y from the start position must be
+// exactly those that reach it from the start state of the sequence's
+// minimal DFA.
 func TestPositionNFASweepEquivalence(t *testing.T) {
 	deep := 0 // sweeps that ran at least three levels
-	for seed := int64(0); seed < 6; seed++ {
+	for seed := int64(0); seed < 7; seed++ {
 		rng := rand.New(rand.NewSource(seed + 900))
 		seq := randomSequence(rng)
+		if seed == 6 {
+			seq = &psitr.Sequence{Prefix: strings.Repeat("a", 70), Terms: []psitr.Term{{Kind: psitr.Gap, A: automaton.NewAlphabet('b')}}}
+		}
 		plan := buildPlan(seq)
-		m := plan.posCount
+		m := plan.pos.NumStates
+		if seed == 6 && m != 73 {
+			t.Fatalf("a{70}b* has %d positions, want 73", m)
+		}
 		var arcs []oracleArc
-		for q, row := range plan.arcs.rev {
-			for _, ar := range row {
-				arcs = append(arcs, oracleArc{int(ar.st), ar.label, q})
+		var accept []int
+		for q, es := range plan.pos.Edges {
+			for _, e := range es {
+				arcs = append(arcs, oracleArc{q, e.Label, e.To})
+			}
+			if plan.pos.Accept[q] {
+				accept = append(accept, q)
 			}
 		}
-		accept := make([]int, len(plan.arcs.accepts))
-		for i, q := range plan.arcs.accepts {
-			accept[i] = int(q)
-		}
 		dfa := (&psitr.Expr{Seqs: []*psitr.Sequence{seq}}).MinDFA(automaton.NewAlphabet('a', 'b', 'c'))
-		dfaArcs, dfaAccept := dfaOracle(dfa)
+		minArcs, minAccept := dfaOracle(dfa)
 
 		g := graph.Random(24, []byte{'a', 'b', 'c'}, 0.13, seed+910)
 		g.AddVertex() // isolated
@@ -213,27 +221,21 @@ func TestPositionNFASweepEquivalence(t *testing.T) {
 						break
 					}
 				}
-				byDFA := textbookSweep(g, dfa.NumStates, dfaArcs, dfaAccept, y)
+				byDFA := textbookSweep(g, dfa.NumStates, minArcs, minAccept, y)
 				for x := 0; x < g.NumVertices(); x++ {
-					if (want[x*m+plan.startPos] >= 0) != (byDFA[x*dfa.NumStates+dfa.Start] >= 0) {
+					if (want[x*m+plan.pos.Start] >= 0) != (byDFA[x*dfa.NumStates+dfa.Start] >= 0) {
 						t.Fatalf("seq %s y=%d: position NFA and minimal DFA disagree on source %d", seq, y, x)
 					}
 				}
-				for _, mode := range kernelModes() {
-					setKernelMode(t, mode)
-					vw := g.PinView()
-					if vw.Overlay() != overlay {
-						t.Fatalf("view overlay = %v, want %v", vw.Overlay(), overlay)
-					}
-					env := makeSweepEnv(vw, m, sinks{})
-					a := getArena()
-					for _, links := range []bool{false, true} {
-						env.sweepArcs(a, &plan.arcs, y, links, goalProbe{})
-						ctx := fmt.Sprintf("seq %s overlay=%v mode=%s y=%d links=%v", seq, overlay, mode.name, y, links)
-						checkSweepAgainstOracle(t, g, m, arcs, a, links, want, ctx)
-					}
-					a.release()
+				vw := g.PinView()
+				if vw.Overlay() != overlay {
+					t.Fatalf("view overlay = %v, want %v", vw.Overlay(), overlay)
 				}
+				a := getArena()
+				ss := acquireSeqSearcher(vw, a, plan, y, false, nil, sinks{})
+				checkSweepAgainstOracle(t, g, m, arcs, a, false, want, fmt.Sprintf("seq %s overlay=%v y=%d", seq, overlay, y))
+				ss.release()
+				a.release()
 			}
 		}
 	}
@@ -282,41 +284,39 @@ func checkSweepContracts(t *testing.T, p *product, a *arena, ctx string) bool {
 	return true
 }
 
-// TestSweepReachListAndCleanWords runs both round drivers (id-list and
-// packed), on a pass-through and on an overlay view reached through
-// successive extensions, of a graph sparse enough that many sweeps stay
-// under the sparse threshold, through ONE arena that alternates
-// mark-only and distance sweeps. Every sweep must answer like the
-// textbook oracle — a word left dirty by one sweep, or zeroed wrongly,
-// shows up as a wrong closure or distance in the next — and must leave
-// the reach list and the words as checkSweepContracts requires. Each
-// driver has to see both a kept and an abandoned list, or the case is
+// TestSweepReachListAndCleanWords runs the sweep on one lane (a*c*) and
+// on two ((a*b*){33}), on a pass-through and on an overlay view reached
+// through successive extensions, of a graph sparse enough that many
+// sweeps stay under the sparse threshold, through ONE arena that
+// alternates mark-only and distance sweeps. Every sweep must answer like
+// the textbook oracle — a word left dirty by one sweep, or zeroed
+// wrongly, shows up as a wrong closure or distance in the next — and must
+// leave the reach list and the words as checkSweepContracts requires.
+// Each width has to see both a kept and an abandoned list, or the case is
 // vacuous.
 func TestSweepReachListAndCleanWords(t *testing.T) {
-	defer SetBitParallel(true)
-	s, err := NewSolver("a*c*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	arcs, accept := dfaOracle(s.Min)
-	g := graph.RandomRegular(300, []byte{'a', 'b', 'c'}, 3, 17)
-	g.AddVertex() // isolated: a sweep that reaches only its own goal states
-	g.Freeze()
-	n := g.NumVertices()
-	rng := rand.New(rand.NewSource(17))
-	shared := new(arena)
-	kept, dropped := map[bool]int{}, map[bool]int{}
+	for _, pattern := range []string{"a*c*", "(a*b*){33}"} {
+		s, err := NewSolver(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arcs, accept := dfaOracle(s.Min)
+		g := graph.RandomRegular(300, []byte{'a', 'b', 'c'}, 3, 17)
+		g.AddVertex() // isolated: a sweep that reaches only its own goal states
+		g.Freeze()
+		n := g.NumVertices()
+		rng := rand.New(rand.NewSource(17))
+		shared := new(arena)
+		kept, dropped := 0, 0
 
-	check := func(view string, wantOverlay bool) {
-		for rep := 0; rep < 24; rep++ {
-			y := rng.Intn(n)
-			if rep == 0 {
-				y = n - 1
-			}
-			want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
-			for _, bitsOn := range []bool{true, false} {
-				SetBitParallel(bitsOn)
-				ctx := fmt.Sprintf("%s bits=%v y=%d", view, bitsOn, y)
+		check := func(view string, wantOverlay bool) {
+			for rep := 0; rep < 24; rep++ {
+				y := rng.Intn(n)
+				if rep == 0 {
+					y = n - 1
+				}
+				want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
+				ctx := fmt.Sprintf("%s %s y=%d", pattern, view, y)
 				p := makeProduct(g.PinView(), s.Min, shared)
 				if p.vw.Overlay() != wantOverlay {
 					t.Fatalf("%s: view overlay = %v", ctx, p.vw.Overlay())
@@ -326,23 +326,21 @@ func TestSweepReachListAndCleanWords(t *testing.T) {
 				p.distToGoal(y, shared)
 				checkSweepAgainstOracle(t, g, p.m, arcs, shared, true, want, ctx)
 				if checkSweepContracts(t, &p, shared, ctx) {
-					kept[bitsOn]++
+					kept++
 				} else {
-					dropped[bitsOn]++
+					dropped++
 				}
 				p.distToGoal(y, shared) // back to back: starts from the cleaned words
 				checkSweepAgainstOracle(t, g, p.m, arcs, shared, true, want, ctx+" (repeat)")
 				checkSweepContracts(t, &p, shared, ctx+" (repeat)")
 			}
 		}
-	}
-	check("pass-through", false)
-	mutateInSteps(g, rng, 3, 4, false)
-	check("overlay", true)
+		check("pass-through", false)
+		mutateInSteps(g, rng, 3, 4, false)
+		check("overlay", true)
 
-	for _, bitsOn := range []bool{true, false} {
-		if kept[bitsOn] == 0 || dropped[bitsOn] == 0 {
-			t.Fatalf("bits=%v: %d sweeps kept their reach list, %d abandoned it; the test needs both", bitsOn, kept[bitsOn], dropped[bitsOn])
+		if kept == 0 || dropped == 0 {
+			t.Fatalf("%s: %d sweeps kept their reach list, %d abandoned it; the test needs both", pattern, kept, dropped)
 		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 // kernel hooks:
 //
 //   - exchCounters: pre-registered metrics handles (counters for
-//     rounds / bit-parallel dispatches / stopped sweeps, a histogram
-//     for per-round wall time) that an Engine wires into every
-//     backward sweep it runs (sinks, arcsweep.go). Updates are
+//     rounds / sweeps / stopped sweeps, a histogram for per-round wall
+//     time) that an Engine wires into every backward sweep it runs
+//     (sinks, sweep.go). Updates are
 //     atomic adds — no locks, no allocation — so the instrumented
 //     kernels keep their allocation contracts.
 //   - kernelTrace: an opt-in per-query recording (round-by-round
@@ -66,7 +66,6 @@ type QueryTrace struct {
 	// both are 0 when no goal table was involved.
 	TableStates int   `json:"table_states,omitempty"`
 	TableBytes  int64 `json:"table_bytes,omitempty"`
-	BitParallel bool  `json:"bit_parallel"`
 	// StoppedAt is the level at which the query's sweep answered its last
 	// source and stopped: the level the skipped round would have
 	// discovered, which is the source's exact distance (a source that is
@@ -81,20 +80,19 @@ type QueryTrace struct {
 
 // kernelTrace is the kernel-side accumulator behind a QueryTrace.
 type kernelTrace struct {
-	rounds      []RoundTrace
-	stoppedAt   int
-	bitParallel bool
+	rounds    []RoundTrace
+	stoppedAt int
 }
 
 // exchCounters bundles the pre-registered kernel metrics an Engine
 // wires into every search: the round counter and round-time histogram,
-// the bit-parallel dispatch counter and the stopped-sweep counter. A nil
+// the sweep counter and the stopped-sweep counter. A nil
 // *exchCounters (the package-level query paths) disables all of it.
 // When non-nil, every field is set — the Engine registers them
 // together.
 type exchCounters struct {
 	rounds    *metrics.Counter
-	bitHits   *metrics.Counter
+	sweeps    *metrics.Counter
 	stopped   *metrics.Counter
 	roundSecs *metrics.Histogram
 }
@@ -131,14 +129,10 @@ func (e *sweepEnv) runDone(rounds int32) {
 	}
 }
 
-// addBitHit records one dispatch to the packed sweep in both telemetry
-// sinks.
-func (e *sweepEnv) addBitHit() {
+// sweepStarted counts one backward sweep.
+func (e *sweepEnv) sweepStarted() {
 	if e.counts != nil {
-		e.counts.bitHits.Inc()
-	}
-	if e.tr != nil {
-		e.tr.bitParallel = true
+		e.counts.sweeps.Inc()
 	}
 }
 
