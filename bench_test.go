@@ -203,6 +203,9 @@ func BenchmarkBatchExists(b *testing.B) {
 // -short so the CI bench smoke stays quick). The workload is a grouped
 // existence batch over two hot targets: the shape where each group's
 // sweep dominates and the batch's two groups are its only parallelism.
+// At m=1 a second row answers the same batch with witnesses (Solve):
+// the sweep with links, which writes a distance per reached state and
+// reads each walk off the distances.
 func BenchmarkFloodSweep(b *testing.B) {
 	edges := 1_000_000
 	if testing.Short() {
@@ -231,6 +234,14 @@ func BenchmarkFloodSweep(b *testing.B) {
 				bs.SolveExists(pairs)
 			}
 		})
+		if s.Min.NumStates == 1 {
+			b.Run("m=1,solve", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					bs.Solve(pairs)
+				}
+			})
+		}
 	}
 }
 

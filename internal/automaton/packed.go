@@ -8,8 +8,7 @@ import "math/bits"
 // 64 states, so a product search can advance all automaton states of a
 // graph vertex with a handful of AND/OR operations instead of one
 // predecessor scan per state (see internal/rspq's packed sweep). A DFA
-// and an ε-free NFA are stored alike; only a DFA's table also keeps the
-// forward transitions (StepIndex).
+// and an ε-free NFA are stored alike.
 //
 // Packed depends only on the transitions and the alphabet — never on
 // Accept — so shallow DFA copies (WithStart, Complement) may share it and
@@ -22,10 +21,6 @@ type Packed struct {
 	// pred[(k*l+i)*m+q] is lane k of the predecessors of q on
 	// Alphabet[i]: bit b set iff state 64k+b steps into q.
 	pred []uint64
-	// step[i*m+q] = ∆(q, Alphabet[i]) for a DFA (nil for an NFA), so the
-	// sweep's link claims resolve the successor state of a matched bit
-	// without touching the DFA's Delta array.
-	step []int32
 }
 
 // newPacked returns an empty table for m states over l letters.
@@ -43,20 +38,17 @@ func (p *Packed) addArc(q, i, t int) {
 func NewPacked(d *DFA) *Packed {
 	L := len(d.Alphabet)
 	p := newPacked(d.NumStates, L)
-	p.step = make([]int32, L*d.NumStates)
 	for q := 0; q < d.NumStates; q++ {
 		for i := 0; i < L; i++ {
-			t := d.Delta[q*L+i]
-			p.addArc(q, i, t)
-			p.step[i*d.NumStates+q] = int32(t)
+			p.addArc(q, i, d.Delta[q*L+i])
 		}
 	}
 	return p
 }
 
 // NewPackedNFA builds the packed predecessor table of the ε-free NFA n
-// (its ε-transitions are ignored). It has no forward table, so a sweep
-// over it runs mark-only.
+// (its ε-transitions are ignored). A sweep over it runs mark-only: walks
+// are read off distances with a DFA's forward steps.
 func NewPackedNFA(n *NFA) *Packed {
 	p := newPacked(n.NumStates, len(n.Alphabet))
 	for q, es := range n.Edges {
@@ -69,10 +61,6 @@ func NewPackedNFA(n *NFA) *Packed {
 
 // Lanes returns W = ⌈m/64⌉, the words a state set takes.
 func (p *Packed) Lanes() int { return p.lanes }
-
-// StepIndex returns ∆(q, Alphabet[i]) from the packed forward table of a
-// DFA.
-func (p *Packed) StepIndex(q, i int) int { return int(p.step[i*p.m+q]) }
 
 // PredOf returns lane kt of the predecessor set of w, a set of states
 // in lane k, under the i-th alphabet letter: bit b set iff state 64kt+b

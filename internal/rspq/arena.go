@@ -10,11 +10,12 @@ import (
 // sized by the product |V|·|Q| (visited sets, BFS distances, parent
 // links) that the seed implementation allocated fresh per call. The
 // arena keeps them pooled (sync.Pool, so concurrent queries each get
-// their own) and epoch-stamped: membership of id i means mark[i] equals
-// the current epoch, so "clearing" a set is one counter increment
-// instead of an O(|V|·|Q|) memset. Steady-state queries on a warm
-// Solver therefore run allocation-free until a witness path is
-// materialized.
+// their own). Sets over ids are epoch-stamped: membership of id i means
+// mark[i] equals the current epoch, so "clearing" a set is one counter
+// increment instead of an O(|V|·|Q|) memset; the backward sweep's
+// visited set is its packed words instead (visited). Steady-state
+// queries on a warm Solver therefore run allocation-free until a witness
+// path is materialized.
 
 // stamped is an epoch-stamped membership set over dense int ids.
 type stamped struct {
@@ -44,18 +45,40 @@ func (s *stamped) add(i int)      { s.mark[i] = s.epoch }
 // remove drops i from the set (epochs start at 1, so 0 never matches).
 func (s *stamped) remove(i int) { s.mark[i] = 0 }
 
+// visited is a read-only view of a backward sweep's visited words over n
+// vertices and m automaton states: state q of vertex v is bit q&63 of
+// word (q>>6)·n+v (sweep.go). It stays valid until the arena's next
+// sweep.
+type visited struct {
+	w    []uint64
+	n, m int
+}
+
+func (s visited) at(v, q int) bool { return s.w[(q>>6)*s.n+v]>>(uint(q)&63)&1 == 1 }
+
+// each calls f with the product id v·m + q of every visited (v, q),
+// lane by lane.
+func (s visited) each(f func(id int)) {
+	for k := 0; k*s.n < len(s.w); k++ {
+		for v, w := range s.w[k*s.n : (k+1)*s.n] {
+			for base := v*s.m + 64*k; w != 0; w &= w - 1 {
+				f(base + bits.TrailingZeros64(w))
+			}
+		}
+	}
+}
+
 // arena bundles the scratch buffers of one in-flight query. Slices only
 // ever grow; the zero value is ready to use.
 type arena struct {
-	co     stamped  // product co-reachability (coReach)
+	co     visited  // the last backward sweep's visited set
 	seen   stamped  // visited set (product ids or vertex ids)
-	dst    stamped  // validity stamps for dist
-	dist   []int32  // BFS distances, valid where dst holds
-	parent []int32  // BFS/DFS parent links, valid where seen/dst holds
+	dist   []int32  // the last sweep with links' BFS distances, valid where co holds
+	parent []int32  // forward BFS parent links, valid where seen holds
 	plabel []byte   // labels of the parent links
 	queue  []int32  // BFS worklist (forward walk search)
 	w64    []uint64 // packed lane-vertex state words (the sweep)
-	w64Hot int      // leading words of w64 a sweep may have left non-zero
+	w64Hot int      // leading words of w64 the last sweep may have left non-zero
 	vs     []int    // path vertex scratch
 	ls     []byte   // path label scratch
 	lmap   []int16  // CSR label id -> DFA alphabet index (-1 absent)
@@ -65,113 +88,56 @@ type arena struct {
 	lv   frontier
 	srcs []int32
 
-	// reach lists the ids the last sweep with links stamped in dst, each
-	// once, in no particular order — what lets the consumers of a short
-	// sweep (exportGoalTable) pay for what the sweep touched instead of
-	// for the id space. It is valid only while reachOK: a sweep that
-	// outgrows reachMax abandons it.
-	reach    []int32
-	reachOK  bool
-	reachMax int
-
-	// dirty lists the lane-vertex words the running sweep turned
-	// non-zero, each once, so that a short sweep zeroes them itself
-	// (cleanWords). It is valid only while dirtyOK: a sweep that outgrows
-	// dirtyMax abandons it.
+	// dirty lists the lane-vertex words the last sweep turned non-zero,
+	// each once, in no particular order — what lets the next sweep zero
+	// them instead of the whole visited third, and the consumers of a short
+	// sweep (exportGoalTable) pay for what it touched instead of for the id
+	// space. It is valid only while dirtyOK: a sweep that outgrows dirtyMax
+	// abandons it.
 	dirty    []int32
 	dirtyOK  bool
 	dirtyMax int
 }
 
-// sparseFill is the fill up to which a sweep counts as short: it reached
-// at most 1/sparseFill of the product ids. The one criterion serves both
-// per-miss savings — the goal table is frozen in its sparse form, and
-// the packed words are cleaned from the dirty list — and it is placed
-// between the break-even points of the two goal-table forms
-// (goalTableCost, sparseGoalTableCost). In retained bytes, 13 B per
-// reached id against 9 B per product id, the sparse form wins up to a
-// fill of 9/13. In export time, a sort and three linear passes (~85 ns
-// per reached id) against allocating, zeroing and scanning the id space
-// (2–4 ns per product id with the allocator warm, 9 ns measured in a
-// serving process that has to fault the 9·nm bytes in and collect them
-// later), it wins up to a fill between 1/40 and 1/9. At 1/8 the sparse
-// table is 5.5× smaller — what a byte-budgeted cache with 4 MiB shards
-// cares about — and its export is level with the dense one where it
-// counts, in the server, and ~3× the dense one's best case.
+// sparseFill is the fill up to which a sweep counts as short: it turned
+// on at most 1/sparseFill of its lane-vertex words. The one criterion
+// serves both per-miss savings — the goal table is frozen in its sparse
+// form, and the next sweep cleans the words from the dirty list. A word
+// holds at most min(m, 64) reached ids, so a one-lane sweep under the
+// threshold reached at most 1/sparseFill of the product ids. In retained
+// bytes (goalTableCost, sparseGoalTableCost: 8 B per reached id against
+// 4 B per product id) the sparse form wins up to a fill of 1/2, so at
+// 1/8 it is at least 4× smaller — what a byte-budgeted cache with 4 MiB
+// shards cares about. Export time favours the dense form: for an
+// 11-state DFA on a 50k-vertex graph (2-vCPU Xeon) the dense export
+// cost ~1 ns per product id (allocate, fill, scan the words) plus ~5 ns
+// per reached id, the sparse one ~70 ns per reached id (expand, sort,
+// copy), which breaks even near a fill of 1/65. A serving process also
+// faults the dense bytes in and collects them later, which moves that
+// point up by an amount not measured here.
 const sparseFill = 8
-
-// beginSweep readies the outputs of a backward sweep over nm product
-// ids and returns its visited set: a.co for a mark-only sweep; with
-// links a.dst, with the dist/parent/plabel arrays sized and the reach
-// list started.
-func (a *arena) beginSweep(nm int, links bool) *stamped {
-	marks := &a.co
-	if links {
-		marks = &a.dst
-		a.growProduct(nm)
-		a.reach, a.reachOK, a.reachMax = a.reach[:0], true, nm/sparseFill
-	}
-	marks.reset(nm)
-	return marks
-}
-
-// noteReached appends newly stamped ids to the reach list, abandoning it
-// for the rest of the sweep once it outgrows the sparse threshold — a
-// flooding sweep then pays one length test per round, nothing per id.
-func (a *arena) noteReached(ids []int32) {
-	if !a.reachOK {
-		return
-	}
-	if len(a.reach)+len(ids) > a.reachMax {
-		a.reachOK = false
-		return
-	}
-	a.reach = append(a.reach, ids...)
-}
-
-// noteReachedWord is noteReached for one lane word: the newly stamped
-// ids are base+b for every set bit b of w.
-func (a *arena) noteReachedWord(base int, w uint64) {
-	if !a.reachOK {
-		return
-	}
-	if len(a.reach)+bits.OnesCount64(w) > a.reachMax {
-		a.reachOK = false
-		return
-	}
-	for ; w != 0; w &= w - 1 {
-		a.reach = append(a.reach, int32(base+bits.TrailingZeros64(w)))
-	}
-}
-
-// growProduct sizes dist/parent/plabel for ids in [0, n).
-func (a *arena) growProduct(n int) {
-	if cap(a.dist) < n {
-		a.dist = make([]int32, n)
-		a.parent = make([]int32, n)
-		a.plabel = make([]byte, n)
-	}
-	a.dist = a.dist[:n]
-	a.parent = a.parent[:n]
-	a.plabel = a.plabel[:n]
-}
 
 // growWords returns the three lane-vertex word arrays of a sweep
 // (visited / current frontier / next frontier), each n words, zeroed,
 // and starts the dirty list. Unlike the stamped sets the words cannot be
-// epoch-cleared — membership lives in individual bits — so the arena
-// keeps them zero BETWEEN sweeps instead: every word of w64 past the
-// first w64Hot is zero. Handing the arrays out marks them hot; a sweep
-// whose dirty list survived zeroes the words it names (cleanWords), any
-// other leaves the mark and the next growWords pays the memclear. The
+// epoch-cleared — membership lives in individual bits — and the last
+// sweep's visited words stay readable (a.co) until this call, so it
+// cleans them here: every sweep ends with its frontier words zero, and
+// only the leading w64Hot words of w64, the last sweep's visited third,
+// may be non-zero. If the last sweep's dirty list survived, zeroing the
+// words it names suffices; otherwise the visited third is cleared. The
 // backing slice itself is pooled with the arena (0 allocs warm).
 func (a *arena) growWords(n int) (vis, cur, nxt []uint64) {
 	if cap(a.w64) < 3*n {
 		a.w64 = make([]uint64, 3*n)
+	} else if a.dirtyOK {
+		for _, kv := range a.dirty {
+			a.w64[kv] = 0
+		}
 	} else {
 		clear(a.w64[:a.w64Hot])
 	}
-	a.w64Hot = 3 * n
+	a.w64Hot = n
 	a.dirty, a.dirtyOK, a.dirtyMax = a.dirty[:0], true, n/sparseFill
 	w := a.w64[:3*n]
 	return w[:n:n], w[n : 2*n : 2*n], w[2*n:]
@@ -191,17 +157,23 @@ func (a *arena) noteDirty(kv int32) {
 	a.dirty = append(a.dirty, kv)
 }
 
-// cleanWords ends a sweep whose cur and nxt words are zero again: if the
-// dirty list survived, it zeroes the vis words it names, restoring the
-// all-zero invariant without a memclear.
-func (a *arena) cleanWords(vis []uint64) {
-	if !a.dirtyOK {
-		return
-	}
+// reachedCount is the number of visited (v, q) of a sweep whose dirty
+// list survived.
+func (a *arena) reachedCount() int {
+	r := 0
 	for _, kv := range a.dirty {
-		vis[kv] = 0
+		r += bits.OnesCount64(a.co.w[kv])
 	}
-	a.w64Hot = 0
+	return r
+}
+
+// distAt returns the distance the last sweep with links computed for
+// (v, q), -1 when unreached.
+func (a *arena) distAt(v, q int) int32 {
+	if !a.co.at(v, q) {
+		return -1
+	}
+	return a.dist[v*a.co.m+q]
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}

@@ -52,17 +52,16 @@ func (b *bsearch) dfs(v, q, used int) bool {
 			if b.a.seen.has(to) {
 				continue
 			}
-			nid := to*b.p.m + t
 			if b.limit < 0 {
 				if b.cot != nil {
-					if !b.cot.has(nid) {
+					if !b.cot.has(to*b.p.m + t) {
 						continue
 					}
-				} else if !b.a.co.has(nid) {
+				} else if !b.a.co.at(to, t) {
 					continue
 				}
 			} else {
-				if dg := b.a.distAt(nid); dg < 0 || used+1+int(dg) > b.limit {
+				if dg := b.a.distAt(to, t); dg < 0 || used+1+int(dg) > b.limit {
 					continue
 				}
 			}
@@ -114,7 +113,7 @@ func baselineWith(p *product, a *arena, d *automaton.DFA, cot *coTable, x, y int
 		if !cot.has(p.id(x, d.Start)) {
 			return Result{}
 		}
-	} else if !a.co.has(p.id(x, d.Start)) {
+	} else if !a.co.at(x, d.Start) {
 		return Result{}
 	}
 	a.seen.reset(p.n)
@@ -140,13 +139,13 @@ func BaselineShortest(g *graph.Graph, d *automaton.DFA, x, y int, stats *Baselin
 	defer a.release()
 	b := bsearch{p: makeProduct(g.PinView(), d, a), a: a, d: d, y: y, stats: stats}
 	b.p.distToGoal(y, a)
-	start := b.p.id(x, d.Start)
-	if a.distAt(start) < 0 {
+	dx := a.distAt(x, d.Start)
+	if dx < 0 {
 		return Result{}
 	}
 	defer func() { a.vs, a.ls = b.vs[:0], b.ls[:0] }()
 	maxDepth := g.NumVertices() - 1
-	for limit := int(a.distAt(start)); limit <= maxDepth; limit++ {
+	for limit := int(dx); limit <= maxDepth; limit++ {
 		b.limit = limit
 		a.seen.reset(b.p.n)
 		a.seen.add(x)

@@ -64,7 +64,11 @@ func (s *Solver) BatchSolve(g *graph.Graph, pairs []Pair) []Result {
 // Solve answers every pair, in order: out[i] is the answer to pairs[i].
 // Pairs with out-of-range vertex ids get Result{Found: false}, exactly
 // like the per-query surface. Queries are grouped by target so each
-// group shares its y-side table, and groups run on the worker pool.
+// group shares its y-side table, and groups run on the worker pool. On
+// the walk-reduction tiers (subword-closed languages, DAGs) a witness is
+// a shortest L-labeled walk, with its loops removed on the subword tier;
+// when several walks are equally short, which one is returned is
+// unspecified.
 func (bs *BatchSolver) Solve(pairs []Pair) []Result {
 	out := make([]Result, len(pairs))
 	bs.solvePairs(bs.s.pin(bs.g), pairs, answers{out: out})

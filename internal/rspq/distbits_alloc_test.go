@@ -10,8 +10,7 @@ import (
 // sweep with links (sweep.go): once the arena has grown to the
 // workload's high-water mark, a sweep must not allocate — the frontier
 // lists and the words live in the arena, the running sweep's state on
-// the stack, and links and distances are written into the arena's
-// dst/dist/parent/plabel arrays. The sweep copies what it needs of the
+// the stack, and distances are written into the arena's dist array. The sweep copies what it needs of the
 // product into that state, so not even the product escapes. The rows are
 // one lane and two ((a*b*){33}), each with sweeps run to the end and
 // sweeps that stop once a deep source of the target is answered (the
@@ -39,7 +38,7 @@ func TestDistBitsAllocGuard(t *testing.T) {
 			p.distToGoal(y, a)
 			deep, far := -1, int32(1)
 			for x := 0; x < p.n; x++ {
-				if d := a.distAt(p.id(x, s.Min.Start)); d > far {
+				if d := a.distAt(x, s.Min.Start); d > far {
 					deep, far = x, d
 				}
 			}

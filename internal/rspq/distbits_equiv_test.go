@@ -5,25 +5,24 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/automaton"
 	"repro/internal/graph"
 )
 
 // This file pins the sweep with links (sweep.go) against the textbook
 // oracle of sweep_oracle_test.go: it must produce bit-identical distance
-// arrays, every successor link must be a valid step one level closer to
-// the goal, and the walks read off the links must be genuine shortest
+// arrays, and the walks read off the distances must be genuine shortest
 // L-labeled walks — validated label by label against the graph and the
-// DFA (equally short links may differ from the oracle's, so links are
-// validated, never compared). The sweep covers every tier's pattern
-// and pre/post-mutation overlay views.
+// DFA (equally short walks may differ from any the oracle would pick, so
+// walks are validated, never compared). The sweep covers every tier's
+// pattern and pre/post-mutation overlay views.
 
 // checkWalkBitValid validates one reconstructed walk label by label:
-// every step must be a live edge of g carrying the recorded label, the
-// DFA must step through the word from its start into an accepting
-// state, the walk must start at x, end at the target, and its length
-// must equal the kernel's distance — i.e. it must be shortest, not
-// merely valid.
-func checkWalkBitValid(t *testing.T, s *Solver, g *graph.Graph, walk *graph.Path, x, y int, wantLen int32) {
+// every step must be a live edge of g carrying the recorded label, d
+// must step through the word from state q into an accepting state, the
+// walk must start at x, end at the target, and its length must equal
+// the kernel's distance — i.e. it must be shortest, not merely valid.
+func checkWalkBitValid(t *testing.T, d *automaton.DFA, g *graph.Graph, walk *graph.Path, x, q, y int, wantLen int32) {
 	t.Helper()
 	if walk == nil {
 		t.Fatalf("walk(%d,%d): nil, but distance %d says reachable", x, y, wantLen)
@@ -37,25 +36,24 @@ func checkWalkBitValid(t *testing.T, s *Solver, g *graph.Graph, walk *graph.Path
 	if int32(walk.Len()) != wantLen {
 		t.Fatalf("walk(%d,%d): length %d, kernel distance %d", x, y, walk.Len(), wantLen)
 	}
-	q := s.Min.Start
 	for i, l := range walk.Labels {
 		if !g.HasEdge(walk.Vertices[i], l, walk.Vertices[i+1]) {
 			t.Fatalf("walk(%d,%d) step %d: no edge %d -%c-> %d", x, y, i, walk.Vertices[i], l, walk.Vertices[i+1])
 		}
-		next, ok := s.Min.StepOK(q, l)
+		next, ok := d.StepOK(q, l)
 		if !ok {
 			t.Fatalf("walk(%d,%d) step %d: label %c outside the DFA alphabet", x, y, i, l)
 		}
 		q = next
 	}
-	if !s.Min.Accept[q] {
+	if !d.Accept[q] {
 		t.Fatalf("walk(%d,%d): word %q ends in non-accepting state %d", x, y, walk.Word(), q)
 	}
 }
 
 // checkDistKernel runs the distance sweep and compares against the
 // oracle's array, then validates the walks of every reachable source.
-func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, arcs []oracleArc, y int, want []int32, wantOverlay bool) {
+func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, y int, want []int32, wantOverlay bool) {
 	t.Helper()
 	a := getArena()
 	defer a.release()
@@ -65,18 +63,18 @@ func checkDistKernel(t *testing.T, s *Solver, g *graph.Graph, arcs []oracleArc, 
 	}
 	p.distToGoal(y, a)
 	ctx := fmt.Sprintf("y=%d", y)
-	checkSweepAgainstOracle(t, g, p.m, arcs, a, true, want, ctx)
-	checkSweepContracts(t, &p, a, ctx)
+	checkSweepAgainstOracle(t, g, p.m, a, &p, y, want, ctx)
+	checkSweepContracts(t, a, ctx)
 	for x := 0; x < p.n; x++ {
 		d := want[p.id(x, s.Min.Start)]
-		walk := p.sharedWalkFrom(a, x)
+		walk := p.walkFrom(a, x, s.Min.Start)
 		if d < 0 {
 			if walk != nil {
 				t.Fatalf("%s walk(%d,%d): got a walk for an unreachable source", ctx, x, y)
 			}
 			continue
 		}
-		checkWalkBitValid(t, s, g, walk, x, y, d)
+		checkWalkBitValid(t, s.Min, g, walk, x, s.Min.Start, y, d)
 	}
 }
 
@@ -99,7 +97,7 @@ func TestDistanceWitnessEquivalence(t *testing.T) {
 					for _, y := range targets {
 						arcs, accept := dfaOracle(s.Min)
 						want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
-						checkDistKernel(t, s, g, arcs, y, want, wantOverlay)
+						checkDistKernel(t, s, g, y, want, wantOverlay)
 					}
 				}
 				g.Freeze()
@@ -144,7 +142,7 @@ func TestDistanceKernelShortestMatchesSolve(t *testing.T) {
 	y := 3
 	p.distToGoal(y, a)
 	for x := 0; x < g.NumVertices(); x++ {
-		d := a.distAt(p.id(x, s.Min.Start))
+		d := a.distAt(x, s.Min.Start)
 		res := s.Solve(g, x, y)
 		if res.Found != (d >= 0) {
 			t.Fatalf("(%d,%d): Solve found=%v, kernel distance %d", x, y, res.Found, d)

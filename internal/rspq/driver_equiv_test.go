@@ -150,7 +150,7 @@ func TestDirectionBitEquivalence(t *testing.T) {
 }
 
 // TestKernelSetAndDistEquality compares the sweep's raw outputs — the
-// co-reachability set, the BFS distance array and the successor links —
+// co-reachability set, the BFS distance array and the walks read off it —
 // with the oracle's, not just the query answers built on them: distances
 // must be exact (BaselineShortest uses them as admissible lower bounds),
 // and the closure must be identical id for id — on the frozen base and on
@@ -196,10 +196,11 @@ func TestKernelSetAndDistEquality(t *testing.T) {
 					a := getArena()
 					p := makeProduct(g.PinView(), s.Min, a)
 					p.coReach(y, a)
-					checkSweepAgainstOracle(t, g, p.m, arcs, a, false, want, ctx)
+					checkSweepAgainstOracle(t, g, p.m, a, nil, y, want, ctx)
+					checkSweepContracts(t, a, ctx+" (mark-only)")
 					p.distToGoal(y, a)
-					checkSweepAgainstOracle(t, g, p.m, arcs, a, true, want, ctx)
-					checkSweepContracts(t, &p, a, ctx)
+					checkSweepAgainstOracle(t, g, p.m, a, &p, y, want, ctx)
+					checkSweepContracts(t, a, ctx)
 					a.release()
 				}
 			}

@@ -17,9 +17,9 @@ import (
 //
 //   - a table cache holding the per-(language, target) pruning tables
 //     of every tier — the baseline's product co-reachability bitset,
-//     the walk-reduction tiers' backward-BFS distance + successor
-//     arrays, and the summary solver's per-sequence position-NFA
-//     co-reachability bitsets;
+//     the walk-reduction tiers' backward-BFS distance arrays, and the
+//     summary solver's per-sequence position-NFA co-reachability
+//     bitsets;
 //   - a result cache for hot (language, x, y) answers.
 //
 // Every key carries the graph's mutation epoch (graph.Graph.Epoch), so
@@ -359,7 +359,10 @@ func (e *Engine) Stats() EngineStats {
 
 // Solve answers RSPQ(L) for one (x, y) pair. The returned Result may
 // be shared with other callers via the result cache, so its Path must
-// be treated as immutable.
+// be treated as immutable. On the walk-reduction tiers (subword-closed
+// languages, DAGs) the witness is a shortest L-labeled walk, with its
+// loops removed on the subword tier; when several walks are equally
+// short, which one is returned is unspecified.
 func (e *Engine) Solve(x, y int) Result {
 	return e.solve(x, y, false)
 }

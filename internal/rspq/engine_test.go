@@ -473,11 +473,11 @@ func TestEngineMissWorkGuard(t *testing.T) {
 // TestGoalTableSparseEqualsDense builds both goal-table forms from the
 // same arena — calling the two builders directly, whatever
 // exportGoalTable would have picked — and requires them to answer alike
-// for EVERY product id: reached bits, and the walk read off the links
-// from (x, q) for every vertex x and every state q standing in as the
-// start state, which covers unreachable ids, goal ids (the empty walk)
-// and every id in between. Walks from the real start state are checked
-// against the graph and the DFA as well.
+// for EVERY product id: distances, equal to the arena's, and the walk
+// read off them from (x, q) for every vertex x and every state q standing
+// in as the start state, which covers unreachable ids, goal ids (the
+// empty walk) and every id in between. Every walk is checked against the
+// graph and the DFA as well.
 func TestGoalTableSparseEqualsDense(t *testing.T) {
 	for _, tc := range []struct {
 		pattern string
@@ -497,34 +497,32 @@ func TestGoalTableSparseEqualsDense(t *testing.T) {
 		p := makeProduct(g.PinView(), s.Min, a)
 		for _, y := range []int{0, 7, g.NumVertices() / 2, isolated} {
 			p.distToGoal(y, a)
-			nm := p.n * p.m
-			if !a.reachOK { // a flooding sweep: list the stamped ids by hand
-				a.reach = a.reach[:0]
-				for id := 0; id < nm; id++ {
-					if a.dst.has(id) {
-						a.reach = append(a.reach, int32(id))
+			if !a.dirtyOK { // a flooding sweep: list the non-zero words by hand
+				a.dirty = a.dirty[:0]
+				for kv, w := range a.co.w {
+					if w != 0 {
+						a.dirty = append(a.dirty, int32(kv))
 					}
 				}
-				rand.New(rand.NewSource(int64(y))).Shuffle(len(a.reach), func(i, j int) {
-					a.reach[i], a.reach[j] = a.reach[j], a.reach[i]
+				rand.New(rand.NewSource(int64(y))).Shuffle(len(a.dirty), func(i, j int) {
+					a.dirty[i], a.dirty[j] = a.dirty[j], a.dirty[i]
 				})
+				a.dirtyOK = true
 			}
-			// Sparse first: its build borrows a.dist and must hand it back intact.
-			sparse, dense := newSparseGoalTable(a), newDenseGoalTable(&p, a)
-			if dense.ids != nil || sparse.ids == nil || dense.states != sparse.states || sparse.states != len(a.reach) {
-				t.Fatalf("%s y=%d: forms (dense ids=%v states=%d, sparse ids=%v states=%d), %d reached",
-					tc.pattern, y, dense.ids != nil, dense.states, sparse.ids != nil, sparse.states, len(a.reach))
-			}
-			for id := 0; id < nm; id++ {
-				if d, sp := dense.reached(id), sparse.reached(id); d != sp || d != a.dst.has(id) {
-					t.Fatalf("%s y=%d id=%d: reached dense=%v sparse=%v arena=%v", tc.pattern, y, id, d, sp, a.dst.has(id))
-				}
+			sparse, dense := newSparseGoalTable(a), newDenseGoalTable(a)
+			if dense.ids != nil || sparse.ids == nil || dense.states != sparse.states || sparse.states != len(sparse.ids) {
+				t.Fatalf("%s y=%d: forms (dense ids=%v states=%d, sparse ids=%v states=%d)",
+					tc.pattern, y, dense.ids != nil, dense.states, sparse.ids != nil, sparse.states)
 			}
 			for x := 0; x < p.n; x++ {
 				for q := 0; q < p.m; q++ {
-					dw, sw := dense.walkFrom(x, q, p.m), sparse.walkFrom(x, q, p.m)
-					if (dw == nil) != (sw == nil) || (dw == nil) == a.dst.has(p.id(x, q)) {
-						t.Fatalf("%s y=%d (%d,q%d): walk dense=%v sparse=%v, stamped=%v", tc.pattern, y, x, q, dw, sw, a.dst.has(p.id(x, q)))
+					d := a.distAt(x, q)
+					if dd, sd := dense.distAt(x, q), sparse.distAt(x, q); dd != d || sd != d {
+						t.Fatalf("%s y=%d (%d,q%d): distance dense=%d sparse=%d arena=%d", tc.pattern, y, x, q, dd, sd, d)
+					}
+					dw, sw := p.walkFrom(dense, x, q), p.walkFrom(sparse, x, q)
+					if (dw == nil) != (sw == nil) || (dw == nil) != (d < 0) {
+						t.Fatalf("%s y=%d (%d,q%d): walk dense=%v sparse=%v, distance %d", tc.pattern, y, x, q, dw, sw, d)
 					}
 					if dw == nil {
 						continue
@@ -532,9 +530,7 @@ func TestGoalTableSparseEqualsDense(t *testing.T) {
 					if !slices.Equal(dw.Vertices, sw.Vertices) || !slices.Equal(dw.Labels, sw.Labels) {
 						t.Fatalf("%s y=%d (%d,q%d): dense walk %v, sparse walk %v", tc.pattern, y, x, q, dw, sw)
 					}
-					if q == s.Min.Start {
-						checkWalkBitValid(t, s, g, sw, x, y, a.dist[p.id(x, q)])
-					}
+					checkWalkBitValid(t, s.Min, g, sw, x, q, y, d)
 				}
 			}
 		}

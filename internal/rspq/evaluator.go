@@ -1,6 +1,7 @@
 package rspq
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -217,21 +218,20 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 	case AlgoSubword, AlgoDAG:
 		if !w.existsOnly() {
 			// One backward product BFS serves the group: every source
-			// reads its shortest walk off the successor links.
+			// reads its shortest walk off the distances.
 			v := ev.goalViewFor(pv, a, grp.y, grp.xs, st)
 			for j, x := range grp.xs {
-				w.set(grp.idx[j], ev.answerGoal(v, pv.algo, x))
+				w.set(grp.idx[j], ev.answerGoal(&v, pv.algo, x))
 			}
 			break
 		}
-		// Existence needs no successor links — (x, start) reaches the goal
-		// iff it is co-reachable, and that is the answer: on DAGs every
-		// walk is simple, and under subword closure loop removal lands
-		// back in the language. So absent a cached goal table (left by
-		// earlier witness queries on this target) the group is answered
-		// by the mark-only coReach sweep instead of the heavier
-		// link-recording distToGoal, sharing the baseline tier's co
-		// tables. Either sweep stops once
+		// Existence needs no distances — (x, start) reaches the goal iff
+		// it is co-reachable, and that is the answer: on DAGs every walk
+		// is simple, and under subword closure loop removal lands back in
+		// the language. So absent a cached goal table (left by earlier
+		// witness queries on this target) the group is answered by the
+		// mark-only coReach sweep instead of distToGoal, sharing the
+		// baseline tier's co tables. Either sweep stops once
 		// the group's sources are answered (goalProbe).
 		t0 := ev.clock()
 		gt := ev.cachedGoalTable(pv, grp.y)
@@ -239,18 +239,17 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		if gt != nil {
 			st.noteGoalTable(gt, true)
 			for j, x := range grp.xs {
-				w.set(grp.idx[j], Result{Found: gt.reached(x*d.NumStates + d.Start)})
+				w.set(grp.idx[j], Result{Found: gt.distAt(x, d.Start) >= 0})
 			}
 			break
 		}
 		p := ev.product(pv, a, st)
 		ct := ev.coTableFor(pv, &p, a, grp.y, grp.xs, st)
 		for j, x := range grp.xs {
-			id := p.id(x, d.Start)
 			if ct != nil {
-				w.set(grp.idx[j], Result{Found: ct.has(id)})
+				w.set(grp.idx[j], Result{Found: ct.has(p.id(x, d.Start))})
 			} else {
-				w.set(grp.idx[j], Result{Found: a.co.has(id)})
+				w.set(grp.idx[j], Result{Found: a.co.at(x, d.Start)})
 			}
 		}
 	case AlgoSummary:
@@ -351,7 +350,7 @@ func (ev *evaluator) product(pv *pinned, a *arena, st *solveTiming) product {
 // table kinds, part of tableKey so the three tiers share one cache.
 const (
 	tableCo   uint8 = iota // baseline product co-reachability bitset
-	tableGoal              // subword/DAG backward-BFS dist + successors
+	tableGoal              // subword/DAG backward-BFS distances
 	tableSeq               // summary per-sequence position-NFA bitset
 )
 
@@ -423,8 +422,6 @@ type coTable struct {
 	bits []uint64
 }
 
-func newCoTable(n int) *coTable { return &coTable{bits: make([]uint64, (n+63)>>6)} }
-
 func (t *coTable) set(i int)      { t.bits[i>>6] |= 1 << (uint(i) & 63) }
 func (t *coTable) has(i int) bool { return t.bits[i>>6]>>(uint(i)&63)&1 == 1 }
 func (t *coTable) cost() int64    { return coTableCost(len(t.bits) << 6) }
@@ -433,47 +430,42 @@ func (t *coTable) cost() int64    { return coTableCost(len(t.bits) << 6) }
 // computable before the table is built (see cache.Retainable).
 func coTableCost(n int) int64 { return int64((n+63)>>6)*8 + 48 }
 
-// exportCoTable freezes the set s over n dense ids.
-func exportCoTable(s *stamped, n int) *coTable {
-	t := newCoTable(n)
-	for i := 0; i < n; i++ {
-		if s.has(i) {
-			t.set(i)
-		}
-	}
+// exportCoTable freezes the visited set co.
+func exportCoTable(co visited) *coTable {
+	t := &coTable{bits: make([]uint64, (co.n*co.m+63)>>6)}
+	co.each(t.set)
 	return t
 }
 
 // goalTable is the frozen result of one backward product BFS toward an
-// accepting (y, ·) goal: for every reached product state its distance,
-// the successor one step closer to the goal and the label of that step.
-// It answers existence by one lookup and yields a shortest walk from any
-// source in O(walk length). Safe for concurrent readers.
+// accepting (y, ·) goal: the distance of every reached product state.
+// It answers existence by one lookup, and a shortest walk from any
+// source is read off it over the querying view (product.walkFrom): the
+// table cache key carries the epoch, so a query that hits the table has
+// pinned a view of the same edges as the one it was swept on. Safe for
+// concurrent readers.
 //
 // It is kept in one of two forms, chosen by exportGoalTable from how
 // much of the product the sweep reached (sparseFill); consumers see only
-// reached and walkFrom.
+// distAt.
 //
-//	dense   ids == nil. The three arrays are indexed by product id,
-//	        dist is -1 where unreached, parent is a product id.
-//	        9 B per PRODUCT id, whatever the sweep touched.
-//	sparse  ids holds the reached product ids in ascending order, the
-//	        three arrays run parallel to it, and parent is an INDEX into
-//	        ids — so a walk costs one binary search, then O(length).
-//	        13 B per REACHED id.
+//	dense   ids == nil. dist is indexed by product id, -1 where
+//	        unreached. 4 B per PRODUCT id, whatever the sweep touched.
+//	sparse  ids holds the reached product ids in ascending order and
+//	        dist runs parallel to it, so a lookup is one binary search.
+//	        8 B per REACHED id.
 type goalTable struct {
 	ids    []int32
 	dist   []int32
-	parent []int32
-	plabel []byte
+	m      int // DFA states: product id v·m + q
 	states int // product states the sweep reached
 }
 
 // goalTableCost and sparseGoalTableCost are the byte footprints of the
 // two forms, over nm product ids and r reached ids; both are computable
 // before the table is built (see cache.Retainable).
-func goalTableCost(nm int) int64      { return int64(nm)*9 + 72 }
-func sparseGoalTableCost(r int) int64 { return int64(r)*13 + 96 }
+func goalTableCost(nm int) int64      { return int64(nm)*4 + 72 }
+func sparseGoalTableCost(r int) int64 { return int64(r)*8 + 96 }
 
 func (t *goalTable) cost() int64 {
 	if t.ids != nil {
@@ -484,117 +476,65 @@ func (t *goalTable) cost() int64 {
 
 // exportCost is the cost of the table exportGoalTable would freeze from
 // the arena's current distToGoal output.
-func exportCost(p *product, a *arena) int64 {
-	if a.reachOK {
-		return sparseGoalTableCost(len(a.reach))
+func exportCost(a *arena) int64 {
+	if a.dirtyOK {
+		return sparseGoalTableCost(a.reachedCount())
 	}
-	return goalTableCost(p.n * p.m)
+	return goalTableCost(a.co.n * a.co.m)
 }
 
 // exportGoalTable freezes the arena's distToGoal output: sparse when the
-// sweep was short enough to keep its reach list, so a miss costs
+// sweep was short enough to keep its dirty list, so a miss costs
 // O(reached) instead of O(V·|Q|); dense otherwise.
-func exportGoalTable(p *product, a *arena) *goalTable {
-	if a.reachOK {
+func exportGoalTable(a *arena) *goalTable {
+	if a.dirtyOK {
 		return newSparseGoalTable(a)
 	}
-	return newDenseGoalTable(p, a)
+	return newDenseGoalTable(a)
 }
 
-func newDenseGoalTable(p *product, a *arena) *goalTable {
-	nm := p.n * p.m
-	t := &goalTable{
-		dist:   make([]int32, nm),
-		parent: make([]int32, nm),
-		plabel: make([]byte, nm),
+func newDenseGoalTable(a *arena) *goalTable {
+	t := &goalTable{dist: make([]int32, a.co.n*a.co.m), m: a.co.m}
+	for i := range t.dist {
+		t.dist[i] = -1
 	}
-	for i := 0; i < nm; i++ {
-		if a.dst.has(i) {
-			t.dist[i] = a.dist[i]
-			t.parent[i] = a.parent[i]
-			t.plabel[i] = a.plabel[i]
-			t.states++
-		} else {
-			t.dist[i] = -1
-		}
-	}
+	a.co.each(func(id int) {
+		t.dist[id] = a.dist[id]
+		t.states++
+	})
 	return t
 }
 
-// newSparseGoalTable freezes the reached ids only, from the arena's
-// (valid) reach list. Successor links are re-expressed as rows of the
-// sorted id array; to translate them without a search per link, each
-// reached id's row is parked in a.dist — whose value the table has
-// just copied — for the duration of the build and the distances are put
-// back before returning. Goal states (dist 0) have no successor.
+// newSparseGoalTable freezes the reached ids only, from the words on the
+// arena's (valid) dirty list.
 func newSparseGoalTable(a *arena) *goalTable {
-	r := len(a.reach)
-	words := make([]int32, 3*r)
-	t := &goalTable{
-		ids:    words[:r:r],
-		dist:   words[r : 2*r : 2*r],
-		parent: words[2*r:],
-		plabel: make([]byte, r),
-		states: r,
+	co, r := a.co, a.reachedCount()
+	words := make([]int32, 2*r)
+	t := &goalTable{ids: words[:0:r], dist: words[r:], m: co.m, states: r}
+	for _, kv := range a.dirty {
+		v, k := int(kv)%co.n, int(kv)/co.n
+		for w, base := co.w[kv], v*co.m+64*k; w != 0; w &= w - 1 {
+			t.ids = append(t.ids, int32(base+bits.TrailingZeros64(w)))
+		}
 	}
-	copy(t.ids, a.reach)
 	slices.Sort(t.ids)
 	for i, id := range t.ids {
-		t.dist[i], a.dist[id] = a.dist[id], int32(i)
-	}
-	for i, id := range t.ids {
-		if t.dist[i] > 0 {
-			t.parent[i] = a.dist[a.parent[id]]
-			t.plabel[i] = a.plabel[id]
-		}
-	}
-	for i, id := range t.ids {
-		a.dist[id] = t.dist[i]
+		t.dist[i] = a.dist[id]
 	}
 	return t
 }
 
-// slot returns the row of product id in the table's arrays, -1 when the
-// sweep never reached it.
-func (t *goalTable) slot(id int) int {
-	if t.ids != nil {
-		if i, ok := slices.BinarySearch(t.ids, int32(id)); ok {
-			return i
-		}
-		return -1
+// distAt returns the distance of (v, q) to the goal, -1 when the sweep
+// never reached it.
+func (t *goalTable) distAt(v, q int) int32 {
+	id := v*t.m + q
+	if t.ids == nil {
+		return t.dist[id]
 	}
-	if t.dist[id] < 0 {
-		return -1
+	if i, ok := slices.BinarySearch(t.ids, int32(id)); ok {
+		return t.dist[i]
 	}
-	return id
-}
-
-// reached reports whether some L-suffix walk leads from product id to
-// the goal.
-func (t *goalTable) reached(id int) bool { return t.slot(id) >= 0 }
-
-// walkFrom reads a shortest L-labeled walk from x off the frozen
-// successor links — the cached-table analogue of sharedWalkFrom — or
-// nil when no walk exists. m is the DFA state count, start its start
-// state.
-func (t *goalTable) walkFrom(x, start, m int) *graph.Path {
-	i := t.slot(x*m + start)
-	if i < 0 {
-		return nil
-	}
-	vs := make([]int, 0, t.dist[i]+1)
-	ls := make([]byte, 0, t.dist[i])
-	vs = append(vs, x)
-	for t.dist[i] > 0 {
-		ls = append(ls, t.plabel[i])
-		i = int(t.parent[i])
-		id := i
-		if t.ids != nil {
-			id = int(t.ids[i])
-		}
-		vs = append(vs, id/m)
-	}
-	return &graph.Path{Vertices: vs, Labels: ls}
+	return -1
 }
 
 // acquireSummary readies a summary searcher for (sequence si, target
@@ -619,9 +559,9 @@ func (ev *evaluator) acquireSummary(pv *pinned, a *arena, plan *seqPlan, si, y i
 	ss := acquireSeqSearcher(pv.vw, a, plan, y, false, ext, ev.sinks(st))
 	if ext == nil {
 		ev.observeKernel(k0, st)
-		if n := ss.n * ss.m; ev.tables != nil && ev.tables.Retainable(coTableCost(n)) {
+		if ev.tables != nil && ev.tables.Retainable(coTableCost(ss.n*ss.m)) {
 			t1 := ev.clock()
-			t := exportCoTable(&a.co, n)
+			t := exportCoTable(a.co)
 			ev.tables.Put(key, t, t.cost())
 			ev.observeTable(t1, st)
 		}
@@ -629,14 +569,14 @@ func (ev *evaluator) acquireSummary(pv *pinned, a *arena, plan *seqPlan, si, y i
 	return ss
 }
 
-// goalView is the y-side backward-BFS table in whichever form is
-// cheapest: a cached immutable goalTable, or — when there is no table
-// cache or the table would be rejected on arrival — the arena's raw
-// distToGoal output, with no export copy.
+// goalView is the y-side backward-BFS distances in whichever form is
+// cheapest — a cached immutable goalTable, or, when there is no table
+// cache or the table would be rejected on arrival, the arena's raw
+// distToGoal output with no export copy — and the product over the
+// query's pinned view that walks are read over.
 type goalView struct {
-	t *goalTable
-	p product // valid when t == nil; arena holds the BFS output
-	a *arena
+	p  product
+	ds distances
 }
 
 // goalViewFor returns the backward-BFS view for target y, serving the
@@ -646,36 +586,31 @@ type goalView struct {
 // BFS is timed as kernel, the cache traffic as table.
 func (ev *evaluator) goalViewFor(pv *pinned, a *arena, y int, xs []int, st *solveTiming) goalView {
 	t0 := ev.clock()
+	p := ev.product(pv, a, st)
 	if t := ev.cachedGoalTable(pv, y); t != nil {
 		ev.observeTable(t0, st)
 		st.noteGoalTable(t, true)
-		return goalView{t: t}
+		return goalView{p: p, ds: t}
 	}
-	p := ev.product(pv, a, st)
 	k0 := ev.clock()
 	stopped := p.sweep(y, a, true, xs)
 	ev.observeKernel(k0, st)
-	if stopped || ev.tables == nil || !ev.tables.Retainable(exportCost(&p, a)) {
-		return goalView{p: p, a: a}
+	if stopped || ev.tables == nil || !ev.tables.Retainable(exportCost(a)) {
+		return goalView{p: p, ds: a}
 	}
 	t1 := ev.clock()
-	t := exportGoalTable(&p, a)
+	t := exportGoalTable(a)
 	ev.tables.Put(ev.tableKey(pv, y, -1, tableGoal), t, t.cost())
 	ev.observeTable(t1, st)
 	st.noteGoalTable(t, false)
-	return goalView{t: t}
+	return goalView{p: p, ds: t}
 }
 
 // answerGoal reads one source's witness off the y-side view, applying
 // the subword tier's loop removal.
-func (ev *evaluator) answerGoal(v goalView, algo Algorithm, x int) Result {
+func (ev *evaluator) answerGoal(v *goalView, algo Algorithm, x int) Result {
 	d := ev.s.Min
-	var walk *graph.Path
-	if v.t != nil {
-		walk = v.t.walkFrom(x, d.Start, d.NumStates)
-	} else {
-		walk = v.p.sharedWalkFrom(v.a, x)
-	}
+	walk := v.p.walkFrom(v.ds, x, d.Start)
 	if walk == nil {
 		return Result{}
 	}
@@ -729,7 +664,7 @@ func (ev *evaluator) coTableFor(pv *pinned, p *product, a *arena, y int, xs []in
 		return nil
 	}
 	t1 := ev.clock()
-	t := exportCoTable(&a.co, nm)
+	t := exportCoTable(a.co)
 	ev.tables.Put(key, t, t.cost())
 	ev.observeTable(t1, st)
 	return t

@@ -85,12 +85,9 @@ func (p *product) id(v, q int) int { return v*p.m + q }
 func (p *product) coReach(y int, a *arena) { p.sweep(y, a, false, nil) }
 
 // distToGoal computes product BFS distances to the accepting goal
-// (y, accepting), left in a.dist; entries are valid where a.dst holds.
-// For every reached non-goal node it also records the successor one
-// step closer to the goal (a.parent) and the label of that step
-// (a.plabel), so a shortest walk from ANY source can be read off
-// forward without another search — the basis of the batched walk tiers
-// (see sharedWalkFrom).
+// (y, accepting), left in a.dist and read by a.distAt; a shortest walk
+// from ANY source is then read off them forward without another search
+// (walkFrom) — the basis of the batched walk tiers.
 func (p *product) distToGoal(y int, a *arena) { p.sweep(y, a, true, nil) }
 
 // sweep runs the backward sweep (sweep.go) toward (y, accepting) over
@@ -100,10 +97,10 @@ func (p *product) distToGoal(y int, a *arena) { p.sweep(y, a, true, nil) }
 //
 // Given sources xs, the sweep stops as soon as every one of them is
 // answered (goalProbe) and reports that it stopped. Its outputs then
-// answer exactly those sources — each (x, start) stamped, with links at
-// its exact distance and linked one level closer — but are not the
-// closure, so nothing may be exported from them. Without sources, or
-// when a source is unreachable, the sweep runs to the end.
+// answer exactly those sources — each (x, start) marked, with links at
+// its exact distance — but are not the closure, so nothing may be
+// exported from them. Without sources, or when a source is unreachable,
+// the sweep runs to the end.
 func (p *product) sweep(y int, a *arena, links bool, xs []int) (stopped bool) {
 	return p.sweepPacked(a, p.d.Packed(), p.d.Accept, y, links, p.probeFor(a, xs))
 }
@@ -114,14 +111,14 @@ func (p *product) sweep(y int, a *arena, links bool, xs []int) (stopped bool) {
 // value probes nothing, so the sweep runs to the end — what the summary
 // and baseline tiers need, whose sweeps are pruning sets.
 //
-// The sweep calls answered before every round, with the visited set
-// holding exactly the ids at the levels below the one the round
-// discovers (it stamps a round's ids by the round's end). A source x is
-// answered when (x, start) is already marked — only a goal state, at
-// level 0, can be — or one of its out-edges x -l-> u reaches a marked
+// The sweep calls answered before every round, with the visited words
+// holding exactly the states at the levels below the one the round
+// discovers (a round's words are complete by the round's end). A source
+// x is answered when (x, start) is already visited — only a goal state,
+// at level 0, can be — or one of its out-edges x -l-> u reaches a visited
 // (u, δ(start, l)). The probes before earlier rounds failed for x, so x
-// sits at exactly the level the next round would discover, and the id it
-// steps into one level closer.
+// sits at exactly the level the next round would discover, and the state
+// it steps into one level closer.
 type goalProbe struct {
 	vw   *graph.View
 	d    *automaton.DFA
@@ -142,21 +139,21 @@ func (p *product) probeFor(a *arena, xs []int) goalProbe {
 	return goalProbe{vw: p.vw, d: p.d, lmap: p.lmap, xs: a.srcs}
 }
 
-// answered probes the sources left before the round that discovers
-// level d. If some are not answered yet it drops the answered ones — the
-// round about to run discovers them like any other id — and reports
-// false, as the zero probe always does. Otherwise the sweep stops here,
-// and answered stamps every source: (x, start) joins the visited set
-// and, with links, gets distance d and the successor the probe found
-// (looked up before any source is marked, so never a source stamped at
-// level d itself) and goes on the reach list.
-func (pr *goalProbe) answered(a *arena, marks *stamped, d int32, links bool) bool {
+// answered probes the sources left before the round of sweep r that
+// discovers level r.d+1. If some are not answered yet it drops the
+// answered ones — the round about to run discovers them like any other
+// state — and reports false, as the zero probe always does. Otherwise
+// the sweep stops here, and answered marks (x, start) of every source
+// visited and, with links, at distance r.d+1 — after probing them all,
+// so no source is answered through one marked at that level.
+func (pr *goalProbe) answered(r *packedSweep) bool {
 	if len(pr.xs) == 0 {
 		return false
 	}
+	co := r.a.co
 	left := pr.xs[:0]
 	for _, x := range pr.xs {
-		if _, _, ok := pr.step(x, marks); !ok {
+		if !pr.reaches(co, int(x)) {
 			left = append(left, x)
 		}
 	}
@@ -164,82 +161,85 @@ func (pr *goalProbe) answered(a *arena, marks *stamped, d int32, links bool) boo
 		pr.xs = left
 		return false
 	}
-	m, q0 := pr.d.NumStates, pr.d.Start
-	if links {
-		for _, x := range pr.xs {
-			if id := int(x)*m + q0; !marks.has(id) {
-				a.parent[id], a.plabel[id], _ = pr.step(x, marks)
-				a.dist[id] = d
+	q0 := pr.d.Start
+	bit := uint64(1) << (uint(q0) & 63)
+	for _, x := range pr.xs {
+		kv := int32((q0>>6)*r.n) + x
+		if old := r.vis[kv]; old&bit == 0 { // a source may be listed twice
+			if old == 0 {
+				r.a.noteDirty(kv)
+			}
+			r.vis[kv] = old | bit
+			if r.links {
+				r.a.dist[int(x)*r.m+q0] = r.d + 1
 			}
 		}
-	}
-	fresh := pr.xs[:0] // rewritten in place to the product ids stamped
-	for _, x := range pr.xs {
-		if id := int(x)*m + q0; !marks.has(id) { // a source may be listed twice
-			marks.add(id)
-			fresh = append(fresh, int32(id))
-		}
-	}
-	if links {
-		a.noteReached(fresh)
 	}
 	return true
 }
 
-// step returns the marked product id that answers source x and the
-// label of the edge into it: (x, start) itself when marked (label 0),
-// else the first marked (u, δ(start, l)) across an out-edge x -l-> u.
-func (pr *goalProbe) step(x int32, marks *stamped) (succ int32, label byte, ok bool) {
-	m, q0 := pr.d.NumStates, pr.d.Start
-	if id := int(x)*m + q0; marks.has(id) {
-		return int32(id), 0, true
+// reaches reports whether source x is answered: (x, start) visited, or a
+// visited (u, δ(start, l)) across an out-edge x -l-> u.
+func (pr *goalProbe) reaches(co visited, x int) bool {
+	q0 := pr.d.Start
+	if co.at(x, q0) {
+		return true
 	}
 	for lid, di := range pr.lmap {
 		if di < 0 {
 			continue
 		}
 		t := pr.d.StepIndex(q0, int(di))
-		for _, u := range pr.vw.OutWithID(int(x), lid) {
-			if sid := int(u)*m + t; marks.has(sid) {
-				return int32(sid), pr.vw.Label(lid), true
+		for _, u := range pr.vw.OutWithID(x, lid) {
+			if co.at(int(u), t) {
+				return true
 			}
 		}
 	}
-	return 0, 0, false
+	return false
 }
 
-// distAt returns the product distance computed by distToGoal, -1 when
-// unreachable.
-func (a *arena) distAt(id int) int32 {
-	if !a.dst.has(id) {
-		return -1
-	}
-	return a.dist[id]
+// distances is what a shortest walk is read off: the distance to the
+// goal of every (v, q), -1 when unreached. The arena's last sweep with
+// links and a frozen goalTable both are.
+type distances interface {
+	distAt(v, q int) int32
 }
 
-// sharedWalkFrom reads a shortest L-labeled walk from x off the
-// successor links left by distToGoal (which depend only on the target
-// y), or nil when no walk exists. Because one backward BFS serves every
-// source, a batch of queries sharing y pays for the product search once
-// and then O(walk length) per query.
-func (p *product) sharedWalkFrom(a *arena, x int) *graph.Path {
-	cur := p.id(x, p.d.Start)
-	if !a.dst.has(cur) {
+// walkFrom reads a shortest L-labeled walk from (x, q) off ds, which
+// must hold exact distances to one goal over p's view and DFA, or
+// returns nil when (x, q) is unreached. From (v, q) at distance d > 0 it
+// steps across the first out-edge v -l-> u, in label-id then adjacency
+// order, whose (u, δ(q, l)) is at distance d-1, so the walk is shortest;
+// among equally short walks which one is read is unspecified. Because
+// one backward sweep serves every source, a batch of queries sharing the
+// target pays for the product search once and then O(walk length ·
+// out-degree) per query. Only the returned path is allocated.
+func (p *product) walkFrom(ds distances, x, q int) *graph.Path {
+	d := ds.distAt(x, q)
+	if d < 0 {
 		return nil
 	}
-	vs := a.vs[:0]
-	ls := a.ls[:0]
-	vs = append(vs, x)
-	for a.dist[cur] > 0 {
-		ls = append(ls, a.plabel[cur])
-		cur = int(a.parent[cur])
-		vs = append(vs, cur/p.m)
+	vs := make([]int, 1, d+1)
+	ls := make([]byte, 0, d)
+	vs[0] = x
+	for v := x; d > 0; d-- {
+	step:
+		for lid, di := range p.lmap {
+			if di < 0 {
+				continue
+			}
+			t := p.d.StepIndex(q, int(di))
+			for _, u := range p.vw.OutWithID(v, lid) {
+				if ds.distAt(int(u), t) == d-1 {
+					vs, ls = append(vs, int(u)), append(ls, p.vw.Label(lid))
+					v, q = int(u), t
+					break step
+				}
+			}
+		}
 	}
-	a.vs, a.ls = vs, ls
-	return &graph.Path{
-		Vertices: append([]int(nil), vs...),
-		Labels:   append([]byte(nil), ls...),
-	}
+	return &graph.Path{Vertices: vs, Labels: ls}
 }
 
 // ShortestWalk returns a shortest (not necessarily simple) L-labeled
@@ -281,7 +281,8 @@ func walkSearch(g *graph.Graph, d *automaton.DFA, x, y int, a *arena) int {
 	p := makeProduct(g.PinView(), d, a)
 	nm := p.n * p.m
 	a.seen.reset(nm)
-	a.growProduct(nm)
+	a.parent = slices.Grow(a.parent[:0], nm)[:nm]
+	a.plabel = slices.Grow(a.plabel[:0], nm)[:nm]
 	start := p.id(x, d.Start)
 	a.seen.add(start)
 	a.parent[start] = -1

@@ -54,6 +54,15 @@ func stopGroups(n, m, start, y int, want []int32, rng *rand.Rand) [][]int {
 	return groups
 }
 
+// walker is p after a sweep with links, nil after a mark-only one: the
+// product checkSweepAgainstOracle reads walks over.
+func walker(p *product, links bool) *product {
+	if links {
+		return p
+	}
+	return nil
+}
+
 // stopLevel returns the level a sweep answering group xs stops at — its
 // farthest source's distance, at least 1 (the first probe runs before
 // round 1) — or 0 when some source is unreachable and the sweep must run
@@ -109,7 +118,7 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 		n := g.NumVertices()
 		rng := rand.New(rand.NewSource(41))
 		shared := new(arena)
-		stops := 0 // stopped sweeps that ran two rounds or more and kept their reach list
+		stops := 0 // stopped sweeps that ran two rounds or more and kept their dirty list
 
 		check := func(view string, wantOverlay bool) {
 			for rep := 0; rep < 8; rep++ {
@@ -150,22 +159,22 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 								truncated[x*m+start] = want[x*m+start]
 							}
 						}
-						checkSweepAgainstOracle(t, g, m, arcs, shared, links, truncated, ctx)
+						checkSweepAgainstOracle(t, g, m, shared, walker(&p, links), y, truncated, ctx)
+						if checkSweepContracts(t, shared, ctx) && links && stopped && level > 2 {
+							stops++
+						}
 						if links {
-							if checkSweepContracts(t, &p, shared, ctx) && stopped && level > 2 {
-								stops++
-							}
 							for _, x := range xs {
 								d := want[x*m+start]
-								walk := p.sharedWalkFrom(shared, x)
+								walk := p.walkFrom(shared, x, start)
 								if d < 0 {
 									if walk != nil {
 										t.Fatalf("%s: a walk from unreachable source %d", ctx, x)
 									}
 									continue
 								}
-								checkWalkBitValid(t, s, g, walk, x, y, d)
-								res := ev.answerGoal(goalView{p: p, a: shared}, tc.algo, x)
+								checkWalkBitValid(t, s.Min, g, walk, x, start, y, d)
+								res := ev.answerGoal(&goalView{p: p, ds: shared}, tc.algo, x)
 								if !res.Found || !VerifyWitness(res, g, s.Min, x, y) {
 									t.Fatalf("%s: source %d answers %v (found=%v)", ctx, x, res.Path, res.Found)
 								}
@@ -173,10 +182,8 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 						}
 						// The same arena, reused for a sweep run to the end.
 						p.sweep(y, shared, links, nil)
-						checkSweepAgainstOracle(t, g, m, arcs, shared, links, want, ctx+" (reused)")
-						if links {
-							checkSweepContracts(t, &p, shared, ctx+" (reused)")
-						}
+						checkSweepAgainstOracle(t, g, m, shared, walker(&p, links), y, want, ctx+" (reused)")
+						checkSweepContracts(t, shared, ctx+" (reused)")
 					}
 				}
 			}

@@ -325,7 +325,7 @@ func (ss *seqSearcher) ok(v, pos int) bool {
 	if ss.ext != nil {
 		return ss.ext.has(v*ss.m + pos)
 	}
-	return ss.a.co.has(v*ss.m + pos)
+	return ss.a.co.at(v, pos)
 }
 
 // run answers one query from source x against the searcher's shared

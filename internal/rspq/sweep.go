@@ -2,6 +2,7 @@ package rspq
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/automaton"
 	"repro/internal/graph"
@@ -10,7 +11,7 @@ import (
 // This file implements the backward sweep, the one round driver every
 // tractable tier answers from: backward reachability over view × A
 // toward the goal (y, accepting). The baseline tier's co-reachability
-// sweep and the walk-reduction tiers' distance/successor BFS run it with
+// sweep and the walk-reduction tiers' distance BFS run it with
 // A = the minimal DFA (product.sweep); the summary tier runs it with
 // A = the position NFA of a Ψtr plan (acquireSeqSearcher). Either way A
 // comes packed (automaton.Packed): its m states split into W = ⌈m/64⌉
@@ -31,15 +32,16 @@ import (
 // over a worker pool (evaluator.solvePairs), each group's sweep on its
 // worker's goroutine.
 //
-// The round at which a bit first turns on IS its exact BFS distance.
-// Product ids (vertex·m + state) are stamped when a round's words are
-// installed — into a.co mark-only; a.dst and a.dist with links. With
-// links each successor link is claimed the instant `add = pred &^
-// visited` turns its bit on, while the discovering edge (and via
-// Packed.StepIndex, the successor state) is in hand. Each bit turns on
-// once, so each link is written once: O(nm) scalar writes over the whole
-// search, no post-pass. Links need a DFA; every sweep that asks for them
-// is a product sweep.
+// The round at which a bit first turns on IS its exact BFS distance, and
+// the words are the sweep's only visited set: once it ends they are
+// readable as a.co (visited) until the arena's next sweep, which zeroes
+// them (arena.growWords). Mark-only, that is all a sweep leaves. A sweep
+// with links also writes each bit's level into a.dist[v·m + q] when the
+// round's words are installed — one scalar write per reached state. The
+// links themselves are never stored: a shortest walk is read off the
+// distances afterwards (product.walkFrom), one step at a time to a
+// neighbour one level closer. Walks need a DFA; every sweep that asks for
+// links is a product sweep.
 
 // sinks are the optional listeners of a sweep: the kernel telemetry
 // counters (Engine and BatchSolver.SetMetrics wire them) and the
@@ -93,8 +95,7 @@ func (f *frontier) swap() { f.fr, f.nx = f.nx, f.fr[:0] }
 type packedSweep struct {
 	sweepEnv
 	pk    *automaton.Packed
-	a     *arena   // a.lv, and with links dist/parent/plabel
-	marks *stamped // the visited set: a.dst with links, a.co without
+	a     *arena // a.lv, a.dirty, and with links a.dist
 	links bool
 	lanes int32 // W
 	d     int32 // the level the current round discovers
@@ -106,20 +107,21 @@ type packedSweep struct {
 }
 
 // sweepPacked runs the backward sweep over view × pk toward the goal (y,
-// accepting), accept marking pk's accepting states. Mark-only it leaves
-// the closure in a.co; with links (pk a DFA's table) it leaves validity
-// stamps in a.dst, exact BFS distances in a.dist, for every reached
-// non-goal id the successor one step closer to the goal and the label of
-// that step in a.parent/a.plabel, and the reach list
-// (arena.noteReached). A product sweep given sources probes them before
-// every round and stops once all are answered (goalProbe), reporting
-// that it stopped; pr is the zero probe otherwise.
+// accepting), accept marking pk's accepting states. It leaves the
+// closure in a.co and, with links (pk a DFA's table), exact BFS
+// distances in a.dist wherever a.co holds. A product sweep given sources
+// probes them before every round and stops once all are answered
+// (goalProbe), reporting that it stopped; pr is the zero probe otherwise.
 func (e *sweepEnv) sweepPacked(a *arena, pk *automaton.Packed, accept []bool, y int, links bool, pr goalProbe) (stopped bool) {
 	e.sweepStarted()
 	lv := &a.lv
 	W := pk.Lanes()
-	r := packedSweep{sweepEnv: *e, pk: pk, a: a, marks: a.beginSweep(e.n*e.m, links), links: links, lanes: int32(W)}
+	r := packedSweep{sweepEnv: *e, pk: pk, a: a, links: links, lanes: int32(W)}
 	r.vis, r.cur, r.nxt = a.growWords(W * e.n)
+	a.co = visited{w: r.vis, n: e.n, m: e.m}
+	if links {
+		a.dist = slices.Grow(a.dist[:0], e.n*e.m)[:e.n*e.m]
+	}
 	for k := 0; k < W; k++ {
 		if seed := automaton.AcceptMask(accept, k); seed != 0 {
 			r.admit(int32(k*e.n+y), seed, 0)
@@ -127,14 +129,7 @@ func (e *sweepEnv) sweepPacked(a *arena, pk *automaton.Packed, accept []bool, y 
 	}
 	r.deliver() // level 0: the goal states
 	for len(lv.fr) > 0 {
-		if links && a.reachOK {
-			// cur holds exactly the bits the last round turned on.
-			for _, kv := range lv.fr {
-				v, k := r.split(kv)
-				a.noteReachedWord(int(v)*e.m+64*int(k), r.cur[kv])
-			}
-		}
-		if pr.answered(a, r.marks, r.d+1, links) {
+		if pr.answered(&r) {
 			stopped = true
 			e.sweepStopped(r.d + 1)
 			for _, kv := range lv.fr { // cur is zero again, as at the end of a full sweep
@@ -150,8 +145,6 @@ func (e *sweepEnv) sweepPacked(a *arena, pk *automaton.Packed, accept []bool, y 
 		e.roundEnd(t0, total)
 	}
 	e.runDone(r.d)
-	// cur and nxt are zero again — by construction, or zeroed at the stop.
-	a.cleanWords(r.vis)
 	return stopped
 }
 
@@ -178,20 +171,6 @@ func (r *packedSweep) admit(kv int32, add, old uint64) {
 	r.nxt[kv] |= add
 }
 
-// claim records the successor link of every state in add, lane k of
-// vertex u, all discovered over the edge u → from with label id lid: the
-// link names the state the DFA steps to, which sits in from's frontier
-// word.
-func (r *packedSweep) claim(u, k int32, add uint64, from int32, lid int) {
-	di, label := int(r.lmap[lid]), r.vw.Label(lid)
-	base, succ := int(u)*r.m, int(from)*r.m
-	for ; add != 0; add &= add - 1 {
-		q := 64*int(k) + bits.TrailingZeros64(add)
-		r.a.parent[base+q] = int32(succ + r.pk.StepIndex(q, di))
-		r.a.plabel[base+q] = label
-	}
-}
-
 // expand runs one round: push each frontier word's predecessor words in
 // every target lane through its vertex's in-edges and admit the states
 // not yet visited.
@@ -216,9 +195,6 @@ func (r *packedSweep) expand() {
 					old := vis[u]
 					if add := pw &^ old; add != 0 {
 						r.admit(off+u, add, old)
-						if r.links {
-							r.claim(u, kt, add, v, lid)
-						}
 					}
 				}
 			}
@@ -227,9 +203,8 @@ func (r *packedSweep) expand() {
 }
 
 // deliver ends a round: install the next frontier words — clearing the
-// old ones — and stamp the product ids they turn on, which is where a
-// lane-vertex's discoveries for the round are complete; then swap the
-// frontier lists.
+// old ones — and, with links, write the level of every state they turn
+// on; then swap the frontier lists.
 func (r *packedSweep) deliver() {
 	lv := &r.a.lv
 	for _, kv := range lv.fr {
@@ -238,12 +213,10 @@ func (r *packedSweep) deliver() {
 	for _, kv := range lv.nx {
 		w := r.nxt[kv]
 		r.cur[kv], r.nxt[kv] = w, 0
-		v, k := r.split(kv)
-		for base := int(v)*r.m + 64*int(k); w != 0; w &= w - 1 {
-			id := base + bits.TrailingZeros64(w)
-			r.marks.add(id)
-			if r.links {
-				r.a.dist[id] = r.d
+		if r.links {
+			v, k := r.split(kv)
+			for base := int(v)*r.m + 64*int(k); w != 0; w &= w - 1 {
+				r.a.dist[base+bits.TrailingZeros64(w)] = r.d
 			}
 		}
 	}

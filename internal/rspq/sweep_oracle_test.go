@@ -71,40 +71,27 @@ func textbookSweep(g *graph.Graph, m int, arcs []oracleArc, accept []int, y int)
 	return dist
 }
 
-// checkSweepAgainstOracle compares what a sweep left in a — the closure
-// in a.co mark-only, the distances with links — id for id against the
-// oracle's, and with links requires every successor link to be a valid
-// step one level closer to the goal: a live edge of g carrying the
-// recorded label, a transition of the automaton under that label, and
-// an endpoint at distance exactly one less.
-func checkSweepAgainstOracle(t *testing.T, g *graph.Graph, m int, arcs []oracleArc, a *arena, links bool, want []int32, ctx string) {
+// checkSweepAgainstOracle compares what a sweep over m automaton states
+// left in a — the closure in a.co, and after a sweep with links over
+// product p (nil for a mark-only sweep) the distances — id for id
+// against the oracle's. With links, from every reached (x, q) the walk
+// read off the distances must be a genuine walk of g to y into an
+// accepting state, at the oracle's exact distance (checkWalkBitValid).
+func checkSweepAgainstOracle(t *testing.T, g *graph.Graph, m int, a *arena, p *product, y int, want []int32, ctx string) {
 	t.Helper()
 	for id, d := range want {
-		if !links {
-			if a.co.has(id) != (d >= 0) {
-				t.Fatalf("%s: closure differs from the oracle at id %d (got %v, oracle distance %d)", ctx, id, a.co.has(id), d)
-			}
+		x, q := id/m, id%m
+		if a.co.at(x, q) != (d >= 0) {
+			t.Fatalf("%s: closure differs from the oracle at id %d (got %v, oracle distance %d)", ctx, id, a.co.at(x, q), d)
+		}
+		if p == nil {
 			continue
 		}
-		if got := a.distAt(id); got != d {
+		if got := a.distAt(x, q); got != d {
 			t.Fatalf("%s: dist[%d] = %d, oracle %d", ctx, id, got, d)
 		}
-		if d <= 0 {
-			continue
-		}
-		succ, label := int(a.parent[id]), a.plabel[id]
-		if succ < 0 || succ >= len(want) || want[succ] != d-1 {
-			t.Fatalf("%s: link of id %d (distance %d) names %d, which is not one step closer", ctx, id, d, succ)
-		}
-		if !g.HasEdge(id/m, label, succ/m) {
-			t.Fatalf("%s: link of id %d: no edge %d -%c-> %d", ctx, id, id/m, label, succ/m)
-		}
-		step := false
-		for _, arc := range arcs {
-			step = step || arc == oracleArc{id % m, label, succ % m}
-		}
-		if !step {
-			t.Fatalf("%s: link of id %d: the automaton has no transition %d -%c-> %d", ctx, id, id%m, label, succ%m)
+		if d >= 0 {
+			checkWalkBitValid(t, p.d, g, p.walkFrom(a, x, q), x, q, y, d)
 		}
 	}
 }
@@ -233,7 +220,7 @@ func TestPositionNFASweepEquivalence(t *testing.T) {
 				}
 				a := getArena()
 				ss := acquireSeqSearcher(vw, a, plan, y, false, nil, sinks{})
-				checkSweepAgainstOracle(t, g, m, arcs, a, false, want, fmt.Sprintf("seq %s overlay=%v y=%d", seq, overlay, y))
+				checkSweepAgainstOracle(t, g, m, a, nil, y, want, fmt.Sprintf("seq %s overlay=%v y=%d", seq, overlay, y))
 				ss.release()
 				a.release()
 			}
@@ -244,57 +231,59 @@ func TestPositionNFASweepEquivalence(t *testing.T) {
 	}
 }
 
-// checkSweepContracts asserts, right after a sweep with links on a —
-// run to the end or stopped with its sources answered — the contracts
-// that let its consumers pay O(reached) and the next sweep start clean:
-// the frontier lists are empty; a reach list that is still valid names
-// exactly the stamped ids, each once; and the arena's packed words are
-// zero wherever they are not marked hot. It reports whether the list was
+// checkSweepContracts asserts, right after a sweep on a — run to the end
+// or stopped with its sources answered — the contracts that let its
+// consumers pay O(reached) and the next sweep start clean: the frontier
+// lists are empty; the frontier words are zero, and so is every word past
+// the visited ones; and a dirty list that is still valid names exactly
+// the non-zero visited words, each once. It reports whether the list was
 // valid.
-func checkSweepContracts(t *testing.T, p *product, a *arena, ctx string) bool {
+func checkSweepContracts(t *testing.T, a *arena, ctx string) bool {
 	t.Helper()
 	if len(a.lv.fr) != 0 || len(a.lv.nx) != 0 {
 		t.Fatalf("%s: the sweep ends with %d frontier and %d next-frontier entries", ctx, len(a.lv.fr), len(a.lv.nx))
 	}
+	vis := a.co.w
+	if len(vis) != a.w64Hot || &vis[0] != &a.w64[0] {
+		t.Fatalf("%s: a.co holds %d words, but the visited third is the first %d of w64", ctx, len(vis), a.w64Hot)
+	}
 	for i, w := range a.w64[a.w64Hot:cap(a.w64)] {
 		if w != 0 {
-			t.Fatalf("%s: packed word %d is %#x after the sweep but only the first %d are marked hot",
+			t.Fatalf("%s: packed word %d is %#x after the sweep; only the %d visited words may be non-zero",
 				ctx, a.w64Hot+i, w, a.w64Hot)
 		}
 	}
-	if !a.reachOK {
+	if !a.dirtyOK {
 		return false
 	}
-	nm := p.n * p.m
-	if len(a.reach) > nm/sparseFill {
-		t.Fatalf("%s: a valid reach list of %d ids outgrew the sparse threshold %d", ctx, len(a.reach), nm/sparseFill)
+	if len(a.dirty) > len(vis)/sparseFill {
+		t.Fatalf("%s: a valid dirty list of %d words outgrew the sparse threshold %d", ctx, len(a.dirty), len(vis)/sparseFill)
 	}
-	listed := make(map[int32]bool, len(a.reach))
-	for _, id := range a.reach {
-		if listed[id] {
-			t.Fatalf("%s: reach list names id %d twice", ctx, id)
+	listed := make(map[int32]bool, len(a.dirty))
+	for _, kv := range a.dirty {
+		if listed[kv] {
+			t.Fatalf("%s: dirty list names word %d twice", ctx, kv)
 		}
-		listed[id] = true
+		listed[kv] = true
 	}
-	for id := 0; id < nm; id++ {
-		if a.dst.has(id) != listed[int32(id)] {
-			t.Fatalf("%s: id %d stamped=%v but listed=%v", ctx, id, a.dst.has(id), listed[int32(id)])
+	for kv, w := range vis {
+		if (w != 0) != listed[int32(kv)] {
+			t.Fatalf("%s: visited word %d is %#x but listed=%v", ctx, kv, w, listed[int32(kv)])
 		}
 	}
 	return true
 }
 
-// TestSweepReachListAndCleanWords runs the sweep on one lane (a*c*) and
+// TestSweepDirtyListAndCleanWords runs the sweep on one lane (a*c*) and
 // on two ((a*b*){33}), on a pass-through and on an overlay view reached
 // through successive extensions, of a graph sparse enough that many
 // sweeps stay under the sparse threshold, through ONE arena that
 // alternates mark-only and distance sweeps. Every sweep must answer like
-// the textbook oracle — a word left dirty by one sweep, or zeroed
-// wrongly, shows up as a wrong closure or distance in the next — and must
-// leave the reach list and the words as checkSweepContracts requires.
-// Each width has to see both a kept and an abandoned list, or the case is
-// vacuous.
-func TestSweepReachListAndCleanWords(t *testing.T) {
+// the textbook oracle — a word the next sweep fails to clean, or cleans
+// wrongly, shows up as a wrong closure or distance — and must leave the
+// dirty list and the words as checkSweepContracts requires. Each width
+// has to see both a kept and an abandoned list, or the case is vacuous.
+func TestSweepDirtyListAndCleanWords(t *testing.T) {
 	for _, pattern := range []string{"a*c*", "(a*b*){33}"} {
 		s, err := NewSolver(pattern)
 		if err != nil {
@@ -321,18 +310,19 @@ func TestSweepReachListAndCleanWords(t *testing.T) {
 				if p.vw.Overlay() != wantOverlay {
 					t.Fatalf("%s: view overlay = %v", ctx, p.vw.Overlay())
 				}
-				p.coReach(y, shared) // mark-only: leaves the packed words hot
-				checkSweepAgainstOracle(t, g, p.m, arcs, shared, false, want, ctx)
+				p.coReach(y, shared)
+				checkSweepAgainstOracle(t, g, p.m, shared, nil, y, want, ctx)
+				checkSweepContracts(t, shared, ctx+" (mark-only)")
 				p.distToGoal(y, shared)
-				checkSweepAgainstOracle(t, g, p.m, arcs, shared, true, want, ctx)
-				if checkSweepContracts(t, &p, shared, ctx) {
+				checkSweepAgainstOracle(t, g, p.m, shared, &p, y, want, ctx)
+				if checkSweepContracts(t, shared, ctx) {
 					kept++
 				} else {
 					dropped++
 				}
-				p.distToGoal(y, shared) // back to back: starts from the cleaned words
-				checkSweepAgainstOracle(t, g, p.m, arcs, shared, true, want, ctx+" (repeat)")
-				checkSweepContracts(t, &p, shared, ctx+" (repeat)")
+				p.distToGoal(y, shared) // back to back: starts by cleaning its own words
+				checkSweepAgainstOracle(t, g, p.m, shared, &p, y, want, ctx+" (repeat)")
+				checkSweepContracts(t, shared, ctx+" (repeat)")
 			}
 		}
 		check("pass-through", false)
@@ -340,7 +330,7 @@ func TestSweepReachListAndCleanWords(t *testing.T) {
 		check("overlay", true)
 
 		if kept == 0 || dropped == 0 {
-			t.Fatalf("%s: %d sweeps kept their reach list, %d abandoned it; the test needs both", pattern, kept, dropped)
+			t.Fatalf("%s: %d sweeps kept their dirty list, %d abandoned it; the test needs both", pattern, kept, dropped)
 		}
 	}
 }
