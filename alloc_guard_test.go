@@ -51,6 +51,60 @@ func TestExistsWalkAllocGuard(t *testing.T) {
 	t.Fatalf("ExistsWalk allocates %.2f allocs/op warm; the contract is 0", avg)
 }
 
+// TestShortestWalkAllocGuard pins that a warm ShortestWalk allocates
+// only the path it returns: at most 3 allocations (the vertex and label
+// slices and the Path) for a found pair, none for a pair without a walk.
+// The sweep's words, distances and probe scratch all come from the
+// pooled arena. It runs BenchmarkShortestWalk's n=400 workload.
+func TestShortestWalkAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
+	}
+	d, err := automaton.MinDFAFromPattern("a*b(a|b|c)*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.RandomRegular(400, []byte{'a', 'b', 'c'}, 3, 400)
+	isolated := g.AddVertex() // no walk starts here
+	g.Freeze()
+	rng := rand.New(rand.NewSource(11))
+	type pq struct{ x, y int }
+	var found, missing []pq
+	for len(found) < 32 {
+		p := pq{rng.Intn(400), rng.Intn(400)}
+		if rspq.ExistsWalk(g, d, p.x, p.y) {
+			found = append(found, p)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		missing = append(missing, pq{isolated, rng.Intn(400)})
+	}
+	for _, c := range []struct {
+		name  string
+		pairs []pq
+		max   float64
+	}{{"found", found, 3}, {"not found", missing, 0}} {
+		for i := 0; i < 64; i++ { // warm the arena pool and all lazy indexes
+			rspq.ShortestWalk(g, d, c.pairs[i%len(c.pairs)].x, c.pairs[i%len(c.pairs)].y)
+		}
+		var avg float64
+		for attempt := 0; attempt < 3; attempt++ {
+			i := 0
+			avg = testing.AllocsPerRun(200, func() {
+				p := c.pairs[i%len(c.pairs)]
+				i++
+				rspq.ShortestWalk(g, d, p.x, p.y)
+			})
+			if avg <= c.max {
+				break
+			}
+		}
+		if avg > c.max {
+			t.Errorf("ShortestWalk (%s) allocates %.2f allocs/op warm; the contract is at most %.0f", c.name, avg, c.max)
+		}
+	}
+}
+
 // TestCompileAllocGuard pins that compiling classifies without proving:
 // the Property-(1) witness search — 20k–330k allocations and 3–40 MB
 // for these NP-complete languages — runs on the first

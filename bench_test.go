@@ -10,9 +10,11 @@ import (
 	"repro/internal/rspq"
 )
 
-// BenchmarkShortestWalk measures the product-BFS RPQ search (the
-// engine under every walk-based solver) on warm frozen graphs. The
-// witness path is the only allocation per found query.
+// BenchmarkShortestWalk measures the RPQ search under every per-query
+// walk tier — the backward product sweep from y, stopped once x is
+// answered, plus the walk read off its distances — on warm frozen
+// graphs. The witness path is the only allocation per found query
+// (TestShortestWalkAllocGuard).
 func BenchmarkShortestWalk(b *testing.B) {
 	b.ReportAllocs()
 	d, err := automaton.MinDFAFromPattern("a*b(a|b|c)*")
@@ -32,8 +34,8 @@ func BenchmarkShortestWalk(b *testing.B) {
 	}
 }
 
-// BenchmarkExistsWalk is the boolean variant: no witness, so warm
-// queries must be allocation-free.
+// BenchmarkExistsWalk times the boolean reference search, a forward
+// product BFS: no witness, so warm queries must be allocation-free.
 func BenchmarkExistsWalk(b *testing.B) {
 	b.ReportAllocs()
 	d, err := automaton.MinDFAFromPattern("a*b(a|b|c)*")

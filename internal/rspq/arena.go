@@ -7,15 +7,15 @@ import (
 
 // This file implements the reusable search scratch shared by the
 // product-based solvers. Every query needs a handful of dense arrays
-// sized by the product |V|·|Q| (visited sets, BFS distances, parent
-// links) that the seed implementation allocated fresh per call. The
-// arena keeps them pooled (sync.Pool, so concurrent queries each get
-// their own). Sets over ids are epoch-stamped: membership of id i means
-// mark[i] equals the current epoch, so "clearing" a set is one counter
-// increment instead of an O(|V|·|Q|) memset; the backward sweep's
-// visited set is its packed words instead (visited). Steady-state
-// queries on a warm Solver therefore run allocation-free until a witness
-// path is materialized.
+// sized by the product |V|·|Q| (visited sets, BFS distances) that the
+// seed implementation allocated fresh per call. The arena keeps them
+// pooled (sync.Pool, so concurrent queries each get their own). Sets
+// over ids are epoch-stamped: membership of id i means mark[i] equals
+// the current epoch, so "clearing" a set is one counter increment
+// instead of an O(|V|·|Q|) memset; the backward sweep's visited set is
+// its packed words instead (visited). Steady-state queries on a warm
+// Solver therefore run allocation-free until a witness path is
+// materialized.
 
 // stamped is an epoch-stamped membership set over dense int ids.
 type stamped struct {
@@ -74,9 +74,7 @@ type arena struct {
 	co     visited  // the last backward sweep's visited set
 	seen   stamped  // visited set (product ids or vertex ids)
 	dist   []int32  // the last sweep with links' BFS distances, valid where co holds
-	parent []int32  // forward BFS parent links, valid where seen holds
-	plabel []byte   // labels of the parent links
-	queue  []int32  // BFS worklist (forward walk search)
+	queue  []int32  // BFS worklist (ExistsWalk's forward reference search)
 	w64    []uint64 // packed lane-vertex state words (the sweep)
 	w64Hot int      // leading words of w64 the last sweep may have left non-zero
 	vs     []int    // path vertex scratch

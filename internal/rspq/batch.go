@@ -66,9 +66,8 @@ func (s *Solver) BatchSolve(g *graph.Graph, pairs []Pair) []Result {
 // like the per-query surface. Queries are grouped by target so each
 // group shares its y-side table, and groups run on the worker pool. On
 // the walk-reduction tiers (subword-closed languages, DAGs) a witness is
-// a shortest L-labeled walk, with its loops removed on the subword tier;
-// when several walks are equally short, which one is returned is
-// unspecified.
+// a shortest L-labeled walk, with its loops removed on the subword tier:
+// the same witness Solver.Solve returns (product.walkFrom).
 func (bs *BatchSolver) Solve(pairs []Pair) []Result {
 	out := make([]Result, len(pairs))
 	bs.solvePairs(bs.s.pin(bs.g), pairs, answers{out: out})

@@ -2,6 +2,7 @@ package rspq
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -29,6 +30,7 @@ type ColorCodingOptions struct {
 //
 // A Found=true answer carries a verified witness path. Found=false is
 // correct with probability ≥ 1-FailureProb (one-sided Monte Carlo).
+// Above k = 23 the answer is exact, from BaselineShortest.
 func ColorCoding(g *graph.Graph, d *automaton.DFA, x, y, k int, opts ColorCodingOptions) Result {
 	if k < 0 || !validPair(g.NumVertices(), x, y) {
 		return Result{}
@@ -42,8 +44,12 @@ func ColorCoding(g *graph.Graph, d *automaton.DFA, x, y, k int, opts ColorCoding
 	colors := k + 1 // vertices on a path with ≤ k edges
 	if colors > 24 {
 		// The subset DP is 2^{k+1}; beyond this the memory is
-		// unreasonable and callers should use Baseline.
-		return Baseline(g, d, x, y, nil)
+		// unreasonable, so answer exactly: a shortest simple path
+		// decides whether one with at most k edges exists.
+		if res := BaselineShortest(g, d, x, y, nil); res.Found && res.Path.Len() <= k {
+			return res
+		}
+		return Result{}
 	}
 	failure := opts.FailureProb
 	if failure <= 0 || failure >= 1 {
@@ -111,7 +117,7 @@ func colorfulSearch(p *product, d *automaton.DFA, x, y, k int, color []int, colo
 				if !reach[idx(S, v, q)] {
 					continue
 				}
-				if popcount(S)-1 >= k {
+				if bits.OnesCount(uint(S))-1 >= k {
 					continue // path already has k edges
 				}
 				for lid := 0; lid < L; lid++ {
@@ -170,13 +176,4 @@ func colorfulSearch(p *product, d *automaton.DFA, x, y, k int, color []int, colo
 		}
 	}
 	return nil
-}
-
-func popcount(x int) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }

@@ -361,8 +361,8 @@ func (e *Engine) Stats() EngineStats {
 // be shared with other callers via the result cache, so its Path must
 // be treated as immutable. On the walk-reduction tiers (subword-closed
 // languages, DAGs) the witness is a shortest L-labeled walk, with its
-// loops removed on the subword tier; when several walks are equally
-// short, which one is returned is unspecified.
+// loops removed on the subword tier: the same witness Solver.Solve
+// returns (product.walkFrom).
 func (e *Engine) Solve(x, y int) Result {
 	return e.solve(x, y, false)
 }

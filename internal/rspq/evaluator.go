@@ -609,21 +609,11 @@ func (ev *evaluator) goalViewFor(pv *pinned, a *arena, y int, xs []int, st *solv
 // answerGoal reads one source's witness off the y-side view, applying
 // the subword tier's loop removal.
 func (ev *evaluator) answerGoal(v *goalView, algo Algorithm, x int) Result {
-	d := ev.s.Min
-	walk := v.p.walkFrom(v.ds, x, d.Start)
-	if walk == nil {
-		return Result{}
-	}
+	walk := v.p.walkFrom(v.ds, x, ev.s.Min.Start)
 	if algo == AlgoSubword {
-		simple := walk.RemoveLoops()
-		if simple != walk && !d.Member(simple.Word()) {
-			// Cannot happen for genuinely subword-closed languages (and a
-			// walk that lost nothing already ended in an accepting state).
-			return Result{}
-		}
-		walk = simple
+		walk = loopFree(ev.s.Min, walk)
 	}
-	return Result{Found: true, Path: walk}
+	return pathResult(walk)
 }
 
 // cachedGoalTable returns target y's cached backward-BFS table, nil on

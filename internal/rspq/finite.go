@@ -131,12 +131,5 @@ func DAG(g *graph.Graph, d *automaton.DFA, x, y int) (Result, bool) {
 	if !g.IsAcyclic() {
 		return Result{}, false
 	}
-	if !validPair(g.NumVertices(), x, y) {
-		return Result{}, true
-	}
-	walk := ShortestWalk(g, d, x, y)
-	if walk == nil {
-		return Result{}, true
-	}
-	return Result{Found: true, Path: walk}, true
+	return pathResult(ShortestWalk(g, d, x, y)), true // nil for out-of-range x/y too
 }

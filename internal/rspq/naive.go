@@ -16,16 +16,29 @@ import (
 // see experiment E5. For subword-closed languages (trC(0)) it happens
 // to be exact, which is the Mendelzon–Wood result; see Subword.
 func Naive(g *graph.Graph, d *automaton.DFA, x, y int) Result {
-	walk := ShortestWalk(g, d, x, y) // nil for out-of-range x/y too
+	return pathResult(loopFree(d, ShortestWalk(g, d, x, y))) // nil walk for out-of-range x/y too
+}
+
+// loopFree splices the loops out of an L(d)-labeled walk
+// (graph.Path.RemoveLoops) and returns the simple path, or nil when the
+// walk is nil or the removal left L(d). A walk that lost nothing needs
+// no re-check: it is already L-labeled. It is the one loop-removal step
+// of the walk tiers: Naive, Subword, the vl-graph walk tier and the
+// batched subword tier (evaluator.answerGoal).
+func loopFree(d *automaton.DFA, walk *graph.Path) *graph.Path {
 	if walk == nil {
-		return Result{}
+		return nil
 	}
 	simple := walk.RemoveLoops()
-	if d.Member(simple.Word()) {
-		return Result{Found: true, Path: simple}
+	if simple != walk && !d.Member(simple.Word()) {
+		return nil
 	}
-	return Result{}
+	return simple
 }
+
+// pathResult is the Result of a search that returns its witness, or nil
+// when there is none.
+func pathResult(p *graph.Path) Result { return Result{Found: p != nil, Path: p} }
 
 // SubwordClosed reports whether the language of the minimal DFA is
 // closed under factor deletion — the paper's trC(0), the fragment
@@ -47,24 +60,15 @@ func SubwordClosed(min *automaton.DFA) bool {
 	return true
 }
 
-// Subword answers RSPQ(L) for subword-closed languages: the L-labeled
-// walk found by product BFS can always be made simple by loop removal
+// Subword answers RSPQ(L) for subword-closed languages: a shortest
+// L-labeled walk (ShortestWalk) can always be made simple by loop removal
 // (removing a loop deletes a factor of the word, and the class is
 // closed under factor deletion), so RSPQ coincides with RPQ. The
 // returned path is a *shortest* simple L-labeled path: the shortest
 // walk is no longer than any simple path, and loop removal only
 // shrinks it.
 func Subword(g *graph.Graph, d *automaton.DFA, x, y int) Result {
-	walk := ShortestWalk(g, d, x, y)
-	if walk == nil {
-		return Result{}
-	}
-	simple := walk.RemoveLoops()
-	if simple != walk && !d.Member(simple.Word()) {
-		// Cannot happen for genuinely subword-closed languages; guard
-		// against misuse. A walk that lost nothing needs no re-check: the
-		// product BFS already ended it in an accepting state.
-		return Result{}
-	}
-	return Result{Found: true, Path: simple}
+	// loopFree's nil on an L-labeled walk cannot happen for genuinely
+	// subword-closed languages; it guards against misuse.
+	return pathResult(loopFree(d, ShortestWalk(g, d, x, y)))
 }

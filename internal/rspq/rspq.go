@@ -2,7 +2,8 @@
 //
 //   - the summary-based polynomial solver for tractable (trC) languages
 //     given as Ψtr expressions (Lemmas 12–16 and the §3.5 adaptation);
-//   - the classical product-BFS RPQ solver (arbitrary-path semantics);
+//   - the classical RPQ solver (arbitrary-path semantics): the backward
+//     product sweep, with a shortest walk read off its distances;
 //   - an exact exponential baseline (backtracking over the product with
 //     co-reachability pruning) used as ground truth and as the "NP side"
 //     comparator;
@@ -21,8 +22,6 @@
 package rspq
 
 import (
-	"slices"
-
 	"repro/internal/automaton"
 	"repro/internal/graph"
 )
@@ -210,11 +209,13 @@ type distances interface {
 // must hold exact distances to one goal over p's view and DFA, or
 // returns nil when (x, q) is unreached. From (v, q) at distance d > 0 it
 // steps across the first out-edge v -l-> u, in label-id then adjacency
-// order, whose (u, δ(q, l)) is at distance d-1, so the walk is shortest;
-// among equally short walks which one is read is unspecified. Because
-// one backward sweep serves every source, a batch of queries sharing the
-// target pays for the product search once and then O(walk length ·
-// out-degree) per query. Only the returned path is allocated.
+// order, whose (u, δ(q, l)) is at distance d-1, so the walk is shortest:
+// the first of the shortest in that order. Distances are exact wherever
+// they are read, so a stopped sweep, a full one and a cached table all
+// yield the same walk. Because one backward sweep serves every source, a
+// batch of queries sharing the target pays for the product search once
+// and then O(walk length · out-degree) per query. Only the returned path
+// is allocated.
 func (p *product) walkFrom(ds distances, x, q int) *graph.Path {
 	d := ds.distAt(x, q)
 	if d < 0 {
@@ -243,8 +244,10 @@ func (p *product) walkFrom(ds distances, x, q int) *graph.Path {
 }
 
 // ShortestWalk returns a shortest (not necessarily simple) L-labeled
-// walk from x to y, or nil: the classical RPQ evaluation via BFS over
-// the product G × A_L. The only allocation on a warm solver is the
+// walk from x to y, or nil: the classical RPQ evaluation. It is the
+// backward sweep from y, stopped once x is answered, with the walk read
+// off its distances (walkFrom) — the search BatchSolver and Engine run
+// for a whole target group. The only allocation on a warm solver is the
 // returned path.
 func ShortestWalk(g *graph.Graph, d *automaton.DFA, x, y int) *graph.Path {
 	if !validPair(g.NumVertices(), x, y) {
@@ -252,81 +255,49 @@ func ShortestWalk(g *graph.Graph, d *automaton.DFA, x, y int) *graph.Path {
 	}
 	a := getArena()
 	defer a.release()
-	goal := walkSearch(g, d, x, y, a)
-	if goal < 0 {
-		return nil
-	}
-	// Reconstruct from the parent links left in the arena.
-	m := d.NumStates
-	vs := a.vs[:0]
-	ls := a.ls[:0]
-	for cur := int32(goal); cur >= 0; cur = a.parent[cur] {
-		vs = append(vs, int(cur)/m)
-		if a.parent[cur] >= 0 {
-			ls = append(ls, a.plabel[cur])
-		}
-	}
-	slices.Reverse(vs)
-	slices.Reverse(ls)
-	a.vs, a.ls = vs, ls
-	return &graph.Path{
-		Vertices: append([]int(nil), vs...),
-		Labels:   append([]byte(nil), ls...),
-	}
-}
-
-// walkSearch runs the forward product BFS, leaving parent links in the
-// arena. It returns the accepting goal id, or -1.
-func walkSearch(g *graph.Graph, d *automaton.DFA, x, y int, a *arena) int {
 	p := makeProduct(g.PinView(), d, a)
-	nm := p.n * p.m
-	a.seen.reset(nm)
-	a.parent = slices.Grow(a.parent[:0], nm)[:nm]
-	a.plabel = slices.Grow(a.plabel[:0], nm)[:nm]
-	start := p.id(x, d.Start)
-	a.seen.add(start)
-	a.parent[start] = -1
-	queue := a.queue[:0]
-	queue = append(queue, int32(start))
-	goal := -1
-	L := p.vw.NumLabels()
-	for at := 0; at < len(queue) && goal < 0; at++ {
-		id := int(queue[at])
-		v, q := id/p.m, id%p.m
-		if v == y && d.Accept[q] {
-			goal = id
-			break
-		}
-		for lid := 0; lid < L; lid++ {
-			di := p.lmap[lid]
-			if di < 0 {
-				continue
-			}
-			t := d.StepIndex(q, int(di))
-			label := p.vw.Label(lid)
-			for _, to := range p.vw.OutWithID(v, lid) {
-				nid := int(to)*p.m + t
-				if !a.seen.has(nid) {
-					a.seen.add(nid)
-					a.parent[nid] = int32(id)
-					a.plabel[nid] = label
-					queue = append(queue, int32(nid))
-				}
-			}
-		}
-	}
-	a.queue = queue
-	return goal
+	xs := [1]int{x}
+	p.sweep(y, a, true, xs[:])
+	return p.walkFrom(a, x, d.Start)
 }
 
-// ExistsWalk reports the boolean RPQ answer. It runs the same product
-// BFS as ShortestWalk but skips witness reconstruction, so warm calls
-// are allocation-free.
+// ExistsWalk reports the boolean RPQ answer by a forward BFS over the
+// product from (x, start) until some (y, accepting) is dequeued; warm
+// calls are allocation-free. No solver calls it: it is the reference
+// that tests (and the benchmark's verifier) hold the backward sweep
+// against, so it shares no search code with sweep.go — only the pinned
+// view and the label map.
 func ExistsWalk(g *graph.Graph, d *automaton.DFA, x, y int) bool {
 	if !validPair(g.NumVertices(), x, y) {
 		return false
 	}
 	a := getArena()
 	defer a.release()
-	return walkSearch(g, d, x, y, a) >= 0
+	p := makeProduct(g.PinView(), d, a)
+	a.seen.reset(p.n * p.m)
+	start := p.id(x, d.Start)
+	a.seen.add(start)
+	queue := append(a.queue[:0], int32(start))
+	found := false
+	for at := 0; at < len(queue); at++ {
+		v, q := int(queue[at])/p.m, int(queue[at])%p.m
+		if v == y && d.Accept[q] {
+			found = true
+			break
+		}
+		for lid, di := range p.lmap {
+			if di < 0 {
+				continue
+			}
+			t := d.StepIndex(q, int(di))
+			for _, u := range p.vw.OutWithID(v, lid) {
+				if nid := p.id(int(u), t); !a.seen.has(nid) {
+					a.seen.add(nid)
+					queue = append(queue, int32(nid))
+				}
+			}
+		}
+	}
+	a.queue = queue
+	return found
 }

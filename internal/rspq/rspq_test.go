@@ -1,6 +1,7 @@
 package rspq
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/automaton"
@@ -256,6 +257,20 @@ func TestColorCodingEdgeCases(t *testing.T) {
 	}
 	if res := ColorCoding(g, d, 0, 1, 1, ColorCodingOptions{}); !res.Found {
 		t.Error("single edge at k = 1 should be found")
+	}
+}
+
+// TestColorCodingLargeK pins the exact fallback above the colour
+// budget (k+1 > 24 colours): a path longer than k is no answer, one
+// within k is.
+func TestColorCodingLargeK(t *testing.T) {
+	g, x, y := graph.LabeledPath(strings.Repeat("a", 40))
+	d := mustMin(t, "a*")
+	if res := ColorCoding(g, d, x, y, 30, ColorCodingOptions{}); res.Found {
+		t.Errorf("k = 30 found a %d-edge path on a 40-edge path", res.Path.Len())
+	}
+	if res := ColorCoding(g, d, x, y, 40, ColorCodingOptions{}); !res.Found || res.Path.Len() != 40 || !VerifyWitness(res, g, d, x, y) {
+		t.Errorf("k = 40 must find the 40-edge path; got %+v", res)
 	}
 }
 

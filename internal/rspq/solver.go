@@ -238,10 +238,12 @@ func (s *Solver) Shortest(g *graph.Graph, x, y int) Result {
 	return s.solveWith(g, x, y, AlgoAuto, true)
 }
 
-// solveWith is the per-query forward evaluator: one search from x on
-// the tier algo names (AlgoAuto: the tier the trichotomy assigns). The
-// finite, subword and DAG tiers always return a shortest path; shortest
-// makes the summary and baseline tiers do so too.
+// solveWith is the per-query dispatcher: the kernel of the tier algo
+// names (AlgoAuto: the tier the trichotomy assigns) for one (x, y). The
+// walk tiers run ShortestWalk, the evaluator's backward sweep for a
+// group of one, so they return the witness BatchSolver and Engine do.
+// The finite, subword and DAG tiers always return a shortest path;
+// shortest makes the summary and baseline tiers do so too.
 func (s *Solver) solveWith(g *graph.Graph, x, y int, algo Algorithm, shortest bool) Result {
 	if !validPair(g.NumVertices(), x, y) {
 		return Result{}
@@ -273,10 +275,7 @@ func (s *Solver) solveWith(g *graph.Graph, x, y int, algo Algorithm, shortest bo
 		}
 		return res
 	case AlgoWalk:
-		if p := ShortestWalk(g, s.Min, x, y); p != nil {
-			return Result{Found: true, Path: p}
-		}
-		return Result{}
+		return pathResult(ShortestWalk(g, s.Min, x, y))
 	case AlgoNaive:
 		return Naive(g, s.Min, x, y)
 	default:

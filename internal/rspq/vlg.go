@@ -46,7 +46,8 @@ func LetterSynchronizing(min *automaton.DFA) bool {
 	return true
 }
 
-// VlgSolve answers RSPQ(L) on a vertex-labeled graph. Dispatch:
+// VlgSolve answers RSPQ(L) on a vertex-labeled graph. Dispatch
+// (vlgDispatch):
 //
 //  1. finite L → word-by-word search on the db-encoding (AC⁰ tier);
 //  2. letter-synchronizing minimal DFA → product walk + loop removal
@@ -62,31 +63,26 @@ func VlgSolve(vg *graph.VGraph, d *automaton.DFA, expr *PsitrExpr, x, y int) Res
 	if !validPair(vg.NumVertices(), x, y) {
 		return Result{}
 	}
-	g := vg.ToDBGraph()
-	min := d.Minimize()
-	switch {
-	case min.IsFinite():
-		return Finite(g, min, x, y)
-	case LetterSynchronizing(min):
-		return vlgWalkSolve(g, min, x, y)
-	case expr != nil:
-		return SolvePsitr(g, expr, x, y, false)
-	default:
-		return Baseline(g, min, x, y, nil)
-	}
+	return vlgDispatch(vg.ToDBGraph(), d, expr, x, y)
 }
 
 // EvlSolve answers RSPQ(L) on a vertex-and-edge-labeled graph via the
 // paper's product-alphabet encoding (Section 4.1): the query language is
-// stated over the paired labels (graph.PairLabel). Dispatch mirrors
-// VlgSolve: the encoding also satisfies "edge label determined by target
-// vertex" only per vertex-label component, so the letter-synchronizing
-// fast path still applies when the minimal DFA allows it.
+// stated over the paired labels (graph.PairLabel). Dispatch is
+// VlgSolve's: the encoding also satisfies "edge label determined by
+// target vertex" only per vertex-label component, so the
+// letter-synchronizing fast path still applies when the minimal DFA
+// allows it.
 func EvlSolve(ev *graph.EVGraph, d *automaton.DFA, expr *PsitrExpr, x, y int) Result {
 	if !validPair(ev.NumVertices(), x, y) {
 		return Result{}
 	}
-	g := ev.ToDBGraph()
+	return vlgDispatch(ev.ToDBGraph(), d, expr, x, y)
+}
+
+// vlgDispatch is the four-way dispatch of VlgSolve and EvlSolve over the
+// db-encoding g.
+func vlgDispatch(g *graph.Graph, d *automaton.DFA, expr *PsitrExpr, x, y int) Result {
 	min := d.Minimize()
 	switch {
 	case min.IsFinite():
@@ -108,11 +104,10 @@ func vlgWalkSolve(g *graph.Graph, min *automaton.DFA, x, y int) Result {
 	if walk == nil {
 		return Result{}
 	}
-	simple := walk.RemoveLoops()
-	if !min.Member(simple.Word()) {
-		// Unreachable for genuinely letter-synchronizing automata on
-		// vl-encodings; guard against misuse with the exact baseline.
-		return Baseline(g, min, x, y, nil)
+	if simple := loopFree(min, walk); simple != nil {
+		return Result{Found: true, Path: simple}
 	}
-	return Result{Found: true, Path: simple}
+	// Unreachable for genuinely letter-synchronizing automata on
+	// vl-encodings; guard against misuse with the exact baseline.
+	return Baseline(g, min, x, y, nil)
 }

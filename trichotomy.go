@@ -59,8 +59,8 @@
 //     are built on the first summary-tier query and kept; the
 //     Property-(1) hardness witness, which no query reads, is searched
 //     only when HardnessWitness or Describe first asks for it.
-//   - All search scratch (visited sets, BFS queues, distance and parent
-//     arrays) is epoch-stamped and pooled, so steady-state queries on a
+//   - All search scratch (visited sets, BFS queues, distance arrays)
+//     is epoch-stamped and pooled, so steady-state queries on a
 //     warm Language are allocation-free apart from the witness path.
 package trichotomy
 
