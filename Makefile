@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check no-binaries build vet test race bench-check fuzz bench bench-smoke metrics-smoke restart-smoke serve docs
 
-check: no-binaries build vet test race bench-check
+check: no-binaries build vet test race bench-check docs
 
 # no-binaries: fail when the index holds an executable that is not a
 # shell script — i.e. a built binary committed by accident.

@@ -135,3 +135,79 @@ func TestCompileAllocGuard(t *testing.T) {
 		}
 	}
 }
+
+// TestSolverAllocGuard pins that a warm Solver query allocates only the
+// path it returns: on each tier, Solve and Shortest make at most 3
+// allocations (the vertex and label slices and the Path) for a found
+// pair and none for a pair without a path. The pinned view, the target
+// group of one and the evaluator all stay on the stack, and the scratch
+// comes from the pools.
+func TestSolverAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
+	}
+	g := graph.Random(400, []byte{'a', 'b', 'c'}, 0.004, 3)
+	g.Freeze()
+	for _, c := range []struct {
+		pattern string
+		tier    rspq.Algorithm
+	}{
+		{"abc|ab", rspq.AlgoFinite},
+		{"a*c*", rspq.AlgoSubword},
+		{"a*(bb+|())c*", rspq.AlgoSummary},
+		{"a*bc*", rspq.AlgoBaseline},
+	} {
+		s, err := rspq.NewSolver(c.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.ChooseAlgorithm(g); got != c.tier {
+			t.Fatalf("%q: tier %v; the case is meant for %v", c.pattern, got, c.tier)
+		}
+		rng := rand.New(rand.NewSource(11))
+		var found, missing [][2]int
+		for draw := 0; draw < 1<<18 && (len(found) < 16 || len(missing) < 16); draw++ {
+			p := [2]int{rng.Intn(400), rng.Intn(400)}
+			if s.Solve(g, p[0], p[1]).Found {
+				if len(found) < 16 {
+					found = append(found, p)
+				}
+			} else if len(missing) < 16 {
+				missing = append(missing, p)
+			}
+		}
+		if len(found) < 16 || len(missing) < 16 {
+			t.Fatalf("%q: drew %d found and %d missing pairs; the guard needs 16 of each", c.pattern, len(found), len(missing))
+		}
+		for _, q := range []struct {
+			name  string
+			solve func(*graph.Graph, int, int) rspq.Result
+		}{{"Solve", s.Solve}, {"Shortest", s.Shortest}} {
+			for _, set := range []struct {
+				name  string
+				pairs [][2]int
+				max   float64
+			}{{"found", found, 3}, {"not found", missing, 0}} {
+				for i := 0; i < 64; i++ { // warm the pools and all lazy indexes
+					q.solve(g, set.pairs[i%len(set.pairs)][0], set.pairs[i%len(set.pairs)][1])
+				}
+				var avg float64
+				for attempt := 0; attempt < 3; attempt++ {
+					i := 0
+					avg = testing.AllocsPerRun(100, func() {
+						p := set.pairs[i%len(set.pairs)]
+						i++
+						q.solve(g, p[0], p[1])
+					})
+					if avg <= set.max {
+						break
+					}
+				}
+				if avg > set.max {
+					t.Errorf("%s on %q (%s) allocates %.2f allocs/op warm; the contract is at most %.0f",
+						q.name, c.pattern, set.name, avg, set.max)
+				}
+			}
+		}
+	}
+}

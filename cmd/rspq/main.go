@@ -8,10 +8,14 @@
 // Usage:
 //
 //	rspq -graph g.txt -pattern 'a*(bb+|())c*' -from 0 -to 7
-//	rspq -graph g.txt -pattern '(aa)*' -from 0 -to 7 -algo baseline -shortest
+//	rspq -graph g.txt -pattern '(aa)*' -from 0 -to 7 -algo baseline
+//	rspq -graph g.txt -pattern '(aa)*' -from 0 -to 7 -shortest
+//
+// -shortest runs the tier the dispatcher picks, so it takes no -algo.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,6 +36,11 @@ func main() {
 	if *graphPath == "" || *pattern == "" {
 		fmt.Fprintln(os.Stderr, "rspq: -graph and -pattern are required")
 		flag.Usage()
+		os.Exit(2)
+	}
+	chosen, err := parseAlgo(*algo, *shortest)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rspq: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -60,17 +69,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	algos := map[string]rspq.Algorithm{
-		"auto": rspq.AlgoAuto, "finite": rspq.AlgoFinite, "subword": rspq.AlgoSubword,
-		"summary": rspq.AlgoSummary, "dag": rspq.AlgoDAG, "baseline": rspq.AlgoBaseline,
-		"walk": rspq.AlgoWalk, "naive": rspq.AlgoNaive,
-	}
-	chosen, ok := algos[*algo]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "rspq: unknown algorithm %q\n", *algo)
-		os.Exit(2)
-	}
-
 	var res rspq.Result
 	if *shortest {
 		res = s.Shortest(g, *from, *to)
@@ -97,4 +95,23 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// parseAlgo resolves the -algo flag. -shortest asks Solver.Shortest,
+// which always runs the dispatcher's tier, so it is rejected together
+// with any algorithm but auto.
+func parseAlgo(name string, shortest bool) (rspq.Algorithm, error) {
+	algos := map[string]rspq.Algorithm{
+		"auto": rspq.AlgoAuto, "finite": rspq.AlgoFinite, "subword": rspq.AlgoSubword,
+		"summary": rspq.AlgoSummary, "dag": rspq.AlgoDAG, "baseline": rspq.AlgoBaseline,
+		"walk": rspq.AlgoWalk, "naive": rspq.AlgoNaive,
+	}
+	algo, ok := algos[name]
+	switch {
+	case !ok:
+		return 0, fmt.Errorf("unknown algorithm %q", name)
+	case shortest && algo != rspq.AlgoAuto:
+		return 0, errors.New("-shortest runs the dispatcher's tier; drop -algo " + name)
+	}
+	return algo, nil
 }

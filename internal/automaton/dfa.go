@@ -236,15 +236,3 @@ func (d *DFA) String() string {
 	}
 	return b.String()
 }
-
-// ToNFA converts the DFA into an equivalent NFA (no ε-transitions).
-func (d *DFA) ToNFA() *NFA {
-	n := NewNFA(d.NumStates, d.Alphabet, d.Start)
-	copy(n.Accept, d.Accept)
-	for q := 0; q < d.NumStates; q++ {
-		for i, label := range d.Alphabet {
-			n.AddEdge(q, label, d.StepIndex(q, i))
-		}
-	}
-	return n
-}

@@ -147,10 +147,3 @@ func InTrCvlg(d *automaton.DFA) bool {
 	ok, _ := trCCheck(d.Minimize(), func(a, b byte) bool { return a == b })
 	return ok
 }
-
-// InTrCevlg reports whether the language of d belongs to trCevlg
-// (Definition 6) with the given vertex-label equivalence on letters.
-func InTrCevlg(d *automaton.DFA, sameVertex func(a, b byte) bool) bool {
-	ok, _ := trCCheck(d.Minimize(), sameVertex)
-	return ok
-}

@@ -44,13 +44,9 @@ type LocalStore struct {
 	mmap bool
 }
 
-// NewLocalStore returns a store over dir on the real filesystem.
-func NewLocalStore(dir string) *LocalStore {
-	return &LocalStore{fsys: osFS{}, dir: dir, mmap: true}
-}
-
-// newLocalStoreFS is the test hook: any fs, no mmap (an injected fs
-// has no real files to map).
+// newLocalStoreFS returns a store over dir on fsys, without mmap: Open
+// turns it on for the real filesystem (an injected fs has no real files
+// to map).
 func newLocalStoreFS(fsys fs, dir string) *LocalStore {
 	return &LocalStore{fsys: fsys, dir: dir}
 }

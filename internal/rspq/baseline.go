@@ -137,21 +137,29 @@ func BaselineShortest(g *graph.Graph, d *automaton.DFA, x, y int, stats *Baselin
 	}
 	a := getArena()
 	defer a.release()
-	b := bsearch{p: makeProduct(g.PinView(), d, a), a: a, d: d, y: y, stats: stats}
-	b.p.distToGoal(y, a)
-	dx := a.distAt(x, d.Start)
+	p := makeProduct(g.PinView(), d, a)
+	p.distToGoal(y, a)
+	return baselineShortestWith(&p, a, x, y, stats)
+}
+
+// baselineShortestWith runs the iterative deepening from x against the
+// complete distances to target y that distToGoal left in the arena.
+// They depend only on y, so queries sharing a target call this once per
+// source after one sweep.
+func baselineShortestWith(p *product, a *arena, x, y int, stats *BaselineStats) Result {
+	dx := a.distAt(x, p.d.Start)
 	if dx < 0 {
 		return Result{}
 	}
+	b := bsearch{p: *p, a: a, d: p.d, y: y, stats: stats}
 	defer func() { a.vs, a.ls = b.vs[:0], b.ls[:0] }()
-	maxDepth := g.NumVertices() - 1
-	for limit := int(dx); limit <= maxDepth; limit++ {
+	for limit := int(dx); limit < p.n; limit++ {
 		b.limit = limit
-		a.seen.reset(b.p.n)
+		a.seen.reset(p.n)
 		a.seen.add(x)
 		b.vs = append(a.vs[:0], x)
 		b.ls = a.ls[:0]
-		if b.dfs(x, d.Start, 0) {
+		if b.dfs(x, p.d.Start, 0) {
 			return b.witness()
 		}
 	}

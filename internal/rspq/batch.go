@@ -70,7 +70,8 @@ func (s *Solver) BatchSolve(g *graph.Graph, pairs []Pair) []Result {
 // the same witness Solver.Solve returns (product.walkFrom).
 func (bs *BatchSolver) Solve(pairs []Pair) []Result {
 	out := make([]Result, len(pairs))
-	bs.solvePairs(bs.s.pin(bs.g), pairs, answers{out: out})
+	pv := bs.s.pin(bs.g, AlgoAuto)
+	bs.solvePairs(&pv, pairs, answers{out: out})
 	return out
 }
 
@@ -83,6 +84,7 @@ func (bs *BatchSolver) Solve(pairs []Pair) []Result {
 // markedly cheaper than Solve there.
 func (bs *BatchSolver) SolveExists(pairs []Pair) []bool {
 	found := make([]bool, len(pairs))
-	bs.solvePairs(bs.s.pin(bs.g), pairs, answers{found: found})
+	pv := bs.s.pin(bs.g, AlgoAuto)
+	bs.solvePairs(&pv, pairs, answers{found: found})
 	return found
 }

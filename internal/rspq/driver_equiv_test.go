@@ -12,7 +12,7 @@ import (
 // sweep_oracle_test.go. Found bits, existence bits and BFS distances must
 // be bit-identical to the oracle's across every tier, lane width and
 // pre/post-mutation epoch; witnesses are verified rather than compared
-// (TestWalkTierWitnessAgreement compares them).
+// (TestWitnessAgreement compares them).
 
 // equivCase is one algorithm tier of the equivalence suites: a pattern
 // that dispatches to it and a generator of graphs it runs on.

@@ -30,7 +30,7 @@ import (
 //
 // The evaluation itself — which table a tier needs, how a group of
 // sources sharing a target is answered against it — is evaluator.go,
-// shared with BatchSolver; this file is the lifecycle around it
+// shared with Solver and BatchSolver; this file is the lifecycle around it
 // (snapshot pinning, compaction, stats, stage accounting of a single
 // query).
 //
@@ -244,10 +244,10 @@ func (e *Engine) snapshot() *pinned {
 	if s := e.snap.Load(); s != nil && s.epoch == e.g.Epoch() {
 		return s
 	}
-	s := e.s.pin(e.g)
-	e.snap.Store(s)
+	s := e.s.pin(e.g, AlgoAuto)
+	e.snap.Store(&s)
 	e.met.rebuilds.Inc()
-	return s
+	return &s
 }
 
 // Compact merges the graph's pending mutation delta into a flat CSR and
@@ -271,7 +271,8 @@ func (e *Engine) Compact() bool {
 	}
 	t0 := time.Now()
 	e.g.Freeze() // merge the delta into the base (incremental when it qualifies)
-	e.snap.Store(e.s.pin(e.g))
+	pv := e.s.pin(e.g, AlgoAuto)
+	e.snap.Store(&pv)
 	el := time.Since(t0)
 	e.met.compactions.Inc()
 	e.met.compactSeconds.ObserveDuration(el)
@@ -451,22 +452,8 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 	if ok {
 		return finish(res, cacheDur.Nanoseconds(), true)
 	}
-	// A single query is a target group of one, built on the stack.
-	var (
-		xs    = [1]int{x}
-		idx   [1]int
-		out   [1]Result
-		found [1]bool
-	)
-	grp := targetGroup{y: y, xs: xs[:], idx: idx[:]}
-	w := answers{out: out[:]}
-	if existsOnly {
-		w = answers{found: found[:]}
-	}
-	a := getArena()
-	e.solveGroup(snap, a, &grp, w, st)
-	a.release()
-	return finish(w.get(0), cacheDur.Nanoseconds(), false)
+	res = e.solveOne(snap, x, y, existsOnly, false, st)
+	return finish(res, cacheDur.Nanoseconds(), false)
 }
 
 // BatchSolve answers many (x, y) pairs: out[i] answers pairs[i],

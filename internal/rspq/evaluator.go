@@ -22,12 +22,13 @@ import (
 // language therefore group naturally by y: the table is obtained once
 // per group and every source in the group is answered against it.
 //
-// BatchSolver and Engine are both this evaluator. They differ only in
-// where tables and answers live: a BatchSolver keeps tables in the
-// worker's arena for the duration of one group and retains nothing; an
+// Solver, BatchSolver and Engine are all this evaluator, and solveGroup
+// is the one place a tier is mapped to its kernel. They differ only in
+// where tables and answers live: a Solver and a BatchSolver keep tables
+// in the arena for the duration of one group and retain nothing; an
 // Engine feeds both to epoch-keyed caches so they survive across
-// queries and batches. A single Engine query is a group of one, built
-// on the caller's stack.
+// queries and batches. A single Solver or Engine query is a group of
+// one, built on the caller's stack (solveOne).
 //
 // Groups are independent, so a batch fans them out over a worker pool.
 // Each worker owns one pooled arena for its whole shift and the summary
@@ -66,10 +67,12 @@ type targetGroup struct {
 
 // answers is where a batch's answers land: full results in out, or
 // only existence bits in found. Exactly one is non-nil, and every slot
-// starts out as "no path".
+// starts out as "no path". shortest (set by Solver.Shortest alone) makes
+// the summary and baseline tiers search on past their first witness.
 type answers struct {
-	out   []Result
-	found []bool
+	out      []Result
+	found    []bool
+	shortest bool
 }
 
 func (w answers) existsOnly() bool { return w.found != nil }
@@ -212,7 +215,7 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		// from x over the solver's precomputed word list.
 		k0 := ev.clock()
 		for j, x := range grp.xs {
-			w.set(grp.idx[j], finiteWithWords(pv.vw, ev.s.words, x, grp.y))
+			w.set(grp.idx[j], finiteWithWords(pv.vw, a, ev.s.words, x, grp.y))
 		}
 		ev.observeKernel(k0, st)
 	case AlgoSubword, AlgoDAG:
@@ -255,20 +258,22 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 	case AlgoSummary:
 		// Each Ψtr sequence's position-NFA co-reachability table depends
 		// only on the view and y: one pooled searcher per (sequence,
-		// target) runs once per source that is still unanswered.
+		// target) runs once per source still unanswered, or per source
+		// when asked for the shortest witness over all sequences.
 		remaining := len(grp.xs)
 		for si, plan := range ev.s.seqPlans() {
-			if remaining == 0 {
+			if remaining == 0 && !w.shortest {
 				break // skip later sequences' co-reachability builds
 			}
-			ss := ev.acquireSummary(pv, a, plan, si, grp.y, st)
+			ss := ev.acquireSummary(pv, a, plan, si, grp.y, w.shortest, st)
 			ss.existsOnly = w.existsOnly()
 			k0 := ev.clock()
 			for j, x := range grp.xs {
-				if w.get(grp.idx[j]).Found {
+				best := w.get(grp.idx[j])
+				if best.Found && !w.shortest {
 					continue
 				}
-				if res := ss.run(x); res.Found {
+				if res := ss.run(x); res.Found && (!best.Found || res.Path.Len() < best.Path.Len()) {
 					w.set(grp.idx[j], res)
 					remaining--
 				}
@@ -280,8 +285,18 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		// The exponential tier backtracks per source against one
 		// co-reachability pruning table, which must be complete: its
 		// sweep gets no sources. The existence bit needs the same search
-		// (co-reachability alone ignores simplicity).
+		// (co-reachability alone ignores simplicity). The shortest ask
+		// deepens iteratively against one complete distance sweep.
 		p := ev.product(pv, a, st)
+		if w.shortest {
+			k0 := ev.clock()
+			p.distToGoal(grp.y, a)
+			for j, x := range grp.xs {
+				w.set(grp.idx[j], baselineShortestWith(&p, a, x, grp.y, nil))
+			}
+			ev.observeKernel(k0, st)
+			break
+		}
 		ct := ev.coTableFor(pv, &p, a, grp.y, nil, st)
 		k0 := ev.clock()
 		for j, x := range grp.xs {
@@ -294,6 +309,23 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 			ev.storeResult(pv.epoch, x, grp.y, w.existsOnly(), w.get(grp.idx[j]))
 		}
 	}
+}
+
+// solveOne answers the single query (x, y) as a target group of one,
+// built on the stack: existence only when exists, a shortest path when
+// shortest. x and y must be valid vertices of pv's view.
+func (ev *evaluator) solveOne(pv *pinned, x, y int, exists, shortest bool, st *solveTiming) Result {
+	xs, idx := [1]int{x}, [1]int{}
+	var out [1]Result
+	var found [1]bool
+	w := answers{out: out[:], shortest: shortest}
+	if exists {
+		w = answers{found: found[:]}
+	}
+	a := getArena()
+	ev.solveGroup(pv, a, &targetGroup{y: y, xs: xs[:], idx: idx[:]}, w, st)
+	a.release()
+	return w.get(0)
 }
 
 // clock reads the time for a stage interval, or returns the zero time
@@ -542,7 +574,7 @@ func (t *goalTable) distAt(v, q int) int32 {
 // cache. On a table miss the co-reachability sweep runs inside the
 // acquire, into a.co, and is timed as kernel; the cache traffic around
 // it is timed as table.
-func (ev *evaluator) acquireSummary(pv *pinned, a *arena, plan *seqPlan, si, y int, st *solveTiming) *seqSearcher {
+func (ev *evaluator) acquireSummary(pv *pinned, a *arena, plan *seqPlan, si, y int, shortest bool, st *solveTiming) *seqSearcher {
 	key := ev.tableKey(pv, y, si, tableSeq)
 	t0 := ev.clock()
 	var ext *coTable
@@ -556,7 +588,7 @@ func (ev *evaluator) acquireSummary(pv *pinned, a *arena, plan *seqPlan, si, y i
 		st.tableHit = st.tableHit || ext != nil
 	}
 	k0 := ev.clock()
-	ss := acquireSeqSearcher(pv.vw, a, plan, y, false, ext, ev.sinks(st))
+	ss := acquireSeqSearcher(pv.vw, a, plan, y, shortest, ext, ev.sinks(st))
 	if ext == nil {
 		ev.observeKernel(k0, st)
 		if ev.tables != nil && ev.tables.Retainable(coTableCost(ss.n*ss.m)) {

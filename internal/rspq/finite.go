@@ -21,11 +21,11 @@ func Finite(g *graph.Graph, d *automaton.DFA, x, y int) Result {
 	}
 	min := d.Minimize()
 	if !min.IsFinite() {
-		// Guard against misuse; the dispatcher never routes infinite
-		// languages here.
-		return Baseline(g, d, x, y, nil)
+		return Baseline(g, d, x, y, nil) // guards against misuse
 	}
-	return finiteWithWords(g.PinView(), finiteWords(min), x, y)
+	a := getArena()
+	defer a.release()
+	return finiteWithWords(g.PinView(), a, finiteWords(min), x, y)
 }
 
 // finiteWords lists the words of a finite language recognized by the
@@ -44,10 +44,11 @@ func finiteWords(min *automaton.DFA) []string {
 }
 
 // finiteWithWords runs the word-by-word search over a precomputed,
-// (length, lex)-sorted word list against a pinned snapshot view.
-func finiteWithWords(vw *graph.View, words []string, x, y int) Result {
+// (length, lex)-sorted word list against a pinned snapshot view, in a's
+// scratch.
+func finiteWithWords(vw *graph.View, a *arena, words []string, x, y int) Result {
 	for _, w := range words {
-		if p := wordPath(vw, w, x, y); p != nil {
+		if p := wordPath(vw, a, w, x, y); p != nil {
 			return Result{Found: true, Path: p}
 		}
 	}
@@ -95,7 +96,7 @@ func (s *wsearch) dfs(v, i int) bool {
 // wordPath finds a simple path from x to y spelling exactly w, by
 // depth-first search over the |w| positions against the view's
 // label-bucketed adjacency.
-func wordPath(vw *graph.View, w string, x, y int) *graph.Path {
+func wordPath(vw *graph.View, a *arena, w string, x, y int) *graph.Path {
 	if x == y {
 		if w == "" {
 			return graph.PathAt(x)
@@ -105,8 +106,6 @@ func wordPath(vw *graph.View, w string, x, y int) *graph.Path {
 	if w == "" {
 		return nil
 	}
-	a := getArena()
-	defer a.release()
 	s := wsearch{vw: vw, a: a, w: w, y: y}
 	a.seen.reset(s.vw.NumVertices())
 	a.seen.add(x)

@@ -14,8 +14,8 @@
 //   - the color-coding FPT algorithm for k-RSPQ (Theorem 7);
 //   - the DAG solver (Theorem 8's polynomial combined-complexity case);
 //   - the vertex-labeled (vl-graph) solvers of Section 4.1;
-//   - a dispatcher that classifies the language and picks the right
-//     algorithm.
+//   - a dispatcher that picks the tier (Solver.pin), and one evaluator
+//     that runs its kernel for every surface (evaluator.go).
 //
 // Every solver returns a concrete witness path on success; callers can
 // re-verify simplicity and membership independently.

@@ -171,20 +171,31 @@ func (s *Solver) seqPlans() []*seqPlan {
 // last base (graph.View), so queries keep flowing while compaction is
 // deferred.
 func (s *Solver) Warm(g *graph.Graph) {
-	s.pin(g)
+	s.pin(g, AlgoAuto)
 }
 
 // pin pins g's current view together with the epoch it was pinned under
-// and the tier the language dispatches to on it, retrying if a mutation
+// and the tier that answers algo on it, retrying if a mutation
 // interleaves so the three belong to one generation. It is the one place
-// BatchSolver, Engine and Warm obtain a dispatch verdict, each under the
-// synchronization it already holds for the lazy pin.
-func (s *Solver) pin(g *graph.Graph) *pinned {
+// Solver, BatchSolver, Engine and Warm obtain a dispatch verdict, each
+// under the synchronization it already holds for the lazy pin. AlgoAuto
+// pins ChooseAlgorithm's tier; a forced tier that does not apply — the
+// finite search on an infinite language, the summary solver without a
+// Ψtr form, the RPQ collapse on a cyclic graph — pins the baseline.
+func (s *Solver) pin(g *graph.Graph, algo Algorithm) pinned {
 	for {
 		vw, epoch := g.SnapshotView()
-		algo := s.ChooseAlgorithm(g)
+		tier := algo
+		switch {
+		case algo == AlgoAuto:
+			tier = s.ChooseAlgorithm(g)
+		case algo == AlgoFinite && !s.Classification.Finite,
+			algo == AlgoSummary && s.Expr == nil,
+			algo == AlgoDAG && !g.IsAcyclic():
+			tier = AlgoBaseline
+		}
 		if g.Epoch() == epoch {
-			return &pinned{vw: vw, epoch: epoch, algo: algo}
+			return pinned{vw: vw, epoch: epoch, algo: tier}
 		}
 	}
 }
@@ -221,66 +232,43 @@ func (s *Solver) ChooseAlgorithm(g *graph.Graph) Algorithm {
 // on DAG inputs, tractable (trC) languages with a Ψtr form the
 // polynomial summary solver, everything else the exact exponential
 // baseline (the problem is NP-complete there, so exponential worst-case
-// time is expected).
+// time is expected). It runs on the evaluator of BatchSolver and Engine
+// as a target group of one, so all three return the same witness.
 func (s *Solver) Solve(g *graph.Graph, x, y int) Result {
 	return s.SolveWith(g, x, y, AlgoAuto)
 }
 
-// SolveWith forces a specific algorithm; AlgoAuto dispatches.
-// Out-of-range vertex ids yield Result{Found: false}, never a panic.
+// SolveWith forces a specific algorithm; AlgoAuto dispatches. A forced
+// tier that does not apply falls back to the exact baseline (see pin);
+// AlgoWalk and AlgoNaive, which are not RSPQ tiers, run ShortestWalk and
+// Naive. Out-of-range vertex ids yield Result{Found: false}, never a
+// panic.
 func (s *Solver) SolveWith(g *graph.Graph, x, y int, algo Algorithm) Result {
 	return s.solveWith(g, x, y, algo, false)
 }
 
-// Shortest returns a shortest simple L-labeled path from x to y, using
-// the best exact strategy available.
+// Shortest returns a shortest simple L-labeled path from x to y on
+// Solve's tier: the summary and baseline tiers search on past their
+// first witness, the others return a shortest one anyway.
 func (s *Solver) Shortest(g *graph.Graph, x, y int) Result {
 	return s.solveWith(g, x, y, AlgoAuto, true)
 }
 
-// solveWith is the per-query dispatcher: the kernel of the tier algo
-// names (AlgoAuto: the tier the trichotomy assigns) for one (x, y). The
-// walk tiers run ShortestWalk, the evaluator's backward sweep for a
-// group of one, so they return the witness BatchSolver and Engine do.
-// The finite, subword and DAG tiers always return a shortest path;
-// shortest makes the summary and baseline tiers do so too.
+// solveWith pins g once for algo, so the view and the tier belong to one
+// generation, and answers (x, y) on an evaluator with no caches.
 func (s *Solver) solveWith(g *graph.Graph, x, y int, algo Algorithm, shortest bool) Result {
 	if !validPair(g.NumVertices(), x, y) {
 		return Result{}
 	}
-	if algo == AlgoAuto {
-		algo = s.ChooseAlgorithm(g)
-	}
-	baseline := Baseline
-	if shortest {
-		baseline = BaselineShortest
-	}
 	switch algo {
-	case AlgoFinite:
-		if s.words != nil {
-			return finiteWithWords(g.PinView(), s.words, x, y) // tries words in increasing length
-		}
-		return Finite(g, s.Min, x, y)
-	case AlgoSubword:
-		return Subword(g, s.Min, x, y)
-	case AlgoSummary:
-		if s.Expr == nil {
-			return baseline(g, s.Min, x, y, nil)
-		}
-		return solvePsitr(g, s.seqPlans(), x, y, shortest)
-	case AlgoDAG:
-		res, ok := DAG(g, s.Min, x, y)
-		if !ok {
-			return baseline(g, s.Min, x, y, nil)
-		}
-		return res
 	case AlgoWalk:
 		return pathResult(ShortestWalk(g, s.Min, x, y))
 	case AlgoNaive:
 		return Naive(g, s.Min, x, y)
-	default:
-		return baseline(g, s.Min, x, y, nil)
 	}
+	pv := s.pin(g, algo)
+	ev := evaluator{s: s}
+	return ev.solveOne(&pv, x, y, false, shortest, nil)
 }
 
 // SolveVlg answers the vertex-labeled variant on vg. Out-of-range

@@ -43,36 +43,17 @@ import (
 // SolvePsitr answers RSPQ(L(e)) on g. With shortest=false it stops at
 // the first witness; with shortest=true it exhausts all candidate
 // summaries and returns a shortest simple L-labeled path (the minimum
-// over nice paths, which Lemma 14 makes globally minimal). It builds
-// e's plans for this call only; a Solver keeps its own.
+// over nice paths, which Lemma 14 makes globally minimal). It is the
+// evaluator's summary tier for a group of one, over plans built for
+// this call only; a Solver keeps its own.
 func SolvePsitr(g *graph.Graph, e *psitr.Expr, x, y int, shortest bool) Result {
 	if !validPair(g.NumVertices(), x, y) {
 		return Result{}
 	}
-	return solvePsitr(g, buildPlans(e), x, y, shortest)
-}
-
-// solvePsitr is SolvePsitr over prebuilt plans, for a valid (x, y).
-func solvePsitr(g *graph.Graph, plans []*seqPlan, x, y int, shortest bool) Result {
-	vw := g.PinView()
-	a := getArena()
-	defer a.release()
-	best := Result{}
-	for _, plan := range plans {
-		ss := acquireSeqSearcher(vw, a, plan, y, shortest, nil, sinks{})
-		res := ss.run(x)
-		ss.release()
-		if !res.Found {
-			continue
-		}
-		if !shortest {
-			return res
-		}
-		if !best.Found || res.Path.Len() < best.Path.Len() {
-			best = res
-		}
-	}
-	return best
+	// The summary tier reads only the Solver's plans, built from Expr.
+	ev := evaluator{s: &Solver{Expr: e}}
+	pv := pinned{vw: g.PinView(), algo: AlgoSummary}
+	return ev.solveOne(&pv, x, y, false, shortest, nil)
 }
 
 // unitKind enumerates skeleton plan units.

@@ -7,14 +7,15 @@ import (
 	"repro/internal/graph"
 )
 
-// TestWalkTierWitnessAgreement pins that the walk-reduction tiers read
-// one witness whichever surface asks. On the subword and DAG tiers,
-// Solver.Solve, BatchSolver.Solve and Engine.Solve return the same
-// vertex and label sequence for every pair, the engine both on a cold
-// miss (its own sweep, stopped at the level that answers the source)
-// and on a goal-table hit; and ShortestWalk finds a walk exactly when
-// the forward reference search ExistsWalk says one exists.
-func TestWalkTierWitnessAgreement(t *testing.T) {
+// TestWitnessAgreement pins that every tier reads one witness whichever
+// surface asks: Solver.Solve, BatchSolver.Solve and Engine.Solve return
+// the same vertex and label sequence for every pair, the engine both on
+// a cold miss and on a table hit (on the tiers that keep a table), and
+// Solver.Shortest's path is as long as BaselineShortest's. On the
+// walk-reduction tiers the cold miss's sweep stops at the level that
+// answers the source, and ShortestWalk finds a walk exactly when the
+// forward reference search ExistsWalk says one exists.
+func TestWitnessAgreement(t *testing.T) {
 	abc, ab := []byte{'a', 'b', 'c'}, []byte{'a', 'b'}
 	cases := []struct {
 		name, pattern string
@@ -25,6 +26,9 @@ func TestWalkTierWitnessAgreement(t *testing.T) {
 		{"subword-sparse", "a*b?c*", AlgoSubword, graph.Random(50, abc, 0.06, 4)},
 		{"dag-layered", "(a|b)*a(a|b)*", AlgoDAG, graph.LayeredDAG(8, 6, 3, ab, 5)},
 		{"dag-layered-ba", "a*ba*", AlgoDAG, graph.LayeredDAG(6, 8, 2, ab, 9)},
+		{"finite", "ab|ba|aab", AlgoFinite, graph.Random(40, ab, 0.08, 6)},
+		{"summary", "a*(bb+|())c*", AlgoSummary, graph.Random(40, abc, 0.08, 7)},
+		{"baseline", "(aa)*", AlgoBaseline, graph.RandomRegular(30, abc, 3, 9)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -38,6 +42,7 @@ func TestWalkTierWitnessAgreement(t *testing.T) {
 			if got := s.ChooseAlgorithm(g); got != c.tier {
 				t.Fatalf("tier %v; the case is meant for %v", got, c.tier)
 			}
+			walkTier := c.tier == AlgoSubword || c.tier == AlgoDAG
 			n := g.NumVertices()
 			var pairs []Pair
 			for y := 0; y < n; y++ {
@@ -59,15 +64,20 @@ func TestWalkTierWitnessAgreement(t *testing.T) {
 					found++
 				}
 				sameWitness(t, "BatchSolver", x, y, batch[i], want)
+				short, ref := s.Shortest(g, x, y), BaselineShortest(g, s.Min, x, y, nil)
+				if !VerifyWitness(short, g, s.Min, x, y) || short.Found != ref.Found ||
+					short.Found && short.Path.Len() != ref.Path.Len() {
+					t.Fatalf("Shortest(%d,%d) = %v; BaselineShortest %v", x, y, short.Path, ref.Path)
+				}
 				walk := ShortestWalk(g, s.Min, x, y)
 				if ok := ExistsWalk(g, s.Min, x, y); (walk != nil) != ok {
 					t.Fatalf("(%d,%d): ShortestWalk %v but ExistsWalk %v", x, y, walk, ok)
 				}
-				// A miss stops at the level that discovers x — the walk's
-				// length, and level 1 for a source at the goal — and a
-				// sweep without an answer runs to the end.
+				// A walk-tier miss stops at the level that discovers x —
+				// the walk's length, and level 1 for a source at the goal —
+				// and a sweep without an answer runs to the end.
 				stop := 0
-				if walk != nil {
+				if walk != nil && walkTier {
 					stop = max(walk.Len(), 1)
 				}
 				res, tr := cold.SolveTraced(x, y)
@@ -82,7 +92,7 @@ func TestWalkTierWitnessAgreement(t *testing.T) {
 					hot.Solve(isolated, y) // unreachable: the sweep runs to the end and is cached
 				}
 				res, tr = hot.SolveTraced(x, y)
-				if x != isolated && !tr.TableCacheHit {
+				if x != isolated && c.tier != AlgoFinite && !tr.TableCacheHit { // the finite tier keeps no table
 					t.Fatalf("hot engine (%d,%d): trace %+v is not a table hit", x, y, tr)
 				}
 				sameWitness(t, "Engine table hit", x, y, res, want)
