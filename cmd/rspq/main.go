@@ -69,19 +69,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	var res rspq.Result
-	if *shortest {
-		res = s.Shortest(g, *from, *to)
-	} else {
-		res = s.SolveWith(g, *from, *to, chosen)
-	}
-
+	tier, res := answer(s, g, *from, *to, chosen, *shortest)
 	fmt.Printf("language class : %v\n", s.Classification.Class)
-	if chosen == rspq.AlgoAuto {
-		fmt.Printf("algorithm      : %v\n", s.ChooseAlgorithm(g))
-	} else {
-		fmt.Printf("algorithm      : %v\n", chosen)
-	}
+	fmt.Printf("algorithm      : %v\n", tier)
 	if !res.Found {
 		fmt.Println("result         : no simple path")
 		os.Exit(0)
@@ -95,6 +85,17 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// answer runs the query and reports the tier that answered it: a forced
+// algorithm that does not apply runs, and is reported as, the baseline.
+// parseAlgo pairs shortest only with AlgoAuto.
+func answer(s *rspq.Solver, g *graph.Graph, x, y int, algo rspq.Algorithm, shortest bool) (rspq.Algorithm, rspq.Result) {
+	tier := s.TierFor(g, algo)
+	if shortest {
+		return tier, s.Shortest(g, x, y)
+	}
+	return tier, s.SolveWith(g, x, y, algo)
 }
 
 // parseAlgo resolves the -algo flag. -shortest asks Solver.Shortest,

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/rspq"
 )
 
@@ -24,6 +26,38 @@ func TestParseAlgo(t *testing.T) {
 		got, err := parseAlgo(c.name, c.shortest)
 		if (err == nil) != c.ok || got != c.want {
 			t.Errorf("parseAlgo(%q, shortest=%v) = %v, %v; want %v, ok=%v", c.name, c.shortest, got, err, c.want, c.ok)
+		}
+	}
+}
+
+// TestAnswerReportsFallbackTier pins that the printed algorithm is the
+// tier that ran: a forced tier that does not apply runs the baseline,
+// and the CLI says so.
+func TestAnswerReportsFallbackTier(t *testing.T) {
+	path, err := graph.ReadText(strings.NewReader("n 3\ne 0 a 1\ne 1 a 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, err := graph.ReadText(strings.NewReader("n 3\ne 0 a 1\ne 1 a 2\ne 2 a 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pattern string
+		g       *graph.Graph
+		algo    rspq.Algorithm
+	}{
+		{"(aa)*", path, rspq.AlgoSummary}, // no Ψtr form
+		{"a*", path, rspq.AlgoFinite},     // infinite language
+		{"(aa)*", cycle, rspq.AlgoDAG},    // cyclic graph
+	} {
+		s, err := rspq.NewSolver(c.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tier, res := answer(s, c.g, 0, 2, c.algo, false)
+		if tier != rspq.AlgoBaseline || !res.Found {
+			t.Errorf("%q -algo %v: reported %v, found=%v; want baseline, found", c.pattern, c.algo, tier, res.Found)
 		}
 	}
 }

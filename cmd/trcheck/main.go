@@ -29,6 +29,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	models, err := parseModel(*model)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "trcheck: %v\n", err)
+		os.Exit(2)
+	}
 
 	r, err := automaton.ParseRegex(*pattern)
 	if err != nil {
@@ -60,17 +65,8 @@ func main() {
 			fmt.Printf("  hardness witness (Property 1): %s\n", w)
 		}
 	}
-	switch *model {
-	case "edge":
-		report(core.EdgeLabeled)
-	case "vlg":
-		report(core.VertexLabeled)
-	case "both":
-		report(core.EdgeLabeled)
-		report(core.VertexLabeled)
-	default:
-		fmt.Fprintf(os.Stderr, "trcheck: unknown model %q\n", *model)
-		os.Exit(2)
+	for _, m := range models {
+		report(m)
 	}
 
 	if e, err := psitr.FromRegex(r); err == nil {
@@ -78,4 +74,18 @@ func main() {
 	} else {
 		fmt.Printf("Ψtr normal form : none (%v)\n", err)
 	}
+}
+
+// parseModel resolves the -model flag to the graph models to classify,
+// before any work is done.
+func parseModel(name string) ([]core.Model, error) {
+	switch name {
+	case "edge":
+		return []core.Model{core.EdgeLabeled}, nil
+	case "vlg":
+		return []core.Model{core.VertexLabeled}, nil
+	case "both":
+		return []core.Model{core.EdgeLabeled, core.VertexLabeled}, nil
+	}
+	return nil, fmt.Errorf("unknown model %q", name)
 }

@@ -328,17 +328,3 @@ func (d *DFA) IsFinite() bool {
 	}
 	return true
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

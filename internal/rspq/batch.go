@@ -1,9 +1,6 @@
 package rspq
 
-import (
-	"repro/internal/graph"
-	"repro/internal/metrics"
-)
+import "repro/internal/graph"
 
 // BatchSolver answers many RSPQ(L) queries on one frozen graph with
 // shared per-target tables. Build it once per (solver, graph) pair and
@@ -35,23 +32,6 @@ func NewBatchSolver(s *Solver, g *graph.Graph) *BatchSolver {
 // concurrently with Solve (in-flight batches keep the size they read).
 func (bs *BatchSolver) SetWorkers(n int) *BatchSolver {
 	bs.setWorkers(n)
-	return bs
-}
-
-// SetMetrics points the solver's kernel telemetry (BFS rounds, sweeps,
-// stopped sweeps, per-round wall time) at
-// reg; nil disconnects it again. Recording is atomic adds on series
-// resolved here, so batch hot paths stay allocation-free. Series names
-// match the Engine's (rspq_kernel_*); sharing a registry with an Engine
-// merges the two streams. It returns the receiver for chaining and must
-// not be called concurrently with Solve.
-func (bs *BatchSolver) SetMetrics(reg *metrics.Registry) *BatchSolver {
-	if reg == nil {
-		bs.counts = nil
-		return bs
-	}
-	c := newKernelCounters(reg)
-	bs.counts = &c
 	return bs
 }
 

@@ -175,29 +175,35 @@ func (s *Solver) Warm(g *graph.Graph) {
 }
 
 // pin pins g's current view together with the epoch it was pinned under
-// and the tier that answers algo on it, retrying if a mutation
+// and the tier that answers algo on it (TierFor), retrying if a mutation
 // interleaves so the three belong to one generation. It is the one place
 // Solver, BatchSolver, Engine and Warm obtain a dispatch verdict, each
-// under the synchronization it already holds for the lazy pin. AlgoAuto
-// pins ChooseAlgorithm's tier; a forced tier that does not apply — the
-// finite search on an infinite language, the summary solver without a
-// Ψtr form, the RPQ collapse on a cyclic graph — pins the baseline.
+// under the synchronization it already holds for the lazy pin.
 func (s *Solver) pin(g *graph.Graph, algo Algorithm) pinned {
 	for {
 		vw, epoch := g.SnapshotView()
-		tier := algo
-		switch {
-		case algo == AlgoAuto:
-			tier = s.ChooseAlgorithm(g)
-		case algo == AlgoFinite && !s.Classification.Finite,
-			algo == AlgoSummary && s.Expr == nil,
-			algo == AlgoDAG && !g.IsAcyclic():
-			tier = AlgoBaseline
-		}
+		tier := s.TierFor(g, algo)
 		if g.Epoch() == epoch {
 			return pinned{vw: vw, epoch: epoch, algo: tier}
 		}
 	}
+}
+
+// TierFor reports the tier that answers SolveWith(g, x, y, algo).
+// AlgoAuto is ChooseAlgorithm's tier. A forced tier that does not apply
+// — the finite search on an infinite language, the summary solver
+// without a Ψtr form, the RPQ collapse on a cyclic graph — is the
+// baseline. Any other algo answers as itself.
+func (s *Solver) TierFor(g *graph.Graph, algo Algorithm) Algorithm {
+	switch {
+	case algo == AlgoAuto:
+		return s.ChooseAlgorithm(g)
+	case algo == AlgoFinite && !s.Classification.Finite,
+		algo == AlgoSummary && s.Expr == nil,
+		algo == AlgoDAG && !g.IsAcyclic():
+		return AlgoBaseline
+	}
+	return algo
 }
 
 // ChooseAlgorithm reports how Solve would answer a query on g. The rule

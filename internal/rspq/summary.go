@@ -33,12 +33,14 @@ import (
 // with shortest gap completions — which the test-suite cross-validates
 // against the exponential baseline on randomized instances.
 //
-// Performance architecture: the per-sequence plan (units + packed
-// position NFA) depends only on the Ψtr sequence, so a Solver builds
-// it once and keeps it (Solver.seqPlans); graph walks go through the
-// label-bucketed CSR snapshot (graph.Freeze), and all per-query scratch
-// lives in a pooled, epoch-stamped seqSearcher — a warm solver only
-// allocates when it materializes a witness path.
+// Performance architecture: the per-sequence plan depends only on the
+// Ψtr sequence, so a Solver builds it once and keeps it
+// (Solver.seqPlans). It compiles each unit into its alternatives, so
+// the search is one walker over steps, beside the packed position NFA
+// that prunes it. Graph walks go through the label-bucketed CSR snapshot
+// (graph.Freeze), and all per-query scratch lives in a pooled,
+// epoch-stamped seqSearcher — a warm solver only allocates when it
+// materializes a witness path.
 
 // SolvePsitr answers RSPQ(L(e)) on g. With shortest=false it stops at
 // the first witness; with shortest=true it exhausts all candidate
@@ -56,38 +58,25 @@ func SolvePsitr(g *graph.Graph, e *psitr.Expr, x, y int, shortest bool) Result {
 	return ev.solveOne(&pv, x, y, false, shortest, nil)
 }
 
-// unitKind enumerates skeleton plan units.
-type unitKind int
-
-const (
-	uWord    unitKind = iota // mandatory word (prefix/suffix)
-	uOptWord                 // (w + ε)
-	uGap                     // (A^{≥k} + ε)
-)
-
-// unit is one plan step with its position-NFA states for pruning.
-type unit struct {
-	kind unitKind
-	w    string
-	a    automaton.Alphabet
-	k    int
-	// wordStates[j] is the NFA state after j letters (word kinds).
-	wordStates []int
-	// chain[j] is the NFA state after j head letters of a gap
-	// (chain[0] = term entry); loop is the state reached once ≥ k
-	// letters are consumed.
-	chain []int
-	loop  int
+// step is one move of a unit's alternative: it reads one edge labelled
+// in labels, landing on position pos of the plan's position NFA. A gap
+// step instead jumps to an exit reachable through labels-edges, landing
+// on pos; the completion fills the jump (Definition 4).
+type step struct {
+	labels automaton.Alphabet
+	pos    int
+	gap    bool
 }
 
 // seqPlan is the compiled, immutable evaluation plan of one Ψtr
-// sequence: the unit list, the ε-free position NFA and its packed
-// predecessor table, which the co-reachability sweep (sweep.go) steps
-// back along. Plans depend only on the sequence, so the Solver that owns
-// the expression builds them once and shares them with every query and
-// every goroutine for as long as it lives.
+// sequence: the alternatives of each unit in search order, the ε-free
+// position NFA and its packed predecessor table, which the
+// co-reachability sweep (sweep.go) steps back along. Plans depend only
+// on the sequence, so the Solver that owns the expression builds them
+// once and shares them with every query and every goroutine for as long
+// as it lives.
 type seqPlan struct {
-	units  []unit
+	units  [][][]step
 	pos    *automaton.NFA
 	packed *automaton.Packed
 }
@@ -101,46 +90,49 @@ func buildPlans(e *psitr.Expr) []*seqPlan {
 	return plans
 }
 
-// buildPlan flattens the sequence into units and builds the position
-// NFA used for co-reachability pruning.
+// buildPlan compiles the sequence's units into their alternatives and
+// builds the position NFA used for co-reachability pruning. A word is
+// one alternative, and an optional word tries the empty one first. A gap
+// A^{≥k} tries ε, then the explicit runs of m ∈ [max(k,1), 2k−1] edges,
+// then k head edges, the gap step and k tail edges (m ≥ 2k).
 func buildPlan(seq *psitr.Sequence) *seqPlan {
 	pl := &seqPlan{}
 	alpha := automaton.NewAlphabet(append([]byte(seq.Prefix+seq.Suffix), seqLetters(seq)...)...)
 	n := automaton.NewNFA(1, alpha, 0)
 	cur := 0 // NFA state at the current plan position
 
-	addWord := func(w string, kind unitKind) {
-		u := unit{kind: kind, w: w, wordStates: []int{cur}}
-		entry := cur
-		for i := 0; i < len(w); i++ {
+	addWord := func(w string) []step {
+		letters := []byte(w)
+		var alt []step
+		for i := range letters {
 			next := n.AddState()
-			n.AddEdge(cur, w[i], next)
-			u.wordStates = append(u.wordStates, next)
+			n.AddEdge(cur, letters[i], next)
+			alt = append(alt, step{labels: letters[i : i+1], pos: next})
 			cur = next
 		}
-		if kind == uOptWord {
-			n.AddEps(entry, cur)
-		}
-		pl.units = append(pl.units, u)
+		return alt
 	}
 
 	if seq.Prefix != "" {
-		addWord(seq.Prefix, uWord)
+		pl.units = append(pl.units, [][]step{addWord(seq.Prefix)})
 	}
 	for _, t := range seq.Terms {
+		entry := cur
 		switch t.Kind {
 		case psitr.OptWord:
-			addWord(t.W, uOptWord)
+			alt := addWord(t.W)
+			n.AddEps(entry, cur)
+			pl.units = append(pl.units, [][]step{nil, alt})
 		case psitr.Gap:
-			u := unit{kind: uGap, a: t.A, k: t.K}
-			entry := cur
-			u.chain = []int{entry}
+			// chain[j] is the state after j ≤ k letters; loop, the state
+			// once ≥ k letters are consumed, is chain[k] when k > 0.
+			chain := []int{entry}
 			for j := 0; j < t.K; j++ {
 				next := n.AddState()
 				for _, a := range t.A {
 					n.AddEdge(cur, a, next)
 				}
-				u.chain = append(u.chain, next)
+				chain = append(chain, next)
 				cur = next
 			}
 			loop := cur
@@ -151,16 +143,31 @@ func buildPlan(seq *psitr.Sequence) *seqPlan {
 			for _, a := range t.A {
 				n.AddEdge(loop, a, loop)
 			}
-			u.loop = loop
 			exit := n.AddState()
 			n.AddEps(entry, exit) // skip (ε)
 			n.AddEps(loop, exit)  // done
 			cur = exit
-			pl.units = append(pl.units, u)
+
+			// edges lists gap edges from..to, counted from 1: edge j
+			// lands on chain[j] while j < k, and on loop = chain[k] after.
+			edges := func(from, to int) []step {
+				var run []step
+				for j := from; j <= to; j++ {
+					run = append(run, step{labels: t.A, pos: chain[min(j, t.K)]})
+				}
+				return run
+			}
+			alts := [][]step{nil}
+			for m := max(t.K, 1); m <= 2*t.K-1; m++ {
+				alts = append(alts, edges(1, m))
+			}
+			gap := step{labels: t.A, pos: loop, gap: true}
+			alts = append(alts, slices.Concat(edges(1, t.K), []step{gap}, edges(t.K+1, 2*t.K)))
+			pl.units = append(pl.units, alts)
 		}
 	}
 	if seq.Suffix != "" {
-		addWord(seq.Suffix, uWord)
+		pl.units = append(pl.units, [][]step{addWord(seq.Suffix)})
 	}
 	n.Accept[cur] = true
 
@@ -178,26 +185,14 @@ func seqLetters(seq *psitr.Sequence) []byte {
 	return out
 }
 
-// skelElem is one element of a candidate skeleton: either an explicit
-// edge or a gap marker.
+// skelElem is one element of a candidate skeleton: an explicit edge
+// labelled label into to, or a gap over the alphabet a from the vertex
+// of the element before it to the exit to.
 type skelElem struct {
-	isGap  bool
-	gapIdx int
-	label  byte
-	to     int
-}
-
-type gapRec struct {
+	gap   bool
 	a     automaton.Alphabet
-	entry int
-	exit  int
-}
-
-// gapSpan locates one completed gap path inside the flat gvs/gls
-// buffers.
-type gapSpan struct {
-	v0, v1 int32
-	l0, l1 int32
+	label byte
+	to    int
 }
 
 type seqSearcher struct {
@@ -217,14 +212,12 @@ type seqSearcher struct {
 	// cross-query cache) used instead of sweeping; otherwise the table
 	// is a.co of the caller's arena, which the searcher borrows until it
 	// is released.
-	ext   *coTable
-	a     *arena
-	plan  *seqPlan
-	units []unit // aliases plan.units
+	ext  *coTable
+	a    *arena
+	plan *seqPlan
 
 	used []bool
 	skel []skelElem
-	gaps []gapRec
 
 	found bool
 	done  bool // early exit flag (non-shortest mode)
@@ -236,17 +229,14 @@ type seqSearcher struct {
 	reachSeen stamped
 
 	// completion scratch
-	accAll   stamped
-	dstamp   stamped
-	dist     []int32
-	parent   []int32
-	gplabel  []byte
-	inQueue  []int32
-	gvs      []int32
-	gls      []byte
-	gapSpans []gapSpan
-	avs      []int
-	als      []byte
+	accAll  stamped
+	dstamp  stamped
+	dist    []int32
+	parent  []int32
+	gplabel []byte
+	inQueue []int32
+	avs     []int
+	als     []byte
 }
 
 var seqSearcherPool = sync.Pool{New: func() any { return new(seqSearcher) }}
@@ -267,12 +257,11 @@ func acquireSeqSearcher(vw *graph.View, a *arena, plan *seqPlan, y int, shortest
 	ss.sweepEnv = makeSweepEnv(vw, plan.pos.NumStates, ss.labels, sk)
 	ss.y = y
 	ss.shortest = shortest
-	ss.units = ss.plan.units
 	if cap(ss.used) < ss.n {
 		ss.used = make([]bool, ss.n)
 	} else {
-		// The push/pop discipline leaves the slice all-false after every
-		// run, so reuse needs no clearing.
+		// The walker unmarks every vertex it marks, which leaves the slice
+		// all-false after every run, so reuse needs no clearing.
 		ss.used = ss.used[:ss.n]
 	}
 	if cap(ss.dist) < ss.n {
@@ -295,7 +284,6 @@ func (ss *seqSearcher) release() {
 	ss.sweepEnv = sweepEnv{}
 	ss.a = nil
 	ss.plan = nil
-	ss.units = nil
 	ss.best = nil
 	ss.ext = nil
 	ss.existsOnly = false
@@ -317,7 +305,6 @@ func (ss *seqSearcher) run(x int) Result {
 	ss.found, ss.done = false, false
 	ss.best = nil
 	ss.skel = ss.skel[:0]
-	ss.gaps = ss.gaps[:0]
 	ss.orderBuf = ss.orderBuf[:0]
 	if !ss.ok(x, ss.plan.pos.Start) {
 		return Result{}
@@ -331,84 +318,47 @@ func (ss *seqSearcher) run(x int) Result {
 	return Result{}
 }
 
+// unitStart tries unit ui's alternatives from v in plan order; past
+// the last unit, a skeleton that ends at y is completed.
 func (ss *seqSearcher) unitStart(ui, v int) {
-	if ss.done {
-		return
-	}
-	if ui == len(ss.units) {
+	if ui == len(ss.plan.units) {
 		if v == ss.y {
 			ss.complete()
 		}
 		return
 	}
-	u := &ss.units[ui]
-	switch u.kind {
-	case uWord:
-		ss.walkWord(ui, 0, v)
-	case uOptWord:
-		ss.unitStart(ui+1, v) // skip
-		ss.walkWord(ui, 0, v) // take
-	case uGap:
-		ss.unitStart(ui+1, v) // ε
-		// Fully explicit: m ∈ [max(k,1), 2k-1] edges.
-		lo := u.k
-		if lo == 0 {
-			lo = 1
-		}
-		for m := lo; m <= 2*u.k-1; m++ {
-			ss.walkGapExplicit(ui, m, 0, v)
-		}
-		// Head (k edges) + gap + tail (k edges): m ≥ 2k.
-		ss.walkGapHead(ui, 0, v)
-	}
-}
-
-func (ss *seqSearcher) walkWord(ui, j, v int) {
-	if ss.done {
-		return
-	}
-	u := &ss.units[ui]
-	if j == len(u.w) {
-		ss.unitStart(ui+1, v)
-		return
-	}
-	label := u.w[j]
-	for _, to32 := range ss.vw.OutWith(v, label) {
-		to := int(to32)
-		if ss.used[to] || !ss.ok(to, u.wordStates[j+1]) {
-			continue
-		}
-		ss.push(label, to)
-		ss.walkWord(ui, j+1, to)
-		ss.pop(to)
+	for _, alt := range ss.plan.units[ui] {
 		if ss.done {
 			return
 		}
+		ss.walk(ui, alt, v)
 	}
 }
 
-// walkGapExplicit consumes exactly `remaining` more A-edges with no gap
-// marker.
-func (ss *seqSearcher) walkGapExplicit(ui, remaining, consumed, v int) {
-	if ss.done {
-		return
-	}
-	u := &ss.units[ui]
-	if remaining == 0 {
+// walk takes the steps left in unit ui's alternative from v: each edge
+// step extends the skeleton by one unused vertex that can still reach
+// the step's position, and a gap step chooses its exit.
+func (ss *seqSearcher) walk(ui int, steps []step, v int) {
+	if len(steps) == 0 {
 		ss.unitStart(ui+1, v)
 		return
 	}
-	next := consumed + 1
-	pos := ss.gapPos(u, next)
-	for _, label := range u.a {
+	st := &steps[0]
+	if st.gap {
+		ss.chooseGapExit(ui, steps, v)
+		return
+	}
+	for _, label := range st.labels {
 		for _, to32 := range ss.vw.OutWith(v, label) {
 			to := int(to32)
-			if ss.used[to] || !ss.ok(to, pos) {
+			if ss.used[to] || !ss.ok(to, st.pos) {
 				continue
 			}
-			ss.push(label, to)
-			ss.walkGapExplicit(ui, remaining-1, next, to)
-			ss.pop(to)
+			ss.used[to] = true
+			ss.skel = append(ss.skel, skelElem{label: label, to: to})
+			ss.walk(ui, steps[1:], to)
+			ss.skel = ss.skel[:len(ss.skel)-1]
+			ss.used[to] = false
 			if ss.done {
 				return
 			}
@@ -416,54 +366,20 @@ func (ss *seqSearcher) walkGapExplicit(ui, remaining, consumed, v int) {
 	}
 }
 
-func (ss *seqSearcher) gapPos(u *unit, consumed int) int {
-	if consumed >= u.k {
-		return u.loop
-	}
-	return u.chain[consumed]
-}
-
-// walkGapHead consumes the first k explicit edges, then chooses the gap
-// exit.
-func (ss *seqSearcher) walkGapHead(ui, j, v int) {
-	if ss.done {
-		return
-	}
-	u := &ss.units[ui]
-	if j == u.k {
-		ss.chooseGapExit(ui, v)
-		return
-	}
-	pos := u.chain[j+1]
-	for _, label := range u.a {
-		for _, to32 := range ss.vw.OutWith(v, label) {
-			to := int(to32)
-			if ss.used[to] || !ss.ok(to, pos) {
-				continue
-			}
-			ss.push(label, to)
-			ss.walkGapHead(ui, j+1, to)
-			ss.pop(to)
-			if ss.done {
-				return
-			}
-		}
-	}
-}
-
-// chooseGapExit enumerates candidate gap exits among vertices reachable
-// from the entry through A-edges (unrestricted — the completion phase
-// applies the real P_i restrictions), nearest first. The BFS order is
-// stacked on orderBuf so nested gaps can enumerate concurrently.
-func (ss *seqSearcher) chooseGapExit(ui, entry int) {
-	u := &ss.units[ui]
+// chooseGapExit enumerates candidate exits of the gap step steps[0]
+// among vertices reachable from the entry through its edges
+// (unrestricted — the completion applies the real P_i restrictions),
+// nearest first, and walks on from each. The BFS order is stacked on
+// orderBuf so nested gaps can enumerate concurrently.
+func (ss *seqSearcher) chooseGapExit(ui int, steps []step, entry int) {
+	st := &steps[0]
 	base := len(ss.orderBuf)
 	ss.reachSeen.reset(ss.n)
 	ss.reachSeen.add(entry)
 	ss.orderBuf = append(ss.orderBuf, int32(entry))
 	for at := base; at < len(ss.orderBuf); at++ {
 		v := int(ss.orderBuf[at])
-		for _, label := range u.a {
+		for _, label := range st.labels {
 			for _, to32 := range ss.vw.OutWith(v, label) {
 				to := int(to32)
 				if !ss.reachSeen.has(to) {
@@ -474,106 +390,68 @@ func (ss *seqSearcher) chooseGapExit(ui, entry int) {
 		}
 	}
 	end := len(ss.orderBuf)
-	for i := base; i < end; i++ {
-		if ss.done {
-			break
-		}
+	for i := base; i < end && !ss.done; i++ {
 		exit := int(ss.orderBuf[i])
-		if exit != entry && ss.used[exit] {
+		if (exit != entry && ss.used[exit]) || !ss.ok(exit, st.pos) {
 			continue
 		}
-		if !ss.ok(exit, u.loop) {
-			continue
-		}
-		gi := len(ss.gaps)
-		ss.gaps = append(ss.gaps, gapRec{a: u.a, entry: entry, exit: exit})
-		ss.skel = append(ss.skel, skelElem{isGap: true, gapIdx: gi})
+		ss.skel = append(ss.skel, skelElem{gap: true, a: st.labels, to: exit})
 		if exit != entry {
 			ss.used[exit] = true
 		}
-		ss.walkGapTail(ui, 0, exit)
+		ss.walk(ui, steps[1:], exit)
 		if exit != entry {
 			ss.used[exit] = false
 		}
 		ss.skel = ss.skel[:len(ss.skel)-1]
-		ss.gaps = ss.gaps[:gi]
 	}
 	ss.orderBuf = ss.orderBuf[:base]
 }
 
-func (ss *seqSearcher) walkGapTail(ui, j, v int) {
-	if ss.done {
-		return
-	}
-	u := &ss.units[ui]
-	if j == u.k {
-		ss.unitStart(ui+1, v)
-		return
-	}
-	for _, label := range u.a {
-		for _, to32 := range ss.vw.OutWith(v, label) {
-			to := int(to32)
-			if ss.used[to] || !ss.ok(to, u.loop) {
-				continue
-			}
-			ss.push(label, to)
-			ss.walkGapTail(ui, j+1, to)
-			ss.pop(to)
-			if ss.done {
-				return
-			}
-		}
-	}
-}
-
-func (ss *seqSearcher) push(label byte, to int) {
-	ss.used[to] = true
-	ss.skel = append(ss.skel, skelElem{label: label, to: to})
-}
-
-func (ss *seqSearcher) pop(to int) {
-	ss.used[to] = false
-	ss.skel = ss.skel[:len(ss.skel)-1]
-}
-
 // complete attempts to complete the current skeleton into a nice path,
-// per Definition 4: gaps are filled in path order with shortest
-// restricted paths; acc balls accumulate and later gaps must avoid
-// them. Everything runs in the searcher's scratch; the only allocation
-// is the witness path when the completion wins.
+// per Definition 4, in one pass in path order: explicit edges are
+// copied, and gaps are filled with shortest restricted paths; acc balls
+// accumulate and later gaps must avoid them. Everything runs in the
+// searcher's scratch; the only allocation is the witness path when the
+// completion wins.
 func (ss *seqSearcher) complete() {
 	ss.accAll.reset(ss.n)
-	ss.gvs = ss.gvs[:0]
-	ss.gls = ss.gls[:0]
-	ss.gapSpans = ss.gapSpans[:0]
+	avs := append(ss.avs[:0], ss.x)
+	als := ss.als[:0]
+	defer func() { ss.avs, ss.als = avs, als }()
 	prevExit := -1
-	for _, gp := range ss.gaps {
+	for _, el := range ss.skel {
+		if !el.gap {
+			avs = append(avs, el.to)
+			als = append(als, el.label)
+			continue
+		}
+		entry, exit := avs[len(avs)-1], el.to
 		// A gap entered at the preceding gap's exit (adjacent k=0 terms,
 		// [A]*[B]*) shares that vertex with the preceding acc ball by
 		// construction; Definition 4 exempts a gap's own endpoints.
 		// Skeleton vertices are distinct, so equality means adjacency.
-		shared := gp.entry == prevExit
-		if (!shared && ss.accAll.has(gp.entry)) || (ss.accAll.has(gp.exit) && !(shared && gp.exit == gp.entry)) {
+		shared := entry == prevExit
+		if (!shared && ss.accAll.has(entry)) || (ss.accAll.has(exit) && !(shared && exit == entry)) {
 			return
 		}
-		prevExit = gp.exit
-		// Restricted BFS from entry over gp.a-edges avoiding skeleton
+		prevExit = exit
+		// Restricted BFS from entry over el.a-edges avoiding skeleton
 		// vertices (except entry, exit) and earlier acc balls.
 		ss.dstamp.reset(ss.n)
-		ss.dstamp.add(gp.entry)
-		ss.dist[gp.entry] = 0
-		ss.parent[gp.entry] = -1
-		ss.inQueue = ss.inQueue[:0]
-		ss.inQueue = append(ss.inQueue, int32(gp.entry))
+		ss.dstamp.add(entry)
+		ss.dist[entry] = 0
+		ss.parent[entry] = -1
+		ss.inQueue = append(ss.inQueue[:0], int32(entry))
 		for at := 0; at < len(ss.inQueue); at++ {
 			v := int(ss.inQueue[at])
-			for _, label := range gp.a {
+			for _, label := range el.a {
 				for _, to32 := range ss.vw.OutWith(v, label) {
 					t := int(to32)
 					if ss.dstamp.has(t) || ss.accAll.has(t) {
 						continue
 					}
-					if (ss.used[t] || t == ss.x) && t != gp.exit && t != gp.entry {
+					if (ss.used[t] || t == ss.x) && t != exit && t != entry {
 						continue
 					}
 					ss.dstamp.add(t)
@@ -584,61 +462,26 @@ func (ss *seqSearcher) complete() {
 				}
 			}
 		}
-		if !ss.dstamp.has(gp.exit) {
+		if !ss.dstamp.has(exit) {
 			return
 		}
-		target := ss.dist[gp.exit]
+		target := ss.dist[exit]
 		// acc(i): the ball of radius length_i.
 		for _, v := range ss.inQueue {
 			if ss.dist[v] <= target {
 				ss.accAll.add(int(v))
 			}
 		}
-		// Record the gap path (exit back to entry, then reversed in
-		// place); labels were remembered during the BFS.
-		sp := gapSpan{v0: int32(len(ss.gvs)), l0: int32(len(ss.gls))}
-		for v := gp.exit; ; {
-			ss.gvs = append(ss.gvs, int32(v))
-			if v == gp.entry {
-				break
-			}
-			ss.gls = append(ss.gls, ss.gplabel[v])
-			v = int(ss.parent[v])
-		}
-		sp.v1 = int32(len(ss.gvs))
-		sp.l1 = int32(len(ss.gls))
-		slices.Reverse(ss.gvs[sp.v0:sp.v1])
-		slices.Reverse(ss.gls[sp.l0:sp.l1])
-		ss.gapSpans = append(ss.gapSpans, sp)
-	}
-
-	// Assemble the full path into the flat scratch buffers.
-	avs := ss.avs[:0]
-	als := ss.als[:0]
-	avs = append(avs, ss.x)
-	for _, el := range ss.skel {
-		if el.isGap {
-			sp := ss.gapSpans[el.gapIdx]
-			seg := ss.gvs[sp.v0:sp.v1]
-			if int(seg[0]) != avs[len(avs)-1] {
-				ss.avs, ss.als = avs, als
-				return
-			}
-			for _, v := range seg[1:] {
-				avs = append(avs, int(v))
-			}
-			als = append(als, ss.gls[sp.l0:sp.l1]...)
-		} else {
-			avs = append(avs, el.to)
-			als = append(als, el.label)
+		// Append the gap path: grow both buffers by its length, then fill
+		// them from the exit back along the BFS parents.
+		avs = slices.Grow(avs, int(target))[:len(avs)+int(target)]
+		als = slices.Grow(als, int(target))[:len(als)+int(target)]
+		for i, v := len(avs)-1, exit; v != entry; i, v = i-1, int(ss.parent[v]) {
+			avs[i], als[i-1] = v, ss.gplabel[v]
 		}
 	}
-	ss.avs, ss.als = avs, als
 	// Lemma 15's final check: the completion must be a simple path (it
 	// is by construction; verify defensively).
-	if avs[len(avs)-1] != ss.y {
-		return
-	}
 	ss.dstamp.reset(ss.n)
 	for _, v := range avs {
 		if ss.dstamp.has(v) {

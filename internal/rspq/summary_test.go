@@ -1,12 +1,15 @@
 package rspq
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/psitr"
 )
 
 // tractablePatterns are the Ψtr-normalizable languages used for
@@ -444,4 +447,37 @@ func ExampleSolver() {
 	res := s.Solve(g, 0, 3)
 	fmt.Println(res.Found, res.Path.Word())
 	// Output: true abb
+}
+
+// summaryWitnessDigest is the SHA-256 of TestSummaryWitnessDigest's
+// corpus answers. It pins the skeleton search's exploration order: a
+// search that tries its alternatives in another order still finds
+// valid witnesses, but not these.
+const summaryWitnessDigest = "367e281102954f381bd63627983082db6c4847baaa8b51b148122e095caf49af"
+
+// TestSummaryWitnessDigest pins the exact witness the summary search
+// returns, in both modes, on random Ψtr expressions over random graphs.
+// The cross-validation suites accept any valid witness; this one fails
+// when a refactor changes which of them the search finds first.
+func TestSummaryWitnessDigest(t *testing.T) {
+	h := sha256.New()
+	found := 0
+	for seed := int64(0); seed < 30; seed++ {
+		e := psitr.RandomExpr(rand.New(rand.NewSource(seed)), []byte("abc"), 3, 4)
+		g := graph.Random(24, []byte("abc"), 0.12, seed+100)
+		for x := 0; x < 24; x += 3 {
+			for y := 1; y < 24; y += 5 {
+				for _, shortest := range []bool{false, true} {
+					r := SolvePsitr(g, e, x, y, shortest)
+					if r.Found {
+						found++
+					}
+					fmt.Fprintf(h, "%s %d %d %v %v %s\n", e, x, y, shortest, r.Found, r.Path)
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != summaryWitnessDigest {
+		t.Fatalf("witness digest %s (%d of 2400 found), want %s", got, found, summaryWitnessDigest)
+	}
 }

@@ -44,7 +44,7 @@ import (
 // links is a product sweep.
 
 // sinks are the optional listeners of a sweep: the kernel telemetry
-// counters (Engine and BatchSolver.SetMetrics wire them) and the
+// counters (the Engine wires them) and the
 // per-query trace recording. Either may be nil.
 type sinks struct {
 	counts *exchCounters
