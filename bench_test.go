@@ -207,7 +207,11 @@ func BenchmarkBatchExists(b *testing.B) {
 // sweep dominates and the batch's two groups are its only parallelism.
 // At m=1 a second row answers the same batch with witnesses (Solve):
 // the sweep with links, which writes a distance per reached state and
-// reads each walk off the distances.
+// reads each walk off the distances. A third answers the batch's found
+// pairs one at a time (exists1), each a group of one — what Engine.Exists
+// runs on a miss — whose sweep stops at the admission that answers its
+// source; an unreachable source's sweep runs to the end, as the m=1 row
+// already times.
 func BenchmarkFloodSweep(b *testing.B) {
 	edges := 1_000_000
 	if testing.Short() {
@@ -241,6 +245,19 @@ func BenchmarkFloodSweep(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					bs.Solve(pairs)
+				}
+			})
+			var found []rspq.Pair
+			for i, ok := range bs.SolveExists(pairs) {
+				if ok {
+					found = append(found, pairs[i])
+				}
+			}
+			b.Run("m=1,exists1", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					j := i % len(found)
+					bs.SolveExists(found[j : j+1])
 				}
 			})
 		}

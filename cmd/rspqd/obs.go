@@ -102,9 +102,11 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 // overlays (a slow first read of an epoch was slow in the pin or in the
 // sweep), the cache verdicts, when a goal table was built or hit how
 // many product states its sweep reached and what the table costs to
-// retain, which tells a 300-state miss from one that flooded the graph,
-// and the level at which a sweep that stopped once its source was
-// answered stopped (0: it ran to the end).
+// retain, the level at which a sweep that stopped once its source was
+// answered stopped (0: it ran to the end), and how many states the
+// query's sweeps turned on, stopped ones included — which tells a
+// 300-state miss from one that flooded the graph whether or not it left
+// a table.
 func slowDetail(tr *rspq.QueryTrace) string {
 	if tr == nil {
 		return ""
@@ -115,8 +117,8 @@ func slowDetail(tr *rspq.QueryTrace) string {
 			pinNanos = st.Nanos
 		}
 	}
-	return fmt.Sprintf(" tier=%s pin_us=%d pending=%d result_cache_hit=%t table_cache_hit=%t table_states=%d table_bytes=%d stopped_at=%d",
-		tr.Tier, pinNanos/1e3, tr.PendingAdds+tr.PendingRemoves, tr.ResultCacheHit, tr.TableCacheHit, tr.TableStates, tr.TableBytes, tr.StoppedAt)
+	return fmt.Sprintf(" tier=%s pin_us=%d pending=%d result_cache_hit=%t table_cache_hit=%t table_states=%d table_bytes=%d stopped_at=%d states_reached=%d",
+		tr.Tier, pinNanos/1e3, tr.PendingAdds+tr.PendingRemoves, tr.ResultCacheHit, tr.TableCacheHit, tr.TableStates, tr.TableBytes, tr.StoppedAt, tr.StatesReached)
 }
 
 // admitPairs applies the -max-inflight admission gate: it reserves n

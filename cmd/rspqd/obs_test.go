@@ -213,23 +213,26 @@ func TestQueryTrace(t *testing.T) {
 		t.Fatalf("fresh traced query must record kernel rounds: %+v", tr)
 	}
 	// The DAG tier's sweep stopped once the source was answered: 0 sits
-	// three levels from the goal, so it ran two rounds and left no table.
-	if tr.StoppedAt != 3 || len(tr.Rounds) != 2 || tr.TableCacheHit || tr.TableStates != 0 || tr.TableBytes != 0 {
-		t.Fatalf("stopped sweep: stopped_at=%d after %d rounds, table_cache_hit=%v table_states=%d table_bytes=%d",
-			tr.StoppedAt, len(tr.Rounds), tr.TableCacheHit, tr.TableStates, tr.TableBytes)
+	// three levels from the goal, so it ran two rounds, turned some states
+	// on and left no table.
+	if tr.StoppedAt != 3 || len(tr.Rounds) != 2 || tr.StatesReached == 0 || tr.TableCacheHit || tr.TableStates != 0 || tr.TableBytes != 0 {
+		t.Fatalf("stopped sweep: stopped_at=%d after %d rounds, states_reached=%d table_cache_hit=%v table_states=%d table_bytes=%d",
+			tr.StoppedAt, len(tr.Rounds), tr.StatesReached, tr.TableCacheHit, tr.TableStates, tr.TableBytes)
 	}
 	// A source with no path runs the sweep to the end, and that sweep is
-	// the goal table: the trace says how many product states it reached
-	// and what the table cache retains for it.
+	// the goal table: the trace says how many product states it reached —
+	// the states the sweep turned on — and what the table cache retains
+	// for it. The next source on the target hits the table and sweeps
+	// nothing.
 	var none queryResponse
 	postJSON(t, ts.URL+"/query?trace=1", `{"x":2,"y":3}`, &none)
 	nt := none.Trace
-	if none.Found || nt == nil || nt.StoppedAt != 0 || nt.TableCacheHit || nt.TableStates < 2 || nt.TableBytes <= 0 {
+	if none.Found || nt == nil || nt.StoppedAt != 0 || nt.TableCacheHit || nt.TableStates < 2 || nt.TableBytes <= 0 || nt.StatesReached != nt.TableStates {
 		t.Fatalf("unreachable source: found=%v trace %+v; want a built goal table and no stop", none.Found, nt)
 	}
 	var other queryResponse
 	postJSON(t, ts.URL+"/query?trace=1", `{"x":1,"y":3}`, &other)
-	if o := other.Trace; !other.Found || o == nil || !o.TableCacheHit || o.TableStates != nt.TableStates || o.TableBytes != nt.TableBytes || o.StoppedAt != 0 {
+	if o := other.Trace; !other.Found || o == nil || !o.TableCacheHit || o.TableStates != nt.TableStates || o.TableBytes != nt.TableBytes || o.StoppedAt != 0 || o.StatesReached != 0 {
 		t.Fatalf("third source on the same target: trace %+v; want a hit on the table of %d states / %d bytes",
 			other.Trace, nt.TableStates, nt.TableBytes)
 	}
@@ -304,10 +307,11 @@ func TestQueryTraceSummaryTier(t *testing.T) {
 // threshold on, a full solve is traced without being asked to (and the
 // trace stays out of the response), so the slow line carries the tier,
 // the pin time and pending delta of the view it read, the cache
-// verdicts, the goal table's reached-state count and retained bytes, and
-// the level a stopped sweep stopped at — a found pair stops and builds
-// no table, a pair with no path runs to the end and builds one; an
-// exists_only request keeps its cheaper path and logs the bare line.
+// verdicts, the goal table's reached-state count and retained bytes, the
+// level a stopped sweep stopped at and the states the sweep turned on —
+// a found pair stops and builds no table, a pair with no path runs to
+// the end and builds one; an exists_only request keeps its cheaper path
+// and logs the bare line.
 func TestSlowQueryLine(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 'a', 1)
@@ -359,8 +363,8 @@ func TestSlowQueryLine(t *testing.T) {
 // sweep that stopped at its source's level, then the one that ran to the
 // end and built the goal table.
 var slowDetailRE = []*regexp.Regexp{
-	regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=0 table_bytes=0 stopped_at=3$`),
-	regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=[1-9][0-9]* table_bytes=[1-9][0-9]* stopped_at=0$`),
+	regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=0 table_bytes=0 stopped_at=3 states_reached=[1-9][0-9]*$`),
+	regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=[1-9][0-9]* table_bytes=[1-9][0-9]* stopped_at=0 states_reached=[1-9][0-9]*$`),
 }
 
 // TestBatchAdmission pins the -max-inflight gate: an oversized batch

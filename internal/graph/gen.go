@@ -52,6 +52,32 @@ func RandomRegular(n int, labels []byte, outDeg int, seed int64) *Graph {
 	return g
 }
 
+// RandomOutRegular returns a random db-graph where every vertex has
+// exactly outDeg outgoing edges (n-1 when outDeg is larger) to distinct
+// targets other than itself, with uniform random labels. Each target is
+// drawn uniformly and redrawn while it repeats, so a vertex costs an
+// expected O(outDeg) draws for outDeg ≤ (n-1)/2 — the build is linear in
+// the edges, where RandomRegular draws a permutation of all n vertices
+// per vertex, Θ(n²) in all.
+func RandomOutRegular(n int, labels []byte, outDeg int, seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := New(n)
+	outDeg = min(outDeg, n-1)
+	chosen := make([]int32, n) // chosen[v] == u+1: v is already a target of u
+	for u := 0; u < n; u++ {
+		for added := 0; added < outDeg; {
+			v := rng.Intn(n)
+			if v == u || chosen[v] == int32(u+1) {
+				continue
+			}
+			chosen[v] = int32(u + 1)
+			g.AddEdge(u, labels[rng.Intn(len(labels))], v)
+			added++
+		}
+	}
+	return g
+}
+
 // Grid returns a rows×cols directed grid: right edges labeled rightLabel,
 // down edges labeled downLabel. Vertex (r,c) has id r*cols+c. Grid graphs
 // are the family for which Barrett et al. prove RSPQ stays NP-complete

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestGraphBasics(t *testing.T) {
@@ -139,6 +140,43 @@ func TestGenerators(t *testing.T) {
 	lol, src, dst := Lollipop(3, 4)
 	if lol.NumVertices() != 1+3+4 || src == dst {
 		t.Error("Lollipop wrong")
+	}
+}
+
+// TestRandomOutRegular pins the linear-time generator: every vertex has
+// exactly outDeg out-edges to distinct targets, none of them itself; the
+// same seed gives the same graph; and a 50k-vertex, out-degree-3 graph
+// builds in well under a second — RandomRegular's per-vertex permutation
+// makes that size quadratic.
+func TestRandomOutRegular(t *testing.T) {
+	labels := []byte{'a', 'b', 'c'}
+	for _, c := range []struct{ n, d int }{{1, 3}, {5, 4}, {5, 9}, {200, 3}, {300, 40}} {
+		g := RandomOutRegular(c.n, labels, c.d, 11)
+		again := RandomOutRegular(c.n, labels, c.d, 11)
+		want := min(c.d, c.n-1)
+		if g.NumEdges() != c.n*want {
+			t.Fatalf("n=%d d=%d: %d edges, want %d", c.n, c.d, g.NumEdges(), c.n*want)
+		}
+		for u := 0; u < c.n; u++ {
+			seen := map[int]bool{}
+			for i, e := range g.OutEdges(u) {
+				if e.To == u || seen[e.To] {
+					t.Fatalf("n=%d d=%d: vertex %d repeats or loops on target %d", c.n, c.d, u, e.To)
+				}
+				seen[e.To] = true
+				if e != again.OutEdges(u)[i] {
+					t.Fatalf("n=%d d=%d: the same seed gives edge %v, then %v", c.n, c.d, e, again.OutEdges(u)[i])
+				}
+			}
+			if len(seen) != want {
+				t.Fatalf("n=%d d=%d: vertex %d has %d out-edges, want %d", c.n, c.d, u, len(seen), want)
+			}
+		}
+	}
+	start := time.Now()
+	g := RandomOutRegular(50_000, labels, 3, 7)
+	if el := time.Since(start); el > time.Second || g.NumEdges() != 150_000 {
+		t.Fatalf("a 50k × 3 build took %v for %d edges; want < 1s for 150000", el, g.NumEdges())
 	}
 }
 

@@ -81,10 +81,11 @@ type arena struct {
 	ls     []byte   // path label scratch
 	lmap   []int16  // CSR label id -> DFA alphabet index (-1 absent)
 
-	// The backward sweep's scratch: the frontier lists and the sources a
-	// product sweep probes (goalProbe).
-	lv   frontier
-	srcs []int32
+	// The backward sweep's scratch: the frontier lists, and the probe of a
+	// product sweep's sources with the watch bitset of their
+	// out-neighbours (goalProbe), zero between sweeps.
+	lv    frontier
+	probe goalProbe
 
 	// dirty lists the lane-vertex words the last sweep turned non-zero,
 	// each once, in no particular order — what lets the next sweep zero

@@ -439,6 +439,7 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 		tr.TableStates = st.tableStates
 		tr.TableBytes = st.tableBytes
 		tr.StoppedAt = st.kt.stoppedAt
+		tr.StatesReached = st.kt.statesReached
 		tr.Rounds = st.kt.rounds
 		return res, tr
 	}

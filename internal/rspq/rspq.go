@@ -97,84 +97,201 @@ func (p *product) distToGoal(y int, a *arena) { p.sweep(y, a, true, nil) }
 // Given sources xs, the sweep stops as soon as every one of them is
 // answered (goalProbe) and reports that it stopped. Its outputs then
 // answer exactly those sources — each (x, start) marked, with links at
-// its exact distance — but are not the closure, so nothing may be
-// exported from them. Without sources, or when a source is unreachable,
-// the sweep runs to the end.
+// its exact distance and with the first step of its walk in place — but
+// are not the closure, so nothing may be exported from them. Without
+// sources, or when a source is unreachable, the sweep runs to the end.
 func (p *product) sweep(y int, a *arena, links bool, xs []int) (stopped bool) {
-	return p.sweepPacked(a, p.d.Packed(), p.d.Accept, y, links, p.probeFor(a, xs))
+	pr := p.probeFor(a, xs)
+	stopped = p.sweepPacked(a, p.d.Packed(), p.d.Accept, y, links, pr)
+	pr.done()
+	return stopped
 }
 
 // goalProbe is the stop rule of a product sweep that answers a target
-// group: the group's sources not yet answered, and the DFA and label
-// map that step a source's start state across its out-edges. The zero
-// value probes nothing, so the sweep runs to the end — what the summary
-// and baseline tiers need, whose sweeps are pruning sets.
+// group: the group's sources, the DFA and label map that step a source's
+// start state across its out-edges, and the watch bitset of the sources'
+// out-neighbours. A sweep without sources gets no probe and runs to the
+// end — what the summary and baseline tiers need, whose sweeps are
+// pruning sets.
 //
-// The sweep calls answered before every round, with the visited words
-// holding exactly the states at the levels below the one the round
-// discovers (a round's words are complete by the round's end). A source
-// x is answered when (x, start) is already visited — only a goal state,
-// at level 0, can be — or one of its out-edges x -l-> u reaches a visited
-// (u, δ(start, l)). The probes before earlier rounds failed for x, so x
-// sits at exactly the level the next round would discover, and the state
-// it steps into one level closer.
+// A source x is answered when (x, start) is visited — only a goal state,
+// at level 0, can be before x is answered — or one of its out-edges
+// x -l-> u reaches a visited (u, δ(start, l)). The sweep asks twice:
+//
+//   - answered, before every round, with the visited words holding
+//     exactly the levels below the one the round discovers. A source it
+//     answers that earlier checks did not sits at exactly the round's
+//     level.
+//   - answeredMidRound, inside the round discovering level r.d, after a
+//     frontier word admitted a state of a watched vertex. Every source
+//     still pending failed the check before the round, so one it answers
+//     sits at exactly r.d+1. Once none is pending the round is cut.
+//
+// Either way the sweep stops with every source answered at its exact
+// distance, and settle marks them.
 type goalProbe struct {
 	vw   *graph.View
 	d    *automaton.DFA
 	lmap []int16
-	xs   []int32 // the unanswered sources, in the arena's scratch
+
+	// xs holds the sources, reordered as they are answered: xs[near:far]
+	// at exactly the level of the running round, xs[far:left] one level
+	// beyond it (answered mid-round), xs[left:] pending. Those before near
+	// sit below the running round's level: the rounds before it
+	// discovered them.
+	xs              []int32
+	near, far, left int
+	watch           []uint64 // bit u: u is an out-neighbour of a source
 }
 
-// probeFor readies the probe of a sweep answering sources xs, copying
-// them into the arena (no allocation once warm).
-func (p *product) probeFor(a *arena, xs []int) goalProbe {
+// probeFor readies the arena's probe for a sweep answering sources xs:
+// it copies them into the probe's scratch and marks their out-neighbours
+// in its watch bitset (no allocation once warm). Without sources there
+// is no probe.
+func (p *product) probeFor(a *arena, xs []int) *goalProbe {
 	if len(xs) == 0 {
-		return goalProbe{}
+		return nil
 	}
-	a.srcs = a.srcs[:0]
+	pr := &a.probe
+	pr.vw, pr.d, pr.lmap = p.vw, p.d, p.lmap
+	pr.near, pr.far, pr.left = 0, 0, 0
+	pr.xs = pr.xs[:0]
 	for _, x := range xs {
-		a.srcs = append(a.srcs, int32(x))
+		pr.xs = append(pr.xs, int32(x))
 	}
-	return goalProbe{vw: p.vw, d: p.d, lmap: p.lmap, xs: a.srcs}
+	if words := (p.n + 63) / 64; len(pr.watch) < words {
+		pr.watch = make([]uint64, words) // the watch is all zero between sweeps
+	}
+	pr.setWatch(^uint64(0))
+	return pr
 }
 
-// answered probes the sources left before the round of sweep r that
-// discovers level r.d+1. If some are not answered yet it drops the
-// answered ones — the round about to run discovers them like any other
-// state — and reports false, as the zero probe always does. Otherwise
-// the sweep stops here, and answered marks (x, start) of every source
-// visited and, with links, at distance r.d+1 — after probing them all,
-// so no source is answered through one marked at that level.
+// done ends the probe's sweep: it clears the watch bits and drops the
+// view, so the pooled arena keeps no graph alive. A nil probe has
+// nothing to do.
+func (pr *goalProbe) done() {
+	if pr == nil {
+		return
+	}
+	pr.setWatch(0)
+	pr.vw, pr.d, pr.lmap = nil, nil, nil
+}
+
+// setWatch sets (ones all ones) or clears (ones 0) the watch bit of
+// every out-neighbour of every source, across the edges the probe steps.
+func (pr *goalProbe) setWatch(ones uint64) {
+	for _, x := range pr.xs {
+		for lid, di := range pr.lmap {
+			if di < 0 {
+				continue
+			}
+			for _, u := range pr.vw.OutWithID(int(x), lid) {
+				bit := uint64(1) << (uint(u) & 63)
+				pr.watch[u>>6] = pr.watch[u>>6]&^bit | bit&ones
+			}
+		}
+	}
+}
+
+// answered runs before the round of sweep r that discovers level r.d+1.
+// The sources answered mid-round in the round before move to that level,
+// and the pending ones it answers now join them there. It reports
+// whether none is left pending; the sweep then stops here, and settle
+// marks them.
 func (pr *goalProbe) answered(r *packedSweep) bool {
-	if len(pr.xs) == 0 {
-		return false
-	}
 	co := r.a.co
-	left := pr.xs[:0]
-	for _, x := range pr.xs {
-		if !pr.reaches(co, int(x)) {
-			left = append(left, x)
+	pr.near = pr.far
+	for j := pr.left; j < len(pr.xs); j++ {
+		if pr.reaches(co, int(pr.xs[j])) {
+			pr.xs[pr.left], pr.xs[j] = pr.xs[j], pr.xs[pr.left]
+			pr.left++
 		}
 	}
-	if len(left) > 0 {
-		pr.xs = left
-		return false
+	pr.far = pr.left
+	return pr.left == len(pr.xs)
+}
+
+// answeredMidRound runs inside the round of sweep r that discovers level
+// r.d, after a frontier word admitted a watched vertex: it answers
+// pending sources in order while it can — each at level r.d+1 — and
+// reports whether none is left pending; the round is then cut.
+func (pr *goalProbe) answeredMidRound(r *packedSweep) bool {
+	co := r.a.co
+	for pr.left < len(pr.xs) && pr.reaches(co, int(pr.xs[pr.left])) {
+		pr.left++
 	}
+	return pr.left == len(pr.xs)
+}
+
+// settle marks the answered sources of a sweep that stops with its level
+// r.d complete up to the cut: (x, start) of xs[near:far] at d and of
+// xs[far:] at d+1 — after every probe, so no source was answered through
+// one marked here. d is r.d+1 when the sweep stops before a round, r.d
+// when it cut one.
+//
+// With links, a source at r.d+1 also gets the first step of its walk: a
+// cut round may not have admitted the state walkFrom steps into first,
+// the first of its out-edges in walkFrom's order whose state sits at
+// r.d. settle scans them in that order: a state visited at r.d is it; an
+// unvisited one that steps to a state at r.d-1 — levels below r.d are
+// complete — sits at exactly r.d and is marked there. The walk then
+// equals the one a sweep run to the end gives.
+func (pr *goalProbe) settle(r *packedSweep, d int32) {
 	q0 := pr.d.Start
-	bit := uint64(1) << (uint(q0) & 63)
-	for _, x := range pr.xs {
-		kv := int32((q0>>6)*r.n) + x
-		if old := r.vis[kv]; old&bit == 0 { // a source may be listed twice
-			if old == 0 {
-				r.a.noteDirty(kv)
-			}
-			r.vis[kv] = old | bit
-			if r.links {
-				r.a.dist[int(x)*r.m+q0] = r.d + 1
+	for _, x := range pr.xs[pr.near:pr.far] {
+		r.mark(int(x), q0, d)
+	}
+	if pr.far == len(pr.xs) {
+		return
+	}
+	if r.links {
+		for _, x := range pr.xs[pr.far:] {
+			pr.firstStep(r, int(x))
+		}
+	}
+	for _, x := range pr.xs[pr.far:] {
+		r.mark(int(x), q0, d+1)
+	}
+}
+
+// firstStep marks at r.d the state the walk from (x, start), at r.d+1,
+// steps into first (settle).
+func (pr *goalProbe) firstStep(r *packedSweep, x int) {
+	co, q0 := r.a.co, pr.d.Start
+	for lid, di := range pr.lmap {
+		if di < 0 {
+			continue
+		}
+		t := pr.d.StepIndex(q0, int(di))
+		for _, u := range pr.vw.OutWithID(x, lid) {
+			if co.at(int(u), t) {
+				if r.a.dist[int(u)*r.m+t] == r.d {
+					return
+				}
+			} else if pr.stepsTo(r, int(u), t, r.d-1) {
+				r.mark(int(u), t, r.d)
+				return
 			}
 		}
 	}
-	return true
+}
+
+// stepsTo reports whether (u, t) has an out-edge into a state visited at
+// level d.
+func (pr *goalProbe) stepsTo(r *packedSweep, u, t int, d int32) bool {
+	co := r.a.co
+	for lid, di := range pr.lmap {
+		if di < 0 {
+			continue
+		}
+		s := pr.d.StepIndex(t, int(di))
+		for _, w := range pr.vw.OutWithID(u, lid) {
+			if co.at(int(w), s) && r.a.dist[int(w)*r.m+s] == d {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // reaches reports whether source x is answered: (x, start) visited, or a
@@ -212,10 +329,13 @@ type distances interface {
 // order, whose (u, δ(q, l)) is at distance d-1, so the walk is shortest:
 // the first of the shortest in that order. Distances are exact wherever
 // they are read, so a stopped sweep, a full one and a cached table all
-// yield the same walk. Because one backward sweep serves every source, a
-// batch of queries sharing the target pays for the product search once
-// and then O(walk length · out-degree) per query. Only the returned path
-// is allocated.
+// yield the same walk: a sweep stopped inside a round has every level
+// below the cut one complete, and from a source beyond it the one step
+// into the cut level is the state the complete level would give
+// (goalProbe.settle puts it in place). Because one backward sweep serves
+// every source, a batch of queries sharing the target pays for the
+// product search once and then O(walk length · out-degree) per query.
+// Only the returned path is allocated.
 func (p *product) walkFrom(ds distances, x, q int) *graph.Path {
 	d := ds.distAt(x, q)
 	if d < 0 {

@@ -2,16 +2,19 @@ package rspq
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 )
 
 // This file pins the stop rule of the product sweeps (goalProbe): a
-// sweep given the sources of a target group stops before the round that
-// would discover the level of its farthest source, and what it leaves
-// must answer those sources exactly as the sweep run to the end does.
+// sweep given the sources of a target group stops at the admission that
+// answers the last of them, and what it leaves must answer those sources
+// exactly as the sweep run to the end does — the same distances and the
+// same walks.
 
 // stopGroups draws the source groups of one target from the oracle's
 // distances: the target itself, a deepest single source, an unreachable
@@ -79,21 +82,59 @@ func stopLevel(xs []int, m, start int, want []int32) int32 {
 	return level
 }
 
+// checkStoppedSweep holds what a sweep that stopped at level D (its
+// farthest source's distance) left in a against the oracle's distances:
+// every id of a level below D-1 is visited; of level D-1 a subset is;
+// beyond it only the sources are. With links (p non-nil) every visited id
+// sits at its exact distance, and the walk read off from it is valid. It
+// reports whether level D-1 was left incomplete: the round that
+// discovers it was cut.
+func checkStoppedSweep(t *testing.T, g *graph.Graph, m, start int, a *arena, p *product, y int, want []int32, xs []int, level int32, ctx string) (cut bool) {
+	t.Helper()
+	source := map[int]bool{}
+	for _, x := range xs {
+		source[x*m+start] = true
+	}
+	for id, d := range want {
+		v, q := id/m, id%m
+		got := a.co.at(v, q)
+		switch {
+		case source[id] || d >= 0 && d < level-1:
+			if !got {
+				t.Fatalf("%s: id %d at distance %d is not visited", ctx, id, d)
+			}
+		case d == level-1:
+			cut = cut || !got
+		case got:
+			t.Fatalf("%s: id %d at distance %d is visited past level %d", ctx, id, d, level-1)
+		}
+		if !got || p == nil {
+			continue
+		}
+		if dist := a.distAt(v, q); dist != d {
+			t.Fatalf("%s: dist[%d] = %d, oracle %d", ctx, id, dist, d)
+		}
+		checkWalkBitValid(t, p.d, g, p.walkFrom(a, v, q), v, q, y, d)
+	}
+	return cut
+}
+
 // TestStoppedSweepEquivalence compares stopped sweeps against sweeps run
 // to the end, on one lane and on two ((a*b*){33}), a pass-through and an
 // extended-overlay view, single and multi-source groups — the target
 // itself, an unreachable source and a duplicated source among them —
 // mark-only and with links, all through ONE arena.
-// A group whose sources are all reachable must stop before the round
-// that would discover its farthest source, having run exactly the rounds
-// before it; what the sweep leaves must be the oracle's sweep truncated
-// there — every id of a lower level, at its distance and with a valid
-// link, and the sources — so each source reads the exhausted distance's
-// walk off the links, and the tier's answer passes VerifyWitness. A group
-// with an unreachable source runs to the end. After every sweep the
-// frontier lists are empty and the words clean, and the next sweep run
-// to the end on the same arena must equal the oracle (a reused arena ≡ a
-// fresh one).
+// A group whose sources are all reachable must stop at its farthest
+// source's distance D, having run the rounds before it: D-1, the last of
+// them cut at the admission that answered the last source
+// (checkStoppedSweep: levels below D-1 as the oracle's, level D-1 a
+// subset of it, nothing beyond it but the sources). The walk each
+// source reads off the stopped sweep must equal the one it reads off the
+// sweep run to the end, and the tier's answer passes VerifyWitness. A
+// group with an unreachable source runs to the end. After every sweep the
+// frontier lists are empty and the words clean, and the next sweep run to
+// the end on the same arena must equal the oracle (a reused arena ≡ a
+// fresh one). Each pattern must cut some round, or the case is vacuous.
 func TestStoppedSweepEquivalence(t *testing.T) {
 	cases := []struct {
 		pattern string
@@ -119,6 +160,7 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
 		shared := new(arena)
 		stops := 0 // stopped sweeps that ran two rounds or more and kept their dirty list
+		cuts := 0  // stopped sweeps that left the level of their last round incomplete
 
 		check := func(view string, wantOverlay bool) {
 			for rep := 0; rep < 8; rep++ {
@@ -146,27 +188,22 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 						if ran := len(kt.rounds); stopped && ran != int(level)-1 {
 							t.Fatalf("%s: the sweep ran %d rounds before stopping at level %d", ctx, ran, level)
 						}
-						truncated := want
 						if stopped {
-							truncated = make([]int32, len(want))
-							for id, d := range want {
-								truncated[id] = -1
-								if d >= 0 && d < level {
-									truncated[id] = d
-								}
+							if checkStoppedSweep(t, g, m, start, shared, walker(&p, links), y, want, xs, level, ctx) {
+								cuts++
 							}
-							for _, x := range xs {
-								truncated[x*m+start] = want[x*m+start]
-							}
+						} else {
+							checkSweepAgainstOracle(t, g, m, shared, walker(&p, links), y, want, ctx)
 						}
-						checkSweepAgainstOracle(t, g, m, shared, walker(&p, links), y, truncated, ctx)
 						if checkSweepContracts(t, shared, ctx) && links && stopped && level > 2 {
 							stops++
 						}
+						var walks []*graph.Path
 						if links {
 							for _, x := range xs {
 								d := want[x*m+start]
 								walk := p.walkFrom(shared, x, start)
+								walks = append(walks, walk)
 								if d < 0 {
 									if walk != nil {
 										t.Fatalf("%s: a walk from unreachable source %d", ctx, x)
@@ -184,6 +221,11 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 						p.sweep(y, shared, links, nil)
 						checkSweepAgainstOracle(t, g, m, shared, walker(&p, links), y, want, ctx+" (reused)")
 						checkSweepContracts(t, shared, ctx+" (reused)")
+						for i, x := range xs {
+							if links && !samePath(walks[i], p.walkFrom(shared, x, start)) {
+								t.Fatalf("%s: source %d walks %v after the stopped sweep, %v after the full one", ctx, x, walks[i], p.walkFrom(shared, x, start))
+							}
+						}
 					}
 				}
 			}
@@ -195,5 +237,71 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 		if stops == 0 {
 			t.Fatalf("%s: no sweep stopped past level 2 with its reach list kept; the case is vacuous", tc.pattern)
 		}
+		if cuts == 0 {
+			t.Fatalf("%s: no stopped sweep cut its last round; the case is vacuous", tc.pattern)
+		}
 	}
+}
+
+// samePath reports whether two walks (nil for none) take the same
+// vertices and labels.
+func samePath(a, b *graph.Path) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return slices.Equal(a.Vertices, b.Vertices) && slices.Equal(a.Labels, b.Labels)
+}
+
+// TestStoppedSweepWorkGuard pins where the stop inside a round saves. On
+// a dense graph (4,000 vertices, out-degree 40) under
+// a*b*a*b*a*b*a*b*a*b*, 64 single-source mark-only sweeps on fresh
+// targets — what Engine.Exists runs on a miss — must turn on at most a
+// quarter of the states a stop at the round boundary visits: every state
+// below the source's distance D. It is a count, not a timer. The levels
+// come from the same target's sweep run to the end, which the oracle
+// suites pin; and each stopped sweep's trace must count exactly the
+// states it left visited (QueryTrace.StatesReached).
+func TestStoppedSweepWorkGuard(t *testing.T) {
+	s, err := NewSolver("a*b*a*b*a*b*a*b*a*b*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.RandomOutRegular(4000, []byte{'a', 'b'}, 40, 7)
+	g.Freeze()
+	n, start := g.NumVertices(), s.Min.Start
+	a := new(arena)
+	p := makeProduct(g.PinView(), s.Min, a)
+	rng := rand.New(rand.NewSource(7))
+	reached, boundary := 0, 0
+	for i, y := range rng.Perm(n)[:64] {
+		p.distToGoal(y, a)
+		x := rng.Intn(n)
+		for a.distAt(x, start) < 0 {
+			x = rng.Intn(n)
+		}
+		D := a.distAt(x, start)
+		below := 0
+		a.co.each(func(id int) {
+			if a.dist[id] < D {
+				below++
+			}
+		})
+		kt := &kernelTrace{}
+		p.sinks = sinks{tr: kt}
+		stopped := p.sweep(y, a, false, []int{x})
+		p.sinks = sinks{}
+		visited := 0
+		for _, w := range a.co.w {
+			visited += bits.OnesCount64(w)
+		}
+		if !stopped || kt.statesReached != visited {
+			t.Fatalf("sweep %d (y=%d, x=%d at %d): stopped=%v, the trace counts %d states, %d are visited", i, y, x, D, stopped, kt.statesReached, visited)
+		}
+		reached += visited
+		boundary += below
+	}
+	if 4*reached > boundary {
+		t.Fatalf("64 stopped sweeps turned on %d states; a stop at the round boundary visits %d, and the bound is a quarter of that", reached, boundary)
+	}
+	t.Logf("64 stopped sweeps turned on %d states against %d at the round boundary (%.3f)", reached, boundary, float64(reached)/float64(boundary))
 }

@@ -275,7 +275,7 @@ func acquireSeqSearcher(vw *graph.View, a *arena, plan *seqPlan, y int, shortest
 	ss.ext = ext
 	ss.a = a
 	if ext == nil {
-		ss.sweepPacked(a, plan.packed, plan.pos.Accept, y, false, goalProbe{})
+		ss.sweepPacked(a, plan.packed, plan.pos.Accept, y, false, nil)
 	}
 	return ss
 }

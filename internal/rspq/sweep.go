@@ -26,8 +26,11 @@ import (
 // pushes each frontier word through its vertex's in-edges into every
 // target lane (expand); cur, the frontier words, is installed between
 // rounds (deliver) and only read while expanding. Rounds repeat until
-// the frontier is empty, or until the probe run between rounds finds
-// every source of a target group answered (goalProbe, rspq.go).
+// the frontier is empty, or until every source of a target group is
+// answered (goalProbe, rspq.go): the probe runs before every round, and
+// inside a round after each frontier word that admitted a state of one
+// of the sources' out-neighbours, so a round stops at the admission that
+// answers its last source rather than at its end.
 // Parallelism lives one level up: a batch fans its target groups out
 // over a worker pool (evaluator.solvePairs), each group's sweep on its
 // worker's goroutine.
@@ -104,19 +107,22 @@ type packedSweep struct {
 	// exactly on the frontier between rounds; nxt collects a round's
 	// discoveries and is zero between rounds.
 	vis, cur, nxt []uint64
+
+	pr *goalProbe // nil: no sources, the sweep runs to the end
 }
 
 // sweepPacked runs the backward sweep over view × pk toward the goal (y,
 // accepting), accept marking pk's accepting states. It leaves the
 // closure in a.co and, with links (pk a DFA's table), exact BFS
-// distances in a.dist wherever a.co holds. A product sweep given sources
-// probes them before every round and stops once all are answered
-// (goalProbe), reporting that it stopped; pr is the zero probe otherwise.
-func (e *sweepEnv) sweepPacked(a *arena, pk *automaton.Packed, accept []bool, y int, links bool, pr goalProbe) (stopped bool) {
+// distances in a.dist wherever a.co holds. A product sweep given the
+// probe of its sources stops once all are answered (goalProbe) — before
+// a round or inside one — reporting that it stopped; pr is nil
+// otherwise.
+func (e *sweepEnv) sweepPacked(a *arena, pk *automaton.Packed, accept []bool, y int, links bool, pr *goalProbe) (stopped bool) {
 	e.sweepStarted()
 	lv := &a.lv
 	W := pk.Lanes()
-	r := packedSweep{sweepEnv: *e, pk: pk, a: a, links: links, lanes: int32(W)}
+	r := packedSweep{sweepEnv: *e, pk: pk, a: a, links: links, lanes: int32(W), pr: pr}
 	r.vis, r.cur, r.nxt = a.growWords(W * e.n)
 	a.co = visited{w: r.vis, n: e.n, m: e.m}
 	if links {
@@ -129,20 +135,28 @@ func (e *sweepEnv) sweepPacked(a *arena, pk *automaton.Packed, accept []bool, y 
 	}
 	r.deliver() // level 0: the goal states
 	for len(lv.fr) > 0 {
-		if pr.answered(&r) {
+		if pr != nil && pr.answered(&r) {
+			pr.settle(&r, r.d+1)
 			stopped = true
-			e.sweepStopped(r.d + 1)
-			for _, kv := range lv.fr { // cur is zero again, as at the end of a full sweep
-				r.cur[kv] = 0
-			}
-			lv.fr = lv.fr[:0]
 			break
 		}
 		r.d++
 		t0, total := e.roundStart(), len(lv.fr)
-		r.expand()
+		cut := r.expand()
 		r.deliver()
 		e.roundEnd(t0, total)
+		if cut {
+			pr.settle(&r, r.d)
+			stopped = true
+			break
+		}
+	}
+	if stopped {
+		e.sweepStopped(r.d + 1)
+		for _, kv := range lv.fr { // cur is zero again, as at the end of a full sweep
+			r.cur[kv] = 0
+		}
+		lv.fr = lv.fr[:0]
 	}
 	e.runDone(r.d)
 	return stopped
@@ -171,12 +185,41 @@ func (r *packedSweep) admit(kv int32, add, old uint64) {
 	r.nxt[kv] |= add
 }
 
+// mark turns state q of vertex v on at level d unless it is visited: a
+// state a stopping sweep answers without a round admitting it
+// (goalProbe.settle).
+func (r *packedSweep) mark(v, q int, d int32) {
+	kv := int32((q>>6)*r.n + v)
+	bit := uint64(1) << (uint(q) & 63)
+	old := r.vis[kv]
+	if old&bit != 0 { // a source may be listed twice
+		return
+	}
+	if old == 0 {
+		r.a.noteDirty(kv)
+	}
+	r.vis[kv] = old | bit
+	if r.links {
+		r.a.dist[v*r.m+q] = d
+	}
+	if r.tr != nil {
+		r.tr.statesReached++
+	}
+}
+
 // expand runs one round: push each frontier word's predecessor words in
 // every target lane through its vertex's in-edges and admit the states
-// not yet visited.
-func (r *packedSweep) expand() {
+// not yet visited. After a frontier word that admitted a state of a
+// watched vertex it asks the probe whether the sources are answered, and
+// if they are it cuts the round there, reporting so.
+func (r *packedSweep) expand() (cut bool) {
 	n, L := int32(r.n), r.vw.NumLabels()
+	var watch []uint64 // nil without sources
+	if r.pr != nil {
+		watch = r.pr.watch
+	}
 	for _, kv := range r.a.lv.fr {
+		hit := false
 		cw := r.cur[kv]
 		v, k := r.split(kv)
 		for kt := int32(0); kt < r.lanes; kt++ {
@@ -195,11 +238,18 @@ func (r *packedSweep) expand() {
 					old := vis[u]
 					if add := pw &^ old; add != 0 {
 						r.admit(off+u, add, old)
+						if watch != nil && watch[u>>6]>>(uint(u)&63)&1 != 0 {
+							hit = true
+						}
 					}
 				}
 			}
 		}
+		if hit && r.pr.answeredMidRound(r) {
+			return true
+		}
 	}
+	return false
 }
 
 // deliver ends a round: install the next frontier words — clearing the
@@ -209,6 +259,11 @@ func (r *packedSweep) deliver() {
 	lv := &r.a.lv
 	for _, kv := range lv.fr {
 		r.cur[kv] = 0
+	}
+	if r.tr != nil {
+		for _, kv := range lv.nx {
+			r.tr.statesReached += bits.OnesCount64(r.nxt[kv])
+		}
 	}
 	for _, kv := range lv.nx {
 		w := r.nxt[kv]

@@ -67,21 +67,31 @@ type QueryTrace struct {
 	TableStates int   `json:"table_states,omitempty"`
 	TableBytes  int64 `json:"table_bytes,omitempty"`
 	// StoppedAt is the level at which the query's sweep answered its last
-	// source and stopped: the level the skipped round would have
-	// discovered, which is the source's exact distance (a source that is
-	// the target, at distance 0, is answered at level 1 with no round
-	// run). 0 (omitted) when the sweep ran to the end; only such a sweep
-	// leaves a goal table for TableStates/TableBytes to describe.
-	StoppedAt  int           `json:"stopped_at,omitempty"`
-	Stages     []StageTiming `json:"stages"`
-	Rounds     []RoundTrace  `json:"rounds"`
-	TotalNanos int64         `json:"total_nanos"`
+	// source and stopped, which is that source's exact distance: the
+	// sweep cut the round discovering level StoppedAt-1 at the admission
+	// that answered it, or — when it was answered before a round, as a
+	// source one step from the goal is — skipped the round that would
+	// have discovered level StoppedAt (a source that is the target, at
+	// distance 0, is answered at level 1 with no round run). 0 (omitted)
+	// when the sweep ran to the end; only such a sweep leaves a goal
+	// table for TableStates/TableBytes to describe.
+	StoppedAt int `json:"stopped_at,omitempty"`
+	// StatesReached counts the states the query's backward sweeps turned
+	// on, a stopped sweep's included: product states on the subword, DAG
+	// and baseline tiers, position-NFA states on the summary tier. It is
+	// what a miss cost, set whether or not a goal table was built; 0 when
+	// no sweep ran (a cache hit, or a tier that answers without one).
+	StatesReached int           `json:"states_reached,omitempty"`
+	Stages        []StageTiming `json:"stages"`
+	Rounds        []RoundTrace  `json:"rounds"`
+	TotalNanos    int64         `json:"total_nanos"`
 }
 
 // kernelTrace is the kernel-side accumulator behind a QueryTrace.
 type kernelTrace struct {
-	rounds    []RoundTrace
-	stoppedAt int
+	rounds        []RoundTrace
+	stoppedAt     int
+	statesReached int
 }
 
 // exchCounters bundles the pre-registered kernel metrics an Engine
