@@ -374,3 +374,42 @@ func BenchmarkCompile(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWalkFirst times the searching tiers on pairs their shortest
+// walk answers: Solve and Shortest of the NP-complete contains-b and the
+// summary-tier Example 2 on a 3-regular 400-vertex graph, over the probe
+// pairs x = 37i mod n, y = (91i+5) mod n, i < 40. Each query is one
+// backward sweep stopped at its source and one walk read off it; before
+// the walk came first, contains-b's Solve backtracked for seconds on
+// some of these pairs and Example 2's Shortest enumerated every Ψtr
+// sequence's summaries.
+func BenchmarkWalkFirst(b *testing.B) {
+	const n = 400
+	g := graph.RandomRegular(n, []byte{'a', 'b', 'c'}, 3, 7)
+	g.Freeze()
+	pairs := make([][2]int, 40)
+	for i := range pairs {
+		pairs[i] = [2]int{37 * i % n, (91*i + 5) % n}
+	}
+	for _, c := range []struct{ name, pattern string }{
+		{"contains-b", "(a|b)*b(a|b)*"},
+		{"example2", "a(c{2,}|())(a|b)*(ac)?a*"},
+	} {
+		s, err := rspq.NewSolver(c.pattern)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range []struct {
+			name  string
+			solve func(*graph.Graph, int, int) rspq.Result
+		}{{"Solve", s.Solve}, {"Shortest", s.Shortest}} {
+			b.Run(c.name+"/"+q.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					p := pairs[i%len(pairs)]
+					q.solve(g, p[0], p[1])
+				}
+			})
+		}
+	}
+}

@@ -333,7 +333,7 @@ func TestServerSweepStats(t *testing.T) {
 	}
 
 	// An existence-only query on a fresh target runs the mark-only
-	// coReach sweep, which must show up in the stats.
+	// co-reachability sweep, which must show up in the stats.
 	var q queryResponse
 	postJSON(t, ts.URL+"/query", `{"x":1,"y":26,"exists_only":true}`, &q)
 	resp2, err := http.Get(ts.URL + "/stats")

@@ -106,7 +106,8 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 // answered stopped (0: it ran to the end), and how many states the
 // query's sweeps turned on, stopped ones included — which tells a
 // 300-state miss from one that flooded the graph whether or not it left
-// a table.
+// a table — and how many nodes a search expanded after the shortest
+// walk left the answer open (0 when the walk answered).
 func slowDetail(tr *rspq.QueryTrace) string {
 	if tr == nil {
 		return ""
@@ -117,8 +118,8 @@ func slowDetail(tr *rspq.QueryTrace) string {
 			pinNanos = st.Nanos
 		}
 	}
-	return fmt.Sprintf(" tier=%s pin_us=%d pending=%d result_cache_hit=%t table_cache_hit=%t table_states=%d table_bytes=%d stopped_at=%d states_reached=%d",
-		tr.Tier, pinNanos/1e3, tr.PendingAdds+tr.PendingRemoves, tr.ResultCacheHit, tr.TableCacheHit, tr.TableStates, tr.TableBytes, tr.StoppedAt, tr.StatesReached)
+	return fmt.Sprintf(" tier=%s pin_us=%d pending=%d result_cache_hit=%t table_cache_hit=%t table_states=%d table_bytes=%d stopped_at=%d states_reached=%d search_nodes=%d",
+		tr.Tier, pinNanos/1e3, tr.PendingAdds+tr.PendingRemoves, tr.ResultCacheHit, tr.TableCacheHit, tr.TableStates, tr.TableBytes, tr.StoppedAt, tr.StatesReached, tr.SearchNodes)
 }
 
 // admitPairs applies the -max-inflight admission gate: it reserves n

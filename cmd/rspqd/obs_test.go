@@ -363,8 +363,8 @@ func TestSlowQueryLine(t *testing.T) {
 // sweep that stopped at its source's level, then the one that ran to the
 // end and built the goal table.
 var slowDetailRE = []*regexp.Regexp{
-	regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=0 table_bytes=0 stopped_at=3 states_reached=[1-9][0-9]*$`),
-	regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=[1-9][0-9]* table_bytes=[1-9][0-9]* stopped_at=0 states_reached=[1-9][0-9]*$`),
+	regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=0 table_bytes=0 stopped_at=3 states_reached=[1-9][0-9]* search_nodes=0$`),
+	regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=[1-9][0-9]* table_bytes=[1-9][0-9]* stopped_at=0 states_reached=[1-9][0-9]* search_nodes=0$`),
 }
 
 // TestBatchAdmission pins the -max-inflight gate: an oversized batch

@@ -153,8 +153,8 @@ func Example_metabolic() {
 	fmt.Printf("pathway with ≤ 6 reactions: found=%v\n", lang.SolveBounded(g, src, dst, 6, 1).Found)
 	// Output:
 	// e*               class=NL-complete  algo=subword   → pathway of 39 reactions, word "eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee"
-	// e*(tt+|())e*     class=NL-complete  algo=summary   → pathway of 39 reactions, word "eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee"
-	// e*re*            class=NP-complete  algo=baseline  → pathway of 26 reactions, word "eeeeeeeeeeeeeeeeeeeeeeeere"
+	// e*(tt+|())e*     class=NL-complete  algo=summary   → pathway of 10 reactions, word "eeeetteeee"
+	// e*re*            class=NP-complete  algo=baseline  → pathway of 25 reactions, word "eeeeeeeeeeeeeeeeeereeeeee"
 	// e*(rr+|())e*     class=NL-complete  algo=summary   → pathway of 39 reactions, word "eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee"
 	// [etr]*           class=NL-complete  algo=subword   → pathway of 10 reactions, word "eeeetteeee"
 	//

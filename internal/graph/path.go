@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -34,14 +35,7 @@ func (p *Path) Word() string { return string(p.Labels) }
 func (p *Path) IsSimple() bool {
 	vs := p.Vertices
 	if len(vs) <= 32 {
-		for i := 1; i < len(vs); i++ {
-			for _, u := range vs[:i] {
-				if u == vs[i] {
-					return false
-				}
-			}
-		}
-		return true
+		return simpleShort(vs)
 	}
 	seen := make(map[int]bool, len(vs))
 	for _, v := range vs {
@@ -49,6 +43,19 @@ func (p *Path) IsSimple() bool {
 			return false
 		}
 		seen[v] = true
+	}
+	return true
+}
+
+// simpleShort reports whether vs repeats no vertex by a quadratic scan,
+// the allocation-free check for short walks.
+func simpleShort(vs []int) bool {
+	for i := 1; i < len(vs); i++ {
+		for _, u := range vs[:i] {
+			if u == vs[i] {
+				return false
+			}
+		}
 	}
 	return true
 }
@@ -100,29 +107,79 @@ func (p *Path) Concat(q *Path) (*Path, error) {
 // (paper, Example 4). A walk that is already simple is returned as is
 // (the receiver itself, no copy), so callers can tell by identity that
 // nothing was removed.
+//
+// It runs in one pass, in O(|p| log |p|) time (removeLoops). A walk
+// with loops costs the result's vertex and label slices; the Path
+// header is allocated here, in the caller, which keeps it on the stack
+// when it does not escape.
 func (p *Path) RemoveLoops() *Path {
-	if p.IsSimple() {
-		return p
+	if vs, ls := p.removeLoops(); vs != nil {
+		return &Path{Vertices: vs, Labels: ls}
 	}
-	vs := append([]int{}, p.Vertices...)
-	ls := append([]byte{}, p.Labels...)
-	for {
-		first := map[int]int{}
-		loopAt := -1
-		var from, to int
-		for i, v := range vs {
-			if j, ok := first[v]; ok {
-				loopAt, from, to = v, j, i
-				break
-			}
-			first[v] = i
-		}
-		if loopAt < 0 {
-			return &Path{Vertices: vs, Labels: ls}
-		}
-		vs = append(vs[:from], vs[to:]...)
-		ls = append(ls[:from], ls[to:]...)
+	return p
+}
+
+// removeLoops splices every loop out of the walk and returns the simple
+// result's vertices and labels, or nil when the walk repeats no vertex.
+//
+// Greedy elimination always cuts the earliest repeat, so it keeps the
+// walk's first vertex, jumps to that vertex's LAST occurrence, and goes
+// on from the position after it: the result is v_0, then v_{l+1} where
+// l is the last occurrence of v_0, and so on. Finding each last
+// occurrence needs no map: the keys v·n + i (vertex v at position i)
+// are sorted, which makes every vertex's occurrences adjacent and
+// ascending; each key is rewritten to i·n + last and put back at slot i.
+// The jumps then write the kept vertices over the same buffer, which
+// becomes the result: a kept vertex is written at a slot no later than
+// the one it is read from, and every slot read later lies beyond it.
+func (p *Path) removeLoops() ([]int, []byte) {
+	vs, ls := p.Vertices, p.Labels
+	n := len(vs)
+	if n <= 32 && simpleShort(vs) {
+		return nil, nil
 	}
+	buf := make([]int, n)
+	for i, v := range vs {
+		buf[i] = v*n + i
+	}
+	slices.Sort(buf)
+	loops := false
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && buf[hi]/n == buf[lo]/n {
+			hi++
+		}
+		last := buf[hi-1] % n
+		loops = loops || hi-lo > 1
+		for j := lo; j < hi; j++ {
+			buf[j] = buf[j]%n*n + last
+		}
+		lo = hi
+	}
+	if !loops {
+		return nil, nil
+	}
+	for i := range buf { // slot i ← position i's key, by following cycles
+		for buf[i]/n != i {
+			j := buf[i] / n
+			buf[i], buf[j] = buf[j], buf[i]
+		}
+	}
+	k := 0
+	for i := 0; i < n; i = buf[i]%n + 1 {
+		k++
+	}
+	out := make([]byte, k-1)
+	k = 0
+	for i := 0; i < n; k++ {
+		last := buf[i] % n
+		buf[k] = vs[i]
+		if last+1 < n {
+			out[k] = ls[last]
+		}
+		i = last + 1
+	}
+	return buf[:k:k], out
 }
 
 // String renders the path as v0 -a-> v1 -b-> v2.

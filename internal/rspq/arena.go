@@ -56,6 +56,16 @@ type visited struct {
 
 func (s visited) at(v, q int) bool { return s.w[(q>>6)*s.n+v]>>(uint(q)&63)&1 == 1 }
 
+// appendIDs appends the product id v·m + q of every visited (v, q) of
+// lane-vertex word kv to ids, in ascending order.
+func (s visited) appendIDs(ids []int32, kv int) []int32 {
+	v, k := kv%s.n, kv/s.n
+	for w, base := s.w[kv], v*s.m+64*k; w != 0; w &= w - 1 {
+		ids = append(ids, int32(base+bits.TrailingZeros64(w)))
+	}
+	return ids
+}
+
 // each calls f with the product id v·m + q of every visited (v, q),
 // lane by lane.
 func (s visited) each(f func(id int)) {
@@ -89,31 +99,28 @@ type arena struct {
 
 	// dirty lists the lane-vertex words the last sweep turned non-zero,
 	// each once, in no particular order — what lets the next sweep zero
-	// them instead of the whole visited third, and the consumers of a short
-	// sweep (exportGoalTable) pay for what it touched instead of for the id
-	// space. It is valid only while dirtyOK: a sweep that outgrows dirtyMax
-	// abandons it.
+	// them instead of the whole visited third, and the export of a short
+	// sweep's sparse goal table (newSparseGoalTable) pay for what it
+	// touched instead of for the vertex count. It is valid only while
+	// dirtyOK: a sweep that outgrows dirtyMax abandons it.
 	dirty    []int32
 	dirtyOK  bool
 	dirtyMax int
 }
 
 // sparseFill is the fill up to which a sweep counts as short: it turned
-// on at most 1/sparseFill of its lane-vertex words. The one criterion
-// serves both per-miss savings — the goal table is frozen in its sparse
-// form, and the next sweep cleans the words from the dirty list. A word
-// holds at most min(m, 64) reached ids, so a one-lane sweep under the
-// threshold reached at most 1/sparseFill of the product ids. In retained
-// bytes (goalTableCost, sparseGoalTableCost: 8 B per reached id against
-// 4 B per product id) the sparse form wins up to a fill of 1/2, so at
-// 1/8 it is at least 4× smaller — what a byte-budgeted cache with 4 MiB
-// shards cares about. Export time favours the dense form: for an
-// 11-state DFA on a 50k-vertex graph (2-vCPU Xeon) the dense export
-// cost ~1 ns per product id (allocate, fill, scan the words) plus ~5 ns
-// per reached id, the sparse one ~70 ns per reached id (expand, sort,
-// copy), which breaks even near a fill of 1/65. A serving process also
-// faults the dense bytes in and collects them later, which moves that
-// point up by an amount not measured here.
+// on at most 1/sparseFill of its lane-vertex words. A short sweep keeps
+// its dirty list, so the next sweep cleans the words from the list, and
+// a sparse goal table is built from the listed words rather than from a
+// scan of all of them (newSparseGoalTable). Which form a goal table
+// takes is decided by bytes alone (exportGoalTable: 8 B per reached id
+// against 4 B per product id, even at a fill of 1/2) — what a
+// byte-budgeted cache with 4 MiB shards cares about. Export time
+// favours the dense form: for an 11-state DFA on a 50k-vertex graph
+// (2-vCPU Xeon) the dense export cost ~1 ns per product id (allocate,
+// fill, scan the words) plus ~5 ns per reached id, the sparse one from
+// the dirty list ~70 ns per reached id (expand, sort, copy). A serving
+// process also faults the dense bytes in and collects them later.
 const sparseFill = 8
 
 // growWords returns the three lane-vertex word arrays of a sweep
@@ -156,12 +163,19 @@ func (a *arena) noteDirty(kv int32) {
 	a.dirty = append(a.dirty, kv)
 }
 
-// reachedCount is the number of visited (v, q) of a sweep whose dirty
-// list survived.
+// reachedCount is the number of visited (v, q) of the last sweep,
+// counted over the words on its dirty list when that survived and over
+// every visited word otherwise.
 func (a *arena) reachedCount() int {
 	r := 0
-	for _, kv := range a.dirty {
-		r += bits.OnesCount64(a.co.w[kv])
+	if a.dirtyOK {
+		for _, kv := range a.dirty {
+			r += bits.OnesCount64(a.co.w[kv])
+		}
+		return r
+	}
+	for _, w := range a.co.w {
+		r += bits.OnesCount64(w)
 	}
 	return r
 }

@@ -17,53 +17,42 @@ type BaselineStats struct {
 type bsearch struct {
 	p     product
 	a     *arena
-	d     *automaton.DFA
+	ds    distances // complete distances to the goal (y, accepting)
 	y     int
 	limit int // depth bound, -1 when unbounded
 	stats *BaselineStats
-	cot   *coTable // cached co-reachability table; nil = use a.co
 	vs    []int
 	ls    []byte
 }
 
 // dfs extends the current simple path from (v, q); visited vertices are
-// marked in a.seen, co-reachability pruning reads a.co (unbounded mode)
-// or the a.dist lower bounds (bounded mode).
+// marked in a.seen. Both modes prune by the one distance table: a child
+// the goal cannot be reached from (unbounded), or not within the depth
+// left (bounded), is never entered.
 func (b *bsearch) dfs(v, q, used int) bool {
 	if b.stats != nil {
 		b.stats.Nodes++
 	}
-	if v == b.y && b.d.Accept[q] && (b.limit < 0 || used == b.limit) {
+	d := b.p.d
+	if v == b.y && d.Accept[q] && (b.limit < 0 || used == b.limit) {
 		return true
 	}
 	if b.limit >= 0 && used >= b.limit {
 		return false
 	}
-	L := b.p.vw.NumLabels()
-	for lid := 0; lid < L; lid++ {
-		di := b.p.lmap[lid]
+	for lid, di := range b.p.lmap {
 		if di < 0 {
 			continue
 		}
-		t := b.d.StepIndex(q, int(di))
+		t := d.StepIndex(q, int(di))
 		label := b.p.vw.Label(lid)
 		for _, to32 := range b.p.vw.OutWithID(v, lid) {
 			to := int(to32)
 			if b.a.seen.has(to) {
 				continue
 			}
-			if b.limit < 0 {
-				if b.cot != nil {
-					if !b.cot.has(to*b.p.m + t) {
-						continue
-					}
-				} else if !b.a.co.at(to, t) {
-					continue
-				}
-			} else {
-				if dg := b.a.distAt(to, t); dg < 0 || used+1+int(dg) > b.limit {
-					continue
-				}
+			if dg := b.ds.distAt(to, t); dg < 0 || b.limit >= 0 && used+1+int(dg) > b.limit {
+				continue
 			}
 			b.a.seen.add(to)
 			b.vs = append(b.vs, to)
@@ -79,7 +68,18 @@ func (b *bsearch) dfs(v, q, used int) bool {
 	return false
 }
 
-func (b *bsearch) witness() Result {
+// run searches from x under the depth bound limit (-1: none), with the
+// path buffers borrowed from the arena.
+func (b *bsearch) run(x, limit int) Result {
+	b.limit = limit
+	b.a.seen.reset(b.p.n)
+	b.a.seen.add(x)
+	b.vs = append(b.a.vs[:0], x)
+	b.ls = b.a.ls[:0]
+	defer func() { b.a.vs, b.a.ls = b.vs[:0], b.ls[:0] }()
+	if !b.dfs(x, b.p.d.Start, 0) {
+		return Result{}
+	}
 	return Result{Found: true, Path: &graph.Path{
 		Vertices: append([]int(nil), b.vs...),
 		Labels:   append([]byte(nil), b.ls...),
@@ -88,9 +88,11 @@ func (b *bsearch) witness() Result {
 
 // Baseline answers RSPQ(L) exactly for any regular language by
 // backtracking over the product G × A_L with a visited set, pruned by
-// product co-reachability. Worst-case exponential (the problem is
-// NP-complete outside trC); complete and sound for every language.
-// stats may be nil.
+// the product distances to the goal (a child that cannot reach it is
+// never entered). Worst-case exponential (the problem is NP-complete
+// outside trC); complete and sound for every language. It never reads
+// the shortest walk first, so it is the ground truth the tiers are
+// tested against. stats may be nil.
 func Baseline(g *graph.Graph, d *automaton.DFA, x, y int, stats *BaselineStats) Result {
 	if !validPair(g.NumVertices(), x, y) {
 		return Result{}
@@ -98,33 +100,20 @@ func Baseline(g *graph.Graph, d *automaton.DFA, x, y int, stats *BaselineStats) 
 	a := getArena()
 	defer a.release()
 	p := makeProduct(g.PinView(), d, a)
-	p.coReach(y, a)
-	return baselineWith(&p, a, d, nil, x, y, stats)
+	p.distToGoal(y, a)
+	return baselineWith(&p, a, a, x, y, stats)
 }
 
-// baselineWith runs one pruned backtracking search from x against the
-// co-reachability table of target y: the frozen table cot when non-nil
-// (how Engine replays a cached (language, y) table across queries),
-// else the one coReach left in a.co. The table depends only on y, so
-// queries sharing a target call this once per source over one table.
-func baselineWith(p *product, a *arena, d *automaton.DFA, cot *coTable, x, y int, stats *BaselineStats) Result {
-	b := bsearch{p: *p, a: a, d: d, y: y, limit: -1, stats: stats, cot: cot}
-	if cot != nil {
-		if !cot.has(p.id(x, d.Start)) {
-			return Result{}
-		}
-	} else if !a.co.at(x, d.Start) {
+// baselineWith runs one pruned backtracking search from x against ds,
+// the complete distances to target y: a frozen goal table, or the ones
+// distToGoal left in the arena. They depend only on y, so queries
+// sharing a target call this once per source over one table.
+func baselineWith(p *product, a *arena, ds distances, x, y int, stats *BaselineStats) Result {
+	if ds.distAt(x, p.d.Start) < 0 {
 		return Result{}
 	}
-	a.seen.reset(p.n)
-	a.seen.add(x)
-	b.vs = append(a.vs[:0], x)
-	b.ls = a.ls[:0]
-	defer func() { a.vs, a.ls = b.vs[:0], b.ls[:0] }()
-	if b.dfs(x, d.Start, 0) {
-		return b.witness()
-	}
-	return Result{}
+	b := bsearch{p: *p, a: a, ds: ds, y: y, stats: stats}
+	return b.run(x, -1)
 }
 
 // BaselineShortest returns a shortest simple L-labeled path via
@@ -139,28 +128,23 @@ func BaselineShortest(g *graph.Graph, d *automaton.DFA, x, y int, stats *Baselin
 	defer a.release()
 	p := makeProduct(g.PinView(), d, a)
 	p.distToGoal(y, a)
-	return baselineShortestWith(&p, a, x, y, stats)
+	return baselineShortestWith(&p, a, a, x, y, stats)
 }
 
-// baselineShortestWith runs the iterative deepening from x against the
-// complete distances to target y that distToGoal left in the arena.
-// They depend only on y, so queries sharing a target call this once per
-// source after one sweep.
-func baselineShortestWith(p *product, a *arena, x, y int, stats *BaselineStats) Result {
-	dx := a.distAt(x, p.d.Start)
+// baselineShortestWith runs the iterative deepening from x against ds,
+// the complete distances to target y. The deepening starts at x's walk
+// distance: no simple path is shorter than the shortest walk, but one
+// of that length may exist even when the walks of that length repeat a
+// vertex.
+func baselineShortestWith(p *product, a *arena, ds distances, x, y int, stats *BaselineStats) Result {
+	dx := ds.distAt(x, p.d.Start)
 	if dx < 0 {
 		return Result{}
 	}
-	b := bsearch{p: *p, a: a, d: p.d, y: y, stats: stats}
-	defer func() { a.vs, a.ls = b.vs[:0], b.ls[:0] }()
+	b := bsearch{p: *p, a: a, ds: ds, y: y, stats: stats}
 	for limit := int(dx); limit < p.n; limit++ {
-		b.limit = limit
-		a.seen.reset(p.n)
-		a.seen.add(x)
-		b.vs = append(a.vs[:0], x)
-		b.ls = a.ls[:0]
-		if b.dfs(x, p.d.Start, 0) {
-			return b.witness()
+		if res := b.run(x, limit); res.Found {
+			return res
 		}
 	}
 	return Result{}

@@ -45,9 +45,12 @@ func (s *Solver) BatchSolve(g *graph.Graph, pairs []Pair) []Result {
 // Pairs with out-of-range vertex ids get Result{Found: false}, exactly
 // like the per-query surface. Queries are grouped by target so each
 // group shares its y-side table, and groups run on the worker pool. On
-// the walk-reduction tiers (subword-closed languages, DAGs) a witness is
-// a shortest L-labeled walk, with its loops removed on the subword tier:
-// the same witness Solver.Solve returns (product.walkFrom).
+// every tier but the finite one, whenever the shortest L-labeled walk
+// answers a pair, its witness is the first shortest walk
+// (product.walkFrom) or its loop-free form — always on the
+// walk-reduction tiers, and on the summary and NP tiers unless the walk
+// left the pair to their search. It is the same witness Solver.Solve
+// returns.
 func (bs *BatchSolver) Solve(pairs []Pair) []Result {
 	out := make([]Result, len(pairs))
 	pv := bs.s.pin(bs.g, AlgoAuto)

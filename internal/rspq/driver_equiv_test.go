@@ -195,7 +195,7 @@ func TestKernelSetAndDistEquality(t *testing.T) {
 					ctx := fmt.Sprintf("%s overlay=%v y=%d", row.pattern, overlay, y)
 					a := getArena()
 					p := makeProduct(g.PinView(), s.Min, a)
-					p.coReach(y, a)
+					p.sweep(y, a, false, nil)
 					checkSweepAgainstOracle(t, g, p.m, a, nil, y, want, ctx)
 					checkSweepContracts(t, a, ctx+" (mark-only)")
 					p.distToGoal(y, a)

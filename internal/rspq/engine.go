@@ -360,10 +360,12 @@ func (e *Engine) Stats() EngineStats {
 
 // Solve answers RSPQ(L) for one (x, y) pair. The returned Result may
 // be shared with other callers via the result cache, so its Path must
-// be treated as immutable. On the walk-reduction tiers (subword-closed
-// languages, DAGs) the witness is a shortest L-labeled walk, with its
-// loops removed on the subword tier: the same witness Solver.Solve
-// returns (product.walkFrom).
+// be treated as immutable. On every tier but the finite one, whenever
+// the shortest L-labeled walk answers the pair, the witness is the first
+// shortest walk (product.walkFrom) or its loop-free form — always on the
+// walk-reduction tiers, and on the summary and NP tiers unless the walk
+// left the pair to their search. It is the same witness Solver.Solve
+// returns.
 func (e *Engine) Solve(x, y int) Result {
 	return e.solve(x, y, false)
 }
@@ -440,6 +442,7 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 		tr.TableBytes = st.tableBytes
 		tr.StoppedAt = st.kt.stoppedAt
 		tr.StatesReached = st.kt.statesReached
+		tr.SearchNodes = int(st.kt.search.Nodes)
 		tr.Rounds = st.kt.rounds
 		return res, tr
 	}

@@ -486,6 +486,7 @@ func TestGoalTableSparseEqualsDense(t *testing.T) {
 		{"a*c*", graph.RandomRegular(120, []byte{'a', 'b', 'c'}, 3, 5)},
 		{"a*(bb+|())c*", graph.Random(60, []byte{'a', 'b', 'c'}, 0.03, 8)},
 		{"(a|b)*a(a|b)*", graph.LayeredDAG(7, 6, 2, []byte{'a', 'b'}, 3)},
+		{"(a*b*){33}", graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 6)}, // 67 states: two lanes
 	} {
 		s, err := NewSolver(tc.pattern)
 		if err != nil {
@@ -495,9 +496,14 @@ func TestGoalTableSparseEqualsDense(t *testing.T) {
 		isolated := g.AddVertex()
 		a := new(arena)
 		p := makeProduct(g.PinView(), s.Min, a)
+		floods := 0
 		for _, y := range []int{0, 7, g.NumVertices() / 2, isolated} {
 			p.distToGoal(y, a)
-			if !a.dirtyOK { // a flooding sweep: list the non-zero words by hand
+			var scanned *goalTable // a flooding sweep's sparse form, from the scan of its words
+			if !a.dirtyOK {
+				scanned = newSparseGoalTable(a, a.reachedCount())
+				floods++
+				// List the non-zero words by hand, for the dirty-list build.
 				a.dirty = a.dirty[:0]
 				for kv, w := range a.co.w {
 					if w != 0 {
@@ -509,7 +515,10 @@ func TestGoalTableSparseEqualsDense(t *testing.T) {
 				})
 				a.dirtyOK = true
 			}
-			sparse, dense := newSparseGoalTable(a), newDenseGoalTable(a)
+			sparse, dense := newSparseGoalTable(a, a.reachedCount()), newDenseGoalTable(a)
+			if scanned != nil && (!slices.Equal(scanned.ids, sparse.ids) || !slices.Equal(scanned.dist, sparse.dist)) {
+				t.Fatalf("%s y=%d: the scanned sparse form differs from the listed one", tc.pattern, y)
+			}
 			if dense.ids != nil || sparse.ids == nil || dense.states != sparse.states || sparse.states != len(sparse.ids) {
 				t.Fatalf("%s y=%d: forms (dense ids=%v states=%d, sparse ids=%v states=%d)",
 					tc.pattern, y, dense.ids != nil, dense.states, sparse.ids != nil, sparse.states)
@@ -533,6 +542,9 @@ func TestGoalTableSparseEqualsDense(t *testing.T) {
 					checkWalkBitValid(t, s.Min, g, sw, x, q, y, d)
 				}
 			}
+		}
+		if tc.pattern != "a*c*" && floods == 0 {
+			t.Fatalf("%s: no sweep flooded, so the scanned sparse form went untested", tc.pattern)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package rspq
 
 import (
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -16,11 +15,14 @@ import (
 // the trichotomy's tier rule meets a shared y-side table. The
 // observation behind it: every product-based tier prunes (or outright
 // answers) with a table that depends only on the TARGET of the query —
-// coReach for the exponential baseline, the backward product BFS
-// (distToGoal) for the walk-reduction tiers, the position-NFA
-// co-reachability table for the Ψtr summary solver. Queries over one
-// language therefore group naturally by y: the table is obtained once
-// per group and every source in the group is answered against it.
+// the backward product BFS (distToGoal) for the walk-reduction tiers,
+// and for the summary and baseline tiers too, which read each source's
+// shortest walk off it first (walkFirst) and search only from the
+// sources it leaves open: the baseline pruned by the same distances,
+// the Ψtr summary solver by its position-NFA co-reachability tables.
+// Queries over one language therefore group naturally by y: the table
+// is obtained once per group and every source in the group is answered
+// against it.
 //
 // Solver, BatchSolver and Engine are all this evaluator, and solveGroup
 // is the one place a tier is mapped to its kernel. They differ only in
@@ -68,7 +70,8 @@ type targetGroup struct {
 // answers is where a batch's answers land: full results in out, or
 // only existence bits in found. Exactly one is non-nil, and every slot
 // starts out as "no path". shortest (set by Solver.Shortest alone) makes
-// the summary and baseline tiers search on past their first witness.
+// the summary and baseline tiers take only a simple shortest walk and
+// search on past their first witness.
 type answers struct {
 	out      []Result
 	found    []bool
@@ -115,6 +118,15 @@ func (st *solveTiming) noteGoalTable(t *goalTable, hit bool) {
 	}
 	st.tableHit = st.tableHit || hit
 	st.tableStates, st.tableBytes = t.states, t.cost()
+}
+
+// searchStats is where a traced query's fallback search counts the
+// nodes it expands (QueryTrace.SearchNodes); nil off the trace path.
+func (st *solveTiming) searchStats() *BaselineStats {
+	if st == nil {
+		return nil
+	}
+	return &st.kt.search
 }
 
 // evaluator answers target groups for one language. The zero value of
@@ -233,9 +245,9 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		// is simple, and under subword closure loop removal lands back in
 		// the language. So absent a cached goal table (left by earlier
 		// witness queries on this target) the group is answered by the
-		// mark-only coReach sweep instead of distToGoal, sharing the
-		// baseline tier's co tables. Either sweep stops once
-		// the group's sources are answered (goalProbe).
+		// mark-only sweep instead of distToGoal, whose tables are this
+		// ask's alone. Either sweep stops once the group's sources are
+		// answered (goalProbe).
 		t0 := ev.clock()
 		gt := ev.cachedGoalTable(pv, grp.y)
 		ev.observeTable(t0, st)
@@ -256,51 +268,35 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 			}
 		}
 	case AlgoSummary:
-		// Each Ψtr sequence's position-NFA co-reachability table depends
-		// only on the view and y: one pooled searcher per (sequence,
-		// target) runs once per source still unanswered, or per source
-		// when asked for the shortest witness over all sequences.
-		remaining := len(grp.xs)
-		for si, plan := range ev.s.seqPlans() {
-			if remaining == 0 && !w.shortest {
-				break // skip later sequences' co-reachability builds
-			}
-			ss := ev.acquireSummary(pv, a, plan, si, grp.y, w.shortest, st)
-			ss.existsOnly = w.existsOnly()
-			k0 := ev.clock()
-			for j, x := range grp.xs {
-				best := w.get(grp.idx[j])
-				if best.Found && !w.shortest {
-					continue
-				}
-				if res := ss.run(x); res.Found && (!best.Found || res.Path.Len() < best.Path.Len()) {
-					w.set(grp.idx[j], res)
-					remaining--
-				}
-			}
-			ev.observeKernel(k0, st)
-			ss.release()
+		// The shortest walk answers most sources; SolvePsitr's Solver
+		// holds only the Ψtr expression, no DFA to walk, and runs the
+		// paper's search alone.
+		left := len(grp.xs)
+		if ev.s.Min != nil {
+			_, left = ev.walkFirst(pv, a, grp, w, st)
 		}
+		ev.summarySearch(pv, a, grp, left, w, st)
 	default:
-		// The exponential tier backtracks per source against one
-		// co-reachability pruning table, which must be complete: its
-		// sweep gets no sources. The existence bit needs the same search
-		// (co-reachability alone ignores simplicity). The shortest ask
-		// deepens iteratively against one complete distance sweep.
-		p := ev.product(pv, a, st)
-		if w.shortest {
-			k0 := ev.clock()
-			p.distToGoal(grp.y, a)
-			for j, x := range grp.xs {
-				w.set(grp.idx[j], baselineShortestWith(&p, a, x, grp.y, nil))
-			}
-			ev.observeKernel(k0, st)
+		// The exponential tier backtracks only from the sources the
+		// shortest walk leaves, pruned by the same distances — which must
+		// then be complete: a sweep stopped at the sources runs again to
+		// the end. The shortest ask deepens iteratively from the walk's
+		// length.
+		v, left := ev.walkFirst(pv, a, grp, w, st)
+		if left == 0 {
 			break
 		}
-		ct := ev.coTableFor(pv, &p, a, grp.y, nil, st)
+		if v.stopped {
+			v = ev.sweepGoal(pv, a, grp.y, nil, st)
+		}
+		stats := st.searchStats()
 		k0 := ev.clock()
-		for j, x := range grp.xs {
-			w.set(grp.idx[j], baselineWith(&p, a, d, ct, x, grp.y, nil))
+		for j, x := range grp.xs[:left] {
+			if w.shortest {
+				w.set(grp.idx[j], baselineShortestWith(&v.p, a, v.ds, x, grp.y, stats))
+			} else {
+				w.set(grp.idx[j], baselineWith(&v.p, a, v.ds, x, grp.y, stats))
+			}
 		}
 		ev.observeKernel(k0, st)
 	}
@@ -308,6 +304,89 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		for j, x := range grp.xs {
 			ev.storeResult(pv.epoch, x, grp.y, w.existsOnly(), w.get(grp.idx[j]))
 		}
+	}
+}
+
+// walkFirst answers from the shortest walk every source of grp that the
+// walk decides, and moves the sources left to the front of grp, in
+// their order, returning how many there are along with the goal view it
+// read the walks off. Every simple path is a walk, so a source with no
+// walk has no path, and a simple shortest walk is a shortest simple
+// path; a loop-free walk that stays in L is a simple path too (fromWalk).
+// The view is goalViewFor's: one backward sweep, stopped once the
+// group's sources are answered, or the cached goal table.
+func (ev *evaluator) walkFirst(pv *pinned, a *arena, grp *targetGroup, w answers, st *solveTiming) (goalView, int) {
+	v := ev.goalViewFor(pv, a, grp.y, grp.xs, st)
+	k0 := ev.clock()
+	left := 0
+	for j, x := range grp.xs {
+		if res, ok := ev.fromWalk(&v, a, x, w); ok {
+			w.set(grp.idx[j], res)
+			continue
+		}
+		grp.xs[left], grp.xs[j] = grp.xs[j], grp.xs[left]
+		grp.idx[left], grp.idx[j] = grp.idx[j], grp.idx[left]
+		left++
+	}
+	ev.observeKernel(k0, st)
+	return v, left
+}
+
+// fromWalk answers source x off the goal view when its shortest walk
+// decides the ask, and reports whether it did. No walk means no path. A
+// simple walk answers every ask; allocation-free when only existence is
+// asked. Otherwise a Solve or existence ask takes the walk's loop-free
+// form when it stays in L (loopFree), and the shortest ask takes
+// nothing: a shorter simple path than what loop removal leaves may
+// exist.
+func (ev *evaluator) fromWalk(v *goalView, a *arena, x int, w answers) (Result, bool) {
+	start := ev.s.Min.Start
+	if v.ds.distAt(x, start) < 0 {
+		return Result{}, true
+	}
+	if v.p.walkIsSimple(a, v.ds, x, start) {
+		if w.existsOnly() {
+			return Result{Found: true}, true
+		}
+		return pathResult(v.p.walkFrom(v.ds, x, start)), true
+	}
+	if w.shortest {
+		return Result{}, false
+	}
+	path := loopFree(ev.s.Min, v.p.walkFrom(v.ds, x, start))
+	return pathResult(path), path != nil
+}
+
+// summarySearch runs the Ψtr summary search from the first left sources
+// of grp; with none left it builds nothing, not even the plans. Each
+// sequence's position-NFA co-reachability table depends only on the
+// view and y: one pooled searcher per (sequence, target) runs once per
+// source still unanswered, or per source when asked for the shortest
+// witness over all sequences.
+func (ev *evaluator) summarySearch(pv *pinned, a *arena, grp *targetGroup, left int, w answers, st *solveTiming) {
+	if left == 0 {
+		return
+	}
+	remaining := left
+	for si, plan := range ev.s.seqPlans() {
+		if remaining == 0 && !w.shortest {
+			break // skip later sequences' co-reachability builds
+		}
+		ss := ev.acquireSummary(pv, a, plan, si, grp.y, w.shortest, st)
+		ss.existsOnly = w.existsOnly()
+		k0 := ev.clock()
+		for j, x := range grp.xs[:left] {
+			best := w.get(grp.idx[j])
+			if best.Found && !w.shortest {
+				continue
+			}
+			if res := ss.run(x); res.Found && (!best.Found || res.Path.Len() < best.Path.Len()) {
+				w.set(grp.idx[j], res)
+				remaining--
+			}
+		}
+		ev.observeKernel(k0, st)
+		ss.release()
 	}
 }
 
@@ -381,8 +460,8 @@ func (ev *evaluator) product(pv *pinned, a *arena, st *solveTiming) product {
 
 // table kinds, part of tableKey so the three tiers share one cache.
 const (
-	tableCo   uint8 = iota // baseline product co-reachability bitset
-	tableGoal              // subword/DAG backward-BFS distances
+	tableCo   uint8 = iota // product co-reachability bitset (subword/DAG existence)
+	tableGoal              // backward-BFS distances (every tier but finite)
 	tableSeq               // summary per-sequence position-NFA bitset
 )
 
@@ -447,9 +526,9 @@ func resultCost(res Result) int64 {
 }
 
 // coTable is an immutable product co-reachability table (a bitset over
-// dense product ids), the frozen form of what a mark-only sweep
-// (coReach, the summary tier's position-NFA sweep) leaves in a.co. Safe
-// for concurrent readers.
+// dense product ids), the frozen form of what a mark-only sweep (the
+// walk tiers' existence sweep, the summary tier's position-NFA sweep)
+// leaves in a.co. Safe for concurrent readers.
 type coTable struct {
 	bits []uint64
 }
@@ -477,8 +556,8 @@ func exportCoTable(co visited) *coTable {
 // pinned a view of the same edges as the one it was swept on. Safe for
 // concurrent readers.
 //
-// It is kept in one of two forms, chosen by exportGoalTable from how
-// much of the product the sweep reached (sparseFill); consumers see only
+// It is kept in one of two forms, chosen by exportGoalTable by which
+// retains fewer bytes for what the sweep reached; consumers see only
 // distAt.
 //
 //	dense   ids == nil. dist is indexed by product id, -1 where
@@ -507,20 +586,18 @@ func (t *goalTable) cost() int64 {
 }
 
 // exportCost is the cost of the table exportGoalTable would freeze from
-// the arena's current distToGoal output.
-func exportCost(a *arena) int64 {
-	if a.dirtyOK {
-		return sparseGoalTableCost(a.reachedCount())
-	}
-	return goalTableCost(a.co.n * a.co.m)
+// the arena's current distToGoal output, which reached r states.
+func exportCost(a *arena, r int) int64 {
+	return min(sparseGoalTableCost(r), goalTableCost(a.co.n*a.co.m))
 }
 
-// exportGoalTable freezes the arena's distToGoal output: sparse when the
-// sweep was short enough to keep its dirty list, so a miss costs
-// O(reached) instead of O(V·|Q|); dense otherwise.
-func exportGoalTable(a *arena) *goalTable {
-	if a.dirtyOK {
-		return newSparseGoalTable(a)
+// exportGoalTable freezes the arena's distToGoal output, which reached r
+// states, in the form that retains fewer bytes: sparse below a fill of
+// about 1/2, so a short miss costs O(reached) instead of O(V·|Q|), and
+// dense above it.
+func exportGoalTable(a *arena, r int) *goalTable {
+	if sparseGoalTableCost(r) < goalTableCost(a.co.n*a.co.m) {
+		return newSparseGoalTable(a, r)
 	}
 	return newDenseGoalTable(a)
 }
@@ -537,19 +614,28 @@ func newDenseGoalTable(a *arena) *goalTable {
 	return t
 }
 
-// newSparseGoalTable freezes the reached ids only, from the words on the
-// arena's (valid) dirty list.
-func newSparseGoalTable(a *arena) *goalTable {
-	co, r := a.co, a.reachedCount()
+// newSparseGoalTable freezes the r reached ids only. A sweep that kept
+// its dirty list lists them from its words, which are then sorted; any
+// other sweep scans every visited word vertex by vertex, lane by lane,
+// which yields them in ascending order.
+func newSparseGoalTable(a *arena, r int) *goalTable {
+	co := a.co
 	words := make([]int32, 2*r)
 	t := &goalTable{ids: words[:0:r], dist: words[r:], m: co.m, states: r}
-	for _, kv := range a.dirty {
-		v, k := int(kv)%co.n, int(kv)/co.n
-		for w, base := co.w[kv], v*co.m+64*k; w != 0; w &= w - 1 {
-			t.ids = append(t.ids, int32(base+bits.TrailingZeros64(w)))
+	if a.dirtyOK {
+		for _, kv := range a.dirty {
+			t.ids = co.appendIDs(t.ids, int(kv))
+		}
+		slices.Sort(t.ids)
+	} else {
+		for v := 0; v < co.n; v++ {
+			for kv := v; kv < len(co.w); kv += co.n {
+				if co.w[kv] != 0 {
+					t.ids = co.appendIDs(t.ids, kv)
+				}
+			}
 		}
 	}
-	slices.Sort(t.ids)
 	for i, id := range t.ids {
 		t.dist[i] = a.dist[id]
 	}
@@ -609,6 +695,10 @@ func (ev *evaluator) acquireSummary(pv *pinned, a *arena, plan *seqPlan, si, y i
 type goalView struct {
 	p  product
 	ds distances
+
+	// stopped: the sweep stopped once the sources it was given were
+	// answered, so ds answers those sources only.
+	stopped bool
 }
 
 // goalViewFor returns the backward-BFS view for target y, serving the
@@ -618,20 +708,32 @@ type goalView struct {
 // BFS is timed as kernel, the cache traffic as table.
 func (ev *evaluator) goalViewFor(pv *pinned, a *arena, y int, xs []int, st *solveTiming) goalView {
 	t0 := ev.clock()
-	p := ev.product(pv, a, st)
 	if t := ev.cachedGoalTable(pv, y); t != nil {
 		ev.observeTable(t0, st)
 		st.noteGoalTable(t, true)
-		return goalView{p: p, ds: t}
+		return goalView{p: ev.product(pv, a, st), ds: t}
 	}
+	return ev.sweepGoal(pv, a, y, xs, st)
+}
+
+// sweepGoal is goalViewFor's miss: the backward sweep toward y, stopped
+// once sources xs are answered, exported and cached when it ran to the
+// end and is retainable.
+func (ev *evaluator) sweepGoal(pv *pinned, a *arena, y int, xs []int, st *solveTiming) goalView {
+	p := ev.product(pv, a, st)
 	k0 := ev.clock()
 	stopped := p.sweep(y, a, true, xs)
 	ev.observeKernel(k0, st)
-	if stopped || ev.tables == nil || !ev.tables.Retainable(exportCost(a)) {
-		return goalView{p: p, ds: a}
+	if stopped || ev.tables == nil {
+		return goalView{p: p, ds: a, stopped: stopped}
 	}
 	t1 := ev.clock()
-	t := exportGoalTable(a)
+	r := a.reachedCount()
+	if !ev.tables.Retainable(exportCost(a, r)) {
+		ev.observeTable(t1, st)
+		return goalView{p: p, ds: a}
+	}
+	t := exportGoalTable(a, r)
 	ev.tables.Put(ev.tableKey(pv, y, -1, tableGoal), t, t.cost())
 	ev.observeTable(t1, st)
 	st.noteGoalTable(t, false)

@@ -1,0 +1,112 @@
+package rspq
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/automaton"
+	"repro/internal/graph"
+)
+
+// fuzzSizeCap bounds a fuzzed pattern's expanded size, as FuzzParseRegex
+// bounds the ones it determinizes: larger ones take the classifier and
+// the DFA construction, not the solvers, past the fuzz budget.
+const fuzzSizeCap = 40
+
+// expandedSize is the size of r with every bounded repeat written out,
+// or limit once it reaches limit — FuzzParseRegex's measure
+// (internal/automaton).
+func expandedSize(r *automaton.Regex, limit int) int {
+	n := 1
+	for _, s := range r.Subs {
+		n += expandedSize(s, limit)
+		if n >= limit {
+			return limit
+		}
+	}
+	if r.Op == automaton.OpRepeat {
+		copies := max(r.Min, r.Max) + 1
+		if copies >= limit || n*copies >= limit {
+			return limit
+		}
+		n *= copies
+	}
+	return n
+}
+
+// fuzzGraph decodes an edge list into a graph on n = 1 + n8%8 vertices
+// over {a, b, c}: each byte is one edge, from its bits 0–2, to its bits
+// 3–5 (both mod n), labelled by its bits 6–7 (mod 3). At most 64 edges.
+func fuzzGraph(n8 uint8, edges []byte) *graph.Graph {
+	n := 1 + int(n8%8)
+	g := graph.New(n)
+	for _, b := range edges[:min(len(edges), 64)] {
+		g.AddEdge(int(b&7)%n, "abc"[(b>>6)%3], int(b>>3&7)%n)
+	}
+	return g
+}
+
+// FuzzSolve holds every query surface against the exponential ground
+// truth on fuzzed languages and graphs of at most 8 vertices: Solve
+// finds a path exactly when Baseline does, Shortest's is as long as
+// BaselineShortest's, every witness is a simple L-labeled path of the
+// graph, the existence-only answers equal Found, and the BatchSolver
+// and the Engine return the Solver's witness. It is what catches a
+// rerouting between tiers — the walk-first step above all — that the
+// fixed suites miss. The seed corpus (testdata/fuzz/FuzzSolve) holds
+// the catalog's languages on small graphs.
+func FuzzSolve(f *testing.F) {
+	f.Add("a*(bb+|())c*", uint8(5), []byte{0x08, 0x51, 0x5a, 0x63, 0x20}, uint8(0), uint8(4))
+	f.Fuzz(func(t *testing.T, pattern string, n8 uint8, edges []byte, x8, y8 uint8) {
+		r, err := automaton.ParseRegex(pattern)
+		if err != nil || expandedSize(r, fuzzSizeCap) >= fuzzSizeCap {
+			return
+		}
+		s, err := NewSolverFromRegex(r)
+		if err != nil {
+			return
+		}
+		g := fuzzGraph(n8, edges)
+		n := g.NumVertices()
+		x, y := int(x8)%n, int(y8)%n
+
+		want, wantShort := Baseline(g, s.Min, x, y, nil), BaselineShortest(g, s.Min, x, y, nil)
+		if want.Found != wantShort.Found {
+			t.Fatalf("%q (%d,%d): Baseline %v, BaselineShortest %v", pattern, x, y, want.Found, wantShort.Found)
+		}
+		solved, short := s.Solve(g, x, y), s.Shortest(g, x, y)
+		pairs := []Pair{{X: x, Y: y}}
+		bs := NewBatchSolver(s, g)
+		batched, engined := bs.Solve(pairs)[0], NewEngine(s, g, EngineConfig{}).Solve(x, y)
+		for _, got := range []struct {
+			who string
+			res Result
+		}{
+			{"Solve", solved},
+			{"Shortest", short},
+			{"BatchSolver.Solve", batched},
+			{"Engine.Solve", engined},
+			{"BatchSolver.SolveExists", Result{Found: bs.SolveExists(pairs)[0]}},
+			// A fresh engine, so the existence bit is not the cached witness's.
+			{"Engine.Exists", Result{Found: NewEngine(s, g, EngineConfig{}).Exists(x, y)}},
+		} {
+			if got.res.Found != want.Found {
+				t.Fatalf("%q tier %v (%d,%d): %s found=%v, Baseline %v\ngraph:\n%s", pattern, s.ChooseAlgorithm(g), x, y, got.who, got.res.Found, want.Found, g)
+			}
+			if got.res.Path != nil && !VerifyWitness(got.res, g, s.Min, x, y) {
+				t.Fatalf("%q (%d,%d): %s returned %v, not a simple L-path\ngraph:\n%s", pattern, x, y, got.who, got.res.Path, g)
+			}
+		}
+		if short.Found && short.Path.Len() != wantShort.Path.Len() {
+			t.Fatalf("%q (%d,%d): Shortest %v, BaselineShortest %v\ngraph:\n%s", pattern, x, y, short.Path, wantShort.Path, g)
+		}
+		if !solved.Found {
+			return
+		}
+		for who, res := range map[string]Result{"BatchSolver.Solve": batched, "Engine.Solve": engined} {
+			if !slices.Equal(res.Path.Vertices, solved.Path.Vertices) || res.Path.Word() != solved.Path.Word() {
+				t.Fatalf("%q (%d,%d): %s %v, Solver.Solve %v", pattern, x, y, who, res.Path, solved.Path)
+			}
+		}
+	})
+}

@@ -4,9 +4,9 @@
 //     given as Ψtr expressions (Lemmas 12–16 and the §3.5 adaptation);
 //   - the classical RPQ solver (arbitrary-path semantics): the backward
 //     product sweep, with a shortest walk read off its distances;
-//   - an exact exponential baseline (backtracking over the product with
-//     co-reachability pruning) used as ground truth and as the "NP side"
-//     comparator;
+//   - an exact exponential baseline (backtracking over the product,
+//     pruned by the distances to the goal) used as ground truth and as
+//     the "NP side" comparator;
 //   - the unsound naive loop-elimination heuristic defeated by the
 //     paper's Example 4;
 //   - the Mendelzon–Wood fast path for subword-closed languages (trC(0));
@@ -60,7 +60,7 @@ func VerifyWitness(res Result, g *graph.Graph, d *automaton.DFA, x, y int) bool 
 // any small pending-mutation overlay (graph.View) — so forward steps
 // touch contiguous label-bucketed edge slices (overlay buckets
 // substitute transparently). The embedded sweepEnv is what its backward
-// sweeps (coReach, distToGoal) run over: the view, the state count m,
+// sweeps (product.sweep) run over: the view, the state count m,
 // the label map and the telemetry sinks an Engine wires in.
 type product struct {
 	sweepEnv
@@ -77,16 +77,11 @@ func makeProduct(vw *graph.View, d *automaton.DFA, a *arena) product {
 
 func (p *product) id(v, q int) int { return v*p.m + q }
 
-// coReach computes, for every (v, q), whether some walk from v labeled
-// w with ∆(q, w) accepting reaches y. This ignores simplicity and is
-// the standard pruning oracle for the simple-path searches. The result
-// is left in a.co.
-func (p *product) coReach(y int, a *arena) { p.sweep(y, a, false, nil) }
-
 // distToGoal computes product BFS distances to the accepting goal
 // (y, accepting), left in a.dist and read by a.distAt; a shortest walk
 // from ANY source is then read off them forward without another search
-// (walkFrom) — the basis of the batched walk tiers.
+// (walkFrom) — the basis of the batched walk tiers — and a state (v, q)
+// that cannot reach the goal, which the baseline search prunes, reads -1.
 func (p *product) distToGoal(y int, a *arena) { p.sweep(y, a, true, nil) }
 
 // sweep runs the backward sweep (sweep.go) toward (y, accepting) over
@@ -111,8 +106,9 @@ func (p *product) sweep(y int, a *arena, links bool, xs []int) (stopped bool) {
 // group: the group's sources, the DFA and label map that step a source's
 // start state across its out-edges, and the watch bitset of the sources'
 // out-neighbours. A sweep without sources gets no probe and runs to the
-// end — what the summary and baseline tiers need, whose sweeps are
-// pruning sets.
+// end — what the searches need, whose sweeps are pruning sets: the
+// summary tier's position-NFA sweeps, and the baseline's when its walk
+// step left a source open.
 //
 // A source x is answered when (x, start) is visited — only a goal state,
 // at level 0, can be before x is answered — or one of its out-edges
@@ -345,22 +341,48 @@ func (p *product) walkFrom(ds distances, x, q int) *graph.Path {
 	ls := make([]byte, 0, d)
 	vs[0] = x
 	for v := x; d > 0; d-- {
-	step:
-		for lid, di := range p.lmap {
-			if di < 0 {
-				continue
-			}
-			t := p.d.StepIndex(q, int(di))
-			for _, u := range p.vw.OutWithID(v, lid) {
-				if ds.distAt(int(u), t) == d-1 {
-					vs, ls = append(vs, int(u)), append(ls, p.vw.Label(lid))
-					v, q = int(u), t
-					break step
-				}
+		u, t, lid := p.stepToward(ds, v, q, d)
+		vs, ls = append(vs, u), append(ls, p.vw.Label(lid))
+		v, q = u, t
+	}
+	return &graph.Path{Vertices: vs, Labels: ls}
+}
+
+// stepToward returns walkFrom's step from (v, q) at distance d > 0: the
+// first out-edge v -l-> u, in label-id then adjacency order, whose
+// (u, δ(q, l)) is at distance d-1, as u, δ(q, l) and l's label id.
+// Exact distances always have one.
+func (p *product) stepToward(ds distances, v, q int, d int32) (u, t, lid int) {
+	for lid, di := range p.lmap {
+		if di < 0 {
+			continue
+		}
+		t := p.d.StepIndex(q, int(di))
+		for _, u := range p.vw.OutWithID(v, lid) {
+			if ds.distAt(int(u), t) == d-1 {
+				return int(u), t, lid
 			}
 		}
 	}
-	return &graph.Path{Vertices: vs, Labels: ls}
+	panic("rspq: walk read off inexact distances")
+}
+
+// walkIsSimple reports whether the walk walkFrom reads from (x, q),
+// which ds must reach, repeats no vertex. It takes the same steps,
+// marking the vertices in a.seen instead of building a path, so it
+// allocates nothing.
+func (p *product) walkIsSimple(a *arena, ds distances, x, q int) bool {
+	a.seen.reset(p.n)
+	a.seen.add(x)
+	for v, d := x, ds.distAt(x, q); d > 0; d-- {
+		u, t, _ := p.stepToward(ds, v, q, d)
+		if a.seen.has(u) {
+			return false
+		}
+		a.seen.add(u)
+		v, q = u, t
+	}
+	return true
 }
 
 // ShortestWalk returns a shortest (not necessarily simple) L-labeled

@@ -124,13 +124,15 @@ func TestEngineOverlaySoak(t *testing.T) {
 
 // TestEngineSparseTableChurn is the add/remove churn of the soak above
 // pointed at the walk-reduction tiers, whose Engine answers are read off
-// cached goal tables: on graphs sparse enough that many backward sweeps
-// stay short, every epoch flips edges in three pinned steps — read
-// through an overlay view that extends the previous epochs', every
-// fourth epoch through the base a Compact just merged — and then
+// cached goal tables: on graphs where some backward sweeps reach more
+// than half the product and others stay well below, so both table forms
+// are built (exportGoalTable picks by bytes), every epoch flips edges in
+// three pinned steps — read through an overlay view that extends the
+// previous epochs', every fourth epoch through the base a Compact just
+// merged — and then
 // asks, per target, once cold from a source the rebuilt graph proves
 // unreachable — the sweep runs to the end and the table is built, sparse
-// whenever the sweep was short — and once more from a random other
+// whenever that retains fewer bytes — and once more from a random other
 // source, which must hit that table. Both answers must pass
 // VerifyWitness and agree, in existence and in length (both tiers return
 // shortest paths), with a freshly compiled Solver on a graph rebuilt
@@ -141,7 +143,7 @@ func TestEngineSparseTableChurn(t *testing.T) {
 		tier          Algorithm
 		gen           func() *graph.Graph
 	}{
-		{"subword", "a*c*", AlgoSubword, func() *graph.Graph { return graph.RandomRegular(400, []byte{'a', 'b', 'c'}, 3, 29) }},
+		{"subword", "a*c*", AlgoSubword, func() *graph.Graph { return graph.RandomRegular(400, []byte{'a', 'b', 'c'}, 6, 29) }},
 		{"dag", "(a|b)*a(a|b)*", AlgoDAG, func() *graph.Graph { return graph.LayeredDAG(40, 10, 2, []byte{'a', 'b'}, 29) }},
 	}
 	for _, c := range cases {

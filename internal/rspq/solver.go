@@ -238,8 +238,11 @@ func (s *Solver) ChooseAlgorithm(g *graph.Graph) Algorithm {
 // on DAG inputs, tractable (trC) languages with a Ψtr form the
 // polynomial summary solver, everything else the exact exponential
 // baseline (the problem is NP-complete there, so exponential worst-case
-// time is expected). It runs on the evaluator of BatchSolver and Engine
-// as a target group of one, so all three return the same witness.
+// time is expected). The summary and baseline tiers search only when
+// the shortest L-labeled walk leaves the answer open: it repeats a
+// vertex, and removing its loops leaves L. It runs on the evaluator of
+// BatchSolver and Engine as a target group of one, so all three return
+// the same witness.
 func (s *Solver) Solve(g *graph.Graph, x, y int) Result {
 	return s.SolveWith(g, x, y, AlgoAuto)
 }
@@ -254,8 +257,9 @@ func (s *Solver) SolveWith(g *graph.Graph, x, y int, algo Algorithm) Result {
 }
 
 // Shortest returns a shortest simple L-labeled path from x to y on
-// Solve's tier: the summary and baseline tiers search on past their
-// first witness, the others return a shortest one anyway.
+// Solve's tier. On the summary and baseline tiers a simple shortest
+// walk is the answer, and otherwise the search goes on past its first
+// witness; the other tiers return a shortest one anyway.
 func (s *Solver) Shortest(g *graph.Graph, x, y int) Result {
 	return s.solveWith(g, x, y, AlgoAuto, true)
 }

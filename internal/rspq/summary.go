@@ -337,8 +337,12 @@ func (ss *seqSearcher) unitStart(ui, v int) {
 
 // walk takes the steps left in unit ui's alternative from v: each edge
 // step extends the skeleton by one unused vertex that can still reach
-// the step's position, and a gap step chooses its exit.
+// the step's position, and a gap step chooses its exit. A traced query
+// counts every call as one search node.
 func (ss *seqSearcher) walk(ui int, steps []step, v int) {
+	if ss.tr != nil {
+		ss.tr.search.Nodes++
+	}
 	if len(steps) == 0 {
 		ss.unitStart(ui+1, v)
 		return

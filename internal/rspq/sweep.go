@@ -10,10 +10,11 @@ import (
 
 // This file implements the backward sweep, the one round driver every
 // tractable tier answers from: backward reachability over view × A
-// toward the goal (y, accepting). The baseline tier's co-reachability
-// sweep and the walk-reduction tiers' distance BFS run it with
-// A = the minimal DFA (product.sweep); the summary tier runs it with
-// A = the position NFA of a Ψtr plan (acquireSeqSearcher). Either way A
+// toward the goal (y, accepting). The distance BFS every tier but the
+// finite one reads its shortest walks off, and the mark-only
+// co-reachability sweep of the walk tiers' existence asks, run it with
+// A = the minimal DFA (product.sweep); the summary tier's search runs it
+// with A = the position NFA of a Ψtr plan (acquireSeqSearcher). Either way A
 // comes packed (automaton.Packed): its m states split into W = ⌈m/64⌉
 // lanes of 64, and a vertex's set of visited / frontier states is W
 // uint64 words, so one masked predecessor lookup (Packed.PredOf)

@@ -310,7 +310,7 @@ func TestSweepDirtyListAndCleanWords(t *testing.T) {
 				if p.vw.Overlay() != wantOverlay {
 					t.Fatalf("%s: view overlay = %v", ctx, p.vw.Overlay())
 				}
-				p.coReach(y, shared)
+				p.sweep(y, shared, false, nil)
 				checkSweepAgainstOracle(t, g, p.m, shared, nil, y, want, ctx)
 				checkSweepContracts(t, shared, ctx+" (mark-only)")
 				p.distToGoal(y, shared)

@@ -81,10 +81,15 @@ type QueryTrace struct {
 	// and baseline tiers, position-NFA states on the summary tier. It is
 	// what a miss cost, set whether or not a goal table was built; 0 when
 	// no sweep ran (a cache hit, or a tier that answers without one).
-	StatesReached int           `json:"states_reached,omitempty"`
-	Stages        []StageTiming `json:"stages"`
-	Rounds        []RoundTrace  `json:"rounds"`
-	TotalNanos    int64         `json:"total_nanos"`
+	StatesReached int `json:"states_reached,omitempty"`
+	// SearchNodes counts the nodes the query's fallback search expanded
+	// after its shortest walk left the answer open: the baseline's DFS
+	// calls and the summary walker's steps. 0 (omitted) when the walk
+	// answered, and on the tiers that never search.
+	SearchNodes int           `json:"search_nodes,omitempty"`
+	Stages      []StageTiming `json:"stages"`
+	Rounds      []RoundTrace  `json:"rounds"`
+	TotalNanos  int64         `json:"total_nanos"`
 }
 
 // kernelTrace is the kernel-side accumulator behind a QueryTrace.
@@ -92,6 +97,7 @@ type kernelTrace struct {
 	rounds        []RoundTrace
 	stoppedAt     int
 	statesReached int
+	search        BaselineStats // nodes the fallback searches expanded
 }
 
 // exchCounters bundles the pre-registered kernel metrics an Engine

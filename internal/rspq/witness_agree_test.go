@@ -11,10 +11,12 @@ import (
 // surface asks: Solver.Solve, BatchSolver.Solve and Engine.Solve return
 // the same vertex and label sequence for every pair, the engine both on
 // a cold miss and on a table hit (on the tiers that keep a table), and
-// Solver.Shortest's path is as long as BaselineShortest's. On the
-// walk-reduction tiers the cold miss's sweep stops at the level that
-// answers the source, and ShortestWalk finds a walk exactly when the
-// forward reference search ExistsWalk says one exists.
+// Solver.Shortest's path is as long as BaselineShortest's. On every
+// tier that sweeps — the walk-reduction tiers, and the summary and
+// baseline tiers, which read the shortest walk first — the cold miss's
+// sweep stops at the level that answers the source, and ShortestWalk
+// finds a walk exactly when the forward reference search ExistsWalk
+// says one exists.
 func TestWitnessAgreement(t *testing.T) {
 	abc, ab := []byte{'a', 'b', 'c'}, []byte{'a', 'b'}
 	cases := []struct {
@@ -42,7 +44,7 @@ func TestWitnessAgreement(t *testing.T) {
 			if got := s.ChooseAlgorithm(g); got != c.tier {
 				t.Fatalf("tier %v; the case is meant for %v", got, c.tier)
 			}
-			walkTier := c.tier == AlgoSubword || c.tier == AlgoDAG
+			sweeps := c.tier != AlgoFinite
 			n := g.NumVertices()
 			var pairs []Pair
 			for y := 0; y < n; y++ {
@@ -73,11 +75,11 @@ func TestWitnessAgreement(t *testing.T) {
 				if ok := ExistsWalk(g, s.Min, x, y); (walk != nil) != ok {
 					t.Fatalf("(%d,%d): ShortestWalk %v but ExistsWalk %v", x, y, walk, ok)
 				}
-				// A walk-tier miss stops at the level that discovers x —
-				// the walk's length, and level 1 for a source at the goal —
-				// and a sweep without an answer runs to the end.
+				// A miss stops at the level that discovers x — the walk's
+				// length, and level 1 for a source at the goal — and a
+				// sweep without an answer runs to the end.
 				stop := 0
-				if walk != nil && walkTier {
+				if walk != nil && sweeps {
 					stop = max(walk.Len(), 1)
 				}
 				res, tr := cold.SolveTraced(x, y)

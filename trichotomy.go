@@ -12,7 +12,11 @@
 //
 //   - Compile: regex → classified, query-ready Language;
 //   - Language.Solve / Shortest / SolveVlg: query evaluation dispatched
-//     to the correct algorithm of the trichotomy;
+//     to the correct algorithm of the trichotomy. Every tier but the
+//     finite one reads the shortest L-labeled walk first, off one
+//     backward product sweep: on the summary and NP tiers it answers
+//     whenever it is simple (or, for Solve, loop-free in L), and only
+//     the pairs it leaves open are searched;
 //   - Language.BatchSolve / NewBatchSolver: batched evaluation of many
 //     (x, y) pairs with shared per-target pruning tables and a
 //     GOMAXPROCS-sized worker pool;
@@ -219,15 +223,20 @@ func (l *Language) Warm(g *Graph) { l.solver.Warm(g) }
 // The evaluation strategy follows the trichotomy — finite search on the
 // AC⁰ tier, the subword-closed walk reduction or Ψtr summary algorithm
 // on the NL tier, exact exponential backtracking on the NP side (where
-// worst-case exponential time is expected). Queries always observe the
-// graph's current epoch: a mutation between calls makes the next Solve
-// re-freeze (incrementally) before answering.
+// worst-case exponential time is expected). The summary and NP tiers
+// first take the shortest L-labeled walk: with none there is no path,
+// and a walk that is simple, or whose loops can be removed without
+// leaving L, is the witness; only the rest is searched. Queries always
+// observe the graph's current epoch: a mutation between calls makes the
+// next Solve re-freeze (incrementally) before answering.
 func (l *Language) Solve(g *Graph, x, y int) Result { return l.solver.Solve(g, x, y) }
 
 // Shortest returns a shortest simple L-labeled path from x to y, using
-// the best exact strategy for the language's tier (the NP tier pays
-// exponential worst-case time). Like Solve, it observes the graph's
-// current mutation epoch.
+// the best exact strategy for the language's tier. A shortest walk that
+// is simple is such a path, so the summary and NP tiers return it when
+// it is and search only otherwise (the NP tier then pays exponential
+// worst-case time). Like Solve, it observes the graph's current
+// mutation epoch.
 func (l *Language) Shortest(g *Graph, x, y int) Result { return l.solver.Shortest(g, x, y) }
 
 // BatchSolve answers many (x, y) queries at once. Queries are grouped
