@@ -302,6 +302,46 @@ func BenchmarkFreeze(b *testing.B) {
 	})
 }
 
+// BenchmarkFlipEdges measures what one flip costs on a frozen graph:
+// each op is a FlipEdges call on one edge, drawn from a list of 64k
+// whose even entries are base edges (removed) and odd entries random
+// edges (almost all absent, added). The list is cycled, so every second
+// pass undoes the one before and the pending delta stays within 64k
+// edges. Two shapes: flood (12.5k vertices, 1M edges, {a,b}: the graph
+// of the flood-kernel workload's write segment) and churn (111k
+// vertices, 333k edges, {a,b,c}).
+func BenchmarkFlipEdges(b *testing.B) {
+	for _, sh := range []struct {
+		name      string
+		n, outDeg int
+		labels    []byte
+	}{
+		{"flood/n=12.5k,m=1M", 12_500, 80, []byte("ab")},
+		{"churn/n=111k,m=333k", 111_000, 3, []byte("abc")},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			g := graph.RandomOutRegular(sh.n, sh.labels, sh.outDeg, 1)
+			g.Freeze()
+			rng := rand.New(rand.NewSource(2))
+			muts := make([]graph.Edge, 1<<16)
+			for i := range muts {
+				if i%2 == 0 {
+					es := g.OutEdges(rng.Intn(sh.n))
+					muts[i] = es[rng.Intn(len(es))]
+				} else {
+					muts[i] = graph.Edge{From: rng.Intn(sh.n), Label: sh.labels[rng.Intn(len(sh.labels))], To: rng.Intn(sh.n)}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(muts)
+				graph.FlipEdges(g, muts[j:j+1])
+			}
+		})
+	}
+}
+
 // BenchmarkPinViewChurn measures what a write costs the next read: one
 // 320-flip batch plus the PinView that follows it, with 1k, 4k and 16k
 // edges already pending on a 100k-vertex / 300k-edge base. Half of the

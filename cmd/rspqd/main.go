@@ -359,14 +359,17 @@ func (s *server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.g.NumVertices()
-	for i, e := range append(append([]edgeRequest(nil), req.Add...), req.Remove...) {
-		if len(e.Label) != 1 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("entry %d: label must be a single byte", i))
-			return
-		}
-		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("entry %d: vertex out of range [0,%d)", i, n))
-			return
+	// Entries are numbered across the adds and then the removes.
+	for i, list := range [][]edgeRequest{req.Add, req.Remove} {
+		for j, e := range list {
+			if len(e.Label) != 1 {
+				httpError(w, http.StatusBadRequest, fmt.Sprintf("entry %d: label must be a single byte", i*len(req.Add)+j))
+				return
+			}
+			if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+				httpError(w, http.StatusBadRequest, fmt.Sprintf("entry %d: vertex out of range [0,%d)", i*len(req.Add)+j, n))
+				return
+			}
 		}
 	}
 	// Reduce the batch to its effective ops — adds that will insert

@@ -250,6 +250,13 @@ func TestEdgesBulkDelta(t *testing.T) {
 		`{"remove":[{"from":0,"label":"zz","to":1}]}`, nil); r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("multi-byte label: status %d; want 400", r.StatusCode)
 	}
+	// Entries are numbered across the adds, then the removes.
+	var bad map[string]string
+	postJSON(t, ts.URL+"/edges",
+		`{"add":[{"from":0,"label":"a","to":2},{"from":1,"label":"a","to":2}],"remove":[{"from":0,"label":"a","to":1},{"from":-1,"label":"a","to":1}]}`, &bad)
+	if want := "entry 3: vertex out of range [0,4)"; bad["error"] != want {
+		t.Fatalf("bad remove entry: error %q; want %q", bad["error"], want)
+	}
 	if srv.g.NumEdges() != edgesBefore {
 		t.Fatal("rejected batches must not be partially applied")
 	}

@@ -37,9 +37,9 @@ type CSR struct {
 // Freeze returns the CSR snapshot of the graph, building it on first
 // use and caching it until the next mutation (AddEdge / RemoveEdge /
 // AddVertex). After a mutation, Freeze prefers the incremental path:
-// the overlay of the mutations accumulated since the last snapshot is
-// flattened into it (delta.go) with one bulk copy of the untouched
-// payload, rather than rebuilding and re-sorting all E edges — the
+// the sorted net delta accumulated since the last snapshot is merged
+// into it (delta.go) with bulk copies of the untouched payload, rather
+// than rebuilding and re-sorting all E edges — the
 // full rebuild only runs for the first freeze, after an alphabet
 // change, or when the delta exceeds deltaMergeLimit of the base. A
 // delta that canceled out exactly reinstates the base as it is.
@@ -59,7 +59,7 @@ func (g *Graph) Freeze() *CSR {
 		return g.csr
 	}
 	start := time.Now()
-	delta := uint64(len(g.addBuf) + len(g.delBuf))
+	delta := uint64(g.deltaAdds + g.deltaDels)
 	if g.canMergeDelta() {
 		g.csr = g.mergeCSR()
 		g.incBuilds.Add(1)
@@ -68,7 +68,8 @@ func (g *Graph) Freeze() *CSR {
 		g.fullBuilds.Add(1)
 	}
 	g.csrBase = g.csr
-	g.addBuf, g.delBuf = nil, nil
+	clear(g.delta) // keeps its capacity for the next round of writes
+	g.deltaAdds, g.deltaDels = 0, 0
 	g.deltaNewLabel = false
 	g.view, g.viewLog = nil, nil // overlays of the old base are superseded
 	ns := uint64(time.Since(start).Nanoseconds())
@@ -181,8 +182,12 @@ func (c *CSR) InWith(v int, label byte) []int32 {
 }
 
 // HasEdge reports whether the exact edge (from, label, to) exists, by
-// binary search within the (from, label) bucket.
+// binary search within the (from, label) bucket; false for a source
+// outside the snapshot.
 func (c *CSR) HasEdge(from int, label byte, to int) bool {
+	if from < 0 || from >= c.n {
+		return false
+	}
 	bucket := c.OutWith(from, label)
 	_, found := slices.BinarySearch(bucket, int32(to))
 	return found

@@ -8,26 +8,30 @@ import (
 
 // This file implements the incremental freeze path. Mutating a frozen
 // graph does not discard the CSR snapshot: the last built CSR is kept
-// as the base, and every AddEdge / RemoveEdge since is recorded as a
-// net set against it (addBuf: edges absent from the base; delBuf:
-// tombstones for base edges — the bookkeeping behind PendingDelta,
-// canOverlay and cancellation).
+// as the base, and every effective AddEdge / RemoveEdge since is
+// recorded in one net map against it (Graph.delta: true for an edge the
+// base lacks, false for a tombstoned base edge), with its two counts
+// beside it (PendingDelta, the size rules, cancellation). An edge the
+// map does not list reads as the base has it, so presence on a frozen
+// graph is one map lookup and, for an unlisted edge, a binary search in
+// the base's (from, label) bucket — the mutators' set semantics cost
+// what one edge costs, not a scan of its row.
 //
-// The SORTED form of that delta exists once: the overlay of the pinned
-// view (view.go). The mutators log the edges they touch (Graph.viewLog),
-// a pin sorts that batch alone and re-merges only the buckets it touches
-// (sortedDelta here, overlaySet.extend in view.go), and Freeze flattens
-// the resulting overlay into the next CSR (mergeSide): touched buckets
-// are copied from the overlay, the untouched ranges between them
-// bulk-copied from the base with their offsets shifted. addBuf/delBuf
-// are walked and sorted only when no view has been pinned on the base
-// yet (or its log was forgotten): the whole net delta is then the batch
-// that extends the empty overlay.
+// Every effective mutation flips an edge's presence, so it flips
+// whether the edge differs from the base: a listed edge leaves the map,
+// an unlisted one enters it (toggleDelta). The map is never sorted on
+// the write path. Freeze sorts it once (netDelta, sortedDelta) and
+// merges it into the next CSR side by side (mergeSide): each touched
+// bucket is the base's with the delta's edges toggled (appendToggled),
+// and the untouched bucket ranges between them are bulk-copied from the
+// base with their offsets shifted. The read path keeps its own sorted
+// form, the overlay of the pinned view (view.go), extended by the edges
+// logged since the previous pin; Freeze does not read it.
 //
-// Cost of a freeze: one extension by what was mutated since the last
-// pin, one bulk memcpy of the payload and an O(V·L) offset fix-up —
-// against the full rebuild's two O(E) scatter passes and an O(E log)
-// per-bucket sort.
+// Cost of a freeze: an O(d log d) sort of the d-edge delta per side, one
+// bulk copy of the payload and an O(V·L) offset fix-up — against the
+// full rebuild's two O(E) scatter passes and an O(E log) per-bucket
+// sort.
 //
 // The merge path requires the alphabet to be unchanged since the base
 // was built: a new (or vanished) label changes the bucket stride of
@@ -77,28 +81,89 @@ func (g *Graph) FreezeDeltaEdges() (total, last uint64) {
 // the last Freeze: edges added and edges tombstoned. Both are zero on a
 // freshly frozen (or never-frozen) graph.
 func (g *Graph) PendingDelta() (adds, removes int) {
-	return len(g.addBuf), len(g.delBuf)
+	return g.deltaAdds, g.deltaDels
+}
+
+// edgeKey is an edge packed into 16 bytes with no padding — from, and
+// to<<8 | label — so the delta map hashes it as one block of memory.
+type edgeKey struct{ from, toLabel uint64 }
+
+func (k edgeKey) edge() Edge {
+	return Edge{From: int(k.from), Label: byte(k.toLabel), To: int(k.toLabel >> 8)}
+}
+
+// lookup decides whether an edge is present on a frozen graph: k is its
+// delta key, listed reports whether the delta holds it, and present is
+// then its entry, or else the base's answer.
+func (g *Graph) lookup(from int, label byte, to int) (k edgeKey, listed, present bool) {
+	k = edgeKey{uint64(from), uint64(to)<<8 | uint64(label)}
+	if added, ok := g.delta[k]; ok {
+		return k, true, added
+	}
+	return k, false, g.csrBase.HasEdge(from, label, to)
+}
+
+// toggleDelta records an effective mutation of the edge keyed k on a
+// frozen graph — an add when added, a removal otherwise. It flips
+// whether the edge differs from the base: a listed edge is back to the
+// base's state and leaves the delta; an unlisted one enters it, as an
+// add the base lacks or as a tombstone of a base edge.
+func (g *Graph) toggleDelta(k edgeKey, listed, added bool) {
+	switch {
+	case listed && added: // a tombstoned base edge is back
+		delete(g.delta, k)
+		g.deltaDels--
+	case listed: // a pending add is gone again
+		delete(g.delta, k)
+		g.deltaAdds--
+	default:
+		if g.delta == nil {
+			g.delta = make(map[edgeKey]bool)
+		}
+		g.delta[k] = added
+		if added {
+			g.deltaAdds++
+			// Sticky until the next freeze resets the delta: pinning an
+			// overlay view checks this flag instead of rescanning the
+			// delta for out-of-alphabet labels.
+			g.deltaNewLabel = g.deltaNewLabel || g.csrBase.labelID[byte(k.toLabel)] < 0
+		} else {
+			g.deltaDels++
+		}
+	}
+	g.logDelta(k.edge())
+}
+
+// netDelta returns the edges the delta lists, in map order.
+func (g *Graph) netDelta() []Edge {
+	es := make([]Edge, 0, len(g.delta))
+	for k := range g.delta {
+		es = append(es, k.edge())
+	}
+	return es
+}
+
+// deltaFits reports whether the pending delta is small enough, against
+// the base, to be read as an overlay or merged into the next CSR: at
+// most deltaMergeFloor edges, or at most deltaMergeLimit of the base's.
+// Past it a rebuild is no slower.
+func (g *Graph) deltaFits() bool {
+	d := g.deltaAdds + g.deltaDels
+	return d <= deltaMergeFloor || d <= int(float64(g.csrBase.m)*deltaMergeLimit)
 }
 
 // deltaCanceled reports whether the mutations since csrBase was built
 // canceled out exactly (e.g. an add/remove pair): same rows, same edges
 // — hence the same alphabet — so the base still describes the graph.
 func (g *Graph) deltaCanceled() bool {
-	return g.csrBase != nil && len(g.addBuf)+len(g.delBuf) == 0 && g.NumVertices() == g.csrBase.n
+	return g.csrBase != nil && g.deltaAdds+g.deltaDels == 0 && g.NumVertices() == g.csrBase.n
 }
 
 // canMergeDelta reports whether the pending delta can be merged into
 // csrBase: the base must exist, the alphabet must be unchanged (same
-// labels ⇒ same bucket stride), and the delta must be small enough
-// relative to the base for the merge to win.
+// labels ⇒ same bucket stride), and the delta must fit (deltaFits).
 func (g *Graph) canMergeDelta() bool {
-	if g.csrBase == nil {
-		return false
-	}
-	if d := len(g.addBuf) + len(g.delBuf); d > deltaMergeFloor && d > int(float64(g.csrBase.m)*deltaMergeLimit) {
-		return false
-	}
-	return slices.Equal(g.csrBase.labels, g.Alphabet())
+	return g.csrBase != nil && g.deltaFits() && slices.Equal(g.csrBase.labels, g.Alphabet())
 }
 
 // deltaEntry is one logged edge projected onto one CSR side: the row
@@ -112,9 +177,9 @@ type deltaEntry struct {
 }
 
 // sortedDelta projects a batch of logged edges onto one CSR side of a
-// graph with n rows, sorted by (bucket, val) so an extension can walk
-// the touched buckets in order. An edge logged k times appears k times
-// (overlaySet.extend reads the parity). Edges whose label the base
+// graph with n rows, sorted by (bucket, val) so an extension or a merge
+// can walk the touched buckets in order. An edge logged k times appears
+// k times (appendToggled reads the parity). Edges whose label the base
 // lacks are dropped: the builders run only when no live edge carries
 // such a label (canOverlay, canMergeDelta), so one in the log was added
 // and removed again since the view it extends was pinned.
@@ -154,33 +219,30 @@ func sortedDelta(log []Edge, c *CSR, n int, out bool) []deltaEntry {
 	return es
 }
 
-// mergeCSR builds the next snapshot by flattening the overlay of the
-// graph's current state into csrBase. Preconditions (canMergeDelta):
-// same alphabet as the base, n >= base.n.
+// mergeCSR builds the next snapshot by merging the sorted net delta
+// into csrBase. Preconditions (canMergeDelta): same alphabet as the
+// base, n >= base.n.
 func (g *Graph) mergeCSR() *CSR {
-	vw := g.view
-	if vw == nil || vw.epoch != g.Epoch() {
-		vw = g.buildOverlayView()
-	}
 	base := g.csrBase
-	c := &CSR{n: vw.n, m: vw.m, labels: base.labels, labelID: base.labelID}
-	nL := vw.n * len(c.labels)
-	c.outBucket, c.outTo = mergeSide(base.outBucket, base.outTo, nL, vw.out, vw.m)
-	c.inBucket, c.inFrom = mergeSide(base.inBucket, base.inFrom, nL, vw.in, vw.m)
+	n, es := g.NumVertices(), g.netDelta()
+	c := &CSR{n: n, m: g.edges, labels: base.labels, labelID: base.labelID}
+	nL := n * len(c.labels)
+	c.outBucket, c.outTo = mergeSide(base.outBucket, base.outTo, nL, sortedDelta(es, base, n, true), c.m)
+	c.inBucket, c.inFrom = mergeSide(base.inBucket, base.inFrom, nL, sortedDelta(es, base, n, false), c.m)
 	return c
 }
 
-// mergeSide flattens one adjacency side: the overlay's buckets are
-// copied from their merged contents, and the untouched bucket ranges
-// between them are bulk-copied from the base with their offsets
+// mergeSide builds one adjacency side of the next CSR in one pass over
+// the net delta, sorted by (bucket, val): each touched bucket is the
+// base's with the delta's values toggled, and the untouched bucket
+// ranges between them are bulk-copied from the base with their offsets
 // shifted. nL is the new bucket count (rows may have grown past the
 // base), m the new edge count.
-func mergeSide(baseBucket, basePayload []int32, nL int, o *overlaySet, m int) ([]int32, []int32) {
+func mergeSide(baseBucket, basePayload []int32, nL int, delta []deltaEntry, m int) ([]int32, []int32) {
 	newBucket := make([]int32, nL+1)
-	newPayload := make([]int32, m)
+	payload := make([]int32, 0, m)
 	baseNL := len(baseBucket) - 1
-	dstEnd := int32(0) // payload filled so far
-	cur := 0           // next bucket to process
+	cur := 0 // next bucket to process
 
 	// copyPlain advances over the untouched buckets [cur, tb): their
 	// payload is one contiguous base range (copied wholesale) and their
@@ -188,30 +250,34 @@ func mergeSide(baseBucket, basePayload []int32, nL int, o *overlaySet, m int) ([
 	copyPlain := func(tb int) {
 		if hi := min(tb, baseNL); cur < hi {
 			s0, s1 := baseBucket[cur], baseBucket[hi]
-			copy(newPayload[dstEnd:dstEnd+(s1-s0)], basePayload[s0:s1])
-			d := dstEnd - s0
+			d := int32(len(payload)) - s0
+			payload = append(payload, basePayload[s0:s1]...)
 			for i := cur + 1; i <= hi; i++ {
 				newBucket[i] = baseBucket[i] + d
 			}
-			dstEnd += s1 - s0
 			cur = hi
 		}
 		for ; cur < tb; cur++ { // rows beyond the base: empty buckets
-			newBucket[cur+1] = dstEnd
+			newBucket[cur+1] = int32(len(payload))
 		}
 	}
 
-	for _, blk := range o.blocks {
-		if blk == nil {
-			continue
+	for len(delta) > 0 {
+		b := int(delta[0].bucket)
+		k := 1
+		for k < len(delta) && int(delta[k].bucket) == b {
+			k++
 		}
-		for _, e := range blk.ents {
-			copyPlain(int(e.bucket))
-			dstEnd += int32(copy(newPayload[dstEnd:], e.vals))
-			cur = int(e.bucket) + 1
-			newBucket[cur] = dstEnd
+		copyPlain(b)
+		var span []int32
+		if b < baseNL {
+			span = basePayload[baseBucket[b]:baseBucket[b+1]]
 		}
+		payload = appendToggled(payload, span, delta[:k])
+		cur = b + 1
+		newBucket[cur] = int32(len(payload))
+		delta = delta[k:]
 	}
 	copyPlain(nL)
-	return newBucket, newPayload
+	return newBucket, payload
 }

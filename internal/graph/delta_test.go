@@ -48,12 +48,12 @@ func checkAgainstRebuild(t *testing.T, g *Graph, step int) {
 // TestDeltaFreezeEquivalence drives randomized add/remove/add-vertex
 // interleavings with periodic freezes and asserts after every freeze
 // that the incrementally merged CSR is byte-identical to a from-scratch
-// rebuild of the same graph. Every other step pins a view, so the
-// overlay a freeze flattens was reached through several successive
-// extensions (the shape serving produces), not one build.
+// rebuild of the same graph. Every other step pins a view, so freezes
+// also run after several successive extensions, with a view pinned and
+// a log pending (the shape serving produces).
 func TestDeltaFreezeEquivalence(t *testing.T) {
 	labels := []byte{'a', 'b', 'c'}
-	maxExtensions := 0 // the longest run of extensions some freeze flattened
+	maxExtensions := 0 // the longest run of extensions before some freeze
 	for seed := int64(0); seed < 12; seed++ {
 		extensions := 0
 		rng := rand.New(rand.NewSource(seed))
@@ -103,7 +103,7 @@ func TestDeltaFreezeEquivalence(t *testing.T) {
 		}
 	}
 	if maxExtensions < 3 {
-		t.Fatalf("no freeze flattened an overlay reached through 3 extensions (longest run %d)", maxExtensions)
+		t.Fatalf("no freeze followed 3 extensions (longest run %d)", maxExtensions)
 	}
 }
 

@@ -25,7 +25,7 @@ func cloneForScratch(g *Graph) *Graph {
 		out: make([][]Edge, len(g.out)), in: make([][]Edge, len(g.in)),
 		edges: g.edges, names: slices.Clone(g.names), labelCount: g.labelCount,
 		csr: g.csr, csrBase: g.csrBase, acyclic: g.acyclic,
-		addBuf: maps.Clone(g.addBuf), delBuf: maps.Clone(g.delBuf),
+		delta: maps.Clone(g.delta), deltaAdds: g.deltaAdds, deltaDels: g.deltaDels,
 		deltaNewLabel: g.deltaNewLabel,
 	}
 	for v := range g.out {
@@ -85,10 +85,15 @@ func checkViewsEqual(t *testing.T, got, want *View) {
 	}
 }
 
-// sortedEdges returns the keys of a delta buffer in a fixed order, so
-// the soak stays deterministic in its seed.
-func sortedEdges(m map[Edge]struct{}) []Edge {
-	es := slices.Collect(maps.Keys(m))
+// sortedEdges returns the pending adds (added) or the tombstones of the
+// delta in a fixed order, so the soak stays deterministic in its seed.
+func sortedEdges(m map[edgeKey]bool, added bool) []Edge {
+	var es []Edge
+	for k, v := range m {
+		if v == added {
+			es = append(es, k.edge())
+		}
+	}
 	slices.SortFunc(es, func(a, b Edge) int {
 		if a.From != b.From {
 			return a.From - b.From
@@ -140,12 +145,12 @@ func TestViewExtensionSoak(t *testing.T) {
 						g.RemoveEdge(e.From, e.Label, e.To)
 					}
 				case op < 26: // re-add a tombstoned base edge
-					if es := sortedEdges(g.delBuf); len(es) > 0 {
+					if es := sortedEdges(g.delta, false); len(es) > 0 {
 						e := es[rng.Intn(len(es))]
 						g.AddEdge(e.From, e.Label, e.To)
 					}
 				case op < 30: // remove a pending add
-					if es := sortedEdges(g.addBuf); len(es) > 0 {
+					if es := sortedEdges(g.delta, true); len(es) > 0 {
 						e := es[rng.Intn(len(es))]
 						g.RemoveEdge(e.From, e.Label, e.To)
 					}
@@ -157,10 +162,10 @@ func TestViewExtensionSoak(t *testing.T) {
 						g.RemoveEdge(e.From, e.Label, e.To)
 					}
 				case op < 35: // undo the whole delta: the next pin is pass-through
-					for _, e := range sortedEdges(g.addBuf) {
+					for _, e := range sortedEdges(g.delta, true) {
 						g.RemoveEdge(e.From, e.Label, e.To)
 					}
-					for _, e := range sortedEdges(g.delBuf) {
+					for _, e := range sortedEdges(g.delta, false) {
 						g.AddEdge(e.From, e.Label, e.To)
 					}
 				case op < 37:

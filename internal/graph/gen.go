@@ -299,11 +299,10 @@ func StreamingWorkload(m int, ratio float64, seed int64) (*Graph, []Edge) {
 // FlipEdges applies one mutation epoch of a streaming workload: every
 // edge in muts is removed when present and added otherwise, so repeated
 // application churns the CSR while keeping the graph near its original
-// size (and its alphabet fixed, so refreezes stay mergeable).
+// size (and its alphabet fixed, so refreezes stay mergeable). Each
+// edge's presence is decided once.
 func FlipEdges(g *Graph, muts []Edge) {
 	for _, e := range muts {
-		if !g.RemoveEdge(e.From, e.Label, e.To) {
-			g.AddEdge(e.From, e.Label, e.To)
-		}
+		g.flip(e.From, e.Label, e.To)
 	}
 }

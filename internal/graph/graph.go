@@ -31,9 +31,10 @@ type Edge struct {
 // a warm graph answers these in O(1).
 //
 // Mutating an already-frozen graph does not discard the frozen CSR:
-// mutations accumulate in a delta overlay (added edges, removed-edge
-// tombstones) against the last snapshot, and the next Freeze merges the
-// delta into it instead of rebuilding from scratch — see delta.go. Each
+// mutations accumulate in a net delta (added edges, removed-edge
+// tombstones) against the last snapshot, which with it answers whether
+// an edge is present, and the next Freeze merges the delta into it
+// instead of rebuilding from scratch — see delta.go. Each
 // mutation still advances the Epoch, so epoch-keyed caches built on top
 // (rspq.Engine) invalidate exactly as before.
 type Graph struct {
@@ -54,13 +55,15 @@ type Graph struct {
 	labelCount [256]int
 
 	// Incremental-freeze state (delta.go): the CSR the pending delta is
-	// relative to, the add/remove buffers recording every edge mutation
-	// since csrBase was built, and the freeze counters. csrBase == nil
-	// means the next Freeze rebuilds from scratch.
+	// relative to, the net delta since csrBase was built — true for an
+	// edge the base lacks, false for a tombstoned base edge — with its
+	// counts, and the freeze counters. csrBase == nil means the next
+	// Freeze rebuilds from scratch.
 	csrBase       *CSR
-	addBuf        map[Edge]struct{}
-	delBuf        map[Edge]struct{}
-	deltaNewLabel bool // some buffered add carries a label absent from csrBase
+	delta         map[edgeKey]bool
+	deltaAdds     int
+	deltaDels     int
+	deltaNewLabel bool // some pending add carries a label absent from csrBase
 	fullBuilds    atomic.Uint64
 	incBuilds     atomic.Uint64
 
@@ -77,7 +80,7 @@ type Graph struct {
 	// while its epoch is the graph's — and viewLog every edge an
 	// effective AddEdge/RemoveEdge touched since, so the next PinView
 	// extends view's overlay by that batch instead of rebuilding it from
-	// addBuf/delBuf. Both are dropped when the base changes and when the
+	// the net delta. Both are dropped when the base changes and when the
 	// log outgrows the net delta (logDelta).
 	view    *View
 	viewLog []Edge
@@ -113,7 +116,7 @@ func (g *Graph) logDelta(e Edge) {
 		return
 	}
 	g.viewLog = append(g.viewLog, e)
-	if len(g.viewLog) > len(g.addBuf)+len(g.delBuf)+deltaMergeFloor {
+	if len(g.viewLog) > g.deltaAdds+g.deltaDels+deltaMergeFloor {
 		g.view, g.viewLog = nil, nil
 	}
 }
@@ -174,18 +177,74 @@ func (g *Graph) Name(v int) string {
 // different labels are allowed; inserting the exact same edge twice is a
 // no-op, matching the set semantics E ⊆ V×Σ×V of the paper.
 //
-// On a frozen graph the insertion is recorded in the delta overlay, so
-// the next Freeze merges it into the existing CSR instead of rebuilding
-// (see delta.go). The cached acyclicity verdict is kept when it cannot
-// change: an edge added to a cyclic graph leaves it cyclic, and a
-// self-loop makes any graph cyclic; only an acyclic graph gaining a
-// non-loop edge needs revalidation (deferred to the next IsAcyclic).
+// Before the first Freeze presence is a scan of from's out-edges. On a
+// frozen graph it is a binary search in the base CSR plus one lookup in
+// the net delta (delta.go), where the insertion is recorded, so the next
+// Freeze merges it into the existing CSR instead of rebuilding. The
+// cached acyclicity verdict is kept when it cannot change: an edge added
+// to a cyclic graph leaves it cyclic, and a self-loop makes any graph
+// cyclic; only an acyclic graph gaining a non-loop edge needs
+// revalidation (deferred to the next IsAcyclic).
 func (g *Graph) AddEdge(from int, label byte, to int) {
-	for _, e := range g.out[from] {
-		if e.Label == label && e.To == to {
-			return
+	if g.csrBase == nil {
+		if !g.HasEdge(from, label, to) {
+			g.link(from, label, to)
 		}
+		return
 	}
+	if k, listed, present := g.lookup(from, label, to); !present {
+		g.link(from, label, to)
+		g.toggleDelta(k, listed, true)
+	}
+}
+
+// RemoveEdge deletes the labeled edge (from, label, to) and reports
+// whether it was present; removing a missing edge (including one with
+// out-of-range endpoints) is a no-op returning false, and does not
+// advance the epoch.
+//
+// Presence is decided as in AddEdge; only a present edge scans the
+// adjacency lists, to delete it. On a frozen graph the removal is
+// recorded in the net delta — a tombstone for a base edge, the end of a
+// pending add otherwise. The cached acyclicity verdict is kept when it
+// cannot change: removing an edge from an acyclic graph leaves it
+// acyclic; only a cyclic graph losing an edge needs revalidation
+// (deferred to the next IsAcyclic).
+func (g *Graph) RemoveEdge(from int, label byte, to int) bool {
+	if from < 0 || from >= len(g.out) || to < 0 || to >= len(g.out) {
+		return false
+	}
+	if g.csrBase == nil {
+		return g.unlink(from, label, to)
+	}
+	k, listed, present := g.lookup(from, label, to)
+	if present {
+		g.unlink(from, label, to)
+		g.toggleDelta(k, listed, false)
+	}
+	return present
+}
+
+// flip removes the edge when present and adds it otherwise, deciding its
+// presence once.
+func (g *Graph) flip(from int, label byte, to int) {
+	if g.csrBase == nil {
+		if !g.unlink(from, label, to) {
+			g.link(from, label, to)
+		}
+		return
+	}
+	k, listed, present := g.lookup(from, label, to)
+	if present {
+		g.unlink(from, label, to)
+	} else {
+		g.link(from, label, to)
+	}
+	g.toggleDelta(k, listed, !present)
+}
+
+// link appends an absent edge to both adjacency lists.
+func (g *Graph) link(from int, label byte, to int) {
 	g.invalidate()
 	e := Edge{From: from, Label: label, To: to}
 	g.out[from] = append(g.out[from], e)
@@ -198,40 +257,11 @@ func (g *Graph) AddEdge(from int, label byte, to int) {
 	case g.acyclic == 1:
 		g.acyclic = 0
 	}
-	if g.csrBase != nil {
-		if _, ok := g.delBuf[e]; ok {
-			delete(g.delBuf, e) // re-adding a tombstoned base edge
-		} else {
-			if g.addBuf == nil {
-				g.addBuf = make(map[Edge]struct{})
-			}
-			g.addBuf[e] = struct{}{}
-			if g.csrBase.labelID[label] < 0 {
-				// Sticky until the next freeze resets the delta: pinning
-				// an overlay view checks this flag instead of rescanning
-				// the whole add buffer for out-of-alphabet labels.
-				g.deltaNewLabel = true
-			}
-		}
-		g.logDelta(e)
-	}
 }
 
-// RemoveEdge deletes the labeled edge (from, label, to) and reports
-// whether it was present; removing a missing edge (including one with
-// out-of-range endpoints) is a no-op returning false, and does not
-// advance the epoch.
-//
-// On a frozen graph the removal is recorded as a tombstone in the delta
-// overlay, so the next Freeze merges it into the existing CSR instead
-// of rebuilding (see delta.go). The cached acyclicity verdict is kept
-// when it cannot change: removing an edge from an acyclic graph leaves
-// it acyclic; only a cyclic graph losing an edge needs revalidation
-// (deferred to the next IsAcyclic).
-func (g *Graph) RemoveEdge(from int, label byte, to int) bool {
-	if from < 0 || from >= len(g.out) || to < 0 || to >= len(g.out) {
-		return false
-	}
+// unlink deletes the edge from both adjacency lists, shifting the rest
+// so their order is kept, and reports whether it was there.
+func (g *Graph) unlink(from int, label byte, to int) bool {
 	oi := -1
 	for i, e := range g.out[from] {
 		if e.Label == label && e.To == to {
@@ -240,10 +270,6 @@ func (g *Graph) RemoveEdge(from int, label byte, to int) bool {
 		}
 	}
 	if oi < 0 {
-		// Absent edge: bail out before the delta bookkeeping below, so a
-		// removal that cannot cancel anything never records a tombstone —
-		// delBuf stays a subset of the base (the merge and overlay paths
-		// rely on that invariant) and cannot accumulate dead entries.
 		return false
 	}
 	g.invalidate()
@@ -258,18 +284,6 @@ func (g *Graph) RemoveEdge(from int, label byte, to int) bool {
 	g.labelCount[label]--
 	if g.acyclic == 2 {
 		g.acyclic = 0
-	}
-	if g.csrBase != nil {
-		e := Edge{From: from, Label: label, To: to}
-		if _, ok := g.addBuf[e]; ok {
-			delete(g.addBuf, e) // the edge never made it into the base
-		} else {
-			if g.delBuf == nil {
-				g.delBuf = make(map[Edge]struct{})
-			}
-			g.delBuf[e] = struct{}{}
-		}
-		g.logDelta(e)
 	}
 	return true
 }
@@ -305,8 +319,14 @@ func (g *Graph) OutEdges(v int) []Edge { return g.out[v] }
 // modified.
 func (g *Graph) InEdges(v int) []Edge { return g.in[v] }
 
-// HasEdge reports whether the exact edge exists.
+// HasEdge reports whether the exact edge exists: a scan of from's
+// out-edges before the first Freeze, the base CSR and the net delta
+// after it.
 func (g *Graph) HasEdge(from int, label byte, to int) bool {
+	if g.csrBase != nil {
+		_, _, present := g.lookup(from, label, to)
+		return present
+	}
 	for _, e := range g.out[from] {
 		if e.Label == label && e.To == to {
 			return true

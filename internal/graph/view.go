@@ -2,7 +2,6 @@ package graph
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 
 	"repro/internal/automaton"
@@ -176,18 +175,12 @@ func (g *Graph) passView(c *CSR) *View {
 // synchronous rebuild is no slower than dragging a huge overlay through
 // every query).
 func (g *Graph) canOverlay() bool {
-	if g.csrBase == nil {
-		return false
-	}
-	if d := len(g.addBuf) + len(g.delBuf); d > deltaMergeFloor && d > int(float64(g.csrBase.m)*deltaMergeLimit) {
-		return false
-	}
-	// deltaNewLabel is maintained by AddEdge (sticky until the next
-	// freeze), standing in for a scan of the whole add buffer here. It
-	// can be conservatively stale — the offending add may since have
-	// been removed — which only costs a fallback freeze, never a wrong
+	// deltaNewLabel is maintained by the mutators (sticky until the next
+	// freeze), standing in for a scan of the whole delta here. It can be
+	// conservatively stale — the offending add may since have been
+	// removed — which only costs a fallback freeze, never a wrong
 	// overlay.
-	return !g.deltaNewLabel
+	return g.csrBase != nil && g.deltaFits() && !g.deltaNewLabel
 }
 
 // buildOverlayView returns the overlay view of the graph's current
@@ -199,14 +192,13 @@ func (g *Graph) buildOverlayView() *View {
 	n := g.NumVertices()
 	out, in, log := &overlaySet{}, &overlaySet{}, g.viewLog
 	if g.view == nil {
-		log = slices.AppendSeq(make([]Edge, 0, len(g.addBuf)+len(g.delBuf)), maps.Keys(g.addBuf))
-		log = slices.AppendSeq(log, maps.Keys(g.delBuf))
+		log = g.netDelta()
 	} else if g.view.out != nil {
 		out, in = g.view.out, g.view.in
 	}
 	L := len(base.labels)
 	return &View{base: base, n: n, m: g.edges, stride: int64(L), epoch: g.Epoch(),
-		adds: len(g.addBuf), removes: len(g.delBuf),
+		adds: g.deltaAdds, removes: g.deltaDels,
 		out: out.extend(base.outBucket, base.outTo, n, L, sortedDelta(log, base, n, true)),
 		in:  in.extend(base.inBucket, base.inFrom, n, L, sortedDelta(log, base, n, false))}
 }

@@ -123,7 +123,7 @@ func TestViewOverlayEquivalence(t *testing.T) {
 				}
 			}
 			vw := g.PinView()
-			if !vw.Overlay() && len(g.addBuf)+len(g.delBuf) > 0 {
+			if !vw.Overlay() && g.deltaAdds+g.deltaDels > 0 {
 				t.Fatalf("small same-alphabet delta must pin an overlay view")
 			}
 			checkViewAgainstCSR(t, vw, rebuildOracle(g))
