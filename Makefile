@@ -37,13 +37,16 @@ bench-check:
 
 # fuzz: a short deterministic pass over the fuzzers (regex parser,
 # snapshot decode, WAL replay, rspqd's request decoders against
-# encoding/json, every query surface against the exponential baseline,
-# and the graph mutators against a list oracle) — corpus + 10s of new
-# inputs each, the CI fuzz smoke test. `go test -fuzz` accepts one target per run, hence the separate
-# invocations.
+# encoding/json, every query surface — the vertex-labeled one too —
+# against the exponential baseline, and the graph mutators against a
+# list oracle) — corpus + 10s of new inputs each, the CI fuzz smoke
+# test. `go test -fuzz` accepts one target per run, hence the separate
+# invocations, and FuzzSolve's pattern is anchored so that it does not
+# also match FuzzSolveVlg.
 fuzz:
 	$(GO) test ./internal/automaton/ -run '^$$' -fuzz FuzzParseRegex -fuzztime 10s
-	$(GO) test ./internal/rspq/ -run '^$$' -fuzz FuzzSolve -fuzztime 10s
+	$(GO) test ./internal/rspq/ -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 10s
+	$(GO) test ./internal/rspq/ -run '^$$' -fuzz FuzzSolveVlg -fuzztime 10s
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzGraphMutations -fuzztime 10s
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s

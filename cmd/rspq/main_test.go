@@ -42,20 +42,26 @@ func TestAnswerReportsFallbackTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The loop trap's shortest a*bba* walk repeats its b-loop, and
+	// removing the loop leaves the language: only a search finds aaabba.
+	trap := graph.NewLoopTrap(3)
 	for _, c := range []struct {
 		pattern string
 		g       *graph.Graph
+		y       int
 		algo    rspq.Algorithm
 	}{
-		{"(aa)*", path, rspq.AlgoSummary}, // no Ψtr form
-		{"a*", path, rspq.AlgoFinite},     // infinite language
-		{"(aa)*", cycle, rspq.AlgoDAG},    // cyclic graph
+		{"(aa)*", path, 2, rspq.AlgoSummary},         // no Ψtr form
+		{"a*", path, 2, rspq.AlgoFinite},             // infinite language
+		{"(aa)*", cycle, 2, rspq.AlgoDAG},            // cyclic graph
+		{"a*bba*", trap.G, trap.Y, rspq.AlgoSubword}, // not subword-closed
+		{"(aa)*", path, 2, rspq.AlgoColorCoding},     // no length bound
 	} {
 		s, err := rspq.NewSolver(c.pattern)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tier, res := answer(s, c.g, 0, 2, c.algo, false)
+		tier, res := answer(s, c.g, 0, c.y, c.algo, false)
 		if tier != rspq.AlgoBaseline || !res.Found {
 			t.Errorf("%q -algo %v: reported %v, found=%v; want baseline, found", c.pattern, c.algo, tier, res.Found)
 		}

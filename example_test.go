@@ -3,6 +3,7 @@ package trichotomy_test
 import (
 	"fmt"
 	"math/rand"
+	"testing"
 
 	trichotomy "repro"
 )
@@ -253,6 +254,23 @@ func roadNetwork(n, deg int, seed int64) *trichotomy.VGraph {
 		}
 	}
 	return vg
+}
+
+// BenchmarkSolveVlg times Example_roadtrip's large query, (tm)* from
+// city 0 to city 2999 of the 3,000-city network, on a warm vl-graph:
+// the query runs on the network's stored db-encoding, whose indexes the
+// first call (here Warm) builds and every later call shares.
+func BenchmarkSolveVlg(b *testing.B) {
+	b.ReportAllocs()
+	lang := trichotomy.MustCompile("(tm)*")
+	vg := roadNetwork(3000, 4, 42)
+	lang.Warm(vg.DBGraph())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !lang.SolveVlg(vg, 0, 2999).Found {
+			b.Fatal("no route")
+		}
+	}
 }
 
 // Interleave edge deltas with serving-engine queries. Every mutation

@@ -304,11 +304,11 @@ func e6(t *testing.T, w io.Writer) {
 	header(w, "n", "edge-labeled baseline nodes")
 	for _, n := range []int{50, 100, 200, 400} {
 		vg := graph.RandomVGraph(n, []byte("ab"), 6.0/float64(n), int64(n))
-		db := vg.ToDBGraph()
+		db := vg.DBGraph()
 		rng := rand.New(rand.NewSource(3))
 		for q := 0; q < 20; q++ {
 			x, y := rng.Intn(n), rng.Intn(n)
-			agree(t, db, s.Min, x, y, rspq.VlgSolve(vg, s.Min, s.Expr, x, y))
+			agree(t, db, s.Min, x, y, s.SolveVlg(vg, x, y))
 		}
 		ge := graph.Random(n/5, []byte("ab"), 8.0/float64(n/5), int64(n))
 		var stats rspq.BaselineStats

@@ -143,12 +143,18 @@ func (d *DFA) ShortestNonEmptyLoop(q int) (string, bool) {
 // Words enumerates every accepted word of length ≤ maxLen in
 // length-then-lexicographic order, up to the given cap on the number of
 // results (cap < 0 means no cap). Used by tests and the finite-language
-// solver.
+// solver. Only prefixes of accepted words are expanded — a step into a
+// state that reaches no accepting state is dropped — so the work is
+// bounded by the prefixes of the words, not by |Σ|^maxLen.
 func (d *DFA) Words(maxLen, cap int) []string {
 	var out []string
 	type node struct {
 		state int
 		word  string
+	}
+	live := d.CoReachable()
+	if !live[d.Start] {
+		return nil
 	}
 	frontier := []node{{d.Start, ""}}
 	for depth := 0; depth <= maxLen; depth++ {
@@ -164,7 +170,9 @@ func (d *DFA) Words(maxLen, cap int) []string {
 				continue
 			}
 			for i, label := range d.Alphabet {
-				next = append(next, node{d.StepIndex(n.state, i), n.word + string(label)})
+				if t := d.StepIndex(n.state, i); live[t] {
+					next = append(next, node{t, n.word + string(label)})
+				}
 			}
 		}
 		frontier = next

@@ -206,7 +206,7 @@ func TestVGraphEncoding(t *testing.T) {
 	vg := NewVGraph([]byte{'a', 'b', 'a'})
 	vg.AddEdge(0, 1)
 	vg.AddEdge(1, 2)
-	db := vg.ToDBGraph()
+	db := vg.DBGraph()
 	if !db.HasEdge(0, 'b', 1) || !db.HasEdge(1, 'a', 2) {
 		t.Error("vl-graph encoding wrong")
 	}
@@ -227,15 +227,29 @@ func TestVGraphEncoding(t *testing.T) {
 	if _, err := vg.VWordOf([]int{0, 2}); err == nil {
 		t.Error("missing edge must error")
 	}
+	// The encoding is the vl-graph's own adjacency: an edge added after
+	// DBGraph was taken is visible through it.
+	db.Freeze()
+	vg.AddEdge(2, 0)
+	if !db.HasEdge(2, 'a', 0) || db.NumEdges() != 3 || vg.NumEdges() != 3 {
+		t.Error("edge added after DBGraph() not visible through it")
+	}
+	if w, err := vg.VWordOf([]int{1, 2, 0}); err != nil || w != "aa" {
+		t.Errorf("VWordOf after AddEdge = %q %v", w, err)
+	}
 }
 
 func TestEVGraphEncoding(t *testing.T) {
 	ev := NewEVGraph([]byte{'a', 'b'})
 	ev.AddEdge(0, 'x', 1)
-	db := ev.ToDBGraph()
+	db := ev.DBGraph()
 	want := PairLabel('b', 'x')
 	if !db.HasEdge(0, want, 1) {
 		t.Error("evl-graph encoding wrong")
+	}
+	ev.AddEdge(1, 'y', 0)
+	if !db.HasEdge(1, PairLabel('a', 'y'), 0) || db.NumEdges() != 2 {
+		t.Error("edge added after DBGraph() not visible through it")
 	}
 	if PairLabel('a', 'x') == PairLabel('b', 'x') {
 		t.Error("pairing must separate vertex labels")

@@ -8,30 +8,27 @@ import (
 
 // VGraph is a vertex-labeled graph (the paper's vl-graph): each vertex
 // carries one label and edges are unlabeled. A path spells the word of
-// the labels of the vertices it *enters* (all vertices but the first),
-// which matches the paper's encoding of vl-graphs as db-graphs in which
-// every edge carries the label of its target vertex.
+// the labels of the vertices it *enters* (all vertices but the first).
+// Its only adjacency is the paper's encoding of vl-graphs as db-graphs
+// (Section 4.1), in which every edge carries the label of its target
+// vertex: DBGraph returns it, and queries run on it like on any Graph.
+// So the Graph's contract holds: its CSR is built lazily by the first
+// query, and concurrent queries need Language.Warm(vg.DBGraph()) first.
 type VGraph struct {
 	labels []byte
-	out    [][]int
-	in     [][]int
-	edges  int
+	db     *Graph
 }
 
 // NewVGraph returns a vl-graph with the given vertex labels and no edges.
 func NewVGraph(labels []byte) *VGraph {
-	return &VGraph{
-		labels: append([]byte{}, labels...),
-		out:    make([][]int, len(labels)),
-		in:     make([][]int, len(labels)),
-	}
+	return &VGraph{labels: append([]byte{}, labels...), db: New(len(labels))}
 }
 
 // NumVertices returns the number of vertices.
 func (g *VGraph) NumVertices() int { return len(g.labels) }
 
 // NumEdges returns the number of edges.
-func (g *VGraph) NumEdges() int { return g.edges }
+func (g *VGraph) NumEdges() int { return g.db.NumEdges() }
 
 // Label returns the label of v.
 func (g *VGraph) Label(v int) byte { return g.labels[v] }
@@ -39,58 +36,35 @@ func (g *VGraph) Label(v int) byte { return g.labels[v] }
 // AddVertex appends a vertex with the given label.
 func (g *VGraph) AddVertex(label byte) int {
 	g.labels = append(g.labels, label)
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	return len(g.labels) - 1
+	return g.db.AddVertex()
 }
 
-// AddEdge inserts the directed edge (from, to); duplicates are ignored.
-func (g *VGraph) AddEdge(from, to int) {
-	for _, t := range g.out[from] {
-		if t == to {
-			return
-		}
-	}
-	g.out[from] = append(g.out[from], to)
-	g.in[to] = append(g.in[to], from)
-	g.edges++
-}
-
-// Out returns the successors of v.
-func (g *VGraph) Out(v int) []int { return g.out[v] }
-
-// In returns the predecessors of v.
-func (g *VGraph) In(v int) []int { return g.in[v] }
+// AddEdge inserts the directed edge (from, to), stored as
+// (from, λ(to), to); duplicates are ignored.
+func (g *VGraph) AddEdge(from, to int) { g.db.AddEdge(from, g.labels[to], to) }
 
 // Alphabet returns the set of vertex labels in use.
 func (g *VGraph) Alphabet() automaton.Alphabet {
 	return automaton.NewAlphabet(g.labels...)
 }
 
-// ToDBGraph encodes the vl-graph as a db-graph per Section 4.1 of the
-// paper: every edge (u,v) becomes (u, λ(v), v), so that no vertex has two
-// incoming edges with different labels.
-func (g *VGraph) ToDBGraph() *Graph {
-	db := New(g.NumVertices())
-	for u := 0; u < g.NumVertices(); u++ {
-		for _, v := range g.out[u] {
-			db.AddEdge(u, g.labels[v], v)
-		}
-	}
-	return db
-}
+// DBGraph returns the stored db-encoding (Section 4.1): every edge (u,v)
+// is (u, λ(v), v), so that no vertex has two incoming edges with
+// different labels. It is the vl-graph's own adjacency, not a copy:
+// read and query it, and mutate through the vl-graph.
+func (g *VGraph) DBGraph() *Graph { return g.db }
 
 // EVGraph is a vertex-and-edge-labeled graph (the paper's evl-graph).
+// Like VGraph it stores only its db-encoding, over the product alphabet
+// Σ_V × Σ_E (see DBGraph), under the same query contract.
 type EVGraph struct {
 	labels []byte // vertex labels
-	g      Graph  // edge-labeled structure
+	db     *Graph
 }
 
 // NewEVGraph returns an evl-graph with the given vertex labels.
 func NewEVGraph(labels []byte) *EVGraph {
-	ev := &EVGraph{labels: append([]byte{}, labels...)}
-	ev.g = *New(len(labels))
-	return ev
+	return &EVGraph{labels: append([]byte{}, labels...), db: New(len(labels))}
 }
 
 // NumVertices returns the number of vertices.
@@ -102,12 +76,13 @@ func (g *EVGraph) Label(v int) byte { return g.labels[v] }
 // AddVertex appends a vertex with the given label.
 func (g *EVGraph) AddVertex(label byte) int {
 	g.labels = append(g.labels, label)
-	return g.g.AddVertex()
+	return g.db.AddVertex()
 }
 
-// AddEdge inserts the edge (from, edgeLabel, to).
+// AddEdge inserts the edge (from, edgeLabel, to), stored as
+// (from, PairLabel(λ(to), edgeLabel), to).
 func (g *EVGraph) AddEdge(from int, edgeLabel byte, to int) {
-	g.g.AddEdge(from, edgeLabel, to)
+	g.db.AddEdge(from, PairLabel(g.labels[to], edgeLabel), to)
 }
 
 // PairLabel encodes a (vertex-label, edge-label) pair into the single
@@ -123,19 +98,11 @@ func PairLabel(vertexLabel, edgeLabel byte) byte {
 	return byte('A' + (vertexLabel-'a')%8*8 + (edgeLabel-'a')%8)
 }
 
-// ToDBGraph encodes the evl-graph as a db-graph over the product
-// alphabet: the edge (u, e, v) becomes (u, PairLabel(λ(v), e), v),
-// following Section 4.1 ("a vlc-graph can be seen as a db-graph over an
-// alphabet Σ_V × Σ_E").
-func (g *EVGraph) ToDBGraph() *Graph {
-	db := New(g.NumVertices())
-	for u := 0; u < g.NumVertices(); u++ {
-		for _, e := range g.g.OutEdges(u) {
-			db.AddEdge(u, PairLabel(g.labels[e.To], e.Label), e.To)
-		}
-	}
-	return db
-}
+// DBGraph returns the stored db-encoding over the product alphabet: the
+// edge (u, e, v) is (u, PairLabel(λ(v), e), v), following Section 4.1
+// ("a vlc-graph can be seen as a db-graph over an alphabet Σ_V × Σ_E").
+// As for VGraph, it is the evl-graph's own adjacency, not a copy.
+func (g *EVGraph) DBGraph() *Graph { return g.db }
 
 // VWordOf returns the word spelled by a vertex sequence in a vl-graph
 // (labels of all vertices after the first), checking edge existence.
@@ -145,17 +112,11 @@ func (g *VGraph) VWordOf(vertices []int) (string, error) {
 	}
 	w := make([]byte, 0, len(vertices)-1)
 	for i := 0; i+1 < len(vertices); i++ {
-		found := false
-		for _, t := range g.out[vertices[i]] {
-			if t == vertices[i+1] {
-				found = true
-				break
-			}
+		u, v := vertices[i], vertices[i+1]
+		if !g.db.HasEdge(u, g.labels[v], v) {
+			return "", fmt.Errorf("graph: missing edge %d→%d", u, v)
 		}
-		if !found {
-			return "", fmt.Errorf("graph: missing edge %d→%d", vertices[i], vertices[i+1])
-		}
-		w = append(w, g.labels[vertices[i+1]])
+		w = append(w, g.labels[v])
 	}
 	return string(w), nil
 }

@@ -36,7 +36,7 @@ import (
 type DB struct {
 	fsys    fs
 	dir     string
-	store   SnapshotStore
+	store   *LocalStore
 	policy  SyncPolicy
 	walPath string
 
@@ -70,13 +70,9 @@ type Options struct {
 	// Metrics, when non-nil, gets the rspq_wal_*/rspq_recovery_*/
 	// rspq_checkpoint_* series registered on it.
 	Metrics *metrics.Registry
-	// NoMmap forces reading the snapshot into memory instead of
-	// mapping it (mapping is the default on supported platforms).
-	NoMmap bool
 
-	// Test hooks: an injected filesystem (crash_test.go) and store.
-	fsys  fs
-	store SnapshotStore
+	// fsys is the test hook for an injected filesystem (crash_test.go).
+	fsys fs
 }
 
 // Open recovers the durable state under opts.Dir into a live graph
@@ -91,18 +87,10 @@ func Open(opts Options) (*DB, *graph.Graph, error) {
 	if err := fsys.MkdirAll(opts.Dir); err != nil {
 		return nil, nil, err
 	}
-	store := opts.store
-	if store == nil {
-		ls := newLocalStoreFS(fsys, opts.Dir)
-		if _, isOS := fsys.(osFS); isOS && !opts.NoMmap {
-			ls.mmap = true
-		}
-		store = ls
-	}
 	db := &DB{
 		fsys:    fsys,
 		dir:     opts.Dir,
-		store:   store,
+		store:   newLocalStore(fsys, opts.Dir),
 		policy:  opts.Sync,
 		walPath: filepath.Join(opts.Dir, walFile),
 	}

@@ -17,9 +17,10 @@ import (
 // a*ba*, (ab)*, … — are structurally rejected.
 //
 // The normalizer is syntactic: it can fail on contrived regexes whose
-// language is nonetheless in trC (callers then fall back to the general
-// DFA-summary solver), but when it succeeds the output denotes exactly
-// the input language, which tests verify by DFA equivalence.
+// language is nonetheless in trC (on a cyclic graph such a language
+// then falls to the exact baseline, unless it is finite or
+// subword-closed), but when it succeeds the output denotes exactly the
+// input language, which tests verify by DFA equivalence.
 func FromRegex(r *automaton.Regex) (*Expr, error) {
 	lists, err := expand(r, 0)
 	if err != nil {

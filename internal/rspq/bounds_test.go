@@ -119,15 +119,12 @@ func TestOutOfRangeVlg(t *testing.T) {
 		if s.SolveVlg(vg, pq[0], pq[1]).Found {
 			t.Errorf("SolveVlg(%d, %d) found", pq[0], pq[1])
 		}
-		if VlgSolve(vg, s.Min, s.Expr, pq[0], pq[1]).Found {
-			t.Errorf("VlgSolve(%d, %d) found", pq[0], pq[1])
-		}
 	}
 	ev := graph.NewEVGraph([]byte{'a', 'b', 'a'})
 	ev.AddEdge(0, 'x', 1)
 	for _, pq := range badPairs(ev.NumVertices()) {
-		if EvlSolve(ev, s.Min, nil, pq[0], pq[1]).Found {
-			t.Errorf("EvlSolve(%d, %d) found", pq[0], pq[1])
+		if s.SolveEvl(ev, pq[0], pq[1]).Found {
+			t.Errorf("SolveEvl(%d, %d) found", pq[0], pq[1])
 		}
 	}
 }

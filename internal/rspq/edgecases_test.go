@@ -61,20 +61,21 @@ func TestEvlSolve(t *testing.T) {
 	bx := graph.PairLabel('b', 'x')
 	ax := graph.PairLabel('a', 'x')
 	pattern := fmt.Sprintf("(%c%c)*", bx, ax)
-	d := mustMin(t, pattern)
-	res := EvlSolve(ev, d, nil, 0, 2)
+	s := mustSolver(t, pattern)
+	d := s.Min
+	res := s.SolveEvl(ev, 0, 2)
 	if !res.Found || len(res.Path.Labels) != 2 {
 		t.Fatalf("evl solve: %v", res)
 	}
-	db := ev.ToDBGraph()
+	db := ev.DBGraph()
 	if !VerifyWitness(res, db, d.Minimize(), 0, 2) {
 		t.Fatal("invalid evl witness")
 	}
 	// Cross-validate against the baseline on random evl-graphs.
 	for seed := int64(0); seed < 3; seed++ {
 		evr := randomEVGraph(8, seed)
-		dbr := evr.ToDBGraph()
-		got := EvlSolve(evr, d, nil, 0, 7)
+		dbr := evr.DBGraph()
+		got := s.SolveEvl(evr, 0, 7)
 		want := Baseline(dbr, d.Minimize(), 0, 7, nil)
 		if got.Found != want.Found {
 			t.Fatalf("seed %d: evl=%v baseline=%v", seed, got.Found, want.Found)

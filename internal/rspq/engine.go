@@ -15,11 +15,13 @@ import (
 // one batch; an Engine makes those tables survive ACROSS queries and
 // batches. It owns a frozen view of one graph plus two cache tiers:
 //
-//   - a table cache holding the per-(language, target) pruning tables
-//     of every tier — the baseline's product co-reachability bitset,
-//     the walk-reduction tiers' backward-BFS distance arrays, and the
-//     summary solver's per-sequence position-NFA co-reachability
-//     bitsets;
+//   - a table cache holding the per-(language, target) tables of every
+//     tier but the finite one: the goal table (backward-BFS distances)
+//     that the walk-reduction tiers read their witnesses off and the
+//     baseline and summary tiers their shortest walks (the baseline
+//     also prunes by it); the product co-reachability bitset that
+//     answers the walk-reduction tiers' existence asks; and the summary
+//     solver's per-sequence position-NFA co-reachability bitsets;
 //   - a result cache for hot (language, x, y) answers.
 //
 // Every key carries the graph's mutation epoch (graph.Graph.Epoch), so

@@ -236,7 +236,7 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 			// reads its shortest walk off the distances.
 			v := ev.goalViewFor(pv, a, grp.y, grp.xs, st)
 			for j, x := range grp.xs {
-				w.set(grp.idx[j], ev.answerGoal(&v, pv.algo, x))
+				w.set(grp.idx[j], ev.answerGoal(&v, x))
 			}
 			break
 		}
@@ -740,14 +740,12 @@ func (ev *evaluator) sweepGoal(pv *pinned, a *arena, y int, xs []int, st *solveT
 	return goalView{p: p, ds: t}
 }
 
-// answerGoal reads one source's witness off the y-side view, applying
-// the subword tier's loop removal.
-func (ev *evaluator) answerGoal(v *goalView, algo Algorithm, x int) Result {
-	walk := v.p.walkFrom(v.ds, x, ev.s.Min.Start)
-	if algo == AlgoSubword {
-		walk = loopFree(ev.s.Min, walk)
-	}
-	return pathResult(walk)
+// answerGoal reads one source's witness off the y-side view: its
+// shortest walk, which is simple on both tiers that ask — on a DAG every
+// walk is, and under subword closure a loop would leave a shorter
+// L-labeled walk (TierFor sends no other language to AlgoSubword).
+func (ev *evaluator) answerGoal(v *goalView, x int) Result {
+	return pathResult(v.p.walkFrom(v.ds, x, ev.s.Min.Start))
 }
 
 // cachedGoalTable returns target y's cached backward-BFS table, nil on

@@ -110,3 +110,57 @@ func FuzzSolve(f *testing.F) {
 		}
 	})
 }
+
+// fuzzVGraph decodes a vl-graph on n = 1 + n8%8 vertices: vertex i is
+// labelled "abc"[(labels>>2i & 3) % 3], and each edge byte is one edge,
+// from its bits 0–2 to its bits 3–5 (both mod n). At most 64 edges.
+func fuzzVGraph(n8 uint8, labels uint16, edges []byte) *graph.VGraph {
+	n := 1 + int(n8%8)
+	ls := make([]byte, n)
+	for i := range ls {
+		ls[i] = "abc"[(labels>>(2*i)&3)%3]
+	}
+	vg := graph.NewVGraph(ls)
+	for _, b := range edges[:min(len(edges), 64)] {
+		vg.AddEdge(int(b&7)%n, int(b>>3&7)%n)
+	}
+	return vg
+}
+
+// FuzzSolveVlg holds SolveVlg against the exponential ground truth on
+// the vl-graph's db-encoding: it finds a path exactly when Baseline
+// does, and its witness is a simple L-labeled path of the encoding
+// whose vertex word (VWordOf) is in L. The seed corpus
+// (testdata/fuzz/FuzzSolveVlg) holds the paper's vl languages, each
+// with a found and a not-found pair.
+func FuzzSolveVlg(f *testing.F) {
+	f.Add("(ab)*", uint8(4), uint16(0b00_01_00_00), []byte{0x08, 0x11, 0x1a}, uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, pattern string, n8 uint8, labels uint16, edges []byte, x8, y8 uint8) {
+		r, err := automaton.ParseRegex(pattern)
+		if err != nil || expandedSize(r, fuzzSizeCap) >= fuzzSizeCap {
+			return
+		}
+		s, err := NewSolverFromRegex(r)
+		if err != nil {
+			return
+		}
+		vg := fuzzVGraph(n8, labels, edges)
+		db := vg.DBGraph()
+		n := vg.NumVertices()
+		x, y := int(x8)%n, int(y8)%n
+
+		got, want := s.SolveVlg(vg, x, y), Baseline(db, s.Min, x, y, nil)
+		if got.Found != want.Found {
+			t.Fatalf("%q tier %v (%d,%d): SolveVlg found=%v, Baseline %v\ngraph:\n%s", pattern, s.ChooseAlgorithm(db), x, y, got.Found, want.Found, db)
+		}
+		if !got.Found {
+			return
+		}
+		if !VerifyWitness(got, db, s.Min, x, y) {
+			t.Fatalf("%q (%d,%d): SolveVlg returned %v, not a simple L-path\ngraph:\n%s", pattern, x, y, got.Path, db)
+		}
+		if w, err := vg.VWordOf(got.Path.Vertices); err != nil || !s.Min.Member(w) {
+			t.Fatalf("%q (%d,%d): vertex word %q (%v) of %v not in L", pattern, x, y, w, err, got.Path)
+		}
+	})
+}

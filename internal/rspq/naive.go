@@ -22,9 +22,9 @@ func Naive(g *graph.Graph, d *automaton.DFA, x, y int) Result {
 // loopFree splices the loops out of an L(d)-labeled walk
 // (graph.Path.RemoveLoops) and returns the simple path, or nil when the
 // walk is nil or the removal left L(d). A walk that lost nothing needs
-// no re-check: it is already L-labeled. It is the one loop-removal step
-// of the walk tiers: Naive, Subword, the vl-graph walk tier and the
-// batched subword tier (evaluator.answerGoal).
+// no re-check: it is already L-labeled. It is the one loop-removal step:
+// Naive, Subword and the walk-first step of the summary and baseline
+// tiers (evaluator.fromWalk).
 func loopFree(d *automaton.DFA, walk *graph.Path) *graph.Path {
 	if walk == nil {
 		return nil

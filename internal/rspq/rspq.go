@@ -13,7 +13,8 @@
 //   - the finite-language solver (the AC⁰ tier of Theorem 2);
 //   - the color-coding FPT algorithm for k-RSPQ (Theorem 7);
 //   - the DAG solver (Theorem 8's polynomial combined-complexity case);
-//   - the vertex-labeled (vl-graph) solvers of Section 4.1;
+//   - the vertex-labeled models of Section 4.1 (Solver.SolveVlg and
+//     SolveEvl), answered on their stored db-encodings by the evaluator;
 //   - a dispatcher that picks the tier (Solver.pin), and one evaluator
 //     that runs its kernel for every surface (evaluator.go).
 //

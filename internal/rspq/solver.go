@@ -191,16 +191,20 @@ func (s *Solver) pin(g *graph.Graph, algo Algorithm) pinned {
 
 // TierFor reports the tier that answers SolveWith(g, x, y, algo).
 // AlgoAuto is ChooseAlgorithm's tier. A forced tier that does not apply
-// — the finite search on an infinite language, the summary solver
-// without a Ψtr form, the RPQ collapse on a cyclic graph — is the
-// baseline. Any other algo answers as itself.
+// — the finite search on an infinite language, the walk reduction on a
+// language that is not subword-closed, the summary solver without a
+// Ψtr form, the RPQ collapse on a cyclic graph, and color coding, which
+// needs a length bound (ColorCoding) — is the baseline. Any other algo
+// answers as itself.
 func (s *Solver) TierFor(g *graph.Graph, algo Algorithm) Algorithm {
 	switch {
 	case algo == AlgoAuto:
 		return s.ChooseAlgorithm(g)
 	case algo == AlgoFinite && !s.Classification.Finite,
+		algo == AlgoSubword && !s.SubwordClosed,
 		algo == AlgoSummary && s.Expr == nil,
-		algo == AlgoDAG && !g.IsAcyclic():
+		algo == AlgoDAG && !g.IsAcyclic(),
+		algo == AlgoColorCoding:
 		return AlgoBaseline
 	}
 	return algo
@@ -248,10 +252,10 @@ func (s *Solver) Solve(g *graph.Graph, x, y int) Result {
 }
 
 // SolveWith forces a specific algorithm; AlgoAuto dispatches. A forced
-// tier that does not apply falls back to the exact baseline (see pin);
-// AlgoWalk and AlgoNaive, which are not RSPQ tiers, run ShortestWalk and
-// Naive. Out-of-range vertex ids yield Result{Found: false}, never a
-// panic.
+// tier that does not apply, AlgoColorCoding included, falls back to the
+// exact baseline (TierFor); AlgoWalk and AlgoNaive, which are not RSPQ
+// tiers, run ShortestWalk and Naive. Out-of-range vertex ids yield
+// Result{Found: false}, never a panic.
 func (s *Solver) SolveWith(g *graph.Graph, x, y int, algo Algorithm) Result {
 	return s.solveWith(g, x, y, algo, false)
 }
@@ -279,13 +283,4 @@ func (s *Solver) solveWith(g *graph.Graph, x, y int, algo Algorithm, shortest bo
 	pv := s.pin(g, algo)
 	ev := evaluator{s: s}
 	return ev.solveOne(&pv, x, y, false, shortest, nil)
-}
-
-// SolveVlg answers the vertex-labeled variant on vg. Out-of-range
-// vertex ids yield Result{Found: false}, never a panic.
-func (s *Solver) SolveVlg(vg *graph.VGraph, x, y int) Result {
-	if !validPair(vg.NumVertices(), x, y) {
-		return Result{}
-	}
-	return VlgSolve(vg, s.Min, s.Expr, x, y)
 }

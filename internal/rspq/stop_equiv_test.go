@@ -211,7 +211,7 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 									continue
 								}
 								checkWalkBitValid(t, s.Min, g, walk, x, start, y, d)
-								res := ev.answerGoal(&goalView{p: p, ds: shared}, tc.algo, x)
+								res := ev.answerGoal(&goalView{p: p, ds: shared}, x)
 								if !res.Found || !VerifyWitness(res, g, s.Min, x, y) {
 									t.Fatalf("%s: source %d answers %v (found=%v)", ctx, x, res.Path, res.Found)
 								}

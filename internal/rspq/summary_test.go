@@ -237,19 +237,18 @@ func TestSummarySelfQueries(t *testing.T) {
 	}
 }
 
-// TestVlgSolveCrossValidation checks the vertex-labeled dispatcher
-// against the baseline on the db-encodings, for the paper's flagship
-// vlg languages.
+// TestVlgSolveCrossValidation checks SolveVlg against the baseline on
+// the db-encodings, for the paper's flagship vlg languages.
 func TestVlgSolveCrossValidation(t *testing.T) {
 	patterns := []string{"(ab)*", "a*bc*", "a*(bb+|())c*", "ab|ba", "(aa)*"}
 	for _, pattern := range patterns {
 		s := mustSolver(t, pattern)
 		for seed := int64(0); seed < 6; seed++ {
 			vg := graph.RandomVGraph(9, []byte{'a', 'b', 'c'}, 0.22, seed*13+1)
-			db := vg.ToDBGraph()
+			db := vg.DBGraph()
 			for x := 0; x < 9; x += 2 {
 				for y := 1; y < 9; y += 2 {
-					got := VlgSolve(vg, s.Min, s.Expr, x, y)
+					got := s.SolveVlg(vg, x, y)
 					want := Baseline(db, s.Min, x, y, nil)
 					if got.Found != want.Found {
 						t.Fatalf("%q seed=%d (%d,%d): vlg=%v baseline=%v", pattern, seed, x, y, got.Found, want.Found)
@@ -290,7 +289,7 @@ func TestVlgPolynomialExample(t *testing.T) {
 		vg.AddEdge(i, i+1)
 	}
 	s := mustSolver(t, "(ab)*")
-	res := VlgSolve(vg, s.Min, s.Expr, 0, 4)
+	res := s.SolveVlg(vg, 0, 4)
 	if !res.Found || res.Path.Word() != "abab" {
 		t.Fatalf("vlg (ab)* query failed: %v", res.Path)
 	}

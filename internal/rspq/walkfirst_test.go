@@ -1,8 +1,11 @@
 package rspq
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/automaton"
 	"repro/internal/graph"
 )
 
@@ -129,4 +132,84 @@ func TestWalkFirst(t *testing.T) {
 		}
 		t.Logf("%q: %d pairs searched", pattern, searched)
 	}
+}
+
+// vlgWalkFirstPatterns returns the paper's letter-synchronizing
+// languages, (ab)* and a*bc*, followed by the first count distinct
+// languages of randomRegex(4) (seed 1) that are letter-synchronizing,
+// infinite and not subword-closed: the languages Theorem 5 answers by
+// loop removal and no language-first tier does.
+func vlgWalkFirstPatterns(t *testing.T, count int) []string {
+	patterns := []string{"(ab)*", "a*bc*"}
+	var kept []*automaton.DFA
+	rng := rand.New(rand.NewSource(1))
+	for len(kept) < count {
+		pattern := randomRegex(rng, 4)
+		s := mustSolver(t, pattern)
+		if s.Classification.Finite || s.SubwordClosed || !LetterSynchronizing(s.Min) ||
+			slices.ContainsFunc(kept, func(d *automaton.DFA) bool { return automaton.Equivalent(d, s.Min) }) {
+			continue
+		}
+		kept = append(kept, s.Min)
+		patterns = append(patterns, pattern)
+	}
+	return patterns
+}
+
+// randomRegex draws a regex over {a, b, c} of depth at most depth from
+// star, union and concatenation, taking a leaf with probability ¼ at
+// each level.
+func randomRegex(rng *rand.Rand, depth int) string {
+	if depth == 0 || rng.Intn(4) == 0 {
+		return string("abc"[rng.Intn(3)])
+	}
+	switch rng.Intn(3) {
+	case 0:
+		return "(" + randomRegex(rng, depth-1) + ")*"
+	case 1:
+		return "(" + randomRegex(rng, depth-1) + "|" + randomRegex(rng, depth-1) + ")"
+	default:
+		return randomRegex(rng, depth-1) + randomRegex(rng, depth-1)
+	}
+}
+
+// TestVlgWalkFirst pins Theorem 5 on the evaluator: for a
+// letter-synchronizing language on a vl-graph's db-encoding, the state
+// after entering a vertex is fixed by the vertex, so removing the loops
+// of the shortest walk keeps it in L — unless the walk revisits its
+// source, which the run left in the start state. A traced uncached
+// Engine must answer as the baseline, with no search node expanded on
+// every pair whose shortest walk does not revisit its source; some
+// pairs that revisit it must be searched.
+func TestVlgWalkFirst(t *testing.T) {
+	abc := []byte("abc")
+	searched := 0
+	for _, pattern := range vlgWalkFirstPatterns(t, 30) {
+		s := mustSolver(t, pattern)
+		for seed := int64(0); seed < 4; seed++ {
+			vg := graph.RandomVGraph(20, abc, 0.15, seed)
+			db := vg.DBGraph()
+			e := NewEngine(s, db, EngineConfig{TableBytes: -1, ResultBytes: -1})
+			for x := 0; x < 20; x += 3 {
+				for y := 1; y < 20; y += 4 {
+					got, tr := e.SolveTraced(x, y)
+					if want := Baseline(db, s.Min, x, y, nil); got.Found != want.Found || !VerifyWitness(got, db, s.Min, x, y) {
+						t.Fatalf("%q seed=%d (%d,%d): Engine %v, Baseline found=%v", pattern, seed, x, y, got.Path, want.Found)
+					}
+					walk := ShortestWalk(db, s.Min, x, y)
+					if walk != nil && slices.Contains(walk.Vertices[1:], x) {
+						searched += min(tr.SearchNodes, 1)
+						continue
+					}
+					if tr.SearchNodes != 0 {
+						t.Fatalf("%q seed=%d (%d,%d): walk %v does not revisit its source, yet %d search nodes", pattern, seed, x, y, walk, tr.SearchNodes)
+					}
+				}
+			}
+		}
+	}
+	if searched == 0 {
+		t.Fatal("no shortest walk revisits its source and is searched; the search fallback went untested")
+	}
+	t.Logf("%d pairs searched", searched)
 }

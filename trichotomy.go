@@ -294,7 +294,10 @@ func (l *Language) SolveWalk(g *Graph, x, y int) Result {
 }
 
 // SolveVlg answers the vertex-labeled variant (Section 4.1), where the
-// word of a path is the sequence of labels of the vertices it enters.
+// word of a path is the sequence of labels of the vertices it enters: it
+// is Solve on vg's stored db-encoding, vg.DBGraph(). Calls on one vg
+// share that graph's lazily built indexes, so call Warm(vg.DBGraph())
+// before querying vg from multiple goroutines, as for a Graph.
 func (l *Language) SolveVlg(vg *VGraph, x, y int) Result { return l.solver.SolveVlg(vg, x, y) }
 
 // SolveBounded answers k-RSPQ — a simple L-labeled path with at most k

@@ -1,12 +1,14 @@
 package trichotomy
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 func TestCompileAndClassify(t *testing.T) {
@@ -85,6 +87,36 @@ func TestVlgFacade(t *testing.T) {
 	res := lang.SolveVlg(vg, 0, 2)
 	if !res.Found || res.Path.Word() != "ab" {
 		t.Fatalf("vlg solve: %v", res)
+	}
+}
+
+// TestSolveVlgConcurrent pins SolveVlg's warm rule: the queries on one
+// vl-graph share its stored db-encoding, so after Warm(vg.DBGraph())
+// goroutines may query it at once, and they answer as a serial run.
+func TestSolveVlgConcurrent(t *testing.T) {
+	const n = 40
+	vg := graph.RandomVGraph(n, []byte("abc"), 0.08, 5)
+	for _, pattern := range []string{"(ab)*", "a*bc*", "a*(bb+|())c*"} {
+		lang := MustCompile(pattern)
+		lang.Warm(vg.DBGraph())
+		got := make([]Result, n*n)
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < n*n; i += 8 {
+					got[i] = lang.SolveVlg(vg, i/n, i%n)
+				}
+			}()
+		}
+		wg.Wait()
+		for i, res := range got {
+			want := lang.SolveVlg(vg, i/n, i%n)
+			if res.Found != want.Found || res.Found && !slices.Equal(res.Path.Vertices, want.Path.Vertices) {
+				t.Errorf("%q (%d,%d): concurrent %v, serial %v", pattern, i/n, i%n, res.Path, want.Path)
+			}
+		}
 	}
 }
 
