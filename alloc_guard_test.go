@@ -105,18 +105,30 @@ func TestShortestWalkAllocGuard(t *testing.T) {
 	}
 }
 
-// TestCompileAllocGuard pins that compiling classifies without proving:
-// the Property-(1) witness search — 20k–330k allocations and 3–40 MB
-// for these NP-complete languages — runs on the first
-// Solver.HardnessWitness call, never inside rspq.NewSolver. A compile
-// without it costs at most 962 allocations and 43.6 KB on these three;
-// the bounds sit 25 % above that, so the guard fails if the search moves
-// back or compile grows a new index.
+// TestCompileAllocGuard pins that compiling classifies without proving
+// and lists no words. The Property-(1) witness search — 20k–330k
+// allocations and 3–40 MB for the three NP-complete languages — runs on
+// the first Solver.HardnessWitness call, never inside rspq.NewSolver; a
+// compile without it costs at most 962 allocations and 43.6 KB on them.
+// The finite (a|b|c){13} has 3¹³ words: listing them costs 2.4M
+// allocations and 474 MB, while its language-side bound costs 4.7k
+// allocations and 237 KB. Each bound sits 25 % above its measure, so
+// the guard fails if the search moves back, compile lists words again
+// or grows a new index.
 func TestCompileAllocGuard(t *testing.T) {
-	const maxAllocs, maxBytes, runs = 1200, 54_500, 20
-	for _, pattern := range []string{"a*bc*", "a*bba*", "a*b(cc)*d"} {
+	const runs = 20
+	for _, c := range []struct {
+		pattern   string
+		maxAllocs float64
+		maxBytes  uint64
+	}{
+		{"a*bc*", 1200, 54_500},
+		{"a*bba*", 1200, 54_500},
+		{"a*b(cc)*d", 1200, 54_500},
+		{"(a|b|c){13}", 5900, 296_000},
+	} {
 		compile := func() {
-			if _, err := rspq.NewSolver(pattern); err != nil {
+			if _, err := rspq.NewSolver(c.pattern); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -128,10 +140,10 @@ func TestCompileAllocGuard(t *testing.T) {
 		}
 		runtime.ReadMemStats(&m1)
 		bytes := (m1.TotalAlloc - m0.TotalAlloc) / runs
-		t.Logf("NewSolver(%q): %.0f allocs, %d B", pattern, allocs, bytes)
-		if allocs > maxAllocs || bytes > maxBytes {
-			t.Errorf("NewSolver(%q): %.0f allocs, %d B per compile; the bound is %d allocs, %d B",
-				pattern, allocs, bytes, maxAllocs, maxBytes)
+		t.Logf("NewSolver(%q): %.0f allocs, %d B", c.pattern, allocs, bytes)
+		if allocs > c.maxAllocs || bytes > c.maxBytes {
+			t.Errorf("NewSolver(%q): %.0f allocs, %d B per compile; the bound is %.0f allocs, %d B",
+				c.pattern, allocs, bytes, c.maxAllocs, c.maxBytes)
 		}
 	}
 }

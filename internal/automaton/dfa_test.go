@@ -2,7 +2,6 @@ package automaton
 
 import (
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -161,27 +160,6 @@ func TestShortestNonEmptyLoop(t *testing.T) {
 	w, ok = dab.ShortestNonEmptyLoop(dab.Start)
 	if !ok || w != "ab" {
 		t.Errorf("loop at start of (ab)*: %q ok=%v, want \"ab\"", w, ok)
-	}
-}
-
-func TestWordsEnumeration(t *testing.T) {
-	d := mustDFA(t, "a|bb|ab")
-	got := d.Words(3, -1)
-	want := []string{"a", "ab", "bb"}
-	if len(got) != len(want) {
-		t.Fatalf("Words: got %v want %v", got, want)
-	}
-	sort.Strings(got)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Words: got %v want %v", got, want)
-		}
-	}
-	if n := len(mustDFA(t, "a*").Words(4, -1)); n != 5 {
-		t.Errorf("a* words up to length 4: %d, want 5", n)
-	}
-	if n := len(mustDFA(t, "a*").Words(100, 7)); n != 7 {
-		t.Errorf("cap ignored: %d", n)
 	}
 }
 

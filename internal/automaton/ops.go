@@ -140,46 +140,6 @@ func (d *DFA) ShortestNonEmptyLoop(q int) (string, bool) {
 	return best, found
 }
 
-// Words enumerates every accepted word of length ≤ maxLen in
-// length-then-lexicographic order, up to the given cap on the number of
-// results (cap < 0 means no cap). Used by tests and the finite-language
-// solver. Only prefixes of accepted words are expanded — a step into a
-// state that reaches no accepting state is dropped — so the work is
-// bounded by the prefixes of the words, not by |Σ|^maxLen.
-func (d *DFA) Words(maxLen, cap int) []string {
-	var out []string
-	type node struct {
-		state int
-		word  string
-	}
-	live := d.CoReachable()
-	if !live[d.Start] {
-		return nil
-	}
-	frontier := []node{{d.Start, ""}}
-	for depth := 0; depth <= maxLen; depth++ {
-		var next []node
-		for _, n := range frontier {
-			if d.Accept[n.state] {
-				out = append(out, n.word)
-				if cap >= 0 && len(out) >= cap {
-					return out
-				}
-			}
-			if depth == maxLen {
-				continue
-			}
-			for i, label := range d.Alphabet {
-				if t := d.StepIndex(n.state, i); live[t] {
-					next = append(next, node{t, n.word + string(label)})
-				}
-			}
-		}
-		frontier = next
-	}
-	return out
-}
-
 // CompileRegexToMinDFA parses nothing: it compiles an already-parsed
 // regex to the canonical minimal complete DFA over the union of the
 // expression alphabet and extra.

@@ -156,9 +156,6 @@ func Analyze(d *DFA) *Structure {
 	return s
 }
 
-// ComponentOf returns the component id of state q.
-func (s *Structure) ComponentOf(q int) int { return s.Comp[q] }
-
 // SyncLength returns the smallest s such that every word of length s over
 // the component's internal alphabet maps all states of component c to the
 // same state (Lemma 10 guarantees s ≤ M² for trC languages; for other

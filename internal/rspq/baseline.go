@@ -17,7 +17,7 @@ type BaselineStats struct {
 type bsearch struct {
 	p     product
 	a     *arena
-	ds    distances // complete distances to the goal (y, accepting)
+	ds    distances // to the goal (y, accepting), or a finiteBound
 	y     int
 	limit int // depth bound, -1 when unbounded
 	stats *BaselineStats
@@ -128,21 +128,23 @@ func BaselineShortest(g *graph.Graph, d *automaton.DFA, x, y int, stats *Baselin
 	defer a.release()
 	p := makeProduct(g.PinView(), d, a)
 	p.distToGoal(y, a)
-	return baselineShortestWith(&p, a, a, x, y, stats)
+	return baselineShortestWith(&p, a, a, x, y, p.n-1, stats)
 }
 
 // baselineShortestWith runs the iterative deepening from x against ds,
-// the complete distances to target y. The deepening starts at x's walk
-// distance: no simple path is shorter than the shortest walk, but one
-// of that length may exist even when the walks of that length repeat a
-// vertex.
-func baselineShortestWith(p *product, a *arena, ds distances, x, y int, stats *BaselineStats) Result {
+// lower bounds on the distance to target y that are exact at the goal:
+// the complete product distances, or the finite tier's language-side
+// finiteBound. The deepening starts at x's distance — no simple path is
+// shorter, but one of that length may exist even when the walks of that
+// length repeat a vertex — and stops after depth maxDepth: n-1, the
+// longest simple path, or the longest word of a finite L.
+func baselineShortestWith(p *product, a *arena, ds distances, x, y, maxDepth int, stats *BaselineStats) Result {
 	dx := ds.distAt(x, p.d.Start)
 	if dx < 0 {
 		return Result{}
 	}
 	b := bsearch{p: *p, a: a, ds: ds, y: y, stats: stats}
-	for limit := int(dx); limit < p.n; limit++ {
+	for limit := int(dx); limit <= maxDepth; limit++ {
 		if res := b.run(x, limit); res.Found {
 			return res
 		}

@@ -223,11 +223,14 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 	d := ev.s.Min
 	switch pv.algo {
 	case AlgoFinite:
-		// No y-side table to share: each word probe is a bounded DFS
-		// from x over the solver's precomputed word list.
+		// No y-side table: the baseline's deepening from x is pruned by
+		// each state's distance to acceptance and capped at L's longest
+		// word, both fixed at compile time.
+		p, fb := ev.product(pv, a, st), ev.s.finite
+		stats := st.searchStats()
 		k0 := ev.clock()
 		for j, x := range grp.xs {
-			w.set(grp.idx[j], finiteWithWords(pv.vw, a, ev.s.words, x, grp.y))
+			w.set(grp.idx[j], baselineShortestWith(&p, a, fb, x, grp.y, fb.depth, stats))
 		}
 		ev.observeKernel(k0, st)
 	case AlgoSubword, AlgoDAG:
@@ -293,7 +296,7 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		k0 := ev.clock()
 		for j, x := range grp.xs[:left] {
 			if w.shortest {
-				w.set(grp.idx[j], baselineShortestWith(&v.p, a, v.ds, x, grp.y, stats))
+				w.set(grp.idx[j], baselineShortestWith(&v.p, a, v.ds, x, grp.y, v.p.n-1, stats))
 			} else {
 				w.set(grp.idx[j], baselineWith(&v.p, a, v.ds, x, grp.y, stats))
 			}

@@ -1,20 +1,19 @@
 package rspq
 
 import (
-	"sort"
-
 	"repro/internal/automaton"
 	"repro/internal/graph"
 )
 
 // Finite answers RSPQ(L) for finite languages — the AC⁰ tier of
-// Theorem 2. Each word w ∈ L is matched by a word-constrained simple
-// path search (the FO-expressible predicate path_w(x,y) of Lemma 17's
-// easiness proof). Words are tried in increasing length, so the result
-// is a shortest simple L-labeled path.
+// Theorem 2, which holds because no path is longer than L's longest
+// word. It is bounded deepening from x, pruned by each state's
+// distance to acceptance: the baseline's iterative deepening (bsearch)
+// against a finiteBound, capped at the longest word. So the result is a
+// shortest simple L-labeled path, the one BaselineShortest returns.
 //
-// Warm solvers precompute the word list once (see Solver); this entry
-// point re-derives it from the DFA for standalone callers.
+// Warm solvers compute the bound once (see Solver); this entry point
+// re-derives it from the DFA for standalone callers.
 func Finite(g *graph.Graph, d *automaton.DFA, x, y int) Result {
 	if !validPair(g.NumVertices(), x, y) {
 		return Result{}
@@ -25,100 +24,62 @@ func Finite(g *graph.Graph, d *automaton.DFA, x, y int) Result {
 	}
 	a := getArena()
 	defer a.release()
-	return finiteWithWords(g.PinView(), a, finiteWords(min), x, y)
+	p := makeProduct(g.PinView(), min, a)
+	fb := newFiniteBound(min)
+	return baselineShortestWith(&p, a, fb, x, y, fb.depth, nil)
 }
 
-// finiteWords lists the words of a finite language recognized by the
-// minimal DFA min, sorted by (length, lexicographic) so that the first
-// witness found is shortest.
-func finiteWords(min *automaton.DFA) []string {
-	// Longest word of a finite language < number of DFA states.
-	words := min.Words(min.NumStates, -1)
-	sort.Slice(words, func(i, j int) bool {
-		if len(words[i]) != len(words[j]) {
-			return len(words[i]) < len(words[j])
-		}
-		return words[i] < words[j]
-	})
-	return words
+// finiteBound is what the AC⁰ tier's deepening is pruned and capped by,
+// and it depends only on the language: dist[q] is the length of a
+// shortest word from state q to acceptance (-1 from a dead state), and
+// depth is the length of L's longest word. As distances it ignores the
+// vertex, so one bound serves every target.
+type finiteBound struct {
+	dist  []int32
+	depth int
 }
 
-// finiteWithWords runs the word-by-word search over a precomputed,
-// (length, lex)-sorted word list against a pinned snapshot view, in a's
-// scratch.
-func finiteWithWords(vw *graph.View, a *arena, words []string, x, y int) Result {
-	for _, w := range words {
-		if p := wordPath(vw, a, w, x, y); p != nil {
-			return Result{Found: true, Path: p}
-		}
-	}
-	return Result{}
-}
+func (f *finiteBound) distAt(_, q int) int32 { return f.dist[q] }
 
-// wsearch is the scratch of one word-constrained simple-path search; a
-// struct (not a closure) so recursion does not allocate.
-type wsearch struct {
-	vw *graph.View
-	a  *arena
-	w  string
-	y  int
-	vs []int
-	ls []byte
-}
-
-func (s *wsearch) dfs(v, i int) bool {
-	if i == len(s.w) {
-		return v == s.y
+// newFiniteBound computes the bound of the finite language recognized
+// by the minimal DFA min. Its live states form a DAG (a live cycle would
+// pump infinitely many words), so one memoized depth-first pass from the
+// start gives each state its shortest and longest distance to
+// acceptance; the recursion is no deeper than the longest word. The
+// empty language leaves the start at -1, which no deepening passes.
+func newFiniteBound(min *automaton.DFA) *finiteBound {
+	live := min.CoReachable()
+	f := &finiteBound{dist: make([]int32, min.NumStates)}
+	long := make([]int32, min.NumStates) // -1 until visited
+	for q := range long {
+		f.dist[q], long[q] = -1, -1
 	}
-	label := s.w[i]
-	for _, to32 := range s.vw.OutWith(v, label) {
-		to := int(to32)
-		if s.a.seen.has(to) {
-			continue
+	var visit func(q int)
+	visit = func(q int) {
+		short, longest := int32(-1), int32(-1)
+		if min.Accept[q] {
+			short, longest = 0, 0
 		}
-		// The endpoint must be reached exactly at the last letter.
-		if to == s.y && i != len(s.w)-1 {
-			continue
+		for i := range min.Alphabet {
+			t := min.StepIndex(q, i)
+			if !live[t] {
+				continue
+			}
+			if long[t] < 0 {
+				visit(t)
+			}
+			if short < 0 || f.dist[t]+1 < short {
+				short = f.dist[t] + 1
+			}
+			longest = max(longest, long[t]+1)
 		}
-		s.a.seen.add(to)
-		s.vs = append(s.vs, to)
-		s.ls = append(s.ls, label)
-		if s.dfs(to, i+1) {
-			return true
-		}
-		s.a.seen.remove(to)
-		s.vs = s.vs[:len(s.vs)-1]
-		s.ls = s.ls[:len(s.ls)-1]
+		f.dist[q], long[q] = short, longest
 	}
-	return false
-}
-
-// wordPath finds a simple path from x to y spelling exactly w, by
-// depth-first search over the |w| positions against the view's
-// label-bucketed adjacency.
-func wordPath(vw *graph.View, a *arena, w string, x, y int) *graph.Path {
-	if x == y {
-		if w == "" {
-			return graph.PathAt(x)
-		}
-		return nil
+	if live[min.Start] {
+		visit(min.Start)
 	}
-	if w == "" {
-		return nil
-	}
-	s := wsearch{vw: vw, a: a, w: w, y: y}
-	a.seen.reset(s.vw.NumVertices())
-	a.seen.add(x)
-	s.vs = append(a.vs[:0], x)
-	s.ls = a.ls[:0]
-	defer func() { a.vs, a.ls = s.vs[:0], s.ls[:0] }()
-	if s.dfs(x, 0) {
-		return &graph.Path{
-			Vertices: append([]int(nil), s.vs...),
-			Labels:   append([]byte(nil), s.ls...),
-		}
-	}
-	return nil
+	f.depth = int(long[min.Start])
+	return f
 }
 
 // DAG answers RSPQ(L) on acyclic graphs, where every walk is simple and

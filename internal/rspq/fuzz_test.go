@@ -54,7 +54,11 @@ func fuzzGraph(n8 uint8, edges []byte) *graph.Graph {
 // and the Engine return the Solver's witness. It is what catches a
 // rerouting between tiers — the walk-first step above all — that the
 // fixed suites miss. The seed corpus (testdata/fuzz/FuzzSolve) holds
-// the catalog's languages on small graphs.
+// the catalog's languages on small graphs, and finite languages whose
+// words share prefixes and differ in length (finite-prefix-*,
+// finite-depth-*), each with a found and a not-found pair, on graphs
+// where the shortest words have only walks that repeat a vertex: the
+// finite tier's deepening must go past them, up to its cap.
 func FuzzSolve(f *testing.F) {
 	f.Add("a*(bb+|())c*", uint8(5), []byte{0x08, 0x51, 0x5a, 0x63, 0x20}, uint8(0), uint8(4))
 	f.Fuzz(func(t *testing.T, pattern string, n8 uint8, edges []byte, x8, y8 uint8) {

@@ -314,7 +314,8 @@ func (pr *goalProbe) reaches(co visited, x int) bool {
 
 // distances is what a shortest walk is read off: the distance to the
 // goal of every (v, q), -1 when unreached. The arena's last sweep with
-// links and a frozen goalTable both are.
+// links and a frozen goalTable both are. The pruned search (bsearch)
+// also takes a finiteBound, a lower bound that reads only q.
 type distances interface {
 	distAt(v, q int) int32
 }

@@ -152,6 +152,73 @@ func TestFiniteSolver(t *testing.T) {
 	if !res.Found || res.Path.Len() != 1 {
 		t.Errorf("finite solver should prefer the shorter word: %v", res.Path)
 	}
+	// The witness is BaselineShortest's: at each depth the deepening tries
+	// labels, then adjacency, so on aa|ab it reaches 0 -a-> 1 -b-> 3
+	// before 0 -a-> 2 -a-> 3, although aa is the lex-first word with a
+	// path.
+	g3 := graph.New(4)
+	g3.AddEdge(0, 'a', 1)
+	g3.AddEdge(0, 'a', 2)
+	g3.AddEdge(1, 'b', 3)
+	g3.AddEdge(2, 'a', 3)
+	d3 := mustMin(t, "aa|ab")
+	res, ref := Finite(g3, d3, 0, 3), BaselineShortest(g3, d3, 0, 3, nil)
+	if !res.Found || res.Path.String() != "0 -a-> 1 -b-> 3" || res.Path.String() != ref.Path.String() {
+		t.Errorf("Finite %v, BaselineShortest %v; want both 0 -a-> 1 -b-> 3", res.Path, ref.Path)
+	}
+	// a|aab: the short word has no edge, the long one a simple path on
+	// g4 and only a walk through its source on g5.
+	g4 := graph.New(4)
+	g4.AddEdge(0, 'a', 1)
+	g4.AddEdge(1, 'a', 3)
+	g4.AddEdge(3, 'b', 2)
+	g5 := graph.New(3)
+	g5.AddEdge(0, 'a', 1)
+	g5.AddEdge(1, 'a', 0)
+	g5.AddEdge(0, 'b', 2)
+	d4 := mustMin(t, "a|aab")
+	if res := Finite(g4, d4, 0, 2); !res.Found || res.Path.Word() != "aab" {
+		t.Errorf("a|aab on g4: %v, want the aab path", res.Path)
+	}
+	if res := Finite(g5, d4, 0, 2); res.Found {
+		t.Errorf("a|aab on g5: %v, but the only aab walk revisits 0", res.Path)
+	}
+}
+
+// TestFiniteBound holds the finite tier's language-side bound against
+// brute force over every word of at most NumStates letters: each
+// state's distance is the length of its shortest word to acceptance (-1
+// from the dead state), and the depth is the length of L's longest word.
+func TestFiniteBound(t *testing.T) {
+	for _, pattern := range []string{"()", "a", "ab|ba|aab", "(a|ab)(b|ba)?", "a|bbbb", "(a|b|c){4}", "a?b?c?"} {
+		d := mustMin(t, pattern)
+		fb := newFiniteBound(d)
+		for q := 0; q < d.NumStates; q++ {
+			want := int32(-1)
+			if w, ok := d.ShortestWordFrom(q); ok {
+				want = int32(len(w))
+			}
+			if got := fb.distAt(0, q); got != want {
+				t.Errorf("%q: state %d at distance %d from acceptance, want %d", pattern, q, got, want)
+			}
+		}
+		longest, level := -1, []string{""}
+		for n := 0; n <= d.NumStates; n++ {
+			var next []string
+			for _, w := range level {
+				if d.Member(w) {
+					longest = n
+				}
+				for _, l := range d.Alphabet {
+					next = append(next, w+string(l))
+				}
+			}
+			level = next
+		}
+		if fb.depth != longest {
+			t.Errorf("%q: depth %d, want the longest word's %d", pattern, fb.depth, longest)
+		}
+	}
 }
 
 func TestDAGSolver(t *testing.T) {

@@ -61,8 +61,10 @@ func (a Algorithm) String() string {
 //
 // A Solver is built once and queried many times; everything that
 // depends only on the language — the minimal DFA, its packed
-// predecessor table, the sorted word list of a finite language,
-// the Ψtr evaluation plans — is precomputed or memoized, so
+// predecessor table, the Ψtr evaluation plans, and for a finite
+// language the bound of its AC⁰-tier search (bounded deepening from x,
+// pruned by each state's distance to acceptance) — is precomputed or
+// memoized, so
 // steady-state queries run against frozen indexes and pooled scratch
 // without per-call allocation (beyond the witness path itself).
 type Solver struct {
@@ -72,10 +74,10 @@ type Solver struct {
 	Expr           *psitr.Expr // nil when the regex has no recognized Ψtr form
 	SubwordClosed  bool
 
-	// words is the (length, lex)-sorted word list of a finite language,
-	// precomputed so the AC⁰-tier search skips re-minimization and
-	// re-enumeration per query; nil for infinite languages.
-	words []string
+	// finite bounds the AC⁰ tier's deepening for a finite language:
+	// each state's distance to acceptance and the longest word, fixed at
+	// compile time; nil for infinite languages.
+	finite *finiteBound
 
 	// id is a process-unique language identifier, part of every
 	// cross-query cache key (graph epoch, language id, target) so
@@ -128,7 +130,7 @@ func NewSolverFromRegex(r *automaton.Regex) (*Solver, error) {
 	// concurrent ones — never race on lazy construction.
 	s.Min.Packed()
 	if s.Classification.Finite {
-		s.words = finiteWords(s.Min)
+		s.finite = newFiniteBound(s.Min)
 	}
 	return s, nil
 }

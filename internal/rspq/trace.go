@@ -82,9 +82,10 @@ type QueryTrace struct {
 	// what a miss cost, set whether or not a goal table was built; 0 when
 	// no sweep ran (a cache hit, or a tier that answers without one).
 	StatesReached int `json:"states_reached,omitempty"`
-	// SearchNodes counts the nodes the query's fallback search expanded
-	// after its shortest walk left the answer open: the baseline's DFS
-	// calls and the summary walker's steps. 0 (omitted) when the walk
+	// SearchNodes counts the nodes the query's search expanded: the
+	// finite tier's bounded deepening from x, and the fallback searches
+	// run after the shortest walk left the answer open — the baseline's
+	// DFS calls and the summary walker's steps. 0 (omitted) when the walk
 	// answered, and on the tiers that never search.
 	SearchNodes int           `json:"search_nodes,omitempty"`
 	Stages      []StageTiming `json:"stages"`

@@ -16,7 +16,8 @@ import (
 // baseline tiers, which read the shortest walk first — the cold miss's
 // sweep stops at the level that answers the source, and ShortestWalk
 // finds a walk exactly when the forward reference search ExistsWalk
-// says one exists.
+// says one exists. A found finite pair at depth ≥ 1 is traced as the
+// finite tier with the deepening's search nodes.
 func TestWitnessAgreement(t *testing.T) {
 	abc, ab := []byte{'a', 'b', 'c'}, []byte{'a', 'b'}
 	cases := []struct {
@@ -87,6 +88,9 @@ func TestWitnessAgreement(t *testing.T) {
 					t.Fatalf("cold engine (%d,%d): trace %+v is not a miss stopped at %d", x, y, tr, stop)
 				}
 				sameWitness(t, "Engine miss", x, y, res, want)
+				if c.tier == AlgoFinite && want.Found && x != y && (tr.Tier != "finite" || tr.SearchNodes == 0) {
+					t.Fatalf("cold engine (%d,%d): trace %+v; a found finite pair is searched by the finite tier's deepening", x, y, tr)
+				}
 				if y == isolated {
 					continue
 				}

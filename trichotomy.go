@@ -58,8 +58,10 @@
 //     before querying one graph from many goroutines, optional
 //     otherwise.
 //   - Compile precomputes what every query reads language-side: the
-//     minimal DFA and its tier, its packed predecessor table and the
-//     sorted word list of finite languages. The Ψtr evaluation plans
+//     minimal DFA and its tier, its packed predecessor table and, for a
+//     finite language, the bound of the AC⁰ tier's search — bounded
+//     deepening from x, pruned by each state's distance to acceptance
+//     and capped at the longest word. The Ψtr evaluation plans
 //     are built on the first summary-tier query and kept; the
 //     Property-(1) hardness witness, which no query reads, is searched
 //     only when HardnessWitness or Describe first asks for it.
