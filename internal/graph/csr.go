@@ -80,6 +80,9 @@ func (g *Graph) Freeze() *CSR {
 	return g.csr
 }
 
+// buildCSR builds the snapshot of g from scratch: two scatter passes
+// over its edges (allEdges — the lists, or the base and the delta once
+// the lists are dropped) and a sort of every bucket.
 func buildCSR(g *Graph) *CSR {
 	n := g.NumVertices()
 	c := &CSR{n: n, m: g.edges, labels: g.Alphabet()}
@@ -92,12 +95,10 @@ func buildCSR(g *Graph) *CSR {
 	L := len(c.labels)
 	c.outBucket = make([]int32, n*L+1)
 	c.inBucket = make([]int32, n*L+1)
-	for v := range g.out {
-		for _, e := range g.out[v] {
-			lid := int(c.labelID[e.Label])
-			c.outBucket[v*L+lid+1]++
-			c.inBucket[e.To*L+lid+1]++
-		}
+	for e := range g.allEdges() {
+		lid := int(c.labelID[e.Label])
+		c.outBucket[e.From*L+lid+1]++
+		c.inBucket[e.To*L+lid+1]++
 	}
 	for i := 1; i < len(c.outBucket); i++ {
 		c.outBucket[i] += c.outBucket[i-1]
@@ -107,16 +108,14 @@ func buildCSR(g *Graph) *CSR {
 	c.inFrom = make([]int32, g.edges)
 	outNext := append([]int32(nil), c.outBucket[:len(c.outBucket)-1]...)
 	inNext := append([]int32(nil), c.inBucket[:len(c.inBucket)-1]...)
-	for v := range g.out {
-		for _, e := range g.out[v] {
-			lid := int(c.labelID[e.Label])
-			oi := v*L + lid
-			c.outTo[outNext[oi]] = int32(e.To)
-			outNext[oi]++
-			ii := e.To*L + lid
-			c.inFrom[inNext[ii]] = int32(e.From)
-			inNext[ii]++
-		}
+	for e := range g.allEdges() {
+		lid := int(c.labelID[e.Label])
+		oi := e.From*L + lid
+		c.outTo[outNext[oi]] = int32(e.To)
+		outNext[oi]++
+		ii := e.To*L + lid
+		c.inFrom[inNext[ii]] = int32(e.From)
+		inNext[ii]++
 	}
 	// Sort bucket contents for determinism and binary-search membership.
 	for i := 0; i < n*L; i++ {

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"cmp"
+	"fmt"
+	"iter"
 	"math"
 	"slices"
 )
@@ -103,12 +105,20 @@ func (g *Graph) lookup(from int, label byte, to int) (k edgeKey, listed, present
 	return k, false, g.csrBase.HasEdge(from, label, to)
 }
 
-// toggleDelta records an effective mutation of the edge keyed k on a
-// frozen graph — an add when added, a removal otherwise. It flips
-// whether the edge differs from the base: a listed edge is back to the
-// base's state and leaves the delta; an unlisted one enters it, as an
-// add the base lacks or as a tombstone of a base edge.
+// toggleDelta is an effective write to a frozen graph of the edge keyed
+// k — an add when added, a removal otherwise. It drops the adjacency
+// lists (rebuilt only when read, see OutEdges), keeps the counts
+// (tally) and flips whether the edge differs from the base: a listed
+// edge is back to the base's state and leaves the delta; an unlisted
+// one enters it, as an add the base lacks or as a tombstone of a base
+// edge.
 func (g *Graph) toggleDelta(k edgeKey, listed, added bool) {
+	e := k.edge()
+	if added && (uint(e.From) >= uint(g.n) || uint(e.To) >= uint(g.n)) {
+		panic(fmt.Sprintf("graph: edge %v has an endpoint outside [0, %d)", e, g.n))
+	}
+	g.out, g.in = nil, nil
+	g.tally(e, added)
 	switch {
 	case listed && added: // a tombstoned base edge is back
 		delete(g.delta, k)
@@ -126,12 +136,51 @@ func (g *Graph) toggleDelta(k edgeKey, listed, added bool) {
 			// Sticky until the next freeze resets the delta: pinning an
 			// overlay view checks this flag instead of rescanning the
 			// delta for out-of-alphabet labels.
-			g.deltaNewLabel = g.deltaNewLabel || g.csrBase.labelID[byte(k.toLabel)] < 0
+			g.deltaNewLabel = g.deltaNewLabel || g.csrBase.labelID[e.Label] < 0
 		} else {
 			g.deltaDels++
 		}
 	}
-	g.logDelta(k.edge())
+	g.logDelta(e)
+}
+
+// allEdges yields every edge of the graph without rebuilding the lists:
+// the lists while they are kept, else the base's edges the delta does
+// not tombstone and then the pending adds. The order is fixed only on
+// the first path; buildCSR, its one reader, sorts every bucket.
+func (g *Graph) allEdges() iter.Seq[Edge] {
+	return func(yield func(Edge) bool) {
+		if g.listsKept() {
+			for _, row := range g.out {
+				for _, e := range row {
+					if !yield(e) {
+						return
+					}
+				}
+			}
+			return
+		}
+		base := g.csrBase
+		for v := range base.n {
+			for lid, label := range base.labels {
+				for _, to := range base.OutWithID(v, lid) {
+					if g.deltaDels > 0 {
+						if _, listed := g.delta[edgeKey{uint64(v), uint64(to)<<8 | uint64(label)}]; listed {
+							continue
+						}
+					}
+					if !yield(Edge{From: v, Label: label, To: int(to)}) {
+						return
+					}
+				}
+			}
+		}
+		for k, added := range g.delta {
+			if added && !yield(k.edge()) {
+				return
+			}
+		}
+	}
 }
 
 // netDelta returns the edges the delta lists, in map order.

@@ -18,23 +18,16 @@ func csrEqual(a, b *CSR) bool {
 		slices.Equal(a.inFrom, b.inFrom)
 }
 
-// rebuildClone reconstructs g from its edge list into a fresh graph, so
-// freezing the clone always takes the from-scratch path.
-func rebuildClone(g *Graph) *Graph {
-	c := New(g.NumVertices())
-	for _, e := range g.Edges() {
-		c.AddEdge(e.From, e.Label, e.To)
-	}
-	return c
-}
-
 // checkAgainstRebuild freezes g (incrementally when possible) and
 // asserts the snapshot — and the acyclicity verdict — match a graph
-// rebuilt from scratch from the same edge set.
-func checkAgainstRebuild(t *testing.T, g *Graph, step int) {
+// built from scratch from the test's own edge list.
+func checkAgainstRebuild(t *testing.T, g *tracked, step int) {
 	t.Helper()
 	got := g.Freeze()
-	ref := rebuildClone(g)
+	ref := New(len(g.o.out))
+	for _, e := range g.o.edges() {
+		ref.AddEdge(e.From, e.Label, e.To)
+	}
 	want := ref.Freeze()
 	if !csrEqual(got, want) {
 		t.Fatalf("step %d: incremental CSR diverges from rebuild\nincremental: n=%d m=%d labels=%q\nrebuild:     n=%d m=%d labels=%q",
@@ -57,17 +50,15 @@ func TestDeltaFreezeEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		extensions := 0
 		rng := rand.New(rand.NewSource(seed))
-		g := New(4 + rng.Intn(12))
-		var live []Edge // multiset view of current edges, for removals
+		g := track(New(4 + rng.Intn(12)))
 		for i := 0; i < 40+rng.Intn(40); i++ {
 			g.AddEdge(rng.Intn(g.NumVertices()), labels[rng.Intn(len(labels))], rng.Intn(g.NumVertices()))
 		}
-		live = g.Edges()
 		g.Freeze() // establish the merge base
 
 		for step := 0; step < 120; step++ {
 			if step%2 == 0 {
-				if willExtend(g) {
+				if willExtend(g.Graph) {
 					extensions++
 				}
 				g.PinView()
@@ -75,18 +66,13 @@ func TestDeltaFreezeEquivalence(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 5: // add (sometimes a duplicate or a self-loop)
 				e := Edge{From: rng.Intn(g.NumVertices()), Label: labels[rng.Intn(len(labels))], To: rng.Intn(g.NumVertices())}
-				if !g.HasEdge(e.From, e.Label, e.To) {
-					live = append(live, e)
-				}
 				g.AddEdge(e.From, e.Label, e.To)
 			case op < 8: // remove a live edge (or a missing one)
-				if len(live) > 0 && rng.Intn(8) > 0 {
-					i := rng.Intn(len(live))
-					e := live[i]
+				if live := g.o.edges(); len(live) > 0 && rng.Intn(8) > 0 {
+					e := live[rng.Intn(len(live))]
 					if !g.RemoveEdge(e.From, e.Label, e.To) {
 						t.Fatalf("seed %d step %d: live edge %v not removable", seed, step, e)
 					}
-					live = append(live[:i], live[i+1:]...)
 				} else if g.RemoveEdge(rng.Intn(g.NumVertices()), 'z', rng.Intn(g.NumVertices())) {
 					t.Fatalf("seed %d step %d: removed a nonexistent edge", seed, step)
 				}
@@ -111,7 +97,7 @@ func TestDeltaFreezeEquivalence(t *testing.T) {
 // the base never saw (or draining one it did) changes the bucket
 // stride, so Freeze must rebuild — and still match the reference.
 func TestDeltaFreezeAlphabetChange(t *testing.T) {
-	g := New(6)
+	g := track(New(6))
 	g.AddEdge(0, 'a', 1)
 	g.AddEdge(1, 'a', 2)
 	g.AddEdge(2, 'b', 3)
@@ -136,7 +122,7 @@ func TestDeltaFreezeAlphabetChange(t *testing.T) {
 // tombstoned edge and removing a not-yet-frozen edge both cancel out,
 // leaving an empty delta and a snapshot identical to the base.
 func TestDeltaFreezeCancellation(t *testing.T) {
-	g := New(4)
+	g := track(New(4))
 	g.AddEdge(0, 'a', 1)
 	g.AddEdge(1, 'a', 2)
 	base := g.Freeze()
@@ -161,7 +147,7 @@ func TestDeltaFreezeCancellation(t *testing.T) {
 // TestDeltaFreezeLargeDeltaFallsBack pins the size guard: once the
 // delta outgrows deltaMergeLimit of the base, Freeze rebuilds.
 func TestDeltaFreezeLargeDeltaFallsBack(t *testing.T) {
-	g := New(64)
+	g := track(New(64))
 	for v := 0; v < 32; v++ {
 		g.AddEdge(v, 'a', v+1)
 	}

@@ -23,7 +23,7 @@ import (
 func cloneForScratch(g *Graph) *Graph {
 	c := &Graph{
 		out: make([][]Edge, len(g.out)), in: make([][]Edge, len(g.in)),
-		edges: g.edges, names: slices.Clone(g.names), labelCount: g.labelCount,
+		n: g.n, edges: g.edges, names: slices.Clone(g.names), labelCount: g.labelCount,
 		csr: g.csr, csrBase: g.csrBase, acyclic: g.acyclic,
 		delta: maps.Clone(g.delta), deltaAdds: g.deltaAdds, deltaDels: g.deltaDels,
 		deltaNewLabel: g.deltaNewLabel,
@@ -120,14 +120,14 @@ func TestViewExtensionSoak(t *testing.T) {
 	labels := []byte{'a', 'b', 'c'}
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := Random(40+int(seed)*30, labels, 0.05, seed) // spans one to three row blocks
+		g := track(Random(40+int(seed)*30, labels, 0.05, seed)) // spans one to three row blocks
 		g.Freeze()
 		randEdge := func() Edge {
 			return Edge{From: rng.Intn(g.NumVertices()), Label: labels[rng.Intn(3)], To: rng.Intn(g.NumVertices())}
 		}
 		liveEdge := func() (Edge, bool) {
 			for tries := 0; tries < 20; tries++ {
-				if es := g.OutEdges(rng.Intn(g.NumVertices())); len(es) > 0 {
+				if es := g.o.out[rng.Intn(g.NumVertices())]; len(es) > 0 {
 					return es[rng.Intn(len(es))], true
 				}
 			}
@@ -180,13 +180,13 @@ func TestViewExtensionSoak(t *testing.T) {
 					freezes++
 				}
 			}
-			ext, prev := willExtend(g), g.view
+			ext, prev := willExtend(g.Graph), g.view
 			vw := g.PinView()
 			if g.PinView() != vw {
 				t.Fatalf("seed %d step %d: second pin of one epoch built a new view", seed, step)
 			}
-			checkViewsEqual(t, vw, cloneForScratch(g).PinView())
-			checkViewAgainstCSR(t, vw, rebuildOracle(g))
+			checkViewsEqual(t, vw, cloneForScratch(g.Graph).PinView())
+			checkViewAgainstCSR(t, vw, g.oracle())
 			for i := 0; i < 50; i++ {
 				if e := randEdge(); vw.HasEdge(e.From, e.Label, e.To) != g.HasEdge(e.From, e.Label, e.To) {
 					t.Fatalf("seed %d step %d: HasEdge(%v) disagrees with the graph", seed, step, e)
@@ -218,7 +218,7 @@ func TestViewExtensionSoak(t *testing.T) {
 // reading its own epoch's adjacency.
 func TestViewExtensionImmutable(t *testing.T) {
 	labels := []byte{'a', 'b'}
-	g := Random(150, labels, 0.03, 41)
+	g := track(Random(150, labels, 0.03, 41))
 	g.Freeze()
 	rng := rand.New(rand.NewSource(43))
 	batch := func() {
@@ -234,7 +234,7 @@ func TestViewExtensionImmutable(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		batch()
 		held = append(held, g.PinView())
-		oracles = append(oracles, rebuildOracle(g))
+		oracles = append(oracles, g.oracle())
 		if !held[i].Overlay() || (i > 0 && held[i].Epoch() <= held[i-1].Epoch()) {
 			t.Fatalf("view %d: want overlays of successive epochs", i)
 		}
@@ -290,7 +290,7 @@ func TestViewExtensionImmutable(t *testing.T) {
 // clean again), and a delta that cancels entirely pins the base
 // pass-through, which the next Freeze reinstates without building.
 func TestViewExtensionCancel(t *testing.T) {
-	g := New(200)
+	g := track(New(200))
 	for v := 0; v < 199; v++ {
 		g.AddEdge(v, 'a', v+1)
 	}
@@ -311,7 +311,7 @@ func TestViewExtensionCancel(t *testing.T) {
 	if !vw.out.dirtyRow(150) || vw.HasEdge(150, 'a', 151) {
 		t.Fatal("the other pending removal must stay overlaid")
 	}
-	checkViewAgainstCSR(t, vw, rebuildOracle(g))
+	checkViewAgainstCSR(t, vw, g.oracle())
 
 	g.AddEdge(150, 'a', 151)
 	if vw = g.PinView(); vw.Overlay() || vw.Base() != c {
@@ -332,13 +332,13 @@ func TestViewExtensionCancel(t *testing.T) {
 // the view it extends; the next pin then builds from the net delta and still
 // reads right.
 func TestViewLogForgotten(t *testing.T) {
-	g := Random(60, []byte{'a', 'b'}, 0.05, 71)
+	g := track(Random(60, []byte{'a', 'b'}, 0.05, 71))
 	g.Freeze()
 	g.AddEdge(1, 'a', 2)
 	g.PinView()
 	toggles := 0
 	for ; g.view != nil && toggles < 1000; toggles++ {
-		FlipEdges(g, []Edge{{From: 3, Label: 'b', To: 4}})
+		g.flip([]Edge{{From: 3, Label: 'b', To: 4}})
 	}
 	// The delta never exceeds two edges, so the bound sits at 64 to 66.
 	if toggles <= deltaMergeFloor || toggles > deltaMergeFloor+5 || g.viewLog != nil {
@@ -346,8 +346,8 @@ func TestViewLogForgotten(t *testing.T) {
 			toggles, len(g.viewLog), deltaMergeFloor)
 	}
 	vw := g.PinView()
-	checkViewsEqual(t, vw, cloneForScratch(g).PinView())
-	checkViewAgainstCSR(t, vw, rebuildOracle(g))
+	checkViewsEqual(t, vw, cloneForScratch(g.Graph).PinView())
+	checkViewAgainstCSR(t, vw, g.oracle())
 }
 
 // TestViewExtensionWorkGuard is the cost bar: on a 100k-vertex /

@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -37,9 +38,19 @@ type Edge struct {
 // instead of rebuilding from scratch — see delta.go. Each
 // mutation still advances the Epoch, so epoch-keyed caches built on top
 // (rspq.Engine) invalidate exactly as before.
+//
+// The per-vertex adjacency lists (OutEdges / InEdges) are the storage
+// until the first Freeze, in insertion order minus removals, and they
+// survive a Freeze and a PinView. From then on they are a cache: the
+// first effective write to the frozen graph drops them, so a write costs
+// the delta entry of its edge and never a row scan, and the next
+// OutEdges / InEdges / Edges rebuilds them once from the base and the
+// delta, each row in (label, neighbour) order. No query, write, PinView
+// or Freeze reads them after the drop.
 type Graph struct {
-	out   [][]Edge
+	out   [][]Edge // nil once a write to the frozen graph dropped them
 	in    [][]Edge
+	n     int
 	edges int
 	names []string // optional display names, "" when unset
 
@@ -135,12 +146,13 @@ func New(n int) *Graph {
 	return &Graph{
 		out:   make([][]Edge, n),
 		in:    make([][]Edge, n),
+		n:     n,
 		names: make([]string, n),
 	}
 }
 
 // NumVertices returns the number of vertices.
-func (g *Graph) NumVertices() int { return len(g.out) }
+func (g *Graph) NumVertices() int { return g.n }
 
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return g.edges }
@@ -148,13 +160,19 @@ func (g *Graph) NumEdges() int { return g.edges }
 // AddVertex appends an isolated vertex and returns its id. An isolated
 // vertex can neither create nor break a cycle, so the cached acyclicity
 // verdict survives; the CSR delta overlay records only the row-count
-// growth.
+// growth. On a frozen graph it drops the adjacency lists, as a write
+// does.
 func (g *Graph) AddVertex() int {
 	g.invalidate()
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
+	if g.csrBase == nil {
+		g.out = append(g.out, nil)
+		g.in = append(g.in, nil)
+	} else {
+		g.out, g.in = nil, nil
+	}
 	g.names = append(g.names, "")
-	return len(g.out) - 1
+	g.n++
+	return g.n - 1
 }
 
 // AddNamedVertex appends a vertex carrying a display name.
@@ -177,14 +195,15 @@ func (g *Graph) Name(v int) string {
 // different labels are allowed; inserting the exact same edge twice is a
 // no-op, matching the set semantics E ⊆ V×Σ×V of the paper.
 //
-// Before the first Freeze presence is a scan of from's out-edges. On a
-// frozen graph it is a binary search in the base CSR plus one lookup in
-// the net delta (delta.go), where the insertion is recorded, so the next
-// Freeze merges it into the existing CSR instead of rebuilding. The
-// cached acyclicity verdict is kept when it cannot change: an edge added
-// to a cyclic graph leaves it cyclic, and a self-loop makes any graph
-// cyclic; only an acyclic graph gaining a non-loop edge needs
-// revalidation (deferred to the next IsAcyclic).
+// Before the first Freeze presence is a scan of from's out-edges and the
+// edge is appended to both lists. On a frozen graph presence is a binary
+// search in the base CSR plus one lookup in the net delta (delta.go),
+// where the insertion is recorded, so the next Freeze merges it into the
+// existing CSR instead of rebuilding; the adjacency lists are dropped,
+// not edited. The cached acyclicity verdict is kept when it cannot
+// change: an edge added to a cyclic graph leaves it cyclic, and a
+// self-loop makes any graph cyclic; only an acyclic graph gaining a
+// non-loop edge needs revalidation (deferred to the next IsAcyclic).
 func (g *Graph) AddEdge(from int, label byte, to int) {
 	if g.csrBase == nil {
 		if !g.HasEdge(from, label, to) {
@@ -193,7 +212,6 @@ func (g *Graph) AddEdge(from int, label byte, to int) {
 		return
 	}
 	if k, listed, present := g.lookup(from, label, to); !present {
-		g.link(from, label, to)
 		g.toggleDelta(k, listed, true)
 	}
 }
@@ -203,15 +221,16 @@ func (g *Graph) AddEdge(from int, label byte, to int) {
 // out-of-range endpoints) is a no-op returning false, and does not
 // advance the epoch.
 //
-// Presence is decided as in AddEdge; only a present edge scans the
-// adjacency lists, to delete it. On a frozen graph the removal is
-// recorded in the net delta — a tombstone for a base edge, the end of a
-// pending add otherwise. The cached acyclicity verdict is kept when it
-// cannot change: removing an edge from an acyclic graph leaves it
-// acyclic; only a cyclic graph losing an edge needs revalidation
-// (deferred to the next IsAcyclic).
+// Presence is decided as in AddEdge. Before the first Freeze a present
+// edge is deleted from both lists, keeping the order of the rest; on a
+// frozen graph the removal is recorded in the net delta — a tombstone for
+// a base edge, the end of a pending add otherwise — and no row is
+// scanned. The cached acyclicity verdict is kept when it cannot change:
+// removing an edge from an acyclic graph leaves it acyclic; only a
+// cyclic graph losing an edge needs revalidation (deferred to the next
+// IsAcyclic).
 func (g *Graph) RemoveEdge(from int, label byte, to int) bool {
-	if from < 0 || from >= len(g.out) || to < 0 || to >= len(g.out) {
+	if from < 0 || from >= g.n || to < 0 || to >= g.n {
 		return false
 	}
 	if g.csrBase == nil {
@@ -219,7 +238,6 @@ func (g *Graph) RemoveEdge(from int, label byte, to int) bool {
 	}
 	k, listed, present := g.lookup(from, label, to)
 	if present {
-		g.unlink(from, label, to)
 		g.toggleDelta(k, listed, false)
 	}
 	return present
@@ -235,32 +253,21 @@ func (g *Graph) flip(from int, label byte, to int) {
 		return
 	}
 	k, listed, present := g.lookup(from, label, to)
-	if present {
-		g.unlink(from, label, to)
-	} else {
-		g.link(from, label, to)
-	}
 	g.toggleDelta(k, listed, !present)
 }
 
-// link appends an absent edge to both adjacency lists.
+// link appends an absent edge to both adjacency lists of a graph that
+// was never frozen.
 func (g *Graph) link(from int, label byte, to int) {
-	g.invalidate()
 	e := Edge{From: from, Label: label, To: to}
 	g.out[from] = append(g.out[from], e)
 	g.in[to] = append(g.in[to], e)
-	g.edges++
-	g.labelCount[label]++
-	switch {
-	case from == to:
-		g.acyclic = 2
-	case g.acyclic == 1:
-		g.acyclic = 0
-	}
+	g.tally(e, true)
 }
 
-// unlink deletes the edge from both adjacency lists, shifting the rest
-// so their order is kept, and reports whether it was there.
+// unlink deletes the edge from both adjacency lists of a graph that was
+// never frozen, shifting the rest so their order is kept, and reports
+// whether it was there.
 func (g *Graph) unlink(from int, label byte, to int) bool {
 	oi := -1
 	for i, e := range g.out[from] {
@@ -272,20 +279,39 @@ func (g *Graph) unlink(from int, label byte, to int) bool {
 	if oi < 0 {
 		return false
 	}
-	g.invalidate()
+	e := g.out[from][oi]
 	g.out[from] = append(g.out[from][:oi], g.out[from][oi+1:]...)
-	for i, e := range g.in[to] {
-		if e.Label == label && e.From == from {
+	for i, x := range g.in[to] {
+		if x == e {
 			g.in[to] = append(g.in[to][:i], g.in[to][i+1:]...)
 			break
 		}
 	}
-	g.edges--
-	g.labelCount[label]--
-	if g.acyclic == 2 {
+	g.tally(e, false)
+	return true
+}
+
+// tally is the bookkeeping of an effective write of e, an add when
+// added: it drops the caches the write falsifies, keeps the edge and
+// label counts, and applies the acyclicity rule of AddEdge / RemoveEdge.
+func (g *Graph) tally(e Edge, added bool) {
+	g.invalidate()
+	if !added {
+		g.edges--
+		g.labelCount[e.Label]--
+		if g.acyclic == 2 {
+			g.acyclic = 0
+		}
+		return
+	}
+	g.edges++
+	g.labelCount[e.Label]++
+	switch {
+	case e.From == e.To:
+		g.acyclic = 2
+	case g.acyclic == 1:
 		g.acyclic = 0
 	}
-	return true
 }
 
 // AddWordEdge inserts a path of fresh intermediate vertices spelling the
@@ -311,13 +337,131 @@ func (g *Graph) AddWordEdge(from int, w string, to int) ([]int, error) {
 	return mids, nil
 }
 
-// OutEdges returns the edges leaving v. The returned slice must not be
-// modified.
-func (g *Graph) OutEdges(v int) []Edge { return g.out[v] }
+// OutEdges returns the edges leaving v: in insertion order (minus
+// removals) on a graph that was never written to after a Freeze, in
+// (label, target) order once one was. The returned slice must not be
+// modified. After a write to a frozen graph the first OutEdges, InEdges
+// or Edges rebuilds the lists, so it must be externally synchronized
+// with other readers, like the first PinView after a mutation.
+func (g *Graph) OutEdges(v int) []Edge { return g.lists()[v] }
 
-// InEdges returns the edges entering v. The returned slice must not be
+// InEdges returns the edges entering v, in the order OutEdges documents
+// (by (label, source) once rebuilt). The returned slice must not be
 // modified.
-func (g *Graph) InEdges(v int) []Edge { return g.in[v] }
+func (g *Graph) InEdges(v int) []Edge {
+	g.lists()
+	return g.in[v]
+}
+
+// listsKept reports whether the adjacency lists hold a row per vertex:
+// always before the first Freeze, and after it until a write drops them.
+func (g *Graph) listsKept() bool { return len(g.out) == g.n }
+
+// lists returns the out-lists, first rebuilding both sides when a write
+// to the frozen graph dropped them: from the current edge set (current),
+// each row in (label, neighbour) order.
+func (g *Graph) lists() [][]Edge {
+	if !g.listsKept() {
+		g.out, g.in = listsOf(g.current(), g.edges)
+	}
+	return g.out
+}
+
+// listsOf carves the adjacency lists of the m-edge graph a out of two
+// contiguous arenas, O(1) allocations instead of one per row. The
+// three-index slices pin each row's capacity to its arena region, so an
+// append to one row cannot grow into its neighbour.
+func listsOf(a adjacency, m int) (out, in [][]Edge) {
+	n, L := a.NumVertices(), a.NumLabels()
+	out, in = make([][]Edge, n), make([][]Edge, n)
+	outArena := make([]Edge, 0, m)
+	inArena := make([]Edge, 0, m)
+	for v := 0; v < n; v++ {
+		outStart, inStart := len(outArena), len(inArena)
+		for lid := 0; lid < L; lid++ {
+			label := a.Label(lid)
+			for _, to := range a.OutWithID(v, lid) {
+				outArena = append(outArena, Edge{From: v, Label: label, To: int(to)})
+			}
+			for _, from := range a.InWithID(v, lid) {
+				inArena = append(inArena, Edge{From: int(from), Label: label, To: v})
+			}
+		}
+		if end := len(outArena); end > outStart {
+			out[v] = outArena[outStart:end:end]
+		}
+		if end := len(inArena); end > inStart {
+			in[v] = inArena[inStart:end:end]
+		}
+	}
+	return out, in
+}
+
+// adjacency is what a CSR and a View share: the label-bucketed rows the
+// list rebuild and the whole-graph passes read once the lists are
+// dropped.
+type adjacency interface {
+	NumVertices() int
+	NumLabels() int
+	Label(lid int) byte
+	OutWithID(v, lid int) []int32
+	InWithID(v, lid int) []int32
+}
+
+// current returns the graph's edge set in CSR form without reading the
+// lists, for a graph whose lists a frozen-graph write dropped: the frozen
+// snapshot, else the view pinned at this epoch, else — built for the
+// caller and not kept — the base merged with the net delta, or a full
+// build when the delta may carry a label the base lacks.
+func (g *Graph) current() adjacency {
+	switch {
+	case g.csr != nil:
+		return g.csr
+	case g.view != nil && g.view.epoch == g.Epoch():
+		return g.view
+	case !g.deltaNewLabel:
+		return g.mergeCSR()
+	default:
+		return buildCSR(g)
+	}
+}
+
+// rows reads the out-rows of the current edge set for a whole-graph
+// pass: the lists while they are kept, current once they are dropped —
+// so no pass rebuilds them.
+type rows struct {
+	lists [][]Edge
+	a     adjacency
+}
+
+func (g *Graph) rows() rows {
+	if g.listsKept() {
+		return rows{lists: g.out}
+	}
+	return rows{a: g.current()}
+}
+
+// out yields v's out-edges.
+func (r rows) out(v int) iter.Seq[Edge] {
+	return func(yield func(Edge) bool) {
+		if r.a == nil {
+			for _, e := range r.lists[v] {
+				if !yield(e) {
+					return
+				}
+			}
+			return
+		}
+		for lid := range r.a.NumLabels() {
+			label := r.a.Label(lid)
+			for _, to := range r.a.OutWithID(v, lid) {
+				if !yield(Edge{From: v, Label: label, To: int(to)}) {
+					return
+				}
+			}
+		}
+	}
+}
 
 // HasEdge reports whether the exact edge exists: a scan of from's
 // out-edges before the first Freeze, the base CSR and the net delta
@@ -355,11 +499,12 @@ func (g *Graph) Alphabet() automaton.Alphabet {
 	return g.alpha
 }
 
-// Edges returns all edges in deterministic order.
+// Edges returns all edges in deterministic order. Like OutEdges, it
+// rebuilds the lists after a write to a frozen graph.
 func (g *Graph) Edges() []Edge {
 	var out []Edge
-	for v := range g.out {
-		out = append(out, g.out[v]...)
+	for _, row := range g.lists() {
+		out = append(out, row...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].From != out[j].From {
@@ -394,64 +539,33 @@ func (g *Graph) IsAcyclic() bool {
 	return acyclic
 }
 
-func (g *Graph) isAcyclicUncached() bool {
-	n := g.NumVertices()
-	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		for _, e := range g.out[v] {
-			indeg[e.To]++
-		}
-	}
-	var queue []int
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		seen++
-		for _, e := range g.out[v] {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return seen == n
-}
+func (g *Graph) isAcyclicUncached() bool { return g.TopoOrder() != nil }
 
 // TopoOrder returns a topological order of a DAG, or nil if the graph has
-// a cycle.
+// a cycle. It is Kahn's algorithm over the out-rows (rows), with the
+// order itself as the queue.
 func (g *Graph) TopoOrder() []int {
-	n := g.NumVertices()
-	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		for _, e := range g.out[v] {
+	r := g.rows()
+	indeg := make([]int, g.n)
+	for v := range g.n {
+		for e := range r.out(v) {
 			indeg[e.To]++
 		}
 	}
-	var queue []int
-	for v := 0; v < n; v++ {
+	order := make([]int, 0, g.n)
+	for v := range g.n {
 		if indeg[v] == 0 {
-			queue = append(queue, v)
+			order = append(order, v)
 		}
 	}
-	var order []int
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, e := range g.out[v] {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
+	for i := 0; i < len(order); i++ {
+		for e := range r.out(order[i]) {
+			if indeg[e.To]--; indeg[e.To] == 0 {
+				order = append(order, e.To)
 			}
 		}
 	}
-	if len(order) != n {
+	if len(order) != g.n {
 		return nil
 	}
 	return order

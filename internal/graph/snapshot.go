@@ -126,42 +126,15 @@ func CSRFromParts(p CSRParts) (*CSR, error) {
 // FromCSR reconstructs a mutable Graph from a decoded CSR snapshot,
 // restoring the mutation epoch the snapshot was taken at. The CSR is
 // installed as the graph's frozen base, so the first query after a warm
-// boot pays no Freeze; the adjacency lists mutations operate on are
-// rebuilt from the CSR's buckets in one O(V·L + E) pass — no dup
-// checks, no re-sort. The CSR is adopted as-is and must not be shared
-// with another graph; its arrays may alias a read-only file mapping
-// (the incremental freeze always allocates fresh arrays, so the mapping
-// is never written).
+// boot pays no Freeze, and the graph is built without adjacency lists:
+// writes go to the net delta, and OutEdges / InEdges / Edges carve the
+// lists from the CSR's buckets on first use. The CSR is adopted as-is
+// and must not be shared with another graph; its arrays may alias a
+// read-only file mapping (the incremental freeze always allocates fresh
+// arrays, so the mapping is never written).
 func FromCSR(c *CSR, epoch uint64) *Graph {
-	n := c.n
-	g := New(n)
-	L := len(c.labels)
-	// All adjacency rows are carved out of two contiguous arenas rather
-	// than allocated per vertex: adoption of a large snapshot is
-	// allocation-bound, and this keeps it at O(1) allocations. The
-	// three-index slices pin each row's capacity to its arena region, so
-	// a later AddEdge on a full row reallocates that row instead of
-	// growing into its neighbor.
-	outArena := make([]Edge, 0, c.m)
-	inArena := make([]Edge, 0, c.m)
-	for v := 0; v < n; v++ {
-		outStart, inStart := len(outArena), len(inArena)
-		for lid := 0; lid < L; lid++ {
-			label := c.labels[lid]
-			for _, to := range c.outTo[c.outBucket[v*L+lid]:c.outBucket[v*L+lid+1]] {
-				outArena = append(outArena, Edge{From: v, Label: label, To: int(to)})
-			}
-			for _, from := range c.inFrom[c.inBucket[v*L+lid]:c.inBucket[v*L+lid+1]] {
-				inArena = append(inArena, Edge{From: int(from), Label: label, To: v})
-			}
-		}
-		if end := len(outArena); end > outStart {
-			g.out[v] = outArena[outStart:end:end]
-		}
-		if end := len(inArena); end > inStart {
-			g.in[v] = inArena[inStart:end:end]
-		}
-	}
+	n, L := c.n, len(c.labels)
+	g := &Graph{n: n, edges: c.m, names: make([]string, n), csr: c, csrBase: c}
 	for lid := 0; lid < L; lid++ {
 		count := 0
 		for v := 0; v < n; v++ {
@@ -169,9 +142,6 @@ func FromCSR(c *CSR, epoch uint64) *Graph {
 		}
 		g.labelCount[c.labels[lid]] = count
 	}
-	g.edges = c.m
-	g.csr = c
-	g.csrBase = c
 	g.epoch.Store(epoch)
 	return g
 }
@@ -200,7 +170,8 @@ func (g *Graph) SetAcyclicVerdict(acyclic bool) {
 // EdgeSetEqual reports whether two graphs describe the same vertex
 // count and edge set — the equality the crash-recovery suites assert
 // between a recovered graph and an in-memory oracle. It compares the
-// out-adjacency multisets order-insensitively.
+// out-rows (rows: the lists, or the base and the delta once they are
+// dropped) order-insensitively, and rebuilds no list.
 func EdgeSetEqual(a, b *Graph) bool {
 	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
 		return false
@@ -214,9 +185,11 @@ func EdgeSetEqual(a, b *Graph) bool {
 		}
 		return x.To - y.To
 	}
+	ra, rb := a.rows(), b.rows()
+	var ea, eb []Edge
 	for v := 0; v < a.NumVertices(); v++ {
-		ea := slices.Clone(a.out[v])
-		eb := slices.Clone(b.out[v])
+		ea = slices.AppendSeq(ea[:0], ra.out(v))
+		eb = slices.AppendSeq(eb[:0], rb.out(v))
 		if len(ea) != len(eb) {
 			return false
 		}

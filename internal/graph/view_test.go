@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// rebuildOracle reconstructs the graph's current content from scratch —
-// a fresh Graph fed every live edge, frozen cold — so view answers can
-// be compared against a CSR that never saw the delta machinery.
-func rebuildOracle(g *Graph) *CSR {
-	o := New(g.NumVertices())
-	for _, e := range g.Edges() {
-		o.AddEdge(e.From, e.Label, e.To)
+// rebuildOracle builds the oracle's edge set from scratch — a fresh
+// Graph fed every edge, frozen cold — so view and Freeze answers can be
+// compared against a CSR that never saw the delta machinery.
+func rebuildOracle(o *listOracle) *CSR {
+	g := New(len(o.out))
+	for _, e := range o.edges() {
+		g.AddEdge(e.From, e.Label, e.To)
 	}
-	return o.Freeze()
+	return g.Freeze()
 }
 
 // checkViewAgainstCSR compares every bucket and count of vw against the
@@ -113,7 +113,7 @@ func TestViewOverlayEquivalence(t *testing.T) {
 		{12, 0.30, 10, 4},
 	} {
 		t.Run(fmt.Sprintf("n%d_f%d", tc.n, tc.flips), func(t *testing.T) {
-			g := Random(tc.n, labels, tc.p, tc.seed)
+			g := track(Random(tc.n, labels, tc.p, tc.seed))
 			g.Freeze()
 			rng := rand.New(rand.NewSource(tc.seed * 131))
 			for i := 0; i < tc.flips; i++ {
@@ -126,7 +126,7 @@ func TestViewOverlayEquivalence(t *testing.T) {
 			if !vw.Overlay() && g.deltaAdds+g.deltaDels > 0 {
 				t.Fatalf("small same-alphabet delta must pin an overlay view")
 			}
-			checkViewAgainstCSR(t, vw, rebuildOracle(g))
+			checkViewAgainstCSR(t, vw, g.oracle())
 			// HasEdge must agree with the mutable graph on hits and misses.
 			for i := 0; i < 200; i++ {
 				from, label, to := rng.Intn(tc.n), labels[rng.Intn(len(labels))], rng.Intn(tc.n)
@@ -142,7 +142,7 @@ func TestViewOverlayEquivalence(t *testing.T) {
 // only in the overlay map, and untouched new rows read empty instead of
 // indexing past the base CSR.
 func TestViewNewVertices(t *testing.T) {
-	g := Random(20, []byte{'a', 'b'}, 0.15, 7)
+	g := track(Random(20, []byte{'a', 'b'}, 0.15, 7))
 	g.Freeze()
 	u := g.AddVertex()
 	w := g.AddVertex() // stays isolated
@@ -152,7 +152,7 @@ func TestViewNewVertices(t *testing.T) {
 	if !vw.Overlay() {
 		t.Fatal("new-vertex delta must pin an overlay view")
 	}
-	checkViewAgainstCSR(t, vw, rebuildOracle(g))
+	checkViewAgainstCSR(t, vw, g.oracle())
 	if !rowEmpty(vw, w) {
 		t.Fatal("isolated new vertex must read empty")
 	}
@@ -166,11 +166,11 @@ func TestViewNewVertices(t *testing.T) {
 // base pass-through instead of building an overlay — and the next Freeze
 // reinstates that base instead of merging an empty delta into a copy.
 func TestViewCanceledDelta(t *testing.T) {
-	g := Random(20, []byte{'a', 'b'}, 0.15, 11)
+	g := track(Random(20, []byte{'a', 'b'}, 0.15, 11))
 	c := g.Freeze()
 	muts := []Edge{{From: 1, Label: 'a', To: 2}, {From: 4, Label: 'b', To: 9}}
-	FlipEdges(g, muts)
-	FlipEdges(g, muts) // flip back: content identical to the base
+	g.flip(muts)
+	g.flip(muts) // flip back: content identical to the base
 	vw := g.PinView()
 	if vw.Overlay() {
 		t.Fatal("canceled delta must pin a pass-through view")
@@ -178,7 +178,7 @@ func TestViewCanceledDelta(t *testing.T) {
 	if vw.Base() != c {
 		t.Fatal("canceled delta must serve the original base")
 	}
-	checkViewAgainstCSR(t, vw, rebuildOracle(g))
+	checkViewAgainstCSR(t, vw, g.oracle())
 	full, inc := g.FreezeStats()
 	if g.Freeze() != c {
 		t.Fatal("Freeze over a canceled delta must reinstate the base, not copy it")
@@ -199,14 +199,14 @@ func TestViewCanceledDelta(t *testing.T) {
 // has no dense id in the base, so the pin must freeze synchronously
 // (correctness first) and serve a pass-through over the new CSR.
 func TestViewNewLabelFallsBack(t *testing.T) {
-	g := Random(20, []byte{'a'}, 0.15, 13)
+	g := track(Random(20, []byte{'a'}, 0.15, 13))
 	g.Freeze()
 	g.AddEdge(2, 'z', 3)
 	vw := g.PinView()
 	if vw.Overlay() {
 		t.Fatal("new-label delta cannot be overlaid")
 	}
-	checkViewAgainstCSR(t, vw, rebuildOracle(g))
+	checkViewAgainstCSR(t, vw, g.oracle())
 	if !vw.HasEdge(2, 'z', 3) {
 		t.Fatal("fallback view must see the new-label edge")
 	}
@@ -217,19 +217,19 @@ func TestViewNewLabelFallsBack(t *testing.T) {
 // answering its epoch's content even after the graph freezes the delta
 // away and mutates further.
 func TestViewImmutableAcrossCompaction(t *testing.T) {
-	g := Random(25, []byte{'a', 'b'}, 0.12, 17)
+	g := track(Random(25, []byte{'a', 'b'}, 0.12, 17))
 	g.Freeze()
 	g.AddEdge(1, 'a', 2)
 	g.PinView()
-	for _, e := range g.Edges()[:3] {
+	for _, e := range g.o.edges()[:3] {
 		g.RemoveEdge(e.From, e.Label, e.To)
-		if !willExtend(g) {
+		if !willExtend(g.Graph) {
 			t.Fatal("the pin after a mutation must extend the previous overlay")
 		}
 		g.PinView()
 	}
 	vw := g.PinView()
-	oracle := rebuildOracle(g)
+	oracle := g.oracle()
 	epoch := g.Epoch()
 
 	g.Freeze() // compaction: merge the delta into a new base
@@ -246,7 +246,7 @@ func TestViewImmutableAcrossCompaction(t *testing.T) {
 // TestViewGrownOverlay pins that an overlay view, and one whose vertex
 // set grew past the base, both answer like the rebuild oracle.
 func TestViewGrownOverlay(t *testing.T) {
-	g := Random(48, []byte{'a', 'b', 'c'}, 0.1, 19)
+	g := track(Random(48, []byte{'a', 'b', 'c'}, 0.1, 19))
 	g.Freeze()
 	rng := rand.New(rand.NewSource(23))
 	labels := []byte{'a', 'b', 'c'}
@@ -260,7 +260,7 @@ func TestViewGrownOverlay(t *testing.T) {
 	if !vw.Overlay() {
 		t.Fatal("want an overlay view")
 	}
-	checkViewAgainstCSR(t, vw, rebuildOracle(g))
+	checkViewAgainstCSR(t, vw, g.oracle())
 
 	u := g.AddVertex()
 	g.AddEdge(u, 'a', 0)
@@ -268,7 +268,7 @@ func TestViewGrownOverlay(t *testing.T) {
 	if !vw2.Overlay() || vw2.NumVertices() != vw2.Base().NumVertices()+1 {
 		t.Fatalf("want an overlay view over a grown vertex set, got overlay=%v n=%d", vw2.Overlay(), vw2.NumVertices())
 	}
-	checkViewAgainstCSR(t, vw2, rebuildOracle(g))
+	checkViewAgainstCSR(t, vw2, g.oracle())
 }
 
 // TestRemoveEdgeAbsentLeavesNoTombstone is the regression test for the

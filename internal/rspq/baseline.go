@@ -18,6 +18,7 @@ type bsearch struct {
 	p     product
 	a     *arena
 	ds    distances // to the goal (y, accepting), or a finiteBound
+	live  []bool    // live[q]: DFA state q reaches acceptance
 	y     int
 	limit int // depth bound, -1 when unbounded
 	stats *BaselineStats
@@ -28,7 +29,8 @@ type bsearch struct {
 // dfs extends the current simple path from (v, q); visited vertices are
 // marked in a.seen. Both modes prune by the one distance table: a child
 // the goal cannot be reached from (unbounded), or not within the depth
-// left (bounded), is never entered.
+// left (bounded), is never entered. A label into a dead DFA state is
+// skipped before its neighbours, each of which that table would reject.
 func (b *bsearch) dfs(v, q, used int) bool {
 	if b.stats != nil {
 		b.stats.Nodes++
@@ -45,6 +47,9 @@ func (b *bsearch) dfs(v, q, used int) bool {
 			continue
 		}
 		t := d.StepIndex(q, int(di))
+		if !b.live[t] {
+			continue
+		}
 		label := b.p.vw.Label(lid)
 		for _, to32 := range b.p.vw.OutWithID(v, lid) {
 			to := int(to32)
@@ -101,18 +106,19 @@ func Baseline(g *graph.Graph, d *automaton.DFA, x, y int, stats *BaselineStats) 
 	defer a.release()
 	p := makeProduct(g.PinView(), d, a)
 	p.distToGoal(y, a)
-	return baselineWith(&p, a, a, x, y, stats)
+	return baselineWith(&p, a, a, d.CoReachable(), x, y, stats)
 }
 
 // baselineWith runs one pruned backtracking search from x against ds,
 // the complete distances to target y: a frozen goal table, or the ones
 // distToGoal left in the arena. They depend only on y, so queries
-// sharing a target call this once per source over one table.
-func baselineWith(p *product, a *arena, ds distances, x, y int, stats *BaselineStats) Result {
+// sharing a target call this once per source over one table. live is
+// p.d.CoReachable(), which a Solver computes once.
+func baselineWith(p *product, a *arena, ds distances, live []bool, x, y int, stats *BaselineStats) Result {
 	if ds.distAt(x, p.d.Start) < 0 {
 		return Result{}
 	}
-	b := bsearch{p: *p, a: a, ds: ds, y: y, stats: stats}
+	b := bsearch{p: *p, a: a, ds: ds, live: live, y: y, stats: stats}
 	return b.run(x, -1)
 }
 
@@ -128,7 +134,7 @@ func BaselineShortest(g *graph.Graph, d *automaton.DFA, x, y int, stats *Baselin
 	defer a.release()
 	p := makeProduct(g.PinView(), d, a)
 	p.distToGoal(y, a)
-	return baselineShortestWith(&p, a, a, x, y, p.n-1, stats)
+	return baselineShortestWith(&p, a, a, d.CoReachable(), x, y, p.n-1, stats)
 }
 
 // baselineShortestWith runs the iterative deepening from x against ds,
@@ -137,13 +143,14 @@ func BaselineShortest(g *graph.Graph, d *automaton.DFA, x, y int, stats *Baselin
 // finiteBound. The deepening starts at x's distance — no simple path is
 // shorter, but one of that length may exist even when the walks of that
 // length repeat a vertex — and stops after depth maxDepth: n-1, the
-// longest simple path, or the longest word of a finite L.
-func baselineShortestWith(p *product, a *arena, ds distances, x, y, maxDepth int, stats *BaselineStats) Result {
+// longest simple path, or the longest word of a finite L. live is as in
+// baselineWith.
+func baselineShortestWith(p *product, a *arena, ds distances, live []bool, x, y, maxDepth int, stats *BaselineStats) Result {
 	dx := ds.distAt(x, p.d.Start)
 	if dx < 0 {
 		return Result{}
 	}
-	b := bsearch{p: *p, a: a, ds: ds, y: y, stats: stats}
+	b := bsearch{p: *p, a: a, ds: ds, live: live, y: y, stats: stats}
 	for limit := int(dx); limit <= maxDepth; limit++ {
 		if res := b.run(x, limit); res.Found {
 			return res

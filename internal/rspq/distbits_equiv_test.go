@@ -89,6 +89,7 @@ func TestDistanceWitnessEquivalence(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed*23 + 5))
 				g := tc.gen(seed)
 				g.AddVertex() // stays isolated: empty frontier rows, unreachable ids
+				l := newLedger(g)
 				s := tc.solver(t)
 				n := g.NumVertices()
 				targets := []int{0, n / 2, n - 1}
@@ -96,7 +97,7 @@ func TestDistanceWitnessEquivalence(t *testing.T) {
 				check := func(wantOverlay bool) {
 					for _, y := range targets {
 						arcs, accept := dfaOracle(s.Min)
-						want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
+						want := textbookSweep(l, s.Min.NumStates, arcs, accept, y)
 						checkDistKernel(t, s, g, y, want, wantOverlay)
 					}
 				}
@@ -109,16 +110,14 @@ func TestDistanceWitnessEquivalence(t *testing.T) {
 				labels := g.Freeze().Labels()
 				for i := 0; i < 6; i++ {
 					u, v := rng.Intn(n), rng.Intn(n)
-					l := labels[rng.Intn(len(labels))]
+					lb := labels[rng.Intn(len(labels))]
 					if tc.name == "dag" && u >= v {
 						u, v = v, u+1
 						if v >= n {
 							continue
 						}
 					}
-					if !g.RemoveEdge(u, l, v) {
-						g.AddEdge(u, l, v)
-					}
+					l.flip(u, lb, v)
 				}
 				check(true)
 			}

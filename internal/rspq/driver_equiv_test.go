@@ -120,9 +120,10 @@ func TestDirectionBitEquivalence(t *testing.T) {
 				g := tc.gen(seed)
 				isolated := g.AddVertex()
 				pairs := pairSet(g, isolated, rng)
+				led := newLedger(g)
 
 				check := func() {
-					want := oracleAnswers(tc.solver(t), g, pairs)
+					want := oracleAnswers(tc.solver(t), led, pairs)
 					checkAnswers(t, tc.solver(t), g, pairs, want, tc.name)
 				}
 				check()
@@ -139,9 +140,7 @@ func TestDirectionBitEquivalence(t *testing.T) {
 							continue
 						}
 					}
-					if !g.RemoveEdge(u, l, v) {
-						g.AddEdge(u, l, v)
-					}
+					led.flip(u, l, v)
 				}
 				check()
 			}
@@ -179,19 +178,20 @@ func TestKernelSetAndDistEquality(t *testing.T) {
 		for seed := int64(0); seed < row.seeds; seed++ {
 			g := graph.Random(26, []byte{'a', 'b', 'c'}, 0.14, seed+50)
 			rng := rand.New(rand.NewSource(seed + 60))
+			l := newLedger(g)
 			g.Freeze()
 			// Pass-through first, then an overlay reached through three
 			// mutate→pin steps.
 			for _, overlay := range []bool{false, true} {
 				if overlay {
-					mutateInSteps(g, rng, 3, 2, false)
+					mutateInSteps(l, rng, 3, 2, false)
 				}
 				s.Warm(g)
 				if g.PinView().Overlay() != overlay {
 					t.Fatalf("view overlay = %v, want %v", !overlay, overlay)
 				}
 				for y := 0; y < g.NumVertices(); y += 5 {
-					want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
+					want := textbookSweep(l, s.Min.NumStates, arcs, accept, y)
 					ctx := fmt.Sprintf("%s overlay=%v y=%d", row.pattern, overlay, y)
 					a := getArena()
 					p := makeProduct(g.PinView(), s.Min, a)

@@ -230,7 +230,7 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		stats := st.searchStats()
 		k0 := ev.clock()
 		for j, x := range grp.xs {
-			w.set(grp.idx[j], baselineShortestWith(&p, a, fb, x, grp.y, fb.depth, stats))
+			w.set(grp.idx[j], baselineShortestWith(&p, a, fb, ev.s.live, x, grp.y, fb.depth, stats))
 		}
 		ev.observeKernel(k0, st)
 	case AlgoSubword, AlgoDAG:
@@ -296,9 +296,9 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		k0 := ev.clock()
 		for j, x := range grp.xs[:left] {
 			if w.shortest {
-				w.set(grp.idx[j], baselineShortestWith(&v.p, a, v.ds, x, grp.y, v.p.n-1, stats))
+				w.set(grp.idx[j], baselineShortestWith(&v.p, a, v.ds, ev.s.live, x, grp.y, v.p.n-1, stats))
 			} else {
-				w.set(grp.idx[j], baselineWith(&v.p, a, v.ds, x, grp.y, stats))
+				w.set(grp.idx[j], baselineWith(&v.p, a, v.ds, ev.s.live, x, grp.y, stats))
 			}
 		}
 		ev.observeKernel(k0, st)

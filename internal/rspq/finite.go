@@ -26,7 +26,7 @@ func Finite(g *graph.Graph, d *automaton.DFA, x, y int) Result {
 	defer a.release()
 	p := makeProduct(g.PinView(), min, a)
 	fb := newFiniteBound(min)
-	return baselineShortestWith(&p, a, fb, x, y, fb.depth, nil)
+	return baselineShortestWith(&p, a, fb, min.CoReachable(), x, y, fb.depth, nil)
 }
 
 // finiteBound is what the AC⁰ tier's deepening is pruned and capped by,

@@ -17,29 +17,18 @@ import (
 // mixes and lane widths, so the overlay-aware bucket reads are exercised
 // at one and at two words per vertex.
 
-// rebuiltOracle reconstructs g's current content in a fresh graph that
-// never saw the delta machinery, so its answers come from a cold full
-// freeze.
-func rebuiltOracle(g *graph.Graph) *graph.Graph {
-	o := graph.New(g.NumVertices())
-	for _, e := range g.Edges() {
-		o.AddEdge(e.From, e.Label, e.To)
-	}
-	return o
-}
-
 // mutateKeepingShape flips count random edges within the frozen
 // alphabet; on DAG inputs edges are kept forward so the graph stays
 // acyclic and the tier under test does not shift mid-case.
-func mutateKeepingShape(g *graph.Graph, rng *rand.Rand, count int, dag bool) {
-	flipKeepingShape(g, rng, g.Freeze().Labels(), count, dag)
+func mutateKeepingShape(l *edgeLedger, rng *rand.Rand, count int, dag bool) {
+	flipKeepingShape(l, rng, l.g.Freeze().Labels(), count, dag)
 }
 
-func flipKeepingShape(g *graph.Graph, rng *rand.Rand, labels []byte, count int, dag bool) {
-	n := g.NumVertices()
+func flipKeepingShape(l *edgeLedger, rng *rand.Rand, labels []byte, count int, dag bool) {
+	n := l.g.NumVertices()
 	for i := 0; i < count; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		l := labels[rng.Intn(len(labels))]
+		lb := labels[rng.Intn(len(labels))]
 		if dag {
 			if u >= v {
 				u, v = v, u+1
@@ -48,9 +37,7 @@ func flipKeepingShape(g *graph.Graph, rng *rand.Rand, labels []byte, count int, 
 				}
 			}
 		}
-		if !g.RemoveEdge(u, l, v) {
-			g.AddEdge(u, l, v)
-		}
+		l.flip(u, lb, v)
 	}
 }
 
@@ -59,24 +46,25 @@ func flipKeepingShape(g *graph.Graph, rng *rand.Rand, labels []byte, count int, 
 // in between, so the overlay read next was reached by extending its
 // predecessors (and shares their untouched blocks) rather than built in
 // one go.
-func mutateInSteps(g *graph.Graph, rng *rand.Rand, steps, count int, dag bool) {
-	labels := g.PinView().Labels()
+func mutateInSteps(l *edgeLedger, rng *rand.Rand, steps, count int, dag bool) {
+	labels := l.g.PinView().Labels()
 	for ; steps > 0; steps-- {
-		flipKeepingShape(g, rng, labels, count, dag)
-		g.PinView()
+		flipKeepingShape(l, rng, labels, count, dag)
+		l.g.PinView()
 	}
 }
 
-// repinByExtension re-reaches g's current edge set through three
+// repinByExtension re-reaches the graph's current edge set through three
 // mutate→pin steps — one edge is removed and pinned away, then a second,
 // then both come back — and returns the view pinned last, which extends
 // its predecessors' overlays whatever built the one before.
-func repinByExtension(t *testing.T, g *graph.Graph) *graph.View {
+func repinByExtension(t *testing.T, l *edgeLedger) *graph.View {
 	t.Helper()
+	g := l.g
 	rng := rand.New(rand.NewSource(int64(g.NumEdges())))
 	var es []graph.Edge
 	for tries := 0; len(es) < 2 && tries < 1000; tries++ {
-		if out := g.OutEdges(rng.Intn(g.NumVertices())); len(out) > 0 {
+		if out := l.out[rng.Intn(g.NumVertices())]; len(out) > 0 {
 			if e := out[rng.Intn(len(out))]; len(es) == 0 || es[0] != e {
 				es = append(es, e)
 			}
@@ -86,21 +74,21 @@ func repinByExtension(t *testing.T, g *graph.Graph) *graph.View {
 		t.Fatal("repinByExtension: the graph has no two edges to take out and put back")
 	}
 	for _, e := range es {
-		g.RemoveEdge(e.From, e.Label, e.To)
+		l.remove(e.From, e.Label, e.To)
 		g.PinView()
 	}
 	for _, e := range es {
-		g.AddEdge(e.From, e.Label, e.To)
+		l.add(e.From, e.Label, e.To)
 	}
 	return g.PinView()
 }
 
 // checkOverlayAgainstOracle answers every pair on the mutated graph —
 // per query, batched, existence-only, and through an Engine — and
-// requires exact agreement with the rebuilt oracle.
-func checkOverlayAgainstOracle(t *testing.T, s *Solver, g *graph.Graph, pairs []Pair, label string) {
+// requires exact agreement with the ledger's edges rebuilt cold.
+func checkOverlayAgainstOracle(t *testing.T, s *Solver, l *edgeLedger, pairs []Pair, label string) {
 	t.Helper()
-	oracle := rebuiltOracle(g)
+	g, oracle := l.g, l.rebuilt()
 	want := make([]Result, len(pairs))
 	for i, pq := range pairs {
 		want[i] = s.Solve(oracle, pq.X, pq.Y)
@@ -154,14 +142,15 @@ func TestOverlayEquivalence(t *testing.T) {
 					g := tc.gen(seed)
 					isolated := g.AddVertex()
 					pairs := pairSet(g, isolated, rng)
+					l := newLedger(g)
 					s.Warm(g) // freeze the base pre-delta
 
-					mutateKeepingShape(g, rng, flips, tc.name == "dag")
+					mutateKeepingShape(l, rng, flips, tc.name == "dag")
 					label := fmt.Sprintf("flips=%d seed=%d", flips, seed)
 					if adds, removes := g.PendingDelta(); adds+removes > 0 && !g.PinView().Overlay() {
 						t.Fatalf("%s: small same-alphabet delta must pin an overlay view", label)
 					}
-					checkOverlayAgainstOracle(t, s, g, pairs, label)
+					checkOverlayAgainstOracle(t, s, l, pairs, label)
 				}
 			}
 		})
@@ -181,12 +170,13 @@ func TestOverlayKernelModes(t *testing.T) {
 			g := graph.Random(40, []byte{'a', 'b', 'c'}, 0.1, 41)
 			rng := rand.New(rand.NewSource(43))
 			pairs := pairSet(g, g.NumVertices()-1, rng)
+			l := newLedger(g)
 			s.Warm(g)
-			mutateKeepingShape(g, rng, 16, false)
+			mutateKeepingShape(l, rng, 16, false)
 			if !g.PinView().Overlay() {
 				t.Fatal("expected an overlay view")
 			}
-			checkOverlayAgainstOracle(t, s, g, pairs, m.name)
+			checkOverlayAgainstOracle(t, s, l, pairs, m.name)
 		})
 	}
 }
@@ -202,11 +192,12 @@ func TestOverlayRemovalHeavy(t *testing.T) {
 	g := graph.Random(36, []byte{'a', 'b', 'c'}, 0.12, 47)
 	rng := rand.New(rand.NewSource(53))
 	pairs := pairSet(g, g.NumVertices()-1, rng)
+	l := newLedger(g)
 	s.Warm(g)
 	removed := 0
 	for _, e := range g.Edges() {
 		if rng.Intn(4) == 0 {
-			g.RemoveEdge(e.From, e.Label, e.To)
+			l.remove(e.From, e.Label, e.To)
 			removed++
 			if removed >= 20 {
 				break
@@ -223,7 +214,7 @@ func TestOverlayRemovalHeavy(t *testing.T) {
 	if adds, removes := vw.PendingDelta(); adds != 0 || removes != removed {
 		t.Fatalf("view delta (%d,%d), want (0,%d)", adds, removes, removed)
 	}
-	checkOverlayAgainstOracle(t, s, g, pairs, "removal-heavy")
+	checkOverlayAgainstOracle(t, s, l, pairs, "removal-heavy")
 }
 
 // growPastBase mutates a frozen graph so the next pin is an overlay over
@@ -233,28 +224,28 @@ func TestOverlayRemovalHeavy(t *testing.T) {
 // chains them. On DAG inputs (graph.LayeredDAG with the given width) new
 // vertices hang between the first and the last layer and the chain runs
 // forward, so the graph stays acyclic.
-func growPastBase(g *graph.Graph, rng *rand.Rand, grow, dagWidth int) []int {
-	labels := g.Freeze().Labels()
-	n0 := g.NumVertices()
+func growPastBase(l *edgeLedger, rng *rand.Rand, grow, dagWidth int) []int {
+	labels := l.g.Freeze().Labels()
+	n0 := l.g.NumVertices()
 	label := func() byte { return labels[rng.Intn(len(labels))] }
-	mutateKeepingShape(g, rng, 4, dagWidth > 0)
+	mutateKeepingShape(l, rng, 4, dagWidth > 0)
 	var added []int
 	for i := 0; i < grow; i++ {
-		w := g.AddVertex()
+		w := l.addVertex()
 		if dagWidth > 0 {
-			g.AddEdge(rng.Intn(dagWidth), label(), w)
-			g.AddEdge(w, label(), n0-1-rng.Intn(dagWidth))
+			l.add(rng.Intn(dagWidth), label(), w)
+			l.add(w, label(), n0-1-rng.Intn(dagWidth))
 		} else {
-			g.AddEdge(rng.Intn(n0), label(), w)
-			g.AddEdge(w, label(), rng.Intn(n0))
-			g.AddEdge(rng.Intn(n0), label(), w)
+			l.add(rng.Intn(n0), label(), w)
+			l.add(w, label(), rng.Intn(n0))
+			l.add(rng.Intn(n0), label(), w)
 		}
 		if len(added) > 0 {
-			g.AddEdge(added[len(added)-1], label(), w)
+			l.add(added[len(added)-1], label(), w)
 		}
 		added = append(added, w)
 	}
-	g.AddVertex() // one new vertex stays isolated: an empty row past the base
+	l.addVertex() // one new vertex stays isolated: an empty row past the base
 	return added
 }
 
@@ -271,19 +262,20 @@ func TestGrownOverlayEquivalence(t *testing.T) {
 				s := tc.solver(t)
 				rng := rand.New(rand.NewSource(seed*53 + 5))
 				g := tc.gen(seed)
+				l := newLedger(g)
 				s.Warm(g) // the base every later view overlays
 				dagWidth := 0
 				if tc.name == "dag" {
 					dagWidth = 4
 				}
-				added := growPastBase(g, rng, 5, dagWidth)
+				added := growPastBase(l, rng, 5, dagWidth)
 				pairs := pairSet(g, g.NumVertices()-1, rng)
 				for _, w := range added {
 					pairs = append(pairs, Pair{X: rng.Intn(g.NumVertices()), Y: w}, Pair{X: w, Y: rng.Intn(g.NumVertices())})
 				}
 				pairs = append(pairs, Pair{X: added[0], Y: added[len(added)-1]})
 
-				oracle := rebuiltOracle(g)
+				oracle := l.rebuilt()
 				wantLen := make([]int, len(pairs)) // -1: no simple L-path
 				reached := 0
 				for i, pq := range pairs {
@@ -298,13 +290,13 @@ func TestGrownOverlayEquivalence(t *testing.T) {
 				if reached == 0 {
 					t.Fatalf("seed %d: no positive pair touches a new vertex; the case is not exercised", seed)
 				}
-				want := oracleAnswers(s, g, pairs)
+				want := oracleAnswers(s, l, pairs)
 				for i := range pairs {
 					if want[i] != (wantLen[i] >= 0) {
 						t.Fatalf("seed %d: oracle answer (%d,%d)=%v disagrees with BaselineShortest", seed, pairs[i].X, pairs[i].Y, want[i])
 					}
 				}
-				if vw := repinByExtension(t, g); !vw.Overlay() || vw.NumVertices() <= vw.Base().NumVertices() {
+				if vw := repinByExtension(t, l); !vw.Overlay() || vw.NumVertices() <= vw.Base().NumVertices() {
 					t.Fatalf("want an overlay over a grown vertex set (overlay=%v, n=%d, base n=%d)",
 						vw.Overlay(), vw.NumVertices(), vw.Base().NumVertices())
 				}

@@ -401,20 +401,21 @@ func TestAcyclicVerdictOnlyWhereRead(t *testing.T) {
 	for _, c := range cases {
 		s := mustSolver(t, c.pattern)
 		g := graph.RandomRegular(30, []byte{'a', 'b', 'c'}, 3, 9) // cyclic
+		l := newLedger(g)
 		e := NewEngine(s, g, EngineConfig{CompactDelta: -1})
 		bs := NewBatchSolver(s, g)
 		if _, known := g.AcyclicVerdict(); known != c.reads {
 			t.Fatalf("%q: verdict known=%v after NewEngine, want %v", c.pattern, known, c.reads)
 		}
 		for epoch := 0; epoch < 6; epoch++ {
-			victim := g.OutEdges(epoch)[0]
-			if !g.RemoveEdge(victim.From, victim.Label, victim.To) {
+			victim := l.out[epoch][0]
+			if !l.remove(victim.From, victim.Label, victim.To) {
 				t.Fatalf("%q: edge %v vanished", c.pattern, victim)
 			}
 			if _, known := g.AcyclicVerdict(); known {
 				t.Fatalf("%q epoch %d: removing an edge must drop the verdict", c.pattern, epoch)
 			}
-			want := s.Solve(rebuiltOracle(g), 3, 17).Found
+			want := s.Solve(l.rebuilt(), 3, 17).Found
 			if got := e.Solve(3, 17).Found; got != want {
 				t.Fatalf("%q epoch %d: Engine.Solve = %v, rebuilt graph says %v", c.pattern, epoch, got, want)
 			}

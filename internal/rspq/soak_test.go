@@ -10,9 +10,9 @@ import (
 
 // TestEngineOverlaySoak is the randomized interleaved mutate/query soak
 // of the view refactor, designed to run under -race: a mutator applies
-// edge deltas to the engine's graph and then rebuilds a mirror of it
-// from scratch (a fresh graph fed the live edges, frozen cold — the
-// oracle never sees the delta machinery), a compactor occasionally
+// edge deltas to the engine's graph through an edgeLedger and then
+// rebuilds a mirror of it from scratch (a fresh graph fed the ledger's
+// edges, frozen cold — the oracle never sees the delta machinery), a compactor occasionally
 // merges the engine's delta away mid-stream, and query workers require
 // every engine answer to match the oracle's at the same generation. The RWMutex
 // discipline is cmd/rspqd's: mutations and compactions under the write
@@ -25,7 +25,8 @@ func TestEngineOverlaySoak(t *testing.T) {
 	for i := 0; i < 4*n; i++ {
 		g.AddEdge(rng.Intn(n), labels[rng.Intn(len(labels))], rng.Intn(n))
 	}
-	mirror := rebuiltOracle(g)          // replaced per generation, under mu
+	l := newLedger(g)
+	mirror := l.rebuilt()               // replaced per generation, under mu
 	s, err := NewSolver("a*(bb+|())c*") // summary tier: the deepest kernel stack
 	if err != nil {
 		t.Fatal(err)
@@ -50,13 +51,11 @@ func TestEngineOverlaySoak(t *testing.T) {
 			mu.Lock()
 			for k := 0; k < 3; k++ {
 				from, label, to := mrng.Intn(n), labels[mrng.Intn(len(labels))], mrng.Intn(n)
-				if !g.RemoveEdge(from, label, to) {
-					g.AddEdge(from, label, to)
-				}
+				l.flip(from, label, to)
 			}
 			// Rebuild and warm the oracle inside the lock so concurrent
 			// readers never race its lazy freeze.
-			mirror = rebuiltOracle(g)
+			mirror = l.rebuilt()
 			s.Warm(mirror)
 			mu.Unlock()
 		}
@@ -153,15 +152,16 @@ func TestEngineSparseTableChurn(t *testing.T) {
 		}
 		g := c.gen()
 		n := g.NumVertices()
+		l := newLedger(g)
 		e := NewEngine(s, g, EngineConfig{CompactDelta: -1})
 		rng := rand.New(rand.NewSource(31))
 		var sparse, dense, hits int
 		for epoch := 0; epoch < 10; epoch++ {
-			mutateInSteps(g, rng, 3, 2, c.tier == AlgoDAG)
+			mutateInSteps(l, rng, 3, 2, c.tier == AlgoDAG)
 			if epoch%4 == 3 {
 				e.Compact()
 			}
-			oracle := rebuiltOracle(g)
+			oracle := l.rebuilt()
 			ref, err := NewSolver(c.pattern)
 			if err != nil {
 				t.Fatal(err)

@@ -79,6 +79,11 @@ type Solver struct {
 	// compile time; nil for infinite languages.
 	finite *finiteBound
 
+	// live marks the states of Min that reach acceptance: the NP and
+	// finite tiers' search skips a label into any other before walking
+	// its neighbours.
+	live []bool
+
 	// id is a process-unique language identifier, part of every
 	// cross-query cache key (graph epoch, language id, target) so
 	// tables from different languages can never collide even if a
@@ -121,6 +126,7 @@ func NewSolverFromRegex(r *automaton.Regex) (*Solver, error) {
 		Min:            min,
 		Classification: core.Classify(min, core.EdgeLabeled, nil),
 		SubwordClosed:  SubwordClosed(min),
+		live:           min.CoReachable(),
 		id:             solverIDs.Add(1),
 	}
 	if e, err := psitr.FromRegex(r); err == nil {

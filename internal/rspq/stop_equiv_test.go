@@ -155,6 +155,7 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 		arcs, accept := dfaOracle(s.Min)
 		g := tc.gen()
 		g.AddVertex() // isolated: an unreachable source, and a target only it reaches
+		l := newLedger(g)
 		g.Freeze()
 		n := g.NumVertices()
 		rng := rand.New(rand.NewSource(41))
@@ -168,7 +169,7 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 				if rep == 0 {
 					y = n - 1
 				}
-				want := textbookSweep(g, m, arcs, accept, y)
+				want := textbookSweep(l, m, arcs, accept, y)
 				groups := stopGroups(n, m, start, y, want, rng)
 				p := makeProduct(g.PinView(), s.Min, shared)
 				if p.vw.Overlay() != wantOverlay {
@@ -231,7 +232,7 @@ func TestStoppedSweepEquivalence(t *testing.T) {
 			}
 		}
 		check("pass-through", false)
-		mutateInSteps(g, rng, 3, 4, tc.algo == AlgoDAG)
+		mutateInSteps(l, rng, 3, 4, tc.algo == AlgoDAG)
 		check("overlay", true)
 
 		if stops == 0 {

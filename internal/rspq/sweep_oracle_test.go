@@ -3,6 +3,7 @@ package rspq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,9 +14,77 @@ import (
 
 // This file holds the reference the sweep suites (driver_equiv_test.go,
 // distbits_equiv_test.go, stop_equiv_test.go) compare the sweep against.
-// It shares no code with it: a plain queue BFS with
-// no packed words, reading the graph's own adjacency lists rather than a
-// pinned view, over an automaton given as a bare list of transitions.
+// It shares no code with it: a plain queue BFS with no packed words,
+// reading the edge list the test keeps beside the graph (edgeLedger)
+// rather than a pinned view, over an automaton given as a bare list of
+// transitions.
+
+// edgeLedger is a graph with the adjacency lists a test keeps beside it:
+// every mutation goes through the ledger to both, so the oracles read
+// the test's own lists and never the graph's, which after a write to
+// the frozen graph are rebuilt from the base and the delta under test.
+type edgeLedger struct {
+	g       *graph.Graph
+	out, in [][]graph.Edge
+}
+
+// newLedger seeds the lists from g's edges as built, before any write
+// to the frozen graph.
+func newLedger(g *graph.Graph) *edgeLedger {
+	l := &edgeLedger{g: g, out: make([][]graph.Edge, g.NumVertices()), in: make([][]graph.Edge, g.NumVertices())}
+	for _, e := range g.Edges() {
+		l.out[e.From] = append(l.out[e.From], e)
+		l.in[e.To] = append(l.in[e.To], e)
+	}
+	return l
+}
+
+func (l *edgeLedger) has(e graph.Edge) bool { return slices.Contains(l.out[e.From], e) }
+
+func (l *edgeLedger) add(from int, label byte, to int) {
+	l.g.AddEdge(from, label, to)
+	if e := (graph.Edge{From: from, Label: label, To: to}); !l.has(e) {
+		l.out[from] = append(l.out[from], e)
+		l.in[to] = append(l.in[to], e)
+	}
+}
+
+func (l *edgeLedger) remove(from int, label byte, to int) bool {
+	e := graph.Edge{From: from, Label: label, To: to}
+	had := l.has(e)
+	if had {
+		l.out[from] = slices.DeleteFunc(l.out[from], func(x graph.Edge) bool { return x == e })
+		l.in[to] = slices.DeleteFunc(l.in[to], func(x graph.Edge) bool { return x == e })
+	}
+	if l.g.RemoveEdge(from, label, to) != had {
+		panic(fmt.Sprintf("RemoveEdge%v disagrees with the ledger, which has it = %v", e, had))
+	}
+	return had
+}
+
+// flip removes the edge when present and adds it otherwise.
+func (l *edgeLedger) flip(from int, label byte, to int) {
+	if !l.remove(from, label, to) {
+		l.add(from, label, to)
+	}
+}
+
+func (l *edgeLedger) addVertex() int {
+	l.out, l.in = append(l.out, nil), append(l.in, nil)
+	return l.g.AddVertex()
+}
+
+// rebuilt is the ledger's edge set in a fresh graph that never saw the
+// delta machinery, so its answers come from a cold full freeze.
+func (l *edgeLedger) rebuilt() *graph.Graph {
+	o := graph.New(len(l.out))
+	for _, row := range l.out {
+		for _, e := range row {
+			o.AddEdge(e.From, e.Label, e.To)
+		}
+	}
+	return o
+}
 
 // oracleArc is one labeled transition from -label-> to of the automaton
 // the oracle sweeps over.
@@ -41,8 +110,8 @@ func dfaOracle(d *automaton.DFA) (arcs []oracleArc, accept []int) {
 // textbookSweep returns, for every product id v·m + q, the length of a
 // shortest walk from v to y whose label takes state q to an accepting
 // state, -1 where there is none: the closure is dist >= 0.
-func textbookSweep(g *graph.Graph, m int, arcs []oracleArc, accept []int, y int) []int32 {
-	dist := make([]int32, g.NumVertices()*m)
+func textbookSweep(l *edgeLedger, m int, arcs []oracleArc, accept []int, y int) []int32 {
+	dist := make([]int32, len(l.in)*m)
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -56,7 +125,7 @@ func textbookSweep(g *graph.Graph, m int, arcs []oracleArc, accept []int, y int)
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
-		for _, e := range g.InEdges(id / m) {
+		for _, e := range l.in[id/m] {
 			for _, arc := range arcs {
 				if arc.to != id%m || arc.label != e.Label {
 					continue
@@ -97,12 +166,12 @@ func checkSweepAgainstOracle(t *testing.T, g *graph.Graph, m int, a *arena, p *p
 }
 
 // oracleAnswers computes the Found bit of every pair without any engine
-// code: a depth-first search over simple paths of g that tracks the DFA
-// state and is pruned by the oracle's closure toward the pair's target.
-// Out-of-range pairs answer false.
-func oracleAnswers(s *Solver, g *graph.Graph, pairs []Pair) []bool {
+// code: a depth-first search over simple paths of the ledger's graph
+// that tracks the DFA state and is pruned by the oracle's closure toward
+// the pair's target. Out-of-range pairs answer false.
+func oracleAnswers(s *Solver, l *edgeLedger, pairs []Pair) []bool {
 	d := s.Min
-	m, n := d.NumStates, g.NumVertices()
+	m, n := d.NumStates, len(l.out)
 	arcs, accept := dfaOracle(d)
 	closure := map[int][]int32{}
 	out := make([]bool, len(pairs))
@@ -112,7 +181,7 @@ func oracleAnswers(s *Solver, g *graph.Graph, pairs []Pair) []bool {
 		}
 		co, ok := closure[pq.Y]
 		if !ok {
-			co = textbookSweep(g, m, arcs, accept, pq.Y)
+			co = textbookSweep(l, m, arcs, accept, pq.Y)
 			closure[pq.Y] = co
 		}
 		used := make([]bool, n)
@@ -123,7 +192,7 @@ func oracleAnswers(s *Solver, g *graph.Graph, pairs []Pair) []bool {
 			}
 			used[v] = true
 			defer func() { used[v] = false }()
-			for _, e := range g.OutEdges(v) {
+			for _, e := range l.out[v] {
 				if t, ok := d.StepOK(q, e.Label); ok && !used[e.To] && co[e.To*m+t] >= 0 && dfs(e.To, t) {
 					return true
 				}
@@ -195,20 +264,21 @@ func TestPositionNFASweepEquivalence(t *testing.T) {
 
 		g := graph.Random(24, []byte{'a', 'b', 'c'}, 0.13, seed+910)
 		g.AddVertex() // isolated
+		l := newLedger(g)
 		g.Freeze()
 		for _, overlay := range []bool{false, true} {
 			if overlay {
-				mutateInSteps(g, rng, 2, 3, false)
+				mutateInSteps(l, rng, 2, 3, false)
 			}
 			for y := 0; y < g.NumVertices(); y += 6 {
-				want := textbookSweep(g, m, arcs, accept, y)
+				want := textbookSweep(l, m, arcs, accept, y)
 				for _, d := range want {
 					if d >= 3 {
 						deep++
 						break
 					}
 				}
-				byDFA := textbookSweep(g, dfa.NumStates, minArcs, minAccept, y)
+				byDFA := textbookSweep(l, dfa.NumStates, minArcs, minAccept, y)
 				for x := 0; x < g.NumVertices(); x++ {
 					if (want[x*m+plan.pos.Start] >= 0) != (byDFA[x*dfa.NumStates+dfa.Start] >= 0) {
 						t.Fatalf("seq %s y=%d: position NFA and minimal DFA disagree on source %d", seq, y, x)
@@ -292,6 +362,7 @@ func TestSweepDirtyListAndCleanWords(t *testing.T) {
 		arcs, accept := dfaOracle(s.Min)
 		g := graph.RandomRegular(300, []byte{'a', 'b', 'c'}, 3, 17)
 		g.AddVertex() // isolated: a sweep that reaches only its own goal states
+		l := newLedger(g)
 		g.Freeze()
 		n := g.NumVertices()
 		rng := rand.New(rand.NewSource(17))
@@ -304,7 +375,7 @@ func TestSweepDirtyListAndCleanWords(t *testing.T) {
 				if rep == 0 {
 					y = n - 1
 				}
-				want := textbookSweep(g, s.Min.NumStates, arcs, accept, y)
+				want := textbookSweep(l, s.Min.NumStates, arcs, accept, y)
 				ctx := fmt.Sprintf("%s %s y=%d", pattern, view, y)
 				p := makeProduct(g.PinView(), s.Min, shared)
 				if p.vw.Overlay() != wantOverlay {
@@ -326,7 +397,7 @@ func TestSweepDirtyListAndCleanWords(t *testing.T) {
 			}
 		}
 		check("pass-through", false)
-		mutateInSteps(g, rng, 3, 4, false)
+		mutateInSteps(l, rng, 3, 4, false)
 		check("overlay", true)
 
 		if kept == 0 || dropped == 0 {
