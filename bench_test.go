@@ -166,8 +166,9 @@ func BenchmarkEngineHot(b *testing.B) {
 }
 
 // BenchmarkBatchExists measures the existence-only fast path against
-// full witness batches on the walk-reduction tiers, where each source
-// collapses to one O(1) table lookup.
+// full witness batches on the subword tier, where each source collapses
+// to one O(1) table lookup, and on a baseline-tier language over a DAG,
+// where the walk-first step answers every source.
 func BenchmarkBatchExists(b *testing.B) {
 	cases := []struct {
 		name    string

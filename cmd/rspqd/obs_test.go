@@ -81,8 +81,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := sumPrefix(m, "rspq_queries_total{"); got != 2 {
 		t.Fatalf("rspq_queries_total sums to %v; want 2", got)
 	}
-	if got := m[`rspq_queries_total{tier="dag"}`]; got != 2 {
-		t.Fatalf("dag tier counter = %v; want 2 (quickstart graph is acyclic)", got)
+	if got := m[`rspq_queries_total{tier="summary"}`]; got != 2 {
+		t.Fatalf("summary tier counter = %v; want 2", got)
 	}
 	if got := sumPrefix(m, "rspq_query_seconds_count{"); got != 2 {
 		t.Fatalf("latency histogram count sums to %v; want 2", got)
@@ -192,8 +192,8 @@ func TestQueryTrace(t *testing.T) {
 		t.Fatalf("traced query = %+v; want found with trace", resp)
 	}
 	tr := resp.Trace
-	if tr.Tier != "dag" || tr.X != 0 || tr.Y != 3 {
-		t.Fatalf("trace header = %+v; want dag tier, x=0, y=3", tr)
+	if tr.Tier != "summary" || tr.X != 0 || tr.Y != 3 {
+		t.Fatalf("trace header = %+v; want summary tier, x=0, y=3", tr)
 	}
 	if tr.Overlay || tr.PendingAdds != 0 || tr.PendingRemoves != 0 {
 		t.Fatalf("frozen graph: overlay=%v pending=(%d,%d); want a pass-through view with no delta",
@@ -363,8 +363,8 @@ func TestSlowQueryLine(t *testing.T) {
 // sweep that stopped at its source's level, then the one that ran to the
 // end and built the goal table.
 var slowDetailRE = []*regexp.Regexp{
-	regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=0 table_bytes=0 stopped_at=3 states_reached=[1-9][0-9]* search_nodes=0$`),
-	regexp.MustCompile(` tier=dag pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=[1-9][0-9]* table_bytes=[1-9][0-9]* stopped_at=0 states_reached=[1-9][0-9]* search_nodes=0$`),
+	regexp.MustCompile(` tier=summary pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=0 table_bytes=0 stopped_at=3 states_reached=[1-9][0-9]* search_nodes=0$`),
+	regexp.MustCompile(` tier=summary pin_us=[0-9]+ pending=0 result_cache_hit=false table_cache_hit=false table_states=[1-9][0-9]* table_bytes=[1-9][0-9]* stopped_at=0 states_reached=[1-9][0-9]* search_nodes=0$`),
 }
 
 // TestBatchAdmission pins the -max-inflight gate: an oversized batch

@@ -45,7 +45,7 @@ func Example_quickstart() {
 	// simple path 0→6: found=true word="aabbcc" path=0 -a-> 1 -a-> 2 -b-> 3 -b-> 4 -c-> 5 -c-> 6
 	// shortest simple path 0→6: length=6 word="aabbcc"
 	// RSPQ(a*bc*) is NP-complete on edge-labeled graphs (minimal DFA: 3 states); hardness witness: q=0 wl="" w1="a" wm="b" w2="ccc" wr="ccccccccc"
-	// a*bc* simple path 0→6: found=true word="aabc" (algorithm: dag)
+	// a*bc* simple path 0→6: found=true word="aabc" (algorithm: baseline)
 }
 
 // Under the W3C draft semantics of SPARQL 1.1 property paths, Kleene-star

@@ -117,16 +117,6 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return e.val, true
 }
 
-// Contains reports whether key is cached without touching recency or
-// the hit/miss counters.
-func (c *Cache[K, V]) Contains(key K) bool {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.m[key]
-	return ok
-}
-
 // Retainable reports whether an entry of the given cost can be held at
 // all (it fits one shard's slice of the byte budget). Callers building
 // expensive cache values can pre-check it and skip the build when the
@@ -190,19 +180,6 @@ func (c *Cache[K, V]) Delete(key K) bool {
 	sh.bytes -= e.cost
 	delete(sh.m, key)
 	return true
-}
-
-// Purge drops every entry, keeping the counters.
-func (c *Cache[K, V]) Purge() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[K]*entry[K, V])
-		sh.root.prev = &sh.root
-		sh.root.next = &sh.root
-		sh.bytes = 0
-		sh.mu.Unlock()
-	}
 }
 
 // Len returns the number of cached entries.

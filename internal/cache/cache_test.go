@@ -133,20 +133,6 @@ func TestUnlimitedNeverEvicts(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New[int, int](Config{})
-	for i := 0; i < 64; i++ {
-		c.Put(i, i, 4)
-	}
-	c.Purge()
-	if c.Len() != 0 || c.Stats().Bytes != 0 {
-		t.Fatalf("after purge: len=%d bytes=%d; want 0, 0", c.Len(), c.Stats().Bytes)
-	}
-	if _, ok := c.Get(1); ok {
-		t.Fatal("purged entry still retrievable")
-	}
-}
-
 // TestRandomizedAgainstModel drives one shard with a random op sequence
 // and mirrors it in a plain map + slice model.
 func TestRandomizedAgainstModel(t *testing.T) {

@@ -189,42 +189,3 @@ func TestRemoveEdgeBasics(t *testing.T) {
 		t.Fatalf("alphabet = %q, want b", g.Alphabet())
 	}
 }
-
-// TestAcyclicityIncrementalRevalidation pins the verdict-preservation
-// rules: mutations that provably cannot flip the verdict keep it
-// cached, and only the genuinely ambiguous ones trigger a recheck.
-func TestAcyclicityIncrementalRevalidation(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 'a', 1)
-	g.AddEdge(1, 'a', 2)
-	if !g.IsAcyclic() {
-		t.Fatal("path must be acyclic")
-	}
-	g.AddVertex() // cannot flip
-	if g.acyclic != 1 {
-		t.Fatal("isolated vertex must keep the acyclic verdict cached")
-	}
-	g.RemoveEdge(1, 'a', 2) // removing from a DAG cannot flip
-	if g.acyclic != 1 {
-		t.Fatal("removal from a DAG must keep the acyclic verdict cached")
-	}
-	g.AddEdge(1, 'a', 2) // re-add: could create a cycle → recheck
-	if g.acyclic != 0 {
-		t.Fatal("edge into a DAG must drop the verdict for revalidation")
-	}
-	g.AddEdge(3, 'a', 3) // self-loop decides outright
-	if g.acyclic != 2 || g.IsAcyclic() {
-		t.Fatal("self-loop must mark the graph cyclic without a recheck")
-	}
-	g.AddEdge(2, 'a', 0) // adding to a cyclic graph cannot flip
-	if g.acyclic != 2 {
-		t.Fatal("edge added to a cyclic graph must keep the cyclic verdict")
-	}
-	g.RemoveEdge(3, 'a', 3) // removal from a cyclic graph → recheck
-	if g.acyclic != 0 {
-		t.Fatal("removal from a cyclic graph must drop the verdict")
-	}
-	if g.IsAcyclic() {
-		t.Fatal("0→1→2→0 cycle remains")
-	}
-}

@@ -24,7 +24,7 @@ func cloneForScratch(g *Graph) *Graph {
 	c := &Graph{
 		out: make([][]Edge, len(g.out)), in: make([][]Edge, len(g.in)),
 		n: g.n, edges: g.edges, names: slices.Clone(g.names), labelCount: g.labelCount,
-		csr: g.csr, csrBase: g.csrBase, acyclic: g.acyclic,
+		csr: g.csr, csrBase: g.csrBase,
 		delta: maps.Clone(g.delta), deltaAdds: g.deltaAdds, deltaDels: g.deltaDels,
 		deltaNewLabel: g.deltaNewLabel,
 	}

@@ -27,9 +27,9 @@ type Edge struct {
 //
 // The intended lifecycle is build-then-freeze: construct with AddVertex
 // / AddEdge, then query. Derived data that a query would otherwise
-// recompute per call — the alphabet, acyclicity and the CSR snapshot
-// (see Freeze) — is cached on first use and invalidated by mutation, so
-// a warm graph answers these in O(1).
+// recompute per call — the alphabet and the CSR snapshot (see Freeze)
+// — is cached on first use and invalidated by mutation, so a warm graph
+// answers these in O(1).
 //
 // Mutating an already-frozen graph does not discard the frozen CSR:
 // mutations accumulate in a net delta (added edges, removed-edge
@@ -58,7 +58,6 @@ type Graph struct {
 	alpha      automaton.Alphabet
 	alphaValid bool
 	csr        *CSR
-	acyclic    int8 // 0 unknown, 1 acyclic, 2 cyclic
 
 	// labelCount tracks how many edges carry each label, so the
 	// alphabet is derivable in O(256) after any mutation instead of an
@@ -104,13 +103,9 @@ type Graph struct {
 }
 
 // invalidate drops the caches a mutation may falsify and advances the
-// mutation epoch. The acyclicity verdict is NOT dropped here — each
-// mutator keeps it when the mutation provably cannot flip it (see
-// AddEdge / RemoveEdge / AddVertex), so acyclicity is revalidated
-// incrementally only when a delta could actually create or break a
-// cycle. The last frozen CSR survives as the merge base for the next
-// incremental Freeze, and the last pinned view — stale from here on, by
-// its epoch — as what the next pin extends.
+// mutation epoch. The last frozen CSR survives as the merge base for
+// the next incremental Freeze, and the last pinned view — stale from
+// here on, by its epoch — as what the next pin extends.
 func (g *Graph) invalidate() {
 	g.alpha = nil
 	g.alphaValid = false
@@ -157,11 +152,9 @@ func (g *Graph) NumVertices() int { return g.n }
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return g.edges }
 
-// AddVertex appends an isolated vertex and returns its id. An isolated
-// vertex can neither create nor break a cycle, so the cached acyclicity
-// verdict survives; the CSR delta overlay records only the row-count
-// growth. On a frozen graph it drops the adjacency lists, as a write
-// does.
+// AddVertex appends an isolated vertex and returns its id. The CSR
+// delta overlay records only the row-count growth. On a frozen graph it
+// drops the adjacency lists, as a write does.
 func (g *Graph) AddVertex() int {
 	g.invalidate()
 	if g.csrBase == nil {
@@ -200,10 +193,7 @@ func (g *Graph) Name(v int) string {
 // search in the base CSR plus one lookup in the net delta (delta.go),
 // where the insertion is recorded, so the next Freeze merges it into the
 // existing CSR instead of rebuilding; the adjacency lists are dropped,
-// not edited. The cached acyclicity verdict is kept when it cannot
-// change: an edge added to a cyclic graph leaves it cyclic, and a
-// self-loop makes any graph cyclic; only an acyclic graph gaining a
-// non-loop edge needs revalidation (deferred to the next IsAcyclic).
+// not edited.
 func (g *Graph) AddEdge(from int, label byte, to int) {
 	if g.csrBase == nil {
 		if !g.HasEdge(from, label, to) {
@@ -225,10 +215,7 @@ func (g *Graph) AddEdge(from int, label byte, to int) {
 // edge is deleted from both lists, keeping the order of the rest; on a
 // frozen graph the removal is recorded in the net delta — a tombstone for
 // a base edge, the end of a pending add otherwise — and no row is
-// scanned. The cached acyclicity verdict is kept when it cannot change:
-// removing an edge from an acyclic graph leaves it acyclic; only a
-// cyclic graph losing an edge needs revalidation (deferred to the next
-// IsAcyclic).
+// scanned.
 func (g *Graph) RemoveEdge(from int, label byte, to int) bool {
 	if from < 0 || from >= g.n || to < 0 || to >= g.n {
 		return false
@@ -292,26 +279,16 @@ func (g *Graph) unlink(from int, label byte, to int) bool {
 }
 
 // tally is the bookkeeping of an effective write of e, an add when
-// added: it drops the caches the write falsifies, keeps the edge and
-// label counts, and applies the acyclicity rule of AddEdge / RemoveEdge.
+// added: it drops the caches the write falsifies and keeps the edge and
+// label counts.
 func (g *Graph) tally(e Edge, added bool) {
 	g.invalidate()
+	d := 1
 	if !added {
-		g.edges--
-		g.labelCount[e.Label]--
-		if g.acyclic == 2 {
-			g.acyclic = 0
-		}
-		return
+		d = -1
 	}
-	g.edges++
-	g.labelCount[e.Label]++
-	switch {
-	case e.From == e.To:
-		g.acyclic = 2
-	case g.acyclic == 1:
-		g.acyclic = 0
-	}
+	g.edges += d
+	g.labelCount[e.Label] += d
 }
 
 // AddWordEdge inserts a path of fresh intermediate vertices spelling the
@@ -518,28 +495,11 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// IsAcyclic reports whether the graph is a DAG (ignoring labels). The
-// verdict is cached, and a mutation drops it only when it could
-// actually flip: adding a non-loop edge to an acyclic graph, or
-// removing an edge from a cyclic one. All other mutations (isolated
-// vertices, edges added to an already-cyclic graph, edges removed from
-// an acyclic one, self-loops — which decide the verdict outright) keep
-// or refine the cached answer, so streaming workloads rarely pay the
-// O(V+E) recheck.
-func (g *Graph) IsAcyclic() bool {
-	if g.acyclic != 0 {
-		return g.acyclic == 1
-	}
-	acyclic := g.isAcyclicUncached()
-	if acyclic {
-		g.acyclic = 1
-	} else {
-		g.acyclic = 2
-	}
-	return acyclic
-}
-
-func (g *Graph) isAcyclicUncached() bool { return g.TopoOrder() != nil }
+// IsAcyclic reports whether the graph is a DAG (ignoring labels): one
+// O(V+E) TopoOrder per call, nothing cached. No query dispatch reads it
+// — the tier depends on the language alone — so its callers are the
+// RPQ collapse (DAG) and a forced AlgoDAG tier.
+func (g *Graph) IsAcyclic() bool { return g.TopoOrder() != nil }
 
 // TopoOrder returns a topological order of a DAG, or nil if the graph has
 // a cycle. It is Kahn's algorithm over the out-rows (rows), with the

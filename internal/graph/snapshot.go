@@ -146,27 +146,6 @@ func FromCSR(c *CSR, epoch uint64) *Graph {
 	return g
 }
 
-// AcyclicVerdict reports the cached acyclicity verdict without
-// computing one: known is false when no verdict is cached. Persisted
-// snapshots carry the verdict so a warm boot skips the O(V+E) recheck
-// the tier dispatch would otherwise pay on its first query.
-func (g *Graph) AcyclicVerdict() (acyclic, known bool) {
-	return g.acyclic == 1, g.acyclic != 0
-}
-
-// SetAcyclicVerdict installs a cached acyclicity verdict, exactly as if
-// IsAcyclic had computed it. The caller asserts the verdict is true of
-// the current graph (persist restores the verdict a checkpoint saved,
-// which WAL replay then keeps current through the mutators' usual
-// keep-or-drop rules).
-func (g *Graph) SetAcyclicVerdict(acyclic bool) {
-	if acyclic {
-		g.acyclic = 1
-	} else {
-		g.acyclic = 2
-	}
-}
-
 // EdgeSetEqual reports whether two graphs describe the same vertex
 // count and edge set — the equality the crash-recovery suites assert
 // between a recovered graph and an in-memory oracle. It compares the

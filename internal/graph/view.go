@@ -148,10 +148,8 @@ func (g *Graph) PinView() *View {
 // the view and the alphabet — and returns the view with the epoch it was
 // pinned under, retrying if a mutation interleaves (bumping the epoch
 // mid-build) so the pair is consistent: callers can use the epoch as a
-// cache key for data derived from the view. The acyclicity verdict is
-// deliberately NOT warmed here: only some tiers dispatch on it
-// (rspq.Solver.ChooseAlgorithm), and after a cycle-breaking removal it
-// costs an O(V+E) recheck the others should never pay.
+// cache key for data derived from the view. Nothing here computes
+// acyclicity: no tier's dispatch reads it.
 func (g *Graph) SnapshotView() (vw *View, epoch uint64) {
 	for {
 		epoch = g.Epoch()

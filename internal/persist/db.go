@@ -131,9 +131,6 @@ func (db *DB) recover(bootstrap func() (*graph.Graph, error)) (*graph.Graph, err
 			return nil, fmt.Errorf("persist: snapshot %s: %w", filepath.Join(db.dir, snapshotFile), err)
 		}
 		g = graph.FromCSR(csr, meta.Epoch)
-		if meta.AcyclicKnown {
-			g.SetAcyclicVerdict(meta.Acyclic)
-		}
 		db.release = release
 		db.warmStart = true
 		db.snapSeq.Store(meta.LastSeq)
@@ -226,13 +223,7 @@ func (db *DB) Checkpoint(g *graph.Graph) error {
 	}
 	t0 := time.Now()
 	csr := g.Freeze()
-	acyclic, known := g.AcyclicVerdict()
-	meta := SnapshotMeta{
-		Epoch:        g.Epoch(),
-		LastSeq:      db.lastSeq.Load(),
-		AcyclicKnown: known,
-		Acyclic:      acyclic,
-	}
+	meta := SnapshotMeta{Epoch: g.Epoch(), LastSeq: db.lastSeq.Load()}
 	if err := db.store.Put(func(w io.Writer) error {
 		return EncodeSnapshot(w, csr.Parts(), meta)
 	}); err != nil {

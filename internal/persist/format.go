@@ -71,9 +71,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // arrays: the mutation epoch the checkpoint was taken at (restored on
 // warm boot so epochs keep advancing exactly as if the process never
 // died), the last WAL sequence number the snapshot already includes
-// (replay skips records at or below it), and the cached acyclicity
-// verdict (so the first query after a warm boot skips the O(V+E)
-// recheck).
+// (replay skips records at or below it), and two header flags that
+// once carried an acyclicity verdict. DB writes them unset and ignores
+// them on read — no query dispatch reads acyclicity — so snapshots that
+// set them still boot; the codec keeps them so v1 stays byte-exact.
 type SnapshotMeta struct {
 	Epoch        uint64
 	LastSeq      uint64

@@ -2,11 +2,14 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rspq"
 )
 
 // buildTestGraph returns a small graph with a mixed mutation history:
@@ -28,8 +31,7 @@ func buildTestGraph(t *testing.T) *graph.Graph {
 func TestSnapshotRoundTrip(t *testing.T) {
 	g := buildTestGraph(t)
 	csr := g.Freeze()
-	acyclic, known := g.AcyclicVerdict()
-	meta := SnapshotMeta{Epoch: g.Epoch(), LastSeq: 42, AcyclicKnown: known, Acyclic: acyclic}
+	meta := SnapshotMeta{Epoch: g.Epoch(), LastSeq: 42, AcyclicKnown: true, Acyclic: true}
 
 	var buf bytes.Buffer
 	if err := EncodeSnapshot(&buf, csr.Parts(), meta); err != nil {
@@ -230,5 +232,59 @@ func TestDecodeRejects(t *testing.T) {
 	flipped[headerSize+8] ^= 0x01 // payload bit
 	if _, _, err := DecodeSnapshot(flipped); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flipped payload: %v", err)
+	}
+}
+
+// TestAcyclicFlagIgnored pins snapshot compatibility after the
+// acyclicity verdict left the graph: a data dir whose snapshot sets the
+// old acyclic-known flag (the golden file does) boots warm through Open
+// and answers like a cold build of the same graph, and the next
+// Checkpoint writes the flags word as 0.
+func TestAcyclicFlagIgnored(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binary.LittleEndian.Uint32(golden[12:])&flagAcyclicKnown == 0 {
+		t.Fatal("the fixture must set the acyclic-known flag")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, g, err := Open(Options{Dir: dir, Bootstrap: func() (*graph.Graph, error) {
+		return nil, errors.New("a snapshot exists: the boot must be warm")
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	cold := goldenGraph()
+	if !db.WarmStart() || g.Epoch() != goldenMeta.Epoch || !graph.EdgeSetEqual(g, cold) {
+		t.Fatalf("warm=%v epoch=%d; want a warm boot at epoch %d with the golden edge set", db.WarmStart(), g.Epoch(), goldenMeta.Epoch)
+	}
+	for _, pattern := range []string{"a*(bb+|())c*", "(aa)*", "ab|ba", "a*b*"} {
+		s, err := rspq.NewSolver(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := 0; x < g.NumVertices(); x++ {
+			for y := 0; y < g.NumVertices(); y++ {
+				got, want := s.Solve(g, x, y), s.Solve(cold, x, y)
+				if got.Found != want.Found || got.Found && got.Path.Len() != want.Path.Len() {
+					t.Fatalf("%q (%d,%d): booted graph %v, cold build %v", pattern, x, y, got.Path, want.Path)
+				}
+			}
+		}
+	}
+	if err := db.Checkpoint(g); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flags := binary.LittleEndian.Uint32(snap[12:]); flags != 0 {
+		t.Fatalf("checkpoint flags = %#x; want 0", flags)
 	}
 }

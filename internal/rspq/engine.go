@@ -228,9 +228,9 @@ func (e *Engine) Solver() *Solver { return e.s }
 // This is the no-freeze read path of streaming workloads: the rebuild
 // goes through Solver.pin and graph.SnapshotView, which pins a small
 // pending delta as a sorted read overlay on the last frozen base
-// (graph.View) instead of refreezing — and asks for the graph's
-// acyclicity verdict only when the language dispatches on it. Mutations therefore cost O(1) at mutation time and
-// roughly O(delta) at the next snapshot — never a stop-the-world
+// (graph.View) instead of refreezing; the tier is the language's and
+// reads nothing of the graph. Mutations therefore cost O(1) at mutation
+// time and roughly O(delta) at the next snapshot — never a stop-the-world
 // re-sort — and in-flight queries are untouched: they hold their own
 // snap, which stays valid because views are immutable. Merging the
 // delta back into a flat CSR is deferred to Compact (a background

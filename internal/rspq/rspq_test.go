@@ -1,6 +1,8 @@
 package rspq
 
 import (
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -360,10 +362,9 @@ func TestDispatcherChoices(t *testing.T) {
 		{"a*c*", true, AlgoSubword},
 		{"a*(bb+|())c*", true, AlgoSummary},
 		{"(aa)*", true, AlgoBaseline},
-		{"a*(bb+|())c*", false, AlgoDAG},
-		{"(aa)*", false, AlgoDAG},
-		// Language first: a finite or subword-closed language never asks
-		// whether the graph is acyclic.
+		// The tier is the language's alone: an acyclic input changes none.
+		{"a*(bb+|())c*", false, AlgoSummary},
+		{"(aa)*", false, AlgoBaseline},
 		{"ab|ba", false, AlgoFinite},
 		{"a*c*", false, AlgoSubword},
 	}
@@ -381,56 +382,58 @@ func TestDispatcherChoices(t *testing.T) {
 	}
 }
 
-// TestAcyclicVerdictOnlyWhereRead drives an Engine over a cyclic graph
-// through epochs that remove edges — each one drops a "cyclic" verdict,
-// so recomputing it costs an O(V+E) pass — and pins who pays: a language
-// whose tier the verdict cannot change (subword-closed, finite) leaves
-// the verdict unknown forever, through queries, batches and compactions;
-// a language that dispatches on it (Ψtr summary, NP baseline) knows it
-// again after the first query of every epoch.
-func TestAcyclicVerdictOnlyWhereRead(t *testing.T) {
-	cases := []struct {
-		pattern string
-		reads   bool
-	}{
-		{"a*c*", false},
-		{"ab|ba|aab", false},
-		{"a*(bb+|())c*", true},
-		{"(aa)*", true},
+// TestNoQueryComputesAcyclicity pins that dispatch reads only the
+// language: after an edge removal — which at worst turns a cyclic graph
+// acyclic — the first query on every surface, and a Warm, allocates less
+// than one TopoOrder would (its indeg and order slices, 16·n bytes), for
+// a language of every tier. Both cache tiers are off, so no table export
+// allocates either.
+func TestNoQueryComputesAcyclicity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
 	}
-	for _, c := range cases {
-		s := mustSolver(t, c.pattern)
-		g := graph.RandomRegular(30, []byte{'a', 'b', 'c'}, 3, 9) // cyclic
-		l := newLedger(g)
-		e := NewEngine(s, g, EngineConfig{CompactDelta: -1})
-		bs := NewBatchSolver(s, g)
-		if _, known := g.AcyclicVerdict(); known != c.reads {
-			t.Fatalf("%q: verdict known=%v after NewEngine, want %v", c.pattern, known, c.reads)
+	const n = 100_000
+	topoBytes := uint64(16 * n)
+	for _, pattern := range []string{"a*c*", "ab|ba", "a*(bb+|())c*", "(aa)*"} {
+		s := mustSolver(t, pattern)
+		g := graph.RandomOutRegular(n, []byte{'a', 'b', 'c'}, 3, 7) // cyclic
+		var victims []graph.Edge
+		for v := 0; v < 8; v++ {
+			victims = append(victims, g.OutEdges(v)[0])
 		}
-		for epoch := 0; epoch < 6; epoch++ {
-			victim := l.out[epoch][0]
-			if !l.remove(victim.From, victim.Label, victim.To) {
-				t.Fatalf("%q: edge %v vanished", c.pattern, victim)
-			}
-			if _, known := g.AcyclicVerdict(); known {
-				t.Fatalf("%q epoch %d: removing an edge must drop the verdict", c.pattern, epoch)
-			}
-			want := s.Solve(l.rebuilt(), 3, 17).Found
-			if got := e.Solve(3, 17).Found; got != want {
-				t.Fatalf("%q epoch %d: Engine.Solve = %v, rebuilt graph says %v", c.pattern, epoch, got, want)
-			}
-			if _, known := g.AcyclicVerdict(); known != c.reads {
-				t.Fatalf("%q epoch %d: verdict known=%v after the first query, want %v", c.pattern, epoch, known, c.reads)
-			}
-			e.Exists(5, 17)
-			e.BatchSolve([]Pair{{X: 1, Y: 2}, {X: 4, Y: 2}})
-			bs.SolveExists([]Pair{{X: 1, Y: 2}})
-			s.Warm(g)
-			if epoch%2 == 1 {
-				e.Compact()
-			}
-			if _, known := g.AcyclicVerdict(); known != c.reads {
-				t.Fatalf("%q epoch %d: verdict known=%v at the end of the epoch, want %v", c.pattern, epoch, known, c.reads)
+		e := NewEngine(s, g, EngineConfig{TableBytes: -1, ResultBytes: -1, CompactDelta: -1})
+		bs := NewBatchSolver(s, g)
+		rng := rand.New(rand.NewSource(1))
+		pair := func() (int, int) { return rng.Intn(n), rng.Intn(n) }
+		surfaces := []struct {
+			name string
+			call func()
+		}{
+			{"Engine.Solve", func() { e.Solve(pair()) }},
+			{"Engine.Exists", func() { e.Exists(pair()) }},
+			{"BatchSolver.SolveExists", func() {
+				x, y := pair()
+				bs.SolveExists([]Pair{{X: x, Y: y}})
+			}},
+			{"Solver.Warm", func() { s.Warm(g) }},
+		}
+		for _, sf := range surfaces { // warm the arena pool
+			sf.call()
+		}
+		for i, sf := range surfaces {
+			for round := 0; round < 2; round++ {
+				victim := victims[2*i+round]
+				if !g.RemoveEdge(victim.From, victim.Label, victim.To) {
+					t.Fatalf("%q: edge %v vanished", pattern, victim)
+				}
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				sf.call()
+				runtime.ReadMemStats(&m1)
+				if b := m1.TotalAlloc - m0.TotalAlloc; b >= topoBytes {
+					t.Errorf("%q: the first %s after a removal allocated %d B, a TopoOrder's worth (%d B)",
+						pattern, sf.name, b, topoBytes)
+				}
 			}
 		}
 	}

@@ -122,20 +122,20 @@ func TestEngineOverlaySoak(t *testing.T) {
 }
 
 // TestEngineSparseTableChurn is the add/remove churn of the soak above
-// pointed at the walk-reduction tiers, whose Engine answers are read off
-// cached goal tables: on graphs where some backward sweeps reach more
-// than half the product and others stay well below, so both table forms
-// are built (exportGoalTable picks by bytes), every epoch flips edges in
-// three pinned steps — read through an overlay view that extends the
-// previous epochs', every fourth epoch through the base a Compact just
-// merged — and then
-// asks, per target, once cold from a source the rebuilt graph proves
-// unreachable — the sweep runs to the end and the table is built, sparse
-// whenever that retains fewer bytes — and once more from a random other
-// source, which must hit that table. Both answers must pass
-// VerifyWitness and agree, in existence and in length (both tiers return
-// shortest paths), with a freshly compiled Solver on a graph rebuilt
-// from scratch.
+// pointed at a subword-closed language and at a baseline-tier language
+// on a layered DAG, where the walk-first step answers every source: both
+// read their Engine answers off cached goal tables, on graphs where some
+// backward sweeps reach more than half the product and others stay well
+// below, so both table forms are built (exportGoalTable picks by bytes),
+// every epoch flips edges in three pinned steps — read through an
+// overlay view that extends the previous epochs', every fourth epoch
+// through the base a Compact just merged — and then asks, per target,
+// once cold from a source the rebuilt graph proves unreachable — the
+// sweep runs to the end and the table is built, sparse whenever that
+// retains fewer bytes — and once more from a random other source, which
+// must hit that table. Both answers must pass VerifyWitness and agree,
+// in existence and in length (both tiers return shortest paths), with a
+// freshly compiled Solver on a graph rebuilt from scratch.
 func TestEngineSparseTableChurn(t *testing.T) {
 	cases := []struct {
 		name, pattern string
@@ -143,7 +143,7 @@ func TestEngineSparseTableChurn(t *testing.T) {
 		gen           func() *graph.Graph
 	}{
 		{"subword", "a*c*", AlgoSubword, func() *graph.Graph { return graph.RandomRegular(400, []byte{'a', 'b', 'c'}, 6, 29) }},
-		{"dag", "(a|b)*a(a|b)*", AlgoDAG, func() *graph.Graph { return graph.LayeredDAG(40, 10, 2, []byte{'a', 'b'}, 29) }},
+		{"dag", "(a|b)*a(a|b)*", AlgoBaseline, func() *graph.Graph { return graph.LayeredDAG(40, 10, 2, []byte{'a', 'b'}, 29) }},
 	}
 	for _, c := range cases {
 		s, err := NewSolver(c.pattern)
@@ -157,7 +157,7 @@ func TestEngineSparseTableChurn(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
 		var sparse, dense, hits int
 		for epoch := 0; epoch < 10; epoch++ {
-			mutateInSteps(l, rng, 3, 2, c.tier == AlgoDAG)
+			mutateInSteps(l, rng, 3, 2, c.name == "dag")
 			if epoch%4 == 3 {
 				e.Compact()
 			}

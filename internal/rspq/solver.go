@@ -24,7 +24,7 @@ const (
 	AlgoFinite                       // AC⁰ tier: finite-language search
 	AlgoSubword                      // Mendelzon–Wood trC(0) fast path
 	AlgoSummary                      // Ψtr summary solver (Lemmas 12–16)
-	AlgoDAG                          // acyclic input: RPQ walk is simple
+	AlgoDAG                          // acyclic input, forced only: RPQ walk is simple
 	AlgoBaseline                     // exact exponential backtracking
 	AlgoWalk                         // plain RPQ (arbitrary paths) — not RSPQ
 	AlgoNaive                        // unsound loop elimination (foil)
@@ -169,9 +169,8 @@ func (s *Solver) seqPlans() []*seqPlan {
 // g safe and allocation-free at steady state; it is optional for
 // single-goroutine use, where the first query warms the caches.
 //
-// Warm pins exactly like a query does (pin below): the view, the
-// alphabet and — for languages that dispatch on it — the acyclicity
-// verdict all belong to one generation, so a mutation interleaving with
+// Warm pins exactly like a query does (pin below): the view and the
+// alphabet belong to one generation, so a mutation interleaving with
 // the warming can never leave a stale snapshot paired with a newer epoch
 // (or vice versa), which matters to anything — Engine above all — that
 // keys cached tables by epoch. Warming a mutated graph does NOT force a
@@ -183,27 +182,22 @@ func (s *Solver) Warm(g *graph.Graph) {
 }
 
 // pin pins g's current view together with the epoch it was pinned under
-// and the tier that answers algo on it (TierFor), retrying if a mutation
-// interleaves so the three belong to one generation. It is the one place
-// Solver, BatchSolver, Engine and Warm obtain a dispatch verdict, each
-// under the synchronization it already holds for the lazy pin.
+// (SnapshotView) and the tier that answers algo (TierFor). It is the one
+// place Solver, BatchSolver, Engine and Warm obtain a dispatch verdict,
+// each under the synchronization it already holds for the lazy pin.
 func (s *Solver) pin(g *graph.Graph, algo Algorithm) pinned {
-	for {
-		vw, epoch := g.SnapshotView()
-		tier := s.TierFor(g, algo)
-		if g.Epoch() == epoch {
-			return pinned{vw: vw, epoch: epoch, algo: tier}
-		}
-	}
+	vw, epoch := g.SnapshotView()
+	return pinned{vw: vw, epoch: epoch, algo: s.TierFor(g, algo)}
 }
 
 // TierFor reports the tier that answers SolveWith(g, x, y, algo).
-// AlgoAuto is ChooseAlgorithm's tier. A forced tier that does not apply
-// — the finite search on an infinite language, the walk reduction on a
-// language that is not subword-closed, the summary solver without a
-// Ψtr form, the RPQ collapse on a cyclic graph, and color coding, which
-// needs a length bound (ColorCoding) — is the baseline. Any other algo
-// answers as itself.
+// AlgoAuto is ChooseAlgorithm's tier, which reads only the language. A
+// forced tier that does not apply — the finite search on an infinite
+// language, the walk reduction on a language that is not
+// subword-closed, the summary solver without a Ψtr form, the RPQ
+// collapse on a cyclic graph (the one case that reads g: an O(V+E)
+// IsAcyclic per pin), and color coding, which needs a length bound
+// (ColorCoding) — is the baseline. Any other algo answers as itself.
 func (s *Solver) TierFor(g *graph.Graph, algo Algorithm) Algorithm {
 	switch {
 	case algo == AlgoAuto:
@@ -218,24 +212,20 @@ func (s *Solver) TierFor(g *graph.Graph, algo Algorithm) Algorithm {
 	return algo
 }
 
-// ChooseAlgorithm reports how Solve would answer a query on g. The rule
-// is language-first: a finite or subword-closed language dispatches
-// without consulting the graph at all — the verdict cannot change how
-// the query is answered (the DAG and subword tiers are one backward
-// product sweep, and loop removal is the identity on a DAG walk), and
-// computing it on a graph that just lost an edge costs an O(V+E) recheck
-// that streaming point queries should not pay. Only the remaining
-// languages read the graph's acyclicity verdict, where an acyclic input
-// collapses RSPQ to RPQ and spares them the summary or exponential
-// search.
+// ChooseAlgorithm reports how Solve would answer a query. The tier
+// depends on the language alone, as the trichotomy does: finite, then
+// subword-closed, then a tractable (trC) language with a Ψtr form, and
+// the baseline otherwise. Acyclic inputs (Theorem 8) need no tier of
+// their own: every walk on a DAG is simple, so the walk-first step of
+// the summary and baseline tiers answers every source without a search.
+// g is unread; the parameter stays for callers such as the bench
+// ladder.
 func (s *Solver) ChooseAlgorithm(g *graph.Graph) Algorithm {
 	switch {
 	case s.Classification.Finite:
 		return AlgoFinite
 	case s.SubwordClosed:
 		return AlgoSubword
-	case g.IsAcyclic():
-		return AlgoDAG
 	case s.Classification.Tractable && s.Expr != nil:
 		return AlgoSummary
 	default:
@@ -246,15 +236,15 @@ func (s *Solver) ChooseAlgorithm(g *graph.Graph) Algorithm {
 // Solve answers RSPQ(L): is there a simple L-labeled path from x to y
 // in g? The dispatcher follows the trichotomy (ChooseAlgorithm): finite
 // languages use the AC⁰-tier search, subword-closed languages the
-// Mendelzon–Wood walk reduction, every other language the RPQ collapse
-// on DAG inputs, tractable (trC) languages with a Ψtr form the
-// polynomial summary solver, everything else the exact exponential
-// baseline (the problem is NP-complete there, so exponential worst-case
-// time is expected). The summary and baseline tiers search only when
-// the shortest L-labeled walk leaves the answer open: it repeats a
-// vertex, and removing its loops leaves L. It runs on the evaluator of
-// BatchSolver and Engine as a target group of one, so all three return
-// the same witness.
+// Mendelzon–Wood walk reduction, tractable (trC) languages with a Ψtr
+// form the polynomial summary solver, everything else the exact
+// exponential baseline (the problem is NP-complete there, so exponential
+// worst-case time is expected). The summary and baseline tiers search
+// only when the shortest L-labeled walk leaves the answer open: it
+// repeats a vertex, and removing its loops leaves L — never on a DAG,
+// where every walk is simple. It runs on the evaluator of BatchSolver
+// and Engine as a target group of one, so all three return the same
+// witness.
 func (s *Solver) Solve(g *graph.Graph, x, y int) Result {
 	return s.SolveWith(g, x, y, AlgoAuto)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/automaton"
+	"repro/internal/catalog"
 	"repro/internal/graph"
 )
 
@@ -132,6 +133,54 @@ func TestWalkFirst(t *testing.T) {
 		}
 		t.Logf("%q: %d pairs searched", pattern, searched)
 	}
+}
+
+// TestDAGWalkFirst pins Theorem 8 on the evaluator: on a DAG every walk
+// is simple, so no tier of its own is needed. For every catalog language
+// on layered DAGs, Solve and Shortest agree with the exponential ground
+// truth (Baseline, BaselineShortest) on existence and are as short as
+// BaselineShortest's path, and a traced uncached Engine runs the
+// language's own tier — never dag — with no search node expanded on the
+// walk-first tiers (the finite tier's deepening is its search).
+func TestDAGWalkFirst(t *testing.T) {
+	found := 0
+	for _, entry := range catalog.All() {
+		s := mustSolver(t, entry.Pattern)
+		tier := s.ChooseAlgorithm(nil)
+		for seed := int64(1); seed <= 3; seed++ {
+			g := graph.LayeredDAG(20, 20, 3, []byte("abc"), seed)
+			e := NewEngine(s, g, EngineConfig{TableBytes: -1, ResultBytes: -1})
+			for i := 0; i < 60; i++ {
+				lx := i % 10
+				x := lx*20 + 7*i%20
+				y := (lx+1+3*i%(19-lx))*20 + (11*i+3)%20
+				want, wantShort := Baseline(g, s.Min, x, y, nil), BaselineShortest(g, s.Min, x, y, nil)
+				if want.Found != wantShort.Found {
+					t.Fatalf("%q seed=%d (%d,%d): Baseline found=%v, BaselineShortest found=%v", entry.Pattern, seed, x, y, want.Found, wantShort.Found)
+				}
+				traced, tr := e.SolveTraced(x, y)
+				for _, got := range []struct {
+					who string
+					res Result
+				}{{"Solve", s.Solve(g, x, y)}, {"Shortest", s.Shortest(g, x, y)}, {"Engine.SolveTraced", traced}} {
+					if got.res.Found != want.Found || !VerifyWitness(got.res, g, s.Min, x, y) ||
+						got.res.Found && got.res.Path.Len() != wantShort.Path.Len() {
+						t.Fatalf("%q seed=%d (%d,%d): %s = %v, BaselineShortest %v", entry.Pattern, seed, x, y, got.who, got.res.Path, wantShort.Path)
+					}
+				}
+				if tr.Tier != tier.String() || tier != AlgoFinite && tr.SearchNodes != 0 {
+					t.Fatalf("%q seed=%d (%d,%d): trace tier %s with %d search nodes; want %v with none", entry.Pattern, seed, x, y, tr.Tier, tr.SearchNodes, tier)
+				}
+				if want.Found {
+					found++
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no catalog pair is found on the layered DAGs; the walk-first answers went untested")
+	}
+	t.Logf("%d found pairs", found)
 }
 
 // vlgWalkFirstPatterns returns the paper's letter-synchronizing

@@ -27,8 +27,8 @@ func TestWitnessAgreement(t *testing.T) {
 	}{
 		{"subword-regular", "a*c*", AlgoSubword, graph.RandomRegular(60, abc, 3, 12)},
 		{"subword-sparse", "a*b?c*", AlgoSubword, graph.Random(50, abc, 0.06, 4)},
-		{"dag-layered", "(a|b)*a(a|b)*", AlgoDAG, graph.LayeredDAG(8, 6, 3, ab, 5)},
-		{"dag-layered-ba", "a*ba*", AlgoDAG, graph.LayeredDAG(6, 8, 2, ab, 9)},
+		{"dag-layered", "(a|b)*a(a|b)*", AlgoBaseline, graph.LayeredDAG(8, 6, 3, ab, 5)},
+		{"dag-layered-ba", "a*ba*", AlgoBaseline, graph.LayeredDAG(6, 8, 2, ab, 9)},
 		{"finite", "ab|ba|aab", AlgoFinite, graph.Random(40, ab, 0.08, 6)},
 		{"summary", "a*(bb+|())c*", AlgoSummary, graph.Random(40, abc, 0.08, 7)},
 		{"baseline", "(aa)*", AlgoBaseline, graph.RandomRegular(30, abc, 3, 9)},

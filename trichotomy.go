@@ -47,10 +47,10 @@
 //   - Graphs follow a build-then-freeze lifecycle: construct with
 //     AddVertex/AddEdge, then query. The first query freezes the graph
 //     into a label-indexed CSR snapshot (contiguous per-label adjacency
-//     in both directions) and caches the alphabet (and, for languages
-//     whose dispatch reads it, the acyclicity verdict). Every mutation (AddEdge, RemoveEdge, AddVertex)
-//     advances the graph's mutation epoch (Graph.Epoch) and accumulates
-//     in a delta overlay; the next query re-freezes INCREMENTALLY,
+//     in both directions) and caches the alphabet. Every mutation
+//     (AddEdge, RemoveEdge, AddVertex) advances the graph's mutation
+//     epoch (Graph.Epoch) and accumulates in a delta overlay; the next
+//     query re-freezes INCREMENTALLY,
 //     merging the delta into the previous snapshot in time proportional
 //     to the delta rather than rebuilding all E edges, so streaming
 //     workloads interleave mutation and query cheaply. Call
@@ -216,9 +216,9 @@ func (l *Language) Member(word string) bool { return l.solver.Min.Member(word) }
 // lazily. Call it after graph construction when g will be queried from
 // multiple goroutines; single-goroutine use may skip it. Warming after
 // a mutation is cheap: the snapshot is refreshed by merging the
-// pending delta into the previous CSR, and the view, the epoch and the
-// dispatch verdict are guaranteed to belong to one generation even if a
-// mutation interleaves (see Graph.SnapshotView).
+// pending delta into the previous CSR, and the view and the epoch are
+// guaranteed to belong to one generation even if a mutation interleaves
+// (see Graph.SnapshotView).
 func (l *Language) Warm(g *Graph) { l.solver.Warm(g) }
 
 // Solve answers RSPQ(L): is there a simple L-labeled path from x to y?
@@ -310,7 +310,8 @@ func (l *Language) SolveBounded(g *Graph, x, y, k int, seed int64) Result {
 	return rspq.ColorCoding(g, l.solver.Min, x, y, k, rspq.ColorCodingOptions{Seed: seed})
 }
 
-// AlgorithmFor reports which algorithm Solve would use on g.
+// AlgorithmFor reports which algorithm Solve would use on g. The tier
+// is the language's alone (Solver.ChooseAlgorithm); g is not read.
 func (l *Language) AlgorithmFor(g *Graph) string {
 	return l.solver.ChooseAlgorithm(g).String()
 }
