@@ -38,8 +38,9 @@ bench-check:
 # fuzz: a short deterministic pass over the fuzzers (regex parser,
 # snapshot decode, WAL replay, rspqd's request decoders against
 # encoding/json, every query surface — the vertex-labeled one too —
-# against the exponential baseline, and the graph mutators against a
-# list oracle) — corpus + 10s of new inputs each, the CI fuzz smoke
+# against the exponential baseline, the graph mutators against a list
+# oracle, and the graph text reader against the fmt-based parser it
+# replaced) — corpus + 10s of new inputs each, the CI fuzz smoke
 # test. `go test -fuzz` accepts one target per run, hence the separate
 # invocations, and FuzzSolve's pattern is anchored so that it does not
 # also match FuzzSolveVlg.
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/rspq/ -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 10s
 	$(GO) test ./internal/rspq/ -run '^$$' -fuzz FuzzSolveVlg -fuzztime 10s
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzGraphMutations -fuzztime 10s
+	$(GO) test ./internal/graph/ -run '^$$' -fuzz FuzzReadText -fuzztime 10s
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s
 	$(GO) test ./cmd/rspqd/ -run '^$$' -fuzz FuzzDecodeQuery -fuzztime 10s

@@ -1,6 +1,7 @@
 package trichotomy
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -299,6 +300,82 @@ func BenchmarkFreeze(b *testing.B) {
 			}
 			b.StartTimer()
 			fresh.Freeze()
+		}
+	})
+}
+
+// buildShapes are the graphs the load benchmarks build: the flood shape
+// (12.5k vertices, 1M edges, {a,b}: the flood-kernel workload's graph)
+// and the churn shape (111k vertices, 333k edges, {a,b,c}: the
+// serve-churn workload's). -short shrinks both to about 100k edges.
+func buildShapes() []struct {
+	name      string
+	n, outDeg int
+	labels    []byte
+} {
+	if testing.Short() {
+		return []struct {
+			name      string
+			n, outDeg int
+			labels    []byte
+		}{
+			{"flood/n=1.25k,m=100k", 1_250, 80, []byte("ab")},
+			{"churn/n=33.3k,m=100k", 33_300, 3, []byte("abc")},
+		}
+	}
+	return []struct {
+		name      string
+		n, outDeg int
+		labels    []byte
+	}{
+		{"flood/n=12.5k,m=1M", 12_500, 80, []byte("ab")},
+		{"churn/n=111k,m=333k", 111_000, 3, []byte("abc")},
+	}
+}
+
+// BenchmarkBuild measures loading a graph: an AddEdge loop over its
+// edges in (from, to, label) order, as the benchmark harness builds its
+// graphs, plus the first Freeze.
+func BenchmarkBuild(b *testing.B) {
+	for _, sh := range buildShapes() {
+		b.Run(sh.name, func(b *testing.B) {
+			g := graph.RandomOutRegular(sh.n, sh.labels, sh.outDeg, 1)
+			es := g.Edges()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fresh := graph.New(sh.n)
+				for _, e := range es {
+					fresh.AddEdge(e.From, e.Label, e.To)
+				}
+				fresh.Freeze()
+			}
+		})
+	}
+}
+
+// BenchmarkReadText measures a cold load from text: ReadText of the
+// churn shape as WriteText writes it, plus the first Freeze — what
+// rspqd -graph and rspq -graph run before their first query. Its
+// allocs/op do not grow with the line count (TestReadTextAllocs).
+func BenchmarkReadText(b *testing.B) {
+	n, outDeg := 111_000, 3
+	if testing.Short() {
+		n = 33_300
+	}
+	var buf bytes.Buffer
+	if err := graph.RandomOutRegular(n, []byte("abc"), outDeg, 1).WriteText(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("churn/n=%d,m=%d", n, n*outDeg), func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(buf.Len()))
+		for i := 0; i < b.N; i++ {
+			g, err := graph.ReadText(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			g.Freeze()
 		}
 	})
 }

@@ -326,18 +326,18 @@ func Example_streaming() {
 	fmt.Printf("snapshot rebuilds observed by the engine: %d\n", st.SnapshotRebuilds)
 	// Output:
 	// base graph: 512 vertices, 2044 edges, tier subword
-	// round  0: epoch=2052 delta=(8 adds, 0 dels) reads(overlay/pass)=64/0 tables hit/miss=53/75 results hit/miss=0/128
-	// round  1: epoch=2060 delta=(16 adds, 0 dels) reads(overlay/pass)=128/0 tables hit/miss=99/157 results hit/miss=0/256
-	// round  2: epoch=2068 delta=(24 adds, 0 dels) reads(overlay/pass)=192/0 tables hit/miss=146/236 results hit/miss=1/383
-	// round  3: epoch=2076 delta=(32 adds, 0 dels) reads(overlay/pass)=256/0 tables hit/miss=185/325 results hit/miss=1/511
-	// round  4: epoch=2084 delta=(40 adds, 0 dels) reads(overlay/pass)=320/0 tables hit/miss=223/415 results hit/miss=1/639
-	// round  5: epoch=2092 delta=(48 adds, 0 dels) reads(overlay/pass)=384/0 tables hit/miss=265/501 results hit/miss=1/767
-	// round  6: epoch=2100 delta=(56 adds, 0 dels) reads(overlay/pass)=448/0 tables hit/miss=309/585 results hit/miss=1/895
-	// round  7: epoch=2108 delta=(64 adds, 0 dels) reads(overlay/pass)=512/0 tables hit/miss=347/675 results hit/miss=1/1023
-	// round  8: epoch=2116 delta=(72 adds, 0 dels) reads(overlay/pass)=576/0 tables hit/miss=390/760 results hit/miss=1/1151
-	// round  9: epoch=2124 delta=(80 adds, 0 dels) reads(overlay/pass)=640/0 tables hit/miss=429/849 results hit/miss=1/1279
-	// round 10: epoch=2132 delta=(88 adds, 0 dels) reads(overlay/pass)=704/0 tables hit/miss=473/931 results hit/miss=2/1406
-	// round 11: epoch=2140 delta=(96 adds, 0 dels) reads(overlay/pass)=768/0 tables hit/miss=515/1015 results hit/miss=3/1533
+	// round  0: epoch=2052 delta=(8 adds, 0 dels) reads(overlay/pass)=64/0 tables hit/miss=53/11 results hit/miss=0/128
+	// round  1: epoch=2060 delta=(16 adds, 0 dels) reads(overlay/pass)=128/0 tables hit/miss=99/29 results hit/miss=0/256
+	// round  2: epoch=2068 delta=(24 adds, 0 dels) reads(overlay/pass)=192/0 tables hit/miss=146/45 results hit/miss=1/383
+	// round  3: epoch=2076 delta=(32 adds, 0 dels) reads(overlay/pass)=256/0 tables hit/miss=185/70 results hit/miss=1/511
+	// round  4: epoch=2084 delta=(40 adds, 0 dels) reads(overlay/pass)=320/0 tables hit/miss=223/96 results hit/miss=1/639
+	// round  5: epoch=2092 delta=(48 adds, 0 dels) reads(overlay/pass)=384/0 tables hit/miss=265/118 results hit/miss=1/767
+	// round  6: epoch=2100 delta=(56 adds, 0 dels) reads(overlay/pass)=448/0 tables hit/miss=309/138 results hit/miss=1/895
+	// round  7: epoch=2108 delta=(64 adds, 0 dels) reads(overlay/pass)=512/0 tables hit/miss=347/164 results hit/miss=1/1023
+	// round  8: epoch=2116 delta=(72 adds, 0 dels) reads(overlay/pass)=576/0 tables hit/miss=390/185 results hit/miss=1/1151
+	// round  9: epoch=2124 delta=(80 adds, 0 dels) reads(overlay/pass)=640/0 tables hit/miss=429/210 results hit/miss=1/1279
+	// round 10: epoch=2132 delta=(88 adds, 0 dels) reads(overlay/pass)=704/0 tables hit/miss=473/229 results hit/miss=2/1406
+	// round 11: epoch=2140 delta=(96 adds, 0 dels) reads(overlay/pass)=768/0 tables hit/miss=515/250 results hit/miss=3/1533
 	// served 768 queries, 400 found
 	// reads: 768 through overlay views, 0 pass-through
 	// freezes: 1 full (the initial build), 1 incremental; compacted=true, delta now (0,0)

@@ -117,6 +117,23 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return e.val, true
 }
 
+// Probe is Get for a second lookup on behalf of one ask whose first
+// lookup already counted its miss: a hit is counted and refreshes the
+// entry as Get's does, a miss is not counted.
+func (c *Cache[K, V]) Probe(key K) (V, bool) {
+	sh := c.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.m[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	sh.hits++
+	sh.moveToFront(e)
+	return e.val, true
+}
+
 // Retainable reports whether an entry of the given cost can be held at
 // all (it fits one shard's slice of the byte budget). Callers building
 // expensive cache values can pre-check it and skip the build when the

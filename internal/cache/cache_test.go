@@ -42,6 +42,27 @@ func TestBasicGetPut(t *testing.T) {
 	}
 }
 
+// TestProbeCountsNoMiss pins Probe: a hit counts and refreshes recency
+// as Get's does, a miss is not counted.
+func TestProbeCountsNoMiss(t *testing.T) {
+	c := New[string, int](Config{MaxBytes: 2, Shards: 1})
+	if _, ok := c.Probe("a"); ok {
+		t.Fatal("empty cache reported a hit")
+	}
+	c.Put("a", 1, 1)
+	c.Put("b", 2, 1)
+	if v, ok := c.Probe("a"); !ok || v != 1 {
+		t.Fatalf("Probe(a) = %d, %v; want 1, true", v, ok)
+	}
+	c.Put("c", 3, 1) // evicts b, the colder once a was probed
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("the probe did not refresh a")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v; want the probe's hit and Get's miss only", st)
+	}
+}
+
 func TestEvictionLRUOrder(t *testing.T) {
 	// One shard so the recency order is global and deterministic.
 	c := New[int, int](Config{MaxBytes: 100, Shards: 1})

@@ -39,10 +39,16 @@ type CSR struct {
 // AddVertex). After a mutation, Freeze prefers the incremental path:
 // the sorted net delta accumulated since the last snapshot is merged
 // into it (delta.go) with bulk copies of the untouched payload, rather
-// than rebuilding and re-sorting all E edges — the
-// full rebuild only runs for the first freeze, after an alphabet
-// change, or when the delta exceeds deltaMergeLimit of the base. A
-// delta that canceled out exactly reinstates the base as it is.
+// than rebuilding all E edges — the full rebuild (buildCSR) only runs
+// for the first freeze, after an alphabet change, or when the delta
+// exceeds deltaMergeLimit of the base. A delta that canceled out
+// exactly reinstates the base as it is.
+//
+// The first Freeze builds the CSR from the edge log (edgelog.go), in
+// log order, and drops the log's index, which only the writes to a
+// never-frozen graph read; the log itself is kept (compacted, when
+// removals left dead records) so that OutEdges / InEdges keep reporting
+// insertion order until the first write to the frozen graph.
 //
 // Call Freeze after construction and before sharing the graph across
 // goroutines; the returned CSR itself is immutable and safe for
@@ -67,6 +73,15 @@ func (g *Graph) Freeze() *CSR {
 		g.csr = buildCSR(g)
 		g.fullBuilds.Add(1)
 	}
+	if g.csrBase == nil { // the first freeze: the log stays, its index goes
+		g.index = nil
+		if g.dead > 0 {
+			g.compactLog()
+		}
+		if g.log == nil {
+			g.log = []logEdge{} // kept, though empty (logKept)
+		}
+	}
 	g.csrBase = g.csr
 	clear(g.delta) // keeps its capacity for the next round of writes
 	g.deltaAdds, g.deltaDels = 0, 0
@@ -80,11 +95,16 @@ func (g *Graph) Freeze() *CSR {
 	return g.csr
 }
 
-// buildCSR builds the snapshot of g from scratch: two scatter passes
-// over its edges (allEdges — the lists, or the base and the delta once
-// the lists are dropped) and a sort of every bucket.
+// buildCSR builds the snapshot of g from scratch, from its live edges
+// (allEdges: the log while it is kept, else the base and the delta), in
+// one scatter pass to both sides in the order given. That leaves every
+// bucket sorted when the edges came in (from, to) order, as files and
+// generators write them; a side left unsorted is scattered again from
+// the other side (transpose), which sorts it without a comparison: read
+// by ascending row, a side sends each bucket its values in ascending
+// order.
 func buildCSR(g *Graph) *CSR {
-	n := g.NumVertices()
+	n, edges := g.NumVertices(), g.allEdges()
 	c := &CSR{n: n, m: g.edges, labels: g.Alphabet()}
 	for i := range c.labelID {
 		c.labelID[i] = -1
@@ -95,10 +115,12 @@ func buildCSR(g *Graph) *CSR {
 	L := len(c.labels)
 	c.outBucket = make([]int32, n*L+1)
 	c.inBucket = make([]int32, n*L+1)
-	for e := range g.allEdges() {
-		lid := int(c.labelID[e.Label])
-		c.outBucket[e.From*L+lid+1]++
-		c.inBucket[e.To*L+lid+1]++
+	for _, r := range edges {
+		if !r.dead {
+			lid := int(c.labelID[r.label])
+			c.outBucket[int(r.from)*L+lid+1]++
+			c.inBucket[int(r.to)*L+lid+1]++
+		}
 	}
 	for i := 1; i < len(c.outBucket); i++ {
 		c.outBucket[i] += c.outBucket[i-1]
@@ -106,23 +128,52 @@ func buildCSR(g *Graph) *CSR {
 	}
 	c.outTo = make([]int32, g.edges)
 	c.inFrom = make([]int32, g.edges)
-	outNext := append([]int32(nil), c.outBucket[:len(c.outBucket)-1]...)
-	inNext := append([]int32(nil), c.inBucket[:len(c.inBucket)-1]...)
-	for e := range g.allEdges() {
-		lid := int(c.labelID[e.Label])
-		oi := e.From*L + lid
-		c.outTo[outNext[oi]] = int32(e.To)
-		outNext[oi]++
-		ii := e.To*L + lid
-		c.inFrom[inNext[ii]] = int32(e.From)
-		inNext[ii]++
+	outNext := slices.Clone(c.outBucket[:n*L])
+	inNext := slices.Clone(c.inBucket[:n*L])
+	for _, r := range edges {
+		if !r.dead {
+			lid := int(c.labelID[r.label])
+			oi, ii := int(r.from)*L+lid, int(r.to)*L+lid
+			c.outTo[outNext[oi]] = int32(r.to)
+			c.inFrom[inNext[ii]] = int32(r.from)
+			outNext[oi]++
+			inNext[ii]++
+		}
 	}
-	// Sort bucket contents for determinism and binary-search membership.
-	for i := 0; i < n*L; i++ {
-		slices.Sort(c.outTo[c.outBucket[i]:c.outBucket[i+1]])
-		slices.Sort(c.inFrom[c.inBucket[i]:c.inBucket[i+1]])
+	if !bucketsSorted(c.outBucket, c.outTo) {
+		transpose(c.inBucket, c.inFrom, c.outBucket, c.outTo, outNext, L)
+	}
+	if !bucketsSorted(c.inBucket, c.inFrom) {
+		transpose(c.outBucket, c.outTo, c.inBucket, c.inFrom, inNext, L)
 	}
 	return c
+}
+
+// bucketsSorted reports whether every bucket of a CSR side is ascending.
+func bucketsSorted(bucket, payload []int32) bool {
+	for b := range len(bucket) - 1 {
+		if !slices.IsSorted(payload[bucket[b]:bucket[b+1]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// transpose scatters one CSR side (bucket, payload) into the other:
+// reading its rows in ascending order, row v's bucket (v, lid) sends v
+// into bucket (u, lid) of the other side for every u it holds, so every
+// bucket of the other side ends up ascending. next is scratch of the
+// bucket count.
+func transpose(bucket, payload, toBucket, toPayload, next []int32, L int) {
+	copy(next, toBucket)
+	for b := range len(bucket) - 1 {
+		v, lid := int32(b/L), b%L
+		for _, u := range payload[bucket[b]:bucket[b+1]] {
+			i := int(u)*L + lid
+			toPayload[next[i]] = v
+			next[i]++
+		}
+	}
 }
 
 // NumVertices returns the number of vertices of the snapshot.

@@ -2,8 +2,6 @@ package graph
 
 import (
 	"cmp"
-	"fmt"
-	"iter"
 	"math"
 	"slices"
 )
@@ -106,18 +104,15 @@ func (g *Graph) lookup(from int, label byte, to int) (k edgeKey, listed, present
 }
 
 // toggleDelta is an effective write to a frozen graph of the edge keyed
-// k — an add when added, a removal otherwise. It drops the adjacency
-// lists (rebuilt only when read, see OutEdges), keeps the counts
+// k — an add when added, a removal otherwise. It drops the edge log
+// (the lists are rebuilt only when read, see OutEdges), keeps the counts
 // (tally) and flips whether the edge differs from the base: a listed
 // edge is back to the base's state and leaves the delta; an unlisted
 // one enters it, as an add the base lacks or as a tombstone of a base
 // edge.
 func (g *Graph) toggleDelta(k edgeKey, listed, added bool) {
 	e := k.edge()
-	if added && (uint(e.From) >= uint(g.n) || uint(e.To) >= uint(g.n)) {
-		panic(fmt.Sprintf("graph: edge %v has an endpoint outside [0, %d)", e, g.n))
-	}
-	g.out, g.in = nil, nil
+	g.log = nil
 	g.tally(e, added)
 	switch {
 	case listed && added: // a tombstoned base edge is back
@@ -144,43 +139,36 @@ func (g *Graph) toggleDelta(k edgeKey, listed, added bool) {
 	g.logDelta(e)
 }
 
-// allEdges yields every edge of the graph without rebuilding the lists:
-// the lists while they are kept, else the base's edges the delta does
-// not tombstone and then the pending adds. The order is fixed only on
-// the first path; buildCSR, its one reader, sorts every bucket.
-func (g *Graph) allEdges() iter.Seq[Edge] {
-	return func(yield func(Edge) bool) {
-		if g.listsKept() {
-			for _, row := range g.out {
-				for _, e := range row {
-					if !yield(e) {
-						return
+// allEdges returns every edge of the graph as log records, some of them
+// possibly dead: the log itself while it is kept, else — built for the
+// caller — the base's edges the delta does not tombstone followed by the
+// pending adds. buildCSR, its one reader, sorts every bucket, so only
+// the log's order is meaningful.
+func (g *Graph) allEdges() []logEdge {
+	if g.logKept() {
+		return g.log
+	}
+	es := make([]logEdge, 0, g.edges)
+	base := g.csrBase
+	for v := range base.n {
+		for lid, label := range base.labels {
+			for _, to := range base.OutWithID(v, lid) {
+				if g.deltaDels > 0 {
+					if _, listed := g.delta[edgeKey{uint64(v), uint64(to)<<8 | uint64(label)}]; listed {
+						continue
 					}
 				}
-			}
-			return
-		}
-		base := g.csrBase
-		for v := range base.n {
-			for lid, label := range base.labels {
-				for _, to := range base.OutWithID(v, lid) {
-					if g.deltaDels > 0 {
-						if _, listed := g.delta[edgeKey{uint64(v), uint64(to)<<8 | uint64(label)}]; listed {
-							continue
-						}
-					}
-					if !yield(Edge{From: v, Label: label, To: int(to)}) {
-						return
-					}
-				}
-			}
-		}
-		for k, added := range g.delta {
-			if added && !yield(k.edge()) {
-				return
+				es = append(es, logEdge{from: uint32(v), to: uint32(to), label: label})
 			}
 		}
 	}
+	for k, added := range g.delta {
+		if added {
+			e := k.edge()
+			es = append(es, logEdge{from: uint32(e.From), to: uint32(e.To), label: e.Label})
+		}
+	}
+	return es
 }
 
 // netDelta returns the edges the delta lists, in map order.

@@ -22,14 +22,11 @@ import (
 // overlay from the net delta alone.
 func cloneForScratch(g *Graph) *Graph {
 	c := &Graph{
-		out: make([][]Edge, len(g.out)), in: make([][]Edge, len(g.in)),
 		n: g.n, edges: g.edges, names: slices.Clone(g.names), labelCount: g.labelCount,
+		log: slices.Clone(g.log), index: slices.Clone(g.index), seed: g.seed, dead: g.dead,
 		csr: g.csr, csrBase: g.csrBase,
 		delta: maps.Clone(g.delta), deltaAdds: g.deltaAdds, deltaDels: g.deltaDels,
 		deltaNewLabel: g.deltaNewLabel,
-	}
-	for v := range g.out {
-		c.out[v], c.in[v] = slices.Clone(g.out[v]), slices.Clone(g.in[v])
 	}
 	c.epoch.Store(g.Epoch())
 	return c

@@ -5,9 +5,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -39,20 +40,37 @@ type Edge struct {
 // mutation still advances the Epoch, so epoch-keyed caches built on top
 // (rspq.Engine) invalidate exactly as before.
 //
-// The per-vertex adjacency lists (OutEdges / InEdges) are the storage
-// until the first Freeze, in insertion order minus removals, and they
-// survive a Freeze and a PinView. From then on they are a cache: the
-// first effective write to the frozen graph drops them, so a write costs
-// the delta entry of its edge and never a row scan, and the next
-// OutEdges / InEdges / Edges rebuilds them once from the base and the
-// delta, each row in (label, neighbour) order. No query, write, PinView
-// or Freeze reads them after the drop.
+// Before the first Freeze the edges are stored as one insertion-ordered
+// log of 12-byte records plus a flat hash index over it (edgelog.go):
+// AddEdge, RemoveEdge and HasEdge cost one index probe, and no
+// per-vertex row exists. The first Freeze builds the CSR from the log
+// and drops the index; the log is kept until the first write to the
+// frozen graph, so until then OutEdges / InEdges report insertion order
+// minus removals.
+//
+// The per-vertex lists OutEdges / InEdges return are a cache on every
+// graph: built on the first read, from the log while it is kept and
+// else from the base and the delta (each row then in (label, neighbour)
+// order), and dropped by any write. No query, write, PinView, Freeze or
+// whole-graph pass (Edges, TopoOrder, EdgeSetEqual) builds them.
 type Graph struct {
-	out   [][]Edge // nil once a write to the frozen graph dropped them
-	in    [][]Edge
 	n     int
 	edges int
-	names []string // optional display names, "" when unset
+	names []string // optional display names, "" when unset; nil until one is set
+
+	// The edge log and its index (edgelog.go): the storage before the
+	// first Freeze. The index and its seed live only until that Freeze,
+	// the log until the first write to the frozen graph. dead counts the
+	// log's removed records.
+	log   []logEdge
+	index []uint64
+	seed  uint64
+	dead  int
+
+	// lists caches the per-vertex lists of OutEdges / InEdges, nil until
+	// they are read and from any write on. Atomic, so concurrent first
+	// reads of a graph nobody writes are race-free.
+	lists atomic.Pointer[adjLists]
 
 	// Lazily built caches, dropped on mutation.
 	alpha      automaton.Alphabet
@@ -102,11 +120,15 @@ type Graph struct {
 	epoch atomic.Uint64
 }
 
-// invalidate drops the caches a mutation may falsify and advances the
-// mutation epoch. The last frozen CSR survives as the merge base for
-// the next incremental Freeze, and the last pinned view — stale from
-// here on, by its epoch — as what the next pin extends.
+// invalidate drops the caches a mutation may falsify, the lists among
+// them, and advances the mutation epoch. The last frozen CSR survives as
+// the merge base for the next incremental Freeze, and the last pinned
+// view — stale from here on, by its epoch — as what the next pin
+// extends.
 func (g *Graph) invalidate() {
+	if g.lists.Load() != nil {
+		g.lists.Store(nil)
+	}
 	g.alpha = nil
 	g.alphaValid = false
 	g.csr = nil
@@ -136,15 +158,9 @@ func (g *Graph) logDelta(e Edge) {
 // Epoch is safe to call concurrently with mutations.
 func (g *Graph) Epoch() uint64 { return g.epoch.Load() }
 
-// New returns a graph with n isolated vertices.
-func New(n int) *Graph {
-	return &Graph{
-		out:   make([][]Edge, n),
-		in:    make([][]Edge, n),
-		n:     n,
-		names: make([]string, n),
-	}
-}
+// New returns a graph with n isolated vertices. It allocates nothing
+// per vertex: the edge log and its index grow with the edges.
+func New(n int) *Graph { return &Graph{n: n} }
 
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return g.n }
@@ -152,18 +168,14 @@ func (g *Graph) NumVertices() int { return g.n }
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return g.edges }
 
-// AddVertex appends an isolated vertex and returns its id. The CSR
-// delta overlay records only the row-count growth. On a frozen graph it
-// drops the adjacency lists, as a write does.
+// AddVertex appends an isolated vertex and returns its id, in O(1). The
+// CSR delta overlay records only the row-count growth. On a frozen graph
+// it drops the edge log, as a write does.
 func (g *Graph) AddVertex() int {
 	g.invalidate()
-	if g.csrBase == nil {
-		g.out = append(g.out, nil)
-		g.in = append(g.in, nil)
-	} else {
-		g.out, g.in = nil, nil
+	if g.csrBase != nil {
+		g.log = nil // the frozen graph's rows are no longer the log's
 	}
-	g.names = append(g.names, "")
 	g.n++
 	return g.n - 1
 }
@@ -171,6 +183,9 @@ func (g *Graph) AddVertex() int {
 // AddNamedVertex appends a vertex carrying a display name.
 func (g *Graph) AddNamedVertex(name string) int {
 	v := g.AddVertex()
+	if len(g.names) < g.n {
+		g.names = append(g.names, make([]string, g.n-len(g.names))...)
+	}
 	g.names[v] = name
 	return v
 }
@@ -178,7 +193,7 @@ func (g *Graph) AddNamedVertex(name string) int {
 // Name returns the display name of v (its id rendered in decimal when no
 // name was assigned).
 func (g *Graph) Name(v int) string {
-	if g.names[v] != "" {
+	if v < len(g.names) && g.names[v] != "" {
 		return g.names[v]
 	}
 	return fmt.Sprintf("v%d", v)
@@ -186,19 +201,19 @@ func (g *Graph) Name(v int) string {
 
 // AddEdge inserts the labeled edge (from, label, to). Parallel edges with
 // different labels are allowed; inserting the exact same edge twice is a
-// no-op, matching the set semantics E ⊆ V×Σ×V of the paper.
+// no-op, matching the set semantics E ⊆ V×Σ×V of the paper. An endpoint
+// outside [0, NumVertices()) panics, naming the edge.
 //
-// Before the first Freeze presence is a scan of from's out-edges and the
-// edge is appended to both lists. On a frozen graph presence is a binary
-// search in the base CSR plus one lookup in the net delta (delta.go),
-// where the insertion is recorded, so the next Freeze merges it into the
-// existing CSR instead of rebuilding; the adjacency lists are dropped,
-// not edited.
+// Before the first Freeze presence is one probe of the log's index
+// (edgelog.go) and an absent edge is appended to the log. On a frozen
+// graph presence is a binary search in the base CSR plus one lookup in
+// the net delta (delta.go), where the insertion is recorded, so the next
+// Freeze merges it into the existing CSR instead of rebuilding. Either
+// way no per-vertex row is read or written.
 func (g *Graph) AddEdge(from int, label byte, to int) {
+	g.mustInRange(from, label, to)
 	if g.csrBase == nil {
-		if !g.HasEdge(from, label, to) {
-			g.link(from, label, to)
-		}
+		g.logWrite(from, label, to, true, false)
 		return
 	}
 	if k, listed, present := g.lookup(from, label, to); !present {
@@ -212,16 +227,16 @@ func (g *Graph) AddEdge(from int, label byte, to int) {
 // advance the epoch.
 //
 // Presence is decided as in AddEdge. Before the first Freeze a present
-// edge is deleted from both lists, keeping the order of the rest; on a
-// frozen graph the removal is recorded in the net delta — a tombstone for
-// a base edge, the end of a pending add otherwise — and no row is
-// scanned.
+// edge's log record is marked dead (the log is compacted once dead
+// records outnumber live ones); on a frozen graph the removal is
+// recorded in the net delta — a tombstone for a base edge, the end of a
+// pending add otherwise.
 func (g *Graph) RemoveEdge(from int, label byte, to int) bool {
-	if from < 0 || from >= g.n || to < 0 || to >= g.n {
+	if !g.inRange(from, to) {
 		return false
 	}
 	if g.csrBase == nil {
-		return g.unlink(from, label, to)
+		return g.logWrite(from, label, to, false, true)
 	}
 	k, listed, present := g.lookup(from, label, to)
 	if present {
@@ -233,49 +248,20 @@ func (g *Graph) RemoveEdge(from int, label byte, to int) bool {
 // flip removes the edge when present and adds it otherwise, deciding its
 // presence once.
 func (g *Graph) flip(from int, label byte, to int) {
+	g.mustInRange(from, label, to)
 	if g.csrBase == nil {
-		if !g.unlink(from, label, to) {
-			g.link(from, label, to)
-		}
+		g.logWrite(from, label, to, true, true)
 		return
 	}
 	k, listed, present := g.lookup(from, label, to)
 	g.toggleDelta(k, listed, !present)
 }
 
-// link appends an absent edge to both adjacency lists of a graph that
-// was never frozen.
-func (g *Graph) link(from int, label byte, to int) {
-	e := Edge{From: from, Label: label, To: to}
-	g.out[from] = append(g.out[from], e)
-	g.in[to] = append(g.in[to], e)
-	g.tally(e, true)
-}
-
-// unlink deletes the edge from both adjacency lists of a graph that was
-// never frozen, shifting the rest so their order is kept, and reports
-// whether it was there.
-func (g *Graph) unlink(from int, label byte, to int) bool {
-	oi := -1
-	for i, e := range g.out[from] {
-		if e.Label == label && e.To == to {
-			oi = i
-			break
-		}
+// mustInRange panics, naming the edge, when an endpoint is not a vertex.
+func (g *Graph) mustInRange(from int, label byte, to int) {
+	if !g.inRange(from, to) {
+		panic(fmt.Sprintf("graph: edge %v has an endpoint outside [0, %d)", Edge{From: from, Label: label, To: to}, g.n))
 	}
-	if oi < 0 {
-		return false
-	}
-	e := g.out[from][oi]
-	g.out[from] = append(g.out[from][:oi], g.out[from][oi+1:]...)
-	for i, x := range g.in[to] {
-		if x == e {
-			g.in[to] = append(g.in[to][:i], g.in[to][i+1:]...)
-			break
-		}
-	}
-	g.tally(e, false)
-	return true
 }
 
 // tally is the bookkeeping of an effective write of e, an add when
@@ -317,31 +303,40 @@ func (g *Graph) AddWordEdge(from int, w string, to int) ([]int, error) {
 // OutEdges returns the edges leaving v: in insertion order (minus
 // removals) on a graph that was never written to after a Freeze, in
 // (label, target) order once one was. The returned slice must not be
-// modified. After a write to a frozen graph the first OutEdges, InEdges
-// or Edges rebuilds the lists, so it must be externally synchronized
-// with other readers, like the first PinView after a mutation.
-func (g *Graph) OutEdges(v int) []Edge { return g.lists()[v] }
+// modified.
+//
+// The lists are a cache (adjLists), built for all vertices on the first
+// OutEdges or InEdges after a write — from the edge log while it is
+// kept, else from the base and the net delta — and dropped by the next
+// write. Reads of a frozen graph nobody writes may run concurrently,
+// first reads included; after a write the first read must be
+// synchronized with other readers, like the first PinView.
+func (g *Graph) OutEdges(v int) []Edge { return g.adj().out[v] }
 
 // InEdges returns the edges entering v, in the order OutEdges documents
-// (by (label, source) once rebuilt). The returned slice must not be
-// modified.
-func (g *Graph) InEdges(v int) []Edge {
-	g.lists()
-	return g.in[v]
-}
+// (by (label, source) once rebuilt from the base). The returned slice
+// must not be modified.
+func (g *Graph) InEdges(v int) []Edge { return g.adj().in[v] }
 
-// listsKept reports whether the adjacency lists hold a row per vertex:
-// always before the first Freeze, and after it until a write drops them.
-func (g *Graph) listsKept() bool { return len(g.out) == g.n }
+// adjLists is the cached per-vertex lists of a graph.
+type adjLists struct{ out, in [][]Edge }
 
-// lists returns the out-lists, first rebuilding both sides when a write
-// to the frozen graph dropped them: from the current edge set (current),
-// each row in (label, neighbour) order.
-func (g *Graph) lists() [][]Edge {
-	if !g.listsKept() {
-		g.out, g.in = listsOf(g.current(), g.edges)
+// adj returns the lists, building them when no read since the last
+// write did. Concurrent first readers each build a copy and all return
+// the one published first.
+func (g *Graph) adj() *adjLists {
+	if l := g.lists.Load(); l != nil {
+		return l
 	}
-	return g.out
+	var l adjLists
+	if g.logKept() {
+		l.out = rowsOfLog(g.log, g.n, g.edges, true)
+		l.in = rowsOfLog(g.log, g.n, g.edges, false)
+	} else {
+		l.out, l.in = listsOf(g.current(), g.edges)
+	}
+	g.lists.CompareAndSwap(nil, &l)
+	return g.lists.Load()
 }
 
 // listsOf carves the adjacency lists of the m-edge graph a out of two
@@ -375,8 +370,7 @@ func listsOf(a adjacency, m int) (out, in [][]Edge) {
 }
 
 // adjacency is what a CSR and a View share: the label-bucketed rows the
-// list rebuild and the whole-graph passes read once the lists are
-// dropped.
+// list rebuild and the whole-graph passes read once the log is dropped.
 type adjacency interface {
 	NumVertices() int
 	NumLabels() int
@@ -386,7 +380,7 @@ type adjacency interface {
 }
 
 // current returns the graph's edge set in CSR form without reading the
-// lists, for a graph whose lists a frozen-graph write dropped: the frozen
+// lists, for a graph whose log a frozen-graph write dropped: the frozen
 // snapshot, else the view pinned at this epoch, else — built for the
 // caller and not kept — the base merged with the net delta, or a full
 // build when the delta may carry a label the base lacks.
@@ -404,16 +398,20 @@ func (g *Graph) current() adjacency {
 }
 
 // rows reads the out-rows of the current edge set for a whole-graph
-// pass: the lists while they are kept, current once they are dropped —
-// so no pass rebuilds them.
+// pass: the cached lists when a read built them, else the log's rows
+// (carved for the pass and not kept) while it is kept, else current —
+// so no pass builds the cache.
 type rows struct {
 	lists [][]Edge
 	a     adjacency
 }
 
 func (g *Graph) rows() rows {
-	if g.listsKept() {
-		return rows{lists: g.out}
+	switch l := g.lists.Load(); {
+	case l != nil:
+		return rows{lists: l.out}
+	case g.logKept():
+		return rows{lists: rowsOfLog(g.log, g.n, g.edges, true)}
 	}
 	return rows{a: g.current()}
 }
@@ -440,20 +438,18 @@ func (r rows) out(v int) iter.Seq[Edge] {
 	}
 }
 
-// HasEdge reports whether the exact edge exists: a scan of from's
-// out-edges before the first Freeze, the base CSR and the net delta
-// after it.
+// HasEdge reports whether the exact edge exists: one probe of the log's
+// index before the first Freeze, the base CSR and the net delta after
+// it. An endpoint outside [0, NumVertices()) reads as absent.
 func (g *Graph) HasEdge(from int, label byte, to int) bool {
-	if g.csrBase != nil {
-		_, _, present := g.lookup(from, label, to)
-		return present
+	if g.csrBase == nil {
+		return g.logHas(from, label, to)
 	}
-	for _, e := range g.out[from] {
-		if e.Label == label && e.To == to {
-			return true
-		}
+	if !g.inRange(from, to) {
+		return false
 	}
-	return false
+	_, _, present := g.lookup(from, label, to)
+	return present
 }
 
 // Alphabet returns the set of labels used by the graph's edges. The
@@ -476,22 +472,19 @@ func (g *Graph) Alphabet() automaton.Alphabet {
 	return g.alpha
 }
 
-// Edges returns all edges in deterministic order. Like OutEdges, it
-// rebuilds the lists after a write to a frozen graph.
+// Edges returns all edges in (from, to, label) order, in a slice of
+// the caller's. Like the whole-graph passes it reads the out-rows (rows)
+// and builds no cache.
 func (g *Graph) Edges() []Edge {
-	var out []Edge
-	for _, row := range g.lists() {
-		out = append(out, row...)
+	out := make([]Edge, 0, g.edges)
+	r := g.rows()
+	for v := range g.n {
+		n := len(out)
+		out = slices.AppendSeq(out, r.out(v))
+		slices.SortFunc(out[n:], func(x, y Edge) int {
+			return cmp.Or(cmp.Compare(x.To, y.To), cmp.Compare(x.Label, y.Label))
+		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		if out[i].To != out[j].To {
-			return out[i].To < out[j].To
-		}
-		return out[i].Label < out[j].Label
-	})
 	return out
 }
 

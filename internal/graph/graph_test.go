@@ -279,25 +279,55 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
+// readTextBad are inputs ReadText must reject, each with an error. The
+// parser before the byte scanner panicked on "n" and "n -1", read
+// "1x" and "+1" as 1, and took counts past the CSR's int32 ids.
+var readTextBad = []string{
+	"",
+	"e 0 a 1",
+	"n 2\ne 0 ab 1",
+	"n 2\ne 0 a 5",
+	"n 2\nz 1",
+	"n x",
+	"n 2\nn 3",
+	"n\n",
+	"n -1\n",
+	"n +2\n",
+	"n 2 3\n",
+	"n 2147483648\n",
+	"n 99999999999999999999\n",
+	"n 2\ne 0 a 1x\n",
+	"n 2\ne +1 a 0\n",
+	"n 2\ne -1 a 0\n",
+	"n 2\ne 0 a 0x1\n",
+	"n 2\ne 0 a\n",
+	"n 2\ne 0 a 1 1\n",
+	"n 2\ne 2147483648 a 0\n",
+}
+
 func TestReadTextErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"e 0 a 1",
-		"n 2\ne 0 ab 1",
-		"n 2\ne 0 a 5",
-		"n 2\nz 1",
-		"n x",
-		"n 2\nn 3",
-	}
-	for _, in := range bad {
+	for _, in := range readTextBad {
 		if _, err := ReadText(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q: expected error", in)
+		} else if !strings.HasPrefix(err.Error(), "graph: ") {
+			t.Errorf("input %q: error %q does not name the package", in, err)
 		}
 	}
-	// Comments and blanks are fine.
-	g, err := ReadText(strings.NewReader("# c\n\nn 2\ne 0 a 1\n"))
-	if err != nil || g.NumEdges() != 1 {
-		t.Errorf("comment handling: %v %v", g, err)
+	if _, err := ReadText(strings.NewReader("n 2\n\ne 0 a 1x\n")); err == nil || err.Error() != "graph: line 3: bad target" {
+		t.Errorf("a bad target on line 3: error %v", err)
+	}
+	// Comments, blanks, CRLF line ends and runs of spaces or tabs are fine.
+	for _, in := range []string{
+		"# c\n\nn 2\ne 0 a 1\n",
+		"n 2\r\ne 0 a 1\r\n",
+		"  n\t 2\n\t e  0 \t a\t1  \n  # trailing comment",
+		"n 2\ne 0 a 1",
+		"n 002\ne 00 a 01\n",
+	} {
+		g, err := ReadText(strings.NewReader(in))
+		if err != nil || g.NumVertices() != 2 || g.NumEdges() != 1 || !g.HasEdge(0, 'a', 1) {
+			t.Errorf("input %q: %v %v", in, g, err)
+		}
 	}
 }
 

@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // WriteText serializes the graph in a line-oriented format:
@@ -26,58 +27,123 @@ func (g *Graph) WriteText(w io.Writer) error {
 	return nil
 }
 
-// ReadText parses the format written by WriteText. Blank lines and lines
-// starting with '#' are ignored.
+// ReadText parses the format written by WriteText: one "n <count>"
+// line before any "e <from> <label> <to>" line. Counts and vertex ids
+// are unsigned decimals below 2^31, a label is one byte, and fields are
+// separated by runs of white space. Blank lines, lines whose first field
+// starts with '#', and CRLF line ends are accepted. Every malformed line
+// is an error naming its line number; a line longer than 64 KiB is
+// bufio.ErrTooLong.
+//
+// It reads lines in place (bufio.Reader.ReadSlice) and splits them
+// with a byte-level scanner, so it allocates nothing per line: the cost
+// of a load is its bytes plus one AddEdge per edge line, the same build
+// path as every other graph.
 func ReadText(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
+	br := bufio.NewReaderSize(r, bufio.MaxScanTokenSize)
 	var g *Graph
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	var fields [5][]byte
+	for lineNo := 1; ; lineNo++ {
+		line, rerr := br.ReadSlice('\n')
+		switch rerr {
+		case nil, io.EOF:
+		case bufio.ErrBufferFull:
+			return nil, bufio.ErrTooLong
+		default:
+			return nil, rerr
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "n":
+		nf := splitFields(line, &fields)
+		switch {
+		case nf == 0 || fields[0][0] == '#':
+		case string(fields[0]) == "n":
 			if g != nil {
 				return nil, fmt.Errorf("graph: line %d: duplicate vertex-count line", lineNo)
 			}
-			var n int
-			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || len(fields) != 2 {
+			n, ok := decimal(fields[1])
+			if nf != 2 || !ok {
 				return nil, fmt.Errorf("graph: line %d: bad vertex count", lineNo)
 			}
 			g = New(n)
-		case "e":
+		case string(fields[0]) == "e":
 			if g == nil {
 				return nil, fmt.Errorf("graph: line %d: edge before vertex count", lineNo)
 			}
-			if len(fields) != 4 || len(fields[2]) != 1 {
+			if nf != 4 || len(fields[2]) != 1 {
 				return nil, fmt.Errorf("graph: line %d: want 'e from label to'", lineNo)
 			}
-			var from, to int
-			if _, err := fmt.Sscanf(fields[1], "%d", &from); err != nil {
+			from, ok := decimal(fields[1])
+			if !ok {
 				return nil, fmt.Errorf("graph: line %d: bad source", lineNo)
 			}
-			if _, err := fmt.Sscanf(fields[3], "%d", &to); err != nil {
+			to, ok := decimal(fields[3])
+			if !ok {
 				return nil, fmt.Errorf("graph: line %d: bad target", lineNo)
 			}
-			if from < 0 || from >= g.NumVertices() || to < 0 || to >= g.NumVertices() {
+			if from >= g.NumVertices() || to >= g.NumVertices() {
 				return nil, fmt.Errorf("graph: line %d: vertex out of range", lineNo)
 			}
 			g.AddEdge(from, fields[2][0], to)
 		default:
 			return nil, fmt.Errorf("graph: line %d: unknown directive %q", lineNo, fields[0])
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+		if rerr == io.EOF {
+			break
+		}
 	}
 	if g == nil {
 		return nil, fmt.Errorf("graph: empty input")
 	}
 	return g, nil
+}
+
+// splitFields splits line at runs of white space — what strings.Fields
+// counts as white space, Unicode spaces included — into dst, and returns
+// how many fields the line has; those past len(dst) are counted, not
+// stored. Unused entries of dst are left empty.
+func splitFields(line []byte, dst *[5][]byte) int {
+	*dst = [5][]byte{}
+	nf, start := 0, -1
+	for i := 0; i <= len(line); {
+		space, w := true, 1 // the end of the line ends a field like a space
+		if i < len(line) {
+			if c := line[i]; c < utf8.RuneSelf {
+				space = asciiSpace[c]
+			} else {
+				var r rune
+				r, w = utf8.DecodeRune(line[i:])
+				space = unicode.IsSpace(r)
+			}
+		}
+		switch {
+		case !space && start < 0:
+			start = i
+		case space && start >= 0:
+			if nf < len(dst) {
+				dst[nf] = line[start:i]
+			}
+			nf++
+			start = -1
+		}
+		i += w
+	}
+	return nf
+}
+
+// asciiSpace marks the ASCII white space strings.Fields splits at.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// decimal parses an unsigned decimal below 2^31: digits only, no sign.
+func decimal(b []byte) (int, bool) {
+	v := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if v = v*10 + int(c-'0'); v >= 1<<31 {
+			return 0, false
+		}
+	}
+	return v, len(b) > 0
 }
 
 // WriteDOT emits a Graphviz rendering, optionally highlighting the edges

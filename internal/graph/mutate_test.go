@@ -190,8 +190,11 @@ func checkAdjacency(t *testing.T, g *Graph, o *listOracle, when string, install 
 	if g.NumVertices() != len(o.out) {
 		t.Fatalf("%s: %d vertices, oracle %d", when, g.NumVertices(), len(o.out))
 	}
-	if (g.out == nil) != o.dropped {
-		t.Fatalf("%s: the graph holds no lists = %v, oracle %v", when, g.out == nil, o.dropped)
+	if g.logKept() == o.sorted {
+		t.Fatalf("%s: the graph keeps its edge log = %v, oracle wrote to the frozen graph = %v", when, g.logKept(), o.sorted)
+	}
+	if o.dropped && g.lists.Load() != nil {
+		t.Fatalf("%s: the graph holds lists no read asked for", when)
 	}
 	outs, ins := g.OutEdges, g.InEdges
 	if o.dropped && !install {
@@ -205,7 +208,7 @@ func checkAdjacency(t *testing.T, g *Graph, o *listOracle, when string, install 
 				when, v, outs(v), ins(v), wantOut, wantIn)
 		}
 	}
-	if o.dropped && !install && g.out != nil {
+	if o.dropped && !install && g.lists.Load() != nil {
 		t.Fatalf("%s: comparing the carved lists installed them", when)
 	}
 	o.dropped = o.dropped && !install
@@ -387,8 +390,8 @@ func TestAdjacencyOrderStable(t *testing.T) {
 		t.Fatal("the oracle expects the rebuilt order before any write to the frozen graph")
 	}
 	removeSome(40)
-	if g.out != nil {
-		t.Fatal("removals from the frozen graph kept its lists")
+	if g.lists.Load() != nil || g.log != nil {
+		t.Fatal("removals from the frozen graph kept its lists or its edge log")
 	}
 	checkAdjacency(t, g, o, "after removals on a frozen graph", true)
 	for i := 0; i < 40; i++ {
@@ -448,8 +451,8 @@ func TestFrozenWritesKeepNoLists(t *testing.T) {
 		flip(e)
 	}
 	flip(back)
-	if g.out != nil || g.in != nil {
-		t.Fatal("writes to the frozen graph kept its lists")
+	if g.lists.Load() != nil || g.log != nil {
+		t.Fatal("writes to the frozen graph kept its lists or its edge log")
 	}
 	v := g.AddVertex()
 	g.AddEdge(v, 'a', 0)
@@ -466,7 +469,7 @@ func TestFrozenWritesKeepNoLists(t *testing.T) {
 	if g.IsAcyclic() {
 		t.Fatal("an 80-out-regular graph is cyclic")
 	}
-	if g.out != nil || g.in != nil {
+	if g.lists.Load() != nil || g.log != nil {
 		t.Fatal("AddVertex, PinView, Freeze or IsAcyclic rebuilt the lists")
 	}
 

@@ -126,15 +126,15 @@ func CSRFromParts(p CSRParts) (*CSR, error) {
 // FromCSR reconstructs a mutable Graph from a decoded CSR snapshot,
 // restoring the mutation epoch the snapshot was taken at. The CSR is
 // installed as the graph's frozen base, so the first query after a warm
-// boot pays no Freeze, and the graph is built without adjacency lists:
-// writes go to the net delta, and OutEdges / InEdges / Edges carve the
+// boot pays no Freeze, and the graph is built without an edge log or
+// lists: writes go to the net delta, and OutEdges / InEdges carve the
 // lists from the CSR's buckets on first use. The CSR is adopted as-is
 // and must not be shared with another graph; its arrays may alias a
 // read-only file mapping (the incremental freeze always allocates fresh
 // arrays, so the mapping is never written).
 func FromCSR(c *CSR, epoch uint64) *Graph {
 	n, L := c.n, len(c.labels)
-	g := &Graph{n: n, edges: c.m, names: make([]string, n), csr: c, csrBase: c}
+	g := &Graph{n: n, edges: c.m, csr: c, csrBase: c}
 	for lid := 0; lid < L; lid++ {
 		count := 0
 		for v := 0; v < n; v++ {
@@ -149,8 +149,8 @@ func FromCSR(c *CSR, epoch uint64) *Graph {
 // EdgeSetEqual reports whether two graphs describe the same vertex
 // count and edge set — the equality the crash-recovery suites assert
 // between a recovered graph and an in-memory oracle. It compares the
-// out-rows (rows: the lists, or the base and the delta once they are
-// dropped) order-insensitively, and rebuilds no list.
+// out-rows (rows: the cached lists, the edge log, or the base and the
+// delta) order-insensitively, and builds no cache.
 func EdgeSetEqual(a, b *Graph) bool {
 	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
 		return false

@@ -231,6 +231,44 @@ func TestEngineTableLRUEviction(t *testing.T) {
 	}
 }
 
+// TestExistsTableLookups pins what a subword-tier existence ask costs
+// the table cache. A cached co-table answers with one lookup and no
+// miss; a goal table cached by an earlier Solve still answers with no
+// sweep (its lookup follows the co-table's miss and counts no second
+// one); and a cold ask counts one miss. Results are off, so every ask
+// reaches the tables, and an isolated source keeps each sweep running
+// to the end, so its table is cached.
+func TestExistsTableLookups(t *testing.T) {
+	g := graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 12)
+	isolated := g.AddVertex()
+	s, err := NewSolver("a*c*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(s, g, EngineConfig{ResultBytes: -1})
+	step := func(what string, ask func(), hits, misses, sweeps int64) {
+		t.Helper()
+		before := e.Stats()
+		ask()
+		after := e.Stats()
+		dh, dm := after.Tables.Hits-before.Tables.Hits, after.Tables.Misses-before.Tables.Misses
+		ds := after.BitParallelHits - before.BitParallelHits
+		if dh != hits || dm != misses || ds != sweeps {
+			t.Errorf("%s: %d table hits, %d misses, %d sweeps; want %d, %d, %d", what, dh, dm, ds, hits, misses, sweeps)
+		}
+	}
+	step("a cold exists", func() { e.Exists(isolated, 5) }, 0, 1, 1)
+	step("an exists on the cached co-table", func() { e.Exists(0, 5) }, 1, 0, 0)
+	step("a cold solve", func() { e.Solve(isolated, 9) }, 0, 1, 1)
+	step("an exists on the cached goal table", func() { e.Exists(0, 9) }, 1, 1, 0)
+	if got, want := e.Exists(7, 9), s.Solve(g, 7, 9).Found; got != want {
+		t.Errorf("Exists(7, 9) = %v from the goal table, Solve finds %v", got, want)
+	}
+	if got, want := e.Exists(7, 5), s.Solve(g, 7, 5).Found; got != want {
+		t.Errorf("Exists(7, 5) = %v from the co-table, Solve finds %v", got, want)
+	}
+}
+
 // TestEvaluatorEquivalence pins the one table-sharing evaluator behind
 // BatchSolver and Engine: on every tier, for witness and existence-only
 // asks, single and batched, with both cache tiers on, disabled and

@@ -246,23 +246,31 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		// Existence needs no distances — (x, start) reaches the goal iff
 		// it is co-reachable, and that is the answer: on DAGs every walk
 		// is simple, and under subword closure loop removal lands back in
-		// the language. So absent a cached goal table (left by earlier
-		// witness queries on this target) the group is answered by the
-		// mark-only sweep instead of distToGoal, whose tables are this
-		// ask's alone. Either sweep stops once the group's sources are
-		// answered (goalProbe).
-		t0 := ev.clock()
-		gt := ev.cachedGoalTable(pv, grp.y)
-		ev.observeTable(t0, st)
-		if gt != nil {
-			st.noteGoalTable(gt, true)
-			for j, x := range grp.xs {
-				w.set(grp.idx[j], Result{Found: gt.distAt(x, d.Start) >= 0})
+		// the language. So the group is answered by a cached co-table —
+		// looked up first, so that exists traffic pays one lookup and no
+		// miss — else by a cached goal table (left by earlier witness
+		// queries on this target; probed without counting a second miss),
+		// else by the mark-only sweep instead of distToGoal, whose tables
+		// are this ask's alone. Either sweep stops once the group's
+		// sources are answered (goalProbe).
+		ct := ev.cachedCoTable(pv, grp.y, st)
+		if ct == nil && ev.tables != nil {
+			t0 := ev.clock()
+			v, ok := ev.tables.Probe(ev.tableKey(pv, grp.y, -1, tableGoal))
+			ev.observeTable(t0, st)
+			if ok {
+				gt := v.(*goalTable)
+				st.noteGoalTable(gt, true)
+				for j, x := range grp.xs {
+					w.set(grp.idx[j], Result{Found: gt.distAt(x, d.Start) >= 0})
+				}
+				break
 			}
-			break
 		}
 		p := ev.product(pv, a, st)
-		ct := ev.coTableFor(pv, &p, a, grp.y, grp.xs, st)
+		if ct == nil {
+			ct = ev.sweepCoTable(pv, &p, a, grp.y, grp.xs, st)
+		}
 		for j, x := range grp.xs {
 			if ct != nil {
 				w.set(grp.idx[j], Result{Found: ct.has(p.id(x, d.Start))})
@@ -763,24 +771,30 @@ func (ev *evaluator) cachedGoalTable(pv *pinned, y int) *goalTable {
 	return nil
 }
 
-// coTableFor returns the product co-reachability table for target y —
-// cached on hit, freshly cached on miss when retainable, or nil with
-// the table left in the arena (a.co). Given sources xs the sweep stops
-// once they are answered, and a stopped sweep is no table: its answers
-// stay in a.co. The sweep is timed as kernel, the cache traffic as
-// table.
-func (ev *evaluator) coTableFor(pv *pinned, p *product, a *arena, y int, xs []int, st *solveTiming) *coTable {
-	key := ev.tableKey(pv, y, -1, tableCo)
-	t0 := ev.clock()
-	if ev.tables != nil {
-		if v, ok := ev.tables.Get(key); ok {
-			ev.observeTable(t0, st)
-			if st != nil {
-				st.tableHit = true
-			}
-			return v.(*coTable)
-		}
+// cachedCoTable returns target y's cached product co-reachability
+// table, nil on miss (without computing one); a hit is timed as table.
+func (ev *evaluator) cachedCoTable(pv *pinned, y int, st *solveTiming) *coTable {
+	if ev.tables == nil {
+		return nil
 	}
+	t0 := ev.clock()
+	v, ok := ev.tables.Get(ev.tableKey(pv, y, -1, tableCo))
+	if !ok {
+		return nil
+	}
+	ev.observeTable(t0, st)
+	if st != nil {
+		st.tableHit = true
+	}
+	return v.(*coTable)
+}
+
+// sweepCoTable computes the product co-reachability table for target y
+// and caches it when retainable, or returns nil with the table left in
+// the arena (a.co). Given sources xs the sweep stops once they are
+// answered, and a stopped sweep is no table: its answers stay in a.co.
+// The sweep is timed as kernel, the cache traffic as table.
+func (ev *evaluator) sweepCoTable(pv *pinned, p *product, a *arena, y int, xs []int, st *solveTiming) *coTable {
 	k0 := ev.clock()
 	stopped := p.sweep(y, a, false, xs)
 	ev.observeKernel(k0, st)
@@ -790,7 +804,7 @@ func (ev *evaluator) coTableFor(pv *pinned, p *product, a *arena, y int, xs []in
 	}
 	t1 := ev.clock()
 	t := exportCoTable(a.co)
-	ev.tables.Put(key, t, t.cost())
+	ev.tables.Put(ev.tableKey(pv, y, -1, tableCo), t, t.cost())
 	ev.observeTable(t1, st)
 	return t
 }
