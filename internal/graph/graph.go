@@ -159,8 +159,14 @@ func (g *Graph) logDelta(e Edge) {
 func (g *Graph) Epoch() uint64 { return g.epoch.Load() }
 
 // New returns a graph with n isolated vertices. It allocates nothing
-// per vertex: the edge log and its index grow with the edges.
-func New(n int) *Graph { return &Graph{n: n} }
+// per vertex: the edge log and its index grow with the edges. A
+// negative n panics.
+func New(n int) *Graph {
+	if n < 0 {
+		panic(fmt.Sprintf("graph: New(%d): negative vertex count", n))
+	}
+	return &Graph{n: n}
+}
 
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return g.n }

@@ -16,8 +16,8 @@ import (
 // graph, with the same rows in file order.
 
 // readTextReference is the parser ReadText replaced: bufio.Scanner,
-// strings.Fields and fmt.Sscanf per line. It panics on "n" alone, and
-// reads "1x" and "+1" as 1.
+// strings.Fields and fmt.Sscanf per line. It panics on "n" and "n -1",
+// and reads "1x" and "+1" as 1.
 func readTextReference(data []byte) (*Graph, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	var g *Graph
