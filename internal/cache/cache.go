@@ -102,30 +102,22 @@ func (c *Cache[K, V]) shardFor(key K) *shard[K, V] {
 }
 
 // Get returns the cached value for key, marking it most-recently-used.
-func (c *Cache[K, V]) Get(key K) (V, bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.m[key]
-	if !ok {
-		sh.misses++
-		var zero V
-		return zero, false
-	}
-	sh.hits++
-	sh.moveToFront(e)
-	return e.val, true
-}
+func (c *Cache[K, V]) Get(key K) (V, bool) { return c.get(key, true) }
 
 // Probe is Get for a second lookup on behalf of one ask whose first
 // lookup already counted its miss: a hit is counted and refreshes the
 // entry as Get's does, a miss is not counted.
-func (c *Cache[K, V]) Probe(key K) (V, bool) {
+func (c *Cache[K, V]) Probe(key K) (V, bool) { return c.get(key, false) }
+
+func (c *Cache[K, V]) get(key K, countMiss bool) (V, bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.m[key]
 	if !ok {
+		if countMiss {
+			sh.misses++
+		}
 		var zero V
 		return zero, false
 	}

@@ -95,16 +95,17 @@ func (g *Graph) Freeze() *CSR {
 	return g.csr
 }
 
-// buildCSR builds the snapshot of g from scratch, from its live edges
-// (allEdges: the log while it is kept, else the base and the delta), in
-// one scatter pass to both sides in the order given. That leaves every
-// bucket sorted when the edges came in (from, to) order, as files and
-// generators write them; a side left unsorted is scattered again from
-// the other side (transpose), which sorts it without a comparison: read
-// by ascending row, a side sends each bucket its values in ascending
-// order.
+// buildCSR builds the snapshot of g from scratch from its live edges
+// (allEdges: the log while it is kept, else the base and the delta): one
+// pass counts every bucket and one scatters the edges to both sides in
+// the order given (csrScatter). That leaves every bucket sorted when the edges came in
+// (from, to) order, as a WriteText file has them. The benchmark builds
+// its graphs in random order, so a side left unsorted is scattered again
+// from the other side (transpose), which sorts it without a comparison:
+// read by ascending row, a side sends each bucket its values in
+// ascending order.
 func buildCSR(g *Graph) *CSR {
-	n, edges := g.NumVertices(), g.allEdges()
+	n := g.NumVertices()
 	c := &CSR{n: n, m: g.edges, labels: g.Alphabet()}
 	for i := range c.labelID {
 		c.labelID[i] = -1
@@ -115,38 +116,47 @@ func buildCSR(g *Graph) *CSR {
 	L := len(c.labels)
 	c.outBucket = make([]int32, n*L+1)
 	c.inBucket = make([]int32, n*L+1)
-	for _, r := range edges {
-		if !r.dead {
-			lid := int(c.labelID[r.label])
-			c.outBucket[int(r.from)*L+lid+1]++
-			c.inBucket[int(r.to)*L+lid+1]++
-		}
-	}
+	s := csrScatter{c: c, L: L, outNext: c.outBucket[1:], inNext: c.inBucket[1:]}
+	g.allEdges(&s)
 	for i := 1; i < len(c.outBucket); i++ {
 		c.outBucket[i] += c.outBucket[i-1]
 		c.inBucket[i] += c.inBucket[i-1]
 	}
 	c.outTo = make([]int32, g.edges)
 	c.inFrom = make([]int32, g.edges)
-	outNext := slices.Clone(c.outBucket[:n*L])
-	inNext := slices.Clone(c.inBucket[:n*L])
-	for _, r := range edges {
-		if !r.dead {
-			lid := int(c.labelID[r.label])
-			oi, ii := int(r.from)*L+lid, int(r.to)*L+lid
-			c.outTo[outNext[oi]] = int32(r.to)
-			c.inFrom[inNext[ii]] = int32(r.from)
-			outNext[oi]++
-			inNext[ii]++
-		}
-	}
+	s.place = true
+	s.outNext = slices.Clone(c.outBucket[:n*L])
+	s.inNext = slices.Clone(c.inBucket[:n*L])
+	g.allEdges(&s)
 	if !bucketsSorted(c.outBucket, c.outTo) {
-		transpose(c.inBucket, c.inFrom, c.outBucket, c.outTo, outNext, L)
+		transpose(c.inBucket, c.inFrom, c.outBucket, c.outTo, s.outNext, L)
 	}
 	if !bucketsSorted(c.inBucket, c.inFrom) {
-		transpose(c.outBucket, c.outTo, c.inBucket, c.inFrom, inNext, L)
+		transpose(c.outBucket, c.outTo, c.inBucket, c.inFrom, s.inNext, L)
 	}
 	return c
+}
+
+// csrScatter is one of buildCSR's passes over the edges: each edge
+// advances its bucket's next offset on both sides, and when placing it
+// is first written there. The counting pass advances the bucket ends
+// themselves (next is bucket[1:]), which counts each bucket's edges.
+type csrScatter struct {
+	c               *CSR
+	L               int
+	place           bool
+	outNext, inNext []int32
+}
+
+func (s *csrScatter) add(from, to uint32, label byte) {
+	lid := int(s.c.labelID[label])
+	oi, ii := int(from)*s.L+lid, int(to)*s.L+lid
+	if s.place {
+		s.c.outTo[s.outNext[oi]] = int32(to)
+		s.c.inFrom[s.inNext[ii]] = int32(from)
+	}
+	s.outNext[oi]++
+	s.inNext[ii]++
 }
 
 // bucketsSorted reports whether every bucket of a CSR side is ascending.

@@ -30,8 +30,8 @@ import (
 //
 // Cost of a freeze: an O(d log d) sort of the d-edge delta per side, one
 // bulk copy of the payload and an O(V·L) offset fix-up — against the
-// full rebuild's two O(E) scatter passes and an O(E log) per-bucket
-// sort.
+// full rebuild's O(E) counting and scatter passes and up to two O(E)
+// transposes.
 //
 // The merge path requires the alphabet to be unchanged since the base
 // was built: a new (or vanished) label changes the bucket stride of
@@ -139,16 +139,20 @@ func (g *Graph) toggleDelta(k edgeKey, listed, added bool) {
 	g.logDelta(e)
 }
 
-// allEdges returns every edge of the graph as log records, some of them
-// possibly dead: the log itself while it is kept, else — built for the
-// caller — the base's edges the delta does not tombstone followed by the
-// pending adds. buildCSR, its one reader, sorts every bucket, so only
-// the log's order is meaningful.
-func (g *Graph) allEdges() []logEdge {
+// allEdges feeds every live edge of the graph to a pass of buildCSR: the
+// log's live records in order while it is kept, else the base's edges the
+// delta does not tombstone followed by the pending adds. It allocates
+// nothing. buildCSR sorts the buckets it fills, so only the log's order
+// is meaningful.
+func (g *Graph) allEdges(s *csrScatter) {
 	if g.logKept() {
-		return g.log
+		for _, r := range g.log {
+			if !r.dead {
+				s.add(r.from, r.to, r.label)
+			}
+		}
+		return
 	}
-	es := make([]logEdge, 0, g.edges)
 	base := g.csrBase
 	for v := range base.n {
 		for lid, label := range base.labels {
@@ -158,17 +162,15 @@ func (g *Graph) allEdges() []logEdge {
 						continue
 					}
 				}
-				es = append(es, logEdge{from: uint32(v), to: uint32(to), label: label})
+				s.add(uint32(v), uint32(to), label)
 			}
 		}
 	}
 	for k, added := range g.delta {
 		if added {
-			e := k.edge()
-			es = append(es, logEdge{from: uint32(e.From), to: uint32(e.To), label: e.Label})
+			s.add(uint32(k.from), uint32(k.toLabel>>8), byte(k.toLabel))
 		}
 	}
-	return es
 }
 
 // netDelta returns the edges the delta lists, in map order.

@@ -42,6 +42,30 @@ func TestBuildHeapPerEdge(t *testing.T) {
 	runtime.KeepAlive(g)
 }
 
+// TestFrozenPassReadsCSR pins that a whole-graph pass over a graph not
+// written since its Freeze reads the CSR, not rows carved from the kept
+// log: IsAcyclic allocates its TopoOrder's 16·n bytes, where rows of
+// 24-byte edges would add about 24 per edge.
+func TestFrozenPassReadsCSR(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
+	}
+	const n = 10_000
+	g := RandomOutRegular(n, []byte("ab"), 8, 1)
+	g.Freeze()
+	g.IsAcyclic()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.IsAcyclic()
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 16*n+64<<10 {
+		t.Errorf("IsAcyclic on a frozen graph allocated %d B, want ≤ 16·n + 64 KiB = %d", b, 16*n+64<<10)
+	}
+	if !g.logKept() || g.lists.Load() != nil {
+		t.Error("the pass must keep the log and build no lists")
+	}
+}
+
 // TestReadTextAllocs pins that a text load allocates per doubling of its
 // storage, not per line: 64 times the lines cost at most 16 more
 // allocations (the log and the index double six times each).

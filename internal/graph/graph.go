@@ -386,8 +386,7 @@ type adjacency interface {
 }
 
 // current returns the graph's edge set in CSR form without reading the
-// lists, for a graph whose log a frozen-graph write dropped: the frozen
-// snapshot, else the view pinned at this epoch, else — built for the
+// lists, for a graph frozen at least once: the frozen snapshot, else the view pinned at this epoch, else — built for the
 // caller and not kept — the base merged with the net delta, or a full
 // build when the delta may carry a label the base lacks.
 func (g *Graph) current() adjacency {
@@ -404,9 +403,10 @@ func (g *Graph) current() adjacency {
 }
 
 // rows reads the out-rows of the current edge set for a whole-graph
-// pass: the cached lists when a read built them, else the log's rows
-// (carved for the pass and not kept) while it is kept, else current —
-// so no pass builds the cache.
+// pass: the cached lists when a read built them, else, before the first
+// Freeze, the log's rows (carved for the pass and not kept), else current
+// — on a graph not written since its Freeze the snapshot itself — so no
+// pass builds the cache.
 type rows struct {
 	lists [][]Edge
 	a     adjacency
@@ -416,7 +416,7 @@ func (g *Graph) rows() rows {
 	switch l := g.lists.Load(); {
 	case l != nil:
 		return rows{lists: l.out}
-	case g.logKept():
+	case g.csrBase == nil:
 		return rows{lists: rowsOfLog(g.log, g.n, g.edges, true)}
 	}
 	return rows{a: g.current()}
