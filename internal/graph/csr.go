@@ -98,12 +98,12 @@ func (g *Graph) Freeze() *CSR {
 // buildCSR builds the snapshot of g from scratch from its live edges
 // (allEdges: the log while it is kept, else the base and the delta): one
 // pass counts every bucket and one scatters the edges to both sides in
-// the order given (csrScatter). That leaves every bucket sorted when the edges came in
-// (from, to) order, as a WriteText file has them. The benchmark builds
-// its graphs in random order, so a side left unsorted is scattered again
-// from the other side (transpose), which sorts it without a comparison:
-// read by ascending row, a side sends each bucket its values in
-// ascending order.
+// the order given (csrScatter). That leaves every bucket sorted when the
+// edges came in (from, to) order, as a WriteText file has them. The
+// benchmark builds its graphs in random order, so a side left unsorted
+// is scattered again from the other side (transpose), which sorts it
+// without a comparison: read by ascending row, a side sends each bucket
+// its values in ascending order.
 func buildCSR(g *Graph) *CSR {
 	n := g.NumVertices()
 	c := &CSR{n: n, m: g.edges, labels: g.Alphabet()}
