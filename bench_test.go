@@ -270,7 +270,10 @@ func BenchmarkFloodSweep(b *testing.B) {
 // delta applied to a frozen 100k-edge graph, refrozen either through
 // the incremental delta merge (graph/delta.go) or from scratch — the
 // cold first Freeze of a fresh graph holding the same edges. The
-// incremental path must stay ≥5× faster.
+// incremental path must stay ≥5× faster. full-after-removals is the
+// rebuild a delta past the merge limit forces: every third edge of the
+// frozen flood shape (buildShapes) removed, then Freeze, which reads the
+// base minus the tombstones.
 func BenchmarkFreeze(b *testing.B) {
 	const edges = 100_000
 	b.Run("incremental/m=100k-1%", func(b *testing.B) {
@@ -300,6 +303,25 @@ func BenchmarkFreeze(b *testing.B) {
 			}
 			b.StartTimer()
 			fresh.Freeze()
+		}
+	})
+	b.Run("full-after-removals", func(b *testing.B) {
+		sh := buildShapes()[0]
+		es := graph.RandomOutRegular(sh.n, sh.labels, sh.outDeg, 1).Edges()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			g := graph.New(sh.n)
+			for _, e := range es {
+				g.AddEdge(e.From, e.Label, e.To)
+			}
+			g.Freeze()
+			for j := 0; j < len(es); j += 3 {
+				g.RemoveEdge(es[j].From, es[j].Label, es[j].To)
+			}
+			b.StartTimer()
+			g.Freeze()
 		}
 	})
 }

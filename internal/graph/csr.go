@@ -45,10 +45,12 @@ type CSR struct {
 // exactly reinstates the base as it is.
 //
 // The first Freeze builds the CSR from the edge log (edgelog.go), in
-// log order, and drops the log's index, which only the writes to a
-// never-frozen graph read; the log itself is kept (compacted, when
-// removals left dead records) so that OutEdges / InEdges keep reporting
-// insertion order until the first write to the frozen graph.
+// log order, and drops the log's index; the records themselves are kept
+// (Graph.order, compacted when removals left dead records) so that
+// OutEdges / InEdges keep reporting insertion order until the first
+// write to the frozen graph. Every later Freeze merges the log's live
+// records and empties it, keeping its capacity and its index's for the
+// next round of writes.
 //
 // Call Freeze after construction and before sharing the graph across
 // goroutines; the returned CSR itself is immutable and safe for
@@ -73,20 +75,25 @@ func (g *Graph) Freeze() *CSR {
 		g.csr = buildCSR(g)
 		g.fullBuilds.Add(1)
 	}
-	if g.csrBase == nil { // the first freeze: the log stays, its index goes
+	if g.csrBase == nil { // the first freeze: the log's records stay, its index goes
 		g.index = nil
 		if g.dead > 0 {
-			g.compactLog()
+			g.compact()
 		}
-		if g.log == nil {
-			g.log = []logEdge{} // kept, though empty (logKept)
+		g.order = g.log
+		if g.order == nil {
+			g.order = []logEdge{} // kept, though empty (inOrder)
 		}
+		g.log = nil
+	} else {
+		g.log = g.log[:0]
+		clear(g.index)
 	}
 	g.csrBase = g.csr
-	clear(g.delta) // keeps its capacity for the next round of writes
+	g.dead, g.batchDead = 0, 0
 	g.deltaAdds, g.deltaDels = 0, 0
 	g.deltaNewLabel = false
-	g.view, g.viewLog = nil, nil // overlays of the old base are superseded
+	g.view = nil // overlays of the old base are superseded
 	ns := uint64(time.Since(start).Nanoseconds())
 	g.freezeNanos.Add(ns)
 	g.lastFreezeNanos.Store(ns)
@@ -96,14 +103,14 @@ func (g *Graph) Freeze() *CSR {
 }
 
 // buildCSR builds the snapshot of g from scratch from its live edges
-// (allEdges: the log while it is kept, else the base and the delta): one
-// pass counts every bucket and one scatters the edges to both sides in
-// the order given (csrScatter). That leaves every bucket sorted when the
-// edges came in (from, to) order, as a WriteText file has them. The
-// benchmark builds its graphs in random order, so a side left unsorted
-// is scattered again from the other side (transpose), which sorts it
-// without a comparison: read by ascending row, a side sends each bucket
-// its values in ascending order.
+// (allEdges: the log before the first Freeze, else the base and the
+// delta): one pass counts every bucket and one scatters the edges to
+// both sides in the order given (csrScatter). That leaves every bucket
+// sorted when the edges came in (from, to) order, as a WriteText file
+// has them. The benchmark builds its graphs in random order, so a side
+// left unsorted is scattered again from the other side (transpose),
+// which sorts it without a comparison: read by ascending row, a side
+// sends each bucket its values in ascending order.
 func buildCSR(g *Graph) *CSR {
 	n := g.NumVertices()
 	c := &CSR{n: n, m: g.edges, labels: g.Alphabet()}

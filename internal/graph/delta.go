@@ -8,25 +8,26 @@ import (
 
 // This file implements the incremental freeze path. Mutating a frozen
 // graph does not discard the CSR snapshot: the last built CSR is kept
-// as the base, and every effective AddEdge / RemoveEdge since is
-// recorded in one net map against it (Graph.delta: true for an edge the
-// base lacks, false for a tombstoned base edge), with its two counts
-// beside it (PendingDelta, the size rules, cancellation). An edge the
-// map does not list reads as the base has it, so presence on a frozen
-// graph is one map lookup and, for an unlisted edge, a binary search in
-// the base's (from, label) bucket — the mutators' set semantics cost
-// what one edge costs, not a scan of its row.
+// as the base, and the edge log (edgelog.go) holds the net delta against
+// it — one live record per edge that differs from the base, an add the
+// base lacks or a tombstone of a base edge — with its two counts beside
+// it (PendingDelta, the size rules, cancellation). An edge the log's
+// index does not hold reads as the base has it, so presence on a frozen
+// graph is one probe and, for an unindexed edge, a binary search in the
+// base's (from, label) bucket — the mutators' set semantics cost what one
+// edge costs, not a scan of its row.
 //
 // Every effective mutation flips an edge's presence, so it flips
-// whether the edge differs from the base: a listed edge leaves the map,
-// an unlisted one enters it (toggleDelta). The map is never sorted on
-// the write path. Freeze sorts it once (netDelta, sortedDelta) and
-// merges it into the next CSR side by side (mergeSide): each touched
-// bucket is the base's with the delta's edges toggled (appendToggled),
-// and the untouched bucket ranges between them are bulk-copied from the
-// base with their offsets shifted. The read path keeps its own sorted
-// form, the overlay of the pinned view (view.go), extended by the edges
-// logged since the previous pin; Freeze does not read it.
+// whether the edge differs from the base: an indexed edge leaves the
+// index (its record dies), an unindexed one enters it with a new record
+// (write). The log is never sorted on the write path. Freeze sorts its
+// live records once (sortedDelta) and merges them into the next CSR side
+// by side (mergeSide): each touched bucket is the base's with the
+// delta's edges toggled (appendToggled), and the untouched bucket ranges
+// between them are bulk-copied from the base with their offsets shifted.
+// The read path keeps its own sorted form, the overlay of the pinned
+// view (view.go), extended by the log's records since the previous pin;
+// Freeze does not read it.
 //
 // Cost of a freeze: an O(d log d) sort of the d-edge delta per side, one
 // bulk copy of the payload and an O(V·L) offset fix-up — against the
@@ -84,68 +85,13 @@ func (g *Graph) PendingDelta() (adds, removes int) {
 	return g.deltaAdds, g.deltaDels
 }
 
-// edgeKey is an edge packed into 16 bytes with no padding — from, and
-// to<<8 | label — so the delta map hashes it as one block of memory.
-type edgeKey struct{ from, toLabel uint64 }
-
-func (k edgeKey) edge() Edge {
-	return Edge{From: int(k.from), Label: byte(k.toLabel), To: int(k.toLabel >> 8)}
-}
-
-// lookup decides whether an edge is present on a frozen graph: k is its
-// delta key, listed reports whether the delta holds it, and present is
-// then its entry, or else the base's answer.
-func (g *Graph) lookup(from int, label byte, to int) (k edgeKey, listed, present bool) {
-	k = edgeKey{uint64(from), uint64(to)<<8 | uint64(label)}
-	if added, ok := g.delta[k]; ok {
-		return k, true, added
-	}
-	return k, false, g.csrBase.HasEdge(from, label, to)
-}
-
-// toggleDelta is an effective write to a frozen graph of the edge keyed
-// k — an add when added, a removal otherwise. It drops the edge log
-// (the lists are rebuilt only when read, see OutEdges), keeps the counts
-// (tally) and flips whether the edge differs from the base: a listed
-// edge is back to the base's state and leaves the delta; an unlisted
-// one enters it, as an add the base lacks or as a tombstone of a base
-// edge.
-func (g *Graph) toggleDelta(k edgeKey, listed, added bool) {
-	e := k.edge()
-	g.log = nil
-	g.tally(e, added)
-	switch {
-	case listed && added: // a tombstoned base edge is back
-		delete(g.delta, k)
-		g.deltaDels--
-	case listed: // a pending add is gone again
-		delete(g.delta, k)
-		g.deltaAdds--
-	default:
-		if g.delta == nil {
-			g.delta = make(map[edgeKey]bool)
-		}
-		g.delta[k] = added
-		if added {
-			g.deltaAdds++
-			// Sticky until the next freeze resets the delta: pinning an
-			// overlay view checks this flag instead of rescanning the
-			// delta for out-of-alphabet labels.
-			g.deltaNewLabel = g.deltaNewLabel || g.csrBase.labelID[e.Label] < 0
-		} else {
-			g.deltaDels++
-		}
-	}
-	g.logDelta(e)
-}
-
-// allEdges feeds every live edge of the graph to a pass of buildCSR: the
-// log's live records in order while it is kept, else the base's edges the
-// delta does not tombstone followed by the pending adds. It allocates
-// nothing. buildCSR sorts the buckets it fills, so only the log's order
-// is meaningful.
+// allEdges feeds every live edge of the graph to a pass of buildCSR:
+// before the first Freeze the log's live records in order, after it the
+// base's edges the delta does not tombstone — an indexed base edge is
+// one — followed by the pending adds. It allocates nothing. buildCSR
+// sorts the buckets it fills, so only the log's order is meaningful.
 func (g *Graph) allEdges(s *csrScatter) {
-	if g.logKept() {
+	if g.csrBase == nil {
 		for _, r := range g.log {
 			if !r.dead {
 				s.add(r.from, r.to, r.label)
@@ -158,7 +104,7 @@ func (g *Graph) allEdges(s *csrScatter) {
 		for lid, label := range base.labels {
 			for _, to := range base.OutWithID(v, lid) {
 				if g.deltaDels > 0 {
-					if _, listed := g.delta[edgeKey{uint64(v), uint64(to)<<8 | uint64(label)}]; listed {
+					if _, _, tombstoned := g.probe(uint32(v), uint32(to), label); tombstoned {
 						continue
 					}
 				}
@@ -166,20 +112,11 @@ func (g *Graph) allEdges(s *csrScatter) {
 			}
 		}
 	}
-	for k, added := range g.delta {
-		if added {
-			s.add(uint32(k.from), uint32(k.toLabel>>8), byte(k.toLabel))
+	for _, r := range g.log {
+		if !r.dead && r.added {
+			s.add(r.from, r.to, r.label)
 		}
 	}
-}
-
-// netDelta returns the edges the delta lists, in map order.
-func (g *Graph) netDelta() []Edge {
-	es := make([]Edge, 0, len(g.delta))
-	for k := range g.delta {
-		es = append(es, k.edge())
-	}
-	return es
 }
 
 // deltaFits reports whether the pending delta is small enough, against
@@ -215,9 +152,10 @@ type deltaEntry struct {
 	val, row int32
 }
 
-// sortedDelta projects a batch of logged edges onto one CSR side of a
-// graph with n rows, sorted by (bucket, val) so an extension or a merge
-// can walk the touched buckets in order. An edge logged k times appears
+// sortedDelta projects log records onto one CSR side of a graph with n
+// rows, sorted by (bucket, val) so an extension or a merge can walk the
+// touched buckets in order: with dead the batch of a pin, every record,
+// else only the live ones, the net delta. An edge logged k times appears
 // k times (appendToggled reads the parity). Edges whose label the base
 // lacks are dropped: the builders run only when no live edge carries
 // such a label (canOverlay, canMergeDelta), so one in the log was added
@@ -228,17 +166,17 @@ type deltaEntry struct {
 // into one uint64 (both halves are non-negative, so the order is the
 // same): pdqsort without a function call per comparison, a third of
 // the time.
-func sortedDelta(log []Edge, c *CSR, n int, out bool) []deltaEntry {
+func sortedDelta(log []logEdge, dead bool, c *CSR, n int, out bool) []deltaEntry {
 	L := int64(len(c.labels))
 	es := make([]deltaEntry, 0, len(log))
-	for _, e := range log {
-		lid := int64(c.labelID[e.Label])
+	for _, r := range log {
+		lid := int64(c.labelID[r.label])
 		switch {
-		case lid < 0:
+		case lid < 0 || r.dead && !dead:
 		case out:
-			es = append(es, deltaEntry{int64(e.From)*L + lid, int32(e.To), int32(e.From)})
+			es = append(es, deltaEntry{int64(r.from)*L + lid, int32(r.to), int32(r.from)})
 		default:
-			es = append(es, deltaEntry{int64(e.To)*L + lid, int32(e.From), int32(e.To)})
+			es = append(es, deltaEntry{int64(r.to)*L + lid, int32(r.from), int32(r.to)})
 		}
 	}
 	if int64(n)*L > math.MaxUint32 {
@@ -263,11 +201,11 @@ func sortedDelta(log []Edge, c *CSR, n int, out bool) []deltaEntry {
 // base, n >= base.n.
 func (g *Graph) mergeCSR() *CSR {
 	base := g.csrBase
-	n, es := g.NumVertices(), g.netDelta()
+	n := g.NumVertices()
 	c := &CSR{n: n, m: g.edges, labels: base.labels, labelID: base.labelID}
 	nL := n * len(c.labels)
-	c.outBucket, c.outTo = mergeSide(base.outBucket, base.outTo, nL, sortedDelta(es, base, n, true), c.m)
-	c.inBucket, c.inFrom = mergeSide(base.inBucket, base.inFrom, nL, sortedDelta(es, base, n, false), c.m)
+	c.outBucket, c.outTo = mergeSide(base.outBucket, base.outTo, nL, sortedDelta(g.log, false, base, n, true), c.m)
+	c.inBucket, c.inFrom = mergeSide(base.inBucket, base.inFrom, nL, sortedDelta(g.log, false, base, n, false), c.m)
 	return c
 }
 

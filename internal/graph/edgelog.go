@@ -6,14 +6,33 @@ import (
 	"slices"
 )
 
-// This file implements the storage of a graph before its first Freeze:
-// one insertion-ordered log of the edges plus a flat index over it.
+// This file implements a graph's one edge store: an append-only log of
+// 12-byte records plus a flat index over it. Every effective write is
+// one probe of the index and at most one record appended.
 //
-// The log holds one 12-byte record per edge ever added, in insertion
-// order; a removal marks its record dead, and a re-added edge gets a new
-// record at the end, so the live records read in order are the edge set
-// in insertion order minus removals. Once dead records outnumber live
-// ones the log is compacted in place (order kept) and the index rebuilt.
+// Before the first Freeze the live records are the edges, in insertion
+// order: a removal marks its record dead, and a re-added edge gets a new
+// record at the end. The first Freeze builds the CSR from the log and
+// keeps its records (Graph.order) — the insertion order OutEdges and
+// InEdges report — until the first write to the frozen graph; the index
+// goes with them.
+//
+// After it the log is the frozen graph's delta against the base CSR
+// (csrBase). An edge is indexed only while it differs from the base: its
+// live record says which way (added), and presence is one probe, plus a
+// binary search in the base when the index has no entry. A write that
+// makes the edge differ appends a live record; one that puts it back
+// marks that record dead and deletes its slot. So the live records are
+// the net delta, and Freeze merges them (delta.go) and empties the log.
+// While a view is pinned, a write that puts an edge back also appends a
+// dead record: then every effective write since the pin is one record
+// from Graph.pinPos on, and the next PinView extends the view by that
+// batch read by parity (view.go).
+//
+// Once the dead records outnumber the live ones — not counting the dead
+// records of the pinned view's batch, which the next pin reads — the log
+// is compacted in place, keeping its order and that batch, and the index
+// slots of the moved records follow them.
 //
 // The index is an open-addressing table with linear probing. A slot is 8
 // bytes: the 1-based log position of a live record in the low half (0
@@ -23,18 +42,14 @@ import (
 // resize nor a deletion reads the log. The load is kept at most ½, the
 // hash is keyed by a per-graph random seed so that no input file can
 // force long probe chains, and a deletion shifts the rest of its chain
-// back (no tombstones). AddEdge, RemoveEdge, HasEdge and flip each cost
-// one probe.
-//
-// The first Freeze builds the CSR from the log, in order, and drops the
-// index; the log itself is kept — it is the insertion order OutEdges and
-// InEdges report — until the first write to the frozen graph drops it.
+// back (no tombstones).
 
 // logEdge is one record of the edge log.
 type logEdge struct {
 	from, to uint32
 	label    byte
-	dead     bool // removed since it was logged
+	added    bool // the edge is present where the base lacks it: every record before the first Freeze
+	dead     bool // the record no longer says how the edge differs from the base
 }
 
 func (r logEdge) edge() Edge { return Edge{From: int(r.from), Label: r.label, To: int(r.to)} }
@@ -81,45 +96,75 @@ func (g *Graph) inRange(from, to int) bool {
 	return uint(from) < uint(g.n) && uint(to) < uint(g.n)
 }
 
-// logHas reports whether a graph that was never frozen holds the edge.
-func (g *Graph) logHas(from int, label byte, to int) bool {
-	if len(g.index) == 0 || !g.inRange(from, to) {
-		return false
-	}
-	_, _, found := g.probe(uint32(from), uint32(to), label)
-	return found
-}
-
-// logWrite is a write to a graph that was never frozen, deciding the
-// edge's presence with one probe: with add it adds the edge when absent,
-// with remove it removes it when present (both: it flips it). It reports
-// whether it wrote. The endpoints must be in range.
-func (g *Graph) logWrite(from int, label byte, to int, add, remove bool) bool {
-	if add && 2*(g.edges+1) > len(g.index) {
+// write is every mutation of an edge, deciding its presence with one
+// probe: its record's answer when the index holds the edge, else the
+// base's (absent before the first Freeze). With add it adds the edge
+// when absent, with remove it removes it when present (both: it flips
+// it). It reports whether it wrote. The endpoints must be in range.
+func (g *Graph) write(from int, label byte, to int, add, remove bool) bool {
+	if 2*(len(g.log)-g.dead+1) > len(g.index) {
 		g.growIndex()
-	} else if len(g.index) == 0 {
-		return false
 	}
 	f, t := uint32(from), uint32(to)
 	i, h, found := g.probe(f, t, label)
-	switch {
-	case found && remove:
-		g.log[uint32(g.index[i])-1].dead = true
-		g.deleteSlot(i)
-		g.dead++
-		g.tally(Edge{From: from, Label: label, To: to}, false)
-		if g.dead > g.edges {
-			g.compactLog()
-			g.rebuildIndex()
-		}
-	case !found && add:
-		g.log = append(g.log, logEdge{from: f, to: t, label: label})
-		g.index[i] = uint64(h)<<32 | uint64(len(g.log))
-		g.tally(Edge{From: from, Label: label, To: to}, true)
-	default:
+	present := false
+	if found {
+		present = g.log[uint32(g.index[i])-1].added
+	} else if g.csrBase != nil {
+		present = g.csrBase.HasEdge(from, label, to)
+	}
+	if present && !remove || !present && !add {
 		return false
 	}
+	if found { // back to the base's state: the edge leaves the index
+		p := int(uint32(g.index[i]) - 1)
+		g.log[p].dead = true
+		g.deleteSlot(i)
+		g.dead++
+		g.countDelta(g.log[p].added, label, -1)
+		if g.view != nil { // the batch holds every write since the pin
+			g.log = append(g.log, logEdge{from: f, to: t, label: label, dead: true})
+			g.dead++
+			g.batchDead++
+			if p >= g.pinPos {
+				g.batchDead++
+			}
+		}
+	} else {
+		g.log = append(g.log, logEdge{from: f, to: t, label: label, added: !present})
+		g.index[i] = uint64(h)<<32 | uint64(len(g.log))
+		g.countDelta(!present, label, 1)
+	}
+	// After the record: tally's locked epoch increment waits for the
+	// stores before it, and placed ahead of them it made a 1M-edge load
+	// about 15 % slower.
+	g.tally(Edge{From: from, Label: label, To: to}, !present)
+	if g.view != nil && len(g.log)-g.pinPos > len(g.log)-g.dead+deltaMergeFloor {
+		// Replaying the batch would cost more than the net delta: the
+		// view is forgotten, and the next pin builds from the delta.
+		g.view, g.batchDead = nil, 0
+	}
+	if found && g.dead-g.batchDead > len(g.log)-g.dead {
+		g.compact()
+	}
 	return true
+}
+
+// countDelta keeps the pending delta's counts as an edge enters it
+// (d = 1) or leaves it (d = -1), as an add when added and as a tombstone
+// otherwise. A graph that was never frozen has no delta.
+func (g *Graph) countDelta(added bool, label byte, d int) {
+	switch {
+	case g.csrBase == nil:
+	case !added:
+		g.deltaDels += d
+	default:
+		g.deltaAdds += d
+		// Sticky until the next Freeze resets the delta: pinning an
+		// overlay view checks this flag instead of rescanning the delta
+		// for out-of-alphabet labels.
+		g.deltaNewLabel = g.deltaNewLabel || g.csrBase.labelID[label] < 0
+	}
 }
 
 // growIndex doubles the index (or allocates the first one, drawing the
@@ -164,46 +209,47 @@ func (g *Graph) deleteSlot(i int) {
 	g.index[i] = 0
 }
 
-// compactLog drops the dead records, keeping the order of the rest.
-// The index's positions are stale afterwards.
-func (g *Graph) compactLog() {
-	live := g.log[:0]
-	for _, r := range g.log {
-		if !r.dead {
-			live = append(live, r)
-		}
+// compact drops the dead records, keeping the order of the rest — all
+// of them but, while a view is pinned, those of its batch, which the next
+// pin reads — and moves each live record's index slot with it: found
+// from its hash and its old position, so no record is compared and the
+// table keeps its size.
+func (g *Graph) compact() {
+	keep := len(g.log)
+	if g.view != nil {
+		keep = g.pinPos
 	}
-	clear(g.log[len(live):])
-	g.log, g.dead = live, 0
-}
-
-// rebuildIndex indexes a dead-free log afresh, in a table sized to it.
-func (g *Graph) rebuildIndex() {
-	size := minIndexSlots
-	for size < 2*(g.edges+1) {
-		size *= 2
-	}
-	if len(g.index) == size {
-		clear(g.index)
-	} else {
-		g.index = make([]uint64, size)
-	}
-	mask := size - 1
+	mask, q := len(g.index)-1, 0
 	for p, r := range g.log {
-		h := g.hash(r.from, r.to, r.label)
-		i := int(h) & mask
-		for g.index[i] != 0 {
-			i = (i + 1) & mask
+		if r.dead && p < keep {
+			continue
 		}
-		g.index[i] = uint64(h)<<32 | uint64(p+1)
+		if !r.dead && len(g.index) > 0 && q < p {
+			i := int(g.hash(r.from, r.to, r.label)) & mask
+			for uint32(g.index[i]) != uint32(p+1) {
+				i = (i + 1) & mask
+			}
+			g.index[i] -= uint64(p - q)
+		}
+		g.log[q] = r
+		q++
 	}
+	clear(g.log[q:])
+	g.pinPos = q - (len(g.log) - keep)
+	g.log, g.dead = g.log[:q], g.batchDead
 }
 
-// logKept reports whether the log is the graph's edge set in insertion
-// order: always before the first Freeze, and after it until a write to
-// the frozen graph drops the log (Freeze keeps an empty log as an empty
+// inOrder returns the records whose live ones are the edge set in
+// insertion order, and whether the graph has them: always before the
+// first Freeze (the log), and after it until a write to the frozen graph
+// drops what that Freeze kept (order; an empty graph keeps an empty
 // slice, not nil).
-func (g *Graph) logKept() bool { return g.csrBase == nil || g.log != nil }
+func (g *Graph) inOrder() ([]logEdge, bool) {
+	if g.csrBase == nil {
+		return g.log, true
+	}
+	return g.order, g.order != nil
+}
 
 // rowsOfLog carves the rows of the live log records grouped by source
 // (out) or by target, each in log order, out of one arena — one stable

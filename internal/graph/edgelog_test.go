@@ -61,8 +61,8 @@ func TestFrozenPassReadsCSR(t *testing.T) {
 	if b := after.TotalAlloc - before.TotalAlloc; b > 16*n+64<<10 {
 		t.Errorf("IsAcyclic on a frozen graph allocated %d B, want ≤ 16·n + 64 KiB = %d", b, 16*n+64<<10)
 	}
-	if !g.logKept() || g.lists.Load() != nil {
-		t.Error("the pass must keep the log and build no lists")
+	if _, kept := g.inOrder(); !kept || g.lists.Load() != nil {
+		t.Error("the pass must keep the insertion order and build no lists")
 	}
 }
 
@@ -140,6 +140,86 @@ func TestEdgeLogChurn(t *testing.T) {
 		if g.HasEdge(e.From, e.Label, e.To) || g.RemoveEdge(e.From, e.Label, e.To) {
 			t.Errorf("out-of-range edge %v reads as present", e)
 		}
+	}
+}
+
+// TestFrozenLogChurn drives a frozen graph's log — the net delta and the
+// pinned view's batch — through 100k flips over a pool of 1k edges, half
+// of them base edges, pinning after every 320 flips and freezing every
+// 20k. After every write HasEdge, PendingDelta and NumEdges match a set
+// kept beside the graph, and the log holds at most twice the net delta
+// plus the floor and one batch; every pin equals a from-scratch build.
+// The log must be compacted while a view is pinned, keeping its batch.
+func TestFrozenLogChurn(t *testing.T) {
+	const n, batch = 2000, 320
+	labels := []byte("ab")
+	g := RandomOutRegular(n, labels, 8, 1)
+	g.Freeze()
+	rng := rand.New(rand.NewSource(3))
+	pool := make([]Edge, 1000)
+	for i := range pool {
+		if i%2 == 0 {
+			es := g.OutEdges(rng.Intn(n))
+			pool[i] = es[rng.Intn(len(es))]
+		} else {
+			pool[i] = Edge{From: rng.Intn(n), Label: labels[rng.Intn(2)], To: rng.Intn(n)}
+		}
+	}
+	cur, base := map[Edge]bool{}, map[Edge]bool{}
+	for _, e := range pool {
+		cur[e] = g.HasEdge(e.From, e.Label, e.To)
+		base[e] = cur[e]
+	}
+	edges, adds, removes := g.NumEdges(), 0, 0
+	pins, extended, pinnedCompactions := 0, 0, 0
+	for step := 1; step <= 100_000; step++ {
+		e := pool[rng.Intn(len(pool))]
+		before := len(g.log)
+		FlipEdges(g, []Edge{e})
+		cur[e] = !cur[e]
+		d := 1
+		if !cur[e] {
+			d = -1
+		}
+		edges += d
+		if base[e] {
+			removes -= d
+		} else {
+			adds += d
+		}
+		if g.HasEdge(e.From, e.Label, e.To) != cur[e] || g.NumEdges() != edges {
+			t.Fatalf("step %d: HasEdge%v = %v, NumEdges %d; the set says %v, %d",
+				step, e, !cur[e], g.NumEdges(), cur[e], edges)
+		}
+		if a, r := g.PendingDelta(); a != adds || r != removes {
+			t.Fatalf("step %d: PendingDelta (%d,%d), the set says (%d,%d)", step, a, r, adds, removes)
+		}
+		if len(g.log) > 2*(adds+removes)+deltaMergeFloor+batch {
+			t.Fatalf("step %d: the log holds %d records for a delta of %d", step, len(g.log), adds+removes)
+		}
+		if g.view != nil && len(g.log) < before {
+			pinnedCompactions++
+		}
+		switch {
+		case step%20_000 == 0:
+			g.Freeze()
+			clear(base)
+			for _, e := range pool {
+				base[e] = cur[e]
+			}
+			adds, removes = 0, 0
+		case step%batch == 0:
+			if willExtend(g) {
+				extended++
+			}
+			checkViewsEqual(t, g.PinView(), cloneForScratch(g).PinView())
+			pins++
+		}
+	}
+	t.Logf("%d pins, %d extended; %d compactions under a pinned view", pins, extended, pinnedCompactions)
+	if extended < pins/2 || pinnedCompactions == 0 {
+		t.Fatalf("churn is vacuous: %d of %d pins extended, %d compactions under a pinned view",
+			extended, pins, pinnedCompactions)
 	}
 }
 

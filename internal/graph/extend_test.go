@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -18,15 +17,14 @@ import (
 // and a pin must cost its write's batch, not the pending delta.
 
 // cloneForScratch copies g's mutable state (sharing the immutable base)
-// without its pinned view or log, so pinning the clone builds the
-// overlay from the net delta alone.
+// without its pinned view, so pinning the clone builds the overlay from
+// the net delta — the log's live records — alone.
 func cloneForScratch(g *Graph) *Graph {
 	c := &Graph{
 		n: g.n, edges: g.edges, names: slices.Clone(g.names), labelCount: g.labelCount,
 		log: slices.Clone(g.log), index: slices.Clone(g.index), seed: g.seed, dead: g.dead,
-		csr: g.csr, csrBase: g.csrBase,
-		delta: maps.Clone(g.delta), deltaAdds: g.deltaAdds, deltaDels: g.deltaDels,
-		deltaNewLabel: g.deltaNewLabel,
+		order: g.order, csr: g.csr, csrBase: g.csrBase,
+		deltaAdds: g.deltaAdds, deltaDels: g.deltaDels, deltaNewLabel: g.deltaNewLabel,
 	}
 	c.epoch.Store(g.Epoch())
 	return c
@@ -83,12 +81,13 @@ func checkViewsEqual(t *testing.T, got, want *View) {
 }
 
 // sortedEdges returns the pending adds (added) or the tombstones of the
-// delta in a fixed order, so the soak stays deterministic in its seed.
-func sortedEdges(m map[edgeKey]bool, added bool) []Edge {
+// delta — the log's live records of that side — in a fixed order, so the
+// soak stays deterministic in its seed.
+func sortedEdges(g *Graph, added bool) []Edge {
 	var es []Edge
-	for k, v := range m {
-		if v == added {
-			es = append(es, k.edge())
+	for _, r := range g.log {
+		if !r.dead && r.added == added {
+			es = append(es, r.edge())
 		}
 	}
 	slices.SortFunc(es, func(a, b Edge) int {
@@ -104,9 +103,9 @@ func sortedEdges(m map[edgeKey]bool, added bool) []Edge {
 }
 
 // willExtend reports whether the next PinView extends a non-empty
-// overlay by a non-empty log — the path the soak is about.
+// overlay by a non-empty batch of the log — the path the soak is about.
 func willExtend(g *Graph) bool {
-	return g.view != nil && g.view.out != nil && len(g.viewLog) > 0 && g.csr == nil && g.canOverlay()
+	return g.view != nil && g.view.out != nil && len(g.log) > g.pinPos && g.csr == nil && g.canOverlay()
 }
 
 // TestViewExtensionSoak drives mixed batches — adds, removes, re-adds
@@ -142,12 +141,12 @@ func TestViewExtensionSoak(t *testing.T) {
 						g.RemoveEdge(e.From, e.Label, e.To)
 					}
 				case op < 26: // re-add a tombstoned base edge
-					if es := sortedEdges(g.delta, false); len(es) > 0 {
+					if es := sortedEdges(g.Graph, false); len(es) > 0 {
 						e := es[rng.Intn(len(es))]
 						g.AddEdge(e.From, e.Label, e.To)
 					}
 				case op < 30: // remove a pending add
-					if es := sortedEdges(g.delta, true); len(es) > 0 {
+					if es := sortedEdges(g.Graph, true); len(es) > 0 {
 						e := es[rng.Intn(len(es))]
 						g.RemoveEdge(e.From, e.Label, e.To)
 					}
@@ -159,10 +158,10 @@ func TestViewExtensionSoak(t *testing.T) {
 						g.RemoveEdge(e.From, e.Label, e.To)
 					}
 				case op < 35: // undo the whole delta: the next pin is pass-through
-					for _, e := range sortedEdges(g.delta, true) {
+					for _, e := range sortedEdges(g.Graph, true) {
 						g.RemoveEdge(e.From, e.Label, e.To)
 					}
-					for _, e := range sortedEdges(g.delta, false) {
+					for _, e := range sortedEdges(g.Graph, false) {
 						g.AddEdge(e.From, e.Label, e.To)
 					}
 				case op < 37:
@@ -323,11 +322,12 @@ func TestViewExtensionCancel(t *testing.T) {
 	}
 }
 
-// TestViewLogForgotten pins the bound on the mutation log: edges toggled
-// back and forth between two pins grow the log, not the delta, and once
-// it is longer than the delta (plus the floor) the graph drops it with
-// the view it extends; the next pin then builds from the net delta and still
-// reads right.
+// TestViewLogForgotten pins the bound on a pin's batch: edges toggled
+// back and forth between two pins grow the log's batch (the records from
+// pinPos on), not the delta, and once it is longer than the delta (plus
+// the floor) the graph forgets it with the view it extends and compacts
+// the log to the delta's live records; the next pin then builds from the
+// net delta and still reads right.
 func TestViewLogForgotten(t *testing.T) {
 	g := track(Random(60, []byte{'a', 'b'}, 0.05, 71))
 	g.Freeze()
@@ -338,9 +338,13 @@ func TestViewLogForgotten(t *testing.T) {
 		g.flip([]Edge{{From: 3, Label: 'b', To: 4}})
 	}
 	// The delta never exceeds two edges, so the bound sits at 64 to 66.
-	if toggles <= deltaMergeFloor || toggles > deltaMergeFloor+5 || g.viewLog != nil {
-		t.Fatalf("log forgotten after %d toggles over a delta of at most 2 (log now %d); want just past the floor of %d",
-			toggles, len(g.viewLog), deltaMergeFloor)
+	if toggles <= deltaMergeFloor || toggles > deltaMergeFloor+5 {
+		t.Fatalf("batch forgotten after %d toggles over a delta of at most 2; want just past the floor of %d",
+			toggles, deltaMergeFloor)
+	}
+	if adds, removes := g.PendingDelta(); len(g.log) != adds+removes || g.dead != 0 {
+		t.Fatalf("with the batch forgotten the log holds %d records (%d dead) for a delta of %d",
+			len(g.log), g.dead, adds+removes)
 	}
 	vw := g.PinView()
 	checkViewsEqual(t, vw, cloneForScratch(g.Graph).PinView())
@@ -381,8 +385,8 @@ func TestViewExtensionWorkGuard(t *testing.T) {
 		for round := 0; round < 5; round++ {
 			FlipEdges(g, muts[:batch])
 			muts = muts[batch:]
-			if !willExtend(g) || len(g.viewLog) != batch {
-				t.Fatalf("pending=%d: the pin will not extend the previous view by its batch (log %d)", pending, len(g.viewLog))
+			if !willExtend(g) || len(g.log)-g.pinPos != batch {
+				t.Fatalf("pending=%d: the pin will not extend the previous view by its batch (batch %d)", pending, len(g.log)-g.pinPos)
 			}
 			prev := g.view
 			runtime.ReadMemStats(&m0)

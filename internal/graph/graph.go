@@ -32,40 +32,41 @@ type Edge struct {
 // — is cached on first use and invalidated by mutation, so a warm graph
 // answers these in O(1).
 //
-// Mutating an already-frozen graph does not discard the frozen CSR:
-// mutations accumulate in a net delta (added edges, removed-edge
-// tombstones) against the last snapshot, which with it answers whether
-// an edge is present, and the next Freeze merges the delta into it
-// instead of rebuilding from scratch — see delta.go. Each
-// mutation still advances the Epoch, so epoch-keyed caches built on top
-// (rspq.Engine) invalidate exactly as before.
-//
-// Before the first Freeze the edges are stored as one insertion-ordered
-// log of 12-byte records plus a flat hash index over it (edgelog.go):
-// AddEdge, RemoveEdge and HasEdge cost one index probe, and no
-// per-vertex row exists. The first Freeze builds the CSR from the log
-// and drops the index; the log is kept until the first write to the
-// frozen graph, so until then OutEdges / InEdges report insertion order
-// minus removals.
+// The writes go to one store, a log of 12-byte records plus a flat hash
+// index over it (edgelog.go): AddEdge, RemoveEdge and HasEdge cost one
+// index probe, and no per-vertex row exists. Before the first Freeze the
+// log holds the edges in insertion order. The first Freeze builds the CSR
+// from it and keeps its records until the first write to the frozen
+// graph, so until then OutEdges / InEdges report insertion order minus
+// removals. Mutating a frozen graph does not discard the frozen CSR: the
+// log then holds the net delta against the last snapshot (added edges,
+// removed-edge tombstones), which with it answers whether an edge is
+// present, and the next Freeze merges the delta into it instead of
+// rebuilding from scratch — see delta.go. Each mutation still advances
+// the Epoch, so epoch-keyed caches built on top (rspq.Engine) invalidate
+// exactly as before.
 //
 // The per-vertex lists OutEdges / InEdges return are a cache on every
-// graph: built on the first read, from the log while it is kept and
-// else from the base and the delta (each row then in (label, neighbour)
-// order), and dropped by any write. No query, write, PinView, Freeze or
+// graph: built on the first read, from the insertion-ordered log while
+// the graph has it and else from the base and the delta (each row then
+// in (label, neighbour) order), and dropped by any write. No query, write, PinView, Freeze or
 // whole-graph pass (Edges, TopoOrder, EdgeSetEqual) builds them.
 type Graph struct {
 	n     int
 	edges int
 	names []string // optional display names, "" when unset; nil until one is set
 
-	// The edge log and its index (edgelog.go): the storage before the
-	// first Freeze. The index and its seed live only until that Freeze,
-	// the log until the first write to the frozen graph. dead counts the
-	// log's removed records.
-	log   []logEdge
-	index []uint64
-	seed  uint64
-	dead  int
+	// The edge log and its index (edgelog.go): the edges before the
+	// first Freeze, the net delta against csrBase after it. dead counts
+	// the log's dead records, batchDead those from pinPos on while view
+	// is pinned. order is what the first Freeze kept of the log, until the
+	// first write to the frozen graph.
+	log       []logEdge
+	index     []uint64
+	seed      uint64
+	dead      int
+	batchDead int
+	order     []logEdge
 
 	// lists caches the per-vertex lists of OutEdges / InEdges, nil until
 	// they are read and from any write on. Atomic, so concurrent first
@@ -83,12 +84,10 @@ type Graph struct {
 	labelCount [256]int
 
 	// Incremental-freeze state (delta.go): the CSR the pending delta is
-	// relative to, the net delta since csrBase was built — true for an
-	// edge the base lacks, false for a tombstoned base edge — with its
-	// counts, and the freeze counters. csrBase == nil means the next
-	// Freeze rebuilds from scratch.
+	// relative to, the counts of the delta (the log's live records), and
+	// the freeze counters. csrBase == nil means the next Freeze rebuilds
+	// from scratch.
 	csrBase       *CSR
-	delta         map[edgeKey]bool
 	deltaAdds     int
 	deltaDels     int
 	deltaNewLabel bool // some pending add carries a label absent from csrBase
@@ -105,13 +104,13 @@ type Graph struct {
 	lastFreezeDelta atomic.Uint64
 
 	// view is the most recently pinned read snapshot (view.go) — current
-	// while its epoch is the graph's — and viewLog every edge an
-	// effective AddEdge/RemoveEdge touched since, so the next PinView
-	// extends view's overlay by that batch instead of rebuilding it from
-	// the net delta. Both are dropped when the base changes and when the
-	// log outgrows the net delta (logDelta).
-	view    *View
-	viewLog []Edge
+	// while its epoch is the graph's — and pinPos where the log ended
+	// then: the records from there on are the batch the next PinView
+	// extends view's overlay by instead of rebuilding it from the net
+	// delta. view is dropped when the base changes and when the batch
+	// outgrows the net delta (write).
+	view   *View
+	pinPos int
 
 	// epoch counts mutations (see Epoch). It is atomic so long-lived
 	// engines may poll it for staleness without synchronizing with the
@@ -120,33 +119,20 @@ type Graph struct {
 	epoch atomic.Uint64
 }
 
-// invalidate drops the caches a mutation may falsify, the lists among
-// them, and advances the mutation epoch. The last frozen CSR survives as
-// the merge base for the next incremental Freeze, and the last pinned
-// view — stale from here on, by its epoch — as what the next pin
-// extends.
+// invalidate drops the caches a mutation may falsify, the lists and the
+// insertion order the first Freeze kept among them, and advances the
+// mutation epoch. The last frozen CSR survives as the merge base for the
+// next incremental Freeze, and the last pinned view — stale from here
+// on, by its epoch — as what the next pin extends.
 func (g *Graph) invalidate() {
 	if g.lists.Load() != nil {
 		g.lists.Store(nil)
 	}
+	g.order = nil
 	g.alpha = nil
 	g.alphaValid = false
 	g.csr = nil
 	g.epoch.Add(1)
-}
-
-// logDelta records that an effective mutation touched e since g.view
-// was pinned. Once the log is longer than the net delta (edges toggled
-// back and forth, or many writes and no read) replaying it costs more
-// than sorting the delta: it is forgotten with the view it extends.
-func (g *Graph) logDelta(e Edge) {
-	if g.view == nil {
-		return
-	}
-	g.viewLog = append(g.viewLog, e)
-	if len(g.viewLog) > g.deltaAdds+g.deltaDels+deltaMergeFloor {
-		g.view, g.viewLog = nil, nil
-	}
 }
 
 // Epoch returns the graph's monotonic mutation counter: it advances on
@@ -176,12 +162,9 @@ func (g *Graph) NumEdges() int { return g.edges }
 
 // AddVertex appends an isolated vertex and returns its id, in O(1). The
 // CSR delta overlay records only the row-count growth. On a frozen graph
-// it drops the edge log, as a write does.
+// it drops the insertion order, as a write does.
 func (g *Graph) AddVertex() int {
 	g.invalidate()
-	if g.csrBase != nil {
-		g.log = nil // the frozen graph's rows are no longer the log's
-	}
 	g.n++
 	return g.n - 1
 }
@@ -210,21 +193,15 @@ func (g *Graph) Name(v int) string {
 // no-op, matching the set semantics E ⊆ V×Σ×V of the paper. An endpoint
 // outside [0, NumVertices()) panics, naming the edge.
 //
-// Before the first Freeze presence is one probe of the log's index
-// (edgelog.go) and an absent edge is appended to the log. On a frozen
-// graph presence is a binary search in the base CSR plus one lookup in
-// the net delta (delta.go), where the insertion is recorded, so the next
-// Freeze merges it into the existing CSR instead of rebuilding. Either
-// way no per-vertex row is read or written.
+// Presence is one probe of the log's index (edgelog.go), plus, on a
+// frozen graph whose delta does not hold the edge, a binary search in
+// the base CSR. An absent edge is appended to the log — on a frozen graph
+// as a pending add, or as the end of a tombstone — so the next Freeze
+// merges it into the existing CSR instead of rebuilding. No per-vertex
+// row is read or written.
 func (g *Graph) AddEdge(from int, label byte, to int) {
 	g.mustInRange(from, label, to)
-	if g.csrBase == nil {
-		g.logWrite(from, label, to, true, false)
-		return
-	}
-	if k, listed, present := g.lookup(from, label, to); !present {
-		g.toggleDelta(k, listed, true)
-	}
+	g.write(from, label, to, true, false)
 }
 
 // RemoveEdge deletes the labeled edge (from, label, to) and reports
@@ -232,35 +209,19 @@ func (g *Graph) AddEdge(from int, label byte, to int) {
 // out-of-range endpoints) is a no-op returning false, and does not
 // advance the epoch.
 //
-// Presence is decided as in AddEdge. Before the first Freeze a present
-// edge's log record is marked dead (the log is compacted once dead
-// records outnumber live ones); on a frozen graph the removal is
-// recorded in the net delta — a tombstone for a base edge, the end of a
-// pending add otherwise.
+// Presence is decided as in AddEdge. A removal marks the edge's record
+// dead — the end of a pending add on a frozen graph — or, for a base
+// edge, appends a tombstone record (the log is compacted once dead
+// records outnumber live ones).
 func (g *Graph) RemoveEdge(from int, label byte, to int) bool {
-	if !g.inRange(from, to) {
-		return false
-	}
-	if g.csrBase == nil {
-		return g.logWrite(from, label, to, false, true)
-	}
-	k, listed, present := g.lookup(from, label, to)
-	if present {
-		g.toggleDelta(k, listed, false)
-	}
-	return present
+	return g.inRange(from, to) && g.write(from, label, to, false, true)
 }
 
 // flip removes the edge when present and adds it otherwise, deciding its
 // presence once.
 func (g *Graph) flip(from int, label byte, to int) {
 	g.mustInRange(from, label, to)
-	if g.csrBase == nil {
-		g.logWrite(from, label, to, true, true)
-		return
-	}
-	k, listed, present := g.lookup(from, label, to)
-	g.toggleDelta(k, listed, !present)
+	g.write(from, label, to, true, true)
 }
 
 // mustInRange panics, naming the edge, when an endpoint is not a vertex.
@@ -312,8 +273,9 @@ func (g *Graph) AddWordEdge(from int, w string, to int) ([]int, error) {
 // modified.
 //
 // The lists are a cache (adjLists), built for all vertices on the first
-// OutEdges or InEdges after a write — from the edge log while it is
-// kept, else from the base and the net delta — and dropped by the next
+// OutEdges or InEdges after a write — from the insertion-ordered log
+// while the graph has it, else from the base and the net delta — and
+// dropped by the next
 // write. Reads of a frozen graph nobody writes may run concurrently,
 // first reads included; after a write the first read must be
 // synchronized with other readers, like the first PinView.
@@ -335,9 +297,9 @@ func (g *Graph) adj() *adjLists {
 		return l
 	}
 	var l adjLists
-	if g.logKept() {
-		l.out = rowsOfLog(g.log, g.n, g.edges, true)
-		l.in = rowsOfLog(g.log, g.n, g.edges, false)
+	if recs, ok := g.inOrder(); ok {
+		l.out = rowsOfLog(recs, g.n, g.edges, true)
+		l.in = rowsOfLog(recs, g.n, g.edges, false)
 	} else {
 		l.out, l.in = listsOf(g.current(), g.edges)
 	}
@@ -386,9 +348,10 @@ type adjacency interface {
 }
 
 // current returns the graph's edge set in CSR form without reading the
-// lists, for a graph frozen at least once: the frozen snapshot, else the view pinned at this epoch, else — built for the
-// caller and not kept — the base merged with the net delta, or a full
-// build when the delta may carry a label the base lacks.
+// lists, for a graph frozen at least once: the frozen snapshot, else the
+// view pinned at this epoch, else — built for the caller and not kept —
+// the base merged with the net delta, or a full build when the delta may
+// carry a label the base lacks.
 func (g *Graph) current() adjacency {
 	switch {
 	case g.csr != nil:
@@ -445,17 +408,19 @@ func (r rows) out(v int) iter.Seq[Edge] {
 }
 
 // HasEdge reports whether the exact edge exists: one probe of the log's
-// index before the first Freeze, the base CSR and the net delta after
-// it. An endpoint outside [0, NumVertices()) reads as absent.
+// index, and on a frozen graph a binary search in the base CSR when the
+// delta does not hold the edge. An endpoint outside [0, NumVertices())
+// reads as absent.
 func (g *Graph) HasEdge(from int, label byte, to int) bool {
-	if g.csrBase == nil {
-		return g.logHas(from, label, to)
-	}
 	if !g.inRange(from, to) {
 		return false
 	}
-	_, _, present := g.lookup(from, label, to)
-	return present
+	if len(g.index) > 0 {
+		if i, _, found := g.probe(uint32(from), uint32(to), label); found {
+			return g.log[uint32(g.index[i])-1].added
+		}
+	}
+	return g.csrBase != nil && g.csrBase.HasEdge(from, label, to)
 }
 
 // Alphabet returns the set of labels used by the graph's edges. The

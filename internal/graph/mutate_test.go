@@ -190,8 +190,8 @@ func checkAdjacency(t *testing.T, g *Graph, o *listOracle, when string, install 
 	if g.NumVertices() != len(o.out) {
 		t.Fatalf("%s: %d vertices, oracle %d", when, g.NumVertices(), len(o.out))
 	}
-	if g.logKept() == o.sorted {
-		t.Fatalf("%s: the graph keeps its edge log = %v, oracle wrote to the frozen graph = %v", when, g.logKept(), o.sorted)
+	if _, kept := g.inOrder(); kept == o.sorted {
+		t.Fatalf("%s: the graph keeps its insertion order = %v, oracle wrote to the frozen graph = %v", when, kept, o.sorted)
 	}
 	if o.dropped && g.lists.Load() != nil {
 		t.Fatalf("%s: the graph holds lists no read asked for", when)
@@ -390,8 +390,8 @@ func TestAdjacencyOrderStable(t *testing.T) {
 		t.Fatal("the oracle expects the rebuilt order before any write to the frozen graph")
 	}
 	removeSome(40)
-	if g.lists.Load() != nil || g.log != nil {
-		t.Fatal("removals from the frozen graph kept its lists or its edge log")
+	if g.lists.Load() != nil || g.order != nil {
+		t.Fatal("removals from the frozen graph kept its lists or its insertion order")
 	}
 	checkAdjacency(t, g, o, "after removals on a frozen graph", true)
 	for i := 0; i < 40; i++ {
@@ -451,8 +451,8 @@ func TestFrozenWritesKeepNoLists(t *testing.T) {
 		flip(e)
 	}
 	flip(back)
-	if g.lists.Load() != nil || g.log != nil {
-		t.Fatal("writes to the frozen graph kept its lists or its edge log")
+	if g.lists.Load() != nil || g.order != nil {
+		t.Fatal("writes to the frozen graph kept its lists or its insertion order")
 	}
 	v := g.AddVertex()
 	g.AddEdge(v, 'a', 0)
@@ -469,7 +469,7 @@ func TestFrozenWritesKeepNoLists(t *testing.T) {
 	if g.IsAcyclic() {
 		t.Fatal("an 80-out-regular graph is cyclic")
 	}
-	if g.lists.Load() != nil || g.log != nil {
+	if g.lists.Load() != nil || g.order != nil {
 		t.Fatal("AddVertex, PinView, Freeze or IsAcyclic rebuilt the lists")
 	}
 

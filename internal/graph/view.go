@@ -30,17 +30,19 @@ import (
 //     before falling through to the base. Rows of vertices added after
 //     the base freeze exist only in the overlay set.
 //
-// The graph keeps the last pinned view and a log of the edges mutated
-// since (Graph.view / viewLog). Pinning a new epoch EXTENDS that view's
-// overlay by the log (overlaySet.extend): sort the batch alone, re-merge
-// only the buckets it touches, share every other bucket's slice — and
-// every row block the batch misses — with the previous view, drop a
-// bucket that reads as the base's again. Cost: O(batch·log batch +
-// touched bucket contents + the key index of the touched blocks + one
-// pointer per 64 rows); the pending delta enters only through how full a
-// touched block already is. Building from scratch (no view pinned on
-// this base yet, or its log forgotten) is the same function extending
-// the empty overlay by the whole net delta.
+// The graph keeps the last pinned view and where the edge log ended
+// when it was pinned (Graph.view / pinPos): the log's records from there
+// on are one per effective mutation since (edgelog.go). Pinning a new
+// epoch EXTENDS that view's overlay by that batch (overlaySet.extend):
+// sort the batch alone, re-merge only the buckets it touches, share
+// every other bucket's slice — and every row block the batch misses —
+// with the previous view, drop a bucket that reads as the base's again.
+// Cost: O(batch·log batch + touched bucket contents + the key index of
+// the touched blocks + one pointer per 64 rows); the pending delta
+// enters only through how full a touched block already is. Building from
+// scratch (no view pinned on this base yet, or it was forgotten) is the
+// same function extending the empty overlay by the whole net delta, the
+// log's live records.
 //
 // A pinned view stays immutable — safe for concurrent readers, and
 // still a valid snapshot of its epoch after further mutations,
@@ -140,7 +142,7 @@ func (g *Graph) PinView() *View {
 	} else {
 		vw = g.passView(g.Freeze()) // a canceled delta freezes to the base itself
 	}
-	g.view, g.viewLog = vw, g.viewLog[:0]
+	g.view, g.pinPos, g.batchDead = vw, len(g.log), 0
 	return vw
 }
 
@@ -182,23 +184,24 @@ func (g *Graph) canOverlay() bool {
 }
 
 // buildOverlayView returns the overlay view of the graph's current
-// state: the last pinned view's overlay extended by the edges logged
+// state: the last pinned view's overlay extended by the log's records
 // since, or — when there is no such view — the empty overlay extended by
-// the whole net delta.
+// the whole net delta, the log's live records.
 func (g *Graph) buildOverlayView() *View {
 	base := g.csrBase
 	n := g.NumVertices()
-	out, in, log := &overlaySet{}, &overlaySet{}, g.viewLog
-	if g.view == nil {
-		log = g.netDelta()
-	} else if g.view.out != nil {
-		out, in = g.view.out, g.view.in
+	out, in, batch := &overlaySet{}, &overlaySet{}, g.log
+	if g.view != nil {
+		batch = g.log[g.pinPos:]
+		if g.view.out != nil {
+			out, in = g.view.out, g.view.in
+		}
 	}
-	L := len(base.labels)
+	dead, L := g.view != nil, len(base.labels)
 	return &View{base: base, n: n, m: g.edges, stride: int64(L), epoch: g.Epoch(),
 		adds: g.deltaAdds, removes: g.deltaDels,
-		out: out.extend(base.outBucket, base.outTo, n, L, sortedDelta(log, base, n, true)),
-		in:  in.extend(base.inBucket, base.inFrom, n, L, sortedDelta(log, base, n, false))}
+		out: out.extend(base.outBucket, base.outTo, n, L, sortedDelta(batch, dead, base, n, true)),
+		in:  in.extend(base.inBucket, base.inFrom, n, L, sortedDelta(batch, dead, base, n, false))}
 }
 
 // extend returns the overlay that reads as o with every edge of batch

@@ -3,6 +3,7 @@ package rspq
 import (
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -461,7 +462,11 @@ func sparseGraph100k() *graph.Graph {
 // touched) and 256 retained tables stay under 4 MiB. Each miss asks from
 // an isolated source, so its sweep runs to the end and leaves a table
 // (a sweep that stops with its source answered leaves none). The engine
-// runs with default caches, as a server would.
+// runs with default caches, as a server would. From the warm-up through
+// the measurement the garbage collector is off and one P runs the test,
+// so the warm arena is in the pool's only per-P slot when a measured miss
+// asks for it: no collection can empty the pool, and no miss can run on a
+// P whose slot is empty and allocate its arena again.
 func TestEngineMissWorkGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
@@ -474,11 +479,12 @@ func TestEngineMissWorkGuard(t *testing.T) {
 	isolated := g.AddVertex()
 	n := g.NumVertices()
 	e := NewEngine(s, g, EngineConfig{})
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for y := 0; y < 32; y++ { // warm the arena pool
 		e.Solve((y*31)%n, n-1-y)
 	}
 	const misses = 256
-	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for y := 0; y < misses; y++ {

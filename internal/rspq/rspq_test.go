@@ -3,6 +3,7 @@ package rspq
 import (
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -387,7 +388,11 @@ func TestDispatcherChoices(t *testing.T) {
 // acyclic — the first query on every surface, and a Warm, allocates less
 // than one TopoOrder would (its indeg and order slices, 16·n bytes), for
 // a language of every tier. Both cache tiers are off, so no table export
-// allocates either.
+// allocates either. From the warm-up through the measurements the
+// garbage collector is off and one P runs the test, so the warm arena is
+// in the pool's only per-P slot when a measured call asks for it: no
+// collection can empty the pool, and no call can run on a P whose slot is
+// empty and allocate its arena again.
 func TestNoQueryComputesAcyclicity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
@@ -417,24 +422,28 @@ func TestNoQueryComputesAcyclicity(t *testing.T) {
 			}},
 			{"Solver.Warm", func() { s.Warm(g) }},
 		}
-		for _, sf := range surfaces { // warm the arena pool
-			sf.call()
-		}
-		for i, sf := range surfaces {
-			for round := 0; round < 2; round++ {
-				victim := victims[2*i+round]
-				if !g.RemoveEdge(victim.From, victim.Label, victim.To) {
-					t.Fatalf("%q: edge %v vanished", pattern, victim)
-				}
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
+		func() {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			for _, sf := range surfaces { // warm the arena pool
 				sf.call()
-				runtime.ReadMemStats(&m1)
-				if b := m1.TotalAlloc - m0.TotalAlloc; b >= topoBytes {
-					t.Errorf("%q: the first %s after a removal allocated %d B, a TopoOrder's worth (%d B)",
-						pattern, sf.name, b, topoBytes)
+			}
+			for i, sf := range surfaces {
+				for round := 0; round < 2; round++ {
+					victim := victims[2*i+round]
+					if !g.RemoveEdge(victim.From, victim.Label, victim.To) {
+						t.Fatalf("%q: edge %v vanished", pattern, victim)
+					}
+					var m0, m1 runtime.MemStats
+					runtime.ReadMemStats(&m0)
+					sf.call()
+					runtime.ReadMemStats(&m1)
+					if b := m1.TotalAlloc - m0.TotalAlloc; b >= topoBytes {
+						t.Errorf("%q: the first %s after a removal allocated %d B, a TopoOrder's worth (%d B)",
+							pattern, sf.name, b, topoBytes)
+					}
 				}
 			}
-		}
+		}()
 	}
 }
