@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check no-binaries build vet test race bench-check fuzz bench bench-smoke metrics-smoke restart-smoke serve docs
+.PHONY: check no-binaries build vet test guards race bench-check fuzz bench bench-smoke metrics-smoke restart-smoke serve docs
 
-check: no-binaries build vet test race bench-check docs
+check: no-binaries build vet test guards race bench-check docs
 
 # no-binaries: fail when the index holds an executable that is not a
 # shell script — i.e. a built binary committed by accident.
@@ -18,6 +18,14 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# guards: the seven work and heap guards — tests that bound a mechanism
+# by the bytes a call allocates or a graph holds — 20 runs each under
+# GOGC=10, so a garbage-collector-timing flake shows up here instead of
+# in the test run of an unrelated change.
+guards:
+	GOGC=10 $(GO) test -count=20 -run '^(TestNoQueryComputesAcyclicity|TestEngineMissWorkGuard|TestEngineMissAllocGuard|TestStoppedSweepWorkGuard)$$' ./internal/rspq/
+	GOGC=10 $(GO) test -count=20 -run '^(TestViewExtensionWorkGuard|TestFrozenPassReadsCSR|TestBuildHeapPerEdge)$$' ./internal/graph/
 
 # race: the first command covers the packages with shared state — the
 # graph's views, the caches, the engine's batch worker pool, persistence

@@ -55,7 +55,6 @@ func TestAnswerReportsFallbackTier(t *testing.T) {
 		{"a*", path, 2, rspq.AlgoFinite},             // infinite language
 		{"(aa)*", cycle, 2, rspq.AlgoDAG},            // cyclic graph
 		{"a*bba*", trap.G, trap.Y, rspq.AlgoSubword}, // not subword-closed
-		{"(aa)*", path, 2, rspq.AlgoColorCoding},     // no length bound
 	} {
 		s, err := rspq.NewSolver(c.pattern)
 		if err != nil {

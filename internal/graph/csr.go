@@ -44,13 +44,12 @@ type CSR struct {
 // exceeds deltaMergeLimit of the base. A delta that canceled out
 // exactly reinstates the base as it is.
 //
-// The first Freeze builds the CSR from the edge log (edgelog.go), in
-// log order, and drops the log's index; the records themselves are kept
-// (Graph.order, compacted when removals left dead records) so that
-// OutEdges / InEdges keep reporting insertion order until the first
-// write to the frozen graph. Every later Freeze merges the log's live
-// records and empties it, keeping its capacity and its index's for the
-// next round of writes.
+// The first Freeze builds the CSR from the edge log (edgelog.go) and
+// drops the log, its index and any lists read from it, so a frozen graph
+// holds only the CSR and its delta, and OutEdges / InEdges report rows
+// in (label, neighbour) order from then on. Every later Freeze merges
+// the log's live records and empties it, keeping its capacity and its
+// index's for the next round of writes.
 //
 // Call Freeze after construction and before sharing the graph across
 // goroutines; the returned CSR itself is immutable and safe for
@@ -75,16 +74,9 @@ func (g *Graph) Freeze() *CSR {
 		g.csr = buildCSR(g)
 		g.fullBuilds.Add(1)
 	}
-	if g.csrBase == nil { // the first freeze: the log's records stay, its index goes
-		g.index = nil
-		if g.dead > 0 {
-			g.compact()
-		}
-		g.order = g.log
-		if g.order == nil {
-			g.order = []logEdge{} // kept, though empty (inOrder)
-		}
-		g.log = nil
+	if g.csrBase == nil { // the first freeze: the insertion order goes
+		g.log, g.index = nil, nil
+		g.lists.Store(nil)
 	} else {
 		g.log = g.log[:0]
 		clear(g.index)

@@ -13,9 +13,7 @@ import (
 // Before the first Freeze the live records are the edges, in insertion
 // order: a removal marks its record dead, and a re-added edge gets a new
 // record at the end. The first Freeze builds the CSR from the log and
-// keeps its records (Graph.order) — the insertion order OutEdges and
-// InEdges report — until the first write to the frozen graph; the index
-// goes with them.
+// drops it with its index.
 //
 // After it the log is the frozen graph's delta against the base CSR
 // (csrBase). An edge is indexed only while it differs from the base: its
@@ -237,18 +235,6 @@ func (g *Graph) compact() {
 	clear(g.log[q:])
 	g.pinPos = q - (len(g.log) - keep)
 	g.log, g.dead = g.log[:q], g.batchDead
-}
-
-// inOrder returns the records whose live ones are the edge set in
-// insertion order, and whether the graph has them: always before the
-// first Freeze (the log), and after it until a write to the frozen graph
-// drops what that Freeze kept (order; an empty graph keeps an empty
-// slice, not nil).
-func (g *Graph) inOrder() ([]logEdge, bool) {
-	if g.csrBase == nil {
-		return g.log, true
-	}
-	return g.order, g.order != nil
 }
 
 // rowsOfLog carves the rows of the live log records grouped by source

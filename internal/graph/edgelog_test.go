@@ -9,16 +9,17 @@ import (
 	"testing"
 )
 
-// This file pins the cost and the order of the storage before the first
-// Freeze (edgelog.go): the heap a loaded graph holds per edge, the
-// allocations of a text load, the index against a set under churn, and
-// insertion order for concurrent list readers.
+// This file pins the cost and the order of the storage (edgelog.go): the
+// heap a loaded graph holds per edge, the allocations of a text load, the
+// index against a set under churn, and the rows and the alphabet of a
+// frozen graph for concurrent readers.
 
 // TestBuildHeapPerEdge pins what a 1M-edge graph holds: ≤ 48 heap bytes
 // per edge as built (a 12-byte log record and an index at most half
-// full, which may just have doubled), and ≤ 32 once frozen (the log and
-// the CSR's two int32 payloads; the index is dropped). Rows of 24-byte
-// edges on both sides held about 77 (85 once frozen).
+// full, which may just have doubled), and ≤ 12 once frozen (the CSR's two
+// int32 payloads and its offsets: the first Freeze drops the log and its
+// index; with the log kept, a frozen graph held about 20). Rows of
+// 24-byte edges on both sides held about 77 (85 once frozen).
 func TestBuildHeapPerEdge(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
@@ -36,16 +37,16 @@ func TestBuildHeapPerEdge(t *testing.T) {
 		t.Errorf("a never-frozen graph holds %.1f heap bytes per edge, want ≤ 48", b)
 	}
 	g.Freeze()
-	if b := perEdge(); b > 32 {
-		t.Errorf("a frozen graph holds %.1f heap bytes per edge, want ≤ 32", b)
+	if b := perEdge(); b > 12 {
+		t.Errorf("a frozen graph holds %.1f heap bytes per edge, want ≤ 12", b)
 	}
 	runtime.KeepAlive(g)
 }
 
 // TestFrozenPassReadsCSR pins that a whole-graph pass over a graph not
-// written since its Freeze reads the CSR, not rows carved from the kept
-// log: IsAcyclic allocates its TopoOrder's 16·n bytes, where rows of
-// 24-byte edges would add about 24 per edge.
+// written since its Freeze reads the CSR, not rows carved for the pass:
+// IsAcyclic allocates its TopoOrder's 16·n bytes, where rows of 24-byte
+// edges would add about 24 per edge.
 func TestFrozenPassReadsCSR(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
@@ -61,8 +62,8 @@ func TestFrozenPassReadsCSR(t *testing.T) {
 	if b := after.TotalAlloc - before.TotalAlloc; b > 16*n+64<<10 {
 		t.Errorf("IsAcyclic on a frozen graph allocated %d B, want ≤ 16·n + 64 KiB = %d", b, 16*n+64<<10)
 	}
-	if _, kept := g.inOrder(); !kept || g.lists.Load() != nil {
-		t.Error("the pass must keep the insertion order and build no lists")
+	if g.log != nil || g.lists.Load() != nil {
+		t.Error("the frozen graph must hold no log, and the pass must build no lists")
 	}
 }
 
@@ -254,10 +255,12 @@ func checkLogIndex(t *testing.T, g *Graph, set map[Edge]bool) {
 	}
 }
 
-// TestConcurrentListReads pins that the lists of a frozen graph nobody
-// writes are a race-free cache (run under -race): 8 goroutines read
-// OutEdges, InEdges and Edges at once, the first reads included, and
-// all get insertion order minus removals.
+// TestConcurrentListReads pins that the reads of a frozen graph nobody
+// writes are race-free (run under -race): 8 goroutines read OutEdges,
+// InEdges and Edges at once, the first reads included, and all get the
+// rows in (label, neighbour) order; then, after a write, 8 goroutines
+// call Alphabet at once, the first call after the write included, and
+// all get the labels of the edges kept beside the graph.
 func TestConcurrentListReads(t *testing.T) {
 	const n = 200
 	rng := rand.New(rand.NewSource(9))
@@ -272,6 +275,7 @@ func TestConcurrentListReads(t *testing.T) {
 		o.remove(e)
 	}
 	g.Freeze()
+	o.freeze()
 	want := slices.SortedFunc(slices.Values(o.edges()), func(x, y Edge) int {
 		if x.From != y.From {
 			return x.From - y.From
@@ -289,13 +293,39 @@ func TestConcurrentListReads(t *testing.T) {
 			defer wg.Done()
 			for i := range n {
 				v := (i + 25*w) % n
-				if !slices.Equal(g.OutEdges(v), o.out[v]) || !slices.Equal(g.InEdges(v), o.in[v]) {
-					errs <- "a row is not in insertion order"
+				if out, in := o.rows(v); !slices.Equal(g.OutEdges(v), out) || !slices.Equal(g.InEdges(v), in) {
+					errs <- "a row is not in (label, neighbour) order"
 					return
 				}
 			}
 			if !slices.Equal(g.Edges(), want) {
 				errs <- "Edges is not the edge set in (from, to, label) order"
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+
+	e := Edge{From: 0, Label: 'd', To: 1}
+	g.AddEdge(e.From, e.Label, e.To)
+	o.add(e)
+	var labels []byte
+	for _, e := range o.edges() {
+		if !slices.Contains(labels, e.Label) {
+			labels = append(labels, e.Label)
+		}
+	}
+	slices.Sort(labels)
+	errs = make(chan string, 8)
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := g.Alphabet(); !slices.Equal(got, labels) {
+				errs <- "Alphabet is " + string(got) + ", want " + string(labels)
 			}
 		}()
 	}

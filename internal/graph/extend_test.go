@@ -23,7 +23,7 @@ func cloneForScratch(g *Graph) *Graph {
 	c := &Graph{
 		n: g.n, edges: g.edges, names: slices.Clone(g.names), labelCount: g.labelCount,
 		log: slices.Clone(g.log), index: slices.Clone(g.index), seed: g.seed, dead: g.dead,
-		order: g.order, csr: g.csr, csrBase: g.csrBase,
+		csr: g.csr, csrBase: g.csrBase,
 		deltaAdds: g.deltaAdds, deltaDels: g.deltaDels, deltaNewLabel: g.deltaNewLabel,
 	}
 	c.epoch.Store(g.Epoch())

@@ -27,30 +27,29 @@ type Edge struct {
 // The zero value is an empty graph ready to use.
 //
 // The intended lifecycle is build-then-freeze: construct with AddVertex
-// / AddEdge, then query. Derived data that a query would otherwise
-// recompute per call — the alphabet and the CSR snapshot (see Freeze)
-// — is cached on first use and invalidated by mutation, so a warm graph
-// answers these in O(1).
+// / AddEdge, then query. The CSR snapshot (see Freeze) is cached on
+// first use and invalidated by mutation, so a warm graph answers it in
+// O(1); the alphabet is an O(256) pass over per-label edge counts.
 //
 // The writes go to one store, a log of 12-byte records plus a flat hash
 // index over it (edgelog.go): AddEdge, RemoveEdge and HasEdge cost one
 // index probe, and no per-vertex row exists. Before the first Freeze the
-// log holds the edges in insertion order. The first Freeze builds the CSR
-// from it and keeps its records until the first write to the frozen
-// graph, so until then OutEdges / InEdges report insertion order minus
-// removals. Mutating a frozen graph does not discard the frozen CSR: the
-// log then holds the net delta against the last snapshot (added edges,
-// removed-edge tombstones), which with it answers whether an edge is
-// present, and the next Freeze merges the delta into it instead of
-// rebuilding from scratch — see delta.go. Each mutation still advances
+// log holds the edges in insertion order, so OutEdges / InEdges report
+// insertion order minus removals. The first Freeze builds the CSR from
+// it and drops it. Mutating a frozen graph does not discard the frozen
+// CSR: the log then holds the net delta against the last snapshot
+// (added edges, removed-edge tombstones), which with it answers whether
+// an edge is present, and the next Freeze merges the delta into it
+// instead of rebuilding from scratch — see delta.go. Each mutation still advances
 // the Epoch, so epoch-keyed caches built on top (rspq.Engine) invalidate
 // exactly as before.
 //
 // The per-vertex lists OutEdges / InEdges return are a cache on every
-// graph: built on the first read, from the insertion-ordered log while
-// the graph has it and else from the base and the delta (each row then
-// in (label, neighbour) order), and dropped by any write. No query, write, PinView, Freeze or
-// whole-graph pass (Edges, TopoOrder, EdgeSetEqual) builds them.
+// graph: built on the first read, from the insertion-ordered log before
+// the first Freeze and from the base and the delta after it (each row
+// then in (label, neighbour) order), and dropped by any write and by the
+// first Freeze. No query, write, PinView, Freeze or whole-graph pass
+// (Edges, TopoOrder, EdgeSetEqual) builds them.
 type Graph struct {
 	n     int
 	edges int
@@ -59,28 +58,23 @@ type Graph struct {
 	// The edge log and its index (edgelog.go): the edges before the
 	// first Freeze, the net delta against csrBase after it. dead counts
 	// the log's dead records, batchDead those from pinPos on while view
-	// is pinned. order is what the first Freeze kept of the log, until the
-	// first write to the frozen graph.
+	// is pinned.
 	log       []logEdge
 	index     []uint64
 	seed      uint64
 	dead      int
 	batchDead int
-	order     []logEdge
 
 	// lists caches the per-vertex lists of OutEdges / InEdges, nil until
 	// they are read and from any write on. Atomic, so concurrent first
 	// reads of a graph nobody writes are race-free.
 	lists atomic.Pointer[adjLists]
 
-	// Lazily built caches, dropped on mutation.
-	alpha      automaton.Alphabet
-	alphaValid bool
-	csr        *CSR
+	// csr is the frozen snapshot (Freeze), dropped on mutation.
+	csr *CSR
 
 	// labelCount tracks how many edges carry each label, so the
-	// alphabet is derivable in O(256) after any mutation instead of an
-	// O(E) rescan.
+	// alphabet is derived in O(256) (Alphabet) instead of an O(E) scan.
 	labelCount [256]int
 
 	// Incremental-freeze state (delta.go): the CSR the pending delta is
@@ -120,17 +114,14 @@ type Graph struct {
 }
 
 // invalidate drops the caches a mutation may falsify, the lists and the
-// insertion order the first Freeze kept among them, and advances the
-// mutation epoch. The last frozen CSR survives as the merge base for the
-// next incremental Freeze, and the last pinned view — stale from here
-// on, by its epoch — as what the next pin extends.
+// frozen snapshot, and advances the mutation epoch. The last frozen CSR
+// survives as the merge base for the next incremental Freeze, and the
+// last pinned view — stale from here on, by its epoch — as what the next
+// pin extends.
 func (g *Graph) invalidate() {
 	if g.lists.Load() != nil {
 		g.lists.Store(nil)
 	}
-	g.order = nil
-	g.alpha = nil
-	g.alphaValid = false
 	g.csr = nil
 	g.epoch.Add(1)
 }
@@ -161,8 +152,7 @@ func (g *Graph) NumVertices() int { return g.n }
 func (g *Graph) NumEdges() int { return g.edges }
 
 // AddVertex appends an isolated vertex and returns its id, in O(1). The
-// CSR delta overlay records only the row-count growth. On a frozen graph
-// it drops the insertion order, as a write does.
+// CSR delta overlay records only the row-count growth.
 func (g *Graph) AddVertex() int {
 	g.invalidate()
 	g.n++
@@ -268,21 +258,20 @@ func (g *Graph) AddWordEdge(from int, w string, to int) ([]int, error) {
 }
 
 // OutEdges returns the edges leaving v: in insertion order (minus
-// removals) on a graph that was never written to after a Freeze, in
-// (label, target) order once one was. The returned slice must not be
-// modified.
+// removals) on a graph that was never frozen, in (label, target) order
+// from the first Freeze on. The returned slice must not be modified.
 //
 // The lists are a cache (adjLists), built for all vertices on the first
-// OutEdges or InEdges after a write — from the insertion-ordered log
-// while the graph has it, else from the base and the net delta — and
-// dropped by the next
-// write. Reads of a frozen graph nobody writes may run concurrently,
-// first reads included; after a write the first read must be
-// synchronized with other readers, like the first PinView.
+// OutEdges or InEdges after a write or the first Freeze — from the
+// insertion-ordered log before that Freeze, else from the base and the
+// net delta — and dropped by the next write. Reads of a frozen graph
+// nobody writes may run concurrently, first reads included; after a
+// write the first read must be synchronized with other readers, like
+// the first PinView.
 func (g *Graph) OutEdges(v int) []Edge { return g.adj().out[v] }
 
 // InEdges returns the edges entering v, in the order OutEdges documents
-// (by (label, source) once rebuilt from the base). The returned slice
+// (by (label, source) from the first Freeze on). The returned slice
 // must not be modified.
 func (g *Graph) InEdges(v int) []Edge { return g.adj().in[v] }
 
@@ -297,9 +286,9 @@ func (g *Graph) adj() *adjLists {
 		return l
 	}
 	var l adjLists
-	if recs, ok := g.inOrder(); ok {
-		l.out = rowsOfLog(recs, g.n, g.edges, true)
-		l.in = rowsOfLog(recs, g.n, g.edges, false)
+	if g.csrBase == nil {
+		l.out = rowsOfLog(g.log, g.n, g.edges, true)
+		l.in = rowsOfLog(g.log, g.n, g.edges, false)
 	} else {
 		l.out, l.in = listsOf(g.current(), g.edges)
 	}
@@ -423,24 +412,18 @@ func (g *Graph) HasEdge(from int, label byte, to int) bool {
 	return g.csrBase != nil && g.csrBase.HasEdge(from, label, to)
 }
 
-// Alphabet returns the set of labels used by the graph's edges. The
-// result is derived from per-label edge counts maintained by AddEdge /
-// RemoveEdge, so recomputing it after a mutation is O(256) rather than
-// an O(E) rescan; it is cached until the next mutation. The returned
-// slice must not be modified.
+// Alphabet returns the set of labels used by the graph's edges, sorted,
+// in a slice of the caller's: one O(256) pass over the per-label edge
+// counts that AddEdge / RemoveEdge maintain, nothing cached. It writes
+// nothing, so concurrent readers of a graph nobody writes may call it.
 func (g *Graph) Alphabet() automaton.Alphabet {
-	if g.alphaValid {
-		return g.alpha
-	}
-	var labels []byte
+	var labels automaton.Alphabet
 	for b, c := range g.labelCount {
 		if c > 0 {
 			labels = append(labels, byte(b))
 		}
 	}
-	g.alpha = automaton.NewAlphabet(labels...)
-	g.alphaValid = true
-	return g.alpha
+	return labels
 }
 
 // Edges returns all edges in (from, to, label) order, in a slice of

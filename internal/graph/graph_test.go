@@ -388,31 +388,31 @@ func TestEpochAdvancesOnMutation(t *testing.T) {
 	}
 }
 
-// TestSnapshotConsistent pins SnapshotView's contract: the view and the
-// epoch it returns belong to one generation, an unchanged graph reuses
-// both, and a mutation re-pins both. (That no pin computes acyclicity
-// is guarded in rspq, TestNoQueryComputesAcyclicity, by the bytes a
+// TestSnapshotConsistent pins PinView's contract: the view is stamped
+// with the graph's epoch, an unchanged graph reuses it, and a mutation
+// re-pins it under the new epoch. (That no pin computes acyclicity is
+// guarded in rspq, TestNoQueryComputesAcyclicity, by the bytes a
 // TopoOrder would allocate.)
 func TestSnapshotConsistent(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 'a', 1)
 	g.AddEdge(1, 'a', 0) // cyclic
-	vw, epoch := g.SnapshotView()
-	if vw.NumEdges() != 2 || epoch != g.Epoch() || vw.Epoch() != epoch {
-		t.Fatalf("snapshot = (%d edges, view epoch %d, epoch %d); graph epoch %d",
-			vw.NumEdges(), vw.Epoch(), epoch, g.Epoch())
+	vw := g.PinView()
+	if vw.NumEdges() != 2 || vw.Epoch() != g.Epoch() {
+		t.Fatalf("view = (%d edges, epoch %d); graph epoch %d", vw.NumEdges(), vw.Epoch(), g.Epoch())
 	}
-	if v2, e2 := g.SnapshotView(); v2 != vw || e2 != epoch {
-		t.Fatal("snapshot without mutation must reuse the cached view and epoch")
+	if g.PinView() != vw {
+		t.Fatal("a pin without mutation must reuse the cached view")
 	}
+	epoch := vw.Epoch()
 	g.AddEdge(1, 'b', 2)
 	g.RemoveEdge(1, 'a', 0) // breaks the cycle
-	v3, e3 := g.SnapshotView()
-	if v3 == vw || e3 == epoch || v3.Epoch() != e3 {
-		t.Fatal("snapshot after mutation must re-pin under the new epoch")
+	v3 := g.PinView()
+	if v3 == vw || v3.Epoch() == epoch || v3.Epoch() != g.Epoch() || vw.Epoch() != epoch {
+		t.Fatal("a pin after mutation must re-pin under the new epoch, leaving the old view at its own")
 	}
 	if v3.NumEdges() != 2 || !v3.HasEdge(1, 'b', 2) || v3.HasEdge(1, 'a', 0) {
-		t.Fatalf("new snapshot has %d edges; want {0-a->1, 1-b->2}", v3.NumEdges())
+		t.Fatalf("new view has %d edges; want {0-a->1, 1-b->2}", v3.NumEdges())
 	}
 	if !g.IsAcyclic() {
 		t.Fatal("graph is acyclic after the removal")

@@ -14,17 +14,19 @@ import (
 // adjacency order and the pinned views as the oracle does, and every
 // Freeze must produce the CSR a from-scratch build of the oracle's edges
 // produces. The oracle also knows when the graph must hold no adjacency
-// lists: from a write to the frozen graph until the next read of them.
+// lists: from the first freeze, or a write to the frozen graph, until the
+// next read of them.
 
 // listOracle is a graph as plain insertion-ordered adjacency lists, plus
-// the edge set of the last base (nil before the first freeze). sorted
-// records that the graph has had a write since its first freeze, so its
-// rows read back in (label, neighbour) order; dropped that such a write
-// came after the graph's lists were last read, so it must hold none.
+// the edge set of the last base (nil before the first freeze): from the
+// first freeze on, the graph's rows read back in (label, neighbour)
+// order. dropped records that the first freeze or a write to the frozen
+// graph came after the graph's lists were last read, so it must hold
+// none.
 type listOracle struct {
-	out, in         [][]Edge
-	base            map[Edge]bool
-	sorted, dropped bool
+	out, in [][]Edge
+	base    map[Edge]bool
+	dropped bool
 }
 
 func newListOracle(n int) *listOracle {
@@ -36,7 +38,7 @@ func (o *listOracle) has(e Edge) bool { return slices.Contains(o.out[e.From], e)
 // wrote records an effective write.
 func (o *listOracle) wrote() {
 	if o.base != nil {
-		o.sorted, o.dropped = true, true
+		o.dropped = true
 	}
 }
 
@@ -69,17 +71,23 @@ func (o *listOracle) addVertex() {
 	o.wrote()
 }
 
-// freeze records a Freeze, or a PinView that froze.
-func (o *listOracle) freeze() { o.base = o.set() }
+// freeze records a Freeze, or a PinView that froze; the first drops the
+// insertion-ordered lists.
+func (o *listOracle) freeze() {
+	if o.base == nil {
+		o.dropped = true
+	}
+	o.base = o.set()
+}
 
 // edges returns the oracle's edges, row by row in insertion order.
 func (o *listOracle) edges() []Edge { return slices.Concat(o.out...) }
 
 // rows returns v's out- and in-edges in the order the graph must return
-// them: insertion order, or once sorted, (label, target) and (label,
-// source).
+// them: insertion order before the first freeze, (label, target) and
+// (label, source) from it on.
 func (o *listOracle) rows(v int) (out, in []Edge) {
-	if !o.sorted {
+	if o.base == nil {
 		return o.out[v], o.in[v]
 	}
 	out, in = slices.Clone(o.out[v]), slices.Clone(o.in[v])
@@ -190,8 +198,8 @@ func checkAdjacency(t *testing.T, g *Graph, o *listOracle, when string, install 
 	if g.NumVertices() != len(o.out) {
 		t.Fatalf("%s: %d vertices, oracle %d", when, g.NumVertices(), len(o.out))
 	}
-	if _, kept := g.inOrder(); kept == o.sorted {
-		t.Fatalf("%s: the graph keeps its insertion order = %v, oracle wrote to the frozen graph = %v", when, kept, o.sorted)
+	if frozen := g.csrBase != nil; frozen != (o.base != nil) {
+		t.Fatalf("%s: the graph is frozen = %v, oracle froze = %v", when, frozen, !frozen)
 	}
 	if o.dropped && g.lists.Load() != nil {
 		t.Fatalf("%s: the graph holds lists no read asked for", when)
@@ -340,15 +348,14 @@ func checkPinned(t *testing.T, vw *View, o *listOracle, when string) {
 
 // TestAdjacencyOrderStable pins the order OutEdges and InEdges return: a
 // graph built from an edge list returns each vertex's edges in insertion
-// order after the build, after Freeze and after PinView, and a removal
-// before the first freeze keeps the order of the rest. The benchmark's
-// input digests rest on that order: its source planting reads InEdges
-// (bench/small.go:176, bench/hot.go:80,86, bench/churn.go:116,120,131),
-// each time on a freshly built graph that was never frozen or written
-// to. A write to the frozen graph drops the lists, and the next read
-// rebuilds them from the base and the delta, each row in (label,
-// neighbour) order — the order asserted from then on, across further
-// writes, pins and freezes.
+// order until its first Freeze, and a removal before it keeps the order
+// of the rest. The benchmark's input digests rest on that order: its
+// source planting reads InEdges (bench/small.go:176, bench/hot.go:80,86,
+// bench/churn.go:116,120,131), each time on a freshly built graph that
+// was never frozen. The first Freeze drops the log and the lists read
+// from it, and the next read rebuilds them from the CSR, each row in
+// (label, neighbour) order — the order asserted from then on, across
+// PinView, writes, pins and freezes.
 func TestAdjacencyOrderStable(t *testing.T) {
 	const n = 50
 	rng := rand.New(rand.NewSource(17))
@@ -383,15 +390,15 @@ func TestAdjacencyOrderStable(t *testing.T) {
 	checkAdjacency(t, g, o, "after removals before the first freeze", true)
 	g.Freeze()
 	o.freeze()
+	if g.log != nil || g.index != nil || g.lists.Load() != nil {
+		t.Fatal("the first Freeze kept the log, its index or the insertion-ordered lists")
+	}
 	checkAdjacency(t, g, o, "after Freeze", true)
 	g.PinView()
 	checkAdjacency(t, g, o, "after PinView", true)
-	if o.sorted {
-		t.Fatal("the oracle expects the rebuilt order before any write to the frozen graph")
-	}
 	removeSome(40)
-	if g.lists.Load() != nil || g.order != nil {
-		t.Fatal("removals from the frozen graph kept its lists or its insertion order")
+	if g.lists.Load() != nil {
+		t.Fatal("removals from the frozen graph kept its lists")
 	}
 	checkAdjacency(t, g, o, "after removals on a frozen graph", true)
 	for i := 0; i < 40; i++ {
@@ -451,8 +458,8 @@ func TestFrozenWritesKeepNoLists(t *testing.T) {
 		flip(e)
 	}
 	flip(back)
-	if g.lists.Load() != nil || g.order != nil {
-		t.Fatal("writes to the frozen graph kept its lists or its insertion order")
+	if g.lists.Load() != nil {
+		t.Fatal("writes to the frozen graph kept its lists")
 	}
 	v := g.AddVertex()
 	g.AddEdge(v, 'a', 0)
@@ -469,7 +476,7 @@ func TestFrozenWritesKeepNoLists(t *testing.T) {
 	if g.IsAcyclic() {
 		t.Fatal("an 80-out-regular graph is cyclic")
 	}
-	if g.lists.Load() != nil || g.order != nil {
+	if g.lists.Load() != nil {
 		t.Fatal("AddVertex, PinView, Freeze or IsAcyclic rebuilt the lists")
 	}
 

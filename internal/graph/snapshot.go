@@ -126,10 +126,10 @@ func CSRFromParts(p CSRParts) (*CSR, error) {
 // FromCSR reconstructs a mutable Graph from a decoded CSR snapshot,
 // restoring the mutation epoch the snapshot was taken at. The CSR is
 // installed as the graph's frozen base, so the first query after a warm
-// boot pays no Freeze, and the graph is built without an insertion
-// order or lists: writes go to the edge log as the net delta, and
-// OutEdges / InEdges carve the lists from the CSR's buckets on first
-// use. The CSR is adopted as-is
+// boot pays no Freeze, and the graph is built as its first Freeze
+// leaves one, without an edge log or lists: writes go to the log as the
+// net delta, and OutEdges / InEdges carve the lists from the CSR's
+// buckets on first use. The CSR is adopted as-is
 // and must not be shared with another graph; its arrays may alias a
 // read-only file mapping (the incremental freeze always allocates fresh
 // arrays, so the mapping is never written).

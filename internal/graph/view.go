@@ -128,10 +128,17 @@ func (o *overlaySet) get(v int, b int64) ([]int32, bool) {
 // no base exists or the delta has grown past the overlay thresholds does
 // PinView fall back to a synchronous Freeze.
 //
+// The view is stamped with the epoch it was pinned at (View.Epoch),
+// which is g.Epoch() when PinView returns: the cached view is reused
+// only while its epoch is the graph's, and a new one is stamped with the
+// current epoch. So the view is the pin — callers key data derived from
+// it by its Epoch, and the two cannot disagree.
+//
 // Like Freeze, PinView on a warm graph is read-only and safe under
 // concurrent queries; the first call after a mutation must be
 // externally synchronized with other queries (rspq.Engine does this
-// internally).
+// internally), and no call may race a writer — the graph's contract,
+// which rspqd keeps with a read-write lock.
 func (g *Graph) PinView() *View {
 	if g.view != nil && g.view.epoch == g.Epoch() {
 		return g.view
@@ -144,23 +151,6 @@ func (g *Graph) PinView() *View {
 	}
 	g.view, g.pinPos, g.batchDead = vw, len(g.log), 0
 	return vw
-}
-
-// SnapshotView warms the lazily built query indexes every tier reads —
-// the view and the alphabet — and returns the view with the epoch it was
-// pinned under, retrying if a mutation interleaves (bumping the epoch
-// mid-build) so the pair is consistent: callers can use the epoch as a
-// cache key for data derived from the view. Nothing here computes
-// acyclicity: no tier's dispatch reads it.
-func (g *Graph) SnapshotView() (vw *View, epoch uint64) {
-	for {
-		epoch = g.Epoch()
-		vw = g.PinView()
-		g.Alphabet()
-		if g.Epoch() == epoch {
-			return vw, epoch
-		}
-	}
 }
 
 func (g *Graph) passView(c *CSR) *View {

@@ -22,7 +22,7 @@ type BatchSolver struct {
 // goroutines.
 func NewBatchSolver(s *Solver, g *graph.Graph) *BatchSolver {
 	s.Warm(g)
-	bs := &BatchSolver{evaluator: evaluator{s: s}, g: g}
+	bs := &BatchSolver{evaluator: evaluator{s: s, tier: s.tier}, g: g}
 	bs.setWorkers(0)
 	return bs
 }
@@ -53,8 +53,7 @@ func (s *Solver) BatchSolve(g *graph.Graph, pairs []Pair) []Result {
 // returns.
 func (bs *BatchSolver) Solve(pairs []Pair) []Result {
 	out := make([]Result, len(pairs))
-	pv := bs.s.pin(bs.g, AlgoAuto)
-	bs.solvePairs(&pv, pairs, answers{out: out})
+	bs.solvePairs(bs.g.PinView(), pairs, answers{out: out})
 	return out
 }
 
@@ -67,7 +66,6 @@ func (bs *BatchSolver) Solve(pairs []Pair) []Result {
 // markedly cheaper than Solve there.
 func (bs *BatchSolver) SolveExists(pairs []Pair) []bool {
 	found := make([]bool, len(pairs))
-	pv := bs.s.pin(bs.g, AlgoAuto)
-	bs.solvePairs(&pv, pairs, answers{found: found})
+	bs.solvePairs(bs.g.PinView(), pairs, answers{found: found})
 	return found
 }

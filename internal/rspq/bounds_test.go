@@ -26,7 +26,7 @@ func badPairs(n int) [][2]int {
 // dispatcher never picks.
 var allAlgorithms = []Algorithm{
 	AlgoAuto, AlgoFinite, AlgoSubword, AlgoSummary, AlgoDAG,
-	AlgoBaseline, AlgoWalk, AlgoNaive, AlgoColorCoding,
+	AlgoBaseline, AlgoWalk, AlgoNaive,
 }
 
 // TestOutOfRangeNoPanic drives every Algorithm value through SolveWith

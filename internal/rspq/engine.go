@@ -26,7 +26,7 @@ import (
 //
 // Every key carries the graph's mutation epoch (graph.Graph.Epoch), so
 // a mutation invalidates all cached data automatically: the next query
-// observes the bumped epoch, re-freezes the snapshot, and every lookup
+// observes the bumped epoch, re-pins its view, and every lookup
 // under the new epoch misses. Stale entries age out of the LRU on
 // their own — no explicit purge calls anywhere.
 //
@@ -91,7 +91,10 @@ type EngineConfig struct {
 // rebuilds versus incremental delta merges — on a streaming workload
 // IncrementalFreezes should dominate (see Engine.Stats).
 type EngineStats struct {
-	Epoch              uint64 `json:"epoch"`
+	Epoch uint64 `json:"epoch"`
+	// Algorithm is the one tier the engine serves: its language's, fixed
+	// when the language compiles (Solver.ChooseAlgorithm). Queries counts
+	// the queries answered on it.
 	Algorithm          string `json:"algorithm"`
 	Queries            int64  `json:"queries"`
 	Batches            int64  `json:"batches"`
@@ -155,7 +158,7 @@ type Engine struct {
 	g *graph.Graph
 
 	mu   sync.Mutex // serializes snapshot rebuilds
-	snap atomic.Pointer[pinned]
+	snap atomic.Pointer[graph.View]
 
 	// compactDelta is the NeedsCompaction watermark resolved from
 	// EngineConfig.CompactDelta (-1 = disabled).
@@ -170,7 +173,7 @@ type Engine struct {
 // EngineConfig selects the default cache budgets and a GOMAXPROCS
 // worker pool.
 func NewEngine(s *Solver, g *graph.Graph, cfg EngineConfig) *Engine {
-	e := &Engine{evaluator: evaluator{s: s}, g: g}
+	e := &Engine{evaluator: evaluator{s: s, tier: s.tier}, g: g}
 	if cfg.TableBytes >= 0 {
 		tb := cfg.TableBytes
 		if tb == 0 {
@@ -199,7 +202,7 @@ func NewEngine(s *Solver, g *graph.Graph, cfg EngineConfig) *Engine {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	e.met = newEngineMetrics(reg)
+	e.met = newEngineMetrics(reg, e.tier)
 	e.met.registerSourced(e)
 	e.counts = &e.met.kernel
 	e.snapshot()
@@ -220,36 +223,35 @@ func (e *Engine) SetWorkers(n int) *Engine {
 // Solver returns the compiled language the engine serves.
 func (e *Engine) Solver() *Solver { return e.s }
 
-// snapshot returns the current consistent pinned view, rebuilding it
-// when the graph's epoch has moved past the snapshot's. Cached tables
-// and results need no purging — their keys carry the old epoch and
-// simply stop matching.
+// snapshot returns the engine's pinned view, re-pinning it
+// (graph.PinView) when the graph's epoch has moved past the view's.
+// Cached tables and results need no purging — their keys carry the old
+// epoch and simply stop matching.
 //
-// This is the no-freeze read path of streaming workloads: the rebuild
-// goes through Solver.pin and graph.SnapshotView, which pins a small
-// pending delta as a sorted read overlay on the last frozen base
-// (graph.View) instead of refreezing; the tier is the language's and
-// reads nothing of the graph. Mutations therefore cost O(1) at mutation
-// time and roughly O(delta) at the next snapshot — never a stop-the-world
+// This is the no-freeze read path of streaming workloads: PinView pins
+// a small pending delta as a sorted read overlay on the last frozen
+// base instead of refreezing, and the tier is the engine's, fixed with
+// its language. Mutations therefore cost O(1) at mutation time and
+// roughly O(delta) at the next snapshot — never a stop-the-world
 // re-sort — and in-flight queries are untouched: they hold their own
-// snap, which stays valid because views are immutable. Merging the
+// view, which stays valid because views are immutable. Merging the
 // delta back into a flat CSR is deferred to Compact (a background
 // concern, see NeedsCompaction) or to a natural freeze when the delta
 // outgrows the overlay regime. EngineStats.OverlayReads versus
 // .PassThroughReads shows which regime queries are actually in.
-func (e *Engine) snapshot() *pinned {
-	if s := e.snap.Load(); s != nil && s.epoch == e.g.Epoch() {
-		return s
+func (e *Engine) snapshot() *graph.View {
+	if vw := e.snap.Load(); vw != nil && vw.Epoch() == e.g.Epoch() {
+		return vw
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if s := e.snap.Load(); s != nil && s.epoch == e.g.Epoch() {
-		return s
+	if vw := e.snap.Load(); vw != nil && vw.Epoch() == e.g.Epoch() {
+		return vw
 	}
-	s := e.s.pin(e.g, AlgoAuto)
-	e.snap.Store(&s)
+	vw := e.g.PinView()
+	e.snap.Store(vw)
 	e.met.rebuilds.Inc()
-	return &s
+	return vw
 }
 
 // Compact merges the graph's pending mutation delta into a flat CSR and
@@ -273,8 +275,7 @@ func (e *Engine) Compact() bool {
 	}
 	t0 := time.Now()
 	e.g.Freeze() // merge the delta into the base (incremental when it qualifies)
-	pv := e.s.pin(e.g, AlgoAuto)
-	e.snap.Store(&pv)
+	e.snap.Store(e.g.PinView())
 	el := time.Since(t0)
 	e.met.compactions.Inc()
 	e.met.compactSeconds.ObserveDuration(el)
@@ -319,14 +320,10 @@ func (e *Engine) NeedsCompaction() bool {
 // numbers for both cache tiers. Every value is read from the same
 // registry series the Prometheus exposition serves.
 func (e *Engine) Stats() EngineStats {
-	snap := e.snap.Load()
 	m := e.met
-	var queries int64
-	for a := 0; a < algoCount; a++ {
-		queries += m.queries[a].Value()
-	}
 	st := EngineStats{
-		Queries:          queries,
+		Algorithm:        e.tier.String(),
+		Queries:          m.queries.Value(),
 		Batches:          m.batches.Value(),
 		BatchPairs:       m.batchPairs.Value(),
 		SnapshotRebuilds: m.rebuilds.Value(),
@@ -347,9 +344,8 @@ func (e *Engine) Stats() EngineStats {
 	st.ExchangeRounds = m.kernel.rounds.Value()
 	st.BitParallelHits = m.kernel.sweeps.Value()
 	st.StoppedSweeps = m.kernel.stopped.Value()
-	if snap != nil {
-		st.Epoch = snap.epoch
-		st.Algorithm = snap.algo.String()
+	if snap := e.snap.Load(); snap != nil {
+		st.Epoch = snap.Epoch()
 	}
 	if e.tables != nil {
 		st.Tables = e.tables.Stats()
@@ -395,8 +391,8 @@ func (e *Engine) solve(x, y int, existsOnly bool) Result {
 	return res
 }
 
-// run is the shared single-query path: stage-timed, per-tier counted,
-// optionally traced. The stage boundaries: "pin" covers snapshot
+// run is the shared single-query path: stage-timed, counted, optionally
+// traced. The stage boundaries: "pin" covers snapshot
 // validation + re-pin, "cache" the result-cache lookup, "table" the
 // pruning-table cache traffic (lookup, export, insert), "kernel" the
 // backward product BFS / summary sweep / finite-tier search itself.
@@ -405,9 +401,9 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 	t0 := time.Now()
 	snap := e.snapshot()
 	pin := time.Since(t0)
-	m.queries[snap.algo].Inc()
+	m.queries.Inc()
 	m.stagePin.ObserveDuration(pin)
-	overlay := snap.vw.Overlay()
+	overlay := snap.Overlay()
 	if overlay {
 		m.overlayReads.Inc()
 	} else {
@@ -419,15 +415,15 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 	}
 	finish := func(res Result, cacheNs int64, cacheHit bool) (Result, *QueryTrace) {
 		total := time.Since(t0)
-		m.latency[snap.algo].ObserveDuration(total)
+		m.latency.ObserveDuration(total)
 		if !traced {
 			return res, nil
 		}
 		tr := &QueryTrace{
 			X:              x,
 			Y:              y,
-			Tier:           snap.algo.String(),
-			Epoch:          snap.epoch,
+			Tier:           e.tier.String(),
+			Epoch:          snap.Epoch(),
 			Overlay:        overlay,
 			ResultCacheHit: cacheHit,
 			TotalNanos:     total.Nanoseconds(),
@@ -438,7 +434,7 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 				{Stage: "kernel", Nanos: st.kernelNs},
 			},
 		}
-		tr.PendingAdds, tr.PendingRemoves = snap.vw.PendingDelta()
+		tr.PendingAdds, tr.PendingRemoves = snap.PendingDelta()
 		tr.TableCacheHit = st.tableHit
 		tr.TableStates = st.tableStates
 		tr.TableBytes = st.tableBytes
@@ -448,11 +444,11 @@ func (e *Engine) run(x, y int, existsOnly, traced bool) (Result, *QueryTrace) {
 		tr.Rounds = st.kt.rounds
 		return res, tr
 	}
-	if !validPair(snap.vw.NumVertices(), x, y) {
+	if !validPair(snap.NumVertices(), x, y) {
 		return finish(Result{}, 0, false)
 	}
 	c0 := time.Now()
-	res, ok := e.cachedResult(snap.epoch, x, y, existsOnly)
+	res, ok := e.cachedResult(snap.Epoch(), x, y, existsOnly)
 	cacheDur := time.Since(c0)
 	m.stageCache.ObserveDuration(cacheDur)
 	if ok {
@@ -489,7 +485,7 @@ func (e *Engine) batch(pairs []Pair, w answers) {
 	t0 := time.Now()
 	snap := e.snapshot()
 	e.met.stagePin.ObserveDuration(time.Since(t0))
-	if snap.vw.Overlay() {
+	if snap.Overlay() {
 		e.met.overlayReads.Inc()
 	} else {
 		e.met.passThroughReads.Inc()

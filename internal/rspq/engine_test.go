@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -769,6 +770,55 @@ func TestEngineStatsShape(t *testing.T) {
 	}
 	if st.SnapshotRebuilds != 1 {
 		t.Fatalf("rebuilds = %d; want 1 (construction only)", st.SnapshotRebuilds)
+	}
+}
+
+// TestEngineServesOneTier pins that an Engine serves its language's one
+// tier: for a language of each automatic tier, the registry holds one
+// rspq_queries_total and one rspq_query_seconds series, labelled with
+// ChooseAlgorithm's tier, and EngineStats.Algorithm and a traced query's
+// Tier name that tier.
+func TestEngineServesOneTier(t *testing.T) {
+	g := graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 7)
+	for _, c := range []struct {
+		pattern string
+		want    Algorithm
+	}{
+		{"ab|ba|aab", AlgoFinite},
+		{"a*c*", AlgoSubword},
+		{"a*(bb+|())c*", AlgoSummary},
+		{"a*bba*", AlgoBaseline},
+	} {
+		s := mustSolver(t, c.pattern)
+		tier := s.ChooseAlgorithm(nil)
+		if tier != c.want {
+			t.Fatalf("%q: ChooseAlgorithm = %v, want %v", c.pattern, tier, c.want)
+		}
+		e := NewEngine(s, g, EngineConfig{})
+		_, tr := e.SolveTraced(0, 1)
+		e.Solve(2, 3)
+		var queries, latency []string
+		for k := range e.Metrics().Snapshot() {
+			switch {
+			case strings.HasPrefix(k, "rspq_queries_total{"):
+				queries = append(queries, k)
+			case strings.HasPrefix(k, "rspq_query_seconds_count{"):
+				latency = append(latency, k)
+			}
+		}
+		label := `{tier="` + tier.String() + `"}`
+		if !slices.Equal(queries, []string{"rspq_queries_total" + label}) ||
+			!slices.Equal(latency, []string{"rspq_query_seconds_count" + label}) {
+			t.Errorf("%q: query series %v and latency series %v, want one of each labelled %s",
+				c.pattern, queries, latency, label)
+		}
+		if st := e.Stats(); st.Algorithm != tier.String() || st.Queries != 2 {
+			t.Errorf("%q: EngineStats.Algorithm = %q after %d queries, want %q after 2",
+				c.pattern, st.Algorithm, st.Queries, tier)
+		}
+		if tr.Tier != tier.String() {
+			t.Errorf("%q: traced tier %q, want %q", c.pattern, tr.Tier, tier)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 //
 // Metric name catalog (see docs/ARCHITECTURE.md §8 for semantics):
 //
-//	rspq_queries_total{tier}                 queries answered, by trichotomy tier
+//	rspq_queries_total{tier}                 queries answered, labelled with the engine's tier
 //	rspq_query_seconds{tier}                 end-to-end query latency
 //	rspq_stage_seconds{stage}                per-stage latency: pin|cache|table|kernel
 //	rspq_batches_total / rspq_batch_pairs_total
@@ -38,16 +38,12 @@ import (
 //	rspq_cache_{hits,misses,puts,evictions}_total{cache}  tables|results
 //	rspq_cache_{bytes,entries}{cache}
 
-// algoCount sizes the per-tier series arrays (Algorithm is a dense
-// enum ending at AlgoColorCoding).
-const algoCount = int(AlgoColorCoding) + 1
-
 // engineMetrics bundles the Engine's pre-registered series handles.
 type engineMetrics struct {
 	reg *metrics.Registry
 
-	queries [algoCount]*metrics.Counter
-	latency [algoCount]*metrics.Histogram
+	queries *metrics.Counter
+	latency *metrics.Histogram
 
 	stagePin    *metrics.Histogram
 	stageCache  *metrics.Histogram
@@ -70,18 +66,16 @@ type engineMetrics struct {
 	kernel exchCounters
 }
 
-// newEngineMetrics registers the engine-owned series on reg. One
-// registry should back one engine: a second engine on the same
+// newEngineMetrics registers the engine-owned series on reg, the query
+// count and latency once, labelled with the one tier the engine serves.
+// One registry should back one engine: a second engine on the same
 // registry would share (and double-count into) these series.
-func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
+func newEngineMetrics(reg *metrics.Registry, tier Algorithm) *engineMetrics {
 	m := &engineMetrics{reg: reg}
-	for a := 0; a < algoCount; a++ {
-		tier := Algorithm(a).String()
-		m.queries[a] = reg.Counter("rspq_queries_total",
-			"Queries answered, by trichotomy tier.", "tier", tier)
-		m.latency[a] = reg.Histogram("rspq_query_seconds",
-			"End-to-end query latency in seconds, by trichotomy tier.", nil, "tier", tier)
-	}
+	m.queries = reg.Counter("rspq_queries_total",
+		"Queries answered, labelled with the engine's trichotomy tier.", "tier", tier.String())
+	m.latency = reg.Histogram("rspq_query_seconds",
+		"End-to-end query latency in seconds, labelled with the engine's trichotomy tier.", nil, "tier", tier.String())
 	stage := func(s string) *metrics.Histogram {
 		return reg.Histogram("rspq_stage_seconds",
 			"Per-query stage latency in seconds: pin (snapshot pin), cache (result-cache lookup), table (pruning-table acquisition outside the kernel), kernel (backward product BFS / summary sweep).",

@@ -46,19 +46,6 @@ type Pair struct {
 	X, Y int
 }
 
-// pinned is one consistent pinned view of the graph: the snapshot view
-// (base CSR plus any pending-delta overlay), the epoch it was pinned
-// under, and the dispatch verdict. It is immutable; a mutation makes the
-// next query pin a fresh one — WITHOUT freezing, when the delta is small
-// enough for an overlay (graph.View), so mutations never stall reads on
-// a refreeze and never invalidate in-flight queries (which keep their
-// own).
-type pinned struct {
-	vw    *graph.View
-	epoch uint64
-	algo  Algorithm
-}
-
 // targetGroup collects the sources querying one shared target, with
 // the answer slot of each.
 type targetGroup struct {
@@ -129,10 +116,17 @@ func (st *solveTiming) searchStats() *BaselineStats {
 	return &st.kt.search
 }
 
-// evaluator answers target groups for one language. The zero value of
-// every field but s is valid and means "off".
+// evaluator answers target groups for one language on one tier, over
+// a pinned graph.View: the view is the pin, and its Epoch is the
+// generation every cache key carries. A view is immutable; a mutation
+// makes the next query pin a fresh one — WITHOUT freezing, when the
+// delta is small enough for an overlay — so mutations never stall reads
+// on a refreeze and never invalidate in-flight queries (which keep
+// their own). The zero value of every field but s and tier is valid and
+// means "off".
 type evaluator struct {
-	s *Solver
+	s    *Solver
+	tier Algorithm // the tier solveGroup runs: the Solver's, or a forced one
 
 	tables  *cache.Cache[tableKey, any]     // nil: tables stay in the worker's arena
 	results *cache.Cache[resultKey, Result] // nil: answers are not retained
@@ -156,19 +150,19 @@ func (ev *evaluator) setWorkers(n int) {
 // solvePairs answers every pair into its slot of w: out-of-range ids
 // keep the "no path" slot, pairs the result cache knows are answered
 // from it, and the rest are grouped by target — so each group shares
-// its y-side table — and fanned out over the worker pool. pv must be
+// its y-side table — and fanned out over the worker pool. vw must be
 // pinned by the caller, on its goroutine: the workers then all read one
 // immutable view, so the first batch after an (externally
 // synchronized) mutation never races on the lazy pin.
-func (ev *evaluator) solvePairs(pv *pinned, pairs []Pair, w answers) {
-	n := pv.vw.NumVertices()
+func (ev *evaluator) solvePairs(vw *graph.View, pairs []Pair, w answers) {
+	n := vw.NumVertices()
 	var groups []targetGroup
 	pos := make(map[int]int)
 	for i, pq := range pairs {
 		if !validPair(n, pq.X, pq.Y) {
 			continue
 		}
-		if res, ok := ev.cachedResult(pv.epoch, pq.X, pq.Y, w.existsOnly()); ok {
+		if res, ok := ev.cachedResult(vw.Epoch(), pq.X, pq.Y, w.existsOnly()); ok {
 			w.set(i, res)
 			continue
 		}
@@ -187,7 +181,7 @@ func (ev *evaluator) solvePairs(pv *pinned, pairs []Pair, w answers) {
 		if len(groups) > 0 {
 			a := getArena()
 			for gi := range groups {
-				ev.solveGroup(pv, a, &groups[gi], w, nil)
+				ev.solveGroup(vw, a, &groups[gi], w, nil)
 			}
 			a.release()
 		}
@@ -202,7 +196,7 @@ func (ev *evaluator) solvePairs(pv *pinned, pairs []Pair, w answers) {
 			a := getArena() // one arena per worker, for its whole shift
 			defer a.release()
 			for gi := range work {
-				ev.solveGroup(pv, a, &groups[gi], w, nil)
+				ev.solveGroup(vw, a, &groups[gi], w, nil)
 			}
 		}()
 	}
@@ -213,20 +207,21 @@ func (ev *evaluator) solvePairs(pv *pinned, pairs []Pair, w answers) {
 	wg.Wait()
 }
 
-// solveGroup answers one target group on pv's tier, writing into the
-// disjoint slots named by grp.idx and feeding each answer to the result
-// cache. The y-side table comes from the table cache when there is one
-// (computed and cached on miss) and from the arena otherwise. st is the
-// trace sink of a traced single query, nil otherwise; per-source search
-// loops are credited to the kernel stage as one interval.
-func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answers, st *solveTiming) {
+// solveGroup answers one target group on the evaluator's tier, writing
+// into the disjoint slots named by grp.idx and feeding each answer to
+// the result cache. The y-side table comes from the table cache when
+// there is one (computed and cached on miss) and from the arena
+// otherwise. st is the trace sink of a traced single query, nil
+// otherwise; per-source search loops are credited to the kernel stage
+// as one interval.
+func (ev *evaluator) solveGroup(vw *graph.View, a *arena, grp *targetGroup, w answers, st *solveTiming) {
 	d := ev.s.Min
-	switch pv.algo {
+	switch ev.tier {
 	case AlgoFinite:
 		// No y-side table: the baseline's deepening from x is pruned by
 		// each state's distance to acceptance and capped at L's longest
 		// word, both fixed at compile time.
-		p, fb := ev.product(pv, a, st), ev.s.finite
+		p, fb := ev.product(vw, a, st), ev.s.finite
 		stats := st.searchStats()
 		k0 := ev.clock()
 		for j, x := range grp.xs {
@@ -237,7 +232,7 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		if !w.existsOnly() {
 			// One backward product BFS serves the group: every source
 			// reads its shortest walk off the distances.
-			v := ev.goalViewFor(pv, a, grp.y, grp.xs, st)
+			v := ev.goalViewFor(vw, a, grp.y, grp.xs, st)
 			for j, x := range grp.xs {
 				w.set(grp.idx[j], ev.answerGoal(&v, x))
 			}
@@ -253,10 +248,10 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		// else by the mark-only sweep instead of distToGoal, whose tables
 		// are this ask's alone. Either sweep stops once the group's
 		// sources are answered (goalProbe).
-		ct := ev.cachedCoTable(pv, grp.y, st)
+		ct := ev.cachedCoTable(vw, grp.y, st)
 		if ct == nil && ev.tables != nil {
 			t0 := ev.clock()
-			v, ok := ev.tables.Probe(ev.tableKey(pv, grp.y, -1, tableGoal))
+			v, ok := ev.tables.Probe(ev.tableKey(vw, grp.y, -1, tableGoal))
 			ev.observeTable(t0, st)
 			if ok {
 				gt := v.(*goalTable)
@@ -267,9 +262,9 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 				break
 			}
 		}
-		p := ev.product(pv, a, st)
+		p := ev.product(vw, a, st)
 		if ct == nil {
-			ct = ev.sweepCoTable(pv, &p, a, grp.y, grp.xs, st)
+			ct = ev.sweepCoTable(vw, &p, a, grp.y, grp.xs, st)
 		}
 		for j, x := range grp.xs {
 			if ct != nil {
@@ -284,21 +279,21 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 		// paper's search alone.
 		left := len(grp.xs)
 		if ev.s.Min != nil {
-			_, left = ev.walkFirst(pv, a, grp, w, st)
+			_, left = ev.walkFirst(vw, a, grp, w, st)
 		}
-		ev.summarySearch(pv, a, grp, left, w, st)
+		ev.summarySearch(vw, a, grp, left, w, st)
 	default:
 		// The exponential tier backtracks only from the sources the
 		// shortest walk leaves, pruned by the same distances — which must
 		// then be complete: a sweep stopped at the sources runs again to
 		// the end. The shortest ask deepens iteratively from the walk's
 		// length.
-		v, left := ev.walkFirst(pv, a, grp, w, st)
+		v, left := ev.walkFirst(vw, a, grp, w, st)
 		if left == 0 {
 			break
 		}
 		if v.stopped {
-			v = ev.sweepGoal(pv, a, grp.y, nil, st)
+			v = ev.sweepGoal(vw, a, grp.y, nil, st)
 		}
 		stats := st.searchStats()
 		k0 := ev.clock()
@@ -313,7 +308,7 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 	}
 	if ev.results != nil {
 		for j, x := range grp.xs {
-			ev.storeResult(pv.epoch, x, grp.y, w.existsOnly(), w.get(grp.idx[j]))
+			ev.storeResult(vw.Epoch(), x, grp.y, w.existsOnly(), w.get(grp.idx[j]))
 		}
 	}
 }
@@ -326,8 +321,8 @@ func (ev *evaluator) solveGroup(pv *pinned, a *arena, grp *targetGroup, w answer
 // path; a loop-free walk that stays in L is a simple path too (fromWalk).
 // The view is goalViewFor's: one backward sweep, stopped once the
 // group's sources are answered, or the cached goal table.
-func (ev *evaluator) walkFirst(pv *pinned, a *arena, grp *targetGroup, w answers, st *solveTiming) (goalView, int) {
-	v := ev.goalViewFor(pv, a, grp.y, grp.xs, st)
+func (ev *evaluator) walkFirst(vw *graph.View, a *arena, grp *targetGroup, w answers, st *solveTiming) (goalView, int) {
+	v := ev.goalViewFor(vw, a, grp.y, grp.xs, st)
 	k0 := ev.clock()
 	left := 0
 	for j, x := range grp.xs {
@@ -374,7 +369,7 @@ func (ev *evaluator) fromWalk(v *goalView, a *arena, x int, w answers) (Result, 
 // view and y: one pooled searcher per (sequence, target) runs once per
 // source still unanswered, or per source when asked for the shortest
 // witness over all sequences.
-func (ev *evaluator) summarySearch(pv *pinned, a *arena, grp *targetGroup, left int, w answers, st *solveTiming) {
+func (ev *evaluator) summarySearch(vw *graph.View, a *arena, grp *targetGroup, left int, w answers, st *solveTiming) {
 	if left == 0 {
 		return
 	}
@@ -383,7 +378,7 @@ func (ev *evaluator) summarySearch(pv *pinned, a *arena, grp *targetGroup, left 
 		if remaining == 0 && !w.shortest {
 			break // skip later sequences' co-reachability builds
 		}
-		ss := ev.acquireSummary(pv, a, plan, si, grp.y, w.shortest, st)
+		ss := ev.acquireSummary(vw, a, plan, si, grp.y, w.shortest, st)
 		ss.existsOnly = w.existsOnly()
 		k0 := ev.clock()
 		for j, x := range grp.xs[:left] {
@@ -403,8 +398,8 @@ func (ev *evaluator) summarySearch(pv *pinned, a *arena, grp *targetGroup, left 
 
 // solveOne answers the single query (x, y) as a target group of one,
 // built on the stack: existence only when exists, a shortest path when
-// shortest. x and y must be valid vertices of pv's view.
-func (ev *evaluator) solveOne(pv *pinned, x, y int, exists, shortest bool, st *solveTiming) Result {
+// shortest. x and y must be valid vertices of vw.
+func (ev *evaluator) solveOne(vw *graph.View, x, y int, exists, shortest bool, st *solveTiming) Result {
 	xs, idx := [1]int{x}, [1]int{}
 	var out [1]Result
 	var found [1]bool
@@ -413,7 +408,7 @@ func (ev *evaluator) solveOne(pv *pinned, x, y int, exists, shortest bool, st *s
 		w = answers{found: found[:]}
 	}
 	a := getArena()
-	ev.solveGroup(pv, a, &targetGroup{y: y, xs: xs[:], idx: idx[:]}, w, st)
+	ev.solveGroup(vw, a, &targetGroup{y: y, xs: xs[:], idx: idx[:]}, w, st)
 	a.release()
 	return w.get(0)
 }
@@ -463,8 +458,8 @@ func (ev *evaluator) sinks(st *solveTiming) sinks {
 
 // product builds the product over a pinned view, wired to the
 // evaluator's sinks.
-func (ev *evaluator) product(pv *pinned, a *arena, st *solveTiming) product {
-	p := makeProduct(pv.vw, ev.s.Min, a)
+func (ev *evaluator) product(vw *graph.View, a *arena, st *solveTiming) product {
+	p := makeProduct(vw, ev.s.Min, a)
 	p.sinks = ev.sinks(st)
 	return p
 }
@@ -487,8 +482,8 @@ type tableKey struct {
 	kind  uint8
 }
 
-func (ev *evaluator) tableKey(pv *pinned, y, seq int, kind uint8) tableKey {
-	return tableKey{epoch: pv.epoch, lang: ev.s.id, y: int32(y), seq: int32(seq), kind: kind}
+func (ev *evaluator) tableKey(vw *graph.View, y, seq int, kind uint8) tableKey {
+	return tableKey{epoch: vw.Epoch(), lang: ev.s.id, y: int32(y), seq: int32(seq), kind: kind}
 }
 
 // resultKey names one cached answer. Existence-only answers are cached
@@ -671,8 +666,8 @@ func (t *goalTable) distAt(v, q int) int32 {
 // cache. On a table miss the co-reachability sweep runs inside the
 // acquire, into a.co, and is timed as kernel; the cache traffic around
 // it is timed as table.
-func (ev *evaluator) acquireSummary(pv *pinned, a *arena, plan *seqPlan, si, y int, shortest bool, st *solveTiming) *seqSearcher {
-	key := ev.tableKey(pv, y, si, tableSeq)
+func (ev *evaluator) acquireSummary(vw *graph.View, a *arena, plan *seqPlan, si, y int, shortest bool, st *solveTiming) *seqSearcher {
+	key := ev.tableKey(vw, y, si, tableSeq)
 	t0 := ev.clock()
 	var ext *coTable
 	if ev.tables != nil {
@@ -685,7 +680,7 @@ func (ev *evaluator) acquireSummary(pv *pinned, a *arena, plan *seqPlan, si, y i
 		st.tableHit = st.tableHit || ext != nil
 	}
 	k0 := ev.clock()
-	ss := acquireSeqSearcher(pv.vw, a, plan, y, shortest, ext, ev.sinks(st))
+	ss := acquireSeqSearcher(vw, a, plan, y, shortest, ext, ev.sinks(st))
 	if ext == nil {
 		ev.observeKernel(k0, st)
 		if ev.tables != nil && ev.tables.Retainable(coTableCost(ss.n*ss.m)) {
@@ -717,21 +712,21 @@ type goalView struct {
 // answered and serves them from the arena; a sweep that ran to the end —
 // some source unreachable — is exported and cached when retainable. The
 // BFS is timed as kernel, the cache traffic as table.
-func (ev *evaluator) goalViewFor(pv *pinned, a *arena, y int, xs []int, st *solveTiming) goalView {
+func (ev *evaluator) goalViewFor(vw *graph.View, a *arena, y int, xs []int, st *solveTiming) goalView {
 	t0 := ev.clock()
-	if t := ev.cachedGoalTable(pv, y); t != nil {
+	if t := ev.cachedGoalTable(vw, y); t != nil {
 		ev.observeTable(t0, st)
 		st.noteGoalTable(t, true)
-		return goalView{p: ev.product(pv, a, st), ds: t}
+		return goalView{p: ev.product(vw, a, st), ds: t}
 	}
-	return ev.sweepGoal(pv, a, y, xs, st)
+	return ev.sweepGoal(vw, a, y, xs, st)
 }
 
 // sweepGoal is goalViewFor's miss: the backward sweep toward y, stopped
 // once sources xs are answered, exported and cached when it ran to the
 // end and is retainable.
-func (ev *evaluator) sweepGoal(pv *pinned, a *arena, y int, xs []int, st *solveTiming) goalView {
-	p := ev.product(pv, a, st)
+func (ev *evaluator) sweepGoal(vw *graph.View, a *arena, y int, xs []int, st *solveTiming) goalView {
+	p := ev.product(vw, a, st)
 	k0 := ev.clock()
 	stopped := p.sweep(y, a, true, xs)
 	ev.observeKernel(k0, st)
@@ -745,7 +740,7 @@ func (ev *evaluator) sweepGoal(pv *pinned, a *arena, y int, xs []int, st *solveT
 		return goalView{p: p, ds: a}
 	}
 	t := exportGoalTable(a, r)
-	ev.tables.Put(ev.tableKey(pv, y, -1, tableGoal), t, t.cost())
+	ev.tables.Put(ev.tableKey(vw, y, -1, tableGoal), t, t.cost())
 	ev.observeTable(t1, st)
 	st.noteGoalTable(t, false)
 	return goalView{p: p, ds: t}
@@ -761,11 +756,11 @@ func (ev *evaluator) answerGoal(v *goalView, x int) Result {
 
 // cachedGoalTable returns target y's cached backward-BFS table, nil on
 // miss (without computing one).
-func (ev *evaluator) cachedGoalTable(pv *pinned, y int) *goalTable {
+func (ev *evaluator) cachedGoalTable(vw *graph.View, y int) *goalTable {
 	if ev.tables == nil {
 		return nil
 	}
-	if v, ok := ev.tables.Get(ev.tableKey(pv, y, -1, tableGoal)); ok {
+	if v, ok := ev.tables.Get(ev.tableKey(vw, y, -1, tableGoal)); ok {
 		return v.(*goalTable)
 	}
 	return nil
@@ -773,12 +768,12 @@ func (ev *evaluator) cachedGoalTable(pv *pinned, y int) *goalTable {
 
 // cachedCoTable returns target y's cached product co-reachability
 // table, nil on miss (without computing one); a hit is timed as table.
-func (ev *evaluator) cachedCoTable(pv *pinned, y int, st *solveTiming) *coTable {
+func (ev *evaluator) cachedCoTable(vw *graph.View, y int, st *solveTiming) *coTable {
 	if ev.tables == nil {
 		return nil
 	}
 	t0 := ev.clock()
-	v, ok := ev.tables.Get(ev.tableKey(pv, y, -1, tableCo))
+	v, ok := ev.tables.Get(ev.tableKey(vw, y, -1, tableCo))
 	if !ok {
 		return nil
 	}
@@ -794,7 +789,7 @@ func (ev *evaluator) cachedCoTable(pv *pinned, y int, st *solveTiming) *coTable 
 // the arena (a.co). Given sources xs the sweep stops once they are
 // answered, and a stopped sweep is no table: its answers stay in a.co.
 // The sweep is timed as kernel, the cache traffic as table.
-func (ev *evaluator) sweepCoTable(pv *pinned, p *product, a *arena, y int, xs []int, st *solveTiming) *coTable {
+func (ev *evaluator) sweepCoTable(vw *graph.View, p *product, a *arena, y int, xs []int, st *solveTiming) *coTable {
 	k0 := ev.clock()
 	stopped := p.sweep(y, a, false, xs)
 	ev.observeKernel(k0, st)
@@ -804,7 +799,7 @@ func (ev *evaluator) sweepCoTable(pv *pinned, p *product, a *arena, y int, xs []
 	}
 	t1 := ev.clock()
 	t := exportCoTable(a.co)
-	ev.tables.Put(ev.tableKey(pv, y, -1, tableCo), t, t.cost())
+	ev.tables.Put(ev.tableKey(vw, y, -1, tableCo), t, t.cost())
 	ev.observeTable(t1, st)
 	return t
 }

@@ -15,8 +15,9 @@
 //   - the DAG solver (Theorem 8's polynomial combined-complexity case);
 //   - the vertex-labeled models of Section 4.1 (Solver.SolveVlg and
 //     SolveEvl), answered on their stored db-encodings by the evaluator;
-//   - a dispatcher that picks the tier (Solver.pin), and one evaluator
-//     that runs its kernel for every surface (evaluator.go).
+//   - a dispatcher whose tier the language fixes when it compiles
+//     (Solver.ChooseAlgorithm), and one evaluator that runs its kernel
+//     for every surface over the graph's pinned view (evaluator.go).
 //
 // Every solver returns a concrete witness path on success; callers can
 // re-verify simplicity and membership independently.

@@ -345,7 +345,7 @@ func TestColorCodingLargeK(t *testing.T) {
 }
 
 func TestAlgorithmStrings(t *testing.T) {
-	algos := []Algorithm{AlgoAuto, AlgoFinite, AlgoSubword, AlgoSummary, AlgoDAG, AlgoBaseline, AlgoWalk, AlgoNaive, AlgoColorCoding, Algorithm(42)}
+	algos := []Algorithm{AlgoAuto, AlgoFinite, AlgoSubword, AlgoSummary, AlgoDAG, AlgoBaseline, AlgoWalk, AlgoNaive, Algorithm(42)}
 	for _, a := range algos {
 		if a.String() == "" {
 			t.Errorf("algorithm %d renders empty", int(a))

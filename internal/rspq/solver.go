@@ -20,15 +20,14 @@ type Algorithm int
 
 // Evaluation strategies.
 const (
-	AlgoAuto        Algorithm = iota // dispatcher decides
-	AlgoFinite                       // AC⁰ tier: finite-language search
-	AlgoSubword                      // Mendelzon–Wood trC(0) fast path
-	AlgoSummary                      // Ψtr summary solver (Lemmas 12–16)
-	AlgoDAG                          // acyclic input, forced only: RPQ walk is simple
-	AlgoBaseline                     // exact exponential backtracking
-	AlgoWalk                         // plain RPQ (arbitrary paths) — not RSPQ
-	AlgoNaive                        // unsound loop elimination (foil)
-	AlgoColorCoding                  // k-RSPQ FPT (Theorem 7)
+	AlgoAuto     Algorithm = iota // dispatcher decides
+	AlgoFinite                    // AC⁰ tier: finite-language search
+	AlgoSubword                   // Mendelzon–Wood trC(0) fast path
+	AlgoSummary                   // Ψtr summary solver (Lemmas 12–16)
+	AlgoDAG                       // acyclic input, forced only: RPQ walk is simple
+	AlgoBaseline                  // exact exponential backtracking
+	AlgoWalk                      // plain RPQ (arbitrary paths) — not RSPQ
+	AlgoNaive                     // unsound loop elimination (foil)
 )
 
 func (a Algorithm) String() string {
@@ -49,30 +48,33 @@ func (a Algorithm) String() string {
 		return "walk"
 	case AlgoNaive:
 		return "naive"
-	case AlgoColorCoding:
-		return "colorcoding"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// Solver bundles a compiled language with its trichotomy classification
-// and (when available) its Ψtr normal form, and dispatches queries to
-// the best algorithm.
+// Solver bundles a compiled language with its trichotomy classification,
+// the tier that answers it and (when available) its Ψtr normal form.
 //
-// A Solver is built once and queried many times; everything that
-// depends only on the language — the minimal DFA, its packed
+// A Solver is built once and queried many times, and it is immutable
+// after construction: the tier is fixed when the language compiles, as
+// the trichotomy fixes it by the language alone, and everything else
+// that depends only on the language — the minimal DFA, its packed
 // predecessor table, the Ψtr evaluation plans, and for a finite
 // language the bound of its AC⁰-tier search (bounded deepening from x,
 // pruned by each state's distance to acceptance) — is precomputed or
-// memoized, so
-// steady-state queries run against frozen indexes and pooled scratch
-// without per-call allocation (beyond the witness path itself).
+// memoized, so steady-state queries run against frozen indexes and
+// pooled scratch without per-call allocation (beyond the witness path
+// itself).
 type Solver struct {
 	Regex          *automaton.Regex
 	Min            *automaton.DFA // minimal complete DFA
 	Classification core.Classification
 	Expr           *psitr.Expr // nil when the regex has no recognized Ψtr form
 	SubwordClosed  bool
+
+	// tier is the tier that answers the language (ChooseAlgorithm),
+	// decided once by NewSolverFromRegex.
+	tier Algorithm
 
 	// finite bounds the AC⁰ tier's deepening for a finite language:
 	// each state's distance to acceptance and the longest word, fixed at
@@ -138,6 +140,16 @@ func NewSolverFromRegex(r *automaton.Regex) (*Solver, error) {
 	if s.Classification.Finite {
 		s.finite = newFiniteBound(s.Min)
 	}
+	switch {
+	case s.Classification.Finite:
+		s.tier = AlgoFinite
+	case s.SubwordClosed:
+		s.tier = AlgoSubword
+	case s.Classification.Tractable && s.Expr != nil:
+		s.tier = AlgoSummary
+	default:
+		s.tier = AlgoBaseline
+	}
 	return s, nil
 }
 
@@ -163,74 +175,50 @@ func (s *Solver) seqPlans() []*seqPlan {
 	return s.plans
 }
 
-// Warm precomputes every graph-side index a query on g would build
-// lazily (the pinned snapshot view and dispatch caches). Calling Warm
-// once after graph construction makes subsequent concurrent queries on
-// g safe and allocation-free at steady state; it is optional for
-// single-goroutine use, where the first query warms the caches.
-//
-// Warm pins exactly like a query does (pin below): the view and the
-// alphabet belong to one generation, so a mutation interleaving with
-// the warming can never leave a stale snapshot paired with a newer epoch
-// (or vice versa), which matters to anything — Engine above all — that
-// keys cached tables by epoch. Warming a mutated graph does NOT force a
-// refreeze: small pending deltas are pinned as a read overlay on the
-// last base (graph.View), so queries keep flowing while compaction is
-// deferred.
+// Warm pins g's view (graph.PinView) as a query does. Calling Warm once
+// after graph construction makes subsequent concurrent queries on g
+// safe and allocation-free at steady state; it is optional for
+// single-goroutine use, where the first query pins. The view carries
+// the epoch it was pinned at, which anything keying cached tables by
+// epoch — Engine above all — reads, so the two cannot disagree. Nothing
+// else needs warming: the tier is the language's, fixed at compile time.
+// Warming a mutated graph does NOT force a refreeze: small pending
+// deltas are pinned as a read overlay on the last base (graph.View), so
+// queries keep flowing while compaction is deferred.
 func (s *Solver) Warm(g *graph.Graph) {
-	s.pin(g, AlgoAuto)
-}
-
-// pin pins g's current view together with the epoch it was pinned under
-// (SnapshotView) and the tier that answers algo (TierFor). It is the one
-// place Solver, BatchSolver, Engine and Warm obtain a dispatch verdict,
-// each under the synchronization it already holds for the lazy pin.
-func (s *Solver) pin(g *graph.Graph, algo Algorithm) pinned {
-	vw, epoch := g.SnapshotView()
-	return pinned{vw: vw, epoch: epoch, algo: s.TierFor(g, algo)}
+	g.PinView()
 }
 
 // TierFor reports the tier that answers SolveWith(g, x, y, algo).
-// AlgoAuto is ChooseAlgorithm's tier, which reads only the language. A
-// forced tier that does not apply — the finite search on an infinite
-// language, the walk reduction on a language that is not
-// subword-closed, the summary solver without a Ψtr form, the RPQ
-// collapse on a cyclic graph (the one case that reads g: an O(V+E)
-// IsAcyclic per pin), and color coding, which needs a length bound
-// (ColorCoding) — is the baseline. Any other algo answers as itself.
+// AlgoAuto is the language's tier (ChooseAlgorithm). A forced tier that
+// does not apply — the finite search on an infinite language, the walk
+// reduction on a language that is not subword-closed, the summary
+// solver without a Ψtr form, the RPQ collapse on a cyclic graph (the
+// one case that reads g: an O(V+E) IsAcyclic per call) — is the
+// baseline. Any other algo answers as itself.
 func (s *Solver) TierFor(g *graph.Graph, algo Algorithm) Algorithm {
 	switch {
 	case algo == AlgoAuto:
-		return s.ChooseAlgorithm(g)
+		return s.tier
 	case algo == AlgoFinite && !s.Classification.Finite,
 		algo == AlgoSubword && !s.SubwordClosed,
 		algo == AlgoSummary && s.Expr == nil,
-		algo == AlgoDAG && !g.IsAcyclic(),
-		algo == AlgoColorCoding:
+		algo == AlgoDAG && !g.IsAcyclic():
 		return AlgoBaseline
 	}
 	return algo
 }
 
-// ChooseAlgorithm reports how Solve would answer a query. The tier
-// depends on the language alone, as the trichotomy does: finite, then
-// subword-closed, then a tractable (trC) language with a Ψtr form, and
-// the baseline otherwise. Acyclic inputs (Theorem 8) need no tier of
-// their own: every walk on a DAG is simple, so the walk-first step of
-// the summary and baseline tiers answers every source without a search.
-// g is unread; the parameter stays for callers such as the bench
-// ladder.
+// ChooseAlgorithm reports how Solve answers a query: the tier
+// NewSolverFromRegex fixed, which depends on the language alone, as the
+// trichotomy does — finite, then subword-closed, then a tractable (trC)
+// language with a Ψtr form, and the baseline otherwise. Acyclic inputs
+// (Theorem 8) need no tier of their own: every walk on a DAG is simple,
+// so the walk-first step of the summary and baseline tiers answers
+// every source without a search. g is unread; the parameter stays for
+// callers such as the bench ladder.
 func (s *Solver) ChooseAlgorithm(g *graph.Graph) Algorithm {
-	switch {
-	case s.Classification.Finite:
-		return AlgoFinite
-	case s.SubwordClosed:
-		return AlgoSubword
-	case s.Classification.Tractable && s.Expr != nil:
-		return AlgoSummary
-	default:
-		return AlgoBaseline
-	}
+	return s.tier
 }
 
 // Solve answers RSPQ(L): is there a simple L-labeled path from x to y
@@ -250,10 +238,10 @@ func (s *Solver) Solve(g *graph.Graph, x, y int) Result {
 }
 
 // SolveWith forces a specific algorithm; AlgoAuto dispatches. A forced
-// tier that does not apply, AlgoColorCoding included, falls back to the
-// exact baseline (TierFor); AlgoWalk and AlgoNaive, which are not RSPQ
-// tiers, run ShortestWalk and Naive. Out-of-range vertex ids yield
-// Result{Found: false}, never a panic.
+// tier that does not apply falls back to the exact baseline (TierFor);
+// AlgoWalk and AlgoNaive, which are not RSPQ tiers, run ShortestWalk
+// and Naive. Out-of-range vertex ids yield Result{Found: false}, never
+// a panic.
 func (s *Solver) SolveWith(g *graph.Graph, x, y int, algo Algorithm) Result {
 	return s.solveWith(g, x, y, algo, false)
 }
@@ -266,8 +254,9 @@ func (s *Solver) Shortest(g *graph.Graph, x, y int) Result {
 	return s.solveWith(g, x, y, AlgoAuto, true)
 }
 
-// solveWith pins g once for algo, so the view and the tier belong to one
-// generation, and answers (x, y) on an evaluator with no caches.
+// solveWith pins g, resolves algo's tier once and answers (x, y) over
+// the view on an evaluator with no caches. The pin comes first, so a
+// forced AlgoDAG's IsAcyclic reads the pinned view.
 func (s *Solver) solveWith(g *graph.Graph, x, y int, algo Algorithm, shortest bool) Result {
 	if !validPair(g.NumVertices(), x, y) {
 		return Result{}
@@ -278,7 +267,7 @@ func (s *Solver) solveWith(g *graph.Graph, x, y int, algo Algorithm, shortest bo
 	case AlgoNaive:
 		return Naive(g, s.Min, x, y)
 	}
-	pv := s.pin(g, algo)
-	ev := evaluator{s: s}
-	return ev.solveOne(&pv, x, y, false, shortest, nil)
+	vw := g.PinView()
+	ev := evaluator{s: s, tier: s.TierFor(g, algo)}
+	return ev.solveOne(vw, x, y, false, shortest, nil)
 }

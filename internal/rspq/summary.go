@@ -53,9 +53,8 @@ func SolvePsitr(g *graph.Graph, e *psitr.Expr, x, y int, shortest bool) Result {
 		return Result{}
 	}
 	// The summary tier reads only the Solver's plans, built from Expr.
-	ev := evaluator{s: &Solver{Expr: e}}
-	pv := pinned{vw: g.PinView(), algo: AlgoSummary}
-	return ev.solveOne(&pv, x, y, false, shortest, nil)
+	ev := evaluator{s: &Solver{Expr: e}, tier: AlgoSummary}
+	return ev.solveOne(g.PinView(), x, y, false, shortest, nil)
 }
 
 // step is one move of a unit's alternative: it reads one edge labelled

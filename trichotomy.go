@@ -211,14 +211,14 @@ func (l *Language) HardnessWitness() string {
 // Member reports whether the word belongs to the language.
 func (l *Language) Member(word string) bool { return l.solver.Min.Member(word) }
 
-// Warm eagerly builds the graph-side query indexes (the CSR snapshot
-// and dispatch caches) that the first query would otherwise build
+// Warm eagerly pins the graph's read view (the CSR snapshot, plus any
+// pending delta as an overlay) that the first query would otherwise pin
 // lazily. Call it after graph construction when g will be queried from
 // multiple goroutines; single-goroutine use may skip it. Warming after
-// a mutation is cheap: the snapshot is refreshed by merging the
-// pending delta into the previous CSR, and the view and the epoch are
-// guaranteed to belong to one generation even if a mutation interleaves
-// (see Graph.SnapshotView).
+// a mutation is cheap: the view is refreshed by overlaying the pending
+// delta on the previous CSR, and it carries the epoch it was pinned at
+// (see Graph.PinView). The tier needs no warming: it is the language's,
+// fixed when the language compiles.
 func (l *Language) Warm(g *Graph) { l.solver.Warm(g) }
 
 // Solve answers RSPQ(L): is there a simple L-labeled path from x to y?
