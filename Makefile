@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check no-binaries build vet test guards race bench-check fuzz bench bench-smoke metrics-smoke restart-smoke serve docs
+.PHONY: check no-binaries build vet test guards mutants race bench-check fuzz bench bench-smoke metrics-smoke restart-smoke serve docs
 
 check: no-binaries build vet test guards race bench-check docs
 
@@ -26,6 +26,13 @@ test:
 guards:
 	GOGC=10 $(GO) test -count=20 -run '^(TestNoQueryComputesAcyclicity|TestEngineMissWorkGuard|TestEngineMissAllocGuard|TestStoppedSweepWorkGuard)$$' ./internal/rspq/
 	GOGC=10 $(GO) test -count=20 -run '^(TestViewExtensionWorkGuard|TestFrozenPassReadsCSR|TestBuildHeapPerEdge)$$' ./internal/graph/
+
+# mutants: each patch under scripts/mutants/ plants a known bug in the
+# query kernels in a temporary copy of the tree; go test ./internal/rspq/
+# must fail on every one. Fails when a mutation survives or a patch no
+# longer applies.
+mutants:
+	bash scripts/mutants.sh
 
 # race: the first command covers the packages with shared state — the
 # graph's views, the caches, the engine's batch worker pool, persistence
@@ -87,8 +94,9 @@ serve:
 	$(GO) run ./cmd/rspqd -gen 400 -pattern 'a*(bb+|())c*'
 
 # docs: formatting, vet and doc-reference hygiene — the same gate the
-# CI docs job runs.
+# CI docs job runs. docscheck also resolves the test names the docs and
+# this Makefile's -run/-fuzz patterns give.
 docs:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo 'gofmt: files need formatting'; exit 1; }
 	$(GO) vet ./...
-	$(GO) run ./cmd/docscheck README.md docs/ARCHITECTURE.md experiments_test.go bench_test.go
+	$(GO) run ./cmd/docscheck README.md docs/ARCHITECTURE.md .claude/skills/verify/SKILL.md Makefile experiments_test.go bench_test.go

@@ -57,21 +57,20 @@ type CSR struct {
 // a snapshot of the pre-mutation graph (incremental merges allocate
 // fresh arrays, never touching snapshots already handed out).
 func (g *Graph) Freeze() *CSR {
-	if g.csr != nil {
-		return g.csr
-	}
 	if g.deltaCanceled() {
-		g.csr = g.csrBase // the base is the snapshot: nothing is built
-		g.deltaNewLabel = false
-		return g.csr
+		if g.deltaNewLabel { // written only here, so a frozen graph's Freeze stays read-only
+			g.deltaNewLabel = false
+		}
+		return g.csrBase // the base is the snapshot: nothing is built
 	}
 	start := time.Now()
 	delta := uint64(g.deltaAdds + g.deltaDels)
+	var c *CSR
 	if g.canMergeDelta() {
-		g.csr = g.mergeCSR()
+		c = g.mergeCSR()
 		g.incBuilds.Add(1)
 	} else {
-		g.csr = buildCSR(g)
+		c = buildCSR(g)
 		g.fullBuilds.Add(1)
 	}
 	if g.csrBase == nil { // the first freeze: the insertion order goes
@@ -81,7 +80,7 @@ func (g *Graph) Freeze() *CSR {
 		g.log = g.log[:0]
 		clear(g.index)
 	}
-	g.csrBase = g.csr
+	g.csrBase = c
 	g.dead, g.batchDead = 0, 0
 	g.deltaAdds, g.deltaDels = 0, 0
 	g.deltaNewLabel = false
@@ -91,7 +90,7 @@ func (g *Graph) Freeze() *CSR {
 	g.lastFreezeNanos.Store(ns)
 	g.freezeDelta.Add(delta)
 	g.lastFreezeDelta.Store(delta)
-	return g.csr
+	return c
 }
 
 // buildCSR builds the snapshot of g from scratch from its live edges

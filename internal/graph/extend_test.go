@@ -23,8 +23,7 @@ func cloneForScratch(g *Graph) *Graph {
 	c := &Graph{
 		n: g.n, edges: g.edges, names: slices.Clone(g.names), labelCount: g.labelCount,
 		log: slices.Clone(g.log), index: slices.Clone(g.index), seed: g.seed, dead: g.dead,
-		csr: g.csr, csrBase: g.csrBase,
-		deltaAdds: g.deltaAdds, deltaDels: g.deltaDels, deltaNewLabel: g.deltaNewLabel,
+		csrBase: g.csrBase, deltaAdds: g.deltaAdds, deltaDels: g.deltaDels, deltaNewLabel: g.deltaNewLabel,
 	}
 	c.epoch.Store(g.Epoch())
 	return c
@@ -105,7 +104,7 @@ func sortedEdges(g *Graph, added bool) []Edge {
 // willExtend reports whether the next PinView extends a non-empty
 // overlay by a non-empty batch of the log — the path the soak is about.
 func willExtend(g *Graph) bool {
-	return g.view != nil && g.view.out != nil && len(g.log) > g.pinPos && g.csr == nil && g.canOverlay()
+	return g.view != nil && g.view.out != nil && len(g.log) > g.pinPos && !g.deltaCanceled() && g.canOverlay()
 }
 
 // TestViewExtensionSoak drives mixed batches — adds, removes, re-adds

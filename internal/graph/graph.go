@@ -70,9 +70,6 @@ type Graph struct {
 	// reads of a graph nobody writes are race-free.
 	lists atomic.Pointer[adjLists]
 
-	// csr is the frozen snapshot (Freeze), dropped on mutation.
-	csr *CSR
-
 	// labelCount tracks how many edges carry each label, so the
 	// alphabet is derived in O(256) (Alphabet) instead of an O(E) scan.
 	labelCount [256]int
@@ -80,7 +77,8 @@ type Graph struct {
 	// Incremental-freeze state (delta.go): the CSR the pending delta is
 	// relative to, the counts of the delta (the log's live records), and
 	// the freeze counters. csrBase == nil means the next Freeze rebuilds
-	// from scratch.
+	// from scratch; a graph whose delta canceled out (deltaCanceled) is
+	// frozen, and csrBase is its snapshot.
 	csrBase       *CSR
 	deltaAdds     int
 	deltaDels     int
@@ -113,16 +111,14 @@ type Graph struct {
 	epoch atomic.Uint64
 }
 
-// invalidate drops the caches a mutation may falsify, the lists and the
-// frozen snapshot, and advances the mutation epoch. The last frozen CSR
-// survives as the merge base for the next incremental Freeze, and the
-// last pinned view — stale from here on, by its epoch — as what the next
-// pin extends.
+// invalidate drops the cache a mutation may falsify, the lists, and
+// advances the mutation epoch. The last frozen CSR survives as the merge
+// base for the next incremental Freeze, and the last pinned view — stale
+// from here on, by its epoch — as what the next pin extends.
 func (g *Graph) invalidate() {
 	if g.lists.Load() != nil {
 		g.lists.Store(nil)
 	}
-	g.csr = nil
 	g.epoch.Add(1)
 }
 
@@ -343,8 +339,8 @@ type adjacency interface {
 // carry a label the base lacks.
 func (g *Graph) current() adjacency {
 	switch {
-	case g.csr != nil:
-		return g.csr
+	case g.deltaCanceled():
+		return g.csrBase
 	case g.view != nil && g.view.epoch == g.Epoch():
 		return g.view
 	case !g.deltaNewLabel:

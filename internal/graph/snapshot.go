@@ -135,7 +135,7 @@ func CSRFromParts(p CSRParts) (*CSR, error) {
 // arrays, so the mapping is never written).
 func FromCSR(c *CSR, epoch uint64) *Graph {
 	n, L := c.n, len(c.labels)
-	g := &Graph{n: n, edges: c.m, csr: c, csrBase: c}
+	g := &Graph{n: n, edges: c.m, csrBase: c}
 	for lid := 0; lid < L; lid++ {
 		count := 0
 		for v := 0; v < n; v++ {

@@ -144,7 +144,7 @@ func (g *Graph) PinView() *View {
 		return g.view
 	}
 	var vw *View
-	if g.csr == nil && g.canOverlay() && !g.deltaCanceled() {
+	if g.canOverlay() && !g.deltaCanceled() {
 		vw = g.buildOverlayView()
 	} else {
 		vw = g.passView(g.Freeze()) // a canceled delta freezes to the base itself

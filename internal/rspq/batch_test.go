@@ -8,106 +8,25 @@ import (
 	"repro/internal/graph"
 )
 
-// tierCases pairs one language per dispatcher tier with a graph that
-// routes it there (the DAG tier is reached by graph shape, not
-// language).
-func tierCases() []struct {
-	name    string
-	pattern string
-	g       func(seed int64) *graph.Graph
-} {
-	return []struct {
-		name    string
-		pattern string
-		g       func(seed int64) *graph.Graph
-	}{
-		{"finite", "ab|ba|aab", func(seed int64) *graph.Graph {
-			return graph.Random(30, []byte{'a', 'b'}, 0.08, seed)
-		}},
-		{"subword", "a*c*", func(seed int64) *graph.Graph {
-			return graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, seed)
-		}},
-		{"summary", "a*(bb+|())c*", func(seed int64) *graph.Graph {
-			return graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, seed)
-		}},
-		{"summary-adjacent-gaps", "a+c?b+", func(seed int64) *graph.Graph {
-			return graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, seed)
-		}},
-		{"dag", "(a|b)*a(a|b)*", func(seed int64) *graph.Graph {
-			return graph.LayeredDAG(5, 6, 3, []byte{'a', 'b'}, seed)
-		}},
-		{"baseline", "(aa)*", func(seed int64) *graph.Graph {
-			return graph.Random(25, []byte{'a', 'b'}, 0.1, seed)
-		}},
-	}
-}
-
-// TestBatchMatchesSolve is the randomized equivalence suite: on every
-// dispatcher tier, BatchSolve must agree with per-query Solve on Found
-// for every pair, and every witness must verify independently.
+// TestBatchMatchesSolve holds the BatchSolver — default pool and one
+// worker, witness and existence-only asks — to the reference, and its
+// witnesses to Solver.Solve's, on four more frozen graphs of every
+// answer row. The pair set groups many sources per target and repeats a
+// pair.
 func TestBatchMatchesSolve(t *testing.T) {
-	for _, tc := range tierCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			s := mustSolver(t, tc.pattern)
-			for seed := int64(0); seed < 4; seed++ {
-				g := tc.g(seed)
-				n := g.NumVertices()
-				rng := rand.New(rand.NewSource(seed * 31))
-				// Grouped shape: few targets, many sources, plus some
-				// fully random pairs and duplicates.
-				var pairs []Pair
-				for ti := 0; ti < 4; ti++ {
-					y := rng.Intn(n)
-					for si := 0; si < 12; si++ {
-						pairs = append(pairs, Pair{X: rng.Intn(n), Y: y})
-					}
-				}
-				for i := 0; i < 16; i++ {
-					pairs = append(pairs, Pair{X: rng.Intn(n), Y: rng.Intn(n)})
-				}
-				pairs = append(pairs, pairs[0], pairs[len(pairs)-1])
-
-				got := s.BatchSolve(g, pairs)
-				if len(got) != len(pairs) {
-					t.Fatalf("%d results for %d pairs", len(got), len(pairs))
-				}
-				for i, pq := range pairs {
-					want := s.Solve(g, pq.X, pq.Y)
-					if got[i].Found != want.Found {
-						t.Fatalf("seed %d pair %v: batch=%v solve=%v", seed, pq, got[i].Found, want.Found)
-					}
-					if !VerifyWitness(got[i], g, s.Min, pq.X, pq.Y) {
-						t.Fatalf("seed %d pair %v: invalid batch witness %v", seed, pq, got[i].Path)
-					}
-				}
-			}
-		})
-	}
+	runMatrix(t, answerRows(), []int64{2, 3, 4, 5}, [][]hView{{frozen}}, func(t *testing.T, c *hCase) {
+		checkSurfaces(t, c, c.pairs(0), "BatchSolver")
+	})
 }
 
-// TestBatchMatchesBaseline cross-checks the batch engine against the
-// exponential ground truth directly (not just against Solve), so a bug
-// shared by both per-query and batched tier code would still surface.
+// TestBatchMatchesBaseline holds the BatchSolver and the bare tier
+// functions, the exponential baseline among them, to the reference on
+// every answer row after a delta and after the vertex set grew, so a bug
+// shared by the per-query and the batched code would still surface.
 func TestBatchMatchesBaseline(t *testing.T) {
-	for _, tc := range tierCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			s := mustSolver(t, tc.pattern)
-			g := tc.g(11)
-			n := g.NumVertices()
-			rng := rand.New(rand.NewSource(99))
-			var pairs []Pair
-			for i := 0; i < 40; i++ {
-				pairs = append(pairs, Pair{X: rng.Intn(n), Y: rng.Intn(n)})
-			}
-			got := s.BatchSolve(g, pairs)
-			for i, pq := range pairs {
-				want := Baseline(g, s.Min, pq.X, pq.Y, nil)
-				if got[i].Found != want.Found {
-					t.Fatalf("pair %v: batch=%v baseline=%v", pq, got[i].Found, want.Found)
-				}
-			}
-		})
-	}
+	runMatrix(t, answerRows(), []int64{11}, [][]hView{{overlay(6), grown}}, func(t *testing.T, c *hCase) {
+		checkSurfaces(t, c, c.pairs(0), "SolveWith", "tiers", "BatchSolver")
+	})
 }
 
 // TestBatchWorkerPool exercises pool sizing edge cases: 1 worker, more
@@ -171,16 +90,17 @@ func TestBatchSetWorkersConcurrent(t *testing.T) {
 // goroutines at once (run with -race): batches must not interfere with
 // each other or with interleaved per-query Solve calls.
 func TestBatchConcurrentStress(t *testing.T) {
-	s := mustSolver(t, "a*(bb+|())c*")
-	g := graph.RandomRegular(60, []byte{'a', 'b', 'c'}, 3, 13)
-	bs := NewBatchSolver(s, g)
-
-	// Reference answers, computed serially.
-	ref := make(map[Pair]bool)
+	c := newCase(t, tier("summary"), "a*(bb+|())c*", graph.RandomRegular(60, []byte{'a', 'b', 'c'}, 3, 13), 13)
+	s, g, bs := c.s, c.g, NewBatchSolver(c.s, c.g)
+	var all []Pair
 	for y := 0; y < 6; y++ {
 		for x := 0; x < 60; x++ {
-			ref[Pair{X: x, Y: y}] = s.Solve(g, x, y).Found
+			all = append(all, Pair{X: x, Y: y})
 		}
+	}
+	r, ref := c.reference(t, all), make(map[Pair]bool)
+	for i, pq := range all {
+		ref[pq] = r.found[i]
 	}
 
 	var wg sync.WaitGroup
@@ -217,37 +137,11 @@ func TestBatchConcurrentStress(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBatchSolveExists pins the existence-only fast path to the full
-// Solve results on every tier, including invalid ids.
+// TestBatchSolveExists holds the BatchSolver's existence-only asks, on
+// the default pool and on one worker, to the reference on every answer
+// row after a delta of removals alone.
 func TestBatchSolveExists(t *testing.T) {
-	for _, c := range engineTierCases() {
-		t.Run(c.name, func(t *testing.T) {
-			s, err := NewSolver(c.pattern)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bs := NewBatchSolver(s, c.g)
-			n := c.g.NumVertices()
-			pairs := probePairs(n, 80, 29)
-			pairs = append(pairs, Pair{X: -1, Y: 2}, Pair{X: 2, Y: n})
-			full := bs.Solve(pairs)
-			bits := bs.SolveExists(pairs)
-			if len(bits) != len(pairs) {
-				t.Fatalf("len = %d; want %d", len(bits), len(pairs))
-			}
-			for i := range pairs {
-				if bits[i] != full[i].Found {
-					t.Fatalf("pair %d (%d,%d): exists = %v, Solve.Found = %v",
-						i, pairs[i].X, pairs[i].Y, bits[i], full[i].Found)
-				}
-			}
-			// Single-worker path must agree too.
-			one := NewBatchSolver(s, c.g).SetWorkers(1).SolveExists(pairs)
-			for i := range one {
-				if one[i] != bits[i] {
-					t.Fatalf("single-worker exists diverged at %d", i)
-				}
-			}
-		})
-	}
+	runMatrix(t, answerRows(), []int64{29}, [][]hView{{removals(8)}}, func(t *testing.T, c *hCase) {
+		checkSurfaces(t, c, c.pairs(0), "BatchSolver")
+	})
 }

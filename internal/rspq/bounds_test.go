@@ -12,16 +12,6 @@ import (
 // Solve(g, -1, 0) and friends. Every query entry point must instead
 // report Result{Found: false} for vertex ids outside [0, n).
 
-// badPairs enumerates representative out-of-range (x, y) combinations
-// for an n-vertex graph.
-func badPairs(n int) [][2]int {
-	return [][2]int{
-		{-1, 0}, {0, -1}, {-1, -1},
-		{n, 0}, {0, n}, {n + 5, n + 5},
-		{-1, n}, {n, -1},
-	}
-}
-
 // allAlgorithms lists every Algorithm value, including ones the auto
 // dispatcher never picks.
 var allAlgorithms = []Algorithm{
@@ -29,82 +19,39 @@ var allAlgorithms = []Algorithm{
 	AlgoBaseline, AlgoWalk, AlgoNaive,
 }
 
-// TestOutOfRangeNoPanic drives every Algorithm value through SolveWith
-// with out-of-range ids, on languages from all three trichotomy tiers
-// and on cyclic and acyclic graphs, expecting Found=false and no panic.
+// TestOutOfRangeNoPanic drives every Algorithm value through SolveWith,
+// and Solve, Shortest and ColorCoding, with out-of-range ids, on the
+// language of every answer row on its own graph — the DAG row's
+// acyclic — expecting Found=false and no panic.
 func TestOutOfRangeNoPanic(t *testing.T) {
-	patterns := []string{
-		"ab|ba|aab",    // finite (AC⁰ tier)
-		"a*c*",         // subword-closed (trC(0))
-		"a*(bb+|())c*", // tractable with Ψtr form (summary tier)
-		"(aa)*",        // NP-complete (baseline tier)
-	}
-	cyclic := graph.RandomRegular(12, []byte{'a', 'b', 'c'}, 2, 3)
-	dag := graph.LayeredDAG(3, 4, 2, []byte{'a', 'b'}, 5)
-	for _, pattern := range patterns {
-		s := mustSolver(t, pattern)
-		for _, g := range []*graph.Graph{cyclic, dag} {
-			n := g.NumVertices()
+	for _, row := range answerRows() {
+		c := newCase(t, row, row.pattern, row.graph(3, 12), 3)
+		s, g, n := c.s, c.g, c.g.NumVertices()
+		for _, pq := range outOfRange(n) {
 			for _, algo := range allAlgorithms {
-				for _, pq := range badPairs(n) {
-					res := s.SolveWith(g, pq[0], pq[1], algo)
-					if res.Found {
-						t.Errorf("%q/%v: SolveWith(%d, %d) = Found on %d-vertex graph", pattern, algo, pq[0], pq[1], n)
-					}
+				if res := s.SolveWith(g, pq.X, pq.Y, algo); res.Found {
+					t.Errorf("%s/%v: SolveWith(%d, %d) = Found on %d-vertex graph", c, algo, pq.X, pq.Y, n)
 				}
 			}
-			for _, pq := range badPairs(n) {
-				if res := s.Solve(g, pq[0], pq[1]); res.Found {
-					t.Errorf("%q: Solve(%d, %d) found", pattern, pq[0], pq[1])
-				}
-				if res := s.Shortest(g, pq[0], pq[1]); res.Found {
-					t.Errorf("%q: Shortest(%d, %d) found", pattern, pq[0], pq[1])
-				}
-				if res := ColorCoding(g, s.Min, pq[0], pq[1], 4, ColorCodingOptions{Seed: 1}); res.Found {
-					t.Errorf("%q: ColorCoding(%d, %d) found", pattern, pq[0], pq[1])
-				}
+			if s.Solve(g, pq.X, pq.Y).Found || s.Shortest(g, pq.X, pq.Y).Found ||
+				ColorCoding(g, s.Min, pq.X, pq.Y, 4, ColorCodingOptions{Seed: 1}).Found {
+				t.Errorf("%s: Solve, Shortest or ColorCoding(%d, %d) found", c, pq.X, pq.Y)
 			}
 		}
 	}
 }
 
 // TestOutOfRangeStandaloneEntryPoints covers the exported tier
-// functions that bypass the Solver dispatcher.
+// functions that bypass the Solver dispatcher, on every answer row, and
+// Naive.
 func TestOutOfRangeStandaloneEntryPoints(t *testing.T) {
-	g := graph.RandomRegular(10, []byte{'a', 'b', 'c'}, 2, 9)
-	s := mustSolver(t, "a*(bb+|())c*")
-	fin := mustSolver(t, "ab|ba")
-	for _, pq := range badPairs(g.NumVertices()) {
-		x, y := pq[0], pq[1]
-		if Baseline(g, s.Min, x, y, nil).Found {
-			t.Errorf("Baseline(%d, %d) found", x, y)
-		}
-		if BaselineShortest(g, s.Min, x, y, nil).Found {
-			t.Errorf("BaselineShortest(%d, %d) found", x, y)
-		}
-		if SolvePsitr(g, s.Expr, x, y, false).Found {
-			t.Errorf("SolvePsitr(%d, %d) found", x, y)
-		}
-		if Finite(g, fin.Min, x, y).Found {
-			t.Errorf("Finite(%d, %d) found", x, y)
-		}
-		if Subword(g, s.Min, x, y).Found {
-			t.Errorf("Subword(%d, %d) found", x, y)
-		}
-		if Naive(g, s.Min, x, y).Found {
-			t.Errorf("Naive(%d, %d) found", x, y)
-		}
-		if ShortestWalk(g, s.Min, x, y) != nil {
-			t.Errorf("ShortestWalk(%d, %d) non-nil", x, y)
-		}
-		if ExistsWalk(g, s.Min, x, y) {
-			t.Errorf("ExistsWalk(%d, %d) true", x, y)
-		}
-	}
-	dag := graph.LayeredDAG(3, 3, 2, []byte{'a', 'b'}, 1)
-	for _, pq := range badPairs(dag.NumVertices()) {
-		if res, ok := DAG(dag, s.Min, pq[0], pq[1]); !ok || res.Found {
-			t.Errorf("DAG(%d, %d) = (%v, %v)", pq[0], pq[1], res.Found, ok)
+	for _, row := range answerRows() {
+		c := newCase(t, row, row.pattern, row.graph(0, 10), 9)
+		checkSurfaces(t, c, outOfRange(c.g.NumVertices()), "Solver", "tiers")
+		for _, pq := range outOfRange(c.g.NumVertices()) {
+			if Naive(c.g, c.s.Min, pq.X, pq.Y).Found {
+				t.Errorf("%s: Naive(%d, %d) found", c, pq.X, pq.Y)
+			}
 		}
 	}
 }
@@ -115,46 +62,31 @@ func TestOutOfRangeVlg(t *testing.T) {
 	vg.AddEdge(0, 1)
 	vg.AddEdge(1, 2)
 	s := mustSolver(t, "(ab)*")
-	for _, pq := range badPairs(vg.NumVertices()) {
-		if s.SolveVlg(vg, pq[0], pq[1]).Found {
-			t.Errorf("SolveVlg(%d, %d) found", pq[0], pq[1])
+	for _, pq := range outOfRange(vg.NumVertices()) {
+		if s.SolveVlg(vg, pq.X, pq.Y).Found {
+			t.Errorf("SolveVlg(%d, %d) found", pq.X, pq.Y)
 		}
 	}
 	ev := graph.NewEVGraph([]byte{'a', 'b', 'a'})
 	ev.AddEdge(0, 'x', 1)
-	for _, pq := range badPairs(ev.NumVertices()) {
-		if s.SolveEvl(ev, pq[0], pq[1]).Found {
-			t.Errorf("SolveEvl(%d, %d) found", pq[0], pq[1])
+	for _, pq := range outOfRange(ev.NumVertices()) {
+		if s.SolveEvl(ev, pq.X, pq.Y).Found {
+			t.Errorf("SolveEvl(%d, %d) found", pq.X, pq.Y)
 		}
 	}
 }
 
 // TestOutOfRangeBatch checks that the batch engine answers invalid
 // pairs with Found=false while still answering the valid pairs of the
-// same batch, across all dispatcher tiers.
+// same batch, for every language of every answer row.
 func TestOutOfRangeBatch(t *testing.T) {
-	for _, pattern := range []string{"ab|ba|aab", "a*c*", "a*(bb+|())c*", "(aa)*"} {
-		t.Run(pattern, func(t *testing.T) {
-			g := graph.RandomRegular(12, []byte{'a', 'b', 'c'}, 2, 4)
-			s := mustSolver(t, pattern)
-			pairs := []Pair{{X: -1, Y: 0}, {X: 0, Y: 5}, {X: 3, Y: 99}, {X: 2, Y: 5}, {X: 12, Y: -1}}
-			got := s.BatchSolve(g, pairs)
-			if len(got) != len(pairs) {
-				t.Fatalf("got %d results for %d pairs", len(got), len(pairs))
-			}
-			for i, pq := range pairs {
-				valid := pq.X >= 0 && pq.X < 12 && pq.Y >= 0 && pq.Y < 12
-				if !valid && got[i].Found {
-					t.Errorf("pair %v: invalid pair answered Found", pq)
-				}
-				if valid {
-					want := s.Solve(g, pq.X, pq.Y)
-					if got[i].Found != want.Found {
-						t.Errorf("pair %v: batch=%v solve=%v", pq, got[i].Found, want.Found)
-					}
-				}
-			}
-		})
+	for _, row := range answerRows() {
+		for _, pattern := range row.languages() {
+			t.Run(pattern, func(t *testing.T) {
+				c := newCase(t, row, pattern, graph.RandomRegular(12, []byte{'a', 'b', 'c'}, 2, 4), 4)
+				checkSurfaces(t, c, append([]Pair{{0, 5}, {2, 5}}, outOfRange(c.g.NumVertices())...), "BatchSolver")
+			})
+		}
 	}
 }
 

@@ -101,85 +101,55 @@ func randomEVGraph(n int, seed int64) *graph.EVGraph {
 // TestParallelEdgesAndSelfLoops stresses graph shapes the random
 // generators rarely produce.
 func TestParallelEdgesAndSelfLoops(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 'a', 1)
-	g.AddEdge(0, 'b', 1) // parallel, different label
-	g.AddEdge(1, 'a', 1) // self loop
-	g.AddEdge(1, 'c', 2)
-
-	for _, pattern := range []string{"ac", "bc", "a*c*", "(a|b)c"} {
-		s := mustSolver(t, pattern)
-		got := s.Solve(g, 0, 2)
-		want := Baseline(g, s.Min, 0, 2, nil)
-		if got.Found != want.Found {
-			t.Errorf("%q: dispatcher=%v baseline=%v", pattern, got.Found, want.Found)
-		}
-		if !VerifyWitness(got, g, s.Min, 0, 2) {
-			t.Errorf("%q: invalid witness", pattern)
-		}
+	shape := func(int64) *graph.Graph {
+		g := graph.New(3)
+		g.AddEdge(0, 'a', 1)
+		g.AddEdge(0, 'b', 1) // parallel, different label
+		g.AddEdge(1, 'a', 1) // self loop
+		g.AddEdge(1, 'c', 2)
+		return g
 	}
+	checkGraphs(t, tier("summary"), []string{"ac", "bc", "a*c*", "(a|b)c"}, 1, 1, shape, "Solver")
 	// The self loop can never appear on a simple path: "aac" requires
 	// revisiting vertex 1.
-	if res := mustSolver(t, "aac").Solve(g, 0, 2); res.Found {
+	if res := mustSolver(t, "aac").Solve(shape(0), 0, 2); res.Found {
 		t.Error("aac needs the self loop and cannot be simple")
 	}
 }
 
 // TestDisconnectedQueries checks NO answers across components.
 func TestDisconnectedQueries(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 'a', 1)
-	g.AddEdge(2, 'a', 3)
-	for _, pattern := range []string{"a", "a*", "a*(bb+|())c*"} {
-		s := mustSolver(t, pattern)
-		if res := s.Solve(g, 0, 3); res.Found {
-			t.Errorf("%q: components are disconnected", pattern)
-		}
-	}
+	checkGraphs(t, tier("summary"), []string{"a", "a*", "a*(bb+|())c*"}, 1, 1, func(int64) *graph.Graph {
+		g := graph.New(4)
+		g.AddEdge(0, 'a', 1)
+		g.AddEdge(2, 'a', 3)
+		return g
+	}, "Solver")
 }
 
 // TestSolveWithEveryAlgorithm exercises every forced strategy on one
-// solvable instance; exact strategies must agree, the walk may differ
-// only toward YES, and naive may differ only toward NO.
+// graph: the exact ones agree with the reference (the SolveWith
+// surface), the walk may differ only toward YES, and naive only toward
+// NO.
 func TestSolveWithEveryAlgorithm(t *testing.T) {
-	g := graph.Random(10, []byte{'a', 'b', 'c'}, 0.25, 9)
-	s := mustSolver(t, "a*(bb+|())c*")
-	for x := 0; x < 10; x += 3 {
-		for y := 1; y < 10; y += 3 {
-			want := s.SolveWith(g, x, y, AlgoBaseline)
-			for _, algo := range []Algorithm{AlgoSummary, AlgoAuto} {
-				got := s.SolveWith(g, x, y, algo)
-				if got.Found != want.Found {
-					t.Fatalf("algo %v at (%d,%d): %v vs %v", algo, x, y, got.Found, want.Found)
-				}
-			}
-			walk := s.SolveWith(g, x, y, AlgoWalk)
-			if want.Found && !walk.Found {
-				t.Fatal("walk semantics must subsume simple paths")
-			}
-			naive := s.SolveWith(g, x, y, AlgoNaive)
-			if naive.Found && !walk.Found {
-				t.Fatal("naive cannot find more than walks")
-			}
+	c := newCase(t, tier("summary"), "a*(bb+|())c*", graph.Random(10, []byte{'a', 'b', 'c'}, 0.25, 9), 9)
+	r := checkSurfaces(t, c, c.pairs(3), "SolveWith")
+	for i, pq := range r.pairs {
+		walk, naive := c.s.SolveWith(c.g, pq.X, pq.Y, AlgoWalk), c.s.SolveWith(c.g, pq.X, pq.Y, AlgoNaive)
+		if r.found[i] && !walk.Found || naive.Found && !walk.Found {
+			t.Fatalf("%s (%d,%d): walk found=%v, naive found=%v; walks subsume simple paths and naive answers", c, pq.X, pq.Y, walk.Found, naive.Found)
 		}
 	}
 }
 
-// TestLollipopStress runs the summary solver on the lollipop shape
-// where the clique offers factorially many orderings.
+// TestLollipopStress runs the solvers on the lollipop shape, where the
+// clique offers factorially many orderings.
 func TestLollipopStress(t *testing.T) {
 	g, src, dst := graph.Lollipop(5, 6)
-	s := mustSolver(t, "a*")
-	got := s.Solve(g, src, dst)
-	if !got.Found {
-		t.Fatal("lollipop target must be reachable")
-	}
-	if !VerifyWitness(got, g, s.Min, src, dst) {
-		t.Fatal("invalid witness")
-	}
-	short := s.Shortest(g, src, dst)
-	if short.Path.Len() != 7 { // 5 path edges + entry + across clique
-		t.Errorf("shortest lollipop path length %d, want 7", short.Path.Len())
+	c := newCase(t, tier("subword"), "a*", g, 0)
+	r := checkSurfaces(t, c, []Pair{{X: src, Y: dst}}, "Solver")
+	if !r.found[0] || r.lengths(t, c)[0] != 7 { // 5 path edges + entry + across clique
+		t.Errorf("lollipop: found=%v, shortest length %d; want a path of 7", r.found[0], r.length[0])
 	}
 }
 
@@ -187,14 +157,8 @@ func TestLollipopStress(t *testing.T) {
 // work): grids with a fixed language keep the baseline honest but stay
 // solvable at small sizes.
 func TestGridHardInstance(t *testing.T) {
-	g := graph.Grid(4, 4, 'r', 'd')
-	s := mustSolver(t, "(rd)*")
-	got := s.Solve(g, 0, 15)
-	want := Baseline(g, s.Min, 0, 15, nil)
-	if got.Found != want.Found {
-		t.Fatalf("grid: %v vs %v", got.Found, want.Found)
-	}
-	if !got.Found {
+	c := newCase(t, tier("baseline"), "(rd)*", graph.Grid(4, 4, 'r', 'd'), 0)
+	if r := checkSurfaces(t, c, []Pair{{0, 15}}, "Solver", "tiers"); !r.found[0] {
 		t.Error("the staircase rdrdrd exists in a 4x4 grid")
 	}
 }
@@ -202,18 +166,9 @@ func TestGridHardInstance(t *testing.T) {
 // TestLargerAlphabet checks that nothing assumes a binary/ternary
 // alphabet.
 func TestLargerAlphabet(t *testing.T) {
-	labels := []byte{'a', 'b', 'c', 'd', 'e', 'f'}
-	g := graph.Random(12, labels, 0.25, 31)
-	s := mustSolver(t, "[abc]*(de)?f*")
-	for x := 0; x < 12; x += 4 {
-		for y := 2; y < 12; y += 4 {
-			got := s.Solve(g, x, y)
-			want := Baseline(g, s.Min, x, y, nil)
-			if got.Found != want.Found {
-				t.Fatalf("(%d,%d): %v vs %v", x, y, got.Found, want.Found)
-			}
-		}
-	}
+	checkGraphs(t, tier("summary"), []string{"[abc]*(de)?f*"}, 1, 4, func(int64) *graph.Graph {
+		return graph.Random(12, []byte{'a', 'b', 'c', 'd', 'e', 'f'}, 0.25, 31)
+	}, "Solver")
 }
 
 // TestShortestWalkIsBFSOptimal: the RPQ walk is a true shortest walk.

@@ -1,83 +1,29 @@
 package rspq
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
 )
 
-// This file is the edge-case/property sweep of the query surface:
-// degenerate graph shapes (single vertex, isolated vertices, no edges)
-// and degenerate queries (x == y, with and without ε in L) probed on
-// every applicable algorithm, with the exponential baseline as ground
-// truth. The out-of-range cases live in bounds_test.go.
+// This file is the edge-case sweep of the query surface: degenerate
+// graph shapes (single vertex, isolated vertices, no edges) and
+// degenerate queries (x == y, with and without ε in L), every pair of
+// each degenerate shape, for every language of every answer row — ε-only and finite
+// with ε among them — held to the reference by the Solver, the bare tier
+// functions and the BatchSolver (checkSurfaces). The out-of-range cases
+// live in bounds_test.go.
 
-// sweepPatterns spans the trichotomy: ε-only, finite with ε, finite
-// without ε, subword-closed, summary-tier, NP-tier.
-var sweepPatterns = []string{
-	"()",           // L = {ε}
-	"ab|()",        // finite, ε ∈ L
-	"ab|ba|aab",    // finite, ε ∉ L
-	"a*c*",         // subword-closed, ε ∈ L
-	"a*(bb+|())c*", // summary tier, ε ∈ L
-	"a*bba*",       // NP tier, ε ∉ L
-	"(aa)*",        // NP tier, ε ∈ L
-}
-
-// soundAlgosFor lists the algorithms whose answer must exactly equal
-// the baseline's for this solver on this graph (Naive is incomplete by
-// design and AlgoWalk answers a different problem, so neither is
-// included; Subword/Summary/Finite are claimed only on languages the
-// dispatcher would route to them).
-func soundAlgosFor(s *Solver, g *graph.Graph) []Algorithm {
-	algos := []Algorithm{AlgoAuto, AlgoBaseline}
-	if s.Classification.Finite {
-		algos = append(algos, AlgoFinite)
-	}
-	if s.SubwordClosed {
-		algos = append(algos, AlgoSubword)
-	}
-	if s.Classification.Tractable && s.Expr != nil {
-		algos = append(algos, AlgoSummary)
-	}
-	if g.IsAcyclic() {
-		algos = append(algos, AlgoDAG)
-	}
-	return algos
-}
-
-// checkAllAlgos asserts every sound algorithm agrees with the baseline
-// on (x, y) and produces a verifiable witness.
-func checkAllAlgos(t *testing.T, s *Solver, g *graph.Graph, x, y int, label string) {
-	t.Helper()
-	want := Baseline(g, s.Min, x, y, nil)
-	if !VerifyWitness(want, g, s.Min, x, y) {
-		t.Fatalf("%s: baseline witness invalid for (%d,%d)", label, x, y)
-	}
-	for _, algo := range soundAlgosFor(s, g) {
-		got := s.SolveWith(g, x, y, algo)
-		if got.Found != want.Found {
-			t.Errorf("%s: algo %v on (%d,%d): got %v, baseline %v", label, algo, x, y, got.Found, want.Found)
-		}
-		if !VerifyWitness(got, g, s.Min, x, y) {
-			t.Errorf("%s: algo %v on (%d,%d): invalid witness %v", label, algo, x, y, got.Path)
-		}
-	}
-	// Shortest must agree on existence and never beat the baseline's
-	// optimum.
-	short := s.Shortest(g, x, y)
-	if short.Found != want.Found {
-		t.Errorf("%s: Shortest on (%d,%d): got %v, baseline %v", label, x, y, short.Found, want.Found)
-	}
-	if short.Found {
-		opt := BaselineShortest(g, s.Min, x, y, nil)
-		if !VerifyWitness(short, g, s.Min, x, y) {
-			t.Errorf("%s: Shortest witness invalid for (%d,%d)", label, x, y)
-		}
-		if opt.Found && short.Path.Len() != opt.Path.Len() {
-			t.Errorf("%s: Shortest(%d,%d) length %d, optimum %d", label, x, y, short.Path.Len(), opt.Path.Len())
+// checkShape runs the sweep on a fresh graph of one shape for each
+// language: every stride-th vertex in each role.
+func checkShape(t *testing.T, stride int, shape func() *graph.Graph, extra func(t *testing.T, c *hCase)) {
+	for _, row := range answerRows() {
+		for _, pattern := range row.languages() {
+			c := newCase(t, row, pattern, shape(), 0)
+			checkSurfaces(t, c, c.pairs(stride), "Solver", "SolveWith", "tiers", "BatchSolver")
+			if extra != nil {
+				extra(t, c)
+			}
 		}
 	}
 }
@@ -85,112 +31,83 @@ func checkAllAlgos(t *testing.T, s *Solver, g *graph.Graph, x, y int, label stri
 // TestSweepSingleVertex: a one-vertex graph with no edges. x == y == 0
 // is answerable iff ε ∈ L.
 func TestSweepSingleVertex(t *testing.T) {
-	g := graph.New(1)
-	for _, pattern := range sweepPatterns {
-		s := mustSolver(t, pattern)
-		res := s.Solve(g, 0, 0)
-		if want := s.Min.Member(""); res.Found != want {
-			t.Errorf("%q: single vertex x==y: got %v, want ε-membership %v", pattern, res.Found, want)
+	checkShape(t, 1, func() *graph.Graph { return graph.New(1) }, func(t *testing.T, c *hCase) {
+		if res, want := c.s.Solve(c.g, 0, 0), c.s.Min.Member(""); res.Found != want {
+			t.Errorf("%s: single vertex x==y: got %v, want ε-membership %v", c, res.Found, want)
 		}
-		checkAllAlgos(t, s, g, 0, 0, fmt.Sprintf("%q single-vertex", pattern))
-	}
+	})
 }
 
-// TestSweepSelfQueries: x == y on vertices of richer graphs, including
-// a vertex sitting on a cycle (a simple path from v to v is still just
-// the empty path — length-0 — since any longer closed walk repeats v).
+// TestSweepSelfQueries: x == y on vertices of a graph with a cycle (a
+// simple path from v to v is still just the empty path, since any longer
+// closed walk repeats v) and an isolated vertex.
 func TestSweepSelfQueries(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 'a', 1)
-	g.AddEdge(1, 'b', 2)
-	g.AddEdge(2, 'a', 0) // cycle 0→1→2→0
-	// vertex 3 isolated
-	for _, pattern := range sweepPatterns {
-		s := mustSolver(t, pattern)
-		hasEps := s.Min.Member("")
+	checkShape(t, 1, func() *graph.Graph {
+		g := graph.New(4)
+		g.AddEdge(0, 'a', 1)
+		g.AddEdge(1, 'b', 2)
+		g.AddEdge(2, 'a', 0) // cycle 0→1→2→0; vertex 3 isolated
+		return g
+	}, func(t *testing.T, c *hCase) {
 		for v := 0; v < 4; v++ {
-			res := s.Solve(g, v, v)
-			if res.Found != hasEps {
-				t.Errorf("%q: Solve(%d,%d) = %v, want %v (ε-membership)", pattern, v, v, res.Found, hasEps)
+			if res, eps := c.s.Solve(c.g, v, v), c.s.Min.Member(""); res.Found != eps || res.Found && res.Path.Len() != 0 {
+				t.Errorf("%s: Solve(%d,%d) = %v, want the empty path iff ε ∈ L (%v)", c, v, v, res.Path, eps)
 			}
-			if res.Found && res.Path.Len() != 0 {
-				t.Errorf("%q: Solve(%d,%d) returned non-trivial closed path %v", pattern, v, v, res.Path)
-			}
-			checkAllAlgos(t, s, g, v, v, fmt.Sprintf("%q self-query v=%d", pattern, v))
 		}
-	}
+	})
 }
 
 // TestSweepIsolatedVertices: queries into, out of, and between vertices
 // with no incident edges must answer NO (unless x == y and ε ∈ L).
 func TestSweepIsolatedVertices(t *testing.T) {
-	g := graph.New(5)
-	g.AddEdge(0, 'a', 1) // vertices 2,3,4 isolated
-	for _, pattern := range sweepPatterns {
-		s := mustSolver(t, pattern)
-		for _, pq := range [][2]int{{2, 3}, {3, 2}, {0, 4}, {4, 0}, {2, 0}, {1, 2}} {
-			if res := s.Solve(g, pq[0], pq[1]); res.Found {
-				t.Errorf("%q: path %d→%d through isolated vertices: %v", pattern, pq[0], pq[1], res.Path)
+	checkShape(t, 1, func() *graph.Graph {
+		g := graph.New(5)
+		g.AddEdge(0, 'a', 1) // vertices 2, 3, 4 isolated
+		return g
+	}, func(t *testing.T, c *hCase) {
+		for _, pq := range []Pair{{2, 3}, {3, 2}, {0, 4}, {4, 0}, {2, 0}, {1, 2}} {
+			if res := c.s.Solve(c.g, pq.X, pq.Y); res.Found {
+				t.Errorf("%s: path %d→%d through isolated vertices: %v", c, pq.X, pq.Y, res.Path)
 			}
-			checkAllAlgos(t, s, g, pq[0], pq[1], fmt.Sprintf("%q isolated", pattern))
 		}
-	}
+	})
 }
 
 // TestSweepEdgelessGraph: several vertices, zero edges.
 func TestSweepEdgelessGraph(t *testing.T) {
-	g := graph.New(3)
-	for _, pattern := range sweepPatterns {
-		s := mustSolver(t, pattern)
-		for x := 0; x < 3; x++ {
-			for y := 0; y < 3; y++ {
-				checkAllAlgos(t, s, g, x, y, fmt.Sprintf("%q edgeless", pattern))
-			}
-		}
-	}
+	checkShape(t, 1, func() *graph.Graph { return graph.New(3) }, nil)
 }
 
-// TestSweepRandomized is the property test: random small graphs (sparse
-// enough to leave isolated vertices and dead ends), all pairs, every
-// sound algorithm against the exponential baseline.
+// TestSweepRandomized: random 9-vertex graphs sparse enough to leave
+// isolated vertices and dead ends, six seeds, every other vertex in each
+// role.
 func TestSweepRandomized(t *testing.T) {
-	for _, pattern := range sweepPatterns {
-		s := mustSolver(t, pattern)
-		for seed := int64(0); seed < 6; seed++ {
-			g := graph.Random(9, []byte{'a', 'b', 'c'}, 0.12, seed*7+1)
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 12; i++ {
-				x, y := rng.Intn(9), rng.Intn(9)
-				checkAllAlgos(t, s, g, x, y, fmt.Sprintf("%q seed=%d", pattern, seed))
-			}
-		}
+	for seed := int64(0); seed < 6; seed++ {
+		checkShape(t, 2, func() *graph.Graph { return graph.Random(9, []byte("abc"), 0.12, seed*7+1) }, nil)
 	}
 }
 
-// TestSweepBatchDegenerate runs the batch engine over the same
-// degenerate shapes, since it has its own dispatch path.
+// TestSweepBatchDegenerate runs every surface, the Engine's too, over a
+// one-vertex graph with a self loop and a three-vertex one with a
+// two-cycle, since the batch engine has its own dispatch path.
 func TestSweepBatchDegenerate(t *testing.T) {
-	shapes := []*graph.Graph{
-		graph.New(1),
-		graph.New(3),
-		func() *graph.Graph { g := graph.New(5); g.AddEdge(0, 'a', 1); return g }(),
-	}
-	for _, pattern := range sweepPatterns {
-		s := mustSolver(t, pattern)
-		for gi, g := range shapes {
-			n := g.NumVertices()
-			var pairs []Pair
-			for x := 0; x < n; x++ {
-				for y := 0; y < n; y++ {
-					pairs = append(pairs, Pair{X: x, Y: y})
-				}
-			}
-			got := s.BatchSolve(g, pairs)
-			for i, pq := range pairs {
-				want := Baseline(g, s.Min, pq.X, pq.Y, nil)
-				if got[i].Found != want.Found {
-					t.Errorf("%q shape %d pair %v: batch=%v baseline=%v", pattern, gi, pq, got[i].Found, want.Found)
-				}
+	for _, shape := range []func() *graph.Graph{
+		func() *graph.Graph {
+			g := graph.New(1)
+			g.AddEdge(0, 'a', 0)
+			return g
+		},
+		func() *graph.Graph {
+			g := graph.New(3)
+			g.AddEdge(0, 'a', 1)
+			g.AddEdge(1, 'b', 0)
+			return g
+		},
+	} {
+		for _, row := range answerRows() {
+			for _, pattern := range row.languages() {
+				c := newCase(t, row, pattern, shape(), 0)
+				checkSurfaces(t, c, c.pairs(1))
 			}
 		}
 	}

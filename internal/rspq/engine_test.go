@@ -12,175 +12,49 @@ import (
 	"repro/internal/graph"
 )
 
-// engineTierCases covers every dispatcher tier: finite (AC⁰), subword
-// (trC(0)), summary (Ψtr), dag, and the exponential baseline.
-func engineTierCases() []struct {
-	name    string
-	pattern string
-	g       *graph.Graph
-} {
-	return []struct {
-		name    string
-		pattern string
-		g       *graph.Graph
-	}{
-		{"finite", "ab|ba|aab", graph.Random(30, []byte{'a', 'b'}, 0.08, 3)},
-		{"subword", "a*c*", graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 12)},
-		{"summary", "a*(bb+|())c*", graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 7)},
-		{"summary-adjacent-gaps", "a+c?b+", graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 7)},
-		{"dag", "(a|b)*a(a|b)*", graph.LayeredDAG(6, 5, 3, []byte{'a', 'b'}, 5)},
-		{"baseline", "a*bba*", graph.Random(40, []byte{'a', 'b'}, 0.05, 21)},
-	}
-}
-
-// checkEngineAgainstSolver compares the engine's answer on every probe
-// pair with the cold per-query path, verifying witnesses on both sides.
-func checkEngineAgainstSolver(t *testing.T, e *Engine, s *Solver, g *graph.Graph, pairs []Pair, tag string) {
-	t.Helper()
-	for _, pq := range pairs {
-		want := s.Solve(g, pq.X, pq.Y)
-		got := e.Solve(pq.X, pq.Y)
-		if got.Found != want.Found {
-			t.Fatalf("%s: Engine.Solve(%d,%d).Found = %v; cold Solve %v",
-				tag, pq.X, pq.Y, got.Found, want.Found)
-		}
-		if !VerifyWitness(got, g, s.Min, pq.X, pq.Y) {
-			t.Fatalf("%s: Engine.Solve(%d,%d) returned invalid witness %v",
-				tag, pq.X, pq.Y, got.Path)
-		}
-		if exists := e.Exists(pq.X, pq.Y); exists != want.Found {
-			t.Fatalf("%s: Engine.Exists(%d,%d) = %v; want %v",
-				tag, pq.X, pq.Y, exists, want.Found)
-		}
-	}
-}
-
-func probePairs(n, count int, seed int64) []Pair {
-	rng := rand.New(rand.NewSource(seed))
-	pairs := make([]Pair, count)
-	// A few shared targets so the table cache actually gets hit.
-	targets := []int{rng.Intn(n), rng.Intn(n), rng.Intn(n)}
-	for i := range pairs {
-		pairs[i] = Pair{X: rng.Intn(n), Y: targets[rng.Intn(len(targets))]}
-	}
-	return pairs
-}
-
-// TestEngineMatchesSolver is the cross-tier equivalence suite: the
-// cached engine must agree with the cold per-query solver on every
-// tier, with repeated rounds so the second pass is served from warm
-// caches, and again after graph mutations (epoch invalidation).
+// TestEngineMatchesSolver holds one Engine, kept across its graph's
+// epochs, to the reference on every answer row: cold, again — the second
+// pass served from warm caches — and after a delta, where every cache
+// key must go stale through the epoch, with no purge call anywhere.
 func TestEngineMatchesSolver(t *testing.T) {
-	for _, c := range engineTierCases() {
-		t.Run(c.name, func(t *testing.T) {
-			s, err := NewSolver(c.pattern)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := NewEngine(s, c.g, EngineConfig{})
-			n := c.g.NumVertices()
-			pairs := probePairs(n, 60, int64(n))
-
-			checkEngineAgainstSolver(t, e, s, c.g, pairs, "cold")
-			st := e.Stats()
-			checkEngineAgainstSolver(t, e, s, c.g, pairs, "warm")
-			st2 := e.Stats()
-			if st2.Results.Hits <= st.Results.Hits {
-				t.Fatalf("second pass should hit the result cache: %+v then %+v",
-					st.Results, st2.Results)
-			}
-
-			// Mutate: add edges that change reachability; every cache key
-			// must go stale via the epoch, no purge call anywhere.
-			rng := rand.New(rand.NewSource(99))
-			for i := 0; i < 3; i++ {
-				from, to := rng.Intn(n), rng.Intn(n)
-				if c.name == "dag" && from >= to {
-					from, to = to, from // keep the graph acyclic
-				}
-				if from == to {
-					continue
-				}
-				c.g.AddEdge(from, 'a', to)
-			}
-			checkEngineAgainstSolver(t, e, s, c.g, pairs, "post-mutation")
-			if got := e.Stats().SnapshotRebuilds; got < 2 {
-				t.Fatalf("mutation must force a snapshot rebuild; rebuilds = %d", got)
-			}
-		})
-	}
+	runMatrix(t, answerRows(), []int64{0}, [][]hView{{frozen, frozen, overlay(3)}}, func(t *testing.T, c *hCase) {
+		before := c.kept.Stats()
+		checkSurfaces(t, c, c.pairs(0), "Engine/kept")
+		after := c.kept.Stats()
+		if c.view == "frozen" && before.Queries > 0 && after.Results.Hits <= before.Results.Hits {
+			t.Fatalf("%s: the second pass should hit the result cache: %+v then %+v", c, before.Results, after.Results)
+		}
+		if c.view != "frozen" && after.SnapshotRebuilds < 2 {
+			t.Fatalf("%s: the delta must force a snapshot rebuild; rebuilds = %d", c, after.SnapshotRebuilds)
+		}
+	})
 }
 
-// TestEngineBatchMatchesSolve pins Engine.BatchSolve and
-// BatchSolveExists to the per-query engine answers, including invalid
-// ids mixed into the batch.
+// TestEngineBatchMatchesSolve holds Engine.BatchSolve and
+// BatchSolveExists, invalid ids mixed in, to the reference on an
+// extended overlay of every answer row; a second batch over the same
+// pairs must answer alike and come from the result cache.
 func TestEngineBatchMatchesSolve(t *testing.T) {
-	for _, c := range engineTierCases() {
-		t.Run(c.name, func(t *testing.T) {
-			s, err := NewSolver(c.pattern)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := NewEngine(s, c.g, EngineConfig{})
-			n := c.g.NumVertices()
-			pairs := probePairs(n, 50, 5)
-			pairs = append(pairs, Pair{X: -1, Y: 0}, Pair{X: 0, Y: n}, Pair{X: n + 3, Y: -9})
-
-			out := e.BatchSolve(pairs)
-			bits := e.BatchSolveExists(pairs)
-			for i, pq := range pairs {
-				want := s.Solve(c.g, pq.X, pq.Y)
-				if out[i].Found != want.Found {
-					t.Fatalf("BatchSolve[%d] (%d,%d): Found = %v; want %v",
-						i, pq.X, pq.Y, out[i].Found, want.Found)
-				}
-				if !VerifyWitness(out[i], c.g, s.Min, pq.X, pq.Y) {
-					t.Fatalf("BatchSolve[%d] invalid witness", i)
-				}
-				if bits[i] != want.Found {
-					t.Fatalf("BatchSolveExists[%d] (%d,%d) = %v; want %v",
-						i, pq.X, pq.Y, bits[i], want.Found)
-				}
-			}
-			// A second batch over the same pairs must come mostly from
-			// the result cache.
-			before := e.Stats().Results.Hits
-			out2 := e.BatchSolve(pairs)
-			for i := range out2 {
-				if out2[i].Found != out[i].Found {
-					t.Fatalf("second batch diverged at %d", i)
-				}
-			}
-			if e.Stats().Results.Hits <= before {
-				t.Fatal("repeated batch should hit the result cache")
-			}
-		})
-	}
+	runMatrix(t, answerRows(), []int64{5}, [][]hView{{extended}}, func(t *testing.T, c *hCase) {
+		pairs := c.pairs(0)
+		r := checkSurfaces(t, c, pairs, "Engine/kept")
+		before := c.kept.Stats().Results.Hits
+		c.check(t, r, "Engine.BatchSolve (again)", c.kept.BatchSolve(pairs), askSame)
+		if c.kept.Stats().Results.Hits <= before {
+			t.Fatalf("%s: a repeated batch should hit the result cache", c)
+		}
+	})
 }
 
 // TestEngineEvictionUnderPressure shrinks both budgets below the cost
 // of any single entry: tables are then never even exported (the
 // Retainable pre-check skips the copy), results are rejected on
-// arrival, and answers must stay correct throughout.
+// arrival, and answers must stay correct throughout (the Engine/1-byte
+// surface).
 func TestEngineEvictionUnderPressure(t *testing.T) {
-	for _, c := range engineTierCases() {
-		t.Run(c.name, func(t *testing.T) {
-			s, err := NewSolver(c.pattern)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := NewEngine(s, c.g, EngineConfig{TableBytes: 1, ResultBytes: 1})
-			pairs := probePairs(c.g.NumVertices(), 40, 11)
-			checkEngineAgainstSolver(t, e, s, c.g, pairs, "pressure")
-			st := e.Stats()
-			if st.Tables.Puts != 0 || st.Tables.Entries != 0 {
-				t.Fatalf("un-retainable tables must never be stored: %+v", st.Tables)
-			}
-			if st.Results.Evictions == 0 || st.Results.Entries != 0 {
-				t.Fatalf("1-byte result budget must reject every result: %+v", st.Results)
-			}
-		})
-	}
+	runMatrix(t, answerRows(), []int64{11}, [][]hView{{overlay(6)}}, func(t *testing.T, c *hCase) {
+		checkSurfaces(t, c, c.pairs(0), "Engine/1-byte")
+	})
 }
 
 // TestEngineTableLRUEviction sizes the table budget so each cache
@@ -272,96 +146,16 @@ func TestExistsTableLookups(t *testing.T) {
 }
 
 // TestEvaluatorEquivalence pins the one table-sharing evaluator behind
-// BatchSolver and Engine: on every tier, for witness and existence-only
-// asks, single and batched, with both cache tiers on, disabled and
-// squeezed to one byte, every surface must give the ground-truth Found
-// bits (the exponential baseline's) and verifiable witnesses. The
-// surfaces run on one engine in two orders, so each is exercised both
-// cold and behind whatever tables and results the others left.
+// BatchSolver and Engine: on every answer row, one subtest per surface,
+// each held to the reference and to Solver.Solve's witnesses. The Engine
+// surfaces run with both cache tiers on, disabled and squeezed to
+// one byte, each ask both cold and behind what the others left cached.
 func TestEvaluatorEquivalence(t *testing.T) {
-	configs := []struct {
-		name string
-		cfg  EngineConfig
-	}{
-		{"caches-on", EngineConfig{}},
-		{"caches-off", EngineConfig{TableBytes: -1, ResultBytes: -1}},
-		{"1-byte", EngineConfig{TableBytes: 1, ResultBytes: 1}},
-	}
-	for _, c := range engineTierCases() {
-		s, err := NewSolver(c.pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := c.g.NumVertices()
-		pairs := probePairs(n, 40, 17)
-		pairs = append(pairs, pairs[0], Pair{X: -1, Y: 0}, Pair{X: 0, Y: n})
-		want := make([]bool, len(pairs))
-		for i, pq := range pairs {
-			want[i] = Baseline(c.g, s.Min, pq.X, pq.Y, nil).Found
-		}
-		check := func(t *testing.T, surface string, got []Result, witness bool) {
-			t.Helper()
-			for i, pq := range pairs {
-				if got[i].Found != want[i] {
-					t.Fatalf("%s (%d,%d): Found = %v; baseline %v", surface, pq.X, pq.Y, got[i].Found, want[i])
-				}
-				if witness && !VerifyWitness(got[i], c.g, s.Min, pq.X, pq.Y) {
-					t.Fatalf("%s (%d,%d): invalid witness %v", surface, pq.X, pq.Y, got[i].Path)
-				}
-			}
-		}
-		bits := func(found []bool) []Result {
-			out := make([]Result, len(found))
-			for i, f := range found {
-				out[i].Found = f
-			}
-			return out
-		}
-		t.Run(c.name+"/BatchSolver", func(t *testing.T) {
-			bs := NewBatchSolver(s, c.g)
-			check(t, "Solve", bs.Solve(pairs), true)
-			check(t, "SolveExists", bits(bs.SolveExists(pairs)), false)
-		})
-		for _, cf := range configs {
-			t.Run(c.name+"/Engine/"+cf.name, func(t *testing.T) {
-				single := func(e *Engine, exists bool) []Result {
-					out := make([]Result, len(pairs))
-					for i, pq := range pairs {
-						if exists {
-							out[i].Found = e.Exists(pq.X, pq.Y)
-						} else {
-							out[i] = e.Solve(pq.X, pq.Y)
-						}
-					}
-					return out
-				}
-				surfaces := []struct {
-					name    string
-					witness bool
-					run     func(e *Engine) []Result
-				}{
-					{"Exists", false, func(e *Engine) []Result { return single(e, true) }},
-					{"Solve", true, func(e *Engine) []Result { return single(e, false) }},
-					{"BatchSolveExists", false, func(e *Engine) []Result { return bits(e.BatchSolveExists(pairs)) }},
-					{"BatchSolve", true, func(e *Engine) []Result { return e.BatchSolve(pairs) }},
-				}
-				for _, reverse := range []bool{false, true} {
-					e := NewEngine(s, c.g, cf.cfg)
-					for i := range surfaces {
-						sf := surfaces[i]
-						if reverse {
-							sf = surfaces[len(surfaces)-1-i]
-						}
-						check(t, sf.name, sf.run(e), sf.witness)
-					}
-					st := e.Stats()
-					if cf.name != "caches-on" && (st.Tables.Entries != 0 || st.Results.Entries != 0) {
-						t.Fatalf("%s must retain nothing: %+v / %+v", cf.name, st.Tables, st.Results)
-					}
-					if cf.name == "caches-off" && (st.Tables.Puts != 0 || st.Results.Puts != 0) {
-						t.Fatalf("disabled tiers must never store: %+v", st)
-					}
-				}
+	for _, row := range answerRows() {
+		for _, sf := range surfaces {
+			t.Run(row.name+"/"+sf.name, func(t *testing.T) {
+				c := newCase(t, row, row.pattern, row.graph(3, 0), 3)
+				checkSurfaces(t, c, c.pairs(0), sf.name)
 			})
 		}
 	}
@@ -381,15 +175,12 @@ func TestEngineMissAllocGuard(t *testing.T) {
 		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
 	}
 	bound := map[string]float64{"finite": 0, "subword": 0, "summary": 0, "baseline": 0}
-	for _, c := range engineTierCases() {
-		limit, ok := bound[c.name]
+	for _, row := range answerRows() {
+		limit, ok := bound[row.name]
 		if !ok {
-			continue // the dag tier shares the subword tier's path
+			continue // the other rows share these tiers' paths
 		}
-		s, err := NewSolver(c.pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := mustSolver(t, row.pattern)
 		g := graph.RandomRegular(600, []byte{'a', 'b', 'c'}, 3, 400)
 		e := NewEngine(s, g, EngineConfig{TableBytes: -1, ResultBytes: -1})
 		for i := 0; i < 64; i++ { // warm the arena and searcher pools
@@ -404,7 +195,7 @@ func TestEngineMissAllocGuard(t *testing.T) {
 			})
 		}
 		if avg > limit {
-			t.Fatalf("%s: Engine.Exists on an unseen target allocates %.2f allocs/op; the bound is %.0f", c.name, avg, limit)
+			t.Fatalf("%s: Engine.Exists on an unseen target allocates %.2f allocs/op; the bound is %.0f", row.name, avg, limit)
 		}
 	}
 
@@ -525,20 +316,12 @@ func TestEngineMissWorkGuard(t *testing.T) {
 // graph and the DFA as well.
 func TestGoalTableSparseEqualsDense(t *testing.T) {
 	for _, tc := range []struct {
-		pattern string
-		g       *graph.Graph
-	}{
-		{"a*c*", graph.RandomRegular(120, []byte{'a', 'b', 'c'}, 3, 5)},
-		{"a*(bb+|())c*", graph.Random(60, []byte{'a', 'b', 'c'}, 0.03, 8)},
-		{"(a|b)*a(a|b)*", graph.LayeredDAG(7, 6, 2, []byte{'a', 'b'}, 3)},
-		{"(a*b*){33}", graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 6)}, // 67 states: two lanes
-	} {
-		s, err := NewSolver(tc.pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := tc.g
-		isolated := g.AddVertex()
+		row string
+		n   int
+	}{{"subword", 120}, {"summary", 0}, {"dag", 0}, {"wide", 0}} { // wide: 67 states, two lanes
+		row := tier(tc.row)
+		c := newCase(t, row, row.pattern, row.graph(0, tc.n), 0)
+		s, g, isolated := c.s, c.g, c.isolated
 		a := new(arena)
 		p := makeProduct(g.PinView(), s.Min, a)
 		floods := 0
@@ -562,93 +345,105 @@ func TestGoalTableSparseEqualsDense(t *testing.T) {
 			}
 			sparse, dense := newSparseGoalTable(a, a.reachedCount()), newDenseGoalTable(a)
 			if scanned != nil && (!slices.Equal(scanned.ids, sparse.ids) || !slices.Equal(scanned.dist, sparse.dist)) {
-				t.Fatalf("%s y=%d: the scanned sparse form differs from the listed one", tc.pattern, y)
+				t.Fatalf("%s y=%d: the scanned sparse form differs from the listed one", c, y)
 			}
 			if dense.ids != nil || sparse.ids == nil || dense.states != sparse.states || sparse.states != len(sparse.ids) {
 				t.Fatalf("%s y=%d: forms (dense ids=%v states=%d, sparse ids=%v states=%d)",
-					tc.pattern, y, dense.ids != nil, dense.states, sparse.ids != nil, sparse.states)
+					c, y, dense.ids != nil, dense.states, sparse.ids != nil, sparse.states)
 			}
 			for x := 0; x < p.n; x++ {
 				for q := 0; q < p.m; q++ {
 					d := a.distAt(x, q)
 					if dd, sd := dense.distAt(x, q), sparse.distAt(x, q); dd != d || sd != d {
-						t.Fatalf("%s y=%d (%d,q%d): distance dense=%d sparse=%d arena=%d", tc.pattern, y, x, q, dd, sd, d)
+						t.Fatalf("%s y=%d (%d,q%d): distance dense=%d sparse=%d arena=%d", c, y, x, q, dd, sd, d)
 					}
 					dw, sw := p.walkFrom(dense, x, q), p.walkFrom(sparse, x, q)
 					if (dw == nil) != (sw == nil) || (dw == nil) != (d < 0) {
-						t.Fatalf("%s y=%d (%d,q%d): walk dense=%v sparse=%v, distance %d", tc.pattern, y, x, q, dw, sw, d)
+						t.Fatalf("%s y=%d (%d,q%d): walk dense=%v sparse=%v, distance %d", c, y, x, q, dw, sw, d)
 					}
 					if dw == nil {
 						continue
 					}
 					if !slices.Equal(dw.Vertices, sw.Vertices) || !slices.Equal(dw.Labels, sw.Labels) {
-						t.Fatalf("%s y=%d (%d,q%d): dense walk %v, sparse walk %v", tc.pattern, y, x, q, dw, sw)
+						t.Fatalf("%s y=%d (%d,q%d): dense walk %v, sparse walk %v", c, y, x, q, dw, sw)
 					}
 					checkWalkBitValid(t, s.Min, g, sw, x, q, y, d)
 				}
 			}
 		}
-		if tc.pattern != "a*c*" && floods == 0 {
-			t.Fatalf("%s: no sweep flooded, so the scanned sparse form went untested", tc.pattern)
+		if row.name != "subword" && floods == 0 {
+			t.Fatalf("%s: no sweep flooded, so the scanned sparse form went untested", c)
 		}
 	}
 }
 
 // TestEngineConcurrentHits hammers one engine from many goroutines
-// over a hot pair set; run under -race this exercises the sharded
-// cache locking and the shared immutable tables, and the answers must
-// all match the precomputed expectation.
+// over a hot pair set of every answer row; run under -race this
+// exercises the sharded cache locking and the shared immutable tables,
+// and every answer must be the reference's.
 func TestEngineConcurrentHits(t *testing.T) {
-	for _, c := range engineTierCases() {
-		t.Run(c.name, func(t *testing.T) {
-			s, err := NewSolver(c.pattern)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := NewEngine(s, c.g, EngineConfig{})
-			pairs := probePairs(c.g.NumVertices(), 24, 17)
-			want := make([]bool, len(pairs))
-			for i, pq := range pairs {
-				want[i] = s.Solve(c.g, pq.X, pq.Y).Found
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < 8; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for rep := 0; rep < 10; rep++ {
-						for i, pq := range pairs {
-							var got bool
-							if (w+rep)%2 == 0 {
-								got = e.Solve(pq.X, pq.Y).Found
-							} else {
-								got = e.Exists(pq.X, pq.Y)
-							}
-							if got != want[i] {
-								t.Errorf("worker %d: (%d,%d) = %v; want %v",
-									w, pq.X, pq.Y, got, want[i])
+	runMatrix(t, answerRows(), []int64{7}, [][]hView{{frozen}}, func(t *testing.T, c *hCase) {
+		r := c.reference(t, c.pairs(c.g.NumVertices()/4))
+		e := c.kept
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for rep := 0; rep < 10; rep++ {
+					for i, pq := range r.pairs {
+						var got bool
+						if (w+rep)%2 == 0 {
+							got = e.Solve(pq.X, pq.Y).Found
+						} else {
+							got = e.Exists(pq.X, pq.Y)
+						}
+						if got != r.found[i] {
+							t.Errorf("%s worker %d: (%d,%d) = %v; want %v", c, w, pq.X, pq.Y, got, r.found[i])
+							return
+						}
+					}
+					if (w+rep)%3 == 0 {
+						for i, got := range e.BatchSolveExists(r.pairs) {
+							if got != r.found[i] {
+								t.Errorf("%s worker %d batch: pair %d = %v; want %v", c, w, i, got, r.found[i])
 								return
 							}
 						}
-						if (w+rep)%3 == 0 {
-							bits := e.BatchSolveExists(pairs)
-							for i := range bits {
-								if bits[i] != want[i] {
-									t.Errorf("worker %d batch: pair %d = %v; want %v",
-										w, i, bits[i], want[i])
-									return
-								}
-							}
-						}
 					}
-				}(w)
-			}
-			wg.Wait()
-			st := e.Stats()
-			if st.Results.Hits == 0 {
-				t.Fatalf("concurrent hot workload must produce cache hits: %+v", st)
-			}
-		})
+				}
+			}(w)
+		}
+		wg.Wait()
+		if st := e.Stats(); st.Results.Hits == 0 {
+			t.Fatalf("%s: the concurrent hot workload must produce cache hits: %+v", c, st)
+		}
+	})
+}
+
+// TestRoundAccountingSplit pins the round accounting: ExchangeRounds
+// counts exactly the rounds the sweeps ran, as their traces record them,
+// and BitParallelHits counts the sweeps.
+func TestRoundAccountingSplit(t *testing.T) {
+	s, err := NewSolver("a*c*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Random(40, []byte{'a', 'b', 'c'}, 0.1, 5)
+	eng := NewEngine(s, g, EngineConfig{})
+	traced := 0
+	for x := 0; x < 40; x += 5 {
+		for _, y := range []int{(x + 7) % 40, (x + 13) % 40} {
+			_, tr := eng.SolveTraced(x, y)
+			traced += len(tr.Rounds)
+		}
+	}
+	st := eng.Stats()
+	if traced == 0 || st.ExchangeRounds != int64(traced) {
+		t.Fatalf("ExchangeRounds = %d, traced rounds = %d", st.ExchangeRounds, traced)
+	}
+	if st.BitParallelHits == 0 {
+		t.Fatalf("the misses ran sweeps, but none was counted: %+v", st)
 	}
 }
 
@@ -746,13 +541,9 @@ func TestWarmEpochRace(t *testing.T) {
 // TestEngineStatsShape sanity-checks the counters a server would
 // export.
 func TestEngineStatsShape(t *testing.T) {
-	g := graph.RandomRegular(50, []byte{'a', 'b', 'c'}, 3, 3)
-	s, err := NewSolver("a*(bb+|())c*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(s, g, EngineConfig{Workers: 2})
-	pairs := probePairs(50, 20, 23)
+	c := newCase(t, tier("summary"), "a*(bb+|())c*", graph.RandomRegular(50, []byte{'a', 'b', 'c'}, 3, 3), 3)
+	e := NewEngine(c.s, c.g, EngineConfig{Workers: 2})
+	pairs := c.pairs(0)
 	e.BatchSolve(pairs)
 	e.BatchSolve(pairs)
 	for _, pq := range pairs[:5] {
@@ -774,27 +565,15 @@ func TestEngineStatsShape(t *testing.T) {
 }
 
 // TestEngineServesOneTier pins that an Engine serves its language's one
-// tier: for a language of each automatic tier, the registry holds one
+// tier: for the language of each answer row, the registry holds one
 // rspq_queries_total and one rspq_query_seconds series, labelled with
-// ChooseAlgorithm's tier, and EngineStats.Algorithm and a traced query's
+// the row's tier, and EngineStats.Algorithm and a traced query's
 // Tier name that tier.
 func TestEngineServesOneTier(t *testing.T) {
 	g := graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 7)
-	for _, c := range []struct {
-		pattern string
-		want    Algorithm
-	}{
-		{"ab|ba|aab", AlgoFinite},
-		{"a*c*", AlgoSubword},
-		{"a*(bb+|())c*", AlgoSummary},
-		{"a*bba*", AlgoBaseline},
-	} {
-		s := mustSolver(t, c.pattern)
-		tier := s.ChooseAlgorithm(nil)
-		if tier != c.want {
-			t.Fatalf("%q: ChooseAlgorithm = %v, want %v", c.pattern, tier, c.want)
-		}
-		e := NewEngine(s, g, EngineConfig{})
+	for _, row := range answerRows() {
+		tier := row.algo
+		e := NewEngine(compiledSolver(t, row.pattern), g, EngineConfig{})
 		_, tr := e.SolveTraced(0, 1)
 		e.Solve(2, 3)
 		var queries, latency []string
@@ -810,14 +589,14 @@ func TestEngineServesOneTier(t *testing.T) {
 		if !slices.Equal(queries, []string{"rspq_queries_total" + label}) ||
 			!slices.Equal(latency, []string{"rspq_query_seconds_count" + label}) {
 			t.Errorf("%q: query series %v and latency series %v, want one of each labelled %s",
-				c.pattern, queries, latency, label)
+				row.pattern, queries, latency, label)
 		}
 		if st := e.Stats(); st.Algorithm != tier.String() || st.Queries != 2 {
 			t.Errorf("%q: EngineStats.Algorithm = %q after %d queries, want %q after 2",
-				c.pattern, st.Algorithm, st.Queries, tier)
+				row.pattern, st.Algorithm, st.Queries, tier)
 		}
 		if tr.Tier != tier.String() {
-			t.Errorf("%q: traced tier %q, want %q", c.pattern, tr.Tier, tier)
+			t.Errorf("%q: traced tier %q, want %q", row.pattern, tr.Tier, tier)
 		}
 	}
 }

@@ -36,35 +36,14 @@ func TestQuickSummaryAgreesOnRandomPsitr(t *testing.T) {
 }
 
 // TestQuickWalkSubsumesSimple: whenever a simple L-path exists, an
-// L-walk exists; and the shortest walk is never longer than the
-// shortest simple path.
+// L-walk exists, and the shortest walk is never longer than the shortest
+// simple path (reference.lengths holds both) — on 160 small random
+// graphs.
 func TestQuickWalkSubsumesSimple(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
 	patterns := []string{"a*(bb+|())c*", "(aa)*", "a*ba*", "a*c*"}
-	property := func() bool {
-		pattern := patterns[rng.Intn(len(patterns))]
-		s, err := NewSolver(pattern)
-		if err != nil {
-			return false
-		}
-		n := 6 + rng.Intn(4)
-		g := graph.Random(n, []byte{'a', 'b', 'c'}, 0.2, rng.Int63())
-		x, y := rng.Intn(n), rng.Intn(n)
-		simple := BaselineShortest(g, s.Min, x, y, nil)
-		walk := ShortestWalk(g, s.Min, x, y)
-		if simple.Found {
-			if walk == nil {
-				return false
-			}
-			if walk.Len() > simple.Path.Len() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
+	checkGraphs(t, tier("baseline"), patterns, 40, 2, func(seed int64) *graph.Graph {
+		return graph.Random(6+int(seed%4), []byte{'a', 'b', 'c'}, 0.2, seed+77)
+	}, "Solver")
 }
 
 // TestQuickRemoveLoopsInvariants: loop removal yields a simple path

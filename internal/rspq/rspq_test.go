@@ -119,10 +119,8 @@ func TestLoopTrapDiscriminatesNaive(t *testing.T) {
 		t.Error("baseline witness invalid")
 	}
 	s := mustSolver(t, "a*bba*")
-	// a*bba* is NOT in trC (b is pinned between a-loops? actually:
-	// w1 = a, w2 = a pumping deletes nothing — but w1 = a, wm = bb:
-	// a^M bb a^M ∈ L, a^M a^M ∉ L) — the dispatcher must route to the
-	// baseline and still answer correctly.
+	// a*bba* is not in trC (a^M bb a^M ∈ L, a^M a^M ∉ L): the dispatcher
+	// must route it to the baseline and still answer correctly.
 	if s.Classification.Tractable {
 		t.Error("a*bba* should be intractable")
 	}
@@ -224,25 +222,13 @@ func TestFiniteBound(t *testing.T) {
 	}
 }
 
+// TestDAGSolver holds the DAG tier function to the reference on a
+// layered DAG, and pins that it rejects a cycle.
 func TestDAGSolver(t *testing.T) {
-	dag := graph.LayeredDAG(5, 4, 2, []byte{'a', 'b'}, 11)
-	d := mustMin(t, "(a|b)*a(a|b)*")
-	for x := 0; x < 4; x++ {
-		for y := 16; y < 20; y++ {
-			got, ok := DAG(dag, d, x, y)
-			if !ok {
-				t.Fatal("layered graph must be acyclic")
-			}
-			want := Baseline(dag, d, x, y, nil)
-			if got.Found != want.Found {
-				t.Errorf("DAG(%d,%d) = %v, baseline %v", x, y, got.Found, want.Found)
-			}
-			if !VerifyWitness(got, dag, d, x, y) {
-				t.Error("DAG witness invalid")
-			}
-		}
-	}
-	if _, ok := DAG(graph.LabeledCycle("ab"), d, 0, 0); ok {
+	checkGraphs(t, tier("dag"), []string{"(a|b)*a(a|b)*"}, 1, 1, func(int64) *graph.Graph {
+		return graph.LayeredDAG(5, 4, 2, []byte{'a', 'b'}, 11)
+	}, "tiers")
+	if _, ok := DAG(graph.LabeledCycle("ab"), mustMin(t, "(a|b)*a(a|b)*"), 0, 0); ok {
 		t.Error("cycle must be rejected by the DAG solver")
 	}
 }
@@ -267,30 +253,12 @@ func TestSubwordClosedDetection(t *testing.T) {
 	}
 }
 
+// TestSubwordSolverAgreesWithBaseline holds the subword tier function,
+// whose paths are shortest, to the reference on small random graphs.
 func TestSubwordSolverAgreesWithBaseline(t *testing.T) {
-	d := mustMin(t, "a*c*")
-	for seed := int64(0); seed < 6; seed++ {
-		g := graph.Random(10, []byte{'a', 'b', 'c'}, 0.18, seed)
-		for x := 0; x < 5; x++ {
-			for y := 5; y < 10; y++ {
-				got := Subword(g, d, x, y)
-				want := Baseline(g, d, x, y, nil)
-				if got.Found != want.Found {
-					t.Fatalf("seed %d (%d,%d): subword %v baseline %v", seed, x, y, got.Found, want.Found)
-				}
-				if !VerifyWitness(got, g, d, x, y) {
-					t.Fatal("subword witness invalid")
-				}
-				// Subword results are shortest.
-				if got.Found {
-					sh := BaselineShortest(g, d, x, y, nil)
-					if got.Path.Len() != sh.Path.Len() {
-						t.Fatalf("subword path length %d, shortest %d", got.Path.Len(), sh.Path.Len())
-					}
-				}
-			}
-		}
-	}
+	checkGraphs(t, tier("subword"), []string{"a*c*"}, 6, 1, func(seed int64) *graph.Graph {
+		return graph.Random(10, []byte{'a', 'b', 'c'}, 0.18, seed)
+	}, "tiers")
 }
 
 func TestColorCodingAgainstBaseline(t *testing.T) {
@@ -353,32 +321,19 @@ func TestAlgorithmStrings(t *testing.T) {
 	}
 }
 
+// TestDispatcherChoices pins the tier list: every language of every row
+// dispatches to the row's tier, on a cyclic and on an acyclic graph —
+// the tier is the language's alone.
 func TestDispatcherChoices(t *testing.T) {
-	cases := []struct {
-		pattern string
-		cyclic  bool
-		want    Algorithm
-	}{
-		{"ab|ba", true, AlgoFinite},
-		{"a*c*", true, AlgoSubword},
-		{"a*(bb+|())c*", true, AlgoSummary},
-		{"(aa)*", true, AlgoBaseline},
-		// The tier is the language's alone: an acyclic input changes none.
-		{"a*(bb+|())c*", false, AlgoSummary},
-		{"(aa)*", false, AlgoBaseline},
-		{"ab|ba", false, AlgoFinite},
-		{"a*c*", false, AlgoSubword},
-	}
-	cyc := graph.LabeledCycle("ab")
-	dag := graph.LayeredDAG(3, 2, 1, []byte{'a'}, 1)
-	for _, c := range cases {
-		s := mustSolver(t, c.pattern)
-		g := cyc
-		if !c.cyclic {
-			g = dag
-		}
-		if got := s.ChooseAlgorithm(g); got != c.want {
-			t.Errorf("ChooseAlgorithm(%q, cyclic=%v) = %v, want %v", c.pattern, c.cyclic, got, c.want)
+	cyc, dag := graph.LabeledCycle("ab"), graph.LayeredDAG(3, 2, 1, []byte{'a'}, 1)
+	for _, row := range tiers {
+		for _, pattern := range row.languages() {
+			s := compiledSolver(t, pattern)
+			for _, g := range []*graph.Graph{cyc, dag} {
+				if got := s.ChooseAlgorithm(g); got != row.algo {
+					t.Errorf("ChooseAlgorithm(%q) = %v, want the %s row's %v", pattern, got, row.name, row.algo)
+				}
+			}
 		}
 	}
 }

@@ -87,6 +87,19 @@ func TestEngineOverlaySoak(t *testing.T) {
 			wrng := rand.New(rand.NewSource(int64(w + 73)))
 			for i := 0; i < 150; i++ {
 				x, y := wrng.Intn(n), wrng.Intn(n)
+				if w == 0 && i == 0 {
+					// A write and a read under one write lock, after a
+					// compaction emptied the delta: the write is the whole
+					// delta, so the read pins an overlay whatever the
+					// compactor and the mutator do around it.
+					mu.Lock()
+					e.Compact()
+					l.flip(x, 'a', y)
+					mirror = l.rebuilt()
+					s.Warm(mirror)
+					e.Solve(x, y)
+					mu.Unlock()
+				}
 				mu.RLock()
 				got := e.Solve(x, y)
 				want := s.Solve(mirror, x, y)
@@ -109,9 +122,8 @@ func TestEngineOverlaySoak(t *testing.T) {
 	background.Wait()
 
 	// The oracle path must really have been the full-rebuild one, and the
-	// soak must have exercised both the overlay and the compactor at
-	// least plausibly (the mutator runs the whole time, so the first
-	// post-mutation query pins an overlay).
+	// soak must have read through an overlay (worker 0's first step
+	// guarantees one).
 	if full, inc := mirror.FreezeStats(); inc != 0 || full != 1 {
 		t.Fatalf("oracle freezes (full=%d, inc=%d): the mirror must rebuild from scratch", full, inc)
 	}
@@ -122,52 +134,37 @@ func TestEngineOverlaySoak(t *testing.T) {
 }
 
 // TestEngineSparseTableChurn is the add/remove churn of the soak above
-// pointed at a subword-closed language and at a baseline-tier language
-// on a layered DAG, where the walk-first step answers every source: both
-// read their Engine answers off cached goal tables, on graphs where some
-// backward sweeps reach more than half the product and others stay well
-// below, so both table forms are built (exportGoalTable picks by bytes),
-// every epoch flips edges in three pinned steps — read through an
-// overlay view that extends the previous epochs', every fourth epoch
-// through the base a Compact just merged — and then asks, per target,
-// once cold from a source the rebuilt graph proves unreachable — the
+// pointed at the subword row's language and at the DAG row's, where the
+// walk-first step answers every source: both read their Engine answers
+// off cached goal tables, on graphs where some backward sweeps reach
+// more than half the product and others stay well below, so both table
+// forms are built (exportGoalTable picks by bytes). Every epoch moves the
+// graph to an extended overlay (the extended view), every fourth reads
+// through the base a Compact just merged, and then asks, per target,
+// once cold from a source the textbook sweep proves unreachable — the
 // sweep runs to the end and the table is built, sparse whenever that
 // retains fewer bytes — and once more from a random other source, which
-// must hit that table. Both answers must pass VerifyWitness and agree,
-// in existence and in length (both tiers return shortest paths), with a
-// freshly compiled Solver on a graph rebuilt from scratch.
+// must hit that table. Both answers must be Solver.Solve's, found
+// exactly when the textbook sweep reaches the source and as long as its
+// distance (both tiers return shortest paths).
 func TestEngineSparseTableChurn(t *testing.T) {
-	cases := []struct {
-		name, pattern string
-		tier          Algorithm
-		gen           func() *graph.Graph
+	for _, tc := range []struct {
+		row string
+		g   *graph.Graph
 	}{
-		{"subword", "a*c*", AlgoSubword, func() *graph.Graph { return graph.RandomRegular(400, []byte{'a', 'b', 'c'}, 6, 29) }},
-		{"dag", "(a|b)*a(a|b)*", AlgoBaseline, func() *graph.Graph { return graph.LayeredDAG(40, 10, 2, []byte{'a', 'b'}, 29) }},
-	}
-	for _, c := range cases {
-		s, err := NewSolver(c.pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := c.gen()
-		n := g.NumVertices()
-		l := newLedger(g)
-		e := NewEngine(s, g, EngineConfig{CompactDelta: -1})
+		{"subword", graph.RandomRegular(400, []byte{'a', 'b', 'c'}, 6, 29)},
+		{"dag", graph.LayeredDAG(40, 10, 2, []byte{'a', 'b'}, 29)},
+	} {
+		row := tier(tc.row)
+		c := newCase(t, row, row.pattern, tc.g, 29)
+		m, start, n := c.s.Min.NumStates, c.s.Min.Start, c.g.NumVertices()
+		e := NewEngine(c.s, c.g, EngineConfig{CompactDelta: -1})
 		rng := rand.New(rand.NewSource(31))
 		var sparse, dense, hits int
 		for epoch := 0; epoch < 10; epoch++ {
-			mutateInSteps(l, rng, 3, 2, c.name == "dag")
+			c.move(t, extended)
 			if epoch%4 == 3 {
 				e.Compact()
-			}
-			oracle := l.rebuilt()
-			ref, err := NewSolver(c.pattern)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if algo := ref.ChooseAlgorithm(oracle); algo != c.tier {
-				t.Fatalf("%s: tier %v, want %v", c.name, algo, c.tier)
 			}
 			seen := map[int]bool{}
 			for i := 0; i < 12; i++ {
@@ -175,29 +172,21 @@ func TestEngineSparseTableChurn(t *testing.T) {
 				if i%2 == 0 {
 					y = rng.Intn(60) // few ancestors on the layered DAG
 				}
-				if seen[y] {
-					continue
-				}
-				seen[y] = true
-				u := rng.Intn(n)
-				for tries := 0; tries < n && ExistsWalk(oracle, s.Min, u, y); tries++ {
+				co, u := textbookSweep(c.l, dfaOracle(c.s.Min), y), rng.Intn(n)
+				for tries := 0; tries < n && co[u*m+start] >= 0; tries++ {
 					u = (u + 1) % n
 				}
-				if ExistsWalk(oracle, s.Min, u, y) {
+				if seen[y] || co[u*m+start] >= 0 {
 					continue // every vertex reaches y: no sweep from it runs to the end
 				}
-				for pass, x := range []int{u, (u + 1 + rng.Intn(n-1)) % n} {
-					got, tr := e.SolveTraced(x, y)
-					want := ref.Solve(oracle, x, y)
-					if got.Found != want.Found || (got.Found && got.Path.Len() != want.Path.Len()) {
-						t.Fatalf("%s epoch %d (%d,%d): engine %v, fresh solver on the rebuilt graph %v",
-							c.name, epoch, x, y, got.Path, want.Path)
-					}
-					if !VerifyWitness(got, g, s.Min, x, y) {
-						t.Fatalf("%s epoch %d (%d,%d): invalid witness %v", c.name, epoch, x, y, got.Path)
-					}
-					if tr.Tier != c.tier.String() || tr.ResultCacheHit || tr.TableCacheHit != (pass == 1) || tr.StoppedAt != 0 {
-						t.Fatalf("%s epoch %d (%d,%d) pass %d: trace %+v", c.name, epoch, x, y, pass, tr)
+				seen[y] = true
+				pairs := []Pair{{X: u, Y: y}, {X: (u + 1 + rng.Intn(n-1)) % n, Y: y}}
+				got := make([]Result, len(pairs))
+				for pass, pq := range pairs {
+					var tr *QueryTrace
+					got[pass], tr = e.SolveTraced(pq.X, pq.Y)
+					if tr.Tier != row.algo.String() || tr.ResultCacheHit || tr.TableCacheHit != (pass == 1) || tr.StoppedAt != 0 {
+						t.Fatalf("%s epoch %d (%d,%d) pass %d: trace %+v", c, epoch, pq.X, pq.Y, pass, tr)
 					}
 					switch {
 					case pass == 1:
@@ -208,14 +197,19 @@ func TestEngineSparseTableChurn(t *testing.T) {
 						dense++
 					}
 				}
+				// On both tiers a simple path exists exactly when a walk does.
+				walk := []int32{co[pairs[0].X*m+start], co[pairs[1].X*m+start]}
+				r := &reference{pairs: pairs, found: []bool{walk[0] >= 0, walk[1] >= 0}, walk: walk,
+					solve: each(pairs, func(x, y int) Result { return c.s.Solve(c.g, x, y) })}
+				c.check(t, r, "Engine", got, askSame)
+				c.check(t, r, "Engine", got, askWalk) // as short as the shortest walk
 			}
 		}
 		if sparse == 0 || dense == 0 || hits == 0 {
-			t.Fatalf("%s: %d sparse and %d dense tables built, %d table hits; the churn must see all three",
-				c.name, sparse, dense, hits)
+			t.Fatalf("%s: %d sparse and %d dense tables built, %d table hits; the churn must see all three", c, sparse, dense, hits)
 		}
 		if st := e.Stats(); st.OverlayReads == 0 || st.Compactions == 0 {
-			t.Fatalf("%s: overlay reads %d, compactions %d; the churn must see both", c.name, st.OverlayReads, st.Compactions)
+			t.Fatalf("%s: overlay reads %d, compactions %d; the churn must see both", c, st.OverlayReads, st.Compactions)
 		}
 	}
 }

@@ -30,34 +30,19 @@ var tractablePatterns = []string{
 }
 
 // TestSummaryCrossValidation is the central correctness test of the
-// repository: on hundreds of randomized instances the polynomial
-// summary solver must agree exactly with the exponential baseline —
-// both on the boolean answer and (for found paths) on validity.
+// repository: on randomized instances the polynomial summary solver —
+// and every other bare tier function — must agree exactly with the
+// reference on every Ψtr-normalizable language of the list, with valid
+// witnesses.
 func TestSummaryCrossValidation(t *testing.T) {
 	for _, pattern := range tractablePatterns {
-		s := mustSolver(t, pattern)
-		if s.Expr == nil {
+		if !summarizable(compiledSolver(t, pattern)) {
 			t.Fatalf("%q should normalize to Ψtr", pattern)
 		}
-		for seed := int64(0); seed < 8; seed++ {
-			n := 8 + int(seed)
-			p := 0.10 + 0.03*float64(seed%4)
-			g := graph.Random(n, []byte{'a', 'b', 'c'}, p, seed*31+7)
-			for x := 0; x < n; x += 3 {
-				for y := 1; y < n; y += 3 {
-					got := SolvePsitr(g, s.Expr, x, y, false)
-					want := Baseline(g, s.Min, x, y, nil)
-					if got.Found != want.Found {
-						t.Fatalf("%q seed=%d n=%d (%d,%d): summary=%v baseline=%v\ngraph:\n%s",
-							pattern, seed, n, x, y, got.Found, want.Found, g)
-					}
-					if !VerifyWitness(got, g, s.Min, x, y) {
-						t.Fatalf("%q seed=%d (%d,%d): invalid witness %v", pattern, seed, x, y, got.Path)
-					}
-				}
-			}
-		}
 	}
+	checkGraphs(t, tier("summary"), tractablePatterns, 8, 3, func(seed int64) *graph.Graph {
+		return graph.Random(8+int(seed), []byte{'a', 'b', 'c'}, 0.10+0.03*float64(seed%4), seed*31+7)
+	}, "tiers")
 }
 
 // TestSummaryPlansDieWithSolver pins that a Solver's Ψtr plans live
@@ -93,82 +78,35 @@ func TestSummaryPlansDieWithSolver(t *testing.T) {
 }
 
 // TestSummaryShortestCrossValidation checks the shortest-path variant
-// against iterative-deepening baseline lengths.
+// (among the bare tier functions) against iterative-deepening baseline
+// lengths.
 func TestSummaryShortestCrossValidation(t *testing.T) {
 	patterns := []string{"a*(bb+|())c*", "a*c*", "a+b+", "(a|b)*"}
-	for _, pattern := range patterns {
-		s := mustSolver(t, pattern)
-		for seed := int64(0); seed < 5; seed++ {
-			g := graph.Random(9, []byte{'a', 'b', 'c'}, 0.16, seed*17+3)
-			for x := 0; x < 9; x += 2 {
-				for y := 1; y < 9; y += 2 {
-					got := SolvePsitr(g, s.Expr, x, y, true)
-					want := BaselineShortest(g, s.Min, x, y, nil)
-					if got.Found != want.Found {
-						t.Fatalf("%q seed=%d (%d,%d): summary=%v baseline=%v", pattern, seed, x, y, got.Found, want.Found)
-					}
-					if got.Found && got.Path.Len() != want.Path.Len() {
-						t.Fatalf("%q seed=%d (%d,%d): summary length %d, baseline %d\npath %v vs %v",
-							pattern, seed, x, y, got.Path.Len(), want.Path.Len(), got.Path, want.Path)
-					}
-					if !VerifyWitness(got, g, s.Min, x, y) {
-						t.Fatal("invalid shortest witness")
-					}
-				}
-			}
-		}
-	}
+	checkGraphs(t, tier("summary"), patterns, 5, 2, func(seed int64) *graph.Graph {
+		return graph.Random(9, []byte{'a', 'b', 'c'}, 0.16, seed*17+3)
+	}, "tiers")
 }
 
 // TestSummaryOnDenseGraphs stresses the gap machinery where many
 // same-label choices exist.
 func TestSummaryOnDenseGraphs(t *testing.T) {
-	s := mustSolver(t, "a*(bb+|())c*")
-	for seed := int64(0); seed < 4; seed++ {
-		g := graph.Random(12, []byte{'a', 'b', 'c'}, 0.3, seed+100)
-		for x := 0; x < 4; x++ {
-			for y := 8; y < 12; y++ {
-				got := SolvePsitr(g, s.Expr, x, y, false)
-				want := Baseline(g, s.Min, x, y, nil)
-				if got.Found != want.Found {
-					t.Fatalf("seed=%d (%d,%d): summary=%v baseline=%v", seed, x, y, got.Found, want.Found)
-				}
-			}
-		}
-	}
+	checkGraphs(t, tier("summary"), []string{"a*(bb+|())c*"}, 4, 3, func(seed int64) *graph.Graph {
+		return graph.Random(12, []byte{'a', 'b', 'c'}, 0.3, seed+100)
+	}, "tiers")
 }
 
 // TestSummaryExampleOneCases replays the case analysis of the paper's
-// Example 1 on hand-built graphs.
+// Example 1 on labeled paths: a pure a*c* path, exactly two b's, a long
+// b-run that forces the gap machinery, and a single b, which is not in
+// the language.
 func TestSummaryExampleOneCases(t *testing.T) {
 	s := mustSolver(t, "a*(bb+|())c*")
-
-	// Case 1: a pure a*c* path exists.
-	g1, x1, y1 := graph.LabeledPath("aacc")
-	res := SolvePsitr(g1, s.Expr, x1, y1, false)
-	if !res.Found || res.Path.Word() != "aacc" {
-		t.Fatalf("case 1: %v", res.Path)
-	}
-
-	// Case 2: a path with exactly two b's.
-	g2, x2, y2 := graph.LabeledPath("abbc")
-	res = SolvePsitr(g2, s.Expr, x2, y2, false)
-	if !res.Found || res.Path.Word() != "abbc" {
-		t.Fatalf("case 2: %v", res.Path)
-	}
-
-	// Case 3: a long b-run forces the gap machinery: a b^6 c.
-	g3, x3, y3 := graph.LabeledPath("abbbbbbc")
-	res = SolvePsitr(g3, s.Expr, x3, y3, false)
-	if !res.Found {
-		t.Fatal("case 3: long b-run not found")
-	}
-
-	// Case 4: single b only — not in the language.
-	g4, x4, y4 := graph.LabeledPath("abc")
-	res = SolvePsitr(g4, s.Expr, x4, y4, false)
-	if res.Found {
-		t.Fatalf("case 4: abc ∉ L, got %v", res.Path)
+	for _, word := range []string{"aacc", "abbc", "abbbbbbc", "abc"} {
+		g, x, y := graph.LabeledPath(word)
+		res := SolvePsitr(g, s.Expr, x, y, false)
+		if want := word != "abc"; res.Found != want || want && res.Path.Word() != word {
+			t.Errorf("%q: found=%v path %v; want found=%v", word, res.Found, res.Path, want)
+		}
 	}
 }
 
@@ -209,32 +147,16 @@ func TestSummaryGapDisjointness(t *testing.T) {
 	g.AddEdge(m, 'c', y)
 	g.AddEdge(b1, 'b', b2)
 	g.AddEdge(b2, 'c', y)
-
-	s := mustSolver(t, "a*(bb+|())c*")
-	d := s.Min
-	got := SolvePsitr(g, s.Expr, x, y, false)
-	want := Baseline(g, d, x, y, nil)
-	if got.Found != want.Found {
-		t.Fatalf("summary=%v baseline=%v", got.Found, want.Found)
-	}
-	if !VerifyWitness(got, g, d, x, y) {
-		t.Fatal("invalid witness")
-	}
+	c := newCase(t, tier("summary"), "a*(bb+|())c*", g, 0)
+	checkSurfaces(t, c, c.pairs(1), "Solver", "tiers")
 }
 
-// TestSummarySelfQueries checks the x == y corner for every pattern.
+// TestSummarySelfQueries checks every pair of a small graph, the x == y
+// corner among them, for every pattern.
 func TestSummarySelfQueries(t *testing.T) {
-	for _, pattern := range tractablePatterns {
-		s := mustSolver(t, pattern)
-		g := graph.Random(6, []byte{'a', 'b', 'c'}, 0.3, 5)
-		for v := 0; v < 6; v++ {
-			got := SolvePsitr(g, s.Expr, v, v, false)
-			wantEps := s.Min.Member("")
-			if got.Found != wantEps {
-				t.Errorf("%q self-query at %d: found=%v, ε∈L=%v", pattern, v, got.Found, wantEps)
-			}
-		}
-	}
+	checkGraphs(t, tier("summary"), tractablePatterns, 1, 1, func(int64) *graph.Graph {
+		return graph.Random(6, []byte{'a', 'b', 'c'}, 0.3, 5)
+	}, "tiers")
 }
 
 // TestVlgSolveCrossValidation checks SolveVlg against the baseline on
@@ -301,55 +223,6 @@ func TestVlgPolynomialExample(t *testing.T) {
 // first gap's exit.
 var adjacentGapPatterns = []string{"a+b+", "a+c?b+", "(a|b)+c+", "a+(b|c)+a", "a+b*c+"}
 
-// checkAgainstBaselineShortest asserts that every query surface — the
-// per-query Solver (Solve and Shortest), the BatchSolver and the
-// Engine, single and batched, witness and existence-only — agrees with
-// the exponential ground truth on all pairs of g, and that every
-// witness verifies. It returns the number of pairs checked.
-func checkAgainstBaselineShortest(t *testing.T, s *Solver, g *graph.Graph, tag string) int {
-	t.Helper()
-	n := g.NumVertices()
-	var pairs []Pair
-	var want []Result
-	for x := 0; x < n; x++ {
-		for y := 0; y < n; y++ {
-			pairs = append(pairs, Pair{X: x, Y: y})
-			want = append(want, BaselineShortest(g, s.Min, x, y, nil))
-		}
-	}
-	check := func(surface string, i int, got Result, witness bool) {
-		t.Helper()
-		pq := pairs[i]
-		if got.Found != want[i].Found {
-			t.Fatalf("%s %s (%d,%d): found=%v, baseline=%v\ngraph:\n%s", tag, surface, pq.X, pq.Y, got.Found, want[i].Found, g)
-		}
-		if witness && !VerifyWitness(got, g, s.Min, pq.X, pq.Y) {
-			t.Fatalf("%s %s (%d,%d): invalid witness %v\ngraph:\n%s", tag, surface, pq.X, pq.Y, got.Path, g)
-		}
-	}
-	bs := NewBatchSolver(s, g)
-	e := NewEngine(s, g, EngineConfig{})
-	batch, batchExists := bs.Solve(pairs), bs.SolveExists(pairs)
-	// The engine's batch runs on a second engine so the first one's
-	// single queries are not answered from the result cache it filled.
-	engBatch := NewEngine(s, g, EngineConfig{}).BatchSolve(pairs)
-	for i, pq := range pairs {
-		check("Solver.Solve", i, s.Solve(g, pq.X, pq.Y), true)
-		short := s.Shortest(g, pq.X, pq.Y)
-		check("Solver.Shortest", i, short, true)
-		if short.Found && short.Path.Len() != want[i].Path.Len() {
-			t.Fatalf("%s Solver.Shortest (%d,%d): length %d, baseline %d\ngraph:\n%s",
-				tag, pq.X, pq.Y, short.Path.Len(), want[i].Path.Len(), g)
-		}
-		check("BatchSolver.Solve", i, batch[i], true)
-		check("BatchSolver.SolveExists", i, Result{Found: batchExists[i]}, false)
-		check("Engine.Exists", i, Result{Found: e.Exists(pq.X, pq.Y)}, false)
-		check("Engine.Solve", i, e.Solve(pq.X, pq.Y), true)
-		check("Engine.BatchSolve", i, engBatch[i], true)
-	}
-	return len(pairs)
-}
-
 // TestSummaryAdjacentGaps is the regression test for the summary-tier
 // wrong answer on adjacent [A]*[B]* terms: the second gap's entry is the
 // first gap's exit, which the acc-ball test of Definition 4 must not
@@ -371,7 +244,8 @@ func TestSummaryAdjacentGaps(t *testing.T) {
 	if res := s.Solve(g, 0, 4); !res.Found || res.Path.Word() != "aabb" {
 		t.Fatalf("a+b+ misses the path aabb: %+v", res)
 	}
-	checkAgainstBaselineShortest(t, s, g, "path+cycle")
+	hc := newCase(t, tier("summary-adjacent-gaps"), "a+b+", g, 0)
+	checkSurfaces(t, hc, hc.pairs(1), "Solver", "BatchSolver", "Engine/kept")
 
 	for _, pattern := range adjacentGapPatterns {
 		s := mustSolver(t, pattern)
@@ -387,7 +261,8 @@ func TestSummaryAdjacentGaps(t *testing.T) {
 				if g.IsAcyclic() {
 					continue // the DAG tier would answer, not the summary solver
 				}
-				checked += checkAgainstBaselineShortest(t, s, g, fmt.Sprintf("%q seed=%d graph=%d", pattern, seed, i))
+				hc := newCase(t, tier("summary-adjacent-gaps"), pattern, g, int64(i))
+				checked += len(checkSurfaces(t, hc, hc.pairs(1), "Solver", "BatchSolver", "Engine/kept").pairs)
 			}
 		}
 		if checked < 2000 {
@@ -398,43 +273,18 @@ func TestSummaryAdjacentGaps(t *testing.T) {
 
 // TestSolverEndToEnd runs the dispatcher across tiers on one graph.
 func TestSolverEndToEnd(t *testing.T) {
-	g := graph.Random(14, []byte{'a', 'b', 'c'}, 0.15, 77)
-	for _, pattern := range []string{"ab|ba", "a*c*", "a*(bb+|())c*", "(aa)*", "a*ba*"} {
-		s := mustSolver(t, pattern)
-		for x := 0; x < 14; x += 4 {
-			for y := 2; y < 14; y += 4 {
-				got := s.Solve(g, x, y)
-				want := Baseline(g, s.Min, x, y, nil)
-				if got.Found != want.Found {
-					t.Fatalf("%q (%d,%d): dispatcher=%v baseline=%v (algo %v)",
-						pattern, x, y, got.Found, want.Found, s.ChooseAlgorithm(g))
-				}
-				if !VerifyWitness(got, g, s.Min, x, y) {
-					t.Fatal("invalid dispatcher witness")
-				}
-			}
-		}
-	}
+	patterns := []string{"ab|ba", "a*c*", "a*(bb+|())c*", "(aa)*", "a*ba*"}
+	checkGraphs(t, tier("baseline"), patterns, 1, 4, func(int64) *graph.Graph {
+		return graph.Random(14, []byte{'a', 'b', 'c'}, 0.15, 77)
+	}, "Solver")
 }
 
 // TestShortestEndToEnd checks Solver.Shortest against the baseline.
 func TestShortestEndToEnd(t *testing.T) {
-	g := graph.Random(9, []byte{'a', 'b', 'c'}, 0.2, 123)
-	for _, pattern := range []string{"ab|ba", "a*c*", "a*(bb+|())c*", "(aa)*"} {
-		s := mustSolver(t, pattern)
-		for x := 0; x < 9; x += 2 {
-			for y := 1; y < 9; y += 2 {
-				got := s.Shortest(g, x, y)
-				want := BaselineShortest(g, s.Min, x, y, nil)
-				if got.Found != want.Found {
-					t.Fatalf("%q (%d,%d): %v vs %v", pattern, x, y, got.Found, want.Found)
-				}
-				if got.Found && got.Path.Len() != want.Path.Len() {
-					t.Fatalf("%q (%d,%d): len %d vs %d", pattern, x, y, got.Path.Len(), want.Path.Len())
-				}
-			}
-		}
-	}
+	patterns := []string{"ab|ba", "a*c*", "a*(bb+|())c*", "(aa)*"}
+	checkGraphs(t, tier("baseline"), patterns, 1, 2, func(int64) *graph.Graph {
+		return graph.Random(9, []byte{'a', 'b', 'c'}, 0.2, 123)
+	}, "Solver")
 }
 
 func ExampleSolver() {

@@ -10,30 +10,9 @@ import (
 	"repro/internal/graph"
 )
 
-// walkFirstPatterns are the languages of TestWalkFirst: four NP-complete
-// ones (contains-b, a*ba*, loop-trap, even-a) and the paper's two
-// summary-tier examples.
-var walkFirstPatterns = []string{
-	"(a|b)*b(a|b)*",
-	"a*ba*",
-	"a*bba*",
-	"(aa)*",
-	"a*(bb+|())c*",             // Example 1
-	"a(c{2,}|())(a|b)*(ac)?a*", // Example 2
-}
-
-// walkFirstPairs are the probe pairs x = 37i mod n, y = (91i+5) mod n,
-// i < 40.
-func walkFirstPairs(n int) []Pair {
-	pairs := make([]Pair, 40)
-	for i := range pairs {
-		pairs[i] = Pair{X: 37 * i % n, Y: (91*i + 5) % n}
-	}
-	return pairs
-}
-
 // TestWalkFirst pins that the summary and baseline tiers answer from
-// the shortest walk whenever it decides the query. On the probe graphs,
+// the shortest walk whenever it decides the query, for every language of
+// the answer rows on those tiers. On the probe graphs,
 // where exact search can take seconds, a pair whose shortest walk is
 // simple must come back from Solve, Shortest and a traced uncached
 // Engine with a witness exactly as long as the walk and no search node
@@ -47,15 +26,26 @@ func TestWalkFirst(t *testing.T) {
 		"random":  graph.Random(400, ab, 0.006, 11),
 		"regular": graph.RandomRegular(400, abc, 3, 7),
 	}
+	for _, g := range probe {
+		g.AddVertex() // isolated: the pair builder's vertex without edges
+	}
 	var decided [2]int // pairs with no walk, and with a simple one
-	for _, pattern := range walkFirstPatterns {
+	var patterns []string
+	for _, row := range answerRows() {
+		if row.algo == AlgoSummary || row.algo == AlgoBaseline {
+			patterns = append(patterns, row.languages()...)
+		}
+	}
+	rng := rand.New(rand.NewSource(40))
+	for _, pattern := range patterns {
 		s := mustSolver(t, pattern)
 		for name, g := range probe {
 			if tier := s.ChooseAlgorithm(g); tier != AlgoSummary && tier != AlgoBaseline {
 				t.Fatalf("%q on %s: tier %v; the probe is meant for the searching tiers", pattern, name, tier)
 			}
 			e := NewEngine(s, g, EngineConfig{TableBytes: -1, ResultBytes: -1})
-			for _, pq := range walkFirstPairs(g.NumVertices()) {
+			n := g.NumVertices()
+			for _, pq := range pairsFor(n, n-1, n/6, nil, rng) {
 				x, y := pq.X, pq.Y
 				walk := ShortestWalk(g, s.Min, x, y)
 				if walk != nil && !walk.IsSimple() {
@@ -90,43 +80,27 @@ func TestWalkFirst(t *testing.T) {
 	}
 	t.Logf("probe pairs: %d without a walk, %d with a simple one", decided[0], decided[1])
 
-	// The searched pairs, on copies small enough for the ground truth.
-	small := map[string]*graph.Graph{
-		"random":  graph.Random(60, ab, 0.04, 11),
-		"regular": graph.RandomRegular(60, abc, 3, 7),
-	}
+	// The searched pairs, on copies small enough for the ground truth:
+	// Solve, Shortest and a kept Engine agree with the reference, and an
+	// uncached Engine counts search nodes where loop removal failed.
 	for _, pattern := range []string{"a*bba*", "(aa)*"} {
-		s := mustSolver(t, pattern)
 		searched := 0
-		for name, g := range small {
-			e := NewEngine(s, g, EngineConfig{TableBytes: -1, ResultBytes: -1})
-			n := g.NumVertices()
-			for x := 0; x < n; x++ {
-				for y := 0; y < n; y++ {
-					walk := ShortestWalk(g, s.Min, x, y)
-					if walk == nil || walk.IsSimple() {
-						continue
-					}
-					searched++
-					want := BaselineShortest(g, s.Min, x, y, nil)
-					solved, short := s.Solve(g, x, y), s.Shortest(g, x, y)
-					traced, tr := e.SolveTraced(x, y)
-					for _, got := range []struct {
-						who string
-						res Result
-					}{{"Solve", solved}, {"Shortest", short}, {"Engine.SolveTraced", traced}} {
-						if got.res.Found != want.Found || !VerifyWitness(got.res, g, s.Min, x, y) {
-							t.Fatalf("%q on %s (%d,%d): %s = %v, BaselineShortest %v (walk %v)", pattern, name, x, y, got.who, got.res.Path, want.Path, walk)
-						}
-					}
-					if short.Found && short.Path.Len() != want.Path.Len() {
-						t.Fatalf("%q on %s (%d,%d): Shortest length %d, BaselineShortest %d", pattern, name, x, y, short.Path.Len(), want.Path.Len())
-					}
-					if loopFree(s.Min, walk) == nil && tr.SearchNodes == 0 {
-						t.Fatalf("%q on %s (%d,%d): the walk left the pair open, yet no search node was counted", pattern, name, x, y)
-					}
+		for seed, g := range []*graph.Graph{graph.Random(60, ab, 0.04, 11), graph.RandomRegular(60, abc, 3, 7)} {
+			c := newCase(t, tier("baseline"), pattern, g, int64(seed))
+			var pairs []Pair
+			for _, pq := range c.pairs(1) {
+				if walk := ShortestWalk(g, c.s.Min, pq.X, pq.Y); walk != nil && !walk.IsSimple() {
+					pairs = append(pairs, pq)
 				}
 			}
+			checkSurfaces(t, c, pairs, "Solver", "Engine/kept")
+			e := NewEngine(c.s, g, EngineConfig{TableBytes: -1, ResultBytes: -1})
+			for _, pq := range pairs {
+				if _, tr := e.SolveTraced(pq.X, pq.Y); loopFree(c.s.Min, ShortestWalk(g, c.s.Min, pq.X, pq.Y)) == nil && tr.SearchNodes == 0 {
+					t.Fatalf("%s (%d,%d): the walk left the pair open, yet no search node was counted", c, pq.X, pq.Y)
+				}
+			}
+			searched += len(pairs)
 		}
 		if searched == 0 {
 			t.Fatalf("%q: no pair's shortest walk repeats a vertex; the search fallback went untested", pattern)
@@ -137,41 +111,32 @@ func TestWalkFirst(t *testing.T) {
 
 // TestDAGWalkFirst pins Theorem 8 on the evaluator: on a DAG every walk
 // is simple, so no tier of its own is needed. For every catalog language
-// on layered DAGs, Solve and Shortest agree with the exponential ground
-// truth (Baseline, BaselineShortest) on existence and are as short as
-// BaselineShortest's path, and a traced uncached Engine runs the
-// language's own tier — never dag — with no search node expanded on the
-// walk-first tiers (the finite tier's deepening is its search).
+// on layered DAGs, Solve, Shortest and a traced uncached Engine answer as
+// the reference, the Engine with Solve's witness and all three as short
+// as BaselineShortest's path, and the Engine runs the language's own
+// tier — never dag — with no search node expanded on the walk-first
+// tiers (the finite tier's deepening is its search).
 func TestDAGWalkFirst(t *testing.T) {
 	found := 0
 	for _, entry := range catalog.All() {
-		s := mustSolver(t, entry.Pattern)
-		tier := s.ChooseAlgorithm(nil)
 		for seed := int64(1); seed <= 3; seed++ {
-			g := graph.LayeredDAG(20, 20, 3, []byte("abc"), seed)
-			e := NewEngine(s, g, EngineConfig{TableBytes: -1, ResultBytes: -1})
+			c := newCase(t, tier("dag"), entry.Pattern, graph.LayeredDAG(20, 20, 3, []byte("abc"), seed), seed)
+			var pairs []Pair
 			for i := 0; i < 60; i++ {
 				lx := i % 10
-				x := lx*20 + 7*i%20
-				y := (lx+1+3*i%(19-lx))*20 + (11*i+3)%20
-				want, wantShort := Baseline(g, s.Min, x, y, nil), BaselineShortest(g, s.Min, x, y, nil)
-				if want.Found != wantShort.Found {
-					t.Fatalf("%q seed=%d (%d,%d): Baseline found=%v, BaselineShortest found=%v", entry.Pattern, seed, x, y, want.Found, wantShort.Found)
-				}
-				traced, tr := e.SolveTraced(x, y)
-				for _, got := range []struct {
-					who string
-					res Result
-				}{{"Solve", s.Solve(g, x, y)}, {"Shortest", s.Shortest(g, x, y)}, {"Engine.SolveTraced", traced}} {
-					if got.res.Found != want.Found || !VerifyWitness(got.res, g, s.Min, x, y) ||
-						got.res.Found && got.res.Path.Len() != wantShort.Path.Len() {
-						t.Fatalf("%q seed=%d (%d,%d): %s = %v, BaselineShortest %v", entry.Pattern, seed, x, y, got.who, got.res.Path, wantShort.Path)
-					}
-				}
+				pairs = append(pairs, Pair{X: lx*20 + 7*i%20, Y: (lx+1+3*i%(19-lx))*20 + (11*i+3)%20})
+			}
+			r := checkSurfaces(t, c, pairs, "Solver")
+			c.check(t, r, "Solve", r.solve, askShortest)
+			tier := c.s.ChooseAlgorithm(nil)
+			e := NewEngine(c.s, c.g, EngineConfig{TableBytes: -1, ResultBytes: -1})
+			for i, pq := range pairs {
+				res, tr := e.SolveTraced(pq.X, pq.Y)
+				c.check(t, r.at(i), "traced Engine", []Result{res}, askSame)
 				if tr.Tier != tier.String() || tier != AlgoFinite && tr.SearchNodes != 0 {
-					t.Fatalf("%q seed=%d (%d,%d): trace tier %s with %d search nodes; want %v with none", entry.Pattern, seed, x, y, tr.Tier, tr.SearchNodes, tier)
+					t.Fatalf("%s (%d,%d): trace tier %s with %d search nodes; want %v with none", c, pq.X, pq.Y, tr.Tier, tr.SearchNodes, tier)
 				}
-				if want.Found {
+				if r.found[i] {
 					found++
 				}
 			}

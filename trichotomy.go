@@ -47,16 +47,18 @@
 //   - Graphs follow a build-then-freeze lifecycle: construct with
 //     AddVertex/AddEdge, then query. The first query freezes the graph
 //     into a label-indexed CSR snapshot (contiguous per-label adjacency
-//     in both directions) and caches the alphabet. Every mutation
-//     (AddEdge, RemoveEdge, AddVertex) advances the graph's mutation
-//     epoch (Graph.Epoch) and accumulates in a delta overlay; the next
-//     query re-freezes INCREMENTALLY,
-//     merging the delta into the previous snapshot in time proportional
-//     to the delta rather than rebuilding all E edges, so streaming
-//     workloads interleave mutation and query cheaply. Call
-//     Language.Warm(g) after construction to freeze eagerly — required
-//     before querying one graph from many goroutines, optional
-//     otherwise.
+//     in both directions); the alphabet is a pass over 256 label
+//     counts, cached nowhere. Every mutation (AddEdge, RemoveEdge,
+//     AddVertex) advances the graph's mutation epoch (Graph.Epoch) and
+//     is kept as the net delta against that snapshot: a query after a
+//     write pins an overlay view of the snapshot plus the delta,
+//     extending the previous pin's overlay by the writes since, and
+//     freezes nothing; a compaction (Engine.Compact, or the next Freeze)
+//     merges the delta into a new snapshot in time proportional to the
+//     delta. So streaming workloads interleave mutation and query
+//     cheaply. Call Language.Warm(g) after construction to freeze
+//     eagerly — required before querying one graph from many
+//     goroutines, optional otherwise.
 //   - Compile precomputes what every query reads language-side: the
 //     minimal DFA and its tier, its packed predecessor table and, for a
 //     finite language, the bound of the AC⁰ tier's search — bounded
@@ -80,9 +82,11 @@ import (
 
 // Graph is an edge-labeled directed graph (db-graph). It is mutable —
 // AddVertex / AddEdge / RemoveEdge — with every mutation advancing its
-// epoch (Epoch) and recorded in a delta overlay, so re-freezing after a
-// mutation merges the delta into the previous CSR snapshot instead of
-// rebuilding; FreezeStats reports the full/incremental split.
+// epoch (Epoch) and kept as the net delta against its last frozen CSR
+// snapshot: a query after a write reads an overlay view of the snapshot
+// plus the delta, and a compaction (Freeze) merges the delta into the
+// next snapshot instead of rebuilding; FreezeStats reports the
+// full/incremental split.
 type Graph = graph.Graph
 
 // Edge is one labeled directed edge of a Graph, the unit of the bulk
@@ -229,8 +233,8 @@ func (l *Language) Warm(g *Graph) { l.solver.Warm(g) }
 // first take the shortest L-labeled walk: with none there is no path,
 // and a walk that is simple, or whose loops can be removed without
 // leaving L, is the witness; only the rest is searched. Queries always
-// observe the graph's current epoch: a mutation between calls makes the
-// next Solve re-freeze (incrementally) before answering.
+// observe the graph's current epoch: after a mutation the next Solve
+// reads an overlay view of the snapshot plus the delta.
 func (l *Language) Solve(g *Graph, x, y int) Result { return l.solver.Solve(g, x, y) }
 
 // Shortest returns a shortest simple L-labeled path from x to y, using
@@ -279,10 +283,11 @@ func (l *Language) NewBatchSolver(g *Graph) *BatchSolver {
 // all three algorithm tiers, and a result cache for hot (x, y)
 // answers. Cache keys carry the graph's mutation epoch (see
 // (*Graph).Epoch), so mutating g invalidates every cached entry
-// automatically — the next query re-freezes and starts repopulating.
-// The refreeze is incremental (a delta merge, not an O(V+E) rebuild),
-// so interleaving small mutation batches with queries is cheap; see
-// EngineStats.IncrementalFreezes. The engine is safe for concurrent
+// automatically — the next query pins an overlay view of the snapshot
+// plus the delta and starts repopulating, and a compaction (Compact)
+// merges the delta incrementally (not an O(V+E) rebuild), so
+// interleaving small mutation batches with queries is cheap; see
+// EngineStats.OverlayReads and IncrementalFreezes. The engine is safe for concurrent
 // use; treat Paths in returned Results as immutable, since hot results
 // are shared between callers.
 func (l *Language) NewEngine(g *Graph, cfg EngineConfig) *Engine {
