@@ -29,8 +29,8 @@ guards:
 
 # mutants: each patch under scripts/mutants/ plants a known bug in the
 # query kernels in a temporary copy of the tree; go test ./internal/rspq/
-# must fail on every one. Fails when a mutation survives or a patch no
-# longer applies.
+# must fail on every one. Fails when a mutation survives, or a patch no
+# longer applies or leaves a tree that does not build.
 mutants:
 	bash scripts/mutants.sh
 

@@ -23,8 +23,8 @@
 // Test names are checked too, against the Test/Fuzz/Benchmark/Example
 // functions defined in the _test.go files under the working directory:
 // a backticked name in markdown must be one of them, and a name in a
-// -run, -fuzz or -bench pattern — in markdown code or in a Makefile
-// argument — must start one that the pattern matches. `go test -run` on
+// -run or -fuzz pattern — in markdown code or in a Makefile argument —
+// must start one that the pattern matches. `go test -run` on
 // a missing name passes with "no tests to run", so a renamed test would
 // otherwise drop silently out of the commands that name it.
 //
@@ -55,7 +55,7 @@ var (
 	testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z_][A-Za-z0-9_]*`)
 	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
 	// runFlag matches a go test flag that takes a test-name pattern.
-	runFlag = regexp.MustCompile(`-(?:run|fuzz|bench)[ =]('[^']*'|"[^"]*"|[^\s'"]+)`)
+	runFlag = regexp.MustCompile(`-(?:run|fuzz)[ =]('[^']*'|"[^"]*"|[^\s'"]+)`)
 )
 
 // testFuncs lists the test functions defined in the _test.go files
@@ -91,7 +91,7 @@ type refs struct {
 }
 
 // checkTests checks the test names in text, a code span or a Makefile
-// line: each name inside a -run/-fuzz/-bench pattern must start a
+// line: each name inside a -run/-fuzz pattern must start a
 // defined test function the pattern matches; when exact is set, each
 // other name must be one, except a name followed by a * placeholder.
 func (r *refs) checkTests(line int, text string, exact bool) {
@@ -149,7 +149,7 @@ func (r *refs) check(line int, ref string) {
 
 // checkGoFile scans the comments of one Go file and returns the
 // root-level markdown files they name that do not exist.
-func checkGoFile(path string, _ []string) ([]string, error) {
+func checkGoFile(path string) ([]string, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 	if err != nil {
@@ -218,14 +218,15 @@ func run(files []string) ([]string, error) {
 	}
 	var bad []string
 	for _, f := range files {
-		check := checkFile
+		var b []string
 		switch {
 		case strings.HasSuffix(f, ".go"):
-			check = checkGoFile
+			b, err = checkGoFile(f)
 		case filepath.Base(f) == "Makefile":
-			check = checkMakefile
+			b, err = checkMakefile(f, tests)
+		default:
+			b, err = checkFile(f, tests)
 		}
-		b, err := check(f, tests)
 		if err != nil {
 			return nil, err
 		}

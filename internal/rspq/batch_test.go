@@ -2,7 +2,6 @@ package rspq
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -67,23 +66,17 @@ func TestBatchSetWorkersConcurrent(t *testing.T) {
 	bs := NewBatchSolver(s, g)
 	pairs := []Pair{{0, 1}, {2, 1}, {3, 4}, {5, 4}}
 	want := bs.Solve(pairs)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				got := bs.SetWorkers(n + 1).Solve(pairs)
-				for j := range pairs {
-					if got[j].Found != want[j].Found {
-						t.Errorf("pair %v: %v != %v", pairs[j], got[j].Found, want[j].Found)
-						return
-					}
+	concurrently(4, func(n int) {
+		for i := 0; i < 30; i++ {
+			got := bs.SetWorkers(n + 1).Solve(pairs)
+			for j := range pairs {
+				if got[j].Found != want[j].Found {
+					t.Errorf("pair %v: %v != %v", pairs[j], got[j].Found, want[j].Found)
+					return
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 }
 
 // TestBatchConcurrentStress hammers one BatchSolver from many
@@ -103,38 +96,33 @@ func TestBatchConcurrentStress(t *testing.T) {
 		ref[pq] = r.found[i]
 	}
 
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for round := 0; round < 20; round++ {
-				var pairs []Pair
-				for i := 0; i < 25; i++ {
-					pairs = append(pairs, Pair{X: rng.Intn(60), Y: rng.Intn(6)})
+	concurrently(8, func(w int) {
+		seed := int64(w)
+		rng := rand.New(rand.NewSource(seed))
+		for round := 0; round < 20; round++ {
+			var pairs []Pair
+			for i := 0; i < 25; i++ {
+				pairs = append(pairs, Pair{X: rng.Intn(60), Y: rng.Intn(6)})
+			}
+			got := bs.Solve(pairs)
+			for i, pq := range pairs {
+				if got[i].Found != ref[pq] {
+					t.Errorf("pair %v: batch=%v want=%v", pq, got[i].Found, ref[pq])
+					return
 				}
-				got := bs.Solve(pairs)
-				for i, pq := range pairs {
-					if got[i].Found != ref[pq] {
-						t.Errorf("pair %v: batch=%v want=%v", pq, got[i].Found, ref[pq])
-						return
-					}
-					if !VerifyWitness(got[i], g, s.Min, pq.X, pq.Y) {
-						t.Errorf("pair %v: invalid witness", pq)
-						return
-					}
-				}
-				// Interleave a per-query call on the same solver.
-				pq := pairs[rng.Intn(len(pairs))]
-				if s.Solve(g, pq.X, pq.Y).Found != ref[pq] {
-					t.Errorf("interleaved solve diverged on %v", pq)
+				if !VerifyWitness(got[i], g, s.Min, pq.X, pq.Y) {
+					t.Errorf("pair %v: invalid witness", pq)
 					return
 				}
 			}
-		}(int64(w))
-	}
-	wg.Wait()
+			// Interleave a per-query call on the same solver.
+			pq := pairs[rng.Intn(len(pairs))]
+			if s.Solve(g, pq.X, pq.Y).Found != ref[pq] {
+				t.Errorf("interleaved solve diverged on %v", pq)
+				return
+			}
+		}
+	})
 }
 
 // TestBatchSolveExists holds the BatchSolver's existence-only asks, on

@@ -21,21 +21,23 @@ var allAlgorithms = []Algorithm{
 
 // TestOutOfRangeNoPanic drives every Algorithm value through SolveWith,
 // and Solve, Shortest and ColorCoding, with out-of-range ids, on the
-// language of every answer row on its own graph — the DAG row's
-// acyclic — expecting Found=false and no panic.
+// language of every answer row, each on a cyclic graph and on the DAG
+// row's acyclic one, expecting Found=false and no panic.
 func TestOutOfRangeNoPanic(t *testing.T) {
 	for _, row := range answerRows() {
-		c := newCase(t, row, row.pattern, row.graph(3, 12), 3)
-		s, g, n := c.s, c.g, c.g.NumVertices()
-		for _, pq := range outOfRange(n) {
-			for _, algo := range allAlgorithms {
-				if res := s.SolveWith(g, pq.X, pq.Y, algo); res.Found {
-					t.Errorf("%s/%v: SolveWith(%d, %d) = Found on %d-vertex graph", c, algo, pq.X, pq.Y, n)
+		for _, g := range []*graph.Graph{graph.RandomRegular(12, []byte("abc"), 2, 3), graph.LayeredDAG(3, 4, 2, []byte("ab"), 5)} {
+			c := newCase(t, row, row.pattern, g, 3)
+			s, n := c.s, g.NumVertices()
+			for _, pq := range outOfRange(n) {
+				for _, algo := range allAlgorithms {
+					if res := s.SolveWith(g, pq.X, pq.Y, algo); res.Found {
+						t.Errorf("%s/%v: SolveWith(%d, %d) = Found on %d-vertex graph", c, algo, pq.X, pq.Y, n)
+					}
 				}
-			}
-			if s.Solve(g, pq.X, pq.Y).Found || s.Shortest(g, pq.X, pq.Y).Found ||
-				ColorCoding(g, s.Min, pq.X, pq.Y, 4, ColorCodingOptions{Seed: 1}).Found {
-				t.Errorf("%s: Solve, Shortest or ColorCoding(%d, %d) found", c, pq.X, pq.Y)
+				if s.Solve(g, pq.X, pq.Y).Found || s.Shortest(g, pq.X, pq.Y).Found ||
+					ColorCoding(g, s.Min, pq.X, pq.Y, 4, ColorCodingOptions{Seed: 1}).Found {
+					t.Errorf("%s: Solve, Shortest or ColorCoding(%d, %d) found", c, pq.X, pq.Y)
+				}
 			}
 		}
 	}
@@ -80,22 +82,21 @@ func TestOutOfRangeVlg(t *testing.T) {
 // pairs with Found=false while still answering the valid pairs of the
 // same batch, for every language of every answer row.
 func TestOutOfRangeBatch(t *testing.T) {
-	for _, row := range answerRows() {
-		for _, pattern := range row.languages() {
-			t.Run(pattern, func(t *testing.T) {
-				c := newCase(t, row, pattern, graph.RandomRegular(12, []byte{'a', 'b', 'c'}, 2, 4), 4)
-				checkSurfaces(t, c, append([]Pair{{0, 5}, {2, 5}}, outOfRange(c.g.NumVertices())...), "BatchSolver")
-			})
-		}
+	for _, l := range languagesOf(answerRows()...) {
+		t.Run(l.pattern, func(t *testing.T) {
+			c := newCase(t, l.row, l.pattern, graph.RandomRegular(12, []byte{'a', 'b', 'c'}, 2, 4), 4)
+			checkSurfaces(t, c, append([]Pair{{0, 5}, {2, 5}}, outOfRange(c.g.NumVertices())...), "BatchSolver")
+		})
 	}
 }
 
 // TestOutOfRangeEmptyGraph: on a 0-vertex graph every query is out of
-// range, including (0, 0).
+// range, including (0, 0), for every language of every answer row.
 func TestOutOfRangeEmptyGraph(t *testing.T) {
 	empty := graph.New(0)
-	for _, pattern := range []string{"ab", "a*c*", "a*(bb+|())c*", "(aa)*"} {
-		s := mustSolver(t, pattern)
+	for _, l := range languagesOf(answerRows()...) {
+		pattern := l.pattern
+		s := compiledSolver(t, pattern)
 		for _, algo := range allAlgorithms {
 			if res := s.SolveWith(empty, 0, 0, algo); res.Found {
 				t.Errorf("%q/%v: found a path in the empty graph", pattern, algo)

@@ -22,10 +22,7 @@ func TestDistBitsAllocGuard(t *testing.T) {
 		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
 	}
 	for _, pattern := range []string{"a*b(a|b|c)*", "(a*b*){33}"} {
-		s, err := NewSolver(pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := mustSolver(t, pattern)
 		g := graph.RandomRegular(400, []byte{'a', 'b', 'c'}, 3, 400)
 		targets := []int{57, 200, 311, 399}
 

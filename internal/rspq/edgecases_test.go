@@ -14,12 +14,9 @@ import (
 // must also satisfy Property (1).
 func TestPaperFigure1Witness(t *testing.T) {
 	min := mustMin(t, "a*b(cc)*d")
-	q1, ok := min.Run(min.Start, "a")
-	if !ok {
-		t.Fatal("run failed")
-	}
-	q2, ok := min.Run(q1, "b")
-	if !ok {
+	q1, ok1 := min.Run(min.Start, "a")
+	q2, ok2 := min.Run(q1, "b")
+	if !ok1 || !ok2 {
 		t.Fatal("run failed")
 	}
 	w := &core.HardnessWitness{Q1: q1, Q2: q2, WL: "a", W1: "a", WM: "b", W2: "cc", WR: "d"}
@@ -71,9 +68,16 @@ func TestEvlSolve(t *testing.T) {
 	if !VerifyWitness(res, db, d.Minimize(), 0, 2) {
 		t.Fatal("invalid evl witness")
 	}
-	// Cross-validate against the baseline on random evl-graphs.
+	// Cross-validate against the baseline on evl-graphs: an x-cycle
+	// through 8 alternately labelled vertices, y-chords from the even ones.
 	for seed := int64(0); seed < 3; seed++ {
-		evr := randomEVGraph(8, seed)
+		evr := graph.NewEVGraph([]byte("ababababa"[seed%2 : seed%2+8]))
+		for u := 0; u < 8; u++ {
+			evr.AddEdge(u, 'x', (u+1)%8)
+			if u%2 == 0 {
+				evr.AddEdge(u, 'y', (u+3)%8)
+			}
+		}
 		dbr := evr.DBGraph()
 		got := s.SolveEvl(evr, 0, 7)
 		want := Baseline(dbr, d.Minimize(), 0, 7, nil)
@@ -83,33 +87,12 @@ func TestEvlSolve(t *testing.T) {
 	}
 }
 
-func randomEVGraph(n int, seed int64) *graph.EVGraph {
-	labels := make([]byte, n)
-	for i := range labels {
-		labels[i] = []byte{'a', 'b'}[(int(seed)+i)%2]
-	}
-	ev := graph.NewEVGraph(labels)
-	for u := 0; u < n; u++ {
-		ev.AddEdge(u, 'x', (u+1)%n)
-		if u%2 == 0 {
-			ev.AddEdge(u, 'y', (u+3)%n)
-		}
-	}
-	return ev
-}
-
 // TestParallelEdgesAndSelfLoops stresses graph shapes the random
-// generators rarely produce.
+// generators rarely produce: parallel edges 0 -a-> 1 and 0 -b-> 1, and
+// a self loop on 1.
 func TestParallelEdgesAndSelfLoops(t *testing.T) {
-	shape := func(int64) *graph.Graph {
-		g := graph.New(3)
-		g.AddEdge(0, 'a', 1)
-		g.AddEdge(0, 'b', 1) // parallel, different label
-		g.AddEdge(1, 'a', 1) // self loop
-		g.AddEdge(1, 'c', 2)
-		return g
-	}
-	checkGraphs(t, tier("summary"), []string{"ac", "bc", "a*c*", "(a|b)c"}, 1, 1, shape, "Solver")
+	shape := func(int64) *graph.Graph { return edgeGraph(3, "0a1 0b1 1a1 1c2") }
+	checkGraphs(t, languagesOf(answerRows()...), 1, 1, shape, "Solver")
 	// The self loop can never appear on a simple path: "aac" requires
 	// revisiting vertex 1.
 	if res := mustSolver(t, "aac").Solve(shape(0), 0, 2); res.Found {
@@ -119,12 +102,7 @@ func TestParallelEdgesAndSelfLoops(t *testing.T) {
 
 // TestDisconnectedQueries checks NO answers across components.
 func TestDisconnectedQueries(t *testing.T) {
-	checkGraphs(t, tier("summary"), []string{"a", "a*", "a*(bb+|())c*"}, 1, 1, func(int64) *graph.Graph {
-		g := graph.New(4)
-		g.AddEdge(0, 'a', 1)
-		g.AddEdge(2, 'a', 3)
-		return g
-	}, "Solver")
+	checkGraphs(t, languagesOf(answerRows()...), 1, 1, func(int64) *graph.Graph { return edgeGraph(4, "0a1 2a3") }, "Solver")
 }
 
 // TestSolveWithEveryAlgorithm exercises every forced strategy on one
@@ -166,7 +144,7 @@ func TestGridHardInstance(t *testing.T) {
 // TestLargerAlphabet checks that nothing assumes a binary/ternary
 // alphabet.
 func TestLargerAlphabet(t *testing.T) {
-	checkGraphs(t, tier("summary"), []string{"[abc]*(de)?f*"}, 1, 4, func(int64) *graph.Graph {
+	checkGraphs(t, languagesOf(tier("summary")), 1, 4, func(int64) *graph.Graph {
 		return graph.Random(12, []byte{'a', 'b', 'c', 'd', 'e', 'f'}, 0.25, 31)
 	}, "Solver")
 }

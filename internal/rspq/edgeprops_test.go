@@ -17,13 +17,11 @@ import (
 // checkShape runs the sweep on a fresh graph of one shape for each
 // language: every stride-th vertex in each role.
 func checkShape(t *testing.T, stride int, shape func() *graph.Graph, extra func(t *testing.T, c *hCase)) {
-	for _, row := range answerRows() {
-		for _, pattern := range row.languages() {
-			c := newCase(t, row, pattern, shape(), 0)
-			checkSurfaces(t, c, c.pairs(stride), "Solver", "SolveWith", "tiers", "BatchSolver")
-			if extra != nil {
-				extra(t, c)
-			}
+	for _, l := range languagesOf(answerRows()...) {
+		c := newCase(t, l.row, l.pattern, shape(), 0)
+		checkSurfaces(t, c, c.pairs(stride), "Solver", "SolveWith", "tiers", "BatchSolver")
+		if extra != nil {
+			extra(t, c)
 		}
 	}
 }
@@ -38,17 +36,11 @@ func TestSweepSingleVertex(t *testing.T) {
 	})
 }
 
-// TestSweepSelfQueries: x == y on vertices of a graph with a cycle (a
-// simple path from v to v is still just the empty path, since any longer
-// closed walk repeats v) and an isolated vertex.
+// TestSweepSelfQueries: x == y on vertices of a graph with a cycle
+// 0→1→2→0 (a simple path from v to v is still just the empty path, since
+// any longer closed walk repeats v) and an isolated vertex, 3.
 func TestSweepSelfQueries(t *testing.T) {
-	checkShape(t, 1, func() *graph.Graph {
-		g := graph.New(4)
-		g.AddEdge(0, 'a', 1)
-		g.AddEdge(1, 'b', 2)
-		g.AddEdge(2, 'a', 0) // cycle 0→1→2→0; vertex 3 isolated
-		return g
-	}, func(t *testing.T, c *hCase) {
+	checkShape(t, 1, func() *graph.Graph { return edgeGraph(4, "0a1 1b2 2a0") }, func(t *testing.T, c *hCase) {
 		for v := 0; v < 4; v++ {
 			if res, eps := c.s.Solve(c.g, v, v), c.s.Min.Member(""); res.Found != eps || res.Found && res.Path.Len() != 0 {
 				t.Errorf("%s: Solve(%d,%d) = %v, want the empty path iff ε ∈ L (%v)", c, v, v, res.Path, eps)
@@ -58,13 +50,10 @@ func TestSweepSelfQueries(t *testing.T) {
 }
 
 // TestSweepIsolatedVertices: queries into, out of, and between vertices
-// with no incident edges must answer NO (unless x == y and ε ∈ L).
+// with no incident edges (2, 3 and 4) must answer NO (unless x == y and
+// ε ∈ L).
 func TestSweepIsolatedVertices(t *testing.T) {
-	checkShape(t, 1, func() *graph.Graph {
-		g := graph.New(5)
-		g.AddEdge(0, 'a', 1) // vertices 2, 3, 4 isolated
-		return g
-	}, func(t *testing.T, c *hCase) {
+	checkShape(t, 1, func() *graph.Graph { return edgeGraph(5, "0a1") }, func(t *testing.T, c *hCase) {
 		for _, pq := range []Pair{{2, 3}, {3, 2}, {0, 4}, {4, 0}, {2, 0}, {1, 2}} {
 			if res := c.s.Solve(c.g, pq.X, pq.Y); res.Found {
 				t.Errorf("%s: path %d→%d through isolated vertices: %v", c, pq.X, pq.Y, res.Path)
@@ -92,23 +81,12 @@ func TestSweepRandomized(t *testing.T) {
 // two-cycle, since the batch engine has its own dispatch path.
 func TestSweepBatchDegenerate(t *testing.T) {
 	for _, shape := range []func() *graph.Graph{
-		func() *graph.Graph {
-			g := graph.New(1)
-			g.AddEdge(0, 'a', 0)
-			return g
-		},
-		func() *graph.Graph {
-			g := graph.New(3)
-			g.AddEdge(0, 'a', 1)
-			g.AddEdge(1, 'b', 0)
-			return g
-		},
+		func() *graph.Graph { return edgeGraph(1, "0a0") },
+		func() *graph.Graph { return edgeGraph(3, "0a1 1b0") },
 	} {
-		for _, row := range answerRows() {
-			for _, pattern := range row.languages() {
-				c := newCase(t, row, pattern, shape(), 0)
-				checkSurfaces(t, c, c.pairs(1))
-			}
+		for _, l := range languagesOf(answerRows()...) {
+			c := newCase(t, l.row, l.pattern, shape(), 0)
+			checkSurfaces(t, c, c.pairs(1))
 		}
 	}
 }

@@ -67,10 +67,7 @@ func TestEngineEvictionUnderPressure(t *testing.T) {
 func TestEngineTableLRUEviction(t *testing.T) {
 	g := graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 12)
 	isolated := g.AddVertex()
-	s, err := NewSolver("a*c*") // subword tier: one goalTable per target
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustSolver(t, "a*c*") // subword tier: one goalTable per target
 	nm := g.NumVertices() * s.Min.NumStates
 	// 16 shards (the cache default): per-shard budget = one table + slack.
 	budget := (goalTableCost(nm) + 64) * 16
@@ -117,10 +114,7 @@ func TestEngineTableLRUEviction(t *testing.T) {
 func TestExistsTableLookups(t *testing.T) {
 	g := graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 12)
 	isolated := g.AddVertex()
-	s, err := NewSolver("a*c*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustSolver(t, "a*c*")
 	e := NewEngine(s, g, EngineConfig{ResultBytes: -1})
 	step := func(what string, ask func(), hits, misses, sweeps int64) {
 		t.Helper()
@@ -174,12 +168,8 @@ func TestEngineMissAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
 	}
-	bound := map[string]float64{"finite": 0, "subword": 0, "summary": 0, "baseline": 0}
-	for _, row := range answerRows() {
-		limit, ok := bound[row.name]
-		if !ok {
-			continue // the other rows share these tiers' paths
-		}
+	const limit = 0.0                // allocs per miss, on every tier
+	for _, row := range tierRows() { // the other rows share these tiers' paths
 		s := mustSolver(t, row.pattern)
 		g := graph.RandomRegular(600, []byte{'a', 'b', 'c'}, 3, 400)
 		e := NewEngine(s, g, EngineConfig{TableBytes: -1, ResultBytes: -1})
@@ -199,10 +189,7 @@ func TestEngineMissAllocGuard(t *testing.T) {
 		}
 	}
 
-	s, err := NewSolver("a*c*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustSolver(t, "a*c*")
 	g := graph.RandomRegular(600, []byte{'a', 'b', 'c'}, 3, 400)
 	var found []Pair
 	for i := 0; len(found) < 64 && i < 600*600; i++ {
@@ -228,24 +215,6 @@ func TestEngineMissAllocGuard(t *testing.T) {
 	}
 }
 
-// sparseGraph100k builds a 100 000-vertex graph with two random
-// out-edges a vertex in O(edges) (graph.RandomRegular draws a
-// permutation per vertex). Each label's in-degree averages 2/3, so a
-// backward a*c* sweep is a subcritical branching process: a handful to a
-// few hundred product states, never a flood.
-func sparseGraph100k() *graph.Graph {
-	const n = 100000
-	rng := rand.New(rand.NewSource(100))
-	labels := []byte{'a', 'b', 'c'}
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		for k := 0; k < 2; k++ {
-			g.AddEdge(u, labels[rng.Intn(len(labels))], rng.Intn(n))
-		}
-	}
-	return g
-}
-
 // TestEngineMissWorkGuard pins what a table miss on the cached
 // walk-reduction tier may cost when its sweep is short, in exact work
 // rather than time: on a 100k-vertex graph whose backward sweeps reach
@@ -263,11 +232,17 @@ func TestEngineMissWorkGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard only holds on plain builds")
 	}
-	s, err := NewSolver("a*c*")
-	if err != nil {
-		t.Fatal(err)
+	s := mustSolver(t, "a*c*")
+	// 100 000 vertices with two random out-edges each, built in O(edges)
+	// (graph.RandomRegular draws a permutation per vertex). Each label's
+	// in-degree averages 2/3, so a backward a*c* sweep is a subcritical
+	// branching process: a handful to a few hundred product states.
+	g, rng := graph.New(100000), rand.New(rand.NewSource(100))
+	for u := 0; u < 100000; u++ {
+		for k := 0; k < 2; k++ {
+			g.AddEdge(u, "abc"[rng.Intn(3)], rng.Intn(100000))
+		}
 	}
-	g := sparseGraph100k()
 	isolated := g.AddVertex()
 	n := g.NumVertices()
 	e := NewEngine(s, g, EngineConfig{})
@@ -385,36 +360,30 @@ func TestEngineConcurrentHits(t *testing.T) {
 	runMatrix(t, answerRows(), []int64{7}, [][]hView{{frozen}}, func(t *testing.T, c *hCase) {
 		r := c.reference(t, c.pairs(c.g.NumVertices()/4))
 		e := c.kept
-		var wg sync.WaitGroup
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for rep := 0; rep < 10; rep++ {
-					for i, pq := range r.pairs {
-						var got bool
-						if (w+rep)%2 == 0 {
-							got = e.Solve(pq.X, pq.Y).Found
-						} else {
-							got = e.Exists(pq.X, pq.Y)
-						}
+		concurrently(8, func(w int) {
+			for rep := 0; rep < 10; rep++ {
+				for i, pq := range r.pairs {
+					var got bool
+					if (w+rep)%2 == 0 {
+						got = e.Solve(pq.X, pq.Y).Found
+					} else {
+						got = e.Exists(pq.X, pq.Y)
+					}
+					if got != r.found[i] {
+						t.Errorf("%s worker %d: (%d,%d) = %v; want %v", c, w, pq.X, pq.Y, got, r.found[i])
+						return
+					}
+				}
+				if (w+rep)%3 == 0 {
+					for i, got := range e.BatchSolveExists(r.pairs) {
 						if got != r.found[i] {
-							t.Errorf("%s worker %d: (%d,%d) = %v; want %v", c, w, pq.X, pq.Y, got, r.found[i])
+							t.Errorf("%s worker %d batch: pair %d = %v; want %v", c, w, i, got, r.found[i])
 							return
 						}
 					}
-					if (w+rep)%3 == 0 {
-						for i, got := range e.BatchSolveExists(r.pairs) {
-							if got != r.found[i] {
-								t.Errorf("%s worker %d batch: pair %d = %v; want %v", c, w, i, got, r.found[i])
-								return
-							}
-						}
-					}
 				}
-			}(w)
-		}
-		wg.Wait()
+			}
+		})
 		if st := e.Stats(); st.Results.Hits == 0 {
 			t.Fatalf("%s: the concurrent hot workload must produce cache hits: %+v", c, st)
 		}
@@ -425,10 +394,7 @@ func TestEngineConcurrentHits(t *testing.T) {
 // counts exactly the rounds the sweeps ran, as their traces record them,
 // and BitParallelHits counts the sweeps.
 func TestRoundAccountingSplit(t *testing.T) {
-	s, err := NewSolver("a*c*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustSolver(t, "a*c*")
 	g := graph.Random(40, []byte{'a', 'b', 'c'}, 0.1, 5)
 	eng := NewEngine(s, g, EngineConfig{})
 	traced := 0
@@ -452,13 +418,8 @@ func TestRoundAccountingSplit(t *testing.T) {
 // never be answered from the stale pre-mutation table — by the solver
 // or by an engine built before the mutation.
 func TestWarmThenMutateThenSolve(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 'a', 1)
-	g.AddEdge(1, 'c', 2)
-	s, err := NewSolver("a*c*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := edgeGraph(4, "0a1 1c2")
+	s := mustSolver(t, "a*c*")
 	s.Warm(g)
 	e := NewEngine(s, g, EngineConfig{})
 	if e.Solve(0, 3).Found {
@@ -469,11 +430,8 @@ func TestWarmThenMutateThenSolve(t *testing.T) {
 	if !s.Solve(g, 0, 3).Found {
 		t.Fatal("Solver served a stale verdict after mutation")
 	}
-	if !e.Solve(0, 3).Found {
-		t.Fatal("Engine served a stale cached verdict after mutation")
-	}
-	if res := e.Solve(0, 3); !VerifyWitness(res, g, s.Min, 0, 3) {
-		t.Fatal("post-mutation witness invalid")
+	if res := e.Solve(0, 3); !res.Found || !VerifyWitness(res, g, s.Min, 0, 3) {
+		t.Fatalf("Engine served a stale cached verdict or an invalid witness after mutation: %v", res.Path)
 	}
 }
 
@@ -488,34 +446,17 @@ func TestWarmEpochRace(t *testing.T) {
 	for i := 0; i < 63; i++ {
 		g.AddEdge(i, 'a', i+1)
 	}
-	s, err := NewSolver("a*c*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustSolver(t, "a*c*")
 	e := NewEngine(s, g, EngineConfig{})
 	var mu sync.Mutex
-	stop := make(chan struct{})
-	mutatorDone := make(chan struct{})
-
-	go func() { // mutator
-		defer close(mutatorDone)
-		rng := rand.New(rand.NewSource(1))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			mu.Lock()
-			g.AddEdge(rng.Intn(64), 'c', rng.Intn(64))
-			mu.Unlock()
-		}
-	}()
-	var workers sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		workers.Add(1)
-		go func(w int) { // warm-then-query loops
-			defer workers.Done()
+	mrng := rand.New(rand.NewSource(1))
+	mutate := func() {
+		mu.Lock()
+		g.AddEdge(mrng.Intn(64), 'c', mrng.Intn(64))
+		mu.Unlock()
+	}
+	whileLooping(func() {
+		concurrently(4, func(w int) { // warm-then-query loops
 			rng := rand.New(rand.NewSource(int64(w + 2)))
 			for i := 0; i < 200; i++ {
 				x, y := rng.Intn(64), rng.Intn(64)
@@ -531,11 +472,8 @@ func TestWarmEpochRace(t *testing.T) {
 					return
 				}
 			}
-		}(w)
-	}
-	workers.Wait()
-	close(stop)
-	<-mutatorDone
+		})
+	}, mutate)
 }
 
 // TestEngineStatsShape sanity-checks the counters a server would
@@ -606,8 +544,7 @@ func TestEngineServesOneTier(t *testing.T) {
 // must never cross-serve, even with identical targets.
 func TestEngineLangIDsDistinct(t *testing.T) {
 	g := graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 31)
-	s1, _ := NewSolver("a*c*")
-	s2, _ := NewSolver("b*")
+	s1, s2 := mustSolver(t, "a*c*"), mustSolver(t, "b*")
 	if s1.LangID() == s2.LangID() {
 		t.Fatal("distinct solvers must get distinct language ids")
 	}

@@ -66,14 +66,16 @@ type hTier struct {
 }
 
 var tiers = []hTier{
-	{name: "finite", pattern: "ab|ba|aab", more: []string{"()", "ab|()"}, algo: AlgoFinite,
+	{name: "finite", pattern: "ab|ba|aab", more: []string{"()", "ab|()", "ab|ba", "a?b?c?"}, algo: AlgoFinite,
 		shapes: []hShape{sparse(40, 3.1, "ab")}},
-	{name: "subword", pattern: "a*c*", more: []string{"a*b?c*"}, algo: AlgoSubword,
+	{name: "subword", pattern: "a*c*", algo: AlgoSubword,
+		more:   []string{"a*b?c*", "a*", "(a|b)*", "a*(b|())", "(ab)?[ab]*"},
 		shapes: []hShape{regular(60), sparse(50, 3, "abc")}},
-	{name: "summary", pattern: "a*(bb+|())c*", algo: AlgoSummary,
-		more:   []string{"a(c{2,}|())a*", "a(c{2,}|())(a|b)*(ac)?a*"},
+	{name: "summary", pattern: "a*(bb+|())c*", algo: AlgoSummary, // Example 1; more[1] is Example 2
+		more:   []string{"a(c{2,}|())a*", "a(c{2,}|())(a|b)*(ac)?a*", "[ab]{2,}", "a{2,4}b*", "ab|b*a", "[abc]*(de)?f*"},
 		shapes: []hShape{regular(40)}},
-	{name: "summary-adjacent-gaps", pattern: "a+c?b+", algo: AlgoSummary, shapes: []hShape{regular(40)}},
+	{name: "summary-adjacent-gaps", pattern: "a+c?b+", algo: AlgoSummary, // [A]*[B]* terms, an optional word between
+		more: []string{"a+b+", "(a|b)+c+", "a+(b|c)+a", "a+b*c+"}, shapes: []hShape{regular(40)}},
 	{name: "dag", pattern: "(a|b)*a(a|b)*", more: []string{"a*ba*"}, algo: AlgoBaseline, dagWidth: 6,
 		shapes: []hShape{layered("layered", 48, 6, 3, "ab"), layered("layered-ba", 48, 8, 2, "ba")}},
 	{name: "baseline", pattern: "a*bba*", algo: AlgoBaseline,
@@ -106,8 +108,41 @@ func answerRows() []*hTier {
 	return rows
 }
 
-// languages are the row's language and its others.
-func (row *hTier) languages() []string { return append([]string{row.pattern}, row.more...) }
+// tierRows are one answer row per tier the dispatcher picks.
+func tierRows() []*hTier {
+	return []*hTier{tier("finite"), tier("subword"), tier("summary"), tier("baseline")}
+}
+
+// rowsOn are the answer rows of the given tiers.
+func rowsOn(algos ...Algorithm) []*hTier {
+	return slices.DeleteFunc(answerRows(), func(row *hTier) bool { return !slices.Contains(algos, row.algo) })
+}
+
+// hLang is one language of a row.
+type hLang struct {
+	row     *hTier
+	pattern string
+}
+
+// languagesOf lists every language of rows, each row's own first.
+func languagesOf(rows ...*hTier) []hLang {
+	var langs []hLang
+	for _, row := range rows {
+		for _, pattern := range append([]string{row.pattern}, row.more...) {
+			langs = append(langs, hLang{row, pattern})
+		}
+	}
+	return langs
+}
+
+// patternsOf lists each row's own language.
+func patternsOf(rows ...*hTier) []hLang {
+	var langs []hLang
+	for _, row := range rows {
+		langs = append(langs, hLang{row, row.pattern})
+	}
+	return langs
+}
 
 // family returns the row's graph family named name.
 func (row *hTier) family(name string) hShape {
@@ -815,13 +850,12 @@ func engineSurface(name string, cfg EngineConfig) surface {
 }
 
 // checkGraphs holds the surfaces named in only on every stride-th pair
-// of gen(seed), for seeds 0 to seeds-1, for each pattern as a case of
-// row.
-func checkGraphs(t *testing.T, row *hTier, patterns []string, seeds int64, stride int, gen func(seed int64) *graph.Graph, only ...string) {
+// of gen(seed), for seeds 0 to seeds-1, for each of langs.
+func checkGraphs(t *testing.T, langs []hLang, seeds int64, stride int, gen func(seed int64) *graph.Graph, only ...string) {
 	t.Helper()
-	for _, pattern := range patterns {
+	for _, l := range langs {
 		for seed := range seeds {
-			c := newCase(t, row, pattern, gen(seed), seed)
+			c := newCase(t, l.row, l.pattern, gen(seed), seed)
 			checkSurfaces(t, c, c.pairs(stride), only...)
 		}
 	}
@@ -867,7 +901,8 @@ func checkWalkBitValid(t *testing.T, d *automaton.DFA, g *graph.Graph, walk *gra
 // left in a — the closure in a.co, and after a sweep with links over
 // product p (nil for a mark-only sweep) the distances — id for id
 // against the oracle's. With links, the walk read off the distances from
-// every reached (x, q) must be valid at the oracle's exact distance.
+// every reached (x, q) must be valid at the oracle's exact distance, and
+// none may come back from an unreached one.
 func checkSweepAgainstOracle(t *testing.T, g *graph.Graph, m int, a *arena, p *product, y int, want []int32, ctx string) {
 	t.Helper()
 	for id, d := range want {
@@ -881,8 +916,10 @@ func checkSweepAgainstOracle(t *testing.T, g *graph.Graph, m int, a *arena, p *p
 		if got := a.distAt(x, q); got != d {
 			t.Fatalf("%s: dist[%d] = %d, oracle %d", ctx, id, got, d)
 		}
-		if d >= 0 {
-			checkWalkBitValid(t, p.d, g, p.walkFrom(a, x, q), x, q, y, d)
+		if walk := p.walkFrom(a, x, q); d >= 0 {
+			checkWalkBitValid(t, p.d, g, walk, x, q, y, d)
+		} else if walk != nil {
+			t.Fatalf("%s: walk %v from unreachable id %d", ctx, walk, id)
 		}
 	}
 }

@@ -37,11 +37,10 @@ func TestQuickSummaryAgreesOnRandomPsitr(t *testing.T) {
 
 // TestQuickWalkSubsumesSimple: whenever a simple L-path exists, an
 // L-walk exists, and the shortest walk is never longer than the shortest
-// simple path (reference.lengths holds both) — on 160 small random
-// graphs.
+// simple path (reference.lengths holds both) — on 40 small random
+// graphs, for every language of every answer row.
 func TestQuickWalkSubsumesSimple(t *testing.T) {
-	patterns := []string{"a*(bb+|())c*", "(aa)*", "a*ba*", "a*c*"}
-	checkGraphs(t, tier("baseline"), patterns, 40, 2, func(seed int64) *graph.Graph {
+	checkGraphs(t, languagesOf(answerRows()...), 40, 2, func(seed int64) *graph.Graph {
 		return graph.Random(6+int(seed%4), []byte{'a', 'b', 'c'}, 0.2, seed+77)
 	}, "Solver")
 }

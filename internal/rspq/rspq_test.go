@@ -20,6 +20,17 @@ func mustSolver(t testing.TB, pattern string) *Solver {
 	return s
 }
 
+// edgeGraph builds an n-vertex graph from edges written "0a1 1b2": each
+// word is one edge, from its first digit to its last, labelled by the
+// letter between.
+func edgeGraph(n int, edges string) *graph.Graph {
+	g := graph.New(n)
+	for _, e := range strings.Fields(edges) {
+		g.AddEdge(int(e[0]-'0'), e[1], int(e[2]-'0'))
+	}
+	return g
+}
+
 func mustMin(t testing.TB, pattern string) *automaton.DFA {
 	t.Helper()
 	d, err := automaton.MinDFAFromPattern(pattern)
@@ -78,63 +89,39 @@ func TestBaselineStats(t *testing.T) {
 	}
 }
 
+// TestFigure4Counterexample replays the paper's Figure 4: an L-labeled
+// walk exists for L = a*(bb+|())c*, no simple L-labeled path exists —
+// the Solver and every bare tier function, SolvePsitr among them, must
+// agree — and loop elimination cannot fix the walk.
 func TestFigure4Counterexample(t *testing.T) {
-	// The paper's Figure 4: an L-labeled walk exists for
-	// L = a*(bb+|())c*, no simple L-labeled path exists, and loop
-	// elimination cannot fix the walk.
 	f := graph.NewFigure4(4)
-	d := mustMin(t, "a*(bb+|())c*")
-	if !ExistsWalk(f.G, d, f.X0, f.Y2k) {
-		t.Fatal("Figure 4 must admit an L-labeled walk")
+	c := newCase(t, tier("summary"), "a*(bb+|())c*", f.G, 0)
+	if r := checkSurfaces(t, c, []Pair{{f.X0, f.Y2k}}, "Solver", "tiers"); r.walk[0] < 0 || r.found[0] {
+		t.Fatalf("Figure 4 must admit an L-labeled walk (length %d) and no simple L-path (found=%v)", r.walk[0], r.found[0])
 	}
-	if res := Baseline(f.G, d, f.X0, f.Y2k, nil); res.Found {
-		t.Fatalf("Figure 4 must have no simple L-path; got %v", res.Path)
-	}
-	s := mustSolver(t, "a*(bb+|())c*")
-	if s.Expr == nil {
-		t.Fatal("Example 1 language must normalize to Ψtr")
-	}
-	if res := SolvePsitr(f.G, s.Expr, f.X0, f.Y2k, false); res.Found {
-		t.Fatalf("summary solver must agree NO on Figure 4; got %v", res.Path)
-	}
-	if res := Naive(f.G, d, f.X0, f.Y2k); res.Found {
+	if res := Naive(f.G, c.s.Min, f.X0, f.Y2k); res.Found {
 		t.Error("naive loop elimination should fail on Figure 4")
 	}
 }
 
+// TestLoopTrapDiscriminatesNaive: on the LoopTrap family the naive
+// heuristic answers NO although a simple a*bba*-labeled path exists.
+// a*bba* is not in trC (a^M bb a^M ∈ L, a^M a^M ∉ L), so the dispatcher
+// routes it to the baseline, and it and every exact solver find the
+// path.
 func TestLoopTrapDiscriminatesNaive(t *testing.T) {
-	// On the LoopTrap family the naive heuristic answers NO although a
-	// simple a*bba*-labeled path exists; the exact solvers find it.
 	tr := graph.NewLoopTrap(3)
-	d := mustMin(t, "a*bba*")
-	naive := Naive(tr.G, d, tr.X, tr.Y)
-	if naive.Found {
+	c := newCase(t, tier("baseline"), "a*bba*", tr.G, 0)
+	if Naive(tr.G, c.s.Min, tr.X, tr.Y).Found {
 		t.Error("naive should fail on the loop trap (its shortest walk loops)")
 	}
-	exact := Baseline(tr.G, d, tr.X, tr.Y, nil)
-	if !exact.Found {
-		t.Fatal("a simple path exists in the loop trap")
-	}
-	if !VerifyWitness(exact, tr.G, d, tr.X, tr.Y) {
-		t.Error("baseline witness invalid")
-	}
-	s := mustSolver(t, "a*bba*")
-	// a*bba* is not in trC (a^M bb a^M ∈ L, a^M a^M ∉ L): the dispatcher
-	// must route it to the baseline and still answer correctly.
-	if s.Classification.Tractable {
-		t.Error("a*bba* should be intractable")
-	}
-	if res := s.Solve(tr.G, tr.X, tr.Y); !res.Found {
-		t.Error("dispatcher must find the loop-trap path")
+	if r := checkSurfaces(t, c, []Pair{{tr.X, tr.Y}}, "Solver", "tiers"); !r.found[0] || c.s.Classification.Tractable {
+		t.Errorf("a*bba* tractable=%v, want false; loop-trap path found=%v, want true", c.s.Classification.Tractable, r.found[0])
 	}
 }
 
 func TestFiniteSolver(t *testing.T) {
-	g := graph.New(5)
-	g.AddEdge(0, 'a', 1)
-	g.AddEdge(1, 'b', 2)
-	g.AddEdge(0, 'b', 3)
-	g.AddEdge(3, 'a', 2)
+	g := edgeGraph(5, "0a1 1b2 0b3 3a2")
 	d := mustMin(t, "ab|ba")
 	res := Finite(g, d, 0, 2)
 	if !res.Found || !VerifyWitness(res, g, d, 0, 2) {
@@ -145,10 +132,7 @@ func TestFiniteSolver(t *testing.T) {
 	}
 	// Shortest-word priority: for a|ab with both available, the single
 	// edge wins.
-	g2 := graph.New(3)
-	g2.AddEdge(0, 'a', 2)
-	g2.AddEdge(0, 'a', 1)
-	g2.AddEdge(1, 'b', 2)
+	g2 := edgeGraph(3, "0a2 0a1 1b2")
 	res = Finite(g2, mustMin(t, "a|ab"), 0, 2)
 	if !res.Found || res.Path.Len() != 1 {
 		t.Errorf("finite solver should prefer the shorter word: %v", res.Path)
@@ -157,11 +141,7 @@ func TestFiniteSolver(t *testing.T) {
 	// labels, then adjacency, so on aa|ab it reaches 0 -a-> 1 -b-> 3
 	// before 0 -a-> 2 -a-> 3, although aa is the lex-first word with a
 	// path.
-	g3 := graph.New(4)
-	g3.AddEdge(0, 'a', 1)
-	g3.AddEdge(0, 'a', 2)
-	g3.AddEdge(1, 'b', 3)
-	g3.AddEdge(2, 'a', 3)
+	g3 := edgeGraph(4, "0a1 0a2 1b3 2a3")
 	d3 := mustMin(t, "aa|ab")
 	res, ref := Finite(g3, d3, 0, 3), BaselineShortest(g3, d3, 0, 3, nil)
 	if !res.Found || res.Path.String() != "0 -a-> 1 -b-> 3" || res.Path.String() != ref.Path.String() {
@@ -169,14 +149,7 @@ func TestFiniteSolver(t *testing.T) {
 	}
 	// a|aab: the short word has no edge, the long one a simple path on
 	// g4 and only a walk through its source on g5.
-	g4 := graph.New(4)
-	g4.AddEdge(0, 'a', 1)
-	g4.AddEdge(1, 'a', 3)
-	g4.AddEdge(3, 'b', 2)
-	g5 := graph.New(3)
-	g5.AddEdge(0, 'a', 1)
-	g5.AddEdge(1, 'a', 0)
-	g5.AddEdge(0, 'b', 2)
+	g4, g5 := edgeGraph(4, "0a1 1a3 3b2"), edgeGraph(3, "0a1 1a0 0b2")
 	d4 := mustMin(t, "a|aab")
 	if res := Finite(g4, d4, 0, 2); !res.Found || res.Path.Word() != "aab" {
 		t.Errorf("a|aab on g4: %v, want the aab path", res.Path)
@@ -223,9 +196,10 @@ func TestFiniteBound(t *testing.T) {
 }
 
 // TestDAGSolver holds the DAG tier function to the reference on a
-// layered DAG, and pins that it rejects a cycle.
+// layered DAG, for the DAG row's languages, and pins that it rejects a
+// cycle.
 func TestDAGSolver(t *testing.T) {
-	checkGraphs(t, tier("dag"), []string{"(a|b)*a(a|b)*"}, 1, 1, func(int64) *graph.Graph {
+	checkGraphs(t, languagesOf(tier("dag")), 1, 1, func(int64) *graph.Graph {
 		return graph.LayeredDAG(5, 4, 2, []byte{'a', 'b'}, 11)
 	}, "tiers")
 	if _, ok := DAG(graph.LabeledCycle("ab"), mustMin(t, "(a|b)*a(a|b)*"), 0, 0); ok {
@@ -234,29 +208,22 @@ func TestDAGSolver(t *testing.T) {
 }
 
 func TestSubwordClosedDetection(t *testing.T) {
-	cases := []struct {
-		pattern string
-		want    bool
-	}{
-		{"a*c*", true},
-		{"(a|b)*", true},
-		{"a*", true},
-		{"()", true},
-		{"a*(bb+|())c*", false}, // trC but not subword-closed
-		{"a*ba*", false},
-		{"ab", false},
-	}
-	for _, c := range cases {
-		if got := SubwordClosed(mustMin(t, c.pattern)); got != c.want {
-			t.Errorf("SubwordClosed(%q) = %v, want %v", c.pattern, got, c.want)
+	for pattern, want := range map[string]bool{
+		"a*c*": true, "(a|b)*": true, "a*": true, "()": true,
+		"a*ba*": false, "ab": false,
+		"a*(bb+|())c*": false, // trC but not subword-closed
+	} {
+		if got := SubwordClosed(mustMin(t, pattern)); got != want {
+			t.Errorf("SubwordClosed(%q) = %v, want %v", pattern, got, want)
 		}
 	}
 }
 
 // TestSubwordSolverAgreesWithBaseline holds the subword tier function,
-// whose paths are shortest, to the reference on small random graphs.
+// whose paths are shortest, to the reference on small random graphs,
+// for the subword row's languages.
 func TestSubwordSolverAgreesWithBaseline(t *testing.T) {
-	checkGraphs(t, tier("subword"), []string{"a*c*"}, 6, 1, func(seed int64) *graph.Graph {
+	checkGraphs(t, patternsOf(tier("subword")), 6, 1, func(seed int64) *graph.Graph {
 		return graph.Random(10, []byte{'a', 'b', 'c'}, 0.18, seed)
 	}, "tiers")
 }
@@ -284,11 +251,13 @@ func TestColorCodingAgainstBaseline(t *testing.T) {
 }
 
 func TestColorCodingEdgeCases(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 'a', 1)
+	g := edgeGraph(2, "0a1")
 	d := mustMin(t, "a*")
 	if res := ColorCoding(g, d, 0, 0, 0, ColorCodingOptions{}); !res.Found || res.Path.Len() != 0 {
 		t.Error("x == y with ε should be found at k = 0")
+	}
+	if res := ColorCoding(g, mustMin(t, "a*ba*"), 1, 1, 1, ColorCodingOptions{}); res.Found {
+		t.Error("x == y without ε has no simple path")
 	}
 	if res := ColorCoding(g, d, 0, 1, -1, ColorCodingOptions{}); res.Found {
 		t.Error("negative k should find nothing")
@@ -326,12 +295,11 @@ func TestAlgorithmStrings(t *testing.T) {
 // the tier is the language's alone.
 func TestDispatcherChoices(t *testing.T) {
 	cyc, dag := graph.LabeledCycle("ab"), graph.LayeredDAG(3, 2, 1, []byte{'a'}, 1)
-	for _, row := range tiers {
-		for _, pattern := range row.languages() {
-			s := compiledSolver(t, pattern)
+	for i := range tiers {
+		for _, l := range languagesOf(&tiers[i]) {
 			for _, g := range []*graph.Graph{cyc, dag} {
-				if got := s.ChooseAlgorithm(g); got != row.algo {
-					t.Errorf("ChooseAlgorithm(%q) = %v, want the %s row's %v", pattern, got, row.name, row.algo)
+				if got := compiledSolver(t, l.pattern).ChooseAlgorithm(g); got != l.row.algo {
+					t.Errorf("ChooseAlgorithm(%q) = %v, want the %s row's %v", l.pattern, got, l.row.name, l.row.algo)
 				}
 			}
 		}
@@ -354,7 +322,8 @@ func TestNoQueryComputesAcyclicity(t *testing.T) {
 	}
 	const n = 100_000
 	topoBytes := uint64(16 * n)
-	for _, pattern := range []string{"a*c*", "ab|ba", "a*(bb+|())c*", "(aa)*"} {
+	for _, row := range tierRows() {
+		pattern := row.pattern
 		s := mustSolver(t, pattern)
 		g := graph.RandomOutRegular(n, []byte{'a', 'b', 'c'}, 3, 7) // cyclic
 		var victims []graph.Edge

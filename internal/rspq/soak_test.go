@@ -26,64 +26,35 @@ func TestEngineOverlaySoak(t *testing.T) {
 		g.AddEdge(rng.Intn(n), labels[rng.Intn(len(labels))], rng.Intn(n))
 	}
 	l := newLedger(g)
-	mirror := l.rebuilt()               // replaced per generation, under mu
-	s, err := NewSolver("a*(bb+|())c*") // summary tier: the deepest kernel stack
-	if err != nil {
-		t.Fatal(err)
-	}
+	mirror := l.rebuilt()              // replaced per generation, under mu
+	s := mustSolver(t, "a*(bb+|())c*") // summary tier: the deepest kernel stack
 	e := NewEngine(s, g, EngineConfig{})
 	s.Warm(mirror)
 
 	var mu sync.RWMutex
-	stop := make(chan struct{})
-	var background sync.WaitGroup
-
-	background.Add(1)
-	go func() { // mutator: flip edges, then rebuild the oracle mirror
-		defer background.Done()
-		mrng := rand.New(rand.NewSource(67))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+	mrng, crng := rand.New(rand.NewSource(67)), rand.New(rand.NewSource(71))
+	mutate := func() { // flip edges, then rebuild the oracle mirror
+		mu.Lock()
+		for k := 0; k < 3; k++ {
+			from, label, to := mrng.Intn(n), labels[mrng.Intn(len(labels))], mrng.Intn(n)
+			l.flip(from, label, to)
+		}
+		// Rebuild and warm the oracle inside the lock so concurrent
+		// readers never race its lazy freeze.
+		mirror = l.rebuilt()
+		s.Warm(mirror)
+		mu.Unlock()
+	}
+	compact := func() { // random write-locked merges mid-stream
+		if crng.Intn(8) == 0 {
 			mu.Lock()
-			for k := 0; k < 3; k++ {
-				from, label, to := mrng.Intn(n), labels[mrng.Intn(len(labels))], mrng.Intn(n)
-				l.flip(from, label, to)
-			}
-			// Rebuild and warm the oracle inside the lock so concurrent
-			// readers never race its lazy freeze.
-			mirror = l.rebuilt()
-			s.Warm(mirror)
+			e.Compact()
 			mu.Unlock()
 		}
-	}()
+	}
 
-	background.Add(1)
-	go func() { // compactor: random write-locked merges mid-stream
-		defer background.Done()
-		crng := rand.New(rand.NewSource(71))
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if crng.Intn(8) == 0 {
-				mu.Lock()
-				e.Compact()
-				mu.Unlock()
-			}
-		}
-	}()
-
-	var workers sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		workers.Add(1)
-		go func(w int) {
-			defer workers.Done()
+	whileLooping(func() {
+		concurrently(4, func(w int) {
 			wrng := rand.New(rand.NewSource(int64(w + 73)))
 			for i := 0; i < 150; i++ {
 				x, y := wrng.Intn(n), wrng.Intn(n)
@@ -115,11 +86,8 @@ func TestEngineOverlaySoak(t *testing.T) {
 					return
 				}
 			}
-		}(w)
-	}
-	workers.Wait()
-	close(stop)
-	background.Wait()
+		})
+	}, mutate, compact)
 
 	// The oracle path must really have been the full-rebuild one, and the
 	// soak must have read through an overlay (worker 0's first step

@@ -12,14 +12,8 @@ import (
 // mutation kind: a removal must make cached tables and results for the
 // old generation unreachable, exactly like an insertion.
 func TestEngineObservesRemoveEdge(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 'a', 1)
-	g.AddEdge(1, 'a', 2)
-	g.AddEdge(2, 'c', 3)
-	s, err := NewSolver("a*c*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := edgeGraph(4, "0a1 1a2 2c3")
+	s := mustSolver(t, "a*c*")
 	e := NewEngine(s, g, EngineConfig{})
 	if !e.Solve(0, 3).Found {
 		t.Fatal("path 0→3 must exist before the removal")
@@ -51,40 +45,23 @@ func TestEngineMutateWhileQueryRace(t *testing.T) {
 	for i := 0; i < 4*n; i++ {
 		g.AddEdge(rng.Intn(n), labels[rng.Intn(len(labels))], rng.Intn(n))
 	}
-	s, err := NewSolver("a*c*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustSolver(t, "a*c*")
 	e := NewEngine(s, g, EngineConfig{})
 
 	var mu sync.RWMutex
-	stop := make(chan struct{})
-	mutatorDone := make(chan struct{})
-	go func() { // mutator: flip random edges in small delta batches
-		defer close(mutatorDone)
-		mrng := rand.New(rand.NewSource(29))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	mrng := rand.New(rand.NewSource(29))
+	mutate := func() { // flip random edges in small delta batches
+		mu.Lock()
+		for k := 0; k < 3; k++ {
+			from, label, to := mrng.Intn(n), labels[mrng.Intn(len(labels))], mrng.Intn(n)
+			if !g.RemoveEdge(from, label, to) {
+				g.AddEdge(from, label, to)
 			}
-			mu.Lock()
-			for k := 0; k < 3; k++ {
-				from, label, to := mrng.Intn(n), labels[mrng.Intn(len(labels))], mrng.Intn(n)
-				if !g.RemoveEdge(from, label, to) {
-					g.AddEdge(from, label, to)
-				}
-			}
-			mu.Unlock()
 		}
-	}()
-
-	var workers sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		workers.Add(1)
-		go func(w int) {
-			defer workers.Done()
+		mu.Unlock()
+	}
+	whileLooping(func() {
+		concurrently(4, func(w int) {
 			wrng := rand.New(rand.NewSource(int64(w + 5)))
 			for i := 0; i < 150; i++ {
 				x, y := wrng.Intn(n), wrng.Intn(n)
@@ -99,11 +76,8 @@ func TestEngineMutateWhileQueryRace(t *testing.T) {
 					return
 				}
 			}
-		}(w)
-	}
-	workers.Wait()
-	close(stop)
-	<-mutatorDone
+		})
+	}, mutate)
 
 	// Steady-state queries over small deltas must be served by pinned
 	// overlay views, never by stop-the-world refreezes. Drain whatever

@@ -12,35 +12,22 @@ import (
 	"repro/internal/psitr"
 )
 
-// tractablePatterns are the Ψtr-normalizable languages used for
-// cross-validation of the summary solver.
-var tractablePatterns = []string{
-	"a*(bb+|())c*",             // Example 1
-	"a(c{2,}|())(a|b)*(ac)?a*", // Example 2
-	"a*",
-	"a*c*",
-	"(a|b)*",
-	"a+b+",
-	"a*(b|())",
-	"[ab]{2,}",
-	"a{2,4}b*",
-	"ab|b*a",
-	"(ab)?[ab]*",
-	"a?b?c?",
-}
+// tractableRows are the answer rows of the tractable tiers.
+func tractableRows() []*hTier { return rowsOn(AlgoFinite, AlgoSubword, AlgoSummary) }
 
 // TestSummaryCrossValidation is the central correctness test of the
 // repository: on randomized instances the polynomial summary solver —
 // and every other bare tier function — must agree exactly with the
-// reference on every Ψtr-normalizable language of the list, with valid
-// witnesses.
+// reference on every language of the tractable tiers, each of which
+// normalizes to Ψtr (Theorem 4), with valid witnesses.
 func TestSummaryCrossValidation(t *testing.T) {
-	for _, pattern := range tractablePatterns {
-		if !summarizable(compiledSolver(t, pattern)) {
-			t.Fatalf("%q should normalize to Ψtr", pattern)
+	for _, l := range languagesOf(tractableRows()...) {
+		// The wide row's 66 gap terms are past what a forced summary search ends on.
+		if s := compiledSolver(t, l.pattern); s.Expr == nil || l.row.name != "wide" && !summarizable(s) {
+			t.Fatalf("%q should normalize to Ψtr", l.pattern)
 		}
 	}
-	checkGraphs(t, tier("summary"), tractablePatterns, 8, 3, func(seed int64) *graph.Graph {
+	checkGraphs(t, languagesOf(tractableRows()...), 8, 3, func(seed int64) *graph.Graph {
 		return graph.Random(8+int(seed), []byte{'a', 'b', 'c'}, 0.10+0.03*float64(seed%4), seed*31+7)
 	}, "tiers")
 }
@@ -79,18 +66,17 @@ func TestSummaryPlansDieWithSolver(t *testing.T) {
 
 // TestSummaryShortestCrossValidation checks the shortest-path variant
 // (among the bare tier functions) against iterative-deepening baseline
-// lengths.
+// lengths, for every language of the subword and summary tiers.
 func TestSummaryShortestCrossValidation(t *testing.T) {
-	patterns := []string{"a*(bb+|())c*", "a*c*", "a+b+", "(a|b)*"}
-	checkGraphs(t, tier("summary"), patterns, 5, 2, func(seed int64) *graph.Graph {
+	checkGraphs(t, languagesOf(rowsOn(AlgoSubword, AlgoSummary)...), 5, 2, func(seed int64) *graph.Graph {
 		return graph.Random(9, []byte{'a', 'b', 'c'}, 0.16, seed*17+3)
 	}, "tiers")
 }
 
 // TestSummaryOnDenseGraphs stresses the gap machinery where many
-// same-label choices exist.
+// same-label choices exist, for the summary tier's languages.
 func TestSummaryOnDenseGraphs(t *testing.T) {
-	checkGraphs(t, tier("summary"), []string{"a*(bb+|())c*"}, 4, 3, func(seed int64) *graph.Graph {
+	checkGraphs(t, patternsOf(rowsOn(AlgoSummary)...), 4, 3, func(seed int64) *graph.Graph {
 		return graph.Random(12, []byte{'a', 'b', 'c'}, 0.3, seed+100)
 	}, "tiers")
 }
@@ -114,18 +100,10 @@ func TestSummaryExampleOneCases(t *testing.T) {
 // graph shaped like Figure 3: an a-prefix, a c-loop region, an (a|b)
 // region and an a-tail.
 func TestSummaryExampleTwoNicePath(t *testing.T) {
-	s := mustSolver(t, "a(c{2,}|())(a|b)*(ac)?a*")
-	if s.Expr == nil {
-		t.Fatal("Example 2 language must normalize")
-	}
-	// Build a path spelling a cccc abab ac aa (in the language).
-	g, x, y := graph.LabeledPath("accccababacaa")
-	res := SolvePsitr(g, s.Expr, x, y, false)
-	if !res.Found {
+	g, x, y := graph.LabeledPath("accccababacaa") // a cccc abab ac aa, in the language
+	c := newCase(t, tier("summary"), "a(c{2,}|())(a|b)*(ac)?a*", g, 0)
+	if r := checkSurfaces(t, c, []Pair{{x, y}}, "tiers"); !r.found[0] {
 		t.Fatal("Example 2 word path not found")
-	}
-	if !VerifyWitness(res, g, s.Min, x, y) {
-		t.Fatal("invalid witness")
 	}
 }
 
@@ -133,28 +111,18 @@ func TestSummaryExampleTwoNicePath(t *testing.T) {
 // regions compete for vertices (the Sa/Sb sets of Example 1's
 // analysis): correctness requires the acc-ball bookkeeping.
 func TestSummaryGapDisjointness(t *testing.T) {
-	// Shape: x -a-> m -b-> m2 -b-> m -c-> y would reuse m; the only
-	// correct answer uses the disjoint b-pair below.
-	g := graph.New(0)
-	x := g.AddVertex()
-	m := g.AddVertex()
-	y := g.AddVertex()
-	b1 := g.AddVertex()
-	b2 := g.AddVertex()
-	g.AddEdge(x, 'a', m)
-	g.AddEdge(m, 'b', b1)
-	g.AddEdge(b1, 'b', m) // b-loop through m: unusable for a simple path
-	g.AddEdge(m, 'c', y)
-	g.AddEdge(b1, 'b', b2)
-	g.AddEdge(b2, 'c', y)
+	// Shape: x=0 -a-> m=1 -b-> 3 -b-> m -c-> y=2 would reuse m (the
+	// b-loop through m is unusable for a simple path); the only correct
+	// answer uses the disjoint b-pair 1 -b-> 3 -b-> 4 -c-> 2.
+	g := edgeGraph(5, "0a1 1b3 3b1 1c2 3b4 4c2")
 	c := newCase(t, tier("summary"), "a*(bb+|())c*", g, 0)
 	checkSurfaces(t, c, c.pairs(1), "Solver", "tiers")
 }
 
 // TestSummarySelfQueries checks every pair of a small graph, the x == y
-// corner among them, for every pattern.
+// corner among them, for every language of the tractable tiers.
 func TestSummarySelfQueries(t *testing.T) {
-	checkGraphs(t, tier("summary"), tractablePatterns, 1, 1, func(int64) *graph.Graph {
+	checkGraphs(t, languagesOf(tractableRows()...), 1, 1, func(int64) *graph.Graph {
 		return graph.Random(6, []byte{'a', 'b', 'c'}, 0.3, 5)
 	}, "tiers")
 }
@@ -185,19 +153,14 @@ func TestVlgSolveCrossValidation(t *testing.T) {
 }
 
 func TestLetterSynchronizing(t *testing.T) {
-	cases := []struct {
-		pattern string
-		want    bool
-	}{
-		{"(ab)*", true},
-		{"a*bc*", true},
-		{"a*ba*", false},        // two live a-targets
-		{"(aa)*", false},        // two live a-targets (parity)
-		{"a*(bb+|())c*", false}, // two live b-targets
-	}
-	for _, c := range cases {
-		if got := LetterSynchronizing(mustMin(t, c.pattern)); got != c.want {
-			t.Errorf("LetterSynchronizing(%q) = %v, want %v", c.pattern, got, c.want)
+	for pattern, want := range map[string]bool{
+		"(ab)*": true, "a*bc*": true,
+		"a*ba*":        false, // two live a-targets
+		"(aa)*":        false, // two live a-targets (parity)
+		"a*(bb+|())c*": false, // two live b-targets
+	} {
+		if got := LetterSynchronizing(mustMin(t, pattern)); got != want {
+			t.Errorf("LetterSynchronizing(%q) = %v, want %v", pattern, got, want)
 		}
 	}
 }
@@ -217,12 +180,6 @@ func TestVlgPolynomialExample(t *testing.T) {
 	}
 }
 
-// adjacentGapPatterns normalize to Ψtr sequences with adjacent k=0 gap
-// terms ([A]*[B]*), with and without an optional word that may be
-// skipped between them — the shape whose second gap is entered at the
-// first gap's exit.
-var adjacentGapPatterns = []string{"a+b+", "a+c?b+", "(a|b)+c+", "a+(b|c)+a", "a+b*c+"}
-
 // TestSummaryAdjacentGaps is the regression test for the summary-tier
 // wrong answer on adjacent [A]*[B]* terms: the second gap's entry is the
 // first gap's exit, which the acc-ball test of Definition 4 must not
@@ -231,12 +188,7 @@ var adjacentGapPatterns = []string{"a+b+", "a+c?b+", "(a|b)+c+", "a+(b|c)+a", "a
 // the differential runs every surface against BaselineShortest on
 // seeded random cyclic graphs.
 func TestSummaryAdjacentGaps(t *testing.T) {
-	g := graph.New(7)
-	for i, l := range []byte("aabb") {
-		g.AddEdge(i, l, i+1)
-	}
-	g.AddEdge(5, 'a', 6)
-	g.AddEdge(6, 'a', 5)
+	g := edgeGraph(7, "0a1 1a2 2b3 3b4 5a6 6a5")
 	s := mustSolver(t, "a+b+")
 	if algo := s.ChooseAlgorithm(g); algo != AlgoSummary {
 		t.Fatalf("a+b+ on a cyclic graph dispatches to %v, want summary", algo)
@@ -247,7 +199,11 @@ func TestSummaryAdjacentGaps(t *testing.T) {
 	hc := newCase(t, tier("summary-adjacent-gaps"), "a+b+", g, 0)
 	checkSurfaces(t, hc, hc.pairs(1), "Solver", "BatchSolver", "Engine/kept")
 
-	for _, pattern := range adjacentGapPatterns {
+	// The row's languages normalize to Ψtr sequences with adjacent k=0 gap
+	// terms ([A]*[B]*), with and without an optional word that may be
+	// skipped between them: the second gap is entered at the first's exit.
+	for _, l := range languagesOf(tier("summary-adjacent-gaps")) {
+		pattern := l.pattern
 		s := mustSolver(t, pattern)
 		if s.Expr == nil || !s.Classification.Tractable || s.SubwordClosed {
 			t.Fatalf("%q must be a summary-tier language", pattern)
@@ -271,18 +227,18 @@ func TestSummaryAdjacentGaps(t *testing.T) {
 	}
 }
 
-// TestSolverEndToEnd runs the dispatcher across tiers on one graph.
+// TestSolverEndToEnd runs the dispatcher across tiers on one graph, for
+// every language of every answer row.
 func TestSolverEndToEnd(t *testing.T) {
-	patterns := []string{"ab|ba", "a*c*", "a*(bb+|())c*", "(aa)*", "a*ba*"}
-	checkGraphs(t, tier("baseline"), patterns, 1, 4, func(int64) *graph.Graph {
+	checkGraphs(t, languagesOf(answerRows()...), 1, 4, func(int64) *graph.Graph {
 		return graph.Random(14, []byte{'a', 'b', 'c'}, 0.15, 77)
 	}, "Solver")
 }
 
-// TestShortestEndToEnd checks Solver.Shortest against the baseline.
+// TestShortestEndToEnd checks Solver.Shortest against the baseline, for
+// every language of every answer row.
 func TestShortestEndToEnd(t *testing.T) {
-	patterns := []string{"ab|ba", "a*c*", "a*(bb+|())c*", "(aa)*"}
-	checkGraphs(t, tier("baseline"), patterns, 1, 2, func(int64) *graph.Graph {
+	checkGraphs(t, languagesOf(answerRows()...), 1, 2, func(int64) *graph.Graph {
 		return graph.Random(9, []byte{'a', 'b', 'c'}, 0.2, 123)
 	}, "Solver")
 }

@@ -3,8 +3,9 @@
 # under scripts/mutants/ plants one known bug in the query kernels (a
 # fix reverted, a probe or a walk step weakened); the script applies it
 # to a temporary copy of the tree and requires `go test ./internal/rspq/`
-# to fail, naming the tests that caught it. It exits non-zero when a
-# mutation survives or a patch no longer applies.
+# to fail, naming the tests that caught it. The mutated tree must build
+# first: a failure to compile checks nothing. It exits non-zero when a
+# mutation survives, or its patch no longer applies or builds.
 #
 #   bash scripts/mutants.sh [tree]     # tree: the checkout to mutate (default: this one)
 set -uo pipefail
@@ -24,12 +25,18 @@ for patch in "$root"/scripts/mutants/*.patch; do
 		status=1
 		continue
 	fi
+	if ! (cd "$work/tree" && go test -count=1 -run '^$' ./internal/rspq/ >"$work/log" 2>&1); then
+		echo "mutants: $name: the mutated tree does not build:"
+		sed 's/^/  /' "$work/log"
+		status=1
+		continue
+	fi
 	if (cd "$work/tree" && go test -count=1 -timeout 300s ./internal/rspq/ >"$work/log" 2>&1); then
 		echo "mutants: $name: SURVIVED — go test ./internal/rspq/ passes with it"
 		status=1
 	else
 		caught="$(grep -oE '^--- FAIL: [^ ]+' "$work/log" | cut -d' ' -f3 | sort -u | tr '\n' ' ')"
-		echo "mutants: $name: caught by ${caught:-$(grep -m1 -E 'panic|cannot|error' "$work/log")}"
+		echo "mutants: $name: caught by ${caught:-$(grep -m1 -E '^panic' "$work/log")}"
 	fi
 done
 exit $status
