@@ -110,6 +110,7 @@ type server struct {
 	hm            httpMetrics
 
 	bufs sync.Pool // *[]byte: request bodies, then the answers appended over them (wire.go)
+	recs sync.Pool // *statusRecorder: the instrument wrapper's (obs.go)
 }
 
 func newServer(s *rspq.Solver, g *graph.Graph, pattern string, cfg rspq.EngineConfig) *server {
@@ -127,6 +128,7 @@ func newServer(s *rspq.Solver, g *graph.Graph, pattern string, cfg rspq.EngineCo
 	}
 	srv.hm = newHTTPMetrics(reg, func() float64 { return float64(srv.inflightPairs.Load()) })
 	srv.bufs.New = func() any { b := make([]byte, 0, 4096); return &b }
+	srv.recs.New = func() any { return new(statusRecorder) }
 	return srv
 }
 

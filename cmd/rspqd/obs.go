@@ -72,13 +72,20 @@ func (r *statusRecorder) WriteHeader(code int) {
 
 // instrument wraps a route handler with request counting, latency
 // observation and slow-request logging. Handles are resolved once at
-// wrap time; the per-request cost is one clock pair and atomic adds.
+// wrap time; the per-request cost is one clock pair and atomic adds,
+// and the status recorder comes from a pool, since the handler's
+// ResponseWriter would move it to the heap.
 func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	em := s.hm.byEndpoint[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		rec := statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(&rec, r)
+		rec := s.recs.Get().(*statusRecorder)
+		*rec = statusRecorder{ResponseWriter: w, code: http.StatusOK}
+		defer func() {
+			*rec = statusRecorder{}
+			s.recs.Put(rec)
+		}()
+		h(rec, r)
 		el := time.Since(t0)
 		em.seconds.ObserveDuration(el)
 		switch {

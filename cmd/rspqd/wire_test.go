@@ -201,12 +201,13 @@ func (w *sinkWriter) Write(p []byte) (int, error) {
 }
 
 // TestQueryHotAllocs bounds what a cached read allocates end to end
-// through the server's mux: a result-hit /query and a cached 64-pair
-// /batch, with the request and the writer reused. Before the scanner
-// and the append encoding the same reads allocated 14 and 88 times. What
-// is left on /query: the instrument wrapper's status recorder, the
+// through the server's mux: a result-hit /query with an answer below
+// and one above 100 bytes, and a cached 64-pair /batch, with the request
+// and the writer reused. Before the scanner and the append encoding the
+// same reads allocated 14 and 88 times. What is left on /query: the
 // header values, and the Content-Length string of an answer of 100
-// bytes or more.
+// bytes or more (strconv keeps the strings of smaller numbers); the
+// instrument wrapper's status recorder is pooled.
 func TestQueryHotAllocs(t *testing.T) {
 	const pattern = "a*(bb+|())c*"
 	s, err := rspq.NewSolver(pattern)
@@ -229,10 +230,12 @@ func TestQueryHotAllocs(t *testing.T) {
 	pairs.WriteString(`]}`)
 	for _, c := range []struct {
 		path, body string
+		minLen     int // the answer's least size in bytes
 		max        float64
 	}{
-		{"/query", `{"x":7,"y":300}`, 3},
-		{"/batch", pairs.String(), 8},
+		{"/query", `{"x":7,"y":300}`, 0, 1},
+		{"/query", `{"x":4,"y":300}`, 100, 2},
+		{"/batch", pairs.String(), 0, 7},
 	} {
 		b := []byte(c.body)
 		r := httptest.NewRequest(http.MethodPost, c.path, nil)
@@ -246,6 +249,9 @@ func TestQueryHotAllocs(t *testing.T) {
 		read() // fill the caches
 		if w.code != http.StatusOK || w.h.Get("Content-Length") != fmt.Sprint(len(w.body)) {
 			t.Fatalf("%s: status %d, Content-Length %q for a %d-byte answer", c.path, w.code, w.h.Get("Content-Length"), len(w.body))
+		}
+		if len(w.body) < c.minLen {
+			t.Fatalf("%s %s: a %d-byte answer; the case needs one of at least %d", c.path, c.body, len(w.body), c.minLen)
 		}
 		allocs := testing.AllocsPerRun(200, read)
 		t.Logf("%s: %.1f allocs per cached read of a %d-byte answer", c.path, allocs, len(w.body))

@@ -89,10 +89,7 @@ func New[K comparable, V any](cfg Config) *Cache[K, V] {
 		}
 	}
 	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.m = make(map[K]*entry[K, V])
-		sh.root.prev = &sh.root
-		sh.root.next = &sh.root
+		c.shards[i].empty()
 	}
 	return c
 }
@@ -191,6 +188,19 @@ func (c *Cache[K, V]) Delete(key K) bool {
 	return true
 }
 
+// Clear drops every entry, shard by shard, each under its lock. The
+// hit, miss, put and eviction counters keep their values: a cleared
+// entry is not counted as an eviction. A Put racing Clear may land
+// before or after it.
+func (c *Cache[K, V]) Clear() {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		sh.empty()
+		sh.mu.Unlock()
+	}
+}
+
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int {
 	n := 0
@@ -218,6 +228,14 @@ func (c *Cache[K, V]) Stats() Stats {
 		sh.mu.Unlock()
 	}
 	return st
+}
+
+// empty gives the shard a fresh map and recency list, so the old
+// entries' memory goes back to the collector.
+func (sh *shard[K, V]) empty() {
+	sh.m = make(map[K]*entry[K, V])
+	sh.root.prev, sh.root.next = &sh.root, &sh.root
+	sh.bytes = 0
 }
 
 func (sh *shard[K, V]) pushFront(e *entry[K, V]) {

@@ -249,3 +249,79 @@ func TestConcurrent(t *testing.T) {
 		t.Fatalf("bytes %d exceed budget", st.Bytes)
 	}
 }
+
+// TestClear pins Clear: every entry and byte goes, the counters stay,
+// and the cache works as before afterwards.
+func TestClear(t *testing.T) {
+	c := New[int, int](Config{MaxBytes: 1 << 10, Shards: 4})
+	for k := 0; k < 50; k++ {
+		c.Put(k, k, 8)
+	}
+	c.Get(3)
+	c.Get(-1)
+	before := c.Stats()
+	c.Clear()
+	st := c.Stats()
+	if st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("after Clear: %d entries, %d bytes; want none", st.Entries, st.Bytes)
+	}
+	if st.Hits != before.Hits || st.Misses != before.Misses || st.Puts != before.Puts || st.Evictions != before.Evictions {
+		t.Fatalf("Clear moved the counters: %+v, was %+v", st, before)
+	}
+	if _, ok := c.Get(3); ok {
+		t.Fatal("a cleared key hit")
+	}
+	c.Put(3, 30, 8)
+	if v, ok := c.Get(3); !ok || v != 30 || c.Len() != 1 || c.Stats().Bytes != 8 {
+		t.Fatalf("after Clear and Put: Get(3) = %d, %v, len %d, bytes %d", v, ok, c.Len(), c.Stats().Bytes)
+	}
+}
+
+// TestClearConcurrent races Get and Put against Clear; run under -race
+// it checks that Clear takes each shard's lock, and afterwards every
+// shard's map, recency list and byte count must agree.
+func TestClearConcurrent(t *testing.T) {
+	c := New[int, int](Config{MaxBytes: 1 << 12, Shards: 4})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 3000; i++ {
+				k := rng.Intn(200)
+				if rng.Intn(2) == 0 {
+					c.Put(k, k, int64(rng.Intn(64)))
+				} else if v, ok := c.Get(k); ok && v != k {
+					t.Errorf("Get(%d) = %d; want %d", k, v, k)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			c.Clear()
+		}
+	}()
+	wg.Wait()
+	for i := range c.shards {
+		sh := &c.shards[i]
+		n, bytes := 0, int64(0)
+		for e := sh.root.next; e != &sh.root; e = e.next {
+			if sh.m[e.key] != e {
+				t.Fatalf("shard %d: listed key %d is not mapped to its entry", i, e.key)
+			}
+			n, bytes = n+1, bytes+e.cost
+		}
+		if n != len(sh.m) || bytes != sh.bytes {
+			t.Fatalf("shard %d: list holds %d entries, %d bytes; map %d, count %d", i, n, bytes, len(sh.m), sh.bytes)
+		}
+	}
+	c.Clear()
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Puts == 0 {
+		t.Fatalf("after the last Clear: %+v", st)
+	}
+}

@@ -24,11 +24,12 @@ import (
 //     solver's per-sequence position-NFA co-reachability bitsets;
 //   - a result cache for hot (language, x, y) answers.
 //
-// Every key carries the graph's mutation epoch (graph.Graph.Epoch), so
-// a mutation invalidates all cached data automatically: the next query
-// observes the bumped epoch, re-pins its view, and every lookup
-// under the new epoch misses. Stale entries age out of the LRU on
-// their own — no explicit purge calls anywhere.
+// Both caches hold one epoch (graph.Graph.Epoch): the pin that advances
+// the engine's view to a newer epoch — the next query after a write, or
+// a Compact after writes — clears them (Engine.pin), and a compaction
+// alone, which leaves the epoch where it is, clears nothing. Every key
+// still carries its epoch, because a query running on an older view
+// may Put after the clear; such an entry never matches a newer query.
 //
 // The evaluation itself — which table a tier needs, how a group of
 // sources sharing a target is answered against it — is evaluator.go,
@@ -145,8 +146,9 @@ type EngineStats struct {
 // pair: it answers Solve / Exists / BatchSolve / BatchSolveExists
 // against a frozen snapshot of the graph, keeping the per-target
 // pruning tables of all three algorithm tiers and hot query results in
-// epoch-keyed LRU caches so they survive across queries and batches.
-// Build one with NewEngine and share it between goroutines.
+// LRU caches that hold one graph epoch, so they survive across the
+// queries and batches between two writes. Build one with NewEngine and
+// share it between goroutines.
 type Engine struct {
 	// evaluator is the table-sharing evaluator (evaluator.go) with both
 	// cache tiers attached: tables and results are nil when their tier
@@ -224,9 +226,8 @@ func (e *Engine) SetWorkers(n int) *Engine {
 func (e *Engine) Solver() *Solver { return e.s }
 
 // snapshot returns the engine's pinned view, re-pinning it
-// (graph.PinView) when the graph's epoch has moved past the view's.
-// Cached tables and results need no purging — their keys carry the old
-// epoch and simply stop matching.
+// (graph.PinView) when the graph's epoch has moved past the view's; the
+// re-pin clears both caches (pin).
 //
 // This is the no-freeze read path of streaming workloads: PinView pins
 // a small pending delta as a sorted read overlay on the last frozen
@@ -249,18 +250,38 @@ func (e *Engine) snapshot() *graph.View {
 		return vw
 	}
 	vw := e.g.PinView()
-	e.snap.Store(vw)
+	e.pin(vw)
 	e.met.rebuilds.Inc()
 	return vw
 }
 
+// pin stores vw as the engine's view, under e.mu. A view of a newer
+// epoch than the stored one clears both caches first: every key carries
+// its epoch, so no entry of an older one can answer a query on vw.
+// Keys keep the epoch because a query still running on an older view
+// may Put after the clear; its entry can never answer a newer query and
+// is dead weight until the next clear or an eviction.
+func (e *Engine) pin(vw *graph.View) {
+	if old := e.snap.Load(); old != nil && vw.Epoch() > old.Epoch() {
+		if e.tables != nil {
+			e.tables.Clear()
+		}
+		if e.results != nil {
+			e.results.Clear()
+		}
+	}
+	e.snap.Store(vw)
+}
+
 // Compact merges the graph's pending mutation delta into a flat CSR and
 // re-pins the engine's snapshot over the merged base, off the query
-// path. The epoch does not move — an overlay view and the merged CSR
-// present identical adjacency, so cached tables and results keyed by
-// the current epoch stay valid and in-flight queries keep their pinned
-// (now superseded, still immutable) view. It reports whether any
-// compaction work was done.
+// path. The compaction does not move the epoch — an overlay view and
+// the merged CSR present identical adjacency, so cached tables and
+// results keyed by the current epoch stay valid and in-flight queries
+// keep their pinned (now superseded, still immutable) view. Only writes
+// since the last pin advance it, and then the re-pin clears both
+// caches as snapshot's would (pin). It reports whether any compaction
+// work was done.
 //
 // Like mutations, Compact must be externally synchronized with writers:
 // callers serialize it against AddEdge/RemoveEdge (rspqd runs it from
@@ -275,7 +296,7 @@ func (e *Engine) Compact() bool {
 	}
 	t0 := time.Now()
 	e.g.Freeze() // merge the delta into the base (incremental when it qualifies)
-	e.snap.Store(e.g.PinView())
+	e.pin(e.g.PinView())
 	el := time.Since(t0)
 	e.met.compactions.Inc()
 	e.met.compactSeconds.ObserveDuration(el)

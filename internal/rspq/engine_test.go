@@ -14,8 +14,8 @@ import (
 
 // TestEngineMatchesSolver holds one Engine, kept across its graph's
 // epochs, to the reference on every answer row: cold, again — the second
-// pass served from warm caches — and after a delta, where every cache
-// key must go stale through the epoch, with no purge call anywhere.
+// pass served from warm caches — and after a delta, whose pin clears
+// both caches (TestEngineCachesHoldOneEpoch).
 func TestEngineMatchesSolver(t *testing.T) {
 	runMatrix(t, answerRows(), []int64{0}, [][]hView{{frozen, frozen, overlay(3)}}, func(t *testing.T, c *hCase) {
 		before := c.kept.Stats()
@@ -101,6 +101,66 @@ func TestEngineTableLRUEviction(t *testing.T) {
 	}
 	if st := fresh.Stats(); st.StoppedSweeps != 1 || st.Tables.Puts != 0 || st.Results.Puts != 1 {
 		t.Fatalf("a stopped miss must put its answer and no table: stopped sweeps %d, %+v / %+v", st.StoppedSweeps, st.Tables, st.Results)
+	}
+}
+
+// TestEngineCachesHoldOneEpoch pins that an Engine's caches hold one
+// epoch. The first query after a write leaves both caches holding
+// exactly what a fresh engine holds after the same query; a write
+// followed by Compact, with no query between, leaves both empty; and
+// every answer after the clear is a fresh engine's.
+func TestEngineCachesHoldOneEpoch(t *testing.T) {
+	g := graph.RandomRegular(40, []byte{'a', 'b', 'c'}, 3, 12)
+	isolated := g.AddVertex()
+	s := mustSolver(t, "a*c*")
+	e := NewEngine(s, g, EngineConfig{})
+	fill := func() { // tables (the isolated source runs each sweep to the end) and results
+		for y := 0; y < 40; y += 3 {
+			e.BatchSolve([]Pair{{X: 0, Y: y}, {X: isolated, Y: y}})
+			e.Solve(5, y)
+		}
+		if st := e.Stats(); st.Tables.Entries == 0 || st.Results.Entries == 0 {
+			t.Fatalf("the queries cached nothing: %+v / %+v", st.Tables, st.Results)
+		}
+	}
+	write := func(from int, label byte, to int) {
+		epoch := g.Epoch()
+		g.AddEdge(from, label, to)
+		if g.Epoch() == epoch {
+			t.Fatalf("adding %d-%c->%d did not advance the epoch", from, label, to)
+		}
+	}
+	held := func(e *Engine) [4]int64 {
+		st := e.Stats()
+		return [4]int64{int64(st.Tables.Entries), st.Tables.Bytes, int64(st.Results.Entries), st.Results.Bytes}
+	}
+
+	fill()
+	write(0, 'c', isolated)
+	query := []Pair{{X: 1, Y: 39}, {X: isolated, Y: 39}}
+	e.BatchSolve(query)
+	fresh := NewEngine(s, g, EngineConfig{})
+	fresh.BatchSolve(query)
+	if got, want := held(e), held(fresh); got != want {
+		t.Fatalf("after a write and one query the caches hold [tables, bytes, results, bytes] %v; that query alone puts %v", got, want)
+	}
+
+	fill()
+	write(2, 'a', isolated)
+	if !e.Compact() {
+		t.Fatal("Compact merged nothing after two writes")
+	}
+	if got := held(e); got != [4]int64{} {
+		t.Fatalf("after a write and Compact the caches hold [tables, bytes, results, bytes] %v; want none", got)
+	}
+
+	fresh = NewEngine(s, g, EngineConfig{})
+	for y := 0; y < g.NumVertices(); y++ {
+		for _, x := range []int{0, 2, 5, isolated} {
+			if got, want := e.Solve(x, y), fresh.Solve(x, y); got.Found != want.Found || !samePath(got.Path, want.Path) {
+				t.Fatalf("(%d,%d) after the clear: %v %v; a fresh engine: %v %v", x, y, got.Found, got.Path, want.Found, want.Path)
+			}
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 //	rspq_snapshot_rebuilds_total             engine snapshot re-pins
 //	rspq_reads_total{view}                   overlay vs pass_through serves
 //	rspq_kernel_rounds_total                 backward-sweep BFS rounds
-//	rspq_kernel_round_seconds                per-round wall time
 //	rspq_bit_parallel_hits_total             backward sweeps, every tier
 //	rspq_sweeps_stopped_total                sweeps stopped with every source answered
 //	rspq_compactions_total                   background delta merges
@@ -115,8 +114,6 @@ func newKernelCounters(reg *metrics.Registry) exchCounters {
 			"Backward sweeps run, each over packed words (the name predates the one sweep driver)."),
 		stopped: reg.Counter("rspq_sweeps_stopped_total",
 			"Backward sweeps that stopped once every source of their target group was answered, leaving no table."),
-		roundSecs: reg.Histogram("rspq_kernel_round_seconds",
-			"Per-round kernel wall time in seconds.", nil),
 	}
 }
 

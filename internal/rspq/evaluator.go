@@ -1,6 +1,7 @@
 package rspq
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
 	"sync"
@@ -28,9 +29,10 @@ import (
 // is the one place a tier is mapped to its kernel. They differ only in
 // where tables and answers live: a Solver and a BatchSolver keep tables
 // in the arena for the duration of one group and retain nothing; an
-// Engine feeds both to epoch-keyed caches so they survive across
-// queries and batches. A single Solver or Engine query is a group of
-// one, built on the caller's stack (solveOne).
+// Engine feeds both to caches that hold one graph epoch: they survive
+// across the queries and batches of that epoch, and the pin of a newer
+// one clears them (Engine.pin). A single Solver or Engine query is a
+// group of one, built on the caller's stack (solveOne).
 //
 // Groups are independent, so a batch fans them out over a worker pool.
 // Each worker owns one pooled arena for its whole shift and the summary
@@ -620,19 +622,28 @@ func newDenseGoalTable(a *arena) *goalTable {
 	return t
 }
 
-// newSparseGoalTable freezes the r reached ids only. A sweep that kept
-// its dirty list lists them from its words, which are then sorted; any
-// other sweep scans every visited word vertex by vertex, lane by lane,
-// which yields them in ascending order.
+// newSparseGoalTable freezes the r reached ids only. Read vertex by
+// vertex, lane by lane, the visited words yield them in ascending order
+// (appendIDs). A sweep that kept its dirty list sorts the listed words
+// into that order — no more than the ids they hold, and growWords
+// reads the list in any order; any other sweep scans every visited
+// word.
 func newSparseGoalTable(a *arena, r int) *goalTable {
 	co := a.co
 	words := make([]int32, 2*r)
 	t := &goalTable{ids: words[:0:r], dist: words[r:], m: co.m, states: r}
 	if a.dirtyOK {
+		if len(co.w) == co.n { // one lane: word kv is vertex kv
+			slices.Sort(a.dirty)
+		} else { // by vertex kv % n, then lane kv / n
+			n := int32(co.n)
+			slices.SortFunc(a.dirty, func(x, y int32) int {
+				return cmp.Or(cmp.Compare(x%n, y%n), cmp.Compare(x/n, y/n))
+			})
+		}
 		for _, kv := range a.dirty {
 			t.ids = co.appendIDs(t.ids, int(kv))
 		}
-		slices.Sort(t.ids)
 	} else {
 		for v := 0; v < co.n; v++ {
 			for kv := v; kv < len(co.w); kv += co.n {

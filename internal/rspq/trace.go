@@ -10,10 +10,9 @@ import (
 // kernel hooks:
 //
 //   - exchCounters: pre-registered metrics handles (counters for
-//     rounds / sweeps / stopped sweeps, a histogram for per-round wall
-//     time) that an Engine wires into every backward sweep it runs
-//     (sinks, sweep.go). Updates are
-//     atomic adds — no locks, no allocation — so the instrumented
+//     rounds / sweeps / stopped sweeps) that an Engine wires into every
+//     backward sweep it runs (sinks, sweep.go). Updates are atomic adds —
+//     no locks, no allocation, no clock read — so the instrumented
 //     kernels keep their allocation contracts.
 //   - kernelTrace: an opt-in per-query recording (round-by-round
 //     frontier size and wall time) that Engine.SolveTraced assembles
@@ -22,7 +21,8 @@ import (
 //
 // Both sinks may be nil; package-level entry points (SolveExists,
 // ExistsWalk, BatchSolver) run with neither and pay only a pair of
-// nil checks per round.
+// nil checks per round. Only a trace reads the clock per round: kernel
+// time per query is the "kernel" stage's, timed once around the sweep.
 
 // StageTiming is one engine stage of a traced query: stage is one of
 // "pin" (snapshot pin + validation), "cache" (result-cache lookup),
@@ -102,40 +102,32 @@ type kernelTrace struct {
 }
 
 // exchCounters bundles the pre-registered kernel metrics an Engine
-// wires into every search: the round counter and round-time histogram,
-// the sweep counter and the stopped-sweep counter. A nil
+// wires into every search: the round counter, the sweep counter and the
+// stopped-sweep counter. A nil
 // *exchCounters (the package-level query paths) disables all of it.
 // When non-nil, every field is set — the Engine registers them
 // together.
 type exchCounters struct {
-	rounds    *metrics.Counter
-	sweeps    *metrics.Counter
-	stopped   *metrics.Counter
-	roundSecs *metrics.Histogram
+	rounds  *metrics.Counter
+	sweeps  *metrics.Counter
+	stopped *metrics.Counter
 }
 
-// roundStart begins timing one sweep round; it returns the zero time
-// (without reading the clock) when nothing listens.
+// roundStart begins timing one sweep round for the trace; it returns
+// the zero time (without reading the clock) when there is none.
 func (e *sweepEnv) roundStart() time.Time {
-	if e.counts == nil && e.tr == nil {
+	if e.tr == nil {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-// roundEnd finishes one sweep round: with a sink listening the wall
-// time goes into the round histogram and, when tracing, a RoundTrace
-// with the frontier size the round started from.
+// roundEnd finishes one sweep round: when tracing, it records a
+// RoundTrace with the round's wall time and the frontier size the round
+// started from.
 func (e *sweepEnv) roundEnd(t0 time.Time, frontier int) {
-	if e.counts == nil && e.tr == nil {
-		return
-	}
-	el := time.Since(t0)
-	if e.counts != nil {
-		e.counts.roundSecs.ObserveDuration(el)
-	}
 	if e.tr != nil {
-		e.tr.rounds = append(e.tr.rounds, RoundTrace{Frontier: frontier, Nanos: el.Nanoseconds()})
+		e.tr.rounds = append(e.tr.rounds, RoundTrace{Frontier: frontier, Nanos: time.Since(t0).Nanoseconds()})
 	}
 }
 
